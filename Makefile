@@ -2,7 +2,7 @@
 # the race detector (the RPC/replication paths are goroutine-heavy).
 GO ?= go
 
-.PHONY: build test race vet lint check bench-quick bench-smoke chaos-smoke scrub-smoke ec-smoke perf-smoke failover-smoke cold-smoke
+.PHONY: build test race vet lint check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke failover-smoke cold-smoke
 
 build:
 	$(GO) build ./...
@@ -25,23 +25,41 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-check: vet lint build test race chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke
+check: vet lint build test race chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
 
 bench-quick:
 	$(GO) run ./cmd/ursa-bench -all -quick
 
-# Short-run sanity pass over the bench figures that gate acceptance. Quick
+# Short-run sanity pass over the bench figures that gate acceptance:
+# ursa-bench exits non-zero when a figure prints ACCEPTANCE FAIL. Quick
 # runs write their (shrunk, noisy) artifacts to a temp dir; only explicit
 # full `-fig X` runs refresh the canonical repo-root BENCH_*.json files
 # (internal/bench/artifactPath).
 bench-smoke: vet
 	$(GO) run ./cmd/ursa-bench -fig journal -quick
 	$(GO) run ./cmd/ursa-bench -fig hotchunk -quick
+	$(GO) run ./cmd/ursa-bench -fig ceiling -quick
 	$(GO) run ./cmd/ursa-bench -fig recovery -quick
 	$(GO) run ./cmd/ursa-bench -fig scrub -quick
 	$(GO) run ./cmd/ursa-bench -fig ec -quick
 	$(GO) run ./cmd/ursa-bench -fig failover -quick
 	$(GO) run ./cmd/ursa-bench -fig coldtier -quick
+
+# Full-length run of every artifact-writing figure: rewrites all eight
+# repo-root BENCH_*.json files (several minutes; keep the host quiet).
+bench-refresh:
+	for f in journal hotchunk ceiling recovery scrub ec failover coldtier; do \
+		$(GO) run ./cmd/ursa-bench -fig $$f || exit 1; \
+	done
+
+# The repo benchmark (BENCHMARK.json) is its own module under benchmark/,
+# outside `go build ./... && go test ./...`: vet and test it here so an
+# internal/ API change cannot break it unnoticed. Same build cache as
+# benchmark/run.sh.
+bench-module: export GOCACHE = $(CURDIR)/.bench_build/gocache
+bench-module:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark -count=1 .
 
 # Hot-path allocation regression gate: runs the steady-state micro
 # benchmarks (read+verify, write+stamp, pooled decode, client-directed

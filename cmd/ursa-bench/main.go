@@ -25,7 +25,11 @@ import (
 	"ursa/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body, returning the exit status so the profile defers run
+// before the process exits: 1 when a figure missed its acceptance bar.
+func run() int {
 	var (
 		fig        = flag.String("fig", "", "figure/table id to run (1, 2, t1, 6a..16)")
 		all        = flag.Bool("all", false, "run every figure and table")
@@ -43,7 +47,7 @@ func main() {
 		for _, e := range entries {
 			fmt.Println(e.ID)
 		}
-		return
+		return 0
 	}
 	if *pprofAddr != "" {
 		go func() {
@@ -56,11 +60,11 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -83,11 +87,15 @@ func main() {
 	}
 
 	cfg := bench.Config{Quick: *quick, Seed: *seed}
-	run := func(e bench.Entry) {
+	status := 0
+	runFig := func(e bench.Entry) {
 		start := time.Now()
 		tab := e.Run(cfg)
 		fmt.Print(tab.String())
 		fmt.Printf("(%s in %v)\n\n", tab.ID, time.Since(start).Round(time.Millisecond))
+		if tab.Failed() {
+			status = 1
+		}
 		// Figures allocate multi-GB simulated device stores; hand the
 		// garbage back to the OS before building the next system.
 		debug.FreeOSMemory()
@@ -95,19 +103,20 @@ func main() {
 	switch {
 	case *all:
 		for _, e := range entries {
-			run(e)
+			runFig(e)
 		}
 	case *fig != "":
 		for _, e := range entries {
 			if e.ID == *fig {
-				run(e)
-				return
+				runFig(e)
+				return status
 			}
 		}
 		fmt.Fprintf(os.Stderr, "unknown figure %q; use -list\n", *fig)
-		os.Exit(1)
+		return 1
 	default:
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
+	return status
 }

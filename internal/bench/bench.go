@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,6 +100,23 @@ func (t Table) String() string {
 		b.WriteString(ex.String())
 	}
 	return b.String()
+}
+
+// Failed reports whether t or one of its companion tables carries an
+// "ACCEPTANCE FAIL" note: the marker a figure appends when it misses its
+// own bar, which fails the smoke tests and makes ursa-bench exit non-zero.
+func (t Table) Failed() bool {
+	for _, n := range t.Notes {
+		if strings.Contains(n, "ACCEPTANCE FAIL") {
+			return true
+		}
+	}
+	for _, ex := range t.Extra {
+		if ex.Failed() {
+			return true
+		}
+	}
+	return false
 }
 
 func min(a, b int) int {
@@ -313,6 +331,18 @@ func buildComparison(volumeSize int64) ([]system, error) {
 	}
 	out = append(out, system{name: "Ursa-Hybrid", dev: uhyb.vd, close: uhyb.Close, metrics: uhyb.metrics})
 	return out, nil
+}
+
+// writeArtifact emits doc as the figure's machine-readable BENCH_*.json
+// artifact at artifactPath; a failure to write becomes a table note.
+func (t *Table) writeArtifact(cfg Config, name string, doc any) {
+	buf, err := json.MarshalIndent(doc, "", "  ")
+	if err == nil {
+		err = os.WriteFile(artifactPath(cfg, name), append(buf, '\n'), 0o644)
+	}
+	if err != nil {
+		t.Notes = append(t.Notes, "write "+name+": "+err.Error())
+	}
 }
 
 // artifactPath anchors a BENCH_*.json artifact at the repository root (the

@@ -18,8 +18,25 @@ func checkTable(t *testing.T, tab Table, minRows int) {
 			t.Fatalf("%s: %s", tab.ID, n)
 		}
 	}
+	if tab.Failed() {
+		t.Fatalf("%s missed its acceptance:\n%s", tab.ID, tab)
+	}
 	if tab.String() == "" {
 		t.Fatalf("%s: empty render", tab.ID)
+	}
+}
+
+// TestTableFailed: the acceptance marker counts wherever it sits, including
+// a companion table's notes — ursa-bench's exit status hangs on it.
+func TestTableFailed(t *testing.T) {
+	ok := Table{Notes: []string{"all good"}, Extra: []Table{{Notes: []string{"fine"}}}}
+	if ok.Failed() {
+		t.Fatal("clean table reported failed")
+	}
+	top := Table{Notes: []string{"ACCEPTANCE FAIL: x"}}
+	nested := Table{Extra: []Table{{Extra: []Table{{Notes: []string{"n", "ACCEPTANCE FAIL: y"}}}}}}
+	if !top.Failed() || !nested.Failed() {
+		t.Fatalf("marker missed: top=%v nested=%v", top.Failed(), nested.Failed())
 	}
 }
 
@@ -60,24 +77,12 @@ func TestFigRecoverySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster bench")
 	}
-	tab := FigRecovery(quickCfg)
-	checkTable(t, tab, 4)
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "ACCEPTANCE FAIL") {
-			t.Fatalf("%s: %s", tab.ID, n)
-		}
-	}
+	checkTable(t, FigRecovery(quickCfg), 4)
 }
 
 func TestFigFailoverSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster bench")
 	}
-	tab := FigFailover(quickCfg)
-	checkTable(t, tab, 8)
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "ACCEPTANCE FAIL") {
-			t.Fatalf("%s: %s", tab.ID, n)
-		}
-	}
+	checkTable(t, FigFailover(quickCfg), 8)
 }

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -31,7 +29,7 @@ const ceilingBenchJSON = "BENCH_ceiling.json"
 // is zero and bandwidth is unlimited, so the simulated devices complete
 // instantly and the measured IOPS ceiling is pure software cost —
 // allocation and GC pressure, checksum passes, copies, and lock
-// contention. Exactly the costs this PR's hot-path work removes.
+// contention.
 func ceilingSSD() simdisk.SSDModel {
 	return simdisk.SSDModel{Capacity: 16 * util.GiB, Parallelism: 64}
 }
@@ -43,10 +41,9 @@ func ceilingHDD() simdisk.HDDModel {
 // ceilingVolume keeps setup cheap while spreading I/O over many chunks.
 const ceilingVolume = 1 * util.GiB
 
-// ceilingCell is one (mode, op, queue depth) end-to-end measurement.
+// ceilingCell is one (op, queue depth) end-to-end measurement.
 type ceilingCell struct {
-	Mode string  `json:"mode"` // "baseline" or "pooled"
-	Op   string  `json:"op"`   // "read" or "write"
+	Op   string  `json:"op"` // "read" or "write"
 	QD   int     `json:"qd"`
 	IOPS float64 `json:"iops"` // wall-clock ops/s (noisy on shared hosts)
 	// IOPSCPU is ops per process-CPU-second (getrusage user+sys delta).
@@ -72,34 +69,19 @@ type ceilingMicro struct {
 }
 
 type ceilingDoc struct {
-	Bench    string         `json:"bench"`
-	Quick    bool           `json:"quick"`
-	Baseline string         `json:"baseline"`
-	Cells    []ceilingCell  `json:"cells"`
-	Micro    []ceilingMicro `json:"micro"`
-	// SpeedupByOpQD maps "op/qd" to pooled/baseline IOPS ratio.
-	SpeedupByOpQD map[string]float64 `json:"speedup_by_op_qd"`
-	// PoolLeases / PoolInUseAfter snapshot the buffer pool after the pooled
-	// cells quiesce: InUseAfter must be zero (no leaked leases).
+	Bench string         `json:"bench"`
+	Quick bool           `json:"quick"`
+	Cells []ceilingCell  `json:"cells"`
+	Micro []ceilingMicro `json:"micro"`
+	// PoolLeases / PoolInUseAfter snapshot the buffer pool after every cell
+	// has quiesced: InUseAfter must be zero (no leaked leases).
 	PoolLeases     int64 `json:"pool_leases"`
 	PoolInUseAfter int64 `json:"pool_in_use_after"`
 }
 
-// setCeilingMode flips the three hot-path knobs together. Baseline is the
-// pre-PR software stack: payloads heap-allocated per message, two-pass
-// checksums behind one global lock, and journal flushes coalescing their
-// batch into a fresh contiguous copy.
-func setCeilingMode(pooled bool) {
-	bufpool.SetEnabled(pooled)
-	blockstore.SetLegacyChecksums(!pooled)
-}
-
 // runCeilingCell measures 4 KiB random IOPS end-to-end on a hybrid URSA
 // cluster with zero-cost devices and network.
-func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
-	setCeilingMode(pooled)
-	defer setCeilingMode(true)
-
+func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
 	c, err := core.New(core.Options{
 		Machines:       3,
 		SSDsPerMachine: 2,
@@ -111,12 +93,11 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 		// Small SSD journals (16 MiB per backup HDD) wrap during the warm
 		// phase, so the measured window never touches cold journal pages:
 		// the lazily allocated 64 KiB simdisk pages would otherwise dominate
-		// the per-op allocation bill in BOTH modes and bury the hot-path
-		// delta this figure isolates.
+		// the per-op allocation bill and bury the hot-path cost this figure
+		// isolates.
 		JournalFraction: 0.002,
 		ReplTimeout:     5 * time.Second,
 		CallTimeout:     20 * time.Second,
-		JournalCoalesce: !pooled,
 	})
 	if err != nil {
 		return ceilingCell{}
@@ -133,10 +114,7 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 	}
 	defer vd.Close()
 
-	cell := ceilingCell{QD: qd, Mode: "baseline", Op: "read"}
-	if pooled {
-		cell.Mode = "pooled"
-	}
+	cell := ceilingCell{QD: qd, Op: "read"}
 	pattern := workload.RandRead
 	if write {
 		cell.Op = "write"
@@ -161,8 +139,8 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 	// Several measurement passes, keeping the pass with the best
 	// CPU-normalized IOPS. The container shares its host: a neighbor's
 	// cache/TLB pollution inflates our measured CPU-seconds unpredictably
-	// mid-pass, and best-of-N converges on the least-contended sample for
-	// baseline and pooled alike — the software ceiling this figure is after.
+	// mid-pass, and best-of-N converges on the least-contended sample — the
+	// software ceiling this figure is after.
 	passes := 3
 	if cfg.Quick {
 		passes = 2
@@ -188,11 +166,9 @@ func runCeilingCell(cfg Config, pooled, write bool, qd int) ceilingCell {
 	return cell
 }
 
-// ceilingMicros runs the steady-state hot-path micro-benchmarks in pooled
-// configuration. Each loop body is one hot-path unit of work; all must run
-// at 0 allocs/op.
+// ceilingMicros runs the steady-state hot-path micro-benchmarks. Each loop
+// body is one hot-path unit of work; all must run at 0 allocs/op.
 func ceilingMicros() []ceilingMicro {
-	setCeilingMode(true)
 	ssd := simdisk.NewSSD(ceilingSSD(), clock.Realtime)
 	defer ssd.Close()
 	store := blockstore.New(ssd, util.AlignDown(ssd.Size(), util.ChunkSize))
@@ -353,40 +329,26 @@ func (fanoutStub) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Durat
 // FigCeiling benchmarks the software IOPS ceiling: 4 KiB random reads and
 // writes end-to-end through client, transport, chunk servers, and journals,
 // with every simulated device and network hop at zero cost — so the ceiling
-// is set purely by the software stack. "baseline" reverts the hot path to
-// its pre-PR shape (per-message heap payloads, two-pass checksums behind a
-// global lock, copying journal flushes); "pooled" is the shipped
-// configuration. Steady-state micro-benchmarks confirm the pooled hot path
-// runs at 0 allocs/op. Results are also written to BENCH_ceiling.json.
+// is set purely by the software stack. It is a trajectory, compared run
+// over run through BENCH_ceiling.json; steady-state micro-benchmarks
+// confirm the hot path runs at 0 allocs/op, and the figure's own
+// acceptance is that the buffer pool drains to zero leases once every
+// cell has shut down.
 func FigCeiling(cfg Config) Table {
 	t := Table{
-		ID:    "Fig C",
-		Title: "Software IOPS ceiling: 4KiB random, zero-cost devices, hybrid 3x3",
-		Header: []string{"op", "qd", "base iops/cpu-s", "pooled iops/cpu-s",
-			"speedup", "base allocs/op", "pooled allocs/op"},
+		ID:     "Fig C",
+		Title:  "Software IOPS ceiling: 4KiB random, zero-cost devices, hybrid 3x3",
+		Header: []string{"op", "qd", "iops/cpu-s", "iops", "mean lat", "allocs/op", "B/op"},
 	}
-	doc := ceilingDoc{
-		Bench: "ceiling",
-		Quick: cfg.Quick,
-		Baseline: "pool off + legacy two-pass checksums (one global lock) + " +
-			"coalescing journal flush",
-		SpeedupByOpQD: map[string]float64{},
-	}
+	doc := ceilingDoc{Bench: "ceiling", Quick: cfg.Quick}
 	for _, op := range []string{"read", "write"} {
-		write := op == "write"
 		for _, qd := range []int{1, 8, 32} {
-			base := runCeilingCell(cfg, false, write, qd)
-			pool := runCeilingCell(cfg, true, write, qd)
-			doc.Cells = append(doc.Cells, base, pool)
-			speedup := 0.0
-			if base.IOPSCPU > 0 {
-				speedup = pool.IOPSCPU / base.IOPSCPU
-			}
-			doc.SpeedupByOpQD[fmt.Sprintf("%s/%d", op, qd)] = speedup
+			c := runCeilingCell(cfg, op == "write", qd)
+			doc.Cells = append(doc.Cells, c)
 			t.Rows = append(t.Rows, []string{
-				op, f0(float64(qd)),
-				f0(base.IOPSCPU), f0(pool.IOPSCPU), f2(speedup) + "x",
-				f1(base.AllocsPerOp), f1(pool.AllocsPerOp),
+				op, f0(float64(qd)), f0(c.IOPSCPU), f0(c.IOPS),
+				us(time.Duration(c.MeanLatUs * float64(time.Microsecond))),
+				f1(c.AllocsPerOp), f0(c.BytesPerOp),
 			})
 		}
 	}
@@ -396,7 +358,7 @@ func FigCeiling(cfg Config) Table {
 
 	micro := Table{
 		ID:     "Fig C micro",
-		Title:  "steady-state hot path (pooled), via testing.Benchmark",
+		Title:  "steady-state hot path, via testing.Benchmark",
 		Header: []string{"loop", "ns/op", "allocs/op", "B/op"},
 	}
 	for _, m := range doc.Micro {
@@ -409,14 +371,11 @@ func FigCeiling(cfg Config) Table {
 	t.Notes = append(t.Notes,
 		"iops/cpu-s is ops per process-CPU-second: with zero-cost devices the stack is",
 		"pure software, so CPU-normalized IOPS is the ceiling and is immune to host noise;",
-		"allocs/op is process-wide heap mallocs per completed I/O (client+servers+journals);",
-		"baseline allocates per message and copies per flush, pooled leases and scatter/gathers.",
-		fmt.Sprintf("pool leases=%d, in-use after drain=%d (must be 0)",
-			doc.PoolLeases, doc.PoolInUseAfter))
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, ceilingBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+ceilingBenchJSON+": "+werr.Error())
-		}
+		"allocs/op is process-wide heap mallocs per completed I/O (client+servers+journals).",
+		fmt.Sprintf("pool leases=%d, in-use after drain=%d", doc.PoolLeases, doc.PoolInUseAfter))
+	if doc.PoolInUseAfter != 0 {
+		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: buffer pool did not drain to zero leases")
 	}
+	t.writeArtifact(cfg, ceilingBenchJSON, &doc)
 	return t
 }

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"ursa/internal/chunkserver"
@@ -347,10 +345,6 @@ func FigColdtier(cfg Config) Table {
 		"and compacts mostly-dead ones; chaos leg arms a stall plus 32 rotted GETs — the",
 		"per-extent CRCs force refetches, so corrupt payloads must be zero.")
 
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, coldtierBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+coldtierBenchJSON+": "+werr.Error())
-		}
-	}
+	t.writeArtifact(cfg, coldtierBenchJSON, &doc)
 	return t
 }

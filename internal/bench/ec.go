@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"time"
 
@@ -91,11 +89,7 @@ func FigEC(cfg Config) Table {
 			t.Notes = append(t.Notes, "ACCEPTANCE FAIL: degraded reads failed")
 		}
 	}
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, ecBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+ecBenchJSON+": "+werr.Error())
-		}
-	}
+	t.writeArtifact(cfg, ecBenchJSON, &doc)
 	return t
 }
 

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"sync"
 	"time"
 
@@ -175,10 +173,6 @@ func FigFailover(cfg Config) Table {
 		"the rank-1 standby waits out one primacy TTL of silence, probes its peers, bumps",
 		"the epoch, and fences the deposed master at every chunkserver before serving.")
 
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, failoverBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+failoverBenchJSON+": "+werr.Error())
-		}
-	}
+	t.writeArtifact(cfg, failoverBenchJSON, &doc)
 	return t
 }

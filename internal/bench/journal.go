@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,10 +157,6 @@ func FigJournal(cfg Config) Table {
 		"grouped: concurrent Append callers enqueue; the leader writes the whole batch as one",
 		"contiguous sequential journal write and wakes every waiter. At QD 1 there is nothing",
 		"to batch and the modes converge; at QD >= 8 batching collapses per-record dispatch.")
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, journalBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+journalBenchJSON+": "+werr.Error())
-		}
-	}
+	t.writeArtifact(cfg, journalBenchJSON, &doc)
 	return t
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"time"
 
 	"ursa/internal/clock"
@@ -179,10 +177,6 @@ func FigRecovery(cfg Config) Table {
 			", replay errors = "+f0(float64(doc.ReplayErrors))+
 			", recovery p50 = "+f1(doc.RecoveryP50Ms)+"ms).")
 
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, recoveryBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+recoveryBenchJSON+": "+werr.Error())
-		}
-	}
+	t.writeArtifact(cfg, recoveryBenchJSON, &doc)
 	return t
 }

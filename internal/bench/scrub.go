@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"ursa/internal/chunkserver"
@@ -348,10 +346,6 @@ func FigScrub(cfg Config) Table {
 	}
 	t.Extra = append(t.Extra, rel)
 
-	if buf, err := json.MarshalIndent(&doc, "", "  "); err == nil {
-		if werr := os.WriteFile(artifactPath(cfg, scrubBenchJSON), append(buf, '\n'), 0o644); werr != nil {
-			t.Notes = append(t.Notes, "write "+scrubBenchJSON+": "+werr.Error())
-		}
-	}
+	t.writeArtifact(cfg, scrubBenchJSON, &doc)
 	return t
 }

@@ -3,7 +3,6 @@ package blockstore
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ursa/internal/util"
 )
@@ -23,15 +22,6 @@ const sumShards = 32
 // to scratchSectors*512 B (32 KiB, which covers the whole 4–8 KiB hot
 // path) run with zero heap allocation.
 const scratchSectors = 64
-
-// legacySums switches Stamp/Verify back to the pre-fusion two-pass code:
-// a fresh []uint32 per call, CRC pass, then compare/copy under one global
-// mutex. It exists as the measured baseline of `ursa-bench -fig ceiling`.
-var legacySums atomic.Bool
-
-// SetLegacyChecksums toggles the pre-fusion checksum code path (true =
-// allocate per call, single global lock). Benchmarks only.
-func SetLegacyChecksums(on bool) { legacySums.Store(on) }
 
 // ChecksumStore keeps one CRC-32C per 512-byte sector of every resident
 // chunk, covering the chunk's logical content (for a backup that includes
@@ -70,10 +60,6 @@ func newChecksumStore() *ChecksumStore {
 }
 
 func (c *ChecksumStore) shard(id ChunkID) *sumShard {
-	if legacySums.Load() {
-		// Pre-stripe behavior: every chunk behind one mutex.
-		return &c.shards[0]
-	}
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return &c.shards[h>>58&(sumShards-1)]
 }
@@ -127,10 +113,6 @@ func (sh *sumShard) materializeLocked(id ChunkID) ([]uint32, bool) {
 // Stamping an unknown chunk is a no-op (it was deleted concurrently).
 func (c *ChecksumStore) Stamp(id ChunkID, off int64, data []byte) {
 	lo, hi := sectorRange(id, off, len(data))
-	if legacySums.Load() {
-		c.stampLegacy(id, lo, hi, data)
-		return
-	}
 	var scratch [scratchSectors]uint32
 	var fresh []uint32
 	if hi-lo <= scratchSectors {
@@ -155,9 +137,6 @@ func (c *ChecksumStore) Stamp(id ChunkID, off int64, data []byte) {
 // sector; an unknown chunk verifies vacuously (deleted concurrently).
 func (c *ChecksumStore) Verify(id ChunkID, off int64, data []byte) error {
 	lo, hi := sectorRange(id, off, len(data))
-	if legacySums.Load() {
-		return c.verifyLegacy(id, lo, hi, data)
-	}
 	// Snapshot the expected sums — a handful of words — under the shard
 	// lock, then walk the payload exactly once outside it, comparing each
 	// sector's checksum as it is computed.
@@ -188,50 +167,6 @@ func (c *ChecksumStore) Verify(id ChunkID, off int64, data []byte) error {
 		if g := util.Checksum(data[s : s+util.SectorSize]); g != want[i] {
 			return fmt.Errorf("blockstore: chunk %v sector %d: checksum %08x, want %08x: %w",
 				id, lo+int64(i), g, want[i], util.ErrCorrupt)
-		}
-	}
-	return nil
-}
-
-// stampLegacy is the pre-fusion stamp: allocate, CRC pass, copy under the
-// global lock.
-func (c *ChecksumStore) stampLegacy(id ChunkID, lo, hi int64, data []byte) {
-	fresh := make([]uint32, hi-lo)
-	for i := range fresh {
-		s := int64(i) * util.SectorSize
-		fresh[i] = util.Checksum(data[s : s+util.SectorSize])
-	}
-	sh := &c.shards[0]
-	sh.mu.Lock()
-	if arr, ok := sh.materializeLocked(id); ok {
-		copy(arr[lo:hi], fresh)
-	}
-	sh.mu.Unlock()
-}
-
-// verifyLegacy is the pre-fusion verify: allocate, CRC pass, compare under
-// the global lock.
-func (c *ChecksumStore) verifyLegacy(id ChunkID, lo, hi int64, data []byte) error {
-	got := make([]uint32, hi-lo)
-	for i := range got {
-		s := int64(i) * util.SectorSize
-		got[i] = util.Checksum(data[s : s+util.SectorSize])
-	}
-	sh := &c.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	arr, ok := sh.sums[id]
-	if !ok {
-		return nil
-	}
-	for i, g := range got {
-		want := zeroSectorCRC
-		if arr != nil {
-			want = arr[lo+int64(i)]
-		}
-		if g != want {
-			return fmt.Errorf("blockstore: chunk %v sector %d: checksum %08x, want %08x: %w",
-				id, lo+int64(i), g, want, util.ErrCorrupt)
 		}
 	}
 	return nil

@@ -92,17 +92,6 @@ func TestRetainDefersRecycle(t *testing.T) {
 	Put(b2)
 }
 
-func TestDisabledGetIsForeign(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	start := InUse()
-	b := Get(4096)
-	if got := InUse() - start; got != 0 {
-		t.Fatalf("disabled Get leased from pool (InUse delta %d)", got)
-	}
-	Put(b) // foreign: no-op
-}
-
 // TestConcurrentLeases drives every shard and class from many goroutines;
 // meaningful chiefly under -race.
 func TestConcurrentLeases(t *testing.T) {

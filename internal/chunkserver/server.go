@@ -47,12 +47,6 @@ type Config struct {
 	BypassThreshold int
 	// LiteCap bounds the per-chunk journal-lite history.
 	LiteCap int
-	// SerialApply disables per-chunk write pipelining: an admitted write
-	// waits for every pending predecessor — not just overlapping ones —
-	// before its device apply, so same-chunk applies run strictly one at
-	// a time (the pre-pipelining behaviour). Benches use it as the locked
-	// baseline.
-	SerialApply bool
 	// MaxInflight bounds concurrent handlers per transport connection
 	// (server-side admission queue depth). 0 means the transport default.
 	MaxInflight int
@@ -770,8 +764,8 @@ var errPredecessorFailed = errors.New("chunkserver: overlapping predecessor writ
 // ordering section of the pipelined write path. It returns exactly one of:
 //
 //   - pw != nil: the slot is claimed; deps are the pending predecessors the
-//     caller must wait out (overlapping ones, or all of them under
-//     SerialApply) before applying out of lock.
+//     caller must wait out (the overlapping ones) before applying out
+//     of lock.
 //   - skipLocal: the write is the §4.2.1 duplicate (already applied here);
 //     no slot is claimed, the caller still forwards/acks.
 //   - resp != nil: the request short-circuits with this reply.
@@ -836,9 +830,8 @@ func (s *Server) admitWriteLocked(cs *chunkState, op *opctx.Op, m *proto.Message
 
 // claimSlotLocked registers m's write in the pending table and collects the
 // predecessors it must wait out before touching the device: entries whose
-// extents overlap m's, or every earlier entry under SerialApply. Claiming
-// the next free slot advances the reservation cursor and wakes writers
-// queued on it.
+// extents overlap m's. Claiming the next free slot advances the reservation
+// cursor and wakes writers queued on it.
 func (s *Server) claimSlotLocked(cs *chunkState, m *proto.Message) (*pendingWrite, []*pendingWrite) {
 	pw := &pendingWrite{
 		version: m.Version,
@@ -848,10 +841,7 @@ func (s *Server) claimSlotLocked(cs *chunkState, m *proto.Message) (*pendingWrit
 	}
 	var deps []*pendingWrite
 	for slot, p := range cs.pending {
-		if slot >= m.Version {
-			continue
-		}
-		if s.cfg.SerialApply || p.overlaps(m.Off, len(m.Payload)) {
+		if slot < m.Version && p.overlaps(m.Off, len(m.Payload)) {
 			deps = append(deps, p)
 		}
 	}

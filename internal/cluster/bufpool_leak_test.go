@@ -17,9 +17,6 @@ import (
 // once on every path the chaos run exercises: success, timeout-and-retry,
 // dead-journal re-route, crash-severed connections, repair reads.
 func TestChaosPoolLeakFree(t *testing.T) {
-	if !bufpool.Enabled() {
-		t.Skip("buffer pool disabled")
-	}
 	start := bufpool.InUse()
 
 	// Built without t.Cleanup: the leak check needs the cluster fully

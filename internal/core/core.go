@@ -72,16 +72,11 @@ type Options struct {
 	// SSDModel / HDDModel override device models (zero value = defaults).
 	SSDModel simdisk.SSDModel
 	HDDModel simdisk.HDDModel
-	// SSDCapacity / HDDCapacity shrink devices for tests (0 = model
-	// default). Smaller devices keep sparse-store page maps cheap.
-	SSDCapacity int64
-	HDDCapacity int64
 	// JournalFraction is the SSD share reserved for journals (paper: 1/10).
 	JournalFraction float64
-	// HDDJournal enables the overflow journal at each HDD's tail (§3.2).
+	// HDDJournal enables the overflow journal at each HDD's tail (§3.2):
+	// the last 1/hddJournalShare of the device.
 	HDDJournal bool
-	// HDDJournalSize bounds the overflow journal (0 = 1/16 of the HDD).
-	HDDJournalSize int64
 	// ReplTimeout / CallTimeout are the protocol timeouts.
 	ReplTimeout time.Duration
 	CallTimeout time.Duration
@@ -107,33 +102,16 @@ type Options struct {
 	// BypassThreshold is Tj (default 64 KB); TinyThreshold is Tc (8 KB).
 	BypassThreshold int
 	TinyThreshold   int
-	// ServerMaxInflight bounds concurrent handlers per connection on every
-	// chunk server (0 = transport default) — the server-side admission
-	// depth the hotchunk bench sweeps.
-	ServerMaxInflight int
-	// SerialApply disables per-chunk write pipelining on every chunk
-	// server (the locked baseline; see chunkserver.Config.SerialApply).
-	SerialApply bool
 	// ScrubEnable starts one background scrubber per machine, sweeping all
 	// of the machine's chunk servers for silent corruption.
 	ScrubEnable bool
 	// ScrubConfig tunes the scrubbers (zero value = scrub.DefaultConfig;
 	// a nil Metrics field inherits the cluster registry).
 	ScrubConfig scrub.Config
-	// JournalCoalesce makes every journal flush coalesce its batch into
-	// one freshly allocated contiguous buffer instead of the default
-	// scatter/gather vectored write (journal.Config.CoalesceFlush) — the
-	// copying baseline the ceiling bench measures the zero-copy path
-	// against.
-	JournalCoalesce bool
 	// ObjstoreModel overrides the simulated object store's latency and
 	// bandwidth model (nil = objstore.DefaultModel; point at
 	// objstore.TestModel() for the near-free protocol-test shape).
 	ObjstoreModel *objstore.Model
-	// ColdGCInterval starts the master's background cold-tier GC loop on
-	// that cadence (0 = no loop; tests and benches call RunColdGC
-	// directly).
-	ColdGCInterval time.Duration
 }
 
 func (o *Options) fillDefaults() {
@@ -158,17 +136,8 @@ func (o *Options) fillDefaults() {
 	if o.HDDModel.Capacity == 0 {
 		o.HDDModel = simdisk.DefaultHDD()
 	}
-	if o.SSDCapacity > 0 {
-		o.SSDModel.Capacity = o.SSDCapacity
-	}
-	if o.HDDCapacity > 0 {
-		o.HDDModel.Capacity = o.HDDCapacity
-	}
 	if o.JournalFraction <= 0 {
 		o.JournalFraction = 0.1
-	}
-	if o.HDDJournalSize <= 0 {
-		o.HDDJournalSize = o.HDDModel.Capacity / 16
 	}
 	if o.ReplTimeout <= 0 {
 		o.ReplTimeout = 500 * time.Millisecond
@@ -237,6 +206,9 @@ type Cluster struct {
 	clients     []*client.Client
 	objRPC      *transport.Server
 }
+
+// hddJournalShare sizes the HDD overflow journal: 1/16 of the device.
+const hddJournalShare = 16
 
 // MasterAddr is the (first) master's fabric address; replicas are
 // "master-1", "master-2", … in promotion-priority order.
@@ -323,7 +295,6 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 		PrimacyTTL:     c.opts.MasterPrimacyTTL,
 		JoinStandby:    join,
 		ObjstoreAddr:   ObjstoreAddr,
-		GCInterval:     c.opts.ColdGCInterval,
 	})
 	m.Serve(ml)
 	return m, nil
@@ -380,8 +351,6 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 				Dialer:      c.Net.Dialer(addr, nodeCfg),
 				ReplTimeout: opts.ReplTimeout,
 				Metrics:     opts.Metrics,
-				MaxInflight: opts.ServerMaxInflight,
-				SerialApply: opts.SerialApply,
 				MasterAddr:  MasterAddr,
 				MasterAddrs: c.masterAddrs,
 			}, store, nil)
@@ -426,8 +395,6 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 			Dialer:      c.Net.Dialer(addr, nodeCfg),
 			ReplTimeout: opts.ReplTimeout,
 			Metrics:     opts.Metrics,
-			MaxInflight: opts.ServerMaxInflight,
-			SerialApply: opts.SerialApply,
 			MasterAddr:  MasterAddr,
 			MasterAddrs: c.masterAddrs,
 		}, store, nil)
@@ -450,18 +417,18 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 	ssdJournalSpace := int64(float64(opts.SSDModel.Capacity) * opts.JournalFraction)
 	hddsPerSSD := (opts.HDDsPerMachine + opts.SSDsPerMachine - 1) / opts.SSDsPerMachine
 	perHDDJournal := util.AlignDown(ssdJournalSpace/int64(hddsPerSSD), util.SectorSize)
+	hddJournalSize := opts.HDDModel.Capacity / hddJournalShare
 
 	for k, hdd := range m.HDDFaults {
 		addr := fmt.Sprintf("%s/hdd%d", m.Name, k)
 		storeLimit := hdd.Size()
 		if opts.HDDJournal {
-			storeLimit = util.AlignDown(hdd.Size()-opts.HDDJournalSize, util.ChunkSize)
+			storeLimit = util.AlignDown(hdd.Size()-hddJournalSize, util.ChunkSize)
 		}
 		store := blockstore.New(hdd, storeLimit)
 
 		jcfg := journal.DefaultConfig()
 		jcfg.Metrics = opts.Metrics // group-commit batch/flush distributions
-		jcfg.CoalesceFlush = opts.JournalCoalesce
 		jset := journal.NewSet(c.clk, store, jcfg)
 		ssdIdx := k % opts.SSDsPerMachine
 		slot := int64(k / opts.SSDsPerMachine)
@@ -474,7 +441,7 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 			Server: addr, Name: jname, Disk: ssd, Base: base, Size: perHDDJournal,
 		})
 		if opts.HDDJournal {
-			hjSize := util.AlignDown(opts.HDDJournalSize, util.SectorSize)
+			hjSize := util.AlignDown(hddJournalSize, util.SectorSize)
 			jset.AddHDDJournal(addr+"-jhdd", hdd, storeLimit, hjSize)
 			m.JournalRegions = append(m.JournalRegions, JournalRegion{
 				Server: addr, Name: addr + "-jhdd", Disk: hdd, Base: storeLimit,
@@ -492,8 +459,6 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 			ReplTimeout:     opts.ReplTimeout,
 			Metrics:         opts.Metrics,
 			BypassThreshold: opts.BypassThreshold,
-			MaxInflight:     opts.ServerMaxInflight,
-			SerialApply:     opts.SerialApply,
 			MasterAddr:      MasterAddr,
 			MasterAddrs:     c.masterAddrs,
 		}, store, jset)

@@ -1,10 +1,6 @@
 package jindex
 
-import (
-	"sync"
-
-	"ursa/internal/bufpool"
-)
+import "sync"
 
 // llrb is a left-leaning red-black tree over composite KVs ordered by
 // offset. It is the index's first level: insert-optimized, at the price of
@@ -28,14 +24,10 @@ type llrbNode struct {
 // intersections delete) nodes, and each freeze discards a whole tree — the
 // dominant steady-state allocation of the index before pooling. Recycling
 // is safe because all structural mutation runs under the index write lock,
-// so no reader can hold a node once it is freed. Gated on bufpool.Enabled
-// so the ceiling bench's baseline mode measures the pre-pool behaviour.
+// so no reader can hold a node once it is freed.
 var nodePool = sync.Pool{New: func() any { return new(llrbNode) }}
 
 func newNode(kv KV) *llrbNode {
-	if !bufpool.Enabled() {
-		return &llrbNode{kv: kv, red: true}
-	}
 	n := nodePool.Get().(*llrbNode)
 	n.kv = kv
 	n.left, n.right = nil, nil
@@ -44,9 +36,6 @@ func newNode(kv KV) *llrbNode {
 }
 
 func freeNode(n *llrbNode) {
-	if !bufpool.Enabled() {
-		return
-	}
 	n.left, n.right = nil, nil
 	nodePool.Put(n)
 }
@@ -55,9 +44,6 @@ func freeNode(n *llrbNode) {
 // Clear, after the keys have been copied out). Caller holds the index
 // write lock and resets the tree afterwards.
 func (t *llrb) releaseNodes() {
-	if !bufpool.Enabled() {
-		return
-	}
 	releaseSubtree(t.root)
 	t.root = nil
 }

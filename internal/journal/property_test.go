@@ -154,12 +154,13 @@ func TestJournalSpaceAccounting(t *testing.T) {
 				t.Fatalf("append %d after drain: %v", i, err)
 			}
 		}
-		if used := j.UsedBytes(); used < 0 || used > j.Size() {
+		// Stats reads under the set lock: the replayer moves the tail.
+		if used := set.Stats().Journals[0].Used; used < 0 || used > j.Size() {
 			t.Fatalf("used bytes out of range: %d of %d", used, j.Size())
 		}
 	}
 	set.Drain()
-	if used := j.UsedBytes(); used != 0 {
+	if used := set.Stats().Journals[0].Used; used != 0 {
 		t.Errorf("used bytes after full drain = %d", used)
 	}
 }

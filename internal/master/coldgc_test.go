@@ -23,7 +23,9 @@ type coldGCEnv struct {
 	op    *opctx.Op
 }
 
-func newColdGCEnv(t *testing.T) *coldGCEnv {
+// newColdGCEnv builds the env; a non-zero gcInterval also starts the
+// master's background GC loop.
+func newColdGCEnv(t *testing.T, gcInterval time.Duration) *coldGCEnv {
 	t.Helper()
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, 0)
@@ -46,6 +48,7 @@ func newColdGCEnv(t *testing.T) *coldGCEnv {
 		Dialer:       net.Dialer("master", transport.NodeConfig{}),
 		RPCTimeout:   time.Second,
 		ObjstoreAddr: "objstore",
+		GCInterval:   gcInterval,
 	})
 	m.Serve(ml)
 	t.Cleanup(m.Close)
@@ -87,7 +90,7 @@ func (e *coldGCEnv) flushSegment(t *testing.T, n int) ([]coldtier.ExtentRef, [][
 // into ErrNotFound — the exact signal a chunkserver's stale-ref fetch uses
 // to refresh.
 func TestColdGCRewritesPartiallyDeadSegment(t *testing.T) {
-	e := newColdGCEnv(t)
+	e := newColdGCEnv(t, 0)
 
 	refs, data := e.flushSegment(t, 3)
 	// Metadata keeps only the middle extent: 1 of 3 MiB live (< 0.5).
@@ -150,7 +153,7 @@ func TestColdGCRewritesPartiallyDeadSegment(t *testing.T) {
 // is skipped entirely while a flush is in flight, and segments at or above
 // the watermark are never judged.
 func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
-	e := newColdGCEnv(t)
+	e := newColdGCEnv(t, 0)
 	refs, _ := e.flushSegment(t, 1)
 
 	// No metadata references the segment, so a normal pass would delete
@@ -183,4 +186,25 @@ func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
 	if used := e.store.UsedBytes(); used != 0 {
 		t.Fatalf("store still holds %d bytes", used)
 	}
+}
+
+// TestColdGCLoopReclaimsOnInterval turns on the background loop nothing
+// else enables: with GCInterval set, a dead segment goes without anyone
+// calling RunColdGC, and Close returns — it waits for the loop goroutine —
+// instead of hanging on it.
+func TestColdGCLoopReclaimsOnInterval(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	e := newColdGCEnv(t, interval)
+	e.flushSegment(t, 1) // no metadata references it: dead on arrival
+	if e.store.UsedBytes() == 0 {
+		t.Fatal("flush stored nothing")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.store.UsedBytes() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gc loop never reclaimed the dead segment (%d bytes left)", e.store.UsedBytes())
+		}
+		time.Sleep(interval)
+	}
+	e.m.Close()
 }

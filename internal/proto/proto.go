@@ -374,12 +374,8 @@ func (m *Message) Decode(r io.Reader) error {
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // GetMessage leases a zeroed Message from the pool. Callers release it
-// with Recycle once no other goroutine can reach it. When pooling is
-// disabled (baseline mode) it allocates, matching pre-pool behavior.
+// with Recycle once no other goroutine can reach it.
 func GetMessage() *Message {
-	if !bufpool.Enabled() {
-		return &Message{}
-	}
 	return msgPool.Get().(*Message)
 }
 
@@ -387,7 +383,7 @@ func GetMessage() *Message {
 // reference and must have settled the payload lease already; m is zeroed
 // so stale correlation fields can never leak into the next request.
 func Recycle(m *Message) {
-	if m == nil || !bufpool.Enabled() {
+	if m == nil {
 		return
 	}
 	*m = Message{}

@@ -97,7 +97,7 @@ var flightPool = sync.Pool{New: func() any {
 // so before all results arrived; stragglers settle themselves).
 func (b *Broadcaster) Begin(n int) *Flight {
 	var fl *Flight
-	if n <= flightWidth && bufpool.Enabled() {
+	if n <= flightWidth {
 		fl = flightPool.Get().(*Flight)
 	} else {
 		fl = &Flight{ch: make(chan FanResult, n)}
@@ -115,12 +115,6 @@ func (b *Broadcaster) Begin(n int) *Flight {
 func (fl *Flight) Go(target int, addr string, op *opctx.Op, cap time.Duration, m *proto.Message) {
 	j := fanJob{fl: fl, target: target, addr: addr, op: op, cap: cap, m: m}
 	b := fl.b
-	if !bufpool.Enabled() {
-		// Legacy dispatch: one goroutine per branch, matching the pre-pool
-		// write path the ceiling bench measures as baseline.
-		go b.runJob(j)
-		return
-	}
 	b.mu.Lock()
 	if n := len(b.idle); n > 0 && !b.closed {
 		w := b.idle[n-1]
@@ -162,7 +156,7 @@ func (fl *Flight) release() {
 		select {
 		case <-fl.ch:
 		default:
-			if fl.pooled && bufpool.Enabled() {
+			if fl.pooled {
 				fl.b = nil
 				flightPool.Put(fl)
 			}
