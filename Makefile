@@ -65,7 +65,10 @@ bench-module:
 # benchmarks (read+verify, write+stamp, pooled decode, client-directed
 # write fan-out, jindex insert/query) and fails if any loop's allocs/op or
 # B/op exceeds the checked-in ceiling in
-# internal/bench/testdata/perf_baseline.json (currently 0 allocs/op).
+# internal/bench/testdata/perf_baseline.json (currently 0 allocs/op). The
+# same file carries count ceilings for journal replay, measured over a
+# steady-state drain: journal-device reads per replayed record (<= 1) and
+# allocations per replayed record.
 perf-smoke:
 	$(GO) test ./internal/bench -run TestPerfSmoke -count=1 -v
 

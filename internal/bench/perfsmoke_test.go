@@ -3,7 +3,15 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/clock"
+	"ursa/internal/journal"
+	"ursa/internal/simdisk"
+	"ursa/internal/util"
 )
 
 // perfBaseline mirrors testdata/perf_baseline.json: hard per-iteration
@@ -13,6 +21,8 @@ type perfBaseline struct {
 		AllocsPerOp int64 `json:"allocs_per_op"`
 		BytesPerOp  int64 `json:"bytes_per_op"`
 	} `json:"loops"`
+	// Counts are hard maxima of per-record replay costs (see replayCounts).
+	Counts map[string]map[string]float64 `json:"counts"`
 }
 
 // TestPerfSmoke is the allocation regression gate behind `make perf-smoke`:
@@ -62,5 +72,89 @@ func TestPerfSmoke(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("baseline loop %s no longer measured", name)
 		}
+	}
+
+	got := map[string]map[string]float64{"journal-replay": replayCounts(t)}
+	for name, want := range base.Counts {
+		for metric, ceiling := range want {
+			v, ok := got[name][metric]
+			if !ok {
+				t.Errorf("baseline count %s.%s no longer measured", name, metric)
+				continue
+			}
+			t.Logf("%s: %s = %.3f (ceiling %g)", name, metric, v, ceiling)
+			if v > ceiling {
+				t.Errorf("%s: %s = %.3f exceeds baseline %g", name, metric, v, ceiling)
+			}
+		}
+	}
+	for name, m := range got {
+		for metric := range m {
+			if _, ok := base.Counts[name][metric]; !ok {
+				t.Errorf("%s.%s: no baseline entry — add one to testdata/perf_baseline.json", name, metric)
+			}
+		}
+	}
+}
+
+// heldDisk is a backup disk whose queue can be made to look busy, which
+// holds the journal replayer off (its idle gate) until a Drain forces it.
+type heldDisk struct {
+	simdisk.Disk
+	busy atomic.Int32
+}
+
+func (d *heldDisk) QueueDepth() int { return d.Disk.QueueDepth() + int(d.busy.Load()) }
+
+// replayCounts measures what replaying one journaled 4 KiB record costs in
+// steady state, on zero-cost devices: journal-device reads and heap
+// allocations per replayed record. Each cycle journals n scattered records
+// with the replayer held off, then drains them; the first cycle warms the
+// replayer's scratch and the buffer pool, the second is measured over the
+// drain alone. The backup disk is an SSD model too: the HDD model allocates
+// a request per op, which would drown the journal's own count.
+func replayCounts(t *testing.T) map[string]float64 {
+	clk := clock.Realtime
+	ssd := simdisk.NewSSD(ceilingSSD(), clk)
+	defer ssd.Close()
+	backup := simdisk.NewSSD(ceilingSSD(), clk)
+	defer backup.Close()
+	sinkDisk := &heldDisk{Disk: backup}
+	store := blockstore.New(sinkDisk, util.AlignDown(backup.Size()/2, util.ChunkSize))
+	set := journal.NewSet(clk, store, journal.DefaultConfig())
+	set.AddSSDJournal("jssd", ssd, 0, 256*util.MiB)
+	set.Start()
+	defer set.Close()
+	id := blockstore.MakeChunkID(9, 0)
+	if err := store.Create(id); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 4096 // four full replay windows
+	data := make([]byte, 4*util.KiB)
+	var reads, mallocs float64
+	for cycle := 0; cycle < 2; cycle++ {
+		sinkDisk.busy.Store(1)
+		for i := 0; i < n; i++ {
+			off := int64(i*2731%n) * 16 * util.KiB // distinct, scattered, never adjacent
+			if err := set.Append(nil, id, off, data, uint64(cycle*n+i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		r0 := ssd.Stats().Reads
+		sinkDisk.busy.Store(0)
+		set.Drain()
+		runtime.ReadMemStats(&m1)
+		reads = float64(ssd.Stats().Reads - r0)
+		mallocs = float64(m1.Mallocs - m0.Mallocs)
+	}
+	if st := set.Stats(); st.ReplayedRecords != 2*n {
+		t.Fatalf("replayed %d records, want %d", st.ReplayedRecords, 2*n)
+	}
+	return map[string]float64{
+		"journal_reads_per_record": reads / n,
+		"allocs_per_record":        mallocs / n,
 	}
 }

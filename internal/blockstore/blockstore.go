@@ -161,6 +161,15 @@ func (s *Store) locate(id ChunkID, off int64, n int) (int64, error) {
 	return sl.off, nil
 }
 
+// SlotOffset returns the disk offset of the chunk's slot, or 0 when the
+// chunk is absent. The journal replayer orders its sink writes by it so a
+// replay window sweeps the disk in one direction.
+func (s *Store) SlotOffset(id ChunkID) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.slots[id].off
+}
+
 // SlotSize returns the chunk's slot size, or 0 when the chunk is absent.
 func (s *Store) SlotSize(id ChunkID) int64 {
 	s.mu.RLock()

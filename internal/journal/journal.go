@@ -61,6 +61,13 @@ type Journal struct {
 	orderScratch  []blockstore.ChunkID
 	iovHdrs       [][]byte
 	iovBufs       [][]byte
+
+	// Replay accounting for the window at the head of the fifo, summed over
+	// every attempt at it (a parked or pre-empted window is retried):
+	// sectors and coalesced writes that reached the sink. Written only by
+	// the replayer.
+	sunkSectors int64
+	sinkWrites  int64
 }
 
 // pendingRecord is the in-memory replay queue entry for one record (or a
@@ -169,6 +176,28 @@ func (j *Journal) readAtJOff(p []byte, joff uint64) error {
 			j.name, joff, util.ErrOutOfRange)
 	}
 	return j.disk.ReadAt(p, j.base+local)
+}
+
+// pageFloor returns the position of the start of the device trim page
+// holding position pos, clamped to the start of pos's lap: j.base is only
+// sector-aligned, so trim pages are aligned in device space, not in
+// journal space, and a page never spans the wrap.
+func (j *Journal) pageFloor(pos int64) int64 {
+	dev := j.base + pos%j.size
+	return pos - min(dev%simdisk.DiscardGranule, pos%j.size)
+}
+
+// discard trims the reclaimed positions [from, to) — monotonic byte
+// counters — on the device, split at the wrap. The device releases only
+// the pages wholly inside each piece. The caller guarantees that no
+// appender can reserve the range meanwhile. Replayer only, outside the Set
+// lock.
+func (j *Journal) discard(from, to int64) {
+	for from < to {
+		n := min(to-from, j.size-from%j.size)
+		simdisk.Discard(j.disk, j.base+from%j.size, n)
+		from += n
+	}
 }
 
 // owns reports whether a global joff falls in this journal's region.

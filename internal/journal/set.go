@@ -1,9 +1,10 @@
 package journal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,7 +43,8 @@ type Config struct {
 	// pre-group-commit behaviour); 0 selects DefaultMaxBatch.
 	MaxBatch int
 	// ReplayWindow caps the records the replayer drains per pass before
-	// reclaiming their journal space. 0 selects DefaultReplayWindow.
+	// reclaiming their journal space (a pass is also bounded by the fixed
+	// replayWindowBytes payload budget). 0 selects DefaultReplayWindow.
 	ReplayWindow int
 	// Metrics, when set, receives the group-commit distributions:
 	// batch sizes ("journal-batch-records"), flush latency
@@ -52,12 +54,13 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Default batching limits: large enough that a burst at the §3.4 queue
-// depths commits in one sequential write, small enough to bound flush
-// latency and replay-window memory.
+// Default batching limits: a commit batch large enough that a burst at the
+// §3.4 queue depths commits in one sequential write yet small enough to
+// bound flush latency; a replay window of as many 4 KiB records as its
+// payload budget holds, so small-write windows fill the budget.
 const (
 	DefaultMaxBatch     = 64
-	DefaultReplayWindow = 64
+	DefaultReplayWindow = replayWindowBytes / (4 * util.KiB)
 )
 
 // Fault metrics (registered on cfg.Metrics when set).
@@ -189,9 +192,13 @@ type Set struct {
 	replayCorrupt   int64 // parked replay windows whose record failed CRC verification
 	deadJournals    int64
 
-	// replayQ is the replayer's per-record index-query scratch, reused
-	// across QueryInto calls; touched only under s.mu.
-	replayQ []jindex.Extent
+	// reclaims counts replay windows whose journal space has been handed
+	// back; a reader of journal space compares it across its unlocked reads
+	// (see reclaimWindow).
+	reclaims uint64
+
+	// rp is the replayer's owned scratch.
+	rp replayScratch
 }
 
 // NewSet creates an empty journal set replaying into sink. Call
@@ -620,9 +627,12 @@ func (s *Set) WriteDirect(id blockstore.ChunkID, data []byte, off int64) error {
 }
 
 // Read serves a backup read: newest journal data for mapped extents, the
-// backup disk for the holes. It is used when a backup acts as temporary
-// primary or during recovery (§4.2.1), so some lock-held journal I/O is
-// acceptable.
+// backup disk for the holes. It is the backup read path of temporary
+// primaries, recovery (§4.2.1) and the scrubber. The extents are
+// snapshotted under the lock and read outside it, like the replayer's; as
+// Read is not the reclaimer it re-checks s.reclaims afterwards and re-runs
+// the query if a window was retired meanwhile — bytes read from space that
+// may have been trimmed or re-appended are never returned.
 func (s *Set) Read(id blockstore.ChunkID, p []byte, off int64) error {
 	if err := checkAligned(off, len(p)); err != nil {
 		return err
@@ -630,39 +640,52 @@ func (s *Set) Read(id blockstore.ChunkID, p []byte, off int64) error {
 	offSec := uint32(off / util.SectorSize)
 	lenSec := uint32(len(p) / util.SectorSize)
 
-	s.mu.Lock()
-	ix, ok := s.indexes[id]
-	if !ok {
-		s.mu.Unlock()
-		return s.sink.ReadAt(id, p, off)
-	}
-	// Per-call pooled scratch: holes outlive s.mu (they are read against the
-	// sink after unlock), so this cannot be Set-level state like replayQ.
+	// Per-call pooled scratch: concurrent Reads cannot share Set-level state.
 	rs := readScratchPool.Get().(*readScratch)
-	rs.extents = ix.QueryInto(rs.extents[:0], offSec, lenSec)
-	// Read mapped extents from their journals while holding the lock so
-	// replay cannot reclaim the space underneath us.
-	for _, e := range rs.extents {
-		j := s.journalOf(e.JOff)
-		if j == nil {
+	for {
+		s.mu.Lock()
+		ix, ok := s.indexes[id]
+		if !ok {
 			s.mu.Unlock()
-			return fmt.Errorf("journal: no journal owns joff %d", e.JOff)
+			readScratchPool.Put(rs)
+			return s.sink.ReadAt(id, p, off)
 		}
-		dst := p[(int64(e.Off)*util.SectorSize)-off:][:int64(e.Len)*util.SectorSize]
-		if err := j.readAtJOff(dst, e.JOff); err != nil {
-			s.mu.Unlock()
-			return err
+		rs.extents = ix.QueryInto(rs.extents[:0], offSec, lenSec)
+		rs.journals = rs.journals[:0]
+		for _, e := range rs.extents {
+			j := s.journalOf(e.JOff)
+			if j == nil {
+				s.mu.Unlock()
+				return fmt.Errorf("journal: no journal owns joff %d", e.JOff)
+			}
+			rs.journals = append(rs.journals, j)
+		}
+		reclaims := s.reclaims
+		s.mu.Unlock()
+
+		for i, e := range rs.extents {
+			dst := p[(int64(e.Off)*util.SectorSize)-off:][:int64(e.Len)*util.SectorSize]
+			if err := rs.journals[i].readAtJOff(dst, e.JOff); err != nil {
+				return err
+			}
+		}
+
+		s.mu.Lock()
+		stable := s.reclaims == reclaims
+		s.mu.Unlock()
+		if stable {
+			break
 		}
 	}
-	rs.holes = jindex.HolesInto(rs.holes[:0], offSec, lenSec, rs.extents)
-	s.mu.Unlock()
 
+	rs.holes = jindex.HolesInto(rs.holes[:0], offSec, lenSec, rs.extents)
 	for _, h := range rs.holes {
 		dst := p[(int64(h.Off)*util.SectorSize)-off:][:int64(h.Len)*util.SectorSize]
 		if err := s.sink.ReadAt(id, dst, int64(h.Off)*util.SectorSize); err != nil {
 			return err
 		}
 	}
+	clear(rs.journals)
 	readScratchPool.Put(rs)
 	return nil
 }
@@ -671,6 +694,7 @@ func (s *Set) Read(id blockstore.ChunkID, p []byte, off int64) error {
 // the Put and simply let the scratch fall to the collector.
 type readScratch struct {
 	extents, holes []jindex.Extent
+	journals       []*Journal // journals[i] owns extents[i]
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
@@ -737,6 +761,85 @@ func (s *Set) journalOf(joff uint64) *Journal {
 	return nil
 }
 
+// Replay lock discipline. s.mu guards the index map, the fifos, tail/head
+// and the counters, and is held only for index queries, fifo/tail
+// bookkeeping and invalidation — never across a journal-device read, a
+// sink write or a discard, so a foreground Append never waits for replay
+// I/O. That is safe because the replayer is the only goroutine that pops a
+// fifo, advances a tail or discards journal space: the window it is working
+// on cannot be reclaimed under its own reads. Other readers of journal
+// space (Set.Read) snapshot extents under the lock, read outside it, and
+// re-check s.reclaims afterwards — see reclaimWindow for the other half.
+
+const (
+	// replayWindowBytes is the payload budget of one replay window. A window
+	// is written to the sink as one ascending sweep, so the budget sets how
+	// dense that sweep is (records per MiB of chunk space) and how much
+	// journal data the replayer may hold in memory at once.
+	replayWindowBytes = 4 * util.MiB
+	// replayIOBytes caps one coalesced journal read and one coalesced sink
+	// write: large enough to amortize the per-op device cost, small enough
+	// to stay in a mid-size buffer class and to bound how long a foreground
+	// write waits behind a single replay write.
+	replayIOBytes = 256 * util.KiB
+)
+
+// liveRec is a window record that still backs index extents.
+type liveRec struct {
+	rec  *pendingRecord
+	read int32  // index into replayScratch.reads
+	data []byte // verified payload inside its read's buffer; nil until read
+	err  error  // verification failure: none of its bytes may reach the sink
+}
+
+// replayExt is one live extent of a window record, keyed for the sweep.
+type replayExt struct {
+	jindex.Extent
+	slot  int64 // sink position of the chunk; 0 when the sink cannot say
+	chunk blockstore.ChunkID
+	rec   int32 // index into replayScratch.live
+}
+
+// journalRead is one coalesced journal-device read: live[first:first+n] sit
+// back to back on the device, headers included, in bytes bytes.
+type journalRead struct {
+	first, n int
+	bytes    int64
+	buf      []byte // leased once the read has been issued
+}
+
+// replayScratch is the replayer's working state for one window, reused
+// across windows. Only the replay goroutine touches it; planLocked and
+// the revalidation queries additionally run under s.mu.
+type replayScratch struct {
+	live  []liveRec
+	exts  []replayExt // sorted by (slot, chunk, Off): the sweep order
+	reads []journalRead
+	valid []replayExt     // one run's extents after revalidation
+	q     []jindex.Extent // index query scratch
+}
+
+// stillMapped returns the pieces of x that ix still maps to the journal
+// sectors x names (into the query scratch: valid until the next call). A
+// piece overwritten, invalidated or dropped since x was planned is absent.
+func (rp *replayScratch) stillMapped(ix *jindex.Index, x jindex.Extent) []jindex.Extent {
+	rp.q = ix.QueryInto(rp.q[:0], x.Off, x.Len)
+	n := 0
+	for _, e := range rp.q {
+		if e.JOff == x.JOff+uint64(e.Off-x.Off) {
+			rp.q[n] = e
+			n++
+		}
+	}
+	return rp.q[:n]
+}
+
+// slotLocator is the optional sink extension that orders chunk groups by
+// their position on the backup disk; blockstore.Store implements it.
+type slotLocator interface {
+	SlotOffset(id blockstore.ChunkID) int64
+}
+
 // replayLoop is the single background replayer.
 func (s *Set) replayLoop() {
 	defer close(s.done)
@@ -760,6 +863,7 @@ func (s *Set) replayLoop() {
 			continue
 		}
 		window := s.windowLocked(j)
+		s.planLocked(window)
 		s.mu.Unlock()
 		if !s.replayWindow(j, window) {
 			// Window parked (a chunk could not reach the sink): its records
@@ -770,10 +874,10 @@ func (s *Set) replayLoop() {
 }
 
 // nextJournalLocked picks the highest-priority journal whose head record is
-// replayable, discarding pads and failed records as it goes. Replay always
-// yields to foreground work on the backup disk: its random writes would
-// otherwise starve journal appends and bypass writes, inverting the
-// journals' whole purpose (§3.2, §5.3).
+// replayable (pads and failed records count: their window only reclaims
+// space). Replay always yields to foreground work on the backup disk: its
+// random writes would otherwise starve journal appends and bypass writes,
+// inverting the journals' whole purpose (§3.2, §5.3).
 func (s *Set) nextJournalLocked() *Journal {
 	if s.force == 0 {
 		now := s.clk.Now()
@@ -786,20 +890,7 @@ func (s *Set) nextJournalLocked() *Journal {
 		}
 	}
 	for i, j := range s.journals {
-		// Trim pads/failed records first so tails advance promptly.
-		for len(j.fifo) > 0 {
-			r := j.fifo[0]
-			if r.chunk == padChunk || r.failed {
-				j.tail += r.footer
-				j.fifo = j.fifo[1:]
-				if r.failed {
-					s.pending--
-				}
-				continue
-			}
-			break
-		}
-		if len(j.fifo) == 0 || !j.fifo[0].ready {
+		if len(j.fifo) == 0 || !(j.fifo[0].ready || j.fifo[0].failed) {
 			continue
 		}
 		if s.idleOnly[i] && s.force == 0 && j.disk.QueueDepth() > 0 {
@@ -810,14 +901,14 @@ func (s *Set) nextJournalLocked() *Journal {
 	return nil
 }
 
-// windowLocked collects the replayable prefix of j's fifo: up to
-// ReplayWindow ready records plus any pads or failed records between them,
-// stopping at the first record still awaiting its commit flush. The
-// entries stay on the fifo — this loop is the only consumer — and are
-// popped together after replay.
+// windowLocked collects the replayable prefix of j's fifo: ready records up
+// to the ReplayWindow record cap or the replayWindowBytes payload budget,
+// plus any pads or failed records between them, stopping at the first
+// record still awaiting its commit flush. The entries stay on the fifo —
+// this loop is the only consumer — and are popped together after replay.
 func (s *Set) windowLocked(j *Journal) []*pendingRecord {
-	n, records := 0, 0
-	for n < len(j.fifo) && records < s.cfg.ReplayWindow {
+	n, records, payload := 0, 0, 0
+	for n < len(j.fifo) && records < s.cfg.ReplayWindow && payload < replayWindowBytes {
 		r := j.fifo[n]
 		if r.chunk == padChunk || r.failed {
 			n++
@@ -827,252 +918,294 @@ func (s *Set) windowLocked(j *Journal) []*pendingRecord {
 			break
 		}
 		records++
+		payload += r.dataLen
 		n++
 	}
 	return j.fifo[:n:n]
 }
 
-// replayWindow drains one window: records grouped by chunk, each chunk's
-// surviving extents coalesced into the fewest sink writes, then the whole
-// window's journal space reclaimed at once. If any chunk fails to reach
-// the sink the WHOLE window stays parked — nothing is popped, nothing is
-// reclaimed — and false is returned; replaying an already-flushed chunk
-// again later is a no-op (its index entries were invalidated), so the
-// retry after heal is idempotent.
-func (s *Set) replayWindow(j *Journal, window []*pendingRecord) bool {
-	var order []blockstore.ChunkID
-	groups := make(map[blockstore.ChunkID][]*pendingRecord)
+// planLocked fills the scratch with the window's live records, in journal
+// order, and their live extents: only index entries still pointing inside a
+// record's payload are live — everything else was overwritten since the
+// append and merges away (the paper's "overwrites between two successive
+// replays" saving). A record with no live extent is never read.
+func (s *Set) planLocked(window []*pendingRecord) {
+	rp := &s.rp
+	rp.live, rp.exts = rp.live[:0], rp.exts[:0]
+	var ix *jindex.Index
+	ixChunk := padChunk
 	for _, rec := range window {
 		if rec.chunk == padChunk || rec.failed {
 			continue
 		}
-		if _, ok := groups[rec.chunk]; !ok {
-			order = append(order, rec.chunk)
+		if rec.chunk != ixChunk {
+			ix, ixChunk = s.indexes[rec.chunk], rec.chunk
 		}
-		groups[rec.chunk] = append(groups[rec.chunk], rec)
+		if ix == nil {
+			continue // chunk dropped since the append
+		}
+		lenSec := uint32(int64(rec.dataLen) / util.SectorSize)
+		jEnd := rec.dataJOff + uint64(lenSec)
+		rp.q = ix.QueryInto(rp.q[:0], uint32(rec.off/util.SectorSize), lenSec)
+		n := len(rp.exts)
+		for _, e := range rp.q {
+			if e.JOff >= rec.dataJOff && e.JOff < jEnd {
+				rp.exts = append(rp.exts, replayExt{Extent: e, chunk: rec.chunk, rec: int32(len(rp.live))})
+			}
+		}
+		if len(rp.exts) > n {
+			rp.live = append(rp.live, liveRec{rec: rec})
+		}
 	}
+}
 
-	var sinkWrites int64
-	var parked bool
-	for _, id := range order {
-		w, err := s.replayChunk(id, groups[id])
-		sinkWrites += w
+func compareReplayExt(a, b replayExt) int {
+	if c := cmp.Compare(a.slot, b.slot); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.chunk, b.chunk); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Off, b.Off)
+}
+
+// orderSweep sorts the planned extents into the order the sink sees them —
+// ascending disk position of the chunk, then ascending chunk offset, so a
+// window is one elevator sweep over the backup HDD — and groups the live
+// records into coalesced journal reads: position-contiguous records share
+// one sequential read of up to replayIOBytes, like flush coalesces runs on
+// the way in.
+func (s *Set) orderSweep() {
+	rp := &s.rp
+	if loc, ok := s.sink.(slotLocator); ok {
+		var slot int64
+		of := padChunk
+		for i := range rp.exts {
+			if e := &rp.exts[i]; e.chunk != of {
+				slot, of = loc.SlotOffset(e.chunk), e.chunk
+			}
+			rp.exts[i].slot = slot
+		}
+	}
+	slices.SortFunc(rp.exts, compareReplayExt)
+
+	rp.reads = rp.reads[:0]
+	for i := 0; i < len(rp.live); {
+		n := rp.live[i].rec.footer
+		k := i + 1
+		for k < len(rp.live) && n+rp.live[k].rec.footer <= replayIOBytes &&
+			rp.live[k].rec.dataJOff == rp.live[i].rec.dataJOff+uint64(n/util.SectorSize) {
+			n += rp.live[k].rec.footer
+			k++
+		}
+		for m := i; m < k; m++ {
+			rp.live[m].read = int32(len(rp.reads))
+		}
+		rp.reads = append(rp.reads, journalRead{first: i, n: k - i, bytes: n})
+		i = k
+	}
+}
+
+// replayWindow drains one planned window: the live extents of all its
+// records, sorted into one ascending sweep and coalesced into the fewest
+// sink writes, then the whole window's journal space reclaimed at once. It
+// returns false when the window parked — some chunk's data could not reach
+// the sink (sink write failure, unreadable or corrupt journal record);
+// that chunk's remaining runs are skipped, the others still land, nothing
+// is popped or reclaimed, and the caller polls before retrying.
+//
+// Unless a Drain forces it, the window is pre-emptible: the idle gate is
+// re-checked before every sink write and the rest of the window abandoned
+// when foreground I/O has arrived on the backup disk. Both a parked and an
+// abandoned window are safe to retry from scratch: extents that did reach
+// the sink were invalidated, so the retry finds them dead and skips them.
+func (s *Set) replayWindow(j *Journal, window []*pendingRecord) bool {
+	rp := &s.rp
+	s.orderSweep()
+
+	parked, abandoned := false, false
+	var failed blockstore.ChunkID // chunk whose remaining runs are skipped
+	for i := 0; i < len(rp.exts) && !abandoned; {
+		// A run is a maximal sequence of extents adjacent in one chunk: one
+		// sink write. The index maps each chunk sector to at most one journal
+		// location, so extents surviving from different records never overlap.
+		k := i + 1
+		for k < len(rp.exts) && rp.exts[k].chunk == rp.exts[i].chunk &&
+			rp.exts[k].Off == rp.exts[k-1].End() &&
+			int64(rp.exts[k].End()-rp.exts[i].Off)*util.SectorSize <= replayIOBytes {
+			k++
+		}
+		run := rp.exts[i:k]
+		i = k
+		id := run[0].chunk
+		if parked && id == failed {
+			continue
+		}
+		stop, err := s.replayRun(j, run)
+		abandoned = stop
 		if err != nil {
-			parked = true
-			corrupt := errors.Is(err, util.ErrCorrupt)
-			s.mu.Lock()
-			s.replayErrors++
-			if corrupt {
-				s.replayCorrupt++
-			}
-			cb := s.onReplayError
-			if m := s.cfg.Metrics; m != nil {
-				if corrupt {
-					m.Counter(MetricReplayCorrupt).Inc()
-				} else {
-					m.Counter(MetricReplayErrors).Inc()
-				}
-			}
-			s.mu.Unlock()
-			if cb != nil {
-				cb(id, err)
-			}
+			parked, failed = true, id
+			s.reportReplayError(id, err)
 		}
-	}
-	if parked {
-		return false
 	}
 
-	s.mu.Lock()
-	replayed, failed := 0, 0
-	for _, rec := range window {
-		j.tail += rec.footer
-		switch {
-		case rec.chunk == padChunk:
-		case rec.failed:
-			failed++
-		default:
-			replayed++
-			s.replayedBytes += int64(rec.dataLen)
-		}
+	for i := range rp.reads {
+		bufpool.Put(rp.reads[i].buf)
 	}
-	j.fifo = j.fifo[len(window):]
-	s.pending -= replayed + failed
-	s.replayedRecords += int64(replayed)
-	if m := s.cfg.Metrics; m != nil && replayed > 0 {
-		m.ObserveValue(MetricReplayWindow, int64(replayed))
-		m.ObserveValue(MetricReplayWrites, sinkWrites)
+	clear(rp.reads)
+	clear(rp.live) // drop the record and buffer references until the next window
+	if abandoned || parked {
+		return !parked
 	}
-	if s.pending == 0 {
-		s.drainCond.Broadcast()
-	}
-	s.mu.Unlock()
+	s.reclaimWindow(j, window)
 	return true
 }
 
-// replayChunk replays one chunk's records from a window, holding the chunk
-// lock across query → sink write → invalidate so a bypass write cannot
-// interleave with a stale replay (lock order: chunk lock before s.mu). It
-// returns the number of coalesced sink writes issued, plus an error when
-// the chunk's data could not all reach the sink (sink write failure or
-// unreadable journal) — the caller parks the window and retries after heal
-// instead of dropping the records.
-func (s *Set) replayChunk(id blockstore.ChunkID, recs []*pendingRecord) (int64, error) {
+// replayRun writes one run of adjacent extents to the sink, holding the
+// chunk lock across revalidate → sink write → invalidate so a bypass write
+// cannot interleave with a stale replay (lock order: chunk lock before
+// s.mu). The lock covers exactly one run, so a bypass write to the chunk
+// waits for one sink write, not for the window. stop reports that the rest
+// of the window must be abandoned (foreground I/O arrived, or the set is
+// closing); err that the run's data could not all reach the sink.
+func (s *Set) replayRun(j *Journal, run []replayExt) (stop bool, err error) {
+	rp := &s.rp
+	id := run[0].chunk
 	l := s.chunkLock(id)
 	l.Lock()
 	defer l.Unlock()
 
-	// jranges are the records' payload regions; only index entries still
-	// pointing inside them are live — everything else was overwritten since
-	// the append and merges away (the paper's "overwrites between two
-	// successive replays" saving).
-	type jrange struct{ lo, hi uint64 }
-	ranges := make([]jrange, 0, len(recs))
-	inRanges := func(joff uint64) bool {
-		for _, rg := range ranges {
-			if joff >= rg.lo && joff < rg.hi {
-				return true
+	// Revalidate: an overwrite or bypass write since the plan may have
+	// killed part of the run; only the pieces still mapped are written.
+	busy := s.sink.Disk().QueueDepth() > 0
+	s.mu.Lock()
+	stop = s.closed || (busy && s.force == 0)
+	rp.valid = rp.valid[:0]
+	if ix := s.indexes[id]; ix != nil && !stop {
+		for _, x := range run {
+			for _, e := range rp.stillMapped(ix, x.Extent) {
+				rp.valid = append(rp.valid, replayExt{Extent: e, chunk: id, rec: x.rec})
 			}
 		}
-		return false
+	}
+	if stop && !s.closed {
+		s.lastBusy = s.clk.Now() // pre-empted: restart the idle grace
+	}
+	s.mu.Unlock()
+	if stop {
+		return true, nil
+	}
+
+	// Sink writes run outside s.mu (appends continue meanwhile). A failed
+	// write parks the remainder; what DID land is still invalidated below so
+	// the retry never resurrects stale data.
+	written := 0
+	for a := 0; a < len(rp.valid) && err == nil; {
+		b := a + 1
+		for b < len(rp.valid) && rp.valid[b].Off == rp.valid[b-1].End() {
+			b++
+		}
+		if err = s.writePieces(j, rp.valid[a:b]); err == nil {
+			written = b
+			j.sinkWrites++
+		}
+		a = b
 	}
 
 	s.mu.Lock()
-	var current []jindex.Extent
-	var liveRecs []*pendingRecord
-	ix, haveIx := s.indexes[id]
-	var totalSectors, liveSectors int64
-	for _, rec := range recs {
-		offSec := uint32(rec.off / util.SectorSize)
-		lenSec := uint32(int64(rec.dataLen) / util.SectorSize)
-		totalSectors += int64(lenSec)
-		jEnd := rec.dataJOff + uint64(lenSec)
-		ranges = append(ranges, jrange{rec.dataJOff, jEnd})
-		if !haveIx {
-			continue
+	// Remove the mappings just replayed — but only where the index still
+	// points at them; newer appends that landed during the sink write keep
+	// precedence.
+	ix := s.indexes[id]
+	for _, w := range rp.valid[:written] {
+		j.sunkSectors += int64(w.Len)
+		if ix == nil {
+			continue // chunk dropped meanwhile
 		}
-		live := false
-		s.replayQ = ix.QueryInto(s.replayQ[:0], offSec, lenSec)
-		for _, e := range s.replayQ {
-			if e.JOff >= rec.dataJOff && e.JOff < jEnd {
-				current = append(current, e)
-				live = true
-			}
-		}
-		if live {
-			liveRecs = append(liveRecs, rec)
-		}
-	}
-	for _, e := range current {
-		liveSectors += int64(e.Len)
-	}
-	s.mergedSectors += totalSectors - liveSectors
-
-	// Re-verify every record whose payload still backs live extents BEFORE
-	// any byte of it reaches the sink: bit-rot inside the journal region
-	// must park the window for repair (journal-replay-corrupt), never be
-	// silently replayed as committed data.
-	var chunkErr error
-	for _, rec := range liveRecs {
-		if err := s.verifyRecordLocked(rec); err != nil {
-			chunkErr = err
-			break
-		}
-	}
-
-	// The index maps each chunk sector to at most one journal location, so
-	// extents surviving from different records never overlap; sorting by
-	// chunk offset and coalescing adjacent extents yields the minimal set
-	// of sequential sink writes (elevator-friendly on the backup HDD).
-	// Payloads are read under the lock — space cannot be reclaimed mid-read.
-	sort.Slice(current, func(a, b int) bool { return current[a].Off < current[b].Off })
-	type run struct {
-		data []byte
-		off  int64
-		exts []jindex.Extent
-	}
-	var runs []run
-	if chunkErr == nil {
-	readLoop:
-		for i := 0; i < len(current); {
-			k := i + 1
-			for k < len(current) && current[k].Off == current[k-1].Off+current[k-1].Len {
-				k++
-			}
-			exts := current[i:k]
-			lo, hi := exts[0].Off, exts[len(exts)-1].End()
-			buf := bufpool.Get(int(int64(hi-lo) * util.SectorSize))
-			for _, e := range exts {
-				dst := buf[int64(e.Off-lo)*util.SectorSize:][:int64(e.Len)*util.SectorSize]
-				jj := s.journalOf(e.JOff)
-				if jj == nil {
-					chunkErr = fmt.Errorf("journal: no journal owns joff %d", e.JOff)
-					bufpool.Put(buf)
-					break readLoop // index corrupt; park the records
-				}
-				if err := jj.readAtJOff(dst, e.JOff); err != nil {
-					chunkErr = err // journal device unreadable; park the records
-					bufpool.Put(buf)
-					break readLoop
-				}
-			}
-			runs = append(runs, run{buf, int64(lo) * util.SectorSize, exts})
-			i = k
+		for _, e := range rp.stillMapped(ix, w.Extent) {
+			ix.Invalidate(e.Off, e.Len)
 		}
 	}
 	s.mu.Unlock()
-
-	// Sink writes run outside s.mu (appends continue meanwhile) but under
-	// the chunk lock (bypass writes to this chunk wait their turn). A
-	// failed sink write parks the remainder; what DID land is still
-	// invalidated below so the retry never resurrects stale data.
-	var writes int64
-	var written []jindex.Extent
-	for _, r := range runs {
-		if err := s.sink.WriteAt(id, r.data, r.off); err != nil {
-			chunkErr = err
-			break
-		}
-		writes++
-		written = append(written, r.exts...)
-	}
-	for _, r := range runs {
-		bufpool.Put(r.data)
-	}
-
-	s.mu.Lock()
-	// Remove mappings we replayed — but only where the index still points
-	// into these records; newer appends that landed during the sink write
-	// keep precedence.
-	if ix2, ok := s.indexes[id]; ok {
-		for _, w := range written {
-			s.replayQ = ix2.QueryInto(s.replayQ[:0], w.Off, w.Len)
-			for _, e := range s.replayQ {
-				if inRanges(e.JOff) {
-					ix2.Invalidate(e.Off, e.Len)
-				}
-			}
-		}
-	}
-	s.mu.Unlock()
-	return writes, chunkErr
+	return false, err
 }
 
-// verifyRecordLocked re-reads one record's header and payload from its
-// journal and checks payload CRC and header/record agreement. Called with
-// s.mu held. A mismatch wraps util.ErrCorrupt; device errors return as-is.
-func (s *Set) verifyRecordLocked(rec *pendingRecord) error {
-	j := s.journalOf(rec.dataJOff)
-	if j == nil {
-		return fmt.Errorf("journal: no journal owns joff %d", rec.dataJOff)
+// writePieces issues one sink write for adjacent pieces of one chunk. A
+// single piece is written straight from the journal read buffer; several
+// are gathered into one leased buffer first.
+func (s *Set) writePieces(j *Journal, pieces []replayExt) error {
+	id, lo := pieces[0].chunk, pieces[0].Off
+	off := int64(lo) * util.SectorSize
+	if len(pieces) == 1 {
+		data, err := s.payload(j, pieces[0])
+		if err != nil {
+			return err
+		}
+		return s.sink.WriteAt(id, data, off)
 	}
+	buf := bufpool.Get(int(int64(pieces[len(pieces)-1].End()-lo) * util.SectorSize))
+	defer bufpool.Put(buf)
+	for _, p := range pieces {
+		data, err := s.payload(j, p)
+		if err != nil {
+			return err
+		}
+		copy(buf[int64(p.Off-lo)*util.SectorSize:], data)
+	}
+	return s.sink.WriteAt(id, buf, off)
+}
+
+// payload returns the journal bytes backing extent p, reading (and
+// verifying) its record's coalesced journal read on first use — so each
+// live record is read from the journal device at most once per window, and
+// an abandoned window has read only what it was about to write.
+func (s *Set) payload(j *Journal, p replayExt) ([]byte, error) {
+	lr := &s.rp.live[p.rec]
+	if lr.data == nil && lr.err == nil {
+		if err := s.readRecords(j, &s.rp.reads[lr.read]); err != nil {
+			return nil, err
+		}
+	}
+	if lr.err != nil {
+		return nil, lr.err
+	}
+	lo := int64(p.JOff-lr.rec.dataJOff) * util.SectorSize
+	return lr.data[lo : lo+int64(p.Len)*util.SectorSize], nil
+}
+
+// readRecords issues one coalesced journal read — header and payload of
+// every record in it, one device op — and verifies each record from that
+// buffer BEFORE any byte of it can reach the sink: bit-rot inside the
+// journal region must park the window for repair (journal-replay-corrupt),
+// never be silently replayed as committed data. A verification failure is
+// remembered on its own record only; a device error fails the whole read
+// and is retried by the next extent that needs it.
+func (s *Set) readRecords(j *Journal, r *journalRead) error {
+	live := s.rp.live[r.first : r.first+r.n]
+	buf := bufpool.Get(int(r.bytes))
 	// The header sector sits immediately before the payload sectors.
-	hbuf := bufpool.Get(headerSize)
-	defer bufpool.Put(hbuf)
-	if err := j.readAtJOff(hbuf, rec.dataJOff-1); err != nil {
+	if err := j.readAtJOff(buf, live[0].rec.dataJOff-1); err != nil {
+		bufpool.Put(buf)
 		return err
 	}
-	hdr, err := decodeHeader(hbuf)
+	r.buf = buf
+	for i := range live {
+		rec := live[i].rec
+		if err := verifyRecord(j, rec, buf[:rec.footer]); err != nil {
+			live[i].err = err
+		} else {
+			live[i].data = buf[headerSize : headerSize+rec.dataLen]
+		}
+		buf = buf[rec.footer:]
+	}
+	return nil
+}
+
+// verifyRecord checks a record's on-device image — header sector, then
+// payload — against what was appended: header/record agreement and payload
+// CRC. A mismatch wraps util.ErrCorrupt.
+func verifyRecord(j *Journal, rec *pendingRecord, image []byte) error {
+	hdr, err := decodeHeader(image)
 	if err != nil {
 		return fmt.Errorf("journal %s: record %v@%d: %v: %w",
 			j.name, rec.chunk, rec.off, err, util.ErrCorrupt)
@@ -1082,16 +1215,95 @@ func (s *Set) verifyRecordLocked(rec *pendingRecord) error {
 		return fmt.Errorf("journal %s: record %v@%d: header does not match appended record: %w",
 			j.name, rec.chunk, rec.off, util.ErrCorrupt)
 	}
-	data := bufpool.Get(int(util.AlignUp(int64(rec.dataLen), util.SectorSize)))
-	defer bufpool.Put(data)
-	if err := j.readAtJOff(data, rec.dataJOff); err != nil {
-		return err
-	}
-	if sum := util.Checksum(data[:rec.dataLen]); sum != hdr.checksum {
+	if sum := util.Checksum(image[headerSize : headerSize+rec.dataLen]); sum != hdr.checksum {
 		return fmt.Errorf("journal %s: record %v@%d: payload checksum %08x, want %08x: %w",
 			j.name, rec.chunk, rec.off, sum, hdr.checksum, util.ErrCorrupt)
 	}
 	return nil
+}
+
+// reportReplayError counts one chunk's parked replay and fires the fault
+// callback outside the set lock.
+func (s *Set) reportReplayError(id blockstore.ChunkID, err error) {
+	corrupt := errors.Is(err, util.ErrCorrupt)
+	s.mu.Lock()
+	s.replayErrors++
+	if corrupt {
+		s.replayCorrupt++
+	}
+	cb := s.onReplayError
+	s.mu.Unlock()
+	if m := s.cfg.Metrics; m != nil {
+		if corrupt {
+			m.Counter(MetricReplayCorrupt).Inc()
+		} else {
+			m.Counter(MetricReplayErrors).Inc()
+		}
+	}
+	if cb != nil {
+		cb(id, err)
+	}
+}
+
+// reclaimWindow retires a fully replayed window: none of its records backs
+// an index extent any more, so its journal space is trimmed and handed back
+// to appenders. The order matters. s.reclaims moves first, so a Read that
+// snapshotted extents of this window before they were invalidated re-runs
+// its query instead of trusting bytes read from trimmed space; the discard
+// runs next, outside the lock, while the space is still reserved (tail not
+// yet advanced), so it can never hit bytes a new append has written; only
+// then does tail advance and the fifo pop.
+//
+// The device trims whole pages, and the page holding the old tail was
+// reclaimed only partly by the windows before this one. Unless appenders
+// have already lapped into that page (then it is live again and stays),
+// its dead prefix is taken back — tail retreats to the page start — for
+// the duration of the trim, so this call releases the whole page and a
+// drained journal pins at most the one page holding its tail.
+func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
+	var span, sectors int64
+	replayed, failed := 0, 0
+	for _, rec := range window {
+		span += rec.footer
+		switch {
+		case rec.chunk == padChunk:
+		case rec.failed:
+			failed++
+		default:
+			replayed++
+			sectors += int64(rec.dataLen) / util.SectorSize
+		}
+	}
+
+	s.mu.Lock()
+	s.reclaims++
+	newTail := j.tail + span
+	if start := j.pageFloor(j.tail); j.head <= start+j.size {
+		j.tail = start
+	}
+	trimFrom := j.tail
+	s.mu.Unlock()
+
+	j.discard(trimFrom, newTail)
+
+	s.mu.Lock()
+	j.tail = newTail
+	j.fifo = j.fifo[len(window):]
+	s.pending -= replayed + failed
+	s.replayedRecords += int64(replayed)
+	s.replayedBytes += sectors * util.SectorSize
+	// Sectors of the window that never reached the sink were overwritten
+	// before their turn; sunkSectors spans every attempt at this window.
+	s.mergedSectors += sectors - j.sunkSectors
+	if m := s.cfg.Metrics; m != nil && replayed > 0 {
+		m.ObserveValue(MetricReplayWindow, int64(replayed))
+		m.ObserveValue(MetricReplayWrites, j.sinkWrites)
+	}
+	j.sunkSectors, j.sinkWrites = 0, 0
+	if s.pending == 0 {
+		s.drainCond.Broadcast()
+	}
+	s.mu.Unlock()
 }
 
 // SetStats is a snapshot of journal-set activity.

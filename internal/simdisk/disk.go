@@ -51,6 +51,32 @@ func WritevAt(d Disk, bufs [][]byte, off int64) error {
 	return nil
 }
 
+// Discarder is the optional trim extension of Disk: Discard tells the
+// device that [off, off+n) holds nothing its owner will read again, so the
+// backing pages wholly inside the range can be released (the TRIM of a
+// real SSD). It is advisory and page-granular — bytes of a page the range
+// covers only partly stay as they are, released pages read back as zeros —
+// costs no service time, and is not counted in Stats. The journal
+// replayer calls it on reclaimed journal space; without it a circular
+// journal pins every page it ever touched.
+type Discarder interface {
+	Discard(off, n int64)
+}
+
+// DiscardGranule is the alignment, in device bytes, at which Discard
+// releases space: a caller reclaiming a region piecemeal must start each
+// call at a granule boundary (or re-cover the tail of the previous call)
+// for the page both calls share to be released.
+const DiscardGranule = pageSize
+
+// Discard trims [off, off+n) through d's Discarder when it has one; for a
+// device without it the call is a no-op.
+func Discard(d Disk, off, n int64) {
+	if dd, ok := d.(Discarder); ok {
+		dd.Discard(off, n)
+	}
+}
+
 func vecLen(bufs [][]byte) int {
 	n := 0
 	for _, b := range bufs {

@@ -321,6 +321,11 @@ func (f *FaultInjector) WritevAt(bufs [][]byte, off int64) error {
 	return err
 }
 
+// Discard implements Discarder by passing the trim through: armed faults
+// are keyed by byte range, not by what is stored there, so a corruption or
+// error range overlapping a discarded one keeps firing on later reads.
+func (f *FaultInjector) Discard(off, n int64) { Discard(f.inner, off, n) }
+
 // Size implements Disk.
 func (f *FaultInjector) Size() int64 { return f.inner.Size() }
 

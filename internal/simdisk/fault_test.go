@@ -268,3 +268,41 @@ func TestCorruptRangePersistentUntilHeal(t *testing.T) {
 		t.Error("Heal did not clear the corruption fault")
 	}
 }
+
+// TestFaultInjectorDiscardPassthrough: a discard reaches the wrapped
+// device, and armed corruption and error ranges overlapping the discarded
+// range keep firing — they are keyed by range, not by what is stored.
+func TestFaultInjectorDiscardPassthrough(t *testing.T) {
+	inner := fastSSD()
+	d := NewFaultInjector(inner, clock.TestClock())
+	defer d.Close()
+	data := make([]byte, 3*pageSize)
+	util.NewRand(33).Fill(data)
+	if err := d.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	d.CorruptRange(pageSize, pageSize+512, true)
+	d.FailReadRange(nil, 2*pageSize-512, 2*pageSize)
+
+	Discard(d, pageSize, pageSize)
+	if got := inner.UsedBytes(); got != 2*pageSize {
+		t.Fatalf("discard did not reach the device: used = %d", got)
+	}
+
+	got := make([]byte, 1024)
+	if err := d.ReadAt(got, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		want := byte(0) // discarded: zeros ...
+		if i < 512 {
+			want = 0xa5 // ... still rotted inside the armed range
+		}
+		if b != want {
+			t.Fatalf("byte %d after discard = %#x, want %#x", i, b, want)
+		}
+	}
+	if err := d.ReadAt(got, 2*pageSize-1024); !errors.Is(err, ErrFault) {
+		t.Errorf("error range over discarded space: %v", err)
+	}
+}

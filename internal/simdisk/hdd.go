@@ -198,6 +198,10 @@ func (d *HDD) serviceTime(req *hddReq) time.Duration {
 	return t
 }
 
+// Discard implements Discarder. It bypasses the request queue: releasing
+// pages moves no head and costs no service time.
+func (d *HDD) Discard(off, n int64) { d.store.discard(off, n) }
+
 // Size implements Disk.
 func (d *HDD) Size() int64 { return d.model.Capacity }
 

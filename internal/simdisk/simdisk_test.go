@@ -372,3 +372,90 @@ func TestHDDThroughputNearMediaRate(t *testing.T) {
 			rate/1e6, m.Bandwidth/1e6)
 	}
 }
+
+// TestMemStoreDiscardKeepsPartialPages: a discard releases exactly the
+// pages wholly inside its range; the pages it covers only partly keep every
+// byte, the released ones read back as zeros, and a range reaching outside
+// the device is clipped.
+func TestMemStoreDiscardKeepsPartialPages(t *testing.T) {
+	s := newMemStore(8 * pageSize)
+	data := make([]byte, 5*pageSize)
+	util.NewRand(31).Fill(data)
+	const base = pageSize / 2 // pages 0..5 touched, 0 and 5 only half
+	if err := s.writeAt(data, base); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.usedBytes(); got != 6*pageSize {
+		t.Fatalf("used before discard = %d", got)
+	}
+
+	// [1.25, 4.5) pages: covers pages 2 and 3 wholly, 1 and 4 partly.
+	lo, hi := int64(pageSize+pageSize/4), int64(4*pageSize+pageSize/2)
+	s.discard(lo, hi-lo)
+	if got := s.usedBytes(); got != 4*pageSize {
+		t.Errorf("used after discard = %d, want %d", got, 4*pageSize)
+	}
+	got := make([]byte, len(data))
+	if err := s.readAt(got, base); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), data...)
+	clearBytes(want[2*pageSize-base : 4*pageSize-base])
+	if !bytes.Equal(got, want) {
+		t.Error("discard touched bytes outside the whole pages it released")
+	}
+
+	// Sub-page and out-of-range discards release nothing and do not panic.
+	s.discard(10, pageSize-20)
+	s.discard(-pageSize, 100)
+	s.discard(7*pageSize+1, 1<<40)
+	if got := s.usedBytes(); got != 4*pageSize {
+		t.Errorf("used after no-op discards = %d", got)
+	}
+	// A clipped range still releases the whole pages inside the device.
+	s.discard(-5, 5+pageSize)
+	if got := s.usedBytes(); got != 3*pageSize {
+		t.Errorf("used after clipped discard = %d", got)
+	}
+}
+
+// TestDiscardFreesPagesAtNoCost: Discard on both device models releases
+// backing pages without touching the op/byte/busy counters, and the helper
+// is a no-op on a disk without the extension.
+func TestDiscardFreesPagesAtNoCost(t *testing.T) {
+	ssd, hdd := fastSSD(), fastHDD()
+	defer ssd.Close()
+	defer hdd.Close()
+	for _, d := range []interface {
+		Disk
+		UsedBytes() int64
+	}{ssd, hdd} {
+		data := make([]byte, 4*pageSize)
+		util.NewRand(32).Fill(data)
+		if err := d.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		before := d.Stats()
+		Discard(d, pageSize, 2*pageSize)
+		if got := d.UsedBytes(); got != 2*pageSize {
+			t.Errorf("%T: used after discard = %d", d, got)
+		}
+		if after := d.Stats(); after != before {
+			t.Errorf("%T: discard moved the counters: %+v -> %+v", d, before, after)
+		}
+		got := make([]byte, len(data))
+		if err := d.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		clearBytes(data[pageSize : 3*pageSize])
+		if !bytes.Equal(got, data) {
+			t.Errorf("%T: read-back after discard mismatch", d)
+		}
+	}
+	// plainDisk hides the extension: the helper must simply do nothing.
+	type plainDisk struct{ Disk }
+	Discard(plainDisk{ssd}, 0, 4*pageSize)
+	if got := ssd.UsedBytes(); got != 2*pageSize {
+		t.Errorf("discard reached through a disk without the extension: used = %d", got)
+	}
+}

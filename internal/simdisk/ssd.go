@@ -102,6 +102,9 @@ func (d *SSD) WritevAt(bufs [][]byte, off int64) error {
 	return nil
 }
 
+// Discard implements Discarder.
+func (d *SSD) Discard(off, n int64) { d.store.discard(off, n) }
+
 // Size implements Disk.
 func (d *SSD) Size() int64 { return d.model.Capacity }
 

@@ -114,6 +114,23 @@ func (s *memStore) writeLocked(p []byte, off int64) {
 	}
 }
 
+// discard releases the pages wholly inside [off, off+n); pages the range
+// covers only partly are kept, and a range reaching outside the device is
+// clipped. Released pages read back as zeros, like any unwritten region.
+func (s *memStore) discard(off, n int64) {
+	lo, hi := max(off, 0), min(off+n, s.size)
+	first := (lo + pageSize - 1) / pageSize
+	last := hi / pageSize // exclusive
+	if first >= last {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for p := first; p < last; p++ {
+		delete(s.pages, p)
+	}
+}
+
 // usedBytes reports allocated (written) capacity, for tests.
 func (s *memStore) usedBytes() int64 {
 	s.mu.RLock()
