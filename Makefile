@@ -67,8 +67,11 @@ bench-module:
 # B/op exceeds the checked-in ceiling in
 # internal/bench/testdata/perf_baseline.json (currently 0 allocs/op). The
 # same file carries count ceilings for journal replay, measured over a
-# steady-state drain: journal-device reads per replayed record (<= 1) and
-# allocations per replayed record.
+# steady-state drain (journal-device reads per replayed record <= 1,
+# allocations per replayed record), and for a whole 4 KiB read and write at
+# QD 1 through client, transport and chunkserver handlers on a zero-cost
+# in-process cluster ("e2e-4k": allocations per op) — the path the micros
+# bypass.
 perf-smoke:
 	$(GO) test ./internal/bench -run TestPerfSmoke -count=1 -v
 
@@ -86,10 +89,12 @@ scrub-smoke:
 
 # Deterministic erasure-coding acceptance run: M=2 segment holders of an
 # RS(4,2) chunk die mid-workload under the linearizability checker, and the
-# client must finish with zero failed I/Os; plus degraded-read
-# reconstruction and the all-replicas-corrupt clean-error floor.
+# client must finish with zero failed I/Os; the same with one holder's HDD
+# dead under a live server, whose position must be re-homed; plus
+# degraded-read reconstruction and the all-replicas-corrupt clean-error
+# floor.
 ec-smoke:
-	$(GO) test ./internal/cluster -run 'TestChaosECSegmentDeath|TestECDegradedReadReconstructs|TestAllReplicasCorruptCleanError' -count=1 -v
+	$(GO) test ./internal/cluster -run 'TestChaosECSegmentDeath|TestChaosECHolderDiskDeath|TestECDegradedReadReconstructs|TestAllReplicasCorruptCleanError' -count=1 -v
 
 # Deterministic master-failover acceptance run: the primary master of a
 # three-master cluster is killed mid-workload under the linearizability

@@ -51,8 +51,8 @@ func main() {
 		m.Capacity = *capacity
 		ssd := simdisk.NewSSD(m, clk)
 		srv = chunkserver.New(chunkserver.Config{
-			Addr: *listen, Role: chunkserver.RolePrimary,
-			Clock: clk, Dialer: dialer,
+			Addr: *listen, Clock: clk, Dialer: dialer,
+			MasterAddrs: []string{*masterAddr},
 		}, blockstore.New(ssd, 0), nil)
 	case "backup":
 		hm := simdisk.DefaultHDD()
@@ -72,8 +72,8 @@ func main() {
 		jset.AddHDDJournal("jhdd", hdd, storeLimit, hddJournalSize)
 		jset.Start()
 		srv = chunkserver.New(chunkserver.Config{
-			Addr: *listen, Role: chunkserver.RoleBackup,
-			Clock: clk, Dialer: dialer,
+			Addr: *listen, Clock: clk, Dialer: dialer,
+			MasterAddrs: []string{*masterAddr},
 		}, store, jset)
 	default:
 		log.Fatalf("unknown role %q", *role)

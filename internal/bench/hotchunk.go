@@ -80,7 +80,7 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 			jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(benchSSD(), clk), 0, util.GiB)
 		}
 		srv := chunkserver.New(chunkserver.Config{
-			Addr: addr, Role: role, Clock: clk,
+			Addr: addr, Clock: clk,
 			Dialer:      net.Dialer(addr, transport.NodeConfig{}),
 			ReplTimeout: 2 * time.Second,
 			Metrics:     reg,

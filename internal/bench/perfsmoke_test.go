@@ -21,7 +21,9 @@ type perfBaseline struct {
 		AllocsPerOp int64 `json:"allocs_per_op"`
 		BytesPerOp  int64 `json:"bytes_per_op"`
 	} `json:"loops"`
-	// Counts are hard maxima of per-record replay costs (see replayCounts).
+	// Counts are hard maxima of costs that are counts, so they hold on a
+	// noisy host: per-record replay costs (replayCounts) and end-to-end
+	// allocations per 4 KiB op (e2eCounts).
 	Counts map[string]map[string]float64 `json:"counts"`
 }
 
@@ -30,7 +32,9 @@ type perfBaseline struct {
 // read+verify, write+stamp, pooled proto decode) and fails if any loop
 // allocates more than the checked-in baseline permits. The baseline pins
 // the hot path at 0 allocs/op — any regression that reintroduces a
-// per-I/O allocation fails here before it reaches a full bench run.
+// per-I/O allocation fails here before it reaches a full bench run. The
+// micros call the layers directly; the counts below also gate what a whole
+// read or write allocates on its way through the chunkserver handlers.
 func TestPerfSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime distorts allocation accounting; gate runs race-free via make perf-smoke")
@@ -74,7 +78,10 @@ func TestPerfSmoke(t *testing.T) {
 		}
 	}
 
-	got := map[string]map[string]float64{"journal-replay": replayCounts(t)}
+	got := map[string]map[string]float64{
+		"journal-replay": replayCounts(t),
+		"e2e-4k":         e2eCounts(t),
+	}
 	for name, want := range base.Counts {
 		for metric, ceiling := range want {
 			v, ok := got[name][metric]
@@ -94,6 +101,25 @@ func TestPerfSmoke(t *testing.T) {
 				t.Errorf("%s.%s: no baseline entry — add one to testdata/perf_baseline.json", name, metric)
 			}
 		}
+	}
+}
+
+// e2eCounts measures heap allocations per end-to-end 4 KiB operation at
+// QD 1 on the ceiling figure's cluster (in-process, three-replica hybrid,
+// zero-cost devices and network): everything between vd.ReadAt/WriteAt and
+// its return, handlers and background replay included. The micros above
+// bypass the chunkserver handlers; this is the count that catches a
+// per-request allocation added there.
+func e2eCounts(t *testing.T) map[string]float64 {
+	cfg := Config{Quick: true, Seed: 1}
+	rd := runCeilingCell(cfg, false, 1)
+	wr := runCeilingCell(cfg, true, 1)
+	if rd.IOPS <= 0 || wr.IOPS <= 0 {
+		t.Fatalf("e2e-4k cells did not run: read %+v write %+v", rd, wr)
+	}
+	return map[string]float64{
+		"read_allocs_per_op":  rd.AllocsPerOp,
+		"write_allocs_per_op": wr.AllocsPerOp,
 	}
 }
 

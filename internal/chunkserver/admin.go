@@ -1,0 +1,299 @@
+package chunkserver
+
+import (
+	"encoding/json"
+	"errors"
+
+	"ursa/internal/bufpool"
+	"ursa/internal/coldtier"
+	"ursa/internal/journal"
+	"ursa/internal/opctx"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/util"
+)
+
+// The admin interface: the commands only the master originates — chunk
+// membership, views, rebuilds, snapshot flushes. They are fenced by the
+// master's primacy epoch, and the fence sits in the dispatch, ahead of the
+// switch: an op is fenced because it is handled here, so a new admin op
+// cannot forget to be.
+
+// handleAdmin dispatches an admin op; anything it does not know is an error.
+func (s *Server) handleAdmin(op *opctx.Op, m *proto.Message) *proto.Message {
+	// Epoch fence: a command stamped with an epoch older than the newest this
+	// server has witnessed comes from a deposed master — reject it before it
+	// can touch views, versions, or chunk membership. Newer epochs are
+	// adopted (the new primary's fencing OpNop broadcast lands here too);
+	// epoch 0 is unfenced, which keeps single-master clusters out of the
+	// protocol.
+	if m.Epoch != 0 {
+		if cur, adopted := s.witnessEpoch(m.Epoch); !adopted {
+			if s.cfg.Metrics != nil {
+				s.cfg.Metrics.Counter(MetricStaleEpochRejections).Inc()
+			}
+			r := m.Reply(proto.StatusStaleEpoch)
+			r.Epoch = cur // tell the deposed sender what fenced it
+			return r
+		}
+	}
+	switch m.Op {
+	case proto.OpNop: // the promotion broadcast's vehicle
+		return m.Reply(proto.StatusOK)
+	case proto.OpCreateChunk:
+		return s.handleCreateChunk(m)
+	case proto.OpDeleteChunk:
+		return s.handleDeleteChunk(m)
+	case proto.OpSetView:
+		return s.handleSetView(m)
+	case proto.OpCloneChunk:
+		return s.handleCloneChunk(op, m)
+	case proto.OpRepairFrom:
+		return s.handleRepairFrom(op, m)
+	case proto.OpRebuildSegment:
+		return s.handleRebuildSegment(op, m)
+	case proto.OpFlushChunks:
+		return s.handleFlushChunks(op, m)
+	}
+	return m.Reply(proto.StatusError)
+}
+
+// witnessEpoch folds e into the newest-witnessed master epoch: adopted
+// reports whether e is current (>= the max seen); cur returns the fencing
+// epoch when it is not.
+func (s *Server) witnessEpoch(e uint64) (cur uint64, adopted bool) {
+	for {
+		cur = s.masterEpoch.Load()
+		if e < cur {
+			return cur, false
+		}
+		if e == cur || s.masterEpoch.CompareAndSwap(cur, e) {
+			return e, true
+		}
+	}
+}
+
+// MasterEpoch returns the newest master epoch this server has witnessed.
+func (s *Server) MasterEpoch() uint64 { return s.masterEpoch.Load() }
+
+// CreateChunkReq is the JSON payload of OpCreateChunk.
+type CreateChunkReq struct {
+	// Backups are peer addresses the primary replicates to (primary only).
+	Backups []string `json:"backups,omitempty"`
+	// View is the chunk's initial view number.
+	View uint64 `json:"view"`
+	// Version seeds the replica version (non-zero when re-creating a
+	// replica that will be cloned to a known state).
+	Version uint64 `json:"version,omitempty"`
+	// Redundancy is the chunk's redundancy policy. The zero value is
+	// mirroring, so pre-RS callers need not set it.
+	Redundancy redundancy.Spec `json:"redundancy,omitempty"`
+	// Holder marks this replica as an RS segment holder storing only
+	// segment Seg (a ChunkSize/N slice) rather than the whole chunk.
+	Holder bool `json:"holder,omitempty"`
+	// Seg is the segment index this holder stores (valid when Holder).
+	Seg int `json:"seg,omitempty"`
+	// Cold lists the object-backed extents of a cloned chunk; the replica
+	// demand-fetches them from the object store at ObjAddr on first access.
+	Cold    []coldtier.ExtentRef `json:"cold,omitempty"`
+	ObjAddr string               `json:"objAddr,omitempty"`
+}
+
+// newChunkState builds the per-chunk state a CreateChunkReq describes.
+func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
+	strat, err := redundancy.New(req.Redundancy)
+	if err != nil {
+		return nil, err
+	}
+	cs := &chunkState{
+		view: req.View, version: req.Version, reserved: req.Version,
+		backups: req.Backups,
+		lite:    journal.NewLite(s.cfg.LiteCap),
+		pending: make(map[uint64]*pendingWrite),
+		spec:    req.Redundancy, strat: strat, holder: req.Holder, seg: req.Seg,
+	}
+	if len(req.Cold) > 0 {
+		cs.cold = &coldState{
+			objAddr: req.ObjAddr,
+			refs:    append([]coldtier.ExtentRef(nil), req.Cold...),
+		}
+	}
+	return cs, nil
+}
+
+func (s *Server) handleCreateChunk(m *proto.Message) *proto.Message {
+	var req CreateChunkReq
+	if len(m.Payload) > 0 {
+		if err := json.Unmarshal(m.Payload, &req); err != nil {
+			return m.Reply(proto.StatusError)
+		}
+	}
+	cs, err := s.newChunkState(req)
+	if err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	status := proto.StatusOK
+	if err := s.store.CreateSized(m.Chunk, cs.span()); errors.Is(err, util.ErrExists) {
+		// A restarted server re-attaches to chunks that survived on its
+		// store: install fresh in-memory state over the existing slot (and
+		// its checksums) unless live state is already there. The Exists
+		// status is kept so recovery flows still learn the slot was there.
+		status = proto.StatusExists
+	} else if err != nil {
+		return m.Reply(proto.StatusQuota)
+	}
+	sh := s.shard(m.Chunk)
+	sh.mu.Lock()
+	if status == proto.StatusOK || sh.m[m.Chunk] == nil {
+		sh.m[m.Chunk] = cs
+	}
+	sh.mu.Unlock()
+	return m.Reply(status)
+}
+
+func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
+	sh := s.shard(m.Chunk)
+	sh.mu.Lock()
+	cs := sh.m[m.Chunk]
+	delete(sh.m, m.Chunk)
+	sh.mu.Unlock()
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	cs.mu.Lock()
+	cs.deleted = true
+	cs.bumpLocked() // wake writers queued on the chunk's state
+	cs.mu.Unlock()
+	if err := s.dropLocal(m.Chunk); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	return m.Reply(proto.StatusOK)
+}
+
+func (s *Server) handleSetView(m *proto.Message) *proto.Message {
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if m.View < cs.view {
+		return m.Reply(proto.StatusStaleView)
+	}
+	cs.view = m.View
+	if len(m.Payload) > 0 {
+		var req CreateChunkReq
+		if err := json.Unmarshal(m.Payload, &req); err == nil && req.Backups != nil {
+			cs.backups = req.Backups
+		}
+	}
+	r := m.Reply(proto.StatusOK)
+	r.View = cs.view
+	r.Version = cs.version
+	return r
+}
+
+// PieceSource names one surviving segment holder and the piece it stores.
+type PieceSource struct {
+	Addr  string `json:"addr"`
+	Piece int    `json:"piece"`
+}
+
+// CloneChunkReq is the JSON payload of OpCloneChunk and OpRepairFrom.
+type CloneChunkReq struct {
+	// Source is the address of the replica to copy from.
+	Source string `json:"source"`
+	// Spec and Sources drive an RS reconstruction clone: when Sources is
+	// non-empty, the chunk is rebuilt stripe by stripe from N surviving
+	// segment holders (the primary is gone) instead of copied from Source.
+	Spec    redundancy.Spec `json:"spec,omitempty"`
+	Sources []PieceSource   `json:"sources,omitempty"`
+}
+
+// handleCloneChunk replaces the whole local replica: copied from a source
+// replica, or — for a replacement RS primary, whose only full copy is gone —
+// decoded from N surviving segment holders at the master's target version
+// (m.Version).
+func (s *Server) handleCloneChunk(op *opctx.Op, m *proto.Message) *proto.Message {
+	var req CloneChunkReq
+	if err := json.Unmarshal(m.Payload, &req); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	src := s.mirrorCopy(op, m.Chunk, req.Source, cs.span())
+	if len(req.Sources) > 0 {
+		src = s.peerDecode(op, m.Chunk, req.Spec, req.Sources, -1, m.Version)
+	}
+	return s.rebuild(op, m, cs, src, true)
+}
+
+// RebuildSegmentReq is the JSON payload of OpRebuildSegment, sent by the
+// master to a (new or lagging) segment holder.
+type RebuildSegmentReq struct {
+	// Spec is the chunk's RS policy.
+	Spec redundancy.Spec `json:"spec"`
+	// Seg is the segment this holder must end up with.
+	Seg int `json:"seg"`
+	// Primary, when set, serves the segment directly; it is the preferred
+	// source because its replies are version-exact snapshots.
+	Primary string `json:"primary,omitempty"`
+	// Sources are surviving segment holders at the master's target version,
+	// used to decode the segment when the primary is gone.
+	Sources []PieceSource `json:"sources,omitempty"`
+}
+
+// handleRebuildSegment reconstructs this holder's segment: a version-exact
+// snapshot from the primary when it is up, otherwise decoded from N
+// surviving peers at the master's target version (m.Version).
+func (s *Server) handleRebuildSegment(op *opctx.Op, m *proto.Message) *proto.Message {
+	var req RebuildSegmentReq
+	if err := json.Unmarshal(m.Payload, &req); err != nil || !req.Spec.IsRS() || req.Seg < 0 {
+		return m.Reply(proto.StatusError)
+	}
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	src := s.peerDecode(op, m.Chunk, req.Spec, req.Sources, req.Seg, m.Version)
+	if req.Primary != "" {
+		src = s.segmentSnapshot(op, m.Chunk, req.Primary, req.Spec, req.Seg)
+	}
+	return s.rebuild(op, m, cs, src, true)
+}
+
+// handleRepairFrom pulls incremental repair from a source replica: ask for
+// the mods since our version (journal lite) and install them; when the
+// source's history is garbage-collected, fall back to a full copy (§4.2.1).
+func (s *Server) handleRepairFrom(op *opctx.Op, m *proto.Message) *proto.Message {
+	var req CloneChunkReq
+	if err := json.Unmarshal(m.Payload, &req); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	resp, err := s.peers.Do(op, req.Source, &proto.Message{
+		Op:      proto.OpRepairSince,
+		Chunk:   m.Chunk,
+		Version: cs.committed(),
+	}, s.opBudget(op, 10*s.cfg.ReplTimeout))
+	if err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	defer bufpool.Put(resp.Payload) // installed synchronously; the lease ends here
+	switch resp.Status {
+	case proto.StatusOK:
+		mods, err := decodeRepair(resp.Payload)
+		if err != nil {
+			return m.Reply(proto.StatusError)
+		}
+		return s.rebuild(op, m, cs, repairMods(cs, mods, resp.Version), false)
+	case proto.StatusFallback:
+		return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, cs.span()), true)
+	}
+	return m.Reply(proto.StatusError)
+}

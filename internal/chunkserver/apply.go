@@ -1,0 +1,496 @@
+package chunkserver
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"ursa/internal/bufpool"
+	"ursa/internal/opctx"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/util"
+)
+
+// The versioned-apply pipeline: the one §4.2.1 rule every replica runs for
+// every write it receives — a replica at version v applies the write that
+// carries v and acks at v+1, in order. handleApply is the skeleton; applyStep
+// is the only part that knows whether this replica is the write's primary or
+// one of its backups.
+
+// errPredecessorFailed aborts a write whose overlapping predecessor's apply
+// failed: the predecessor's slot will be re-claimed by a retry carrying
+// older data, so writing ours first would let that retry overwrite it.
+var errPredecessorFailed = errors.New("chunkserver: overlapping predecessor write failed")
+
+// errPlanEvicted fails a duplicate RS write whose cached fan-out plan is
+// gone (see applyStep.begin).
+var errPlanEvicted = errors.New("chunkserver: cached fan-out plan evicted")
+
+// admitWriteLocked runs the §4.2.1 version rules for a write carrying
+// version v and, when the write is admitted, claims its version slot and
+// registers its extent in the chunk's pending table — the short in-lock
+// ordering section of the pipelined write path. It returns exactly one of:
+//
+//   - pw != nil: the slot is claimed; deps are the pending predecessors the
+//     caller must wait out (the overlapping ones) before applying out
+//     of lock.
+//   - skipLocal: the write is the §4.2.1 duplicate (already applied here);
+//     no slot is claimed, the caller still forwards/acks.
+//   - resp != nil: the request short-circuits with this reply.
+//
+// Waits (our slot not yet reserved, or a duplicate of a still-in-flight
+// write) are bounded by the op's remaining budget. Called and returns with
+// cs.mu held.
+func (s *Server) admitWriteLocked(cs *chunkState, op *opctx.Op, m *proto.Message) (pw *pendingWrite, deps []*pendingWrite, skipLocal bool, resp *proto.Message) {
+	deadline := s.cfg.Clock.Now().Add(s.opBudget(op, s.cfg.ReplTimeout))
+	var stopWait func()
+	defer func() {
+		if stopWait != nil {
+			stopWait()
+		}
+	}()
+	for {
+		if cs.deleted {
+			return nil, nil, false, m.Reply(proto.StatusNotFound)
+		}
+		if cs.view != m.View {
+			r := m.Reply(proto.StatusStaleView)
+			r.View = cs.view
+			return nil, nil, false, r
+		}
+		switch {
+		case m.Version+1 == cs.version:
+			// Already applied here (retry after a partial failure): skip the
+			// local write but still forward/ack (§4.2.1).
+			return nil, nil, true, nil
+		case m.Version < cs.version:
+			return nil, nil, false, replyAt(m, proto.StatusStaleVersion, cs.version)
+		case m.Version == cs.reserved:
+			// Our slot is next: claim it.
+			pw, deps = s.claimSlotLocked(cs, m)
+			return pw, deps, false, nil
+		case m.Version < cs.reserved:
+			// The slot was already handed out. A failed entry is a retry's
+			// to re-claim (its overlapping successors aborted, so nothing
+			// newer can be on disk under our extent); a live entry means a
+			// duplicate delivery — wait for the original's fate and
+			// re-evaluate.
+			if p := cs.pending[m.Version]; p == nil || p.failed {
+				pw, deps = s.claimSlotLocked(cs, m)
+				return pw, deps, false, nil
+			}
+		default:
+			// m.Version > cs.reserved: a predecessor has not arrived yet;
+			// wait for reservations to catch up.
+		}
+		if stopWait == nil {
+			stopWait = op.StartStage(opctx.StageReplay)
+		}
+		if !cs.waitChangeLocked(op, deadline) {
+			return nil, nil, false, replyAt(m, proto.StatusBehind, cs.version)
+		}
+	}
+}
+
+// claimSlotLocked registers m's write in the pending table and collects the
+// predecessors it must wait out before touching the device: entries whose
+// extents overlap m's. Claiming the next free slot advances the reservation
+// cursor and wakes writers queued on it.
+func (s *Server) claimSlotLocked(cs *chunkState, m *proto.Message) (*pendingWrite, []*pendingWrite) {
+	pw := &pendingWrite{
+		version: m.Version,
+		off:     m.Off,
+		length:  len(m.Payload),
+		done:    make(chan struct{}),
+	}
+	var deps []*pendingWrite
+	for slot, p := range cs.pending {
+		if slot < m.Version && p.overlaps(m.Off, len(m.Payload)) {
+			deps = append(deps, p)
+		}
+	}
+	cs.pending[m.Version] = pw
+	if m.Version == cs.reserved {
+		cs.reserved++
+	}
+	cs.bumpLocked()
+	return pw, deps
+}
+
+// awaitDeps blocks until every predecessor in deps has finished its device
+// apply, bounded by the op's budget. A failed dependency aborts the write:
+// its slot must stay re-claimable by the retry that carries the missing
+// data, and our extent overlaps that retry's.
+func (s *Server) awaitDeps(op *opctx.Op, deps []*pendingWrite) error {
+	if len(deps) == 0 {
+		return nil
+	}
+	clk := s.cfg.Clock
+	t0 := clk.Now()
+	deadline := t0.Add(s.opBudget(op, s.cfg.ReplTimeout))
+	st := op.Stage(opctx.StageApplyWait)
+	defer st.Stop()
+	for _, dep := range deps {
+		rem := deadline.Sub(clk.Now())
+		if rem <= 0 {
+			return fmt.Errorf("chunkserver: dependency wait: %w", util.ErrTimeout)
+		}
+		select {
+		case <-dep.done:
+		case <-clk.After(rem):
+			return fmt.Errorf("chunkserver: dependency wait: %w", util.ErrTimeout)
+		case <-op.Done():
+			return context.Canceled
+		}
+		if dep.failed {
+			return errPredecessorFailed
+		}
+	}
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.ObserveLatency(MetricDepWait, clk.Now().Sub(t0))
+	}
+	return nil
+}
+
+// awaitCommit blocks until the chunk's committed version reaches want —
+// this write's own apply plus every predecessor's has landed — so acks go
+// out strictly in version order and StatusOK at version v still implies
+// every write ≤ v is applied. It returns the committed version and whether
+// want was reached within the op's budget.
+func (s *Server) awaitCommit(cs *chunkState, op *opctx.Op, want uint64) (uint64, bool) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.version >= want {
+		return cs.version, true
+	}
+	deadline := s.cfg.Clock.Now().Add(s.opBudget(op, s.cfg.ReplTimeout))
+	st := op.Stage(opctx.StageCommitWait)
+	defer st.Stop()
+	for cs.version < want && !cs.deleted {
+		if !cs.waitChangeLocked(op, deadline) {
+			break
+		}
+	}
+	return cs.version, cs.version >= want
+}
+
+// handleApply is the write path of every replica: OpWrite and OpWritePrimary
+// at a primary, OpReplicate (bytes, an XOR parity delta, or a bare version
+// bump) at a backup. The chunk lock is held only for slot admission: the
+// device apply runs out of lock, concurrently with other same-chunk writes
+// whose extents do not overlap — so a primary SSD sees real queue depth and
+// one journal flush batches a hot chunk's burst — and the ack waits for the
+// committed version to reach this write's slot. Nothing here branches on the
+// replica's role; that is the applyStep's business.
+func (s *Server) handleApply(op *opctx.Op, m *proto.Message) *proto.Message {
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	a := applyStep{s: s, op: op, m: m, cs: cs}
+	if !a.bump() {
+		if err := validRangeIn(m.Off, len(m.Payload), cs.span()); err != nil {
+			return m.Reply(proto.StatusError)
+		}
+		// Copy-on-write materialization: the extents this write lands on must
+		// be local before the write is admitted, or a later demand fetch of
+		// the same extent would overwrite newer bytes with the snapshot's.
+		if err := s.ensureCold(op, cs, m.Chunk, m.Off, len(m.Payload)); err != nil {
+			return m.Reply(proto.StatusError)
+		}
+	}
+	cs.mu.Lock()
+	pw, deps, skipLocal, resp := s.admitWriteLocked(cs, op, m)
+	if resp != nil {
+		cs.mu.Unlock()
+		return resp
+	}
+	a.backups, a.strat = cs.backups, cs.strat
+	depth := len(cs.pending)
+	cs.mu.Unlock()
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.ObserveValue(MetricPendingWrites, int64(depth))
+	}
+
+	if err := a.begin(skipLocal); err != nil {
+		if !skipLocal {
+			cs.applyDone(pw, err)
+		}
+		return m.Reply(proto.StatusError)
+	}
+	if !skipLocal {
+		if err := s.awaitDeps(op, deps); err != nil {
+			cs.applyDone(pw, err)
+			a.join()
+			return replyAt(m, proto.StatusBehind, cs.committed())
+		}
+		err := a.apply()
+		cs.applyDone(pw, err)
+		if err != nil {
+			a.join()
+			return s.failDevice(m, err)
+		}
+	}
+	a.count()
+	s.bytesWritten.Add(int64(len(m.Payload)))
+
+	newVer, committed := s.awaitCommit(cs, op, m.Version+1)
+	if !committed {
+		a.join()
+		return replyAt(m, proto.StatusBehind, newVer)
+	}
+	if !a.join() {
+		s.noQuorums.Add(1)
+		return replyAt(m, proto.StatusError, newVer)
+	}
+	return replyAt(m, proto.StatusOK, newVer)
+}
+
+// applyStep is the role-specific part of one pass through handleApply: a
+// stack value, not a closure, which the skeleton touches at three fixed
+// points — begin before the dependency wait, apply after it, join before any
+// reply once begin has run — plus the activity counter. The op says the
+// role. OpWrite: the primary writes its device and replicates to the chunk's
+// backup tier, owning the fan-out it starts. OpWritePrimary: the primary
+// writes its device only — the client replicates itself (client-directed
+// tiny writes, §3.2). OpReplicate: a backup journals or bypasses, after
+// folding an XOR delta when the payload is one; a version bump applies
+// nothing. Only OpWrite ever starts a fan-out, so every other join is true.
+type applyStep struct {
+	s  *Server
+	op *opctx.Op
+	m  *proto.Message
+	cs *chunkState
+
+	// backups and strat are the chunk's replication targets and strategy as
+	// of admission; replCh carries the fan-out's commit verdict once started.
+	backups []string
+	strat   redundancy.Strategy
+	replCh  chan bool
+}
+
+// bump reports whether the write is an RS version bump: no bytes, hence no
+// range to validate, materialize or apply.
+func (a *applyStep) bump() bool {
+	return a.m.Op == proto.OpReplicate && a.m.Flags&proto.FlagVersionBump != 0
+}
+
+// fansOut reports whether this step replicates to a backup tier.
+func (a *applyStep) fansOut() bool { return a.m.Op == proto.OpWrite && len(a.backups) > 0 }
+
+// startFanout ships the planned write on its own goroutine; join collects
+// the verdict. Only values are captured, so the step stays on the stack.
+func (a *applyStep) startFanout(ships []redundancy.Shipment) {
+	ch := make(chan bool, 1)
+	a.replCh = ch
+	s, op, m, backups, strat := a.s, a.op, a.m, a.backups, a.strat
+	go func() { ch <- s.replicateShipments(op, backups, m, strat, ships) }()
+}
+
+// begin runs right after admission. Replication overlaps the local write:
+// the primary starts the fan-out as soon as the plan is ready and performs
+// its own write while the data is in flight to the backups, so the
+// end-to-end latency is max(local, backup), not their sum. Mirroring plans
+// from the payload alone, so its fan-out starts here, before even the
+// dependency wait. A §4.2.1 duplicate of an RS write cannot recompute its
+// parity deltas — the pre-write bytes are gone — so it resends the cached
+// plan; a plan evicted from the cache means the retry arrived implausibly
+// late: fail it and let recovery settle the stripe.
+func (a *applyStep) begin(skipLocal bool) error {
+	if !a.fansOut() {
+		return nil
+	}
+	if !a.strat.NeedsOldData() {
+		ships, err := a.strat.PlanWrite(a.m.Off, a.m.Payload, nil, len(a.backups))
+		if err != nil {
+			return err
+		}
+		a.startFanout(ships)
+	} else if skipLocal {
+		ships, ok := a.cs.cachedShipments(a.m.Version)
+		if !ok {
+			return errPlanEvicted
+		}
+		a.startFanout(ships)
+	}
+	return nil
+}
+
+// apply performs the device write of an admitted write whose overlapping
+// predecessors have landed, and stamps the checksums of what it wrote. RS
+// parity deltas need the pre-write bytes, so an RS primary reads the old
+// range, plans, and starts its fan-out here rather than in begin.
+func (a *applyStep) apply() error {
+	s, m := a.s, a.m
+	if m.Op != proto.OpReplicate {
+		if a.fansOut() && a.strat.NeedsOldData() {
+			old := make([]byte, len(m.Payload))
+			if err := s.readLocal(nil, m.Chunk, old, m.Off); err != nil {
+				return err
+			}
+			ships, err := a.strat.PlanWrite(m.Off, m.Payload, old, len(a.backups))
+			if err != nil {
+				return err
+			}
+			a.cs.cacheShipments(m.Version, ships)
+			a.startFanout(ships)
+		}
+		st := a.op.Stage(opctx.StagePrimarySSD)
+		err := s.writeLocal(m.Chunk, m.Payload, m.Off)
+		st.Stop()
+		if err == nil {
+			s.store.Sums().Stamp(m.Chunk, m.Off, m.Payload)
+		}
+		return err
+	}
+	if a.bump() {
+		return nil
+	}
+	data := m.Payload
+	if m.Flags&proto.FlagXorApply != 0 {
+		// Parity RMW: fold the delta into the current parity bytes. The read
+		// must verify — folding a delta into rotten parity would launder the
+		// rot into every future reconstruction. The RMW is safe under
+		// concurrency because overlapping deltas wait on each other through
+		// the pending-write extent machinery, and delta application commutes
+		// across disjoint admission orders.
+		data = bufpool.Get(len(m.Payload))
+		// Append/WriteDirect return only after the device write, so nothing
+		// references the folded bytes once this function returns.
+		defer bufpool.Put(data)
+		if err := s.readVerified(a.op, m.Chunk, data, m.Off); err != nil {
+			return err
+		}
+		for i := range data {
+			data[i] ^= m.Payload[i]
+		}
+	}
+	st := a.op.Stage(opctx.StageBackupJournal)
+	err := s.writeBackup(a.op, m, data)
+	st.Stop()
+	if err == nil {
+		s.store.Sums().Stamp(m.Chunk, m.Off, data)
+	}
+	return err
+}
+
+// writeBackup is the backup write of §3.2: small writes are journaled,
+// writes above the bypass threshold — and every write once the journals
+// overflow entirely, or on a journal-less server holding backup replicas
+// (SSD-only deployments) — go straight to the device. data is the resolved
+// absolute content (an XOR delta already folded in). The op rides into the
+// journal so group-commit queue/flush time lands on the op's
+// backup-jqueue/backup-jflush stages.
+func (s *Server) writeBackup(op *opctx.Op, m *proto.Message, data []byte) error {
+	if s.Role() == RoleBackup && len(data) <= s.cfg.BypassThreshold {
+		err := s.jset.Append(op, m.Chunk, m.Off, data, m.Version+1)
+		if !errors.Is(err, util.ErrQuota) {
+			return err
+		}
+	}
+	return s.writeLocal(m.Chunk, data, m.Off)
+}
+
+// join collects the fan-out's verdict: true when the commit rule was met or
+// nothing was fanned out. Every path out of handleApply after begin passes
+// through it once, so the request frame is never recycled under a fan-out
+// still reading it.
+func (a *applyStep) join() bool { return a.replCh == nil || <-a.replCh }
+
+// count bumps the activity counter the op feeds.
+func (a *applyStep) count() {
+	if a.m.Op == proto.OpReplicate {
+		a.s.replicates.Add(1)
+	} else {
+		a.s.writes.Add(1)
+	}
+}
+
+// replicateShipments fans a write's planned shipments out to the backup
+// tier and applies the strategy's commit rule: true when every target acks,
+// or when the strategy's degraded rule is met within the commit window —
+// a majority of the replica group for mirroring (§4.2.1), at least N
+// segment acks for RS(N,M). The window is NOT a server constant: it derives
+// from the incoming op's remaining deadline, so the commit rule fires
+// relative to the client's budget — only deadline-less ops fall back to the
+// configured ReplTimeout.
+func (s *Server) replicateShipments(op *opctx.Op, backups []string, m *proto.Message, strat redundancy.Strategy, ships []redundancy.Shipment) bool {
+	window := s.opBudget(op, s.cfg.ReplTimeout)
+	// The transport recycles the request frame m when the handler returns,
+	// and the handler may return (commit decided) while straggler shipments
+	// are still applying in the background — so the correlation fields are
+	// copied out of m into each branch's own pooled message up front;
+	// nothing dispatched below reads through m.
+	chunk, view, version := m.Chunk, m.View, m.Version
+	fl := s.bcast.Begin(len(ships))
+	for _, sh := range ships {
+		// Mirror shipments alias the request payload, whose lease the
+		// transport server releases when the handler returns — but a
+		// shipment may outlive the handler (degraded-commit stragglers keep
+		// applying in the background). Each branch therefore carries its
+		// own reference, consumed by its one Do. RS shipments own their
+		// buffers, making this a no-op.
+		bufpool.Retain(sh.Data)
+		var flags uint8
+		if sh.Xor {
+			flags |= proto.FlagXorApply
+		}
+		if sh.Bump {
+			flags |= proto.FlagVersionBump
+		}
+		req := proto.GetMessage()
+		req.Op = proto.OpReplicate
+		req.Chunk = chunk
+		req.Off = sh.Off
+		req.View = view
+		req.Version = version
+		req.Flags = flags
+		req.Seg = uint16(sh.Target)
+		req.Payload = sh.Data
+		fl.Go(sh.Target, backups[sh.Target], op, window, req)
+	}
+	defer fl.Finish()
+	acks := 0
+	var failed []int
+	st := op.Stage(opctx.StageReplWait)
+	defer st.Stop()
+	for done := 1; done <= len(ships); done++ {
+		if r := fl.Next(); !r.Err && r.Status == proto.StatusOK {
+			acks++
+		} else {
+			failed = append(failed, r.Target)
+		}
+		if acks == len(ships) {
+			return true
+		}
+		if len(failed) > 0 && strat.CommitOK(acks, len(backups)) {
+			// The outcome is decided: a definitive failure rules out the
+			// all-ack commit and the degraded rule already holds, so more
+			// results cannot change the decision — only improve durability.
+			// Reply now rather than waiting out the stragglers' RPC windows;
+			// a dead holder's timeout would otherwise delay every committed
+			// write's ack past the client's patience, and the client would
+			// misread a committed write as failed. Stragglers keep applying
+			// in the background; only the definitive failures are reported.
+			//
+			// Degraded commit: availability preserved at a transient
+			// durability discount (§4.2.1). An RS stripe short a segment has
+			// lost real redundancy, so the missing holders are reported for
+			// rebuild now; mirrored chunks keep the paper's behaviour and
+			// wait for the master's next probe.
+			s.degradedCommits.Add(1)
+			if strat.Spec().IsRS() {
+				for _, t := range failed {
+					s.reportFailure(chunk, backups[t])
+				}
+			}
+			return true
+		}
+		if pending := len(ships) - done; !strat.CommitOK(acks+pending, len(backups)) {
+			// Even if every straggler acks, the commit rule cannot be met.
+			return false
+		}
+	}
+	return false
+}

@@ -186,20 +186,11 @@ func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.Chunk
 			}
 			s.cfg.Clock.Sleep(pol.Delay(op.ID(), attempt))
 		}
-		var werr error
-		if s.jset != nil {
-			werr = s.jset.WriteDirect(id, data, r.ChunkOff)
-		} else {
-			werr = s.store.WriteAt(id, data, r.ChunkOff)
-		}
-		if werr == nil {
-			s.store.Sums().Stamp(id, r.ChunkOff, data)
-		}
+		werr := s.installLocal(id, data, r.ChunkOff)
 		bufpool.Put(data)
 		if werr != nil {
 			return werr
 		}
-		s.bytesWritten.Add(int64(r.Len))
 		if s.cfg.Metrics != nil {
 			s.cfg.Metrics.Counter(MetricColdFetches).Inc()
 		}
@@ -207,84 +198,32 @@ func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.Chunk
 	return nil
 }
 
-// coldRefsReq / coldRefsResp / materializedReq mirror the master package's
-// wire shapes (same JSON tags); the master imports this package, so they are
-// duplicated here like reportFailureReq.
-type coldRefsReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-}
-
-type coldRefsResp struct {
-	Refs []coldtier.ExtentRef `json:"refs,omitempty"`
-}
-
-type materializedReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-	Addr       string `json:"addr"`
-}
-
 // refreshColdRefs reloads the chunk's cold extent table from the master
-// (rotating endpoints like reportFailure) after a GC segment rewrite
-// invalidated local refs. The still-unfetched local set is intersected with
-// the master's current table — extents fetched locally in the meantime stay
-// gone — and the refreshed ref covering chunkOff is returned.
+// after a GC segment rewrite invalidated local refs. The still-unfetched
+// local set is intersected with the master's current table — extents
+// fetched locally in the meantime stay gone — and the refreshed ref
+// covering chunkOff is returned.
 func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.ChunkID, chunkOff int64) (coldtier.ExtentRef, bool, error) {
-	if len(s.cfg.MasterAddrs) == 0 {
-		return coldtier.ExtentRef{}, false, fmt.Errorf("chunkserver %s: no master to refresh cold refs: %w",
-			s.cfg.Addr, util.ErrNotFound)
+	var fresh ColdRefsResp
+	status, err := s.callMaster(op, proto.MOpGetColdRefs,
+		ColdRefsReq{VDisk: id.VDisk(), ChunkIndex: id.Index()}, &fresh)
+	if err == nil && status != proto.StatusOK {
+		err = fmt.Errorf("master answered %s: %w", status, util.ErrTimeout)
 	}
-	payload, err := json.Marshal(coldRefsReq{VDisk: id.VDisk(), ChunkIndex: id.Index()})
 	if err != nil {
-		return coldtier.ExtentRef{}, false, err
+		return coldtier.ExtentRef{}, false, fmt.Errorf("chunkserver %s: refresh cold refs %v: %w", s.cfg.Addr, id, err)
 	}
-	var fresh []coldtier.ExtentRef
-	got := false
-	addrs := s.cfg.MasterAddrs
-	start := int(s.masterIdx.Load()) % len(addrs)
-	for i := 0; i < len(addrs); i++ {
-		idx := (start + i) % len(addrs)
-		resp, derr := s.peers.Do(op, addrs[idx], &proto.Message{
-			Op:      proto.MOpGetColdRefs,
-			Payload: payload,
-		}, 0)
-		if derr != nil {
-			continue
-		}
-		status := resp.Status
-		var body coldRefsResp
-		jerr := json.Unmarshal(resp.Payload, &body)
-		bufpool.Put(resp.Payload)
-		proto.Recycle(resp)
-		if status == proto.StatusOK && jerr == nil {
-			s.masterIdx.Store(int64(idx))
-			fresh = body.Refs
-			got = true
-			break
-		}
-		if status != proto.StatusNotPrimary {
-			break
-		}
-	}
-	if !got {
-		return coldtier.ExtentRef{}, false, fmt.Errorf("chunkserver %s: refresh cold refs %v: %w",
-			s.cfg.Addr, id, util.ErrTimeout)
-	}
-
-	byOff := make(map[int64]coldtier.ExtentRef, len(fresh))
-	for _, r := range fresh {
+	byOff := make(map[int64]coldtier.ExtentRef, len(fresh.Refs))
+	for _, r := range fresh.Refs {
 		byOff[r.ChunkOff] = r
 	}
-	var out coldtier.ExtentRef
-	var found bool
 	cold.mu.Lock()
 	for i := range cold.refs {
 		if nr, hit := byOff[cold.refs[i].ChunkOff]; hit {
 			cold.refs[i] = nr
 		}
 	}
-	out, found = byOff[chunkOff]
+	out, found := byOff[chunkOff]
 	cold.mu.Unlock()
 	return out, found, nil
 }
@@ -296,34 +235,12 @@ func (s *Server) notifyMaterialized(id blockstore.ChunkID) {
 		return
 	}
 	go func() {
-		payload, err := json.Marshal(materializedReq{
+		op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
+		_, _ = s.callMaster(op, proto.MOpChunkMaterialized, MaterializedReq{
 			VDisk:      id.VDisk(),
 			ChunkIndex: id.Index(),
 			Addr:       s.cfg.Addr,
-		})
-		if err != nil {
-			return
-		}
-		op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
-		addrs := s.cfg.MasterAddrs
-		start := int(s.masterIdx.Load()) % len(addrs)
-		for i := 0; i < len(addrs); i++ {
-			idx := (start + i) % len(addrs)
-			resp, derr := s.peers.Do(op, addrs[idx], &proto.Message{
-				Op:      proto.MOpChunkMaterialized,
-				Payload: payload,
-			}, 0)
-			if derr != nil {
-				continue
-			}
-			status := resp.Status
-			bufpool.Put(resp.Payload)
-			proto.Recycle(resp)
-			if status != proto.StatusNotPrimary {
-				s.masterIdx.Store(int64(idx))
-				return
-			}
-		}
+		}, nil) // best effort: unreported chunks only delay cold-segment GC
 	}()
 }
 
@@ -375,7 +292,7 @@ func (s *Server) handleFlushChunks(op *opctx.Op, m *proto.Message) *proto.Messag
 		w := coldtier.NewSegWriter(cl, op, fc.SegLo, fc.SegHi)
 		for off := int64(0); off < util.ChunkSize; off += coldtier.ExtentSize {
 			if err := s.readVerified(op, fc.Chunk, buf, off); err != nil {
-				s.reportDeviceFailure(fc.Chunk, err)
+				s.reportDeviceFailure(fc.Chunk)
 				return m.Reply(proto.StatusError)
 			}
 			if err := w.Add(off, buf); err != nil {

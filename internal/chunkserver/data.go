@@ -1,0 +1,340 @@
+package chunkserver
+
+import (
+	"errors"
+	"time"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
+	"ursa/internal/opctx"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/util"
+)
+
+// The data interface: the ops clients and peer replicas send, fenced per
+// chunk by view number and the §4.2.1 version rules — never by the master
+// epoch. The three versioned writes share one pipeline (apply.go); everything
+// else here reads. This file also owns the replica's local storage:
+// readLocal, writeLocal (installLocal on top of it) and dropLocal are the
+// only places that choose between the journal set and the bare store.
+
+// handleData dispatches a data op, or returns nil when m is not one.
+func (s *Server) handleData(op *opctx.Op, m *proto.Message) *proto.Message {
+	switch m.Op {
+	case proto.OpRead:
+		return s.handleRead(op, m)
+	case proto.OpWrite, proto.OpWritePrimary, proto.OpReplicate:
+		return s.handleApply(op, m)
+	case proto.OpGetVersion:
+		return s.handleGetVersion(m)
+	case proto.OpFetchChunk:
+		return s.handleFetchChunk(op, m)
+	case proto.OpFetchSegment:
+		return s.handleFetchSegment(op, m)
+	case proto.OpRepairSince:
+		return s.handleRepairSince(m)
+	}
+	return nil
+}
+
+// readLocal reads the replica's logical content: journal-merged on a backup
+// server, the store on a primary. With an op the device time lands on the
+// matching read stage.
+func (s *Server) readLocal(op *opctx.Op, id blockstore.ChunkID, buf []byte, off int64) error {
+	read, stage := s.store.ReadAt, opctx.StagePrimarySSD
+	if s.jset != nil {
+		read, stage = s.jset.Read, opctx.StageBackupJournal
+	}
+	if op == nil {
+		return read(id, buf, off)
+	}
+	st := op.Stage(stage)
+	defer st.Stop()
+	return read(id, buf, off)
+}
+
+// writeLocal writes data straight to the replica's device. On a backup
+// server the write goes through the journal set, so overlapped journal
+// extents are invalidated and a stale replay can never land on top.
+func (s *Server) writeLocal(id blockstore.ChunkID, data []byte, off int64) error {
+	if s.jset != nil {
+		return s.jset.WriteDirect(id, data, off)
+	}
+	return s.store.WriteAt(id, data, off)
+}
+
+// installLocal is writeLocal for bytes that did not arrive as a versioned
+// write — rebuilt, repaired or demand-fetched content: it also stamps their
+// checksums and counts them.
+func (s *Server) installLocal(id blockstore.ChunkID, data []byte, off int64) error {
+	if err := s.writeLocal(id, data, off); err != nil {
+		return err
+	}
+	s.store.Sums().Stamp(id, off, data)
+	s.bytesWritten.Add(int64(len(data)))
+	return nil
+}
+
+// dropLocal deletes the replica's slot, journal extents first.
+func (s *Server) dropLocal(id blockstore.ChunkID) error {
+	if s.jset != nil {
+		s.jset.DropChunk(id)
+	}
+	return s.store.Delete(id)
+}
+
+// readVerified reads [off, off+len(buf)) of a chunk and checks the payload
+// against the chunk's sector checksums. A mismatch is settled per sector
+// before being declared corruption: the pipelined write path stamps a
+// sector's checksum only after its device write returns, so a read racing
+// an overlapping write can transiently observe a payload newer than the
+// stamped sum (or the reverse). Settling sector by sector matters for
+// large reads (scrub probes, clone fetches) over a write-hot region — a
+// whole-buffer retry would need every sector consistent at one instant,
+// which under a continuous write stream may never happen; each sector on
+// its own settles within microseconds, while real bit-rot never verifies.
+// A confirmed mismatch counts chunk-checksum-mismatches and comes back
+// wrapping util.ErrCorrupt. op may be nil (scrub and recovery paths).
+func (s *Server) readVerified(op *opctx.Op, id blockstore.ChunkID, buf []byte, off int64) error {
+	if err := s.readLocal(op, id, buf, off); err != nil {
+		return err
+	}
+	if s.store.Sums().Verify(id, off, buf) == nil {
+		return nil
+	}
+	const sectorRereads = 4
+	sec := make([]byte, util.SectorSize)
+	for so := int64(0); so < int64(len(buf)); so += util.SectorSize {
+		if s.store.Sums().Verify(id, off+so, buf[so:so+util.SectorSize]) == nil {
+			continue
+		}
+		var verr error
+		for attempt := 0; ; attempt++ {
+			if err := s.readLocal(nil, id, sec, off+so); err != nil {
+				return err
+			}
+			if verr = s.store.Sums().Verify(id, off+so, sec); verr == nil {
+				copy(buf[so:], sec)
+				break
+			}
+			if attempt == sectorRereads {
+				if s.cfg.Metrics != nil {
+					s.cfg.Metrics.Counter(MetricChecksumMismatches).Inc()
+				}
+				return verr
+			}
+			// Give an in-flight stamp a moment to land before re-reading.
+			s.cfg.Clock.Sleep(20 * time.Microsecond)
+		}
+	}
+	return nil
+}
+
+// failDevice turns a local device error on m's chunk into the reply. The
+// failure is reported to the master; a confirmed checksum mismatch answers
+// StatusCorrupt — distinguishable, so the caller fails over to another
+// replica instead of retrying a disk that lies — anything else StatusError.
+func (s *Server) failDevice(m *proto.Message, err error) *proto.Message {
+	s.reportDeviceFailure(m.Chunk)
+	if errors.Is(err, util.ErrCorrupt) {
+		return m.Reply(proto.StatusCorrupt)
+	}
+	return m.Reply(proto.StatusError)
+}
+
+// readVerifiedOr is readVerified for a handler serving m's chunk: nil when
+// buf holds verified bytes, otherwise the failure reply (see failDevice).
+func (s *Server) readVerifiedOr(op *opctx.Op, m *proto.Message, buf []byte, off int64) *proto.Message {
+	if err := s.readVerified(op, m.Chunk, buf, off); err != nil {
+		return s.failDevice(m, err)
+	}
+	return nil
+}
+
+// handleRead serves a read from the local replica. Any replica with data at
+// least as new as the client's version may serve (§4.1); primaries read
+// the SSD store, backups resolve journal extents first.
+func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
+	// Validate before allocating: a malformed Length would otherwise size
+	// an arbitrary buffer (and only then fail in the store). The bound is
+	// the replica's local slot — one segment on RS holders.
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	if err := validRangeIn(m.Off, int(m.Length), cs.span()); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	if err := s.ensureCold(op, cs, m.Chunk, m.Off, int(m.Length)); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	cs.mu.Lock()
+	view, ver := cs.view, cs.version
+	cs.mu.Unlock()
+	if view != m.View {
+		r := m.Reply(proto.StatusStaleView)
+		r.View = view
+		return r
+	}
+	if ver < m.Version {
+		// We lag the client's committed state: refuse rather than serve
+		// stale data; the client will pick another replica or trigger
+		// repair.
+		return replyAt(m, proto.StatusBehind, ver)
+	}
+
+	// Leased, not allocated: the response payload rides to the transport,
+	// whose Send consumes the lease once the bytes are on the wire.
+	buf := bufpool.Get(int(m.Length))
+	if r := s.readVerifiedOr(op, m, buf, m.Off); r != nil {
+		bufpool.Put(buf)
+		return r
+	}
+	s.reads.Add(1)
+	s.bytesRead.Add(int64(len(buf)))
+	r := replyAt(m, proto.StatusOK, ver)
+	r.Payload = buf
+	return r
+}
+
+// handleGetVersion answers the probe recovery and clients build their
+// picture of a chunk from. A replica that has reported its own device for
+// the chunk answers non-OK until a rebuild lands on it: its in-memory version
+// says nothing about bytes it can no longer read or write, and a prober that
+// took it at its word would count a dead position as healthy.
+func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	if cs.suspect.Load() {
+		return m.Reply(proto.StatusError)
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	r := replyAt(m, proto.StatusOK, cs.version)
+	r.View = cs.view
+	return r
+}
+
+// handleRepairSince serves incremental repair: the ranges modified after
+// m.Version plus their current data (§4.2.1).
+func (s *Server) handleRepairSince(m *proto.Message) *proto.Message {
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	cs.mu.Lock()
+	mods, ok := cs.lite.Since(m.Version)
+	ver := cs.version
+	cs.mu.Unlock()
+	if !ok {
+		// History evicted: the whole chunk must be transferred instead.
+		return replyAt(m, proto.StatusFallback, ver)
+	}
+	out := make([]repairMod, 0, len(mods))
+	for _, mod := range mods {
+		buf := make([]byte, mod.Len)
+		// Verified read: serving unverified bytes here would launder local
+		// bit-rot into a healthy replica through the repair path.
+		if r := s.readVerifiedOr(nil, m, buf, mod.Off); r != nil {
+			return r
+		}
+		out = append(out, repairMod{Mod: mod, Data: buf})
+	}
+	s.repairCount.Add(1)
+	r := replyAt(m, proto.StatusOK, ver)
+	r.Payload = encodeRepair(out)
+	return r
+}
+
+// handleFetchChunk serves raw chunk data for recovery transfers. Backups
+// resolve journal extents so the fetched data reflects all appended writes
+// (§6.2's recovery "from both backup HDDs and SSD journals").
+func (s *Server) handleFetchChunk(op *opctx.Op, m *proto.Message) *proto.Message {
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	if err := validRangeIn(m.Off, int(m.Length), cs.span()); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	// Recovery transfers must carry real bytes: a replacement replica is
+	// created without cold refs, so the fetched range is materialized here
+	// first and the clone leaves the source fully backed.
+	if err := s.ensureCold(op, cs, m.Chunk, m.Off, int(m.Length)); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	buf := bufpool.Get(int(m.Length))
+	// Verified read: a recovery clone that copied rotten bytes would
+	// propagate corruption to the replacement replica.
+	if r := s.readVerifiedOr(nil, m, buf, m.Off); r != nil {
+		bufpool.Put(buf)
+		return r
+	}
+	r := replyAt(m, proto.StatusOK, cs.committed())
+	r.Payload = buf
+	return r
+}
+
+// handleFetchSegment serves segment content from a replica holding the full
+// chunk (the primary): data segments are slices of the chunk, parity
+// segments are encoded on the fly from the N data slices. The read runs
+// under the chunk lock with every admitted write settled, so the reply is a
+// snapshot at exactly the version it carries — the property segment rebuilds depend
+// on. m.Seg selects the segment, m.Off is segment-relative.
+func (s *Server) handleFetchSegment(op *opctx.Op, m *proto.Message) *proto.Message {
+	cs := s.chunk(m.Chunk)
+	if cs == nil {
+		return m.Reply(proto.StatusNotFound)
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	spec := cs.spec
+	if !spec.IsRS() || cs.holder {
+		// Only a full-chunk replica can serve arbitrary segments.
+		return m.Reply(proto.StatusError)
+	}
+	segSize := spec.SegSize()
+	if err := validRangeIn(m.Off, int(m.Length), segSize); err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	seg := int(m.Seg)
+	if seg >= spec.N+spec.M {
+		return m.Reply(proto.StatusError)
+	}
+	// Applied-but-uncommitted writes count as unsettled here: their bytes
+	// are on the device, so a snapshot stamped with the committed version
+	// would contain writes that version does not.
+	if !s.drainLocked(cs, op, true) {
+		return m.Reply(proto.StatusError)
+	}
+	buf := bufpool.Get(int(m.Length))
+	if seg < spec.N {
+		if r := s.readVerifiedOr(op, m, buf, int64(seg)*segSize+m.Off); r != nil {
+			bufpool.Put(buf)
+			return r
+		}
+	} else {
+		code, err := redundancy.NewCode(spec.N, spec.M)
+		if err != nil {
+			bufpool.Put(buf)
+			return m.Reply(proto.StatusError)
+		}
+		data := make([][]byte, spec.N)
+		for i := range data {
+			data[i] = make([]byte, m.Length)
+			if r := s.readVerifiedOr(op, m, data[i], int64(i)*segSize+m.Off); r != nil {
+				bufpool.Put(buf)
+				return r
+			}
+		}
+		code.EncodeParity(seg-spec.N, data, buf)
+	}
+	s.reads.Add(1)
+	s.bytesRead.Add(int64(len(buf)))
+	r := replyAt(m, proto.StatusOK, cs.version)
+	r.Payload = buf
+	return r
+}

@@ -21,7 +21,7 @@ func newFencedServer(t *testing.T) (*Server, *metrics.Registry) {
 	reg := metrics.NewRegistry()
 	store := blockstore.New(simdisk.NewSSD(fastSSD(), clk), 0)
 	srv := New(Config{
-		Addr: "f", Role: RolePrimary, Clock: clk,
+		Addr: "f", Clock: clk,
 		Dialer:  net.Dialer("f", transport.NodeConfig{}),
 		Metrics: reg,
 	}, store, nil)

@@ -46,7 +46,7 @@ func newIntegrityEnv(t *testing.T) *integrityEnv {
 func (e *integrityEnv) startServer(t *testing.T, addr string) *Server {
 	t.Helper()
 	srv := New(Config{
-		Addr: addr, Role: RolePrimary, Clock: e.clk,
+		Addr: addr, Clock: e.clk,
 		Dialer:      e.net.Dialer(addr, transport.NodeConfig{}),
 		ReplTimeout: 50 * time.Millisecond,
 		Metrics:     e.reg,

@@ -238,7 +238,7 @@ func TestDisjointWritesPipelineConcurrently(t *testing.T) {
 	}
 	store := blockstore.New(simdisk.NewSSD(slow, clk), 0)
 	srv := New(Config{
-		Addr: "p", Role: RolePrimary, Clock: clk,
+		Addr: "p", Clock: clk,
 		Dialer:      net.Dialer("p", transport.NodeConfig{}),
 		ReplTimeout: time.Second,
 	}, store, nil)

@@ -1,0 +1,316 @@
+package chunkserver
+
+import (
+	"fmt"
+	"sync"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
+	"ursa/internal/opctx"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/transport"
+	"ursa/internal/util"
+)
+
+// The rebuild engine: the one way a replica's content is replaced from
+// outside the versioned-apply pipeline (§4.2.2 and its RS generalization).
+// Whatever the source — a mirror copy, an RS segment snapshot from the
+// primary, a decode from surviving holders, the modified ranges of an
+// incremental repair — every rebuild runs one discipline: lock the chunk,
+// drain the applies in flight, install through installLocal, adopt the
+// source's version, lift the view.
+//
+// The drain keeps a rebuild exact. An apply admitted before the rebuild that
+// lands after it puts older bytes over the installed image under a matching
+// checksum; for RS it is worse than stale — parity holders apply XOR deltas,
+// and a delta folded into an image that already contains it corrupts the
+// stripe silently. Writes arriving during the rebuild queue at admission
+// (the lock is held throughout) and resolve against the adopted version.
+// Only in-flight entries are awaited: a failed entry has no I/O outstanding
+// and is exactly what adoption supersedes — waiting for it would wait for a
+// retry that may never come.
+//
+// RS sources must also be version-consistent. The primary serves
+// OpFetchSegment as a snapshot stamped with its exact version, and a
+// multi-piece fetch whose versions disagree is retried. Peer decode runs
+// only when the primary is gone — with no write driver the surviving holders
+// are quiescent — and pieces at any version but the master's target are
+// rejected rather than decoded into a torn chunk.
+
+// cloneFetchSize is the transfer granularity of recovery copies.
+const cloneFetchSize = 1 * util.MiB
+
+// installFn writes rebuilt bytes at an offset of the local slot.
+type installFn func(off int64, data []byte) error
+
+// rebuildSource delivers one rebuild's bytes: it installs the source's
+// content through install and returns the version that content represents.
+// It runs with the chunk locked and no local apply in flight.
+type rebuildSource func(install installFn) (version uint64, err error)
+
+// rebuild replaces the local replica's content from src. whole says the
+// source covers the entire local slot (a clone: the replica vouches for its
+// content again afterwards) rather than the ranges an incremental repair
+// found modified.
+func (s *Server) rebuild(op *opctx.Op, m *proto.Message, cs *chunkState, src rebuildSource, whole bool) *proto.Message {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if !s.drainLocked(cs, op, false) {
+		return m.Reply(proto.StatusError)
+	}
+	ver, err := src(func(off int64, data []byte) error {
+		return s.installLocal(m.Chunk, data, off)
+	})
+	if err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	cs.adoptVersionLocked(ver)
+	if m.View > cs.view {
+		cs.view = m.View
+	}
+	if whole {
+		cs.suspect.Store(false)
+		s.cloneCount.Add(1)
+	} else {
+		s.repairCount.Add(1)
+	}
+	return replyAt(m, proto.StatusOK, cs.version)
+}
+
+// drainLocked waits until the chunk's admitted writes are settled (see
+// unsettledLocked), so bytes installed or read next cannot interleave with
+// an earlier write's device apply. Called and returns with cs.mu held.
+func (s *Server) drainLocked(cs *chunkState, op *opctx.Op, applied bool) bool {
+	deadline := s.cfg.Clock.Now().Add(s.opBudget(op, 10*s.cfg.ReplTimeout))
+	for cs.unsettledLocked(applied) {
+		if !cs.waitChangeLocked(op, deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkSlot visits a span-byte slot in cloneFetchSize pieces, in order.
+func walkSlot(span int64, piece func(off int64, n int) error) error {
+	for off := int64(0); off < span; off += cloneFetchSize {
+		if err := piece(off, int(min(cloneFetchSize, span-off))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mirrorCopy copies the local slot byte for byte from the replica at addr —
+// a full chunk, or one segment when this replica is an RS holder cloning
+// from its predecessor. The master invokes it on newly allocated replicas
+// during failure recovery (§4.2.2); the transfer is what Fig 12 measures.
+// The copy need not be a snapshot: mirror writes are absolute, so a write
+// the source applied mid-transfer is simply applied again here when it
+// arrives at the adopted version.
+func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string, span int64) rebuildSource {
+	return func(install installFn) (uint64, error) {
+		cli, err := s.peers.Get(addr)
+		if err != nil {
+			return 0, err
+		}
+		vresp, err := cli.Do(op, &proto.Message{Op: proto.OpGetVersion, Chunk: chunk},
+			s.opBudget(op, s.cfg.ReplTimeout))
+		if err != nil {
+			return 0, err
+		}
+		if vresp.Status != proto.StatusOK {
+			return 0, fmt.Errorf("chunkserver: clone source %s: %s", addr, vresp.Status)
+		}
+		// Pipeline the transfer: several fetches in flight while earlier
+		// pieces write locally, so one chunk's recovery is bounded by the
+		// slower of source disk, network, and local disk — not their sum.
+		// inflight holds the calls for consecutive steps from the walk's
+		// current one on.
+		const clonePipeline = 4
+		var inflight []*transport.PendingCall
+		// An early exit abandons the calls still in flight so their
+		// responses' payload leases are released whenever they land.
+		defer func() {
+			for _, call := range inflight {
+				call.Abandon()
+			}
+		}()
+		return vresp.Version, walkSlot(span, func(off int64, n int) error {
+			for ahead := int64(len(inflight)); ahead < clonePipeline; ahead++ {
+				at := off + ahead*cloneFetchSize
+				if at >= span {
+					break
+				}
+				inflight = append(inflight, cli.Start(&proto.Message{
+					Op:     proto.OpFetchChunk,
+					Chunk:  chunk,
+					Off:    at,
+					Length: uint32(min(cloneFetchSize, span-at)),
+				}))
+			}
+			call := inflight[0]
+			inflight = inflight[1:]
+			resp, ok := <-call.Done()
+			if !ok {
+				s.peers.Drop(addr, cli)
+				return fmt.Errorf("chunkserver: clone source %s: %w", addr, util.ErrClosed)
+			}
+			defer bufpool.Put(resp.Payload)
+			if resp.Status != proto.StatusOK || len(resp.Payload) != n {
+				return fmt.Errorf("chunkserver: fetch %v@%d from %s: %s", chunk, off, addr, resp.Status)
+			}
+			return install(off, resp.Payload)
+		})
+	}
+}
+
+// segmentSnapshot rebuilds an RS holder's segment from the primary's full
+// chunk (data sliced, parity encoded on the fly): the preferred source,
+// because every reply is a snapshot at exactly the version it carries. The
+// segment is fetched in full before any of it is installed, in pieces that
+// must all carry one version; when they do not — a write landed on the
+// primary mid-fetch — the fetch starts over.
+func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary string, spec redundancy.Spec, seg int) rebuildSource {
+	return func(install installFn) (uint64, error) {
+		segSize := spec.SegSize()
+		pieceSize := min(segSize, proto.MaxPayload)
+		window := s.opBudget(op, 10*s.cfg.ReplTimeout)
+		buf := make([]byte, segSize)
+	fetch:
+		for attempt := 0; attempt < 4; attempt++ {
+			var ver uint64
+			for off := int64(0); off < segSize; off += pieceSize {
+				resp, err := s.peers.Do(op, primary, &proto.Message{
+					Op:     proto.OpFetchSegment,
+					Chunk:  chunk,
+					Off:    off,
+					Length: uint32(min(pieceSize, segSize-off)),
+					Seg:    uint16(seg),
+				}, window)
+				if err != nil {
+					return 0, err
+				}
+				intact := resp.Status == proto.StatusOK && int64(len(resp.Payload)) == min(pieceSize, segSize-off)
+				if intact {
+					copy(buf[off:], resp.Payload)
+				}
+				pieceVer := resp.Version
+				bufpool.Put(resp.Payload)
+				switch {
+				case !intact:
+					return 0, fmt.Errorf("chunkserver: fetch segment %d of %v from %s: %s", seg, chunk, primary, resp.Status)
+				case off == 0:
+					ver = pieceVer
+				case pieceVer != ver:
+					continue fetch
+				}
+			}
+			return ver, walkSlot(segSize, func(off int64, n int) error {
+				return install(off, buf[off:off+int64(n)])
+			})
+		}
+		return 0, fmt.Errorf("chunkserver: segment %d of %v from %s: every snapshot torn", seg, chunk, primary)
+	}
+}
+
+// peerDecode rebuilds from N surviving segment holders at exactly version
+// want: segment seg of an RS holder, or — seg < 0 — every data segment at
+// its chunk offset, which is a replacement primary. Each step fetches the
+// same intra-segment range from every source and decodes what is missing.
+func (s *Server) peerDecode(op *opctx.Op, chunk blockstore.ChunkID, spec redundancy.Spec, sources []PieceSource, seg int, want uint64) rebuildSource {
+	return func(install installFn) (uint64, error) {
+		if !spec.IsRS() || len(sources) < spec.N {
+			return 0, fmt.Errorf("chunkserver: decode %v: %d sources for %v", chunk, len(sources), spec)
+		}
+		code, err := redundancy.NewCode(spec.N, spec.M)
+		if err != nil {
+			return 0, err
+		}
+		segSize := spec.SegSize()
+		lo, hi, stride := seg, seg+1, int64(0)
+		if seg < 0 {
+			lo, hi, stride = 0, spec.N, segSize
+		}
+		return want, walkSlot(segSize, func(off int64, n int) error {
+			avail := s.fetchPieces(op, sources, chunk, off, n, want)
+			defer putPieces(avail)
+			for i := lo; i < hi; i++ {
+				buf := avail[i]
+				if buf == nil {
+					buf = make([]byte, n)
+					if err := code.Reconstruct(avail, i, buf); err != nil {
+						return err
+					}
+				}
+				if err := install(int64(i-lo)*stride+off, buf); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// repairMods installs the ranges an incremental repair found modified after
+// this replica's version (§4.2.1), in version order, and enters them in the
+// local repair history. version is the source's.
+func repairMods(cs *chunkState, mods []repairMod, version uint64) rebuildSource {
+	return func(install installFn) (uint64, error) {
+		for _, mod := range mods {
+			if mod.Version <= cs.version {
+				continue // already have it
+			}
+			if err := install(mod.Off, mod.Data); err != nil {
+				return 0, err
+			}
+			cs.lite.Record(mod.Version, mod.Off, len(mod.Data))
+		}
+		return version, nil
+	}
+}
+
+// fetchPieces pulls the same intra-segment range [off, off+n) from every
+// source in parallel and returns the pieces that arrived intact at exactly
+// version wantVer, keyed by piece index. Sources are segment holders, so
+// OpFetchChunk with a segment-relative offset returns their local slice.
+func (s *Server) fetchPieces(op *opctx.Op, sources []PieceSource, chunk blockstore.ChunkID, off int64, n int, wantVer uint64) map[int][]byte {
+	got := make([][]byte, len(sources)) // by source; each fetcher writes its own slot
+	window := s.opBudget(op, 10*s.cfg.ReplTimeout)
+	var wg sync.WaitGroup
+	for i, src := range sources {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.peers.Do(op, src.Addr, &proto.Message{
+				Op:     proto.OpFetchChunk,
+				Chunk:  chunk,
+				Off:    off,
+				Length: uint32(n),
+			}, window)
+			if err != nil {
+				return
+			}
+			if resp.Status != proto.StatusOK || len(resp.Payload) != n || resp.Version != wantVer {
+				bufpool.Put(resp.Payload)
+				return
+			}
+			got[i] = resp.Payload
+		}()
+	}
+	wg.Wait()
+	avail := make(map[int][]byte, len(sources))
+	for i, data := range got {
+		if data != nil {
+			avail[sources[i].Piece] = data
+		}
+	}
+	return avail
+}
+
+// putPieces releases the payload leases a fetchPieces call handed out.
+func putPieces(avail map[int][]byte) {
+	for _, b := range avail {
+		bufpool.Put(b)
+	}
+}

@@ -32,7 +32,7 @@ func (s *Server) ScrubBusy() bool {
 	if s.store.Disk().QueueDepth() > 0 {
 		return true
 	}
-	return s.jset != nil && s.jset.DevicesBusy()
+	return s.Role() == RoleBackup && s.jset.DevicesBusy()
 }
 
 // ScrubRange verifies one range of a chunk against its checksums, reading
@@ -70,7 +70,7 @@ func (s *Server) ScrubRange(id blockstore.ChunkID, off int64, n int) error {
 	buf := make([]byte, n)
 	err := s.readVerified(nil, id, buf, off)
 	if err != nil && !errors.Is(err, util.ErrNotFound) {
-		s.reportDeviceFailure(id, err)
+		s.reportDeviceFailure(id)
 	}
 	return err
 }

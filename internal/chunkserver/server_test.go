@@ -58,7 +58,7 @@ func newEnv(t *testing.T) *env {
 			jset.Start()
 		}
 		srv := New(Config{
-			Addr: addr, Role: role, Clock: clk,
+			Addr: addr, Clock: clk,
 			Dialer:      net.Dialer(addr, transport.NodeConfig{}),
 			ReplTimeout: 50 * time.Millisecond,
 		}, store, jset)

@@ -13,6 +13,7 @@ package chunkserver
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ursa/internal/journal"
@@ -21,7 +22,8 @@ import (
 	"ursa/internal/util"
 )
 
-// Role distinguishes primary (SSD) from backup (HDD+journal) servers.
+// Role distinguishes primary (SSD) from backup (HDD+journal) servers. It is
+// derived, not configured: a server built over a journal set is a backup.
 type Role int
 
 // Server roles.
@@ -29,13 +31,6 @@ const (
 	RolePrimary Role = iota
 	RoleBackup
 )
-
-func (r Role) String() string {
-	if r == RolePrimary {
-		return "primary"
-	}
-	return "backup"
-}
 
 // pendingWrite is one admitted-but-uncommitted write: its version slot, the
 // extent it will touch, and a channel that closes when its device apply
@@ -48,7 +43,9 @@ type pendingWrite struct {
 	length  int
 
 	// applied/failed are written under chunkState.mu before done closes and
-	// read by dependents only after done closes.
+	// read by dependents only after done closes. adoptVersionLocked may
+	// demote applied to failed later, but only while no dependent exists
+	// (nothing in flight) and again under the mutex.
 	applied bool
 	failed  bool
 	done    chan struct{}
@@ -69,7 +66,7 @@ type chunkState struct {
 	// pending maps a write's version slot to its in-flight entry. Slots in
 	// [version, reserved) are present until they commit (advanceLocked
 	// removes them in order) or fail (the failed entry stays, blocking the
-	// chain, until a retry re-claims the slot or repair adopts past it).
+	// chain, until a retry re-claims the slot or a rebuild adopts past it).
 	pending map[uint64]*pendingWrite
 
 	// changed is a broadcast channel: closed and replaced whenever version,
@@ -102,17 +99,21 @@ type chunkState struct {
 	// immutable after, and the state has its own lock (see cold.go).
 	cold *coldState
 
+	// suspect is set when this server reports its own device for the chunk
+	// (reportDeviceFailure) and cleared when a rebuild lands: in between the
+	// replica does not vouch for its content (handleGetVersion answers
+	// non-OK), so recovery treats the position as dead rather than trusting
+	// a version number kept in memory. Atomic: reporters may hold cs.mu.
+	suspect atomic.Bool
+
 	deleted bool
 }
 
-func newChunkState(view uint64, backups []string, liteCap int) *chunkState {
-	return &chunkState{
-		view:    view,
-		backups: backups,
-		lite:    journal.NewLite(liteCap),
-		pending: make(map[uint64]*pendingWrite),
-		strat:   redundancy.Mirror{},
-	}
+// committed returns the replica's committed version.
+func (cs *chunkState) committed() uint64 {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.version
 }
 
 // span returns the replica's local slot size: one segment for RS holders,
@@ -198,10 +199,30 @@ func (cs *chunkState) applyDone(p *pendingWrite, err error) {
 	cs.mu.Unlock()
 }
 
-// adoptVersionLocked jumps the replica to version v (repair/clone installed
-// newer state wholesale). Pending slots below v are superseded by the
-// adopted data and dropped; their handlers still own their entries and
-// close them, but commits no longer consider them.
+// unsettledLocked reports whether an admitted write can still change what
+// the device holds relative to the committed version. A write in flight —
+// neither applied nor failed — always can: its device I/O is in progress or
+// yet to start. With applied set, a write that has landed but cannot commit
+// yet (an earlier slot failed) counts too: its bytes are on the device
+// though the version does not say so, which a version-exact snapshot must
+// not contain. Failed entries never count — they have no I/O outstanding.
+func (cs *chunkState) unsettledLocked(applied bool) bool {
+	for _, p := range cs.pending {
+		if !p.failed && (applied || !p.applied) {
+			return true
+		}
+	}
+	return false
+}
+
+// adoptVersionLocked jumps the replica to version v: a rebuild installed the
+// source's state wholesale, with no local apply in flight (the rebuild
+// engine drains them first). Every pending entry is superseded by the
+// installed image. Slots below v are dropped — their handlers still own the
+// entries and have closed them, but commits no longer consider them. An
+// entry at or above v that had applied is demoted to failed: the install may
+// have overwritten its bytes, so it must not commit on their strength; like
+// any failed slot it blocks the chain until the sender's retry re-claims it.
 func (cs *chunkState) adoptVersionLocked(v uint64) {
 	if v > cs.version {
 		cs.version = v
@@ -209,12 +230,13 @@ func (cs *chunkState) adoptVersionLocked(v uint64) {
 	if cs.reserved < cs.version {
 		cs.reserved = cs.version
 	}
-	for slot := range cs.pending {
+	for slot, p := range cs.pending {
 		if slot < cs.version {
 			delete(cs.pending, slot)
+		} else if p.applied {
+			p.applied, p.failed = false, true
 		}
 	}
-	cs.advanceLocked()
 	cs.bumpLocked()
 }
 

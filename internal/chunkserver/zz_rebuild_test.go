@@ -1,0 +1,521 @@
+package chunkserver
+
+// The file name sorts last on purpose. These tests fill whole 16 and 64 MiB
+// slots, and the package's older tests run with 50 ms commit windows: under
+// the race detector, on a small host, a test that runs in the garbage
+// collector's shadow of these times out. Go runs a package's tests in file
+// order, so the heavy ones go last.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
+	"ursa/internal/clock"
+	"ursa/internal/journal"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/simdisk"
+	"ursa/internal/transport"
+	"ursa/internal/util"
+)
+
+// hookDisk runs a callback before the read that makes its armed countdown
+// hit zero — the tests' way to land an event at an exact point of a
+// transfer.
+type hookDisk struct {
+	simdisk.Disk
+	countdown atomic.Int64 // reads until the hook fires; <= 0 is disarmed
+	hook      func()
+}
+
+func (d *hookDisk) ReadAt(p []byte, off int64) error {
+	if d.countdown.Add(-1) == 0 {
+		d.hook()
+	}
+	return d.Disk.ReadAt(p, off)
+}
+
+// rebuildEnv is a simnet on which tests start chunk servers one by one.
+type rebuildEnv struct {
+	t       *testing.T
+	net     *transport.SimNet
+	servers []*Server
+}
+
+// leases returns the buffer-pool lease count with the env's journals
+// drained, so background replay does not blur a before/after comparison.
+func (e *rebuildEnv) leases() int64 {
+	for _, s := range e.servers {
+		if s.jset != nil {
+			s.jset.Drain()
+		}
+	}
+	return bufpool.InUse()
+}
+
+func newRebuildEnv(t *testing.T) *rebuildEnv {
+	return &rebuildEnv{t: t, net: transport.NewSimNet(clock.Realtime, time.Microsecond)}
+}
+
+// start runs a server at addr over disk (nil: a fresh fast SSD), with a
+// journal set in front when backup is set.
+func (e *rebuildEnv) start(addr string, backup bool, disk simdisk.Disk, replTimeout time.Duration) *Server {
+	e.t.Helper()
+	clk := clock.Realtime
+	if disk == nil {
+		disk = simdisk.NewSSD(fastSSD(), clk)
+	}
+	store := blockstore.New(disk, 0)
+	var jset *journal.Set
+	if backup {
+		jset = journal.NewSet(clk, store, journal.DefaultConfig())
+		jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(fastSSD(), clk), 0, 64*util.MiB)
+		jset.Start()
+	}
+	srv := New(Config{
+		Addr: addr, Clock: clk,
+		Dialer:      e.net.Dialer(addr, transport.NodeConfig{}),
+		ReplTimeout: replTimeout,
+	}, store, jset)
+	l, err := e.net.Listen(addr, transport.NodeConfig{})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	srv.Serve(l)
+	e.t.Cleanup(srv.Close)
+	e.servers = append(e.servers, srv)
+	return srv
+}
+
+func mustCreate(t *testing.T, s *Server, req CreateChunkReq) {
+	t.Helper()
+	payload, _ := json.Marshal(req)
+	resp := s.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: testChunk, Payload: payload})
+	if resp.Status != proto.StatusOK {
+		t.Fatalf("create on %s: %s", s.Addr(), resp.Status)
+	}
+}
+
+// apply sends one versioned write and returns the reply status.
+func apply(s *Server, op proto.Op, version uint64, off int64, data []byte) proto.Status {
+	return s.Handle(&proto.Message{
+		Op: op, Chunk: testChunk, Off: off, View: 1, Version: version, Payload: data,
+	}).Status
+}
+
+func rebuildMsg(op proto.Op, view, version uint64, body any) *proto.Message {
+	payload, _ := json.Marshal(body)
+	return &proto.Message{Op: op, Chunk: testChunk, View: view, Version: version, Payload: payload}
+}
+
+// slot returns the replica's whole local slot through the recovery read.
+func slot(t *testing.T, s *Server) []byte {
+	t.Helper()
+	span := s.chunk(testChunk).span()
+	out := make([]byte, 0, span)
+	for off := int64(0); off < span; off += cloneFetchSize {
+		r := s.Handle(&proto.Message{Op: proto.OpFetchChunk, Chunk: testChunk, Off: off, Length: cloneFetchSize})
+		if r.Status != proto.StatusOK {
+			t.Fatalf("fetch %s@%d: %s", s.Addr(), off, r.Status)
+		}
+		out = append(out, r.Payload...)
+		bufpool.Put(r.Payload)
+	}
+	return out
+}
+
+func versionView(t *testing.T, s *Server) (version, view uint64) {
+	t.Helper()
+	r := s.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk})
+	if r.Status != proto.StatusOK {
+		t.Fatalf("get version on %s: %s", s.Addr(), r.Status)
+	}
+	return r.Version, r.View
+}
+
+func pendingLen(s *Server) int {
+	cs := s.chunk(testChunk)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return len(cs.pending)
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestRebuildRacesStalledApply is defect (1): a write admitted before a
+// rebuild is still on its way to a stalled device when the rebuild installs
+// the source's newer bytes over the same extent and adopts the source's
+// version. Without the engine's drain the old apply lands afterwards, and
+// the replica serves the older bytes at the newer version under a matching
+// checksum. Both mirror rebuild paths must wait the apply out.
+func TestRebuildRacesStalledApply(t *testing.T) {
+	older := bytes.Repeat([]byte{0x11}, 4*util.KiB)
+	newer := bytes.Repeat([]byte{0x22}, 4*util.KiB)
+	for _, path := range []struct {
+		name string
+		op   proto.Op
+	}{{"clone", proto.OpCloneChunk}, {"incremental repair", proto.OpRepairFrom}} {
+		name, op := path.name, path.op
+		t.Run(name, func(t *testing.T) {
+			e := newRebuildEnv(t)
+			src := e.start("src", false, nil, 50*time.Millisecond)
+			fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+			dst := e.start("dst", false, fi, 50*time.Millisecond)
+			mustCreate(t, src, CreateChunkReq{View: 1})
+			mustCreate(t, dst, CreateChunkReq{View: 1})
+			// The source holds both writes of the extent: version 2, newer bytes.
+			for v, data := range [][]byte{older, newer} {
+				if st := apply(src, proto.OpWritePrimary, uint64(v), 0, data); st != proto.StatusOK {
+					t.Fatalf("source write %d: %s", v, st)
+				}
+			}
+			// The destination admits the first write; its device apply stalls.
+			fi.Stall(150 * time.Millisecond)
+			stalled := make(chan proto.Status, 1)
+			go func() { stalled <- apply(dst, proto.OpWritePrimary, 0, 0, older) }()
+			waitFor(t, "the stalled write's admission", func() bool { return pendingLen(dst) == 1 })
+			fi.Heal() // later device ops pass; the stalled one is still asleep
+
+			resp := dst.Handle(rebuildMsg(op, 1, 0, CloneChunkReq{Source: "src"}))
+			if resp.Status != proto.StatusOK || resp.Version != 2 {
+				t.Fatalf("%s = %s at version %d, want ok at 2", name, resp.Status, resp.Version)
+			}
+			if st := <-stalled; st != proto.StatusOK {
+				t.Fatalf("stalled write = %s", st)
+			}
+			r := dst.Handle(&proto.Message{
+				Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: uint32(len(newer)), View: 1, Version: 2,
+			})
+			if r.Status != proto.StatusOK {
+				t.Fatalf("read-back: %s", r.Status)
+			}
+			if !bytes.Equal(r.Payload, newer) {
+				t.Fatalf("replica at version %d serves %#x.., want the source's %#x..",
+					r.Version, r.Payload[0], newer[0])
+			}
+			bufpool.Put(r.Payload)
+		})
+	}
+}
+
+// rsPair builds the smallest RS rebuild fixture: a primary holding the full
+// chunk (no holders wired, so its writes do not fan out) and one segment-0
+// holder whose device sits behind a fault injector.
+func rsPair(t *testing.T, spec redundancy.Spec, replTimeout time.Duration) (primary, holder *Server, fi *simdisk.FaultInjector) {
+	t.Helper()
+	e := newRebuildEnv(t)
+	primary = e.start("p", false, nil, replTimeout)
+	fi = simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+	holder = e.start("h", false, fi, replTimeout)
+	mustCreate(t, primary, CreateChunkReq{View: 1, Redundancy: spec})
+	mustCreate(t, holder, CreateChunkReq{View: 1, Redundancy: spec, Holder: true, Seg: 0})
+	return primary, holder, fi
+}
+
+// TestRebuildAfterFailedApply is defect (2): a failed apply leaves its
+// entry in the pending table by design, for the sender's retry to re-claim.
+// A rebuild must not wait for it — nothing is in flight and adoption
+// supersedes it — yet the old drain waited for an empty table, burned its
+// whole 10×ReplTimeout window and failed.
+func TestRebuildAfterFailedApply(t *testing.T) {
+	// Generous, so that the 16 MiB transfer itself fits even under the race
+	// detector; the old drain burned ten of these.
+	const replTimeout = 1500 * time.Millisecond
+	primary, holder, fi := rsPair(t, redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}, replTimeout)
+	for v := uint64(0); v < 2; v++ {
+		data := bytes.Repeat([]byte{byte(0x31 + v)}, 4*util.KiB)
+		if st := apply(primary, proto.OpWritePrimary, v, int64(v)*8*util.KiB, data); st != proto.StatusOK {
+			t.Fatalf("primary write %d: %s", v, st)
+		}
+	}
+	fi.FailWrites(nil)
+	if st := apply(holder, proto.OpReplicate, 0, 0, make([]byte, 128*util.KiB)); st != proto.StatusError {
+		t.Fatalf("write on a failing device = %s, want error", st)
+	}
+	fi.Heal()
+	if n := pendingLen(holder); n != 1 {
+		t.Fatalf("pending after the failed apply = %d, want the failed entry", n)
+	}
+
+	start := time.Now()
+	resp := holder.Handle(rebuildMsg(proto.OpRebuildSegment, 1, 0, RebuildSegmentReq{
+		Spec: redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}, Seg: 0, Primary: "p",
+	}))
+	if elapsed := time.Since(start); resp.Status != proto.StatusOK || elapsed >= replTimeout {
+		t.Fatalf("rebuild = %s after %v, want ok well inside ReplTimeout %v", resp.Status, elapsed, replTimeout)
+	}
+	if resp.Version != 2 {
+		t.Errorf("rebuilt replica at version %d, want the primary's 2", resp.Version)
+	}
+	if n := pendingLen(holder); n != 0 {
+		t.Errorf("pending after the rebuild = %d, want 0", n)
+	}
+	if !bytes.Equal(slot(t, holder), slot(t, primary)[:len(slot(t, holder))]) {
+		t.Error("rebuilt segment differs from the primary's")
+	}
+}
+
+// TestRebuildDemotesAppliedSuccessors covers the other half of the drain
+// rule: a write that applied behind a failed slot is not in flight, so the
+// rebuild does not wait for it — but the installed image has overwritten its
+// bytes, so it must not commit on their strength. It is demoted to failed
+// and the sender's retry re-applies it.
+func TestRebuildDemotesAppliedSuccessors(t *testing.T) {
+	e := newRebuildEnv(t)
+	src := e.start("src", false, nil, 30*time.Millisecond)
+	fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+	dst := e.start("dst", false, fi, 30*time.Millisecond)
+	mustCreate(t, src, CreateChunkReq{View: 1})
+	mustCreate(t, dst, CreateChunkReq{View: 1})
+	first := bytes.Repeat([]byte{0x41}, 4*util.KiB)
+	second := bytes.Repeat([]byte{0x42}, 4*util.KiB)
+	const secondOff = 1 * util.MiB
+	if st := apply(src, proto.OpWritePrimary, 0, 0, first); st != proto.StatusOK {
+		t.Fatalf("source write: %s", st)
+	}
+	// On the destination the first write fails; the second, disjoint, lands
+	// but cannot commit behind it.
+	fi.FailWriteRange(nil, 0, int64(len(first)))
+	if st := apply(dst, proto.OpWritePrimary, 0, 0, first); st != proto.StatusError {
+		t.Fatalf("first write = %s, want error", st)
+	}
+	if st := apply(dst, proto.OpWritePrimary, 1, secondOff, second); st != proto.StatusBehind {
+		t.Fatalf("second write = %s, want behind (applied, uncommitted)", st)
+	}
+	fi.Heal()
+
+	resp := dst.Handle(rebuildMsg(proto.OpCloneChunk, 1, 0, CloneChunkReq{Source: "src"}))
+	if resp.Status != proto.StatusOK || resp.Version != 1 {
+		t.Fatalf("clone = %s at version %d, want ok at the source's 1", resp.Status, resp.Version)
+	}
+	// The retry of the second write re-claims its slot and lands for real.
+	if st := apply(dst, proto.OpWritePrimary, 1, secondOff, second); st != proto.StatusOK {
+		t.Fatalf("retry of the second write = %s", st)
+	}
+	r := dst.Handle(&proto.Message{
+		Op: proto.OpRead, Chunk: testChunk, Off: secondOff, Length: uint32(len(second)), View: 1, Version: 2,
+	})
+	if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, second) {
+		t.Fatalf("read-back of the retried write: %s", r.Status)
+	}
+	bufpool.Put(r.Payload)
+}
+
+// rsStripe is a full RS(4,2) stripe — primary plus six holders, all wired —
+// with a few writes fanned out through the primary, so every holder is at
+// one version with consistent data and parity.
+type rsStripe struct {
+	*rebuildEnv
+	spec    redundancy.Spec
+	primary *Server
+	holders []*Server
+	version uint64
+}
+
+func newRSStripe(t *testing.T) *rsStripe {
+	s := &rsStripe{rebuildEnv: newRebuildEnv(t), spec: redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}}
+	s.primary = s.start("p", false, nil, time.Second)
+	var addrs []string
+	for i := 0; i < s.spec.N+s.spec.M; i++ {
+		addr := fmt.Sprintf("h%d", i)
+		addrs = append(addrs, addr)
+		// Every other holder is a backup server: installs go through the
+		// journal set there.
+		s.holders = append(s.holders, s.start(addr, i%2 == 1, nil, time.Second))
+		mustCreate(t, s.holders[i], CreateChunkReq{View: 1, Redundancy: s.spec, Holder: true, Seg: i})
+	}
+	mustCreate(t, s.primary, CreateChunkReq{View: 1, Redundancy: s.spec, Backups: addrs})
+	segSize := s.spec.SegSize()
+	r := util.NewRand(7)
+	for _, w := range []struct {
+		off int64
+		n   int
+	}{{0, 4 * util.KiB}, {segSize + 8*util.KiB, 64 * util.KiB}, {3 * segSize, 4 * util.KiB}, {100 * util.KiB, 16 * util.KiB}} {
+		data := make([]byte, w.n)
+		r.Fill(data)
+		if st := apply(s.primary, proto.OpWrite, s.version, w.off, data); st != proto.StatusOK {
+			t.Fatalf("stripe write %d: %s", s.version, st)
+		}
+		s.version++
+	}
+	return s
+}
+
+func (s *rsStripe) sources(except int) []PieceSource {
+	var out []PieceSource
+	for i, h := range s.holders {
+		if i != except {
+			out = append(out, PieceSource{Addr: h.Addr(), Piece: i})
+		}
+	}
+	return out
+}
+
+// TestRebuildSources drives the rebuild engine once per source kind and
+// checks what every rebuild owes: the source's bytes, its version, the
+// lifted view, one clone counted, and every buffer lease returned.
+func TestRebuildSources(t *testing.T) {
+	stripe := newRSStripe(t)
+	mirror := newRebuildEnv(t)
+	mirrorSrc := mirror.start("src", true, nil, time.Second)
+	mustCreate(t, mirrorSrc, CreateChunkReq{View: 1})
+	// One journaled and one bypassed write: the copy must carry both.
+	for v, n := range []int{4 * util.KiB, 128 * util.KiB} {
+		data := bytes.Repeat([]byte{byte(0x51 + v)}, n)
+		if st := apply(mirrorSrc, proto.OpReplicate, uint64(v), int64(v)*util.MiB, data); st != proto.StatusOK {
+			t.Fatalf("mirror source write %d: %s", v, st)
+		}
+	}
+
+	rows := []struct {
+		name    string
+		env     *rebuildEnv
+		backup  bool // destination has a journal set
+		create  CreateChunkReq
+		msg     *proto.Message
+		want    func() []byte // the source's view of the destination's slot
+		version uint64
+	}{
+		{
+			name: "mirror copy", env: mirror, create: CreateChunkReq{View: 1},
+			msg:     rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "src"}),
+			want:    func() []byte { return slot(t, mirrorSrc) },
+			version: 2,
+		},
+		{
+			// A parity segment, so the primary encodes it on the fly.
+			name: "segment from primary snapshot", env: stripe.rebuildEnv, backup: true,
+			create: CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 4},
+			msg: rebuildMsg(proto.OpRebuildSegment, 2, stripe.version,
+				RebuildSegmentReq{Spec: stripe.spec, Seg: 4, Primary: "p"}),
+			want:    func() []byte { return slot(t, stripe.holders[4]) },
+			version: stripe.version,
+		},
+		{
+			name: "segment by peer decode", env: stripe.rebuildEnv,
+			create: CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 1},
+			msg: rebuildMsg(proto.OpRebuildSegment, 2, stripe.version,
+				RebuildSegmentReq{Spec: stripe.spec, Seg: 1, Sources: stripe.sources(1)}),
+			want:    func() []byte { return slot(t, stripe.holders[1]) },
+			version: stripe.version,
+		},
+		{
+			name: "replacement primary by peer decode", env: stripe.rebuildEnv,
+			create: CreateChunkReq{View: 1, Redundancy: stripe.spec},
+			msg: rebuildMsg(proto.OpCloneChunk, 2, stripe.version,
+				CloneChunkReq{Spec: stripe.spec, Sources: stripe.sources(0)}),
+			want:    func() []byte { return slot(t, stripe.primary) },
+			version: stripe.version,
+		},
+	}
+	for i, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dst := row.env.start(fmt.Sprintf("dst%d", i), row.backup, nil, time.Second)
+			mustCreate(t, dst, row.create)
+			leases := row.env.leases()
+			resp := dst.Handle(row.msg)
+			if resp.Status != proto.StatusOK {
+				t.Fatalf("rebuild: %s", resp.Status)
+			}
+			if ver, view := versionView(t, dst); ver != row.version || view != 2 || resp.Version != row.version {
+				t.Errorf("version %d (reply %d) view %d, want version %d view 2", ver, resp.Version, view, row.version)
+			}
+			if got := dst.Stats().Clones; got != 1 {
+				t.Errorf("clones counted = %d, want 1", got)
+			}
+			if !bytes.Equal(slot(t, dst), row.want()) {
+				t.Error("rebuilt slot differs from the source's")
+			}
+			waitFor(t, "buffer leases to return", func() bool { return row.env.leases() == leases })
+		})
+	}
+}
+
+// TestRebuildSourceDiesMidTransfer kills a mirror copy's source after two
+// pieces: the rebuild must fail cleanly — nothing adopted, nothing counted,
+// and no lease outstanding for the fetches that were in flight.
+func TestRebuildSourceDiesMidTransfer(t *testing.T) {
+	e := newRebuildEnv(t)
+	disk := &hookDisk{Disk: simdisk.NewSSD(fastSSD(), clock.Realtime)}
+	disk.hook = func() { e.net.Crash("src") }
+	src := e.start("src", false, disk, 50*time.Millisecond)
+	dst := e.start("dst", false, nil, 50*time.Millisecond)
+	mustCreate(t, src, CreateChunkReq{View: 1})
+	mustCreate(t, dst, CreateChunkReq{View: 1})
+	if st := apply(src, proto.OpWritePrimary, 0, 0, bytes.Repeat([]byte{0x61}, 4*util.KiB)); st != proto.StatusOK {
+		t.Fatalf("source write: %s", st)
+	}
+	leases := e.leases()
+	disk.countdown.Store(3) // the third piece's read never answers
+	resp := dst.Handle(rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "src"}))
+	if resp.Status != proto.StatusError {
+		t.Fatalf("clone from a dying source = %s, want error", resp.Status)
+	}
+	if ver, view := versionView(t, dst); ver != 0 || view != 1 {
+		t.Errorf("failed clone left version %d view %d, want 0 and 1", ver, view)
+	}
+	if got := dst.Stats().Clones; got != 0 {
+		t.Errorf("clones counted = %d, want 0", got)
+	}
+	waitFor(t, "buffer leases to return", func() bool { return e.leases() == leases })
+}
+
+// TestRebuildSnapshotTornRetry lands a write on the primary between the two
+// pieces of a segment snapshot (RS(2,1): a 32 MiB segment is two 16 MiB
+// fetches). The pieces then carry different versions; the holder must
+// notice, fetch again, and end byte-identical at the newer version.
+func TestRebuildSnapshotTornRetry(t *testing.T) {
+	spec := redundancy.Spec{Kind: redundancy.KindRS, N: 2, M: 1}
+	e := newRebuildEnv(t)
+	disk := &hookDisk{Disk: simdisk.NewSSD(fastSSD(), clock.Realtime)}
+	primary := e.start("p", false, disk, time.Second)
+	holder := e.start("h", false, nil, time.Second)
+	mustCreate(t, primary, CreateChunkReq{View: 1, Redundancy: spec})
+	mustCreate(t, holder, CreateChunkReq{View: 1, Redundancy: spec, Holder: true, Seg: 0})
+	if st := apply(primary, proto.OpWritePrimary, 0, 0, bytes.Repeat([]byte{0x71}, 4*util.KiB)); st != proto.StatusOK {
+		t.Fatalf("primary write: %s", st)
+	}
+	// The first piece's read (under the primary's chunk lock) releases a
+	// writer that queues on that lock and is admitted before the second
+	// piece's fetch arrives.
+	var racing sync.WaitGroup
+	racing.Add(1)
+	disk.hook = func() {
+		go func() {
+			defer racing.Done()
+			if st := apply(primary, proto.OpWritePrimary, 1, 8*util.KiB, bytes.Repeat([]byte{0x72}, 4*util.KiB)); st != proto.StatusOK {
+				t.Errorf("racing write: %s", st)
+			}
+		}()
+	}
+	fetches := primary.Stats().Reads
+	disk.countdown.Store(1)
+	resp := holder.Handle(rebuildMsg(proto.OpRebuildSegment, 2, 0, RebuildSegmentReq{Spec: spec, Seg: 0, Primary: "p"}))
+	racing.Wait()
+	if resp.Status != proto.StatusOK || resp.Version != 2 {
+		t.Fatalf("rebuild = %s at version %d, want ok at 2", resp.Status, resp.Version)
+	}
+	if n := primary.Stats().Reads - fetches; n < 3 {
+		t.Errorf("primary served %d segment fetches: the torn snapshot was not retried", n)
+	}
+	got := slot(t, holder)
+	if !bytes.Equal(got, slot(t, primary)[:len(got)]) {
+		t.Error("rebuilt segment differs from the primary's")
+	}
+}

@@ -74,7 +74,7 @@ func newEnv(t *testing.T) *env {
 				jset.Start()
 			}
 			srv := chunkserver.New(chunkserver.Config{
-				Addr: addr, Role: role, Clock: clk,
+				Addr: addr, Clock: clk,
 				Dialer:      net.Dialer(addr, transport.NodeConfig{}),
 				ReplTimeout: 100 * time.Millisecond,
 			}, store, jset)

@@ -6,10 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/blockstore"
 	"ursa/internal/client"
 	"ursa/internal/clock"
 	"ursa/internal/core"
+	"ursa/internal/linearize"
 	"ursa/internal/master"
+	"ursa/internal/proto"
 	"ursa/internal/redundancy"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
@@ -24,7 +27,21 @@ var rs42 = redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}
 // for rebuild targets.
 func ecCluster(t *testing.T, machines int) *core.Cluster {
 	t.Helper()
-	c, err := core.New(core.Options{
+	return ecClusterWith(t, ecOptions(machines))
+}
+
+func ecClusterWith(t *testing.T, opts core.Options) *core.Cluster {
+	t.Helper()
+	c, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+func ecOptions(machines int) core.Options {
+	return core.Options{
 		Machines:       machines,
 		SSDsPerMachine: 1,
 		HDDsPerMachine: 2,
@@ -43,12 +60,7 @@ func ecCluster(t *testing.T, machines int) *core.Cluster {
 		NetLatency:  5 * time.Microsecond,
 		ReplTimeout: 40 * time.Millisecond,
 		CallTimeout: 250 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
 }
 
 func ecVDisk(t *testing.T, c *core.Cluster, chunks int64) *client.VDisk {
@@ -107,6 +119,112 @@ func TestChaosECSegmentDeath(t *testing.T) {
 	}
 	if rep.EventsFired != len(schedule) {
 		t.Errorf("fired %d/%d events", rep.EventsFired, len(schedule))
+	}
+}
+
+// TestChaosECHolderDiskDeath kills the HDD under one RS(4,2) segment holder
+// while its server stays up — the fault the version probe used to hide: the
+// holder keeps acking journal appends and answering OpGetVersion from
+// memory at the newest version, so recovery saw a whole chunk and never
+// rebuilt the segment. The holder must stop vouching for the chunk once it
+// has reported its own device, and the master must re-home the position.
+// Zero failed or corrupt client I/Os throughout; afterwards the segment
+// lives on a different server and all 1+N+M replicas agree on one version.
+func TestChaosECHolderDiskDeath(t *testing.T) {
+	// A write caught mid-flight by the view change can leave the primary one
+	// version ahead of every holder; the client reports it and waits while
+	// the master rebuilds the whole stripe from the primary's snapshot —
+	// 6 × 16 MiB, several seconds under the race detector. Its I/O budget
+	// must cover that, or the report times out and the write fails.
+	opts := ecOptions(8) // 1 primary + 6 holders + 1 spare machine
+	opts.IOTimeout = 30 * time.Second
+	c := ecClusterWith(t, opts)
+	vd := ecVDisk(t, c, 1)
+
+	mon := c.NewClient("monitor")
+	t.Cleanup(func() { mon.Close() })
+	meta, err := mon.OpenMeta("ec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Segment 0's holder: the workload region lives in segment 0, so every
+	// write lands bytes in this holder's journal that replay cannot put on
+	// the dead disk.
+	victim := meta.Chunks[0].Replicas[1].Addr
+	mi, di, isHDD := replicaDevice(t, c, victim)
+	if !isHDD {
+		t.Fatalf("segment holder %s not on an HDD", victim)
+	}
+	checker := linearize.New()
+	rep, err := RunChaos(c, vd, ChaosOptions{
+		Ops:       400,
+		Seed:      42,
+		WriteFrac: 0.7,
+		Schedule:  []ChaosEvent{{AtOp: 60, Kind: ChaosKillDisk, Machine: mi, HDD: true, Disk: di}},
+		Checker:   checker,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WriteErrors != 0 || rep.ReadErrors != 0 || rep.EventsFired != 1 {
+		t.Fatalf("client saw failed I/O with one holder's disk dead: %+v", rep)
+	}
+
+	// The holder's own report must get the position re-homed; nothing here
+	// nudges the master.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if meta, err = mon.OpenMeta("ec"); err != nil {
+			t.Fatal(err)
+		}
+		if meta.Chunks[0].Replicas[1].Addr != victim {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("segment 0 still on %s, whose disk is dead: view %d", victim, meta.Chunks[0].View)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Every replica of the final placement answers at one version. A holder
+	// rebuilt while the last writes were in flight may trail them; the next
+	// write or open would report that, which the loop stands in for.
+	for {
+		if meta, err = mon.OpenMeta("ec"); err != nil {
+			t.Fatal(err)
+		}
+		versions := make([]uint64, 0, len(meta.Chunks[0].Replicas))
+		for _, r := range meta.Chunks[0].Replicas {
+			resp := c.Server(r.Addr).Handle(&proto.Message{
+				Op: proto.OpGetVersion, Chunk: blockstore.MakeChunkID(meta.ID, 0),
+			})
+			if resp.Status == proto.StatusOK && resp.View == meta.Chunks[0].View {
+				versions = append(versions, resp.Version)
+			}
+		}
+		agree := len(versions) == 1+rs42.N+rs42.M
+		for _, v := range versions {
+			agree = agree && v == versions[0]
+		}
+		if agree {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged: versions %v of %+v", versions, meta.Chunks[0])
+		}
+		_, _ = c.PrimaryMaster().RecoverChunk(meta.ID, 0, "")
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// With the disk still dead, every byte must match the history.
+	buf := make([]byte, util.SectorSize)
+	for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
+		if err := vd.ReadAt(buf, off); err != nil {
+			t.Fatalf("sweep read at %d: %v", off, err)
+		}
+		if err := checker.CheckRead(off, buf); err != nil {
+			t.Fatalf("sweep at %d: %v", off, err)
+		}
 	}
 }
 

@@ -346,12 +346,10 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 			store := blockstore.New(hdd, 0)
 			srv := chunkserver.New(chunkserver.Config{
 				Addr:        addr,
-				Role:        chunkserver.RolePrimary,
 				Clock:       c.clk,
 				Dialer:      c.Net.Dialer(addr, nodeCfg),
 				ReplTimeout: opts.ReplTimeout,
 				Metrics:     opts.Metrics,
-				MasterAddr:  MasterAddr,
 				MasterAddrs: c.masterAddrs,
 			}, store, nil)
 			if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -390,12 +388,10 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 		store := blockstore.New(ssd, limit)
 		srv := chunkserver.New(chunkserver.Config{
 			Addr:        addr,
-			Role:        chunkserver.RolePrimary,
 			Clock:       c.clk,
 			Dialer:      c.Net.Dialer(addr, nodeCfg),
 			ReplTimeout: opts.ReplTimeout,
 			Metrics:     opts.Metrics,
-			MasterAddr:  MasterAddr,
 			MasterAddrs: c.masterAddrs,
 		}, store, nil)
 		if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -453,13 +449,11 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 
 		srv := chunkserver.New(chunkserver.Config{
 			Addr:            addr,
-			Role:            chunkserver.RoleBackup,
 			Clock:           c.clk,
 			Dialer:          c.Net.Dialer(addr, nodeCfg),
 			ReplTimeout:     opts.ReplTimeout,
 			Metrics:         opts.Metrics,
 			BypassThreshold: opts.BypassThreshold,
-			MasterAddr:      MasterAddr,
 			MasterAddrs:     c.masterAddrs,
 		}, store, jset)
 		if err := c.startServer(m, srv, nodeCfg); err != nil {

@@ -47,7 +47,7 @@ func TestRealTCPDeployment(t *testing.T) {
 		}
 		pstore := blockstore.New(simdisk.NewSSD(fastSSDModel(), clk), 0)
 		p := chunkserver.New(chunkserver.Config{
-			Addr: pl.Addr(), Role: chunkserver.RolePrimary,
+			Addr:  pl.Addr(),
 			Clock: clk, Dialer: dialer, ReplTimeout: time.Second,
 		}, pstore, nil)
 		p.Serve(pl)
@@ -64,7 +64,7 @@ func TestRealTCPDeployment(t *testing.T) {
 		jset.AddSSDJournal("j", simdisk.NewSSD(fastSSDModel(), clk), 0, 64*util.MiB)
 		jset.Start()
 		b := chunkserver.New(chunkserver.Config{
-			Addr: bl.Addr(), Role: chunkserver.RoleBackup,
+			Addr:  bl.Addr(),
 			Clock: clk, Dialer: dialer, ReplTimeout: time.Second,
 		}, bstore, jset)
 		b.Serve(bl)

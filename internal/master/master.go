@@ -5,6 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"ursa/internal/blockstore"
+	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/coldtier"
 	"ursa/internal/metrics"
@@ -221,24 +223,43 @@ func (m *Master) addServerLocked(addr, machine string, ssd bool) bool {
 	return true
 }
 
-// call performs one RPC to a chunk server through the shared peer pool,
+// admin sends one command to a chunk server through the shared peer pool,
 // which evicts the cached connection on transport faults so the next use
-// redials. Requests are stamped with the current primacy epoch (zero when
-// replication is off) and a StatusStaleEpoch rejection deposes this
-// master on the spot: some chunkserver has witnessed a newer primary.
-func (m *Master) call(addr string, req *proto.Message) (*proto.Message, error) {
-	return m.callT(addr, req, m.cfg.RPCTimeout)
-}
+// redials. body, when non-nil, is the command's JSON payload. The request is
+// stamped with the current primacy epoch (zero when replication is off) and
+// a StatusStaleEpoch rejection deposes this master on the spot: some
+// chunkserver has witnessed a newer primary. ok reports a StatusOK answer;
+// resp is nil when the server never answered.
+func (m *Master) admin(addr string, op proto.Op, id blockstore.ChunkID, view, version uint64,
+	body any, timeout time.Duration) (resp *proto.Message, ok bool) {
 
-func (m *Master) callT(addr string, req *proto.Message, timeout time.Duration) (*proto.Message, error) {
+	req := &proto.Message{Op: op, Chunk: id, View: view, Version: version}
+	if body != nil {
+		payload, err := json.Marshal(body)
+		if err != nil {
+			return nil, false
+		}
+		req.Payload = payload
+	}
 	if m.replicationEnabled() {
 		req.Epoch = m.Epoch()
 	}
 	resp, err := m.peers.Call(addr, req, timeout)
-	if err == nil && resp.Status == proto.StatusStaleEpoch {
+	if err != nil {
+		return nil, false
+	}
+	if resp.Status == proto.StatusStaleEpoch {
 		m.fencedByEpoch(resp.Epoch)
 	}
-	return resp, err
+	return resp, resp.Status == proto.StatusOK
+}
+
+// createReplica (re)creates a chunk replica's slot on addr. A slot that
+// already exists — a restarted server re-attaching, a retried recovery — is
+// as good as a fresh one.
+func (m *Master) createReplica(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq) bool {
+	resp, ok := m.admin(addr, proto.OpCreateChunk, id, 0, 0, req, m.cfg.RPCTimeout)
+	return ok || (resp != nil && resp.Status == proto.StatusExists)
 }
 
 // Handle dispatches master RPCs. Replication control traffic

@@ -81,7 +81,7 @@ func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 				jset.Start()
 			}
 			srv := chunkserver.New(chunkserver.Config{
-				Addr: addr, Role: role, Clock: clk,
+				Addr: addr, Clock: clk,
 				Dialer:      net.Dialer(addr, transport.NodeConfig{}),
 				ReplTimeout: time.Second,
 			}, store, jset)

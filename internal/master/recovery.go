@@ -75,7 +75,8 @@ func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr stri
 	if ch, busy := m.recovering[key]; busy {
 		m.recMu.Unlock()
 		<-ch
-		return m.chunkMeta(vdiskID, chunkIndex)
+		cm, _, err := m.chunkMetaSpec(vdiskID, chunkIndex)
+		return cm, err
 	}
 	ch := make(chan struct{})
 	m.recovering[key] = ch
@@ -103,22 +104,9 @@ func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr stri
 func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 	vdiskID, chunkIndex uint32, cm ChunkMeta, failedAddr string) (*ChunkMeta, error) {
 
-	// Step 1: collect versions.
-	states := make([]replicaVersion, len(cm.Replicas))
-	alive := 0
-	for i, r := range cm.Replicas {
-		states[i] = replicaVersion{addr: r.Addr, ssd: r.SSD}
-		if r.Addr == failedAddr {
-			continue
-		}
-		resp, err := m.call(r.Addr, &proto.Message{Op: proto.OpGetVersion, Chunk: id})
-		if err != nil || resp.Status != proto.StatusOK {
-			continue
-		}
-		states[i].version = resp.Version
-		states[i].alive = true
-		alive++
-	}
+	// Step 1: collect versions. The reported replica is not probed: the
+	// mirror path trusts the reporter.
+	states, alive := m.probeVersions(id, cm, failedAddr)
 	if alive == 0 {
 		return nil, fmt.Errorf("master: recover %v: no replica reachable: %w", id, util.ErrNoQuorum)
 	}
@@ -132,21 +120,13 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 
 	// A stale report against a chunk that is already whole needs no new
 	// view: the named replica left the set in an earlier view change (or no
-	// replica was named), every current replica answered, and all versions
-	// agree. Dead devices keep re-reporting for as long as records stay
-	// parked on them; answering with the current meta instead of bumping
-	// the view stops that churn.
-	if alive == len(cm.Replicas) && !replicaInSet(cm, failedAddr) {
-		consistent := true
-		for _, st := range states {
-			if st.version != states[0].version {
-				consistent = false
-				break
-			}
-		}
-		if consistent {
-			return &cm, nil
-		}
+	// replica was named — one still in the set was skipped above and so did
+	// not answer), every current replica answered, and all versions agree.
+	// Dead devices keep re-reporting for as long as records stay parked on
+	// them; answering with the current meta instead of bumping the view
+	// stops that churn.
+	if consistent(states) {
+		return &cm, nil
 	}
 
 	// Step 2: versionH.
@@ -164,19 +144,11 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		if !st.alive || st.version == versionH || st.addr == source.addr {
 			continue
 		}
-		payload, _ := json.Marshal(chunkserver.CloneChunkReq{Source: source.addr})
-		// Repair may fall back to a full clone on the far side.
-		resp, err := m.callT(st.addr, &proto.Message{
-			Op:      proto.OpRepairFrom,
-			Chunk:   id,
-			View:    cm.View,
-			Payload: payload,
-		}, 60*m.cfg.RPCTimeout)
-		if err != nil || resp.Status != proto.StatusOK {
-			// The laggard could not repair; treat it as failed below by
-			// leaving its version behind. The client will report again.
-			continue
-		}
+		// Repair may fall back to a full clone on the far side. A laggard
+		// that cannot repair keeps its version behind; the client will
+		// report again.
+		m.admin(st.addr, proto.OpRepairFrom, id, cm.View, 0,
+			chunkserver.CloneChunkReq{Source: source.addr}, 60*m.cfg.RPCTimeout)
 	}
 
 	// Step 4: replace dead replicas.
@@ -202,33 +174,59 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		}
 	}
 
-	// Step 5: install the new view everywhere.
+	return m.installView(t0, id, vdiskID, chunkIndex, cm, newReplicas)
+}
+
+// probeVersions is step 1 of every view change: ask each replica of the
+// chunk for its version. skip, when it names a replica, is not asked and
+// counts as not alive. A replica that answers anything but OK — including
+// one that no longer vouches for the chunk because it reported its own
+// device (chunkserver handleGetVersion) — is not alive either.
+func (m *Master) probeVersions(id blockstore.ChunkID, cm ChunkMeta, skip string) (states []replicaVersion, alive int) {
+	states = make([]replicaVersion, len(cm.Replicas))
+	for i, r := range cm.Replicas {
+		states[i] = replicaVersion{addr: r.Addr, ssd: r.SSD}
+		if r.Addr == skip {
+			continue
+		}
+		if resp, ok := m.admin(r.Addr, proto.OpGetVersion, id, 0, 0, nil, m.cfg.RPCTimeout); ok {
+			states[i].version = resp.Version
+			states[i].alive = true
+			alive++
+		}
+	}
+	return states, alive
+}
+
+// consistent reports whether every replica answered the probe and all
+// answered at one version: the chunk is whole and needs no view change.
+func consistent(states []replicaVersion) bool {
+	for _, st := range states {
+		if !st.alive || st.version != states[0].version {
+			return false
+		}
+	}
+	return true
+}
+
+// installView is step 5 of every view change: install view i+1 with the new
+// membership on every replica, then record it.
+func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunkIndex uint32,
+	cm ChunkMeta, newReplicas []ReplicaInfo) (*ChunkMeta, error) {
+
 	newView := cm.View + 1
 	var backups []string
 	for _, r := range newReplicas[1:] {
 		backups = append(backups, r.Addr)
 	}
 	for i, r := range newReplicas {
-		req := chunkserver.CreateChunkReq{View: newView}
+		req := chunkserver.CreateChunkReq{View: newView, Backups: []string{}} // non-nil: clear stale primary state
 		if i == 0 {
 			req.Backups = backups
-		} else {
-			req.Backups = []string{} // non-nil: clear stale primary state
 		}
-		payload, _ := json.Marshal(req)
-		_, _ = m.call(r.Addr, &proto.Message{
-			Op:      proto.OpSetView,
-			Chunk:   id,
-			View:    newView,
-			Payload: payload,
-		})
+		m.admin(r.Addr, proto.OpSetView, id, newView, 0, req, m.cfg.RPCTimeout)
 	}
-
-	newMeta, err := m.installViewChange(t0, vdiskID, chunkIndex, ChunkMeta{View: newView, Replicas: newReplicas, Cold: cm.Cold})
-	if err != nil {
-		return nil, err
-	}
-	return newMeta, nil
+	return m.installViewChange(t0, vdiskID, chunkIndex, ChunkMeta{View: newView, Replicas: newReplicas, Cold: cm.Cold})
 }
 
 // installViewChange records a completed recovery's new chunk metadata,
@@ -261,7 +259,7 @@ func (m *Master) installViewChange(t0 time.Time, vdiskID, chunkIndex uint32, new
 // shrinks the list.
 //
 // Rebuild sources are chosen for snapshot safety (see
-// chunkserver/segment.go): while a primary holds versionH, a holder rebuild
+// chunkserver/rebuild.go): while a primary holds versionH, a holder rebuild
 // fetches an encoded segment snapshot from it (OpRebuildSegment with
 // Primary set). Only when the primary itself is down or lagging — so no
 // write can commit and the surviving holders are quiescent — do rebuilds
@@ -276,18 +274,7 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	// expensive (a replaced primary re-decodes 64 MB from the holders). A
 	// "failed" replica that answers at versionH makes the whole recovery a
 	// no-op below instead of a view change.
-	states := make([]replicaVersion, len(cm.Replicas))
-	alive := 0
-	for i, r := range cm.Replicas {
-		states[i] = replicaVersion{addr: r.Addr, ssd: r.SSD}
-		resp, err := m.call(r.Addr, &proto.Message{Op: proto.OpGetVersion, Chunk: id})
-		if err != nil || resp.Status != proto.StatusOK {
-			continue
-		}
-		states[i].version = resp.Version
-		states[i].alive = true
-		alive++
-	}
+	states, alive := m.probeVersions(id, cm, "")
 	if alive == 0 {
 		return nil, fmt.Errorf("master: recover %v: no replica reachable: %w", id, util.ErrNoQuorum)
 	}
@@ -295,17 +282,8 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	// Stale-report short circuit: every position answered at one consistent
 	// version, so the chunk is whole — whatever prompted the report has
 	// healed, or was a reporter-side timeout. No new view.
-	if alive == len(cm.Replicas) {
-		consistent := true
-		for _, st := range states {
-			if st.version != states[0].version {
-				consistent = false
-				break
-			}
-		}
-		if consistent {
-			return &cm, nil
-		}
+	if consistent(states) {
+		return &cm, nil
 	}
 
 	// Step 2: versionH and who holds it.
@@ -315,7 +293,20 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 			versionH = st.version
 		}
 	}
-	primaryOK := states[0].alive && states[0].version == versionH
+	// current reports whether a replica holds versionH. One that answered
+	// below it is asked once more: the probes are not simultaneous, so under
+	// a live write stream a healthy replica caught mid-apply looks behind —
+	// and has caught up by now, which a replica that really missed a write
+	// never does. Rebuilding (or, failing that, evicting) a healthy replica
+	// is the expensive mistake this second look avoids.
+	current := func(st replicaVersion) bool {
+		if !st.alive || st.version == versionH {
+			return st.alive
+		}
+		resp, ok := m.admin(st.addr, proto.OpGetVersion, id, 0, 0, nil, m.cfg.RPCTimeout)
+		return ok && resp.Version >= versionH
+	}
+	primaryOK := current(states[0])
 	var sources []chunkserver.PieceSource
 	for i := 1; i < len(states); i++ {
 		if states[i].alive && states[i].version == versionH {
@@ -331,24 +322,33 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	changed := false  // membership changed
 	repaired := false // some replica was rebuilt in place
 
+	// restore rebuilds one position: in place when its replica is reachable
+	// but lagging, and — when it is not reachable, or the in-place rebuild
+	// fails, as it does every time on a live server over a dead device — on
+	// a fresh server substituted at the same position. It reports whether a
+	// rebuild landed; when none did, the position keeps its old entry (the
+	// list never shrinks) and stays degraded until the next report retries.
+	restore := func(pos int, rebuildOn func(addr string) bool) bool {
+		st := states[pos]
+		if st.alive && rebuildOn(st.addr) {
+			repaired = true
+			return true
+		}
+		target, found := m.pickReplacement(newReplicas, st.addr, st.ssd || pos == 0)
+		if !found || !rebuildOn(target.Addr) {
+			return false
+		}
+		newReplicas[pos] = target
+		changed = true
+		return true
+	}
+
 	// Step 3: restore the primary first so segment rebuilds can snapshot it.
+	// While it is missing, clients reconstruct reads from the holders.
 	if !primaryOK {
-		target := ReplicaInfo{Addr: states[0].addr, SSD: true}
-		haveTarget := states[0].alive // lagging but reachable: rebuild in place
-		if !haveTarget {
-			target, haveTarget = m.pickReplacement(newReplicas, states[0].addr, true)
-		}
-		if haveTarget && m.rsClonePrimary(id, cm, spec, target.Addr, sources, versionH) {
-			if target.Addr != states[0].addr {
-				newReplicas[0] = target
-				changed = true
-			} else {
-				repaired = true
-			}
-			primaryOK = true
-		}
-		// On failure the chunk stays degraded at position 0: clients
-		// reconstruct reads from the holders and the next report retries.
+		primaryOK = restore(0, func(addr string) bool {
+			return m.rsClonePrimary(id, cm, spec, addr, sources, versionH)
+		})
 	}
 	primaryAddr := ""
 	if primaryOK {
@@ -357,30 +357,15 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 
 	// Step 4: rebuild dead or lagging segment holders at their positions.
 	for i := 1; i < len(states); i++ {
-		st := states[i]
-		if st.alive && st.version == versionH {
+		if current(states[i]) {
 			continue
 		}
 		if !primaryOK && len(sources) < spec.N {
 			break // nothing left to rebuild from
 		}
-		target := ReplicaInfo{Addr: st.addr, SSD: st.ssd}
-		if !st.alive {
-			var found bool
-			target, found = m.pickReplacement(newReplicas, st.addr, st.ssd)
-			if !found {
-				continue // degraded at this position until servers return
-			}
-		}
-		if !m.rsRebuildSegment(id, cm, spec, i-1, target.Addr, primaryAddr, sources, versionH) {
-			continue // keep the old entry; the next report retries
-		}
-		if target.Addr != st.addr {
-			newReplicas[i] = target
-			changed = true
-		} else {
-			repaired = true
-		}
+		restore(i, func(addr string) bool {
+			return m.rsRebuildSegment(id, cm, spec, i-1, addr, primaryAddr, sources, versionH)
+		})
 	}
 
 	// Step 5: install the new view everywhere — but only if this recovery
@@ -390,32 +375,7 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	if !changed && !repaired {
 		return &cm, nil
 	}
-	newView := cm.View + 1
-	var backups []string
-	for _, r := range newReplicas[1:] {
-		backups = append(backups, r.Addr)
-	}
-	for i, r := range newReplicas {
-		req := chunkserver.CreateChunkReq{View: newView}
-		if i == 0 {
-			req.Backups = backups
-		} else {
-			req.Backups = []string{} // non-nil: clear stale primary state
-		}
-		payload, _ := json.Marshal(req)
-		_, _ = m.call(r.Addr, &proto.Message{
-			Op:      proto.OpSetView,
-			Chunk:   id,
-			View:    newView,
-			Payload: payload,
-		})
-	}
-
-	newMeta, err := m.installViewChange(t0, vdiskID, chunkIndex, ChunkMeta{View: newView, Replicas: newReplicas, Cold: cm.Cold})
-	if err != nil {
-		return nil, err
-	}
-	return newMeta, nil
+	return m.installView(t0, id, vdiskID, chunkIndex, cm, newReplicas)
 }
 
 // rsClonePrimary rebuilds a full-chunk primary by decoding N surviving
@@ -425,25 +385,15 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 func (m *Master) rsClonePrimary(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec,
 	addr string, sources []chunkserver.PieceSource, versionH uint64) bool {
 
-	if len(sources) < spec.N {
+	if len(sources) < spec.N ||
+		!m.createReplica(addr, id, chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec}) {
 		return false
 	}
-	create, _ := json.Marshal(chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec})
-	resp, err := m.call(addr, &proto.Message{Op: proto.OpCreateChunk, Chunk: id, Payload: create})
-	if err != nil || (resp.Status != proto.StatusOK && resp.Status != proto.StatusExists) {
-		return false
-	}
-	clone, _ := json.Marshal(chunkserver.CloneChunkReq{Spec: spec, Sources: sources})
 	// Decoding a full chunk moves 64 MB through the fabric: give it the
 	// same headroom as a whole-chunk clone.
-	resp, err = m.callT(addr, &proto.Message{
-		Op:      proto.OpCloneChunk,
-		Chunk:   id,
-		View:    cm.View,
-		Version: versionH,
-		Payload: clone,
-	}, 60*m.cfg.RPCTimeout)
-	return err == nil && resp.Status == proto.StatusOK && resp.Version >= versionH
+	resp, ok := m.admin(addr, proto.OpCloneChunk, id, cm.View, versionH,
+		chunkserver.CloneChunkReq{Spec: spec, Sources: sources}, 60*m.cfg.RPCTimeout)
+	return ok && resp.Version >= versionH
 }
 
 // rsRebuildSegment (re)creates segment seg on target and rebuilds its
@@ -452,11 +402,9 @@ func (m *Master) rsClonePrimary(id blockstore.ChunkID, cm ChunkMeta, spec redund
 func (m *Master) rsRebuildSegment(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec,
 	seg int, target, primary string, sources []chunkserver.PieceSource, versionH uint64) bool {
 
-	create, _ := json.Marshal(chunkserver.CreateChunkReq{
+	if !m.createReplica(target, id, chunkserver.CreateChunkReq{
 		View: cm.View, Redundancy: spec, Holder: true, Seg: seg,
-	})
-	resp, err := m.call(target, &proto.Message{Op: proto.OpCreateChunk, Chunk: id, Payload: create})
-	if err != nil || (resp.Status != proto.StatusOK && resp.Status != proto.StatusExists) {
+	}) {
 		return false
 	}
 	req := chunkserver.RebuildSegmentReq{Spec: spec, Seg: seg}
@@ -465,21 +413,8 @@ func (m *Master) rsRebuildSegment(id blockstore.ChunkID, cm ChunkMeta, spec redu
 	} else {
 		req.Sources = sources
 	}
-	payload, _ := json.Marshal(req)
-	resp, err = m.callT(target, &proto.Message{
-		Op:      proto.OpRebuildSegment,
-		Chunk:   id,
-		View:    cm.View,
-		Version: versionH,
-		Payload: payload,
-	}, 60*m.cfg.RPCTimeout)
-	return err == nil && resp.Status == proto.StatusOK
-}
-
-// chunkMeta returns a copy of one chunk's current metadata.
-func (m *Master) chunkMeta(vdiskID, chunkIndex uint32) (*ChunkMeta, error) {
-	cm, _, err := m.chunkMetaSpec(vdiskID, chunkIndex)
-	return cm, err
+	_, ok := m.admin(target, proto.OpRebuildSegment, id, cm.View, versionH, req, 60*m.cfg.RPCTimeout)
+	return ok
 }
 
 // chunkMetaSpec returns a copy of one chunk's current metadata plus its
@@ -497,15 +432,6 @@ func (m *Master) chunkMetaSpec(vdiskID, chunkIndex uint32) (*ChunkMeta, redundan
 	return &cm, vd.meta.Redundancy, nil
 }
 
-func replicaInSet(cm ChunkMeta, addr string) bool {
-	for _, r := range cm.Replicas {
-		if r.Addr == addr {
-			return true
-		}
-	}
-	return false
-}
-
 // allocateReplacement creates a fresh replica for a dead one and clones
 // versionH state into it from source. A dead SSD (primary) replica is
 // replaced by another SSD server — the paper notes SSD recovery is the
@@ -519,25 +445,14 @@ func (m *Master) allocateReplacement(id blockstore.ChunkID, cm ChunkMeta,
 			id, util.ErrQuota)
 	}
 
-	createPayload, _ := json.Marshal(chunkserver.CreateChunkReq{View: cm.View})
-	resp, err := m.call(cand.Addr, &proto.Message{
-		Op:      proto.OpCreateChunk,
-		Chunk:   id,
-		Payload: createPayload,
-	})
-	if err != nil || (resp.Status != proto.StatusOK && resp.Status != proto.StatusExists) {
+	if !m.createReplica(cand.Addr, id, chunkserver.CreateChunkReq{View: cm.View}) {
 		return ReplicaInfo{}, fmt.Errorf("master: create replacement on %s failed", cand.Addr)
 	}
-	clonePayload, _ := json.Marshal(chunkserver.CloneChunkReq{Source: source})
 	// A whole-chunk clone moves 64 MB through a bandwidth-shaped fabric:
 	// give it far more headroom than a control RPC.
-	resp, err = m.callT(cand.Addr, &proto.Message{
-		Op:      proto.OpCloneChunk,
-		Chunk:   id,
-		View:    cm.View,
-		Payload: clonePayload,
-	}, 60*m.cfg.RPCTimeout)
-	if err != nil || resp.Status != proto.StatusOK {
+	resp, ok := m.admin(cand.Addr, proto.OpCloneChunk, id, cm.View, 0,
+		chunkserver.CloneChunkReq{Source: source}, 60*m.cfg.RPCTimeout)
+	if !ok {
 		return ReplicaInfo{}, fmt.Errorf("master: clone to %s failed", cand.Addr)
 	}
 	if resp.Version < versionH {

@@ -74,7 +74,7 @@ func newReplEnv(t *testing.T, nMasters, nMachines int) *replEnv {
 				jset.Start()
 			}
 			srv := chunkserver.New(chunkserver.Config{
-				Addr: addr, Role: role, Clock: clk,
+				Addr: addr, Clock: clk,
 				Dialer:      net.Dialer(addr, transport.NodeConfig{}),
 				ReplTimeout: time.Second,
 				MasterAddrs: append([]string(nil), e.addrs...),

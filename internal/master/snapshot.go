@@ -146,21 +146,11 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 		for _, t := range targets {
 			freq.Chunks = append(freq.Chunks, t.fc)
 		}
-		payload, err := json.Marshal(freq)
-		if err != nil {
-			return nil, err
-		}
 		// A flush streams whole chunks through the fabric to the object
 		// store: give it clone-class headroom, not a control RPC's.
-		resp, err := m.callT(addr, &proto.Message{
-			Op:      proto.OpFlushChunks,
-			Payload: payload,
-		}, 120*m.cfg.RPCTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("master: snapshot %q: flush on %s: %w", snapName, addr, err)
-		}
-		if resp.Status != proto.StatusOK {
-			return nil, fmt.Errorf("master: snapshot %q: flush on %s: %s", snapName, addr, resp.Status)
+		resp, ok := m.admin(addr, proto.OpFlushChunks, 0, 0, 0, freq, 120*m.cfg.RPCTimeout)
+		if !ok {
+			return nil, fmt.Errorf("master: snapshot %q: flush on %s failed", snapName, addr)
 		}
 		var fresp chunkserver.FlushChunksResp
 		if err := json.Unmarshal(resp.Payload, &fresp); err != nil || len(fresp.Extents) != len(targets) {

@@ -7,6 +7,7 @@ package master
 import (
 	"time"
 
+	"ursa/internal/chunkserver"
 	"ursa/internal/coldtier"
 	"ursa/internal/redundancy"
 )
@@ -96,15 +97,19 @@ type LeaseReq struct {
 	Client string `json:"client"`
 }
 
-// ReportFailureReq is the payload of MOpReportFailure: the client (or a
-// server) noticed a dead or lagging replica of a chunk.
-type ReportFailureReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-	// FailedAddr is the replica the reporter could not reach ("" when the
-	// report is about version divergence only).
-	FailedAddr string `json:"failedAddr,omitempty"`
-}
+// The payloads of the calls chunkservers make to the master are defined in
+// package chunkserver (which this package imports) and aliased here, so
+// each wire shape has one definition.
+type (
+	// ReportFailureReq is the payload of MOpReportFailure.
+	ReportFailureReq = chunkserver.ReportFailureReq
+	// MaterializedReq is the payload of MOpChunkMaterialized.
+	MaterializedReq = chunkserver.MaterializedReq
+	// ColdRefsReq is the payload of MOpGetColdRefs.
+	ColdRefsReq = chunkserver.ColdRefsReq
+	// ColdRefsResp answers MOpGetColdRefs.
+	ColdRefsResp = chunkserver.ColdRefsResp
+)
 
 // RegisterReq is the payload of MOpRegister: a chunk server joins the
 // cluster.
@@ -175,26 +180,4 @@ type CloneReq struct {
 	Name     string `json:"name"`
 	// Replication overrides the cluster default (3) when non-zero.
 	Replication int `json:"replication,omitempty"`
-}
-
-// MaterializedReq is the payload of MOpChunkMaterialized: the replica at
-// Addr reports it holds every cold extent of the chunk locally. Once every
-// replica has reported, the master drops the chunk's demand-fetch metadata
-// (freeing the referenced segments for GC).
-type MaterializedReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-	Addr       string `json:"addr"`
-}
-
-// ColdRefsReq is the payload of MOpGetColdRefs: a replica's cold refs went
-// stale (GC rewrote a segment under it) and it needs the current table.
-type ColdRefsReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-}
-
-// ColdRefsResp answers MOpGetColdRefs.
-type ColdRefsResp struct {
-	Refs []coldtier.ExtentRef `json:"refs,omitempty"`
 }

@@ -186,20 +186,8 @@ func (m *Master) createChunkReplicas(id blockstore.ChunkID, cm ChunkMeta, spec r
 			req.Cold = cm.Cold
 			req.ObjAddr = m.cfg.ObjstoreAddr
 		}
-		payload, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		resp, err := m.call(r.Addr, &proto.Message{
-			Op:      proto.OpCreateChunk,
-			Chunk:   id,
-			Payload: payload,
-		})
-		if err != nil {
-			return fmt.Errorf("master: create %v on %s: %w", id, r.Addr, err)
-		}
-		if resp.Status != proto.StatusOK && resp.Status != proto.StatusExists {
-			return fmt.Errorf("master: create %v on %s: %s", id, r.Addr, resp.Status)
+		if !m.createReplica(r.Addr, id, req) {
+			return fmt.Errorf("master: create %v on %s failed", id, r.Addr)
 		}
 	}
 	return nil
@@ -343,10 +331,7 @@ func (m *Master) deleteVDiskByID(id uint32) {
 	m.mu.Unlock()
 	for i, cm := range chunks {
 		for _, r := range cm.Replicas {
-			_, _ = m.call(r.Addr, &proto.Message{
-				Op:    proto.OpDeleteChunk,
-				Chunk: blockstore.MakeChunkID(id, uint32(i)),
-			})
+			m.admin(r.Addr, proto.OpDeleteChunk, blockstore.MakeChunkID(id, uint32(i)), 0, 0, nil, m.cfg.RPCTimeout)
 		}
 	}
 }

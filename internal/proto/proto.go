@@ -54,8 +54,9 @@ const (
 	// OpFetchChunk reads raw chunk data for recovery transfer (on backups
 	// it resolves journal extents transparently).
 	OpFetchChunk
-	// OpApplyRepair applies repair data to a lagging replica and sets its
-	// version.
+	// OpApplyRepair is reserved: nothing sends it (a replica told to
+	// OpRepairFrom installs the repair data itself). The number stays so the
+	// ops after it do not shift.
 	OpApplyRepair
 	// OpSetView installs a new view number on the replica (view change).
 	OpSetView
