@@ -2,7 +2,7 @@
 # the race detector (the RPC/replication paths are goroutine-heavy).
 GO ?= go
 
-.PHONY: build test race vet lint check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke failover-smoke cold-smoke
+.PHONY: build test race vet lint check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke
 
 build:
 	$(GO) build ./...
@@ -70,10 +70,18 @@ bench-module:
 # steady-state drain (journal-device reads per replayed record <= 1,
 # allocations per replayed record), and for a whole 4 KiB read and write at
 # QD 1 through client, transport and chunkserver handlers on a zero-cost
-# in-process cluster ("e2e-4k": allocations per op) — the path the micros
-# bypass.
+# in-process cluster ("e2e-4k": allocations per op, bytes per write) — the
+# path the micros bypass.
 perf-smoke:
 	$(GO) test ./internal/bench -run TestPerfSmoke -count=1 -v
+
+# Where the e2e-4k allocations come from: the gate's QD 1 read and write
+# cells (and the QD 32 write cell) re-run with every heap allocation
+# profiled (runtime.MemProfileRate = 1), printed as allocs and bytes per op
+# by allocating site. A diagnostic, not a gate: when perf-smoke's e2e-4k
+# count rises, this names the site (DESIGN.md "Allocation ledger").
+alloc-ledger:
+	$(GO) run ./cmd/ursa-bench -fig ledger
 
 # Deterministic chaos acceptance run (fixed seed, scripted schedule, ~2s):
 # every SSD journal in the cluster dies mid-workload and the client must

@@ -30,6 +30,7 @@ func All() []Entry {
 		{"16", Fig16},
 		{"journal", FigJournal},
 		{"ceiling", FigCeiling},
+		{"ledger", FigAllocLedger},
 		{"hotchunk", FigHotchunk},
 		{"recovery", FigRecovery},
 		{"scrub", FigScrub},

@@ -9,6 +9,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
+	"ursa/internal/client"
 	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/jindex"
@@ -79,9 +80,31 @@ type ceilingDoc struct {
 	PoolInUseAfter int64 `json:"pool_in_use_after"`
 }
 
-// runCeilingCell measures 4 KiB random IOPS end-to-end on a hybrid URSA
-// cluster with zero-cost devices and network.
-func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
+// ceilingRun is a warmed ceiling cluster: one opened vdisk on a hybrid URSA
+// cluster with zero-cost devices and network, ready for measured passes.
+type ceilingRun struct {
+	c    *core.Cluster
+	cl   *client.Client
+	vd   *client.VDisk
+	spec workload.Spec
+}
+
+// close shuts the vdisk (once opened), the client and the cluster down.
+func (r *ceilingRun) close() {
+	if r.vd != nil {
+		r.vd.Close()
+	}
+	r.cl.Close()
+	r.c.Close()
+}
+
+// pass runs the cell's workload once.
+func (r *ceilingRun) pass() workload.Result {
+	return workload.Run(clock.Realtime, r.vd, r.spec)
+}
+
+// startCeiling builds and warms the cluster of one (op, queue depth) cell.
+func startCeiling(cfg Config, write bool, qd int) (*ceilingRun, error) {
 	c, err := core.New(core.Options{
 		Machines:       3,
 		SSDsPerMachine: 2,
@@ -100,27 +123,23 @@ func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
 		CallTimeout:     20 * time.Second,
 	})
 	if err != nil {
-		return ceilingCell{}
+		return nil, err
 	}
-	defer c.Close()
-	cl := c.NewClient("ceiling-client")
-	defer cl.Close()
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "ceiling", Size: ceilingVolume}); err != nil {
-		return ceilingCell{}
+	r := &ceilingRun{c: c, cl: c.NewClient("ceiling-client")}
+	if _, err := r.cl.CreateVDisk(master.CreateVDiskReq{Name: "ceiling", Size: ceilingVolume}); err != nil {
+		r.close()
+		return nil, err
 	}
-	vd, err := cl.Open("ceiling")
-	if err != nil {
-		return ceilingCell{}
+	if r.vd, err = r.cl.Open("ceiling"); err != nil {
+		r.close()
+		return nil, err
 	}
-	defer vd.Close()
 
-	cell := ceilingCell{QD: qd, Op: "read"}
 	pattern := workload.RandRead
 	if write {
-		cell.Op = "write"
 		pattern = workload.RandWrite
 	}
-	spec := workload.Spec{
+	r.spec = workload.Spec{
 		Pattern: pattern, BlockSize: 4 * util.KiB, QueueDepth: qd,
 		Ops: 1 << 30, WorkingSet: ceilingVolume / 2,
 		Seed: cfg.Seed + uint64(qd)*131, MaxTime: cfg.cellTime() / 2,
@@ -130,11 +149,26 @@ func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
 	// devices and stamping checksums), then a burst of random 4 KiB writes
 	// wraps the small journal regions so their pages are warm too. Without
 	// this, cold 64 KiB simdisk pages dominate the allocation bill.
-	warm := spec
+	warm := r.spec
 	warm.Pattern = workload.RandWrite
 	warm.Fill = true
 	warm.MaxTime = 2 * time.Second
-	workload.Run(clock.Realtime, vd, warm)
+	workload.Run(clock.Realtime, r.vd, warm)
+	return r, nil
+}
+
+// runCeilingCell measures 4 KiB random IOPS end-to-end on a hybrid URSA
+// cluster with zero-cost devices and network.
+func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
+	r, err := startCeiling(cfg, write, qd)
+	if err != nil {
+		return ceilingCell{}
+	}
+	defer r.close()
+	cell := ceilingCell{QD: qd, Op: "read"}
+	if write {
+		cell.Op = "write"
+	}
 
 	// Several measurement passes, keeping the pass with the best
 	// CPU-normalized IOPS. The container shares its host: a neighbor's
@@ -149,7 +183,7 @@ func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		cpu0 := cpuSeconds()
-		res := workload.Run(clock.Realtime, vd, spec)
+		res := r.pass()
 		cpu1 := cpuSeconds()
 		runtime.ReadMemStats(&m1)
 

@@ -147,6 +147,7 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 						Op: proto.OpWrite, Chunk: hotchunkChunk, Off: off,
 						View: 1, Version: v, Payload: data,
 					}, 0)
+					op.Release()
 					if err != nil {
 						continue
 					}

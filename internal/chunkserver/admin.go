@@ -109,7 +109,7 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 		view: req.View, version: req.Version, reserved: req.Version,
 		backups: req.Backups,
 		lite:    journal.NewLite(s.cfg.LiteCap),
-		pending: make(map[uint64]*pendingWrite),
+		pending: make(map[uint64]pendingWrite),
 		spec:    req.Redundancy, strat: strat, holder: req.Holder, seg: req.Seg,
 	}
 	if len(req.Cold) > 0 {

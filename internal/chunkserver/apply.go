@@ -32,9 +32,9 @@ var errPlanEvicted = errors.New("chunkserver: cached fan-out plan evicted")
 // registers its extent in the chunk's pending table — the short in-lock
 // ordering section of the pipelined write path. It returns exactly one of:
 //
-//   - pw != nil: the slot is claimed; deps are the pending predecessors the
-//     caller must wait out (the overlapping ones) before applying out
-//     of lock.
+//   - claim != 0: slot m.Version is claimed, as claim number claim; deps says
+//     whether pending predecessors overlap the write, which the caller must
+//     then wait out (awaitDeps) before applying out of lock.
 //   - skipLocal: the write is the §4.2.1 duplicate (already applied here);
 //     no slot is claimed, the caller still forwards/acks.
 //   - resp != nil: the request short-circuits with this reply.
@@ -42,111 +42,108 @@ var errPlanEvicted = errors.New("chunkserver: cached fan-out plan evicted")
 // Waits (our slot not yet reserved, or a duplicate of a still-in-flight
 // write) are bounded by the op's remaining budget. Called and returns with
 // cs.mu held.
-func (s *Server) admitWriteLocked(cs *chunkState, op *opctx.Op, m *proto.Message) (pw *pendingWrite, deps []*pendingWrite, skipLocal bool, resp *proto.Message) {
+func (s *Server) admitWriteLocked(cs *chunkState, op *opctx.Op, m *proto.Message) (claim uint64, deps, skipLocal bool, resp *proto.Message) {
 	deadline := s.cfg.Clock.Now().Add(s.opBudget(op, s.cfg.ReplTimeout))
-	var stopWait func()
+	var wait opctx.StageTimer
+	waited := false
 	defer func() {
-		if stopWait != nil {
-			stopWait()
+		if waited {
+			wait.Stop()
 		}
 	}()
 	for {
 		if cs.deleted {
-			return nil, nil, false, m.Reply(proto.StatusNotFound)
+			return 0, false, false, m.Reply(proto.StatusNotFound)
 		}
 		if cs.view != m.View {
 			r := m.Reply(proto.StatusStaleView)
 			r.View = cs.view
-			return nil, nil, false, r
+			return 0, false, false, r
 		}
 		switch {
 		case m.Version+1 == cs.version:
 			// Already applied here (retry after a partial failure): skip the
 			// local write but still forward/ack (§4.2.1).
-			return nil, nil, true, nil
+			return 0, false, true, nil
 		case m.Version < cs.version:
-			return nil, nil, false, replyAt(m, proto.StatusStaleVersion, cs.version)
+			return 0, false, false, replyAt(m, proto.StatusStaleVersion, cs.version)
 		case m.Version == cs.reserved:
 			// Our slot is next: claim it.
-			pw, deps = s.claimSlotLocked(cs, m)
-			return pw, deps, false, nil
+			claim, deps = s.claimSlotLocked(cs, m)
+			return claim, deps, false, nil
 		case m.Version < cs.reserved:
 			// The slot was already handed out. A failed entry is a retry's
 			// to re-claim (its overlapping successors aborted, so nothing
 			// newer can be on disk under our extent); a live entry means a
 			// duplicate delivery — wait for the original's fate and
 			// re-evaluate.
-			if p := cs.pending[m.Version]; p == nil || p.failed {
-				pw, deps = s.claimSlotLocked(cs, m)
-				return pw, deps, false, nil
+			if p, ok := cs.pending[m.Version]; !ok || p.failed {
+				claim, deps = s.claimSlotLocked(cs, m)
+				return claim, deps, false, nil
 			}
 		default:
 			// m.Version > cs.reserved: a predecessor has not arrived yet;
 			// wait for reservations to catch up.
 		}
-		if stopWait == nil {
-			stopWait = op.StartStage(opctx.StageReplay)
+		if !waited {
+			wait, waited = op.Stage(opctx.StageReplay), true
 		}
 		if !cs.waitChangeLocked(op, deadline) {
-			return nil, nil, false, replyAt(m, proto.StatusBehind, cs.version)
+			return 0, false, false, replyAt(m, proto.StatusBehind, cs.version)
 		}
 	}
 }
 
-// claimSlotLocked registers m's write in the pending table and collects the
-// predecessors it must wait out before touching the device: entries whose
-// extents overlap m's. Claiming the next free slot advances the reservation
-// cursor and wakes writers queued on it.
-func (s *Server) claimSlotLocked(cs *chunkState, m *proto.Message) (*pendingWrite, []*pendingWrite) {
-	pw := &pendingWrite{
-		version: m.Version,
-		off:     m.Off,
-		length:  len(m.Payload),
-		done:    make(chan struct{}),
-	}
-	var deps []*pendingWrite
-	for slot, p := range cs.pending {
-		if slot < m.Version && p.overlaps(m.Off, len(m.Payload)) {
-			deps = append(deps, p)
-		}
-	}
-	cs.pending[m.Version] = pw
+// claimSlotLocked registers m's write in the pending table under a fresh
+// claim number and reports whether it has predecessors to wait out before
+// touching the device: entries of lower slots whose extents overlap m's.
+// Every lower slot has been handed out by now, so a write that overlaps none
+// of them here never will. Claiming the next free slot advances the
+// reservation cursor and wakes writers queued on it.
+func (s *Server) claimSlotLocked(cs *chunkState, m *proto.Message) (claim uint64, deps bool) {
+	busy, failed := cs.predecessorsLocked(m.Version, m.Off, len(m.Payload))
+	cs.claims++
+	cs.pending[m.Version] = pendingWrite{claim: cs.claims, off: m.Off, length: len(m.Payload)}
 	if m.Version == cs.reserved {
 		cs.reserved++
 	}
 	cs.bumpLocked()
-	return pw, deps
+	return cs.claims, busy || failed
 }
 
-// awaitDeps blocks until every predecessor in deps has finished its device
-// apply, bounded by the op's budget. A failed dependency aborts the write:
-// its slot must stay re-claimable by the retry that carries the missing
-// data, and our extent overlaps that retry's.
-func (s *Server) awaitDeps(op *opctx.Op, deps []*pendingWrite) error {
-	if len(deps) == 0 {
-		return nil
-	}
+// awaitDeps blocks until every pending predecessor overlapping m's extent
+// has finished its device apply, bounded by the op's budget. The table is
+// consulted afresh at every change of the chunk's state rather than through
+// references taken at admission: entries are values that their slot's next
+// claimant overwrites. A failed predecessor aborts the write: its slot must
+// stay re-claimable by the retry that carries the missing data, and our
+// extent overlaps that retry's. (A retry that has re-claimed the slot by the
+// time we look is simply a predecessor still applying, and lands first.)
+func (s *Server) awaitDeps(cs *chunkState, op *opctx.Op, m *proto.Message) error {
 	clk := s.cfg.Clock
 	t0 := clk.Now()
 	deadline := t0.Add(s.opBudget(op, s.cfg.ReplTimeout))
 	st := op.Stage(opctx.StageApplyWait)
 	defer st.Stop()
-	for _, dep := range deps {
-		rem := deadline.Sub(clk.Now())
-		if rem <= 0 {
-			return fmt.Errorf("chunkserver: dependency wait: %w", util.ErrTimeout)
-		}
-		select {
-		case <-dep.done:
-		case <-clk.After(rem):
-			return fmt.Errorf("chunkserver: dependency wait: %w", util.ErrTimeout)
-		case <-op.Done():
-			return context.Canceled
-		}
-		if dep.failed {
+	cs.mu.Lock()
+	for {
+		busy, failed := cs.predecessorsLocked(m.Version, m.Off, len(m.Payload))
+		if failed {
+			cs.mu.Unlock()
 			return errPredecessorFailed
 		}
+		if !busy {
+			break
+		}
+		if !cs.waitChangeLocked(op, deadline) {
+			cs.mu.Unlock()
+			if op.Canceled() {
+				return context.Canceled
+			}
+			return fmt.Errorf("chunkserver: dependency wait: %w", util.ErrTimeout)
+		}
 	}
+	cs.mu.Unlock()
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.ObserveLatency(MetricDepWait, clk.Now().Sub(t0))
 	}
@@ -201,7 +198,7 @@ func (s *Server) handleApply(op *opctx.Op, m *proto.Message) *proto.Message {
 		}
 	}
 	cs.mu.Lock()
-	pw, deps, skipLocal, resp := s.admitWriteLocked(cs, op, m)
+	claim, deps, skipLocal, resp := s.admitWriteLocked(cs, op, m)
 	if resp != nil {
 		cs.mu.Unlock()
 		return resp
@@ -215,18 +212,20 @@ func (s *Server) handleApply(op *opctx.Op, m *proto.Message) *proto.Message {
 
 	if err := a.begin(skipLocal); err != nil {
 		if !skipLocal {
-			cs.applyDone(pw, err)
+			cs.applyDone(m.Version, claim, err)
 		}
 		return m.Reply(proto.StatusError)
 	}
 	if !skipLocal {
-		if err := s.awaitDeps(op, deps); err != nil {
-			cs.applyDone(pw, err)
-			a.join()
-			return replyAt(m, proto.StatusBehind, cs.committed())
+		if deps {
+			if err := s.awaitDeps(cs, op, m); err != nil {
+				cs.applyDone(m.Version, claim, err)
+				a.join()
+				return replyAt(m, proto.StatusBehind, cs.committed())
+			}
 		}
 		err := a.apply()
-		cs.applyDone(pw, err)
+		cs.applyDone(m.Version, claim, err)
 		if err != nil {
 			a.join()
 			return s.failDevice(m, err)

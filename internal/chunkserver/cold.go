@@ -236,6 +236,7 @@ func (s *Server) notifyMaterialized(id blockstore.ChunkID) {
 	}
 	go func() {
 		op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
+		defer op.Release()
 		_, _ = s.callMaster(op, proto.MOpChunkMaterialized, MaterializedReq{
 			VDisk:      id.VDisk(),
 			ChunkIndex: id.Index(),

@@ -131,6 +131,7 @@ func (s *Server) reportFailure(id blockstore.ChunkID, failedAddr string) {
 		// Recovery clones a whole chunk synchronously before the master
 		// replies, so the window is far beyond a normal RPC's.
 		op := opctx.New(s.cfg.Clock, 120*s.cfg.ReplTimeout)
+		defer op.Release()
 		if s.cfg.Metrics != nil {
 			op = op.WithSink(s.cfg.Metrics)
 		}

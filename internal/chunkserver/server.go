@@ -270,15 +270,19 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 
 	// Rebuild the request context the message belongs to: same op ID, the
 	// sender's remaining budget re-anchored on our clock. Every wait below
-	// derives its window from this op, never from a fixed constant.
+	// derives its window from this op, never from a fixed constant. It is
+	// released once the reply exists; a fan-out branch still running then
+	// holds its own reference (transport.Flight.Go).
 	op := opctx.FromWire(s.cfg.Clock, m.OpID, m.Budget)
 	if s.cfg.Metrics != nil {
 		op = op.WithSink(s.cfg.Metrics)
 	}
-	if r := s.handleData(op, m); r != nil {
-		return r
+	r := s.handleData(op, m)
+	if r == nil {
+		r = s.handleAdmin(op, m)
 	}
-	return s.handleAdmin(op, m)
+	op.Release()
+	return r
 }
 
 // opBudget derives the window this server may spend waiting on op's behalf

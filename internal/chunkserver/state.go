@@ -12,10 +12,12 @@
 package chunkserver
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ursa/internal/clock"
 	"ursa/internal/journal"
 	"ursa/internal/opctx"
 	"ursa/internal/redundancy"
@@ -32,26 +34,31 @@ const (
 	RoleBackup
 )
 
-// pendingWrite is one admitted-but-uncommitted write: its version slot, the
-// extent it will touch, and a channel that closes when its device apply
-// finishes (successfully or not). Writes whose extents overlap an earlier
-// pending entry wait on that entry's done channel before touching the
+// pendingWrite is one admitted-but-uncommitted write: the extent it will
+// touch and the fate of its device apply. It lives by value in the chunk's
+// pending table under its version slot (a write carrying Version v sits in
+// slot v and commits as v+1) and is read and written under chunkState.mu
+// only. Writes whose extents overlap an earlier pending entry wait, on the
+// chunk's change signal, for that entry to settle before touching the
 // device; disjoint writes proceed in parallel.
 type pendingWrite struct {
-	version uint64 // the slot: a write carrying Version v commits as v+1
-	off     int64
-	length  int
+	// claim says which claim of the slot this entry is. A failed slot is
+	// re-claimed by its sender's retry, so the slot number alone does not
+	// identify an entry: the handler that claimed it settles it by
+	// (slot, claim), and a handler whose entry has since been superseded or
+	// dropped settles nothing.
+	claim  uint64
+	off    int64
+	length int
 
-	// applied/failed are written under chunkState.mu before done closes and
-	// read by dependents only after done closes. adoptVersionLocked may
-	// demote applied to failed later, but only while no dependent exists
-	// (nothing in flight) and again under the mutex.
+	// applied: the device apply landed; failed: it did not, and the slot
+	// waits for a retry to re-claim it. adoptVersionLocked may demote
+	// applied to failed later.
 	applied bool
 	failed  bool
-	done    chan struct{}
 }
 
-func (p *pendingWrite) overlaps(off int64, n int) bool {
+func (p pendingWrite) overlaps(off int64, n int) bool {
 	return off < p.off+int64(p.length) && p.off < off+int64(n)
 }
 
@@ -67,12 +74,13 @@ type chunkState struct {
 	// [version, reserved) are present until they commit (advanceLocked
 	// removes them in order) or fail (the failed entry stays, blocking the
 	// chain, until a retry re-claims the slot or a rebuild adopts past it).
-	pending map[uint64]*pendingWrite
+	pending map[uint64]pendingWrite
+	claims  uint64 // slot claims made so far; the next entry's claim number
 
-	// changed is a broadcast channel: closed and replaced whenever version,
-	// reserved, deletion, or a pending entry's fate changes, waking every
-	// handler queued on this chunk's state.
-	changed chan struct{}
+	// waiters holds the channel of every handler parked on this chunk's
+	// state; bumpLocked signals and drops them all whenever version, reserved,
+	// deletion, or a pending entry's fate changes.
+	waiters []chan struct{}
 
 	// backups are the peer addresses the primary replicates to; empty on
 	// backup replicas.
@@ -154,14 +162,18 @@ func (cs *chunkState) cachedShipments(version uint64) ([]redundancy.Shipment, bo
 	return ships, ok
 }
 
-// bumpLocked wakes everything blocked on the chunk's state. The broadcast
-// channel is created lazily by waitChangeLocked, so the common no-waiter
-// case (unpipelined writes, reads) closes and allocates nothing.
+// waitChanPool recycles the channels handlers park on in waitChangeLocked:
+// buffered 1, so a bump never blocks on a waiter, and empty whenever pooled.
+var waitChanPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// bumpLocked wakes everything blocked on the chunk's state: one token to
+// every parked waiter, whose registration the bump consumes.
 func (cs *chunkState) bumpLocked() {
-	if cs.changed != nil {
-		close(cs.changed)
-		cs.changed = nil
+	for i, w := range cs.waiters {
+		w <- struct{}{}
+		cs.waiters[i] = nil
 	}
+	cs.waiters = cs.waiters[:0]
 }
 
 // advanceLocked commits applied pending writes in version order: the
@@ -170,33 +182,45 @@ func (cs *chunkState) bumpLocked() {
 // the first missing, still-applying, or failed slot.
 func (cs *chunkState) advanceLocked() {
 	for {
-		p := cs.pending[cs.version]
-		if p == nil || !p.applied {
+		p, ok := cs.pending[cs.version]
+		if !ok || !p.applied {
 			return
 		}
 		delete(cs.pending, cs.version)
 		if p.length > 0 {
 			// Zero-length entries are RS version bumps: the version advances
 			// but no bytes changed, so there is nothing to repair later.
-			cs.lite.Record(p.version+1, p.off, p.length)
+			cs.lite.Record(cs.version+1, p.off, p.length)
 		}
 		cs.version++
 	}
 }
 
-// applyDone records the outcome of p's device apply, wakes dependents, and
-// advances the committed version over any newly completed prefix.
-func (cs *chunkState) applyDone(p *pendingWrite, err error) {
+// applyDone records the outcome of the device apply of the write that made
+// claim number claim of slot, wakes dependents, and advances the committed
+// version over any newly completed prefix.
+func (cs *chunkState) applyDone(slot, claim uint64, err error) {
 	cs.mu.Lock()
-	if err != nil {
-		p.failed = true
-	} else {
-		p.applied = true
+	if p, ok := cs.pending[slot]; ok && p.claim == claim {
+		p.applied, p.failed = err == nil, err != nil
+		cs.pending[slot] = p
+		cs.advanceLocked()
 	}
-	close(p.done)
-	cs.advanceLocked()
 	cs.bumpLocked()
 	cs.mu.Unlock()
+}
+
+// predecessorsLocked reports the state of the pending writes below slot
+// whose extents overlap [off, off+n): busy when one is still applying,
+// failed when one's apply failed and its slot awaits the retry.
+func (cs *chunkState) predecessorsLocked(slot uint64, off int64, n int) (busy, failed bool) {
+	for v, p := range cs.pending {
+		if v < slot && p.overlaps(off, n) {
+			failed = failed || p.failed
+			busy = busy || !(p.applied || p.failed)
+		}
+	}
+	return busy, failed
 }
 
 // unsettledLocked reports whether an admitted write can still change what
@@ -218,8 +242,8 @@ func (cs *chunkState) unsettledLocked(applied bool) bool {
 // adoptVersionLocked jumps the replica to version v: a rebuild installed the
 // source's state wholesale, with no local apply in flight (the rebuild
 // engine drains them first). Every pending entry is superseded by the
-// installed image. Slots below v are dropped — their handlers still own the
-// entries and have closed them, but commits no longer consider them. An
+// installed image. Slots below v are dropped — their handlers have settled
+// them, and commits no longer consider them. An
 // entry at or above v that had applied is demoted to failed: the install may
 // have overwritten its bytes, so it must not commit on their strength; like
 // any failed slot it blocks the chain until the sender's retry re-claims it.
@@ -235,6 +259,7 @@ func (cs *chunkState) adoptVersionLocked(v uint64) {
 			delete(cs.pending, slot)
 		} else if p.applied {
 			p.applied, p.failed = false, true
+			cs.pending[slot] = p
 		}
 	}
 	cs.bumpLocked()
@@ -249,18 +274,29 @@ func (cs *chunkState) waitChangeLocked(op *opctx.Op, deadline time.Time) bool {
 	if rem <= 0 || op.Canceled() {
 		return false
 	}
-	if cs.changed == nil {
-		cs.changed = make(chan struct{})
-	}
-	ch := cs.changed
+	w := waitChanPool.Get().(chan struct{})
+	cs.waiters = append(cs.waiters, w)
 	cs.mu.Unlock()
+	t := clock.StartTimer(clk, rem)
 	fired := false
 	select {
-	case <-ch:
+	case <-w:
 		fired = true
-	case <-clk.After(rem):
+	case <-t.C:
 	case <-op.Done():
 	}
+	clock.StopTimer(t)
 	cs.mu.Lock()
+	if !fired {
+		// Giving up: withdraw the registration — unless a bump consumed it
+		// first, in which case its token is in w and the change counts.
+		if i := slices.Index(cs.waiters, w); i >= 0 {
+			cs.waiters = slices.Delete(cs.waiters, i, i+1)
+		} else {
+			<-w
+			fired = true
+		}
+	}
+	waitChanPool.Put(w)
 	return fired
 }

@@ -1,0 +1,140 @@
+package client
+
+import (
+	"bytes"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ursa/internal/bufpool"
+	"ursa/internal/proto"
+	"ursa/internal/transport"
+	"ursa/internal/util"
+)
+
+// A write that gives up used to keep the version it was assigned. When no
+// replica had applied it, every later write of the chunk carried a version
+// ahead of the replicas' and failed until the vdisk was reopened.
+
+func mustRoundTrip(t *testing.T, vd *VDisk, seed uint64, off int64) {
+	t.Helper()
+	data := make([]byte, 4*util.KiB)
+	util.NewRand(seed).Fill(data)
+	if err := vd.WriteAt(data, off); err != nil {
+		t.Fatalf("write at %d: %v", off, err)
+	}
+	got := make([]byte, len(data))
+	if err := vd.ReadAt(got, off); err != nil {
+		t.Fatalf("read at %d: %v", off, err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read at %d returned other bytes than written", off)
+	}
+}
+
+// TestSpentBudgetWriteTakesNoVersion: a write whose budget is gone before it
+// can send anything (a throttled write, or a budget too short to commit
+// anything at all) fails without consuming a version.
+func TestSpentBudgetWriteTakesNoVersion(t *testing.T) {
+	e := newEnv(t)
+	cl := e.client(t, "a")
+	vd := e.vdisk(t, cl, "d", 128*util.MiB)
+	mustRoundTrip(t, vd, 1, 0)
+
+	budget := cl.cfg.IOTimeout
+	cl.cfg.IOTimeout = time.Nanosecond
+	if err := vd.WriteAt(make([]byte, 4*util.KiB), 4*util.KiB); err == nil {
+		t.Fatal("a write with a 1 ns budget succeeded")
+	}
+	cl.cfg.IOTimeout = budget
+
+	mustRoundTrip(t, vd, 2, 8*util.KiB)
+	if st := vd.Stats(); st.Retries != 0 {
+		t.Errorf("the writes after the failed one needed %d retries", st.Retries)
+	}
+}
+
+// Which of a client-directed write's requests a lossyDialer's connections
+// silently lose.
+const (
+	loseNothing int32 = iota
+	loseBackups       // the primary applies the write, the backups never hear of it
+	loseAll           // no replica hears of it
+)
+
+type lossyDialer struct {
+	transport.Dialer
+	lose *atomic.Int32
+}
+
+func (d lossyDialer) Dial(addr string) (transport.MsgConn, error) {
+	c, err := d.Dialer.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return lossyConn{c, d.lose}, nil
+}
+
+type lossyConn struct {
+	transport.MsgConn
+	lose *atomic.Int32
+}
+
+func (c lossyConn) Send(m *proto.Message) error {
+	lose := c.lose.Load()
+	if (m.Op == proto.OpReplicate && lose >= loseBackups) || (m.Op == proto.OpWritePrimary && lose == loseAll) {
+		bufpool.Put(m.Payload)
+		return nil
+	}
+	return c.MsgConn.Send(m)
+}
+
+// TestAbandonedWriteResyncsVersions: a write's budget runs out waiting for
+// replicas its requests never reached, so it gives up holding a version that
+// the replicas may or may not have applied. The next write must find out —
+// probe, have the master level the replicas if they differ, resume from the
+// version they agree on. When none applied it, running ahead instead is the
+// wedge: the replicas agree, so nothing ever fills the gap. When the primary
+// alone did, handing the version out again would be worse: the primary would
+// take the next write for the abandoned one's retry, ack it and drop its
+// bytes.
+func TestAbandonedWriteResyncsVersions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lose int32
+	}{{"no replica applied it", loseAll}, {"the primary alone applied it", loseBackups}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			var lose atomic.Int32
+			cl := New(Config{
+				Name: "a", MasterAddr: "master", Clock: e.clk,
+				Dialer:      lossyDialer{e.net.Dialer("client-a", transport.NodeConfig{}), &lose},
+				CallTimeout: testCallTimeout,
+			})
+			t.Cleanup(cl.Close)
+			vd := e.vdisk(t, cl, "d", 128*util.MiB)
+			mustRoundTrip(t, vd, 1, 0)
+
+			budget := cl.cfg.IOTimeout
+			cl.cfg.IOTimeout = time.Second // 50 ms on the wall: time to reach a replica, not to commit
+			lose.Store(tc.lose)
+			abandoned := make([]byte, 4*util.KiB)
+			util.NewRand(2).Fill(abandoned)
+			if err := vd.WriteAt(abandoned, 4*util.KiB); err == nil {
+				t.Fatal("a write that reached at most one replica of three committed")
+			}
+			lose.Store(loseNothing)
+			cl.cfg.IOTimeout = budget
+
+			mustRoundTrip(t, vd, 3, 8*util.KiB)
+			mustRoundTrip(t, vd, 4, 4*util.KiB) // over the abandoned write's range
+			ch := vd.chunks[0]
+			ch.mu.Lock()
+			next, committed, burned := ch.next, ch.committed, ch.burned
+			ch.mu.Unlock()
+			if burned || next != committed {
+				t.Errorf("chunk state after the resync: next %d, committed %d, burned %v", next, committed, burned)
+			}
+		})
+	}
+}

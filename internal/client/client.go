@@ -233,7 +233,8 @@ func (c *Client) setMasterHint(addr string) {
 }
 
 // newOp starts a request context on the client's clock with the given
-// deadline budget (<=0 means none), wired to the client's metrics sink.
+// deadline budget (<=0 means none), wired to the client's metrics sink. The
+// caller releases it when its operation returns.
 func (c *Client) newOp(budget time.Duration) *opctx.Op {
 	op := opctx.New(c.cfg.Clock, budget)
 	if c.cfg.Metrics != nil {
@@ -268,6 +269,7 @@ func (c *Client) masterCallT(d time.Duration, op proto.Op, req any, out any) (pr
 		}
 	}
 	mop := c.newOp(d)
+	defer mop.Release()
 	policy := backoff.Policy{Base: c.cfg.CallTimeout / 50, Cap: c.cfg.CallTimeout / 5}
 	multi := len(c.cfg.MasterAddrs) > 1
 	var lastErr error

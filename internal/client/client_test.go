@@ -40,6 +40,14 @@ func fastHDD() simdisk.HDDModel {
 	}
 }
 
+// testCallTimeout is the clients' per-RPC timeout in model time. The env's
+// clock runs at 1/20 of real time, so this is 150 ms on the wall: no test
+// here waits for it to expire, and under the race detector on a small host a
+// 256 KiB write through three checksumming replicas takes tens of real
+// milliseconds — a timeout inside that range turns into a retry, a master
+// report and a spent I/O budget.
+const testCallTimeout = 3 * time.Second
+
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clk := clock.NewScaled(0.05)
@@ -76,7 +84,7 @@ func newEnv(t *testing.T) *env {
 			srv := chunkserver.New(chunkserver.Config{
 				Addr: addr, Clock: clk,
 				Dialer:      net.Dialer(addr, transport.NodeConfig{}),
-				ReplTimeout: 100 * time.Millisecond,
+				ReplTimeout: time.Second,
 			}, store, jset)
 			l, err := net.Listen(addr, transport.NodeConfig{})
 			if err != nil {
@@ -97,7 +105,7 @@ func (e *env) client(t *testing.T, name string) *Client {
 	cl := New(Config{
 		Name: name, MasterAddr: "master", Clock: e.clk,
 		Dialer:      e.net.Dialer("client-"+name, transport.NodeConfig{}),
-		CallTimeout: 300 * time.Millisecond,
+		CallTimeout: testCallTimeout,
 	})
 	t.Cleanup(cl.Close)
 	return cl
@@ -148,7 +156,7 @@ func TestClientRegistryMetrics(t *testing.T) {
 	cl := New(Config{
 		Name: "m", MasterAddr: "master", Clock: e.clk,
 		Dialer:      e.net.Dialer("client-m", transport.NodeConfig{}),
-		CallTimeout: 300 * time.Millisecond,
+		CallTimeout: testCallTimeout,
 		Metrics:     reg,
 	})
 	t.Cleanup(cl.Close)

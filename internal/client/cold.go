@@ -99,7 +99,8 @@ func (vd *VDisk) IsCold(off int64) bool {
 	if off < 0 || off >= vd.meta.Size {
 		return false
 	}
-	frags := mapRange(&vd.meta, off, 1)
+	var arr [1]fragment
+	frags := mapRange(arr[:0], &vd.meta, off, 1)
 	if len(frags) == 0 || frags[0].chunk >= len(vd.chunks) {
 		return false
 	}

@@ -17,8 +17,10 @@ type fragment struct {
 // vdisk's striping geometry (§3.4): groups of StripeGroup consecutive
 // chunks are interleaved at StripeUnit granularity, so large requests fan
 // out over the group's disks. Contiguous pieces that land adjacently in the
-// same chunk are merged, so unstriped vdisks see one fragment per chunk.
-func mapRange(meta *master.VDiskMeta, off int64, n int) []fragment {
+// same chunk are merged, so unstriped vdisks see one fragment per chunk. The
+// fragments are appended to frags, which callers back with a small array of
+// their own so the common few-fragment request maps without allocating.
+func mapRange(frags []fragment, meta *master.VDiskMeta, off int64, n int) []fragment {
 	g := int64(meta.StripeGroup)
 	if g <= 0 {
 		g = 1
@@ -29,7 +31,6 @@ func mapRange(meta *master.VDiskMeta, off int64, n int) []fragment {
 	}
 	groupSpan := g * util.ChunkSize
 
-	var frags []fragment
 	pos := off
 	end := off + int64(n)
 	for pos < end {

@@ -15,12 +15,12 @@ func metaWith(group int, unit int64, size int64) *master.VDiskMeta {
 func TestMapRangeUnstriped(t *testing.T) {
 	meta := metaWith(1, util.ChunkSize, 4*util.ChunkSize)
 	// A request inside one chunk is a single fragment.
-	frags := mapRange(meta, 512, 4096)
+	frags := mapRange(nil, meta, 512, 4096)
 	if len(frags) != 1 || frags[0].chunk != 0 || frags[0].chunkOff != 512 {
 		t.Fatalf("frags = %+v", frags)
 	}
 	// A request crossing a chunk boundary splits in two.
-	frags = mapRange(meta, util.ChunkSize-4096, 8192)
+	frags = mapRange(nil, meta, util.ChunkSize-4096, 8192)
 	if len(frags) != 2 {
 		t.Fatalf("boundary frags = %+v", frags)
 	}
@@ -33,7 +33,7 @@ func TestMapRangeUnstripedMergesWithinChunk(t *testing.T) {
 	// Even with a small stripe unit, group=1 requests must merge back into
 	// one fragment per chunk.
 	meta := metaWith(1, 128*util.KiB, 4*util.ChunkSize)
-	frags := mapRange(meta, 0, util.MiB)
+	frags := mapRange(nil, meta, 0, util.MiB)
 	if len(frags) != 1 {
 		t.Fatalf("group=1 1MB request produced %d fragments", len(frags))
 	}
@@ -47,7 +47,7 @@ func TestMapRangeStriping(t *testing.T) {
 	// 128 KB pieces each — but pieces in the same chunk are NOT contiguous
 	// (that is what striping means), so 8 fragments.
 	meta := metaWith(4, 128*util.KiB, 16*util.ChunkSize)
-	frags := mapRange(meta, 0, util.MiB)
+	frags := mapRange(nil, meta, 0, util.MiB)
 	if len(frags) != 8 {
 		t.Fatalf("striped 1MB request: %d fragments, want 8", len(frags))
 	}
@@ -91,7 +91,7 @@ func TestMapRangeCoversExactly(t *testing.T) {
 		meta := metaWith(g, unit, 64*util.ChunkSize)
 		off := util.AlignDown(int64(offRaw)%(32*util.ChunkSize), util.SectorSize)
 		n := (int(lenRaw)%2048 + 1) * util.SectorSize
-		frags := mapRange(meta, off, n)
+		frags := mapRange(nil, meta, off, n)
 
 		covered := 0
 		prevHi := 0
@@ -125,7 +125,7 @@ func TestMapRangeRoundTripAddressing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		off := util.AlignDown(r.Int63n(16*util.ChunkSize), util.SectorSize)
 		n := (r.Intn(512) + 1) * util.SectorSize
-		for _, fr := range mapRange(meta, off, int(n)) {
+		for _, fr := range mapRange(nil, meta, off, int(n)) {
 			logical := off + int64(fr.bufLo)
 			for b := 0; b < fr.bufHi-fr.bufLo; b += util.SectorSize {
 				key := int64(fr.chunk)*util.ChunkSize + fr.chunkOff + int64(b)

@@ -25,6 +25,18 @@ type chunkHandle struct {
 	next      uint64 // next version to assign to a write
 	committed uint64 // highest acked version (reads use this)
 	primary   int    // replica index currently serving reads/writes
+
+	// writers counts the writes holding an assigned version. burned is set
+	// when one of them gives up: the replicas may or may not have applied
+	// its version, so next no longer says what they will accept, and no
+	// further version is handed out until the holders have settled and a
+	// version probe has resynchronised next and committed (takeVersion).
+	// settled wakes the writers waiting for that; probing marks the one
+	// running the probe.
+	writers int
+	burned  bool
+	probing bool
+	settled *sync.Cond
 }
 
 // VDiskStats counts client-side activity.
@@ -55,7 +67,7 @@ type VDisk struct {
 	// flapping replica from spawning one report goroutine per failed write
 	// (mirroring the chunkserver's per-chunk report cooldown).
 	repMu       sync.Mutex
-	repInflight map[int]struct{}       // chunk idx -> report in flight
+	repInflight map[int]struct{}        // chunk idx -> report in flight
 	repLast     map[reportKey]time.Time // last report per (chunk, addr)
 
 	reads, writes         metrics.Counter
@@ -87,7 +99,9 @@ func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
 		repLast:     make(map[reportKey]time.Time),
 	}
 	for i, cm := range meta.Chunks {
-		vd.chunks[i] = &chunkHandle{meta: cm}
+		ch := &chunkHandle{meta: cm}
+		ch.settled = sync.NewCond(&ch.mu)
+		vd.chunks[i] = ch
 	}
 	if meta.WriteRateLimit > 0 {
 		vd.wlimit = transport.NewTokenBucket(c.cfg.Clock, meta.WriteRateLimit)
@@ -135,7 +149,11 @@ func (vd *VDisk) confirmVersions() error {
 		sem <- struct{}{}
 		go func(i int) {
 			defer func() { <-sem }()
-			errs <- vd.confirmChunk(i)
+			// Initialization is maintenance, not a client I/O: no deadline;
+			// each probe is still individually bounded by CallTimeout.
+			op := vd.c.newOp(0)
+			errs <- vd.confirmChunk(op, i)
+			op.Release()
 		}(i)
 	}
 	for range vd.chunks {
@@ -146,12 +164,17 @@ func (vd *VDisk) confirmVersions() error {
 	return nil
 }
 
-func (vd *VDisk) confirmChunk(idx int) error {
+// confirmChunk is the version probe: it asks every replica of the chunk for
+// its version and view and, once they agree, sets the chunk's next and
+// committed versions from the answer; disagreement goes to the master for
+// repair first. It runs on op's budget. No write of the chunk may hold a
+// version meanwhile.
+func (vd *VDisk) confirmChunk(op *opctx.Op, idx int) error {
 	ch := vd.chunks[idx]
-	// Initialization is maintenance, not a client I/O: no deadline; each
-	// probe is still individually bounded by CallTimeout.
-	op := vd.c.newOp(0)
 	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+		if err := op.Err(); err != nil {
+			return fmt.Errorf("client: chunk %d version probe: %w", idx, err)
+		}
 		ch.mu.Lock()
 		cm := ch.meta
 		ch.mu.Unlock()
@@ -192,7 +215,7 @@ func (vd *VDisk) confirmChunk(idx int) error {
 			return nil
 		}
 		// Inconsistency: have the master fix it, refresh, retry (§4.2.1).
-		if err := vd.reportFailure(nil, idx, failedAddr); err != nil {
+		if err := vd.reportFailure(op, idx, failedAddr); err != nil {
 			return err
 		}
 		vd.c.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
@@ -333,10 +356,8 @@ func (vd *VDisk) ReadAt(p []byte, off int64) error {
 		return err
 	}
 	op := vd.c.newOp(vd.c.cfg.IOTimeout)
-	frags := mapRange(&vd.meta, off, len(p))
-	err := vd.forEachFragment(frags, func(f fragment) error {
-		return vd.readFragment(op, f.chunk, p[f.bufLo:f.bufHi], f.chunkOff)
-	})
+	err := vd.forEachFragment(op, p, off, false)
+	op.Release()
 	if err != nil {
 		return err
 	}
@@ -363,10 +384,8 @@ func (vd *VDisk) WriteAt(p []byte, off int64) error {
 		vd.wlimit.Take(len(p))
 		st.Stop()
 	}
-	frags := mapRange(&vd.meta, off, len(p))
-	err := vd.forEachFragment(frags, func(f fragment) error {
-		return vd.writeFragment(op, f.chunk, p[f.bufLo:f.bufHi], f.chunkOff)
-	})
+	err := vd.forEachFragment(op, p, off, true)
+	op.Release()
 	if err != nil {
 		return err
 	}
@@ -375,15 +394,20 @@ func (vd *VDisk) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// forEachFragment runs fn per fragment, in parallel when there are several
-// (striping fan-out, §3.4).
-func (vd *VDisk) forEachFragment(frags []fragment, fn func(fragment) error) error {
+// forEachFragment maps [off, off+len(p)) onto the vdisk's chunks and reads
+// or writes every fragment, in parallel when there are several (striping
+// fan-out, §3.4). It returns once every fragment has, so nothing it started
+// holds op afterwards. Up to four fragments — a request inside one stripe
+// group of four — map into an array on this frame.
+func (vd *VDisk) forEachFragment(op *opctx.Op, p []byte, off int64, write bool) error {
+	var few [4]fragment
+	frags := mapRange(few[:0], &vd.meta, off, len(p))
 	if len(frags) == 1 {
-		return fn(frags[0])
+		return vd.doFragment(op, frags[0], p, write)
 	}
 	errs := make(chan error, len(frags))
 	for _, f := range frags {
-		go func(f fragment) { errs <- fn(f) }(f)
+		go func(f fragment) { errs <- vd.doFragment(op, f, p, write) }(f)
 	}
 	var first error
 	for range frags {
@@ -392,6 +416,14 @@ func (vd *VDisk) forEachFragment(frags []fragment, fn func(fragment) error) erro
 		}
 	}
 	return first
+}
+
+// doFragment reads or writes fragment f of the caller's buffer p.
+func (vd *VDisk) doFragment(op *opctx.Op, f fragment, p []byte, write bool) error {
+	if write {
+		return vd.writeFragment(op, f.chunk, p[f.bufLo:f.bufHi], f.chunkOff)
+	}
+	return vd.readFragment(op, f.chunk, p[f.bufLo:f.bufHi], f.chunkOff)
 }
 
 func (vd *VDisk) usable() error {
@@ -651,10 +683,10 @@ func (vd *VDisk) backoff(op *opctx.Op, attempt int) {
 // assigned version until it lands (§4.2.1).
 func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) error {
 	ch := vd.chunks[idx]
-	ch.mu.Lock()
-	version := ch.next
-	ch.next++
-	ch.mu.Unlock()
+	version, err := vd.takeVersion(op, idx)
+	if err != nil {
+		return fmt.Errorf("client: write chunk %d failed: %w", idx, err)
+	}
 
 	var lastErr error
 	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
@@ -683,11 +715,7 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 			committed, staleView = vd.writeViaPrimary(op, idx, cm, data, off, version)
 		}
 		if committed {
-			ch.mu.Lock()
-			if version+1 > ch.committed {
-				ch.committed = version + 1
-			}
-			ch.mu.Unlock()
+			ch.settleVersion(version, true)
 			return nil
 		}
 		lastErr = util.ErrNoQuorum
@@ -701,7 +729,66 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 		vd.retries.Add(1)
 		vd.backoff(op, attempt)
 	}
+	ch.settleVersion(version, false)
 	return fmt.Errorf("client: write chunk %d v%d failed: %w", idx, version, lastErr)
+}
+
+// takeVersion assigns the next version of chunk idx to a write on op's
+// behalf. An op whose budget is already spent (a throttled write, typically)
+// gets an error instead of a version it could only waste. After a write has
+// given up holding a version, the next taker waits for the other holders to
+// settle and runs the version probe — on its own budget — before any
+// version is handed out again: without it every later write would carry a
+// version ahead of the replicas' and fail until the vdisk is reopened.
+// Rolling next back instead would be wrong whenever a replica did apply the
+// abandoned write: it would take the next write for that one's retry, ack it
+// and drop its bytes.
+func (vd *VDisk) takeVersion(op *opctx.Op, idx int) (uint64, error) {
+	ch := vd.chunks[idx]
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	for ch.burned {
+		if ch.writers > 0 || ch.probing {
+			ch.settled.Wait()
+			continue
+		}
+		if err := op.Err(); err != nil {
+			return 0, err
+		}
+		ch.probing = true
+		ch.mu.Unlock()
+		err := vd.confirmChunk(op, idx)
+		ch.mu.Lock()
+		ch.probing = false
+		ch.burned = err != nil
+		ch.settled.Broadcast()
+		if err != nil {
+			return 0, err
+		}
+	}
+	if err := op.Err(); err != nil {
+		return 0, err
+	}
+	version := ch.next
+	ch.next++
+	ch.writers++
+	return version, nil
+}
+
+// settleVersion ends a write's hold on version: committed advances the
+// chunk's committed version, a write that gave up burns it (see takeVersion).
+func (ch *chunkHandle) settleVersion(version uint64, committed bool) {
+	ch.mu.Lock()
+	ch.writers--
+	if !committed {
+		ch.burned = true
+	} else if version+1 > ch.committed {
+		ch.committed = version + 1
+	}
+	if ch.burned && ch.writers == 0 {
+		ch.settled.Broadcast()
+	}
+	ch.mu.Unlock()
 }
 
 // writeViaPrimary sends the write to the primary, which replicates it

@@ -5,6 +5,7 @@
 package clock
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -22,6 +23,31 @@ type Clock interface {
 	// Scale returns the wall-time fraction of one model-time unit
 	// (1.0 for the real clock).
 	Scale() float64
+}
+
+// timerPool recycles the timers of StartTimer. After leaves a timer and its
+// channel behind on every call; a pooled, stopped timer costs the waits on
+// the request path nothing.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// StartTimer returns a pooled timer that fires, on its C, after d of model
+// time on c: the wait c.After(d) offers, without allocating. The caller hands
+// it back with StopTimer whether or not it fired.
+func StartTimer(c Clock, d time.Duration) *time.Timer {
+	t := timerPool.Get().(*time.Timer)
+	t.Reset(time.Duration(float64(d) * c.Scale()))
+	return t
+}
+
+// StopTimer stops t and returns it to the pool. A stopped timer delivers
+// nothing more, so the next StartTimer cannot see this wait's expiry.
+func StopTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
 }
 
 // Real is the identity clock: model time is wall time.

@@ -7,17 +7,20 @@ import (
 	"ursa/internal/bufpool"
 	"ursa/internal/core"
 	"ursa/internal/master"
+	"ursa/internal/opctx"
 	"ursa/internal/util"
 )
 
 // TestChaosPoolLeakFree runs the random-fault chaos harness — journal
 // massacre, dead disks, server crash/restart — and then requires the buffer
-// pool's in-use count to balance back to its starting value once the
-// cluster shuts down. Every leased payload buffer must be returned exactly
-// once on every path the chaos run exercises: success, timeout-and-retry,
-// dead-journal re-route, crash-severed connections, repair reads.
+// pool's and the request contexts' in-use counts to balance back to their
+// starting values once the cluster shuts down. Every leased payload buffer
+// must be returned, and every op released by its creator and its retainers,
+// exactly once on every path the chaos run exercises: success,
+// timeout-and-retry, dead-journal re-route, crash-severed connections,
+// stragglers of a degraded commit, repair reads.
 func TestChaosPoolLeakFree(t *testing.T) {
-	start := bufpool.InUse()
+	start, startOps := bufpool.InUse(), opctx.InUse()
 
 	// Built without t.Cleanup: the leak check needs the cluster fully
 	// closed (all in-flight buffers drained) while the test still runs.
@@ -63,10 +66,10 @@ func TestChaosPoolLeakFree(t *testing.T) {
 	closed = true
 
 	deadline := time.Now().Add(15 * time.Second)
-	for bufpool.InUse() != start {
+	for bufpool.InUse() != start || opctx.InUse() > startOps {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool leak after chaos run: in-use %d, started at %d (leases=%d returns=%d)",
-				bufpool.InUse(), start, bufpool.Leases(), bufpool.Returns())
+			t.Fatalf("leak after chaos run: buffers in use %d, started at %d (leases=%d returns=%d); ops in use %d, started at %d",
+				bufpool.InUse(), start, bufpool.Leases(), bufpool.Returns(), opctx.InUse(), startOps)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

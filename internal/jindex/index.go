@@ -120,7 +120,10 @@ func joffAdvance(joff uint64, by uint32) uint64 {
 
 // insertOneLocked erases tree intersections (keeping trimmed remainders)
 // and inserts kv. Lower levels are masked at query time and dropped at
-// merge time, exactly as the paper describes.
+// merge time, exactly as the paper describes. A tombstone exists only to
+// mask them: where neither lower level maps any of its range it is not
+// inserted, so an index that replay keeps drained shrinks back to nothing
+// (and its nodes to the free list) instead of filling up with markers.
 func (ix *Index) insertOneLocked(kv KV) {
 	doomed := ix.doomed[:0]
 	ix.insIt.init(ix.tree.root, kv.Off())
@@ -140,8 +143,17 @@ func (ix *Index) insertOneLocked(kv KV) {
 			ix.tree.insert(k.slice(kv.End(), k.End()))
 		}
 	}
-	ix.tree.insert(kv)
+	if !kv.IsTombstone() || intersectsSorted(ix.frozen, kv) || intersectsSorted(ix.arr, kv) {
+		ix.tree.insert(kv)
+	}
 	ix.doomed = doomed[:0]
+}
+
+// intersectsSorted reports whether the sorted level a holds an entry
+// overlapping kv's range.
+func intersectsSorted(a []KV, kv KV) bool {
+	i := searchEndGT(a, kv.Off())
+	return i < len(a) && a[i].Off() < kv.End()
 }
 
 // span is a half-open sector interval used during query resolution.
@@ -382,7 +394,6 @@ func (ix *Index) freezeLocked() {
 	}
 	ix.frozen = snap
 	ix.tree.releaseNodes()
-	ix.tree = llrb{}
 }
 
 // mergeLevels merges a newer sorted level over an older one: newer entries
@@ -496,7 +507,6 @@ func (ix *Index) Len() int {
 func (ix *Index) Clear() {
 	ix.mu.Lock()
 	ix.tree.releaseNodes()
-	ix.tree = llrb{}
 	ix.frozen = nil
 	ix.arr = nil
 	ix.mu.Unlock()

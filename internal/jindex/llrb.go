@@ -1,7 +1,5 @@
 package jindex
 
-import "sync"
-
 // llrb is a left-leaning red-black tree over composite KVs ordered by
 // offset. It is the index's first level: insert-optimized, at the price of
 // two child pointers and a color bit per entry — the storage overhead the
@@ -12,7 +10,23 @@ import "sync"
 type llrb struct {
 	root *llrbNode
 	n    int
+
+	// free is the tree's own stock of recycled nodes, linked through left,
+	// at most maxFreeNodes of them: every journaled write inserts (and erased
+	// intersections delete) nodes, and each freeze discards a whole tree —
+	// the dominant steady-state allocation of the index before recycling.
+	// The tree keeps them itself rather than in a sync.Pool because its size
+	// breathes with the replayer — a drain hands every node back — and a
+	// collection between two bursts would empty a shared pool each time.
+	// Recycling is safe because all structural mutation runs under the index
+	// write lock, so no reader can hold a node once it is freed.
+	free  *llrbNode
+	nfree int
 }
+
+// maxFreeNodes bounds a tree's free list: one full tree at the default merge
+// threshold, about 200 KB.
+const maxFreeNodes = 4096
 
 type llrbNode struct {
 	kv          KV
@@ -20,41 +34,42 @@ type llrbNode struct {
 	red         bool
 }
 
-// nodePool recycles tree nodes: every journaled write inserts (and erased
-// intersections delete) nodes, and each freeze discards a whole tree — the
-// dominant steady-state allocation of the index before pooling. Recycling
-// is safe because all structural mutation runs under the index write lock,
-// so no reader can hold a node once it is freed.
-var nodePool = sync.Pool{New: func() any { return new(llrbNode) }}
-
-func newNode(kv KV) *llrbNode {
-	n := nodePool.Get().(*llrbNode)
+func (t *llrb) newNode(kv KV) *llrbNode {
+	n := t.free
+	if n == nil {
+		n = new(llrbNode)
+	} else {
+		t.free, t.nfree = n.left, t.nfree-1
+	}
 	n.kv = kv
 	n.left, n.right = nil, nil
 	n.red = true
 	return n
 }
 
-func freeNode(n *llrbNode) {
-	n.left, n.right = nil, nil
-	nodePool.Put(n)
+func (t *llrb) freeNode(n *llrbNode) {
+	if t.nfree >= maxFreeNodes {
+		return
+	}
+	n.left, n.right = t.free, nil
+	t.free, t.nfree = n, t.nfree+1
 }
 
-// releaseNodes returns the whole tree's nodes to the pool (freeze and
-// Clear, after the keys have been copied out). Caller holds the index
-// write lock and resets the tree afterwards.
+// releaseNodes empties the tree, recycling its nodes (freeze and Clear,
+// after the keys have been copied out). Caller holds the index write lock.
 func (t *llrb) releaseNodes() {
-	releaseSubtree(t.root)
-	t.root = nil
+	t.releaseSubtree(t.root)
+	t.root, t.n = nil, 0
 }
 
-func releaseSubtree(h *llrbNode) {
+func (t *llrb) releaseSubtree(h *llrbNode) {
 	if h == nil {
 		return
 	}
-	releaseSubtree(h.left)
-	releaseSubtree(h.right)
-	freeNode(h)
+	left, right := h.left, h.right
+	t.freeNode(h)
+	t.releaseSubtree(left)
+	t.releaseSubtree(right)
 }
 
 // llrbIter walks a tree in offset order starting from the first key whose
@@ -140,23 +155,23 @@ func fixUp(h *llrbNode) *llrbNode {
 // insert adds kv; if a key with the same offset exists it is replaced.
 func (t *llrb) insert(kv KV) {
 	var added bool
-	t.root, added = insertNode(t.root, kv)
+	t.root, added = t.insertNode(t.root, kv)
 	t.root.red = false
 	if added {
 		t.n++
 	}
 }
 
-func insertNode(h *llrbNode, kv KV) (*llrbNode, bool) {
+func (t *llrb) insertNode(h *llrbNode, kv KV) (*llrbNode, bool) {
 	if h == nil {
-		return newNode(kv), true
+		return t.newNode(kv), true
 	}
 	var added bool
 	switch {
 	case kv.Off() < h.kv.Off():
-		h.left, added = insertNode(h.left, kv)
+		h.left, added = t.insertNode(h.left, kv)
 	case kv.Off() > h.kv.Off():
-		h.right, added = insertNode(h.right, kv)
+		h.right, added = t.insertNode(h.right, kv)
 	default:
 		h.kv = kv
 	}
@@ -168,7 +183,7 @@ func (t *llrb) delete(off uint32) {
 	if t.root == nil || !t.contains(off) {
 		return
 	}
-	t.root = deleteNode(t.root, off)
+	t.root = t.deleteNode(t.root, off)
 	if t.root != nil {
 		t.root.red = false
 	}
@@ -216,33 +231,33 @@ func minNode(h *llrbNode) *llrbNode {
 	return h
 }
 
-func deleteMin(h *llrbNode) *llrbNode {
+func (t *llrb) deleteMin(h *llrbNode) *llrbNode {
 	if h.left == nil {
 		// In an LLRB a node without a left child is a leaf (a lone right
 		// child would break the left-leaning invariant), so h is dropped
 		// whole and can be recycled.
-		freeNode(h)
+		t.freeNode(h)
 		return nil
 	}
 	if !isRed(h.left) && !isRed(h.left.left) {
 		h = moveRedLeft(h)
 	}
-	h.left = deleteMin(h.left)
+	h.left = t.deleteMin(h.left)
 	return fixUp(h)
 }
 
-func deleteNode(h *llrbNode, off uint32) *llrbNode {
+func (t *llrb) deleteNode(h *llrbNode, off uint32) *llrbNode {
 	if off < h.kv.Off() {
 		if !isRed(h.left) && !isRed(h.left.left) {
 			h = moveRedLeft(h)
 		}
-		h.left = deleteNode(h.left, off)
+		h.left = t.deleteNode(h.left, off)
 	} else {
 		if isRed(h.left) {
 			h = rotateRight(h)
 		}
 		if off == h.kv.Off() && h.right == nil {
-			freeNode(h)
+			t.freeNode(h)
 			return nil
 		}
 		if !isRed(h.right) && !isRed(h.right.left) {
@@ -251,9 +266,9 @@ func deleteNode(h *llrbNode, off uint32) *llrbNode {
 		if off == h.kv.Off() {
 			m := minNode(h.right)
 			h.kv = m.kv
-			h.right = deleteMin(h.right)
+			h.right = t.deleteMin(h.right)
 		} else {
-			h.right = deleteNode(h.right, off)
+			h.right = t.deleteNode(h.right, off)
 		}
 	}
 	return fixUp(h)

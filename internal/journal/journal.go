@@ -36,8 +36,13 @@ type Journal struct {
 	// order; flushing marks an active batch leader. Both are guarded by the
 	// Set's mutex. The invariant flushing==false ⇒ commitq empty holds:
 	// a leader only clears flushing after emptying the queue or handing
-	// leadership to the new queue head.
+	// leadership to the new queue head. batch is the other half of the
+	// queue's double buffer: the leader moves the requests it claims into it
+	// and the queue closes up in place, so both keep their capacity. It is
+	// the journal's, not the leader's — the next leader reuses it — so a
+	// leader is done with it before it drops the lock that ends its flush.
 	commitq  []*commitReq
+	batch    []*commitReq
 	flushing bool
 	queued   int // commit-queue depth incl. the in-flight batch (striping)
 

@@ -199,7 +199,17 @@ type Set struct {
 
 	// rp is the replayer's owned scratch.
 	rp replayScratch
+
+	// freeRecs holds the pendingRecords of reclaimed windows for the next
+	// appends, at most maxFreeRecords of them. A record is on it only once
+	// reclaimWindow has popped it: nothing else references it then — its
+	// appender was done with it when the flush marked it ready or failed,
+	// the replayer cleared its window scratch before reclaiming.
+	freeRecs []*pendingRecord
 }
+
+// maxFreeRecords bounds Set.freeRecs: a few replay windows' worth.
+const maxFreeRecords = 4 * DefaultReplayWindow
 
 // NewSet creates an empty journal set replaying into sink. Call
 // AddSSDJournal/AddHDDJournal, then Start.
@@ -343,7 +353,8 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 			return fmt.Errorf("journal: all journals full: %w", util.ErrQuota)
 		}
 		pos, _ := j.reserve(len(data)) // pickJournalLocked checked fits
-		rec := &pendingRecord{
+		rec := s.newRecordLocked()
+		*rec = pendingRecord{
 			chunk:    id,
 			off:      off,
 			dataLen:  len(data),
@@ -388,6 +399,17 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 		}
 		return err
 	}
+}
+
+// newRecordLocked returns a zeroed pendingRecord, recycled when one is free.
+func (s *Set) newRecordLocked() *pendingRecord {
+	if n := len(s.freeRecs); n > 0 {
+		rec := s.freeRecs[n-1]
+		s.freeRecs[n-1] = nil
+		s.freeRecs = s.freeRecs[:n-1]
+		return rec
+	}
+	return new(pendingRecord)
 }
 
 // commitReqPool recycles commit-queue entries: one struct and two channels
@@ -438,12 +460,9 @@ func (s *Set) pickJournalLocked(dataLen int) *Journal {
 // The caller must hold j's leadership (j.flushing).
 func (s *Set) flush(j *Journal) {
 	s.mu.Lock()
-	n := len(j.commitq)
-	if n > s.cfg.MaxBatch {
-		n = s.cfg.MaxBatch
-	}
-	batch := j.commitq[:n:n]
-	j.commitq = j.commitq[n:]
+	n := min(len(j.commitq), s.cfg.MaxBatch)
+	batch := append(j.batch[:0], j.commitq[:n]...)
+	j.commitq = slices.Delete(j.commitq, 0, n) // closes up in place, vacated slots cleared
 	claimed := s.clk.Now()
 	for _, r := range batch {
 		r.claimed = claimed
@@ -538,13 +557,17 @@ func (s *Set) flush(j *Journal) {
 		j.flushing = false
 	}
 	s.cond.Signal()
+	// Every waiter learns its fate before the lock drops: the next leader may
+	// start the moment it does, and claims its batch into the same buffer.
+	for _, r := range batch {
+		r.done <- struct{}{}
+	}
+	clear(batch)
+	j.batch = batch[:0]
 	s.mu.Unlock()
 
 	if next != nil {
 		next.lead <- struct{}{}
-	}
-	for _, r := range batch {
-		r.done <- struct{}{}
 	}
 	if deadCb != nil {
 		deadCb(j.name, deadCause)
@@ -1288,7 +1311,20 @@ func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
 
 	s.mu.Lock()
 	j.tail = newTail
-	j.fifo = j.fifo[len(window):]
+	for _, rec := range window {
+		if len(s.freeRecs) < maxFreeRecords {
+			*rec = pendingRecord{}
+			s.freeRecs = append(s.freeRecs, rec)
+		}
+	}
+	// Pop by closing the fifo up in place: it keeps its capacity, where a
+	// slid slice regrows every few appends. The window's slots are wiped
+	// first, in the storage the window was cut from — still the fifo's
+	// unless an append has moved it since — so a recycled record is out of
+	// reach from either.
+	n := len(window)
+	clear(window)
+	j.fifo = slices.Delete(j.fifo, 0, n)
 	s.pending -= replayed + failed
 	s.replayedRecords += int64(replayed)
 	s.replayedBytes += sectors * util.SectorSize

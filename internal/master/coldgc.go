@@ -57,6 +57,7 @@ func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 	m.mu.Unlock()
 
 	op := opctx.New(m.cfg.Clock, 240*m.cfg.RPCTimeout)
+	defer op.Release()
 	objs, err := m.coldCl.ListSegments(op)
 	if err != nil {
 		return 0, 0, err

@@ -18,6 +18,15 @@
 // library's cancellation idiom can consume it directly. Deadlines are model
 // time (the clock.Clock the op was built with), which is wall time under
 // the real clock and compressed time under scaled test clocks.
+//
+// Ops are pooled and reference-counted, in the bufpool lease idiom: New (and
+// Background, FromWire) lease an op with one reference, which belongs to the
+// creator and which it Releases when the operation has returned; anything
+// that may still use the op after its caller has returned (a replication
+// fan-out's stragglers) Retains first and Releases when done. The last
+// Release poisons the op — cancelled and expired, so a stale pointer fails
+// closed instead of spending the next operation's budget — and recycles it.
+// An op that is never released is simply collected; InUse then stays up.
 package opctx
 
 import (
@@ -125,19 +134,22 @@ var errExpired = fmt.Errorf("%w: %w", context.DeadlineExceeded, util.ErrTimeout)
 
 // Op is one operation's request context. The zero value is not usable;
 // construct with New, Background, or FromWire. Ops are safe for concurrent
-// use by the goroutines servicing one operation.
+// use by the goroutines servicing one operation, each under a reference it
+// holds (see the package comment).
 type Op struct {
 	id       uint64
 	clk      clock.Clock
 	deadline time.Time // zero = no deadline
 	sink     Sink
 
-	// done is created lazily on the first Done() call: most server-side
-	// ops never select on cancellation, so the common case allocates no
-	// channel. canceled is the authoritative cancel flag; the channel,
-	// when it exists, mirrors it.
+	// refs counts the op's holders; <= 0 means released (poisoned, pooled).
+	refs atomic.Int32
+
+	// canceled is the authoritative cancel flag; done mirrors it. The
+	// channel belongs to the pooled Op and outlives its leases: only a lease
+	// that was cancelled closes it, and only then is it replaced.
 	canceled atomic.Bool
-	done     atomic.Pointer[chan struct{}]
+	done     chan struct{}
 
 	mu    sync.Mutex
 	trail [numStages]stageCell
@@ -148,22 +160,73 @@ type stageCell struct {
 	total time.Duration
 }
 
-// New starts an op with a fresh ID and a deadline budget from now on clk.
-// budget<=0 means no deadline. This is the one place on the request path
-// where an absolute deadline is derived; every layer below decrements it.
+var opPool = sync.Pool{New: func() any { return &Op{done: make(chan struct{})} }}
+
+// inUse counts leased ops: New minus final Releases.
+var inUse atomic.Int64
+
+// closedChan is what Done answers on a released op.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// poisonDeadline is a released op's deadline: set, and long past.
+var poisonDeadline = time.Unix(0, 1)
+
+// New leases an op with a fresh ID and a deadline budget from now on clk;
+// the caller owns its one reference. budget<=0 means no deadline. This is
+// the one place on the request path where an absolute deadline is derived;
+// every layer below decrements it.
 func New(clk clock.Clock, budget time.Duration) *Op {
 	if clk == nil {
 		clk = clock.Realtime
 	}
-	o := &Op{
-		id:  nextID.Add(1),
-		clk: clk,
-	}
+	o := opPool.Get().(*Op)
+	o.id = nextID.Add(1)
+	o.clk = clk
+	o.deadline = time.Time{}
 	if budget > 0 {
 		o.deadline = clk.Now().Add(budget)
 	}
+	o.trail = [numStages]stageCell{}
+	o.canceled.Store(false)
+	o.refs.Store(1)
+	inUse.Add(1)
 	return o
 }
+
+// Retain adds a reference for a holder that may outlive the op's creator;
+// each Retain needs a matching Release. Retain on a released op panics: the
+// caller is about to run on recycled state.
+func (o *Op) Retain() {
+	if o.refs.Add(1) <= 1 {
+		panic("opctx: Retain of a released op")
+	}
+}
+
+// Release drops one reference. The last one poisons the op and returns it
+// to the pool; releasing more often than leased and retained panics.
+func (o *Op) Release() {
+	switch n := o.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("opctx: Release of an op that is not in use")
+	}
+	o.deadline = poisonDeadline
+	o.sink = nil
+	if o.canceled.Swap(true) {
+		o.done = make(chan struct{}) // this lease's Cancel closed the old one
+	}
+	inUse.Add(-1)
+	opPool.Put(o)
+}
+
+// InUse reports the number of leased ops. A quiesced system whose ops are
+// all released by their creators leaks iff this is nonzero.
+func InUse() int64 { return inUse.Load() }
 
 // Background returns an op with no deadline — for maintenance work that is
 // not answering a client (journal replay, background repair).
@@ -206,20 +269,10 @@ func (o *Op) Deadline() (time.Time, bool) {
 // expiry does not fire it (no per-op timer goroutine exists); waits must
 // additionally bound themselves with Budget/Remaining.
 func (o *Op) Done() <-chan struct{} {
-	if p := o.done.Load(); p != nil {
-		return *p
+	if o.refs.Load() <= 0 {
+		return closedChan
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if p := o.done.Load(); p != nil {
-		return *p
-	}
-	ch := make(chan struct{})
-	if o.canceled.Load() {
-		close(ch)
-	}
-	o.done.Store(&ch)
-	return ch
+	return o.done
 }
 
 // Err implements context.Context: context.Canceled after Cancel, an error
@@ -239,18 +292,17 @@ func (o *Op) Err() error {
 func (o *Op) Value(any) any { return nil }
 
 // Cancel abandons the op: Done fires, and every in-flight wait bound to
-// the op (RPC waits, version-slot queueing) unblocks promptly.
+// the op (RPC waits, version-slot queueing) unblocks promptly. On a released
+// op it does nothing: the pooled channel is not the caller's to close.
 func (o *Op) Cancel() {
 	o.mu.Lock()
-	if !o.canceled.Swap(true) {
-		if p := o.done.Load(); p != nil {
-			close(*p)
-		}
+	if o.refs.Load() > 0 && !o.canceled.Swap(true) {
+		close(o.done)
 	}
 	o.mu.Unlock()
 }
 
-// Canceled reports whether Cancel was called.
+// Canceled reports whether Cancel was called (or the op released).
 func (o *Op) Canceled() bool { return o.canceled.Load() }
 
 // Remaining returns the unspent deadline budget. ok=false when the op has

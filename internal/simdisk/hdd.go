@@ -39,8 +39,13 @@ type hddReq struct {
 	buf   []byte
 	bufs  [][]byte // non-nil: vectored write; buf is unused
 	write bool
-	errc  chan error
+	errc  chan error // buffered 1: the service loop's verdict
 }
+
+// hddReqPool recycles requests with their completion channels. A request
+// is recyclable once its submitter has taken the verdict — errc has exactly
+// that one consumer — or when it was never queued.
+var hddReqPool = sync.Pool{New: func() any { return &hddReq{errc: make(chan error, 1)} }}
 
 func (r *hddReq) length() int {
 	if r.bufs != nil {
@@ -80,23 +85,25 @@ func (d *HDD) WritevAt(bufs [][]byte, off int64) error {
 	if err := d.store.check(off, vecLen(bufs)); err != nil {
 		return err
 	}
-	return d.enqueue(&hddReq{off: off, bufs: bufs, write: true, errc: make(chan error, 1)})
+	return d.enqueue(off, nil, bufs, true)
 }
 
 func (d *HDD) submit(p []byte, off int64, write bool) error {
 	if err := d.store.check(off, len(p)); err != nil {
 		return err
 	}
-	return d.enqueue(&hddReq{off: off, buf: p, write: write, errc: make(chan error, 1)})
+	return d.enqueue(off, p, nil, write)
 }
 
-func (d *HDD) enqueue(req *hddReq) error {
-	off := req.off
+// enqueue queues one request and waits for the service loop's verdict.
+func (d *HDD) enqueue(off int64, buf []byte, bufs [][]byte, write bool) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return util.ErrClosed
 	}
+	req := hddReqPool.Get().(*hddReq)
+	req.off, req.buf, req.bufs, req.write = off, buf, bufs, write
 	// Insert keeping pending sorted by offset so the elevator scan is a
 	// binary search away.
 	i := sort.Search(len(d.pending), func(i int) bool { return d.pending[i].off >= off })
@@ -107,7 +114,10 @@ func (d *HDD) enqueue(req *hddReq) error {
 	d.cond.Signal()
 	d.mu.Unlock()
 
-	return <-req.errc
+	err := <-req.errc
+	req.buf, req.bufs = nil, nil
+	hddReqPool.Put(req)
+	return err
 }
 
 // serve is the single-threaded device loop.

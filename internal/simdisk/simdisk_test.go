@@ -419,6 +419,47 @@ func TestMemStoreDiscardKeepsPartialPages(t *testing.T) {
 	}
 }
 
+// TestDiscardedPagesRecycleClean wraps a small region the way a trimmed
+// circular journal does — fill, discard, write a little somewhere else — and
+// requires that whatever page a first write lands on reads as zeros around
+// the bytes written, though it may be a discarded page full of old data.
+// (That the cycle stops making pages is gated end to end, as bytes per
+// write, by `make perf-smoke`.)
+func TestDiscardedPagesRecycleClean(t *testing.T) {
+	s := newMemStore(64 * pageSize)
+	dirty := bytes.Repeat([]byte{0xAA}, 4*pageSize)
+	mark := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	got, zeros := make([]byte, pageSize), make([]byte, pageSize)
+	lap := func(i int) {
+		base := int64(i%8) * 8 * pageSize
+		if err := s.writeAt(dirty, base); err != nil {
+			t.Fatal(err)
+		}
+		s.discard(base, int64(len(dirty)))
+		at := base + 4*pageSize + pageSize/2
+		if err := s.writeAt(mark, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.readAt(got, at-pageSize/2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[pageSize/2:][:len(mark)], mark) {
+			t.Fatalf("lap %d: the written bytes read back as %v", i, got[pageSize/2:][:len(mark)])
+		}
+		copy(got[pageSize/2:], zeros[:len(mark)])
+		if !bytes.Equal(got, zeros) {
+			t.Fatalf("lap %d: a first-written page is not zero around the write", i)
+		}
+		s.discard(at-pageSize/2, pageSize)
+	}
+	for i := 0; i < 16; i++ {
+		lap(i)
+	}
+	if used := s.usedBytes(); used != 0 {
+		t.Fatalf("used after the laps = %d", used)
+	}
+}
+
 // TestDiscardFreesPagesAtNoCost: Discard on both device models releases
 // backing pages without touching the op/byte/busy counters, and the helper
 // is a no-op on a disk without the extension.

@@ -27,6 +27,22 @@ import (
 // pageSize is the allocation granularity of the sparse store.
 const pageSize = 64 * util.KiB
 
+// pagePool recycles the pages discard releases into the next first writes:
+// a trimmed circular journal frees and re-makes every page as it wraps, so
+// page churn would otherwise be most of the bytes a small write allocates.
+// The collector empties it, so idle pages never count as live heap. Pages
+// are pooled dirty and cleared on reuse.
+var pagePool sync.Pool
+
+// newPage returns a zeroed page.
+func newPage() []byte {
+	if p, ok := pagePool.Get().(*[pageSize]byte); ok {
+		clearBytes(p[:])
+		return p[:]
+	}
+	return make([]byte, pageSize)
+}
+
 // memStore is a sparse byte store: unwritten regions read as zeros.
 type memStore struct {
 	mu    sync.RWMutex
@@ -106,7 +122,7 @@ func (s *memStore) writeLocked(p []byte, off int64) {
 		}
 		page, ok := s.pages[pageIdx]
 		if !ok {
-			page = make([]byte, pageSize)
+			page = newPage()
 			s.pages[pageIdx] = page
 		}
 		copy(page[pageOff:], p[done:done+n])
@@ -127,7 +143,10 @@ func (s *memStore) discard(off, n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for p := first; p < last; p++ {
-		delete(s.pages, p)
+		if page, ok := s.pages[p]; ok {
+			delete(s.pages, p)
+			pagePool.Put((*[pageSize]byte)(page))
+		}
 	}
 }
 

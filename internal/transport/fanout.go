@@ -111,8 +111,11 @@ func (b *Broadcaster) Begin(n int) *Flight {
 // caller, who transfers ownership: the branch consumes one payload
 // reference (via Do on every path) and the response never escapes the
 // worker. Callers sharing one payload across branches Retain once per
-// branch before Go.
+// branch before Go. The branch holds its own reference to op until its call
+// returns, so a straggler outliving an early Finish — and the op's creator —
+// never runs on a recycled op.
 func (fl *Flight) Go(target int, addr string, op *opctx.Op, cap time.Duration, m *proto.Message) {
+	op.Retain()
 	j := fanJob{fl: fl, target: target, addr: addr, op: op, cap: cap, m: m}
 	b := fl.b
 	b.mu.Lock()
@@ -187,6 +190,7 @@ func (b *Broadcaster) workerLoop(w *fanWorker, j fanJob) {
 // fully consumed here: payload lease settled, frame recycled.
 func (b *Broadcaster) runJob(j fanJob) {
 	resp, err := b.caller.Do(j.op, j.addr, j.m, j.cap)
+	j.op.Release()
 	res := FanResult{Target: j.target, Err: err != nil || resp == nil}
 	if resp != nil {
 		res.Status = resp.Status

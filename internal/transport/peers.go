@@ -118,7 +118,9 @@ func (p *Peers) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Duratio
 
 // Call is Do with a single-purpose op of the given timeout.
 func (p *Peers) Call(addr string, m *proto.Message, timeout time.Duration) (*proto.Message, error) {
-	return p.Do(opctx.New(p.clk, timeout), addr, m, 0)
+	op := opctx.New(p.clk, timeout)
+	defer op.Release()
+	return p.Do(op, addr, m, 0)
 }
 
 // CloseAll closes every cached connection and empties the pool.

@@ -103,15 +103,6 @@ var pcPool = sync.Pool{New: func() any {
 	return &PendingCall{ch: make(chan *proto.Message, 1)}
 }}
 
-// timerPool recycles call timers. clk.After leaves a live runtime timer
-// behind on every completed call until it expires; a pooled Stop'd timer
-// is one runtime timer total per concurrent call.
-var timerPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
 // Start sends m and returns the in-flight call. The response channel is
 // closed on connection failure. Start consumes one reference to m.Payload
 // on every path — normally through Send, directly when the client is
@@ -201,22 +192,17 @@ func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.M
 
 	st := op.Stage(opctx.StageNet)
 	pc := c.Start(m)
-	// Do's PendingCall never escapes, so safe completions recycle it (and
-	// the timer) instead of allocating per call.
-	var timer *time.Timer
+	// Do's PendingCall never escapes, so safe completions recycle it instead
+	// of allocating per call; the wait's timer is pooled likewise.
 	var timerC <-chan time.Time
 	if wait > 0 {
-		timer = timerPool.Get().(*time.Timer)
-		timer.Reset(time.Duration(float64(wait) * c.clk.Scale()))
+		timer := clock.StartTimer(c.clk, wait)
+		defer clock.StopTimer(timer)
 		timerC = timer.C
 	}
 	select {
 	case resp, respOK := <-pc.ch:
 		st.Stop()
-		if timer != nil {
-			timer.Stop()
-			timerPool.Put(timer)
-		}
 		if !respOK {
 			return nil, fmt.Errorf("rpc call op=%d: %w", opc, ErrConnClosed)
 		}
@@ -224,19 +210,12 @@ func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.M
 		return resp, nil
 	case <-timerC:
 		st.Stop()
-		if timer != nil {
-			timerPool.Put(timer) // fired and drained; nothing to stop
-		}
 		if pc.abandon() {
 			pcPool.Put(pc)
 		}
 		return nil, fmt.Errorf("rpc call op=%d after %v: %w", opc, wait, util.ErrTimeout)
 	case <-op.Done():
 		st.Stop()
-		if timer != nil {
-			timer.Stop()
-			timerPool.Put(timer)
-		}
 		if pc.abandon() {
 			pcPool.Put(pc)
 		}
@@ -267,7 +246,9 @@ func (c *Client) pendingCalls() int {
 // single-purpose op: callers that hold a real request context should pass
 // it to Do instead so the whole operation shares one deadline.
 func (c *Client) Call(m *proto.Message, timeout time.Duration) (*proto.Message, error) {
-	return c.Do(opctx.New(c.clk, timeout), m, 0)
+	op := opctx.New(c.clk, timeout)
+	defer op.Release()
+	return c.Do(op, m, 0)
 }
 
 // Close tears down the connection; in-flight calls fail.
