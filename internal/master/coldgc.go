@@ -52,7 +52,7 @@ func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 		m.mu.Unlock()
 		return 0, 0, nil
 	}
-	wm := m.nextSeg
+	wm := m.st.nextSeg
 	live := m.liveRefsBySegLocked()
 	m.mu.Unlock()
 
@@ -123,12 +123,12 @@ func (m *Master) liveRefsBySegLocked() map[uint64][]coldtier.ExtentRef {
 			out[r.Seg] = append(out[r.Seg], r)
 		}
 	}
-	for _, snap := range m.snapshots {
+	for _, snap := range m.st.snapshots {
 		for _, refs := range snap.Chunks {
 			add(refs)
 		}
 	}
-	for _, vd := range m.vdisks {
+	for _, vd := range m.st.vdisks {
 		for i := range vd.meta.Chunks {
 			add(vd.meta.Chunks[i].Cold)
 		}
@@ -142,14 +142,11 @@ func (m *Master) liveRefsBySegLocked() map[uint64][]coldtier.ExtentRef {
 // segment. Returns the live bytes moved.
 func (m *Master) gcRewrite(op *opctx.Op, oldSeg uint64, refs []coldtier.ExtentRef) (int64, error) {
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
-		m.mu.Unlock()
-		return 0, m.errNotPrimary("gc rewrite")
-	}
-	lo := m.nextSeg
-	m.nextSeg += coldtier.SegsPerChunk
-	m.appendLocked(entryKindAllocSegs, entryAllocSegs{NextSeg: m.nextSeg})
+	lo, err := m.allocSegsLocked(coldtier.SegsPerChunk)
 	m.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 
 	w := coldtier.NewSegWriter(m.coldCl, op, lo, lo+coldtier.SegsPerChunk)
 	for _, r := range refs {
@@ -178,17 +175,15 @@ func (m *Master) gcRewrite(op *opctx.Op, oldSeg uint64, refs []coldtier.ExtentRe
 		moves[i] = segMove{Seg: r.Seg, SegOff: r.SegOff, NewSeg: newRefs[i].Seg, NewSegOff: newRefs[i].SegOff}
 	}
 
+	// A master deposed mid-rewrite is refused and drops everything: the new
+	// segments carry no references and sit below the new primary's
+	// replicated watermark, so its GC deletes them.
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
-		// Deposed mid-rewrite: drop everything. The new segments carry no
-		// references and sit below the new primary's replicated watermark,
-		// so its GC deletes them.
-		m.mu.Unlock()
-		return 0, m.errNotPrimary("gc rewrite")
-	}
-	m.applySegRemapLocked(moves)
-	m.appendLocked(entryKindSegRemap, entrySegRemap{Moves: moves})
+	err = m.commitLocked(entry{SegRemap: &entrySegRemap{Moves: moves}})
 	m.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 
 	// Delete the old segment last: the object store drains in-flight reads,
 	// and any fetch that raced the remap with stale refs gets ErrNotFound

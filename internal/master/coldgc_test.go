@@ -60,12 +60,28 @@ func newColdGCEnv(t *testing.T, gcInterval time.Duration) *coldGCEnv {
 // the extent payloads.
 func (e *coldGCEnv) flushSegment(t *testing.T, n int) ([]coldtier.ExtentRef, [][]byte) {
 	t.Helper()
-	e.m.mu.Lock()
-	lo := e.m.nextSeg
-	e.m.nextSeg += coldtier.SegsPerChunk
-	e.m.mu.Unlock()
+	return flushSegmentAt(t, e.m, e.op, allocSegs(t, e.m), n)
+}
 
-	w := coldtier.NewSegWriter(e.m.coldCl, e.op, lo, lo+coldtier.SegsPerChunk)
+// allocSegs reserves one chunk's worth of segment IDs through the commit
+// path.
+func allocSegs(t *testing.T, m *Master) uint64 {
+	t.Helper()
+	m.mu.Lock()
+	lo, err := m.allocSegsLocked(coldtier.SegsPerChunk)
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lo
+}
+
+// flushSegmentAt writes n random extents into the segment range starting at
+// lo, through m's object-store client. It allocates nothing: with lo at the
+// watermark this is a flush whose IDs the watermark does not cover yet.
+func flushSegmentAt(t *testing.T, m *Master, op *opctx.Op, lo uint64, n int) ([]coldtier.ExtentRef, [][]byte) {
+	t.Helper()
+	w := coldtier.NewSegWriter(m.coldCl, op, lo, lo+coldtier.SegsPerChunk)
 	data := make([][]byte, n)
 	for i := range data {
 		data[i] = make([]byte, coldtier.ExtentSize)
@@ -84,6 +100,17 @@ func (e *coldGCEnv) flushSegment(t *testing.T, n int) ([]coldtier.ExtentRef, [][
 	return refs, data
 }
 
+// commit runs one entry through m's commit path.
+func commit(t *testing.T, m *Master, e entry) {
+	t.Helper()
+	m.mu.Lock()
+	err := m.commitLocked(e)
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestColdGCRewritesPartiallyDeadSegment drives the compaction arm: a
 // segment whose live fraction fell under GCLiveFraction is rewritten, the
 // referencing metadata is remapped atomically, and the old location turns
@@ -94,12 +121,10 @@ func TestColdGCRewritesPartiallyDeadSegment(t *testing.T) {
 
 	refs, data := e.flushSegment(t, 3)
 	// Metadata keeps only the middle extent: 1 of 3 MiB live (< 0.5).
-	e.m.mu.Lock()
-	e.m.snapshots["s"] = &SnapshotMeta{
+	commit(t, e.m, entry{PutSnapshot: &entryPutSnapshot{NextID: 1, Meta: SnapshotMeta{
 		ID: 1, Name: "s", Size: util.ChunkSize,
 		Chunks: [][]coldtier.ExtentRef{{refs[1]}},
-	}
-	e.m.mu.Unlock()
+	}}})
 
 	reclaimed, rewritten, err := e.m.RunColdGC()
 	if err != nil {
@@ -154,32 +179,37 @@ func TestColdGCRewritesPartiallyDeadSegment(t *testing.T) {
 // the watermark are never judged.
 func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
 	e := newColdGCEnv(t, 0)
-	refs, _ := e.flushSegment(t, 1)
+	// Segment A: allocated, so it sits below the watermark, and no metadata
+	// references it — only the in-flight veto keeps a pass off it.
+	e.flushSegment(t, 1)
+	// Segment B: a flush caught mid-way, written at the watermark — above
+	// everything allocated — and unreferenced too.
+	e.m.mu.Lock()
+	wm := e.m.st.nextSeg
+	e.m.mu.Unlock()
+	flushSegmentAt(t, e.m, e.op, wm, 1)
 
-	// No metadata references the segment, so a normal pass would delete
-	// it — but an in-flight flush must veto the pass.
+	// A pass while a flush is in flight is vetoed whole: A survives.
 	e.m.mu.Lock()
 	e.m.inflightFlushes++
 	e.m.mu.Unlock()
 	if n, _, err := e.m.RunColdGC(); err != nil || n != 0 {
 		t.Fatalf("gc under in-flight flush: reclaimed=%d err=%v, want 0 and nil", n, err)
 	}
-
 	e.m.mu.Lock()
 	e.m.inflightFlushes--
-	// Fake an unreferenced segment above the watermark: rewind nextSeg so
-	// the stored segment sits at it.
-	wm := refs[0].Seg
-	e.m.nextSeg = wm
 	e.m.mu.Unlock()
-	if n, _, err := e.m.RunColdGC(); err != nil || n != 0 {
-		t.Fatalf("gc above watermark: reclaimed=%d err=%v, want 0 and nil", n, err)
+
+	// Without the veto A goes; B sits at the watermark and is not judged.
+	if n, _, err := e.m.RunColdGC(); err != nil || n != 1 {
+		t.Fatalf("gc above watermark: reclaimed=%d err=%v, want 1 and nil", n, err)
+	}
+	if e.store.UsedBytes() == 0 {
+		t.Fatal("gc judged a segment at the watermark")
 	}
 
-	// Restore the watermark: now it is garbage and goes.
-	e.m.mu.Lock()
-	e.m.nextSeg = wm + coldtier.SegsPerChunk
-	e.m.mu.Unlock()
+	// Move the watermark past B: now it is garbage and goes.
+	commit(t, e.m, entry{AllocSegs: &entryAllocSegs{NextSeg: wm + coldtier.SegsPerChunk}})
 	if n, _, err := e.m.RunColdGC(); err != nil || n != 1 {
 		t.Fatalf("gc after flush settled: reclaimed=%d err=%v, want 1 and nil", n, err)
 	}

@@ -2,6 +2,7 @@ package master
 
 import (
 	"encoding/json"
+	"errors"
 	"sync"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"ursa/internal/metrics"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
+	"ursa/internal/util"
 	"ursa/internal/util/backoff"
 )
 
@@ -83,45 +85,21 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// serverInfo is one registered chunk server.
-type serverInfo struct {
-	addr    string
-	machine string
-	ssd     bool
-}
-
-// lease tracks the single client of a vdisk (§4.1).
-type lease struct {
-	holder string
-	expiry time.Time
-}
-
-// vdisk is the master-side state of one virtual disk.
-type vdisk struct {
-	meta  VDiskMeta
-	lease lease
-}
-
 // Master is the global coordinator.
 type Master struct {
 	cfg Config
 
-	mu          sync.Mutex
-	servers     []serverInfo
-	vdisks      map[uint32]*vdisk
-	byName      map[string]uint32
-	nextID      uint32
-	nextPrimary int // round-robin cursors for placement
-	nextBackup  int
-	viewChanges int
+	mu sync.Mutex
+	// st is the replicated metadata. Only (*state).apply writes its fields
+	// (see state.go); everything below is deliberately not replicated.
+	st *state
 
-	// Cold-tier state (guarded by mu). nextSeg is the replicated segment-ID
-	// watermark; inflightFlushes counts snapshot flushes between their
-	// segment-range allocation and metadata record, during which GC must not
-	// judge fresh segments dead. coldReports is primary-local soft state:
-	// which replicas of a cloned chunk have reported full materialization.
-	snapshots       map[string]*SnapshotMeta
-	nextSeg         uint64
+	// inflightFlushes counts snapshot flushes between their segment-range
+	// allocation and metadata record, during which GC must not judge fresh
+	// segments dead. coldReports is which replicas of a cloned chunk have
+	// reported full materialization. Both are primary-local soft state
+	// (guarded by mu): a failover loses them, which at worst delays a GC pass
+	// or a cold-ref clear until the idempotent reports recur.
 	inflightFlushes int
 	coldReports     map[uint64]map[string]bool
 
@@ -133,13 +111,14 @@ type Master struct {
 	recMu      sync.Mutex
 	recovering map[uint64]chan struct{}
 
-	// Replication state (guarded by mu; see replication.go). epoch 0 with
-	// primary=true is the unreplicated configuration.
+	// Replication role and log (guarded by mu; see replication.go). epoch 0
+	// with primary=true is the unreplicated configuration, which keeps no
+	// log.
 	primary     bool
 	epoch       uint64
 	primaryAddr string    // best-known primary endpoint
 	lastHeard   time.Time // last heartbeat/batch from the primary
-	log         []logEntry
+	log         []entry
 	shipKick    map[string]chan struct{}
 	closedCh    chan struct{}
 	closeOnce   sync.Once
@@ -164,18 +143,12 @@ func New(cfg Config) *Master {
 	cfg.fillDefaults()
 	m := &Master{
 		cfg:         cfg,
-		vdisks:      make(map[uint32]*vdisk),
-		byName:      make(map[string]uint32),
+		st:          newState(),
 		peers:       transport.NewPeers(cfg.Dialer, cfg.Clock),
 		recovering:  make(map[uint64]chan struct{}),
-		snapshots:   make(map[string]*SnapshotMeta),
-		nextSeg:     1,
 		coldReports: make(map[uint64]map[string]bool),
 	}
 	m.peers.SetRedial(backoff.Policy{Base: cfg.RPCTimeout / 40, Cap: cfg.RPCTimeout / 4}, 2)
-	if !m.replicationEnabled() {
-		m.primary = true
-	}
 	m.initReplication()
 	if cfg.ObjstoreAddr != "" {
 		m.coldCl = coldtier.NewClient(m.peers, cfg.ObjstoreAddr)
@@ -205,22 +178,22 @@ func (m *Master) Close() {
 }
 
 // AddServer registers a chunk server (Go API; MOpRegister is the RPC form).
+// Registering a known address again changes nothing.
 func (m *Master) AddServer(addr, machine string, ssd bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.addServerLocked(addr, machine, ssd) {
-		m.appendLocked(entryKindServer, RegisterReq{Addr: addr, Machine: machine, SSD: ssd})
-	}
+	_, _ = m.register(RegisterReq{Addr: addr, Machine: machine, SSD: ssd}) // refused only on a standby
 }
 
-func (m *Master) addServerLocked(addr, machine string, ssd bool) bool {
-	for _, s := range m.servers {
-		if s.addr == addr {
-			return false
+func (m *Master) register(req RegisterReq) (any, error) {
+	if err := m.lockPrimary("register " + req.Addr); err != nil {
+		return nil, err
+	}
+	defer m.mu.Unlock()
+	for _, s := range m.st.servers {
+		if s.addr == req.Addr {
+			return nil, nil
 		}
 	}
-	m.servers = append(m.servers, serverInfo{addr: addr, machine: machine, ssd: ssd})
-	return true
+	return nil, m.commitLocked(entry{AddServer: &req})
 }
 
 // admin sends one command to a chunk server through the shared peer pool,
@@ -233,18 +206,13 @@ func (m *Master) addServerLocked(addr, machine string, ssd bool) bool {
 func (m *Master) admin(addr string, op proto.Op, id blockstore.ChunkID, view, version uint64,
 	body any, timeout time.Duration) (resp *proto.Message, ok bool) {
 
-	req := &proto.Message{Op: op, Chunk: id, View: view, Version: version}
-	if body != nil {
-		payload, err := json.Marshal(body)
-		if err != nil {
-			return nil, false
-		}
-		req.Payload = payload
+	payload, err := jsonBody(body)
+	if err != nil {
+		return nil, false
 	}
-	if m.replicationEnabled() {
-		req.Epoch = m.Epoch()
-	}
-	resp, err := m.peers.Call(addr, req, timeout)
+	resp, err = m.peers.Call(addr, &proto.Message{
+		Op: op, Chunk: id, View: view, Version: version, Epoch: m.Epoch(), Payload: payload,
+	}, timeout)
 	if err != nil {
 		return nil, false
 	}
@@ -262,95 +230,128 @@ func (m *Master) createReplica(addr string, id blockstore.ChunkID, req chunkserv
 	return ok || (resp != nil && resp.Status == proto.StatusExists)
 }
 
-// Handle dispatches master RPCs. Replication control traffic
-// (MOpReplicateLog, MOpMasterInfo) is served in any role; every other op
-// is a client/chunkserver metadata op that only the primary may serve —
-// standbys answer StatusNotPrimary with a redirect hint. The handlers
-// re-check primacy under m.mu before mutating, so a deposition racing an
-// in-flight request cannot smuggle an unlogged mutation into a standby.
+// Handle serves master RPCs.
 func (m *Master) Handle(msg *proto.Message) *proto.Message {
+	res := m.dispatch(msg)
+	payload, err := jsonBody(res.body)
+	if err != nil {
+		return msg.Reply(proto.StatusError)
+	}
+	r := msg.Reply(res.status)
+	r.Payload = payload
+	return r
+}
+
+// jsonBody encodes the body of a request or reply; nil is no payload.
+func jsonBody(body any) ([]byte, error) {
+	if body == nil {
+		return nil, nil
+	}
+	return json.Marshal(body)
+}
+
+// dispatch routes one RPC to the function that serves it. Replication
+// control traffic (MOpReplicateLog, MOpMasterInfo) is served in any role;
+// every other op is a client/chunkserver metadata op that only the primary
+// may serve — standbys answer StatusNotPrimary with a redirect hint. The
+// check here is what keeps the read-only ops off a standby; every mutating
+// op re-checks primacy under m.mu (lockPrimary, commitLocked), so a
+// deposition racing an in-flight request cannot change a standby's state.
+func (m *Master) dispatch(msg *proto.Message) jsonResult {
 	switch msg.Op {
 	case proto.MOpReplicateLog:
-		return m.jsonReply(msg, m.handleReplicateLog(msg))
+		return serve(m, msg, m.replicateLog)
 	case proto.MOpMasterInfo:
-		return m.jsonReply(msg, m.handleMasterInfo(msg))
-	}
-	if m.replicationEnabled() && !m.IsPrimary() {
 		m.mu.Lock()
-		res := m.notPrimaryLocked()
-		m.mu.Unlock()
-		return m.jsonReply(msg, res)
+		defer m.mu.Unlock()
+		return jsonResult{proto.StatusOK, m.masterInfoLocked()}
+	}
+	if !m.IsPrimary() {
+		return m.failure(util.ErrNotPrimary)
 	}
 	switch msg.Op {
 	case proto.MOpCreateVDisk:
-		return m.jsonReply(msg, m.handleCreate(msg))
+		return serve(m, msg, m.CreateVDisk)
 	case proto.MOpOpenVDisk:
-		return m.jsonReply(msg, m.handleOpen(msg))
+		return serve(m, msg, m.openVDisk)
 	case proto.MOpRenewLease:
-		return m.jsonReply(msg, m.handleRenew(msg))
+		return serve(m, msg, m.renewLease)
 	case proto.MOpCloseVDisk:
-		return m.jsonReply(msg, m.handleClose(msg))
+		return serve(m, msg, m.closeVDisk)
 	case proto.MOpDeleteVDisk:
-		return m.jsonReply(msg, m.handleDelete(msg))
-	case proto.MOpReportFailure:
-		return m.jsonReply(msg, m.handleReportFailure(msg))
+		return serve(m, msg, m.deleteVDisk)
 	case proto.MOpGetVDisk:
-		return m.jsonReply(msg, m.handleGet(msg))
+		return serve(m, msg, m.getVDisk)
+	case proto.MOpReportFailure:
+		return serve(m, msg, func(r ReportFailureReq) (*ChunkMeta, error) {
+			return m.RecoverChunk(r.VDisk, r.ChunkIndex, r.FailedAddr)
+		})
 	case proto.MOpStats:
-		return m.jsonReply(msg, m.handleStats(msg))
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return jsonResult{proto.StatusOK, StatsResp{
+			Servers: len(m.st.servers), VDisks: len(m.st.vdisks), ViewChanges: m.st.viewChanges,
+		}}
 	case proto.MOpRegister:
-		return m.jsonReply(msg, m.handleRegister(msg))
+		return serve(m, msg, m.register)
 	case proto.MOpSnapshot:
-		return m.jsonReply(msg, m.handleSnapshot(msg))
+		return serve(m, msg, func(r SnapshotReq) (*SnapshotMeta, error) { return m.SnapshotVDisk(r.VDisk, r.Name) })
 	case proto.MOpCloneFromSnapshot:
-		return m.jsonReply(msg, m.handleClone(msg))
+		return serve(m, msg, m.CloneFromSnapshot)
 	case proto.MOpDeleteSnapshot:
-		return m.jsonReply(msg, m.handleDeleteSnapshot(msg))
+		return serve(m, msg, func(r SnapshotReq) (any, error) { return nil, m.DeleteSnapshot(r.Name) })
 	case proto.MOpChunkMaterialized:
-		return m.jsonReply(msg, m.handleMaterialized(msg))
+		return serve(m, msg, m.chunkMaterialized)
 	case proto.MOpGetColdRefs:
-		return m.jsonReply(msg, m.handleGetColdRefs(msg))
+		return serve(m, msg, m.coldRefs)
 	default:
-		return msg.Reply(proto.StatusError)
+		return jsonResult{status: proto.StatusError}
 	}
 }
 
-// jsonResult pairs a status with a JSON-encodable body.
+// jsonResult pairs a status with a JSON-encodable body (nil: no payload).
 type jsonResult struct {
 	status proto.Status
 	body   any
 }
 
-func ok(body any) jsonResult              { return jsonResult{proto.StatusOK, body} }
-func fail(status proto.Status) jsonResult { return jsonResult{status, nil} }
-
-func (m *Master) jsonReply(msg *proto.Message, res jsonResult) *proto.Message {
-	r := msg.Reply(res.status)
-	if res.body != nil {
-		b, err := json.Marshal(res.body)
-		if err != nil {
-			return msg.Reply(proto.StatusError)
-		}
-		r.Payload = b
-	}
-	return r
-}
-
-func (m *Master) handleRegister(msg *proto.Message) jsonResult {
-	var req RegisterReq
+// serve decodes msg's payload into fn's request type, runs fn, and turns
+// its outcome into the wire result. A function with nothing to return
+// declares an `any` response and returns nil.
+func serve[Req, Resp any](m *Master, msg *proto.Message, fn func(Req) (Resp, error)) jsonResult {
+	var req Req
 	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
+		return jsonResult{status: proto.StatusError}
 	}
-	m.AddServer(req.Addr, req.Machine, req.SSD)
-	return ok(nil)
+	resp, err := fn(req)
+	if err != nil {
+		return m.failure(err)
+	}
+	return jsonResult{proto.StatusOK, resp}
 }
 
-func (m *Master) handleStats(*proto.Message) jsonResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return ok(StatsResp{
-		Servers:     len(m.servers),
-		VDisks:      len(m.vdisks),
-		ViewChanges: m.viewChanges,
-	})
+// failure maps an error to its wire result. The two refusals that tell the
+// caller where to go next carry a body: a standby's redirect hint, and the
+// epoch that out-ranks a stale primary's log batch.
+func (m *Master) failure(err error) jsonResult {
+	switch {
+	case errors.Is(err, util.ErrNotPrimary):
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return jsonResult{proto.StatusNotPrimary, m.masterInfoLocked()}
+	case errors.Is(err, util.ErrStaleEpoch):
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return jsonResult{proto.StatusStaleEpoch, ReplicateLogResp{Epoch: m.epoch, Applied: uint64(len(m.log))}}
+	case errors.Is(err, util.ErrExists):
+		return jsonResult{status: proto.StatusExists}
+	case errors.Is(err, util.ErrNotFound):
+		return jsonResult{status: proto.StatusNotFound}
+	case errors.Is(err, util.ErrQuota):
+		return jsonResult{status: proto.StatusQuota}
+	case errors.Is(err, util.ErrLeaseHeld):
+		return jsonResult{status: proto.StatusLeaseHeld}
+	default:
+		return jsonResult{status: proto.StatusError}
+	}
 }

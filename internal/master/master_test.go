@@ -275,6 +275,10 @@ func TestGetAndDelete(t *testing.T) {
 	if st := e.call(t, proto.MOpGetVDisk, GetVDiskReq{Name: "d"}, nil); st != proto.StatusNotFound {
 		t.Errorf("get after delete = %s", st)
 	}
+	// A single master commits without a log and stamps no epoch.
+	if seq, epoch := e.m.LogSeq(), e.m.Epoch(); seq != 0 || epoch != 0 {
+		t.Errorf("unreplicated master: log seq %d, epoch %d; want 0 and 0", seq, epoch)
+	}
 }
 
 func TestRegisterRPCAndStats(t *testing.T) {

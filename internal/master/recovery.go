@@ -1,8 +1,6 @@
 package master
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -12,33 +10,6 @@ import (
 	"ursa/internal/redundancy"
 	"ursa/internal/util"
 )
-
-// handleReportFailure runs the view-change sub-protocol of §4.2.2:
-//
-//  1. Collect version numbers from the chunk's replicas; require a majority
-//     (or — the paper's conservative escape hatch — proceed with fewer when
-//     the unreachable replicas are confirmed crashed by the reporter).
-//  2. Pick versionH, the highest collected version, as the most recent state.
-//  3. Incrementally repair lagging live replicas from a versionH holder.
-//  4. Allocate a replacement for the failed replica and clone versionH
-//     into it.
-//  5. Install view i+1 on every replica and update the metadata.
-func (m *Master) handleReportFailure(msg *proto.Message) jsonResult {
-	var req ReportFailureReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
-	}
-	meta, err := m.RecoverChunk(req.VDisk, req.ChunkIndex, req.FailedAddr)
-	if err != nil {
-		if errors.Is(err, util.ErrNotPrimary) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return m.notPrimaryLocked()
-		}
-		return fail(proto.StatusError)
-	}
-	return ok(meta)
-}
 
 // replicaVersion is one GetVersion result during recovery.
 type replicaVersion struct {
@@ -57,13 +28,23 @@ const (
 )
 
 // RecoverChunk performs a view change for one chunk, replacing failedAddr
-// (may be empty for pure repair). It returns the chunk's new metadata.
+// (may be empty for pure repair), and returns the chunk's new metadata. It
+// runs the view-change sub-protocol of §4.2.2:
+//
+//  1. Collect version numbers from the chunk's replicas; require a majority
+//     (or — the paper's conservative escape hatch — proceed with fewer when
+//     the unreachable replicas are confirmed crashed by the reporter).
+//  2. Pick versionH, the highest collected version, as the most recent state.
+//  3. Incrementally repair lagging live replicas from a versionH holder.
+//  4. Allocate a replacement for the failed replica and clone versionH
+//     into it.
+//  5. Install view i+1 on every replica and update the metadata.
 func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr string) (*ChunkMeta, error) {
 	// Only the primary may drive view changes; a deposed master starting a
 	// recovery here would race the real primary's recovery of the same
 	// chunk (its commands are also fenced per-RPC below, this just fails
 	// fast).
-	if m.replicationEnabled() && !m.IsPrimary() {
+	if !m.IsPrimary() {
 		return nil, m.errNotPrimary(fmt.Sprintf("recover c%d.%d", vdiskID, chunkIndex))
 	}
 	// One recovery per chunk at a time. Reporters re-fire on a cooldown much
@@ -226,30 +207,28 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 		}
 		m.admin(r.Addr, proto.OpSetView, id, newView, 0, req, m.cfg.RPCTimeout)
 	}
-	return m.installViewChange(t0, vdiskID, chunkIndex, ChunkMeta{View: newView, Replicas: newReplicas, Cold: cm.Cold})
-}
 
-// installViewChange records a completed recovery's new chunk metadata,
-// re-checking primacy under the lock: a master deposed mid-recovery (its
-// fan-out already bounced off StatusStaleEpoch fences) must not install —
-// or replicate — a view the new primary knows nothing about.
-func (m *Master) installViewChange(t0 time.Time, vdiskID, chunkIndex uint32, newMeta ChunkMeta) (*ChunkMeta, error) {
+	// Record the view. commitLocked refuses a master deposed mid-recovery (its
+	// fan-out already bounced off StatusStaleEpoch fences), which therefore
+	// never installs — or replicates — a view the new primary knows nothing
+	// about; apply refuses a chunk whose vdisk was deleted meanwhile.
 	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
-		m.mu.Unlock()
-		return nil, m.errNotPrimary(fmt.Sprintf("install view for c%d.%d", vdiskID, chunkIndex))
+	err := m.commitLocked(entry{SetView: &entrySetView{
+		VDisk: vdiskID, Index: chunkIndex, View: newView, Replicas: newReplicas,
+	}})
+	var out ChunkMeta
+	if err == nil {
+		out = m.st.vdisks[vdiskID].meta.Chunks[chunkIndex].clone()
 	}
-	if vd, okID := m.vdisks[vdiskID]; okID && int(chunkIndex) < len(vd.meta.Chunks) {
-		vd.meta.Chunks[chunkIndex] = newMeta
-	}
-	m.viewChanges++
-	m.appendLocked(entryKindSetChunk, entrySetChunk{VDisk: vdiskID, Index: chunkIndex, Meta: newMeta})
 	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	if reg := m.cfg.Metrics; reg != nil {
 		reg.Counter(MetricChunkRecoveries).Inc()
 		reg.ObserveLatency(MetricRecoveryDuration, m.cfg.Clock.Now().Sub(t0))
 	}
-	return &newMeta, nil
+	return &out, nil
 }
 
 // recoverRS is the view change for an RS(N,M) chunk. The replica list is
@@ -417,19 +396,18 @@ func (m *Master) rsRebuildSegment(id blockstore.ChunkID, cm ChunkMeta, spec redu
 	return ok
 }
 
-// chunkMetaSpec returns a copy of one chunk's current metadata plus its
-// vdisk's redundancy policy.
+// chunkMetaSpec returns a deep copy of one chunk's current metadata plus its
+// vdisk's redundancy policy. Recovery reads the copy outside m.mu, while
+// apply's seg-remap arm rewrites the state's cold refs under it.
 func (m *Master) chunkMetaSpec(vdiskID, chunkIndex uint32) (*ChunkMeta, redundancy.Spec, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	vd, okID := m.vdisks[vdiskID]
-	if !okID || int(chunkIndex) >= len(vd.meta.Chunks) {
-		return nil, redundancy.Spec{}, fmt.Errorf("master: recover c%d.%d: %w",
-			vdiskID, chunkIndex, util.ErrNotFound)
+	cur, err := m.st.chunk(vdiskID, chunkIndex)
+	if err != nil {
+		return nil, redundancy.Spec{}, err
 	}
-	cm := vd.meta.Chunks[chunkIndex]
-	cm.Replicas = append([]ReplicaInfo(nil), cm.Replicas...)
-	return &cm, vd.meta.Redundancy, nil
+	cm := cur.clone()
+	return &cm, m.st.vdisks[vdiskID].meta.Redundancy, nil
 }
 
 // allocateReplacement creates a fresh replica for a dead one and clones
@@ -473,14 +451,13 @@ func (m *Master) pickReplacement(replicas []ReplicaInfo, deadAddr string, ssd bo
 		if r.Addr == deadAddr {
 			continue
 		}
-		for _, s := range m.servers {
+		for _, s := range m.st.servers {
 			if s.addr == r.Addr {
 				used[s.machine] = true
 			}
 		}
 	}
-	for i := range m.servers {
-		s := &m.servers[i]
+	for _, s := range m.st.servers {
 		if s.ssd != ssd || s.addr == deadAddr || used[s.machine] {
 			continue
 		}

@@ -2,11 +2,11 @@ package master
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
 	"ursa/internal/bufpool"
-	"ursa/internal/coldtier"
 	"ursa/internal/proto"
 	"ursa/internal/util"
 )
@@ -27,104 +27,30 @@ import (
 // kicked on every append, so the window is one RPC), and the lease
 // reclaim-on-renew rule below papers over exactly that window for leases.
 
-// Log entry kinds.
 const (
-	entryKindPutVDisk       = "put-vdisk"
-	entryKindDelete         = "delete-vdisk"
-	entryKindLease          = "lease"
-	entryKindServer         = "add-server"
-	entryKindSetChunk       = "set-chunk"
-	entryKindAllocSegs      = "alloc-segs"
-	entryKindPutSnapshot    = "put-snapshot"
-	entryKindDeleteSnapshot = "delete-snapshot"
-	entryKindSetCold        = "set-cold"
-	entryKindSegRemap       = "seg-remap"
+	// MetricMasterPromotions counts standby-to-primary promotions.
+	MetricMasterPromotions = "master-promotions"
+	// MetricMasterReplayRefused counts shipped batches of which a standby
+	// took nothing although their first entry was the next in its sequence:
+	// it could not decode that entry, or apply refused it — the standby's
+	// state has diverged or it runs another build. Such a standby stays where
+	// it is (every heartbeat re-sends the batch and counts again) and, if
+	// promoted, serves the log prefix it holds.
+	MetricMasterReplayRefused = "master-replay-refused"
 )
 
-// MetricMasterPromotions counts standby-to-primary promotions.
-const MetricMasterPromotions = "master-promotions"
-
-// logEntry is one replicated metadata mutation. Seq is dense from 1 within
-// an epoch's log; Data is the kind-specific body.
-type logEntry struct {
-	Seq  uint64          `json:"seq"`
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data"`
-}
-
-type entryPutVDisk struct {
-	Meta VDiskMeta `json:"meta"`
-	// Placement cursors at append time, so a promoted standby continues
-	// round-robin placement where the primary left off.
-	NextID      uint32 `json:"nextID"`
-	NextPrimary int    `json:"nextPrimary"`
-	NextBackup  int    `json:"nextBackup"`
-}
-
-type entryDelete struct {
-	ID uint32 `json:"id"`
-}
-
-type entryLease struct {
-	ID     uint32    `json:"id"`
-	Holder string    `json:"holder"`
-	Expiry time.Time `json:"expiry"`
-}
-
-type entrySetChunk struct {
-	VDisk uint32    `json:"vdisk"`
-	Index uint32    `json:"index"`
-	Meta  ChunkMeta `json:"meta"`
-}
-
-// entryAllocSegs advances the segment-ID watermark. Replicated before any
-// flush or GC rewrite touches the object store, so a promoted standby never
-// re-issues an ID that may already hold data (segments are write-once).
-type entryAllocSegs struct {
-	NextSeg uint64 `json:"nextSeg"`
-}
-
-type entryPutSnapshot struct {
-	Meta   SnapshotMeta `json:"meta"`
-	NextID uint32       `json:"nextID"`
-}
-
-type entryDeleteSnapshot struct {
-	Name string `json:"name"`
-}
-
-// entrySetCold replaces one chunk's cold extent table (nil = fully
-// materialized, demand-fetch metadata dropped).
-type entrySetCold struct {
-	VDisk uint32               `json:"vdisk"`
-	Index uint32               `json:"index"`
-	Refs  []coldtier.ExtentRef `json:"refs,omitempty"`
-}
-
-// segMove records one extent's relocation by the GC rewriter: bytes that
-// lived at (Seg, SegOff) now live at (NewSeg, NewSegOff). Length and CRC are
-// unchanged — GC moves extents verbatim.
-type segMove struct {
-	Seg       uint64 `json:"seg"`
-	SegOff    int64  `json:"segOff"`
-	NewSeg    uint64 `json:"newSeg"`
-	NewSegOff int64  `json:"newSegOff"`
-}
-
-// entrySegRemap rewrites every snapshot extent and chunk cold ref matching a
-// move's old location. Applied atomically under the lock before the old
-// segment is deleted, so no replicated metadata ever points at a gone
-// segment.
-type entrySegRemap struct {
-	Moves []segMove `json:"moves"`
-}
+// shipBatchMax caps the entries one MOpReplicateLog carries, so that a dead
+// or freshly joined standby costs a bounded copy, encode and RPC per attempt
+// however long the log is. A standby that acks a full batch is sent the next
+// one at once; the ack's Applied paces the rest.
+const shipBatchMax = 256
 
 // ReplicateLogReq is the payload of MOpReplicateLog: a batch of entries
 // (empty = heartbeat) from the primary From at Epoch.
 type ReplicateLogReq struct {
 	Epoch   uint64     `json:"epoch"`
 	From    string     `json:"from"`
-	Entries []logEntry `json:"entries,omitempty"`
+	Entries entryBatch `json:"entries,omitempty"`
 }
 
 // ReplicateLogResp acknowledges a batch with the receiver's epoch and last
@@ -167,6 +93,7 @@ func (m *Master) rank() int {
 // the current epoch rather than resurrect epoch 1).
 func (m *Master) initReplication() {
 	if !m.replicationEnabled() {
+		m.primary = true // for good: nothing below runs, so nothing can depose it
 		return
 	}
 	m.closedCh = make(chan struct{})
@@ -182,10 +109,10 @@ func (m *Master) initReplication() {
 		if p == m.cfg.Addr {
 			continue
 		}
-		kick := make(chan struct{}, 1)
-		m.shipKick[p] = kick
+		wake := make(chan struct{}, 1)
+		m.shipKick[p] = wake
 		m.wg.Add(1)
-		go m.shipLoop(p, kick)
+		go m.shipLoop(p, wake)
 	}
 	m.wg.Add(1)
 	go m.monitorLoop()
@@ -203,9 +130,6 @@ func (m *Master) stopReplication() {
 // IsPrimary reports whether this master currently holds primacy. A master
 // without replication configured is always primary.
 func (m *Master) IsPrimary() bool {
-	if !m.replicationEnabled() {
-		return true
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.primary
@@ -228,137 +152,49 @@ func (m *Master) LogSeq() uint64 {
 	return uint64(len(m.log))
 }
 
-// appendLocked records one mutation in the replicated log (m.mu held).
-// Only an acting primary originates entries; single-master configurations
-// skip logging entirely.
-func (m *Master) appendLocked(kind string, v any) {
-	if !m.replicationEnabled() || !m.primary {
-		return
+// lockPrimary takes m.mu for a mutating op. On a standby it releases the lock
+// again and refuses, so a handler never validates a request against state
+// that is not authoritative.
+func (m *Master) lockPrimary(what string) error {
+	m.mu.Lock()
+	if !m.primary {
+		m.mu.Unlock()
+		return m.errNotPrimary(what)
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
+	return nil
+}
+
+// commitLocked is the one way the primary changes replicated metadata (m.mu
+// held): refuse unless primary, apply the entry, and — when there are
+// standbys to ship to — append it to the log and wake the shippers. A single
+// master keeps no log. e and everything it points to belong to the log from
+// here on and must not be modified.
+func (m *Master) commitLocked(e entry) error {
+	if !m.primary {
+		return m.errNotPrimary("commit")
 	}
-	m.log = append(m.log, logEntry{Seq: uint64(len(m.log)) + 1, Kind: kind, Data: data})
-	for _, kick := range m.shipKick {
-		select {
-		case kick <- struct{}{}:
-		default:
-		}
+	e.Seq = uint64(len(m.log)) + 1
+	if err := m.st.apply(&e); err != nil {
+		return err
+	}
+	if m.replicationEnabled() {
+		m.log = append(m.log, e)
+		m.kickShippersLocked()
+	}
+	return nil
+}
+
+func (m *Master) kickShippersLocked() {
+	for _, ch := range m.shipKick {
+		kick(ch)
 	}
 }
 
-// applyEntryLocked replays one log entry into local state (m.mu held).
-func (m *Master) applyEntryLocked(e logEntry) {
-	switch e.Kind {
-	case entryKindPutVDisk:
-		var p entryPutVDisk
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		m.vdisks[p.Meta.ID] = &vdisk{meta: p.Meta.Clone()}
-		m.byName[p.Meta.Name] = p.Meta.ID
-		m.nextID = p.NextID
-		m.nextPrimary, m.nextBackup = p.NextPrimary, p.NextBackup
-	case entryKindDelete:
-		var p entryDelete
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		if vd, okID := m.vdisks[p.ID]; okID {
-			delete(m.byName, vd.meta.Name)
-			delete(m.vdisks, p.ID)
-		}
-	case entryKindLease:
-		var p entryLease
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		if vd, okID := m.vdisks[p.ID]; okID {
-			vd.lease = lease{holder: p.Holder, expiry: p.Expiry}
-		}
-	case entryKindServer:
-		var p RegisterReq
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		m.addServerLocked(p.Addr, p.Machine, p.SSD)
-	case entryKindSetChunk:
-		var p entrySetChunk
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		if vd, okID := m.vdisks[p.VDisk]; okID && int(p.Index) < len(vd.meta.Chunks) {
-			vd.meta.Chunks[p.Index] = p.Meta
-		}
-		m.viewChanges++
-	case entryKindAllocSegs:
-		var p entryAllocSegs
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		if p.NextSeg > m.nextSeg {
-			m.nextSeg = p.NextSeg
-		}
-	case entryKindPutSnapshot:
-		var p entryPutSnapshot
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		meta := p.Meta.Clone()
-		m.snapshots[meta.Name] = &meta
-		m.nextID = p.NextID
-	case entryKindDeleteSnapshot:
-		var p entryDeleteSnapshot
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		delete(m.snapshots, p.Name)
-	case entryKindSetCold:
-		var p entrySetCold
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		if vd, okID := m.vdisks[p.VDisk]; okID && int(p.Index) < len(vd.meta.Chunks) {
-			vd.meta.Chunks[p.Index].Cold = p.Refs
-		}
-	case entryKindSegRemap:
-		var p entrySegRemap
-		if json.Unmarshal(e.Data, &p) != nil {
-			return
-		}
-		m.applySegRemapLocked(p.Moves)
-	}
-}
-
-// applySegRemapLocked rewrites every cold reference — snapshot extent tables
-// and live chunks' demand-fetch refs — matching a GC move (m.mu held).
-func (m *Master) applySegRemapLocked(moves []segMove) {
-	type loc struct {
-		seg uint64
-		off int64
-	}
-	remap := make(map[loc]segMove, len(moves))
-	for _, mv := range moves {
-		remap[loc{mv.Seg, mv.SegOff}] = mv
-	}
-	fix := func(refs []coldtier.ExtentRef) {
-		for i := range refs {
-			if mv, hit := remap[loc{refs[i].Seg, refs[i].SegOff}]; hit {
-				refs[i].Seg = mv.NewSeg
-				refs[i].SegOff = mv.NewSegOff
-			}
-		}
-	}
-	for _, snap := range m.snapshots {
-		for _, refs := range snap.Chunks {
-			fix(refs)
-		}
-	}
-	for _, vd := range m.vdisks {
-		for i := range vd.meta.Chunks {
-			fix(vd.meta.Chunks[i].Cold)
-		}
+// kick wakes a shipper unless a wake-up is already pending.
+func kick(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
@@ -367,14 +203,8 @@ func (m *Master) applySegRemapLocked(moves []segMove) {
 // follower adopts a new epoch: the new primary's log is authoritative and
 // any diverged local tail must not survive.
 func (m *Master) resetStateLocked() {
-	m.vdisks = make(map[uint32]*vdisk)
-	m.byName = make(map[string]uint32)
-	m.servers = nil
-	m.nextID, m.nextPrimary, m.nextBackup = 0, 0, 0
-	m.viewChanges = 0
+	m.st = newState()
 	m.log = nil
-	m.snapshots = make(map[string]*SnapshotMeta)
-	m.nextSeg = 1
 	m.coldReports = make(map[uint64]map[string]bool)
 }
 
@@ -430,61 +260,44 @@ func (m *Master) masterInfoLocked() MasterInfoResp {
 	return info
 }
 
-func (m *Master) handleMasterInfo(*proto.Message) jsonResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return ok(m.masterInfoLocked())
-}
-
-// notPrimaryLocked is the redirect result for client ops reaching a
-// standby (m.mu held).
-func (m *Master) notPrimaryLocked() jsonResult {
-	return jsonResult{proto.StatusNotPrimary, m.masterInfoLocked()}
-}
-
-// handleReplicateLog applies a shipped batch (or heartbeat) from a
-// claimed primary.
-func (m *Master) handleReplicateLog(msg *proto.Message) jsonResult {
+// replicateLog applies a shipped batch (or heartbeat) from a claimed
+// primary and acks the last sequence applied. It stops at the first entry it
+// cannot apply — a gap, an entry apply refuses, the end of a batch cut short
+// at an undecodable entry — so Applied never covers such an entry and the
+// shipper keeps resending from it.
+func (m *Master) replicateLog(req ReplicateLogReq) (ReplicateLogResp, error) {
 	if !m.replicationEnabled() {
-		return fail(proto.StatusError)
-	}
-	var req ReplicateLogReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
+		return ReplicateLogResp{}, errors.New("master: log batch sent to an unreplicated master")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if req.Epoch < m.epoch {
-		return jsonResult{proto.StatusStaleEpoch,
-			ReplicateLogResp{Epoch: m.epoch, Applied: uint64(len(m.log))}}
+		return ReplicateLogResp{}, util.ErrStaleEpoch
 	}
 	if req.Epoch > m.epoch {
 		m.adoptEpochLocked(req.Epoch, req.From)
 	} else if m.primary && req.From != m.cfg.Addr {
 		// Two primaries raced to the same epoch. Deterministic tie-break:
 		// the lower-ranked endpoint keeps primacy.
-		if peerRank(m.cfg.Peers, req.From) < m.rank() {
-			m.adoptEpochLocked(req.Epoch, req.From)
-		} else {
-			return jsonResult{proto.StatusStaleEpoch,
-				ReplicateLogResp{Epoch: m.epoch, Applied: uint64(len(m.log))}}
+		if peerRank(m.cfg.Peers, req.From) >= m.rank() {
+			return ReplicateLogResp{}, util.ErrStaleEpoch
 		}
+		m.adoptEpochLocked(req.Epoch, req.From)
 	}
 	m.primaryAddr = req.From
 	m.lastHeard = m.cfg.Clock.Now()
-	applied := uint64(len(m.log))
-	for _, e := range req.Entries {
+	for i := range req.Entries {
+		e := &req.Entries[i]
+		applied := uint64(len(m.log))
 		if e.Seq <= applied {
 			continue // duplicate from a rewound shipper
 		}
-		if e.Seq != applied+1 {
-			break // gap: the ack's Applied rewinds the shipper
+		if e.Seq != applied+1 || m.st.apply(e) != nil {
+			break // the ack's Applied rewinds the shipper
 		}
-		m.applyEntryLocked(e)
-		m.log = append(m.log, e)
-		applied++
+		m.log = append(m.log, *e)
 	}
-	return ok(ReplicateLogResp{Epoch: m.epoch, Applied: applied})
+	return ReplicateLogResp{Epoch: m.epoch, Applied: uint64(len(m.log))}, nil
 }
 
 func peerRank(peers []string, addr string) int {
@@ -496,10 +309,11 @@ func peerRank(peers []string, addr string) int {
 	return len(peers)
 }
 
-// shipLoop replicates the log to one standby: kicked on every append,
-// heartbeating every PrimacyTTL/4 otherwise, rewinding its cursor from
-// each ack so dead or freshly-healed standbys catch up by full replay.
-func (m *Master) shipLoop(peer string, kick <-chan struct{}) {
+// shipLoop replicates the log to one standby, at most shipBatchMax entries
+// per call: kicked on every append, heartbeating every PrimacyTTL/4
+// otherwise, rewinding its cursor from each ack so dead or freshly-healed
+// standbys catch up by full replay.
+func (m *Master) shipLoop(peer string, wake chan struct{}) {
 	defer m.wg.Done()
 	hb := m.cfg.PrimacyTTL / 4
 	var cursor uint64
@@ -507,7 +321,7 @@ func (m *Master) shipLoop(peer string, kick <-chan struct{}) {
 		select {
 		case <-m.closedCh:
 			return
-		case <-kick:
+		case <-wake:
 		case <-m.cfg.Clock.After(hb):
 		}
 		m.mu.Lock()
@@ -516,44 +330,50 @@ func (m *Master) shipLoop(peer string, kick <-chan struct{}) {
 			cursor = 0
 			continue
 		}
-		epoch := m.epoch
-		if cursor > uint64(len(m.log)) {
+		epoch, end := m.epoch, uint64(len(m.log))
+		if cursor > end {
 			cursor = 0 // log was reset across a demote/re-promote cycle
 		}
-		batch := append([]logEntry(nil), m.log[cursor:]...)
+		// Entries are immutable once appended, so the batch is read outside
+		// the lock without a copy.
+		batch := m.log[cursor:min(end, cursor+shipBatchMax)]
 		m.mu.Unlock()
 
-		payload, err := json.Marshal(ReplicateLogReq{Epoch: epoch, From: m.cfg.Addr, Entries: batch})
-		if err != nil {
-			continue
-		}
-		resp, err := m.peers.Call(peer, &proto.Message{
-			Op:      proto.MOpReplicateLog,
-			Epoch:   epoch,
-			Payload: payload,
-		}, m.cfg.PrimacyTTL/2)
+		var ack ReplicateLogResp
+		status, err := m.callPeer(peer, proto.MOpReplicateLog, epoch,
+			ReplicateLogReq{Epoch: epoch, From: m.cfg.Addr, Entries: batch}, &ack, m.cfg.PrimacyTTL/2)
 		if err != nil {
 			continue // dead standby: the heartbeat tick paces the retry
 		}
-		var ack ReplicateLogResp
-		ackErr := json.Unmarshal(resp.Payload, &ack)
-		status := resp.Status
-		bufpool.Put(resp.Payload)
-		proto.Recycle(resp)
-		if status == proto.StatusStaleEpoch {
-			if ackErr == nil {
-				m.fencedByEpoch(ack.Epoch)
-			}
-			continue
-		}
-		if status == proto.StatusOK && ackErr == nil {
-			if ack.Epoch > epoch {
-				m.fencedByEpoch(ack.Epoch)
-				continue
+		if status == proto.StatusStaleEpoch || (status == proto.StatusOK && ack.Epoch > epoch) {
+			m.fencedByEpoch(ack.Epoch)
+		} else if status == proto.StatusOK {
+			if ack.Applied > cursor && ack.Applied < end {
+				kick(wake) // progress, and more to send: go again without waiting
+			} else if reg := m.cfg.Metrics; reg != nil && ack.Applied == cursor && len(batch) > 0 {
+				reg.Counter(MetricMasterReplayRefused).Inc()
 			}
 			cursor = ack.Applied
 		}
 	}
+}
+
+// callPeer sends one replication-control request to another master and
+// decodes the JSON body of its answer, whatever the status, into out.
+func (m *Master) callPeer(peer string, op proto.Op, epoch uint64, body, out any, timeout time.Duration) (proto.Status, error) {
+	payload, err := jsonBody(body)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := m.peers.Call(peer, &proto.Message{Op: op, Epoch: epoch, Payload: payload}, timeout)
+	if err != nil {
+		return 0, err
+	}
+	status := resp.Status
+	err = json.Unmarshal(resp.Payload, out)
+	bufpool.Put(resp.Payload)
+	proto.Recycle(resp)
+	return status, err
 }
 
 // monitorLoop watches for primary silence on standbys and runs the
@@ -603,15 +423,8 @@ func (m *Master) maybePromote() {
 		if p == m.cfg.Addr {
 			continue
 		}
-		resp, err := m.peers.Call(p, &proto.Message{Op: proto.MOpMasterInfo}, m.cfg.PrimacyTTL/4)
-		if err != nil {
-			continue
-		}
 		var info MasterInfoResp
-		infoErr := json.Unmarshal(resp.Payload, &info)
-		bufpool.Put(resp.Payload)
-		proto.Recycle(resp)
-		if infoErr != nil {
+		if _, err := m.callPeer(p, proto.MOpMasterInfo, 0, nil, &info, m.cfg.PrimacyTTL/4); err != nil {
 			continue
 		}
 		if info.Epoch > maxEpoch {
@@ -642,8 +455,8 @@ func (m *Master) maybePromote() {
 	m.primary = true
 	m.primaryAddr = m.cfg.Addr
 	epoch := m.epoch
-	servers := make([]string, len(m.servers))
-	for i, s := range m.servers {
+	servers := make([]string, len(m.st.servers))
+	for i, s := range m.st.servers {
 		servers[i] = s.addr
 	}
 	m.lastHeard = m.cfg.Clock.Now()
@@ -662,63 +475,15 @@ func (m *Master) maybePromote() {
 	// Wake the shippers: followers must hear the new epoch (and get the
 	// full log replayed) without waiting for the next heartbeat tick.
 	m.mu.Lock()
-	for _, kick := range m.shipKick {
-		select {
-		case kick <- struct{}{}:
-		default:
-		}
-	}
+	m.kickShippersLocked()
 	m.mu.Unlock()
-}
-
-// LeaseInfo is one vdisk's lease in a state snapshot.
-type LeaseInfo struct {
-	Holder string
-	Expiry time.Time
-}
-
-// StateSnapshot is a deep copy of the master's replicated metadata, used
-// by tests to prove a promoted standby's state equals the pre-crash
-// primary's.
-type StateSnapshot struct {
-	Servers     []RegisterReq
-	VDisks      map[uint32]VDiskMeta
-	Leases      map[uint32]LeaseInfo
-	Snapshots   map[string]SnapshotMeta
-	NextID      uint32
-	NextPrimary int
-	NextBackup  int
-	NextSeg     uint64
-	ViewChanges int
-	LogSeq      uint64
 }
 
 // Snapshot captures the replicated state for comparison.
 func (m *Master) Snapshot() StateSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := StateSnapshot{
-		VDisks:      make(map[uint32]VDiskMeta, len(m.vdisks)),
-		Leases:      make(map[uint32]LeaseInfo, len(m.vdisks)),
-		Snapshots:   make(map[string]SnapshotMeta, len(m.snapshots)),
-		NextID:      m.nextID,
-		NextPrimary: m.nextPrimary,
-		NextBackup:  m.nextBackup,
-		NextSeg:     m.nextSeg,
-		ViewChanges: m.viewChanges,
-		LogSeq:      uint64(len(m.log)),
-	}
-	for name, snap := range m.snapshots {
-		s.Snapshots[name] = snap.Clone()
-	}
-	for _, sv := range m.servers {
-		s.Servers = append(s.Servers, RegisterReq{Addr: sv.addr, Machine: sv.machine, SSD: sv.ssd})
-	}
-	for id, vd := range m.vdisks {
-		s.VDisks[id] = vd.meta.Clone()
-		s.Leases[id] = LeaseInfo{Holder: vd.lease.holder, Expiry: vd.lease.expiry}
-	}
-	return s
+	return m.st.snapshot(uint64(len(m.log)))
 }
 
 // errNotPrimary builds the standard not-primary error.

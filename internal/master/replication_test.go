@@ -3,6 +3,8 @@ package master
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,28 +12,49 @@ import (
 	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/journal"
+	"ursa/internal/metrics"
+	"ursa/internal/objstore"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
 	"ursa/internal/transport"
 	"ursa/internal/util"
 )
 
-// replEnv is a replicated metadata service on a simnet: nMasters masters
-// plus hybrid chunkserver machines, on a scaled clock so lease expiry and
-// promotion timeouts can be fast-forwarded with Advance.
+// replEnv is a replicated metadata service on a simnet: nMasters masters,
+// hybrid chunkserver machines and a near-free object store, on a scaled
+// clock so lease expiry and promotion timeouts can be fast-forwarded with
+// Advance.
 type replEnv struct {
 	net     *transport.SimNet
 	clk     *clock.Scaled
+	reg     *metrics.Registry // shared by every master
 	masters []*Master
 	addrs   []string
 	closer  []func()
 }
 
 func newReplEnv(t *testing.T, nMasters, nMachines int) *replEnv {
+	return newReplEnvTTL(t, nMasters, nMachines, 2*time.Second)
+}
+
+// newReplEnvTTL is newReplEnv with a chosen primacy lease. Long scripted
+// tests take a generous one: on a loaded host the default's 100 ms of real
+// time is short enough for a starved primary to be deposed mid-script.
+func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Duration) *replEnv {
 	t.Helper()
 	clk := clock.NewScaled(0.05)
 	net := transport.NewSimNet(clk, time.Microsecond)
-	e := &replEnv{net: net, clk: clk}
+	e := &replEnv{net: net, clk: clk, reg: metrics.NewRegistry()}
+	t.Cleanup(func() {
+		for i := len(e.closer) - 1; i >= 0; i-- {
+			e.closer[i]()
+		}
+	})
+	ol, err := net.Listen("objstore", transport.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.closer = append(e.closer, transport.Serve(ol, objstore.New(clk, objstore.TestModel()).Handler).Close)
 	for i := 0; i < nMasters; i++ {
 		addr := "master"
 		if i > 0 {
@@ -45,57 +68,61 @@ func newReplEnv(t *testing.T, nMasters, nMachines int) *replEnv {
 			t.Fatal(err)
 		}
 		m := New(Config{
-			Addr:       addr,
-			Clock:      clk,
-			Dialer:     net.Dialer(addr, transport.NodeConfig{}),
-			LeaseTTL:   10 * time.Second,
-			RPCTimeout: 2 * time.Second,
-			PrimacyTTL: 2 * time.Second,
-			Peers:      append([]string(nil), e.addrs...),
-			HybridMode: true,
+			Addr:         addr,
+			Clock:        clk,
+			Dialer:       net.Dialer(addr, transport.NodeConfig{}),
+			LeaseTTL:     10 * time.Second,
+			RPCTimeout:   2 * time.Second,
+			PrimacyTTL:   primacyTTL,
+			Peers:        append([]string(nil), e.addrs...),
+			HybridMode:   true,
+			ObjstoreAddr: "objstore",
+			Metrics:      e.reg,
 		})
 		m.Serve(l)
 		e.masters = append(e.masters, m)
 		e.closer = append(e.closer, m.Close)
 	}
-
 	for i := 0; i < nMachines; i++ {
 		machine := fmt.Sprintf("rm%d", i)
-		mk := func(addr string, role chunkserver.Role) {
-			var store *blockstore.Store
-			var jset *journal.Set
-			if role == chunkserver.RolePrimary {
-				store = blockstore.New(simdisk.NewSSD(fastSSD(), clk), 0)
-			} else {
-				hdd := simdisk.NewHDD(fastHDD(), clk)
-				store = blockstore.New(hdd, util.AlignDown(hdd.Size()/2, util.ChunkSize))
-				jset = journal.NewSet(clk, store, journal.DefaultConfig())
-				jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(fastSSD(), clk), 0, 64*util.MiB)
-				jset.Start()
-			}
-			srv := chunkserver.New(chunkserver.Config{
-				Addr: addr, Clock: clk,
-				Dialer:      net.Dialer(addr, transport.NodeConfig{}),
-				ReplTimeout: time.Second,
-				MasterAddrs: append([]string(nil), e.addrs...),
-			}, store, jset)
-			l, err := net.Listen(addr, transport.NodeConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.Serve(l)
-			e.closer = append(e.closer, srv.Close)
-			e.masters[0].AddServer(addr, machine, role == chunkserver.RolePrimary)
+		for _, addr := range e.startMachine(t, machine) {
+			e.masters[0].AddServer(addr, machine, strings.HasSuffix(addr, "/ssd"))
 		}
-		mk(machine+"/ssd", chunkserver.RolePrimary)
-		mk(machine+"/hdd", chunkserver.RoleBackup)
 	}
-	t.Cleanup(func() {
-		for i := len(e.closer) - 1; i >= 0; i-- {
-			e.closer[i]()
-		}
-	})
 	return e
+}
+
+// startMachine starts one machine's SSD (primary) and HDD (backup) chunk
+// servers and returns their addresses; registering them is the caller's job.
+func (e *replEnv) startMachine(t *testing.T, machine string) []string {
+	t.Helper()
+	mk := func(addr string, role chunkserver.Role) string {
+		var store *blockstore.Store
+		var jset *journal.Set
+		if role == chunkserver.RolePrimary {
+			store = blockstore.New(simdisk.NewSSD(fastSSD(), e.clk), 0)
+		} else {
+			hdd := simdisk.NewHDD(fastHDD(), e.clk)
+			store = blockstore.New(hdd, util.AlignDown(hdd.Size()/2, util.ChunkSize))
+			jset = journal.NewSet(e.clk, store, journal.DefaultConfig())
+			jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(fastSSD(), e.clk), 0, 64*util.MiB)
+			jset.Start()
+		}
+		srv := chunkserver.New(chunkserver.Config{
+			Addr: addr, Clock: e.clk,
+			Dialer:      e.net.Dialer(addr, transport.NodeConfig{}),
+			ReplTimeout: time.Second,
+			MasterAddrs: append([]string(nil), e.addrs...),
+		}, store, jset)
+		l, err := e.net.Listen(addr, transport.NodeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Serve(l)
+		e.closer = append(e.closer, srv.Close)
+		return addr
+	}
+	return []string{mk(machine+"/ssd", chunkserver.RolePrimary), mk(machine+"/hdd", chunkserver.RoleBackup)}
 }
 
 // callOn drives one master's RPC handler directly.
@@ -170,45 +197,35 @@ func snapJSON(t *testing.T, s StateSnapshot) string {
 	return string(b)
 }
 
-// TestPromotedStandbyStateMatchesPrimary is the golden-state test: after a
-// burst of metadata traffic quiesces, every standby's replicated state is
-// byte-identical to the primary's; and the standby promoted after the
-// primary's death serves exactly the pre-crash metadata at a higher epoch.
+// TestPromotedStandbyStateMatchesPrimary is the golden-state test: after
+// metadata traffic of every kind (metaOpTable, in order) quiesces, every
+// standby's replicated state is byte-identical to the primary's; and the
+// standby promoted after the primary's death serves exactly the pre-crash
+// metadata at a higher epoch.
 func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
-	e := newReplEnv(t, 3, 3)
+	e := newReplEnvTTL(t, 3, 4, time.Minute)
 	primary := e.masters[0]
-
-	for i := 0; i < 4; i++ {
-		var meta VDiskMeta
-		if st := callOn(t, primary, proto.MOpCreateVDisk, CreateVDiskReq{
-			Name: fmt.Sprintf("vd%d", i), Size: 2 * util.ChunkSize,
-		}, &meta); st != proto.StatusOK {
-			t.Fatalf("create vd%d: %s", i, st)
+	o := newMetaOps(t, e, 1)
+	for _, op := range metaOpTable {
+		op.run(o)
+	}
+	seen := kindsIn(logOf(primary))
+	kinds := reflect.TypeOf(entry{})
+	for i := 1; i < kinds.NumField(); i++ { // field 0 is Seq
+		if kind := kinds.Field(i).Name; !seen[kind] {
+			t.Errorf("the op table produced no %s entry", kind)
 		}
 	}
-	var opened VDiskMeta
-	if st := callOn(t, primary, proto.MOpOpenVDisk,
-		OpenVDiskReq{Name: "vd1", Client: "tenant-a"}, &opened); st != proto.StatusOK {
-		t.Fatalf("open: %s", st)
-	}
-	if st := callOn(t, primary, proto.MOpDeleteVDisk,
-		GetVDiskReq{Name: "vd3"}, nil); st != proto.StatusOK {
-		t.Fatalf("delete: %s", st)
-	}
-
-	e.quiesce(t, primary, e.masters[1], e.masters[2])
-	before := snapJSON(t, primary.Snapshot())
-	for i, s := range e.masters[1:] {
-		if got := snapJSON(t, s.Snapshot()); got != before {
-			t.Fatalf("standby %d state diverged:\nprimary:\n%s\nstandby:\n%s", i+1, before, got)
-		}
+	before := e.requireConverged(t, primary, e.masters[1], e.masters[2])
+	if n := e.reg.Counter(MetricMasterReplayRefused).Load(); n != 0 {
+		t.Errorf("standbys in step refused %d batches", n)
 	}
 
 	// Kill the primary; a standby must promote with the exact pre-crash
 	// state at a higher epoch.
 	e.net.Crash("master")
 	primary.Close()
-	e.clk.Advance(5 * time.Second)
+	e.clk.Advance(3 * time.Minute)
 	promoted := waitPromoted(t, e.masters[1], e.masters[2])
 	if got := promoted.Epoch(); got < 2 {
 		t.Fatalf("promoted epoch = %d, want >= 2", got)

@@ -1,0 +1,362 @@
+package master
+
+import (
+	"encoding/json"
+	"fmt"
+	"time"
+
+	"ursa/internal/coldtier"
+	"ursa/internal/util"
+)
+
+// The master is one state machine: its replicated metadata is a state, and
+// a state changes only by applying a logged entry. (*state).apply is the one
+// function that writes a state field. It has two callers — commitLocked on
+// the primary, replicateLog on a standby — so the primary's state is produced
+// by exactly the code a standby, or a future boot-from-log, runs. Handlers
+// validate a request against the state read-only, build the entry that says
+// what changes, and commit it; a request that fails validation or placement
+// changes nothing anywhere.
+//
+// Invariant: an appended entry is immutable, and state and log share no
+// memory. apply copies everything it stores, and a handler that builds an
+// entry from state copies what it takes. apply's seg-remap arm rewrites
+// extent refs in place and the other arms assign slices, so a state aliasing
+// the log would silently edit history — and a shipper marshals log entries
+// outside the lock.
+
+// serverInfo is one registered chunk server.
+type serverInfo struct {
+	addr    string
+	machine string
+	ssd     bool
+}
+
+// lease tracks the single client of a vdisk (§4.1).
+type lease struct {
+	holder string
+	expiry time.Time
+}
+
+// vdisk is the master-side state of one virtual disk.
+type vdisk struct {
+	meta  VDiskMeta
+	lease lease
+}
+
+// placeCursors are the round-robin positions of chunk placement.
+type placeCursors struct {
+	NextPrimary int `json:"nextPrimary"`
+	NextBackup  int `json:"nextBackup"`
+}
+
+// state is the replicated metadata (guarded by Master.mu). What a master
+// keeps outside it is listed on Master.
+type state struct {
+	servers     []serverInfo
+	vdisks      map[uint32]*vdisk
+	byName      map[string]uint32
+	nextID      uint32 // last ID issued to a vdisk or snapshot
+	cursors     placeCursors
+	viewChanges int
+	snapshots   map[string]*SnapshotMeta
+	// nextSeg is the segment-ID watermark: IDs at or above it were never
+	// handed out.
+	nextSeg uint64
+}
+
+func newState() *state {
+	return &state{
+		vdisks:    make(map[uint32]*vdisk),
+		byName:    make(map[string]uint32),
+		snapshots: make(map[string]*SnapshotMeta),
+		nextSeg:   1,
+	}
+}
+
+// entry is one replicated metadata mutation; exactly one kind field is set.
+// Seq is dense from 1 within an epoch's log.
+type entry struct {
+	Seq            uint64               `json:"seq"`
+	PutVDisk       *entryPutVDisk       `json:"putVDisk,omitempty"`
+	DeleteVDisk    *entryDeleteVDisk    `json:"deleteVDisk,omitempty"`
+	Lease          *entryLease          `json:"lease,omitempty"`
+	AddServer      *RegisterReq         `json:"addServer,omitempty"`
+	SetView        *entrySetView        `json:"setView,omitempty"`
+	AllocSegs      *entryAllocSegs      `json:"allocSegs,omitempty"`
+	PutSnapshot    *entryPutSnapshot    `json:"putSnapshot,omitempty"`
+	DeleteSnapshot *entryDeleteSnapshot `json:"deleteSnapshot,omitempty"`
+	ClearCold      *entryClearCold      `json:"clearCold,omitempty"`
+	SegRemap       *entrySegRemap       `json:"segRemap,omitempty"`
+}
+
+// entryPutVDisk records a provisioned vdisk together with the ID and
+// placement cursors its provisioning consumed, so every replica continues
+// numbering and round-robin placement where the primary left off.
+type entryPutVDisk struct {
+	Meta   VDiskMeta `json:"meta"`
+	NextID uint32    `json:"nextID"`
+	placeCursors
+}
+
+type entryDeleteVDisk struct {
+	ID uint32 `json:"id"`
+}
+
+// entryLease sets one vdisk's lease; an empty Holder releases it.
+type entryLease struct {
+	ID     uint32    `json:"id"`
+	Holder string    `json:"holder"`
+	Expiry time.Time `json:"expiry"`
+}
+
+// entrySetView installs a view change. It carries what a view change
+// changes — the view number and the membership — and nothing else: the
+// chunk's cold refs belong to the materialization protocol and may have
+// been cleared while the recovery ran.
+type entrySetView struct {
+	VDisk    uint32        `json:"vdisk"`
+	Index    uint32        `json:"index"`
+	View     uint64        `json:"view"`
+	Replicas []ReplicaInfo `json:"replicas"`
+}
+
+// entryAllocSegs advances the segment-ID watermark. Committed before any
+// flush or GC rewrite touches the object store, so a promoted standby never
+// re-issues an ID that may already hold data (segments are write-once).
+type entryAllocSegs struct {
+	NextSeg uint64 `json:"nextSeg"`
+}
+
+type entryPutSnapshot struct {
+	Meta   SnapshotMeta `json:"meta"`
+	NextID uint32       `json:"nextID"`
+}
+
+type entryDeleteSnapshot struct {
+	Name string `json:"name"`
+}
+
+// entryClearCold drops one chunk's cold extent table: every replica is fully
+// materialized and the demand-fetch metadata is no longer needed.
+type entryClearCold struct {
+	VDisk uint32 `json:"vdisk"`
+	Index uint32 `json:"index"`
+}
+
+// segMove records one extent's relocation by the GC rewriter: bytes that
+// lived at (Seg, SegOff) now live at (NewSeg, NewSegOff). Length and CRC are
+// unchanged — GC moves extents verbatim.
+type segMove struct {
+	Seg       uint64 `json:"seg"`
+	SegOff    int64  `json:"segOff"`
+	NewSeg    uint64 `json:"newSeg"`
+	NewSegOff int64  `json:"newSegOff"`
+}
+
+// entrySegRemap rewrites every snapshot extent and chunk cold ref matching a
+// move's old location. One entry, applied under the lock before the old
+// segment is deleted, so no replicated metadata ever points at a gone
+// segment.
+type entrySegRemap struct {
+	Moves []segMove `json:"moves"`
+}
+
+// entryBatch is the entries of one MOpReplicateLog in wire form.
+type entryBatch []entry
+
+// UnmarshalJSON decodes a shipped batch entry by entry and ends it at the
+// first entry this build cannot decode: the well-formed entries before it
+// still apply, and because the rest is dropped the receiver's ack stops
+// short of the bad entry instead of covering it.
+func (b *entryBatch) UnmarshalJSON(data []byte) error {
+	var raw []json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*b = make(entryBatch, 0, len(raw))
+	for _, r := range raw {
+		var e entry
+		if json.Unmarshal(r, &e) != nil {
+			break
+		}
+		*b = append(*b, e)
+	}
+	return nil
+}
+
+// apply executes one entry. It either applies the entry whole or returns an
+// error and changes nothing: an entry of no kind this build knows, or one
+// naming a vdisk, chunk or snapshot the state does not hold. The primary
+// validated the entry against the same state under the same lock, and a
+// standby's state is the replay of the same log prefix, so an error here
+// means the log and the state have diverged; the caller must not record or
+// acknowledge the entry.
+func (s *state) apply(e *entry) error {
+	switch {
+	case e.PutVDisk != nil:
+		p := e.PutVDisk
+		s.vdisks[p.Meta.ID] = &vdisk{meta: p.Meta.Clone()}
+		s.byName[p.Meta.Name] = p.Meta.ID
+		s.nextID = p.NextID
+		s.cursors = p.placeCursors
+	case e.DeleteVDisk != nil:
+		vd, err := s.byID(e.DeleteVDisk.ID)
+		if err != nil {
+			return err
+		}
+		delete(s.byName, vd.meta.Name)
+		delete(s.vdisks, vd.meta.ID)
+	case e.Lease != nil:
+		vd, err := s.byID(e.Lease.ID)
+		if err != nil {
+			return err
+		}
+		vd.lease = lease{holder: e.Lease.Holder, expiry: e.Lease.Expiry}
+	case e.AddServer != nil:
+		p := e.AddServer
+		s.servers = append(s.servers, serverInfo{addr: p.Addr, machine: p.Machine, ssd: p.SSD})
+	case e.SetView != nil:
+		p := e.SetView
+		cm, err := s.chunk(p.VDisk, p.Index)
+		if err != nil {
+			return err
+		}
+		cm.View = p.View
+		cm.Replicas = append([]ReplicaInfo(nil), p.Replicas...)
+		s.viewChanges++
+	case e.AllocSegs != nil:
+		if e.AllocSegs.NextSeg > s.nextSeg {
+			s.nextSeg = e.AllocSegs.NextSeg
+		}
+	case e.PutSnapshot != nil:
+		meta := e.PutSnapshot.Meta.Clone()
+		s.snapshots[meta.Name] = &meta
+		s.nextID = e.PutSnapshot.NextID
+	case e.DeleteSnapshot != nil:
+		if _, ok := s.snapshots[e.DeleteSnapshot.Name]; !ok {
+			return fmt.Errorf("master: snapshot %q: %w", e.DeleteSnapshot.Name, util.ErrNotFound)
+		}
+		delete(s.snapshots, e.DeleteSnapshot.Name)
+	case e.ClearCold != nil:
+		cm, err := s.chunk(e.ClearCold.VDisk, e.ClearCold.Index)
+		if err != nil {
+			return err
+		}
+		cm.Cold = nil
+	case e.SegRemap != nil:
+		s.remapSegs(e.SegRemap.Moves)
+	default:
+		return fmt.Errorf("master: log entry %d is of no known kind", e.Seq)
+	}
+	return nil
+}
+
+// remapSegs rewrites, in place, every cold reference — snapshot extent
+// tables and live chunks' demand-fetch refs — matching a GC move.
+func (s *state) remapSegs(moves []segMove) {
+	type loc struct {
+		seg uint64
+		off int64
+	}
+	remap := make(map[loc]segMove, len(moves))
+	for _, mv := range moves {
+		remap[loc{mv.Seg, mv.SegOff}] = mv
+	}
+	fix := func(refs []coldtier.ExtentRef) {
+		for i := range refs {
+			if mv, hit := remap[loc{refs[i].Seg, refs[i].SegOff}]; hit {
+				refs[i].Seg = mv.NewSeg
+				refs[i].SegOff = mv.NewSegOff
+			}
+		}
+	}
+	for _, snap := range s.snapshots {
+		for _, refs := range snap.Chunks {
+			fix(refs)
+		}
+	}
+	for _, vd := range s.vdisks {
+		for i := range vd.meta.Chunks {
+			fix(vd.meta.Chunks[i].Cold)
+		}
+	}
+}
+
+// byID returns the vdisk with the given ID.
+func (s *state) byID(id uint32) (*vdisk, error) {
+	vd, ok := s.vdisks[id]
+	if !ok {
+		return nil, fmt.Errorf("master: vdisk %d: %w", id, util.ErrNotFound)
+	}
+	return vd, nil
+}
+
+// find returns the vdisk with the given ID or, when id is zero, the given
+// name.
+func (s *state) find(id uint32, name string) (*vdisk, error) {
+	if id != 0 {
+		return s.byID(id)
+	}
+	id, ok := s.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("master: vdisk %q: %w", name, util.ErrNotFound)
+	}
+	return s.byID(id)
+}
+
+// chunk returns one chunk's metadata, in place.
+func (s *state) chunk(vdiskID, index uint32) (*ChunkMeta, error) {
+	vd, ok := s.vdisks[vdiskID]
+	if !ok || int(index) >= len(vd.meta.Chunks) {
+		return nil, fmt.Errorf("master: chunk c%d.%d: %w", vdiskID, index, util.ErrNotFound)
+	}
+	return &vd.meta.Chunks[index], nil
+}
+
+// LeaseInfo is one vdisk's lease in a state snapshot.
+type LeaseInfo struct {
+	Holder string
+	Expiry time.Time
+}
+
+// StateSnapshot is a deep copy of the master's replicated metadata, used
+// by tests to prove a standby's state equals the primary's.
+type StateSnapshot struct {
+	Servers     []RegisterReq
+	VDisks      map[uint32]VDiskMeta
+	Leases      map[uint32]LeaseInfo
+	Snapshots   map[string]SnapshotMeta
+	NextID      uint32
+	NextPrimary int
+	NextBackup  int
+	NextSeg     uint64
+	ViewChanges int
+	LogSeq      uint64
+}
+
+// snapshot deep-copies the state, stamped with the log position it stands at.
+func (s *state) snapshot(logSeq uint64) StateSnapshot {
+	out := StateSnapshot{
+		LogSeq:      logSeq,
+		VDisks:      make(map[uint32]VDiskMeta, len(s.vdisks)),
+		Leases:      make(map[uint32]LeaseInfo, len(s.vdisks)),
+		Snapshots:   make(map[string]SnapshotMeta, len(s.snapshots)),
+		NextID:      s.nextID,
+		NextPrimary: s.cursors.NextPrimary,
+		NextBackup:  s.cursors.NextBackup,
+		NextSeg:     s.nextSeg,
+		ViewChanges: s.viewChanges,
+	}
+	for name, snap := range s.snapshots {
+		out.Snapshots[name] = snap.Clone()
+	}
+	for _, sv := range s.servers {
+		out.Servers = append(out.Servers, RegisterReq{Addr: sv.addr, Machine: sv.machine, SSD: sv.ssd})
+	}
+	for id, vd := range s.vdisks {
+		out.VDisks[id] = vd.meta.Clone()
+		out.Leases[id] = LeaseInfo{Holder: vd.lease.holder, Expiry: vd.lease.expiry}
+	}
+	return out
+}

@@ -1,0 +1,693 @@
+package master
+
+import (
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/clock"
+	"ursa/internal/coldtier"
+	"ursa/internal/opctx"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/transport"
+	"ursa/internal/util"
+)
+
+// metaOps drives metadata mutations against a replEnv's primary p. Every op
+// draws its target from r, so a seed fixes the sequence.
+type metaOps struct {
+	t    *testing.T
+	e    *replEnv
+	p    *Master
+	r    *util.Rand
+	op   *opctx.Op
+	next int // suffix of the next name handed out
+}
+
+func newMetaOps(t *testing.T, e *replEnv, seed uint64) *metaOps {
+	o := &metaOps{t: t, e: e, p: e.masters[0], r: util.NewRand(seed), op: opctx.New(e.clk, time.Hour)}
+	t.Cleanup(o.op.Release)
+	return o
+}
+
+func (o *metaOps) name(prefix string) string {
+	o.next++
+	return fmt.Sprintf("%s%d", prefix, o.next)
+}
+
+// call sends one RPC to the primary. A refusal a well-formed request can
+// earn from the state it meets (lease held, no such vdisk, no room, name
+// taken) is an outcome; anything else fails the test.
+func (o *metaOps) call(op proto.Op, req, out any) proto.Status {
+	o.t.Helper()
+	st := callOn(o.t, o.p, op, req, out)
+	switch st {
+	case proto.StatusOK, proto.StatusLeaseHeld, proto.StatusNotFound, proto.StatusQuota, proto.StatusExists:
+	default:
+		o.t.Fatalf("op %d %+v: %s", op, req, st)
+	}
+	return st
+}
+
+// pickVDisk draws a vdisk that satisfies want.
+func (o *metaOps) pickVDisk(want func(VDiskMeta) bool) (VDiskMeta, bool) {
+	var ids []int
+	all := o.p.Snapshot().VDisks
+	for id, vd := range all {
+		if want == nil || want(vd) {
+			ids = append(ids, int(id))
+		}
+	}
+	if len(ids) == 0 {
+		return VDiskMeta{}, false
+	}
+	sort.Ints(ids)
+	return all[uint32(ids[o.r.Intn(len(ids))])], true
+}
+
+func (o *metaOps) pickSnapshot() (string, bool) {
+	var names []string
+	for name := range o.p.Snapshot().Snapshots {
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return "", false
+	}
+	sort.Strings(names)
+	return names[o.r.Intn(len(names))], true
+}
+
+func isCold(vd VDiskMeta) bool   { return len(vd.Chunks[0].Cold) > 0 }
+func isMirror(vd VDiskMeta) bool { return !vd.Redundancy.IsRS() }
+
+func (o *metaOps) client() string { return fmt.Sprintf("tenant-%d", o.r.Intn(2)) }
+
+func (o *metaOps) create(req CreateVDiskReq) {
+	req.Name = o.name("vd")
+	o.call(proto.MOpCreateVDisk, req, nil)
+}
+
+// metaOpTable lists one op per way the metadata can change. Run in order on a
+// fresh cluster of four machines, every op finds a target and the log ends up
+// holding every entry kind.
+var metaOpTable = []struct {
+	name string
+	run  func(o *metaOps)
+}{
+	{"create", func(o *metaOps) { o.create(CreateVDiskReq{Size: 2 * util.ChunkSize}) }},
+	{"create-striped", func(o *metaOps) {
+		o.create(CreateVDiskReq{Size: 2 * util.ChunkSize, StripeGroup: 2})
+	}},
+	{"create-rs", func(o *metaOps) {
+		o.create(CreateVDiskReq{Size: util.ChunkSize, Redundancy: redundancy.Spec{Kind: redundancy.KindRS, N: 2, M: 1}})
+	}},
+	{"create-unplaceable", func(o *metaOps) {
+		if st := o.call(proto.MOpCreateVDisk, CreateVDiskReq{
+			Name: o.name("big"), Size: 2 * util.ChunkSize, Replication: 64,
+		}, nil); st != proto.StatusQuota {
+			o.t.Fatalf("unplaceable create: %s, want quota", st)
+		}
+	}},
+	{"open", func(o *metaOps) {
+		if vd, ok := o.pickVDisk(nil); ok {
+			o.call(proto.MOpOpenVDisk, OpenVDiskReq{Name: vd.Name, Client: o.client()}, nil)
+		}
+	}},
+	{"renew", func(o *metaOps) {
+		if vd, ok := o.pickVDisk(nil); ok {
+			o.call(proto.MOpRenewLease, LeaseReq{ID: vd.ID, Client: o.client()}, nil)
+		}
+	}},
+	{"close", func(o *metaOps) {
+		held := o.p.Snapshot().Leases
+		if vd, ok := o.pickVDisk(func(vd VDiskMeta) bool { return held[vd.ID].Holder != "" }); ok {
+			o.call(proto.MOpCloseVDisk, LeaseReq{ID: vd.ID, Client: held[vd.ID].Holder}, nil)
+		}
+	}},
+	// A real view change: a backup of a mirrored chunk dies, the master
+	// re-replicates it elsewhere, the server comes back.
+	{"recover", func(o *metaOps) {
+		vd, ok := o.pickVDisk(isMirror)
+		if !ok {
+			return
+		}
+		idx := uint32(o.r.Intn(len(vd.Chunks)))
+		if len(vd.Chunks[idx].Replicas) < 2 {
+			return // an earlier recovery found no replacement and went on degraded
+		}
+		dead := vd.Chunks[idx].Replicas[1].Addr
+		o.e.net.Crash(dead)
+		cm, err := o.p.RecoverChunk(vd.ID, idx, dead)
+		o.e.net.Restart(dead)
+		// The master's pooled connection to the server died with it and is
+		// only noticed, and replaced, on its next use: spend that use here.
+		o.p.admin(dead, proto.OpNop, 0, 0, 0, nil, time.Second)
+		if err != nil {
+			o.t.Fatalf("recover c%d.%d: %v", vd.ID, idx, err)
+		}
+		if cm.View != vd.Chunks[idx].View+1 {
+			o.t.Fatalf("recover c%d.%d: view %d, want %d", vd.ID, idx, cm.View, vd.Chunks[idx].View+1)
+		}
+	}},
+	// A snapshot whose segment holds three extents of which it references
+	// one — what a GC pass compacts. No flush produces that shape (a segment
+	// holds one chunk of one snapshot), so the extents are written by hand
+	// and the snapshot goes straight through the commit path.
+	{"snapshot-sparse", func(o *metaOps) {
+		refs, _ := flushSegmentAt(o.t, o.p, o.op, allocSegs(o.t, o.p), 3)
+		id := o.p.Snapshot().NextID + 1
+		commit(o.t, o.p, entry{PutSnapshot: &entryPutSnapshot{NextID: id, Meta: SnapshotMeta{
+			ID: id, Name: o.name("sparse"), Size: util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit,
+			Chunks: [][]coldtier.ExtentRef{{refs[1]}},
+		}}})
+	}},
+	{"clone", func(o *metaOps) {
+		if snap, ok := o.pickSnapshot(); ok {
+			o.call(proto.MOpCloneFromSnapshot, CloneReq{Snapshot: snap, Name: o.name("clone")}, nil)
+		}
+	}},
+	// With the sparse snapshot and its clone in place this pass rewrites the
+	// segment and remaps both the snapshot's ref and the clone's cold ref.
+	{"gc", func(o *metaOps) {
+		if _, _, err := o.p.RunColdGC(); err != nil {
+			o.t.Fatalf("gc: %v", err)
+		}
+	}},
+	// Every replica of a cold chunk reports in; the last report clears the
+	// chunk's cold refs.
+	{"materialize", func(o *metaOps) {
+		if vd, ok := o.pickVDisk(isCold); ok {
+			for _, r := range vd.Chunks[0].Replicas {
+				o.call(proto.MOpChunkMaterialized, MaterializedReq{VDisk: vd.ID, ChunkIndex: 0, Addr: r.Addr}, nil)
+			}
+		}
+	}},
+	// A real snapshot: segment IDs allocated, every primary flushed. Not of a
+	// clone: "materialize" below only tells the master the replicas fetched
+	// their extents, so a clone's replicas cannot be read.
+	{"snapshot", func(o *metaOps) {
+		if vd, ok := o.pickVDisk(func(vd VDiskMeta) bool { return isMirror(vd) && strings.HasPrefix(vd.Name, "vd") }); ok {
+			o.call(proto.MOpSnapshot, SnapshotReq{VDisk: vd.Name, Name: o.name("snap")}, nil)
+		}
+	}},
+	{"delete-snapshot", func(o *metaOps) {
+		if snap, ok := o.pickSnapshot(); ok {
+			o.call(proto.MOpDeleteSnapshot, SnapshotReq{Name: snap}, nil)
+		}
+	}},
+	{"delete", func(o *metaOps) {
+		if vd, ok := o.pickVDisk(nil); ok {
+			o.call(proto.MOpDeleteVDisk, GetVDiskReq{Name: vd.Name}, nil)
+		}
+	}},
+	{"register", func(o *metaOps) {
+		machine := o.name("late")
+		for _, addr := range o.e.startMachine(o.t, machine) {
+			o.call(proto.MOpRegister, RegisterReq{Addr: addr, Machine: machine, SSD: strings.HasSuffix(addr, "/ssd")}, nil)
+		}
+	}},
+}
+
+// run runs the named op of metaOpTable.
+func (o *metaOps) run(name string) {
+	o.t.Helper()
+	for _, op := range metaOpTable {
+		if op.name == name {
+			op.run(o)
+			return
+		}
+	}
+	o.t.Fatalf("no op %q", name)
+}
+
+// logOf copies m's log (the entries themselves are immutable).
+func logOf(m *Master) entryBatch {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append(entryBatch(nil), m.log...)
+}
+
+// kindsIn names the entry kinds that occur in log.
+func kindsIn(log entryBatch) map[string]bool {
+	seen := make(map[string]bool)
+	for _, e := range log {
+		v := reflect.ValueOf(e)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Pointer && !f.IsNil() {
+				seen[v.Type().Field(i).Name] = true
+			}
+		}
+	}
+	return seen
+}
+
+// requireConverged waits for the standbys to catch up and requires each
+// one's replicated state to be byte-identical to the primary's, which it
+// returns.
+func (e *replEnv) requireConverged(t *testing.T, primary *Master, standbys ...*Master) string {
+	t.Helper()
+	e.quiesce(t, primary, standbys...)
+	want := snapJSON(t, primary.Snapshot())
+	for _, s := range standbys {
+		if got := snapJSON(t, s.Snapshot()); got != want {
+			t.Fatalf("standby %s state diverged:\nprimary:\n%s\nstandby:\n%s", s.Addr(), want, got)
+		}
+	}
+	return want
+}
+
+// TestFailedCreateLeavesNoTrace: a create that cannot be placed consumes no
+// vdisk ID and moves no placement cursor — on the primary, where the request
+// ran, or on the standbys, which never hear of it.
+func TestFailedCreateLeavesNoTrace(t *testing.T) {
+	e := newReplEnvTTL(t, 3, 3, time.Minute)
+	primary := e.masters[0]
+	if st := callOn(t, primary, proto.MOpCreateVDisk,
+		CreateVDiskReq{Name: "fits", Size: 2 * util.ChunkSize}, nil); st != proto.StatusOK {
+		t.Fatalf("create: %s", st)
+	}
+	before := e.requireConverged(t, primary, e.masters[1:]...)
+
+	if st := callOn(t, primary, proto.MOpCreateVDisk,
+		CreateVDiskReq{Name: "too-wide", Size: 2 * util.ChunkSize, Replication: 4}, nil); st != proto.StatusQuota {
+		t.Fatalf("create with 4 replicas on 3 machines: %s, want quota", st)
+	}
+	if after := e.requireConverged(t, primary, e.masters[1:]...); after != before {
+		t.Fatalf("failed create changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
+// TestViewInstallLeavesColdAlone: a recovery copies the chunk's metadata when
+// it starts and installs a view when it ends; cold refs the materialization
+// protocol cleared in between must stay cleared — GC is by then free to
+// delete the segments they named.
+func TestViewInstallLeavesColdAlone(t *testing.T) {
+	e := newReplEnvTTL(t, 3, 3, time.Minute)
+	primary := e.masters[0]
+	o := newMetaOps(t, e, 1)
+	o.run("snapshot-sparse")
+	o.run("clone") // chunk 0 starts with the snapshot's one ref as its cold table
+	clone, ok := o.pickVDisk(isCold)
+	if !ok {
+		t.Fatal("clone has no cold refs")
+	}
+	seg := clone.Chunks[0].Cold[0].Seg
+	o.run("delete-snapshot") // the clone's ref is the segment's last
+
+	stale, _, err := primary.chunkMetaSpec(clone.ID, 0) // what recovery holds
+	if err != nil || len(stale.Cold) == 0 {
+		t.Fatalf("chunkMetaSpec: %+v, %v", stale, err)
+	}
+	o.run("materialize") // the last replica's report clears the refs
+	if _, err := primary.installView(e.clk.Now(), blockstore.MakeChunkID(clone.ID, 0),
+		clone.ID, 0, *stale, stale.Replicas); err != nil {
+		t.Fatal(err)
+	}
+
+	e.requireConverged(t, primary, e.masters[1:]...)
+	for _, m := range e.masters {
+		cm := m.Snapshot().VDisks[clone.ID].Chunks[0]
+		if cm.View != 2 || len(cm.Cold) != 0 {
+			t.Errorf("%s: chunk after view install: view %d, cold %+v; want view 2 and no cold refs", m.Addr(), cm.View, cm.Cold)
+		}
+		m.mu.Lock()
+		live := m.liveRefsBySegLocked()[seg]
+		m.mu.Unlock()
+		if len(live) != 0 {
+			t.Errorf("%s: segment %#x still has live refs %+v", m.Addr(), seg, live)
+		}
+	}
+}
+
+// loneStandby is a standby whose primary never calls: batches reach it only
+// through Handle.
+func loneStandby(t *testing.T) *Master {
+	t.Helper()
+	net := transport.NewSimNet(clock.Realtime, 0)
+	m := New(Config{
+		Addr: "replay", Peers: []string{"master", "replay"}, JoinStandby: true,
+		Clock: clock.Realtime, Dialer: net.Dialer("replay", transport.NodeConfig{}),
+		PrimacyTTL: time.Hour, // never promotes within a test
+	})
+	t.Cleanup(m.Close)
+	return m
+}
+
+// shipTo hands a standby one MOpReplicateLog with the given JSON-encoded
+// entries and returns its ack.
+func shipTo(t *testing.T, m *Master, entries string) ReplicateLogResp {
+	t.Helper()
+	resp := m.Handle(&proto.Message{Op: proto.MOpReplicateLog,
+		Payload: []byte(`{"epoch":1,"from":"master","entries":` + entries + `}`)})
+	var ack ReplicateLogResp
+	if err := json.Unmarshal(resp.Payload, &ack); err != nil || resp.Status != proto.StatusOK {
+		t.Fatalf("replicate log: %s, %v", resp.Status, err)
+	}
+	return ack
+}
+
+// TestStandbyNeverAcksUnappliedEntry: an entry a standby cannot decode, or
+// whose kind it does not know, ends the batch there — the entries before it
+// apply, the ack stops short of it, and a well-formed resend picks up from it.
+func TestStandbyNeverAcksUnappliedEntry(t *testing.T) {
+	const (
+		server = `{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}`
+		vdisk  = `{"seq":2,"putVDisk":{"meta":{"id":1,"name":"d","size":512,"chunks":[]},"nextID":1}}`
+		lease  = `{"seq":3,"lease":{"id":1,"holder":"c","expiry":"2030-01-01T00:00:00Z"}}`
+	)
+	for name, bad := range map[string]string{
+		"undecodable body": `{"seq":2,"putVDisk":"not an object"}`,
+		"unknown kind":     `{"seq":2,"kindFromTheFuture":{"id":1}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := loneStandby(t)
+			if ack := shipTo(t, m, "["+server+","+bad+","+lease+"]"); ack.Applied != 1 {
+				t.Errorf("acked %d entries of a batch whose second is bad, want 1", ack.Applied)
+			}
+			if got := m.LogSeq(); got != 1 {
+				t.Errorf("log holds %d entries, want 1", got)
+			}
+			if ack := shipTo(t, m, "["+vdisk+","+lease+"]"); ack.Applied != 3 {
+				t.Errorf("well-formed resend from seq 2: applied %d, want 3", ack.Applied)
+			}
+			if s := m.Snapshot(); len(s.Servers) != 1 || s.Leases[1].Holder != "c" {
+				t.Errorf("state after resend: %+v", s)
+			}
+		})
+	}
+}
+
+// TestShipperCountsRefusedReplay: a standby whose state has diverged refuses
+// the entry it cannot apply and stays at the entry before it, and the
+// primary's shipper counts the batches it refuses.
+func TestShipperCountsRefusedReplay(t *testing.T) {
+	e := newReplEnvTTL(t, 2, 3, time.Minute)
+	primary, standby := e.masters[0], e.masters[1]
+	var meta VDiskMeta
+	if st := callOn(t, primary, proto.MOpCreateVDisk,
+		CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+		t.Fatalf("create: %s", st)
+	}
+	e.quiesce(t, primary, standby)
+	refused := e.reg.Counter(MetricMasterReplayRefused)
+	if n := refused.Load(); n != 0 {
+		t.Fatalf("%d batches refused by a standby in step", n)
+	}
+
+	// Diverge the standby: it alone loses the vdisk, so the lease entry the
+	// primary ships next names a vdisk it does not hold.
+	standby.mu.Lock()
+	err := standby.st.apply(&entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
+	standby.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := standby.LogSeq()
+	if st := callOn(t, primary, proto.MOpRenewLease,
+		LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
+		t.Fatalf("renew: %s", st)
+	}
+	for deadline := time.Now().Add(10 * time.Second); refused.Load() == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the shipper never counted the refused batch")
+		}
+	}
+	if got := standby.LogSeq(); got != held || primary.LogSeq() != held+1 {
+		t.Errorf("standby at seq %d, primary at %d; want the standby held at %d, one behind", got, primary.LogSeq(), held)
+	}
+}
+
+// TestLateStandbyCatchesUpInBoundedBatches: a standby that joins a primary
+// holding a long log converges on the primary's state without any one
+// MOpReplicateLog carrying more than shipBatchMax entries.
+func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
+	e := newReplEnvTTL(t, 2, 3, time.Minute)
+	primary := e.masters[0]
+	e.net.Crash("master-1")
+	e.masters[1].Close()
+
+	var meta VDiskMeta
+	if st := callOn(t, primary, proto.MOpCreateVDisk,
+		CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+		t.Fatalf("create: %s", st)
+	}
+	renew := func() {
+		if st := callOn(t, primary, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
+			t.Fatalf("renew: %s", st)
+		}
+	}
+	for primary.LogSeq() < 3*shipBatchMax+10 {
+		renew()
+	}
+
+	e.net.Restart("master-1")
+	l, err := e.net.Listen("master-1", transport.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := New(Config{
+		Addr: "master-1", Peers: e.addrs, JoinStandby: true, Clock: e.clk,
+		Dialer: e.net.Dialer("master-1", transport.NodeConfig{}), PrimacyTTL: time.Minute,
+	})
+	t.Cleanup(late.Close)
+	largest := 0 // entries in the largest batch received (guarded by late.mu)
+	rpc := transport.Serve(l, func(msg *proto.Message) *proto.Message {
+		if msg.Op == proto.MOpReplicateLog {
+			var req struct{ Entries []json.RawMessage }
+			if json.Unmarshal(msg.Payload, &req) == nil {
+				late.mu.Lock()
+				largest = max(largest, len(req.Entries))
+				late.mu.Unlock()
+			}
+		}
+		return late.Handle(msg)
+	})
+	t.Cleanup(rpc.Close)
+	renew() // kicks the shipper, which otherwise retries a dead standby only on its heartbeat tick
+
+	e.requireConverged(t, primary, late)
+	late.mu.Lock()
+	defer late.mu.Unlock()
+	if largest == 0 || largest > shipBatchMax {
+		t.Fatalf("largest batch carried %d entries, want 1..%d", largest, shipBatchMax)
+	}
+}
+
+// TestLogReplayReproducesState: the primary's state is the replay of its
+// log. After a seeded random run of every kind of op, a fresh standby fed
+// the primary's log — as one batch, and entry by entry — holds a state
+// byte-identical to the primary's. A write to the state that bypasses
+// commitLocked, or a state that shares memory with the log, breaks this.
+func TestLogReplayReproducesState(t *testing.T) {
+	e := newReplEnvTTL(t, 2, 4, time.Minute)
+	o := newMetaOps(t, e, 7) // a seed whose 60 ops log every entry kind
+	for i := 0; i < 60; i++ {
+		op := metaOpTable[o.r.Intn(len(metaOpTable))]
+		op.run(o)
+	}
+	want := e.requireConverged(t, o.p, e.masters[1])
+	log := logOf(o.p)
+	if len(log) < 40 {
+		t.Fatalf("random run logged only %d entries", len(log))
+	}
+	t.Logf("replaying %d entries of %d kinds", len(log), len(kindsIn(log)))
+
+	ship := func(m *Master, batch entryBatch) {
+		entries, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack := shipTo(t, m, string(entries)); ack.Applied != batch[len(batch)-1].Seq {
+			t.Fatalf("replay stopped at seq %d of a batch ending at %d", ack.Applied, batch[len(batch)-1].Seq)
+		}
+	}
+	whole, single := loneStandby(t), loneStandby(t)
+	ship(whole, log)
+	for i := range log {
+		ship(single, log[i:i+1])
+	}
+	for how, m := range map[string]*Master{"one batch": whole, "entry by entry": single} {
+		if got := snapJSON(t, m.Snapshot()); got != want {
+			t.Errorf("replay as %s diverged:\nprimary:\n%s\nreplayed:\n%s", how, want, got)
+		}
+	}
+}
+
+// stateWrites lists the statements of f that write replicated state: an
+// assignment, inc/dec or delete whose target is reached through
+//   - a selector or variable named st (m.st.nextID++, delete(m.st.vdisks, id)), or
+//   - a variable that aliases state: one bound, in the same function, from an
+//     expression read off st — a state accessor's result (m.st.find, byID,
+//     chunk: they return pointers into the state), an element or field of st,
+//     a range over one — or from another such variable (vd.lease = …,
+//     cm.Cold = nil, chunks := snap.Chunks; chunks[0] = nil).
+//
+// The rule is syntactic — names, not types, one function at a time — so it
+// errs towards flagging: writing to a copy read straight off st is flagged
+// too (copy it with a Clone method instead; a method of a value held in the
+// state is taken to return a copy). What it cannot see: a state pointer handed
+// to another function as an argument, or stored in a struct and written from
+// there. TestLogReplayReproducesState is the gate behind it.
+func stateWrites(fset *token.FileSet, f *ast.File) []token.Position {
+	isSt := func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x.Name == "st"
+		case *ast.SelectorExpr:
+			return x.Sel.Name == "st"
+		}
+		return false
+	}
+	// inner steps from an expression to the one it is taken of.
+	inner := func(e ast.Expr) ast.Expr {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			return x.X
+		case *ast.IndexExpr:
+			return x.X
+		case *ast.SliceExpr:
+			return x.X
+		case *ast.StarExpr:
+			return x.X
+		case *ast.ParenExpr:
+			return x.X
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				return x.X
+			}
+		case *ast.CallExpr: // only a method of the state itself
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && isSt(sel.X) {
+				return sel.X
+			}
+		}
+		return nil
+	}
+	var out []token.Position
+	var alias map[string]bool // per function: variables that may point into state
+	isState := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return isSt(e) || ok && alias[id.Name]
+	}
+	// through reports whether e is reached through state: some expression it
+	// is taken of is st or an alias.
+	through := func(e ast.Expr) bool {
+		for e = inner(e); e != nil; e = inner(e) {
+			if isState(e) {
+				return true
+			}
+		}
+		return false
+	}
+	write := func(target ast.Expr) {
+		if through(target) {
+			out = append(out, fset.Position(target.Pos()))
+		}
+	}
+	bind := func(lhs ast.Expr, aliases bool) {
+		if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
+			alias[id.Name] = aliases
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncDecl:
+			alias = map[string]bool{}
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				write(lhs)
+				rhs := x.Rhs[0] // v, ok := … and v, err := … bind every name to the one source
+				if len(x.Rhs) == len(x.Lhs) {
+					rhs = x.Rhs[i]
+				}
+				bind(lhs, isState(rhs) || through(rhs))
+			}
+		case *ast.RangeStmt:
+			for _, v := range []ast.Expr{x.Key, x.Value} {
+				if v != nil {
+					bind(v, isState(x.X) || through(x.X))
+				}
+			}
+		case *ast.IncDecStmt:
+			write(x.X)
+		case *ast.CallExpr:
+			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "delete" {
+				write(x.Args[0])
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestStateWrittenOnlyInStateGo: outside state.go no non-test file writes
+// replicated state (see stateWrites for what counts). The rule is first run
+// on a sample of the writes it must catch.
+func TestStateWrittenOnlyInStateGo(t *testing.T) {
+	const sample = `package master
+func (m *Master) bad(id uint32, name string) {
+	m.st.nextID++
+	m.st.cursors.NextBackup = 0
+	delete(m.st.byName, name)
+	m.st.servers = append(m.st.servers, serverInfo{})
+	vd, _ := m.st.find(id, name)
+	vd.lease = lease{}
+	cm, err := m.st.chunk(id, 0)
+	cm.Cold, err = nil, nil
+	snap := m.st.snapshots[name]
+	chunks := snap.Chunks
+	chunks[0] = nil
+	for _, v := range m.st.vdisks {
+		v.meta.Chunks[0].View++
+	}
+	st := m.st
+	st.nextSeg = 1
+}
+func (m *Master) fine(id uint32, name string) {
+	m.st = newState()
+	vd, _ := m.st.find(id, name)
+	meta := vd.meta.Clone()
+	meta.Name = name
+	vd = nil
+	cur := m.st.cursors
+	m.place(&cur)
+	var cm ChunkMeta
+	cm.Cold = nil
+}`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, pos := range stateWrites(fset, f) {
+		lines = append(lines, pos.Line)
+	}
+	if want := []int{3, 4, 5, 6, 8, 10, 13, 15, 18}; !reflect.DeepEqual(lines, want) {
+		t.Fatalf("the rule flags sample lines %v, want %v", lines, want)
+	}
+
+	files, _ := os.ReadDir(".")
+	for _, fi := range files {
+		if name := fi.Name(); !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == "state.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, fi.Name(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pos := range stateWrites(fset, f) {
+			t.Errorf("%s: writes a state field outside state.go", pos)
+		}
+	}
+}

@@ -57,19 +57,24 @@ type VDiskMeta struct {
 }
 
 // Clone deep-copies the metadata. Handlers must hand clones to anything
-// that runs outside the master lock (jsonReply marshals after Handle
-// returns) because RecoverChunk installs new views into Chunks in place.
+// that runs outside the master lock (Handle marshals the reply after the
+// handler returned) because view changes and GC remaps edit Chunks in place.
 func (v VDiskMeta) Clone() VDiskMeta {
 	out := v
 	out.Chunks = make([]ChunkMeta, len(v.Chunks))
 	for i, cm := range v.Chunks {
-		out.Chunks[i] = cm
-		out.Chunks[i].Replicas = append([]ReplicaInfo(nil), cm.Replicas...)
-		if cm.Cold != nil {
-			out.Chunks[i].Cold = append([]coldtier.ExtentRef(nil), cm.Cold...)
-		}
+		out.Chunks[i] = cm.clone()
 	}
 	return out
+}
+
+// clone deep-copies one chunk's metadata.
+func (c ChunkMeta) clone() ChunkMeta {
+	c.Replicas = append([]ReplicaInfo(nil), c.Replicas...)
+	if c.Cold != nil {
+		c.Cold = append([]coldtier.ExtentRef(nil), c.Cold...)
+	}
+	return c
 }
 
 // CreateVDiskReq is the payload of MOpCreateVDisk.

@@ -1,12 +1,11 @@
 package master
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/chunkserver"
+	"ursa/internal/coldtier"
 	"ursa/internal/proto"
 	"ursa/internal/redundancy"
 	"ursa/internal/util"
@@ -16,27 +15,8 @@ import (
 // striping (§3.4).
 const defaultStripeUnit = 128 * util.KiB
 
-func (m *Master) handleCreate(msg *proto.Message) jsonResult {
-	var req CreateVDiskReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
-	}
-	meta, err := m.CreateVDisk(req)
-	if err != nil {
-		switch {
-		case errors.Is(err, util.ErrExists):
-			return fail(proto.StatusExists)
-		case errors.Is(err, util.ErrQuota):
-			return fail(proto.StatusQuota)
-		default:
-			return fail(proto.StatusError)
-		}
-	}
-	return ok(meta)
-}
-
-// CreateVDisk allocates a vdisk: places every chunk's replicas, creates
-// them on the chunk servers, and records the metadata. Placement is
+// CreateVDisk allocates a vdisk: places every chunk's replicas, records the
+// metadata, and creates the replicas on the chunk servers. Placement is
 // round-robin with the constraint that no two replicas of a chunk share a
 // machine (§3.4).
 func (m *Master) CreateVDisk(req CreateVDiskReq) (*VDiskMeta, error) {
@@ -55,10 +35,6 @@ func (m *Master) CreateVDisk(req CreateVDiskReq) (*VDiskMeta, error) {
 		return nil, fmt.Errorf("master: stripe unit %d does not divide the %d chunk size: %w",
 			req.StripeUnit, int64(util.ChunkSize), util.ErrOutOfRange)
 	}
-	repl := req.Replication
-	if repl <= 0 {
-		repl = m.cfg.Replication
-	}
 	if err := req.Redundancy.Validate(); err != nil {
 		return nil, fmt.Errorf("master: vdisk %q: %w", req.Name, err)
 	}
@@ -68,66 +44,92 @@ func (m *Master) CreateVDisk(req CreateVDiskReq) (*VDiskMeta, error) {
 	if rem := nchunks % req.StripeGroup; rem != 0 {
 		nchunks += req.StripeGroup - rem
 	}
+	return m.provision(VDiskMeta{
+		Name:        req.Name,
+		Size:        req.Size,
+		StripeGroup: req.StripeGroup,
+		StripeUnit:  req.StripeUnit,
+		Redundancy:  req.Redundancy,
+	}, nchunks, req.Replication, "")
+}
 
-	m.mu.Lock()
-	if m.replicationEnabled() && !m.primary {
-		m.mu.Unlock()
-		return nil, m.errNotPrimary("create " + req.Name)
+// provision brings a vdisk into being — the one path behind CreateVDisk and
+// CloneFromSnapshot: plan and commit the metadata under the lock, create the
+// replicas on the chunk servers, and delete the vdisk again if a server
+// refuses. meta carries the name, geometry and redundancy; repl overrides the
+// cluster's replica count when positive.
+func (m *Master) provision(meta VDiskMeta, nchunks, repl int, fromSnap string) (*VDiskMeta, error) {
+	if err := m.lockPrimary("create " + meta.Name); err != nil {
+		return nil, err
 	}
-	if _, exists := m.byName[req.Name]; exists {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("master: vdisk %q: %w", req.Name, util.ErrExists)
+	put, err := m.planVDiskLocked(meta, nchunks, repl, fromSnap)
+	if err == nil {
+		err = m.commitLocked(entry{PutVDisk: put})
 	}
-	m.nextID++
-	id := m.nextID
-	chunks := make([]ChunkMeta, nchunks)
-	var placeErr error
-	for i := range chunks {
-		chunks[i], placeErr = m.placeChunkLocked(repl, req.Redundancy)
-		if placeErr != nil {
-			m.mu.Unlock()
-			return nil, placeErr
-		}
-	}
-	meta := VDiskMeta{
-		ID:             id,
-		Name:           req.Name,
-		Size:           req.Size,
-		StripeGroup:    req.StripeGroup,
-		StripeUnit:     req.StripeUnit,
-		Chunks:         chunks,
-		LeaseTTL:       m.cfg.LeaseTTL,
-		WriteRateLimit: m.cfg.WriteRateLimit,
-		Redundancy:     req.Redundancy,
-	}
-	m.vdisks[id] = &vdisk{meta: meta}
-	m.byName[req.Name] = id
-	m.appendLocked(entryKindPutVDisk, entryPutVDisk{
-		Meta: meta.Clone(), NextID: m.nextID,
-		NextPrimary: m.nextPrimary, NextBackup: m.nextBackup,
-	})
 	m.mu.Unlock()
-
-	// Create replicas on the servers (outside the lock: RPC fan-out).
+	if err != nil {
+		return nil, err
+	}
+	// put now belongs to the log: read it, hand out a copy.
+	id, chunks := put.Meta.ID, put.Meta.Chunks
 	for i, cm := range chunks {
-		if err := m.createChunkReplicas(blockstore.MakeChunkID(id, uint32(i)), cm, req.Redundancy); err != nil {
-			m.deleteVDiskByID(id) // best-effort cleanup
+		if err := m.createChunkReplicas(blockstore.MakeChunkID(id, uint32(i)), cm, meta.Redundancy); err != nil {
+			_, _ = m.deleteVDisk(GetVDiskReq{ID: id}) // best-effort cleanup
 			return nil, err
 		}
 	}
-	out := meta.Clone()
+	out := put.Meta.Clone()
 	return &out, nil
 }
 
-// placeChunkLocked picks the chunk's replica set: first an SSD server (the
-// preferred primary), then backups on HDD servers (hybrid mode) or SSD
-// servers (SSD-only mode), all on distinct machines. Mirroring places
-// repl-1 backups; RS(N,M) places N+M segment holders, position-keyed by
-// their list index.
-func (m *Master) placeChunkLocked(repl int, spec redundancy.Spec) (ChunkMeta, error) {
+// planVDiskLocked validates a provisioning request against the state and
+// builds the entry that would carry it out, changing nothing (m.mu held).
+// With fromSnap set, geometry and chunk count are that snapshot's and each
+// chunk starts with the snapshot's extent refs as its cold table. Placement
+// walks a copy of the cursors and the entry carries where they ended, so a
+// request that cannot be placed leaves no trace.
+func (m *Master) planVDiskLocked(meta VDiskMeta, nchunks, repl int, fromSnap string) (*entryPutVDisk, error) {
+	var cold [][]coldtier.ExtentRef
+	if fromSnap != "" {
+		snap, ok := m.st.snapshots[fromSnap]
+		if !ok {
+			return nil, fmt.Errorf("master: clone source snapshot %q: %w", fromSnap, util.ErrNotFound)
+		}
+		meta.Size, meta.StripeGroup, meta.StripeUnit = snap.Size, snap.StripeGroup, snap.StripeUnit
+		cold, nchunks = snap.Chunks, len(snap.Chunks)
+	}
+	if _, exists := m.st.byName[meta.Name]; exists {
+		return nil, fmt.Errorf("master: vdisk %q: %w", meta.Name, util.ErrExists)
+	}
+	if repl <= 0 {
+		repl = m.cfg.Replication
+	}
+	meta.ID = m.st.nextID + 1
+	meta.LeaseTTL, meta.WriteRateLimit = m.cfg.LeaseTTL, m.cfg.WriteRateLimit
+	meta.Chunks = make([]ChunkMeta, nchunks)
+	cur := m.st.cursors
+	for i := range meta.Chunks {
+		cm, err := m.placeChunkLocked(&cur, repl, meta.Redundancy)
+		if err != nil {
+			return nil, err
+		}
+		if cold != nil && len(cold[i]) > 0 {
+			cm.Cold = append([]coldtier.ExtentRef(nil), cold[i]...) // an entry shares no memory with the state
+		}
+		meta.Chunks[i] = cm
+	}
+	return &entryPutVDisk{Meta: meta, NextID: meta.ID, placeCursors: cur}, nil
+}
+
+// placeChunkLocked picks the chunk's replica set (m.mu held), advancing cur:
+// first an SSD server (the preferred primary), then backups on HDD servers
+// (hybrid mode) or SSD servers (SSD-only mode), all on distinct machines.
+// Mirroring places repl-1 backups; RS(N,M) places N+M segment holders,
+// position-keyed by their list index.
+func (m *Master) placeChunkLocked(cur *placeCursors, repl int, spec redundancy.Spec) (ChunkMeta, error) {
 	repl = 1 + spec.BackupCount(repl)
 	var ssds, backupsPool []serverInfo
-	for _, s := range m.servers {
+	for _, s := range m.st.servers {
 		if s.ssd {
 			ssds = append(ssds, s)
 		}
@@ -145,14 +147,14 @@ func (m *Master) placeChunkLocked(repl int, spec redundancy.Spec) (ChunkMeta, er
 	cm := ChunkMeta{View: 1}
 	used := map[string]bool{}
 
-	primary := ssds[m.nextPrimary%len(ssds)]
-	m.nextPrimary++
+	primary := ssds[cur.NextPrimary%len(ssds)]
+	cur.NextPrimary++
 	cm.Replicas = append(cm.Replicas, ReplicaInfo{Addr: primary.addr, SSD: true})
 	used[primary.machine] = true
 
 	for tries := 0; len(cm.Replicas) < repl && tries < 4*len(backupsPool); tries++ {
-		cand := backupsPool[m.nextBackup%len(backupsPool)]
-		m.nextBackup++
+		cand := backupsPool[cur.NextBackup%len(backupsPool)]
+		cur.NextBackup++
 		if used[cand.machine] || cand.addr == primary.addr {
 			continue
 		}
@@ -193,145 +195,98 @@ func (m *Master) createChunkReplicas(id blockstore.ChunkID, cm ChunkMeta, spec r
 	return nil
 }
 
-func (m *Master) handleOpen(msg *proto.Message) jsonResult {
-	var req OpenVDiskReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
+// openVDisk grants the vdisk's lease to req.Client unless another client
+// holds it unexpired, and returns the metadata.
+func (m *Master) openVDisk(req OpenVDiskReq) (*VDiskMeta, error) {
+	if err := m.lockPrimary("open " + req.Name); err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
-		return m.notPrimaryLocked()
+	vd, err := m.st.find(0, req.Name)
+	if err != nil {
+		return nil, err
 	}
-	id, okName := m.byName[req.Name]
-	if !okName {
-		return fail(proto.StatusNotFound)
-	}
-	vd := m.vdisks[id]
 	now := m.cfg.Clock.Now()
-	if vd.lease.holder != "" && vd.lease.holder != req.Client &&
-		now.Before(vd.lease.expiry) {
-		return fail(proto.StatusLeaseHeld)
+	if vd.lease.holder != "" && vd.lease.holder != req.Client && now.Before(vd.lease.expiry) {
+		return nil, fmt.Errorf("master: open %q: %w", req.Name, util.ErrLeaseHeld)
 	}
-	vd.lease = lease{holder: req.Client, expiry: now.Add(m.cfg.LeaseTTL)}
-	m.appendLocked(entryKindLease, entryLease{ID: id, Holder: vd.lease.holder, Expiry: vd.lease.expiry})
-	return ok(vd.meta.Clone())
+	err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: req.Client, Expiry: now.Add(m.cfg.LeaseTTL)}})
+	if err != nil {
+		return nil, err
+	}
+	out := vd.meta.Clone()
+	return &out, nil
 }
 
-func (m *Master) handleRenew(msg *proto.Message) jsonResult {
-	var req LeaseReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
+// renewLease extends req.Client's lease. Reclaim-on-renew: lease shipping is
+// asynchronous, so a promoted standby may have missed the newest grant. An
+// unheld lease goes to the first renewer — the legitimate holder's renew loop
+// reclaims it within one renewal period — and a holder may renew its own
+// lease even after expiry, as long as no other client's open took it first. A
+// second client racing either loses by the ordinary holder check.
+func (m *Master) renewLease(req LeaseReq) (any, error) {
+	if err := m.lockPrimary("renew lease"); err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
-		return m.notPrimaryLocked()
+	vd, err := m.st.byID(req.ID)
+	if err != nil {
+		return nil, err
 	}
-	vd, okID := m.vdisks[req.ID]
-	if !okID {
-		return fail(proto.StatusNotFound)
+	if vd.lease.holder != "" && vd.lease.holder != req.Client {
+		return nil, fmt.Errorf("master: renew vdisk %d: %w", req.ID, util.ErrLeaseHeld)
 	}
-	now := m.cfg.Clock.Now()
-	// Reclaim-on-renew: lease shipping is asynchronous, so a promoted
-	// standby may have missed the newest grant. An unheld (or expired)
-	// lease goes to the first renewer — the legitimate holder's renew loop
-	// reclaims it within one renewal period, and a second client racing it
-	// still loses by the ordinary holder check.
-	if vd.lease.holder == "" || now.After(vd.lease.expiry) {
-		if vd.lease.holder != "" && vd.lease.holder != req.Client {
-			return fail(proto.StatusLeaseHeld)
-		}
-		vd.lease = lease{holder: req.Client, expiry: now.Add(m.cfg.LeaseTTL)}
-		m.appendLocked(entryKindLease, entryLease{ID: req.ID, Holder: vd.lease.holder, Expiry: vd.lease.expiry})
-		return ok(nil)
+	expiry := m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
+	return nil, m.commitLocked(entry{Lease: &entryLease{ID: req.ID, Holder: req.Client, Expiry: expiry}})
+}
+
+// closeVDisk releases the lease if req.Client holds it.
+func (m *Master) closeVDisk(req LeaseReq) (any, error) {
+	if err := m.lockPrimary("close"); err != nil {
+		return nil, err
+	}
+	defer m.mu.Unlock()
+	vd, err := m.st.byID(req.ID)
+	if err != nil {
+		return nil, err
 	}
 	if vd.lease.holder != req.Client {
-		return fail(proto.StatusLeaseHeld)
+		return nil, nil
 	}
-	vd.lease.expiry = now.Add(m.cfg.LeaseTTL)
-	m.appendLocked(entryKindLease, entryLease{ID: req.ID, Holder: vd.lease.holder, Expiry: vd.lease.expiry})
-	return ok(nil)
+	return nil, m.commitLocked(entry{Lease: &entryLease{ID: req.ID}})
 }
 
-func (m *Master) handleClose(msg *proto.Message) jsonResult {
-	var req LeaseReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
-	}
+func (m *Master) getVDisk(req GetVDiskReq) (*VDiskMeta, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.replicationEnabled() && !m.primary {
-		return m.notPrimaryLocked()
+	vd, err := m.st.find(req.ID, req.Name)
+	if err != nil {
+		return nil, err
 	}
-	vd, okID := m.vdisks[req.ID]
-	if !okID {
-		return fail(proto.StatusNotFound)
-	}
-	if vd.lease.holder == req.Client {
-		vd.lease = lease{}
-		m.appendLocked(entryKindLease, entryLease{ID: req.ID})
-	}
-	return ok(nil)
+	out := vd.meta.Clone()
+	return &out, nil
 }
 
-func (m *Master) handleGet(msg *proto.Message) jsonResult {
-	var req GetVDiskReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
+// deleteVDisk removes the vdisk's metadata and then deletes its chunk
+// replicas best-effort.
+func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
+	if err := m.lockPrimary("delete"); err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id := req.ID
-	if id == 0 {
-		var okName bool
-		id, okName = m.byName[req.Name]
-		if !okName {
-			return fail(proto.StatusNotFound)
-		}
+	vd, err := m.st.find(req.ID, req.Name)
+	var meta VDiskMeta
+	if err == nil {
+		meta = vd.meta.Clone() // RPC fan-out below runs unlocked
+		err = m.commitLocked(entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
 	}
-	vd, okID := m.vdisks[id]
-	if !okID {
-		return fail(proto.StatusNotFound)
-	}
-	return ok(vd.meta.Clone())
-}
-
-func (m *Master) handleDelete(msg *proto.Message) jsonResult {
-	var req GetVDiskReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
-		return fail(proto.StatusError)
-	}
-	m.mu.Lock()
-	id := req.ID
-	if id == 0 {
-		id = m.byName[req.Name]
-	}
-	_, okID := m.vdisks[id]
 	m.mu.Unlock()
-	if !okID {
-		return fail(proto.StatusNotFound)
+	if err != nil {
+		return nil, err
 	}
-	m.deleteVDiskByID(id)
-	return ok(nil)
-}
-
-// deleteVDiskByID removes metadata and deletes chunk replicas best-effort.
-func (m *Master) deleteVDiskByID(id uint32) {
-	m.mu.Lock()
-	vd, okID := m.vdisks[id]
-	if !okID {
-		m.mu.Unlock()
-		return
-	}
-	delete(m.vdisks, id)
-	delete(m.byName, vd.meta.Name)
-	m.appendLocked(entryKindDelete, entryDelete{ID: id})
-	chunks := vd.meta.Clone().Chunks // RPC fan-out below runs unlocked
-	m.mu.Unlock()
-	for i, cm := range chunks {
+	for i, cm := range meta.Chunks {
 		for _, r := range cm.Replicas {
-			m.admin(r.Addr, proto.OpDeleteChunk, blockstore.MakeChunkID(id, uint32(i)), 0, 0, nil, m.cfg.RPCTimeout)
+			m.admin(r.Addr, proto.OpDeleteChunk, blockstore.MakeChunkID(meta.ID, uint32(i)), 0, 0, nil, m.cfg.RPCTimeout)
 		}
 	}
+	return nil, nil
 }

@@ -38,6 +38,7 @@ var allMetricNames = map[string]string{
 	"master.MetricChunkRecoveries":           master.MetricChunkRecoveries,
 	"master.MetricRecoveryDuration":          master.MetricRecoveryDuration,
 	"master.MetricMasterPromotions":          master.MetricMasterPromotions,
+	"master.MetricMasterReplayRefused":       master.MetricMasterReplayRefused,
 	"master.MetricGCSegmentsReclaimed":       master.MetricGCSegmentsReclaimed,
 	"master.MetricGCBytesRewritten":          master.MetricGCBytesRewritten,
 	"client.MetricFailureReportsDropped":     client.MetricFailureReportsDropped,
