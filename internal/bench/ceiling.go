@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,8 +104,43 @@ func (r *ceilingRun) pass() workload.Result {
 	return workload.Run(clock.Realtime, r.vd, r.spec)
 }
 
-// startCeiling builds and warms the cluster of one (op, queue depth) cell.
-func startCeiling(cfg Config, write bool, qd int) (*ceilingRun, error) {
+// ceilingShape is what one cell runs. The figure's cells are 4 KiB random
+// reads and writes of a plain vdisk; the perf-smoke gates add the two write
+// paths those bypass (e2eCounts).
+type ceilingShape struct {
+	write   bool
+	qd      int
+	block   int   // bytes per op; 0 means 4 KiB
+	striped bool  // a 4 x 128 KiB striped vdisk
+	span    int64 // working set, pre-written by the warm-up; 0 means half the volume
+}
+
+func (sh ceilingShape) String() string {
+	op := "read"
+	if sh.write {
+		op = "write"
+	}
+	if sh.block > 0 {
+		op += fmt.Sprintf(" %dk", sh.block/util.KiB)
+	}
+	if sh.striped {
+		op += " striped"
+	}
+	return fmt.Sprintf("%s qd%d", op, sh.qd)
+}
+
+// The shapes of the e2e-16k-primary and e2e-256k-striped gates, shared with
+// the allocation ledger: 16 KiB is above the client-directed threshold and
+// below the journal bypass, 256 KiB on a 4 x 128 KiB stripe is two bypass
+// fragments; both over a span small enough that the warm-up's fill has made
+// every simulated page they touch.
+var (
+	e2ePrimary16k  = ceilingShape{write: true, qd: 1, block: 16 * util.KiB, span: 64 * util.MiB}
+	e2eStriped256k = ceilingShape{write: true, qd: 1, block: 256 * util.KiB, striped: true, span: 64 * util.MiB}
+)
+
+// startCeiling builds and warms the cluster of one cell.
+func startCeiling(cfg Config, sh ceilingShape) (*ceilingRun, error) {
 	c, err := core.New(core.Options{
 		Machines:       3,
 		SSDsPerMachine: 2,
@@ -126,7 +162,11 @@ func startCeiling(cfg Config, write bool, qd int) (*ceilingRun, error) {
 		return nil, err
 	}
 	r := &ceilingRun{c: c, cl: c.NewClient("ceiling-client")}
-	if _, err := r.cl.CreateVDisk(master.CreateVDiskReq{Name: "ceiling", Size: ceilingVolume}); err != nil {
+	req := master.CreateVDiskReq{Name: "ceiling", Size: ceilingVolume}
+	if sh.striped {
+		req.StripeGroup, req.StripeUnit = 4, 128*util.KiB
+	}
+	if _, err := r.cl.CreateVDisk(req); err != nil {
 		r.close()
 		return nil, err
 	}
@@ -136,19 +176,27 @@ func startCeiling(cfg Config, write bool, qd int) (*ceilingRun, error) {
 	}
 
 	pattern := workload.RandRead
-	if write {
+	if sh.write {
 		pattern = workload.RandWrite
 	}
+	block, span := 4*util.KiB, int64(ceilingVolume/2)
+	if sh.block > 0 {
+		block = sh.block
+	}
+	if sh.span > 0 {
+		span = sh.span
+	}
 	r.spec = workload.Spec{
-		Pattern: pattern, BlockSize: 4 * util.KiB, QueueDepth: qd,
-		Ops: 1 << 30, WorkingSet: ceilingVolume / 2,
-		Seed: cfg.Seed + uint64(qd)*131, MaxTime: cfg.cellTime() / 2,
+		Pattern: pattern, BlockSize: block, QueueDepth: sh.qd,
+		Ops: 1 << 30, WorkingSet: span,
+		Seed: cfg.Seed + uint64(sh.qd)*131, MaxTime: cfg.cellTime() / 2,
 	}
 	// Warm to steady state outside the measured window: Fill pre-writes the
 	// whole working set (allocating every lazy data page on the simulated
-	// devices and stamping checksums), then a burst of random 4 KiB writes
-	// wraps the small journal regions so their pages are warm too. Without
-	// this, cold 64 KiB simdisk pages dominate the allocation bill.
+	// devices and stamping checksums), then a burst of random writes of the
+	// cell's size wraps the small journal regions so their pages are warm
+	// too. Without this, cold 64 KiB simdisk pages dominate the allocation
+	// bill.
 	warm := r.spec
 	warm.Pattern = workload.RandWrite
 	warm.Fill = true
@@ -157,16 +205,16 @@ func startCeiling(cfg Config, write bool, qd int) (*ceilingRun, error) {
 	return r, nil
 }
 
-// runCeilingCell measures 4 KiB random IOPS end-to-end on a hybrid URSA
-// cluster with zero-cost devices and network.
-func runCeilingCell(cfg Config, write bool, qd int) ceilingCell {
-	r, err := startCeiling(cfg, write, qd)
+// runCeilingCell measures random IOPS end-to-end on a hybrid URSA cluster
+// with zero-cost devices and network.
+func runCeilingCell(cfg Config, sh ceilingShape) ceilingCell {
+	r, err := startCeiling(cfg, sh)
 	if err != nil {
 		return ceilingCell{}
 	}
 	defer r.close()
-	cell := ceilingCell{QD: qd, Op: "read"}
-	if write {
+	cell := ceilingCell{QD: sh.qd, Op: "read"}
+	if sh.write {
 		cell.Op = "write"
 	}
 
@@ -262,6 +310,25 @@ func ceilingMicros() []ceilingMicro {
 		store.Sums().Stamp(id, off, data)
 	}))
 
+	// Large ranges — a striped write's 128 KiB fragment at each of its three
+	// replicas: above the 32 KiB stack scratch, stamp and verify walk the
+	// range in batches instead of allocating. Sums only, past the window the
+	// 4 KiB loops read back.
+	big := make([]byte, 128*util.KiB)
+	r.Fill(big)
+	bigOff := func(i int) int64 { return span + int64(i&15)*int64(len(big)) }
+	for i := 0; i < 16; i++ {
+		store.Sums().Stamp(id, bigOff(i), big)
+	}
+	out = append(out, run("stamp128k", func(i int) {
+		store.Sums().Stamp(id, bigOff(i), big)
+	}))
+	out = append(out, run("verify128k", func(i int) {
+		if err := store.Sums().Verify(id, bigOff(i), big); err != nil {
+			panic(err)
+		}
+	}))
+
 	// Decode with payload-capacity reuse: one encoded 4 KiB frame, decoded
 	// repeatedly into the same leased buffer.
 	var frame bytes.Buffer
@@ -281,17 +348,18 @@ func ceilingMicros() []ceilingMicro {
 	}))
 	bufpool.Put(msg.Payload)
 
-	// Client-directed fan-out: one pooled 3-way broadcast per op against a
-	// synchronous stub replica, isolating the dispatch machinery (flight
-	// lease, message frames, worker hand-off, result collection) from the
-	// server stack. This is the loop writeClientDirected runs per tiny write.
-	bc := transport.NewBroadcaster(fanoutStub{})
+	// Client-directed fan-out: one 3-branch flight per op against loopback
+	// replicas that answer at once, isolating the transport's own machinery
+	// (flight lease, message frames, pending table, the dispatcher's
+	// completion and wake-up) from the server stack. This is the loop
+	// writeClientDirected runs per tiny write.
+	peers := transport.NewPeers(loopDialer{}, clock.Realtime)
 	op := opctx.New(clock.Realtime, 0)
 	fanAddrs := [3]string{"r0", "r1", "r2"}
 	payload := bufpool.Get(4096)
 	copy(payload, data)
 	out = append(out, run("write4k-client-directed", func(i int) {
-		fl := bc.Begin(len(fanAddrs))
+		fl := peers.Begin(op, len(fanAddrs), time.Second)
 		for t := range fanAddrs {
 			m := proto.GetMessage()
 			m.Op = proto.OpReplicate
@@ -301,17 +369,18 @@ func ceilingMicros() []ceilingMicro {
 			m.Version = 7
 			m.Payload = payload
 			bufpool.Retain(payload)
-			fl.Go(t, fanAddrs[t], op, time.Second, m)
+			fl.Go(t, fanAddrs[t], m)
 		}
 		for range fanAddrs {
-			if r := fl.Next(); r.Err || r.Status != proto.StatusOK {
-				panic("fan-out stub failed")
+			if r, ok := fl.Next(); !ok || r.Err || r.Status != proto.StatusOK {
+				panic("fan-out loopback failed")
 			}
 		}
 		fl.Finish()
 	}))
 	bufpool.Put(payload)
-	bc.Close()
+	op.Release()
+	peers.CloseAll()
 
 	// Journal-index insert: cycling writes over a small working set, with a
 	// periodic merge so the freeze/merge scratch and the node freelist are
@@ -347,17 +416,49 @@ func ceilingMicros() []ceilingMicro {
 	return out
 }
 
-// fanoutStub is the zero-cost replica behind the write4k-client-directed
-// micro: it settles the request exactly as the transport would (one payload
-// reference consumed, frame recycled) and answers OK from the message pool.
-type fanoutStub struct{}
+// loopConn is the zero-cost replica behind the write4k-client-directed
+// micro: a connection whose Send settles the request exactly as a served one
+// would be (one payload reference consumed, frame recycled) and queues an OK
+// reply from the message pool for the client's dispatcher to Recv.
+type loopConn struct {
+	replies chan *proto.Message
+	closed  chan struct{}
+	once    sync.Once
+}
 
-func (fanoutStub) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Duration) (*proto.Message, error) {
+func (c *loopConn) Send(m *proto.Message) error {
 	resp := m.Reply(proto.StatusOK)
-	resp.Version = m.Version
 	bufpool.Put(m.Payload)
 	proto.Recycle(m)
-	return resp, nil
+	select {
+	case c.replies <- resp:
+		return nil
+	case <-c.closed:
+		proto.Recycle(resp)
+		return transport.ErrConnClosed
+	}
+}
+
+func (c *loopConn) Recv() (*proto.Message, error) {
+	select {
+	case m := <-c.replies:
+		return m, nil
+	case <-c.closed:
+		return nil, transport.ErrConnClosed
+	}
+}
+
+func (c *loopConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// loopDialer connects every address to a loopConn of its own.
+type loopDialer struct{}
+
+func (loopDialer) Dial(string) (transport.MsgConn, error) {
+	// Deeper than any test's fan-out, so Send never waits on the dispatcher.
+	return &loopConn{replies: make(chan *proto.Message, 64), closed: make(chan struct{})}, nil
 }
 
 // FigCeiling benchmarks the software IOPS ceiling: 4 KiB random reads and
@@ -377,7 +478,7 @@ func FigCeiling(cfg Config) Table {
 	doc := ceilingDoc{Bench: "ceiling", Quick: cfg.Quick}
 	for _, op := range []string{"read", "write"} {
 		for _, qd := range []int{1, 8, 32} {
-			c := runCeilingCell(cfg, op == "write", qd)
+			c := runCeilingCell(cfg, ceilingShape{write: op == "write", qd: qd})
 			doc.Cells = append(doc.Cells, c)
 			t.Rows = append(t.Rows, []string{
 				op, f0(float64(qd)), f0(c.IOPSCPU), f0(c.IOPS),

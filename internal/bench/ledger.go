@@ -58,31 +58,28 @@ func allocProfile() map[allocSite]siteCount {
 // ledgerFloor is the allocs/op below which a site is folded into "other".
 const ledgerFloor = 0.005
 
-// FigAllocLedger prints where the end-to-end allocations of one 4 KiB read
-// and one 4 KiB write come from: the e2e-4k cells of `make perf-smoke` (QD 1,
-// zero-cost three-replica hybrid cluster), and the QD 32 write cell beside
-// them for what queueing adds, run once each with every heap allocation
-// profiled, charged to the innermost frame inside this module and divided by
+// FigAllocLedger prints where the end-to-end allocations of one op come
+// from: the e2e cells of `make perf-smoke` (QD 1, zero-cost three-replica
+// hybrid cluster: a 4 KiB read, a 4 KiB client-directed write, a 16 KiB
+// primary-directed write, a 256 KiB striped write), and the QD 32 4 KiB
+// write cell beside them for what queueing adds, run once each with every
+// heap allocation profiled, charged to the innermost frame inside this module and divided by
 // the ops completed. It is a diagnostic, not a gate — the gate is the total,
 // in perf_baseline.json — so a regression there names its site.
 func FigAllocLedger(cfg Config) Table {
 	t := Table{
 		ID:     "Fig L",
-		Title:  "Allocation ledger: heap allocations per end-to-end 4KiB op, by site",
+		Title:  "Allocation ledger: heap allocations per end-to-end op, by site",
 		Header: []string{"op", "allocs/op", "B/op", "site", "at"},
 	}
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	cfg.Quick = true // the e2e-4k gate's run length
-	for _, cell := range []struct {
-		write bool
-		qd    int
-	}{{false, 1}, {true, 1}, {true, 32}} {
-		op := fmt.Sprintf("read qd%d", cell.qd)
-		if cell.write {
-			op = fmt.Sprintf("write qd%d", cell.qd)
-		}
-		r, err := startCeiling(cfg, cell.write, cell.qd)
+	cfg.Quick = true // the e2e gates' run length
+	for _, cell := range []ceilingShape{
+		{qd: 1}, {write: true, qd: 1}, {write: true, qd: 32}, e2ePrimary16k, e2eStriped256k,
+	} {
+		op := cell.String()
+		r, err := startCeiling(cfg, cell)
 		if err != nil {
 			t.Notes = append(t.Notes, op+": "+err.Error())
 			continue

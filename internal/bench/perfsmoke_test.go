@@ -78,10 +78,8 @@ func TestPerfSmoke(t *testing.T) {
 		}
 	}
 
-	got := map[string]map[string]float64{
-		"journal-replay": replayCounts(t),
-		"e2e-4k":         e2eCounts(t),
-	}
+	got := e2eCounts(t)
+	got["journal-replay"] = replayCounts(t)
 	for name, want := range base.Counts {
 		for metric, ceiling := range want {
 			v, ok := got[name][metric]
@@ -104,25 +102,35 @@ func TestPerfSmoke(t *testing.T) {
 	}
 }
 
-// e2eCounts measures heap allocations per end-to-end 4 KiB operation at
-// QD 1 on the ceiling figure's cluster (in-process, three-replica hybrid,
-// zero-cost devices and network): everything between vd.ReadAt/WriteAt and
-// its return, handlers and background replay included. The micros above
-// bypass the chunkserver handlers; this is the count that catches a
-// per-request allocation added there. Bytes per write catch what a count
-// hides: a 64 KiB simulated-disk page made afresh each time the trimmed
-// journal wraps is 0.14 allocations a write and 9 KB.
-func e2eCounts(t *testing.T) map[string]float64 {
+// e2eCounts measures heap allocations per end-to-end operation at QD 1 on
+// the ceiling figure's cluster (in-process, three-replica hybrid, zero-cost
+// devices and network): everything between vd.ReadAt/WriteAt and its return,
+// handlers and background replay included. The micros above bypass the
+// chunkserver handlers; these are the counts that catch a per-request
+// allocation added there. e2e-4k is a 4 KiB read and a 4 KiB client-directed
+// write; e2e-16k-primary and e2e-256k-striped are the two write paths that
+// one bypasses — the primary's replicate-while-writing fan-out, and the
+// stripe fork-join over journal-bypass writes. Bytes per 4 KiB write catch
+// what a count hides: a 64 KiB simulated-disk page made afresh each time the
+// trimmed journal wraps is 0.14 allocations a write and 9 KB.
+func e2eCounts(t *testing.T) map[string]map[string]float64 {
 	cfg := Config{Quick: true, Seed: 1}
-	rd := runCeilingCell(cfg, false, 1)
-	wr := runCeilingCell(cfg, true, 1)
-	if rd.IOPS <= 0 || wr.IOPS <= 0 {
-		t.Fatalf("e2e-4k cells did not run: read %+v write %+v", rd, wr)
+	run := func(sh ceilingShape) ceilingCell {
+		c := runCeilingCell(cfg, sh)
+		if c.IOPS <= 0 {
+			t.Fatalf("e2e cell %v did not run: %+v", sh, c)
+		}
+		return c
 	}
-	return map[string]float64{
-		"read_allocs_per_op":  rd.AllocsPerOp,
-		"write_allocs_per_op": wr.AllocsPerOp,
-		"write_bytes_per_op":  wr.BytesPerOp,
+	rd, wr := run(ceilingShape{qd: 1}), run(ceilingShape{write: true, qd: 1})
+	return map[string]map[string]float64{
+		"e2e-4k": {
+			"read_allocs_per_op":  rd.AllocsPerOp,
+			"write_allocs_per_op": wr.AllocsPerOp,
+			"write_bytes_per_op":  wr.BytesPerOp,
+		},
+		"e2e-16k-primary":  {"write_allocs_per_op": run(e2ePrimary16k).AllocsPerOp},
+		"e2e-256k-striped": {"write_allocs_per_op": run(e2eStriped256k).AllocsPerOp},
 	}
 }
 

@@ -18,9 +18,9 @@ var zeroSectorCRC = util.Checksum(make([]byte, util.SectorSize))
 // traffic on different chunks never serializes. Must be a power of two.
 const sumShards = 32
 
-// scratchSectors is the stack budget for fused stamp/verify: requests up
-// to scratchSectors*512 B (32 KiB, which covers the whole 4–8 KiB hot
-// path) run with zero heap allocation.
+// scratchSectors is the stack budget for fused stamp/verify: a request is
+// walked in batches of scratchSectors*512 B (32 KiB, which takes the whole
+// 4–8 KiB hot path in one), so no request allocates, whatever its size.
 const scratchSectors = 64
 
 // ChecksumStore keeps one CRC-32C per 512-byte sector of every resident
@@ -41,7 +41,9 @@ const scratchSectors = 64
 // lock, then walks the payload once, checksumming and comparing each
 // sector as it goes; Stamp checksums into a stack scratch and copies the
 // words in under the lock. Neither touches the payload under a lock or
-// allocates for requests ≤ 32 KiB.
+// allocates; a request above 32 KiB repeats the pass per 32 KiB batch, so it
+// is atomic per batch, not as a whole — the granularity a reader racing a
+// pipelined write's stamp already has to settle at (readVerified).
 type ChecksumStore struct {
 	shards [sumShards]sumShard
 }
@@ -113,23 +115,24 @@ func (sh *sumShard) materializeLocked(id ChunkID) ([]uint32, bool) {
 // Stamping an unknown chunk is a no-op (it was deleted concurrently).
 func (c *ChecksumStore) Stamp(id ChunkID, off int64, data []byte) {
 	lo, hi := sectorRange(id, off, len(data))
-	var scratch [scratchSectors]uint32
-	var fresh []uint32
-	if hi-lo <= scratchSectors {
-		fresh = scratch[:hi-lo]
-	} else {
-		fresh = make([]uint32, hi-lo)
-	}
-	for i := range fresh {
-		s := int64(i) * util.SectorSize
-		fresh[i] = util.Checksum(data[s : s+util.SectorSize])
-	}
 	sh := c.shard(id)
-	sh.mu.Lock()
-	if arr, ok := sh.materializeLocked(id); ok {
-		copy(arr[lo:hi], fresh)
+	var scratch [scratchSectors]uint32
+	for ; lo < hi; lo += scratchSectors {
+		fresh := scratch[:min(scratchSectors, hi-lo)]
+		for i := range fresh {
+			fresh[i] = util.Checksum(data[:util.SectorSize])
+			data = data[util.SectorSize:]
+		}
+		sh.mu.Lock()
+		arr, ok := sh.materializeLocked(id)
+		if ok {
+			copy(arr[lo:], fresh)
+		}
+		sh.mu.Unlock()
+		if !ok {
+			return
+		}
 	}
-	sh.mu.Unlock()
 }
 
 // Verify checks data read at chunk-relative off against the recorded sums.
@@ -137,36 +140,34 @@ func (c *ChecksumStore) Stamp(id ChunkID, off int64, data []byte) {
 // sector; an unknown chunk verifies vacuously (deleted concurrently).
 func (c *ChecksumStore) Verify(id ChunkID, off int64, data []byte) error {
 	lo, hi := sectorRange(id, off, len(data))
-	// Snapshot the expected sums — a handful of words — under the shard
-	// lock, then walk the payload exactly once outside it, comparing each
-	// sector's checksum as it is computed.
-	var scratch [scratchSectors]uint32
-	var want []uint32
-	if hi-lo <= scratchSectors {
-		want = scratch[:hi-lo]
-	} else {
-		want = make([]uint32, hi-lo)
-	}
 	sh := c.shard(id)
-	sh.mu.Lock()
-	arr, ok := sh.sums[id]
-	if !ok {
-		sh.mu.Unlock()
-		return nil
-	}
-	if arr == nil {
-		for i := range want {
-			want[i] = zeroSectorCRC
+	var scratch [scratchSectors]uint32
+	for ; lo < hi; lo += scratchSectors {
+		// Snapshot the batch's expected sums — a handful of words — under
+		// the shard lock, then walk its payload exactly once outside it,
+		// comparing each sector's checksum as it is computed.
+		want := scratch[:min(scratchSectors, hi-lo)]
+		sh.mu.Lock()
+		arr, ok := sh.sums[id]
+		if !ok {
+			sh.mu.Unlock()
+			return nil
 		}
-	} else {
-		copy(want, arr[lo:hi])
-	}
-	sh.mu.Unlock()
-	for i := range want {
-		s := int64(i) * util.SectorSize
-		if g := util.Checksum(data[s : s+util.SectorSize]); g != want[i] {
-			return fmt.Errorf("blockstore: chunk %v sector %d: checksum %08x, want %08x: %w",
-				id, lo+int64(i), g, want[i], util.ErrCorrupt)
+		if arr == nil {
+			for i := range want {
+				want[i] = zeroSectorCRC
+			}
+		} else {
+			copy(want, arr[lo:])
+		}
+		sh.mu.Unlock()
+		for i := range want {
+			g := util.Checksum(data[:util.SectorSize])
+			data = data[util.SectorSize:]
+			if g != want[i] {
+				return fmt.Errorf("blockstore: chunk %v sector %d: checksum %08x, want %08x: %w",
+					id, lo+int64(i), g, want[i], util.ErrCorrupt)
+			}
 		}
 	}
 	return nil

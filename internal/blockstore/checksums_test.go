@@ -2,6 +2,8 @@ package blockstore
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -69,6 +71,49 @@ func TestChecksumStampVerifyRoundTrip(t *testing.T) {
 	got[777] ^= 0x01
 	if err := s.Sums().Verify(id, 64*util.KiB, got); !errors.Is(err, util.ErrCorrupt) {
 		t.Errorf("flipped byte: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestChecksumLargeRangeBatches: a range above the 32 KiB scratch is walked
+// in batches on the stack — every sector of it stamped, a flip in any batch
+// caught at its own sector number, the sectors around it untouched, and no
+// allocation however large the range.
+func TestChecksumLargeRangeBatches(t *testing.T) {
+	s := sumsStore(t)
+	id := MakeChunkID(2, 6)
+	if err := s.Create(id); err != nil {
+		t.Fatal(err)
+	}
+	const off = 1*util.MiB + 4*util.KiB
+	data := make([]byte, 128*util.KiB+util.SectorSize) // four full batches and a one-sector tail
+	util.NewRand(32).Fill(data)
+	sums := s.Sums()
+	sums.Stamp(id, off, data)
+	if err := sums.Verify(id, off, data); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	for _, sector := range []int{0, scratchSectors - 1, scratchSectors, 3*scratchSectors + 7, len(data)/util.SectorSize - 1} {
+		data[sector*util.SectorSize+9] ^= 0x10
+		err := sums.Verify(id, off, data)
+		if want, _ := sums.Sum(id, off/util.SectorSize+int64(sector)); !errors.Is(err, util.ErrCorrupt) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("sector %d:", off/util.SectorSize+int64(sector))) {
+			t.Errorf("flip in sector %d (sum %08x): err = %v", sector, want, err)
+		}
+		data[sector*util.SectorSize+9] ^= 0x10
+	}
+	zero := make([]byte, util.SectorSize)
+	for _, at := range []int64{off - util.SectorSize, off + int64(len(data))} {
+		if err := sums.Verify(id, at, zero); err != nil {
+			t.Errorf("neighbour sector at %d: %v", at, err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		sums.Stamp(id, off, data)
+		if err := sums.Verify(id, off, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("128 KiB stamp+verify: %v allocs, want 0", n)
 	}
 }
 

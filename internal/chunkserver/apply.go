@@ -9,6 +9,7 @@ import (
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/redundancy"
+	"ursa/internal/transport"
 	"ursa/internal/util"
 )
 
@@ -263,10 +264,14 @@ type applyStep struct {
 	cs *chunkState
 
 	// backups and strat are the chunk's replication targets and strategy as
-	// of admission; replCh carries the fan-out's commit verdict once started.
+	// of admission.
 	backups []string
 	strat   redundancy.Strategy
-	replCh  chan bool
+
+	// The fan-out, once sent: the flight its shipments are on, and the
+	// repl-wait stage that runs from the send to join's verdict.
+	fl   *transport.Flight
+	wait opctx.StageTimer
 }
 
 // bump reports whether the write is an RS version bump: no bytes, hence no
@@ -278,20 +283,11 @@ func (a *applyStep) bump() bool {
 // fansOut reports whether this step replicates to a backup tier.
 func (a *applyStep) fansOut() bool { return a.m.Op == proto.OpWrite && len(a.backups) > 0 }
 
-// startFanout ships the planned write on its own goroutine; join collects
-// the verdict. Only values are captured, so the step stays on the stack.
-func (a *applyStep) startFanout(ships []redundancy.Shipment) {
-	ch := make(chan bool, 1)
-	a.replCh = ch
-	s, op, m, backups, strat := a.s, a.op, a.m, a.backups, a.strat
-	go func() { ch <- s.replicateShipments(op, backups, m, strat, ships) }()
-}
-
 // begin runs right after admission. Replication overlaps the local write:
-// the primary starts the fan-out as soon as the plan is ready and performs
-// its own write while the data is in flight to the backups, so the
+// the primary puts the shipments on the wire as soon as the plan is ready and
+// performs its own write while they travel and the backups apply them, so the
 // end-to-end latency is max(local, backup), not their sum. Mirroring plans
-// from the payload alone, so its fan-out starts here, before even the
+// from the payload alone, so its fan-out leaves here, before even the
 // dependency wait. A §4.2.1 duplicate of an RS write cannot recompute its
 // parity deltas — the pre-write bytes are gone — so it resends the cached
 // plan; a plan evicted from the cache means the retry arrived implausibly
@@ -301,25 +297,82 @@ func (a *applyStep) begin(skipLocal bool) error {
 		return nil
 	}
 	if !a.strat.NeedsOldData() {
-		ships, err := a.strat.PlanWrite(a.m.Off, a.m.Payload, nil, len(a.backups))
-		if err != nil {
-			return err
-		}
-		a.startFanout(ships)
-	} else if skipLocal {
+		return a.dispatch(nil)
+	}
+	if skipLocal {
 		ships, ok := a.cs.cachedShipments(a.m.Version)
 		if !ok {
 			return errPlanEvicted
 		}
-		a.startFanout(ships)
+		a.send(ships)
 	}
 	return nil
+}
+
+// dispatch plans the write's fan-out and sends it. A mirror's plan — the
+// common case, a shipment per backup aliasing the payload — is built on this
+// frame, through the concrete type: handed to an interface method, the array
+// would have to be assumed to escape.
+func (a *applyStep) dispatch(old []byte) error {
+	var few [4]redundancy.Shipment
+	var ships []redundancy.Shipment
+	var err error
+	if mirror, ok := a.strat.(redundancy.Mirror); ok {
+		ships, err = mirror.PlanWrite(few[:0], a.m.Off, a.m.Payload, old, len(a.backups))
+	} else {
+		ships, err = a.strat.PlanWrite(nil, a.m.Off, a.m.Payload, old, len(a.backups))
+	}
+	if err != nil {
+		return err
+	}
+	if a.strat.NeedsOldData() {
+		a.cs.cacheShipments(a.m.Version, ships)
+	}
+	a.send(ships)
+	return nil
+}
+
+// send puts the planned shipments on the wire, exactly one per backup, from
+// this goroutine; join collects the acks. The window is NOT a server
+// constant: it derives from the incoming op's remaining deadline, so the
+// commit rule fires relative to the client's budget — only deadline-less ops
+// fall back to the configured ReplTimeout.
+func (a *applyStep) send(ships []redundancy.Shipment) {
+	s, m := a.s, a.m
+	a.fl = s.peers.Begin(a.op, len(ships), s.opBudget(a.op, s.cfg.ReplTimeout))
+	a.wait = a.op.Stage(opctx.StageReplWait)
+	for _, sh := range ships {
+		// Mirror shipments alias the request payload, whose lease the
+		// transport server releases when the handler returns — but a shipment
+		// may still be queued or applying then (a degraded commit does not
+		// wait for its stragglers). Each branch therefore carries its own
+		// reference, consumed by its send. RS shipments own their buffers,
+		// making this a no-op.
+		bufpool.Retain(sh.Data)
+		var flags uint8
+		if sh.Xor {
+			flags |= proto.FlagXorApply
+		}
+		if sh.Bump {
+			flags |= proto.FlagVersionBump
+		}
+		req := proto.GetMessage()
+		req.Op = proto.OpReplicate
+		req.Chunk = m.Chunk
+		req.Off = sh.Off
+		req.View = m.View
+		req.Version = m.Version
+		req.Flags = flags
+		req.Seg = uint16(sh.Target)
+		req.Payload = sh.Data
+		a.fl.Go(sh.Target, a.backups[sh.Target], req)
+	}
 }
 
 // apply performs the device write of an admitted write whose overlapping
 // predecessors have landed, and stamps the checksums of what it wrote. RS
 // parity deltas need the pre-write bytes, so an RS primary reads the old
-// range, plans, and starts its fan-out here rather than in begin.
+// range, plans, and dispatches its fan-out here rather than in begin.
 func (a *applyStep) apply() error {
 	s, m := a.s, a.m
 	if m.Op != proto.OpReplicate {
@@ -328,12 +381,9 @@ func (a *applyStep) apply() error {
 			if err := s.readLocal(nil, m.Chunk, old, m.Off); err != nil {
 				return err
 			}
-			ships, err := a.strat.PlanWrite(m.Off, m.Payload, old, len(a.backups))
-			if err != nil {
+			if err := a.dispatch(old); err != nil {
 				return err
 			}
-			a.cs.cacheShipments(m.Version, ships)
-			a.startFanout(ships)
 		}
 		st := a.op.Stage(opctx.StagePrimarySSD)
 		err := s.writeLocal(m.Chunk, m.Payload, m.Off)
@@ -391,12 +441,6 @@ func (s *Server) writeBackup(op *opctx.Op, m *proto.Message, data []byte) error 
 	return s.writeLocal(m.Chunk, data, m.Off)
 }
 
-// join collects the fan-out's verdict: true when the commit rule was met or
-// nothing was fanned out. Every path out of handleApply after begin passes
-// through it once, so the request frame is never recycled under a fan-out
-// still reading it.
-func (a *applyStep) join() bool { return a.replCh == nil || <-a.replCh }
-
 // count bumps the activity counter the op feeds.
 func (a *applyStep) count() {
 	if a.m.Op == proto.OpReplicate {
@@ -406,72 +450,59 @@ func (a *applyStep) count() {
 	}
 }
 
-// replicateShipments fans a write's planned shipments out to the backup
-// tier and applies the strategy's commit rule: true when every target acks,
-// or when the strategy's degraded rule is met within the commit window —
-// a majority of the replica group for mirroring (§4.2.1), at least N
-// segment acks for RS(N,M). The window is NOT a server constant: it derives
-// from the incoming op's remaining deadline, so the commit rule fires
-// relative to the client's budget — only deadline-less ops fall back to the
-// configured ReplTimeout.
-func (s *Server) replicateShipments(op *opctx.Op, backups []string, m *proto.Message, strat redundancy.Strategy, ships []redundancy.Shipment) bool {
-	window := s.opBudget(op, s.cfg.ReplTimeout)
-	// The transport recycles the request frame m when the handler returns,
-	// and the handler may return (commit decided) while straggler shipments
-	// are still applying in the background — so the correlation fields are
-	// copied out of m into each branch's own pooled message up front;
-	// nothing dispatched below reads through m.
-	chunk, view, version := m.Chunk, m.View, m.Version
-	fl := s.bcast.Begin(len(ships))
-	for _, sh := range ships {
-		// Mirror shipments alias the request payload, whose lease the
-		// transport server releases when the handler returns — but a
-		// shipment may outlive the handler (degraded-commit stragglers keep
-		// applying in the background). Each branch therefore carries its
-		// own reference, consumed by its one Do. RS shipments own their
-		// buffers, making this a no-op.
-		bufpool.Retain(sh.Data)
-		var flags uint8
-		if sh.Xor {
-			flags |= proto.FlagXorApply
-		}
-		if sh.Bump {
-			flags |= proto.FlagVersionBump
-		}
-		req := proto.GetMessage()
-		req.Op = proto.OpReplicate
-		req.Chunk = chunk
-		req.Off = sh.Off
-		req.View = view
-		req.Version = version
-		req.Flags = flags
-		req.Seg = uint16(sh.Target)
-		req.Payload = sh.Data
-		fl.Go(sh.Target, backups[sh.Target], op, window, req)
+// join collects the fan-out's acks and applies the strategy's commit rule:
+// true when every target acks, or when the strategy's degraded rule is met
+// within the commit window — a majority of the replica group for mirroring
+// (§4.2.1), at least N segment acks for RS(N,M) — and when nothing was fanned
+// out. Every path out of handleApply after begin passes through it once. It
+// ends the flight, so no shipment's ack can arrive for this request once it
+// returns: a straggler's is dropped by the transport, and the request frame
+// and the op are the handler's alone to recycle.
+func (a *applyStep) join() bool {
+	if a.fl == nil {
+		return true
 	}
-	defer fl.Finish()
+	ok := a.collect()
+	a.wait.Stop()
+	a.fl.Finish()
+	a.fl = nil
+	return ok
+}
+
+func (a *applyStep) collect() bool {
+	s, n := a.s, len(a.backups) // one shipment went to each
 	acks := 0
-	var failed []int
-	st := op.Stage(opctx.StageReplWait)
-	defer st.Stop()
-	for done := 1; done <= len(ships); done++ {
-		if r := fl.Next(); !r.Err && r.Status == proto.StatusOK {
+	var few [8]int
+	failed := few[:0]
+	var heard uint64 // by target; no placement is 64 backups wide
+	for done := 1; done <= n; done++ {
+		r, ok := a.fl.Next()
+		if !ok {
+			// Window spent or op cancelled: whoever has not answered by now
+			// has failed, and nothing is pending any more.
+			for t := range a.backups {
+				if heard&(1<<uint(t)) == 0 {
+					failed = append(failed, t)
+				}
+			}
+			done = n
+		} else if heard |= 1 << uint(r.Target); !r.Err && r.Status == proto.StatusOK {
 			acks++
 		} else {
 			failed = append(failed, r.Target)
 		}
-		if acks == len(ships) {
+		if acks == n {
 			return true
 		}
-		if len(failed) > 0 && strat.CommitOK(acks, len(backups)) {
+		if len(failed) > 0 && a.strat.CommitOK(acks, len(a.backups)) {
 			// The outcome is decided: a definitive failure rules out the
 			// all-ack commit and the degraded rule already holds, so more
 			// results cannot change the decision — only improve durability.
-			// Reply now rather than waiting out the stragglers' RPC windows;
-			// a dead holder's timeout would otherwise delay every committed
+			// Reply now rather than waiting out the stragglers' window; a
+			// dead holder's timeout would otherwise delay every committed
 			// write's ack past the client's patience, and the client would
-			// misread a committed write as failed. Stragglers keep applying
-			// in the background; only the definitive failures are reported.
+			// misread a committed write as failed. The stragglers' shipments
+			// are on the wire and still apply; only their acks go unheard.
 			//
 			// Degraded commit: availability preserved at a transient
 			// durability discount (§4.2.1). An RS stripe short a segment has
@@ -479,14 +510,14 @@ func (s *Server) replicateShipments(op *opctx.Op, backups []string, m *proto.Mes
 			// rebuild now; mirrored chunks keep the paper's behaviour and
 			// wait for the master's next probe.
 			s.degradedCommits.Add(1)
-			if strat.Spec().IsRS() {
+			if a.strat.Spec().IsRS() {
 				for _, t := range failed {
-					s.reportFailure(chunk, backups[t])
+					s.reportFailure(a.m.Chunk, a.backups[t])
 				}
 			}
 			return true
 		}
-		if pending := len(ships) - done; !strat.CommitOK(acks+pending, len(backups)) {
+		if pending := n - done; !a.strat.CommitOK(acks+pending, len(a.backups)) {
 			// Even if every straggler acks, the commit rule cannot be met.
 			return false
 		}

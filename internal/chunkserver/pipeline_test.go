@@ -10,6 +10,7 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/clock"
 	"ursa/internal/linearize"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
 	"ursa/internal/transport"
@@ -275,4 +276,74 @@ func TestDisjointWritesPipelineConcurrently(t *testing.T) {
 	if v := srv.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk}); v.Version != qd {
 		t.Errorf("version = %d, want %d", v.Version, qd)
 	}
+}
+
+// TestDegradedCommitRepliesPastSilentBackup is the commit rule's early exit
+// on a five-replica mirror: one backup is down (its shipment fails at once),
+// two ack, and the fourth sits behind a stalled device. The outcome is
+// decided at the second ack, so the primary must reply then — not after the
+// silent backup's stall, let alone its window — ending the fan-out's flight
+// with that shipment still out. The handler's request frame, op and flight
+// are recycled at the reply and reused by the writes that follow at once,
+// while the stragglers' acks are still to come: those must be dropped by the
+// transport without reaching any of them (the race detector watches), and the
+// stragglers' applies must still happen.
+func TestDegradedCommitRepliesPastSilentBackup(t *testing.T) {
+	e := newRebuildEnv(t)
+	const window = 5 * time.Second
+	p := e.start("p", false, nil, window)
+	stalled := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+	addrs := []string{"b1", "b2", "b3", "b4"}
+	var backups []*Server
+	for _, addr := range addrs {
+		var disk simdisk.Disk
+		if addr == "b4" {
+			disk = stalled
+		}
+		backups = append(backups, e.start(addr, false, disk, window))
+	}
+	mustCreate(t, p, CreateChunkReq{View: 1, Backups: addrs})
+	for _, b := range backups {
+		mustCreate(t, b, CreateChunkReq{View: 1})
+	}
+	e.net.Crash("b1")
+	const stall = 500 * time.Millisecond
+	stalled.Stall(stall)
+	ops, leases := opctx.InUse(), e.leases()
+
+	// Through the transport, not Handle: its server recycles the request
+	// frame when the handler returns.
+	client := transport.NewPeers(e.net.Dialer("client", transport.NodeConfig{}), clock.Realtime)
+	defer client.CloseAll()
+	const writes = 4
+	for v := uint64(0); v < writes; v++ {
+		t0 := time.Now()
+		resp, err := client.Call("p", &proto.Message{
+			Op: proto.OpWrite, Chunk: testChunk, Off: int64(v) * 64 * util.KiB,
+			View: 1, Version: v, Payload: bytes.Repeat([]byte{byte(0x70 + v)}, 4*util.KiB),
+		}, window)
+		took := time.Since(t0)
+		if err != nil || resp.Status != proto.StatusOK || resp.Version != v+1 {
+			t.Fatalf("write %d: %+v, %v", v, resp, err)
+		}
+		if took >= stall*3/4 {
+			t.Errorf("write %d replied after %v: it waited for the silent backup (stalled %v)", v, took, stall)
+		}
+		proto.Recycle(resp)
+	}
+	if got := p.degradedCommits.Load(); got != writes {
+		t.Errorf("degraded commits = %d, want %d", got, writes)
+	}
+	if ver, _ := versionView(t, backups[3]); ver == writes {
+		t.Error("the stalled backup had applied everything by the last reply: nothing was silent")
+	}
+	waitFor(t, "the stragglers' applies", func() bool {
+		ver, _ := versionView(t, backups[3])
+		return ver == writes
+	})
+	// At most the starting values: an earlier test's failure reporter may
+	// still have held an op when they were taken.
+	waitFor(t, "ops and buffer leases to return", func() bool {
+		return opctx.InUse() <= ops && e.leases() <= leases
+	})
 }

@@ -110,11 +110,7 @@ func walkSlot(span int64, piece func(off int64, n int) error) error {
 // arrives at the adopted version.
 func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string, span int64) rebuildSource {
 	return func(install installFn) (uint64, error) {
-		cli, err := s.peers.Get(addr)
-		if err != nil {
-			return 0, err
-		}
-		vresp, err := cli.Do(op, &proto.Message{Op: proto.OpGetVersion, Chunk: chunk},
+		vresp, err := s.peers.Do(op, addr, &proto.Message{Op: proto.OpGetVersion, Chunk: chunk},
 			s.opBudget(op, s.cfg.ReplTimeout))
 		if err != nil {
 			return 0, err
@@ -125,15 +121,17 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 		// Pipeline the transfer: several fetches in flight while earlier
 		// pieces write locally, so one chunk's recovery is bounded by the
 		// slower of source disk, network, and local disk — not their sum.
-		// inflight holds the calls for consecutive steps from the walk's
-		// current one on.
+		// Each fetch is a flight of its own, so each has the per-piece window
+		// to itself; inflight holds those of consecutive steps from the
+		// walk's current one on.
 		const clonePipeline = 4
-		var inflight []*transport.PendingCall
-		// An early exit abandons the calls still in flight so their
+		window := s.opBudget(op, 10*s.cfg.ReplTimeout)
+		var inflight []*transport.Flight
+		// An early exit forgets the fetches still in flight, so their
 		// responses' payload leases are released whenever they land.
 		defer func() {
-			for _, call := range inflight {
-				call.Abandon()
+			for _, fl := range inflight {
+				fl.Finish()
 			}
 		}()
 		return vresp.Version, walkSlot(span, func(off int64, n int) error {
@@ -142,19 +140,23 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 				if at >= span {
 					break
 				}
-				inflight = append(inflight, cli.Start(&proto.Message{
+				fl := s.peers.Begin(op, 1, window)
+				fl.Go(0, addr, &proto.Message{
 					Op:     proto.OpFetchChunk,
 					Chunk:  chunk,
 					Off:    at,
 					Length: uint32(min(cloneFetchSize, span-at)),
-				}))
+				})
+				inflight = append(inflight, fl)
 			}
-			call := inflight[0]
+			fl := inflight[0]
 			inflight = inflight[1:]
-			resp, ok := <-call.Done()
-			if !ok {
-				s.peers.Drop(addr, cli)
-				return fmt.Errorf("chunkserver: clone source %s: %w", addr, util.ErrClosed)
+			// A source gone silent mid-transfer costs one window, not the
+			// chunk lock for good; a closed connection is evicted.
+			resp, err := fl.Wait(0)
+			fl.Finish()
+			if err != nil {
+				return fmt.Errorf("chunkserver: clone source %s: %w", addr, err)
 			}
 			defer bufpool.Put(resp.Payload)
 			if resp.Status != proto.StatusOK || len(resp.Payload) != n {

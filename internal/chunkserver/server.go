@@ -107,9 +107,6 @@ type Server struct {
 	// the whole data path at QD32.
 	chunks [chunkShards]chunkShard
 	peers  *transport.Peers
-	// bcast fans replication shipments out onto pooled workers with pooled
-	// result collectors (no per-write goroutines/channels on the hot path).
-	bcast *transport.Broadcaster
 
 	// upMu/upCond gate request admission during a hot upgrade (§5.2):
 	// Handle parks on the condvar while draining, Upgrade parks until the
@@ -155,7 +152,6 @@ func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 	for i := range s.chunks {
 		s.chunks[i].m = make(map[blockstore.ChunkID]*chunkState)
 	}
-	s.bcast = transport.NewBroadcaster(s.peers)
 	s.upCond = sync.NewCond(&s.upMu)
 	if jset != nil {
 		// A journal dying is handled inside the set (re-route, then bypass)
@@ -184,7 +180,6 @@ func (s *Server) Close() {
 	if s.rpc != nil {
 		s.rpc.Close()
 	}
-	s.bcast.Close()
 	s.peers.CloseAll()
 	if s.jset != nil {
 		s.jset.Close()
@@ -271,8 +266,8 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 	// Rebuild the request context the message belongs to: same op ID, the
 	// sender's remaining budget re-anchored on our clock. Every wait below
 	// derives its window from this op, never from a fixed constant. It is
-	// released once the reply exists; a fan-out branch still running then
-	// holds its own reference (transport.Flight.Go).
+	// released once the reply exists: every flight begun on its behalf has
+	// Finished by then, so nothing else holds it.
 	op := opctx.FromWire(s.cfg.Clock, m.OpID, m.Budget)
 	if s.cfg.Metrics != nil {
 		op = op.WithSink(s.cfg.Metrics)

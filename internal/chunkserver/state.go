@@ -138,14 +138,15 @@ func (cs *chunkState) span() int64 {
 // behind the committed version is stale.
 const shipCacheDepth = 64
 
-// cacheShipments remembers version's fan-out plan and prunes entries that
-// have fallen far behind the committed version.
+// cacheShipments remembers a copy of version's fan-out plan (the caller's may
+// sit on its frame) and prunes entries that have fallen far behind the
+// committed version.
 func (cs *chunkState) cacheShipments(version uint64, ships []redundancy.Shipment) {
 	cs.mu.Lock()
 	if cs.shipments == nil {
 		cs.shipments = make(map[uint64][]redundancy.Shipment)
 	}
-	cs.shipments[version] = ships
+	cs.shipments[version] = append([]redundancy.Shipment(nil), ships...)
 	for v := range cs.shipments {
 		if v+shipCacheDepth < cs.version {
 			delete(cs.shipments, v)

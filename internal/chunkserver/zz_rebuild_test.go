@@ -476,6 +476,58 @@ func TestRebuildSourceDiesMidTransfer(t *testing.T) {
 	waitFor(t, "buffer leases to return", func() bool { return e.leases() == leases })
 }
 
+// TestRebuildSourcePartitionedMidTransfer cuts a mirror copy's source off
+// silently — messages dropped, connection left standing — while the second
+// piece is being read, so fetches are on the wire that nothing will ever
+// answer. Each fetch is bounded by its per-piece window: the clone must fail
+// within the command's budget instead of holding the chunk lock for good,
+// keep the (healthy) connection, leak no lease, and leave the replica
+// rebuildable — a second clone, from a source that answers, succeeds.
+func TestRebuildSourcePartitionedMidTransfer(t *testing.T) {
+	e := newRebuildEnv(t)
+	disk := &hookDisk{Disk: simdisk.NewSSD(fastSSD(), clock.Realtime)}
+	disk.hook = func() { e.net.Partition("src", "dst") }
+	src := e.start("src", false, disk, time.Second)
+	good := e.start("good", false, nil, time.Second)
+	dst := e.start("dst", false, nil, time.Second)
+	for _, s := range []*Server{src, good, dst} {
+		mustCreate(t, s, CreateChunkReq{View: 1})
+	}
+	data := bytes.Repeat([]byte{0x62}, 4*util.KiB)
+	for _, s := range []*Server{src, good} {
+		if st := apply(s, proto.OpWritePrimary, 0, 0, data); st != proto.StatusOK {
+			t.Fatalf("write on %s: %s", s.Addr(), st)
+		}
+	}
+	leases := e.leases()
+	disk.countdown.Store(2) // cut while the second piece is read
+	clone := rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "src"})
+	clone.Budget = 400 * time.Millisecond // a per-piece window of 300 ms
+	t0 := time.Now()
+	resp := dst.Handle(clone)
+	if took := time.Since(t0); resp.Status != proto.StatusError || took > 2*time.Second {
+		t.Fatalf("clone from a partitioned source = %s after %v, want an error within its budget", resp.Status, took)
+	}
+	if ver, view := versionView(t, dst); ver != 0 || view != 1 {
+		t.Errorf("failed clone left version %d view %d, want 0 and 1", ver, view)
+	}
+	if c, err := dst.peers.Get("src"); err != nil || c == nil {
+		t.Errorf("a timeout evicted the source's connection: %v", err)
+	}
+	waitFor(t, "buffer leases to return", func() bool { return e.leases() == leases })
+
+	resp = dst.Handle(rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "good"}))
+	if resp.Status != proto.StatusOK {
+		t.Fatalf("clone from a healthy source after the failed one: %s", resp.Status)
+	}
+	if ver, view := versionView(t, dst); ver != 1 || view != 2 {
+		t.Errorf("version %d view %d after the clone, want 1 and 2", ver, view)
+	}
+	if !bytes.Equal(slot(t, dst), slot(t, good)) {
+		t.Error("rebuilt slot differs from the source's")
+	}
+}
+
 // TestRebuildSnapshotTornRetry lands a write on the primary between the two
 // pieces of a segment snapshot (RS(2,1): a 32 MiB segment is two 16 MiB
 // fetches). The pieces then carry different versions; the holder must

@@ -3,6 +3,8 @@ package client
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"ursa/internal/journal"
 	"ursa/internal/master"
 	"ursa/internal/metrics"
+	"ursa/internal/opctx"
 	"ursa/internal/simdisk"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -196,6 +199,73 @@ func TestClientLargeWriteViaPrimary(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Error("large round trip mismatch")
+	}
+}
+
+// TestStripedWriteJoinsEveryFragment: a 256 KiB write over two 128 KiB stripe
+// units is two fragments on two chunks, forked. When one fragment's primary
+// is down and the client has no retry left, the write fails with that
+// fragment's error — but only once the other fragment has settled, committed
+// and its version hold released, and with nothing still holding the op:
+// whichever of the two ran on the caller's goroutine.
+func TestStripedWriteJoinsEveryFragment(t *testing.T) {
+	for failing := 0; failing < 2; failing++ {
+		t.Run(fmt.Sprintf("fragment %d fails", failing), func(t *testing.T) {
+			e := newEnv(t)
+			cl := New(Config{
+				Name: "s", MasterAddr: "master", Clock: e.clk,
+				Dialer:      e.net.Dialer("client-s", transport.NodeConfig{}),
+				CallTimeout: testCallTimeout,
+				MaxRetries:  1,
+			})
+			t.Cleanup(cl.Close)
+			const unit = 128 * util.KiB
+			if _, err := cl.CreateVDisk(master.CreateVDiskReq{
+				Name: "d", Size: 2 * util.ChunkSize, StripeGroup: 2, StripeUnit: unit,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			vd, err := cl.Open("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { vd.Close() })
+			data := make([]byte, 2*unit)
+			util.NewRand(7).Fill(data)
+			if err := vd.WriteAt(data, 0); err != nil {
+				t.Fatalf("striped write on a healthy cluster: %v", err)
+			}
+			other := 1 - failing
+			if p0, p1 := vd.meta.Chunks[0].Replicas[0].Addr, vd.meta.Chunks[1].Replicas[0].Addr; p0 == p1 {
+				t.Fatalf("both chunks' primaries on %s", p0)
+			}
+			ops := opctx.InUse()
+			e.net.Crash(vd.meta.Chunks[failing].Replicas[0].Addr)
+			util.NewRand(8).Fill(data)
+			err = vd.WriteAt(data, 0)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("write chunk %d ", failing)) {
+				t.Fatalf("write with chunk %d's primary down: %v", failing, err)
+			}
+			ch := vd.chunks[other]
+			ch.mu.Lock()
+			writers, committed, burned := ch.writers, ch.committed, ch.burned
+			ch.mu.Unlock()
+			if writers != 0 || committed != 2 || burned {
+				t.Errorf("fragment %d at return: %d writers, committed %d, burned %v; want it settled at 2",
+					other, writers, committed, burned)
+			}
+			// The write's own op is released at return; the asynchronous
+			// failure report it started has one of its own for a moment.
+			for deadline := time.Now().Add(5 * time.Second); opctx.InUse() > ops; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("ops in use %d after the write returned, %d before it", opctx.InUse(), ops)
+				}
+			}
+			got := make([]byte, unit)
+			if err := vd.ReadAt(got, int64(other)*unit); err != nil || !bytes.Equal(got, data[other*unit:][:unit]) {
+				t.Errorf("fragment %d's bytes after the failed write: err %v", other, err)
+			}
+		})
 	}
 }
 

@@ -54,9 +54,6 @@ type VDisk struct {
 	meta   master.VDiskMeta
 	chunks []*chunkHandle
 	wlimit *transport.TokenBucket // master-imposed write budget (§3.2)
-	// bcast fans client-directed replication out onto pooled workers with a
-	// pooled result collector — no per-write goroutines or channels.
-	bcast *transport.Broadcaster
 
 	renewStop chan struct{}
 	renewDone chan struct{}
@@ -94,7 +91,6 @@ func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
 		c:           c,
 		meta:        meta,
 		chunks:      make([]*chunkHandle, len(meta.Chunks)),
-		bcast:       transport.NewBroadcaster(c.peers),
 		repInflight: make(map[int]struct{}),
 		repLast:     make(map[reportKey]time.Time),
 	}
@@ -405,17 +401,43 @@ func (vd *VDisk) forEachFragment(op *opctx.Op, p []byte, off int64, write bool) 
 	if len(frags) == 1 {
 		return vd.doFragment(op, frags[0], p, write)
 	}
-	errs := make(chan error, len(frags))
-	for _, f := range frags {
-		go func(f fragment) { errs <- vd.doFragment(op, f, p, write) }(f)
+	return vd.forkFragments(op, frags, p, write)
+}
+
+// fragJoin is what the goroutines of one multi-fragment request share: an
+// error slot for each fragment. It is the request's one allocation besides a
+// closure per goroutine started.
+type fragJoin struct {
+	wg   sync.WaitGroup
+	errs []error
+	few  [4]error
+}
+
+// forkFragments runs the first fragment on the calling goroutine and each
+// other one on its own, and joins them through their error slots. frags is
+// only read: the caller's array stays on its frame, where the common
+// one-fragment request needs it.
+func (vd *VDisk) forkFragments(op *opctx.Op, frags []fragment, p []byte, write bool) error {
+	j := new(fragJoin)
+	j.errs = j.few[:]
+	if len(frags) > len(j.few) {
+		j.errs = make([]error, len(frags))
 	}
-	var first error
-	for range frags {
-		if err := <-errs; err != nil && first == nil {
-			first = err
+	j.wg.Add(len(frags) - 1)
+	for i, f := range frags[1:] {
+		go func() {
+			j.errs[i+1] = vd.doFragment(op, f, p, write)
+			j.wg.Done()
+		}()
+	}
+	j.errs[0] = vd.doFragment(op, frags[0], p, write)
+	j.wg.Wait()
+	for _, err := range j.errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // doFragment reads or writes fragment f of the caller's buffer p.
@@ -834,7 +856,7 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 		t0 = vd.c.cfg.Clock.Now()
 	}
 	cid := vd.chunkID(idx)
-	fl := vd.bcast.Begin(len(cm.Replicas))
+	fl := vd.c.peers.Begin(op, len(cm.Replicas), vd.c.cfg.CallTimeout)
 	for i, r := range cm.Replicas {
 		wireOp := proto.OpReplicate
 		if i == 0 {
@@ -851,11 +873,14 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 		// reference (a no-op for the user's foreign buffer, a real share
 		// when a pooled buffer ever flows through here).
 		bufpool.Retain(data)
-		fl.Go(i, r.Addr, op, vd.c.cfg.CallTimeout, m)
+		fl.Go(i, r.Addr, m)
 	}
 	acks, stales := 0, 0
 	for range cm.Replicas {
-		r := fl.Next()
+		r, ok := fl.Next()
+		if !ok {
+			break // window spent or op cancelled: the rest did not ack
+		}
 		if r.Err {
 			continue
 		}
@@ -918,7 +943,6 @@ func (vd *VDisk) Close() error {
 		close(vd.renewStop)
 		<-vd.renewDone
 	}
-	vd.bcast.Close()
 	_, _ = vd.c.masterCall(proto.MOpCloseVDisk,
 		master.LeaseReq{ID: vd.meta.ID, Client: vd.c.cfg.Name}, nil)
 	return nil

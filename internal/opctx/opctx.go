@@ -22,9 +22,10 @@
 // Ops are pooled and reference-counted, in the bufpool lease idiom: New (and
 // Background, FromWire) lease an op with one reference, which belongs to the
 // creator and which it Releases when the operation has returned; anything
-// that may still use the op after its caller has returned (a replication
-// fan-out's stragglers) Retains first and Releases when done. The last
-// Release poisons the op — cancelled and expired, so a stale pointer fails
+// that may still use the op after its creator has returned Retains first and
+// Releases when done (nothing in the tree needs to: an RPC made on an op's
+// behalf is awaited by the goroutine that issued it, see transport.Flight).
+// The last Release poisons the op — cancelled and expired, so a stale pointer fails
 // closed instead of spending the next operation's budget — and recycles it.
 // An op that is never released is simply collected; InUse then stays up.
 package opctx

@@ -2,6 +2,9 @@ package redundancy
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -252,12 +255,28 @@ func TestRSPlanWrite(t *testing.T) {
 	rng.Read(data)
 	rng.Read(old)
 
-	ships, err := rs.PlanWrite(off, data, old, 6)
+	ships, err := rs.PlanWrite(nil, off, data, old, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ships) != 6 {
 		t.Fatalf("got %d shipments, want 6", len(ships))
+	}
+	// The plan, byte for byte, as PlanWrite produced it when it still
+	// returned a slice of its own (digest taken at that commit): planning
+	// into a caller's slice changed where shipments go, not what they are.
+	const planDigest = "e14083c9ed08ba034b8bde93851faf20bea2dd53b550f86dc4bf5cdcf5bbe383"
+	if got := digestPlan(ships); got != planDigest {
+		t.Errorf("plan digest %s, want %s", got, planDigest)
+	}
+	// Into a caller's slice the same plan follows what was already there.
+	prefix := []Shipment{{Target: 99}}
+	into, err := rs.PlanWrite(prefix, off, data, old, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(into) != 7 || into[0].Target != 99 || digestPlan(into[1:]) != planDigest {
+		t.Errorf("plan appended to a one-entry slice: %d entries, first %+v", len(into), into[0])
 	}
 	seen := make(map[int]Shipment)
 	for _, sh := range ships {
@@ -296,6 +315,53 @@ func TestRSPlanWrite(t *testing.T) {
 		if !bytes.Equal(sh.Data, want) {
 			t.Fatalf("parity shipment %d delta mismatch", j)
 		}
+	}
+}
+
+// digestPlan hashes a plan's shipments in order: target, offset, length,
+// flags and bytes of each.
+func digestPlan(ships []Shipment) string {
+	h := sha256.New()
+	for _, sh := range ships {
+		var hdr [8 + 8 + 8 + 2]byte
+		binary.LittleEndian.PutUint64(hdr[0:], uint64(sh.Target))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(sh.Off))
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(sh.Data)))
+		if sh.Xor {
+			hdr[24] = 1
+		}
+		if sh.Bump {
+			hdr[25] = 1
+		}
+		h.Write(hdr[:])
+		h.Write(sh.Data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestMirrorPlanIntoCallersSlice: a mirror plan that fits the caller's slice
+// is allocation-free — what lets a primary keep it on its handler's frame.
+func TestMirrorPlanIntoCallersSlice(t *testing.T) {
+	data := make([]byte, 4096)
+	var few [4]Shipment
+	var ships []Shipment
+	allocs := testing.AllocsPerRun(100, func() {
+		ships, _ = Mirror{}.PlanWrite(few[:0], 8192, data, nil, 2)
+	})
+	if allocs != 0 {
+		t.Errorf("mirror plan into a cap-4 slice: %v allocs/op, want 0", allocs)
+	}
+	if len(ships) != 2 || &ships[0] != &few[0] {
+		t.Fatalf("plan of %d shipments, in the caller's array: %v", len(ships), len(ships) > 0 && &ships[0] == &few[0])
+	}
+	for i, sh := range ships {
+		if sh.Target != i || sh.Off != 8192 || &sh.Data[0] != &data[0] || len(sh.Data) != len(data) || sh.Xor || sh.Bump {
+			t.Errorf("shipment %d = {Target:%d Off:%d len:%d Xor:%v Bump:%v}", i, sh.Target, sh.Off, len(sh.Data), sh.Xor, sh.Bump)
+		}
+	}
+	// Wider than the slice, the plan spills rather than truncates.
+	if ships, _ := (Mirror{}).PlanWrite(few[:0], 0, data, nil, 6); len(ships) != 6 {
+		t.Errorf("six-backup plan has %d shipments", len(ships))
 	}
 }
 

@@ -2,6 +2,7 @@ package redundancy
 
 import (
 	"fmt"
+	"slices"
 
 	"ursa/internal/util"
 )
@@ -132,9 +133,10 @@ type Strategy interface {
 	// NeedsOldData reports whether PlanWrite requires the pre-write
 	// contents of the target range (RS parity deltas do).
 	NeedsOldData() bool
-	// PlanWrite builds the per-backup shipments for writing data at off.
-	// old is the pre-write content of the same range when NeedsOldData.
-	PlanWrite(off int64, data, old []byte, backups int) ([]Shipment, error)
+	// PlanWrite appends the per-backup shipments for writing data at off to
+	// dst and returns the extended slice. old is the pre-write content of
+	// the same range when NeedsOldData.
+	PlanWrite(dst []Shipment, off int64, data, old []byte, backups int) ([]Shipment, error)
 	// CommitOK reports whether a write that reached acks of the backups
 	// (the primary's own local write succeeded, and the fan-out window
 	// expired) may still commit.
@@ -168,12 +170,11 @@ func (Mirror) Spec() Spec { return Spec{Kind: KindMirror} }
 func (Mirror) NeedsOldData() bool { return false }
 
 // PlanWrite implements Strategy: one full copy per backup.
-func (Mirror) PlanWrite(off int64, data, old []byte, backups int) ([]Shipment, error) {
-	ships := make([]Shipment, backups)
-	for i := range ships {
-		ships[i] = Shipment{Target: i, Off: off, Data: data}
+func (Mirror) PlanWrite(dst []Shipment, off int64, data, old []byte, backups int) ([]Shipment, error) {
+	for i := 0; i < backups; i++ {
+		dst = append(dst, Shipment{Target: i, Off: off, Data: data})
 	}
-	return ships, nil
+	return dst, nil
 }
 
 // CommitOK implements Strategy: majority including the primary.
@@ -206,7 +207,7 @@ func (r *RS) NeedsOldData() bool { return true }
 // contiguous XOR-delta covering the union of affected intra-segment ranges
 // (gaps zero-padded — XOR with zero is a no-op), and unaffected data
 // holders an empty version bump.
-func (r *RS) PlanWrite(off int64, data, old []byte, backups int) ([]Shipment, error) {
+func (r *RS) PlanWrite(dst []Shipment, off int64, data, old []byte, backups int) ([]Shipment, error) {
 	if backups != r.spec.N+r.spec.M {
 		return nil, fmt.Errorf("redundancy: rs(%d,%d) needs %d backups, have %d", r.spec.N, r.spec.M, r.spec.N+r.spec.M, backups)
 	}
@@ -214,7 +215,7 @@ func (r *RS) PlanWrite(off int64, data, old []byte, backups int) ([]Shipment, er
 		return nil, fmt.Errorf("redundancy: old data %d bytes, want %d", len(old), len(data))
 	}
 	pieces := PieceRanges(r.spec, off, len(data))
-	ships := make([]Shipment, 0, backups)
+	ships := slices.Grow(dst, backups)
 	affected := make(map[int]bool, len(pieces))
 	lo, hi := int64(-1), int64(-1)
 	for _, p := range pieces {

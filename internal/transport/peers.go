@@ -1,16 +1,12 @@
 package transport
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"time"
 
-	"ursa/internal/bufpool"
 	"ursa/internal/clock"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
-	"ursa/internal/util"
 	"ursa/internal/util/backoff"
 )
 
@@ -20,7 +16,7 @@ import (
 // own. Connections are dialed on demand and reused across calls; a call
 // that fails with a transport-level fault evicts the cached client so the
 // next call redials, while a timeout or cancellation keeps it (the
-// connection is healthy — the budget just ran out).
+// connection is healthy — the budget just ran out; see Flight.settle).
 type Peers struct {
 	dial Dialer
 	clk  clock.Clock
@@ -75,13 +71,6 @@ func (p *Peers) Drop(addr string, c *Client) {
 	c.Close()
 }
 
-// evictable reports whether an error means the cached connection itself is
-// suspect. Timeouts and cancellations are budget exhaustion, not transport
-// faults: the connection stays cached.
-func evictable(err error) bool {
-	return !errors.Is(err, util.ErrTimeout) && !errors.Is(err, context.Canceled)
-}
-
 // SetRedial configures dial-retry: a failed dial is retried up to tries
 // more times with the policy's jittered delays (seeded by the op ID),
 // never past the op's remaining budget. Callers with slow-changing targets
@@ -91,11 +80,9 @@ func (p *Peers) SetRedial(policy backoff.Policy, tries int) {
 	p.redial, p.redialTries = policy, tries
 }
 
-// Do sends m to addr on behalf of op, bounded by the op's budget and cap,
-// evicting the cached connection on transport faults. Do consumes one
-// reference to m.Payload on every path (a failed dial releases it here;
-// everything later goes through Client.Do, which has the same contract).
-func (p *Peers) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Duration) (*proto.Message, error) {
+// client returns the connection a call on op's behalf to addr goes out on,
+// retrying a failed dial per the SetRedial policy.
+func (p *Peers) client(op *opctx.Op, addr string) (*Client, error) {
 	c, err := p.Get(addr)
 	for attempt := 0; err != nil && attempt < p.redialTries; attempt++ {
 		d := p.redial.Delay(op.ID(), attempt)
@@ -105,14 +92,16 @@ func (p *Peers) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Duratio
 		p.clk.Sleep(d)
 		c, err = p.Get(addr)
 	}
-	if err != nil {
-		bufpool.Put(m.Payload)
-		return nil, err
-	}
-	resp, err := c.Do(op, m, cap)
-	if err != nil && evictable(err) {
-		p.Drop(addr, c)
-	}
+	return c, err
+}
+
+// Do sends m to addr on behalf of op and waits for the response, bounded by
+// the op's budget and cap: a flight of one branch. Do consumes one reference
+// to m.Payload on every path.
+func (p *Peers) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Duration) (*proto.Message, error) {
+	fl := p.Begin(op, 1, cap)
+	resp, err := fl.Wait(fl.Go(0, addr, m))
+	fl.Finish()
 	return resp, err
 }
 

@@ -11,8 +11,8 @@ import (
 	"ursa/internal/proto"
 )
 
-// TestPooledDecodeRaceSoak hammers one connection with concurrent Client.Go
-// pipelines whose payloads decode into pooled buffers, checking that echoed
+// TestPooledDecodeRaceSoak hammers one connection with concurrent pipelines
+// of one-branch flights whose payloads decode into pooled buffers, checking that echoed
 // bytes survive the lease/return churn and that the pool balances to its
 // starting in-use count once the connection drains. Run under -race this is
 // the ownership-contract soak: any buffer recycled while still referenced
@@ -42,15 +42,16 @@ func TestPooledDecodeRaceSoak(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			type flight struct {
-				ch   <-chan *proto.Message
+				fl   *Flight
 				n    int
 				mark byte
 			}
 			var inflight []flight
 			reap := func(f flight) error {
-				resp, ok := <-f.ch
-				if !ok {
-					return fmt.Errorf("worker %d: connection died", w)
+				resp, err := f.fl.Wait(0)
+				f.fl.Finish()
+				if err != nil {
+					return fmt.Errorf("worker %d: %w", w, err)
 				}
 				if resp.Status != proto.StatusOK {
 					return fmt.Errorf("worker %d: status %v", w, resp.Status)
@@ -68,11 +69,10 @@ func TestPooledDecodeRaceSoak(t *testing.T) {
 				mark := byte(w*31 + i)
 				pay := bufpool.Get(n)
 				pay[0], pay[n-1] = mark, mark
-				// Go consumes the request payload reference on every path.
-				inflight = append(inflight, flight{
-					ch: cli.Go(&proto.Message{Op: proto.OpRead, Payload: pay}),
-					n:  n, mark: mark,
-				})
+				// send consumes the request payload reference on every path.
+				fl := bareFlight(cli, 1)
+				fl.send(0, cli, nil, "", &proto.Message{Op: proto.OpRead, Payload: pay})
+				inflight = append(inflight, flight{fl: fl, n: n, mark: mark})
 				if len(inflight) >= pipeline {
 					if err := reap(inflight[0]); err != nil {
 						errs <- err

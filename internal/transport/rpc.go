@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -9,22 +8,27 @@ import (
 	"ursa/internal/clock"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
-	"ursa/internal/util"
 )
 
 // Client is a pipelined RPC endpoint over one MsgConn: many calls may be in
 // flight simultaneously (the paper's in-network pipelining, §3.4), and
-// responses are matched to callers by message ID, so servers may complete
-// them out of order.
+// responses are matched by message ID to the flight slot that awaits them,
+// so servers may complete them out of order.
 type Client struct {
 	conn MsgConn
 	clk  clock.Clock
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan *proto.Message
+	pending map[uint64]callRef
 	closed  bool
 	done    chan struct{}
+}
+
+// callRef is where a response completes: one branch slot of a flight.
+type callRef struct {
+	fl   *Flight
+	slot int
 }
 
 // NewClient starts the response dispatcher over conn.
@@ -32,13 +36,16 @@ func NewClient(conn MsgConn, clk clock.Clock) *Client {
 	c := &Client{
 		conn:    conn,
 		clk:     clk,
-		pending: make(map[uint64]chan *proto.Message),
+		pending: make(map[uint64]callRef),
 		done:    make(chan struct{}),
 	}
 	go c.recvLoop()
 	return c
 }
 
+// recvLoop is the dispatcher: it claims a response's pending entry and
+// completes the slot it names. Nothing else completes a registered call
+// (failAll is its exit path).
 func (c *Client) recvLoop() {
 	defer close(c.done)
 	for {
@@ -48,179 +55,44 @@ func (c *Client) recvLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
+		ref, ok := c.pending[m.ID]
 		if ok {
 			delete(c.pending, m.ID)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- m // buffered; never blocks
+			ref.fl.complete(ref.slot, m)
 		} else {
-			// Unknown ID: a late response to a timed-out or abandoned call.
-			// The message dies here, so its payload lease dies with it and
-			// the frame goes back to the message pool.
-			bufpool.Put(m.Payload)
-			proto.Recycle(m)
+			// Unknown ID: a late response to a call its flight has forgotten
+			// (window expired, early Finish).
+			discard(m)
 		}
 	}
 }
 
+// failAll claims every pending call at once and completes each as failed.
 func (c *Client) failAll() {
 	c.mu.Lock()
 	c.closed = true
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch)
-	}
+	pending := c.pending
+	c.pending = nil
 	c.mu.Unlock()
+	for _, ref := range pending {
+		ref.fl.complete(ref.slot, nil)
+	}
 }
 
-// Go sends m and returns a channel that yields the response, or is closed
-// on connection failure. The caller owns timeout policy.
-func (c *Client) Go(m *proto.Message) <-chan *proto.Message {
-	return c.Start(m).ch
-}
-
-// PendingCall is one in-flight request started with Start. Exactly one of
-// Done-receive or Abandon must consume it: Abandon releases the response's
-// payload lease no matter how the race with the dispatcher falls, which is
-// what lets pipelined callers (chunk clones) bail out mid-stream without
-// leaking pooled buffers.
-type PendingCall struct {
-	c  *Client
-	id uint64
-	ch chan *proto.Message
-}
-
-// pcPool recycles PendingCalls and their reply channels between calls —
-// one struct + one buffered channel per RPC otherwise. Only Do recycles
-// (its PendingCall never escapes); Start/Go callers own theirs. A
-// PendingCall is recyclable only while its channel is open and empty:
-// after a successful receive, or after an Abandon that either beat the
-// dispatcher or drained a real response. Closed channels (connection
-// failure) are never pooled.
-var pcPool = sync.Pool{New: func() any {
-	return &PendingCall{ch: make(chan *proto.Message, 1)}
-}}
-
-// Start sends m and returns the in-flight call. The response channel is
-// closed on connection failure. Start consumes one reference to m.Payload
-// on every path — normally through Send, directly when the client is
-// already closed — so callers can treat "handed to Start/Go/Do" as
-// "released" unconditionally.
-func (c *Client) Start(m *proto.Message) *PendingCall {
-	pc := pcPool.Get().(*PendingCall)
-	pc.c = c
+// register assigns m its ID and enters the slot that awaits the response.
+// It reports false on a closed client.
+func (c *Client) register(m *proto.Message, ref callRef) bool {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		bufpool.Put(m.Payload)
-		close(pc.ch)
-		return pc
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.nextID++
+		m.ID = c.nextID
+		c.pending[m.ID] = ref
 	}
-	c.nextID++
-	m.ID = c.nextID
-	pc.id = m.ID
-	c.pending[m.ID] = pc.ch
-	c.mu.Unlock()
-
-	if err := c.conn.Send(m); err != nil {
-		c.mu.Lock()
-		if _, ok := c.pending[pc.id]; ok {
-			delete(c.pending, pc.id)
-			close(pc.ch)
-		}
-		c.mu.Unlock()
-	}
-	return pc
-}
-
-// Done yields the response, or is closed on connection failure.
-func (pc *PendingCall) Done() <-chan *proto.Message { return pc.ch }
-
-// Abandon gives up on the call. If the dispatcher already claimed it, the
-// (delivered or imminent) response is drained and its payload released;
-// otherwise the pending entry is removed and the dispatcher will release
-// the late response when it arrives.
-func (pc *PendingCall) Abandon() { pc.abandon() }
-
-// abandon does Abandon's work and reports whether the channel is still
-// open and empty — i.e. whether pc may be recycled.
-func (pc *PendingCall) abandon() bool {
-	if pc.c.forget(pc.id) {
-		return true // no send ever happens; channel open and empty
-	}
-	// The dispatcher removed the entry before we could: its channel send
-	// is complete or imminent (or the channel is closed). Never blocks
-	// long.
-	if resp, ok := <-pc.ch; ok {
-		if resp != nil {
-			bufpool.Put(resp.Payload)
-			proto.Recycle(resp)
-		}
-		return true // drained; channel open and empty again
-	}
-	return false // closed by connection failure; not reusable
-}
-
-// Do sends m on behalf of op and waits for the response, bounded by the
-// op's remaining deadline budget and the optional per-call cap (cap<=0
-// means the deadline alone governs the wait). The op's identity and
-// remaining budget are stamped into the message so the receiver can derive
-// its own sub-budgets — the deadline decrement rule. Cancelling the op
-// unblocks the wait promptly; in either early-exit case the pending entry
-// is removed, so a late response is dropped by the dispatcher instead of
-// leaking.
-// Like Start, Do consumes one reference to m.Payload on every path,
-// including the pre-send early returns.
-func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.Message, error) {
-	// Capture the op code up front: once Start hands m to the server (the
-	// simulated network passes pointers), the server side may recycle it,
-	// so the error paths below must not read through m.
-	opc := m.Op
-	if err := op.Err(); err != nil {
-		bufpool.Put(m.Payload)
-		return nil, fmt.Errorf("rpc call op=%d: %w", opc, err)
-	}
-	wait, ok := op.Budget(cap)
-	if !ok {
-		bufpool.Put(m.Payload)
-		return nil, fmt.Errorf("rpc call op=%d: budget spent: %w", opc, util.ErrTimeout)
-	}
-	m.OpID = op.ID()
-	m.Budget = op.WireBudget()
-
-	st := op.Stage(opctx.StageNet)
-	pc := c.Start(m)
-	// Do's PendingCall never escapes, so safe completions recycle it instead
-	// of allocating per call; the wait's timer is pooled likewise.
-	var timerC <-chan time.Time
-	if wait > 0 {
-		timer := clock.StartTimer(c.clk, wait)
-		defer clock.StopTimer(timer)
-		timerC = timer.C
-	}
-	select {
-	case resp, respOK := <-pc.ch:
-		st.Stop()
-		if !respOK {
-			return nil, fmt.Errorf("rpc call op=%d: %w", opc, ErrConnClosed)
-		}
-		pcPool.Put(pc)
-		return resp, nil
-	case <-timerC:
-		st.Stop()
-		if pc.abandon() {
-			pcPool.Put(pc)
-		}
-		return nil, fmt.Errorf("rpc call op=%d after %v: %w", opc, wait, util.ErrTimeout)
-	case <-op.Done():
-		st.Stop()
-		if pc.abandon() {
-			pcPool.Put(pc)
-		}
-		return nil, fmt.Errorf("rpc call op=%d: %w", opc, op.Err())
-	}
+	return !c.closed
 }
 
 // forget abandons an in-flight call so the dispatcher drops (and releases)
@@ -239,6 +111,18 @@ func (c *Client) pendingCalls() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
+}
+
+// Do sends m on behalf of op and waits for the response, bounded by the
+// op's remaining deadline budget and the optional per-call cap (cap<=0
+// means the deadline alone governs the wait): a flight of one branch over
+// this connection (see Flight). Do consumes one reference to m.Payload on
+// every path, including the pre-send early returns.
+func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.Message, error) {
+	fl := begin(nil, c.clk, op, 1, cap)
+	resp, err := fl.Wait(fl.send(0, c, nil, "", m))
+	fl.Finish()
+	return resp, err
 }
 
 // Call sends m and waits up to timeout for the response. A zero timeout

@@ -8,6 +8,7 @@ import (
 
 	"ursa/internal/bufpool"
 	"ursa/internal/clock"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/util"
 )
@@ -68,13 +69,14 @@ func TestTCPPipelining(t *testing.T) {
 	defer cli.Close()
 
 	start := time.Now()
-	var chans []<-chan *proto.Message
+	fl := bareFlight(cli, 32)
+	defer fl.Finish()
 	for i := 0; i < 32; i++ {
-		chans = append(chans, cli.Go(&proto.Message{Op: proto.OpNop}))
+		fl.send(i, cli, nil, "", &proto.Message{Op: proto.OpNop})
 	}
-	for _, ch := range chans {
-		if resp, ok := <-ch; !ok || resp.Status != proto.StatusOK {
-			t.Fatal("pipelined call failed")
+	for i := 0; i < 32; i++ {
+		if resp, err := fl.Wait(i); err != nil || resp.Status != proto.StatusOK {
+			t.Fatalf("pipelined call %d failed: %v", i, err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
@@ -103,16 +105,24 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	cli := NewClient(conn, clock.Realtime)
 	defer cli.Close()
 
-	slow := cli.Go(&proto.Message{Op: proto.OpRead})
-	fast := cli.Go(&proto.Message{Op: proto.OpNop})
-	select {
-	case <-fast:
-	case <-slow:
-		t.Fatal("slow request completed before fast one")
-	case <-time.After(time.Second):
-		t.Fatal("no completion")
+	const slow, fast = 0, 1
+	fl := bareFlight(cli, 2)
+	defer fl.Finish()
+	fl.send(slow, cli, nil, "", &proto.Message{Op: proto.OpRead})
+	fl.send(fast, cli, nil, "", &proto.Message{Op: proto.OpNop})
+	if r, ok := fl.Next(); !ok || r.Err || r.Target != fast {
+		t.Fatalf("first completion = %+v, %v; want the fast request", r, ok)
 	}
-	<-slow
+	if r, ok := fl.Next(); !ok || r.Err || r.Target != slow {
+		t.Fatalf("second completion = %+v, %v; want the slow request", r, ok)
+	}
+}
+
+// bareFlight opens an n-branch flight over one bare client, unbounded but
+// for the test's own timeout; the caller sends with fl.send.
+func bareFlight(c *Client, n int) *Flight {
+	op := opctx.New(c.clk, 0)
+	return begin(nil, c.clk, op, n, 0)
 }
 
 func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Client, *Server) {
@@ -252,14 +262,18 @@ func TestClientTimeoutLeavesConnectionUsable(t *testing.T) {
 func TestClientConnFailureFailsPending(t *testing.T) {
 	net, cli, srv := simPair(t, 0, NodeConfig{})
 	_ = net
-	ch := cli.Go(&proto.Message{Op: proto.OpRead})
+	fl := bareFlight(cli, 1)
+	defer fl.Finish()
+	fl.send(0, cli, nil, "", &proto.Message{Op: proto.OpRead})
 	srv.Close()
+	settled := make(chan struct{})
+	go func() {
+		// A response may have raced the close; either outcome settles it.
+		fl.Wait(0)
+		close(settled)
+	}()
 	select {
-	case _, ok := <-ch:
-		if ok {
-			// A response may have raced the close; that's fine too.
-			return
-		}
+	case <-settled:
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending call not failed after server close")
 	}
