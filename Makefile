@@ -34,7 +34,12 @@ bench-quick:
 # ursa-bench exits non-zero when a figure prints ACCEPTANCE FAIL. Quick
 # runs write their (shrunk, noisy) artifacts to a temp dir; only explicit
 # full `-fig X` runs refresh the canonical repo-root BENCH_*.json files
-# (internal/bench/artifactPath).
+# (internal/bench/artifactPath). Two acceptances compare wall time with
+# model time and flake on a shared host: -fig failover's blackout <= 2.0x
+# the primacy TTL and -fig coldtier's 100x clone speed-up. A -quick run
+# reports those two as notes and gates the rest (zero data errors, one
+# promotion to a higher epoch; GC reclaim, no corrupt payload); the full
+# runs gate them.
 bench-smoke: vet
 	$(GO) run ./cmd/ursa-bench -fig journal -quick
 	$(GO) run ./cmd/ursa-bench -fig hotchunk -quick
@@ -67,7 +72,8 @@ bench-module:
 # B/op exceeds the checked-in ceiling in
 # internal/bench/testdata/perf_baseline.json (currently 0 allocs/op). The
 # same file carries count ceilings for journal replay, measured over a
-# steady-state drain (journal-device reads per replayed record <= 1,
+# steady-state drain (journal-device reads per replayed record: 0 while the
+# backlog fits the resident image of the journal tail, <= 1 past it;
 # allocations per replayed record), and for a whole 4 KiB read and write at
 # QD 1 through client, transport and chunkserver handlers on a zero-cost
 # in-process cluster ("e2e-4k": allocations per op, bytes per write) — the

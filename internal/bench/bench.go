@@ -119,6 +119,17 @@ func (t Table) Failed() bool {
 	return false
 }
 
+// missWallClock records a missed acceptance that compares wall time with
+// model time, so that host load can trip it: the full run gates it, a -quick
+// run — which shares the host with other packages' tests — only reports it.
+func (t *Table) missWallClock(cfg Config, miss string) {
+	if cfg.Quick {
+		t.Notes = append(t.Notes, miss+" (wall-clock gate: reported by a -quick run, enforced by the full run)")
+	} else {
+		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: "+miss)
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -126,6 +126,10 @@ func FigFailover(cfg Config) Table {
 	// blackout: each probe is one client metadata call, which internally
 	// hunts across the endpoint list until the promoted standby answers.
 	time.Sleep(cfg.cellTime() / 4)
+	var epochBefore uint64
+	if p := c.PrimaryMaster(); p != nil {
+		epochBefore = p.Epoch()
+	}
 	kill := time.Now()
 	c.KillMaster(0)
 	for {
@@ -165,8 +169,12 @@ func FigFailover(cfg Config) Table {
 	if doc.DataErrors > 0 {
 		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: data path saw errors during the master blackout")
 	}
+	if doc.Promotions != 1 || doc.Epoch <= epochBefore {
+		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: want one promotion to a higher epoch, got "+
+			f0(float64(doc.Promotions))+" promotion(s), epoch "+f0(float64(epochBefore))+" -> "+f0(float64(doc.Epoch)))
+	}
 	if doc.Ratio > doc.RatioCeiling {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: blackout exceeded "+f1(doc.RatioCeiling)+"x the primacy TTL")
+		t.missWallClock(cfg, "blackout exceeded "+f1(doc.RatioCeiling)+"x the primacy TTL")
 	}
 	t.Notes = append(t.Notes,
 		"blackout = primary-kill to first metadata op served by the promoted standby;",

@@ -79,7 +79,10 @@ func TestPerfSmoke(t *testing.T) {
 	}
 
 	got := e2eCounts(t)
-	got["journal-replay"] = replayCounts(t)
+	// 1024 records stay inside the resident budget (8 MiB); 4096 are four
+	// full replay windows and more than twice the budget.
+	got["journal-replay-resident"] = replayCounts(t, 1024, false)
+	got["journal-replay-overflow"] = replayCounts(t, 4096, true)
 	for name, want := range base.Counts {
 		for metric, ceiling := range want {
 			v, ok := got[name][metric]
@@ -148,8 +151,11 @@ func (d *heldDisk) QueueDepth() int { return d.Disk.QueueDepth() + int(d.busy.Lo
 // allocations per replayed record. Each cycle journals n scattered records
 // with the replayer held off, then drains them; the first cycle warms the
 // replayer's scratch and the buffer pool, the second is measured over the
-// drain alone, down to the backup HDD model's pooled requests.
-func replayCounts(t *testing.T) map[string]float64 {
+// drain alone, down to the backup HDD model's pooled requests. overflow
+// says whether n is meant to outgrow the set's resident image, so that part
+// of the backlog is read back from the journal device; a backlog inside it
+// must drain without one device read.
+func replayCounts(t *testing.T, n int, overflow bool) map[string]float64 {
 	clk := clock.Realtime
 	ssd := simdisk.NewSSD(ceilingSSD(), clk)
 	defer ssd.Close()
@@ -166,7 +172,6 @@ func replayCounts(t *testing.T) map[string]float64 {
 		t.Fatal(err)
 	}
 
-	const n = 4096 // four full replay windows
 	data := make([]byte, 4*util.KiB)
 	var reads, mallocs float64
 	for cycle := 0; cycle < 2; cycle++ {
@@ -186,11 +191,16 @@ func replayCounts(t *testing.T) map[string]float64 {
 		reads = float64(ssd.Stats().Reads - r0)
 		mallocs = float64(m1.Mallocs - m0.Mallocs)
 	}
-	if st := set.Stats(); st.ReplayedRecords != 2*n {
+	st := set.Stats()
+	if st.ReplayedRecords != int64(2*n) {
 		t.Fatalf("replayed %d records, want %d", st.ReplayedRecords, 2*n)
 	}
+	if (st.ReplayedFromDevice > 0) != overflow || st.ReplayedFromMemory == 0 {
+		t.Fatalf("%d records a cycle: %d bytes replayed from memory, %d from the device (overflow expected: %v)",
+			n, st.ReplayedFromMemory, st.ReplayedFromDevice, overflow)
+	}
 	return map[string]float64{
-		"journal_reads_per_record": reads / n,
-		"allocs_per_record":        mallocs / n,
+		"journal_reads_per_record": reads / float64(n),
+		"allocs_per_record":        mallocs / float64(n),
 	}
 }

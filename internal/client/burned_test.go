@@ -2,11 +2,13 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ursa/internal/bufpool"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -137,4 +139,48 @@ func TestAbandonedWriteResyncsVersions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBurnedChunkWaiterKeepsItsOwnDeadline: a chunk is burned while another
+// write still holds a version and is stalled far longer than the next
+// writer is willing to wait. That writer queues for the holders to settle;
+// it must fail when its own budget ends, not sit until theirs do.
+func TestBurnedChunkWaiterKeepsItsOwnDeadline(t *testing.T) {
+	e := newEnv(t)
+	cl := e.client(t, "a")
+	vd := e.vdisk(t, cl, "d", 128*util.MiB)
+	mustRoundTrip(t, vd, 1, 0)
+
+	// Two writes take versions; one gives up, the other stalls.
+	holder := opctx.New(e.clk, time.Hour)
+	defer holder.Release()
+	gaveUp, err := vd.takeVersion(holder, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, err := vd.takeVersion(holder, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := vd.chunks[0]
+	ch.settleVersion(gaveUp, false)
+
+	budget := cl.cfg.IOTimeout
+	cl.cfg.IOTimeout = time.Second // 50 ms on the wall
+	done := make(chan error, 1)
+	go func() { done <- vd.WriteAt(make([]byte, 4*util.KiB), 4*util.KiB) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, util.ErrTimeout) {
+			t.Errorf("write behind the stalled holder: %v, want its own timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a 50 ms write is still waiting for a stalled holder of the burned chunk")
+	}
+	cl.cfg.IOTimeout = budget
+
+	// The holder settles at last: the waiter, if it is still there, and every
+	// later write go through the resync.
+	ch.settleVersion(stalled, false)
+	mustRoundTrip(t, vd, 2, 8*util.KiB)
 }

@@ -8,6 +8,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
+	"ursa/internal/clock"
 	"ursa/internal/master"
 	"ursa/internal/metrics"
 	"ursa/internal/opctx"
@@ -31,12 +32,13 @@ type chunkHandle struct {
 	// its version, so next no longer says what they will accept, and no
 	// further version is handed out until the holders have settled and a
 	// version probe has resynchronised next and committed (takeVersion).
-	// settled wakes the writers waiting for that; probing marks the one
+	// settled, made by the first writer to wait for that and closed to wake
+	// them all, is how they wait (waitSettledLocked); probing marks the one
 	// running the probe.
 	writers int
 	burned  bool
 	probing bool
-	settled *sync.Cond
+	settled chan struct{}
 }
 
 // VDiskStats counts client-side activity.
@@ -95,9 +97,7 @@ func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
 		repLast:     make(map[reportKey]time.Time),
 	}
 	for i, cm := range meta.Chunks {
-		ch := &chunkHandle{meta: cm}
-		ch.settled = sync.NewCond(&ch.mu)
-		vd.chunks[i] = ch
+		vd.chunks[i] = &chunkHandle{meta: cm}
 	}
 	if meta.WriteRateLimit > 0 {
 		vd.wlimit = transport.NewTokenBucket(c.cfg.Clock, meta.WriteRateLimit)
@@ -771,7 +771,9 @@ func (vd *VDisk) takeVersion(op *opctx.Op, idx int) (uint64, error) {
 	defer ch.mu.Unlock()
 	for ch.burned {
 		if ch.writers > 0 || ch.probing {
-			ch.settled.Wait()
+			if err := ch.waitSettledLocked(op); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		if err := op.Err(); err != nil {
@@ -783,7 +785,7 @@ func (vd *VDisk) takeVersion(op *opctx.Op, idx int) (uint64, error) {
 		ch.mu.Lock()
 		ch.probing = false
 		ch.burned = err != nil
-		ch.settled.Broadcast()
+		ch.wakeSettledLocked()
 		if err != nil {
 			return 0, err
 		}
@@ -808,9 +810,47 @@ func (ch *chunkHandle) settleVersion(version uint64, committed bool) {
 		ch.committed = version + 1
 	}
 	if ch.burned && ch.writers == 0 {
-		ch.settled.Broadcast()
+		ch.wakeSettledLocked()
 	}
 	ch.mu.Unlock()
+}
+
+// waitSettledLocked waits for the holders of a burned chunk's versions to
+// settle, or for the probe to end — but no longer than op itself lasts: the
+// holders run on their own ops' budgets, and a waiter with a shorter one must
+// fail by its own deadline, not by theirs. Called and returns with ch.mu
+// held; the mutex is released for the wait's duration.
+func (ch *chunkHandle) waitSettledLocked(op *opctx.Op) error {
+	rem, ok := op.Budget(0)
+	if !ok {
+		return op.Err()
+	}
+	if ch.settled == nil {
+		ch.settled = make(chan struct{})
+	}
+	settled := ch.settled
+	ch.mu.Unlock()
+	var expired <-chan time.Time
+	if rem > 0 { // 0: the op has no deadline
+		t := clock.StartTimer(op.Clock(), rem)
+		defer clock.StopTimer(t)
+		expired = t.C
+	}
+	select {
+	case <-settled:
+	case <-expired:
+	case <-op.Done():
+	}
+	ch.mu.Lock()
+	return op.Err()
+}
+
+// wakeSettledLocked wakes every writer in waitSettledLocked.
+func (ch *chunkHandle) wakeSettledLocked() {
+	if ch.settled != nil {
+		close(ch.settled)
+		ch.settled = nil
+	}
 }
 
 // writeViaPrimary sends the write to the primary, which replicates it

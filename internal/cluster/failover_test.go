@@ -116,6 +116,17 @@ func TestDeposedMasterFencedByChunkservers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The log ships asynchronously: cut the standbys off before they hold the
+	// create and the one that promotes serves a state without the vdisk.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c.Masters[1].LogSeq() == c.Masters[0].LogSeq() && c.Masters[2].LogSeq() == c.Masters[0].LogSeq() {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatal("standbys never caught up with the primary's log")
+		}
+	}
+
 	// Isolate the bootstrap primary from the other masters only.
 	addrs := c.MasterAddrs()
 	c.Net.Partition(addrs[0], addrs[1])

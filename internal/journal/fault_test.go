@@ -223,7 +223,8 @@ func TestReplayParksOnSinkError(t *testing.T) {
 // TestReplayParksOnCorruptRecord flips bytes inside a committed record's
 // payload sectors: replay must detect the CRC mismatch BEFORE any byte
 // reaches the sink, park the window (not drop it), count it under
-// journal-replay-corrupt, and drain normally once the rot heals.
+// journal-replay-corrupt, and drain normally once the rot heals. The record
+// is not resident: replay has only the device copy.
 func TestReplayParksOnCorruptRecord(t *testing.T) {
 	e := newFaultEnv(t, 1, false)
 	id := blockstore.MakeChunkID(1, 0)
@@ -242,6 +243,8 @@ func TestReplayParksOnCorruptRecord(t *testing.T) {
 	if err := e.set.Append(nil, id, 0, data, 1); err != nil {
 		t.Fatal(err)
 	}
+
+	dropResidency(e.set)
 
 	// The record occupies [0, 512) header + [512, 4608) payload on journal
 	// 0's device; rot the first payload sector, persistently.
@@ -284,5 +287,48 @@ func TestReplayParksOnCorruptRecord(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Error("record not replayed intact after heal")
+	}
+}
+
+// TestRotUnderResidentRecordIsHarmless rots, and makes unreadable, the
+// device copy of a record that is still resident: the window drains from
+// the image in memory, which is verified like a device read, so nothing
+// parks, no rotted byte reaches the sink, and the rotted space is trimmed
+// with the window without ever being read.
+func TestRotUnderResidentRecordIsHarmless(t *testing.T) {
+	e := newFaultEnv(t, 1, false)
+	id := blockstore.MakeChunkID(1, 0)
+	if err := e.sink.Create(id); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 4*util.KiB)
+	util.NewRand(26).Fill(data)
+	if err := e.set.Append(nil, id, 0, data, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.jdisks[0].CorruptRange(0, 4608, true)
+	e.jdisks[0].FailReadRange(nil, 0, 4608)
+	e.set.Start()
+	e.set.Drain()
+
+	st := e.set.Stats()
+	if st.ReplayCorrupt != 0 || st.ReplayErrors != 0 || st.Pending != 0 {
+		t.Fatalf("resident record parked on device rot: %+v", st)
+	}
+	if st.ReplayedFromMemory != int64(len(data)) || st.ReplayedFromDevice != 0 {
+		t.Errorf("replayed %d bytes from memory, %d from the device", st.ReplayedFromMemory, st.ReplayedFromDevice)
+	}
+	if got := e.reg.Counter(MetricReplayResidentBytes).Load(); got != int64(len(data)) {
+		t.Errorf("%s = %d, want %d", MetricReplayResidentBytes, got, len(data))
+	}
+	if got := e.jdisks[0].Stats().BytesRead; got != 0 {
+		t.Errorf("replay read %d bytes of the journal device", got)
+	}
+	got := make([]byte, len(data))
+	if err := e.sink.ReadAt(id, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("sink does not hold the appended bytes")
 	}
 }

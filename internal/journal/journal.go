@@ -61,11 +61,13 @@ type Journal struct {
 	// Flush scratch, reused across batches. Only the journal's current
 	// batch leader touches these (leadership is exclusive), so no lock
 	// guards them: insertScratch/orderScratch accumulate one flush's index
-	// inserts, iovHdrs/iovBufs one run's scatter/gather list.
+	// inserts.
 	insertScratch map[blockstore.ChunkID][]jindex.Extent
 	orderScratch  []blockstore.ChunkID
-	iovHdrs       [][]byte
-	iovBufs       [][]byte
+
+	// slab is the lease the next resident run is carved from; nil when the
+	// journal holds no resident record. Guarded by the Set's mutex.
+	slab *slab
 
 	// Replay accounting for the window at the head of the fifo, summed over
 	// every attempt at it (a parked or pre-empted window is retried):
@@ -86,6 +88,22 @@ type pendingRecord struct {
 	footer   int64  // total bytes consumed (header+data+pad)
 	ready    bool   // payload durable in the journal; index updated
 	failed   bool   // device write failed; skip at replay
+
+	// image is the record's device image — header sector, then payload —
+	// while it is resident: the very bytes its flush wrote, carved from
+	// slab. nil for a record the replayer must read back from the device.
+	image []byte
+	slab  *slab
+}
+
+// slab is one pooled lease holding the device images of consecutive records
+// of one journal, carved front to back by the journal's flush leaders. It
+// goes back to the pool when the last record in it ends its residency.
+// Guarded by the Set's mutex.
+type slab struct {
+	buf  []byte
+	used int // bytes carved so far
+	recs int // resident records whose image lives in buf
 }
 
 const padChunk = blockstore.ChunkID(^uint64(0))

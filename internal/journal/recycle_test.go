@@ -2,9 +2,11 @@ package journal
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
 	"ursa/internal/clock"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
@@ -18,6 +20,7 @@ import (
 // the replayer's window scratch; and every record the fifo still holds must
 // be off the list, or an append would overwrite a record yet to be replayed.
 func TestRecycledRecordsAreUnreachable(t *testing.T) {
+	leased := bufpool.InUse()
 	clk := clock.TestClock()
 	hm := simdisk.DefaultHDD()
 	hm.Capacity = 512 * util.MiB
@@ -58,7 +61,7 @@ func TestRecycledRecordsAreUnreachable(t *testing.T) {
 		t.Helper()
 		free := make(map[*pendingRecord]bool)
 		for _, rec := range set.freeRecs {
-			if *rec != (pendingRecord{}) {
+			if !reflect.DeepEqual(*rec, pendingRecord{}) {
 				t.Fatalf("free record not wiped: %+v", *rec)
 			}
 			if free[rec] {
@@ -85,6 +88,34 @@ func TestRecycledRecordsAreUnreachable(t *testing.T) {
 			if lr.rec != nil {
 				t.Fatal("the replayer's window scratch still holds a record")
 			}
+		}
+		// Slabs are recycled like records: one on the free list holds no lease
+		// and no record, and every record the fifos hold is still resident
+		// (this journal never outgrows the budget) in a slab that counts it.
+		for _, sl := range set.freeSlabs {
+			if !reflect.DeepEqual(*sl, slab{}) {
+				t.Fatalf("free slab not wiped: %+v", *sl)
+			}
+		}
+		held := make(map[*slab]int)
+		for _, jj := range set.journals {
+			for _, rec := range jj.fifo {
+				if rec.chunk == padChunk {
+					continue
+				}
+				if rec.image == nil || rec.slab == nil || rec.slab.buf == nil {
+					t.Fatalf("pending record %v@%d lost its image", rec.chunk, rec.off)
+				}
+				held[rec.slab]++
+			}
+		}
+		for sl, n := range held {
+			if sl.recs != n {
+				t.Fatalf("slab counts %d records, the fifos hold %d of its", sl.recs, n)
+			}
+		}
+		if want := int64(len(held)) * slabBytes; set.residentBytes != want {
+			t.Fatalf("resident bytes = %d with %d slabs held, want %d", set.residentBytes, len(held), want)
 		}
 	}
 
@@ -134,5 +165,12 @@ func TestRecycledRecordsAreUnreachable(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("content after recycling appends and replays differs from what was written")
+	}
+	if st := set.Stats(); st.ResidentBytes != 0 || st.ReplayedFromDevice != 0 {
+		t.Fatalf("drained set: %d resident bytes, %d bytes replayed from the device, want 0 and 0",
+			st.ResidentBytes, st.ReplayedFromDevice)
+	}
+	if n := bufpool.InUse(); n != leased {
+		t.Fatalf("%d buffers leased after the drain, %d before the test", n, leased)
 	}
 }

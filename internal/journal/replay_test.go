@@ -105,6 +105,7 @@ func TestAppendNeverWaitsForReplayReads(t *testing.T) {
 	for i := 0; i < n; i++ {
 		put(i)
 	}
+	dropResidency(set) // the window must go to the device
 
 	jd.armed.Store(true)
 	set.Start()
@@ -167,9 +168,9 @@ func TestReadDoesNotHoldLockAcrossJournalIO(t *testing.T) {
 	}
 }
 
-// TestReplayReadsEachRecordOnce: N disjoint scattered 4 KiB records replay
-// with at most one journal-device read per coalesced run, not one byte read
-// twice, and at most one sink write per record.
+// TestReplayReadsEachRecordOnce: N disjoint scattered 4 KiB records that
+// are not resident replay with at most one journal-device read per coalesced
+// run, not one byte read twice, and at most one sink write per record.
 func TestReplayReadsEachRecordOnce(t *testing.T) {
 	e := newEnvStart(t, 16*util.MiB, false, false)
 	id := blockstore.MakeChunkID(1, 0)
@@ -186,6 +187,7 @@ func TestReplayReadsEachRecordOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	dropResidency(e.set)
 	j0, s0 := e.ssd.Stats(), e.hdd.Stats()
 	e.set.Start()
 	e.set.Drain()
@@ -235,6 +237,7 @@ func TestReplaySkipsDeadRecord(t *testing.T) {
 	if err := e.set.Append(nil, id, 0, cur, 2); err != nil {
 		t.Fatal(err)
 	}
+	dropResidency(e.set)
 	// The dead record occupies device bytes [0, 4608).
 	e.jdisks[0].CorruptRange(0, 4608, true)
 	e.jdisks[0].FailReadRange(nil, 0, 4608)
@@ -260,8 +263,8 @@ func TestReplaySkipsDeadRecord(t *testing.T) {
 	}
 }
 
-// TestCorruptRecordParksWholeWindow: bit-rot in one record of a
-// multi-chunk window parks the whole window — nothing is popped — reports
+// TestCorruptRecordParksWholeWindow: bit-rot in one non-resident record of
+// a multi-chunk window parks the whole window — nothing is popped — reports
 // only the rotted record's chunk, and lets no byte of that record reach
 // the sink; after heal the window drains intact.
 func TestCorruptRecordParksWholeWindow(t *testing.T) {
@@ -291,6 +294,7 @@ func TestCorruptRecordParksWholeWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	dropResidency(e.set)
 	// Record 1 (chunk b) sits at device bytes [4608, 9216): rot one payload
 	// sector in its middle.
 	e.jdisks[0].CorruptRange(4608+2048, 4608+2560, true)

@@ -93,6 +93,11 @@ const (
 	MetricReplayWindow = "journal-replay-window"
 	// MetricReplayWrites samples coalesced sink writes per window.
 	MetricReplayWrites = "journal-replay-writes"
+	// MetricReplayResidentBytes and MetricReplayDeviceBytes count the payload
+	// bytes replay took from the resident image (hits) and had to read back
+	// from a journal device (misses), per reclaimed window.
+	MetricReplayResidentBytes = "journal-replay-resident-bytes"
+	MetricReplayDeviceBytes   = "journal-replay-device-bytes"
 )
 
 // errJournalDead marks an append whose journal died before (or while)
@@ -145,6 +150,13 @@ type commitReq struct {
 // of one chunk into single large sink writes, exactly one writer at a
 // time — the single-threaded elevator-friendly regime the paper prescribes
 // for backup HDDs (§5.3).
+//
+// In steady state the journal devices are write-only: the flush leader
+// assembles each run's device image in a pooled slab that stays leased until
+// the records in it are reclaimed, and replay drains that resident image of
+// the journal tail instead of reading the records back (carveLocked,
+// payload). The image is bounded per set; the device copy serves the
+// records past the bound, backup reads and crash recovery.
 //
 // Concurrent appends — to different chunks or to the same chunk — are
 // safe; the caller must only order appends whose extents OVERLAP (the
@@ -206,6 +218,15 @@ type Set struct {
 	// appender was done with it when the flush marked it ready or failed,
 	// the replayer cleared its window scratch before reclaiming.
 	freeRecs []*pendingRecord
+
+	// The resident image of the unreplayed journal tail (see carveLocked):
+	// residentBytes is what its slabs lease right now, at most
+	// residentBudgetBytes; freeSlabs recycles their descriptors.
+	residentBytes int64
+	residentPeak  int64
+	freeSlabs     []*slab
+	fromMemory    int64 // payload bytes replay drained from the resident image
+	fromDevice    int64 // payload bytes replay read back from a journal device
 }
 
 // maxFreeRecords bounds Set.freeRecs: a few replay windows' worth.
@@ -302,6 +323,10 @@ func (s *Set) Close() {
 	if started {
 		<-s.done
 	}
+	// Nothing drains the resident image any more.
+	s.mu.Lock()
+	s.dropCommittedImagesLocked()
+	s.mu.Unlock()
 }
 
 // Append journals a backup write: data at chunk-relative byte offset off.
@@ -479,15 +504,17 @@ func (s *Set) flush(j *Journal) {
 	} else {
 		// The commit queue is in reservation order, so positions increase
 		// monotonically; a record extends the current run when its header
-		// starts exactly where the previous record ended.
+		// starts exactly where the previous record ended and the run still
+		// fits one slab.
 		for i := 0; i < len(batch); {
 			k := i + 1
-			end := batch[i].pos + batch[i].rec.footer
-			for k < len(batch) && batch[k].pos == end {
-				end += batch[k].rec.footer
+			size := batch[i].rec.footer
+			for k < len(batch) && batch[k].pos == batch[i].pos+size &&
+				size+batch[k].rec.footer <= slabBytes {
+				size += batch[k].rec.footer
 				k++
 			}
-			s.writeRun(j, batch[i:k])
+			s.writeRun(j, batch[i:k], int(size))
 			i = k
 		}
 	}
@@ -522,9 +549,13 @@ func (s *Set) flush(j *Journal) {
 				r.err = fmt.Errorf("journal %s: %v: %w", j.name, r.err, errJournalDead)
 			}
 			r.rec.failed = true
+			s.dropImageLocked(j, r.rec)
 			continue
 		}
 		r.rec.ready = true
+		if s.closed {
+			s.dropImageLocked(j, r.rec) // Close has swept already
+		}
 		j.appends++
 		j.bytesAppended += int64(r.rec.dataLen)
 		if len(inserts[r.rec.chunk]) == 0 {
@@ -575,35 +606,113 @@ func (s *Set) flush(j *Journal) {
 }
 
 // writeRun writes one contiguous run of records as a single sequential
-// device write — headers and payloads laid out back-to-back — and stamps
-// each request with the write's result. Space is already reserved, so no
-// lock is needed.
-//
-// The write is zero-copy: each record contributes a leased header sector
-// and its caller's payload buffer to one scatter/gather list, and the
-// device writes the whole batch straight out of them (simdisk.WritevAt;
-// the pwritev of a real journal).
-func (s *Set) writeRun(j *Journal, run []*commitReq) {
-	off := j.base + run[0].pos%j.size
-	// Record payloads are sector-aligned (checkAligned), so the iovec is
-	// exactly [hdr, data] per record with no padding between records.
-	// The iovec slices are leader-owned journal scratch, reused across
-	// runs.
-	hdrs := j.iovHdrs[:0]
-	bufs := j.iovBufs[:0]
+// device write and stamps each request with the write's result. Space is
+// already reserved. The leader assembles the run's device image — each
+// record's header sector, then a copy of its payload — in one buffer and
+// writes that: carved from the journal's slab when the run can be resident,
+// so the bytes written are the bytes replay will drain, and a lease of the
+// run's own otherwise.
+func (s *Set) writeRun(j *Journal, run []*commitReq, size int) {
+	s.mu.Lock()
+	img := s.carveLocked(j, run, size)
+	s.mu.Unlock()
+	resident := img != nil
+	if !resident {
+		img = bufpool.Get(size)
+	}
+	at := img
 	for _, r := range run {
-		hdr := bufpool.Get(headerSize)
-		r.hdr.encode(hdr)
-		hdrs = append(hdrs, hdr)
-		bufs = append(bufs, hdr, r.data)
+		r.hdr.encode(at)
+		copy(at[headerSize:], r.data)
+		at = at[r.rec.footer:]
 	}
-	err := simdisk.WritevAt(j.disk, bufs, off)
-	for _, h := range hdrs {
-		bufpool.Put(h)
+	err := j.disk.WriteAt(img, j.base+run[0].pos%j.size)
+	if !resident {
+		bufpool.Put(img)
 	}
-	j.iovHdrs, j.iovBufs = hdrs, bufs
 	for _, r := range run {
 		r.err = err
+	}
+}
+
+const (
+	// slabBytes is the lease the resident image is carved from: one lease per
+	// ~56 records of 4 KiB, not one per record. It also caps a group-commit
+	// run, like replayIOBytes caps the coalesced reads and sink writes on the
+	// way out.
+	slabBytes = replayIOBytes
+	// residentBudgetBytes bounds the slabs one Set leases: the window being
+	// drained and the one filling behind it. A replayer that keeps up holds
+	// a slab or two; past the budget a record is journaled as before and
+	// replay reads it back from the device.
+	residentBudgetBytes = 2 * replayWindowBytes
+)
+
+// carveLocked makes a run resident: it carves size bytes for the run's
+// device image from j's slab — a fresh one when the run does not fit what is
+// left — and points each record at its share. It returns nil, and the run is
+// not resident, when a fresh slab would exceed the budget, the run exceeds a
+// slab, or the set has closed. The image is filled and written by the
+// caller outside the lock; nothing reads it before the flush marks its
+// records ready.
+func (s *Set) carveLocked(j *Journal, run []*commitReq, size int) []byte {
+	sl := j.slab
+	if sl == nil || len(sl.buf)-sl.used < size {
+		if size > slabBytes || s.residentBytes+slabBytes > residentBudgetBytes || s.closed {
+			return nil
+		}
+		if n := len(s.freeSlabs); n > 0 {
+			sl, s.freeSlabs = s.freeSlabs[n-1], s.freeSlabs[:n-1]
+		} else {
+			sl = new(slab)
+		}
+		sl.buf = bufpool.Get(slabBytes)
+		s.residentBytes += slabBytes
+		s.residentPeak = max(s.residentPeak, s.residentBytes)
+		j.slab = sl // the one before it lives on through its records
+	}
+	img := sl.buf[sl.used : sl.used+size : sl.used+size]
+	sl.used += size
+	sl.recs += len(run)
+	at := img
+	for _, r := range run {
+		r.rec.image, r.rec.slab = at[:r.rec.footer:r.rec.footer], sl
+		at = at[r.rec.footer:]
+	}
+	return img
+}
+
+// dropImageLocked ends rec's residency, if it has one; the last record out
+// of a slab returns its lease. Residency ends where the record's life does:
+// a failed flush, reclaimWindow, Close.
+func (s *Set) dropImageLocked(j *Journal, rec *pendingRecord) {
+	sl := rec.slab
+	if sl == nil {
+		return
+	}
+	rec.image, rec.slab = nil, nil
+	if sl.recs--; sl.recs > 0 {
+		return
+	}
+	if j.slab == sl {
+		j.slab = nil
+	}
+	bufpool.Put(sl.buf)
+	s.residentBytes -= slabBytes
+	*sl = slab{}
+	s.freeSlabs = append(s.freeSlabs, sl)
+}
+
+// dropCommittedImagesLocked ends the residency of every committed record. A
+// record still in its flush is being written from its image: it is left to
+// its leader. The caller guarantees that no replay is under way.
+func (s *Set) dropCommittedImagesLocked() {
+	for _, j := range s.journals {
+		for _, rec := range j.fifo {
+			if rec.ready {
+				s.dropImageLocked(j, rec)
+			}
+		}
 	}
 }
 
@@ -723,7 +832,8 @@ type readScratch struct {
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
 // DropChunk discards index state for a deleted chunk; its journal records
-// are skipped at replay.
+// are skipped at replay and leave — journal space and resident image alike —
+// when their windows are reclaimed.
 func (s *Set) DropChunk(id blockstore.ChunkID) {
 	s.mu.Lock()
 	delete(s.indexes, id)
@@ -810,8 +920,8 @@ const (
 // liveRec is a window record that still backs index extents.
 type liveRec struct {
 	rec  *pendingRecord
-	read int32  // index into replayScratch.reads
-	data []byte // verified payload inside its read's buffer; nil until read
+	read int32  // index into replayScratch.reads; unused for a resident record
+	data []byte // verified payload, in its read's buffer or the resident image; nil until first use
 	err  error  // verification failure: none of its bytes may reach the sink
 }
 
@@ -840,6 +950,10 @@ type replayScratch struct {
 	reads []journalRead
 	valid []replayExt     // one run's extents after revalidation
 	q     []jindex.Extent // index query scratch
+
+	// Payload bytes verified for the sink since the last reclaim, by where
+	// they came from: the resident image or a journal-device read.
+	fromMemory, fromDevice int64
 }
 
 // stillMapped returns the pieces of x that ix still maps to the journal
@@ -995,9 +1109,9 @@ func compareReplayExt(a, b replayExt) int {
 // orderSweep sorts the planned extents into the order the sink sees them —
 // ascending disk position of the chunk, then ascending chunk offset, so a
 // window is one elevator sweep over the backup HDD — and groups the live
-// records into coalesced journal reads: position-contiguous records share
-// one sequential read of up to replayIOBytes, like flush coalesces runs on
-// the way in.
+// records that are not resident into coalesced journal reads:
+// position-contiguous records share one sequential read of up to
+// replayIOBytes, like flush coalesces runs on the way in.
 func (s *Set) orderSweep() {
 	rp := &s.rp
 	if loc, ok := s.sink.(slotLocator); ok {
@@ -1014,9 +1128,13 @@ func (s *Set) orderSweep() {
 
 	rp.reads = rp.reads[:0]
 	for i := 0; i < len(rp.live); {
+		if rp.live[i].rec.image != nil {
+			i++ // resident: drained from memory
+			continue
+		}
 		n := rp.live[i].rec.footer
 		k := i + 1
-		for k < len(rp.live) && n+rp.live[k].rec.footer <= replayIOBytes &&
+		for k < len(rp.live) && rp.live[k].rec.image == nil && n+rp.live[k].rec.footer <= replayIOBytes &&
 			rp.live[k].rec.dataJOff == rp.live[i].rec.dataJOff+uint64(n/util.SectorSize) {
 			n += rp.live[k].rec.footer
 			k++
@@ -1178,14 +1296,21 @@ func (s *Set) writePieces(j *Journal, pieces []replayExt) error {
 	return s.sink.WriteAt(id, buf, off)
 }
 
-// payload returns the journal bytes backing extent p, reading (and
-// verifying) its record's coalesced journal read on first use — so each
-// live record is read from the journal device at most once per window, and
-// an abandoned window has read only what it was about to write.
+// payload returns the journal bytes backing extent p, verified on first
+// use. A resident record is served from the image its flush wrote, checked
+// like a device read is: against the header and the CRC Append computed.
+// Any other takes its coalesced journal read — so each live record is read
+// from the journal device at most once per window, and an abandoned window
+// has read only what it was about to write.
 func (s *Set) payload(j *Journal, p replayExt) ([]byte, error) {
 	lr := &s.rp.live[p.rec]
 	if lr.data == nil && lr.err == nil {
-		if err := s.readRecords(j, &s.rp.reads[lr.read]); err != nil {
+		if img := lr.rec.image; img != nil {
+			if lr.err = verifyRecord(j, lr.rec, img); lr.err == nil {
+				lr.data = img[headerSize:]
+				s.rp.fromMemory += int64(lr.rec.dataLen)
+			}
+		} else if err := s.readRecords(j, &s.rp.reads[lr.read]); err != nil {
 			return nil, err
 		}
 	}
@@ -1218,6 +1343,7 @@ func (s *Set) readRecords(j *Journal, r *journalRead) error {
 			live[i].err = err
 		} else {
 			live[i].data = buf[headerSize : headerSize+rec.dataLen]
+			s.rp.fromDevice += int64(rec.dataLen)
 		}
 		buf = buf[rec.footer:]
 	}
@@ -1312,6 +1438,7 @@ func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
 	s.mu.Lock()
 	j.tail = newTail
 	for _, rec := range window {
+		s.dropImageLocked(j, rec)
 		if len(s.freeRecs) < maxFreeRecords {
 			*rec = pendingRecord{}
 			s.freeRecs = append(s.freeRecs, rec)
@@ -1331,11 +1458,16 @@ func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
 	// Sectors of the window that never reached the sink were overwritten
 	// before their turn; sunkSectors spans every attempt at this window.
 	s.mergedSectors += sectors - j.sunkSectors
+	s.fromMemory += s.rp.fromMemory
+	s.fromDevice += s.rp.fromDevice
 	if m := s.cfg.Metrics; m != nil && replayed > 0 {
 		m.ObserveValue(MetricReplayWindow, int64(replayed))
 		m.ObserveValue(MetricReplayWrites, j.sinkWrites)
+		m.Counter(MetricReplayResidentBytes).Add(s.rp.fromMemory)
+		m.Counter(MetricReplayDeviceBytes).Add(s.rp.fromDevice)
 	}
 	j.sunkSectors, j.sinkWrites = 0, 0
+	s.rp.fromMemory, s.rp.fromDevice = 0, 0
 	if s.pending == 0 {
 		s.drainCond.Broadcast()
 	}
@@ -1353,7 +1485,14 @@ type SetStats struct {
 	DeadJournals    int64 // journals declared dead after a flush failure
 	ReplayErrors    int64 // parked replay windows (chunk could not reach sink)
 	ReplayCorrupt   int64 // parked replay windows whose record failed CRC verification
-	Journals        []JournalStats
+	// The resident image of the journal tail: payload bytes replay drained
+	// from it, payload bytes it read back from a journal device instead, the
+	// slab bytes leased now and at their highest (≤ residentBudgetBytes).
+	ReplayedFromMemory int64
+	ReplayedFromDevice int64
+	ResidentBytes      int64
+	ResidentPeakBytes  int64
+	Journals           []JournalStats
 }
 
 // MeanBatch returns the average records per group-commit flush.
@@ -1388,6 +1527,11 @@ func (s *Set) Stats() SetStats {
 		DeadJournals:    s.deadJournals,
 		ReplayErrors:    s.replayErrors,
 		ReplayCorrupt:   s.replayCorrupt,
+
+		ReplayedFromMemory: s.fromMemory,
+		ReplayedFromDevice: s.fromDevice,
+		ResidentBytes:      s.residentBytes,
+		ResidentPeakBytes:  s.residentPeak,
 	}
 	for _, j := range s.journals {
 		st.Flushes += j.flushes

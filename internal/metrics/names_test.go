@@ -29,6 +29,8 @@ var allMetricNames = map[string]string{
 	"journal.MetricCommitQueue":              journal.MetricCommitQueue,
 	"journal.MetricReplayWindow":             journal.MetricReplayWindow,
 	"journal.MetricReplayWrites":             journal.MetricReplayWrites,
+	"journal.MetricReplayResidentBytes":      journal.MetricReplayResidentBytes,
+	"journal.MetricReplayDeviceBytes":        journal.MetricReplayDeviceBytes,
 	"chunkserver.MetricPendingWrites":        chunkserver.MetricPendingWrites,
 	"chunkserver.MetricDepWait":              chunkserver.MetricDepWait,
 	"chunkserver.MetricChecksumMismatches":   chunkserver.MetricChecksumMismatches,

@@ -24,33 +24,6 @@ type Disk interface {
 	Close() error
 }
 
-// VectoredWriter is the optional scatter/gather extension of Disk: a
-// WritevAt writes the concatenation of bufs at off as one device
-// operation. The journal group-commit flush uses it to write a whole
-// batch straight from the callers' leased payload buffers instead of
-// coalescing them into a contiguous copy first.
-type VectoredWriter interface {
-	WritevAt(bufs [][]byte, off int64) error
-}
-
-// WritevAt writes bufs at off through d's vectored path when it has one,
-// falling back to one WriteAt per buffer (correct, but one device op each).
-func WritevAt(d Disk, bufs [][]byte, off int64) error {
-	if vw, ok := d.(VectoredWriter); ok {
-		return vw.WritevAt(bufs, off)
-	}
-	for _, b := range bufs {
-		if len(b) == 0 {
-			continue
-		}
-		if err := d.WriteAt(b, off); err != nil {
-			return err
-		}
-		off += int64(len(b))
-	}
-	return nil
-}
-
 // Discarder is the optional trim extension of Disk: Discard tells the
 // device that [off, off+n) holds nothing its owner will read again, so the
 // backing pages wholly inside the range can be released (the TRIM of a
@@ -75,14 +48,6 @@ func Discard(d Disk, off, n int64) {
 	if dd, ok := d.(Discarder); ok {
 		dd.Discard(off, n)
 	}
-}
-
-func vecLen(bufs [][]byte) int {
-	n := 0
-	for _, b := range bufs {
-		n += len(b)
-	}
-	return n
 }
 
 // Stats counts completed operations and simulated mechanical work.

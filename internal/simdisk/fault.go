@@ -297,30 +297,6 @@ func (f *FaultInjector) WriteAt(p []byte, off int64) error {
 	return f.do(p, off, true)
 }
 
-// WritevAt implements VectoredWriter: the batch is one operation for fault
-// purposes — armed write faults intersecting any part of its total range
-// fail the whole batch, and stall/slow penalties apply once.
-func (f *FaultInjector) WritevAt(bufs [][]byte, off int64) error {
-	ferr, stall, slow := f.check(off, vecLen(bufs), true)
-	if ferr != nil {
-		f.writeFailed.Add(1)
-		return ferr
-	}
-	if stall > 0 {
-		f.delayedOps.Add(1)
-		f.clk.Sleep(stall)
-	}
-	t0 := f.clk.Now()
-	err := WritevAt(f.inner, bufs, off)
-	if slow > 1 {
-		if stall <= 0 {
-			f.delayedOps.Add(1)
-		}
-		f.clk.Sleep(time.Duration(float64(f.clk.Now().Sub(t0)) * (slow - 1)))
-	}
-	return err
-}
-
 // Discard implements Discarder by passing the trim through: armed faults
 // are keyed by byte range, not by what is stored there, so a corruption or
 // error range overlapping a discarded one keeps firing on later reads.

@@ -37,7 +37,6 @@ type HDD struct {
 type hddReq struct {
 	off   int64
 	buf   []byte
-	bufs  [][]byte // non-nil: vectored write; buf is unused
 	write bool
 	errc  chan error // buffered 1: the service loop's verdict
 }
@@ -46,13 +45,6 @@ type hddReq struct {
 // is recyclable once its submitter has taken the verdict — errc has exactly
 // that one consumer — or when it was never queued.
 var hddReqPool = sync.Pool{New: func() any { return &hddReq{errc: make(chan error, 1)} }}
-
-func (r *hddReq) length() int {
-	if r.bufs != nil {
-		return vecLen(r.bufs)
-	}
-	return len(r.buf)
-}
 
 // NewHDD creates a simulated HDD and starts its service loop.
 func NewHDD(model HDDModel, clk clock.Clock) *HDD {
@@ -78,32 +70,22 @@ func (d *HDD) WriteAt(p []byte, off int64) error {
 	return d.submit(p, off, true)
 }
 
-// WritevAt implements VectoredWriter: the batch is queued as one request,
-// costing one elevator pass plus the transfer time of its total length —
-// the single sequential write a real group commit issues with pwritev.
-func (d *HDD) WritevAt(bufs [][]byte, off int64) error {
-	if err := d.store.check(off, vecLen(bufs)); err != nil {
-		return err
-	}
-	return d.enqueue(off, nil, bufs, true)
-}
-
 func (d *HDD) submit(p []byte, off int64, write bool) error {
 	if err := d.store.check(off, len(p)); err != nil {
 		return err
 	}
-	return d.enqueue(off, p, nil, write)
+	return d.enqueue(off, p, write)
 }
 
 // enqueue queues one request and waits for the service loop's verdict.
-func (d *HDD) enqueue(off int64, buf []byte, bufs [][]byte, write bool) error {
+func (d *HDD) enqueue(off int64, buf []byte, write bool) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return util.ErrClosed
 	}
 	req := hddReqPool.Get().(*hddReq)
-	req.off, req.buf, req.bufs, req.write = off, buf, bufs, write
+	req.off, req.buf, req.write = off, buf, write
 	// Insert keeping pending sorted by offset so the elevator scan is a
 	// binary search away.
 	i := sort.Search(len(d.pending), func(i int) bool { return d.pending[i].off >= off })
@@ -115,7 +97,7 @@ func (d *HDD) enqueue(off int64, buf []byte, bufs [][]byte, write bool) error {
 	d.mu.Unlock()
 
 	err := <-req.errc
-	req.buf, req.bufs = nil, nil
+	req.buf = nil
 	hddReqPool.Put(req)
 	return err
 }
@@ -143,18 +125,15 @@ func (d *HDD) serve() {
 		d.clk.Sleep(service)
 
 		var err error
-		switch {
-		case req.bufs != nil:
-			err = d.store.writevAt(req.bufs, req.off)
-		case req.write:
+		if req.write {
 			err = d.store.writeAt(req.buf, req.off)
-		default:
+		} else {
 			err = d.store.readAt(req.buf, req.off)
 		}
 		if err == nil {
-			d.stats.record(req.write, req.length(), service)
+			d.stats.record(req.write, len(req.buf), service)
 		}
-		d.headPos = req.off + int64(req.length())
+		d.headPos = req.off + int64(len(req.buf))
 
 		d.mu.Lock()
 		d.depth--
@@ -196,7 +175,7 @@ func (d *HDD) serviceTime(req *hddReq) time.Duration {
 	if dist < 0 {
 		dist = -dist
 	}
-	t := transfer(req.length(), d.model.Bandwidth)
+	t := transfer(len(req.buf), d.model.Bandwidth)
 	if dist > d.model.TrackSkip {
 		// Seek: settle + stroke-proportional travel + half a rotation.
 		frac := float64(dist) / float64(d.model.Capacity)

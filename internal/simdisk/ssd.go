@@ -77,31 +77,6 @@ func (d *SSD) do(p []byte, off int64, write bool) error {
 	return nil
 }
 
-// WritevAt implements VectoredWriter: the whole batch costs one access
-// latency plus the transfer time of its total length, like a single large
-// write — which is exactly the economy the journal's scatter/gather group
-// commit is after.
-func (d *SSD) WritevAt(bufs [][]byte, off int64) error {
-	if d.closed.Load() {
-		return util.ErrClosed
-	}
-	total := vecLen(bufs)
-	d.depth.Add(1)
-	defer d.depth.Add(-1)
-
-	d.slots <- struct{}{} // acquire a flash channel
-	defer func() { <-d.slots }()
-
-	service := d.model.WriteLatency + transfer(total, d.model.WriteBandwidth)
-	d.clk.Sleep(service)
-
-	if err := d.store.writevAt(bufs, off); err != nil {
-		return err
-	}
-	d.stats.record(true, total, service)
-	return nil
-}
-
 // Discard implements Discarder.
 func (d *SSD) Discard(off, n int64) { d.store.discard(off, n) }
 

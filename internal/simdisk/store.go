@@ -97,21 +97,6 @@ func (s *memStore) writeAt(p []byte, off int64) error {
 	return nil
 }
 
-// writevAt stores the concatenation of bufs at off under one lock
-// acquisition — the store half of a scatter/gather write.
-func (s *memStore) writevAt(bufs [][]byte, off int64) error {
-	if err := s.check(off, vecLen(bufs)); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range bufs {
-		s.writeLocked(b, off)
-		off += int64(len(b))
-	}
-	return nil
-}
-
 func (s *memStore) writeLocked(p []byte, off int64) {
 	for done := 0; done < len(p); {
 		pageIdx := (off + int64(done)) / pageSize
