@@ -39,8 +39,11 @@ bench-quick:
 # the primacy TTL and -fig coldtier's 100x clone speed-up. A -quick run
 # reports those two as notes and gates the rest (zero data errors, one
 # promotion to a higher epoch; GC reclaim, no corrupt payload); the full
-# runs gate them.
+# runs gate them. A committed artifact that is itself a -quick leftover
+# fails the target before anything runs.
 bench-smoke: vet
+	@if grep -l '"quick": *true' BENCH_*.json; then \
+		echo "bench-smoke: the artifacts named above are -quick runs; regenerate them full-length (make bench-refresh)"; exit 1; fi
 	$(GO) run ./cmd/ursa-bench -fig journal -quick
 	$(GO) run ./cmd/ursa-bench -fig hotchunk -quick
 	$(GO) run ./cmd/ursa-bench -fig ceiling -quick
@@ -77,15 +80,21 @@ bench-module:
 # allocations per replayed record), and for a whole 4 KiB read and write at
 # QD 1 through client, transport and chunkserver handlers on a zero-cost
 # in-process cluster ("e2e-4k": allocations per op, bytes per write) — the
-# path the micros bypass.
+# path the micros bypass — and byte ceilings for what provisioned-but-idle
+# state holds on that cluster after forced collections ("footprint": heap per
+# created-but-unwritten chunk replica, per chunk replica written once net of
+# simulated-disk pages, per idle SimNet connection and per idle RPC
+# connection over one).
 perf-smoke:
 	$(GO) test ./internal/bench -run TestPerfSmoke -count=1 -v
 
 # Where the e2e-4k allocations come from: the gate's QD 1 read and write
 # cells (and the QD 32 write cell) re-run with every heap allocation
 # profiled (runtime.MemProfileRate = 1), printed as allocs and bytes per op
-# by allocating site. A diagnostic, not a gate: when perf-smoke's e2e-4k
-# count rises, this names the site (DESIGN.md "Allocation ledger").
+# by allocating site, and beside it the footprint gate's scenario as bytes
+# left in use per stage by allocating site. A diagnostic, not a gate: when
+# perf-smoke's e2e-4k or footprint count rises, this names the site
+# (DESIGN.md "Allocation ledger", "Memory follows use").
 alloc-ledger:
 	$(GO) run ./cmd/ursa-bench -fig ledger
 

@@ -139,9 +139,10 @@ var (
 	e2eStriped256k = ceilingShape{write: true, qd: 1, block: 256 * util.KiB, striped: true, span: 64 * util.MiB}
 )
 
-// startCeiling builds and warms the cluster of one cell.
-func startCeiling(cfg Config, sh ceilingShape) (*ceilingRun, error) {
-	c, err := core.New(core.Options{
+// ceilingOptions is the ceiling cluster: three machines of 2 SSDs + 4 HDDs,
+// hybrid, zero-cost devices and network.
+func ceilingOptions() core.Options {
+	return core.Options{
 		Machines:       3,
 		SSDsPerMachine: 2,
 		HDDsPerMachine: 4,
@@ -157,7 +158,12 @@ func startCeiling(cfg Config, sh ceilingShape) (*ceilingRun, error) {
 		JournalFraction: 0.002,
 		ReplTimeout:     5 * time.Second,
 		CallTimeout:     20 * time.Second,
-	})
+	}
+}
+
+// startCeiling builds and warms the cluster of one cell.
+func startCeiling(cfg Config, sh ceilingShape) (*ceilingRun, error) {
+	c, err := core.New(ceilingOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,9 @@ type allocSite struct {
 	line string // file:line of the commonest allocation inside fn
 }
 
-type siteCount struct{ objects, bytes int64 }
+// siteCount is a site's cumulative allocations, and the bytes of them still
+// in use as of the last collection.
+type siteCount struct{ objects, bytes, inUse int64 }
 
 // modulePrefix marks the frames the ledger attributes allocations to.
 const modulePrefix = "ursa/internal/"
@@ -50,6 +52,7 @@ func allocProfile() map[allocSite]siteCount {
 		c := out[site]
 		c.objects += r.AllocObjects
 		c.bytes += r.AllocBytes
+		c.inUse += r.InUseBytes()
 		out[site] = c
 	}
 	return out
@@ -137,6 +140,7 @@ func FigAllocLedger(cfg Config) Table {
 			[]string{op, f2(other), f0(otherBytes), fmt.Sprintf("(sites below %g)", ledgerFloor), ""},
 			[]string{op, f2(total), f0(totalBytes), "TOTAL", fmt.Sprintf("%d ops", res.Ops)})
 	}
+	t.Extra = append(t.Extra, footprintLedger())
 	t.Notes = append(t.Notes,
 		"a site is the innermost frame inside "+modulePrefix+" of the allocating stack; the lines of one function share a row;",
 		"background work in the window (journal replay, index merges) is charged to the ops that caused it.")

@@ -83,6 +83,9 @@ func TestPerfSmoke(t *testing.T) {
 	// full replay windows and more than twice the budget.
 	got["journal-replay-resident"] = replayCounts(t, 1024, false)
 	got["journal-replay-overflow"] = replayCounts(t, 4096, true)
+	if got["footprint"], err = footprintCounts(); err != nil {
+		t.Fatal(err)
+	}
 	for name, want := range base.Counts {
 		for metric, ceiling := range want {
 			v, ok := got[name][metric]

@@ -18,6 +18,22 @@ var zeroSectorCRC = util.Checksum(make([]byte, util.SectorSize))
 // traffic on different chunks never serializes. Must be a power of two.
 const sumShards = 32
 
+// leafSectors is the span of one leaf of a chunk's sum table: 4 MiB of chunk,
+// 32 KiB of sums, 16 leaves a chunk. Smaller leaves follow sparse writes more
+// closely but cost more allocations, and a leaf is allocated inside the
+// write that first touches its region: the benchmark's no-fill workload
+// (seq-write256k) pays every one of them in its measured windows, and its
+// allocations per op decided the size (DESIGN.md "Memory follows use").
+const leafSectors = 4 * util.MiB / util.SectorSize
+
+// sumLeaf holds the sums of leafSectors consecutive sectors; sumTable is a
+// chunk's leaves in order. A nil leaf — like a nil table — says every sector
+// of its region still reads as zeros, so a chunk costs what has been stamped.
+type (
+	sumLeaf  [leafSectors]uint32
+	sumTable [chunkSectors / leafSectors]*sumLeaf
+)
+
 // scratchSectors is the stack budget for fused stamp/verify: a request is
 // walked in batches of scratchSectors*512 B (32 KiB, which takes the whole
 // 4–8 KiB hot path in one), so no request allocates, whatever its size.
@@ -44,19 +60,24 @@ const scratchSectors = 64
 // allocates; a request above 32 KiB repeats the pass per 32 KiB batch, so it
 // is atomic per batch, not as a whole — the granularity a reader racing a
 // pipelined write's stamp already has to settle at (readVerified).
+//
+// Memory follows use: a chunk's sums are a table of leaves (sumTable), the
+// table made by the chunk's first stamp and each leaf by the first stamp
+// inside its region, so a provisioned chunk holds a map entry and a sparsely
+// written one holds the leaves it touched.
 type ChecksumStore struct {
 	shards [sumShards]sumShard
 }
 
 type sumShard struct {
 	mu   sync.Mutex
-	sums map[ChunkID][]uint32 // nil slice = chunk exists, all sectors zero
+	sums map[ChunkID]*sumTable // nil table = chunk exists, all sectors zero
 }
 
 func newChecksumStore() *ChecksumStore {
 	c := &ChecksumStore{}
 	for i := range c.shards {
-		c.shards[i].sums = make(map[ChunkID][]uint32)
+		c.shards[i].sums = make(map[ChunkID]*sumTable)
 	}
 	return c
 }
@@ -94,21 +115,42 @@ func sectorRange(id ChunkID, off int64, n int) (lo, hi int64) {
 	return off / util.SectorSize, (off + int64(n)) / util.SectorSize
 }
 
-// materializeLocked returns the chunk's sum array, expanding the all-zero
-// nil representation on first stamp. ok=false means the chunk is unknown.
-func (sh *sumShard) materializeLocked(id ChunkID) ([]uint32, bool) {
-	arr, ok := sh.sums[id]
-	if !ok {
-		return nil, false
-	}
-	if arr == nil {
-		arr = make([]uint32, chunkSectors)
-		for i := range arr {
-			arr[i] = zeroSectorCRC
+// load copies the recorded sums of sectors [lo, lo+len(want)) into want. A
+// nil table is a chunk nothing has stamped.
+func (t *sumTable) load(lo int64, want []uint32) {
+	for len(want) > 0 {
+		var leaf *sumLeaf
+		if t != nil {
+			leaf = t[lo/leafSectors]
 		}
-		sh.sums[id] = arr
+		at := lo % leafSectors
+		n := min(int64(len(want)), leafSectors-at)
+		if leaf != nil {
+			copy(want[:n], leaf[at:])
+		} else {
+			for i := range want[:n] {
+				want[i] = zeroSectorCRC
+			}
+		}
+		want, lo = want[n:], lo+n
 	}
-	return arr, true
+}
+
+// store records fresh as the sums of sectors [lo, lo+len(fresh)), making the
+// leaves the range is first to touch.
+func (t *sumTable) store(lo int64, fresh []uint32) {
+	for len(fresh) > 0 {
+		leaf, at := t[lo/leafSectors], lo%leafSectors
+		if leaf == nil {
+			leaf = new(sumLeaf)
+			for i := range leaf {
+				leaf[i] = zeroSectorCRC
+			}
+			t[lo/leafSectors] = leaf
+		}
+		n := copy(leaf[at:], fresh)
+		fresh, lo = fresh[n:], lo+int64(n)
+	}
 }
 
 // Stamp records the checksums of data just written at chunk-relative off.
@@ -124,9 +166,13 @@ func (c *ChecksumStore) Stamp(id ChunkID, off int64, data []byte) {
 			data = data[util.SectorSize:]
 		}
 		sh.mu.Lock()
-		arr, ok := sh.materializeLocked(id)
+		t, ok := sh.sums[id]
 		if ok {
-			copy(arr[lo:], fresh)
+			if t == nil {
+				t = new(sumTable)
+				sh.sums[id] = t
+			}
+			t.store(lo, fresh)
 		}
 		sh.mu.Unlock()
 		if !ok {
@@ -148,18 +194,12 @@ func (c *ChecksumStore) Verify(id ChunkID, off int64, data []byte) error {
 		// comparing each sector's checksum as it is computed.
 		want := scratch[:min(scratchSectors, hi-lo)]
 		sh.mu.Lock()
-		arr, ok := sh.sums[id]
+		t, ok := sh.sums[id]
 		if !ok {
 			sh.mu.Unlock()
 			return nil
 		}
-		if arr == nil {
-			for i := range want {
-				want[i] = zeroSectorCRC
-			}
-		} else {
-			copy(want, arr[lo:])
-		}
+		t.load(lo, want)
 		sh.mu.Unlock()
 		for i := range want {
 			g := util.Checksum(data[:util.SectorSize])
@@ -178,12 +218,11 @@ func (c *ChecksumStore) Sum(id ChunkID, sector int64) (uint32, bool) {
 	sh := c.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	arr, ok := sh.sums[id]
+	t, ok := sh.sums[id]
 	if !ok || sector < 0 || sector >= chunkSectors {
 		return 0, false
 	}
-	if arr == nil {
-		return zeroSectorCRC, true
-	}
-	return arr[sector], true
+	var sum [1]uint32
+	t.load(sector, sum[:])
+	return sum[0], true
 }

@@ -193,3 +193,182 @@ func TestChecksumConcurrentStampVerify(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// flatSums is the checksum table as it was before it became a table of
+// leaves: one flat array per chunk, nil while nothing is stamped. It is the
+// reference model the leaf table is fuzzed against.
+type flatSums map[ChunkID][]uint32
+
+func (f flatSums) stamp(id ChunkID, off int64, data []byte) {
+	arr, ok := f[id]
+	if !ok {
+		return
+	}
+	if arr == nil {
+		arr = make([]uint32, chunkSectors)
+		for i := range arr {
+			arr[i] = zeroSectorCRC
+		}
+		f[id] = arr
+	}
+	for i := 0; i < len(data)/util.SectorSize; i++ {
+		arr[off/util.SectorSize+int64(i)] = util.Checksum(data[i*util.SectorSize:][:util.SectorSize])
+	}
+}
+
+func (f flatSums) sum(id ChunkID, sector int64) (uint32, bool) {
+	arr, ok := f[id]
+	if !ok {
+		return 0, false
+	}
+	if arr == nil {
+		return zeroSectorCRC, true
+	}
+	return arr[sector], true
+}
+
+// firstBad is the sector Verify must name: the first whose data does not
+// match the recorded sum (-1: none, or the chunk is unknown).
+func (f flatSums) firstBad(id ChunkID, off int64, data []byte) int64 {
+	if _, ok := f[id]; !ok {
+		return -1
+	}
+	for i := 0; i < len(data)/util.SectorSize; i++ {
+		s := off/util.SectorSize + int64(i)
+		if want, _ := f.sum(id, s); want != util.Checksum(data[i*util.SectorSize:][:util.SectorSize]) {
+			return s
+		}
+	}
+	return -1
+}
+
+// TestChecksumLeafTableMatchesFlatArray fuzzes the leaf table against the
+// flat array it replaced: random Stamp/Verify/Sum/drop/re-create over three
+// chunks, with ranges placed to straddle a leaf boundary inside one 32 KiB
+// batch, ranges above 32 KiB, and the chunk's last sector; Verify of
+// never-stamped space passes for zeros and fails, at the right sector, for
+// anything else.
+func TestChecksumLeafTableMatchesFlatArray(t *testing.T) {
+	const leafBytes = leafSectors * util.SectorSize
+	c, ref := newChecksumStore(), flatSums{}
+	ids := []ChunkID{MakeChunkID(7, 0), MakeChunkID(7, 1), MakeChunkID(8, 0)}
+	rng := util.NewRand(22)
+	buf := make([]byte, 160*util.KiB)
+
+	// pick returns a sector-aligned range: half the time hugging a leaf
+	// boundary or the end of the chunk, otherwise anywhere.
+	pick := func() (off int64, n int) {
+		n = (1 + rng.Intn(96)) * util.SectorSize // up to 48 KiB: one or two batches
+		if rng.Intn(8) == 0 {
+			n = (1 + rng.Intn(len(buf)/util.SectorSize)) * util.SectorSize // up to 160 KiB
+		}
+		switch rng.Intn(4) {
+		case 0: // straddle (or abut) a leaf boundary
+			edge := int64(1+rng.Intn(chunkSectors/leafSectors-1)) * leafBytes
+			off = edge - int64(rng.Intn(n/util.SectorSize+1))*util.SectorSize
+		case 1: // end at the chunk's last sector
+			off = util.ChunkSize - int64(n)
+		default:
+			off = rng.Int63n((util.ChunkSize-int64(n))/util.SectorSize+1) * util.SectorSize
+		}
+		return off, n
+	}
+
+	for step := 0; step < 6000; step++ {
+		id := ids[rng.Intn(len(ids))]
+		switch op := rng.Intn(20); {
+		case op == 0:
+			c.drop(id)
+			delete(ref, id)
+		case op <= 2:
+			c.create(id) // a no-op on a chunk that exists, as before
+			if _, ok := ref[id]; !ok {
+				ref[id] = nil
+			}
+		case op <= 9:
+			off, n := pick()
+			data := buf[:n]
+			rng.Fill(data)
+			if rng.Intn(4) == 0 {
+				clear(data[:util.SectorSize*(1+rng.Intn(n/util.SectorSize))]) // zeros are data too
+			}
+			c.Stamp(id, off, data)
+			ref.stamp(id, off, data)
+			if err := c.Verify(id, off, data); err != nil {
+				t.Fatalf("step %d: verify of a fresh stamp at %d+%d: %v", step, off, n, err)
+			}
+		case op <= 15:
+			off, n := pick()
+			data := buf[:n]
+			clear(data) // passes exactly where nothing non-zero was stamped
+			if rng.Intn(3) == 0 {
+				data[rng.Intn(n)] = 0xA5
+			}
+			err, bad := c.Verify(id, off, data), ref.firstBad(id, off, data)
+			switch {
+			case bad < 0 && err != nil:
+				t.Fatalf("step %d: verify %d+%d: %v, flat array passes", step, off, n, err)
+			case bad >= 0 && (!errors.Is(err, util.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("sector %d:", bad))):
+				t.Fatalf("step %d: verify %d+%d: %v, flat array fails at sector %d", step, off, n, err, bad)
+			}
+		default:
+			sector := int64(rng.Intn(chunkSectors))
+			if rng.Intn(4) == 0 {
+				sector = int64(rng.Intn(chunkSectors/leafSectors))*leafSectors + int64(rng.Intn(2)*(leafSectors-1))
+			}
+			got, gotOK := c.Sum(id, sector)
+			want, wantOK := ref.sum(id, sector)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("step %d: Sum(%v, %d) = %08x, %v; flat array %08x, %v", step, id, sector, got, gotOK, want, wantOK)
+			}
+		}
+	}
+
+	// Whole-table equality at the end, and the point of the exercise: a chunk
+	// holds leaves only where it was stamped.
+	for _, id := range ids {
+		for s := int64(0); s < chunkSectors; s++ {
+			got, gotOK := c.Sum(id, s)
+			if want, wantOK := ref.sum(id, s); got != want || gotOK != wantOK {
+				t.Fatalf("final: Sum(%v, %d) = %08x, %v; flat array %08x, %v", id, s, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	fresh := MakeChunkID(9, 9)
+	c.create(fresh)
+	if tab := c.shard(fresh).sums[fresh]; tab != nil {
+		t.Fatal("a chunk nothing has stamped holds a table")
+	}
+	rng.Fill(buf[:util.SectorSize])
+	c.Stamp(fresh, util.ChunkSize-util.SectorSize, buf[:util.SectorSize])
+	tab := c.shard(fresh).sums[fresh]
+	for i, leaf := range tab {
+		if (leaf != nil) != (i == len(tab)-1) {
+			t.Fatalf("one stamp in the last region: leaf %d present = %v", i, leaf != nil)
+		}
+	}
+}
+
+// TestChecksumTouchedRegionAllocatesNothing: once a region's leaf exists,
+// stamping and verifying it — across the leaf boundary too — allocate nothing.
+func TestChecksumTouchedRegionAllocatesNothing(t *testing.T) {
+	c := newChecksumStore()
+	id := MakeChunkID(5, 5)
+	c.create(id)
+	data := make([]byte, 128*util.KiB)
+	util.NewRand(5).Fill(data)
+	off := int64(leafSectors*util.SectorSize - 48*util.KiB) // crosses into the second leaf mid-batch
+	c.Stamp(id, off, data)
+	if n := testing.AllocsPerRun(50, func() {
+		c.Stamp(id, off, data)
+		if err := c.Verify(id, off, data); err != nil {
+			t.Fatal(err)
+		}
+		c.Stamp(id, off+4*util.KiB, data[:4*util.KiB])
+		if err := c.Verify(id, off+4*util.KiB, data[:4*util.KiB]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("stamp+verify on touched leaves: %v allocs, want 0", n)
+	}
+}

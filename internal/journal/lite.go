@@ -15,10 +15,15 @@ type Mod struct {
 // replica recovering from transient unavailability can be repaired
 // incrementally by transferring only the ranges modified since its version,
 // instead of the whole 64 MB chunk.
+//
+// The ring costs what has been recorded: it starts empty and doubles as
+// writes arrive, up to the capacity bound, and only then evicts. A replica
+// of a chunk nobody has written holds no ring at all.
 type Lite struct {
 	mu      sync.Mutex
-	ring    []Mod
-	start   int // index of the oldest entry
+	bound   int   // most entries ever retained
+	ring    []Mod // len(ring) <= bound
+	start   int   // index of the oldest entry
 	count   int
 	minVer  uint64 // oldest version still queryable (entries >= minVer kept)
 	haveMin bool
@@ -29,21 +34,33 @@ func NewLite(capacity int) *Lite {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Lite{ring: make([]Mod, capacity)}
+	return &Lite{bound: capacity}
 }
+
+// liteMinRing is the first ring a written chunk gets (192 B).
+const liteMinRing = 8
 
 // Record notes that version wrote [off, off+n).
 func (l *Lite) Record(version uint64, off int64, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.count == len(l.ring) {
+	switch {
+	case l.count < len(l.ring):
+	case len(l.ring) < l.bound:
+		// Full but still below the bound: double. Nothing has been evicted
+		// yet, so the oldest entry is at index 0 and stays there.
+		ring := make([]Mod, min(max(2*len(l.ring), liteMinRing), l.bound))
+		copy(ring, l.ring)
+		l.ring = ring
+	default:
 		// Evict the oldest; repairs from before it now need full copies.
 		evicted := l.ring[l.start]
 		l.start = (l.start + 1) % len(l.ring)
 		l.count--
 		l.minVer = evicted.Version + 1
 		l.haveMin = true
-	} else if !l.haveMin {
+	}
+	if !l.haveMin {
 		l.minVer = version
 		l.haveMin = true
 	}

@@ -200,9 +200,8 @@ func (m *Master) register(req RegisterReq) (any, error) {
 // which evicts the cached connection on transport faults so the next use
 // redials. body, when non-nil, is the command's JSON payload. The request is
 // stamped with the current primacy epoch (zero when replication is off) and
-// a StatusStaleEpoch rejection deposes this master on the spot: some
-// chunkserver has witnessed a newer primary. ok reports a StatusOK answer;
-// resp is nil when the server never answered.
+// the answer goes through heed. ok reports a StatusOK answer; resp is nil
+// when the server never answered.
 func (m *Master) admin(addr string, op proto.Op, id blockstore.ChunkID, view, version uint64,
 	body any, timeout time.Duration) (resp *proto.Message, ok bool) {
 
@@ -216,10 +215,17 @@ func (m *Master) admin(addr string, op proto.Op, id blockstore.ChunkID, view, ve
 	if err != nil {
 		return nil, false
 	}
+	return resp, m.heed(resp)
+}
+
+// heed takes in a chunk server's answer to a master command and reports
+// whether it is StatusOK. A StatusStaleEpoch rejection deposes this master on
+// the spot: some chunkserver has witnessed a newer primary.
+func (m *Master) heed(resp *proto.Message) bool {
 	if resp.Status == proto.StatusStaleEpoch {
 		m.fencedByEpoch(resp.Epoch)
 	}
-	return resp, resp.Status == proto.StatusOK
+	return resp.Status == proto.StatusOK
 }
 
 // createReplica (re)creates a chunk replica's slot on addr. A slot that

@@ -6,8 +6,10 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/chunkserver"
 	"ursa/internal/coldtier"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/redundancy"
+	"ursa/internal/transport"
 	"ursa/internal/util"
 )
 
@@ -71,12 +73,9 @@ func (m *Master) provision(meta VDiskMeta, nchunks, repl int, fromSnap string) (
 		return nil, err
 	}
 	// put now belongs to the log: read it, hand out a copy.
-	id, chunks := put.Meta.ID, put.Meta.Chunks
-	for i, cm := range chunks {
-		if err := m.createChunkReplicas(blockstore.MakeChunkID(id, uint32(i)), cm, meta.Redundancy); err != nil {
-			_, _ = m.deleteVDisk(GetVDiskReq{ID: id}) // best-effort cleanup
-			return nil, err
-		}
+	if err := m.createChunks(put.Meta.ID, put.Meta.Chunks, meta.Redundancy); err != nil {
+		_, _ = m.deleteVDisk(GetVDiskReq{ID: put.Meta.ID}) // best-effort cleanup
+		return nil, err
 	}
 	out := put.Meta.Clone()
 	return &out, nil
@@ -168,10 +167,70 @@ func (m *Master) placeChunkLocked(cur *placeCursors, repl int, spec redundancy.S
 	return cm, nil
 }
 
-// createChunkReplicas issues OpCreateChunk to every replica; the primary
+// createWindow is the most chunks provision keeps in flight on the chunk
+// servers at once. Serially a vdisk costs three round trips a chunk — two
+// minutes per TiB at a 1 ms one-way latency; a chunk's replicas in one flight
+// and up to sixteen chunks abreast bring that to the servers' own pace.
+const createWindow = 16
+
+// chunkCreate is one chunk's OpCreateChunk fan-out in flight: a flight with
+// a branch per replica, on an op of its own so each chunk gets the whole
+// RPCTimeout.
+type chunkCreate struct {
+	id blockstore.ChunkID
+	cm ChunkMeta
+	op *opctx.Op
+	fl *transport.Flight
+}
+
+// createChunks creates every replica of every chunk of a new vdisk from this
+// one goroutine, keeping up to createWindow chunks in flight — but never two
+// creates on one server: a server runs its handlers concurrently and a store
+// hands out slots in the order the creates reach it, so only one create at a
+// time per server keeps a vdisk's chunks on a disk in index order, as a serial
+// create lays them out (and no create queues more than one request anywhere).
+// On a cluster with servers to spare that still overlaps as many chunks as
+// placement rotates through before it comes back to a server. The first
+// failure stops the issuing; the creates already out are still awaited, so
+// that the caller's clean-up cannot be overtaken by a create that lands
+// after it.
+func (m *Master) createChunks(vdisk uint32, chunks []ChunkMeta, spec redundancy.Spec) error {
+	var (
+		win    [createWindow]chunkCreate
+		issued int
+		first  error
+	)
+	// busy reports whether a chunk in flight has a replica on a server cm needs.
+	busy := func(done int, cm ChunkMeta) bool {
+		for i := done; i < issued; i++ {
+			for _, out := range win[i%createWindow].cm.Replicas {
+				for _, r := range cm.Replicas {
+					if r.Addr == out.Addr {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	for done := 0; done < issued || (first == nil && issued < len(chunks)); done++ {
+		for ; first == nil && issued < len(chunks) && issued-done < createWindow && !busy(done, chunks[issued]); issued++ {
+			win[issued%createWindow] = m.beginCreate(blockstore.MakeChunkID(vdisk, uint32(issued)), chunks[issued], spec)
+		}
+		if err := m.endCreate(&win[done%createWindow]); first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// beginCreate sends OpCreateChunk to every replica of one chunk; the primary
 // learns its backup list, and RS segment holders learn which segment of
 // the chunk their (smaller) slot stores.
-func (m *Master) createChunkReplicas(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec) error {
+func (m *Master) beginCreate(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec) chunkCreate {
+	c := chunkCreate{id: id, cm: cm, op: opctx.New(m.cfg.Clock, m.cfg.RPCTimeout)}
+	c.fl = m.peers.Begin(c.op, len(cm.Replicas), 0)
+	epoch := m.Epoch()
 	for i, r := range cm.Replicas {
 		req := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec}
 		if i == 0 {
@@ -188,11 +247,31 @@ func (m *Master) createChunkReplicas(id blockstore.ChunkID, cm ChunkMeta, spec r
 			req.Cold = cm.Cold
 			req.ObjAddr = m.cfg.ObjstoreAddr
 		}
-		if !m.createReplica(r.Addr, id, req) {
-			return fmt.Errorf("master: create %v on %s failed", id, r.Addr)
+		payload, _ := jsonBody(req) // a struct of strings, numbers and slices of them: cannot fail
+		c.fl.Go(i, r.Addr, &proto.Message{Op: proto.OpCreateChunk, Chunk: id, Epoch: epoch, Payload: payload})
+	}
+	return c
+}
+
+// endCreate awaits every replica's answer to one chunk's creates and reports
+// the first that is not a slot in place (fresh, or already there — see
+// createReplica).
+func (m *Master) endCreate(c *chunkCreate) error {
+	var first error
+	for i, r := range c.cm.Replicas {
+		resp, err := c.fl.Wait(i)
+		if err != nil {
+			err = fmt.Errorf("master: create %v on %s: %w", c.id, r.Addr, err)
+		} else if !m.heed(resp) && resp.Status != proto.StatusExists {
+			err = fmt.Errorf("master: create %v on %s: %s", c.id, r.Addr, resp.Status)
+		}
+		if first == nil {
+			first = err
 		}
 	}
-	return nil
+	c.fl.Finish()
+	c.op.Release()
+	return first
 }
 
 // openVDisk grants the vdisk's lease to req.Client unless another client

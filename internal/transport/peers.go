@@ -35,15 +35,20 @@ func NewPeers(d Dialer, clk clock.Clock) *Peers {
 	return &Peers{dial: d, clk: clk, m: make(map[string]*Client)}
 }
 
-// Get returns the cached client for addr, dialing if absent. Concurrent
-// callers racing on a cold address may both dial; the loser's connection
-// is closed.
+// Get returns the cached client for addr, dialing if absent. A cached client
+// whose connection has already died (the peer crashed; its dispatcher saw
+// the close) is evicted here and replaced, not handed out to fail one more
+// call. Concurrent callers racing on a cold address may both dial; the
+// loser's connection is closed.
 func (p *Peers) Get(addr string) (*Client, error) {
 	p.mu.Lock()
 	c := p.m[addr]
 	p.mu.Unlock()
 	if c != nil {
-		return c, nil
+		if !c.dead() {
+			return c, nil
+		}
+		p.Drop(addr, c)
 	}
 	conn, err := p.dial.Dial(addr)
 	if err != nil {

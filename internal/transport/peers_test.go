@@ -117,3 +117,23 @@ func TestPeersCloseAll(t *testing.T) {
 		t.Fatalf("call after CloseAll: %v", err)
 	}
 }
+
+// TestPeersReplacesDeadClient: a pooled client whose connection died with its
+// peer is not handed out again — the first call after the peer is back
+// redials and succeeds, instead of failing once to discover the corpse.
+func TestPeersReplacesDeadClient(t *testing.T) {
+	net, p := peersFixture(t)
+	old, err := p.Get("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Crash("server")
+	<-old.done // the dispatcher has seen the connection die
+	net.Restart("server")
+	if resp, err := p.Call("server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
+		t.Fatalf("first call after the restart = %+v, %v", resp, err)
+	}
+	if now, err := p.Get("server"); err != nil || now == old {
+		t.Fatalf("pool still holds the dead client (%v)", err)
+	}
+}

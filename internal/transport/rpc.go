@@ -106,6 +106,14 @@ func (c *Client) forget(id uint64) bool {
 	return ok
 }
 
+// dead reports whether the dispatcher has exited: the connection is gone and
+// every call on this client would fail unsent.
+func (c *Client) dead() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
 // pendingCalls reports the number of in-flight calls (tests).
 func (c *Client) pendingCalls() int {
 	c.mu.Lock()

@@ -189,24 +189,34 @@ type timedMsg struct {
 	sent time.Time
 }
 
+// simPipeDepth bounds the messages one direction of a connection holds: 16×
+// the per-connection inflight cap, so outside adversarial tests nothing is
+// ever dropped for want of room.
+const simPipeDepth = 4096
+
 // simPipe is one direction of a connection: a deep FIFO plus propagation
 // delay applied at the receiver, so many messages can be in flight — the
-// in-network pipelining the paper leans on (§3.4).
+// in-network pipelining the paper leans on (§3.4). A pipe past simPipeDepth
+// drops the message like a congested switch would.
 //
-// Enqueue and close are serialized by the mutex so a message can never be
-// committed to a pipe after close has drained it — undrained messages
-// would leak their payload leases. A full pipe drops the message like a
-// congested switch would (the FIFO is 16× deeper than the per-connection
-// inflight cap, so this does not happen outside adversarial tests).
+// The FIFO is a ring that doubles when a burst outgrows it, so a connection
+// costs what its deepest backlog needed (nothing while idle), not the bound.
+// Everything is under the mutex, which is what keeps a message from being
+// committed to a pipe after close has drained it — an undrained message
+// would leak its payload lease.
 type simPipe struct {
-	mu     sync.Mutex
-	dead   bool
-	ch     chan timedMsg
-	closed chan struct{}
+	mu    sync.Mutex
+	ready sync.Cond // a message arrived, or the pipe died
+	dead  bool
+	ring  []timedMsg // len is zero or a power of two
+	head  int        // index of the oldest message
+	n     int        // messages queued
 }
 
 func newSimPipe() *simPipe {
-	return &simPipe{ch: make(chan timedMsg, 4096), closed: make(chan struct{})}
+	p := &simPipe{}
+	p.ready.L = &p.mu
+	return p
 }
 
 // send enqueues tm, taking ownership of its payload lease. A closed pipe
@@ -214,20 +224,50 @@ func newSimPipe() *simPipe {
 // is released — the simulated wire is a consumer like any other.
 func (p *simPipe) send(tm timedMsg) error {
 	p.mu.Lock()
-	if p.dead {
+	if dead := p.dead; dead || p.n == simPipeDepth {
 		p.mu.Unlock()
 		bufpool.Put(tm.m.Payload)
-		return ErrConnClosed
+		if dead {
+			return ErrConnClosed
+		}
+		return nil // congestion drop
 	}
-	select {
-	case p.ch <- tm:
-		p.mu.Unlock()
-		return nil
-	default:
-		p.mu.Unlock()
-		bufpool.Put(tm.m.Payload) // congestion drop
-		return nil
+	if p.n == len(p.ring) {
+		// Full (or not yet made): double, oldest message to index 0.
+		ring := make([]timedMsg, max(2*len(p.ring), 8))
+		k := copy(ring, p.ring[p.head:])
+		copy(ring[k:], p.ring[:p.head])
+		p.ring, p.head = ring, 0
 	}
+	p.ring[(p.head+p.n)&(len(p.ring)-1)] = tm
+	p.n++
+	p.mu.Unlock()
+	p.ready.Signal()
+	return nil
+}
+
+// recv blocks for the oldest queued message; ok is false once the pipe is
+// closed.
+func (p *simPipe) recv() (tm timedMsg, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.n == 0 && !p.dead {
+		p.ready.Wait()
+	}
+	if p.dead {
+		return timedMsg{}, false
+	}
+	tm, p.ring[p.head] = p.ring[p.head], timedMsg{}
+	p.head = (p.head + 1) & (len(p.ring) - 1)
+	p.n--
+	return tm, true
+}
+
+// closed reports whether the pipe has been closed.
+func (p *simPipe) closed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dead
 }
 
 // close marks the pipe dead and releases every undelivered message's
@@ -239,15 +279,12 @@ func (p *simPipe) close() {
 		return
 	}
 	p.dead = true
-	close(p.closed)
+	ring, head, n := p.ring, p.head, p.n
+	p.ring, p.head, p.n = nil, 0, 0
 	p.mu.Unlock()
-	for {
-		select {
-		case tm := <-p.ch:
-			bufpool.Put(tm.m.Payload)
-		default:
-			return
-		}
+	p.ready.Broadcast()
+	for i := 0; i < n; i++ {
+		bufpool.Put(ring[(head+i)&(len(ring)-1)].m.Payload)
 	}
 }
 
@@ -267,11 +304,9 @@ type simConn struct {
 // and every drop path releases it (a dropped message's payload would
 // otherwise leak its lease).
 func (c *simConn) Send(m *proto.Message) error {
-	select {
-	case <-c.sendPipe.closed:
+	if c.sendPipe.closed() {
 		bufpool.Put(m.Payload)
 		return ErrConnClosed
-	default:
 	}
 	size := m.WireSize()
 	c.local.out.Take(size)
@@ -294,15 +329,14 @@ func (n *SimNet) nodeIn(addr string) *TokenBucket {
 
 // Recv delivers the next message after its propagation delay elapses.
 func (c *simConn) Recv() (*proto.Message, error) {
-	select {
-	case tm := <-c.recvPipe.ch:
-		if wait := c.net.latency - c.net.clk.Now().Sub(tm.sent); wait > 0 {
-			c.net.clk.Sleep(wait)
-		}
-		return tm.m, nil
-	case <-c.recvPipe.closed:
+	tm, ok := c.recvPipe.recv()
+	if !ok {
 		return nil, ErrConnClosed
 	}
+	if wait := c.net.latency - c.net.clk.Now().Sub(tm.sent); wait > 0 {
+		c.net.clk.Sleep(wait)
+	}
+	return tm.m, nil
 }
 
 // Close tears down both directions and unregisters from the node.

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"time"
 
 	"ursa/internal/bufpool"
+	"ursa/internal/clock"
 	"ursa/internal/proto"
 )
 
@@ -13,6 +15,13 @@ import (
 // mutex-guarded buffered writer flushed per message: the caller-side RPC
 // layer already batches by pipelining many requests before any response is
 // awaited.
+//
+// A message that carries a deadline budget (every request a Flight sends
+// does) must be on the wire within it: Send runs on the goroutine that
+// awaits the call, and a wedged peer with full socket buffers would
+// otherwise block that goroutine — a primary's handler — for good. A send
+// that misses the deadline leaves half a frame behind, so the error is
+// final for the connection; the flight evicts it.
 type tcpConn struct {
 	c  net.Conn
 	r  *bufio.Reader
@@ -32,9 +41,16 @@ func NewTCPConn(c net.Conn) MsgConn {
 
 func (t *tcpConn) Send(m *proto.Message) error {
 	t.wm.Lock()
+	if m.Budget > 0 {
+		// Sockets live in wall time whatever clock the models run on.
+		_ = t.c.SetWriteDeadline(clock.Realtime.Now().Add(m.Budget)) // a conn without deadlines sends as before
+	}
 	err := m.Encode(t.w)
 	if err == nil {
 		err = t.w.Flush()
+	}
+	if m.Budget > 0 {
+		_ = t.c.SetWriteDeadline(time.Time{})
 	}
 	t.wm.Unlock()
 	// Send consumes the caller's reference: the payload is on the wire (or

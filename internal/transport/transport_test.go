@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -327,5 +328,60 @@ func TestTokenBucketConcurrentSharing(t *testing.T) {
 	// 200KB total at 2MB/s = 100ms.
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
 		t.Errorf("shared bucket too fast: %v", elapsed)
+	}
+}
+
+// pipeDialer hands out the client end of a net.Pipe whose far end nobody
+// reads: a peer wedged with full socket buffers.
+type pipeDialer struct{ far []net.Conn }
+
+func (d *pipeDialer) Dial(string) (MsgConn, error) {
+	near, far := net.Pipe()
+	d.far = append(d.far, far)
+	return NewTCPConn(near), nil
+}
+
+// TestTCPSendDeadlineFromBudget: a send to a peer that never reads returns by
+// the message's budget, the flight counts the slot failed and evicts the
+// connection. Without the deadline the send — issued on the awaiting
+// goroutine — blocks for good.
+func TestTCPSendDeadlineFromBudget(t *testing.T) {
+	const budget = 100 * time.Millisecond
+	d := &pipeDialer{}
+	p := NewPeers(d, clock.Realtime)
+	defer func() {
+		p.CloseAll()
+		for _, c := range d.far {
+			c.Close()
+		}
+	}()
+	op := opctx.New(clock.Realtime, budget)
+	defer op.Release()
+
+	type outcome struct {
+		err  error
+		took time.Duration
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		t0 := time.Now()
+		fl := p.Begin(op, 1, 0)
+		_, err := fl.Wait(fl.Go(0, "wedged", &proto.Message{Op: proto.OpWrite, Payload: make([]byte, 4096)}))
+		fl.Finish()
+		done <- outcome{err, time.Since(t0)}
+	}()
+	select {
+	case o := <-done:
+		if o.err == nil {
+			t.Fatal("a call to a peer that never reads succeeded")
+		}
+		if o.took > 10*budget {
+			t.Fatalf("send returned after %v, budget %v", o.took, budget)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send to a wedged peer never returned")
+	}
+	if p.cached("wedged") {
+		t.Fatal("the connection with half a frame on it is still pooled")
 	}
 }
