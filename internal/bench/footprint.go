@@ -21,6 +21,16 @@ const (
 	footprintConns   = 256
 )
 
+// wideCeilingOptions is the ceiling figure's zero-cost cluster with disks
+// large enough for a 16 GiB vdisk: room for 256 primaries on 6 SSDs beside the
+// journals.
+func wideCeilingOptions() core.Options {
+	opts := ceilingOptions()
+	opts.SSDModel.Capacity = 64 * util.GiB
+	opts.HDDModel.Capacity = 128 * util.GiB
+	return opts
+}
+
 // footprintStage is one settled point of the footprint scenario.
 type footprintStage struct {
 	name  string
@@ -39,10 +49,7 @@ type footprintStage struct {
 // between two calls — heap in use, or an in-use profile — is the cost of the
 // later stage's units.
 func footprintScenario(at func(footprintStage)) error {
-	opts := ceilingOptions()
-	opts.SSDModel.Capacity = 64 * util.GiB // room for 256 primaries on 6 SSDs beside the journals
-	opts.HDDModel.Capacity = 128 * util.GiB
-	c, err := core.New(opts)
+	c, err := core.New(wideCeilingOptions())
 	if err != nil {
 		return err
 	}

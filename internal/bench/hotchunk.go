@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,8 +100,7 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 	defer b2.Close()
 
 	create := func(s *chunkserver.Server, backups []string) {
-		payload, _ := json.Marshal(chunkserver.CreateChunkReq{View: 1, Backups: backups})
-		s.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: hotchunkChunk, Payload: payload})
+		s.Handle(chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: hotchunkChunk, CreateChunkReq: chunkserver.CreateChunkReq{View: 1, Backups: backups}}))
 	}
 	create(primary, []string{"b1", "b2"})
 	create(b1, nil)

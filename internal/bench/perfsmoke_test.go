@@ -86,6 +86,11 @@ func TestPerfSmoke(t *testing.T) {
 	if got["footprint"], err = footprintCounts(); err != nil {
 		t.Fatal(err)
 	}
+	var note string
+	if got["control-plane"], note, err = controlPlaneCounts(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("control-plane: %s", note)
 	for name, want := range base.Counts {
 		for metric, ceiling := range want {
 			v, ok := got[name][metric]

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 
+	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
 	"ursa/internal/coldtier"
 	"ursa/internal/journal"
@@ -76,7 +77,8 @@ func (s *Server) witnessEpoch(e uint64) (cur uint64, adopted bool) {
 // MasterEpoch returns the newest master epoch this server has witnessed.
 func (s *Server) MasterEpoch() uint64 { return s.masterEpoch.Load() }
 
-// CreateChunkReq is the JSON payload of OpCreateChunk.
+// CreateChunkReq describes the replica an OpCreateChunk entry creates
+// (ChunkCreate); OpSetView reuses it for the new view's backup list.
 type CreateChunkReq struct {
 	// Backups are peer addresses the primary replicates to (primary only).
 	Backups []string `json:"backups,omitempty"`
@@ -121,53 +123,94 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 	return cs, nil
 }
 
+// ChunkCreate is one entry of an OpCreateChunk message: a chunk and the
+// replica to create for it.
+type ChunkCreate struct {
+	Chunk blockstore.ChunkID `json:"chunk"`
+	CreateChunkReq
+}
+
+// CreateChunks builds the OpCreateChunk message for entries (the caller
+// stamps the epoch). The entries are plain data, so encoding cannot fail.
+func CreateChunks(entries ...ChunkCreate) *proto.Message {
+	payload, _ := json.Marshal(entries)
+	return &proto.Message{Op: proto.OpCreateChunk, Payload: payload}
+}
+
+// handleCreateChunk creates the message's replicas in list order, on this
+// goroutine: the store hands out slots in arrival order, so one message per
+// vdisk lays a vdisk's chunks out on this server's disk in index order. The
+// first entry that fails ends the message; the entries after it were never
+// made.
 func (s *Server) handleCreateChunk(m *proto.Message) *proto.Message {
-	var req CreateChunkReq
-	if len(m.Payload) > 0 {
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			return m.Reply(proto.StatusError)
-		}
-	}
-	cs, err := s.newChunkState(req)
-	if err != nil {
+	var entries []ChunkCreate
+	if err := json.Unmarshal(m.Payload, &entries); err != nil || len(entries) == 0 || len(entries) > proto.MaxBatch {
 		return m.Reply(proto.StatusError)
 	}
+	results := make([]proto.ChunkResult, 0, len(entries))
+	for _, e := range entries {
+		status := s.createChunk(e.Chunk, e.CreateChunkReq)
+		results = append(results, proto.ChunkResult{Status: status})
+		if status != proto.StatusOK && status != proto.StatusExists {
+			break
+		}
+	}
+	return m.ReplyBatch(results)
+}
+
+func (s *Server) createChunk(id blockstore.ChunkID, req CreateChunkReq) proto.Status {
+	cs, err := s.newChunkState(req)
+	if err != nil {
+		return proto.StatusError
+	}
 	status := proto.StatusOK
-	if err := s.store.CreateSized(m.Chunk, cs.span()); errors.Is(err, util.ErrExists) {
+	if err := s.store.CreateSized(id, cs.span()); errors.Is(err, util.ErrExists) {
 		// A restarted server re-attaches to chunks that survived on its
 		// store: install fresh in-memory state over the existing slot (and
 		// its checksums) unless live state is already there. The Exists
 		// status is kept so recovery flows still learn the slot was there.
 		status = proto.StatusExists
 	} else if err != nil {
-		return m.Reply(proto.StatusQuota)
+		return proto.StatusQuota
 	}
-	sh := s.shard(m.Chunk)
+	sh := s.shard(id)
 	sh.mu.Lock()
-	if status == proto.StatusOK || sh.m[m.Chunk] == nil {
-		sh.m[m.Chunk] = cs
+	if status == proto.StatusOK || sh.m[id] == nil {
+		sh.m[id] = cs
 	}
 	sh.mu.Unlock()
-	return m.Reply(status)
+	return status
 }
 
 func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
-	sh := s.shard(m.Chunk)
+	ids, err := proto.DecodeChunkIDs(m.Payload)
+	if err != nil {
+		return m.Reply(proto.StatusError)
+	}
+	results := make([]proto.ChunkResult, len(ids))
+	for i, id := range ids {
+		results[i].Status = s.deleteChunk(id)
+	}
+	return m.ReplyBatch(results)
+}
+
+func (s *Server) deleteChunk(id blockstore.ChunkID) proto.Status {
+	sh := s.shard(id)
 	sh.mu.Lock()
-	cs := sh.m[m.Chunk]
-	delete(sh.m, m.Chunk)
+	cs := sh.m[id]
+	delete(sh.m, id)
 	sh.mu.Unlock()
 	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
+		return proto.StatusNotFound
 	}
 	cs.mu.Lock()
 	cs.deleted = true
 	cs.bumpLocked() // wake writers queued on the chunk's state
 	cs.mu.Unlock()
-	if err := s.dropLocal(m.Chunk); err != nil {
-		return m.Reply(proto.StatusError)
+	if err := s.dropLocal(id); err != nil {
+		return proto.StatusError
 	}
-	return m.Reply(proto.StatusOK)
+	return proto.StatusOK
 }
 
 func (s *Server) handleSetView(m *proto.Message) *proto.Message {

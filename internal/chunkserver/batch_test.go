@@ -1,0 +1,116 @@
+package chunkserver
+
+import (
+	"testing"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/proto"
+	"ursa/internal/util"
+)
+
+func results(t *testing.T, resp *proto.Message) []proto.ChunkResult {
+	t.Helper()
+	res, err := proto.DecodeResults(resp.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCreateBatchRunsInOrderAndStopsAtFirstFailure: a create message's
+// entries get consecutive slots in list order; the entry the store has no
+// room for ends the message — the entries after it were never made — and a
+// second send of the same message is answered StatusExists entry by entry.
+func TestCreateBatchRunsInOrderAndStopsAtFirstFailure(t *testing.T) {
+	e := newEnv(t)
+	room := int(fastSSD().Capacity / util.ChunkSize) // the primary's store holds this many full slots
+	entries := make([]ChunkCreate, room+8)
+	for i := range entries {
+		// Descending indices: slot order must follow the list, not the IDs.
+		entries[i] = ChunkCreate{Chunk: blockstore.MakeChunkID(7, uint32(len(entries)-i)), CreateChunkReq: CreateChunkReq{View: 1}}
+	}
+	resp := e.primary.Handle(CreateChunks(entries...))
+	got := results(t, resp)
+	if resp.Status != proto.StatusQuota || len(got) != room+1 {
+		t.Fatalf("create of %d chunks in room for %d: %s with %d results, want quota with %d", len(entries), room, resp.Status, len(got), room+1)
+	}
+	for i, e2 := range entries {
+		made := e.primary.store.Has(e2.Chunk)
+		switch {
+		case i < room && (got[i].Status != proto.StatusOK || !made || e.primary.store.SlotOffset(e2.Chunk) != int64(i)*util.ChunkSize):
+			t.Fatalf("entry %d: %s, slot made %v at %d", i, got[i].Status, made, e.primary.store.SlotOffset(e2.Chunk))
+		case i >= room && (made || e.primary.chunk(e2.Chunk) != nil):
+			t.Fatalf("entry %d, at or after the one refused, was made", i)
+		}
+	}
+	if got[room].Status != proto.StatusQuota {
+		t.Fatalf("the entry past the store's room: %s", got[room].Status)
+	}
+
+	resp = e.primary.Handle(CreateChunks(entries[:room]...))
+	if got = results(t, resp); resp.Status != proto.StatusExists || len(got) != room {
+		t.Fatalf("re-create: %s with %d results", resp.Status, len(got))
+	}
+	for i, r := range got {
+		if r.Status != proto.StatusExists {
+			t.Fatalf("re-created entry %d: %s", i, r.Status)
+		}
+	}
+
+	for _, bad := range []*proto.Message{
+		{Op: proto.OpCreateChunk},
+		{Op: proto.OpCreateChunk, Payload: []byte("[]")},
+		{Op: proto.OpCreateChunk, Payload: []byte(`{"chunk":1}`)},
+		CreateChunks(make([]ChunkCreate, proto.MaxBatch+1)...),
+	} {
+		if resp := e.primary.Handle(bad); resp.Status != proto.StatusError || len(resp.Payload) != 0 {
+			t.Fatalf("malformed create (%d payload bytes): %s", len(bad.Payload), resp.Status)
+		}
+	}
+}
+
+// TestProbeAndDeleteBatchesAnswerPerEntry: a probe lists the version and view
+// of every chunk asked about, and a delete the fate of each, in list order.
+func TestProbeAndDeleteBatchesAnswerPerEntry(t *testing.T) {
+	e := newEnv(t)
+	e.createChunk(t) // testChunk, view 1
+	other, missing := blockstore.MakeChunkID(1, 1), blockstore.MakeChunkID(1, 9)
+	if resp := e.primary.Handle(CreateChunks(ChunkCreate{Chunk: other, CreateChunkReq: CreateChunkReq{View: 4, Version: 11}})); resp.Status != proto.StatusOK {
+		t.Fatal(resp.Status)
+	}
+	e.primary.chunk(testChunk).suspect.Store(true)
+
+	resp := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(other, missing, testChunk, other)})
+	want := []proto.ChunkResult{
+		{Status: proto.StatusOK, Version: 11, View: 4}, {Status: proto.StatusNotFound},
+		{Status: proto.StatusError}, {Status: proto.StatusOK, Version: 11, View: 4},
+	}
+	got := results(t, resp)
+	if len(got) != len(want) {
+		t.Fatalf("probe of %d chunks answered %d", len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("probe entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if resp.Status != proto.StatusOK || resp.Version != 11 || resp.View != 4 {
+		t.Errorf("probe header %s v%d view %d, want the last entry's", resp.Status, resp.Version, resp.View)
+	}
+
+	resp = e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(other, missing, testChunk)})
+	got = results(t, resp)
+	if len(got) != 3 || got[0].Status != proto.StatusOK || got[1].Status != proto.StatusNotFound || got[2].Status != proto.StatusOK {
+		t.Fatalf("delete batch answered %+v", got)
+	}
+	if e.primary.store.Len() != 0 {
+		t.Fatalf("%d slots left after the delete", e.primary.store.Len())
+	}
+	for _, op := range []proto.Op{proto.OpGetVersion, proto.OpDeleteChunk} {
+		for _, payload := range [][]byte{nil, make([]byte, 7), make([]byte, 8*(proto.MaxBatch+1))} {
+			if resp := e.primary.Handle(&proto.Message{Op: op, Payload: payload}); resp.Status != proto.StatusError {
+				t.Fatalf("op %d with a %d-byte list: %s", op, len(payload), resp.Status)
+			}
+		}
+	}
+}

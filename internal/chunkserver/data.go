@@ -199,23 +199,31 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 }
 
 // handleGetVersion answers the probe recovery and clients build their
-// picture of a chunk from. A replica that has reported its own device for
-// the chunk answers non-OK until a rebuild lands on it: its in-memory version
-// says nothing about bytes it can no longer read or write, and a prober that
-// took it at its word would count a dead position as healthy.
+// picture of a chunk from, for every chunk the message lists. A replica that
+// has reported its own device for the chunk answers non-OK until a rebuild
+// lands on it: its in-memory version says nothing about bytes it can no
+// longer read or write, and a prober that took it at its word would count a
+// dead position as healthy.
 func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
-	cs := s.chunk(m.Chunk)
-	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
-	}
-	if cs.suspect.Load() {
+	ids, err := proto.DecodeChunkIDs(m.Payload)
+	if err != nil {
 		return m.Reply(proto.StatusError)
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	r := replyAt(m, proto.StatusOK, cs.version)
-	r.View = cs.view
-	return r
+	results := make([]proto.ChunkResult, len(ids))
+	for i, id := range ids {
+		cs := s.chunk(id)
+		switch {
+		case cs == nil:
+			results[i].Status = proto.StatusNotFound
+		case cs.suspect.Load():
+			results[i].Status = proto.StatusError
+		default:
+			cs.mu.Lock()
+			results[i] = proto.ChunkResult{Status: proto.StatusOK, Version: cs.version, View: cs.view}
+			cs.mu.Unlock()
+		}
+	}
+	return m.ReplyBatch(results)
 }
 
 // handleRepairSince serves incremental repair: the ranges modified after

@@ -67,7 +67,7 @@ func TestEpochFenceRejectsStaleMasterCommands(t *testing.T) {
 	if resp.Status != proto.StatusOK {
 		t.Fatalf("OpNop@5 again = %s", resp.Status)
 	}
-	resp = srv.Handle(&proto.Message{Op: proto.OpDeleteChunk, Chunk: testChunk, Epoch: 7})
+	resp = srv.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk), Epoch: 7})
 	if resp.Status == proto.StatusStaleEpoch {
 		t.Fatalf("OpDeleteChunk@7 fenced unexpectedly")
 	}
@@ -89,7 +89,7 @@ func TestEpochFenceIgnoresDataPathAndUnfencedOps(t *testing.T) {
 
 	// Data-path ops are fenced by view numbers, not master epochs — a
 	// stale epoch on them must be ignored, not rejected.
-	resp = srv.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk, Epoch: 2})
+	resp = srv.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk), Epoch: 2})
 	if resp.Status == proto.StatusStaleEpoch {
 		t.Fatalf("OpGetVersion@2 hit the fence; data path must be unfenced")
 	}

@@ -2,7 +2,6 @@ package chunkserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -62,8 +61,7 @@ func (e *integrityEnv) startServer(t *testing.T, addr string) *Server {
 
 func (e *integrityEnv) create(t *testing.T, srv *Server, want proto.Status) {
 	t.Helper()
-	payload, _ := json.Marshal(CreateChunkReq{View: 1})
-	resp := srv.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: testChunk, Payload: payload})
+	resp := srv.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 1}}))
 	if resp.Status != want {
 		t.Fatalf("create on %s = %s, want %s", srv.Addr(), resp.Status, want)
 	}

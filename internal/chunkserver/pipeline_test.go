@@ -2,7 +2,6 @@ package chunkserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +98,7 @@ func TestOverlappingConcurrentWritesApplyInVersionOrder(t *testing.T) {
 	wg.Wait()
 
 	for _, s := range []*Server{e.primary, e.backups[0], e.backups[1]} {
-		v := s.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk})
+		v := s.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
 		if v.Version != K {
 			t.Errorf("%s version = %d, want %d", s.Addr(), v.Version, K)
 		}
@@ -249,8 +248,7 @@ func TestDisjointWritesPipelineConcurrently(t *testing.T) {
 	}
 	srv.Serve(l)
 	t.Cleanup(srv.Close)
-	payload, _ := json.Marshal(CreateChunkReq{View: 1})
-	resp := srv.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: testChunk, Payload: payload})
+	resp := srv.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 1}}))
 	if resp.Status != proto.StatusOK {
 		t.Fatal(resp.Status)
 	}
@@ -273,7 +271,7 @@ func TestDisjointWritesPipelineConcurrently(t *testing.T) {
 	if serial := qd * 2 * time.Millisecond; elapsed >= serial*3/4 {
 		t.Errorf("disjoint writes took %v, want well under the serial %v", elapsed, serial)
 	}
-	if v := srv.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk}); v.Version != qd {
+	if v := srv.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)}); v.Version != qd {
 		t.Errorf("version = %d, want %d", v.Version, qd)
 	}
 }

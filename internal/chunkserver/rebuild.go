@@ -110,11 +110,12 @@ func walkSlot(span int64, piece func(off int64, n int) error) error {
 // arrives at the adopted version.
 func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string, span int64) rebuildSource {
 	return func(install installFn) (uint64, error) {
-		vresp, err := s.peers.Do(op, addr, &proto.Message{Op: proto.OpGetVersion, Chunk: chunk},
+		vresp, err := s.peers.Do(op, addr, &proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(chunk)},
 			s.opBudget(op, s.cfg.ReplTimeout))
 		if err != nil {
 			return 0, err
 		}
+		bufpool.Put(vresp.Payload) // the header repeats the one result
 		if vresp.Status != proto.StatusOK {
 			return 0, fmt.Errorf("chunkserver: clone source %s: %s", addr, vresp.Status)
 		}

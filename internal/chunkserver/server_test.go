@@ -81,8 +81,7 @@ var testChunk = blockstore.MakeChunkID(1, 0)
 func (e *env) createChunk(t *testing.T) {
 	t.Helper()
 	mk := func(s *Server, backups []string) {
-		payload, _ := json.Marshal(CreateChunkReq{View: 1, Backups: backups})
-		resp := s.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: testChunk, Payload: payload})
+		resp := s.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 1, Backups: backups}}))
 		if resp.Status != proto.StatusOK {
 			t.Fatalf("create on %s: %s", s.Addr(), resp.Status)
 		}
@@ -109,7 +108,7 @@ func TestWriteReplicatesAndBumpsVersions(t *testing.T) {
 	}
 	// All replicas at version 1.
 	for _, s := range []*Server{e.primary, e.backups[0], e.backups[1]} {
-		v := s.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk})
+		v := s.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
 		if v.Version != 1 {
 			t.Errorf("%s version = %d", s.Addr(), v.Version)
 		}
@@ -199,7 +198,7 @@ func TestPipelinedVersionsApplyInOrder(t *testing.T) {
 			t.Fatalf("pipelined write = %s", resp.Status)
 		}
 	}
-	v := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk})
+	v := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
 	if v.Version != 2 {
 		t.Errorf("final version = %d", v.Version)
 	}
@@ -275,9 +274,8 @@ func TestRepairFallsBackToClone(t *testing.T) {
 	b1, b2 := e.backups[0], e.backups[1]
 	b1.cfg.LiteCap = 2
 	// Recreate chunk state with small lite on b1 by deleting + recreating.
-	b1.Handle(&proto.Message{Op: proto.OpDeleteChunk, Chunk: testChunk})
-	payload, _ := json.Marshal(CreateChunkReq{View: 1})
-	b1.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: testChunk, Payload: payload})
+	b1.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
+	b1.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 1}}))
 
 	for v := uint64(0); v < 6; v++ { // overflow the 2-entry lite
 		resp := b1.Handle(&proto.Message{
@@ -379,11 +377,11 @@ func TestReadStatusRules(t *testing.T) {
 func TestDeleteChunk(t *testing.T) {
 	e := newEnv(t)
 	e.createChunk(t)
-	resp := e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Chunk: testChunk})
+	resp := e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
 	if resp.Status != proto.StatusOK {
 		t.Fatal(resp.Status)
 	}
-	resp = e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Chunk: testChunk})
+	resp = e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
 	if resp.Status != proto.StatusNotFound {
 		t.Fatalf("double delete = %s", resp.Status)
 	}

@@ -96,8 +96,7 @@ func (e *rebuildEnv) start(addr string, backup bool, disk simdisk.Disk, replTime
 
 func mustCreate(t *testing.T, s *Server, req CreateChunkReq) {
 	t.Helper()
-	payload, _ := json.Marshal(req)
-	resp := s.Handle(&proto.Message{Op: proto.OpCreateChunk, Chunk: testChunk, Payload: payload})
+	resp := s.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: req}))
 	if resp.Status != proto.StatusOK {
 		t.Fatalf("create on %s: %s", s.Addr(), resp.Status)
 	}
@@ -133,7 +132,7 @@ func slot(t *testing.T, s *Server) []byte {
 
 func versionView(t *testing.T, s *Server) (version, view uint64) {
 	t.Helper()
-	r := s.Handle(&proto.Message{Op: proto.OpGetVersion, Chunk: testChunk})
+	r := s.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
 	if r.Status != proto.StatusOK {
 		t.Fatalf("get version on %s: %s", s.Addr(), r.Status)
 	}
@@ -424,6 +423,11 @@ func TestRebuildSources(t *testing.T) {
 			version: stripe.version,
 		},
 	}
+	// The lease count is the process's: a row compares it before and after, so
+	// the other environment's journals must not be replaying — and handing
+	// their resident slabs back — meanwhile.
+	stripe.leases()
+	mirror.leases()
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			dst := row.env.start(fmt.Sprintf("dst%d", i), row.backup, nil, time.Second)

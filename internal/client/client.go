@@ -404,8 +404,12 @@ func (c *Client) Open(name string) (*VDisk, error) {
 	}
 	vd := newVDisk(c, meta)
 	// Confirm version numbers with the replicas before first use
-	// (initialization, §4.2.1).
-	if err := vd.confirmVersions(); err != nil {
+	// (initialization, §4.2.1). It is maintenance, not a client I/O: no
+	// deadline; each probe flight is still bounded by CallTimeout.
+	op := c.newOp(0)
+	err = vd.confirmChunks(op, nil)
+	op.Release()
+	if err != nil {
 		vd.Close()
 		return nil, err
 	}

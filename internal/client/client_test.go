@@ -51,8 +51,14 @@ func fastHDD() simdisk.HDDModel {
 // report and a spent I/O budget.
 const testCallTimeout = 3 * time.Second
 
-func newEnv(t *testing.T) *env {
+func newEnv(t *testing.T) *env { return newEnvSized(t, fastSSD().Capacity, fastHDD().Capacity) }
+
+// newEnvSized is newEnv with the given SSD and HDD capacities: simulated
+// disks are sparse, so room for hundreds of chunk slots costs nothing.
+func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 	t.Helper()
+	ssdModel, hddModel := fastSSD(), fastHDD()
+	ssdModel.Capacity, hddModel.Capacity = ssdCap, hddCap
 	clk := clock.NewScaled(0.05)
 	net := transport.NewSimNet(clk, time.Microsecond)
 	e := &env{net: net, clk: clk}
@@ -76,9 +82,9 @@ func newEnv(t *testing.T) *env {
 			var store *blockstore.Store
 			var jset *journal.Set
 			if role == chunkserver.RolePrimary {
-				store = blockstore.New(simdisk.NewSSD(fastSSD(), clk), 0)
+				store = blockstore.New(simdisk.NewSSD(ssdModel, clk), 0)
 			} else {
-				hdd := simdisk.NewHDD(fastHDD(), clk)
+				hdd := simdisk.NewHDD(hddModel, clk)
 				store = blockstore.New(hdd, util.AlignDown(hdd.Size()/2, util.ChunkSize))
 				jset = journal.NewSet(clk, store, journal.DefaultConfig())
 				jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(fastSSD(), clk), 0, 64*util.MiB)

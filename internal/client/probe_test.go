@@ -1,0 +1,157 @@
+package client
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ursa/internal/master"
+	"ursa/internal/proto"
+	"ursa/internal/transport"
+	"ursa/internal/util"
+)
+
+// countingDialer counts the messages its connections send, by destination
+// address and op.
+type countingDialer struct {
+	transport.Dialer
+	mu   *sync.Mutex
+	sent map[string]map[proto.Op]int
+}
+
+func newCountingDialer(d transport.Dialer) countingDialer {
+	return countingDialer{d, new(sync.Mutex), make(map[string]map[proto.Op]int)}
+}
+
+func (d countingDialer) Dial(addr string) (transport.MsgConn, error) {
+	c, err := d.Dialer.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, addr, d}, nil
+}
+
+// take returns the counts so far and starts over.
+func (d countingDialer) take() map[string]map[proto.Op]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[string]map[proto.Op]int, len(d.sent))
+	for addr, byOp := range d.sent {
+		out[addr] = byOp
+		delete(d.sent, addr)
+	}
+	return out
+}
+
+type countingConn struct {
+	transport.MsgConn
+	addr string
+	d    countingDialer
+}
+
+func (c countingConn) Send(m *proto.Message) error {
+	c.d.mu.Lock()
+	if c.d.sent[c.addr] == nil {
+		c.d.sent[c.addr] = make(map[proto.Op]int)
+	}
+	c.d.sent[c.addr][m.Op]++
+	c.d.mu.Unlock()
+	return c.MsgConn.Send(m)
+}
+
+// TestOpenProbesOncePerAddress: opening a 256-chunk vdisk costs one master
+// call and one version probe per address that holds a replica — not one per
+// replica of every chunk (768) — and leaves every chunk ready for I/O.
+func TestOpenProbesOncePerAddress(t *testing.T) {
+	const chunks = 256
+	e := newEnvSized(t, 16*util.GiB, 64*util.GiB) // 4 × 256 primary slots, 4 × 512 backup slots
+	dialer := newCountingDialer(e.net.Dialer("client-a", transport.NodeConfig{}))
+	cl := New(Config{Name: "a", MasterAddr: "master", Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
+	t.Cleanup(cl.Close)
+	meta, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "wide", Size: chunks * util.ChunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := make(map[string]bool)
+	for _, cm := range meta.Chunks {
+		for _, r := range cm.Replicas {
+			holders[r.Addr] = true
+		}
+	}
+	dialer.take()
+
+	vd, err := cl.Open("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := dialer.take()
+	defer vd.Close()
+	if got := sent["master"]; len(got) != 1 || got[proto.MOpOpenVDisk] != 1 {
+		t.Errorf("open sent the master %v, want one MOpOpenVDisk", got)
+	}
+	delete(sent, "master")
+	for addr := range holders {
+		if got := sent[addr]; len(got) != 1 || got[proto.OpGetVersion] != 1 {
+			t.Errorf("open sent %s %v, want one OpGetVersion", addr, got)
+		}
+		delete(sent, addr)
+	}
+	if len(sent) != 0 {
+		t.Errorf("open sent messages to servers holding no replica: %v", sent)
+	}
+	if len(holders) != 8 {
+		t.Fatalf("%d servers hold replicas, want all 8: the test exercised less than it means to", len(holders))
+	}
+	mustRoundTrip(t, vd, 1, 0)
+	mustRoundTrip(t, vd, 2, (chunks-1)*util.ChunkSize)
+}
+
+// TestOpenRepairsOnlyTheChunkThatDisagrees: one chunk's primary is a version
+// ahead of its backups when the vdisk is opened. The probe batch shows it;
+// that chunk alone goes to the master for repair and comes back in a new
+// view, the others are adopted as probed.
+func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
+	const chunks, torn = 4, 2
+	e := newEnv(t)
+	var lose atomic.Int32
+	dialer := newCountingDialer(lossyDialer{e.net.Dialer("client-a", transport.NodeConfig{}), &lose})
+	cl := New(Config{Name: "a", MasterAddr: "master", Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
+	t.Cleanup(cl.Close)
+	vd := e.vdisk(t, cl, "d", chunks*util.ChunkSize)
+	for i := int64(0); i < chunks; i++ {
+		mustRoundTrip(t, vd, uint64(i+1), i*util.ChunkSize)
+	}
+	budget := cl.cfg.IOTimeout
+	cl.cfg.IOTimeout = time.Second // 50 ms on the wall: time to reach the primary, not to commit
+	lose.Store(loseBackups)
+	if err := vd.WriteAt(make([]byte, 4*util.KiB), torn*util.ChunkSize+4*util.KiB); err == nil {
+		t.Fatal("a write that reached one replica of three committed")
+	}
+	lose.Store(loseNothing)
+	cl.cfg.IOTimeout = budget
+	vd.Close()
+	dialer.take()
+
+	vd, err := cl.Open("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vd.Close()
+	if got := dialer.take()["master"]; got[proto.MOpReportFailure] != 1 {
+		t.Errorf("open sent the master %v, want exactly one MOpReportFailure", got)
+	}
+	for i, ch := range vd.chunks {
+		wantView := uint64(1)
+		if i == torn {
+			wantView = 2
+		}
+		if ch.meta.View != wantView || ch.next != ch.committed || ch.burned {
+			t.Errorf("chunk %d after open: view %d (want %d), next %d, committed %d, burned %v",
+				i, ch.meta.View, wantView, ch.next, ch.committed, ch.burned)
+		}
+	}
+	for i := int64(0); i < chunks; i++ {
+		mustRoundTrip(t, vd, uint64(10+i), i*util.ChunkSize+8*util.KiB)
+	}
+}

@@ -135,89 +135,113 @@ func (vd *VDisk) Stats() VDiskStats {
 	}
 }
 
-// confirmVersions implements client initialization (§4.2.1): ask every
-// replica of every chunk for its version and view; mismatches are reported
-// to the master for repair before the vdisk is used.
-func (vd *VDisk) confirmVersions() error {
-	sem := make(chan struct{}, 32)
-	errs := make(chan error, len(vd.chunks))
-	for i := range vd.chunks {
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem }()
-			// Initialization is maintenance, not a client I/O: no deadline;
-			// each probe is still individually bounded by CallTimeout.
-			op := vd.c.newOp(0)
-			errs <- vd.confirmChunk(op, i)
-			op.Release()
-		}(i)
-	}
-	for range vd.chunks {
-		if err := <-errs; err != nil {
-			return err
+// confirmChunks is the version probe (§4.2.1): it asks every replica of the
+// chunks idxs — nil: of every chunk, which is client initialization — for its
+// version and view and, where a chunk's replicas agree, sets that chunk's next
+// and committed versions from the answer; a chunk whose replicas disagree goes
+// to the master for repair and is probed again, with the others that did. It
+// runs on op's budget. No write of these chunks may hold a version meanwhile.
+func (vd *VDisk) confirmChunks(op *opctx.Op, idxs []int) error {
+	if idxs == nil {
+		for i := range vd.chunks {
+			idxs = append(idxs, i)
 		}
 	}
-	return nil
-}
-
-// confirmChunk is the version probe: it asks every replica of the chunk for
-// its version and view and, once they agree, sets the chunk's next and
-// committed versions from the answer; disagreement goes to the master for
-// repair first. It runs on op's budget. No write of the chunk may hold a
-// version meanwhile.
-func (vd *VDisk) confirmChunk(op *opctx.Op, idx int) error {
-	ch := vd.chunks[idx]
 	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
 		if err := op.Err(); err != nil {
-			return fmt.Errorf("client: chunk %d version probe: %w", idx, err)
+			return fmt.Errorf("client: chunk %d version probe: %w", idxs[0], err)
 		}
-		ch.mu.Lock()
-		cm := ch.meta
-		ch.mu.Unlock()
-
-		versions := make([]uint64, 0, len(cm.Replicas))
-		consistent := true
-		var failedAddr string
-		for _, r := range cm.Replicas {
-			resp, err := vd.call(op, r.Addr, &proto.Message{
-				Op:    proto.OpGetVersion,
-				Chunk: vd.chunkID(idx),
-			})
-			if err != nil || resp.Status != proto.StatusOK {
-				consistent = false
-				failedAddr = r.Addr
-				break
-			}
-			if resp.View != cm.View {
-				consistent = false
-				break
-			}
-			versions = append(versions, resp.Version)
+		if vd.c.isClosed() {
+			return util.ErrClosed
 		}
-		if consistent {
-			for _, v := range versions[1:] {
-				if v != versions[0] {
-					consistent = false
+		metas, answers := vd.probe(op, idxs)
+		var again []int
+		for k, idx := range idxs {
+			cm, got := metas[k], answers[k]
+			failedAddr, agree := "", len(got) > 0
+			for i, a := range got {
+				if a.Status != proto.StatusOK {
+					failedAddr, agree = cm.Replicas[i].Addr, false
 					break
 				}
+				agree = agree && a.View == cm.View && a.Version == got[0].Version
 			}
+			if agree {
+				ch := vd.chunks[idx]
+				ch.mu.Lock()
+				ch.next, ch.committed, ch.primary = got[0].Version, got[0].Version, 0
+				ch.mu.Unlock()
+				continue
+			}
+			// Inconsistency: have the master fix it, refresh, retry (§4.2.1).
+			if err := vd.reportFailure(op, idx, failedAddr); err != nil {
+				return err
+			}
+			again = append(again, idx)
 		}
-		if consistent && len(versions) > 0 {
-			ch.mu.Lock()
-			ch.next = versions[0]
-			ch.committed = versions[0]
-			ch.primary = 0
-			ch.mu.Unlock()
+		if idxs = again; len(idxs) == 0 {
 			return nil
-		}
-		// Inconsistency: have the master fix it, refresh, retry (§4.2.1).
-		if err := vd.reportFailure(op, idx, failedAddr); err != nil {
-			return err
 		}
 		vd.c.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
 	}
-	return fmt.Errorf("client: chunk %d never reached a consistent state: %w",
-		idx, util.ErrTimeout)
+	return fmt.Errorf("client: chunk %d never reached a consistent state: %w", idxs[0], util.ErrTimeout)
+}
+
+// probe asks every replica of the chunks idxs for its version and view: one
+// OpGetVersion message per replica address (per proto.MaxBatch chunks of it),
+// all in one flight — a round trip whatever the vdisk's size. It returns each
+// chunk's metadata as probed and one answer per replica, StatusError where
+// the replica's server did not answer.
+func (vd *VDisk) probe(op *opctx.Op, idxs []int) ([]master.ChunkMeta, [][]proto.ChunkResult) {
+	type replica struct{ k, pos int } // of chunk idxs[k]
+	type message struct {
+		addr string
+		asks []replica
+	}
+	metas := make([]master.ChunkMeta, len(idxs))
+	answers := make([][]proto.ChunkResult, len(idxs))
+	var msgs []message
+	open := make(map[string]int) // address -> its message still below the cap
+	for k, idx := range idxs {
+		ch := vd.chunks[idx]
+		ch.mu.Lock()
+		metas[k] = ch.meta
+		ch.mu.Unlock()
+		answers[k] = make([]proto.ChunkResult, len(metas[k].Replicas))
+		for pos, r := range metas[k].Replicas {
+			answers[k][pos].Status = proto.StatusError
+			i, ok := open[r.Addr]
+			if !ok || len(msgs[i].asks) == proto.MaxBatch {
+				i = len(msgs)
+				open[r.Addr] = i
+				msgs = append(msgs, message{addr: r.Addr})
+			}
+			msgs[i].asks = append(msgs[i].asks, replica{k, pos})
+		}
+	}
+	fl := vd.c.peers.Begin(op, len(msgs), vd.c.cfg.CallTimeout)
+	defer fl.Finish()
+	for i, m := range msgs {
+		ids := make([]blockstore.ChunkID, len(m.asks))
+		for j, r := range m.asks {
+			ids[j] = vd.chunkID(idxs[r.k])
+		}
+		fl.Go(i, m.addr, &proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(ids...)})
+	}
+	for i, m := range msgs {
+		resp, err := fl.Wait(i)
+		if err != nil {
+			continue
+		}
+		if got, err := proto.DecodeResults(resp.Payload); err == nil && len(got) == len(m.asks) {
+			for j, r := range m.asks {
+				answers[r.k][r.pos] = got[j]
+			}
+		}
+		bufpool.Put(resp.Payload)
+		proto.Recycle(resp)
+	}
+	return metas, answers
 }
 
 func (vd *VDisk) chunkID(idx int) blockstore.ChunkID {
@@ -781,7 +805,7 @@ func (vd *VDisk) takeVersion(op *opctx.Op, idx int) (uint64, error) {
 		}
 		ch.probing = true
 		ch.mu.Unlock()
-		err := vd.confirmChunk(op, idx)
+		err := vd.confirmChunks(op, []int{idx})
 		ch.mu.Lock()
 		ch.probing = false
 		ch.burned = err != nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,9 +19,11 @@ import (
 // must be returned, and every op released by its creator and its retainers,
 // exactly once on every path the chaos run exercises: success,
 // timeout-and-retry, dead-journal re-route, crash-severed connections,
-// stragglers of a degraded commit, repair reads.
+// stragglers of a degraded commit, repair reads. The same goes for
+// goroutines: Close joins what the cluster started — serve loops, replayers,
+// dispatchers, the client's reporter — on the fault paths too.
 func TestChaosPoolLeakFree(t *testing.T) {
-	start, startOps := bufpool.InUse(), opctx.InUse()
+	start, startOps, startGoroutines := bufpool.InUse(), opctx.InUse(), runtime.NumGoroutine()
 
 	// Built without t.Cleanup: the leak check needs the cluster fully
 	// closed (all in-flight buffers drained) while the test still runs.
@@ -82,10 +85,12 @@ func TestChaosPoolLeakFree(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(15 * time.Second)
-	for bufpool.InUse() != start || opctx.InUse() > startOps {
+	for bufpool.InUse() != start || opctx.InUse() > startOps || runtime.NumGoroutine() > startGoroutines {
 		if time.Now().After(deadline) {
-			t.Fatalf("leak after chaos run: buffers in use %d, started at %d (leases=%d returns=%d); ops in use %d, started at %d",
-				bufpool.InUse(), start, bufpool.Leases(), bufpool.Returns(), opctx.InUse(), startOps)
+			buf := make([]byte, 1<<20)
+			t.Fatalf("leak after chaos run: buffers in use %d, started at %d (leases=%d returns=%d); ops in use %d, started at %d; goroutines %d, started at %d\n%s",
+				bufpool.InUse(), start, bufpool.Leases(), bufpool.Returns(), opctx.InUse(), startOps,
+				runtime.NumGoroutine(), startGoroutines, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -196,7 +196,7 @@ func TestChaosECHolderDiskDeath(t *testing.T) {
 		versions := make([]uint64, 0, len(meta.Chunks[0].Replicas))
 		for _, r := range meta.Chunks[0].Replicas {
 			resp := c.Server(r.Addr).Handle(&proto.Message{
-				Op: proto.OpGetVersion, Chunk: blockstore.MakeChunkID(meta.ID, 0),
+				Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(blockstore.MakeChunkID(meta.ID, 0)),
 			})
 			if resp.Status == proto.StatusOK && resp.View == meta.Chunks[0].View {
 				versions = append(versions, resp.Version)

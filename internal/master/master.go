@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
 	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/coldtier"
 	"ursa/internal/metrics"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -228,12 +230,98 @@ func (m *Master) heed(resp *proto.Message) bool {
 	return resp.Status == proto.StatusOK
 }
 
-// createReplica (re)creates a chunk replica's slot on addr. A slot that
-// already exists — a restarted server re-attaching, a retried recovery — is
-// as good as a fresh one.
-func (m *Master) createReplica(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq) bool {
-	resp, ok := m.admin(addr, proto.OpCreateChunk, id, 0, 0, req, m.cfg.RPCTimeout)
-	return ok || (resp != nil && resp.Status == proto.StatusExists)
+// serverQueue is one server's share of a control-plane fan-out: the messages
+// for it, which it is sent one at a time, in order.
+type serverQueue struct {
+	addr string
+	msgs []*proto.Message
+}
+
+// fanOut is how the master addresses several servers at once — never a loop
+// over admin. It sends the queues as one flight with one RPCTimeout for
+// everything: every queue's first message at the start, a queue's next when
+// its previous has been answered, so the round trips a command costs count the
+// messages of its longest queue, not its servers or its chunks. Messages are
+// stamped with the primacy epoch and every answer goes through heed; answered,
+// when non-nil, then reads the answer (which it must not keep) and says
+// whether that queue's next message may go. acked[q] is how many of queue q's
+// messages were answered: the rest, sent or not, reached nobody as far as the
+// master knows.
+func (m *Master) fanOut(queues []serverQueue, answered func(q int, resp *proto.Message) bool) (acked []int) {
+	total := 0
+	for _, q := range queues {
+		total += len(q.msgs)
+	}
+	acked = make([]int, len(queues))
+	op := opctx.New(m.cfg.Clock, m.cfg.RPCTimeout)
+	defer op.Release()
+	fl := m.peers.Begin(op, total, 0)
+	defer fl.Finish()
+	epoch, out := m.Epoch(), 0
+	send := func(q int) {
+		if next := acked[q]; next < len(queues[q].msgs) {
+			msg := queues[q].msgs[next]
+			msg.Epoch = epoch
+			fl.Go(q, queues[q].addr, msg)
+			out++
+		}
+	}
+	for q := range queues {
+		send(q)
+	}
+	for out > 0 {
+		q, resp, ok := fl.NextReply()
+		if !ok {
+			break // the window is spent: whatever is still out stays unanswered
+		}
+		out--
+		if resp == nil {
+			continue // unreachable: the rest of its queue is not sent
+		}
+		acked[q]++
+		m.heed(resp)
+		goOn := answered == nil || answered(q, resp)
+		bufpool.Put(resp.Payload)
+		proto.Recycle(resp)
+		if goOn {
+			send(q)
+		}
+	}
+	return acked
+}
+
+// replicaRef names one replica of a vdisk: its chunk's index and its position
+// in that chunk's replica list.
+type replicaRef struct{ chunk, pos int }
+
+// byServer starts a per-vdisk command's queues: one per server that holds a
+// replica, in order of first appearance, and beside each the replicas it
+// holds, in chunk-index order, for the caller to make its messages of.
+func byServer(chunks []ChunkMeta) (queues []serverQueue, held [][]replicaRef) {
+	at := make(map[string]int)
+	for i, cm := range chunks {
+		for pos, r := range cm.Replicas {
+			q, seen := at[r.Addr]
+			if !seen {
+				q, at[r.Addr] = len(queues), len(queues)
+				queues, held = append(queues, serverQueue{addr: r.Addr}), append(held, nil)
+			}
+			held[q] = append(held[q], replicaRef{i, pos})
+		}
+	}
+	return queues, held
+}
+
+// createReplica (re)creates a chunk replica's slot on addr: a create of one
+// entry. A slot that already exists — a restarted server re-attaching, a
+// retried recovery — is as good as a fresh one.
+func (m *Master) createReplica(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq) (ok bool) {
+	msg := chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: id, CreateChunkReq: req})
+	m.fanOut([]serverQueue{{addr, []*proto.Message{msg}}}, func(_ int, resp *proto.Message) bool {
+		ok = resp.Status == proto.StatusOK || resp.Status == proto.StatusExists
+		return true
+	})
+	return ok
 }
 
 // Handle serves master RPCs.

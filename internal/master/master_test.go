@@ -377,7 +377,7 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc := transport.NewClient(c2, e.clk)
-		resp, err := cc.Call(&proto.Message{Op: proto.OpGetVersion, Chunk: id}, 0)
+		resp, err := cc.Call(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)}, 0)
 		cc.Close()
 		if err != nil || resp.Version != 3 {
 			t.Errorf("%s version = %d (err %v)", r.Addr, resp.Version, err)

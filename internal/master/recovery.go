@@ -158,24 +158,30 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 	return m.installView(t0, id, vdiskID, chunkIndex, cm, newReplicas)
 }
 
-// probeVersions is step 1 of every view change: ask each replica of the
-// chunk for its version. skip, when it names a replica, is not asked and
-// counts as not alive. A replica that answers anything but OK — including
-// one that no longer vouches for the chunk because it reported its own
-// device (chunkserver handleGetVersion) — is not alive either.
+// probeVersions is step 1 of every view change: ask every replica of the
+// chunk for its version, all at once, so the answers are as near to
+// simultaneous as the network allows. skip, when it names a replica, is not
+// asked and counts as not alive. A replica that answers anything but OK —
+// including one that no longer vouches for the chunk because it reported its
+// own device (chunkserver handleGetVersion) — is not alive either.
 func (m *Master) probeVersions(id blockstore.ChunkID, cm ChunkMeta, skip string) (states []replicaVersion, alive int) {
 	states = make([]replicaVersion, len(cm.Replicas))
+	queues := make([]serverQueue, len(cm.Replicas)) // the skipped replica's stays empty
 	for i, r := range cm.Replicas {
 		states[i] = replicaVersion{addr: r.Addr, ssd: r.SSD}
-		if r.Addr == skip {
-			continue
-		}
-		if resp, ok := m.admin(r.Addr, proto.OpGetVersion, id, 0, 0, nil, m.cfg.RPCTimeout); ok {
-			states[i].version = resp.Version
-			states[i].alive = true
-			alive++
+		queues[i].addr = r.Addr
+		if r.Addr != skip {
+			queues[i].msgs = []*proto.Message{{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)}}
 		}
 	}
+	m.fanOut(queues, func(q int, resp *proto.Message) bool {
+		if resp.Status == proto.StatusOK {
+			states[q].version = resp.Version
+			states[q].alive = true
+			alive++
+		}
+		return true
+	})
 	return states, alive
 }
 
@@ -200,13 +206,16 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 	for _, r := range newReplicas[1:] {
 		backups = append(backups, r.Addr)
 	}
+	queues := make([]serverQueue, len(newReplicas))
 	for i, r := range newReplicas {
 		req := chunkserver.CreateChunkReq{View: newView, Backups: []string{}} // non-nil: clear stale primary state
 		if i == 0 {
 			req.Backups = backups
 		}
-		m.admin(r.Addr, proto.OpSetView, id, newView, 0, req, m.cfg.RPCTimeout)
+		payload, _ := jsonBody(req) // strings and numbers: cannot fail
+		queues[i] = serverQueue{r.Addr, []*proto.Message{{Op: proto.OpSetView, Chunk: id, View: newView, Payload: payload}}}
 	}
+	m.fanOut(queues, nil)
 
 	// Record the view. commitLocked refuses a master deposed mid-recovery (its
 	// fan-out already bounced off StatusStaleEpoch fences), which therefore
@@ -273,17 +282,17 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 		}
 	}
 	// current reports whether a replica holds versionH. One that answered
-	// below it is asked once more: the probes are not simultaneous, so under
-	// a live write stream a healthy replica caught mid-apply looks behind —
-	// and has caught up by now, which a replica that really missed a write
-	// never does. Rebuilding (or, failing that, evicting) a healthy replica
-	// is the expensive mistake this second look avoids.
+	// below it is asked once more: the probes arrive a network jitter apart,
+	// so under a live write stream a healthy replica caught mid-apply looks
+	// behind — and has caught up by now, which a replica that really missed a
+	// write never does. Rebuilding (or, failing that, evicting) a healthy
+	// replica is the expensive mistake this second look avoids.
 	current := func(st replicaVersion) bool {
 		if !st.alive || st.version == versionH {
 			return st.alive
 		}
-		resp, ok := m.admin(st.addr, proto.OpGetVersion, id, 0, 0, nil, m.cfg.RPCTimeout)
-		return ok && resp.Version >= versionH
+		again, alive := m.probeVersions(id, ChunkMeta{Replicas: []ReplicaInfo{{Addr: st.addr}}}, "")
+		return alive == 1 && again[0].version >= versionH
 	}
 	primaryOK := current(states[0])
 	var sources []chunkserver.PieceSource

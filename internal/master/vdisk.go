@@ -6,10 +6,8 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/chunkserver"
 	"ursa/internal/coldtier"
-	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/redundancy"
-	"ursa/internal/transport"
 	"ursa/internal/util"
 )
 
@@ -167,111 +165,68 @@ func (m *Master) placeChunkLocked(cur *placeCursors, repl int, spec redundancy.S
 	return cm, nil
 }
 
-// createWindow is the most chunks provision keeps in flight on the chunk
-// servers at once. Serially a vdisk costs three round trips a chunk — two
-// minutes per TiB at a 1 ms one-way latency; a chunk's replicas in one flight
-// and up to sixteen chunks abreast bring that to the servers' own pace.
-const createWindow = 16
-
-// chunkCreate is one chunk's OpCreateChunk fan-out in flight: a flight with
-// a branch per replica, on an op of its own so each chunk gets the whole
-// RPCTimeout.
-type chunkCreate struct {
-	id blockstore.ChunkID
-	cm ChunkMeta
-	op *opctx.Op
-	fl *transport.Flight
-}
-
-// createChunks creates every replica of every chunk of a new vdisk from this
-// one goroutine, keeping up to createWindow chunks in flight — but never two
-// creates on one server: a server runs its handlers concurrently and a store
-// hands out slots in the order the creates reach it, so only one create at a
-// time per server keeps a vdisk's chunks on a disk in index order, as a serial
-// create lays them out (and no create queues more than one request anywhere).
-// On a cluster with servers to spare that still overlaps as many chunks as
-// placement rotates through before it comes back to a server. The first
-// failure stops the issuing; the creates already out are still awaited, so
-// that the caller's clean-up cannot be overtaken by a create that lands
-// after it.
+// createChunks creates every replica of a new vdisk with one OpCreateChunk
+// message per server, all servers at once (fanOut). A message lists that
+// server's replicas in chunk-index order, the server runs it on one goroutine
+// and a store hands out slots in arrival order: a disk's layout is a function
+// of placement alone, the one a create of one replica at a time produces
+// (DESIGN.md "Control-plane round trips"). The first refusal stops the issuing
+// on every server; what is already out is still awaited, so the caller's
+// clean-up cannot be overtaken by a create that lands after it.
 func (m *Master) createChunks(vdisk uint32, chunks []ChunkMeta, spec redundancy.Spec) error {
-	var (
-		win    [createWindow]chunkCreate
-		issued int
-		first  error
-	)
-	// busy reports whether a chunk in flight has a replica on a server cm needs.
-	busy := func(done int, cm ChunkMeta) bool {
-		for i := done; i < issued; i++ {
-			for _, out := range win[i%createWindow].cm.Replicas {
-				for _, r := range cm.Replicas {
-					if r.Addr == out.Addr {
-						return true
-					}
-				}
+	queues, held := byServer(chunks)
+	for q, refs := range held {
+		var batch []chunkserver.ChunkCreate
+		weight := 0
+		for i, ref := range refs {
+			cm := chunks[ref.chunk]
+			batch = append(batch, chunkserver.ChunkCreate{
+				Chunk:          blockstore.MakeChunkID(vdisk, uint32(ref.chunk)),
+				CreateChunkReq: m.createReq(cm, ref.pos, spec),
+			})
+			// An entry's weight on the wire is its cold table's, near enough.
+			weight += 256 + 128*len(cm.Cold)
+			if len(batch) == proto.MaxBatch || weight >= proto.MaxBatchBytes || i == len(refs)-1 {
+				queues[q].msgs = append(queues[q].msgs, chunkserver.CreateChunks(batch...))
+				batch, weight = nil, 0
 			}
 		}
-		return false
 	}
-	for done := 0; done < issued || (first == nil && issued < len(chunks)); done++ {
-		for ; first == nil && issued < len(chunks) && issued-done < createWindow && !busy(done, chunks[issued]); issued++ {
-			win[issued%createWindow] = m.beginCreate(blockstore.MakeChunkID(vdisk, uint32(issued)), chunks[issued], spec)
-		}
-		if err := m.endCreate(&win[done%createWindow]); first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// beginCreate sends OpCreateChunk to every replica of one chunk; the primary
-// learns its backup list, and RS segment holders learn which segment of
-// the chunk their (smaller) slot stores.
-func (m *Master) beginCreate(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec) chunkCreate {
-	c := chunkCreate{id: id, cm: cm, op: opctx.New(m.cfg.Clock, m.cfg.RPCTimeout)}
-	c.fl = m.peers.Begin(c.op, len(cm.Replicas), 0)
-	epoch := m.Epoch()
-	for i, r := range cm.Replicas {
-		req := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec}
-		if i == 0 {
-			for _, b := range cm.Replicas[1:] {
-				req.Backups = append(req.Backups, b.Addr)
-			}
-		} else if spec.IsRS() {
-			req.Holder = true
-			req.Seg = i - 1
-		}
-		// A cloned chunk starts object-backed: every replica gets the extent
-		// table and demand-fetches on first access.
-		if len(cm.Cold) > 0 {
-			req.Cold = cm.Cold
-			req.ObjAddr = m.cfg.ObjstoreAddr
-		}
-		payload, _ := jsonBody(req) // a struct of strings, numbers and slices of them: cannot fail
-		c.fl.Go(i, r.Addr, &proto.Message{Op: proto.OpCreateChunk, Chunk: id, Epoch: epoch, Payload: payload})
-	}
-	return c
-}
-
-// endCreate awaits every replica's answer to one chunk's creates and reports
-// the first that is not a slot in place (fresh, or already there — see
-// createReplica).
-func (m *Master) endCreate(c *chunkCreate) error {
 	var first error
-	for i, r := range c.cm.Replicas {
-		resp, err := c.fl.Wait(i)
-		if err != nil {
-			err = fmt.Errorf("master: create %v on %s: %w", c.id, r.Addr, err)
-		} else if !m.heed(resp) && resp.Status != proto.StatusExists {
-			err = fmt.Errorf("master: create %v on %s: %s", c.id, r.Addr, resp.Status)
+	acked := m.fanOut(queues, func(q int, resp *proto.Message) bool {
+		if first == nil && resp.Status != proto.StatusOK && resp.Status != proto.StatusExists {
+			first = fmt.Errorf("master: create vdisk %d on %s: %s", vdisk, queues[q].addr, resp.Status)
 		}
-		if first == nil {
-			first = err
+		return first == nil
+	})
+	for q := range queues {
+		if first == nil && acked[q] < len(queues[q].msgs) {
+			first = fmt.Errorf("master: create vdisk %d on %s: %w", vdisk, queues[q].addr, util.ErrTimeout)
 		}
 	}
-	c.fl.Finish()
-	c.op.Release()
 	return first
+}
+
+// createReq is what the replica at position pos of a new chunk is created
+// with: the primary learns its backup list, and RS segment holders learn
+// which segment of the chunk their (smaller) slot stores.
+func (m *Master) createReq(cm ChunkMeta, pos int, spec redundancy.Spec) chunkserver.CreateChunkReq {
+	req := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec}
+	if pos == 0 {
+		for _, b := range cm.Replicas[1:] {
+			req.Backups = append(req.Backups, b.Addr)
+		}
+	} else if spec.IsRS() {
+		req.Holder = true
+		req.Seg = pos - 1
+	}
+	// A cloned chunk starts object-backed: every replica gets the extent
+	// table and demand-fetches on first access.
+	if len(cm.Cold) > 0 {
+		req.Cold = cm.Cold
+		req.ObjAddr = m.cfg.ObjstoreAddr
+	}
+	return req
 }
 
 // openVDisk grants the vdisk's lease to req.Client unless another client
@@ -346,8 +301,14 @@ func (m *Master) getVDisk(req GetVDiskReq) (*VDiskMeta, error) {
 	return &out, nil
 }
 
-// deleteVDisk removes the vdisk's metadata and then deletes its chunk
-// replicas best-effort.
+// MetricDeleteUnreached counts the chunk replicas a vdisk delete (or a failed
+// create's clean-up) could not reach: slots leaked on servers that did not
+// answer.
+const MetricDeleteUnreached = "master-delete-unreached"
+
+// deleteVDisk removes the vdisk's metadata and then deletes its chunk replicas
+// best-effort: one OpDeleteChunk message per server, all at once, so it takes
+// one RPCTimeout at most however many chunks sit on unreachable servers.
 func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 	if err := m.lockPrimary("delete"); err != nil {
 		return nil, err
@@ -362,10 +323,24 @@ func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, cm := range meta.Chunks {
-		for _, r := range cm.Replicas {
-			m.admin(r.Addr, proto.OpDeleteChunk, blockstore.MakeChunkID(meta.ID, uint32(i)), 0, 0, nil, m.cfg.RPCTimeout)
+	queues, held := byServer(meta.Chunks)
+	for q, refs := range held {
+		ids := make([]blockstore.ChunkID, len(refs))
+		for i, ref := range refs {
+			ids[i] = blockstore.MakeChunkID(meta.ID, uint32(ref.chunk))
 		}
+		for at := 0; at < len(ids); at += proto.MaxBatch {
+			queues[q].msgs = append(queues[q].msgs, &proto.Message{
+				Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(ids[at:min(at+proto.MaxBatch, len(ids))]...),
+			})
+		}
+	}
+	unreached := 0
+	for q, n := range m.fanOut(queues, nil) {
+		unreached += len(held[q]) - min(n*proto.MaxBatch, len(held[q]))
+	}
+	if reg := m.cfg.Metrics; reg != nil && unreached > 0 {
+		reg.Counter(MetricDeleteUnreached).Add(int64(unreached))
 	}
 	return nil, nil
 }

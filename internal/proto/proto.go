@@ -41,11 +41,13 @@ const (
 	// write locally and bump version, but do NOT forward to backups (the
 	// client replicates itself, §3.2).
 	OpWritePrimary
-	// OpGetVersion returns the replica's version and view for Chunk.
+	// OpGetVersion returns the replica's version and view for each chunk
+	// listed in the payload (batch.go).
 	OpGetVersion
-	// OpCreateChunk allocates a chunk replica on this server.
+	// OpCreateChunk allocates the chunk replicas listed in the payload on
+	// this server, in list order, stopping at the first that fails.
 	OpCreateChunk
-	// OpDeleteChunk drops a chunk replica.
+	// OpDeleteChunk drops the chunk replicas listed in the payload.
 	OpDeleteChunk
 	// OpRepairSince asks for the ranges modified after Version (journal
 	// lite query); the response payload encodes mods+data, or

@@ -135,3 +135,43 @@ func TestIsMasterOp(t *testing.T) {
 		t.Error("IsMasterOp wrong")
 	}
 }
+
+func TestBatchCodecs(t *testing.T) {
+	ids := []blockstore.ChunkID{blockstore.MakeChunkID(3, 0), blockstore.MakeChunkID(3, 7), blockstore.MakeChunkID(1<<31, 1<<31)}
+	got, err := DecodeChunkIDs(EncodeChunkIDs(ids...))
+	if err != nil || len(got) != len(ids) {
+		t.Fatalf("chunk list round trip: %v, %v", got, err)
+	}
+	for i := range ids {
+		if got[i] != ids[i] {
+			t.Errorf("id %d = %v, want %v", i, got[i], ids[i])
+		}
+	}
+	for _, bad := range [][]byte{nil, make([]byte, 12), make([]byte, 8*(MaxBatch+1))} {
+		if _, err := DecodeChunkIDs(bad); err == nil {
+			t.Errorf("a %d-byte chunk list decoded", len(bad))
+		}
+	}
+
+	req := &Message{ID: 9, Op: OpGetVersion, OpID: 4}
+	want := []ChunkResult{{StatusOK, 12, 3}, {StatusNotFound, 0, 0}, {StatusOK, 1 << 40, 1 << 33}}
+	resp := req.ReplyBatch(want)
+	if resp.ID != 9 || resp.OpID != 4 || resp.Status != StatusOK || resp.Version != 1<<40 || resp.View != 1<<33 {
+		t.Errorf("reply header %+v does not repeat the last result", resp)
+	}
+	res, err := DecodeResults(resp.Payload)
+	if err != nil || len(res) != len(want) {
+		t.Fatalf("results round trip: %v, %v", res, err)
+	}
+	for i := range want {
+		if res[i] != want[i] {
+			t.Errorf("result %d = %+v, want %+v", i, res[i], want[i])
+		}
+	}
+	if res, err := DecodeResults(nil); err != nil || len(res) != 0 {
+		t.Errorf("a refused message's empty payload: %v, %v", res, err)
+	}
+	if _, err := DecodeResults(make([]byte, 18)); err == nil {
+		t.Error("an 18-byte result list decoded")
+	}
+}

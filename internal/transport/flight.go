@@ -237,6 +237,17 @@ func (fl *Flight) Next() (FanResult, bool) {
 	return r, true
 }
 
+// NextReply is Next for an awaiter that reads the reply itself: the next
+// completed branch's target and its response — payload lease included, the
+// caller's to settle — or nil when the branch failed at the transport.
+func (fl *Flight) NextReply() (target int, resp *proto.Message, ok bool) {
+	s := fl.await(-1)
+	if s == nil {
+		return 0, nil, false
+	}
+	return s.target, s.resp, true
+}
+
 // Wait blocks until the branch in slot i (Go's return value) completes and
 // hands its response, payload lease included, to the caller. A window expiry
 // fails it with util.ErrTimeout, a cancelled op with context.Canceled; the

@@ -338,3 +338,63 @@ func TestFlightWide(t *testing.T) {
 		t.Fatalf("saw %d distinct targets, want %d", len(seen), n)
 	}
 }
+
+// TestFlightNextReplySequencesPerTarget: the shape the master's control-plane
+// fan-outs have. Each target has a queue of calls; a target's next call goes
+// out when its previous one is answered, all on one flight. NextReply hands
+// over each response with its payload lease, reports an unreachable target as
+// a nil response, and a reply left untaken when the awaiter stops is released by
+// Finish.
+func TestFlightNextReplySequencesPerTarget(t *testing.T) {
+	addrs := []string{"a", "b", "c"}
+	f := newFanNet(t, addrs...)
+	leases := bufpool.InUse()
+	op := fanOp()
+	defer op.Release()
+	const perTarget = 4
+	targets := append(addrs, "nobody") // no listener: its branch fails at dial
+	fl := f.peers.Begin(op, len(targets)*perTarget, time.Second)
+	sent := make([]uint64, len(targets))
+	send := func(i int) {
+		sent[i]++
+		// "a" is the slowest, so the targets finish their queues at different times.
+		sendBranch(fl, i, targets[i], sent[i], time.Duration(3-i)*100*time.Microsecond, 512)
+	}
+	for i := range targets {
+		send(i)
+	}
+	answered := make([]uint64, len(targets))
+	for out := len(targets); out > 0; out-- {
+		i, resp, ok := fl.NextReply()
+		if !ok {
+			t.Fatal("flight stopped with branches outstanding")
+		}
+		if resp == nil {
+			if targets[i] != "nobody" {
+				t.Fatalf("target %s failed", targets[i])
+			}
+			continue
+		}
+		// One call outstanding per target: answers arrive in the order sent.
+		if answered[i]++; resp.Version != answered[i] || len(resp.Payload) != 512 {
+			t.Fatalf("target %s answer %d: version %d with %d payload bytes", targets[i], answered[i], resp.Version, len(resp.Payload))
+		}
+		bufpool.Put(resp.Payload)
+		proto.Recycle(resp)
+		if sent[i] < perTarget {
+			send(i)
+			out++
+		}
+	}
+	if _, _, ok := fl.NextReply(); ok {
+		t.Fatal("NextReply yielded a branch after every one was taken")
+	}
+	sendBranch(fl, 0, "a", 9, 0, 512) // answered or not, nobody takes it
+	fl.Finish()
+	for i, addr := range addrs {
+		if answered[i] != perTarget {
+			t.Fatalf("%s answered %d of %d", addr, answered[i], perTarget)
+		}
+	}
+	awaitQuiet(t, f, leases, int64(len(addrs)*perTarget+1), addrs...)
+}
