@@ -30,10 +30,12 @@ check: vet lint build test race chaos-smoke scrub-smoke ec-smoke failover-smoke 
 bench-quick:
 	$(GO) run ./cmd/ursa-bench -all -quick
 
-# Short-run sanity pass over the bench figures that gate acceptance:
-# ursa-bench exits non-zero when a figure prints ACCEPTANCE FAIL. Quick
-# runs write their (shrunk, noisy) artifacts to a temp dir; only explicit
-# full `-fig X` runs refresh the canonical repo-root BENCH_*.json files
+# Every figure of the registry (internal/bench.All) at -quick length, in one
+# process: ursa-bench exits non-zero when a figure prints ACCEPTANCE FAIL
+# (~6 min; the list used to be retyped here, and covered 8 of the 31).
+# Quick runs write their
+# (shrunk, noisy) artifacts to a temp dir; only explicit full `-fig X` runs
+# refresh the canonical repo-root BENCH_*.json files
 # (internal/bench/artifactPath). Two acceptances compare wall time with
 # model time and flake on a shared host: -fig failover's blackout <= 2.0x
 # the primacy TTL and -fig coldtier's 100x clone speed-up. A -quick run
@@ -44,19 +46,16 @@ bench-quick:
 bench-smoke: vet
 	@if grep -l '"quick": *true' BENCH_*.json; then \
 		echo "bench-smoke: the artifacts named above are -quick runs; regenerate them full-length (make bench-refresh)"; exit 1; fi
-	$(GO) run ./cmd/ursa-bench -fig journal -quick
-	$(GO) run ./cmd/ursa-bench -fig hotchunk -quick
-	$(GO) run ./cmd/ursa-bench -fig ceiling -quick
-	$(GO) run ./cmd/ursa-bench -fig recovery -quick
-	$(GO) run ./cmd/ursa-bench -fig scrub -quick
-	$(GO) run ./cmd/ursa-bench -fig ec -quick
-	$(GO) run ./cmd/ursa-bench -fig failover -quick
-	$(GO) run ./cmd/ursa-bench -fig coldtier -quick
+	$(GO) run ./cmd/ursa-bench -all -quick
 
-# Full-length run of every artifact-writing figure: rewrites all eight
+# The figures that write a repo-root BENCH_<fig>.json, in registry order
+# (internal/bench TestRegistry holds this line to the registry).
+ARTIFACT_FIGS := journal ceiling hotchunk recovery scrub ec failover coldtier
+
+# Full-length run of every artifact-writing figure: rewrites all the
 # repo-root BENCH_*.json files (several minutes; keep the host quiet).
 bench-refresh:
-	for f in journal hotchunk ceiling recovery scrub ec failover coldtier; do \
+	for f in $(ARTIFACT_FIGS); do \
 		$(GO) run ./cmd/ursa-bench -fig $$f || exit 1; \
 	done
 
@@ -135,6 +134,8 @@ failover-smoke:
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
 # store stall/rot/partition chaos, and extent GC fully drains the store
-# once the clone materializes and the snapshot is deleted.
+# once the clone materializes and the snapshot is deleted — also when the
+# primary master dies just before the last extents land and the
+# materialization notices have to outlast the blackout.
 cold-smoke:
-	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization' -race -count=1 -v
+	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization|TestColdNoticeSurvivesMasterFailover' -race -count=1 -v

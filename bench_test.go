@@ -1,19 +1,19 @@
-// Benchmarks that regenerate the paper's evaluation (§6): one Benchmark
-// per table and figure, printing the same rows/series the paper plots,
-// plus micro-benchmarks for the core data structures. Run:
+// Benchmarks that regenerate the paper's evaluation (§6): BenchmarkFigures
+// has one sub-benchmark per entry of the figure registry (internal/bench.All
+// — the list `ursa-bench -list` prints), each printing the same rows/series
+// the paper plots, plus micro-benchmarks for the core data structures. Run:
 //
 //	go test -bench=. -benchmem
+//	go test -bench=Figures/6a -short
 //
-// Set URSA_BENCH_QUICK=1 for reduced op counts. Absolute numbers are at
+// -short runs the figures at reduced op counts. Absolute numbers are at
 // the suite's uniform ×10 slow-motion time scale (see internal/bench);
 // EXPERIMENTS.md records paper-vs-measured per figure.
 package ursa_test
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
-	"sync"
 	"testing"
 
 	"ursa/internal/bench"
@@ -26,63 +26,25 @@ import (
 	"ursa/internal/util"
 )
 
-func benchCfg() bench.Config {
-	return bench.Config{
-		Quick: os.Getenv("URSA_BENCH_QUICK") != "",
-		Seed:  42,
+// BenchmarkFigures regenerates every table and figure of the registry.
+func BenchmarkFigures(b *testing.B) {
+	cfg := bench.Config{Quick: testing.Short(), Seed: 42}
+	for _, e := range bench.All() {
+		printed := false // once, even if the harness re-runs the figure to calibrate timing
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tab := e.Run(cfg)
+				if !printed {
+					printed = true
+					fmt.Print("\n" + tab.String())
+				}
+			}
+			// Figures allocate multi-GB simulated device stores; hand the
+			// garbage back to the OS before the next figure builds its systems.
+			debug.FreeOSMemory()
+		})
 	}
 }
-
-// printOnce renders each figure a single time even if the harness re-runs
-// the benchmark to calibrate timing.
-var printMu sync.Mutex
-var printed = map[string]bool{}
-
-func runFigure(b *testing.B, fn func(bench.Config) bench.Table) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tab := fn(benchCfg())
-		printMu.Lock()
-		if !printed[tab.ID] {
-			printed[tab.ID] = true
-			fmt.Print("\n" + tab.String())
-		}
-		printMu.Unlock()
-	}
-	// Figures allocate multi-GB simulated device stores; hand the garbage
-	// back to the OS before the next figure builds its systems.
-	debug.FreeOSMemory()
-}
-
-// --- Paper tables and figures -------------------------------------------
-
-func BenchmarkFig01BlockSizeCDF(b *testing.B)     { runFigure(b, bench.Fig01) }
-func BenchmarkFig02CacheHit(b *testing.B)         { runFigure(b, bench.Fig02) }
-func BenchmarkTab01FailureRatios(b *testing.B)    { runFigure(b, bench.Tab01) }
-func BenchmarkFig06aRandomIOPS(b *testing.B)      { runFigure(b, bench.Fig06a) }
-func BenchmarkFig06bLatency(b *testing.B)         { runFigure(b, bench.Fig06b) }
-func BenchmarkFig06cThroughput(b *testing.B)      { runFigure(b, bench.Fig06c) }
-func BenchmarkFig07Efficiency(b *testing.B)       { runFigure(b, bench.Fig07) }
-func BenchmarkFig08SeqRead(b *testing.B)          { runFigure(b, bench.Fig08) }
-func BenchmarkFig09SeqWrite(b *testing.B)         { runFigure(b, bench.Fig09) }
-func BenchmarkFig10Index(b *testing.B)            { runFigure(b, bench.Fig10) }
-func BenchmarkFig11JournalExpansion(b *testing.B) { runFigure(b, bench.Fig11) }
-func BenchmarkFig12Recovery(b *testing.B)         { runFigure(b, bench.Fig12) }
-func BenchmarkFig13aScaleIOPS(b *testing.B)       { runFigure(b, bench.Fig13a) }
-func BenchmarkFig13bScaleTP(b *testing.B)         { runFigure(b, bench.Fig13b) }
-func BenchmarkFig13cStriping(b *testing.B)        { runFigure(b, bench.Fig13c) }
-func BenchmarkFig14TraceIOPS(b *testing.B)        { runFigure(b, bench.Fig14) }
-func BenchmarkFig15CloudLatency(b *testing.B)     { runFigure(b, bench.Fig15) }
-func BenchmarkFig16LatencyDist(b *testing.B)      { runFigure(b, bench.Fig16) }
-
-// --- Ablations (design choices beyond the paper's figures) ---------------
-
-func BenchmarkFigJournalGroupCommit(b *testing.B) { runFigure(b, bench.FigJournal) }
-func BenchmarkFigHotchunkPipelining(b *testing.B) { runFigure(b, bench.FigHotchunk) }
-func BenchmarkAblJournalMedia(b *testing.B)       { runFigure(b, bench.AblJournalMedia) }
-func BenchmarkAblClientDirected(b *testing.B)     { runFigure(b, bench.AblClientDirected) }
-func BenchmarkAblIndexLevels(b *testing.B)        { runFigure(b, bench.AblIndexLevels) }
-func BenchmarkAblBypassThreshold(b *testing.B)    { runFigure(b, bench.AblBypassThreshold) }
 
 // --- Core data-structure micro-benchmarks --------------------------------
 

@@ -106,14 +106,12 @@ func run() int {
 			runFig(e)
 		}
 	case *fig != "":
-		for _, e := range entries {
-			if e.ID == *fig {
-				runFig(e)
-				return status
-			}
+		e, ok := bench.Lookup(*fig)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown figure %q; use -list\n", *fig)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "unknown figure %q; use -list\n", *fig)
-		return 1
+		runFig(e)
 	default:
 		flag.Usage()
 		return 2

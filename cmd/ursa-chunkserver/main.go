@@ -23,7 +23,7 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
-	"ursa/internal/journal"
+	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
@@ -64,13 +64,9 @@ func main() {
 		sm.Capacity = util.AlignUp(*capacity/10, util.SectorSize)
 		jssd := simdisk.NewSSD(sm, clk)
 
-		hddJournalSize := util.AlignDown(*capacity/16, util.SectorSize)
-		storeLimit := util.AlignDown(*capacity-hddJournalSize, util.ChunkSize)
-		store := blockstore.New(hdd, storeLimit)
-		jset := journal.NewSet(clk, store, journal.DefaultConfig())
-		jset.AddSSDJournal("jssd", jssd, 0, util.AlignDown(sm.Capacity, util.SectorSize))
-		jset.AddHDDJournal("jhdd", hdd, storeLimit, hddJournalSize)
-		jset.Start()
+		// The layout is the in-process cluster's (core.NewBackup): slots, then
+		// the HDD overflow journal at the device's tail.
+		store, jset, _ := core.NewBackup(clk, *listen, hdd, jssd, 0, util.AlignDown(sm.Capacity, util.SectorSize), true, nil)
 		srv = chunkserver.New(chunkserver.Config{
 			Addr: *listen, Clock: clk, Dialer: dialer,
 			MasterAddrs: []string{*masterAddr},

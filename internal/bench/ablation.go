@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"fmt"
-	"time"
-
 	"ursa/internal/blockstore"
-	"ursa/internal/client"
 	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/jindex"
 	"ursa/internal/journal"
 	"ursa/internal/master"
@@ -25,7 +20,6 @@ import (
 // (every write random directly to the backup HDD).
 func AblJournalMedia(cfg Config) Table {
 	t := Table{
-		ID:     "Abl 1",
 		Title:  "Backup small-write absorption: SSD journal vs HDD journal vs none",
 		Header: []string{"configuration", "appends/s", "mean latency"},
 	}
@@ -41,32 +35,27 @@ func AblJournalMedia(cfg Config) Table {
 
 		id := blockstore.MakeChunkID(1, 0)
 		if err := store.Create(id); err != nil {
-			t.Notes = append(t.Notes, err.Error())
+			t.failed(name, err)
 			return
 		}
-		r := util.NewRand(cfg.Seed)
 		data := make([]byte, 4*util.KiB)
-		lat := util.NewHist()
-		deadline := clk.Now().Add(cfg.cellTime() / 2)
-		ops := 0
-		for version := uint64(1); clk.Now().Before(deadline); version++ {
-			off := util.AlignDown(r.Int63n(util.ChunkSize-4096), util.SectorSize)
-			t0 := clk.Now()
-			err := set.Append(nil, id, off, data, version)
-			if err != nil {
-				// Quota exhausted or no journal: direct backup write.
-				if werr := set.WriteDirect(id, data, off); werr != nil {
-					t.Notes = append(t.Notes, werr.Error())
-					return
+		var werr error
+		perSec, lat := closedLoop(cfg, 1, func(int, *util.Rand) func(int64) bool {
+			version := uint64(0)
+			return func(off int64) bool {
+				version++
+				if set.Append(nil, id, off, data, version) != nil {
+					// Quota exhausted or no journal: direct backup write.
+					werr = set.WriteDirect(id, data, off)
 				}
+				return werr == nil
 			}
-			lat.Observe(clk.Now().Sub(t0))
-			ops++
-		}
-		elapsed := cfg.cellTime() / 2
-		t.Rows = append(t.Rows, []string{
-			name, f0(float64(ops) / elapsed.Seconds()), us(lat.Mean()),
 		})
+		if werr != nil {
+			t.failed(name, werr)
+			return
+		}
+		t.Rows = append(t.Rows, []string{name, f0(perSec), us(lat.Mean())})
 	}
 
 	run("SSD journal", func(hdd *simdisk.HDD, store *blockstore.Store, set *journal.Set) {
@@ -91,7 +80,6 @@ func AblJournalMedia(cfg Config) Table {
 // through the primary (Tc=0).
 func AblClientDirected(cfg Config) Table {
 	t := Table{
-		ID:     "Abl 2",
 		Title:  "Client-directed replication: 4KB write latency (QD=1)",
 		Header: []string{"configuration", "mean", "p99"},
 	}
@@ -102,33 +90,16 @@ func AblClientDirected(cfg Config) Table {
 		{"client-directed (Tc=8KB)", 8 * util.KiB},
 		{"primary-relay only (Tc=0)", 1}, // 1 byte: nothing qualifies as tiny
 	} {
-		c, err := core.New(core.Options{
-			Machines: 3, SSDsPerMachine: 2, HDDsPerMachine: 4,
-			Mode: core.Hybrid, Clock: clock.Realtime,
-			SSDModel: benchSSD(), HDDModel: benchHDD(), HDDJournal: true,
-			NetLatency: netLatency, TinyThreshold: mode.tc,
-			ReplTimeout: 5 * time.Second, CallTimeout: 20 * time.Second,
+		opts := benchOptions()
+		opts.TinyThreshold = mode.tc
+		t.row(mode.name, opts, master.CreateVDiskReq{Size: 2 * util.GiB}, func(s *sut) []string {
+			p := measure(s.vd, workload.Spec{
+				Pattern: workload.RandWrite, BlockSize: 4 * util.KiB,
+				QueueDepth: 1, Ops: 20000, Seed: cfg.Seed,
+				MaxTime: cfg.cellTime() / 2,
+			})
+			return []string{mode.name, msUs(p.MeanLatMs), msUs(p.P99LatMs)}
 		})
-		if err != nil {
-			t.Notes = append(t.Notes, err.Error())
-			continue
-		}
-		cl := c.NewClient("abl")
-		vd, err := openBenchVDisk(cl, 2*util.GiB)
-		if err != nil {
-			t.Notes = append(t.Notes, err.Error())
-			c.Close()
-			continue
-		}
-		res := workload.Run(clock.Realtime, vd, workload.Spec{
-			Pattern: workload.RandWrite, BlockSize: 4 * util.KiB,
-			QueueDepth: 1, Ops: 20000, Seed: cfg.Seed,
-			MaxTime: cfg.cellTime() / 2,
-		})
-		t.Rows = append(t.Rows, []string{mode.name, us(res.Lat.Mean()), us(res.Lat.Quantile(0.99))})
-		vd.Close()
-		cl.Close()
-		c.Close()
 	}
 	t.Notes = append(t.Notes,
 		"client-directed writes reach all replicas in one hop instead of two (§3.2)")
@@ -140,7 +111,6 @@ func AblClientDirected(cfg Config) Table {
 // and everything left in the red-black tree.
 func AblIndexLevels(cfg Config) Table {
 	t := Table{
-		ID:     "Abl 3",
 		Title:  "Index levels: query rate and memory vs tree/array split",
 		Header: []string{"configuration", "queries/s", "memory"},
 	}
@@ -171,11 +141,12 @@ func AblIndexLevels(cfg Config) Table {
 		ix := build(cfgRow.treeFrac)
 		r := util.NewRand(cfg.Seed + 8)
 		nq := cfg.ops(100000)
-		t0 := time.Now()
-		for i := 0; i < nq; i++ {
-			ix.Query(uint32(r.Intn(jindex.MaxOff-64)), uint32(r.Intn(64)+1))
-		}
-		rate := float64(nq) / time.Since(t0).Seconds()
+		took := timed(func() {
+			for i := 0; i < nq; i++ {
+				ix.Query(uint32(r.Intn(jindex.MaxOff-64)), uint32(r.Intn(64)+1))
+			}
+		})
+		rate := float64(nq) / took.Seconds()
 		t.Rows = append(t.Rows, []string{
 			cfgRow.name,
 			util.FormatCount(rate),
@@ -192,71 +163,35 @@ func AblIndexLevels(cfg Config) Table {
 // high burns journal space and replay work on large sequential data.
 func AblBypassThreshold(cfg Config) Table {
 	t := Table{
-		ID:     "Abl 4",
 		Title:  "Journal bypass threshold Tj: mixed-size write IOPS",
 		Header: []string{"Tj", "IOPS", "journal-bytes", "bypass-bytes"},
 	}
 	for _, tj := range []int{4 * util.KiB, 64 * util.KiB, 16 * util.MiB} {
-		c, err := core.New(core.Options{
-			Machines: 3, SSDsPerMachine: 2, HDDsPerMachine: 4,
-			Mode: core.Hybrid, Clock: clock.Realtime,
-			SSDModel: benchSSD(), HDDModel: benchHDD(), HDDJournal: true,
-			NetLatency: netLatency, BypassThreshold: tj,
-			ReplTimeout: 5 * time.Second, CallTimeout: 20 * time.Second,
-		})
-		if err != nil {
-			t.Notes = append(t.Notes, err.Error())
-			continue
-		}
-		cl := c.NewClient("abl")
-		vd, err := openBenchVDisk(cl, 2*util.GiB)
-		if err != nil {
-			t.Notes = append(t.Notes, err.Error())
-			c.Close()
-			continue
-		}
-		// Mixed sizes per the Fig 1 distribution: mostly ≤8 KB with a
-		// large tail.
-		res := workload.Run(clock.Realtime, vd, workload.Spec{
-			Pattern: workload.RandWrite, BlockSize: 16 * util.KiB,
-			QueueDepth: 16, Ops: 100000, Seed: cfg.Seed,
-			MaxTime: cfg.cellTime() / 2,
-		})
-		var jBytes, total int64
-		for _, m := range c.Machines {
-			for _, js := range m.JournalSets() {
-				st := js.Stats()
-				for _, j := range st.Journals {
+		opts := benchOptions()
+		opts.BypassThreshold = tj
+		label := util.FormatBytes(int64(tj))
+		t.row("Tj="+label, opts, master.CreateVDiskReq{Size: 2 * util.GiB}, func(s *sut) []string {
+			// Mixed sizes per the Fig 1 distribution: mostly ≤8 KB with a
+			// large tail.
+			p := measure(s.vd, workload.Spec{
+				Pattern: workload.RandWrite, BlockSize: 16 * util.KiB,
+				QueueDepth: 16, Ops: 100000, Seed: cfg.Seed,
+				MaxTime: cfg.cellTime() / 2,
+			})
+			var jBytes, total int64
+			for _, js := range s.journals() {
+				for _, j := range js.Stats().Journals {
 					jBytes += j.Bytes
 				}
 			}
-			for _, s := range m.Servers {
-				total += s.Stats().BytesWritten
+			for _, addr := range s.c.ServerAddrs() {
+				total += s.c.Server(addr).Stats().BytesWritten
 			}
-		}
-		bypass := total - jBytes
-		if bypass < 0 {
-			bypass = 0
-		}
-		t.Rows = append(t.Rows, []string{
-			util.FormatBytes(int64(tj)),
-			util.FormatCount(res.IOPS()),
-			util.FormatBytes(jBytes),
-			util.FormatBytes(bypass),
+			bypass := max(total-jBytes, 0)
+			return []string{label, util.FormatCount(p.IOPS), util.FormatBytes(jBytes), util.FormatBytes(bypass)}
 		})
-		vd.Close()
-		cl.Close()
-		c.Close()
 	}
 	t.Notes = append(t.Notes,
 		"writes at 16KB: Tj=4KB forces them to random HDD writes; Tj≥64KB journals them (§3.2)")
 	return t
-}
-
-// openBenchVDisk creates and opens a bench vdisk through a client portal.
-func openBenchVDisk(cl *client.Client, size int64) (*client.VDisk, error) {
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "abl", Size: size}); err != nil {
-		return nil, fmt.Errorf("create: %w", err)
-	}
-	return cl.Open("abl")
 }

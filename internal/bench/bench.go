@@ -20,7 +20,6 @@ import (
 
 	"ursa/internal/baseline/cephlike"
 	"ursa/internal/baseline/sheepdoglike"
-	"ursa/internal/client"
 	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/master"
@@ -40,14 +39,13 @@ type Config struct {
 	Seed uint64
 }
 
-// ops scales an op budget by the quick flag.
-func (c Config) ops(full int) int {
+// ops scales an op budget by the quick flag: a tenth, but no fewer than 64.
+func (c Config) ops(full int) int { return c.pick(full, max(full/10, 64)) }
+
+// pick is a size a figure states outright for each run length.
+func (c Config) pick(full, quick int) int {
 	if c.Quick {
-		n := full / 10
-		if n < 64 {
-			n = 64
-		}
-		return n
+		return quick
 	}
 	return full
 }
@@ -130,13 +128,6 @@ func (t *Table) missWallClock(cfg Config, miss string) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // System-under-test builders.
 //
@@ -181,126 +172,7 @@ func benchHDD() simdisk.HDDModel {
 const netLatency = 1 * time.Millisecond
 
 // cellTime bounds each measurement cell's model time.
-func (c Config) cellTime() time.Duration {
-	if c.Quick {
-		return 2 * time.Second
-	}
-	return 8 * time.Second
-}
-
-// ursaSUT wraps a cluster and one opened vdisk.
-type ursaSUT struct {
-	cluster *core.Cluster
-	client  *client.Client
-	vd      *client.VDisk
-	metrics *metrics.Registry // the cluster-wide stage registry
-}
-
-func (s *ursaSUT) Close() {
-	s.vd.Close()
-	s.client.Close()
-	s.cluster.Close()
-}
-
-// buildUrsa assembles an URSA cluster and a vdisk sized volumeSize.
-func buildUrsa(mode core.Mode, machines int, volumeSize int64, stripeGroup int) (*ursaSUT, error) {
-	c, err := core.New(core.Options{
-		Machines:       machines,
-		SSDsPerMachine: 2,
-		HDDsPerMachine: 4,
-		Mode:           mode,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		HDDModel:       benchHDD(),
-		HDDJournal:     true,
-		NetLatency:     netLatency,
-		ReplTimeout:    5 * time.Second,
-		CallTimeout:    20 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cl := c.NewClient("bench-client")
-	req := master.CreateVDiskReq{Name: "bench", Size: volumeSize}
-	if stripeGroup > 1 {
-		req.StripeGroup = stripeGroup
-		req.StripeUnit = 128 * util.KiB
-	}
-	if _, err := cl.CreateVDisk(req); err != nil {
-		cl.Close()
-		c.Close()
-		return nil, err
-	}
-	vd, err := cl.Open("bench")
-	if err != nil {
-		cl.Close()
-		c.Close()
-		return nil, err
-	}
-	return &ursaSUT{cluster: c, client: cl, vd: vd, metrics: c.Metrics()}, nil
-}
-
-// cephSUT wraps a Ceph-like pool and volume.
-type cephSUT struct {
-	cluster *cephlike.Cluster
-	vol     *cephlike.Volume
-}
-
-func (s *cephSUT) Close() {
-	s.vol.Close()
-	s.cluster.Close()
-}
-
-func buildCeph(machines int, volumeSize int64) (*cephSUT, error) {
-	net := transport.NewSimNet(clock.Realtime, netLatency)
-	c, err := cephlike.New(cephlike.Options{
-		Machines:       machines,
-		SSDsPerMachine: 2,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		Net:            net,
-	})
-	if err != nil {
-		return nil, err
-	}
-	vol, err := c.CreateVolume("bench", volumeSize, "bench-client")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return &cephSUT{cluster: c, vol: vol}, nil
-}
-
-// sheepSUT wraps a Sheepdog-like cluster and volume.
-type sheepSUT struct {
-	cluster *sheepdoglike.Cluster
-	vol     *sheepdoglike.Volume
-}
-
-func (s *sheepSUT) Close() {
-	s.vol.Close()
-	s.cluster.Close()
-}
-
-func buildSheep(machines int, volumeSize int64) (*sheepSUT, error) {
-	net := transport.NewSimNet(clock.Realtime, netLatency)
-	c, err := sheepdoglike.New(sheepdoglike.Options{
-		Machines:       machines,
-		SSDsPerMachine: 2,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		Net:            net,
-	})
-	if err != nil {
-		return nil, err
-	}
-	vol, err := c.CreateVolume("bench", volumeSize, "bench-client")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return &sheepSUT{cluster: c, vol: vol}, nil
-}
+func (c Config) cellTime() time.Duration { return time.Duration(c.pick(8, 2)) * time.Second }
 
 // system pairs a name with a device for comparison sweeps. metrics is the
 // system's stage-latency registry; nil for baselines without op threading.
@@ -311,48 +183,103 @@ type system struct {
 	metrics *metrics.Registry
 }
 
-// buildComparison assembles the paper's §6.1 line-up: Sheepdog, Ceph,
-// Ursa-SSD, Ursa-Hybrid, each with 3 server machines and one client.
+// eachSystem runs row against every system of the paper's §6.1 line-up —
+// Sheepdog, Ceph, Ursa-SSD, Ursa-Hybrid, each with 3 server machines, one
+// client and one microVolume volume — and appends what it returns to the
+// table.
+func (t *Table) eachSystem(row func(s system) []string) Table {
+	systems, err := buildComparison(microVolume)
+	if err != nil {
+		return t.failed("build", err)
+	}
+	defer closeAll(systems)
+	for _, s := range systems {
+		t.Rows = append(t.Rows, row(s))
+	}
+	return *t
+}
+
+func closeAll(systems []system) {
+	for _, s := range systems {
+		s.close()
+	}
+}
+
+// buildComparison assembles the line-up, every system with one volume of
+// volumeSize. The baselines get the same SSD and network models as URSA.
 func buildComparison(volumeSize int64) ([]system, error) {
 	var out []system
 	fail := func(err error) ([]system, error) {
-		for _, s := range out {
-			s.close()
-		}
+		closeAll(out)
 		return nil, err
 	}
-	sheep, err := buildSheep(3, volumeSize)
+
+	sheep, err := sheepdoglike.New(sheepdoglike.Options{
+		Machines: 3, SSDsPerMachine: 2, Clock: clock.Realtime, SSDModel: benchSSD(),
+		Net: transport.NewSimNet(clock.Realtime, netLatency),
+	})
 	if err != nil {
 		return fail(err)
 	}
-	out = append(out, system{name: "Sheepdog", dev: sheep.vol, close: sheep.Close})
-	ceph, err := buildCeph(3, volumeSize)
+	svol, err := sheep.CreateVolume("bench", volumeSize, "bench-client")
+	if err != nil {
+		sheep.Close()
+		return fail(err)
+	}
+	out = append(out, system{name: "Sheepdog", dev: svol, close: func() { svol.Close(); sheep.Close() }})
+
+	ceph, err := cephlike.New(cephlike.Options{
+		Machines: 3, SSDsPerMachine: 2, Clock: clock.Realtime, SSDModel: benchSSD(),
+		Net: transport.NewSimNet(clock.Realtime, netLatency),
+	})
 	if err != nil {
 		return fail(err)
 	}
-	out = append(out, system{name: "Ceph", dev: ceph.vol, close: ceph.Close})
-	ussd, err := buildUrsa(core.SSDOnly, 3, volumeSize, 1)
+	cvol, err := ceph.CreateVolume("bench", volumeSize, "bench-client")
 	if err != nil {
+		ceph.Close()
 		return fail(err)
 	}
-	out = append(out, system{name: "Ursa-SSD", dev: ussd.vd, close: ussd.Close, metrics: ussd.metrics})
-	uhyb, err := buildUrsa(core.Hybrid, 3, volumeSize, 1)
-	if err != nil {
-		return fail(err)
+	out = append(out, system{name: "Ceph", dev: cvol, close: func() { cvol.Close(); ceph.Close() }})
+
+	for _, u := range []struct {
+		name string
+		mode core.Mode
+	}{{"Ursa-SSD", core.SSDOnly}, {"Ursa-Hybrid", core.Hybrid}} {
+		opts := benchOptions()
+		opts.Mode = u.mode
+		s, err := open(opts, master.CreateVDiskReq{Size: volumeSize})
+		if err != nil {
+			return fail(err)
+		}
+		out = append(out, system{name: u.name, dev: s.vd, close: s.Close, metrics: s.c.Metrics()})
 	}
-	out = append(out, system{name: "Ursa-Hybrid", dev: uhyb.vd, close: uhyb.Close, metrics: uhyb.metrics})
 	return out, nil
 }
 
-// writeArtifact emits doc as the figure's machine-readable BENCH_*.json
-// artifact at artifactPath; a failure to write becomes a table note.
-func (t *Table) writeArtifact(cfg Config, name string, doc any) {
+// artifact opens every BENCH_<id>.json: the figure that wrote it, by its
+// ursa-bench id, and whether at the -quick run length (such a file must not be
+// committed). A figure's artifact type embeds it.
+type artifact struct {
+	Bench string `json:"bench"`
+	Quick bool   `json:"quick"`
+}
+
+func (a *artifact) header() *artifact { return a }
+
+// artifactName is the file the figure with this id writes.
+func artifactName(id string) string { return "BENCH_" + id + ".json" }
+
+// writeArtifact emits doc as figure id's machine-readable artifact at
+// artifactPath; a failure to write becomes a table note.
+func (t *Table) writeArtifact(cfg Config, id string, doc interface{ header() *artifact }) {
+	*doc.header() = artifact{Bench: id, Quick: cfg.Quick}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err == nil {
-		err = os.WriteFile(artifactPath(cfg, name), append(buf, '\n'), 0o644)
+		err = os.WriteFile(artifactPath(cfg, artifactName(id)), append(buf, '\n'), 0o644)
 	}
 	if err != nil {
-		t.Notes = append(t.Notes, "write "+name+": "+err.Error())
+		t.failed("write "+artifactName(id), err)
 	}
 }
 
@@ -387,9 +314,10 @@ func artifactPath(cfg Config, name string) string {
 	}
 }
 
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
-func us(d time.Duration) string {
-	return fmt.Sprintf("%.0fus", float64(d)/float64(time.Microsecond))
-}
+func f2(v float64) string       { return fmt.Sprintf("%.2f", v) }
+func f1(v float64) string       { return fmt.Sprintf("%.1f", v) }
+func f0(v float64) string       { return fmt.Sprintf("%.0f", v) }
+func us(d time.Duration) string { return usStr(usf(d)) }
+
+// usStr prints a latency given in microseconds.
+func usStr(v float64) string { return f0(v) + "us" }

@@ -10,7 +10,6 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
-	"ursa/internal/client"
 	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/jindex"
@@ -22,10 +21,6 @@ import (
 	"ursa/internal/util"
 	"ursa/internal/workload"
 )
-
-// ceilingBenchJSON is the machine-readable artifact FigCeiling emits, the
-// per-PR IOPS-ceiling regression record.
-const ceilingBenchJSON = "BENCH_ceiling.json"
 
 // ceilingSSD / ceilingHDD are zero-cost device models: every fixed latency
 // is zero and bandwidth is unlimited, so the simulated devices complete
@@ -71,37 +66,13 @@ type ceilingMicro struct {
 }
 
 type ceilingDoc struct {
-	Bench string         `json:"bench"`
-	Quick bool           `json:"quick"`
+	artifact
 	Cells []ceilingCell  `json:"cells"`
 	Micro []ceilingMicro `json:"micro"`
 	// PoolLeases / PoolInUseAfter snapshot the buffer pool after every cell
 	// has quiesced: InUseAfter must be zero (no leaked leases).
 	PoolLeases     int64 `json:"pool_leases"`
 	PoolInUseAfter int64 `json:"pool_in_use_after"`
-}
-
-// ceilingRun is a warmed ceiling cluster: one opened vdisk on a hybrid URSA
-// cluster with zero-cost devices and network, ready for measured passes.
-type ceilingRun struct {
-	c    *core.Cluster
-	cl   *client.Client
-	vd   *client.VDisk
-	spec workload.Spec
-}
-
-// close shuts the vdisk (once opened), the client and the cluster down.
-func (r *ceilingRun) close() {
-	if r.vd != nil {
-		r.vd.Close()
-	}
-	r.cl.Close()
-	r.c.Close()
-}
-
-// pass runs the cell's workload once.
-func (r *ceilingRun) pass() workload.Result {
-	return workload.Run(clock.Realtime, r.vd, r.spec)
 }
 
 // ceilingShape is what one cell runs. The figure's cells are 4 KiB random
@@ -139,63 +110,45 @@ var (
 	e2eStriped256k = ceilingShape{write: true, qd: 1, block: 256 * util.KiB, striped: true, span: 64 * util.MiB}
 )
 
-// ceilingOptions is the ceiling cluster: three machines of 2 SSDs + 4 HDDs,
-// hybrid, zero-cost devices and network.
+// ceilingOptions is the ceiling cluster: the evaluation's, with zero-cost
+// devices and network.
 func ceilingOptions() core.Options {
-	return core.Options{
-		Machines:       3,
-		SSDsPerMachine: 2,
-		HDDsPerMachine: 4,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel:       ceilingSSD(),
-		HDDModel:       ceilingHDD(),
-		// Small SSD journals (16 MiB per backup HDD) wrap during the warm
-		// phase, so the measured window never touches cold journal pages:
-		// the lazily allocated 64 KiB simdisk pages would otherwise dominate
-		// the per-op allocation bill and bury the hot-path cost this figure
-		// isolates.
-		JournalFraction: 0.002,
-		ReplTimeout:     5 * time.Second,
-		CallTimeout:     20 * time.Second,
-	}
+	opts := benchOptions()
+	opts.SSDModel, opts.HDDModel, opts.NetLatency = ceilingSSD(), ceilingHDD(), 0
+	// No overflow journal, and small SSD journals (16 MiB per backup HDD)
+	// that wrap during the warm phase, so the measured window never touches
+	// cold journal pages: the lazily allocated 64 KiB simdisk pages would
+	// otherwise dominate the per-op allocation bill and bury the hot-path cost
+	// this figure isolates.
+	opts.HDDJournal = false
+	opts.JournalFraction = 0.002
+	return opts
 }
 
-// startCeiling builds and warms the cluster of one cell.
-func startCeiling(cfg Config, sh ceilingShape) (*ceilingRun, error) {
-	c, err := core.New(ceilingOptions())
-	if err != nil {
-		return nil, err
-	}
-	r := &ceilingRun{c: c, cl: c.NewClient("ceiling-client")}
+// startCeiling builds and warms the cluster of one cell and returns it with
+// the spec of one measured pass.
+func startCeiling(cfg Config, sh ceilingShape) (*sut, workload.Spec, error) {
 	req := master.CreateVDiskReq{Name: "ceiling", Size: ceilingVolume}
 	if sh.striped {
 		req.StripeGroup, req.StripeUnit = 4, 128*util.KiB
 	}
-	if _, err := r.cl.CreateVDisk(req); err != nil {
-		r.close()
-		return nil, err
+	s, err := open(ceilingOptions(), req)
+	if err != nil {
+		return nil, workload.Spec{}, err
 	}
-	if r.vd, err = r.cl.Open("ceiling"); err != nil {
-		r.close()
-		return nil, err
+	spec := workload.Spec{
+		Pattern: workload.RandRead, BlockSize: 4 * util.KiB, QueueDepth: sh.qd,
+		Ops: 1 << 30, WorkingSet: ceilingVolume / 2,
+		Seed: cfg.Seed + uint64(sh.qd)*131, MaxTime: cfg.cellTime() / 2,
 	}
-
-	pattern := workload.RandRead
 	if sh.write {
-		pattern = workload.RandWrite
+		spec.Pattern = workload.RandWrite
 	}
-	block, span := 4*util.KiB, int64(ceilingVolume/2)
 	if sh.block > 0 {
-		block = sh.block
+		spec.BlockSize = sh.block
 	}
 	if sh.span > 0 {
-		span = sh.span
-	}
-	r.spec = workload.Spec{
-		Pattern: pattern, BlockSize: block, QueueDepth: sh.qd,
-		Ops: 1 << 30, WorkingSet: span,
-		Seed: cfg.Seed + uint64(sh.qd)*131, MaxTime: cfg.cellTime() / 2,
+		spec.WorkingSet = sh.span
 	}
 	// Warm to steady state outside the measured window: Fill pre-writes the
 	// whole working set (allocating every lazy data page on the simulated
@@ -203,22 +156,22 @@ func startCeiling(cfg Config, sh ceilingShape) (*ceilingRun, error) {
 	// cell's size wraps the small journal regions so their pages are warm
 	// too. Without this, cold 64 KiB simdisk pages dominate the allocation
 	// bill.
-	warm := r.spec
+	warm := spec
 	warm.Pattern = workload.RandWrite
 	warm.Fill = true
 	warm.MaxTime = 2 * time.Second
-	workload.Run(clock.Realtime, r.vd, warm)
-	return r, nil
+	measure(s.vd, warm)
+	return s, spec, nil
 }
 
 // runCeilingCell measures random IOPS end-to-end on a hybrid URSA cluster
 // with zero-cost devices and network.
 func runCeilingCell(cfg Config, sh ceilingShape) ceilingCell {
-	r, err := startCeiling(cfg, sh)
+	s, spec, err := startCeiling(cfg, sh)
 	if err != nil {
 		return ceilingCell{}
 	}
-	defer r.close()
+	defer s.Close()
 	cell := ceilingCell{QD: sh.qd, Op: "read"}
 	if sh.write {
 		cell.Op = "write"
@@ -229,25 +182,21 @@ func runCeilingCell(cfg Config, sh ceilingShape) ceilingCell {
 	// cache/TLB pollution inflates our measured CPU-seconds unpredictably
 	// mid-pass, and best-of-N converges on the least-contended sample — the
 	// software ceiling this figure is after.
-	passes := 3
-	if cfg.Quick {
-		passes = 2
-	}
-	for p := 0; p < passes; p++ {
+	for pass := cfg.pick(3, 2); pass > 0; pass-- {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		cpu0 := cpuSeconds()
-		res := r.pass()
+		p := measure(s.vd, spec)
 		cpu1 := cpuSeconds()
 		runtime.ReadMemStats(&m1)
 
-		if dc := cpu1 - cpu0; dc > 0 && float64(res.Ops)/dc > cell.IOPSCPU {
-			cell.IOPSCPU = float64(res.Ops) / dc
-			cell.IOPS = res.IOPS()
-			cell.MeanLatUs = float64(res.Lat.Mean()) / float64(time.Microsecond)
-			if res.Ops > 0 {
-				cell.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.Ops)
-				cell.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Ops)
+		if dc := cpu1 - cpu0; dc > 0 && float64(p.Ops)/dc > cell.IOPSCPU {
+			cell.IOPSCPU = float64(p.Ops) / dc
+			cell.IOPS = p.IOPS
+			cell.MeanLatUs = p.MeanLatMs * 1e3
+			if p.Ops > 0 {
+				cell.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(p.Ops)
+				cell.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(p.Ops)
 			}
 		}
 	}
@@ -477,18 +426,17 @@ func (loopDialer) Dial(string) (transport.MsgConn, error) {
 // cell has shut down.
 func FigCeiling(cfg Config) Table {
 	t := Table{
-		ID:     "Fig C",
 		Title:  "Software IOPS ceiling: 4KiB random, zero-cost devices, hybrid 3x3",
 		Header: []string{"op", "qd", "iops/cpu-s", "iops", "mean lat", "allocs/op", "B/op"},
 	}
-	doc := ceilingDoc{Bench: "ceiling", Quick: cfg.Quick}
+	var doc ceilingDoc
 	for _, op := range []string{"read", "write"} {
 		for _, qd := range []int{1, 8, 32} {
 			c := runCeilingCell(cfg, ceilingShape{write: op == "write", qd: qd})
 			doc.Cells = append(doc.Cells, c)
 			t.Rows = append(t.Rows, []string{
 				op, f0(float64(qd)), f0(c.IOPSCPU), f0(c.IOPS),
-				us(time.Duration(c.MeanLatUs * float64(time.Microsecond))),
+				usStr(c.MeanLatUs),
 				f1(c.AllocsPerOp), f0(c.BytesPerOp),
 			})
 		}
@@ -517,6 +465,6 @@ func FigCeiling(cfg Config) Table {
 	if doc.PoolInUseAfter != 0 {
 		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: buffer pool did not drain to zero leases")
 	}
-	t.writeArtifact(cfg, ceilingBenchJSON, &doc)
+	t.writeArtifact(cfg, "ceiling", &doc)
 	return t
 }

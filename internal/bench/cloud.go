@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"ursa/internal/baseline/cloudsim"
 	"ursa/internal/clock"
-	"ursa/internal/core"
+	"ursa/internal/master"
 	"ursa/internal/util"
 	"ursa/internal/workload"
 )
@@ -22,13 +21,12 @@ func probeDevice(dev workload.Device, n int, seed uint64) (read, write *util.His
 	span := dev.Size() - int64(len(buf))
 	for i := 0; i < n; i++ {
 		off := util.AlignDown(r.Int63n(span), util.SectorSize)
-		t0 := time.Now()
-		if err := dev.WriteAt(buf, off); err == nil {
-			write.Observe(time.Since(t0))
+		var err error
+		if d := timed(func() { err = dev.WriteAt(buf, off) }); err == nil {
+			write.Observe(d)
 		}
-		t0 = time.Now()
-		if err := dev.ReadAt(buf, off); err == nil {
-			read.Observe(time.Since(t0))
+		if d := timed(func() { err = dev.ReadAt(buf, off) }); err == nil {
+			read.Observe(d)
 		}
 	}
 	return read, write
@@ -39,14 +37,10 @@ func probeDevice(dev workload.Device, n int, seed uint64) (read, write *util.His
 // p1 and p99 per op kind.
 func Fig15(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 15",
 		Title:  "Public-cloud latency comparison (mean / p1 / p99)",
 		Header: []string{"service", "op", "mean", "p1", "p99"},
 	}
-	n := 1500
-	if cfg.Quick {
-		n = 250
-	}
+	n := cfg.pick(1500, 250)
 
 	addRows := func(name string, read, write *util.Hist) {
 		for _, kind := range []struct {
@@ -58,10 +52,9 @@ func Fig15(cfg Config) Table {
 		}
 	}
 
-	sut, err := buildUrsa(core.Hybrid, 3, util.GiB, 1)
+	sut, err := open(benchOptions(), master.CreateVDiskReq{Size: util.GiB})
 	if err != nil {
-		t.Notes = append(t.Notes, "ursa build failed: "+err.Error())
-		return t
+		return t.failed("ursa build", err)
 	}
 	r, w := probeDevice(sut.vd, n, cfg.Seed+81)
 	sut.Close()
@@ -93,21 +86,15 @@ func slowMotion(p cloudsim.Profile) cloudsim.Profile {
 // the probe stream's latencies (reads and writes combined).
 func Fig16(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 16",
 		Title:  "Ursa latency PDF & CDF",
 		Header: []string{"latency", "pdf", "cdf"},
 	}
-	sut, err := buildUrsa(core.Hybrid, 3, util.GiB, 1)
+	sut, err := open(benchOptions(), master.CreateVDiskReq{Size: util.GiB})
 	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
+		return t.failed("build", err)
 	}
 	defer sut.Close()
-	nProbes := 1500
-	if cfg.Quick {
-		nProbes = 250
-	}
-	read, write := probeDevice(sut.vd, nProbes, cfg.Seed+91)
+	read, write := probeDevice(sut.vd, cfg.pick(1500, 250), cfg.Seed+91)
 	all := util.NewHist()
 	all.Merge(read)
 	all.Merge(write)

@@ -7,20 +7,14 @@ import (
 
 	"ursa/internal/chunkserver"
 	"ursa/internal/client"
-	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/objstore"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
 
-// coldtierBenchJSON is FigColdtier's machine-readable artifact.
-const coldtierBenchJSON = "BENCH_coldtier.json"
-
 type coldtierBenchDoc struct {
-	Bench string `json:"bench"`
-	Quick bool   `json:"quick"`
+	artifact
 
 	// Thin clone vs full data copy of the golden image.
 	ImageBytes   int64   `json:"image_bytes"`
@@ -75,135 +69,102 @@ func coldtierObjModel() objstore.Model {
 // and rots GET payloads. Results go to BENCH_coldtier.json.
 func FigColdtier(cfg Config) Table {
 	t := Table{
-		ID:     "Fig C",
 		Title:  "Cold tier: thin clones, demand-fetch latency, GC reclaim, stall chaos",
 		Header: []string{"metric", "value"},
 	}
 	// Fast device models (not the ×10 slow-motion figures): this bench
 	// gauges the cold tier's protocol costs and its ratios against a
 	// local-disk baseline, not paper-scale absolute IOPS.
-	c, err := core.New(core.Options{
-		Machines:       4,
-		SSDsPerMachine: 1,
-		HDDsPerMachine: 2,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel: simdisk.SSDModel{
-			Capacity: 8 * util.GiB, Parallelism: 32,
-			ReadLatency: 20 * time.Microsecond, WriteLatency: 40 * time.Microsecond,
-			ReadBandwidth: 3e9, WriteBandwidth: 2e9,
-		},
-		HDDModel: simdisk.HDDModel{
-			Capacity: 16 * util.GiB, SeekMax: 2 * time.Millisecond,
-			SeekSettle: 100 * time.Microsecond, RPM: 72000,
-			Bandwidth: 800e6, TrackSkip: 512 * util.KiB,
-		},
-		HDDJournal:    true,
-		NetLatency:    50 * time.Microsecond,
-		ReplTimeout:   2 * time.Second,
-		CallTimeout:   10 * time.Second,
-		ObjstoreModel: func() *objstore.Model { m := coldtierObjModel(); return &m }(),
-	})
-	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
+	opts := benchOptions()
+	opts.Machines, opts.SSDsPerMachine, opts.HDDsPerMachine = 4, 1, 2
+	opts.SSDModel = simdisk.SSDModel{
+		Capacity: 8 * util.GiB, Parallelism: 32,
+		ReadLatency: 20 * time.Microsecond, WriteLatency: 40 * time.Microsecond,
+		ReadBandwidth: 3e9, WriteBandwidth: 2e9,
 	}
-	defer c.Close()
-	cl := c.NewClient("cold-bench")
-	defer cl.Close()
-	reg := c.Metrics()
+	opts.HDDModel = simdisk.HDDModel{
+		Capacity: 16 * util.GiB, SeekMax: 2 * time.Millisecond,
+		SeekSettle: 100 * time.Microsecond, RPM: 72000,
+		Bandwidth: 800e6, TrackSkip: 512 * util.KiB,
+	}
+	opts.NetLatency = 50 * time.Microsecond
+	opts.ReplTimeout, opts.CallTimeout = 2*time.Second, 10*time.Second
+	objModel := coldtierObjModel()
+	opts.ObjstoreModel = &objModel
 
-	nChunks := 16 // 1 GiB golden image
-	if cfg.Quick {
-		nChunks = 4
-	}
-	imageBytes := int64(nChunks) * util.ChunkSize
-	dataBytes := imageBytes / 4 // written region; the rest is thin zeros
+	imageBytes := int64(cfg.pick(16, 4)) * util.ChunkSize // 1 GiB golden image
+	dataBytes := imageBytes / 4                           // written region; the rest is thin zeros
 	doc := coldtierBenchDoc{
-		Bench: "coldtier", Quick: cfg.Quick,
 		ImageBytes: imageBytes, DataBytes: dataBytes,
 		SpeedupFloor: 100, ReclaimFloor: 0.8,
 	}
 
-	fail := func(what string, err error) Table {
-		t.Notes = append(t.Notes, what+": "+err.Error())
-		return t
-	}
-
 	// --- Golden image -----------------------------------------------------
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "golden", Size: imageBytes}); err != nil {
-		return fail("create golden", err)
-	}
-	src, err := cl.Open("golden")
+	sut, err := open(opts, master.CreateVDiskReq{Name: "golden", Size: imageBytes})
 	if err != nil {
-		return fail("open golden", err)
+		return t.failed("build", err)
 	}
-	defer src.Close()
+	defer sut.Close()
+	c, cl, src, reg := sut.c, sut.cl, sut.vd, sut.c.Metrics()
 	golden := make([]byte, dataBytes)
 	util.NewRand(cfg.Seed + 1).Fill(golden)
 	for off := int64(0); off < dataBytes; off += util.MiB {
 		if err := src.WriteAt(golden[off:off+util.MiB], off); err != nil {
-			return fail("fill golden", err)
+			return t.failed("fill golden", err)
 		}
 	}
 	if err := cl.SnapshotVDisk("golden", "gold-snap"); err != nil {
-		return fail("snapshot", err)
+		return t.failed("snapshot", err)
 	}
 
 	// --- Leg 1: thin clone vs full data copy ------------------------------
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "fullcopy", Size: imageBytes}); err != nil {
-		return fail("create copy target", err)
-	}
-	dst, err := cl.Open("fullcopy")
+	dst, err := sut.add(cl, master.CreateVDiskReq{Name: "fullcopy", Size: imageBytes})
 	if err != nil {
-		return fail("open copy target", err)
+		return t.failed("copy target", err)
 	}
-	t0 := time.Now()
-	err = client.Snapshot(src, dst)
-	doc.FullCopyMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	dst.Close()
+	doc.FullCopyMs = ms(timed(func() { err = client.Snapshot(src, dst) }))
 	if err != nil {
-		return fail("full copy", err)
+		return t.failed("full copy", err)
 	}
 
-	t0 = time.Now()
-	if _, err := cl.CloneFromSnapshot(master.CloneReq{Snapshot: "gold-snap", Name: "thin"}); err != nil {
-		return fail("thin clone", err)
+	// Only the clone is timed; opening it is what any vdisk costs.
+	doc.ThinCloneMs = ms(timed(func() {
+		_, err = cl.CloneFromSnapshot(master.CloneReq{Snapshot: "gold-snap", Name: "thin"})
+	}))
+	if err != nil {
+		return t.failed("thin clone", err)
 	}
-	doc.ThinCloneMs = float64(time.Since(t0)) / float64(time.Millisecond)
 	if doc.ThinCloneMs > 0 {
 		doc.Speedup = doc.FullCopyMs / doc.ThinCloneMs
 	}
 
 	// --- Leg 2: cold vs warm reads on the clone ---------------------------
-	thin, err := cl.Open("thin")
+	thin, err := sut.attach(cl, "thin")
 	if err != nil {
-		return fail("open thin clone", err)
+		return t.failed("thin clone", err)
 	}
-	defer thin.Close()
 	readPass := func(vd client.Device) ([]time.Duration, error) {
 		var lats []time.Duration
 		buf := make([]byte, 64*util.KiB)
 		r := util.NewRand(cfg.Seed + 2)
 		for i := 0; i < cfg.ops(512); i++ {
 			off := util.AlignDown(r.Int63n(dataBytes-int64(len(buf))), util.SectorSize)
-			s := time.Now()
-			if err := vd.ReadAt(buf, off); err != nil {
+			var err error
+			lats = append(lats, timed(func() { err = vd.ReadAt(buf, off) }))
+			if err != nil {
 				return nil, err
 			}
-			lats = append(lats, time.Since(s))
 		}
 		return lats, nil
 	}
 	cold, err := readPass(thin)
 	if err != nil {
-		return fail("cold read pass", err)
+		return t.failed("cold read pass", err)
 	}
 	warm, err := readPass(thin)
 	if err != nil {
-		return fail("warm read pass", err)
+		return t.failed("warm read pass", err)
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	doc.ColdP50Ms = ms(util.ExactQuantile(cold, 0.50))
 	doc.ColdP99Ms = ms(util.ExactQuantile(cold, 0.99))
 	doc.WarmP50Ms = ms(util.ExactQuantile(warm, 0.50))
@@ -211,54 +172,49 @@ func FigColdtier(cfg Config) Table {
 	doc.ColdFetches = reg.Counter(chunkserver.MetricColdFetches).Load()
 
 	// Warm tier: a cached clone absorbs repeat reads of cold ranges.
-	if _, err := cl.CloneFromSnapshot(master.CloneReq{Snapshot: "gold-snap", Name: "cached"}); err != nil {
-		return fail("cached clone", err)
+	// clone provisions one more thin clone of the golden snapshot and opens it.
+	clone := func(name string) (*client.VDisk, error) {
+		if _, err := cl.CloneFromSnapshot(master.CloneReq{Snapshot: "gold-snap", Name: name}); err != nil {
+			return nil, err
+		}
+		return sut.attach(cl, name)
 	}
-	cvd, err := cl.Open("cached")
+	cvd, err := clone("cached")
 	if err != nil {
-		return fail("open cached clone", err)
+		return t.failed("cached clone", err)
 	}
 	cached := client.WithCache(cvd, dataBytes)
 	buf := make([]byte, 64*util.KiB)
 	for pass := 0; pass < 2; pass++ {
 		for off := int64(0); off < 8*util.MiB; off += int64(len(buf)) {
 			if err := cached.ReadAt(buf, off); err != nil {
-				cvd.Close()
-				return fail("cached read", err)
+				return t.failed("cached read", err)
 			}
 		}
 	}
-	cvd.Close()
 	doc.WarmHits = reg.Counter(client.MetricColdWarmHits).Load()
 
 	// --- Leg 3: snapshot churn + GC reclaim -------------------------------
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "churn", Size: util.ChunkSize}); err != nil {
-		return fail("create churn vdisk", err)
-	}
-	churn, err := cl.Open("churn")
+	churn, err := sut.add(cl, master.CreateVDiskReq{Name: "churn", Size: util.ChunkSize})
 	if err != nil {
-		return fail("open churn vdisk", err)
+		return t.failed("churn vdisk", err)
 	}
-	defer churn.Close()
-	rounds := 5
-	if cfg.Quick {
-		rounds = 3
-	}
+	rounds := cfg.pick(5, 3)
 	churnData := make([]byte, 8*util.MiB)
 	for i := 0; i < rounds; i++ {
 		util.NewRand(cfg.Seed + 10 + uint64(i)).Fill(churnData)
 		for off := int64(0); off < int64(len(churnData)); off += util.MiB {
 			if err := churn.WriteAt(churnData[off:off+util.MiB], off); err != nil {
-				return fail("churn write", err)
+				return t.failed("churn write", err)
 			}
 		}
 		name := fmt.Sprintf("churn-%d", i)
 		if err := cl.SnapshotVDisk("churn", name); err != nil {
-			return fail("churn snapshot", err)
+			return t.failed("churn snapshot", err)
 		}
 		if i > 0 {
 			if err := cl.DeleteSnapshot(fmt.Sprintf("churn-%d", i-1)); err != nil {
-				return fail("churn delete", err)
+				return t.failed("churn delete", err)
 			}
 		}
 	}
@@ -270,7 +226,7 @@ func FigColdtier(cfg Config) Table {
 		return t
 	}
 	if _, _, err := pm.RunColdGC(); err != nil {
-		return fail("gc pass", err)
+		return t.failed("gc pass", err)
 	}
 	used1 := c.Objstore.UsedBytes()
 	doc.ChurnUsedBytes = used0
@@ -284,14 +240,10 @@ func FigColdtier(cfg Config) Table {
 	doc.GCSegments = reg.Counter(master.MetricGCSegmentsReclaimed).Load()
 
 	// --- Leg 4: cold reads under objstore stall + GET rot -----------------
-	if _, err := cl.CloneFromSnapshot(master.CloneReq{Snapshot: "gold-snap", Name: "chaos"}); err != nil {
-		return fail("chaos clone", err)
-	}
-	chaos, err := cl.Open("chaos")
+	chaos, err := clone("chaos")
 	if err != nil {
-		return fail("open chaos clone", err)
+		return t.failed("chaos clone", err)
 	}
-	defer chaos.Close()
 	c.Objstore.Stall(2 * time.Millisecond)
 	c.Objstore.CorruptReads(32)
 	r := util.NewRand(cfg.Seed + 3)
@@ -347,6 +299,6 @@ func FigColdtier(cfg Config) Table {
 		"and compacts mostly-dead ones; chaos leg arms a stall plus 32 rotted GETs — the",
 		"per-extent CRCs force refetches, so corrupt payloads must be zero.")
 
-	t.writeArtifact(cfg, coldtierBenchJSON, &doc)
+	t.writeArtifact(cfg, "coldtier", &doc)
 	return t
 }

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"ursa/internal/core"
 	"ursa/internal/master"
-	"ursa/internal/metrics"
 	"ursa/internal/transport"
 	"ursa/internal/util"
 )
@@ -22,41 +19,36 @@ import (
 // hundreds. The note is each phase's wall time,
 // which on this cluster is CPU time: for the log, not for the gate.
 func controlPlaneCounts() (counts map[string]float64, note string, err error) {
-	opts := wideCeilingOptions()
-	opts.Metrics = metrics.NewRegistry()
-	c, err := core.New(opts)
+	s, err := openWide()
 	if err != nil {
 		return nil, "", err
 	}
-	defer c.Close()
-	cl := c.NewClient("control-plane-client")
-	defer cl.Close()
+	defer s.Close()
+	cl := s.cl
 	received := func() int64 {
-		if h := opts.Metrics.ValueHist(transport.MetricConnInflight); h != nil {
+		if h := s.c.Metrics().ValueHist(transport.MetricConnInflight); h != nil {
 			return h.Count()
 		}
 		return 0
 	}
 	counts = make(map[string]float64)
-	phase := func(name string, run func() error) error {
-		n0, t0 := received(), time.Now()
-		if err := run(); err != nil {
+	step := func(name string, run func() error) error {
+		n0 := received()
+		var err error
+		took := timed(func() { err = run() })
+		if err != nil {
 			return fmt.Errorf("control-plane %s: %w", name, err)
 		}
 		counts[name+"_msgs"] = float64(received() - n0)
-		note += fmt.Sprintf(" %s %.1f ms", name, float64(time.Since(t0))/float64(time.Millisecond))
+		note += fmt.Sprintf(" %s %.1f ms", name, ms(took))
 		return nil
 	}
-	// A throwaway vdisk first: connections are dialed once per cluster.
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "warm", Size: 12 * util.ChunkSize}); err != nil {
-		return nil, "", err
-	}
-	err = phase("create", func() error {
+	err = step("create", func() error {
 		_, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "wide", Size: footprintChunks * util.ChunkSize})
 		return err
 	})
 	if err == nil {
-		err = phase("open", func() error {
+		err = step("open", func() error {
 			vd, err := cl.Open("wide")
 			if err == nil {
 				err = vd.Close()
@@ -65,7 +57,7 @@ func controlPlaneCounts() (counts map[string]float64, note string, err error) {
 		})
 	}
 	if err == nil {
-		err = phase("delete", func() error { return cl.DeleteVDisk("wide") })
+		err = step("delete", func() error { return cl.DeleteVDisk("wide") })
 	}
 	return counts, "in-process time on the zero-cost cluster:" + note, err
 }

@@ -2,12 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
-	"ursa/internal/clock"
 	"ursa/internal/cluster"
-	"ursa/internal/core"
 	"ursa/internal/jindex"
 	"ursa/internal/jindex/flsm"
 	"ursa/internal/master"
@@ -48,19 +47,19 @@ func Fig10(cfg Config) Table {
 
 	// URSA index.
 	ix := jindex.New(0)
-	t0 := time.Now()
-	for i, op := range inserts {
-		ix.Insert(op.Off, op.Len, op.JOff)
-		if i == nInsert-treePortion {
-			ix.MergeNow() // leaves the tail of inserts in the tree
+	ursaInsert := timed(func() {
+		for i, op := range inserts {
+			ix.Insert(op.Off, op.Len, op.JOff)
+			if i == nInsert-treePortion {
+				ix.MergeNow() // leaves the tail of inserts in the tree
+			}
 		}
-	}
-	ursaInsert := time.Since(t0)
-	t0 = time.Now()
-	for _, q := range queries {
-		ix.Query(q.Off, q.Len)
-	}
-	ursaQuery := time.Since(t0)
+	})
+	ursaQuery := timed(func() {
+		for _, q := range queries {
+			ix.Query(q.Off, q.Len)
+		}
+	})
 
 	// FLSM baseline. The measured system (PebblesDB) is a persistent
 	// store: every insertion pays a WAL append and every range scan reads
@@ -69,23 +68,22 @@ func Fig10(cfg Config) Table {
 	// like-for-like with the paper's, where PebblesDB ran on real SSDs
 	// against URSA's purely in-memory index.
 	fl := flsm.New(1<<16, 8).WithStorage(flsm.PebblesDBStorage())
-	t0 = time.Now()
-	for _, op := range inserts {
-		fl.RangeInsert(op.Off, op.Len, op.JOff)
-	}
-	flsmInsert := time.Since(t0) + fl.IOTime()
+	flsmInsert := timed(func() {
+		for _, op := range inserts {
+			fl.RangeInsert(op.Off, op.Len, op.JOff)
+		}
+	}) + fl.IOTime()
 	ioMark := fl.IOTime()
-	t0 = time.Now()
-	for _, q := range queries {
-		fl.RangeQuery(q.Off, q.Len)
-	}
-	flsmQuery := time.Since(t0) + (fl.IOTime() - ioMark)
+	flsmQuery := timed(func() {
+		for _, q := range queries {
+			fl.RangeQuery(q.Off, q.Len)
+		}
+	}) + (fl.IOTime() - ioMark)
 
 	rate := func(n int, d time.Duration) string {
 		return util.FormatCount(float64(n) / d.Seconds())
 	}
 	t := Table{
-		ID:     "Fig 10",
 		Title:  "Journal index vs PebblesDB-style FLSM (ops/second)",
 		Header: []string{"structure", "range-insert", "range-query"},
 		Rows: [][]string{
@@ -106,60 +104,31 @@ func Fig10(cfg Config) Table {
 // survive. The table is the IOPS timeline with per-journal append counts.
 func Fig11(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 11",
 		Title:  "Journal expansion: IOPS before/after SSD journal overflow",
 		Header: []string{"window", "IOPS", "ssd-appends", "hdd-appends"},
 	}
-	// A cluster whose SSD journal region is tiny: shrink the SSDs so the
-	// 1/10 quota is small, and disable replay catch-up pressure by using
-	// a busy HDD? No — the paper lets replay run; overflow happens when
-	// the append rate beats replay. A small quota forces it quickly.
-	ssd := benchSSD()
-	ssd.Capacity = 2 * util.GiB // journal quota ≈ 200 MB split over HDDs
-	c, err := core.New(core.Options{
-		Machines:        3,
-		SSDsPerMachine:  1,
-		HDDsPerMachine:  1,
-		Mode:            core.Hybrid,
-		Clock:           clock.Realtime,
-		SSDModel:        ssd,
-		HDDModel:        benchHDD(),
-		HDDJournal:      true,
-		NetLatency:      netLatency,
-		JournalFraction: 0.004, // ≈8 MB of SSD journal: overflows in seconds
-		ReplTimeout:     5 * time.Second,
-		CallTimeout:     20 * time.Second,
-	})
+	// One SSD and one HDD per machine, and an SSD journal region made tiny
+	// on purpose: the paper lets replay run, and overflow happens when the
+	// append rate beats it — a small quota forces that within seconds.
+	opts := benchOptions()
+	opts.SSDsPerMachine, opts.HDDsPerMachine = 1, 1
+	opts.SSDModel.Capacity = 2 * util.GiB
+	opts.JournalFraction = 0.004 // ≈8 MB of SSD journal
+	sut, err := open(opts, master.CreateVDiskReq{Size: util.ChunkSize})
 	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
+		return t.failed("build", err)
 	}
-	defer c.Close()
-	cl := c.NewClient("bench-client")
-	defer cl.Close()
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "bench", Size: util.ChunkSize}); err != nil {
-		t.Notes = append(t.Notes, "vdisk failed: "+err.Error())
-		return t
-	}
-	vd, err := cl.Open("bench")
-	if err != nil {
-		t.Notes = append(t.Notes, "open failed: "+err.Error())
-		return t
-	}
-	defer vd.Close()
+	defer sut.Close()
 
 	windows := 10
 	opsPerWindow := 100000 // bounded by window time
 	journalAppends := func() (ssdA, hddA int64) {
-		for _, m := range c.Machines {
-			for _, js := range m.JournalSets() {
-				st := js.Stats()
-				for _, j := range st.Journals {
-					if len(j.Name) >= 4 && j.Name[len(j.Name)-4:] == "jhdd" {
-						hddA += j.Appends
-					} else {
-						ssdA += j.Appends
-					}
+		for _, js := range sut.journals() {
+			for _, j := range js.Stats().Journals {
+				if strings.HasSuffix(j.Name, "jhdd") {
+					hddA += j.Appends
+				} else {
+					ssdA += j.Appends
 				}
 			}
 		}
@@ -167,7 +136,7 @@ func Fig11(cfg Config) Table {
 	}
 	var prevSSD, prevHDD int64
 	for w := 0; w < windows; w++ {
-		res := workload.Run(clock.Realtime, vd, workload.Spec{
+		p := measure(sut.vd, workload.Spec{
 			Pattern: workload.RandWrite, BlockSize: 4 * util.KiB,
 			QueueDepth: 16, Ops: opsPerWindow,
 			WorkingSet: util.ChunkSize, Seed: cfg.Seed + uint64(w),
@@ -176,7 +145,7 @@ func Fig11(cfg Config) Table {
 		ssdA, hddA := journalAppends()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", w),
-			util.FormatCount(res.IOPS()),
+			util.FormatCount(p.IOPS),
 			fmt.Sprintf("%d", ssdA-prevSSD),
 			fmt.Sprintf("%d", hddA-prevHDD),
 		})
@@ -192,59 +161,31 @@ func Fig11(cfg Config) Table {
 // rate is bounded by the replacement machine's NIC.
 func Fig12(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 12",
 		Title:  "Failure recovery traffic over time (MB/s)",
 		Header: []string{"t", "MB/s"},
 	}
-	c, err := core.New(core.Options{
-		Machines:       4,
-		SSDsPerMachine: 2,
-		HDDsPerMachine: 4,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		HDDModel:       benchHDD(),
-		HDDJournal:     true,
-		NetLatency:     netLatency,
-		NICRate:        50e6, // the paper's ≈500 MB/s bound at 1/10 time scale
-		ReplTimeout:    5 * time.Second,
-		CallTimeout:    20 * time.Second,
-	})
-	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
-	}
-	defer c.Close()
-	cl := c.NewClient("bench-client")
-	defer cl.Close()
-
 	// Enough chunks that the failed SSD is primary for several: their
 	// parallel recovery is what drives aggregate traffic to the NIC bound
 	// (the paper recovers a whole failed SSD's chunks, §6.2).
-	nChunks := 32
-	if cfg.Quick {
-		nChunks = 12
-	}
-	size := int64(nChunks) * util.ChunkSize
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "bench", Size: size}); err != nil {
-		t.Notes = append(t.Notes, "vdisk failed: "+err.Error())
-		return t
-	}
-	vd, err := cl.Open("bench")
+	nChunks := cfg.pick(32, 12)
+	opts := benchOptions()
+	opts.Machines = 4
+	opts.NICRate = 50e6 // the paper's ≈500 MB/s bound at 1/10 time scale
+	sut, err := open(opts, master.CreateVDiskReq{Size: int64(nChunks) * util.ChunkSize})
 	if err != nil {
-		t.Notes = append(t.Notes, "open failed: "+err.Error())
-		return t
+		return t.failed("build", err)
 	}
-	defer vd.Close()
+	defer sut.Close()
+	c, cl, vd := sut.c, sut.cl, sut.vd
 
 	// Seed a little data through both paths (journal appends and bypass)
 	// so recovery exercises them; a whole-chunk clone moves the full
 	// 64 MB regardless of how much was written.
-	workload.Run(clock.Realtime, vd, workload.Spec{
+	measure(vd, workload.Spec{
 		Pattern: workload.SeqWrite, BlockSize: util.MiB, QueueDepth: 8,
 		Ops: 16, Seed: cfg.Seed + 41,
 	})
-	workload.Run(clock.Realtime, vd, workload.Spec{
+	measure(vd, workload.Spec{
 		Pattern: workload.RandWrite, BlockSize: 4 * util.KiB, QueueDepth: 16,
 		Ops: 256, Seed: cfg.Seed + 42, MaxTime: 2 * time.Second,
 	})
@@ -254,8 +195,7 @@ func Fig12(cfg Config) Table {
 	// served.
 	primary, err := cluster.PrimaryAddr(cl, "bench", 0)
 	if err != nil {
-		t.Notes = append(t.Notes, err.Error())
-		return t
+		return t.failed("placement lookup", err)
 	}
 	c.CrashServer(primary)
 

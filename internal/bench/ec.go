@@ -4,16 +4,11 @@ import (
 	"strings"
 	"time"
 
-	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/redundancy"
 	"ursa/internal/util"
 	"ursa/internal/workload"
 )
-
-// ecBenchJSON is FigEC's machine-readable artifact.
-const ecBenchJSON = "BENCH_ec.json"
 
 // ecPolicyDoc is one redundancy policy's measurements.
 type ecPolicyDoc struct {
@@ -34,8 +29,7 @@ type ecPolicyDoc struct {
 }
 
 type ecBenchDoc struct {
-	Bench    string        `json:"bench"`
-	Quick    bool          `json:"quick"`
+	artifact
 	Policies []ecPolicyDoc `json:"policies"`
 }
 
@@ -49,12 +43,11 @@ type ecBenchDoc struct {
 // BENCH_ec.json.
 func FigEC(cfg Config) Table {
 	t := Table{
-		ID:    "Fig EC",
 		Title: "Backup redundancy: 3-way mirror vs RS(4,2) segment coding",
 		Header: []string{"policy", "overhead", "wr IOPS", "wr p99", "rd p99",
 			"degraded rd p99", "rebuild", "degraded errs"},
 	}
-	doc := ecBenchDoc{Bench: "ec", Quick: cfg.Quick}
+	var doc ecBenchDoc
 	policies := []struct {
 		name string
 		spec redundancy.Spec
@@ -89,13 +82,13 @@ func FigEC(cfg Config) Table {
 			t.Notes = append(t.Notes, "ACCEPTANCE FAIL: degraded reads failed")
 		}
 	}
-	t.writeArtifact(cfg, ecBenchJSON, &doc)
+	t.writeArtifact(cfg, "ec", &doc)
 	return t
 }
 
-// runECPolicy builds a 7-machine hybrid cluster — just wide enough for
-// RS(4,2)'s six distinct holder machines plus the primary's, so an RS
-// chunk's crashed primary has no replacement machine and stays degraded —
+// runECPolicy builds the fault figures' cluster at 7 machines — just wide
+// enough for RS(4,2)'s six distinct holder machines plus the primary's, so an
+// RS chunk's crashed primary has no replacement machine and stays degraded —
 // and runs the measurement sequence for one policy.
 func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []string) {
 	pd := ecPolicyDoc{Policy: name}
@@ -103,43 +96,16 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	failed := func(what string, err error) (ecPolicyDoc, []string) {
 		return pd, append(notes, name+" "+what+" failed: "+err.Error())
 	}
-	c, err := core.New(core.Options{
-		Machines:       7,
-		SSDsPerMachine: 1,
-		HDDsPerMachine: 2,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		HDDModel:       benchHDD(),
-		HDDJournal:     false,
-		NetLatency:     netLatency,
-		NICRate:        50e6,
-		ReplTimeout:    5 * time.Second,
-		CallTimeout:    20 * time.Second,
-	})
+	opts := faultOptions()
+	opts.Machines = 7
+	size := int64(cfg.pick(2, 1)) * util.ChunkSize
+	pd.LogicalBytes = size
+	sut, err := open(opts, master.CreateVDiskReq{Name: "bench-ec", Size: size, Redundancy: spec})
 	if err != nil {
 		return failed("build", err)
 	}
-	defer c.Close()
-	cl := c.NewClient("bench-client")
-	defer cl.Close()
-
-	nChunks := 2
-	if cfg.Quick {
-		nChunks = 1
-	}
-	size := int64(nChunks) * util.ChunkSize
-	pd.LogicalBytes = size
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{
-		Name: "bench-ec", Size: size, Redundancy: spec,
-	}); err != nil {
-		return failed("vdisk", err)
-	}
-	vd, err := cl.Open("bench-ec")
-	if err != nil {
-		return failed("open", err)
-	}
-	defer vd.Close()
+	defer sut.Close()
+	c, cl, vd := sut.c, sut.cl, sut.vd
 
 	// Backup-tier storage: every byte of store slot allocated on the HDD
 	// servers, per logical byte of the vdisk.
@@ -150,32 +116,18 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	}
 	pd.Overhead = float64(pd.BackupBytes) / float64(size)
 
-	// Working set: inside chunk 0, so the degraded window below exercises
-	// the crashed primary's chunk.
-	region := int64(4 * util.MiB)
-	wres := workload.Run(clock.Realtime, vd, workload.Spec{
-		Pattern:    workload.RandWrite,
-		BlockSize:  4 * util.KiB,
-		QueueDepth: 8,
-		Ops:        cfg.ops(400),
-		WorkingSet: region,
-		Seed:       cfg.Seed + 21,
-		MaxTime:    cfg.cellTime() / 2,
-	})
-	pd.WriteIOPS = wres.IOPS()
-	pd.WriteP99Ms = float64(wres.Lat.Quantile(0.99)) / float64(time.Millisecond)
-
-	rres := workload.Run(clock.Realtime, vd, workload.Spec{
-		Pattern:    workload.RandRead,
-		BlockSize:  4 * util.KiB,
-		QueueDepth: 8,
-		Ops:        cfg.ops(400),
-		WorkingSet: region,
-		Seed:       cfg.Seed + 22,
-		MaxTime:    cfg.cellTime() / 2,
-	})
-	pd.ReadMeanMs = float64(rres.Lat.Mean()) / float64(time.Millisecond)
-	pd.ReadP99Ms = float64(rres.Lat.Quantile(0.99)) / float64(time.Millisecond)
+	// Every window is 4 KiB at QD 8 over a working set inside chunk 0, so the
+	// degraded window below exercises the crashed primary's chunk.
+	window := func(pattern workload.Pattern, ops int, seedOff uint64, maxTime time.Duration) phase {
+		return measure(vd, workload.Spec{
+			Pattern: pattern, BlockSize: 4 * util.KiB, QueueDepth: 8, Ops: cfg.ops(ops),
+			WorkingSet: 4 * util.MiB, Seed: cfg.Seed + seedOff, MaxTime: maxTime,
+		})
+	}
+	wr := window(workload.RandWrite, 400, 21, cfg.cellTime()/2)
+	pd.WriteIOPS, pd.WriteP99Ms = wr.IOPS, wr.P99LatMs
+	rd := window(workload.RandRead, 400, 22, cfg.cellTime()/2)
+	pd.ReadMeanMs, pd.ReadP99Ms = rd.MeanLatMs, rd.P99LatMs
 
 	meta, err := cl.OpenMeta("bench-ec")
 	if err != nil {
@@ -187,11 +139,11 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	// whole-chunk clone for mirroring, a single segment for RS.
 	dead := reps[1].Addr
 	c.CrashServer(dead)
-	r0 := time.Now()
-	if _, err := c.Master.RecoverChunk(vd.ID(), 0, dead); err != nil {
+	rebuild := timed(func() { _, err = c.Master.RecoverChunk(vd.ID(), 0, dead) })
+	if err != nil {
 		notes = append(notes, name+" rebuild: "+err.Error())
 	} else {
-		pd.RebuildS = time.Since(r0).Seconds()
+		pd.RebuildS = rebuild.Seconds()
 	}
 	c.RestartServer(dead)
 
@@ -200,17 +152,7 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	// mirrored reads fail over to a backup copy, RS reads reconstruct from
 	// the segment holders.
 	c.CrashServer(reps[0].Addr)
-	dres := workload.Run(clock.Realtime, vd, workload.Spec{
-		Pattern:    workload.RandRead,
-		BlockSize:  4 * util.KiB,
-		QueueDepth: 8,
-		Ops:        cfg.ops(200),
-		WorkingSet: region,
-		Seed:       cfg.Seed + 23,
-		MaxTime:    cfg.cellTime(),
-	})
-	pd.DegradedMeanMs = float64(dres.Lat.Mean()) / float64(time.Millisecond)
-	pd.DegradedP99Ms = float64(dres.Lat.Quantile(0.99)) / float64(time.Millisecond)
-	pd.DegradedErrors = dres.Errors
+	deg := window(workload.RandRead, 200, 23, cfg.cellTime())
+	pd.DegradedMeanMs, pd.DegradedP99Ms, pd.DegradedErrors = deg.MeanLatMs, deg.P99LatMs, deg.Errors
 	return pd, notes
 }

@@ -4,19 +4,12 @@ import (
 	"sync"
 	"time"
 
-	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/util"
-	"ursa/internal/workload"
 )
 
-// failoverBenchJSON is FigFailover's machine-readable artifact.
-const failoverBenchJSON = "BENCH_failover.json"
-
 type failoverBenchDoc struct {
-	Bench string `json:"bench"`
-	Quick bool   `json:"quick"`
+	artifact
 	// The metadata blackout: wall time from the primary master's death to
 	// the first metadata operation completed against the promoted standby.
 	BlackoutMs   float64 `json:"blackout_ms"`
@@ -46,80 +39,39 @@ type failoverBenchDoc struct {
 // ride through with zero failed I/Os. Results go to BENCH_failover.json.
 func FigFailover(cfg Config) Table {
 	t := Table{
-		ID:     "Fig F",
 		Title:  "Master failover: metadata blackout vs primacy TTL, data path uninterrupted",
 		Header: []string{"metric", "value"},
 	}
 	const primacyTTL = 250 * time.Millisecond
-	c, err := core.New(core.Options{
-		Machines:         4,
-		SSDsPerMachine:   1,
-		HDDsPerMachine:   2,
-		Mode:             core.Hybrid,
-		Clock:            clock.Realtime,
-		SSDModel:         benchSSD(),
-		HDDModel:         benchHDD(),
-		HDDJournal:       true,
-		NetLatency:       netLatency,
-		ReplTimeout:      5 * time.Second,
-		CallTimeout:      5 * time.Second,
-		Masters:          3,
-		MasterPrimacyTTL: primacyTTL,
-	})
+	opts := benchOptions()
+	opts.Machines, opts.SSDsPerMachine, opts.HDDsPerMachine = 4, 1, 2
+	opts.CallTimeout = 5 * time.Second
+	opts.Masters, opts.MasterPrimacyTTL = 3, primacyTTL
+	sut, err := open(opts, master.CreateVDiskReq{Size: int64(cfg.pick(8, 4)) * util.ChunkSize})
 	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
+		return t.failed("build", err)
 	}
-	defer c.Close()
-	cl := c.NewClient("bench-client")
-	defer cl.Close()
-
-	nChunks := 8
-	if cfg.Quick {
-		nChunks = 4
-	}
-	size := int64(nChunks) * util.ChunkSize
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "bench", Size: size}); err != nil {
-		t.Notes = append(t.Notes, "vdisk failed: "+err.Error())
-		return t
-	}
-	vd, err := cl.Open("bench")
-	if err != nil {
-		t.Notes = append(t.Notes, "open failed: "+err.Error())
-		return t
-	}
-	defer vd.Close()
-	reg := c.Metrics()
+	defer sut.Close()
+	c, cl, reg := sut.c, sut.cl, sut.c.Metrics()
 	doc := failoverBenchDoc{
-		Bench:        "failover",
-		Quick:        cfg.Quick,
-		PrimacyTTLMs: float64(primacyTTL) / float64(time.Millisecond),
+		PrimacyTTLMs: ms(primacyTTL),
 		RatioCeiling: 2.0,
 	}
 
 	// Healthy metadata baseline.
-	h0 := time.Now()
-	if _, err := cl.OpenMeta("bench"); err != nil {
-		t.Notes = append(t.Notes, "healthy metadata probe failed: "+err.Error())
-		return t
+	doc.HealthyMetaMs = ms(timed(func() { _, err = cl.OpenMeta("bench") }))
+	if err != nil {
+		return t.failed("healthy metadata probe", err)
 	}
-	doc.HealthyMetaMs = float64(time.Since(h0)) / float64(time.Millisecond)
 
 	// The data stream the failover must not touch: random 4 KiB writes for
 	// the whole measurement window, concurrent with the kill.
-	var res workload.Result
+	var res phase
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res = workload.Run(clock.Realtime, vd, workload.Spec{
-			Pattern:    workload.RandWrite,
-			BlockSize:  4 * util.KiB,
-			QueueDepth: 8,
-			Ops:        cfg.ops(3000),
-			Seed:       cfg.Seed + 41,
-			MaxTime:    cfg.cellTime(),
-		})
+		res = measure(sut.vd, foreground(cfg.ops(3000), cfg.Seed+41, cfg.cellTime()))
 	}()
 
 	// Let the workload settle, then kill the bootstrap primary and time the
@@ -130,25 +82,25 @@ func FigFailover(cfg Config) Table {
 	if p := c.PrimaryMaster(); p != nil {
 		epochBefore = p.Epoch()
 	}
-	kill := time.Now()
 	c.KillMaster(0)
-	for {
-		if _, err := cl.OpenMeta("bench"); err == nil {
-			break
+	blackout, ok := waitQuiet(func() int64 {
+		if _, err := cl.OpenMeta("bench"); err != nil {
+			return 0
 		}
-		if time.Since(kill) > 30*time.Second {
-			t.Notes = append(t.Notes, "ACCEPTANCE FAIL: no metadata service within 30s of the kill")
-			wg.Wait()
-			return t
-		}
+		return 1
+	}, 0, 0, 30*time.Second)
+	if !ok {
+		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: no metadata service within 30s of the kill")
+		wg.Wait()
+		return t
 	}
-	doc.BlackoutMs = float64(time.Since(kill)) / float64(time.Millisecond)
+	doc.BlackoutMs = ms(blackout)
 	doc.Ratio = doc.BlackoutMs / doc.PrimacyTTLMs
 	wg.Wait()
 
 	doc.DataOps = res.Ops
 	doc.DataErrors = res.Errors
-	doc.DataIOPS = res.IOPS()
+	doc.DataIOPS = res.IOPS
 	doc.Promotions = reg.Counter(master.MetricMasterPromotions).Load()
 	if p := c.PrimaryMaster(); p != nil {
 		doc.PromotedAddr = p.Addr()
@@ -181,6 +133,6 @@ func FigFailover(cfg Config) Table {
 		"the rank-1 standby waits out one primacy TTL of silence, probes its peers, bumps",
 		"the epoch, and fences the deposed master at every chunkserver before serving.")
 
-	t.writeArtifact(cfg, failoverBenchJSON, &doc)
+	t.writeArtifact(cfg, "failover", &doc)
 	return t
 }

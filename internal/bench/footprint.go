@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 
-	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
@@ -21,14 +20,16 @@ const (
 	footprintConns   = 256
 )
 
-// wideCeilingOptions is the ceiling figure's zero-cost cluster with disks
-// large enough for a 16 GiB vdisk: room for 256 primaries on 6 SSDs beside the
-// journals.
-func wideCeilingOptions() core.Options {
+// openWide starts the ceiling figure's zero-cost cluster with disks large
+// enough for a 16 GiB vdisk — room for 256 primaries on 6 SSDs beside the
+// journals — and a throwaway vdisk on it, so that what is paid once per
+// cluster (the master's and the client's connections to every server) is
+// behind the caller and not charged to what it measures.
+func openWide() (*sut, error) {
 	opts := ceilingOptions()
 	opts.SSDModel.Capacity = 64 * util.GiB
 	opts.HDDModel.Capacity = 128 * util.GiB
-	return opts
+	return open(opts, master.CreateVDiskReq{Name: "warm", Size: 12 * util.ChunkSize})
 }
 
 // footprintStage is one settled point of the footprint scenario.
@@ -49,13 +50,12 @@ type footprintStage struct {
 // between two calls — heap in use, or an in-use profile — is the cost of the
 // later stage's units.
 func footprintScenario(at func(footprintStage)) error {
-	c, err := core.New(wideCeilingOptions())
+	s, err := openWide()
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-	cl := c.NewClient("footprint-client")
-	defer cl.Close()
+	defer s.Close()
+	c, cl := s.c, s.cl
 	pages := func() (n int64) {
 		for _, m := range c.Machines {
 			for _, d := range m.SSDs {
@@ -67,12 +67,6 @@ func footprintScenario(at func(footprintStage)) error {
 		}
 		return n
 	}
-	// A throwaway vdisk first, so that what is paid once per cluster — the
-	// master's and the client's connections to every server — is in the
-	// starting point and not charged to the replicas.
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "warm", Size: 12 * util.ChunkSize}); err != nil {
-		return err
-	}
 	at(footprintStage{name: "cluster up"})
 
 	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "idle", Size: footprintChunks * util.ChunkSize}); err != nil {
@@ -80,11 +74,10 @@ func footprintScenario(at func(footprintStage)) error {
 	}
 	at(footprintStage{name: "created, never written", key: "created_replica_bytes", unit: "chunk replica", units: 3 * footprintChunks, pages: pages()})
 
-	vd, err := cl.Open("idle")
+	vd, err := s.attach(cl, "idle")
 	if err != nil {
 		return err
 	}
-	defer vd.Close()
 	block := make([]byte, 4*util.KiB)
 	util.NewRand(1).Fill(block)
 	for i := 0; i < footprintTouched; i++ {
@@ -92,11 +85,7 @@ func footprintScenario(at func(footprintStage)) error {
 			return err
 		}
 	}
-	for _, m := range c.Machines {
-		for _, js := range m.JournalSets() {
-			js.Drain()
-		}
-	}
+	s.drain()
 	at(footprintStage{name: "one 4 KiB write each", key: "touched_replica_bytes", unit: "chunk replica", units: 3 * footprintTouched, pages: pages()})
 
 	// Connections, each having carried one message each way. First the SimNet
@@ -222,7 +211,7 @@ func footprintLedger() Table {
 			[]string{stage, per(total), fmt.Sprint(total), "TOTAL", "simulated-disk pages included (simdisk.newPage)"})
 	})
 	if err != nil {
-		t.Notes = append(t.Notes, err.Error())
+		t.failed("footprint scenario", err)
 	}
 	t.Notes = append(t.Notes,
 		"in use = allocated since the previous stage and not yet freed; the gate (perf_baseline.json, footprint) is the total net of simulated-disk pages.")

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ursa/internal/blockstore"
@@ -16,10 +15,6 @@ import (
 	"ursa/internal/transport"
 	"ursa/internal/util"
 )
-
-// hotchunkBenchJSON is the machine-readable artifact FigHotchunk emits
-// alongside its table, for regression tracking across PRs.
-const hotchunkBenchJSON = "BENCH_hotchunk.json"
 
 // hotchunkCell is one (queue depth, admission bound) measurement of 4 KiB
 // random writes against a single chunk.
@@ -43,8 +38,7 @@ type hotchunkCell struct {
 }
 
 type hotchunkBenchDoc struct {
-	Bench string         `json:"bench"`
-	Quick bool           `json:"quick"`
+	artifact
 	Cells []hotchunkCell `json:"cells"`
 	// ScalingQD32 is QD 32 over QD 1 throughput: the pipeline's acceptance
 	// is ScalingQD32 >= ScalingFloor with the backups' QD 32 mean batch > 1.
@@ -119,63 +113,38 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 	// StatusStaleVersion on a retry means an earlier attempt landed.
 	var verMu sync.Mutex
 	var next uint64
-	var ops atomic.Int64
-	hists := make([]*util.Hist, qd)
-	deadline := clk.Now().Add(cfg.cellTime() / 2)
-	var wg sync.WaitGroup
-	for w := 0; w < qd; w++ {
-		wg.Add(1)
-		hists[w] = util.NewHist()
-		go func(w int) {
-			defer wg.Done()
-			r := util.NewRand(cfg.Seed + uint64(w)*7919)
-			data := make([]byte, 4*util.KiB)
-			r.Fill(data)
-			for clk.Now().Before(deadline) {
-				verMu.Lock()
-				v := next
-				next++
-				verMu.Unlock()
-				off := util.AlignDown(r.Int63n(util.ChunkSize-4096), util.SectorSize)
-				t0 := clk.Now()
-				committed := false
-				for attempt := 0; attempt < 50; attempt++ {
-					op := opctx.New(clk, 30*time.Second)
-					resp, err := cli.Do(op, &proto.Message{
-						Op: proto.OpWrite, Chunk: hotchunkChunk, Off: off,
-						View: 1, Version: v, Payload: data,
-					}, 0)
-					op.Release()
-					if err != nil {
-						continue
-					}
-					if resp.Status == proto.StatusOK ||
-						(attempt > 0 && resp.Status == proto.StatusStaleVersion) {
-						committed = true
-						break
-					}
+	perSec, lat := closedLoop(cfg, qd, func(_ int, r *util.Rand) func(int64) bool {
+		data := make([]byte, 4*util.KiB)
+		r.Fill(data)
+		return func(off int64) bool {
+			verMu.Lock()
+			v := next
+			next++
+			verMu.Unlock()
+			for attempt := 0; attempt < 50; attempt++ {
+				op := opctx.New(clk, 30*time.Second)
+				resp, err := cli.Do(op, &proto.Message{
+					Op: proto.OpWrite, Chunk: hotchunkChunk, Off: off,
+					View: 1, Version: v, Payload: data,
+				}, 0)
+				op.Release()
+				if err != nil {
+					continue
 				}
-				if !committed {
-					return // chain stuck: stop this worker, the cell shows it
+				if resp.Status == proto.StatusOK ||
+					(attempt > 0 && resp.Status == proto.StatusStaleVersion) {
+					return true
 				}
-				hists[w].Observe(clk.Now().Sub(t0))
-				ops.Add(1)
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	lat := util.NewHist()
-	for _, h := range hists {
-		lat.Merge(h)
-	}
-	elapsed := cfg.cellTime() / 2
+			return false // chain stuck: stop this worker, the cell shows it
+		}
+	})
 	cell := hotchunkCell{
 		QD:           qd,
 		MaxInflight:  maxInflight,
-		WritesPerSec: float64(ops.Load()) / elapsed.Seconds(),
-		MeanLatMs:    float64(lat.Mean()) / float64(time.Millisecond),
-		P99LatMs:     float64(lat.Quantile(0.99)) / float64(time.Millisecond),
+		WritesPerSec: perSec,
+		MeanLatMs:    ms(lat.Mean()),
+		P99LatMs:     ms(lat.Quantile(0.99)),
 	}
 	if bh := reg.ValueHist("journal-batch-records"); bh != nil {
 		cell.MeanBatch = bh.Mean()
@@ -185,7 +154,7 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 		cell.PendingMax = ph.Max()
 	}
 	if dh := reg.LatencyHist(chunkserver.MetricDepWait); dh != nil {
-		cell.DepWaitP99Ms = float64(dh.Quantile(0.99)) / float64(time.Millisecond)
+		cell.DepWaitP99Ms = ms(dh.Quantile(0.99))
 	}
 	return cell
 }
@@ -202,23 +171,22 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 // BENCH_hotchunk.json.
 func FigHotchunk(cfg Config) Table {
 	t := Table{
-		ID:    "Fig H",
 		Title: "Per-chunk write pipelining: 4KiB random writes, one chunk, 3 replicas",
 		Header: []string{"QD", "writes/s", "mean lat", "p99 lat",
 			"mean batch", "pending max", "dep-wait p99"},
 	}
-	doc := hotchunkBenchDoc{Bench: "hotchunk", Quick: cfg.Quick, ScalingFloor: 2}
+	doc := hotchunkBenchDoc{ScalingFloor: 2}
 	for _, qd := range []int{1, 8, 32} {
 		c := runHotchunkCell(cfg, qd, 0)
 		doc.Cells = append(doc.Cells, c)
 		t.Rows = append(t.Rows, []string{
 			f0(float64(qd)),
 			f0(c.WritesPerSec),
-			us(time.Duration(c.MeanLatMs * float64(time.Millisecond))),
-			us(time.Duration(c.P99LatMs * float64(time.Millisecond))),
+			msUs(c.MeanLatMs),
+			msUs(c.P99LatMs),
 			f2(c.MeanBatch),
 			f0(float64(c.PendingMax)),
-			us(time.Duration(c.DepWaitP99Ms * float64(time.Millisecond))),
+			msUs(c.DepWaitP99Ms),
 		})
 	}
 	qd1, qd32 := doc.Cells[0], doc.Cells[2]
@@ -239,8 +207,8 @@ func FigHotchunk(cfg Config) Table {
 		sweep.Rows = append(sweep.Rows, []string{
 			f0(float64(mi)),
 			f0(c.WritesPerSec),
-			us(time.Duration(c.MeanLatMs * float64(time.Millisecond))),
-			us(time.Duration(c.P99LatMs * float64(time.Millisecond))),
+			msUs(c.MeanLatMs),
+			msUs(c.P99LatMs),
 		})
 	}
 	t.Extra = append(t.Extra, sweep)
@@ -256,6 +224,6 @@ func FigHotchunk(cfg Config) Table {
 	if qd32.MeanBatch <= 1 {
 		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: backup journals never batched same-chunk appends at QD 32")
 	}
-	t.writeArtifact(cfg, hotchunkBenchJSON, &doc)
+	t.writeArtifact(cfg, "hotchunk", &doc)
 	return t
 }

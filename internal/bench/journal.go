@@ -2,9 +2,6 @@ package bench
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/clock"
@@ -13,10 +10,6 @@ import (
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
-
-// journalBenchJSON is the machine-readable artifact FigJournal emits
-// alongside its table, for regression tracking across PRs.
-const journalBenchJSON = "BENCH_journal.json"
 
 // journalCell is one (mode, queue depth) measurement.
 type journalCell struct {
@@ -36,8 +29,7 @@ type journalCell struct {
 }
 
 type journalBenchDoc struct {
-	Bench    string        `json:"bench"`
-	Quick    bool          `json:"quick"`
+	artifact
 	Baseline string        `json:"baseline"`
 	Cells    []journalCell `json:"cells"`
 	// SpeedupQD maps queue depth to grouped/unbatched throughput ratio.
@@ -65,44 +57,23 @@ func runJournalCell(cfg Config, maxBatch, qd int) journalCell {
 	set.AddHDDJournal("jhdd", hdd, base, util.GiB)
 	defer set.Close()
 
-	var ops atomic.Int64
-	hists := make([]*util.Hist, qd)
-	deadline := clk.Now().Add(cfg.cellTime() / 2)
-	var wg sync.WaitGroup
-	for w := 0; w < qd; w++ {
-		wg.Add(1)
-		hists[w] = util.NewHist()
-		go func(w int) {
-			defer wg.Done()
-			// One chunk per worker: the chunkserver contract serializes
-			// appends within a chunk, so cross-worker concurrency must come
-			// from distinct chunks.
-			id := blockstore.MakeChunkID(1, uint32(w))
-			r := util.NewRand(cfg.Seed + uint64(w)*7919)
-			data := make([]byte, 4*util.KiB)
-			for version := uint64(1); clk.Now().Before(deadline); version++ {
-				off := util.AlignDown(r.Int63n(util.ChunkSize-4096), util.SectorSize)
-				t0 := clk.Now()
-				if err := set.Append(nil, id, off, data, version); err != nil {
-					return // quota exhausted: stop this worker
-				}
-				hists[w].Observe(clk.Now().Sub(t0))
-				ops.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	lat := util.NewHist()
-	for _, h := range hists {
-		lat.Merge(h)
-	}
-	elapsed := cfg.cellTime() / 2
+	perSec, lat := closedLoop(cfg, qd, func(w int, _ *util.Rand) func(int64) bool {
+		// One chunk per worker: the chunkserver contract serializes
+		// appends within a chunk, so cross-worker concurrency must come
+		// from distinct chunks.
+		id := blockstore.MakeChunkID(1, uint32(w))
+		data := make([]byte, 4*util.KiB)
+		version := uint64(0)
+		return func(off int64) bool {
+			version++
+			return set.Append(nil, id, off, data, version) == nil // quota exhausted: stop this worker
+		}
+	})
 	cell := journalCell{
 		QD:            qd,
-		AppendsPerSec: float64(ops.Load()) / elapsed.Seconds(),
-		MeanLatUs:     float64(lat.Mean()) / float64(time.Microsecond),
-		P99LatUs:      float64(lat.Quantile(0.99)) / float64(time.Microsecond),
+		AppendsPerSec: perSec,
+		MeanLatUs:     usf(lat.Mean()),
+		P99LatUs:      usf(lat.Quantile(0.99)),
 	}
 	if maxBatch == 1 {
 		cell.Mode = "unbatched"
@@ -116,8 +87,8 @@ func runJournalCell(cfg Config, maxBatch, qd int) journalCell {
 		cell.ResidentShare = math.Min(1, float64(st.ResidentBytes)/float64(used))
 	}
 	if fh := reg.LatencyHist("journal-flush"); fh != nil {
-		cell.FlushP50Us = float64(fh.Quantile(0.50)) / float64(time.Microsecond)
-		cell.FlushP99Us = float64(fh.Quantile(0.99)) / float64(time.Microsecond)
+		cell.FlushP50Us = usf(fh.Quantile(0.50))
+		cell.FlushP99Us = usf(fh.Quantile(0.99))
 	}
 	return cell
 }
@@ -131,14 +102,11 @@ func runJournalCell(cfg Config, maxBatch, qd int) journalCell {
 // collapses. Results are also written to BENCH_journal.json.
 func FigJournal(cfg Config) Table {
 	t := Table{
-		ID:    "Fig J",
 		Title: "Journal group commit: 4KiB random backup appends, HDD journal",
 		Header: []string{"QD", "unbatched/s", "grouped/s", "speedup",
 			"mean batch", "flush p50", "flush p99", "resident"},
 	}
 	doc := journalBenchDoc{
-		Bench:     "journal",
-		Quick:     cfg.Quick,
 		Baseline:  "unbatched = MaxBatch 1 (pre-group-commit write-per-record)",
 		SpeedupQD: map[string]float64{},
 	}
@@ -157,8 +125,8 @@ func FigJournal(cfg Config) Table {
 			f0(gr.AppendsPerSec),
 			f2(speedup) + "x",
 			f1(gr.MeanBatch),
-			us(time.Duration(gr.FlushP50Us * float64(time.Microsecond))),
-			us(time.Duration(gr.FlushP99Us * float64(time.Microsecond))),
+			usStr(gr.FlushP50Us),
+			usStr(gr.FlushP99Us),
 			f0(100*gr.ResidentShare) + "%",
 		})
 	}
@@ -169,6 +137,6 @@ func FigJournal(cfg Config) Table {
 		"resident: the replayer never runs in a cell, so the whole cell is backlog; the share of",
 		"it (grouped mode) still in the set's 8 MiB resident image when the cell ends is what a",
 		"replay would drain without reading the journal device. A faster cell leaves a smaller share.")
-	t.writeArtifact(cfg, journalBenchJSON, &doc)
+	t.writeArtifact(cfg, "journal", &doc)
 	return t
 }

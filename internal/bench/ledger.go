@@ -71,7 +71,6 @@ const ledgerFloor = 0.005
 // in perf_baseline.json — so a regression there names its site.
 func FigAllocLedger(cfg Config) Table {
 	t := Table{
-		ID:     "Fig L",
 		Title:  "Allocation ledger: heap allocations per end-to-end op, by site",
 		Header: []string{"op", "allocs/op", "B/op", "site", "at"},
 	}
@@ -82,16 +81,16 @@ func FigAllocLedger(cfg Config) Table {
 		{qd: 1}, {write: true, qd: 1}, {write: true, qd: 32}, e2ePrimary16k, e2eStriped256k,
 	} {
 		op := cell.String()
-		r, err := startCeiling(cfg, cell)
+		s, spec, err := startCeiling(cfg, cell)
 		if err != nil {
-			t.Notes = append(t.Notes, op+": "+err.Error())
+			t.failed(op, err)
 			continue
 		}
-		r.pass() // one unprofiled pass: pools and scratch reach steady state
+		measure(s.vd, spec) // one unprofiled pass: pools and scratch reach steady state
 		before := allocProfile()
-		res := r.pass()
+		res := measure(s.vd, spec)
 		after := allocProfile()
-		r.close()
+		s.Close()
 		if res.Ops == 0 {
 			t.Notes = append(t.Notes, op+": no ops completed")
 			continue

@@ -3,8 +3,6 @@ package bench
 import (
 	"syscall"
 
-	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/metrics"
 	"ursa/internal/opctx"
 	"ursa/internal/util"
@@ -17,13 +15,10 @@ const microVolume = 4 * util.GiB
 
 // Fig06a regenerates random IOPS (BS=4KB, QD=16) for the four systems.
 func Fig06a(cfg Config) Table {
-	return microCompare(cfg, Table{
-		ID:    "Fig 6a",
-		Title: "Random IOPS (BS=4KB, QD=16)",
-	}, workload.Spec{
+	return microCompare(cfg, "Random IOPS (BS=4KB, QD=16)", workload.Spec{
 		BlockSize: 4 * util.KiB, QueueDepth: 16, Ops: 200000,
 		WorkingSet: microVolume / 2, MaxTime: cfg.cellTime(),
-	}, func(r workload.Result) string { return util.FormatCount(r.IOPS()) })
+	}, func(p phase) string { return util.FormatCount(p.IOPS) }, false)
 }
 
 // Fig06b regenerates random I/O latency (BS=4KB, QD=1), plus the
@@ -31,54 +26,35 @@ func Fig06a(cfg Config) Table {
 // breadcrumbs every layer records, aggregated by the cluster's metrics
 // registry and rendered as companion tables per URSA system.
 func Fig06b(cfg Config) Table {
-	return microCompareStages(cfg, Table{
-		ID:    "Fig 6b",
-		Title: "Random I/O latency (BS=4KB, QD=1), mean",
-	}, workload.Spec{
+	return microCompare(cfg, "Random I/O latency (BS=4KB, QD=1), mean", workload.Spec{
 		BlockSize: 4 * util.KiB, QueueDepth: 1, Ops: 20000,
 		WorkingSet: microVolume / 2, MaxTime: cfg.cellTime(),
-	}, func(r workload.Result) string { return us(r.Lat.Mean()) }, true)
+	}, func(p phase) string { return msUs(p.MeanLatMs) }, true)
 }
 
 // Fig06c regenerates sequential throughput (BS=1MB, QD=1). For
 // Ursa-Hybrid's writes this is the deliberate worst case: 1 MB exceeds Tj,
 // so backup writes bypass journals and go directly to HDDs (§6.1).
 func Fig06c(cfg Config) Table {
-	return microCompare(cfg, Table{
-		ID:    "Fig 6c",
-		Title: "Sequential throughput (BS=1MB, QD=1), MB/s",
-	}, workload.Spec{
+	return microCompare(cfg, "Sequential throughput (BS=1MB, QD=1), MB/s", workload.Spec{
 		BlockSize: 1 * util.MiB, QueueDepth: 1, Ops: 5000,
 		WorkingSet: microVolume / 2, MaxTime: cfg.cellTime(),
-	}, func(r workload.Result) string { return f1(r.MBps()) })
+	}, func(p phase) string { return f1(p.MBps) }, false)
 }
 
 // microCompare runs the read and write variants of spec on all systems.
-func microCompare(cfg Config, t Table, spec workload.Spec,
-	metric func(workload.Result) string) Table {
-	return microCompareStages(cfg, t, spec, metric, false)
-}
+// With stages set, each system with a metrics registry gets its read- and
+// write-run breadcrumbs snapshotted separately (the registry is reset
+// between runs) and rendered as companion tables after the main one.
+func microCompare(cfg Config, title string, spec workload.Spec,
+	metric func(phase) string, stages bool) Table {
 
-// microCompareStages is microCompare with optional per-stage latency
-// companion tables: when stages is set, each system with a metrics
-// registry gets its read- and write-run breadcrumbs snapshotted
-// separately (the registry is reset between runs) and rendered after the
-// main table.
-func microCompareStages(cfg Config, t Table, spec workload.Spec,
-	metric func(workload.Result) string, stages bool) Table {
-
-	t.Header = []string{"system", "read", "write"}
-	systems, err := buildComparison(microVolume)
-	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
+	t := Table{Title: title, Header: []string{"system", "read", "write"}}
+	if stages {
+		t.Notes = append(t.Notes,
+			"stage tables decompose URSA request latency; baselines have no op threading")
 	}
-	defer func() {
-		for _, s := range systems {
-			s.close()
-		}
-	}()
-	for _, s := range systems {
+	return t.eachSystem(func(s system) []string {
 		rs, ws := spec, spec
 		rs.Pattern, rs.Seed = workload.RandRead, cfg.Seed+11
 		ws.Pattern, ws.Seed = workload.RandWrite, cfg.Seed+12
@@ -88,23 +64,18 @@ func microCompareStages(cfg Config, t Table, spec workload.Spec,
 		if s.metrics != nil {
 			s.metrics.ResetStages() // drop open/creation noise
 		}
-		rres := workload.Run(clock.Realtime, s.dev, rs)
+		rres := measure(s.dev, rs)
 		var readStages []metrics.StageStat
 		if s.metrics != nil {
 			readStages = s.metrics.StageSnapshot()
 			s.metrics.ResetStages()
 		}
-		wres := workload.Run(clock.Realtime, s.dev, ws)
-		t.Rows = append(t.Rows, []string{s.name, metric(rres), metric(wres)})
+		wres := measure(s.dev, ws)
 		if stages && s.metrics != nil {
 			t.Extra = append(t.Extra, stageTable(s.name, readStages, s.metrics.StageSnapshot()))
 		}
-	}
-	if stages {
-		t.Notes = append(t.Notes,
-			"stage tables decompose URSA request latency; baselines have no op threading")
-	}
-	return t
+		return []string{s.name, metric(rres), metric(wres)}
+	})
 }
 
 // stageTable renders one system's per-stage latency breakdown, stages in
@@ -161,88 +132,57 @@ func cpuSeconds() float64 {
 // comparison.
 func Fig07(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 7",
 		Title:  "IOPS efficiency (IOPS per CPU core, end-to-end)",
 		Header: []string{"system", "read", "write"},
 	}
-	systems, err := buildComparison(microVolume)
-	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
-	}
-	defer func() {
-		for _, s := range systems {
-			s.close()
-		}
-	}()
-	measure := func(dev workload.Device, pattern workload.Pattern) float64 {
-		spec := workload.Spec{
+	perCore := func(dev workload.Device, pattern workload.Pattern) float64 {
+		cpu0 := cpuSeconds()
+		p := measure(dev, workload.Spec{
 			Pattern: pattern, BlockSize: 4 * util.KiB, QueueDepth: 16,
 			Ops: 200000, WorkingSet: 4 * util.MiB,
 			Seed: cfg.Seed + 21, MaxTime: cfg.cellTime(),
-		}
-		cpu0 := cpuSeconds()
-		res := workload.Run(clock.Realtime, dev, spec)
+		})
 		cpu := cpuSeconds() - cpu0
 		if cpu <= 0 {
 			return 0
 		}
-		return float64(res.Ops) / cpu
-	}
-	for _, s := range systems {
-		r := measure(s.dev, workload.RandRead)
-		w := measure(s.dev, workload.RandWrite)
-		t.Rows = append(t.Rows, []string{s.name, util.FormatCount(r), util.FormatCount(w)})
+		return float64(p.Ops) / cpu
 	}
 	t.Notes = append(t.Notes,
 		"process-wide CPU (client+servers); paper reports per-side cores")
-	return t
+	return t.eachSystem(func(s system) []string {
+		r := perCore(s.dev, workload.RandRead)
+		w := perCore(s.dev, workload.RandWrite)
+		return []string{s.name, util.FormatCount(r), util.FormatCount(w)}
+	})
 }
 
 // Fig08 regenerates sequential read IOPS vs queue depth.
 func Fig08(cfg Config) Table {
-	return seqVsQD(cfg, "Fig 8", "Sequential read IOPS vs queue depth (BS=4KB)",
+	return seqVsQD(cfg, "Sequential read IOPS vs queue depth (BS=4KB)",
 		workload.SeqRead)
 }
 
 // Fig09 regenerates sequential write IOPS vs queue depth.
 func Fig09(cfg Config) Table {
-	return seqVsQD(cfg, "Fig 9", "Sequential write IOPS vs queue depth (BS=4KB)",
+	return seqVsQD(cfg, "Sequential write IOPS vs queue depth (BS=4KB)",
 		workload.SeqWrite)
 }
 
-func seqVsQD(cfg Config, id, title string, pattern workload.Pattern) Table {
+func seqVsQD(cfg Config, title string, pattern workload.Pattern) Table {
 	qds := []int{1, 2, 4, 8, 16}
-	t := Table{ID: id, Title: title,
+	t := Table{Title: title,
 		Header: []string{"system", "qd1", "qd2", "qd4", "qd8", "qd16"}}
-	systems, err := buildComparison(microVolume)
-	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
-	}
-	defer func() {
-		for _, s := range systems {
-			s.close()
-		}
-	}()
-	for _, s := range systems {
+	return t.eachSystem(func(s system) []string {
 		row := []string{s.name}
 		for _, qd := range qds {
-			spec := workload.Spec{
+			p := measure(s.dev, workload.Spec{
 				Pattern: pattern, BlockSize: 4 * util.KiB, QueueDepth: qd,
 				Ops: 100000, WorkingSet: 512 * util.MiB,
 				Seed: cfg.Seed + uint64(qd), MaxTime: cfg.cellTime() / 2,
-			}
-			res := workload.Run(clock.Realtime, s.dev, spec)
-			row = append(row, util.FormatCount(res.IOPS()))
+			})
+			row = append(row, util.FormatCount(p.IOPS))
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// buildHybridForBench is shared by design/scale benches needing one URSA
-// hybrid cluster of n machines.
-func buildHybridForBench(machines int, volumeSize int64) (*ursaSUT, error) {
-	return buildUrsa(core.Hybrid, machines, volumeSize, 1)
+		return row
+	})
 }

@@ -16,7 +16,6 @@ func Fig01(cfg Config) Table {
 	recs := p.Generate(cfg.Seed+1, cfg.ops(200000))
 	sizes, cum := trace.SizeCDFOf(recs)
 	t := Table{
-		ID:     "Fig 1",
 		Title:  "CDF of I/O block sizes",
 		Header: []string{"size", "cumulative"},
 	}
@@ -42,7 +41,6 @@ func Fig01(cfg Config) Table {
 // low-hit traces.
 func Fig02(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 2",
 		Title:  "Cache read-hit ratio per trace (unlimited write-back cache)",
 		Header: []string{"trace", "hit-ratio", "below-75%"},
 	}
@@ -67,14 +65,9 @@ func Fig02(cfg Config) Table {
 // Tab01 regenerates the deployment failure ratios (Table 1) via the fleet
 // Monte-Carlo.
 func Tab01(cfg Config) Table {
-	years := 25
-	machines := 2000
-	if cfg.Quick {
-		machines = 400
-	}
+	years, machines := 25, cfg.pick(2000, 400)
 	res := reliability.Simulate(reliability.DefaultFleet(), machines, years, cfg.Seed+3)
 	t := Table{
-		ID:     "Table 1",
 		Title:  "Failure ratios by component (fleet Monte-Carlo)",
 		Header: []string{"component", "measured", "paper"},
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"time"
 
-	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/journal"
 	"ursa/internal/master"
@@ -12,24 +11,9 @@ import (
 	"ursa/internal/workload"
 )
 
-// recoveryBenchJSON is FigRecovery's machine-readable artifact.
-const recoveryBenchJSON = "BENCH_recovery.json"
-
-// recoveryPhase is one workload window of the fault timeline.
-type recoveryPhase struct {
-	Phase     string  `json:"phase"`
-	IOPS      float64 `json:"iops"`
-	MBps      float64 `json:"mbps"`
-	MeanLatMs float64 `json:"mean_lat_ms"`
-	P99LatMs  float64 `json:"p99_lat_ms"`
-	Errors    int64   `json:"errors"`
-	WallS     float64 `json:"wall_s"` // window wall time incl. straggling ops
-}
-
 type recoveryBenchDoc struct {
-	Bench  string          `json:"bench"`
-	Quick  bool            `json:"quick"`
-	Phases []recoveryPhase `json:"phases"`
+	artifact
+	Phases []phase `json:"phases"`
 	// Fault and recovery counters accumulated over the whole timeline.
 	FaultsInjected  int64   `json:"disk_faults_injected"`
 	JournalsDead    int64   `json:"journals_dead"`
@@ -38,6 +22,27 @@ type recoveryBenchDoc struct {
 	ChunkRecoveries int64   `json:"chunk_recoveries"`
 	RecoveryP50Ms   float64 `json:"recovery_p50_ms"`
 	RecoveryMaxMs   float64 `json:"recovery_max_ms"`
+}
+
+// faultOptions is the cluster of the fault figures: four machines of one SSD
+// — one journal SSD per machine, so its death is total — and two HDDs, no
+// overflow journal (a dead SSD journal leaves the bare ladder), and NICs at
+// the paper's ≈500 MB/s bound (×10 slow motion), which recovery traffic fills.
+func faultOptions() core.Options {
+	opts := benchOptions()
+	opts.Machines, opts.SSDsPerMachine, opts.HDDsPerMachine = 4, 1, 2
+	opts.HDDJournal = false
+	opts.NICRate = 50e6
+	return opts
+}
+
+// foreground is the client load the fault figures judge service by: 4 KiB
+// random writes at QD 8, ops of them or maxTime's worth.
+func foreground(ops int, seed uint64, maxTime time.Duration) workload.Spec {
+	return workload.Spec{
+		Pattern: workload.RandWrite, BlockSize: 4 * util.KiB, QueueDepth: 8,
+		Ops: ops, Seed: seed, MaxTime: maxTime,
+	}
 }
 
 // FigRecovery measures client-visible service through the failure ladder:
@@ -50,76 +55,22 @@ type recoveryBenchDoc struct {
 // BENCH_recovery.json.
 func FigRecovery(cfg Config) Table {
 	t := Table{
-		ID:     "Fig R",
 		Title:  "Service under faults: journal death, disk death, view-change recovery",
-		Header: []string{"phase", "IOPS", "MB/s", "mean lat", "p99 lat", "errors"},
+		Header: phaseHeader,
 	}
-	c, err := core.New(core.Options{
-		Machines:       4,
-		SSDsPerMachine: 1, // one journal SSD per machine: its death is total
-		HDDsPerMachine: 2,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		HDDModel:       benchHDD(),
-		HDDJournal:     false, // no overflow journal: dead SSD journal = bare ladder
-		NetLatency:     netLatency,
-		NICRate:        50e6,
-		ReplTimeout:    5 * time.Second,
-		CallTimeout:    20 * time.Second,
-	})
+	sut, err := open(faultOptions(), master.CreateVDiskReq{Size: int64(cfg.pick(8, 4)) * util.ChunkSize})
 	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
+		return t.failed("build", err)
 	}
-	defer c.Close()
-	cl := c.NewClient("bench-client")
-	defer cl.Close()
+	defer sut.Close()
+	c, reg := sut.c, sut.c.Metrics()
 
-	nChunks := 8
-	if cfg.Quick {
-		nChunks = 4
-	}
-	size := int64(nChunks) * util.ChunkSize
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "bench", Size: size}); err != nil {
-		t.Notes = append(t.Notes, "vdisk failed: "+err.Error())
-		return t
-	}
-	vd, err := cl.Open("bench")
-	if err != nil {
-		t.Notes = append(t.Notes, "open failed: "+err.Error())
-		return t
-	}
-	defer vd.Close()
-	reg := c.Metrics()
-
-	doc := recoveryBenchDoc{Bench: "recovery", Quick: cfg.Quick}
-	window := func(phase string, seedOff uint64) recoveryPhase {
-		w0 := time.Now()
-		res := workload.Run(clock.Realtime, vd, workload.Spec{
-			Pattern:    workload.RandWrite,
-			BlockSize:  4 * util.KiB,
-			QueueDepth: 8,
-			Ops:        cfg.ops(600),
-			Seed:       cfg.Seed + seedOff,
-			MaxTime:    cfg.cellTime() / 2,
-		})
-		p := recoveryPhase{
-			Phase:     phase,
-			IOPS:      res.IOPS(),
-			MBps:      res.MBps(),
-			MeanLatMs: float64(res.Lat.Mean()) / float64(time.Millisecond),
-			P99LatMs:  float64(res.Lat.Quantile(0.99)) / float64(time.Millisecond),
-			Errors:    res.Errors,
-			WallS:     time.Since(w0).Seconds(),
-		}
+	var doc recoveryBenchDoc
+	window := func(name string, seedOff uint64) phase {
+		p := measure(sut.vd, foreground(cfg.ops(600), cfg.Seed+seedOff, cfg.cellTime()/2))
+		p.Phase = name
 		doc.Phases = append(doc.Phases, p)
-		t.Rows = append(t.Rows, []string{
-			phase, f0(p.IOPS), f1(p.MBps),
-			us(time.Duration(p.MeanLatMs * float64(time.Millisecond))),
-			us(time.Duration(p.P99LatMs * float64(time.Millisecond))),
-			f0(float64(p.Errors)),
-		})
+		t.Rows = append(t.Rows, p.row())
 		return p
 	}
 
@@ -145,18 +96,7 @@ func FigRecovery(cfg Config) Table {
 	// several seconds at bench disk speeds. The dead disk may host several
 	// chunks, so wait until the recovery counter has been stable for a while
 	// — otherwise clone traffic pollutes the recovered window.
-	deadline := time.Now().Add(45 * time.Second)
-	recovered := reg.Counter(master.MetricChunkRecoveries)
-	stableSince := time.Now()
-	for last := recovered.Load(); time.Now().Before(deadline); {
-		if n := recovered.Load(); n != last {
-			last, stableSince = n, time.Now()
-		}
-		if recovered.Load() > 0 && time.Since(stableSince) > 3*time.Second {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitQuiet(reg.Counter(master.MetricChunkRecoveries).Load, 0, 3*time.Second, 45*time.Second)
 	window("recovered", 14)
 
 	doc.FaultsInjected = reg.Counter(simdisk.MetricFaultsInjected).Load()
@@ -165,8 +105,8 @@ func FigRecovery(cfg Config) Table {
 	doc.ReplayErrors = reg.Counter(journal.MetricReplayErrors).Load()
 	doc.ChunkRecoveries = reg.Counter(master.MetricChunkRecoveries).Load()
 	if rh := reg.LatencyHist(master.MetricRecoveryDuration); rh != nil {
-		doc.RecoveryP50Ms = float64(rh.Quantile(0.5)) / float64(time.Millisecond)
-		doc.RecoveryMaxMs = float64(rh.Quantile(1)) / float64(time.Millisecond)
+		doc.RecoveryP50Ms = ms(rh.Quantile(0.5))
+		doc.RecoveryMaxMs = ms(rh.Quantile(1))
 	}
 	t.Notes = append(t.Notes,
 		"journals-dead kills every SSD journal region on m0: appends re-route, then bypass",
@@ -177,6 +117,6 @@ func FigRecovery(cfg Config) Table {
 			", replay errors = "+f0(float64(doc.ReplayErrors))+
 			", recovery p50 = "+f1(doc.RecoveryP50Ms)+"ms).")
 
-	t.writeArtifact(cfg, recoveryBenchJSON, &doc)
+	t.writeArtifact(cfg, "recovery", &doc)
 	return t
 }

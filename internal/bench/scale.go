@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"ursa/internal/client"
-	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/util"
 	"ursa/internal/workload"
@@ -19,41 +17,18 @@ var scalePoints = []int{11, 22, 33, 44}
 // buildScaleCluster assembles an n-machine hybrid cluster with one client
 // and one vdisk per machine (clients and servers run everywhere to
 // saturate the system, §6.3).
-func buildScaleCluster(cfg Config, machines int) (*core.Cluster, []*client.VDisk, []*client.Client, error) {
-	c, err := core.New(core.Options{
-		Machines:       machines,
-		SSDsPerMachine: 2,
-		HDDsPerMachine: 4,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		HDDModel:       benchHDD(),
-		HDDJournal:     true,
-		NetLatency:     netLatency,
-		ReplTimeout:    5 * time.Second,
-		CallTimeout:    20 * time.Second,
-	})
-	if err != nil {
-		return nil, nil, nil, err
+func buildScaleCluster(machines int) (*sut, error) {
+	opts := benchOptions()
+	opts.Machines = machines
+	s, err := open(opts, master.CreateVDiskReq{Name: "scale-0", Size: util.GiB})
+	for i := 1; err == nil && i < machines; i++ {
+		cl := s.c.NewClient(fmt.Sprintf("scale-client-%d", i))
+		_, err = s.add(cl, master.CreateVDiskReq{Name: fmt.Sprintf("scale-%d", i), Size: util.GiB})
 	}
-	var vds []*client.VDisk
-	var clients []*client.Client
-	for i := 0; i < machines; i++ {
-		cl := c.NewClient(fmt.Sprintf("scale-client-%d", i))
-		name := fmt.Sprintf("scale-%d", i)
-		if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: name, Size: util.GiB}); err != nil {
-			c.Close()
-			return nil, nil, nil, err
-		}
-		vd, err := cl.Open(name)
-		if err != nil {
-			c.Close()
-			return nil, nil, nil, err
-		}
-		vds = append(vds, vd)
-		clients = append(clients, cl)
+	if err != nil && s != nil {
+		s.Close()
 	}
-	return c, vds, clients, nil
+	return s, err
 }
 
 // scaleRun drives all vdisks concurrently and returns aggregate results.
@@ -66,10 +41,10 @@ func scaleRun(vds []*client.VDisk, spec workload.Spec) (totalIOPS, totalMBps flo
 			defer wg.Done()
 			s := spec
 			s.Seed = spec.Seed + uint64(i)*131
-			res := workload.Run(clock.Realtime, vd, s)
+			p := measure(vd, s)
 			mu.Lock()
-			totalIOPS += res.IOPS()
-			totalMBps += res.MBps()
+			totalIOPS += p.IOPS
+			totalMBps += p.MBps
 			mu.Unlock()
 		}(i, vd)
 	}
@@ -79,12 +54,8 @@ func scaleRun(vds []*client.VDisk, spec workload.Spec) (totalIOPS, totalMBps flo
 
 // Fig13a regenerates aggregate IOPS scaling from 11 to 44 machines.
 func Fig13a(cfg Config) Table {
-	return scaleSweep(cfg, "Fig 13a", "Aggregate IOPS vs machines (BS=4KB, QD=1/client)",
-		func(vds []*client.VDisk, seed uint64, quick bool) (float64, string) {
-			maxTime := 5 * time.Second
-			if quick {
-				maxTime = 1500 * time.Millisecond
-			}
+	return scaleSweep(cfg, "Aggregate IOPS vs machines (BS=4KB, QD=1/client)",
+		func(vds []*client.VDisk, seed uint64) (float64, string) {
 			iops, _ := scaleRun(vds, workload.Spec{
 				// Light per-machine load: the sweep demonstrates that added
 				// machines add capacity; each client must stay far from the
@@ -92,7 +63,7 @@ func Fig13a(cfg Config) Table {
 				// host, not the system.
 				Pattern: workload.Mixed, ReadFraction: 0.7,
 				BlockSize: 4 * util.KiB, QueueDepth: 1, Ops: 100000,
-				WorkingSet: 512 * util.MiB, Seed: seed, MaxTime: maxTime,
+				WorkingSet: 512 * util.MiB, Seed: seed, MaxTime: scaleTime(cfg),
 			})
 			return iops, util.FormatCount(iops)
 		})
@@ -100,24 +71,26 @@ func Fig13a(cfg Config) Table {
 
 // Fig13b regenerates aggregate throughput scaling.
 func Fig13b(cfg Config) Table {
-	return scaleSweep(cfg, "Fig 13b", "Aggregate throughput vs machines (BS=256KB, QD=1)",
-		func(vds []*client.VDisk, seed uint64, quick bool) (float64, string) {
-			maxTime := 5 * time.Second
-			if quick {
-				maxTime = 1500 * time.Millisecond
-			}
+	return scaleSweep(cfg, "Aggregate throughput vs machines (BS=256KB, QD=1)",
+		func(vds []*client.VDisk, seed uint64) (float64, string) {
 			_, mbps := scaleRun(vds, workload.Spec{
 				Pattern: workload.SeqRead, BlockSize: 256 * util.KiB, QueueDepth: 1,
-				Ops: 20000, Seed: seed, MaxTime: maxTime,
+				Ops: 20000, Seed: seed, MaxTime: scaleTime(cfg),
 			})
 			return mbps, fmt.Sprintf("%.1f GB/s", mbps/1000)
 		})
 }
 
-func scaleSweep(cfg Config, id, title string,
-	run func(vds []*client.VDisk, seed uint64, quick bool) (float64, string)) Table {
+// scaleTime bounds one point of the sweep: forty-four clients at once are
+// what the simulation host can carry for so long.
+func scaleTime(cfg Config) time.Duration {
+	return time.Duration(cfg.pick(5000, 1500)) * time.Millisecond
+}
 
-	t := Table{ID: id, Title: title, Header: []string{"machines", "aggregate", "per-machine"}}
+func scaleSweep(cfg Config, title string,
+	run func(vds []*client.VDisk, seed uint64) (float64, string)) Table {
+
+	t := Table{Title: title, Header: []string{"machines", "aggregate", "per-machine"}}
 	points := scalePoints
 	if cfg.Quick {
 		points = []int{11, 22}
@@ -125,19 +98,13 @@ func scaleSweep(cfg Config, id, title string,
 	var first float64
 	var firstMachines int
 	for _, n := range points {
-		c, vds, clients, err := buildScaleCluster(cfg, n)
+		s, err := buildScaleCluster(n)
 		if err != nil {
-			t.Notes = append(t.Notes, fmt.Sprintf("%d machines: %v", n, err))
+			t.failed(fmt.Sprintf("%d machines", n), err)
 			continue
 		}
-		total, rendered := run(vds, cfg.Seed+uint64(n), cfg.Quick)
-		for _, vd := range vds {
-			vd.Close()
-		}
-		for _, cl := range clients {
-			cl.Close()
-		}
-		c.Close()
+		total, rendered := run(s.vds, cfg.Seed+uint64(n))
+		s.Close()
 		if first == 0 {
 			first, firstMachines = total, n
 		}
@@ -159,32 +126,27 @@ func scaleSweep(cfg Config, id, title string,
 // blocks at QD16.
 func Fig13c(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 13c",
 		Title:  "Striping: parallel throughput vs stripe group (BS=1MB, QD=16)",
 		Header: []string{"stripe-group", "read MB/s", "write MB/s"},
 	}
-	machines := 8
-	groups := []int{1, 2, 4, 8}
-	for _, g := range groups {
-		sut, err := buildUrsa(core.Hybrid, machines, 2*util.GiB, g)
-		if err != nil {
-			t.Notes = append(t.Notes, err.Error())
-			continue
+	opts := benchOptions()
+	opts.Machines = 8
+	for _, g := range []int{1, 2, 4, 8} {
+		label, req := "non-striping", master.CreateVDiskReq{Size: 2 * util.GiB}
+		if g > 1 {
+			label, req.StripeGroup, req.StripeUnit = fmt.Sprintf("%d", g), g, 128*util.KiB
 		}
-		rres := workload.Run(clock.Realtime, sut.vd, workload.Spec{
-			Pattern: workload.SeqRead, BlockSize: util.MiB, QueueDepth: 16,
-			Ops: 20000, Seed: cfg.Seed + 61, MaxTime: cfg.cellTime() / 2,
+		t.row("stripe group "+label, opts, req, func(s *sut) []string {
+			rres := measure(s.vd, workload.Spec{
+				Pattern: workload.SeqRead, BlockSize: util.MiB, QueueDepth: 16,
+				Ops: 20000, Seed: cfg.Seed + 61, MaxTime: cfg.cellTime() / 2,
+			})
+			wres := measure(s.vd, workload.Spec{
+				Pattern: workload.SeqWrite, BlockSize: util.MiB, QueueDepth: 16,
+				Ops: 20000, Seed: cfg.Seed + 62, MaxTime: cfg.cellTime() / 2,
+			})
+			return []string{label, f1(rres.MBps), f1(wres.MBps)}
 		})
-		wres := workload.Run(clock.Realtime, sut.vd, workload.Spec{
-			Pattern: workload.SeqWrite, BlockSize: util.MiB, QueueDepth: 16,
-			Ops: 20000, Seed: cfg.Seed + 62, MaxTime: cfg.cellTime() / 2,
-		})
-		sut.Close()
-		label := fmt.Sprintf("%d", g)
-		if g == 1 {
-			label = "non-striping"
-		}
-		t.Rows = append(t.Rows, []string{label, f1(rres.MBps()), f1(wres.MBps())})
 	}
 	t.Notes = append(t.Notes,
 		"writes trail reads: replicas ×3 and 1MB bypasses journals to HDDs (§6.3)")

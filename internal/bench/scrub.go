@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"ursa/internal/chunkserver"
-	"ursa/internal/client"
-	"ursa/internal/clock"
-	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/reliability"
 	"ursa/internal/scrub"
@@ -16,24 +13,9 @@ import (
 	"ursa/internal/workload"
 )
 
-// scrubBenchJSON is FigScrub's machine-readable artifact.
-const scrubBenchJSON = "BENCH_scrub.json"
-
-// scrubWindow is one foreground-workload measurement window.
-type scrubWindow struct {
-	Phase     string  `json:"phase"`
-	IOPS      float64 `json:"iops"`
-	MBps      float64 `json:"mbps"`
-	MeanLatMs float64 `json:"mean_lat_ms"`
-	P99LatMs  float64 `json:"p99_lat_ms"`
-	Errors    int64   `json:"errors"`
-	WallS     float64 `json:"wall_s"`
-}
-
 type scrubBenchDoc struct {
-	Bench   string        `json:"bench"`
-	Quick   bool          `json:"quick"`
-	Windows []scrubWindow `json:"windows"`
+	artifact
+	Windows []phase `json:"windows"`
 	// P99Ratio is scrub-on p99 / scrub-off p99 for the same workload; the
 	// acceptance bar is ≤ 1.10.
 	P99Ratio float64 `json:"p99_ratio"`
@@ -54,61 +36,19 @@ type scrubBenchDoc struct {
 	Reliability      []reliability.ScrubSweepRow `json:"reliability"`
 }
 
-// windowOps sizes FigScrub's measurement windows.
-func windowOps(cfg Config) int {
-	if cfg.Quick {
-		return 400
+// scrubConfig has the per-machine scrubbers sweep at a rate high enough
+// that device time, not pacing, bounds detection latency. 1 MiB probes keep
+// each probe's device time (~5 ms on the bench SSD) small against foreground
+// op latency; a 4 MiB probe visibly fattens the foreground p99 whenever the
+// idle gate opens.
+func scrubConfig() *scrub.Config {
+	return &scrub.Config{
+		Interval:  250 * time.Millisecond,
+		ReadSize:  1 * util.MiB,
+		Rate:      128 * util.MiB,
+		IdleGrace: 50 * time.Millisecond,
+		Poll:      10 * time.Millisecond,
 	}
-	return 2000
-}
-
-// workloadVDisk bundles a client and its opened vdisk for teardown.
-type workloadVDisk struct {
-	cl *client.Client
-	vd *client.VDisk
-}
-
-func (w *workloadVDisk) Close() {
-	w.vd.Close()
-	w.cl.Close()
-}
-
-// sscanHDDAddr parses a backup server address of the form "m<i>/hdd<k>";
-// SSD addresses fail the scan.
-func sscanHDDAddr(addr string, mi, ki *int) (int, error) {
-	return fmt.Sscanf(addr, "m%d/hdd%d", mi, ki)
-}
-
-// scrubBenchCluster builds the figure's cluster: hybrid, one journal SSD
-// and two backup HDDs per machine, optionally with the per-machine
-// scrubber sweeping at a rate high enough that device time, not pacing,
-// bounds detection latency.
-func scrubBenchCluster(scrubOn bool) (*core.Cluster, error) {
-	return core.New(core.Options{
-		Machines:       4,
-		SSDsPerMachine: 1,
-		HDDsPerMachine: 2,
-		Mode:           core.Hybrid,
-		Clock:          clock.Realtime,
-		SSDModel:       benchSSD(),
-		HDDModel:       benchHDD(),
-		HDDJournal:     false,
-		NetLatency:     netLatency,
-		NICRate:        50e6,
-		ReplTimeout:    5 * time.Second,
-		CallTimeout:    20 * time.Second,
-		ScrubEnable:    scrubOn,
-		// 1 MiB probes keep each probe's device time (~5 ms on the bench
-		// SSD) small against foreground op latency; a 4 MiB probe visibly
-		// fattens the foreground p99 whenever the idle gate opens.
-		ScrubConfig: scrub.Config{
-			Interval:  250 * time.Millisecond,
-			ReadSize:  1 * util.MiB,
-			Rate:      128 * util.MiB,
-			IdleGrace: 50 * time.Millisecond,
-			Poll:      10 * time.Millisecond,
-		},
-	})
 }
 
 // FigScrub answers the two questions that decide whether a background
@@ -124,92 +64,44 @@ func scrubBenchCluster(scrubOn bool) (*core.Cluster, error) {
 // BENCH_scrub.json.
 func FigScrub(cfg Config) Table {
 	t := Table{
-		ID:     "Fig S",
 		Title:  "Background scrubbing: foreground cost, time-to-detect, time-to-repair",
-		Header: []string{"phase", "IOPS", "MB/s", "mean lat", "p99 lat", "errors"},
+		Header: phaseHeader,
 	}
-	doc := scrubBenchDoc{Bench: "scrub", Quick: cfg.Quick}
+	var doc scrubBenchDoc
 
 	// One measurement window; identical spec either side so the only
 	// variable is the scrubber.
-	window := func(vd workload.Device, phase string, seedOff uint64) scrubWindow {
-		w0 := time.Now()
-		res := workload.Run(clock.Realtime, vd, workload.Spec{
-			Pattern:    workload.RandWrite,
-			BlockSize:  4 * util.KiB,
-			QueueDepth: 8,
-			// p99 is the acceptance metric here, so the windows are longer
-			// than FigRecovery's: 2000 samples put p99 at the 20th-worst op
-			// instead of the 6th, which tames window-to-window jitter. Quick
-			// mode keeps 400 ops (not the usual /10) for the same reason.
-			Ops:     windowOps(cfg),
-			Seed:    cfg.Seed + seedOff,
-			MaxTime: cfg.cellTime(),
-		})
-		w := scrubWindow{
-			Phase:     phase,
-			IOPS:      res.IOPS(),
-			MBps:      res.MBps(),
-			MeanLatMs: float64(res.Lat.Mean()) / float64(time.Millisecond),
-			P99LatMs:  float64(res.Lat.Quantile(0.99)) / float64(time.Millisecond),
-			Errors:    res.Errors,
-			WallS:     time.Since(w0).Seconds(),
-		}
-		doc.Windows = append(doc.Windows, w)
-		t.Rows = append(t.Rows, []string{
-			phase, f0(w.IOPS), f1(w.MBps),
-			us(time.Duration(w.MeanLatMs * float64(time.Millisecond))),
-			us(time.Duration(w.P99LatMs * float64(time.Millisecond))),
-			f0(float64(w.Errors)),
-		})
-		return w
+	window := func(vd workload.Device, name string, seedOff uint64) phase {
+		// p99 is the acceptance metric here, so the windows are longer than
+		// FigRecovery's: 2000 samples put p99 at the 20th-worst op instead of
+		// the 6th, which tames window-to-window jitter. Quick mode keeps 400
+		// ops (not the usual /10) for the same reason.
+		p := measure(vd, foreground(cfg.pick(2000, 400), cfg.Seed+seedOff, cfg.cellTime()))
+		p.Phase = name
+		doc.Windows = append(doc.Windows, p)
+		t.Rows = append(t.Rows, p.row())
+		return p
 	}
 
-	nChunks := 6
-	if cfg.Quick {
-		nChunks = 3
-	}
-	size := int64(nChunks) * util.ChunkSize
-
-	setup := func(scrubOn bool) (*core.Cluster, *workloadVDisk, error) {
-		c, err := scrubBenchCluster(scrubOn)
-		if err != nil {
-			return nil, nil, err
-		}
-		cl := c.NewClient("bench-client")
-		if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "bench", Size: size}); err != nil {
-			cl.Close()
-			c.Close()
-			return nil, nil, err
-		}
-		vd, err := cl.Open("bench")
-		if err != nil {
-			cl.Close()
-			c.Close()
-			return nil, nil, err
-		}
-		return c, &workloadVDisk{cl: cl, vd: vd}, nil
-	}
-
-	// Baseline: scrubber off.
-	cOff, wOff, err := setup(false)
+	// The fault figures' cluster twice: scrubber off for the baseline, then
+	// the same workload with the scrubber sweeping.
+	opts := faultOptions()
+	req := master.CreateVDiskReq{Size: int64(cfg.pick(6, 3)) * util.ChunkSize}
+	base, err := open(opts, req)
 	if err != nil {
-		t.Notes = append(t.Notes, "build (scrub off) failed: "+err.Error())
-		return t
+		return t.failed("build (scrub off)", err)
 	}
-	off := window(wOff.vd, "scrub-off", 21)
-	wOff.Close()
-	cOff.Close()
+	off := window(base.vd, "scrub-off", 21)
+	base.Close()
 
-	// Same workload with the scrubber sweeping.
-	cOn, wOn, err := setup(true)
+	opts.Scrub = scrubConfig()
+	sut, err := open(opts, req)
 	if err != nil {
-		t.Notes = append(t.Notes, "build (scrub on) failed: "+err.Error())
-		return t
+		return t.failed("build (scrub on)", err)
 	}
-	defer cOn.Close()
-	defer wOn.Close()
-	on := window(wOn.vd, "scrub-on", 21)
+	defer sut.Close()
+	cOn := sut.c
+	on := window(sut.vd, "scrub-on", 21)
 	if off.P99LatMs > 0 {
 		doc.P99Ratio = on.P99LatMs / off.P99LatMs
 	}
@@ -229,41 +121,16 @@ func FigScrub(cfg Config) Table {
 	// hold the real data the rot will hit, then give one chunk-hosting
 	// backup HDD persistent whole-device corruption.
 	reg := cOn.Metrics()
-	drainDeadline := time.Now().Add(30 * time.Second)
-	for _, m := range cOn.Machines {
-		for _, js := range m.JournalSets() {
-			js.Drain()
-		}
-	}
-	for time.Now().Before(drainDeadline) {
-		pending := 0
-		for _, m := range cOn.Machines {
-			for _, js := range m.JournalSets() {
-				pending += js.Pending()
-			}
-		}
-		if pending == 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	sut.drain()
 
 	var rot *simdisk.FaultInjector
 	rotAddr := ""
 	for _, m := range cOn.Machines {
-		for _, s := range m.Servers {
-			var mi, ki int
-			if _, err := sscanHDDAddr(s.Addr(), &mi, &ki); err != nil {
-				continue
+		for k, fi := range m.HDDFaults {
+			addr := fmt.Sprintf("%s/hdd%d", m.Name, k)
+			if rot == nil && len(cOn.Server(addr).ScrubChunks()) > 0 {
+				rot, rotAddr = fi, addr
 			}
-			if len(s.ScrubChunks()) > 0 {
-				rot = cOn.Machines[mi].HDDFaults[ki]
-				rotAddr = s.Addr()
-				break
-			}
-		}
-		if rot != nil {
-			break
 		}
 	}
 	if rot == nil {
@@ -271,42 +138,29 @@ func FigScrub(cfg Config) Table {
 		return t
 	}
 
-	baseFound := reg.Counter(scrub.MetricCorruptionsFound).Load()
-	baseRec := reg.Counter(master.MetricChunkRecoveries).Load()
-	rot0 := time.Now()
+	found, recovered := reg.Counter(scrub.MetricCorruptionsFound), reg.Counter(master.MetricChunkRecoveries)
+	baseFound, baseRec := found.Load(), recovered.Load()
 	rot.CorruptRange(0, rot.Size(), true)
 
-	detectDeadline := time.Now().Add(90 * time.Second)
-	for reg.Counter(scrub.MetricCorruptionsFound).Load() == baseFound && time.Now().Before(detectDeadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if reg.Counter(scrub.MetricCorruptionsFound).Load() > baseFound {
-		doc.DetectMs = time.Since(rot0).Seconds() * 1e3
+	// One budget for the whole incident: a wait that runs out leaves none
+	// for the next.
+	budget := 90 * time.Second
+	detect, ok := waitQuiet(found.Load, baseFound, 0, budget)
+	if ok {
+		doc.DetectMs = ms(detect)
 	} else {
 		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: scrubber never detected the rot on "+rotAddr)
 	}
-	for reg.Counter(master.MetricChunkRecoveries).Load() == baseRec && time.Now().Before(detectDeadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if reg.Counter(master.MetricChunkRecoveries).Load() > baseRec {
-		doc.RepairMs = time.Since(rot0).Seconds() * 1e3
+	repair, ok := waitQuiet(recovered.Load, baseRec, 0, budget-detect)
+	if ok {
+		doc.RepairMs = ms(detect + repair)
 	} else {
 		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: no view change repaired the rotted replica")
 	}
 	// Let re-replication of every affected chunk settle before measuring.
-	recovered := reg.Counter(master.MetricChunkRecoveries)
-	stableSince := time.Now()
-	for last := recovered.Load(); time.Now().Before(detectDeadline); {
-		if n := recovered.Load(); n != last {
-			last, stableSince = n, time.Now()
-		}
-		if recovered.Load() > baseRec && time.Since(stableSince) > 3*time.Second {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitQuiet(recovered.Load, baseRec, 3*time.Second, budget-detect-repair)
 
-	post := window(wOn.vd, "post-repair", 22)
+	post := window(sut.vd, "post-repair", 22)
 	if post.Errors > 0 {
 		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: client saw errors after repair with rot still armed")
 	}
@@ -325,10 +179,7 @@ func FigScrub(cfg Config) Table {
 
 	// Fleet-scale context: P(data loss) vs scrub interval, latent-error
 	// Monte-Carlo at the default fleet rates.
-	groups, years := 4000, 10
-	if cfg.Quick {
-		groups = 1000
-	}
+	groups, years := cfg.pick(4000, 1000), 10
 	doc.ReliabilityYears = years
 	doc.Reliability = reliability.ScrubSweep(
 		reliability.DefaultScrubParams(), []int{1, 7, 30, 0}, groups, years, cfg.Seed)
@@ -346,6 +197,6 @@ func FigScrub(cfg Config) Table {
 	}
 	t.Extra = append(t.Extra, rel)
 
-	t.writeArtifact(cfg, scrubBenchJSON, &doc)
+	t.writeArtifact(cfg, "scrub", &doc)
 	return t
 }

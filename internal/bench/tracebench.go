@@ -14,15 +14,11 @@ import (
 // timestamps ignored, against Sheepdog, Ceph, Ursa-SSD and Ursa-Hybrid.
 func Fig14(cfg Config) Table {
 	t := Table{
-		ID:     "Fig 14",
 		Title:  "Trace-driven average IOPS (QD=16, timestamps ignored)",
 		Header: []string{"system", "prxy_0", "proj_0", "mds_1"},
 	}
 	profiles := trace.Fig14Profiles()
-	nOps := 12000
-	if cfg.Quick {
-		nOps = 1500
-	}
+	nOps := cfg.pick(12000, 1500)
 
 	// Generate each trace once so every system replays identical records.
 	traces := make([][]trace.Record, len(profiles))
@@ -31,17 +27,9 @@ func Fig14(cfg Config) Table {
 		traces[i] = p.Generate(cfg.Seed+uint64(70+i), nOps)
 	}
 
-	systems, err := buildComparison(microVolume)
-	if err != nil {
-		t.Notes = append(t.Notes, "build failed: "+err.Error())
-		return t
-	}
-	defer func() {
-		for _, s := range systems {
-			s.close()
-		}
-	}()
-	for _, s := range systems {
+	t.Notes = append(t.Notes,
+		"paper: Ursa-SSD best everywhere; Ursa-Hybrid ≥ Ceph/Sheepdog in their SSD-only mode")
+	return t.eachSystem(func(s system) []string {
 		row := []string{s.name}
 		for _, recs := range traces {
 			res := workload.Replay(clock.Realtime, s.dev, recs, 16)
@@ -50,9 +38,6 @@ func Fig14(cfg Config) Table {
 			// single-core GC keeps up; collect between traces.
 			debug.FreeOSMemory()
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"paper: Ursa-SSD best everywhere; Ursa-Hybrid ≥ Ceph/Sheepdog in their SSD-only mode")
-	return t
+		return row
+	})
 }

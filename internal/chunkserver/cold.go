@@ -228,20 +228,37 @@ func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.Ch
 	return out, found, nil
 }
 
-// notifyMaterialized tells the master (fire-and-forget, once per replica)
-// that this replica holds every extent of the chunk locally.
+// notifyMaterialized tells the master, once per replica, that this replica
+// holds every extent of the chunk locally, and keeps telling it until a
+// master has taken the notice or the server closes. Nothing re-files the
+// notice later — ensureCold never looks at a materialized chunk again — and
+// the master keeps the chunk's cold refs, and GC the segments under them,
+// until every replica has reported: one notice lost to a master blackout
+// would pin them for good. StatusNotFound is an answer too: the vdisk is
+// gone, and its refs with it.
 func (s *Server) notifyMaterialized(id blockstore.ChunkID) {
 	if len(s.cfg.MasterAddrs) == 0 {
 		return
 	}
 	go func() {
-		op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
-		defer op.Release()
-		_, _ = s.callMaster(op, proto.MOpChunkMaterialized, MaterializedReq{
-			VDisk:      id.VDisk(),
-			ChunkIndex: id.Index(),
-			Addr:       s.cfg.Addr,
-		}, nil) // best effort: unreported chunks only delay cold-segment GC
+		pol := backoff.Policy{Base: s.cfg.ReplTimeout / 2, Cap: 10 * s.cfg.ReplTimeout}
+		for attempt := 0; ; attempt++ {
+			op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
+			status, err := s.callMaster(op, proto.MOpChunkMaterialized, MaterializedReq{
+				VDisk:      id.VDisk(),
+				ChunkIndex: id.Index(),
+				Addr:       s.cfg.Addr,
+			}, nil)
+			op.Release()
+			if err == nil && (status == proto.StatusOK || status == proto.StatusNotFound) {
+				return
+			}
+			select {
+			case <-s.closed:
+				return
+			case <-s.cfg.Clock.After(pol.Delay(uint64(id), attempt)):
+			}
+		}
 	}()
 }
 

@@ -136,6 +136,10 @@ type Server struct {
 	masterIdx atomic.Int64
 
 	rpc *transport.Server
+	// closed ends what the server leaves running in the background between
+	// requests (a materialization notice waiting out a master blackout).
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 // New creates a chunk server over store. A non-nil jset makes it a backup
@@ -148,6 +152,7 @@ func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 		jset:       jset,
 		peers:      transport.NewPeers(cfg.Dialer, cfg.Clock),
 		lastReport: make(map[string]time.Time),
+		closed:     make(chan struct{}),
 	}
 	for i := range s.chunks {
 		s.chunks[i].m = make(map[blockstore.ChunkID]*chunkState)
@@ -177,6 +182,7 @@ func (s *Server) Serve(l transport.Listener) {
 
 // Close stops the RPC server and the journal replayer.
 func (s *Server) Close() {
+	s.closeOnce.Do(func() { close(s.closed) })
 	if s.rpc != nil {
 		s.rpc.Close()
 	}

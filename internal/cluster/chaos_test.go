@@ -165,8 +165,7 @@ func scrubCluster(t *testing.T) *core.Cluster {
 		NetLatency:  5 * time.Microsecond,
 		ReplTimeout: 40 * time.Millisecond,
 		CallTimeout: 250 * time.Millisecond,
-		ScrubEnable: true,
-		ScrubConfig: scrub.Config{
+		Scrub: &scrub.Config{
 			Interval:  25 * time.Millisecond,
 			ReadSize:  4 * util.MiB,
 			Rate:      512 * util.MiB,

@@ -8,6 +8,7 @@ import (
 
 	"ursa/internal/chunkserver"
 	"ursa/internal/client"
+	"ursa/internal/coldtier"
 	"ursa/internal/core"
 	"ursa/internal/linearize"
 	"ursa/internal/master"
@@ -387,6 +388,104 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 	}
 	// The clone must still read the full image from local replicas.
 	got := make([]byte, region)
+	if err := cvd.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatal("clone bytes diverged after materialization and gc")
+	}
+}
+
+// TestColdNoticeSurvivesMasterFailover: the notice that a clone's replica is
+// fully local must outlive a metadata blackout. The primary master is killed
+// while every replica still has one extent to fetch; the last extents land —
+// and the three notices are filed — with no primary to take them. Once a
+// standby has promoted, the notices must reach it: the master drops the
+// chunk's cold refs, and with the snapshot deleted GC reclaims every segment.
+// A notice sent once and lost pins the refs, and the segments under them, for
+// good.
+func TestColdNoticeSurvivesMasterFailover(t *testing.T) {
+	opts := chaosClusterOptions(false)
+	model := objstore.TestModel()
+	opts.ObjstoreModel = &model
+	opts.Masters = 3
+	opts.MasterPrimacyTTL = 150 * time.Millisecond
+	c, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	cl := c.NewClient("notice-client")
+	t.Cleanup(func() { cl.Close() })
+
+	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "img", Size: util.ChunkSize}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := cl.Open("img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := make([]byte, 2*coldtier.ExtentSize)
+	util.NewRand(77).Fill(golden)
+	fillVDisk(t, src, golden)
+	if err := cl.SnapshotVDisk("img", "nsnap"); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	if _, err := cl.CloneFromSnapshot(master.CloneReq{Snapshot: "nsnap", Name: "nclone"}); err != nil {
+		t.Fatal(err)
+	}
+	cvd, err := cl.Open("nclone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cvd.Close() })
+
+	// All but the last extent, on every replica (a write fetches what it
+	// overlaps at each of them).
+	last := int64(len(golden)) - coldtier.ExtentSize
+	fillVDisk(t, cvd, golden[:last])
+
+	// The standbys must hold the clone before one of them has to serve it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c.Masters[1].LogSeq() == c.Masters[0].LogSeq() && c.Masters[2].LogSeq() == c.Masters[0].LogSeq() {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatal("standbys never caught up with the primary's log")
+		}
+	}
+	epoch := c.Masters[0].Epoch()
+	c.KillMaster(0)
+	if err := cvd.WriteAt(golden[last:], last); err != nil {
+		t.Fatalf("write through the blackout: %v", err)
+	}
+	if c.PrimaryMaster() != nil {
+		t.Log("a standby promoted before the last extent landed: the run did not exercise the blackout")
+	}
+	waitForPrimary(t, c, epoch, 5*time.Second)
+
+	if err := cl.DeleteSnapshot("nsnap"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for c.Objstore.UsedBytes() > 0 {
+		if pm := c.PrimaryMaster(); pm != nil {
+			if _, _, err := pm.RunColdGC(); err != nil {
+				t.Fatalf("gc pass: %v", err)
+			}
+		}
+		if time.Now().After(deadline) {
+			refs := -1
+			if meta, err := cl.OpenMeta("nclone"); err == nil && len(meta.Chunks) > 0 {
+				refs = len(meta.Chunks[0].Cold)
+			}
+			t.Fatalf("cold refs never dropped after the failover: %d bytes still in the object store, the master still lists %d cold refs for the chunk",
+				c.Objstore.UsedBytes(), refs)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	got := make([]byte, len(golden))
 	if err := cvd.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"ursa/internal/core"
 	"ursa/internal/master"
-	"ursa/internal/metrics"
 	"ursa/internal/util"
 )
 
@@ -36,7 +35,6 @@ func TestChaosVDiskLifecycle(t *testing.T) {
 	opts := chaosClusterOptions(true)
 	opts.Masters = 3
 	opts.MasterPrimacyTTL = 150 * time.Millisecond
-	opts.Metrics = metrics.NewRegistry()
 	c, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)

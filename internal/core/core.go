@@ -83,10 +83,6 @@ type Options struct {
 	// IOTimeout is the client's end-to-end budget per ReadAt/WriteAt (0 =
 	// the client default derived from CallTimeout and its retry count).
 	IOTimeout time.Duration
-	// Metrics collects per-stage latency breadcrumbs cluster-wide: every
-	// server and client feeds the same registry, so one table decomposes
-	// where an I/O's time went. nil = a fresh registry.
-	Metrics *metrics.Registry
 	// Masters is the number of master replicas (default 1, the unreplicated
 	// configuration). With more, the metadata service runs the replication
 	// protocol: the primary ships its op log to hot standbys and a standby
@@ -95,19 +91,14 @@ type Options struct {
 	// MasterPrimacyTTL is the replicated masters' primacy lease (0 = the
 	// master default). Failover blackout scales with it.
 	MasterPrimacyTTL time.Duration
-	// LeaseTTL is the vdisk lease duration.
-	LeaseTTL time.Duration
-	// WriteRateLimit is the master-imposed per-client write budget.
-	WriteRateLimit float64
 	// BypassThreshold is Tj (default 64 KB); TinyThreshold is Tc (8 KB).
 	BypassThreshold int
 	TinyThreshold   int
-	// ScrubEnable starts one background scrubber per machine, sweeping all
-	// of the machine's chunk servers for silent corruption.
-	ScrubEnable bool
-	// ScrubConfig tunes the scrubbers (zero value = scrub.DefaultConfig;
-	// a nil Metrics field inherits the cluster registry).
-	ScrubConfig scrub.Config
+	// Scrub, when set, starts one background scrubber per machine, sweeping
+	// all of the machine's chunk servers for silent corruption, tuned by the
+	// config (zero fields = scrub.DefaultConfig's; a nil Metrics field
+	// inherits the cluster registry).
+	Scrub *scrub.Config
 	// ObjstoreModel overrides the simulated object store's latency and
 	// bandwidth model (nil = objstore.DefaultModel; point at
 	// objstore.TestModel() for the near-free protocol-test shape).
@@ -145,9 +136,6 @@ func (o *Options) fillDefaults() {
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = 2 * time.Second
 	}
-	if o.Metrics == nil {
-		o.Metrics = metrics.NewRegistry()
-	}
 	if o.Masters <= 0 {
 		o.Masters = 1
 	}
@@ -169,7 +157,7 @@ type Machine struct {
 	JournalRegions []JournalRegion
 	Servers        []*chunkserver.Server
 	// Scrubber is the machine's background integrity sweep (nil unless
-	// Options.ScrubEnable).
+	// Options.Scrub).
 	Scrubber *scrub.Scrubber
 	jsets    []*journal.Set
 
@@ -201,6 +189,7 @@ type Cluster struct {
 	// backing service, on its own fabric node so chaos can partition it.
 	Objstore *objstore.Store
 
+	metrics     *metrics.Registry
 	masterAddrs []string
 	servers     map[string]*chunkserver.Server
 	clients     []*client.Client
@@ -224,6 +213,7 @@ func New(opts Options) (*Cluster, error) {
 		opts:    opts,
 		clk:     opts.Clock,
 		Net:     transport.NewSimNet(opts.Clock, opts.NetLatency),
+		metrics: metrics.NewRegistry(),
 		servers: make(map[string]*chunkserver.Server),
 	}
 
@@ -235,7 +225,7 @@ func New(opts Options) (*Cluster, error) {
 		model = *opts.ObjstoreModel
 	}
 	c.Objstore = objstore.New(opts.Clock, model)
-	c.Objstore.SetMetrics(opts.Metrics)
+	c.Objstore.SetMetrics(c.metrics)
 	ol, err := c.Net.Listen(ObjstoreAddr, transport.NodeConfig{})
 	if err != nil {
 		return nil, err
@@ -282,19 +272,17 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 		peers = append([]string(nil), c.masterAddrs...)
 	}
 	m := master.New(master.Config{
-		Addr:           addr,
-		Clock:          c.opts.Clock,
-		Dialer:         c.Net.Dialer(addr, transport.NodeConfig{}),
-		Replication:    c.opts.Replication,
-		LeaseTTL:       c.opts.LeaseTTL,
-		WriteRateLimit: c.opts.WriteRateLimit,
-		RPCTimeout:     c.opts.CallTimeout,
-		HybridMode:     c.opts.Mode == Hybrid,
-		Metrics:        c.opts.Metrics,
-		Peers:          peers,
-		PrimacyTTL:     c.opts.MasterPrimacyTTL,
-		JoinStandby:    join,
-		ObjstoreAddr:   ObjstoreAddr,
+		Addr:         addr,
+		Clock:        c.opts.Clock,
+		Dialer:       c.Net.Dialer(addr, transport.NodeConfig{}),
+		Replication:  c.opts.Replication,
+		RPCTimeout:   c.opts.CallTimeout,
+		HybridMode:   c.opts.Mode == Hybrid,
+		Metrics:      c.metrics,
+		Peers:        peers,
+		PrimacyTTL:   c.opts.MasterPrimacyTTL,
+		JoinStandby:  join,
+		ObjstoreAddr: ObjstoreAddr,
 	})
 	m.Serve(ml)
 	return m, nil
@@ -314,14 +302,14 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 	for j := 0; j < opts.SSDsPerMachine; j++ {
 		ssd := simdisk.NewSSD(opts.SSDModel, c.clk)
 		fi := simdisk.NewFaultInjector(ssd, c.clk)
-		fi.SetMetrics(opts.Metrics)
+		fi.SetMetrics(c.metrics)
 		m.SSDs = append(m.SSDs, ssd)
 		m.SSDFaults = append(m.SSDFaults, fi)
 	}
 	for k := 0; k < opts.HDDsPerMachine; k++ {
 		hdd := simdisk.NewHDD(opts.HDDModel, c.clk)
 		fi := simdisk.NewFaultInjector(hdd, c.clk)
-		fi.SetMetrics(opts.Metrics)
+		fi.SetMetrics(c.metrics)
 		m.HDDs = append(m.HDDs, hdd)
 		m.HDDFaults = append(m.HDDFaults, fi)
 	}
@@ -349,7 +337,7 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 				Clock:       c.clk,
 				Dialer:      c.Net.Dialer(addr, nodeCfg),
 				ReplTimeout: opts.ReplTimeout,
-				Metrics:     opts.Metrics,
+				Metrics:     c.metrics,
 				MasterAddrs: c.masterAddrs,
 			}, store, nil)
 			if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -359,10 +347,10 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 		}
 	}
 
-	if opts.ScrubEnable {
-		scfg := opts.ScrubConfig
+	if opts.Scrub != nil {
+		scfg := *opts.Scrub
 		if scfg.Metrics == nil {
-			scfg.Metrics = opts.Metrics
+			scfg.Metrics = c.metrics
 		}
 		targets := make([]scrub.Target, 0, len(m.Servers))
 		for _, s := range m.Servers {
@@ -391,7 +379,7 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 			Clock:       c.clk,
 			Dialer:      c.Net.Dialer(addr, nodeCfg),
 			ReplTimeout: opts.ReplTimeout,
-			Metrics:     opts.Metrics,
+			Metrics:     c.metrics,
 			MasterAddrs: c.masterAddrs,
 		}, store, nil)
 		if err := c.startServer(m, srv, nodeCfg); err != nil {
@@ -404,47 +392,61 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 	return nil
 }
 
-// addBackupServers starts one backup server per HDD, each with a journal
-// set: an SSD journal region carved from a co-located SSD plus (optionally)
-// an overflow journal at the HDD's own tail (§3.2).
+// NewBackup builds what a backup chunk server stands on, laid out as §3.2
+// has it and as every deployment in this tree runs it — the in-process
+// cluster, the ursa-chunkserver daemon, the TCP test: chunk slots on hdd, a
+// journal set in front of them with its SSD journal in [ssdBase,
+// ssdBase+ssdSize) of ssd and, when overflow is set, an HDD journal in the
+// device's last 1/hddJournalShare, the slots ending where it begins. The set
+// is returned started. The regions name the journals so that a fault can
+// target one; Disk is the caller's to fill in, with whatever it wrapped the
+// devices in.
+func NewBackup(clk clock.Clock, addr string, hdd, ssd simdisk.Disk, ssdBase, ssdSize int64,
+	overflow bool, reg *metrics.Registry) (*blockstore.Store, *journal.Set, []JournalRegion) {
+
+	storeLimit := hdd.Size()
+	if overflow {
+		storeLimit = util.AlignDown(hdd.Size()-hdd.Size()/hddJournalShare, util.ChunkSize)
+	}
+	store := blockstore.New(hdd, storeLimit)
+	jcfg := journal.DefaultConfig()
+	jcfg.Metrics = reg // group-commit batch/flush distributions
+	jset := journal.NewSet(clk, store, jcfg)
+	regions := []JournalRegion{{Server: addr, Name: addr + "-jssd", Base: ssdBase, Size: ssdSize}}
+	jset.AddSSDJournal(regions[0].Name, ssd, ssdBase, ssdSize)
+	if overflow {
+		hj := JournalRegion{
+			Server: addr, Name: addr + "-jhdd", Base: storeLimit,
+			Size: util.AlignDown(hdd.Size()/hddJournalShare, util.SectorSize), HDD: true,
+		}
+		jset.AddHDDJournal(hj.Name, hdd, hj.Base, hj.Size)
+		regions = append(regions, hj)
+	}
+	jset.Start()
+	return store, jset, regions
+}
+
+// addBackupServers starts one backup server per HDD, each behind a journal
+// set whose SSD journal is a region carved from a co-located SSD.
 func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) error {
 	opts := &c.opts
 	// Journal space on each SSD is split evenly among the HDDs it backs.
 	ssdJournalSpace := int64(float64(opts.SSDModel.Capacity) * opts.JournalFraction)
 	hddsPerSSD := (opts.HDDsPerMachine + opts.SSDsPerMachine - 1) / opts.SSDsPerMachine
 	perHDDJournal := util.AlignDown(ssdJournalSpace/int64(hddsPerSSD), util.SectorSize)
-	hddJournalSize := opts.HDDModel.Capacity / hddJournalShare
 
 	for k, hdd := range m.HDDFaults {
 		addr := fmt.Sprintf("%s/hdd%d", m.Name, k)
-		storeLimit := hdd.Size()
-		if opts.HDDJournal {
-			storeLimit = util.AlignDown(hdd.Size()-hddJournalSize, util.ChunkSize)
-		}
-		store := blockstore.New(hdd, storeLimit)
-
-		jcfg := journal.DefaultConfig()
-		jcfg.Metrics = opts.Metrics // group-commit batch/flush distributions
-		jset := journal.NewSet(c.clk, store, jcfg)
-		ssdIdx := k % opts.SSDsPerMachine
+		ssd := m.SSDFaults[k%opts.SSDsPerMachine]
 		slot := int64(k / opts.SSDsPerMachine)
-		ssd := m.SSDFaults[ssdIdx]
 		base := util.AlignDown(int64(float64(ssd.Size())*(1-opts.JournalFraction)), util.ChunkSize) +
 			slot*perHDDJournal
-		jname := fmt.Sprintf("%s-jssd%d", addr, ssdIdx)
-		jset.AddSSDJournal(jname, ssd, base, perHDDJournal)
-		m.JournalRegions = append(m.JournalRegions, JournalRegion{
-			Server: addr, Name: jname, Disk: ssd, Base: base, Size: perHDDJournal,
-		})
+		store, jset, regions := NewBackup(c.clk, addr, hdd, ssd, base, perHDDJournal, opts.HDDJournal, c.metrics)
+		regions[0].Disk = ssd
 		if opts.HDDJournal {
-			hjSize := util.AlignDown(hddJournalSize, util.SectorSize)
-			jset.AddHDDJournal(addr+"-jhdd", hdd, storeLimit, hjSize)
-			m.JournalRegions = append(m.JournalRegions, JournalRegion{
-				Server: addr, Name: addr + "-jhdd", Disk: hdd, Base: storeLimit,
-				Size: hjSize, HDD: true,
-			})
+			regions[1].Disk = hdd
 		}
-		jset.Start()
+		m.JournalRegions = append(m.JournalRegions, regions...)
 		m.jsets = append(m.jsets, jset)
 
 		srv := chunkserver.New(chunkserver.Config{
@@ -452,7 +454,7 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 			Clock:           c.clk,
 			Dialer:          c.Net.Dialer(addr, nodeCfg),
 			ReplTimeout:     opts.ReplTimeout,
-			Metrics:         opts.Metrics,
+			Metrics:         c.metrics,
 			BypassThreshold: opts.BypassThreshold,
 			MasterAddrs:     c.masterAddrs,
 		}, store, jset)
@@ -501,7 +503,7 @@ func (c *Cluster) NewClient(name string) *client.Client {
 		TinyThreshold: c.opts.TinyThreshold,
 		CallTimeout:   c.opts.CallTimeout,
 		IOTimeout:     c.opts.IOTimeout,
-		Metrics:       c.opts.Metrics,
+		Metrics:       c.metrics,
 	})
 	c.clients = append(c.clients, cl)
 	return cl
@@ -594,4 +596,4 @@ func (c *Cluster) Mode() Mode { return c.opts.Mode }
 func (c *Cluster) Clock() clock.Clock { return c.clk }
 
 // Metrics returns the cluster-wide stage-latency registry.
-func (c *Cluster) Metrics() *metrics.Registry { return c.opts.Metrics }
+func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }

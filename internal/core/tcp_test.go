@@ -10,7 +10,6 @@ import (
 	"ursa/internal/chunkserver"
 	"ursa/internal/client"
 	"ursa/internal/clock"
-	"ursa/internal/journal"
 	"ursa/internal/master"
 	"ursa/internal/simdisk"
 	"ursa/internal/transport"
@@ -49,6 +48,7 @@ func TestRealTCPDeployment(t *testing.T) {
 		p := chunkserver.New(chunkserver.Config{
 			Addr:  pl.Addr(),
 			Clock: clk, Dialer: dialer, ReplTimeout: time.Second,
+			MasterAddrs: []string{ml.Addr()},
 		}, pstore, nil)
 		p.Serve(pl)
 		defer p.Close()
@@ -58,14 +58,14 @@ func TestRealTCPDeployment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdd := simdisk.NewHDD(fastHDDModel(), clk)
-		bstore := blockstore.New(hdd, util.AlignDown(hdd.Size()/2, util.ChunkSize))
-		jset := journal.NewSet(clk, bstore, journal.DefaultConfig())
-		jset.AddSSDJournal("j", simdisk.NewSSD(fastSSDModel(), clk), 0, 64*util.MiB)
-		jset.Start()
+		// The daemon's backup: NewBackup's layout with the overflow journal
+		// on, behind a journal SSD of its own.
+		bstore, jset, _ := NewBackup(clk, bl.Addr(), simdisk.NewHDD(fastHDDModel(), clk),
+			simdisk.NewSSD(fastSSDModel(), clk), 0, 64*util.MiB, true, nil)
 		b := chunkserver.New(chunkserver.Config{
 			Addr:  bl.Addr(),
 			Clock: clk, Dialer: dialer, ReplTimeout: time.Second,
+			MasterAddrs: []string{ml.Addr()},
 		}, bstore, jset)
 		b.Serve(bl)
 		defer b.Close()

@@ -188,8 +188,10 @@ func (m *Master) GetSnapshot(name string) (*SnapshotMeta, error) {
 // drop the chunk's cold refs (replicated): clearing earlier would strand the
 // laggards — a GC remap refreshes refs from this table, and an emptied table
 // would leave them nothing to fetch from. The report set itself is
-// primary-local soft state: losing it across a failover merely delays the
-// clear until the (idempotent) reports recur, never breaks a fetch.
+// primary-local soft state, and a replica files its (idempotent) notice only
+// until one master has taken it: a failover between two replicas' notices
+// never breaks a fetch, but it leaves the refs in place with nobody left to
+// report (ROADMAP item 3).
 func (m *Master) chunkMaterialized(req MaterializedReq) (any, error) {
 	if err := m.lockPrimary("chunk materialized"); err != nil {
 		return nil, err
