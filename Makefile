@@ -122,13 +122,17 @@ ec-smoke:
 # three-master cluster is killed mid-workload under the linearizability
 # checker; a standby must promote at a higher epoch, the deposed master
 # must bounce off the chunkservers' epoch fence, and the client must finish
-# with zero failed I/Os. Then the master's state-machine gates: replicated
+# with zero failed I/Os; a failure report a chunk server files while no
+# master is primary must reach the one that promotes. The master session's
+# hunting and reporter rules, and the source rule that nothing else hunts
+# for the primary. Then the master's state-machine gates: replicated
 # state byte-identical on primary, standbys and a promoted standby after
 # traffic of every entry kind; a fresh standby fed the primary's log
 # reproduces its state; the four closed primary/standby drifts; and the
 # source rule that only state.go writes a field of the replicated state.
 failover-smoke:
-	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers' -race -count=1 -v
+	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout' -race -count=1 -v
+	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
 	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStateWrittenOnlyInStateGo' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
 	"os"
@@ -82,19 +81,12 @@ func main() {
 	srv.Serve(l)
 
 	// Register with the master.
-	conn, err := dialer.Dial(*masterAddr)
-	if err != nil {
-		log.Fatalf("dial master %s: %v", *masterAddr, err)
-	}
-	cli := transport.NewClient(conn, clk)
-	payload, _ := json.Marshal(master.RegisterReq{
+	status, err := srv.Master().Call(nil, proto.MOpRegister, master.RegisterReq{
 		Addr: l.Addr(), Machine: *machine, SSD: *role == "primary",
-	})
-	resp, err := cli.Call(&proto.Message{Op: proto.MOpRegister, Payload: payload}, 0)
-	if err != nil || resp.Status != proto.StatusOK {
-		log.Fatalf("register with master: %v (%v)", err, resp)
+	}, nil)
+	if err != nil || status != proto.StatusOK {
+		log.Fatalf("register with master: %v (%v)", err, status)
 	}
-	cli.Close()
 	log.Printf("ursa-chunkserver %s (%s on %s) registered with %s",
 		l.Addr(), *role, *machine, *masterAddr)
 

@@ -44,10 +44,10 @@ func main() {
 		id = host + "-nbd"
 	}
 	cl := client.New(client.Config{
-		Name:       id,
-		MasterAddr: *masterAddr,
-		Clock:      clock.Realtime,
-		Dialer:     transport.TCPDialer{},
+		Name:        id,
+		MasterAddrs: []string{*masterAddr},
+		Clock:       clock.Realtime,
+		Dialer:      transport.TCPDialer{},
 	})
 	defer cl.Close()
 

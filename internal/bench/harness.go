@@ -175,7 +175,7 @@ var phaseHeader = []string{"phase", "IOPS", "MB/s", "mean lat", "p99 lat", "erro
 // closedLoop drives a queue depth where there is no workload.Device to hand
 // to workload.Run — a bare journal set, a hand-wired replica group: qd
 // workers each issue one 4 KiB op after another, at random sector-aligned
-// offsets of a chunk, for half a cell time. worker runs once on each worker's
+// offsets of a chunk, for loopWindow. worker runs once on each worker's
 // goroutine, with its index and its generator (seeded as workload.Run seeds
 // its workers), and returns the op; an op that returns false stops its
 // worker, and the cell's rate shows the loss. Each worker has a histogram of
@@ -183,7 +183,7 @@ var phaseHeader = []string{"phase", "IOPS", "MB/s", "mean lat", "p99 lat", "erro
 // rate is ops over the window, not over the last straggler's return.
 func closedLoop(cfg Config, qd int, worker func(w int, r *util.Rand) (op func(off int64) bool)) (perSec float64, lat *util.Hist) {
 	clk := clock.Realtime
-	window := cfg.cellTime() / 2
+	window := loopWindow(cfg)
 	deadline := clk.Now().Add(window)
 	hists := make([]*util.Hist, qd)
 	var wg sync.WaitGroup
@@ -211,6 +211,9 @@ func closedLoop(cfg Config, qd int, worker func(w int, r *util.Rand) (op func(of
 	}
 	return float64(lat.Count()) / window.Seconds(), lat
 }
+
+// loopWindow is how long closedLoop drives a cell: half a cell time.
+func loopWindow(cfg Config) time.Duration { return cfg.cellTime() / 2 }
 
 // waitQuiet polls counter until it has risen above floor and then not moved
 // for quiet (0: until it has risen), or until deadline has passed, and

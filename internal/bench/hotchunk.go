@@ -110,7 +110,10 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 	// One shared version allocator across the workers: the chunk's version
 	// chain is global, exactly as one vdisk client's writeFragment counter
 	// is. A failed attempt retries the SAME version (the §4.2.1 retry rule);
-	// StatusStaleVersion on a retry means an earlier attempt landed.
+	// StatusStaleVersion on a retry means an earlier attempt landed. All of
+	// one write's attempts share one budget of the cell's window, so a write
+	// lost on a starved host stops its worker within the cell instead of
+	// stalling the figure.
 	var verMu sync.Mutex
 	var next uint64
 	perSec, lat := closedLoop(cfg, qd, func(_ int, r *util.Rand) func(int64) bool {
@@ -121,22 +124,21 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 			v := next
 			next++
 			verMu.Unlock()
-			for attempt := 0; attempt < 50; attempt++ {
-				op := opctx.New(clk, 30*time.Second)
+			op := opctx.New(clk, loopWindow(cfg))
+			defer op.Release()
+			for attempt := 0; ; attempt++ {
 				resp, err := cli.Do(op, &proto.Message{
 					Op: proto.OpWrite, Chunk: hotchunkChunk, Off: off,
 					View: 1, Version: v, Payload: data,
 				}, 0)
-				op.Release()
 				if err != nil {
-					continue
+					return false // budget spent or connection gone: the cell shows it
 				}
 				if resp.Status == proto.StatusOK ||
 					(attempt > 0 && resp.Status == proto.StatusStaleVersion) {
 					return true
 				}
 			}
-			return false // chain stuck: stop this worker, the cell shows it
 		}
 	})
 	cell := hotchunkCell{

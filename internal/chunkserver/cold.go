@@ -205,7 +205,7 @@ func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.Chunk
 // covering chunkOff is returned.
 func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.ChunkID, chunkOff int64) (coldtier.ExtentRef, bool, error) {
 	var fresh ColdRefsResp
-	status, err := s.callMaster(op, proto.MOpGetColdRefs,
+	status, err := s.master.Call(op, proto.MOpGetColdRefs,
 		ColdRefsReq{VDisk: id.VDisk(), ChunkIndex: id.Index()}, &fresh)
 	if err == nil && status != proto.StatusOK {
 		err = fmt.Errorf("master answered %s: %w", status, util.ErrTimeout)
@@ -243,13 +243,11 @@ func (s *Server) notifyMaterialized(id blockstore.ChunkID) {
 	go func() {
 		pol := backoff.Policy{Base: s.cfg.ReplTimeout / 2, Cap: 10 * s.cfg.ReplTimeout}
 		for attempt := 0; ; attempt++ {
-			op := opctx.New(s.cfg.Clock, 20*s.cfg.ReplTimeout)
-			status, err := s.callMaster(op, proto.MOpChunkMaterialized, MaterializedReq{
+			status, err := s.master.Call(nil, proto.MOpChunkMaterialized, MaterializedReq{
 				VDisk:      id.VDisk(),
 				ChunkIndex: id.Index(),
 				Addr:       s.cfg.Addr,
 			}, nil)
-			op.Release()
 			if err == nil && (status == proto.StatusOK || status == proto.StatusNotFound) {
 				return
 			}

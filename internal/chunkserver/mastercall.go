@@ -1,20 +1,13 @@
 package chunkserver
 
 import (
-	"encoding/json"
-	"fmt"
-	"time"
-
 	"ursa/internal/blockstore"
-	"ursa/internal/bufpool"
 	"ursa/internal/coldtier"
-	"ursa/internal/opctx"
 	"ursa/internal/proto"
-	"ursa/internal/util"
 )
 
-// This file is the server's one way to talk to the master: callMaster, the
-// wire shapes of the three calls it makes, and the failure reports. The
+// This file holds the wire shapes of the three calls the server makes to the
+// master through its transport.MasterSession, and the failure reports. The
 // shapes are defined here rather than in package master because master
 // imports this package; master aliases them.
 
@@ -50,51 +43,6 @@ type ColdRefsResp struct {
 	Refs []coldtier.ExtentRef `json:"refs,omitempty"`
 }
 
-// callMaster sends req (JSON) to the acting master as mop and, on StatusOK,
-// decodes the reply into out when out is non-nil. It rotates through the
-// master endpoints starting at the one that last answered: during a
-// failover the old primary times out or redirects (StatusNotPrimary) and
-// the call lands on the new primary on a later turn of the loop. The
-// returned status is the first that is not a redirect; an error means no
-// endpoint gave one, or the reply would not decode.
-func (s *Server) callMaster(op *opctx.Op, mop proto.Op, req, out any) (proto.Status, error) {
-	addrs := s.cfg.MasterAddrs
-	if len(addrs) == 0 {
-		return 0, fmt.Errorf("chunkserver %s: no master configured: %w", s.cfg.Addr, util.ErrNotFound)
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return 0, err
-	}
-	start := int(s.masterIdx.Load()) % len(addrs)
-	for i := range addrs {
-		idx := (start + i) % len(addrs)
-		// Re-sending the same payload slice is safe — JSON buffers are
-		// foreign to bufpool, so the per-attempt Put inside Do is a no-op.
-		resp, err := s.peers.Do(op, addrs[idx], &proto.Message{Op: mop, Payload: payload}, 0)
-		if err != nil {
-			continue
-		}
-		status := resp.Status
-		if status == proto.StatusOK && out != nil {
-			err = json.Unmarshal(resp.Payload, out)
-		}
-		bufpool.Put(resp.Payload)
-		proto.Recycle(resp)
-		if status == proto.StatusNotPrimary {
-			continue
-		}
-		s.masterIdx.Store(int64(idx))
-		return status, err
-	}
-	return 0, fmt.Errorf("chunkserver %s: no master answered %v: %w", s.cfg.Addr, mop, util.ErrTimeout)
-}
-
-// reportCooldown throttles failure reports per (chunk, address): a chunk
-// taking sustained I/O errors reports at most once per cooldown, so a storm
-// of failing requests cannot flood the master with duplicate view changes.
-const reportCooldown = time.Second
-
 // reportDeviceFailure handles a local device I/O failure on a chunk: the
 // replica stops vouching for the chunk (see chunkState.suspect) and asks
 // the master, naming this server as the failed replica, for the §4.2.2 view
@@ -106,39 +54,19 @@ func (s *Server) reportDeviceFailure(id blockstore.ChunkID) {
 	s.reportFailure(id, s.cfg.Addr)
 }
 
-// reportFailure asks the master (fire-and-forget) to run the §4.2.2 view
-// change for a chunk, naming failedAddr as the suspect replica — this
-// server itself on device errors, or a segment holder whose RS fan-out ack
-// never arrived. Reports are throttled per (chunk, address) so request
-// storms against a dead disk collapse into one view change; the master's
-// recovery is idempotent regardless (a second report after the view moved
-// finds the address already repaired).
+// reportFailure asks the master (fire-and-forget, through the session's
+// reporter) to run the §4.2.2 view change for a chunk, naming failedAddr as
+// the suspect replica — this server itself on device errors, or a segment
+// holder whose RS fan-out ack never arrived. The reporter's cooldown
+// collapses request storms against a dead disk into one view change; the
+// master's recovery is idempotent regardless (a second report after the view
+// moved finds the address already repaired).
 func (s *Server) reportFailure(id blockstore.ChunkID, failedAddr string) {
-	if len(s.cfg.MasterAddrs) == 0 {
-		return
-	}
-	key := id.String() + "|" + failedAddr
-	now := s.cfg.Clock.Now()
-	s.failMu.Lock()
-	if last, ok := s.lastReport[key]; ok && now.Sub(last) < reportCooldown {
-		s.failMu.Unlock()
-		return
-	}
-	s.lastReport[key] = now
-	s.failMu.Unlock()
-
-	go func() {
-		// Recovery clones a whole chunk synchronously before the master
-		// replies, so the window is far beyond a normal RPC's.
-		op := opctx.New(s.cfg.Clock, 120*s.cfg.ReplTimeout)
-		defer op.Release()
-		if s.cfg.Metrics != nil {
-			op = op.WithSink(s.cfg.Metrics)
-		}
-		_, _ = s.callMaster(op, proto.MOpReportFailure, ReportFailureReq{
+	s.master.Report(id, failedAddr, func() {
+		_, _ = s.master.Call(nil, proto.MOpReportFailure, ReportFailureReq{
 			VDisk:      id.VDisk(),
 			ChunkIndex: id.Index(),
 			FailedAddr: failedAddr,
-		}, nil) // fire-and-forget: a lost report is re-filed after the cooldown
-	}()
+		}, nil) // nobody waits: a lost report is filed again by the next failure
+	})
 }

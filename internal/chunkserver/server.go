@@ -46,8 +46,7 @@ type Config struct {
 	// master). Device failures are reported there (MOpReportFailure) so the
 	// master runs the §4.2.2 view change that re-replicates the chunk
 	// elsewhere; cold-ref refreshes and materialization notices go the same
-	// way. Calls rotate through the list on transport errors and
-	// StatusNotPrimary redirects (see callMaster). Empty disables all three.
+	// way, all through one transport.MasterSession. Empty disables all three.
 	MasterAddrs []string
 }
 
@@ -107,6 +106,7 @@ type Server struct {
 	// the whole data path at QD32.
 	chunks [chunkShards]chunkShard
 	peers  *transport.Peers
+	master *transport.MasterSession
 
 	// upMu/upCond gate request admission during a hot upgrade (§5.2):
 	// Handle parks on the condvar while draining, Upgrade parks until the
@@ -122,18 +122,10 @@ type Server struct {
 	repairCount, cloneCount    metrics.Counter
 	degradedCommits, noQuorums metrics.Counter
 
-	// failMu guards the per-chunk-and-address report throttle (see
-	// reportFailure).
-	failMu     sync.Mutex
-	lastReport map[string]time.Time
-
 	// masterEpoch is the newest master primacy epoch this server has
 	// witnessed; commands stamped with an older one are rejected
 	// (StatusStaleEpoch) — the fence that stops a deposed master.
 	masterEpoch atomic.Uint64
-	// masterIdx remembers which MasterAddrs entry last answered, so calls go
-	// straight to the acting primary.
-	masterIdx atomic.Int64
 
 	rpc *transport.Server
 	// closed ends what the server leaves running in the background between
@@ -147,12 +139,12 @@ type Server struct {
 func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:        cfg,
-		store:      store,
-		jset:       jset,
-		peers:      transport.NewPeers(cfg.Dialer, cfg.Clock),
-		lastReport: make(map[string]time.Time),
-		closed:     make(chan struct{}),
+		cfg:    cfg,
+		store:  store,
+		jset:   jset,
+		peers:  transport.NewPeers(cfg.Dialer, cfg.Clock),
+		master: transport.NewMasterSession(cfg.Dialer, cfg.Clock, cfg.MasterAddrs, cfg.ReplTimeout, cfg.Metrics),
+		closed: make(chan struct{}),
 	}
 	for i := range s.chunks {
 		s.chunks[i].m = make(map[blockstore.ChunkID]*chunkState)
@@ -180,17 +172,22 @@ func (s *Server) Serve(l transport.Listener) {
 	s.rpc = transport.Serve(l, s.Handle, opts...)
 }
 
-// Close stops the RPC server and the journal replayer.
+// Close stops the RPC server, the master session and the journal replayer.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.closed) })
 	if s.rpc != nil {
 		s.rpc.Close()
 	}
+	s.master.Close()
 	s.peers.CloseAll()
 	if s.jset != nil {
 		s.jset.Close()
 	}
 }
+
+// Master returns the server's session with the master service, for callers
+// that speak for the server (its daemon's registration).
+func (s *Server) Master() *transport.MasterSession { return s.master }
 
 // Addr returns the configured address.
 func (s *Server) Addr() string { return s.cfg.Addr }

@@ -109,7 +109,7 @@ func TestAbandonedWriteResyncsVersions(t *testing.T) {
 			e := newEnv(t)
 			var lose atomic.Int32
 			cl := New(Config{
-				Name: "a", MasterAddr: "master", Clock: e.clk,
+				Name: "a", MasterAddrs: []string{"master"}, Clock: e.clk,
 				Dialer:      lossyDialer{e.net.Dialer("client-a", transport.NodeConfig{}), &lose},
 				CallTimeout: testCallTimeout,
 			})

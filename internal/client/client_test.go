@@ -112,7 +112,7 @@ func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 func (e *env) client(t *testing.T, name string) *Client {
 	t.Helper()
 	cl := New(Config{
-		Name: name, MasterAddr: "master", Clock: e.clk,
+		Name: name, MasterAddrs: []string{"master"}, Clock: e.clk,
 		Dialer:      e.net.Dialer("client-"+name, transport.NodeConfig{}),
 		CallTimeout: testCallTimeout,
 	})
@@ -163,7 +163,7 @@ func TestClientRegistryMetrics(t *testing.T) {
 	e := newEnv(t)
 	reg := metrics.NewRegistry()
 	cl := New(Config{
-		Name: "m", MasterAddr: "master", Clock: e.clk,
+		Name: "m", MasterAddrs: []string{"master"}, Clock: e.clk,
 		Dialer:      e.net.Dialer("client-m", transport.NodeConfig{}),
 		CallTimeout: testCallTimeout,
 		Metrics:     reg,
@@ -219,7 +219,7 @@ func TestStripedWriteJoinsEveryFragment(t *testing.T) {
 		t.Run(fmt.Sprintf("fragment %d fails", failing), func(t *testing.T) {
 			e := newEnv(t)
 			cl := New(Config{
-				Name: "s", MasterAddr: "master", Clock: e.clk,
+				Name: "s", MasterAddrs: []string{"master"}, Clock: e.clk,
 				Dialer:      e.net.Dialer("client-s", transport.NodeConfig{}),
 				CallTimeout: testCallTimeout,
 				MaxRetries:  1,

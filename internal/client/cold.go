@@ -20,8 +20,10 @@ const MetricColdWarmHits = "cold-fetch-hit-warm"
 func (c *Client) SnapshotVDisk(vdiskName, snapName string) error {
 	// A snapshot flushes every chunk of the vdisk through a chunk server
 	// into the object store — bandwidth-bound maintenance, not a metadata
-	// lookup — so it gets a far larger budget than MasterTimeout.
-	status, err := c.masterCallT(40*c.cfg.MasterTimeout, proto.MOpSnapshot,
+	// lookup — so it gets a far larger budget than a metadata call.
+	op := c.newOp(40 * c.master.Budget())
+	defer op.Release()
+	status, err := c.master.Call(op, proto.MOpSnapshot,
 		master.SnapshotReq{VDisk: vdiskName, Name: snapName}, nil)
 	if err != nil {
 		return err
@@ -44,7 +46,7 @@ func (c *Client) SnapshotVDisk(vdiskName, snapName string) error {
 // extent granularity).
 func (c *Client) CloneFromSnapshot(req master.CloneReq) (*master.VDiskMeta, error) {
 	var meta master.VDiskMeta
-	status, err := c.masterCall(proto.MOpCloneFromSnapshot, req, &meta)
+	status, err := c.master.Call(nil, proto.MOpCloneFromSnapshot, req, &meta)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +68,7 @@ func (c *Client) CloneFromSnapshot(req master.CloneReq) (*master.VDiskMeta, erro
 // the master's cold GC reclaims (except extents still referenced by
 // unmaterialized clones, which GC keeps live).
 func (c *Client) DeleteSnapshot(name string) error {
-	status, err := c.masterCall(proto.MOpDeleteSnapshot,
+	status, err := c.master.Call(nil, proto.MOpDeleteSnapshot,
 		master.SnapshotReq{Name: name}, nil)
 	if err != nil {
 		return err

@@ -67,7 +67,7 @@ func TestOpenProbesOncePerAddress(t *testing.T) {
 	const chunks = 256
 	e := newEnvSized(t, 16*util.GiB, 64*util.GiB) // 4 × 256 primary slots, 4 × 512 backup slots
 	dialer := newCountingDialer(e.net.Dialer("client-a", transport.NodeConfig{}))
-	cl := New(Config{Name: "a", MasterAddr: "master", Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
+	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
 	t.Cleanup(cl.Close)
 	meta, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "wide", Size: chunks * util.ChunkSize})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
 	e := newEnv(t)
 	var lose atomic.Int32
 	dialer := newCountingDialer(lossyDialer{e.net.Dialer("client-a", transport.NodeConfig{}), &lose})
-	cl := New(Config{Name: "a", MasterAddr: "master", Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
+	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
 	t.Cleanup(cl.Close)
 	vd := e.vdisk(t, cl, "d", chunks*util.ChunkSize)
 	for i := int64(0); i < chunks; i++ {

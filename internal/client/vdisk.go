@@ -14,7 +14,6 @@ import (
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/redundancy"
-	"ursa/internal/transport"
 	"ursa/internal/util"
 	"ursa/internal/util/backoff"
 )
@@ -55,19 +54,11 @@ type VDisk struct {
 	c      *Client
 	meta   master.VDiskMeta
 	chunks []*chunkHandle
-	wlimit *transport.TokenBucket // master-imposed write budget (§3.2)
 
 	renewStop chan struct{}
 	renewDone chan struct{}
 	closed    atomic.Bool
 	leaseOK   atomic.Bool
-
-	// Straggler failure reports are fire-and-forget; the dedup below keeps a
-	// flapping replica from spawning one report goroutine per failed write
-	// (mirroring the chunkserver's per-chunk report cooldown).
-	repMu       sync.Mutex
-	repInflight map[int]struct{}        // chunk idx -> report in flight
-	repLast     map[reportKey]time.Time // last report per (chunk, addr)
 
 	reads, writes         metrics.Counter
 	bytesRead, bytesWrite metrics.Counter
@@ -81,26 +72,14 @@ type VDisk struct {
 	coldWarmHits *metrics.Counter
 }
 
-// reportKey identifies one (chunk, failed address) straggler report for
-// the cooldown window.
-type reportKey struct {
-	idx  int
-	addr string
-}
-
 func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
 	vd := &VDisk{
-		c:           c,
-		meta:        meta,
-		chunks:      make([]*chunkHandle, len(meta.Chunks)),
-		repInflight: make(map[int]struct{}),
-		repLast:     make(map[reportKey]time.Time),
+		c:      c,
+		meta:   meta,
+		chunks: make([]*chunkHandle, len(meta.Chunks)),
 	}
 	for i, cm := range meta.Chunks {
 		vd.chunks[i] = &chunkHandle{meta: cm}
-	}
-	if meta.WriteRateLimit > 0 {
-		vd.wlimit = transport.NewTokenBucket(c.cfg.Clock, meta.WriteRateLimit)
 	}
 	if c.cfg.Metrics != nil {
 		vd.tinyWritesC = c.cfg.Metrics.Counter("client-tiny-writes")
@@ -151,7 +130,7 @@ func (vd *VDisk) confirmChunks(op *opctx.Op, idxs []int) error {
 		if err := op.Err(); err != nil {
 			return fmt.Errorf("client: chunk %d version probe: %w", idxs[0], err)
 		}
-		if vd.c.isClosed() {
+		if vd.c.closed.Load() {
 			return util.ErrClosed
 		}
 		metas, answers := vd.probe(op, idxs)
@@ -253,33 +232,21 @@ func (vd *VDisk) chunkID(idx int) blockstore.ChunkID {
 // CallTimeout. The pool recycles connections on real transport faults but
 // not on timeouts or op expiry/cancellation.
 func (vd *VDisk) call(op *opctx.Op, addr string, m *proto.Message) (*proto.Message, error) {
-	if vd.c.isClosed() {
+	if vd.c.closed.Load() {
 		return nil, util.ErrClosed
 	}
 	return vd.c.peers.Do(op, addr, m, vd.c.cfg.CallTimeout)
 }
 
 // reportFailure asks the master to run a view change for the chunk and
-// installs the returned metadata (§4.2.2).
+// installs the returned metadata (§4.2.2). The master holds the report until
+// the chunk's recovery completes, which can outlast an I/O budget; on an
+// I/O's critical path the wait is bounded by op's remaining budget —
+// blocking past the deadline helps nobody. Maintenance callers pass a nil
+// op and wait a master call's full budget.
 func (vd *VDisk) reportFailure(op *opctx.Op, idx int, failedAddr string) error {
-	// The master holds the report until the chunk's recovery completes, and
-	// a recovery (a segment rebuild, or a whole-chunk clone) can outlast an
-	// I/O budget. When the report is on an I/O's critical path the wait is
-	// bounded by the op's remaining budget: blocking past the deadline
-	// helps nobody — the retry loop above is already dead. Maintenance
-	// callers pass nil and wait the full MasterTimeout.
-	d := vd.c.cfg.MasterTimeout
-	if op != nil {
-		rem, ok := op.Remaining()
-		if ok && rem < d {
-			d = rem
-		}
-		if d <= 0 {
-			return op.Err()
-		}
-	}
 	var newMeta master.ChunkMeta
-	status, err := vd.c.masterCallT(d, proto.MOpReportFailure, master.ReportFailureReq{
+	status, err := vd.c.master.Call(op, proto.MOpReportFailure, master.ReportFailureReq{
 		VDisk:      vd.meta.ID,
 		ChunkIndex: uint32(idx),
 		FailedAddr: failedAddr,
@@ -301,53 +268,17 @@ func (vd *VDisk) reportFailure(op *opctx.Op, idx int, failedAddr string) error {
 	return nil
 }
 
-// reportFailureAsync files a failure report off the I/O's critical path.
-// One report per chunk is in flight at a time, and repeats of the same
-// (chunk, address) report within ReportCooldown are dropped — a flapping
-// replica under a write-heavy workload would otherwise spawn an unbounded
-// herd of reports all asking the master for the same recovery. Surviving
-// reports go onto the client's bounded queue behind a single reporter
-// goroutine; when the queue is full (a master blackout, typically) the
-// report is dropped and counted rather than parked — the next failed I/O
-// past the cooldown re-files it.
-func (vd *VDisk) reportFailureAsync(idx int, failedAddr string) {
-	now := vd.c.cfg.Clock.Now()
-	key := reportKey{idx: idx, addr: failedAddr}
-	vd.repMu.Lock()
-	if _, busy := vd.repInflight[idx]; busy {
-		vd.repMu.Unlock()
-		return
-	}
-	if t, ok := vd.repLast[key]; ok && now.Sub(t) < vd.c.cfg.ReportCooldown {
-		vd.repMu.Unlock()
-		return
-	}
-	vd.repLast[key] = now
-	vd.repInflight[idx] = struct{}{}
-	vd.repMu.Unlock()
-	select {
-	case vd.c.reportCh <- asyncReport{vd: vd, idx: idx, addr: failedAddr}:
-	default:
-		vd.finishAsyncReport(idx)
-		if vd.c.cfg.Metrics != nil {
-			vd.c.cfg.Metrics.Counter(MetricFailureReportsDropped).Inc()
-		}
-	}
-}
-
-// finishAsyncReport releases the per-chunk in-flight marker set by
-// reportFailureAsync (called by the reporter goroutine, or on drop).
-func (vd *VDisk) finishAsyncReport(idx int) {
-	vd.repMu.Lock()
-	delete(vd.repInflight, idx)
-	vd.repMu.Unlock()
+// reportLater files a failure report off the I/O's critical path, through
+// the session's reporter.
+func (vd *VDisk) reportLater(idx int, failedAddr string) {
+	vd.c.master.Report(vd.chunkID(idx), failedAddr, func() { _ = vd.reportFailure(nil, idx, failedAddr) })
 }
 
 // refreshMeta re-reads the chunk placement from the master (stale-view
 // recovery path).
 func (vd *VDisk) refreshMeta(idx int) error {
 	var meta master.VDiskMeta
-	status, err := vd.c.masterCall(proto.MOpGetVDisk,
+	status, err := vd.c.master.Call(nil, proto.MOpGetVDisk,
 		master.GetVDiskReq{ID: vd.meta.ID}, &meta)
 	if err != nil {
 		return err
@@ -388,9 +319,7 @@ func (vd *VDisk) ReadAt(p []byte, off int64) error {
 
 // WriteAt implements Device: fragments the request; tiny fragments use
 // client-directed replication, larger ones go through the primary. The
-// whole operation runs under one IOTimeout-budgeted request context; the
-// budget starts ticking before rate-limit admission, so a throttled client
-// cannot also spend a full budget on the network.
+// whole operation runs under one IOTimeout-budgeted request context.
 func (vd *VDisk) WriteAt(p []byte, off int64) error {
 	if err := vd.usable(); err != nil {
 		return err
@@ -399,11 +328,6 @@ func (vd *VDisk) WriteAt(p []byte, off int64) error {
 		return err
 	}
 	op := vd.c.newOp(vd.c.cfg.IOTimeout)
-	if vd.wlimit != nil {
-		st := op.Stage(opctx.StageQueue)
-		vd.wlimit.Take(len(p))
-		st.Stop()
-	}
 	err := vd.forEachFragment(op, p, off, true)
 	op.Release()
 	if err != nil {
@@ -532,7 +456,7 @@ func (vd *VDisk) readFragment(op *opctx.Op, idx int, buf []byte, off int64) erro
 		case err != nil:
 			lastErr = err
 			failover = true
-			vd.reportFailureAsync(idx, addr)
+			vd.reportLater(idx, addr)
 		case status == proto.StatusOK:
 			return nil
 		case status == proto.StatusStaleView:
@@ -893,7 +817,7 @@ func (vd *VDisk) writeViaPrimary(op *opctx.Op, idx int, cm master.ChunkMeta, dat
 	bufpool.Retain(data) // the call consumes one reference on every path
 	resp, err := vd.call(op, addr, m)
 	if err != nil {
-		vd.reportFailureAsync(idx, addr)
+		vd.reportLater(idx, addr)
 		return false, false
 	}
 	status := resp.Status
@@ -965,7 +889,7 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 	if acks*2 > len(cm.Replicas) {
 		// Majority: committed, but tell the master to fix the stragglers
 		// (deduplicated: one in-flight report per chunk, cooldown per key).
-		vd.reportFailureAsync(idx, "")
+		vd.reportLater(idx, "")
 		return true, false
 	}
 	return false, stales > 0
@@ -987,7 +911,7 @@ func (vd *VDisk) startRenewer() {
 				return
 			case <-vd.c.cfg.Clock.After(ttl / 3):
 			}
-			status, err := vd.c.masterCall(proto.MOpRenewLease,
+			status, err := vd.c.master.Call(nil, proto.MOpRenewLease,
 				master.LeaseReq{ID: vd.meta.ID, Client: vd.c.cfg.Name}, nil)
 			if err == nil && status == proto.StatusLeaseHeld {
 				vd.leaseOK.Store(false)
@@ -1007,7 +931,7 @@ func (vd *VDisk) Close() error {
 		close(vd.renewStop)
 		<-vd.renewDone
 	}
-	_, _ = vd.c.masterCall(proto.MOpCloseVDisk,
+	_, _ = vd.c.master.Call(nil, proto.MOpCloseVDisk,
 		master.LeaseReq{ID: vd.meta.ID, Client: vd.c.cfg.Name}, nil)
 	return nil
 }

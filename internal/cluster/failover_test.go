@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -193,5 +194,59 @@ func TestDeposedMasterFencedByChunkservers(t *testing.T) {
 	}
 	if fetched.ID != meta.ID {
 		t.Fatalf("fetched vdisk %d, want %d", fetched.ID, meta.ID)
+	}
+}
+
+// TestServerReportSurvivesMasterBlackout: a failure report a chunk server
+// files while no master is primary must reach the one that promotes. The
+// primary master is killed and the chunk's primary replica rots; one client
+// read fails over to a backup (StatusCorrupt is not reported by the client),
+// so the primary server's own report is the only one filed. A report that
+// makes one sweep of the endpoints and gives up is lost for good, and the
+// chunk keeps its rotten primary.
+func TestServerReportSurvivesMasterBlackout(t *testing.T) {
+	c := failoverCluster(t)
+	vd := chaosVDisk(t, c, 1)
+	golden := make([]byte, 64*util.KiB)
+	util.NewRand(31).Fill(golden)
+	if err := vd.WriteAt(golden, 0); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c.Masters[1].LogSeq() == c.Masters[0].LogSeq() && c.Masters[2].LogSeq() == c.Masters[0].LogSeq() {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatal("standbys never caught up with the primary's log")
+		}
+	}
+	meta := vd.Meta()
+	mi, di, isHDD := replicaDevice(t, c, meta.Chunks[0].Replicas[0].Addr)
+	if isHDD {
+		t.Fatalf("primary %s on an HDD", meta.Chunks[0].Replicas[0].Addr)
+	}
+	// Rot only the SSD's store region, not the backup journals in its tail.
+	ssd := c.Machines[mi].SSDFaults[di]
+	storeLimit := util.AlignDown(int64(float64(ssd.Size())*0.9), util.ChunkSize)
+
+	epoch := c.Masters[0].Epoch()
+	c.KillMaster(0)
+	ssd.CorruptRange(0, storeLimit, true)
+	got := make([]byte, 4*util.KiB)
+	if err := vd.ReadAt(got, 0); err != nil {
+		t.Fatalf("read through the blackout: %v", err)
+	}
+	if !bytes.Equal(got, golden[:len(got)]) {
+		t.Fatal("read returned bytes that were never written")
+	}
+
+	p := waitForPrimary(t, c, epoch, 5*time.Second)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if view := p.Snapshot().VDisks[meta.ID].Chunks[0].View; view > meta.Chunks[0].View {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("chunk view still %d 5s after the promotion: the server's report was lost", meta.Chunks[0].View)
+		}
 	}
 }

@@ -496,7 +496,6 @@ func (c *Cluster) NewClient(name string) *client.Client {
 	cfg := transport.NodeConfig{InRate: c.opts.NICRate, OutRate: c.opts.NICRate}
 	cl := client.New(client.Config{
 		Name:          name,
-		MasterAddr:    MasterAddr,
 		MasterAddrs:   c.masterAddrs,
 		Clock:         c.clk,
 		Dialer:        c.Net.Dialer(name, cfg),

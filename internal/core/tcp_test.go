@@ -74,7 +74,7 @@ func TestRealTCPDeployment(t *testing.T) {
 
 	// Client over TCP.
 	cl := client.New(client.Config{
-		Name: "tcp-test", MasterAddr: ml.Addr(),
+		Name: "tcp-test", MasterAddrs: []string{ml.Addr()},
 		Clock: clk, Dialer: dialer, CallTimeout: 2 * time.Second,
 	})
 	defer cl.Close()

@@ -27,6 +27,10 @@ const (
 	MetricGCBytesRewritten = "gc-bytes-rewritten"
 )
 
+// gcLiveFraction is the live-bytes share below which GC rewrites a segment's
+// surviving extents and reclaims it.
+const gcLiveFraction = 0.5
+
 // RunColdGC performs one garbage-collection pass over the object store and
 // reports how many segments it reclaimed and how many live bytes it
 // rewrote. Safe to call concurrently (passes serialize) and on a cadence
@@ -76,7 +80,7 @@ func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 				continue
 			}
 			reclaimed++
-		case obj.Size > 0 && float64(liveBytes)/float64(obj.Size) < m.cfg.GCLiveFraction:
+		case obj.Size > 0 && float64(liveBytes)/float64(obj.Size) < gcLiveFraction:
 			n, gerr := m.gcRewrite(op, obj.Seg, refs)
 			if gerr != nil {
 				// Partial progress is fine: the old segment stays intact and

@@ -112,7 +112,7 @@ func commit(t *testing.T, m *Master, e entry) {
 }
 
 // TestColdGCRewritesPartiallyDeadSegment drives the compaction arm: a
-// segment whose live fraction fell under GCLiveFraction is rewritten, the
+// segment whose live fraction fell under gcLiveFraction is rewritten, the
 // referencing metadata is remapped atomically, and the old location turns
 // into ErrNotFound — the exact signal a chunkserver's stale-ref fetch uses
 // to refresh.

@@ -28,8 +28,6 @@ type Config struct {
 	Replication int
 	// LeaseTTL is the client lease duration ("tens of seconds", §4.1).
 	LeaseTTL time.Duration
-	// WriteRateLimit caps each client's write bandwidth (0 = unlimited).
-	WriteRateLimit float64
 	// RPCTimeout bounds the master's own calls to chunk servers.
 	RPCTimeout time.Duration
 	// HybridMode places backups on HDD servers; when false (SSD-only mode,
@@ -58,9 +56,6 @@ type Config struct {
 	// GCInterval paces the background cold-tier GC loop (0 disables the
 	// loop; RunColdGC remains callable directly).
 	GCInterval time.Duration
-	// GCLiveFraction is the live-bytes threshold below which GC rewrites a
-	// segment's surviving extents and reclaims it (default 0.5).
-	GCLiveFraction float64
 }
 
 func (c *Config) fillDefaults() {
@@ -81,9 +76,6 @@ func (c *Config) fillDefaults() {
 	}
 	if len(c.Peers) == 1 {
 		c.Peers = nil // a single endpoint is the unreplicated configuration
-	}
-	if c.GCLiveFraction <= 0 {
-		c.GCLiveFraction = 0.5
 	}
 }
 

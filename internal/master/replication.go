@@ -8,6 +8,7 @@ import (
 
 	"ursa/internal/bufpool"
 	"ursa/internal/proto"
+	"ursa/internal/transport"
 	"ursa/internal/util"
 )
 
@@ -62,16 +63,9 @@ type ReplicateLogResp struct {
 }
 
 // MasterInfoResp is the payload of MOpMasterInfo and the body of every
-// StatusNotPrimary redirect: who this master is, who it believes the
-// primary is, and the full endpoint list for client discovery.
-type MasterInfoResp struct {
-	Self      string   `json:"self"`
-	Primary   string   `json:"primary,omitempty"`
-	Epoch     uint64   `json:"epoch"`
-	IsPrimary bool     `json:"isPrimary"`
-	Endpoints []string `json:"endpoints,omitempty"`
-	LogSeq    uint64   `json:"logSeq"`
-}
+// StatusNotPrimary redirect, defined beside the master session that reads
+// redirects.
+type MasterInfoResp = transport.MasterInfoResp
 
 // replicationEnabled reports whether this master runs the replication
 // protocol (two or more configured endpoints).

@@ -1,7 +1,7 @@
 // Package master implements URSA's global master (§3.1): virtual-disk
 // creation/opening/deletion, chunk placement, lease+lock enforcement of the
-// single-client property (§4.1), client rate limiting, and failure recovery
-// through view changes (§4.2.2). The master stays off the normal I/O path.
+// single-client property (§4.1), and failure recovery through view changes
+// (§4.2.2). The master stays off the normal I/O path.
 package master
 
 import (
@@ -45,10 +45,6 @@ type VDiskMeta struct {
 	Chunks []ChunkMeta `json:"chunks"`
 	// LeaseTTL is how long a lease lasts between renewals.
 	LeaseTTL time.Duration `json:"leaseTTL"`
-	// WriteRateLimit is the master-imposed client write budget in
-	// bytes/second (0 = unlimited): aggressive clients are throttled
-	// before journals exhaust their quotas (§3.2).
-	WriteRateLimit float64 `json:"writeRateLimit"`
 	// Redundancy is the vdisk's backup-tier policy. The zero value is
 	// mirroring; RS(N,M) chunks keep a full primary replica and spread
 	// N data + M parity segments across Replicas[1:], position-keyed:

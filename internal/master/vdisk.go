@@ -102,7 +102,7 @@ func (m *Master) planVDiskLocked(meta VDiskMeta, nchunks, repl int, fromSnap str
 		repl = m.cfg.Replication
 	}
 	meta.ID = m.st.nextID + 1
-	meta.LeaseTTL, meta.WriteRateLimit = m.cfg.LeaseTTL, m.cfg.WriteRateLimit
+	meta.LeaseTTL = m.cfg.LeaseTTL
 	meta.Chunks = make([]ChunkMeta, nchunks)
 	cur := m.st.cursors
 	for i := range meta.Chunks {

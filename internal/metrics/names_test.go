@@ -43,7 +43,7 @@ var allMetricNames = map[string]string{
 	"master.MetricMasterReplayRefused":       master.MetricMasterReplayRefused,
 	"master.MetricGCSegmentsReclaimed":       master.MetricGCSegmentsReclaimed,
 	"master.MetricGCBytesRewritten":          master.MetricGCBytesRewritten,
-	"client.MetricFailureReportsDropped":     client.MetricFailureReportsDropped,
+	"transport.MetricReportsDropped":         transport.MetricReportsDropped,
 	"client.MetricColdWarmHits":              client.MetricColdWarmHits,
 	"objstore.MetricObjPuts":                 objstore.MetricObjPuts,
 	"objstore.MetricObjGets":                 objstore.MetricObjGets,
