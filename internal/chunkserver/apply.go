@@ -1,7 +1,6 @@
 package chunkserver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -138,9 +137,6 @@ func (s *Server) awaitDeps(cs *chunkState, op *opctx.Op, m *proto.Message) error
 		}
 		if !cs.waitChangeLocked(op, deadline) {
 			cs.mu.Unlock()
-			if op.Canceled() {
-				return context.Canceled
-			}
 			return fmt.Errorf("chunkserver: dependency wait: %w", util.ErrTimeout)
 		}
 	}
@@ -478,8 +474,8 @@ func (a *applyStep) collect() bool {
 	for done := 1; done <= n; done++ {
 		r, ok := a.fl.Next()
 		if !ok {
-			// Window spent or op cancelled: whoever has not answered by now
-			// has failed, and nothing is pending any more.
+			// Window spent: whoever has not answered by now has failed,
+			// and nothing is pending any more.
 			for t := range a.backups {
 				if heard&(1<<uint(t)) == 0 {
 					failed = append(failed, t)

@@ -107,8 +107,6 @@ func (s *Server) ensureCold(op *opctx.Op, cs *chunkState, id blockstore.ChunkID,
 			case <-waitCh:
 			case <-s.cfg.Clock.After(s.opBudget(op, 10*s.cfg.ReplTimeout)):
 				return fmt.Errorf("chunkserver %s: cold fetch wait %v: %w", s.cfg.Addr, id, util.ErrTimeout)
-			case <-op.Done():
-				return fmt.Errorf("chunkserver %s: cold fetch wait %v: %w", s.cfg.Addr, id, util.ErrTimeout)
 			}
 			continue
 		}

@@ -25,8 +25,8 @@ type Config struct {
 	// Dialer reaches peer servers for replication and recovery.
 	Dialer transport.Dialer
 	// ReplTimeout is the commit-rule window (§4.2.1) for operations that
-	// arrive WITHOUT a propagated deadline — background work and peers
-	// predating op threading. Client-initiated ops never use it: their
+	// arrive WITHOUT a propagated deadline — background work, sent on a
+	// deadline-less op. Client-initiated ops never use it: their
 	// replication budget derives from the op's remaining deadline
 	// (see opBudget), so the majority rule fires relative to the client's
 	// actual budget.
@@ -288,8 +288,7 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 // deadline get 3/4 of the remaining budget — the rest is reserved for the
 // response's return trip and the caller's bookkeeping, so the §4.2.1
 // majority rule fires while the client is still listening. Deadline-less
-// ops (background work, peers predating op threading) fall back to the
-// configured window.
+// ops (background work) fall back to the configured window.
 func (s *Server) opBudget(op *opctx.Op, fallback time.Duration) time.Duration {
 	rem, ok := op.Remaining()
 	if !ok {

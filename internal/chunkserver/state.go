@@ -266,13 +266,13 @@ func (cs *chunkState) adoptVersionLocked(v uint64) {
 	cs.bumpLocked()
 }
 
-// waitChangeLocked blocks until the chunk's state changes, deadline passes,
-// or the op is cancelled; it reports whether a change fired. Called and
-// returns with cs.mu held; the mutex is released for the wait's duration.
+// waitChangeLocked blocks until the chunk's state changes or deadline
+// passes; it reports whether a change fired. Called and returns with cs.mu
+// held; the mutex is released for the wait's duration.
 func (cs *chunkState) waitChangeLocked(op *opctx.Op, deadline time.Time) bool {
 	clk := op.Clock()
 	rem := deadline.Sub(clk.Now())
-	if rem <= 0 || op.Canceled() {
+	if rem <= 0 {
 		return false
 	}
 	w := waitChanPool.Get().(chan struct{})
@@ -284,7 +284,6 @@ func (cs *chunkState) waitChangeLocked(op *opctx.Op, deadline time.Time) bool {
 	case <-w:
 		fired = true
 	case <-t.C:
-	case <-op.Done():
 	}
 	clock.StopTimer(t)
 	cs.mu.Lock()

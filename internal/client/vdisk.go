@@ -230,7 +230,7 @@ func (vd *VDisk) chunkID(idx int) blockstore.ChunkID {
 // call performs one chunk-server RPC on op's behalf through the shared
 // peer pool: bounded by the op's remaining budget, capped per attempt at
 // CallTimeout. The pool recycles connections on real transport faults but
-// not on timeouts or op expiry/cancellation.
+// not on timeouts or op expiry.
 func (vd *VDisk) call(op *opctx.Op, addr string, m *proto.Message) (*proto.Message, error) {
 	if vd.c.closed.Load() {
 		return nil, util.ErrClosed
@@ -787,7 +787,6 @@ func (ch *chunkHandle) waitSettledLocked(op *opctx.Op) error {
 	select {
 	case <-settled:
 	case <-expired:
-	case <-op.Done():
 	}
 	ch.mu.Lock()
 	return op.Err()
@@ -867,7 +866,7 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 	for range cm.Replicas {
 		r, ok := fl.Next()
 		if !ok {
-			break // window spent or op cancelled: the rest did not ack
+			break // window spent: the rest did not ack
 		}
 		if r.Err {
 			continue

@@ -6,7 +6,8 @@
 // an absolute deadline once at the top of the stack, the remaining budget
 // is stamped into every wire message, and each layer below (transport
 // waits, chunk-server replication fan-out, version-gap queueing) bounds its
-// own waits by what is left of the op's budget.
+// own waits by what is left of the op's budget. A wait ends when its event
+// arrives or that budget runs out; an op is never abandoned any other way.
 //
 // An Op also records where its time went: each layer that services the op
 // observes a named stage (queue, net, primary-ssd, backup-journal and its
@@ -14,24 +15,19 @@
 // breadcrumb trail and, when one is attached, a metrics sink — the
 // per-stage latency decomposition the figure benches report.
 //
-// Op implements context.Context, so code that already speaks the standard
-// library's cancellation idiom can consume it directly. Deadlines are model
-// time (the clock.Clock the op was built with), which is wall time under
-// the real clock and compressed time under scaled test clocks.
+// Deadlines are model time (the clock.Clock the op was built with), which is
+// wall time under the real clock and compressed time under scaled test clocks.
 //
-// Ops are pooled and reference-counted, in the bufpool lease idiom: New (and
-// Background, FromWire) lease an op with one reference, which belongs to the
-// creator and which it Releases when the operation has returned; anything
-// that may still use the op after its creator has returned Retains first and
-// Releases when done (nothing in the tree needs to: an RPC made on an op's
-// behalf is awaited by the goroutine that issued it, see transport.Flight).
-// The last Release poisons the op — cancelled and expired, so a stale pointer fails
-// closed instead of spending the next operation's budget — and recycles it.
-// An op that is never released is simply collected; InUse then stays up.
+// Ops are pooled leases: New (and Background, FromWire) lease an op to its
+// creator, which Releases it once, when the operation has returned. Nothing
+// else holds it: an RPC made on an op's behalf is awaited by the goroutine
+// that issued it (see transport.Flight). Release poisons the op — its
+// deadline long past and its sink dropped, so a stale pointer fails closed
+// instead of spending the next operation's budget — and recycles it. An op
+// that is never released is simply collected; InUse then stays up.
 package opctx
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -130,27 +126,19 @@ type Sink interface {
 // wire keep the originator's ID so one op is traceable across layers.
 var nextID atomic.Uint64
 
-// errExpired satisfies both the standard-library and URSA timeout idioms.
-var errExpired = fmt.Errorf("%w: %w", context.DeadlineExceeded, util.ErrTimeout)
+// errExpired is what Err answers once the deadline has passed.
+var errExpired = fmt.Errorf("opctx: op deadline passed: %w", util.ErrTimeout)
 
 // Op is one operation's request context. The zero value is not usable;
 // construct with New, Background, or FromWire. Ops are safe for concurrent
-// use by the goroutines servicing one operation, each under a reference it
-// holds (see the package comment).
+// use by the goroutines servicing one operation while its creator holds the
+// lease (see the package comment).
 type Op struct {
 	id       uint64
 	clk      clock.Clock
 	deadline time.Time // zero = no deadline
 	sink     Sink
-
-	// refs counts the op's holders; <= 0 means released (poisoned, pooled).
-	refs atomic.Int32
-
-	// canceled is the authoritative cancel flag; done mirrors it. The
-	// channel belongs to the pooled Op and outlives its leases: only a lease
-	// that was cancelled closes it, and only then is it replaced.
-	canceled atomic.Bool
-	done     chan struct{}
+	leased   atomic.Bool // cleared by Release
 
 	mu    sync.Mutex
 	trail [numStages]stageCell
@@ -161,23 +149,17 @@ type stageCell struct {
 	total time.Duration
 }
 
-var opPool = sync.Pool{New: func() any { return &Op{done: make(chan struct{})} }}
+var opPool = sync.Pool{New: func() any { return new(Op) }}
 
-// inUse counts leased ops: New minus final Releases.
+// inUse counts leased ops: New minus Releases.
 var inUse atomic.Int64
 
-// closedChan is what Done answers on a released op.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
+// pastDeadline is set and long past: the deadline of a released op, and of a
+// wire op whose sender had already spent its budget.
+var pastDeadline = time.Unix(0, 1)
 
-// poisonDeadline is a released op's deadline: set, and long past.
-var poisonDeadline = time.Unix(0, 1)
-
-// New leases an op with a fresh ID and a deadline budget from now on clk;
-// the caller owns its one reference. budget<=0 means no deadline. This is
+// New leases an op with a fresh ID and a deadline budget from now on clk to
+// the caller, who must Release it once. budget<=0 means no deadline. This is
 // the one place on the request path where an absolute deadline is derived;
 // every layer below decrements it.
 func New(clk clock.Clock, budget time.Duration) *Op {
@@ -192,35 +174,19 @@ func New(clk clock.Clock, budget time.Duration) *Op {
 		o.deadline = clk.Now().Add(budget)
 	}
 	o.trail = [numStages]stageCell{}
-	o.canceled.Store(false)
-	o.refs.Store(1)
+	o.leased.Store(true)
 	inUse.Add(1)
 	return o
 }
 
-// Retain adds a reference for a holder that may outlive the op's creator;
-// each Retain needs a matching Release. Retain on a released op panics: the
-// caller is about to run on recycled state.
-func (o *Op) Retain() {
-	if o.refs.Add(1) <= 1 {
-		panic("opctx: Retain of a released op")
-	}
-}
-
-// Release drops one reference. The last one poisons the op and returns it
-// to the pool; releasing more often than leased and retained panics.
+// Release ends the lease: it poisons the op and returns it to the pool.
+// Releasing an op that is not leased panics.
 func (o *Op) Release() {
-	switch n := o.refs.Add(-1); {
-	case n > 0:
-		return
-	case n < 0:
+	if !o.leased.Swap(false) {
 		panic("opctx: Release of an op that is not in use")
 	}
-	o.deadline = poisonDeadline
+	o.deadline = pastDeadline
 	o.sink = nil
-	if o.canceled.Swap(true) {
-		o.done = make(chan struct{}) // this lease's Cancel closed the old one
-	}
 	inUse.Add(-1)
 	opPool.Put(o)
 }
@@ -238,12 +204,16 @@ func Background(clk clock.Clock) *Op { return New(clk, 0) }
 // clock. The one-way transit time is accepted skew — the originator still
 // enforces its own absolute deadline, so a receiver can only ever err on
 // the side of working slightly too long, never of cutting the client short.
-// id==0 (a peer that predates op threading, or a locally originated
-// message) yields a fresh-ID, deadline-less op when budget==0.
+// id==0 (a locally originated message) gets a fresh ID; budget==0 means no
+// deadline, and a negative budget is spent (WireBudget never sends one, so
+// only a foreign peer does).
 func FromWire(clk clock.Clock, id uint64, budget time.Duration) *Op {
 	o := New(clk, budget)
 	if id != 0 {
 		o.id = id
+	}
+	if budget < 0 {
+		o.deadline = pastDeadline
 	}
 	return o
 }
@@ -260,51 +230,14 @@ func (o *Op) ID() uint64 { return o.id }
 // Clock returns the clock the op's deadline lives on.
 func (o *Op) Clock() clock.Clock { return o.clk }
 
-// Deadline implements context.Context. ok=false when the op has no
-// deadline. The time is model time on the op's clock.
-func (o *Op) Deadline() (time.Time, bool) {
-	return o.deadline, !o.deadline.IsZero()
-}
-
-// Done implements context.Context. The channel fires on Cancel. Deadline
-// expiry does not fire it (no per-op timer goroutine exists); waits must
-// additionally bound themselves with Budget/Remaining.
-func (o *Op) Done() <-chan struct{} {
-	if o.refs.Load() <= 0 {
-		return closedChan
-	}
-	return o.done
-}
-
-// Err implements context.Context: context.Canceled after Cancel, an error
-// matching both context.DeadlineExceeded and util.ErrTimeout after the
-// deadline, else nil.
+// Err returns an error matching util.ErrTimeout once the deadline has
+// passed, else nil.
 func (o *Op) Err() error {
-	if o.canceled.Load() {
-		return context.Canceled
-	}
-	if !o.deadline.IsZero() && !o.clk.Now().Before(o.deadline) {
+	if rem, has := o.Remaining(); has && rem <= 0 {
 		return errExpired
 	}
 	return nil
 }
-
-// Value implements context.Context; ops carry no values.
-func (o *Op) Value(any) any { return nil }
-
-// Cancel abandons the op: Done fires, and every in-flight wait bound to
-// the op (RPC waits, version-slot queueing) unblocks promptly. On a released
-// op it does nothing: the pooled channel is not the caller's to close.
-func (o *Op) Cancel() {
-	o.mu.Lock()
-	if o.refs.Load() > 0 && !o.canceled.Swap(true) {
-		close(o.done)
-	}
-	o.mu.Unlock()
-}
-
-// Canceled reports whether Cancel was called (or the op released).
-func (o *Op) Canceled() bool { return o.canceled.Load() }
 
 // Remaining returns the unspent deadline budget. ok=false when the op has
 // no deadline; a non-positive duration means the deadline has passed.
@@ -313,14 +246,6 @@ func (o *Op) Remaining() (time.Duration, bool) {
 		return 0, false
 	}
 	return o.deadline.Sub(o.clk.Now()), true
-}
-
-// Expired reports whether the op's deadline has passed.
-func (o *Op) Expired() bool {
-	if o.deadline.IsZero() {
-		return false
-	}
-	return !o.clk.Now().Before(o.deadline)
 }
 
 // Budget bounds a sub-step's wait by the op's remaining budget and an
@@ -371,24 +296,18 @@ func (o *Op) ObserveStage(s Stage, d time.Duration) {
 	}
 }
 
-// StartStage begins timing a stage; calling the returned func records it.
+// StageTimer is an in-flight stage measurement. It is a value, so timing a
+// stage allocates nothing:
 //
-//	defer op.StartStage(opctx.StagePrimarySSD)()
-func (o *Op) StartStage(s Stage) func() {
-	t := o.Stage(s)
-	return t.Stop
-}
-
-// StageTimer is an in-flight stage measurement. It is a value: hot-path
-// callers that can pair Stage/Stop explicitly avoid the closure allocation
-// StartStage pays per call.
+//	st := op.Stage(opctx.StagePrimarySSD)
+//	defer st.Stop()
 type StageTimer struct {
 	o  *Op
 	s  Stage
 	t0 time.Time
 }
 
-// Stage begins timing s without allocating; record with Stop.
+// Stage begins timing s; record with Stop.
 func (o *Op) Stage(s Stage) StageTimer {
 	return StageTimer{o: o, s: s, t0: o.clk.Now()}
 }
@@ -416,5 +335,3 @@ func (o *Op) Trail() []StageSample {
 	}
 	return out
 }
-
-var _ context.Context = (*Op)(nil)

@@ -1,7 +1,6 @@
 package opctx
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -21,8 +20,8 @@ func TestIDsMonotonic(t *testing.T) {
 func TestDeadlineBudget(t *testing.T) {
 	clk := clock.NewScaled(0.001)
 	op := New(clk, 100*time.Millisecond)
-	if op.Expired() {
-		t.Fatal("fresh op expired")
+	if err := op.Err(); err != nil {
+		t.Fatalf("fresh op: %v", err)
 	}
 	if _, has := op.Remaining(); !has {
 		t.Fatal("op should have a deadline")
@@ -36,22 +35,18 @@ func TestDeadlineBudget(t *testing.T) {
 		t.Fatalf("Budget(1h) = %v, %v", w, ok)
 	}
 	clk.Advance(time.Second)
-	if !op.Expired() {
-		t.Fatal("op should be expired after advancing past deadline")
-	}
 	if _, ok := op.Budget(time.Hour); ok {
 		t.Fatal("Budget on an expired op must refuse")
 	}
-	err := op.Err()
-	if !errors.Is(err, util.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+	if err := op.Err(); !errors.Is(err, util.ErrTimeout) {
 		t.Fatalf("expired Err = %v", err)
 	}
 }
 
 func TestNoDeadline(t *testing.T) {
 	op := Background(clock.Realtime)
-	if op.Expired() {
-		t.Fatal("background op expired")
+	if err := op.Err(); err != nil {
+		t.Fatalf("background op: %v", err)
 	}
 	if _, has := op.Remaining(); has {
 		t.Fatal("background op has a deadline")
@@ -65,25 +60,6 @@ func TestNoDeadline(t *testing.T) {
 	}
 	if op.WireBudget() != 0 {
 		t.Fatalf("WireBudget = %v", op.WireBudget())
-	}
-}
-
-func TestCancel(t *testing.T) {
-	op := New(clock.Realtime, time.Hour)
-	select {
-	case <-op.Done():
-		t.Fatal("done before cancel")
-	default:
-	}
-	op.Cancel()
-	op.Cancel() // idempotent
-	select {
-	case <-op.Done():
-	default:
-		t.Fatal("done not closed after cancel")
-	}
-	if !errors.Is(op.Err(), context.Canceled) {
-		t.Fatalf("canceled Err = %v", op.Err())
 	}
 }
 
@@ -105,6 +81,26 @@ func TestFromWire(t *testing.T) {
 	}
 	if _, has := free.Remaining(); has {
 		t.Fatal("budget-less wire op should have no deadline")
+	}
+}
+
+// TestFromWireNegativeBudgetIsSpent: a budget below zero can only come from a
+// foreign peer, and it means the sender's deadline has passed — not that the
+// op has none.
+func TestFromWireNegativeBudgetIsSpent(t *testing.T) {
+	op := FromWire(clock.NewScaled(0.001), 7, -time.Second)
+	defer op.Release()
+	if op.ID() != 7 {
+		t.Errorf("id %d, want 7", op.ID())
+	}
+	if !errors.Is(op.Err(), util.ErrTimeout) {
+		t.Errorf("Err = %v, want a timeout", op.Err())
+	}
+	if w, ok := op.Budget(time.Second); ok {
+		t.Errorf("Budget grants %v", w)
+	}
+	if b := op.WireBudget(); b != time.Nanosecond {
+		t.Errorf("WireBudget = %v, want the fail-fast 1ns", b)
 	}
 }
 

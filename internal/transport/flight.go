@@ -54,8 +54,8 @@ type Flight struct {
 	clk   clock.Clock
 	op    *opctx.Op
 	timer *time.Timer // the window; nil when the wait is unbounded
-	// stop is why the flight no longer waits: its window expired, its op was
-	// cancelled, or the op was already spent at Begin. Sticky.
+	// stop is why the flight no longer waits: its window expired, or the op
+	// was already spent at Begin. Sticky.
 	stop error
 
 	// done carries the index of each slot that completes, once: room for
@@ -105,8 +105,8 @@ func begin(p *Peers, clk clock.Clock, op *opctx.Op, n int, cap time.Duration) *F
 		fl = &Flight{done: make(chan int, n), slots: make([]slot, n)}
 	}
 	fl.peers, fl.clk, fl.op = p, clk, op
-	if wait, ok := op.Budget(cap); !ok || op.Canceled() {
-		fl.stop = op.Err() // spent or cancelled before it began
+	if wait, ok := op.Budget(cap); !ok {
+		fl.stop = op.Err() // spent before it began
 	} else if wait > 0 {
 		fl.timer = clock.StartTimer(clk, wait)
 	}
@@ -174,7 +174,7 @@ func (fl *Flight) complete(i int, resp *proto.Message) {
 
 // await blocks until slot want — any slot, if want < 0 — has been posted,
 // and takes it. It returns nil once none will be: every slot has been taken,
-// the window expired, or the op was cancelled.
+// or the window expired.
 func (fl *Flight) await(want int) *slot {
 	// Posted while the awaiter waited for another slot, and still held.
 	for i := range fl.slots[:fl.issued] {
@@ -196,8 +196,6 @@ func (fl *Flight) await(want int) *slot {
 			}
 		case <-window:
 			fl.stop = fmt.Errorf("no response within the call's window: %w", util.ErrTimeout)
-		case <-fl.op.Done():
-			fl.stop = fl.op.Err()
 		}
 	}
 	return nil
@@ -205,8 +203,8 @@ func (fl *Flight) await(want int) *slot {
 
 // take hands a posted slot's result to the awaiter and closes its books: the
 // round trip lands on the op's net stage, and a transport fault — not a
-// timeout or a cancellation, which are the flight's and say nothing about
-// the connection — evicts the cached connection so the next call redials.
+// timeout, which is the flight's and says nothing about the connection —
+// evicts the cached connection so the next call redials.
 func (fl *Flight) take(s *slot) *slot {
 	s.taken = true
 	fl.taken++
@@ -221,9 +219,8 @@ func (fl *Flight) take(s *slot) *slot {
 
 // Next yields a completed branch nobody has taken yet, in completion order,
 // blocking until there is one. It reports false when none will come: every
-// issued branch has been taken, the window expired, or the op was cancelled —
-// the branches still outstanding then count as failed, and Finish forgets
-// them.
+// issued branch has been taken, or the window expired — the branches still
+// outstanding then count as failed, and Finish forgets them.
 func (fl *Flight) Next() (FanResult, bool) {
 	s := fl.await(-1)
 	if s == nil {
@@ -250,8 +247,8 @@ func (fl *Flight) NextReply() (target int, resp *proto.Message, ok bool) {
 
 // Wait blocks until the branch in slot i (Go's return value) completes and
 // hands its response, payload lease included, to the caller. A window expiry
-// fails it with util.ErrTimeout, a cancelled op with context.Canceled; the
-// call is then forgotten by Finish and its late response dropped.
+// fails it with util.ErrTimeout; the call is then forgotten by Finish and its
+// late response dropped.
 func (fl *Flight) Wait(i int) (*proto.Message, error) {
 	s := fl.await(i)
 	err := fl.stop

@@ -142,7 +142,7 @@ func (s *MasterSession) Close() {
 func (s *MasterSession) Call(op *opctx.Op, mop proto.Op, req, out any) (proto.Status, error) {
 	bounded := op != nil
 	if bounded {
-		_, bounded = op.Deadline()
+		_, bounded = op.Remaining()
 	}
 	if !bounded {
 		op = s.newOp()
@@ -236,8 +236,6 @@ func (s *MasterSession) pace(op *opctx.Op, attempts int) bool {
 	select {
 	case <-t.C:
 	case <-s.stop: // the next attempt sees it and returns ErrClosed
-	case <-op.Done():
-		return false
 	}
 	return true
 }

@@ -15,8 +15,8 @@ import (
 // the master's recovery pushes, and the client library each grew on their
 // own. Connections are dialed on demand and reused across calls; a call
 // that fails with a transport-level fault evicts the cached client so the
-// next call redials, while a timeout or cancellation keeps it (the
-// connection is healthy — the budget just ran out; see Flight.settle).
+// next call redials, while a timeout keeps it (the connection is healthy —
+// the budget just ran out; see Flight.take).
 type Peers struct {
 	dial Dialer
 	clk  clock.Clock

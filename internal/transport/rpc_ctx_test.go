@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -113,49 +112,6 @@ func TestLateResponseDropped(t *testing.T) {
 	}
 	if n := cli.pendingCalls(); n != 0 {
 		t.Errorf("pending entries leaked after late response: %d", n)
-	}
-}
-
-// TestCancelUnblocksDo pins the cancellation contract: cancelling the op
-// unblocks an in-flight Do promptly, removes the pending entry, and the
-// connection remains usable for later calls.
-func TestCancelUnblocksDo(t *testing.T) {
-	srv, release := blockingServer(t)
-	defer srv.Close()
-
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
-
-	op := opctx.New(clock.Realtime, time.Hour)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := cli.Do(op, &proto.Message{Op: proto.OpRead}, 0)
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	op.Cancel()
-
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled Do: %v (want context.Canceled)", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Do hung after cancel")
-	}
-	if n := cli.pendingCalls(); n != 0 {
-		t.Errorf("pending entries leaked after cancel: %d", n)
-	}
-
-	close(release) // unpark the handler; its response must be dropped
-	time.Sleep(50 * time.Millisecond)
-	resp, err := cli.Call(&proto.Message{Op: proto.OpNop}, time.Second)
-	if err != nil || resp.Status != proto.StatusOK {
-		t.Fatalf("call after cancel: %v %+v", err, resp)
 	}
 }
 
