@@ -2,7 +2,7 @@
 # the race detector (the RPC/replication paths are goroutine-heavy).
 GO ?= go
 
-.PHONY: build test race vet lint check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke
+.PHONY: build test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fails when gofmt would change a tracked Go file, and names the files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -w these files:"; echo "$$out"; exit 1; fi
+
 # Optional deeper static analysis: runs staticcheck and govulncheck when
 # they are installed, and skips them cleanly when they are not (CI images
 # without the tools still pass `make check`).
@@ -25,7 +30,18 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-check: vet lint build test race chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
+check: fmt vet lint build test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
+
+# The tests tagged goexperiment.synctest (the bubble_test.go files; tier-1
+# sets no experiment and never builds them). Each drives one wait — an HDD
+# queue in SCAN order, a QD 8 group commit, a bypass write behind a replay
+# run, a chunk's version-slot wait, a flight's window — first on the real
+# clock, then inside synctest.Run, where it must finish in virtual time at
+# exactly the model's latencies. A wait on a channel or timer made outside
+# the bubble, or on a sync.Mutex held across a model sleep, stalls it.
+bubble-smoke: export GOEXPERIMENT = synctest
+bubble-smoke:
+	$(GO) test -count=1 -timeout 2m -run Bubble ./...
 
 bench-quick:
 	$(GO) run ./cmd/ursa-bench -all -quick

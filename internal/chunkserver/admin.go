@@ -114,6 +114,7 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 		pending: make(map[uint64]pendingWrite),
 		spec:    req.Redundancy, strat: strat, holder: req.Holder, seg: req.Seg,
 	}
+	cs.change.L = &cs.mu
 	if len(req.Cold) > 0 {
 		cs.cold = &coldState{
 			objAddr: req.ObjAddr,

@@ -12,7 +12,6 @@
 package chunkserver
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,10 +76,16 @@ type chunkState struct {
 	pending map[uint64]pendingWrite
 	claims  uint64 // slot claims made so far; the next entry's claim number
 
-	// waiters holds the channel of every handler parked on this chunk's
-	// state; bumpLocked signals and drops them all whenever version, reserved,
-	// deletion, or a pending entry's fate changes.
-	waiters []chan struct{}
+	// change is the chunk's one wake-up for the handlers parked on its state
+	// (waitChangeLocked). bumpLocked counts a change in changes and
+	// broadcasts whenever version, reserved, deletion, or a pending entry's
+	// fate changes; the chunk's timer broadcasts when due, the earliest
+	// deadline a parked handler armed it for, has passed. Made with the
+	// chunk, never pooled.
+	change  sync.Cond
+	changes uint64
+	timer   *time.Timer
+	due     time.Time
 
 	// backups are the peer addresses the primary replicates to; empty on
 	// backup replicas.
@@ -90,12 +95,12 @@ type chunkState struct {
 	lite *journal.Lite
 
 	// spec is the chunk's redundancy policy and strat its strategy (set at
-	// create; immutable after). holder/seg mark this replica as RS segment
-	// holder number seg; the primary and mirror backups have holder=false.
-	spec   redundancy.Spec
-	strat  redundancy.Strategy
-	holder bool
-	seg    int
+	// create; immutable after). holder (below, beside the other flags) and
+	// seg mark this replica as RS segment holder number seg; the primary and
+	// mirror backups have holder=false.
+	spec  redundancy.Spec
+	strat redundancy.Strategy
+	seg   int
 
 	// shipments caches a primary's RS fan-out plan per pending version: a
 	// retry of an already-applied write can no longer recompute its parity
@@ -114,6 +119,7 @@ type chunkState struct {
 	// a version number kept in memory. Atomic: reporters may hold cs.mu.
 	suspect atomic.Bool
 
+	holder  bool
 	deleted bool
 }
 
@@ -163,18 +169,10 @@ func (cs *chunkState) cachedShipments(version uint64) ([]redundancy.Shipment, bo
 	return ships, ok
 }
 
-// waitChanPool recycles the channels handlers park on in waitChangeLocked:
-// buffered 1, so a bump never blocks on a waiter, and empty whenever pooled.
-var waitChanPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
-// bumpLocked wakes everything blocked on the chunk's state: one token to
-// every parked waiter, whose registration the bump consumes.
+// bumpLocked wakes everything blocked on the chunk's state.
 func (cs *chunkState) bumpLocked() {
-	for i, w := range cs.waiters {
-		w <- struct{}{}
-		cs.waiters[i] = nil
-	}
-	cs.waiters = cs.waiters[:0]
+	cs.changes++
+	cs.change.Broadcast()
 }
 
 // advanceLocked commits applied pending writes in version order: the
@@ -271,32 +269,31 @@ func (cs *chunkState) adoptVersionLocked(v uint64) {
 // held; the mutex is released for the wait's duration.
 func (cs *chunkState) waitChangeLocked(op *opctx.Op, deadline time.Time) bool {
 	clk := op.Clock()
-	rem := deadline.Sub(clk.Now())
-	if rem <= 0 {
-		return false
-	}
-	w := waitChanPool.Get().(chan struct{})
-	cs.waiters = append(cs.waiters, w)
-	cs.mu.Unlock()
-	t := clock.StartTimer(clk, rem)
-	fired := false
-	select {
-	case <-w:
-		fired = true
-	case <-t.C:
-	}
-	clock.StopTimer(t)
-	cs.mu.Lock()
-	if !fired {
-		// Giving up: withdraw the registration — unless a bump consumed it
-		// first, in which case its token is in w and the change counts.
-		if i := slices.Index(cs.waiters, w); i >= 0 {
-			cs.waiters = slices.Delete(cs.waiters, i, i+1)
-		} else {
-			<-w
-			fired = true
+	for seen := cs.changes; cs.changes == seen; {
+		rem := deadline.Sub(clk.Now())
+		if rem <= 0 {
+			return false
 		}
+		// Make sure the timer fires by our deadline: it is armed for the
+		// earliest one, and whoever it wakes early re-arms it for their own.
+		if cs.due.IsZero() || deadline.Before(cs.due) {
+			cs.due = deadline
+			if cs.timer == nil {
+				cs.timer = time.AfterFunc(clock.Wall(clk, rem), cs.expire)
+			} else {
+				cs.timer.Reset(clock.Wall(clk, rem))
+			}
+		}
+		cs.change.Wait()
 	}
-	waitChanPool.Put(w)
-	return fired
+	return true
+}
+
+// expire runs when the chunk's timer fires: the earliest deadline armed has
+// come, and every parked handler checks its own.
+func (cs *chunkState) expire() {
+	cs.mu.Lock()
+	cs.due = time.Time{}
+	cs.change.Broadcast()
+	cs.mu.Unlock()
 }

@@ -8,7 +8,6 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
-	"ursa/internal/clock"
 	"ursa/internal/master"
 	"ursa/internal/metrics"
 	"ursa/internal/opctx"
@@ -780,9 +779,7 @@ func (ch *chunkHandle) waitSettledLocked(op *opctx.Op) error {
 	ch.mu.Unlock()
 	var expired <-chan time.Time
 	if rem > 0 { // 0: the op has no deadline
-		t := clock.StartTimer(op.Clock(), rem)
-		defer clock.StopTimer(t)
-		expired = t.C
+		expired = op.Clock().After(rem)
 	}
 	select {
 	case <-settled:

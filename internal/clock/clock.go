@@ -5,7 +5,6 @@
 package clock
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -25,29 +24,11 @@ type Clock interface {
 	Scale() float64
 }
 
-// timerPool recycles the timers of StartTimer. After leaves a timer and its
-// channel behind on every call; a pooled, stopped timer costs the waits on
-// the request path nothing.
-var timerPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
-// StartTimer returns a pooled timer that fires, on its C, after d of model
-// time on c: the wait c.After(d) offers, without allocating. The caller hands
-// it back with StopTimer whether or not it fired.
-func StartTimer(c Clock, d time.Duration) *time.Timer {
-	t := timerPool.Get().(*time.Timer)
-	t.Reset(time.Duration(float64(d) * c.Scale()))
-	return t
-}
-
-// StopTimer stops t and returns it to the pool. A stopped timer delivers
-// nothing more, so the next StartTimer cannot see this wait's expiry.
-func StopTimer(t *time.Timer) {
-	t.Stop()
-	timerPool.Put(t)
+// Wall returns the wall time d of model time on c lasts: what a time.Timer
+// that an owner keeps for life — a flight's window, a chunk's wake-up — is
+// Reset to for a wait of d.
+func Wall(c Clock, d time.Duration) time.Duration {
+	return time.Duration(float64(d) * c.Scale())
 }
 
 // Real is the identity clock: model time is wall time.
@@ -95,12 +76,12 @@ func (c *Scaled) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	time.Sleep(time.Duration(float64(d) * c.factor))
+	time.Sleep(Wall(c, d))
 }
 
 // After fires after d of model time.
 func (c *Scaled) After(d time.Duration) <-chan time.Time {
-	return time.After(time.Duration(float64(d) * c.factor))
+	return time.After(Wall(c, d))
 }
 
 // Scale reports the wall-time fraction.

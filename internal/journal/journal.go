@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"time"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/jindex"
@@ -32,17 +33,17 @@ type Journal struct {
 	// fifo holds unreplayed records in reservation (position) order.
 	fifo []*pendingRecord
 
-	// commitq holds appends awaiting a group-commit flush, in reservation
-	// order; flushing marks an active batch leader. Both are guarded by the
-	// Set's mutex. The invariant flushing==false ⇒ commitq empty holds:
-	// a leader only clears flushing after emptying the queue or handing
-	// leadership to the new queue head. batch is the other half of the
-	// queue's double buffer: the leader moves the requests it claims into it
-	// and the queue closes up in place, so both keep their capacity. It is
+	// commitq holds the records of appends awaiting a group-commit flush, in
+	// reservation order; flushing marks an active batch leader. Both are
+	// guarded by the Set's mutex. The invariant flushing==false ⇒ commitq
+	// empty holds: a leader only clears flushing after emptying the queue or
+	// handing leadership to the new queue head. batch is the other half of
+	// the queue's double buffer: the leader moves the records it claims into
+	// it and the queue closes up in place, so both keep their capacity. It is
 	// the journal's, not the leader's — the next leader reuses it — so a
 	// leader is done with it before it drops the lock that ends its flush.
-	commitq  []*commitReq
-	batch    []*commitReq
+	commitq  []*pendingRecord
+	batch    []*pendingRecord
 	flushing bool
 	queued   int // commit-queue depth incl. the in-flight batch (striping)
 
@@ -94,6 +95,19 @@ type pendingRecord struct {
 	// slab. nil for a record the replayer must read back from the device.
 	image []byte
 	slab  *slab
+
+	// The commit its appender waits for in the record (Set.Append), all
+	// guarded by the Set's mutex: the header's position and the payload's
+	// CRC, the payload itself until the flush has written it, the
+	// commit-queue timings, and the flush's verdict. lead hands the record's
+	// appender the next flush. The appender clears data when it takes the
+	// verdict; until then the record is the appender's, not the free list's.
+	pos                   int64
+	sum                   uint32
+	data                  []byte
+	enq, claimed, flushed time.Time
+	err                   error
+	lead                  bool
 }
 
 // slab is one pooled lease holding the device images of consecutive records

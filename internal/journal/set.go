@@ -115,25 +115,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// commitReq is one Append waiting in a journal's group-commit queue.
-// done/lead signal across goroutines; the timing/result fields are written
-// by the batch leader under the Set lock and read by the waiter only after
-// done is closed.
-type commitReq struct {
-	rec  *pendingRecord
-	pos  int64 // monotonic byte position of the record header
-	hdr  header
-	data []byte
-
-	enq     time.Time // enqueued (commit-queue wait starts)
-	claimed time.Time // a leader claimed it into a batch
-	flushed time.Time // the batch's device write completed
-
-	err  error
-	done chan struct{} // buffered 1: fires when the record's fate is final
-	lead chan struct{} // buffered 1: fires to promote this waiter to leader
-}
-
 // Set manages the journals of one backup server, in expansion priority
 // order: local SSD journals first, then (rarely) an HDD journal (§3.2).
 // Appends group-commit: concurrent callers enqueue records on a journal's
@@ -175,6 +156,7 @@ type Set struct {
 	mu        sync.Mutex
 	cond      *sync.Cond // replayer wakeup
 	drainCond *sync.Cond // Drain() wakeup
+	commit    *sync.Cond // a flush ended: its records' verdicts, the next leader
 	journals  []*Journal
 	idleOnly  []bool // journals[i] replays only when its disk is idle
 	indexes   map[blockstore.ChunkID]*jindex.Index
@@ -186,11 +168,14 @@ type Set struct {
 	done      chan struct{}
 
 	// chunkLocks serialize replay against journal-bypass direct writes on
-	// the same chunk; they are always acquired BEFORE s.mu. Striped by
-	// chunk ID hash: two chunks sharing a stripe serialize spuriously but
-	// harmlessly, and the lookup is a shift instead of a mutex-guarded map
-	// that QD32 bypass writes used to contend on.
-	chunkLocks [chunkLockStripes]sync.Mutex
+	// the same chunk; they are always acquired BEFORE s.mu. Each is a
+	// one-slot channel made with the set — a semaphore its holder keeps
+	// across a sink write, whose waiters are durably blocked where a
+	// mutex's are not. Striped by chunk ID hash: two chunks sharing a
+	// stripe serialize spuriously but harmlessly, and the lookup is a shift
+	// instead of a mutex-guarded map that QD32 bypass writes used to contend
+	// on.
+	chunkLocks [chunkLockStripes]chan struct{}
 
 	// Fault callbacks, registered via OnFault (the owning chunk server
 	// installs them after Start — hence guarded by mu, read at fire time).
@@ -256,6 +241,10 @@ func NewSet(clk clock.Clock, sink Sink, cfg Config) *Set {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.drainCond = sync.NewCond(&s.mu)
+	s.commit = sync.NewCond(&s.mu)
+	for i := range s.chunkLocks {
+		s.chunkLocks[i] = make(chan struct{}, 1)
+	}
 	return s
 }
 
@@ -348,8 +337,7 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 		return err
 	}
 	// Checksum before taking any lock: it is the CPU-heavy part of the path.
-	h := header{chunk: id, off: off, dataLen: len(data), version: version,
-		checksum: util.Checksum(data)}
+	sum := util.Checksum(data)
 
 	for {
 		s.mu.Lock()
@@ -386,37 +374,38 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 			version:  version,
 			dataJOff: j.dataJOff(pos),
 			footer:   recordBytes(len(data)),
+			pos:      pos,
+			sum:      sum,
+			data:     data,
+			enq:      s.clk.Now(),
+			// The first append to find no flush under way leads the next.
+			lead: !j.flushing,
 		}
 		j.fifo = append(j.fifo, rec)
 		s.pending++
-		req := commitReqPool.Get().(*commitReq)
-		req.rec, req.pos, req.hdr, req.data = rec, pos, h, data
-		req.enq = s.clk.Now()
-		j.commitq = append(j.commitq, req)
+		j.commitq = append(j.commitq, rec)
 		j.queued++
-		leader := !j.flushing
-		if leader {
-			j.flushing = true
-		}
-		s.mu.Unlock()
+		j.flushing = true
 
-		if !leader {
-			// Follower: wait for a leader's batch to commit us — or inherit
-			// leadership when the previous batch completes with us at the head.
-			select {
-			case <-req.done:
-			case <-req.lead:
+		// Wait in the record for its flush to decide it — or lead that flush,
+		// when the record is the head of the queue as the last one ends.
+		for !rec.ready && !rec.failed {
+			if rec.lead {
+				rec.lead = false
+				s.mu.Unlock()
 				s.flush(j)
-				<-req.done
+				s.mu.Lock()
+				continue
 			}
-		} else {
-			s.flush(j)
-			// A leader's own request is always the head of the queue it claims.
-			<-req.done
+			s.commit.Wait()
 		}
-		s.observeCommit(op, req)
-		err := req.err
-		putCommitReq(req)
+		err, queued, flushed := rec.err, rec.claimed.Sub(rec.enq), rec.flushed.Sub(rec.claimed)
+		rec.data, rec.err = nil, nil // the record is the set's again
+		s.mu.Unlock()
+		if op != nil {
+			op.ObserveStage(opctx.StageJournalQueue, queued)
+			op.ObserveStage(opctx.StageJournalFlush, flushed)
+		}
 		if errors.Is(err, errJournalDead) {
 			// The journal died under us; its picker slot is gone, so the
 			// retry lands on a survivor (or degrades to bypass).
@@ -435,23 +424,6 @@ func (s *Set) newRecordLocked() *pendingRecord {
 		return rec
 	}
 	return new(pendingRecord)
-}
-
-// commitReqPool recycles commit-queue entries: one struct and two channels
-// per append otherwise. A commitReq is recyclable once its appender has
-// consumed its fate — done and lead are buffered single-fire channels with
-// exactly that one consumer, so both are empty when Append returns.
-var commitReqPool = sync.Pool{New: func() any {
-	return &commitReq{
-		done: make(chan struct{}, 1),
-		lead: make(chan struct{}, 1),
-	}
-}}
-
-func putCommitReq(req *commitReq) {
-	req.rec, req.data, req.err = nil, nil, nil
-	req.claimed, req.flushed = time.Time{}, time.Time{}
-	commitReqPool.Put(req)
 }
 
 // pickJournalLocked selects the journal for a new record: the least
@@ -479,7 +451,7 @@ func (s *Set) pickJournalLocked(dataLen int) *Journal {
 }
 
 // flush runs one group-commit batch on j: claim up to MaxBatch queued
-// requests, write them as contiguous sequential device writes (one per run
+// records, write them as contiguous sequential device writes (one per run
 // of back-to-back records; wrap pads split runs), publish every record's
 // result and index entries, then hand leadership to the next queue head.
 // The caller must hold j's leadership (j.flushing).
@@ -496,7 +468,7 @@ func (s *Set) flush(j *Journal) {
 	s.mu.Unlock()
 
 	if wasDead {
-		// The journal died after these requests enqueued: fail them without
+		// The journal died after these records enqueued: fail them without
 		// touching the device so Append re-routes them immediately.
 		for _, r := range batch {
 			r.err = fmt.Errorf("journal %s: %w", j.name, errJournalDead)
@@ -508,10 +480,10 @@ func (s *Set) flush(j *Journal) {
 		// fits one slab.
 		for i := 0; i < len(batch); {
 			k := i + 1
-			size := batch[i].rec.footer
+			size := batch[i].footer
 			for k < len(batch) && batch[k].pos == batch[i].pos+size &&
-				size+batch[k].rec.footer <= slabBytes {
-				size += batch[k].rec.footer
+				size+batch[k].footer <= slabBytes {
+				size += batch[k].footer
 				k++
 			}
 			s.writeRun(j, batch[i:k], int(size))
@@ -548,23 +520,23 @@ func (s *Set) flush(j *Journal) {
 				}
 				r.err = fmt.Errorf("journal %s: %v: %w", j.name, r.err, errJournalDead)
 			}
-			r.rec.failed = true
-			s.dropImageLocked(j, r.rec)
+			r.failed = true
+			s.dropImageLocked(j, r)
 			continue
 		}
-		r.rec.ready = true
+		r.ready = true
 		if s.closed {
-			s.dropImageLocked(j, r.rec) // Close has swept already
+			s.dropImageLocked(j, r) // Close has swept already
 		}
 		j.appends++
-		j.bytesAppended += int64(r.rec.dataLen)
-		if len(inserts[r.rec.chunk]) == 0 {
-			order = append(order, r.rec.chunk)
+		j.bytesAppended += int64(r.dataLen)
+		if len(inserts[r.chunk]) == 0 {
+			order = append(order, r.chunk)
 		}
-		inserts[r.rec.chunk] = append(inserts[r.rec.chunk], jindex.Extent{
-			Off:  uint32(r.rec.off / util.SectorSize),
-			Len:  uint32(int64(r.rec.dataLen) / util.SectorSize),
-			JOff: r.rec.dataJOff,
+		inserts[r.chunk] = append(inserts[r.chunk], jindex.Extent{
+			Off:  uint32(r.off / util.SectorSize),
+			Len:  uint32(int64(r.dataLen) / util.SectorSize),
+			JOff: r.dataJOff,
 		})
 	}
 	for _, id := range order {
@@ -581,38 +553,32 @@ func (s *Set) flush(j *Journal) {
 			m.ObserveLatency(MetricCommitQueue, claimed.Sub(r.enq))
 		}
 	}
-	var next *commitReq
 	if len(j.commitq) > 0 {
-		next = j.commitq[0]
+		j.commitq[0].lead = true
 	} else {
 		j.flushing = false
 	}
 	s.cond.Signal()
 	// Every waiter learns its fate before the lock drops: the next leader may
 	// start the moment it does, and claims its batch into the same buffer.
-	for _, r := range batch {
-		r.done <- struct{}{}
-	}
+	s.commit.Broadcast()
 	clear(batch)
 	j.batch = batch[:0]
 	s.mu.Unlock()
 
-	if next != nil {
-		next.lead <- struct{}{}
-	}
 	if deadCb != nil {
 		deadCb(j.name, deadCause)
 	}
 }
 
 // writeRun writes one contiguous run of records as a single sequential
-// device write and stamps each request with the write's result. Space is
+// device write and stamps each record with the write's result. Space is
 // already reserved. The leader assembles the run's device image — each
 // record's header sector, then a copy of its payload — in one buffer and
 // writes that: carved from the journal's slab when the run can be resident,
 // so the bytes written are the bytes replay will drain, and a lease of the
 // run's own otherwise.
-func (s *Set) writeRun(j *Journal, run []*commitReq, size int) {
+func (s *Set) writeRun(j *Journal, run []*pendingRecord, size int) {
 	s.mu.Lock()
 	img := s.carveLocked(j, run, size)
 	s.mu.Unlock()
@@ -622,9 +588,9 @@ func (s *Set) writeRun(j *Journal, run []*commitReq, size int) {
 	}
 	at := img
 	for _, r := range run {
-		r.hdr.encode(at)
+		header{chunk: r.chunk, off: r.off, dataLen: r.dataLen, version: r.version, checksum: r.sum}.encode(at)
 		copy(at[headerSize:], r.data)
-		at = at[r.rec.footer:]
+		at = at[r.footer:]
 	}
 	err := j.disk.WriteAt(img, j.base+run[0].pos%j.size)
 	if !resident {
@@ -655,7 +621,7 @@ const (
 // slab, or the set has closed. The image is filled and written by the
 // caller outside the lock; nothing reads it before the flush marks its
 // records ready.
-func (s *Set) carveLocked(j *Journal, run []*commitReq, size int) []byte {
+func (s *Set) carveLocked(j *Journal, run []*pendingRecord, size int) []byte {
 	sl := j.slab
 	if sl == nil || len(sl.buf)-sl.used < size {
 		if size > slabBytes || s.residentBytes+slabBytes > residentBudgetBytes || s.closed {
@@ -676,8 +642,8 @@ func (s *Set) carveLocked(j *Journal, run []*commitReq, size int) []byte {
 	sl.recs += len(run)
 	at := img
 	for _, r := range run {
-		r.rec.image, r.rec.slab = at[:r.rec.footer:r.rec.footer], sl
-		at = at[r.rec.footer:]
+		r.image, r.slab = at[:r.footer:r.footer], sl
+		at = at[r.footer:]
 	}
 	return img
 }
@@ -716,23 +682,14 @@ func (s *Set) dropCommittedImagesLocked() {
 	}
 }
 
-// observeCommit lands a committed (or failed) append's queue/flush split on
-// its op as the backup-jqueue/backup-jflush stages.
-func (s *Set) observeCommit(op *opctx.Op, req *commitReq) {
-	if op == nil {
-		return
-	}
-	op.ObserveStage(opctx.StageJournalQueue, req.claimed.Sub(req.enq))
-	op.ObserveStage(opctx.StageJournalFlush, req.flushed.Sub(req.claimed))
-}
-
 // chunkLockStripes is the per-chunk lock stripe count; power of two.
 const chunkLockStripes = 32
 
-// chunkLock returns the per-chunk serialization mutex (striped).
-func (s *Set) chunkLock(id blockstore.ChunkID) *sync.Mutex {
+// chunkLock returns the per-chunk serialization semaphore (striped): send to
+// take it, receive to give it back.
+func (s *Set) chunkLock(id blockstore.ChunkID) chan struct{} {
 	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &s.chunkLocks[h>>59&(chunkLockStripes-1)]
+	return s.chunkLocks[h>>59&(chunkLockStripes-1)]
 }
 
 // WriteDirect performs a journal-bypass backup write (large sequential
@@ -745,8 +702,8 @@ func (s *Set) WriteDirect(id blockstore.ChunkID, data []byte, off int64) error {
 		return err
 	}
 	l := s.chunkLock(id)
-	l.Lock()
-	defer l.Unlock()
+	l <- struct{}{}
+	defer func() { <-l }()
 	if err := s.sink.WriteAt(id, data, off); err != nil {
 		return err
 	}
@@ -1213,8 +1170,8 @@ func (s *Set) replayRun(j *Journal, run []replayExt) (stop bool, err error) {
 	rp := &s.rp
 	id := run[0].chunk
 	l := s.chunkLock(id)
-	l.Lock()
-	defer l.Unlock()
+	l <- struct{}{}
+	defer func() { <-l }()
 
 	// Revalidate: an overwrite or bypass write since the plan may have
 	// killed part of the run; only the pieces still mapped are written.
@@ -1439,7 +1396,9 @@ func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
 	j.tail = newTail
 	for _, rec := range window {
 		s.dropImageLocked(j, rec)
-		if len(s.freeRecs) < maxFreeRecords {
+		// A record whose appender has yet to take its verdict (data still
+		// set) is the appender's until then; it is left to the collector.
+		if len(s.freeRecs) < maxFreeRecords && rec.data == nil {
 			*rec = pendingRecord{}
 			s.freeRecs = append(s.freeRecs, rec)
 		}

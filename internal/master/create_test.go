@@ -410,6 +410,71 @@ func TestDeleteBoundedByOneTimeout(t *testing.T) {
 	}
 }
 
+// TestPromotionBoundedByOneWindowEach: a standby that promotes while the old
+// primary and two chunk servers are silent behind a partition spends one
+// PrimacyTTL/4 window probing the masters and one fencing the servers — not a
+// window per silent peer — and every reachable server hears the new epoch.
+func TestPromotionBoundedByOneWindowEach(t *testing.T) {
+	const ttl = 800 * time.Millisecond
+	const window = ttl / 4
+	ss := newSlotServers(transport.NewSimNet(clock.Realtime, 100*time.Microsecond))
+	peers := []string{"master", "master-1"}
+	var masters []*Master
+	for _, addr := range peers {
+		l, err := ss.net.Listen(addr, transport.NodeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Config{
+			Addr: addr, Clock: clock.Realtime, HybridMode: true, RPCTimeout: time.Second,
+			PrimacyTTL: ttl, Peers: peers, Metrics: ss.reg,
+			Dialer: ss.net.Dialer(addr, transport.NodeConfig{}),
+		})
+		m.Serve(l)
+		t.Cleanup(m.Close)
+		masters = append(masters, m)
+	}
+	primary, standby := masters[0], masters[1]
+	ss.serve(t, primary, 3)
+	for deadline := time.Now().Add(10 * time.Second); standby.LogSeq() != primary.LogSeq(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never learned the servers")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The test promotes the standby itself: its monitor must not race it.
+	standby.stopReplication()
+	silent := []string{"master", "s0/ssd", "s0/hdd"}
+	for _, addr := range silent {
+		// Connect first: a partition drops traffic on a live connection,
+		// where a fresh dial would fail at once.
+		if _, err := standby.peers.Call(addr, &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		ss.net.Partition("master-1", addr)
+	}
+	ss.sent(proto.OpNop)
+
+	standby.mu.Lock()
+	standby.lastHeard = time.Time{} // the primary has been silent for ever
+	standby.mu.Unlock()
+	t0 := time.Now()
+	standby.maybePromote()
+	took := time.Since(t0)
+	if !standby.IsPrimary() || standby.Epoch() != 2 {
+		t.Fatalf("standby primary=%v at epoch %d, want primary at epoch 2", standby.IsPrimary(), standby.Epoch())
+	}
+	if took < 2*window || took > 2*window+window/2 {
+		t.Fatalf("promotion took %v, want one %v window for the probe and one for the fence", took, window)
+	}
+	fenced := ss.sent(proto.OpNop)
+	for _, addr := range []string{"s1/ssd", "s1/hdd", "s2/ssd", "s2/hdd"} {
+		if fenced[addr] != 1 {
+			t.Errorf("%s was sent %d fences, want 1", addr, fenced[addr])
+		}
+	}
+}
+
 // TestCreateOverExistingSlots: a server that restarted mid-create still has
 // the slots it made the first time; the retried create is answered
 // StatusExists entry by entry and succeeds.

@@ -230,8 +230,9 @@ type serverQueue struct {
 }
 
 // fanOut is how the master addresses several servers at once — never a loop
-// over admin. It sends the queues as one flight with one RPCTimeout for
-// everything: every queue's first message at the start, a queue's next when
+// over admin. It sends the queues as one flight with one window for
+// everything (RPCTimeout for commands; promotion's probe and fence take
+// PrimacyTTL/4): every queue's first message at the start, a queue's next when
 // its previous has been answered, so the round trips a command costs count the
 // messages of its longest queue, not its servers or its chunks. Messages are
 // stamped with the primacy epoch and every answer goes through heed; answered,
@@ -239,13 +240,13 @@ type serverQueue struct {
 // whether that queue's next message may go. acked[q] is how many of queue q's
 // messages were answered: the rest, sent or not, reached nobody as far as the
 // master knows.
-func (m *Master) fanOut(queues []serverQueue, answered func(q int, resp *proto.Message) bool) (acked []int) {
+func (m *Master) fanOut(window time.Duration, queues []serverQueue, answered func(q int, resp *proto.Message) bool) (acked []int) {
 	total := 0
 	for _, q := range queues {
 		total += len(q.msgs)
 	}
 	acked = make([]int, len(queues))
-	op := opctx.New(m.cfg.Clock, m.cfg.RPCTimeout)
+	op := opctx.New(m.cfg.Clock, window)
 	defer op.Release()
 	fl := m.peers.Begin(op, total, 0)
 	defer fl.Finish()
@@ -309,7 +310,7 @@ func byServer(chunks []ChunkMeta) (queues []serverQueue, held [][]replicaRef) {
 // retried recovery — is as good as a fresh one.
 func (m *Master) createReplica(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq) (ok bool) {
 	msg := chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: id, CreateChunkReq: req})
-	m.fanOut([]serverQueue{{addr, []*proto.Message{msg}}}, func(_ int, resp *proto.Message) bool {
+	m.fanOut(m.cfg.RPCTimeout, []serverQueue{{addr, []*proto.Message{msg}}}, func(_ int, resp *proto.Message) bool {
 		ok = resp.Status == proto.StatusOK || resp.Status == proto.StatusExists
 		return true
 	})

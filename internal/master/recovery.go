@@ -174,7 +174,7 @@ func (m *Master) probeVersions(id blockstore.ChunkID, cm ChunkMeta, skip string)
 			queues[i].msgs = []*proto.Message{{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)}}
 		}
 	}
-	m.fanOut(queues, func(q int, resp *proto.Message) bool {
+	m.fanOut(m.cfg.RPCTimeout, queues, func(q int, resp *proto.Message) bool {
 		if resp.Status == proto.StatusOK {
 			states[q].version = resp.Version
 			states[q].alive = true
@@ -215,7 +215,7 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 		payload, _ := jsonBody(req) // strings and numbers: cannot fail
 		queues[i] = serverQueue{r.Addr, []*proto.Message{{Op: proto.OpSetView, Chunk: id, View: newView, Payload: payload}}}
 	}
-	m.fanOut(queues, nil)
+	m.fanOut(m.cfg.RPCTimeout, queues, nil)
 
 	// Record the view. commitLocked refuses a master deposed mid-recovery (its
 	// fan-out already bounced off StatusStaleEpoch fences), which therefore

@@ -407,27 +407,28 @@ func (m *Master) maybePromote() {
 	curEpoch := m.epoch
 	m.mu.Unlock()
 
-	// Probe every other master first: a healthy primary whose heartbeats
-	// are merely delayed (or a newly joined standby discovering the
-	// cluster) must stand down, not split the epoch space.
+	// Probe every other master first, all in one window: a healthy primary
+	// whose heartbeats are merely delayed (or a newly joined standby
+	// discovering the cluster) must stand down, not split the epoch space.
+	var masters []serverQueue
+	for _, p := range m.cfg.Peers {
+		if p != m.cfg.Addr {
+			masters = append(masters, serverQueue{p, []*proto.Message{{Op: proto.MOpMasterInfo}}})
+		}
+	}
 	maxEpoch := curEpoch
 	var claimedPrimary string
 	var claimedEpoch uint64
-	for _, p := range m.cfg.Peers {
-		if p == m.cfg.Addr {
-			continue
-		}
+	m.fanOut(m.cfg.PrimacyTTL/4, masters, func(_ int, resp *proto.Message) bool {
 		var info MasterInfoResp
-		if _, err := m.callPeer(p, proto.MOpMasterInfo, 0, nil, &info, m.cfg.PrimacyTTL/4); err != nil {
-			continue
+		if json.Unmarshal(resp.Payload, &info) == nil {
+			maxEpoch = max(maxEpoch, info.Epoch)
+			if info.IsPrimary && info.Epoch >= curEpoch && info.Epoch >= claimedEpoch {
+				claimedPrimary, claimedEpoch = info.Self, info.Epoch
+			}
 		}
-		if info.Epoch > maxEpoch {
-			maxEpoch = info.Epoch
-		}
-		if info.IsPrimary && info.Epoch >= curEpoch && info.Epoch >= claimedEpoch {
-			claimedPrimary, claimedEpoch = info.Self, info.Epoch
-		}
-	}
+		return true
+	})
 	if claimedPrimary != "" {
 		m.mu.Lock()
 		if claimedEpoch > m.epoch {
@@ -448,10 +449,9 @@ func (m *Master) maybePromote() {
 	m.epoch = maxEpoch + 1
 	m.primary = true
 	m.primaryAddr = m.cfg.Addr
-	epoch := m.epoch
-	servers := make([]string, len(m.st.servers))
+	fence := make([]serverQueue, len(m.st.servers))
 	for i, s := range m.st.servers {
-		servers[i] = s.addr
+		fence[i] = serverQueue{s.addr, []*proto.Message{{Op: proto.OpNop}}}
 	}
 	m.lastHeard = m.cfg.Clock.Now()
 	m.mu.Unlock()
@@ -459,13 +459,12 @@ func (m *Master) maybePromote() {
 	if reg := m.cfg.Metrics; reg != nil {
 		reg.Counter(MetricMasterPromotions).Inc()
 	}
-	// Fence the deposed master everywhere before acting on the new epoch:
-	// an epoch-stamped no-op makes every reachable chunkserver adopt the
-	// new epoch, so stale RecoverChunk/view-bump commands from the old
-	// primary bounce even at servers this primary has not commanded yet.
-	for _, addr := range servers {
-		_, _ = m.peers.Call(addr, &proto.Message{Op: proto.OpNop, Epoch: epoch}, m.cfg.PrimacyTTL/4)
-	}
+	// Fence the deposed master everywhere before acting on the new epoch, in
+	// one window however many servers are silent: an epoch-stamped no-op
+	// makes every reachable chunkserver adopt the new epoch, so stale
+	// RecoverChunk/view-bump commands from the old primary bounce even at
+	// servers this primary has not commanded yet.
+	m.fanOut(m.cfg.PrimacyTTL/4, fence, nil)
 	// Wake the shippers: followers must hear the new epoch (and get the
 	// full log replayed) without waiting for the next heartbeat tick.
 	m.mu.Lock()

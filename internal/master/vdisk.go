@@ -193,7 +193,7 @@ func (m *Master) createChunks(vdisk uint32, chunks []ChunkMeta, spec redundancy.
 		}
 	}
 	var first error
-	acked := m.fanOut(queues, func(q int, resp *proto.Message) bool {
+	acked := m.fanOut(m.cfg.RPCTimeout, queues, func(q int, resp *proto.Message) bool {
 		if first == nil && resp.Status != proto.StatusOK && resp.Status != proto.StatusExists {
 			first = fmt.Errorf("master: create vdisk %d on %s: %s", vdisk, queues[q].addr, resp.Status)
 		}
@@ -336,7 +336,7 @@ func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 		}
 	}
 	unreached := 0
-	for q, n := range m.fanOut(queues, nil) {
+	for q, n := range m.fanOut(m.cfg.RPCTimeout, queues, nil) {
 		unreached += len(held[q]) - min(n*proto.MaxBatch, len(held[q]))
 	}
 	if reg := m.cfg.Metrics; reg != nil && unreached > 0 {

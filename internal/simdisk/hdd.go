@@ -1,7 +1,8 @@
 package simdisk
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -9,54 +10,57 @@ import (
 	"ursa/internal/util"
 )
 
-// HDD simulates a mechanical drive: a single service loop owns the head and
-// dispatches queued requests with the elevator (SCAN) algorithm — the paper
+// HDD simulates a mechanical drive with one head, handed from submitter to
+// submitter under the disk's own lock in elevator (SCAN) order — the paper
 // notes that one single-threaded process with elevator scheduling saturates
-// an HDD, and that extra threads only confuse it (§5.3). Sequential access
-// at the head position skips the seek+rotation cost entirely, which is why
-// journal appends and large replica copies run at media speed while random
-// small writes crawl.
+// an HDD, and that extra threads only confuse it (§5.3). No goroutine runs
+// on the disk's behalf: the submitter holding the head sleeps its request's
+// service time itself, outside the lock, and on finishing passes the head to
+// the queued request the elevator picks. Sequential access at the head
+// position skips the seek+rotation cost entirely, which is why journal
+// appends and large replica copies run at media speed while random small
+// writes crawl.
 type HDD struct {
 	model HDDModel
 	clk   clock.Clock
 	store *memStore
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*hddReq // kept sorted by offset
+	mu sync.Mutex
+	// turn wakes the queued submitters whenever the head is handed on or the
+	// disk closes; each checks whether it was the one picked.
+	turn    sync.Cond
+	pending []hddWait // queued submitters, kept sorted by offset
+	seq     uint64    // the last ticket handed to a queued submitter
+	holder  uint64    // ticket of the submitter the head was passed to
+	busy    bool      // a submitter holds the head
 	depth   int
 	closed  bool
 
+	// headPos and ascending are the head's: written only by its holder,
+	// under mu when the head is passed on.
 	headPos   int64
 	ascending bool
 
 	stats stats
-	done  chan struct{}
 }
 
-type hddReq struct {
-	off   int64
-	buf   []byte
-	write bool
-	errc  chan error // buffered 1: the service loop's verdict
+// hddWait is one queued submitter: where it wants the head, and its ticket.
+type hddWait struct {
+	off int64
+	seq uint64
 }
 
-// hddReqPool recycles requests with their completion channels. A request
-// is recyclable once its submitter has taken the verdict — errc has exactly
-// that one consumer — or when it was never queued.
-var hddReqPool = sync.Pool{New: func() any { return &hddReq{errc: make(chan error, 1)} }}
+func byOffset(w hddWait, off int64) int { return cmp.Compare(w.off, off) }
 
-// NewHDD creates a simulated HDD and starts its service loop.
+// NewHDD creates a simulated HDD.
 func NewHDD(model HDDModel, clk clock.Clock) *HDD {
 	d := &HDD{
 		model:     model,
 		clk:       clk,
 		store:     newMemStore(model.Capacity),
 		ascending: true,
-		done:      make(chan struct{}),
 	}
-	d.cond = sync.NewCond(&d.mu)
-	go d.serve()
+	d.turn.L = &d.mu
 	return d
 }
 
@@ -70,84 +74,67 @@ func (d *HDD) WriteAt(p []byte, off int64) error {
 	return d.submit(p, off, true)
 }
 
+// submit takes the head — at once when it is free and nobody queues,
+// otherwise when the elevator picks this request — serves the request with
+// it and passes it on.
 func (d *HDD) submit(p []byte, off int64, write bool) error {
 	if err := d.store.check(off, len(p)); err != nil {
 		return err
 	}
-	return d.enqueue(off, p, write)
-}
-
-// enqueue queues one request and waits for the service loop's verdict.
-func (d *HDD) enqueue(off int64, buf []byte, write bool) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return util.ErrClosed
 	}
-	req := hddReqPool.Get().(*hddReq)
-	req.off, req.buf, req.write = off, buf, write
-	// Insert keeping pending sorted by offset so the elevator scan is a
-	// binary search away.
-	i := sort.Search(len(d.pending), func(i int) bool { return d.pending[i].off >= off })
-	d.pending = append(d.pending, nil)
-	copy(d.pending[i+1:], d.pending[i:])
-	d.pending[i] = req
 	d.depth++
-	d.cond.Signal()
+	if d.busy {
+		d.seq++
+		me := d.seq
+		i, _ := slices.BinarySearchFunc(d.pending, off, byOffset)
+		d.pending = slices.Insert(d.pending, i, hddWait{off, me})
+		for d.holder != me && !d.closed {
+			d.turn.Wait()
+		}
+		if d.holder != me {
+			// Closed while queued: the request fails unserved.
+			d.pending = slices.DeleteFunc(d.pending, func(w hddWait) bool { return w.seq == me })
+			d.depth--
+			d.mu.Unlock()
+			return util.ErrClosed
+		}
+	}
+	d.busy = true
 	d.mu.Unlock()
 
-	err := <-req.errc
-	req.buf = nil
-	hddReqPool.Put(req)
-	return err
-}
-
-// serve is the single-threaded device loop.
-func (d *HDD) serve() {
-	for {
-		d.mu.Lock()
-		for len(d.pending) == 0 && !d.closed {
-			d.cond.Wait()
-		}
-		if d.closed {
-			for _, r := range d.pending {
-				r.errc <- util.ErrClosed
-			}
-			d.pending = nil
-			d.mu.Unlock()
-			close(d.done)
-			return
-		}
-		req := d.pickLocked()
-		d.mu.Unlock()
-
-		service := d.serviceTime(req)
-		d.clk.Sleep(service)
-
-		var err error
-		if req.write {
-			err = d.store.writeAt(req.buf, req.off)
-		} else {
-			err = d.store.readAt(req.buf, req.off)
-		}
-		if err == nil {
-			d.stats.record(req.write, len(req.buf), service)
-		}
-		d.headPos = req.off + int64(len(req.buf))
-
-		d.mu.Lock()
-		d.depth--
-		d.mu.Unlock()
-		req.errc <- err
+	service := d.serviceTime(off, len(p))
+	d.clk.Sleep(service)
+	var err error
+	if write {
+		err = d.store.writeAt(p, off)
+	} else {
+		err = d.store.readAt(p, off)
 	}
+	if err == nil {
+		d.stats.record(write, len(p), service)
+	}
+
+	d.mu.Lock()
+	d.headPos = off + int64(len(p))
+	d.depth--
+	if len(d.pending) > 0 && !d.closed {
+		d.holder = d.pickLocked().seq
+	} else {
+		d.busy = false
+	}
+	d.turn.Broadcast()
+	d.mu.Unlock()
+	return err
 }
 
 // pickLocked removes and returns the next request per SCAN: continue in the
 // current direction from the head position; reverse at the end of the queue.
-func (d *HDD) pickLocked() *hddReq {
-	i := sort.Search(len(d.pending), func(i int) bool {
-		return d.pending[i].off >= d.headPos
-	})
+func (d *HDD) pickLocked() hddWait {
+	i, _ := slices.BinarySearchFunc(d.pending, d.headPos, byOffset)
 	var idx int
 	if d.ascending {
 		if i < len(d.pending) {
@@ -164,18 +151,19 @@ func (d *HDD) pickLocked() *hddReq {
 			idx = 0
 		}
 	}
-	req := d.pending[idx]
-	d.pending = append(d.pending[:idx], d.pending[idx+1:]...)
-	return req
+	w := d.pending[idx]
+	d.pending = slices.Delete(d.pending, idx, idx+1)
+	return w
 }
 
-// serviceTime computes the mechanical cost of one request.
-func (d *HDD) serviceTime(req *hddReq) time.Duration {
-	dist := req.off - d.headPos
+// serviceTime computes the mechanical cost of n bytes at off from where the
+// head is.
+func (d *HDD) serviceTime(off int64, n int) time.Duration {
+	dist := off - d.headPos
 	if dist < 0 {
 		dist = -dist
 	}
-	t := transfer(len(req.buf), d.model.Bandwidth)
+	t := transfer(n, d.model.Bandwidth)
 	if dist > d.model.TrackSkip {
 		// Seek: settle + stroke-proportional travel + half a rotation.
 		frac := float64(dist) / float64(d.model.Capacity)
@@ -204,17 +192,16 @@ func (d *HDD) QueueDepth() int {
 // Stats implements Disk.
 func (d *HDD) Stats() Stats { return d.stats.snapshot() }
 
-// Close implements Disk; queued requests fail with ErrClosed.
+// Close implements Disk: queued requests fail with ErrClosed, and Close
+// returns once the request holding the head has been served.
 func (d *HDD) Close() error {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
+	defer d.mu.Unlock()
 	d.closed = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	<-d.done
+	d.turn.Broadcast()
+	for d.busy {
+		d.turn.Wait()
+	}
 	return nil
 }
 

@@ -26,17 +26,17 @@ type FanResult struct {
 	Err bool
 }
 
-// flightWidth is the number of slots a pooled Flight carries. Fan-outs wider
-// than this (no real placement is) get a throwaway slot array.
-const flightWidth = 32
-
 // Flight is a set of calls awaited by the goroutine that issued them: the
 // transport's one unit of waiting, whether the set is a replication fan-out
 // or the single call of Do. The issuer — the awaiter — Begins it, sends each
 // branch itself with Go, takes completions with Next or Wait, and Finishes
 // it exactly once; no goroutine runs on a branch's behalf. One completion
 // channel and one timer, for the window min(op budget, cap) from Begin, serve
-// the whole set.
+// the whole set. Both are the flight's for life: the Peers or Client that
+// begins a flight recycles it (flights), so a flight is made once per call
+// its owner has ever had in the air at once, and never crosses to another
+// owner — a cluster, a test or a synctest bubble of its own. A flight grows
+// to the widest set its owner has sent on it.
 //
 // A slot belongs to the awaiter, except between its registration in a
 // Client's pending table and its completion: in that interval the dispatcher
@@ -50,22 +50,23 @@ const flightWidth = 32
 // returns, no branch outlives it, and nothing but the awaiter ever holds the
 // op.
 type Flight struct {
-	peers *Peers // nil for a flight over one bare Client (Client.Do)
-	clk   clock.Clock
-	op    *opctx.Op
-	timer *time.Timer // the window; nil when the wait is unbounded
+	home   *flights // the owner's free list
+	peers  *Peers   // nil for a flight over one bare Client (Client.Do)
+	clk    clock.Clock
+	op     *opctx.Op
+	timer  *time.Timer      // made at the first windowed Begin, kept for life
+	window <-chan time.Time // timer.C while this flight's wait is bounded, else nil
 	// stop is why the flight no longer waits: its window expired, or the op
 	// was already spent at Begin. Sticky.
 	stop error
 
 	// done carries the index of each slot that completes, once: room for
-	// every slot, so a post never blocks, and empty whenever pooled.
+	// every slot, so a post never blocks, and empty whenever recycled.
 	done chan int
 	// issued counts the slots Go has used, taken those whose result the
 	// awaiter has handed out.
 	issued, taken int
 	slots         []slot
-	few           [flightWidth]slot
 }
 
 // slot is one branch. The awaiter fills in the first group before the slot
@@ -86,29 +87,57 @@ type slot struct {
 	posted, taken bool // its index received from done; its result handed out
 }
 
-var flightPool = sync.Pool{New: func() any { return &Flight{done: make(chan int, flightWidth)} }}
+// flights is the free list of the flights one owner — a Peers, or a Client
+// for its bare Do — has finished, each with its done channel and timer.
+type flights struct {
+	mu   sync.Mutex
+	free []*Flight
+}
+
+// get returns a finished flight with room for n slots, or a new one.
+func (h *flights) get(n int) *Flight {
+	var fl *Flight
+	h.mu.Lock()
+	if k := len(h.free); k > 0 {
+		fl, h.free = h.free[k-1], h.free[:k-1]
+	}
+	h.mu.Unlock()
+	if fl == nil {
+		fl = &Flight{home: h}
+	}
+	if cap(fl.slots) < n {
+		fl.done, fl.slots = make(chan int, n), make([]slot, n)
+	}
+	fl.slots = fl.slots[:n]
+	return fl
+}
+
+func (h *flights) put(fl *Flight) {
+	h.mu.Lock()
+	h.free = append(h.free, fl)
+	h.mu.Unlock()
+}
 
 // Begin opens a flight of n branches on behalf of op, every wait in it
 // bounded by the op's remaining budget and the optional cap (cap<=0 means the
 // deadline alone governs). The caller issues up to n Go calls, consumes
 // completions with Next or Wait, and must call Finish exactly once.
 func (p *Peers) Begin(op *opctx.Op, n int, cap time.Duration) *Flight {
-	return begin(p, p.clk, op, n, cap)
+	return begin(&p.flights, p, p.clk, op, n, cap)
 }
 
-func begin(p *Peers, clk clock.Clock, op *opctx.Op, n int, cap time.Duration) *Flight {
-	var fl *Flight
-	if n <= flightWidth {
-		fl = flightPool.Get().(*Flight)
-		fl.slots = fl.few[:n]
-	} else {
-		fl = &Flight{done: make(chan int, n), slots: make([]slot, n)}
-	}
+func begin(home *flights, p *Peers, clk clock.Clock, op *opctx.Op, n int, cap time.Duration) *Flight {
+	fl := home.get(n)
 	fl.peers, fl.clk, fl.op = p, clk, op
 	if wait, ok := op.Budget(cap); !ok {
 		fl.stop = op.Err() // spent before it began
 	} else if wait > 0 {
-		fl.timer = clock.StartTimer(clk, wait)
+		if fl.timer == nil {
+			fl.timer = time.NewTimer(clock.Wall(clk, wait))
+		} else {
+			fl.timer.Reset(clock.Wall(clk, wait))
+		}
+		fl.window = fl.timer.C
 	}
 	return fl
 }
@@ -182,10 +211,6 @@ func (fl *Flight) await(want int) *slot {
 			return fl.take(s)
 		}
 	}
-	var window <-chan time.Time
-	if fl.timer != nil {
-		window = fl.timer.C
-	}
 	for fl.taken < fl.issued && fl.stop == nil {
 		select {
 		case i := <-fl.done:
@@ -194,7 +219,7 @@ func (fl *Flight) await(want int) *slot {
 			if want < 0 || want == i {
 				return fl.take(s)
 			}
-		case <-window:
+		case <-fl.window:
 			fl.stop = fmt.Errorf("no response within the call's window: %w", util.ErrTimeout)
 		}
 	}
@@ -280,15 +305,12 @@ func (fl *Flight) Finish() {
 		}
 		*s = slot{}
 	}
-	if fl.timer != nil {
-		clock.StopTimer(fl.timer)
+	if fl.window != nil {
+		fl.timer.Stop() // nothing is delivered after Stop: the next Begin sees no stale expiry
 	}
-	if cap(fl.slots) != flightWidth {
-		return // a throwaway
-	}
-	fl.peers, fl.clk, fl.op, fl.timer, fl.stop, fl.slots = nil, nil, nil, nil, nil, nil
+	fl.peers, fl.clk, fl.op, fl.window, fl.stop = nil, nil, nil, nil, nil
 	fl.issued, fl.taken = 0, 0
-	flightPool.Put(fl)
+	fl.home.put(fl)
 }
 
 // discard releases a response nobody will read: the message dies here, so its

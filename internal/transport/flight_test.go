@@ -307,27 +307,34 @@ func TestFlightWindow(t *testing.T) {
 	}
 }
 
-// TestFlightWide: a fan-out wider than the pooled width works, unpooled.
+// TestFlightWide: an owner's recycled flight grows to a fan-out wider than
+// any before it — 33 branches after one — and keeps the room for the next.
 func TestFlightWide(t *testing.T) {
 	f := newFanNet(t, "a", "b")
 	op := fanOp()
 	defer op.Release()
-	const n = flightWidth + 1
-	fl := f.peers.Begin(op, n, time.Second)
-	for i := 0; i < n; i++ {
-		sendBranch(fl, i, []string{"a", "b"}[i%2], uint64(i), 0, 0)
-	}
-	seen := map[int]bool{}
-	for i := 0; i < n; i++ {
-		r, ok := fl.Next()
-		if !ok || r.Err || r.Version != uint64(r.Target) {
-			t.Fatalf("result %d = %+v, %v", i, r, ok)
+	first := f.peers.Begin(op, 1, time.Second)
+	first.Finish()
+	for _, n := range []int{33, 2} {
+		fl := f.peers.Begin(op, n, time.Second)
+		if fl != first || cap(fl.done) < 33 {
+			t.Fatalf("%d branches: flight %p with room for %d, want the recycled %p grown to 33", n, fl, cap(fl.done), first)
 		}
-		seen[r.Target] = true
-	}
-	fl.Finish()
-	if len(seen) != n {
-		t.Fatalf("saw %d distinct targets, want %d", len(seen), n)
+		for i := 0; i < n; i++ {
+			sendBranch(fl, i, []string{"a", "b"}[i%2], uint64(i), 0, 0)
+		}
+		seen := map[int]bool{}
+		for i := 0; i < n; i++ {
+			r, ok := fl.Next()
+			if !ok || r.Err || r.Version != uint64(r.Target) {
+				t.Fatalf("result %d = %+v, %v", i, r, ok)
+			}
+			seen[r.Target] = true
+		}
+		fl.Finish()
+		if len(seen) != n {
+			t.Fatalf("saw %d distinct targets, want %d", len(seen), n)
+		}
 	}
 }
 

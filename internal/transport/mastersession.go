@@ -231,10 +231,8 @@ func (s *MasterSession) pace(op *opctx.Op, attempts int) bool {
 	if rem, _ := op.Remaining(); rem <= d {
 		return false
 	}
-	t := clock.StartTimer(s.clk, d)
-	defer clock.StopTimer(t)
 	select {
-	case <-t.C:
+	case <-s.clk.After(d):
 	case <-s.stop: // the next attempt sees it and returns ErrClosed
 	}
 	return true

@@ -28,6 +28,8 @@ type Peers struct {
 
 	mu sync.Mutex
 	m  map[string]*Client
+
+	flights flights // the flights Begin recycles
 }
 
 // NewPeers returns an empty pool dialing through d.

@@ -23,6 +23,8 @@ type Client struct {
 	pending map[uint64]callRef
 	closed  bool
 	done    chan struct{}
+
+	flights flights // the flights Do recycles
 }
 
 // callRef is where a response completes: one branch slot of a flight.
@@ -127,7 +129,7 @@ func (c *Client) pendingCalls() int {
 // this connection (see Flight). Do consumes one reference to m.Payload on
 // every path, including the pre-send early returns.
 func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.Message, error) {
-	fl := begin(nil, c.clk, op, 1, cap)
+	fl := begin(&c.flights, nil, c.clk, op, 1, cap)
 	resp, err := fl.Wait(fl.send(0, c, nil, "", m))
 	fl.Finish()
 	return resp, err

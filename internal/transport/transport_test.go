@@ -123,7 +123,7 @@ func TestOutOfOrderCompletion(t *testing.T) {
 // for the test's own timeout; the caller sends with fl.send.
 func bareFlight(c *Client, n int) *Flight {
 	op := opctx.New(c.clk, 0)
-	return begin(nil, c.clk, op, n, 0)
+	return begin(&c.flights, nil, c.clk, op, n, 0)
 }
 
 func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Client, *Server) {
