@@ -33,15 +33,20 @@ lint:
 check: fmt vet lint build test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
 
 # The tests tagged goexperiment.synctest (the bubble_test.go files; tier-1
-# sets no experiment and never builds them). Each drives one wait — an HDD
-# queue in SCAN order, a QD 8 group commit, a bypass write behind a replay
-# run, a chunk's version-slot wait, a flight's window — first on the real
-# clock, then inside synctest.Run, where it must finish in virtual time at
-# exactly the model's latencies. A wait on a channel or timer made outside
-# the bubble, or on a sync.Mutex held across a model sleep, stalls it.
+# sets no experiment and never builds them), under the race detector. Each
+# drives one wait — an HDD queue in SCAN order, a QD 8 group commit, a bypass
+# write behind a replay run, a chunk's version-slot wait, a write queued on
+# the chunk lock behind a mirror clone and behind a segment snapshot, a
+# flight's window — first on the real clock, then inside synctest.Run, where
+# it must finish in virtual time at exactly the model's latencies; and
+# TestBubbleCluster runs whole clusters in bubbles (the benchmark's set-up,
+# a segment rebuild racing two writers, the random chaos schedule), each of
+# which must return. A wait on a channel or timer made outside the bubble,
+# on a sync.Mutex held across a model sleep, or a goroutine that Close does
+# not join, hangs it until the timeout.
 bubble-smoke: export GOEXPERIMENT = synctest
 bubble-smoke:
-	$(GO) test -count=1 -timeout 2m -run Bubble ./...
+	$(GO) test -race -count=1 -timeout 2m -run Bubble ./...
 
 bench-quick:
 	$(GO) run ./cmd/ursa-bench -all -quick

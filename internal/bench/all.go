@@ -1,5 +1,11 @@
 package bench
 
+import (
+	"fmt"
+	"runtime"
+	"time"
+)
+
 // Entry is one regenerable table or figure. The registry is the only list of
 // them: cmd/ursa-bench, the root BenchmarkFigures, the smoke tests and
 // EXPERIMENTS.md's index all follow All().
@@ -26,10 +32,21 @@ func (e Entry) Artifact() string {
 	return artifactName(e.ID)
 }
 
-// Run regenerates the figure.
+// Run regenerates the figure and holds it to the rule a synctest bubble
+// enforces by hanging: a figure whose goroutines have not all exited 10 s
+// after it returns misses its acceptance, the note carrying their stacks.
 func (e Entry) Run(cfg Config) Table {
+	goroutines := runtime.NumGoroutine()
 	t := e.gen(cfg)
 	t.ID = e.Table
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Notes = append(t.Notes, fmt.Sprintf("ACCEPTANCE FAIL: %d goroutines 10s after the figure returned, started with %d\n%s",
+				runtime.NumGoroutine(), goroutines, buf[:runtime.Stack(buf, true)]))
+			break
+		}
+	}
 	return t
 }
 

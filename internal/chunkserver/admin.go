@@ -6,6 +6,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
+	"ursa/internal/clock"
 	"ursa/internal/coldtier"
 	"ursa/internal/journal"
 	"ursa/internal/opctx"
@@ -108,13 +109,14 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 		return nil, err
 	}
 	cs := &chunkState{
+		mu:   clock.NewMutex(),
 		view: req.View, version: req.Version, reserved: req.Version,
 		backups: req.Backups,
 		lite:    journal.NewLite(s.cfg.LiteCap),
 		pending: make(map[uint64]pendingWrite),
 		spec:    req.Redundancy, strat: strat, holder: req.Holder, seg: req.Seg,
 	}
-	cs.change.L = &cs.mu
+	cs.change.L = cs.mu
 	if len(req.Cold) > 0 {
 		cs.cold = &coldState{
 			objAddr: req.ObjAddr,
@@ -214,7 +216,13 @@ func (s *Server) deleteChunk(id blockstore.ChunkID) proto.Status {
 	return proto.StatusOK
 }
 
+// handleSetView installs a view and, when the payload names one, its backup
+// list; a payload it cannot decode is refused before anything changes.
 func (s *Server) handleSetView(m *proto.Message) *proto.Message {
+	var req CreateChunkReq
+	if len(m.Payload) > 0 && json.Unmarshal(m.Payload, &req) != nil {
+		return m.Reply(proto.StatusError)
+	}
 	cs := s.chunk(m.Chunk)
 	if cs == nil {
 		return m.Reply(proto.StatusNotFound)
@@ -225,11 +233,8 @@ func (s *Server) handleSetView(m *proto.Message) *proto.Message {
 		return m.Reply(proto.StatusStaleView)
 	}
 	cs.view = m.View
-	if len(m.Payload) > 0 {
-		var req CreateChunkReq
-		if err := json.Unmarshal(m.Payload, &req); err == nil && req.Backups != nil {
-			cs.backups = req.Backups
-		}
+	if req.Backups != nil {
+		cs.backups = req.Backups
 	}
 	r := m.Reply(proto.StatusOK)
 	r.View = cs.view

@@ -2,7 +2,6 @@ package chunkserver
 
 import (
 	"fmt"
-	"sync"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
@@ -274,39 +273,26 @@ func repairMods(cs *chunkState, mods []repairMod, version uint64) rebuildSource 
 }
 
 // fetchPieces pulls the same intra-segment range [off, off+n) from every
-// source in parallel and returns the pieces that arrived intact at exactly
-// version wantVer, keyed by piece index. Sources are segment holders, so
-// OpFetchChunk with a segment-relative offset returns their local slice.
+// source, all on one flight, and returns the pieces that arrived intact at
+// exactly version wantVer, keyed by piece index. Sources are segment holders,
+// so OpFetchChunk with a segment-relative offset returns their local slice.
 func (s *Server) fetchPieces(op *opctx.Op, sources []PieceSource, chunk blockstore.ChunkID, off int64, n int, wantVer uint64) map[int][]byte {
-	got := make([][]byte, len(sources)) // by source; each fetcher writes its own slot
-	window := s.opBudget(op, 10*s.cfg.ReplTimeout)
-	var wg sync.WaitGroup
+	fl := s.peers.Begin(op, len(sources), s.opBudget(op, 10*s.cfg.ReplTimeout))
+	defer fl.Finish()
 	for i, src := range sources {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := s.peers.Do(op, src.Addr, &proto.Message{
-				Op:     proto.OpFetchChunk,
-				Chunk:  chunk,
-				Off:    off,
-				Length: uint32(n),
-			}, window)
-			if err != nil {
-				return
-			}
-			if resp.Status != proto.StatusOK || len(resp.Payload) != n || resp.Version != wantVer {
-				bufpool.Put(resp.Payload)
-				return
-			}
-			got[i] = resp.Payload
-		}()
+		fl.Go(i, src.Addr, &proto.Message{Op: proto.OpFetchChunk, Chunk: chunk, Off: off, Length: uint32(n)})
 	}
-	wg.Wait()
 	avail := make(map[int][]byte, len(sources))
-	for i, data := range got {
-		if data != nil {
-			avail[sources[i].Piece] = data
+	for i, resp, ok := fl.NextReply(); ok; i, resp, ok = fl.NextReply() {
+		if resp == nil {
+			continue
 		}
+		if resp.Status == proto.StatusOK && len(resp.Payload) == n && resp.Version == wantVer {
+			avail[sources[i].Piece] = resp.Payload
+		} else {
+			bufpool.Put(resp.Payload)
+		}
+		proto.Recycle(resp)
 	}
 	return avail
 }

@@ -245,6 +245,10 @@ func (s *Server) chunk(id blockstore.ChunkID) *chunkState {
 // clients and peer replicas send, fenced per chunk by view and version) and
 // admin (handleAdmin — what the master sends, fenced by its primacy epoch).
 func (s *Server) Handle(m *proto.Message) *proto.Message {
+	if m.Op == proto.OpUpgrade { // operator-driven: neither interface, unfenced, and not a request Upgrade waits for
+		s.Upgrade()
+		return m.Reply(proto.StatusOK)
+	}
 	// Graceful upgrade: brief pause while the new "process" takes over.
 	s.upMu.Lock()
 	for s.draining {
@@ -255,16 +259,11 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 	defer func() {
 		s.upMu.Lock()
 		s.inflight--
-		if s.draining && s.inflight <= 1 {
+		if s.draining && s.inflight == 0 {
 			s.upCond.Broadcast()
 		}
 		s.upMu.Unlock()
 	}()
-
-	if m.Op == proto.OpUpgrade { // operator-driven: neither interface, unfenced
-		go s.Upgrade()
-		return m.Reply(proto.StatusOK)
-	}
 
 	// Rebuild the request context the message belongs to: same op ID, the
 	// sender's remaining budget re-anchored on our clock. Every wait below
@@ -312,7 +311,7 @@ func (s *Server) Upgrade() {
 		return // an upgrade is already in progress
 	}
 	s.draining = true
-	for s.inflight > 1 { // >1: the OpUpgrade handler itself
+	for s.inflight > 0 {
 		s.upCond.Wait()
 	}
 	s.upGen.Add(1)

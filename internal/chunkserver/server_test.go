@@ -355,6 +355,28 @@ func TestSetViewRules(t *testing.T) {
 	}
 }
 
+// TestSetViewRefusesUndecodablePayload: a view change whose backup list
+// cannot be decoded is refused, and the chunk keeps both its view and the
+// backups it ships to — the master must not count the view as installed.
+func TestSetViewRefusesUndecodablePayload(t *testing.T) {
+	e := newEnv(t)
+	e.createChunk(t)
+	resp := e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 2, Payload: []byte(`{"backups":`)})
+	if resp.Status != proto.StatusError {
+		t.Fatalf("set view with a truncated payload = %s, want error", resp.Status)
+	}
+	if _, view := versionView(t, e.primary); view != 1 {
+		t.Errorf("refused set view left view %d, want 1", view)
+	}
+	cs := e.primary.chunk(testChunk)
+	cs.mu.Lock()
+	backups := cs.backups
+	cs.mu.Unlock()
+	if len(backups) != 2 || backups[0] != "b1" || backups[1] != "b2" {
+		t.Errorf("refused set view left backups %q, want [b1 b2]", backups)
+	}
+}
+
 func TestReadStatusRules(t *testing.T) {
 	e := newEnv(t)
 	e.createChunk(t)
@@ -426,6 +448,30 @@ func TestUpgradeIdempotent(t *testing.T) {
 	// Server still serves after upgrades.
 	if resp := write(e.primary, 0, 0, make([]byte, 512)); resp.Status != proto.StatusOK {
 		t.Fatalf("write after upgrade = %s", resp.Status)
+	}
+}
+
+// TestUpgradeWaitsForWriteInFlight: an upgrade called while a write is
+// parked on a stalled device returns only once that write's handler has —
+// the write committed — and not under it.
+func TestUpgradeWaitsForWriteInFlight(t *testing.T) {
+	e := newRebuildEnv(t)
+	fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+	p := e.start("p", false, fi, time.Second)
+	mustCreate(t, p, CreateChunkReq{View: 1})
+	fi.Stall(100 * time.Millisecond)
+	wrote := make(chan proto.Status, 1)
+	go func() { wrote <- apply(p, proto.OpWritePrimary, 0, 0, make([]byte, 4*util.KiB)) }()
+	waitFor(t, "the write's admission", func() bool { return pendingLen(p) == 1 })
+	p.Upgrade()
+	if ver, _ := versionView(t, p); ver != 1 || pendingLen(p) != 0 {
+		t.Errorf("Upgrade returned at version %d with %d writes pending, want after the write committed", ver, pendingLen(p))
+	}
+	if st := <-wrote; st != proto.StatusOK {
+		t.Errorf("write across the upgrade = %s", st)
+	}
+	if got := p.Stats().UpgradeGen; got != 1 {
+		t.Errorf("upgrade gen = %d, want 1", got)
 	}
 }
 

@@ -63,7 +63,9 @@ func (p pendingWrite) overlaps(off int64, n int) bool {
 
 // chunkState is the per-chunk replication state of one replica.
 type chunkState struct {
-	mu sync.Mutex
+	// mu is the chunk lock: a clock.Mutex, as rebuilds and segment snapshots
+	// hold it across fetches, installs and device reads.
+	mu clock.Mutex
 
 	version  uint64 // committed: number of fully applied writes
 	reserved uint64 // version slots handed out; reserved >= version

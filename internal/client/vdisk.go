@@ -531,7 +531,7 @@ func (vd *VDisk) readDegradedRS(op *opctx.Op, idx int, cm master.ChunkMeta,
 	}
 	for _, pc := range redundancy.PieceRanges(spec, off, len(buf)) {
 		dst := buf[pc.BufLo:pc.BufHi]
-		if _, err := vd.readPiece(op, idx, cm, pc.Seg, pc.SegOff, dst, version); err == nil {
+		if vd.readPiece(op, idx, cm, pc.Seg, pc.SegOff, dst, version) == nil {
 			continue
 		}
 		if err := vd.reconstructPiece(op, idx, cm, spec, pc.Seg, pc.SegOff, dst, version); err != nil {
@@ -542,37 +542,32 @@ func (vd *VDisk) readDegradedRS(op *opctx.Op, idx int, cm master.ChunkMeta,
 	return nil
 }
 
-// readPiece reads [segOff, segOff+len(dst)) of segment seg from its holder
-// and reports the version the holder served it at.
-func (vd *VDisk) readPiece(op *opctx.Op, idx int, cm master.ChunkMeta,
-	seg int, segOff int64, dst []byte, version uint64) (uint64, error) {
-
+// readPiece reads [segOff, segOff+len(dst)) of segment seg from its holder.
+func (vd *VDisk) readPiece(op *opctx.Op, idx int, cm master.ChunkMeta, seg int, segOff int64, dst []byte, version uint64) error {
 	addr := cm.Replicas[1+seg].Addr
-	m := proto.GetMessage()
-	m.Op = proto.OpRead
-	m.Chunk = vd.chunkID(idx)
-	m.Off = segOff
-	m.Length = uint32(len(dst))
-	m.View = cm.View
-	m.Version = version
-	resp, err := vd.call(op, addr, m)
+	resp, err := vd.call(op, addr, vd.pieceRead(idx, cm, segOff, len(dst), version))
 	if err != nil {
-		return 0, err
+		return err
 	}
-	status, ver := resp.Status, resp.Version
+	status := resp.Status
 	if status == proto.StatusOK {
 		copy(dst, resp.Payload)
 	}
 	bufpool.Put(resp.Payload)
 	proto.Recycle(resp)
 	if status != proto.StatusOK {
-		return 0, fmt.Errorf("client: read chunk %d seg %d from %s: %s", idx, seg, addr, status)
+		return fmt.Errorf("client: read chunk %d seg %d from %s: %s", idx, seg, addr, status)
 	}
-	return ver, nil
+	return nil
+}
+
+// pieceRead is the OpRead of [segOff, segOff+n) of a segment, for its holder.
+func (vd *VDisk) pieceRead(idx int, cm master.ChunkMeta, segOff int64, n int, version uint64) *proto.Message {
+	return &proto.Message{Op: proto.OpRead, Chunk: vd.chunkID(idx), Off: segOff, Length: uint32(n), View: cm.View, Version: version}
 }
 
 // reconstructPiece decodes [segOff, segOff+len(dst)) of segment want from
-// the other segments' holders.
+// the other segments' holders, read all on one flight.
 func (vd *VDisk) reconstructPiece(op *opctx.Op, idx int, cm master.ChunkMeta,
 	spec redundancy.Spec, want int, segOff int64, dst []byte, version uint64) error {
 
@@ -580,41 +575,39 @@ func (vd *VDisk) reconstructPiece(op *opctx.Op, idx int, cm master.ChunkMeta,
 	if err != nil {
 		return err
 	}
-	type piece struct {
-		idx  int
-		ver  uint64
-		data []byte
+	if vd.c.closed.Load() {
+		return util.ErrClosed
 	}
-	total := spec.N + spec.M
-	results := make(chan piece, total)
-	asked := 0
-	for p := 0; p < total; p++ {
-		if p == want {
-			continue
+	fl := vd.c.peers.Begin(op, spec.N+spec.M-1, vd.c.cfg.CallTimeout)
+	defer fl.Finish()
+	for p := range spec.N + spec.M {
+		if p != want {
+			fl.Go(p, cm.Replicas[1+p].Addr, vd.pieceRead(idx, cm, segOff, len(dst), version))
 		}
-		asked++
-		go func(p int) {
-			tmp := make([]byte, len(dst))
-			ver, err := vd.readPiece(op, idx, cm, p, segOff, tmp, version)
-			if err != nil {
-				results <- piece{idx: p}
-				return
-			}
-			results <- piece{idx: p, ver: ver, data: tmp}
-		}(p)
 	}
 	// Group by served version: a decode mixing versions is garbage. With
 	// the primary down nothing commits, so in practice all pieces agree.
 	byVer := map[uint64]map[int][]byte{}
-	for i := 0; i < asked; i++ {
-		r := <-results
-		if r.data == nil {
+	defer func() {
+		for _, avail := range byVer {
+			for _, b := range avail {
+				bufpool.Put(b)
+			}
+		}
+	}()
+	for p, resp, ok := fl.NextReply(); ok; p, resp, ok = fl.NextReply() {
+		if resp == nil {
 			continue
 		}
-		if byVer[r.ver] == nil {
-			byVer[r.ver] = map[int][]byte{}
+		if resp.Status == proto.StatusOK && len(resp.Payload) == len(dst) {
+			if byVer[resp.Version] == nil {
+				byVer[resp.Version] = map[int][]byte{}
+			}
+			byVer[resp.Version][p] = resp.Payload
+		} else {
+			bufpool.Put(resp.Payload)
 		}
-		byVer[r.ver][r.idx] = r.data
+		proto.Recycle(resp)
 	}
 	for _, avail := range byVer {
 		if len(avail) >= spec.N {

@@ -31,6 +31,27 @@ func Wall(c Clock, d time.Duration) time.Duration {
 	return time.Duration(float64(d) * c.Scale())
 }
 
+// Mutex is the lock to hold across a model sleep: a one-slot channel, whose
+// waiters a synctest bubble counts as durably blocked — a sync.Mutex's it
+// does not, and its clock freezes. Make it with NewMutex, with its owner: a
+// channel belongs to the bubble it is made in.
+type Mutex chan struct{}
+
+// NewMutex returns an unlocked Mutex.
+func NewMutex() Mutex { return make(Mutex, 1) }
+
+// Lock takes m, waiting for its holder to Unlock it.
+func (m Mutex) Lock() { m <- struct{}{} }
+
+// Unlock releases m; like sync.Mutex's, it panics when m is not held.
+func (m Mutex) Unlock() {
+	select {
+	case <-m:
+	default:
+		panic("clock: unlock of unlocked Mutex")
+	}
+}
+
 // Real is the identity clock: model time is wall time.
 type realClock struct{}
 

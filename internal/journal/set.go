@@ -169,13 +169,11 @@ type Set struct {
 
 	// chunkLocks serialize replay against journal-bypass direct writes on
 	// the same chunk; they are always acquired BEFORE s.mu. Each is a
-	// one-slot channel made with the set — a semaphore its holder keeps
-	// across a sink write, whose waiters are durably blocked where a
-	// mutex's are not. Striped by chunk ID hash: two chunks sharing a
-	// stripe serialize spuriously but harmlessly, and the lookup is a shift
-	// instead of a mutex-guarded map that QD32 bypass writes used to contend
-	// on.
-	chunkLocks [chunkLockStripes]chan struct{}
+	// clock.Mutex made with the set, held across a sink write. Striped by
+	// chunk ID hash: two chunks sharing a stripe serialize spuriously but
+	// harmlessly, and the lookup is a shift instead of a mutex-guarded map
+	// that QD32 bypass writes used to contend on.
+	chunkLocks [chunkLockStripes]clock.Mutex
 
 	// Fault callbacks, registered via OnFault (the owning chunk server
 	// installs them after Start — hence guarded by mu, read at fire time).
@@ -243,7 +241,7 @@ func NewSet(clk clock.Clock, sink Sink, cfg Config) *Set {
 	s.drainCond = sync.NewCond(&s.mu)
 	s.commit = sync.NewCond(&s.mu)
 	for i := range s.chunkLocks {
-		s.chunkLocks[i] = make(chan struct{}, 1)
+		s.chunkLocks[i] = clock.NewMutex()
 	}
 	return s
 }
@@ -685,9 +683,8 @@ func (s *Set) dropCommittedImagesLocked() {
 // chunkLockStripes is the per-chunk lock stripe count; power of two.
 const chunkLockStripes = 32
 
-// chunkLock returns the per-chunk serialization semaphore (striped): send to
-// take it, receive to give it back.
-func (s *Set) chunkLock(id blockstore.ChunkID) chan struct{} {
+// chunkLock returns the per-chunk serialization lock (striped).
+func (s *Set) chunkLock(id blockstore.ChunkID) clock.Mutex {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return s.chunkLocks[h>>59&(chunkLockStripes-1)]
 }
@@ -702,8 +699,8 @@ func (s *Set) WriteDirect(id blockstore.ChunkID, data []byte, off int64) error {
 		return err
 	}
 	l := s.chunkLock(id)
-	l <- struct{}{}
-	defer func() { <-l }()
+	l.Lock()
+	defer l.Unlock()
 	if err := s.sink.WriteAt(id, data, off); err != nil {
 		return err
 	}
@@ -1170,8 +1167,8 @@ func (s *Set) replayRun(j *Journal, run []replayExt) (stop bool, err error) {
 	rp := &s.rp
 	id := run[0].chunk
 	l := s.chunkLock(id)
-	l <- struct{}{}
-	defer func() { <-l }()
+	l.Lock()
+	defer l.Unlock()
 
 	// Revalidate: an overwrite or bypass write since the plan may have
 	// killed part of the run; only the pieces still mapped are written.
