@@ -63,11 +63,17 @@ bench-quick:
 # reports those two as notes and gates the rest (zero data errors, one
 # promotion to a higher epoch; GC reclaim, no corrupt payload); the full
 # runs gate them. A committed artifact that is itself a -quick leftover
-# fails the target before anything runs.
+# fails the target before anything runs. The run is capped at 20 minutes:
+# a figure that starves or hangs (the hotchunk cell with one in-flight
+# request per connection once held the gate for 11) is sent SIGQUIT, which
+# prints every goroutine's stack, and the target fails saying so.
 bench-smoke: vet
 	@if grep -l '"quick": *true' BENCH_*.json; then \
 		echo "bench-smoke: the artifacts named above are -quick runs; regenerate them full-length (make bench-refresh)"; exit 1; fi
-	$(GO) run ./cmd/ursa-bench -all -quick
+	$(GO) build -o .bench_build/ursa-bench ./cmd/ursa-bench
+	@timeout -s QUIT -k 30s 20m .bench_build/ursa-bench -all -quick; st=$$?; \
+	if [ $$st -eq 124 ]; then echo "bench-smoke: ursa-bench -all -quick did not finish in 20 minutes: a figure is starved or hung (stacks above)"; fi; \
+	exit $$st
 
 # The figures that write a repo-root BENCH_<fig>.json, in registry order
 # (internal/bench TestRegistry holds this line to the registry).

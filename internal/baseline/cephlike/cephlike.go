@@ -61,10 +61,8 @@ const osdWorkers = 4
 
 // OSD is one object storage daemon.
 type OSD struct {
-	addr   string
-	store  *blockstore.Store
-	clk    clock.Clock
-	dialer transport.Dialer
+	addr  string
+	store *blockstore.Store
 
 	dispatchMu sync.Mutex // the "big dispatch lock": decode under it
 	// Client-facing ops and peer replication ops run in separate sharded
@@ -74,8 +72,7 @@ type OSD struct {
 	workSem chan struct{}
 	replSem chan struct{}
 
-	peersMu sync.Mutex
-	peers   map[string]*transport.Client
+	peers *transport.Peers // connections to the backups it relays to
 
 	rpc *transport.Server
 }
@@ -85,11 +82,9 @@ func NewOSD(addr string, store *blockstore.Store, clk clock.Clock, dialer transp
 	return &OSD{
 		addr:    addr,
 		store:   store,
-		clk:     clk,
-		dialer:  dialer,
 		workSem: make(chan struct{}, osdWorkers),
 		replSem: make(chan struct{}, osdWorkers),
-		peers:   make(map[string]*transport.Client),
+		peers:   transport.NewPeers(dialer, clk),
 	}
 }
 
@@ -101,30 +96,7 @@ func (o *OSD) Close() {
 	if o.rpc != nil {
 		o.rpc.Close()
 	}
-	o.peersMu.Lock()
-	for _, p := range o.peers {
-		p.Close()
-	}
-	o.peers = map[string]*transport.Client{}
-	o.peersMu.Unlock()
-}
-
-func (o *OSD) peer(addr string) (*transport.Client, error) {
-	o.peersMu.Lock()
-	if p, okP := o.peers[addr]; okP {
-		o.peersMu.Unlock()
-		return p, nil
-	}
-	o.peersMu.Unlock()
-	conn, err := o.dialer.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	p := transport.NewClient(conn, o.clk)
-	o.peersMu.Lock()
-	o.peers[addr] = p
-	o.peersMu.Unlock()
-	return p, nil
+	o.peers.CloseAll()
 }
 
 // handle processes one request: decode under the dispatch lock, execute on
@@ -197,7 +169,7 @@ func (o *OSD) relay(m *proto.Message, req *wireMsg) error {
 	errs := make(chan error, len(backups))
 	for _, addr := range backups {
 		go func(addr string) {
-			p, err := o.peer(addr)
+			p, err := o.peers.Get(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -274,34 +246,12 @@ func splitPayload(m *proto.Message) []byte {
 type Volume struct {
 	size    int64
 	objects []objPlacement // per 64 MB object
-	clk     clock.Clock
-	dialer  transport.Dialer
-
-	mu    sync.Mutex
-	conns map[string]*transport.Client
+	peers   *transport.Peers
 }
 
 type objPlacement struct {
 	id       uint64
 	replicas []string // primary first
-}
-
-func (v *Volume) client(addr string) (*transport.Client, error) {
-	v.mu.Lock()
-	if c, okC := v.conns[addr]; okC {
-		v.mu.Unlock()
-		return c, nil
-	}
-	v.mu.Unlock()
-	conn, err := v.dialer.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c := transport.NewClient(conn, v.clk)
-	v.mu.Lock()
-	v.conns[addr] = c
-	v.mu.Unlock()
-	return c, nil
 }
 
 // Size implements the block-device size.
@@ -312,19 +262,14 @@ func (v *Volume) Flush() error { return nil }
 
 // Close tears down connections.
 func (v *Volume) Close() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, c := range v.conns {
-		c.Close()
-	}
-	v.conns = map[string]*transport.Client{}
+	v.peers.CloseAll()
 	return nil
 }
 
 // ReadAt reads from each object's primary replica.
 func (v *Volume) ReadAt(p []byte, off int64) error {
 	return v.forEach(p, off, func(obj objPlacement, buf []byte, objOff int64) error {
-		c, err := v.client(obj.replicas[0])
+		c, err := v.peers.Get(obj.replicas[0])
 		if err != nil {
 			return err
 		}
@@ -350,7 +295,7 @@ func (v *Volume) ReadAt(p []byte, off int64) error {
 // WriteAt sends every write to the object's primary, which relays it.
 func (v *Volume) WriteAt(p []byte, off int64) error {
 	return v.forEach(p, off, func(obj objPlacement, buf []byte, objOff int64) error {
-		c, err := v.client(obj.replicas[0])
+		c, err := v.peers.Get(obj.replicas[0])
 		if err != nil {
 			return err
 		}

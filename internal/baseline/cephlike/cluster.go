@@ -90,10 +90,8 @@ func (c *Cluster) CreateVolume(name string, size int64, clientAddr string) (*Vol
 	nobjs := int(util.CeilDiv(size, util.ChunkSize))
 	perMachine := c.opts.SSDsPerMachine
 	v := &Volume{
-		size:   size,
-		clk:    c.opts.Clock,
-		dialer: c.opts.Net.Dialer(clientAddr, transport.NodeConfig{}),
-		conns:  map[string]*transport.Client{},
+		size:  size,
+		peers: transport.NewPeers(c.opts.Net.Dialer(clientAddr, transport.NodeConfig{}), c.opts.Clock),
 	}
 	hash := util.NewRand(uint64(len(name)) + 7)
 	for i := 0; i < nobjs; i++ {
@@ -118,7 +116,7 @@ func (c *Cluster) CreateVolume(name string, size int64, clientAddr string) (*Vol
 		v.objects = append(v.objects, objPlacement{id: id, replicas: replicas})
 		// Create the object on each replica.
 		for _, addr := range replicas {
-			cli, err := v.client(addr)
+			cli, err := v.peers.Get(addr)
 			if err != nil {
 				return nil, err
 			}

@@ -235,6 +235,8 @@ func fnv(s string) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
+// conn returns the connection to addr, dialing it on first use. Callers
+// racing on a cold address may both dial; the loser's connection is closed.
 func (v *Volume) conn(addr string) (*seqConn, error) {
 	v.connsMu.Lock()
 	if c, okC := v.conns[addr]; okC {
@@ -248,8 +250,15 @@ func (v *Volume) conn(addr string) (*seqConn, error) {
 	}
 	sc := &seqConn{cli: transport.NewClient(mc, v.clk)}
 	v.connsMu.Lock()
-	v.conns[addr] = sc
+	cur, okC := v.conns[addr]
+	if !okC {
+		v.conns[addr] = sc
+	}
 	v.connsMu.Unlock()
+	if okC {
+		sc.cli.Close()
+		return cur, nil
+	}
 	return sc, nil
 }
 

@@ -112,7 +112,7 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 		mu:   clock.NewMutex(),
 		view: req.View, version: req.Version, reserved: req.Version,
 		backups: req.Backups,
-		lite:    journal.NewLite(s.cfg.LiteCap),
+		lite:    journal.NewLite(liteCap),
 		pending: make(map[uint64]pendingWrite),
 		spec:    req.Redundancy, strat: strat, holder: req.Holder, seg: req.Seg,
 	}

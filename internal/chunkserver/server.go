@@ -37,8 +37,6 @@ type Config struct {
 	// BypassThreshold is Tj: backup writes larger than this skip the
 	// journal (§3.2). 0 means the 64 KB paper default.
 	BypassThreshold int
-	// LiteCap bounds the per-chunk journal-lite history.
-	LiteCap int
 	// MaxInflight bounds concurrent handlers per transport connection
 	// (server-side admission queue depth). 0 means the transport default.
 	MaxInflight int
@@ -60,10 +58,11 @@ func (c *Config) fillDefaults() {
 	if c.BypassThreshold <= 0 {
 		c.BypassThreshold = 64 * util.KiB
 	}
-	if c.LiteCap <= 0 {
-		c.LiteCap = 4096
-	}
 }
+
+// liteCap bounds a chunk replica's journal-lite history (§4.2.1): a replica
+// that fell further behind than this many writes is repaired by a clone.
+const liteCap = 4096
 
 // Metric names published by the pipelined write path.
 const (

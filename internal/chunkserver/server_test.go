@@ -268,14 +268,14 @@ func TestIncrementalRepairFlow(t *testing.T) {
 
 func TestRepairFallsBackToClone(t *testing.T) {
 	e := newEnv(t)
-	// Tiny journal-lite: history evicts immediately.
-	e.primary.cfg.LiteCap = 2
 	e.createChunk(t)
 	b1, b2 := e.backups[0], e.backups[1]
-	b1.cfg.LiteCap = 2
-	// Recreate chunk state with small lite on b1 by deleting + recreating.
-	b1.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
-	b1.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 1}}))
+	// A tiny journal-lite on b1: its history evicts after two writes, not
+	// after liteCap of them.
+	st := b1.chunk(testChunk)
+	st.mu.Lock()
+	st.lite = journal.NewLite(2)
+	st.mu.Unlock()
 
 	for v := uint64(0); v < 6; v++ { // overflow the 2-entry lite
 		resp := b1.Handle(&proto.Message{

@@ -38,16 +38,17 @@ type Config struct {
 	// the budget is stamped into every RPC the operation fans out to, and
 	// every layer below (transport waits, primary replication fan-out,
 	// version queueing) derives its window from what remains of it. 0
-	// means (MaxRetries+1) × CallTimeout, enough for every retry round to
+	// means (maxRetries+1) × CallTimeout, enough for every retry round to
 	// run its course.
 	IOTimeout time.Duration
-	// MaxRetries bounds how many recover-and-retry rounds an I/O attempts
-	// before failing.
-	MaxRetries int
 	// Metrics, when non-nil, receives per-stage latency breadcrumbs from
 	// this client's operations.
 	Metrics *metrics.Registry
 }
+
+// maxRetries bounds how many recover-and-retry rounds an I/O, or a version
+// probe, makes before failing.
+const maxRetries = 6
 
 func (c *Config) fillDefaults() {
 	if c.Clock == nil {
@@ -59,11 +60,8 @@ func (c *Config) fillDefaults() {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 500 * time.Millisecond
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 6
-	}
 	if c.IOTimeout <= 0 {
-		c.IOTimeout = time.Duration(c.MaxRetries+1) * c.CallTimeout
+		c.IOTimeout = time.Duration(maxRetries+1) * c.CallTimeout
 	}
 	if c.Name == "" {
 		c.Name = "client"

@@ -210,21 +210,16 @@ func TestClientLargeWriteViaPrimary(t *testing.T) {
 
 // TestStripedWriteJoinsEveryFragment: a 256 KiB write over two 128 KiB stripe
 // units is two fragments on two chunks, forked. When one fragment's primary
-// is down and the client has no retry left, the write fails with that
-// fragment's error — but only once the other fragment has settled, committed
-// and its version hold released, and with nothing still holding the op:
-// whichever of the two ran on the caller's goroutine.
+// is down and no master is left to move its chunk, that fragment spends its
+// retries and the write fails with its error — but only once the other
+// fragment has settled, committed and its version hold released, and with
+// nothing still holding the op: whichever of the two ran on the caller's
+// goroutine.
 func TestStripedWriteJoinsEveryFragment(t *testing.T) {
 	for failing := 0; failing < 2; failing++ {
 		t.Run(fmt.Sprintf("fragment %d fails", failing), func(t *testing.T) {
 			e := newEnv(t)
-			cl := New(Config{
-				Name: "s", MasterAddrs: []string{"master"}, Clock: e.clk,
-				Dialer:      e.net.Dialer("client-s", transport.NodeConfig{}),
-				CallTimeout: testCallTimeout,
-				MaxRetries:  1,
-			})
-			t.Cleanup(cl.Close)
+			cl := e.client(t, "s")
 			const unit = 128 * util.KiB
 			if _, err := cl.CreateVDisk(master.CreateVDiskReq{
 				Name: "d", Size: 2 * util.ChunkSize, StripeGroup: 2, StripeUnit: unit,
@@ -246,6 +241,7 @@ func TestStripedWriteJoinsEveryFragment(t *testing.T) {
 				t.Fatalf("both chunks' primaries on %s", p0)
 			}
 			ops := opctx.InUse()
+			e.net.Crash("master")
 			e.net.Crash(vd.meta.Chunks[failing].Replicas[0].Addr)
 			util.NewRand(8).Fill(data)
 			err = vd.WriteAt(data, 0)

@@ -1,12 +1,16 @@
 package client
 
 import (
+	"encoding/json"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ursa/internal/clock"
 	"ursa/internal/master"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -153,5 +157,81 @@ func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
 	}
 	for i := int64(0); i < chunks; i++ {
 		mustRoundTrip(t, vd, uint64(10+i), i*util.ChunkSize+8*util.KiB)
+	}
+}
+
+// sleepLog is a clock that notes, for every Sleep, when it asked to wake.
+type sleepLog struct {
+	clock.Clock
+	mu    sync.Mutex
+	wakes []time.Time
+}
+
+func (c *sleepLog) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.wakes = append(c.wakes, c.Now().Add(d))
+	c.mu.Unlock()
+	c.Clock.Sleep(d)
+}
+
+// TestProbeBacksOffWithinItsBudget: a chunk whose replicas disagree, and keep
+// disagreeing whatever the master answers, is probed again after each of the
+// client's back-offs. A back-off is admission queueing from the op's point of
+// view, so it shows in the op's queue stage, and none asks to wake past the
+// op's deadline: the probe gives up at its budget, not a sleep after it.
+func TestProbeBacksOffWithinItsBudget(t *testing.T) {
+	net := transport.NewSimNet(clock.Realtime, 0)
+	serve := func(addr string, h transport.Handler) {
+		l, err := net.Listen(addr, transport.NodeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(transport.Serve(l, h).Close)
+	}
+	cm := master.ChunkMeta{View: 1, Replicas: []master.ReplicaInfo{{Addr: "r0"}, {Addr: "r1"}, {Addr: "r2"}}}
+	for i, r := range cm.Replicas {
+		version := uint64(5 - i%2) // r1 is a version behind the others
+		serve(r.Addr, func(m *proto.Message) *proto.Message {
+			return m.ReplyBatch([]proto.ChunkResult{{Status: proto.StatusOK, Version: version, View: cm.View}})
+		})
+	}
+	body, err := json.Marshal(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve("master", func(m *proto.Message) *proto.Message { // every report: "repaired", in the same view
+		r := m.Reply(proto.StatusOK)
+		r.Payload = append([]byte(nil), body...)
+		return r
+	})
+	clk := &sleepLog{Clock: clock.Realtime}
+	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: clk,
+		Dialer: net.Dialer("client-a", transport.NodeConfig{}), CallTimeout: time.Second})
+	t.Cleanup(cl.Close)
+	vd := newVDisk(cl, master.VDiskMeta{ID: 1, Size: util.ChunkSize, Chunks: []master.ChunkMeta{cm}})
+
+	const budget = 5 * time.Millisecond
+	op := opctx.New(clk, budget)
+	defer op.Release()
+	deadline := clk.Now().Add(budget)
+	if err := vd.confirmChunks(op, []int{0}); !errors.Is(err, util.ErrTimeout) {
+		t.Fatalf("probe of replicas that never agree: %v, want a timeout", err)
+	}
+	var queued opctx.StageSample
+	for _, s := range op.Trail() {
+		if s.Stage == opctx.StageQueue {
+			queued = s
+		}
+	}
+	clk.mu.Lock()
+	defer clk.mu.Unlock()
+	if queued.Count == 0 || queued.Count != int64(len(clk.wakes)) {
+		t.Errorf("%d back-offs in the queue stage, %d sleeps: want every wait between probes there",
+			queued.Count, len(clk.wakes))
+	}
+	for i, w := range clk.wakes {
+		if late := w.Sub(deadline); late > time.Millisecond {
+			t.Errorf("back-off %d asked to wake %v past the op's deadline", i, late)
+		}
 	}
 }

@@ -125,7 +125,7 @@ func (vd *VDisk) confirmChunks(op *opctx.Op, idxs []int) error {
 			idxs = append(idxs, i)
 		}
 	}
-	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
 			return fmt.Errorf("client: chunk %d version probe: %w", idxs[0], err)
 		}
@@ -160,7 +160,7 @@ func (vd *VDisk) confirmChunks(op *opctx.Op, idxs []int) error {
 		if idxs = again; len(idxs) == 0 {
 			return nil
 		}
-		vd.c.cfg.Clock.Sleep(time.Duration(attempt+1) * time.Millisecond)
+		vd.backoff(op, attempt)
 	}
 	return fmt.Errorf("client: chunk %d never reached a consistent state: %w", idxs[0], util.ErrTimeout)
 }
@@ -415,7 +415,7 @@ func (vd *VDisk) readFragment(op *opctx.Op, idx int, buf []byte, off int64) erro
 	spec := vd.meta.Redundancy
 	var lastErr error
 	var corruptErr error
-	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
 			// Budget spent or caller gone: retrying would answer nobody.
 			if lastErr == nil {
@@ -651,7 +651,7 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 	}
 
 	var lastErr error
-	for attempt := 0; attempt < vd.c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = err

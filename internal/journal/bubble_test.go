@@ -120,7 +120,7 @@ func TestBubbleBypassWriteQueuesBehindReplayRun(t *testing.T) {
 		const lat = time.Millisecond
 		ssd, hdd, store, id := bubbleDisks(t, lat)
 		sink := &hookSink{Store: store, disk: &depthDisk{Disk: hdd}}
-		set := NewSet(clock.Realtime, sink, Config{PollInterval: lat})
+		set := NewSet(clock.Realtime, sink, Config{})
 		set.AddSSDJournal("ssd0", ssd, 0, 16*util.MiB)
 		defer func() {
 			set.Close()

@@ -34,7 +34,7 @@ func newFaultEnv(t *testing.T, nJournals int, start bool) *faultEnv {
 	sinkDisk := simdisk.NewFaultInjector(simdisk.NewHDD(hm, clk), clk)
 	sink := blockstore.New(sinkDisk, 0)
 
-	cfg := Config{AutoMergeAt: 256, PollInterval: 200 * time.Microsecond, Metrics: reg}
+	cfg := Config{Metrics: reg}
 	set := NewSet(clk, sink, cfg)
 	var jdisks []*simdisk.FaultInjector
 	for i := 0; i < nJournals; i++ {

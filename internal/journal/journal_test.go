@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/clock"
@@ -47,7 +46,7 @@ func newEnvStart(t *testing.T, ssdJournalSize int64, withHDDJournal, start bool)
 	}
 	sink := blockstore.New(hdd, sinkLimit)
 
-	set := NewSet(clk, sink, Config{AutoMergeAt: 256, PollInterval: 200 * time.Microsecond})
+	set := NewSet(clk, sink, Config{})
 	set.AddSSDJournal("ssd0", ssd, 0, ssdJournalSize)
 	if withHDDJournal {
 		set.AddHDDJournal("hdd", hdd, sinkLimit, 64*util.MiB)

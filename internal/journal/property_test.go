@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/clock"
@@ -60,7 +59,7 @@ func TestJournalModelEquivalence(t *testing.T) {
 	defer ssd.Close()
 
 	sink := blockstore.New(hdd, 0)
-	set := NewSet(clk, sink, Config{AutoMergeAt: 64, PollInterval: 100 * time.Microsecond})
+	set := NewSet(clk, sink, Config{})
 	set.AddSSDJournal("j", ssd, 0, 4*util.MiB)
 	set.Start()
 	defer set.Close()
@@ -135,7 +134,7 @@ func TestJournalSpaceAccounting(t *testing.T) {
 	defer hdd.Close()
 
 	sink := blockstore.New(hdd, 0)
-	set := NewSet(clk, sink, Config{PollInterval: 100 * time.Microsecond})
+	set := NewSet(clk, sink, Config{})
 	j := set.AddSSDJournal("j", ssd, 0, 64*util.KiB)
 	set.Start()
 	defer set.Close()

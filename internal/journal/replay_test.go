@@ -55,7 +55,7 @@ func gatedEnv(t *testing.T) (*Set, *blockstore.Store, *gatedReads) {
 	ssd := simdisk.NewSSD(sm, clk)
 	jd := newGatedReads(ssd)
 	sink := blockstore.New(hdd, 0)
-	set := NewSet(clk, sink, Config{AutoMergeAt: 256, PollInterval: 200 * time.Microsecond})
+	set := NewSet(clk, sink, Config{})
 	set.AddSSDJournal("ssd0", jd, 0, 16*util.MiB)
 	t.Cleanup(func() {
 		jd.release() // a failed test must not leave the replayer held
@@ -388,7 +388,7 @@ func TestForegroundWritePreemptsWindow(t *testing.T) {
 	ssd := simdisk.NewSSD(sm, clk)
 	store := blockstore.New(hdd, 0)
 	sink := &hookSink{Store: store, disk: &depthDisk{Disk: hdd}}
-	set := NewSet(clk, sink, Config{AutoMergeAt: 256, PollInterval: 200 * time.Microsecond})
+	set := NewSet(clk, sink, Config{})
 	set.AddSSDJournal("ssd0", ssd, 0, 16*util.MiB)
 	defer func() {
 		set.Close()
@@ -514,7 +514,7 @@ func TestDiscardUnderWrap(t *testing.T) {
 			sm.Capacity = 64 * util.MiB
 			ssd := simdisk.NewSSD(sm, clk)
 			sink := blockstore.New(hdd, 0)
-			set := NewSet(clk, sink, Config{AutoMergeAt: 256, PollInterval: 200 * time.Microsecond})
+			set := NewSet(clk, sink, Config{})
 			const jsize = 1 * util.MiB
 			set.AddSSDJournal("ssd0", ssd, tc.base, jsize)
 			defer func() {

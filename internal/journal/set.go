@@ -25,27 +25,8 @@ type Sink interface {
 	Disk() simdisk.Disk
 }
 
-// Config tunes a journal Set.
+// Config wires a journal Set to its observers.
 type Config struct {
-	// AutoMergeAt is the per-chunk index tree size that triggers a
-	// background merge into the sorted array.
-	AutoMergeAt int
-	// PollInterval is how often the replayer rechecks gated journals
-	// (HDD journals waiting for an idle disk, records mid-write).
-	PollInterval time.Duration
-	// IdleGrace is how long the backup disk must stay idle before replay
-	// resumes: without it, replay sneaks a slow random write into every
-	// gap between foreground appends and throttles them to the HDD's
-	// random rate — the exact inversion journals exist to prevent.
-	IdleGrace time.Duration
-	// MaxBatch caps the records one group-commit leader claims per flush.
-	// 1 disables batching (each append is its own device write — the
-	// pre-group-commit behaviour); 0 selects DefaultMaxBatch.
-	MaxBatch int
-	// ReplayWindow caps the records the replayer drains per pass before
-	// reclaiming their journal space (a pass is also bounded by the fixed
-	// replayWindowBytes payload budget). 0 selects DefaultReplayWindow.
-	ReplayWindow int
 	// Metrics, when set, receives the group-commit distributions:
 	// batch sizes ("journal-batch-records"), flush latency
 	// ("journal-flush"), commit-queue wait ("journal-commit-queue"), and
@@ -54,13 +35,28 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Default batching limits: a commit batch large enough that a burst at the
-// §3.4 queue depths commits in one sequential write yet small enough to
-// bound flush latency; a replay window of as many 4 KiB records as its
-// payload budget holds, so small-write windows fill the budget.
+// The set's tuning, the same in every deployment.
 const (
-	DefaultMaxBatch     = 64
-	DefaultReplayWindow = replayWindowBytes / (4 * util.KiB)
+	// maxBatch caps the records one group-commit leader claims per flush:
+	// large enough that a burst at the §3.4 queue depths commits in one
+	// sequential write, small enough to bound flush latency.
+	maxBatch = 64
+	// replayWindowRecords caps the records the replayer drains per pass
+	// before reclaiming their journal space (a pass is also bounded by the
+	// replayWindowBytes payload budget): as many 4 KiB records as the budget
+	// holds, so small-write windows fill it.
+	replayWindowRecords = replayWindowBytes / (4 * util.KiB)
+	// autoMergeAt is the per-chunk index tree size that triggers a
+	// background merge into the sorted array.
+	autoMergeAt = 4096
+	// pollInterval is how often the replayer rechecks gated journals (HDD
+	// journals waiting for an idle disk, records mid-write, a parked window).
+	pollInterval = 10 * time.Millisecond
+	// idleGrace is how long the backup disk must stay idle before replay
+	// resumes: without it, replay sneaks a slow random write into every gap
+	// between foreground appends and throttles them to the HDD's random rate
+	// — the exact inversion journals exist to prevent.
+	idleGrace = 30 * time.Millisecond
 )
 
 // Fault metrics (registered on cfg.Metrics when set).
@@ -104,16 +100,8 @@ const (
 // flushing it; Append re-routes such records to a surviving journal.
 var errJournalDead = errors.New("journal: journal dead")
 
-// DefaultConfig returns production-like tuning.
-func DefaultConfig() Config {
-	return Config{
-		AutoMergeAt:  4096,
-		PollInterval: 10 * time.Millisecond,
-		IdleGrace:    30 * time.Millisecond,
-		MaxBatch:     DefaultMaxBatch,
-		ReplayWindow: DefaultReplayWindow,
-	}
-}
+// DefaultConfig returns a config with no observers.
+func DefaultConfig() Config { return Config{} }
 
 // Set manages the journals of one backup server, in expansion priority
 // order: local SSD journals first, then (rarely) an HDD journal (§3.2).
@@ -213,23 +201,11 @@ type Set struct {
 }
 
 // maxFreeRecords bounds Set.freeRecs: a few replay windows' worth.
-const maxFreeRecords = 4 * DefaultReplayWindow
+const maxFreeRecords = 4 * replayWindowRecords
 
 // NewSet creates an empty journal set replaying into sink. Call
 // AddSSDJournal/AddHDDJournal, then Start.
 func NewSet(clk clock.Clock, sink Sink, cfg Config) *Set {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = DefaultConfig().PollInterval
-	}
-	if cfg.IdleGrace < 0 {
-		cfg.IdleGrace = 0
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.ReplayWindow <= 0 {
-		cfg.ReplayWindow = DefaultReplayWindow
-	}
 	s := &Set{
 		clk:     clk,
 		sink:    sink,
@@ -448,14 +424,14 @@ func (s *Set) pickJournalLocked(dataLen int) *Journal {
 	return pick(true)
 }
 
-// flush runs one group-commit batch on j: claim up to MaxBatch queued
+// flush runs one group-commit batch on j: claim up to maxBatch queued
 // records, write them as contiguous sequential device writes (one per run
 // of back-to-back records; wrap pads split runs), publish every record's
 // result and index entries, then hand leadership to the next queue head.
 // The caller must hold j's leadership (j.flushing).
 func (s *Set) flush(j *Journal) {
 	s.mu.Lock()
-	n := min(len(j.commitq), s.cfg.MaxBatch)
+	n := min(len(j.commitq), maxBatch)
 	batch := append(j.batch[:0], j.commitq[:n]...)
 	j.commitq = slices.Delete(j.commitq, 0, n) // closes up in place, vacated slots cleared
 	claimed := s.clk.Now()
@@ -833,7 +809,7 @@ func (s *Set) Pending() int {
 func (s *Set) indexLocked(id blockstore.ChunkID) *jindex.Index {
 	ix, ok := s.indexes[id]
 	if !ok {
-		ix = jindex.New(s.cfg.AutoMergeAt)
+		ix = jindex.New(autoMergeAt)
 		s.indexes[id] = ix
 	}
 	return ix
@@ -950,7 +926,7 @@ func (s *Set) replayLoop() {
 			}
 			// Records exist but are gated (mid-write or idle-only): poll.
 			s.mu.Unlock()
-			s.clk.Sleep(s.cfg.PollInterval)
+			s.clk.Sleep(pollInterval)
 			continue
 		}
 		window := s.windowLocked(j)
@@ -959,7 +935,7 @@ func (s *Set) replayLoop() {
 		if !s.replayWindow(j, window) {
 			// Window parked (a chunk could not reach the sink): its records
 			// stay queued; poll until a heal lets them through.
-			s.clk.Sleep(s.cfg.PollInterval)
+			s.clk.Sleep(pollInterval)
 		}
 	}
 }
@@ -976,7 +952,7 @@ func (s *Set) nextJournalLocked() *Journal {
 			s.lastBusy = now
 			return nil // the backup disk is serving foreground I/O
 		}
-		if now.Sub(s.lastBusy) < s.cfg.IdleGrace {
+		if now.Sub(s.lastBusy) < idleGrace {
 			return nil // let a foreground burst finish before seeking away
 		}
 	}
@@ -993,13 +969,13 @@ func (s *Set) nextJournalLocked() *Journal {
 }
 
 // windowLocked collects the replayable prefix of j's fifo: ready records up
-// to the ReplayWindow record cap or the replayWindowBytes payload budget,
+// to the replayWindowRecords cap or the replayWindowBytes payload budget,
 // plus any pads or failed records between them, stopping at the first
 // record still awaiting its commit flush. The entries stay on the fifo —
 // this loop is the only consumer — and are popped together after replay.
 func (s *Set) windowLocked(j *Journal) []*pendingRecord {
 	n, records, payload := 0, 0, 0
-	for n < len(j.fifo) && records < s.cfg.ReplayWindow && payload < replayWindowBytes {
+	for n < len(j.fifo) && records < replayWindowRecords && payload < replayWindowBytes {
 		r := j.fifo[n]
 		if r.chunk == padChunk || r.failed {
 			n++

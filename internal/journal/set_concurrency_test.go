@@ -34,11 +34,7 @@ func TestConcurrentAppendDrainDrop(t *testing.T) {
 	sink := blockstore.New(hdd, 0)
 
 	reg := metrics.NewRegistry()
-	set := NewSet(clk, sink, Config{
-		AutoMergeAt:  256,
-		PollInterval: 200 * time.Microsecond,
-		Metrics:      reg,
-	})
+	set := NewSet(clk, sink, Config{Metrics: reg})
 	// Two SSD journals so least-queue-depth striping is exercised.
 	set.AddSSDJournal("ssdA", ssdA, 0, 32*util.MiB)
 	set.AddSSDJournal("ssdB", ssdB, 0, 32*util.MiB)

@@ -33,10 +33,10 @@ const gcLiveFraction = 0.5
 
 // RunColdGC performs one garbage-collection pass over the object store and
 // reports how many segments it reclaimed and how many live bytes it
-// rewrote. Safe to call concurrently (passes serialize) and on a cadence
-// (the GCInterval loop does exactly this). A pass is skipped — not an
-// error — while a snapshot flush is in flight, because the flush's fresh
-// segments have no referencing metadata yet.
+// rewrote. It is the one way GC runs: whoever owns the cluster calls it when
+// it wants a pass. Safe to call concurrently (passes serialize). A pass is
+// skipped — not an error — while a snapshot flush is in flight, because the
+// flush's fresh segments have no referencing metadata yet.
 func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 	if m.coldCl == nil {
 		return 0, 0, nil
@@ -213,20 +213,4 @@ func (m *Master) fetchLiveExtent(op *opctx.Op, r coldtier.ExtentRef) ([]byte, er
 		}
 	}
 	return nil, err
-}
-
-// gcLoop runs RunColdGC on the configured cadence while this master holds
-// primacy.
-func (m *Master) gcLoop() {
-	defer m.gcWg.Done()
-	for {
-		select {
-		case <-m.gcCh:
-			return
-		case <-m.cfg.Clock.After(m.cfg.GCInterval):
-		}
-		if m.IsPrimary() {
-			_, _, _ = m.RunColdGC()
-		}
-	}
 }

@@ -23,9 +23,7 @@ type coldGCEnv struct {
 	op    *opctx.Op
 }
 
-// newColdGCEnv builds the env; a non-zero gcInterval also starts the
-// master's background GC loop.
-func newColdGCEnv(t *testing.T, gcInterval time.Duration) *coldGCEnv {
+func newColdGCEnv(t *testing.T) *coldGCEnv {
 	t.Helper()
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, 0)
@@ -48,7 +46,6 @@ func newColdGCEnv(t *testing.T, gcInterval time.Duration) *coldGCEnv {
 		Dialer:       net.Dialer("master", transport.NodeConfig{}),
 		RPCTimeout:   time.Second,
 		ObjstoreAddr: "objstore",
-		GCInterval:   gcInterval,
 	})
 	m.Serve(ml)
 	t.Cleanup(m.Close)
@@ -117,7 +114,7 @@ func commit(t *testing.T, m *Master, e entry) {
 // into ErrNotFound — the exact signal a chunkserver's stale-ref fetch uses
 // to refresh.
 func TestColdGCRewritesPartiallyDeadSegment(t *testing.T) {
-	e := newColdGCEnv(t, 0)
+	e := newColdGCEnv(t)
 
 	refs, data := e.flushSegment(t, 3)
 	// Metadata keeps only the middle extent: 1 of 3 MiB live (< 0.5).
@@ -178,7 +175,7 @@ func TestColdGCRewritesPartiallyDeadSegment(t *testing.T) {
 // is skipped entirely while a flush is in flight, and segments at or above
 // the watermark are never judged.
 func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
-	e := newColdGCEnv(t, 0)
+	e := newColdGCEnv(t)
 	// Segment A: allocated, so it sits below the watermark, and no metadata
 	// references it — only the in-flight veto keeps a pass off it.
 	e.flushSegment(t, 1)
@@ -216,25 +213,4 @@ func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
 	if used := e.store.UsedBytes(); used != 0 {
 		t.Fatalf("store still holds %d bytes", used)
 	}
-}
-
-// TestColdGCLoopReclaimsOnInterval turns on the background loop nothing
-// else enables: with GCInterval set, a dead segment goes without anyone
-// calling RunColdGC, and Close returns — it waits for the loop goroutine —
-// instead of hanging on it.
-func TestColdGCLoopReclaimsOnInterval(t *testing.T) {
-	const interval = 20 * time.Millisecond
-	e := newColdGCEnv(t, interval)
-	e.flushSegment(t, 1) // no metadata references it: dead on arrival
-	if e.store.UsedBytes() == 0 {
-		t.Fatal("flush stored nothing")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.store.UsedBytes() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("gc loop never reclaimed the dead segment (%d bytes left)", e.store.UsedBytes())
-		}
-		time.Sleep(interval)
-	}
-	e.m.Close()
 }

@@ -53,9 +53,6 @@ type Config struct {
 	// ObjstoreAddr is the cold tier's object store endpoint; "" disables
 	// snapshots, clones, and GC.
 	ObjstoreAddr string
-	// GCInterval paces the background cold-tier GC loop (0 disables the
-	// loop; RunColdGC remains callable directly).
-	GCInterval time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -118,14 +115,9 @@ type Master struct {
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
 
-	// Cold-tier GC machinery (see coldgc.go). gcMu serializes passes;
-	// gcCh/gcWg/gcOnce run the interval loop independently of the
-	// replication lifecycle.
+	// Cold-tier GC (see coldgc.go): gcMu serializes passes.
 	coldCl *coldtier.Client
 	gcMu   sync.Mutex
-	gcCh   chan struct{}
-	gcOnce sync.Once
-	gcWg   sync.WaitGroup
 
 	rpc *transport.Server
 }
@@ -146,11 +138,6 @@ func New(cfg Config) *Master {
 	m.initReplication()
 	if cfg.ObjstoreAddr != "" {
 		m.coldCl = coldtier.NewClient(m.peers, cfg.ObjstoreAddr)
-		if cfg.GCInterval > 0 {
-			m.gcCh = make(chan struct{})
-			m.gcWg.Add(1)
-			go m.gcLoop()
-		}
 	}
 	return m
 }
@@ -158,12 +145,8 @@ func New(cfg Config) *Master {
 // Serve starts the master's RPC service.
 func (m *Master) Serve(l transport.Listener) { m.rpc = transport.Serve(l, m.Handle) }
 
-// Close stops the RPC service and the replication and GC goroutines.
+// Close stops the RPC service and the replication goroutines.
 func (m *Master) Close() {
-	if m.gcCh != nil {
-		m.gcOnce.Do(func() { close(m.gcCh) })
-		m.gcWg.Wait()
-	}
 	m.stopReplication()
 	if m.rpc != nil {
 		m.rpc.Close()
