@@ -155,18 +155,21 @@ ec-smoke:
 # for the primary. Then the master's state-machine gates: replicated
 # state byte-identical on primary, standbys and a promoted standby after
 # traffic of every entry kind; a fresh standby fed the primary's log
-# reproduces its state; the four closed primary/standby drifts; and the
+# reproduces its state, a lone master's too; the four closed primary/standby
+# drifts; a log batch from outside the configured masters refused; and the
 # source rule that only state.go writes a field of the replicated state.
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout' -race -count=1 -v
 	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStateWrittenOnlyInStateGo' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
 # store stall/rot/partition chaos, and extent GC fully drains the store
 # once the clone materializes and the snapshot is deleted — also when the
 # primary master dies just before the last extents land and the
-# materialization notices have to outlast the blackout.
+# materialization notices have to outlast the blackout; and a notice the
+# primary master took before it died still counts on the promoted standby.
 cold-smoke:
 	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization|TestColdNoticeSurvivesMasterFailover' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover' -race -count=1 -v

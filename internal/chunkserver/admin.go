@@ -26,18 +26,13 @@ func (s *Server) handleAdmin(op *opctx.Op, m *proto.Message) *proto.Message {
 	// Epoch fence: a command stamped with an epoch older than the newest this
 	// server has witnessed comes from a deposed master — reject it before it
 	// can touch views, versions, or chunk membership. Newer epochs are
-	// adopted (the new primary's fencing OpNop broadcast lands here too);
-	// epoch 0 is unfenced, which keeps single-master clusters out of the
-	// protocol.
-	if m.Epoch != 0 {
-		if cur, adopted := s.witnessEpoch(m.Epoch); !adopted {
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.Counter(MetricStaleEpochRejections).Inc()
-			}
-			r := m.Reply(proto.StatusStaleEpoch)
-			r.Epoch = cur // tell the deposed sender what fenced it
-			return r
-		}
+	// adopted (the new primary's fencing OpNop broadcast lands here too).
+	// Every master stamps its epoch, a lone one too; 0 is merely the lowest.
+	if cur, adopted := s.witnessEpoch(m.Epoch); !adopted {
+		s.cfg.Metrics.Counter(MetricStaleEpochRejections).Inc()
+		r := m.Reply(proto.StatusStaleEpoch)
+		r.Epoch = cur // tell the deposed sender what fenced it
+		return r
 	}
 	switch m.Op {
 	case proto.OpNop: // the promotion broadcast's vehicle

@@ -141,9 +141,7 @@ func (s *Server) awaitDeps(cs *chunkState, op *opctx.Op, m *proto.Message) error
 		}
 	}
 	cs.mu.Unlock()
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.ObserveLatency(MetricDepWait, clk.Now().Sub(t0))
-	}
+	s.cfg.Metrics.ObserveLatency(MetricDepWait, clk.Now().Sub(t0))
 	return nil
 }
 
@@ -203,9 +201,7 @@ func (s *Server) handleApply(op *opctx.Op, m *proto.Message) *proto.Message {
 	a.backups, a.strat = cs.backups, cs.strat
 	depth := len(cs.pending)
 	cs.mu.Unlock()
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.ObserveValue(MetricPendingWrites, int64(depth))
-	}
+	s.cfg.Metrics.ObserveValue(MetricPendingWrites, int64(depth))
 
 	if err := a.begin(skipLocal); err != nil {
 		if !skipLocal {

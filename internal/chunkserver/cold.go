@@ -189,9 +189,7 @@ func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.Chunk
 		if werr != nil {
 			return werr
 		}
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.Counter(MetricColdFetches).Inc()
-		}
+		s.cfg.Metrics.Counter(MetricColdFetches).Inc()
 	}
 	return nil
 }

@@ -119,9 +119,7 @@ func (s *Server) readVerified(op *opctx.Op, id blockstore.ChunkID, buf []byte, o
 				break
 			}
 			if attempt == sectorRereads {
-				if s.cfg.Metrics != nil {
-					s.cfg.Metrics.Counter(MetricChecksumMismatches).Inc()
-				}
+				s.cfg.Metrics.Counter(MetricChecksumMismatches).Inc()
 				return verr
 			}
 			// Give an in-flight stamp a moment to land before re-reading.

@@ -80,23 +80,28 @@ func TestEpochFenceIgnoresDataPathAndUnfencedOps(t *testing.T) {
 	srv, reg := newFencedServer(t)
 	srv.Handle(&proto.Message{Op: proto.OpNop, Epoch: 9})
 
-	// Epoch 0 marks an unfenced sender (single-master cluster, client data
-	// path): never rejected regardless of the witnessed epoch.
-	resp := srv.Handle(&proto.Message{Op: proto.OpNop, Epoch: 0})
-	if resp.Status != proto.StatusOK {
-		t.Fatalf("OpNop@0 = %s", resp.Status)
-	}
-
 	// Data-path ops are fenced by view numbers, not master epochs — a
-	// stale epoch on them must be ignored, not rejected.
-	resp = srv.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk), Epoch: 2})
-	if resp.Status == proto.StatusStaleEpoch {
-		t.Fatalf("OpGetVersion@2 hit the fence; data path must be unfenced")
+	// stale epoch on them must be ignored, not rejected; epoch 0 too.
+	for _, epoch := range []uint64{2, 0} {
+		resp := srv.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk), Epoch: epoch})
+		if resp.Status == proto.StatusStaleEpoch {
+			t.Fatalf("OpGetVersion@%d hit the fence; data path must be unfenced", epoch)
+		}
 	}
 	if n := reg.Counter(MetricStaleEpochRejections).Load(); n != 0 {
 		t.Fatalf("stale rejections = %d, want 0", n)
 	}
 	if got := srv.MasterEpoch(); got != 9 {
 		t.Fatalf("MasterEpoch = %d, want 9 (data path must not adopt)", got)
+	}
+
+	// An admin op at epoch 0 is not exempt: 0 is the lowest epoch, fenced
+	// like any other older than the one witnessed.
+	resp := srv.Handle(&proto.Message{Op: proto.OpNop, Epoch: 0})
+	if resp.Status != proto.StatusStaleEpoch || resp.Epoch != 9 {
+		t.Fatalf("OpNop@0 = %s with fencing epoch %d, want stale-epoch and 9", resp.Status, resp.Epoch)
+	}
+	if n := reg.Counter(MetricStaleEpochRejections).Load(); n != 1 {
+		t.Fatalf("stale rejections = %d, want 1", n)
 	}
 }

@@ -61,9 +61,7 @@ func (s *Server) ScrubRange(id blockstore.ChunkID, off int64, n int) error {
 		}
 		cold.mu.Unlock()
 		if skip {
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.Counter(MetricColdScrubSkips).Inc()
-			}
+			s.cfg.Metrics.Counter(MetricColdScrubSkips).Inc()
 			return nil
 		}
 	}

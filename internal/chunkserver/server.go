@@ -31,8 +31,9 @@ type Config struct {
 	// (see opBudget), so the majority rule fires relative to the client's
 	// actual budget.
 	ReplTimeout time.Duration
-	// Metrics, when non-nil, receives per-stage latency observations for
-	// every op this server services (shared cluster-wide by core).
+	// Metrics receives per-stage latency observations for every op this
+	// server services (shared cluster-wide by core; nil: a registry of its
+	// own).
 	Metrics *metrics.Registry
 	// BypassThreshold is Tj: backup writes larger than this skip the
 	// journal (§3.2). 0 means the 64 KB paper default.
@@ -57,6 +58,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BypassThreshold <= 0 {
 		c.BypassThreshold = 64 * util.KiB
+	}
+	if c.Metrics == nil {
+		c.Metrics = metrics.NewRegistry()
 	}
 }
 
@@ -161,14 +165,8 @@ func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 
 // Serve starts handling requests on l. It returns immediately.
 func (s *Server) Serve(l transport.Listener) {
-	var opts []transport.ServeOption
-	if s.cfg.MaxInflight > 0 {
-		opts = append(opts, transport.WithMaxInflight(s.cfg.MaxInflight))
-	}
-	if s.cfg.Metrics != nil {
-		opts = append(opts, transport.WithQueueMetrics(s.cfg.Metrics))
-	}
-	s.rpc = transport.Serve(l, s.Handle, opts...)
+	s.rpc = transport.Serve(l, s.Handle,
+		transport.WithQueueMetrics(s.cfg.Metrics), transport.WithMaxInflight(s.cfg.MaxInflight))
 }
 
 // Close stops the RPC server, the master session and the journal replayer.
@@ -269,10 +267,7 @@ func (s *Server) Handle(m *proto.Message) *proto.Message {
 	// derives its window from this op, never from a fixed constant. It is
 	// released once the reply exists: every flight begun on its behalf has
 	// Finished by then, so nothing else holds it.
-	op := opctx.FromWire(s.cfg.Clock, m.OpID, m.Budget)
-	if s.cfg.Metrics != nil {
-		op = op.WithSink(s.cfg.Metrics)
-	}
+	op := opctx.FromWire(s.cfg.Clock, m.OpID, m.Budget).WithSink(s.cfg.Metrics)
 	r := s.handleData(op, m)
 	if r == nil {
 		r = s.handleAdmin(op, m)

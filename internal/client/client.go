@@ -41,8 +41,8 @@ type Config struct {
 	// means (maxRetries+1) × CallTimeout, enough for every retry round to
 	// run its course.
 	IOTimeout time.Duration
-	// Metrics, when non-nil, receives per-stage latency breadcrumbs from
-	// this client's operations.
+	// Metrics receives per-stage latency breadcrumbs from this client's
+	// operations (nil: a registry of its own).
 	Metrics *metrics.Registry
 }
 
@@ -65,6 +65,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Name == "" {
 		c.Name = "client"
+	}
+	if c.Metrics == nil {
+		c.Metrics = metrics.NewRegistry()
 	}
 }
 
@@ -100,11 +103,7 @@ func (c *Client) Close() {
 // deadline budget (<=0 means none), wired to the client's metrics sink. The
 // caller releases it when its operation returns.
 func (c *Client) newOp(budget time.Duration) *opctx.Op {
-	op := opctx.New(c.cfg.Clock, budget)
-	if c.cfg.Metrics != nil {
-		op = op.WithSink(c.cfg.Metrics)
-	}
-	return op
+	return opctx.New(c.cfg.Clock, budget).WithSink(c.cfg.Metrics)
 }
 
 // CreateVDisk asks the master to create a virtual disk.

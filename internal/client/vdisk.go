@@ -80,10 +80,8 @@ func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
 	for i, cm := range meta.Chunks {
 		vd.chunks[i] = &chunkHandle{meta: cm}
 	}
-	if c.cfg.Metrics != nil {
-		vd.tinyWritesC = c.cfg.Metrics.Counter("client-tiny-writes")
-		vd.coldWarmHits = c.cfg.Metrics.Counter(MetricColdWarmHits)
-	}
+	vd.tinyWritesC = c.cfg.Metrics.Counter("client-tiny-writes")
+	vd.coldWarmHits = c.cfg.Metrics.Counter(MetricColdWarmHits)
 	vd.leaseOK.Store(true)
 	return vd
 }
@@ -828,10 +826,7 @@ func (vd *VDisk) writeViaPrimary(op *opctx.Op, idx int, cm master.ChunkMeta, dat
 func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta, data []byte,
 	off int64, version uint64) (committed, staleView bool) {
 
-	var t0 time.Time
-	if vd.c.cfg.Metrics != nil {
-		t0 = vd.c.cfg.Clock.Now()
-	}
+	t0 := vd.c.cfg.Clock.Now()
 	cid := vd.chunkID(idx)
 	fl := vd.c.peers.Begin(op, len(cm.Replicas), vd.c.cfg.CallTimeout)
 	for i, r := range cm.Replicas {
@@ -869,9 +864,7 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 		}
 	}
 	fl.Finish()
-	if vd.c.cfg.Metrics != nil {
-		vd.c.cfg.Metrics.ObserveLatency("client-directed-fanout", vd.c.cfg.Clock.Now().Sub(t0))
-	}
+	vd.c.cfg.Metrics.ObserveLatency("client-directed-fanout", vd.c.cfg.Clock.Now().Sub(t0))
 	if acks == len(cm.Replicas) {
 		return true, false
 	}

@@ -190,6 +190,7 @@ func segmentRebuildRace(t *testing.T) {
 	payload, _ := json.Marshal(chunkserver.RebuildSegmentReq{Spec: rs42, Seg: 0, Primary: cm.Replicas[0].Addr})
 	resp := c.Server(cm.Replicas[1].Addr).Handle(&proto.Message{
 		Op: proto.OpRebuildSegment, Chunk: blockstore.MakeChunkID(meta.ID, 0), View: cm.View, Payload: payload,
+		Epoch: c.Master.Epoch(), // an admin op, fenced like the master's own
 	})
 	if resp.Status != proto.StatusOK {
 		t.Errorf("segment rebuild under two writers = %s", resp.Status)

@@ -83,10 +83,10 @@ type Options struct {
 	// IOTimeout is the client's end-to-end budget per ReadAt/WriteAt (0 =
 	// the client default derived from CallTimeout and its retry count).
 	IOTimeout time.Duration
-	// Masters is the number of master replicas (default 1, the unreplicated
-	// configuration). With more, the metadata service runs the replication
-	// protocol: the primary ships its op log to hot standbys and a standby
-	// promotes itself — bumping the fencing epoch — when the primary dies.
+	// Masters is the number of master replicas (default 1: a set of one,
+	// whose primary logs every commit and ships to nobody). With more, the
+	// primary ships its op log to hot standbys and a standby promotes itself
+	// — bumping the fencing epoch — when the primary dies.
 	Masters int
 	// MasterPrimacyTTL is the replicated masters' primacy lease (0 = the
 	// master default). Failover blackout scales with it.
@@ -267,10 +267,6 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	var peers []string
-	if len(c.masterAddrs) > 1 {
-		peers = append([]string(nil), c.masterAddrs...)
-	}
 	m := master.New(master.Config{
 		Addr:         addr,
 		Clock:        c.opts.Clock,
@@ -279,7 +275,7 @@ func (c *Cluster) newMaster(i int, join bool) (*master.Master, error) {
 		RPCTimeout:   c.opts.CallTimeout,
 		HybridMode:   c.opts.Mode == Hybrid,
 		Metrics:      c.metrics,
-		Peers:        peers,
+		Peers:        append([]string(nil), c.masterAddrs...),
 		PrimacyTTL:   c.opts.MasterPrimacyTTL,
 		JoinStandby:  join,
 		ObjstoreAddr: ObjstoreAddr,

@@ -27,7 +27,8 @@ type Sink interface {
 
 // Config wires a journal Set to its observers.
 type Config struct {
-	// Metrics, when set, receives the group-commit distributions:
+	// Metrics receives the group-commit distributions (nil: a registry of
+	// the set's own):
 	// batch sizes ("journal-batch-records"), flush latency
 	// ("journal-flush"), commit-queue wait ("journal-commit-queue"), and
 	// replay window sizes ("journal-replay-window") / coalesced sink
@@ -100,7 +101,8 @@ const (
 // flushing it; Append re-routes such records to a surviving journal.
 var errJournalDead = errors.New("journal: journal dead")
 
-// DefaultConfig returns a config with no observers.
+// DefaultConfig returns a config whose set records into a registry of its
+// own.
 func DefaultConfig() Config { return Config{} }
 
 // Set manages the journals of one backup server, in expansion priority
@@ -206,6 +208,9 @@ const maxFreeRecords = 4 * replayWindowRecords
 // NewSet creates an empty journal set replaying into sink. Call
 // AddSSDJournal/AddHDDJournal, then Start.
 func NewSet(clk clock.Clock, sink Sink, cfg Config) *Set {
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
+	}
 	s := &Set{
 		clk:     clk,
 		sink:    sink,
@@ -332,9 +337,7 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 			if allDead {
 				// Bottom of the expansion ladder: no journal left to absorb
 				// the write, so it goes straight to the backup disk.
-				if m := s.cfg.Metrics; m != nil {
-					m.Counter(MetricBypassWrites).Inc()
-				}
+				s.cfg.Metrics.Counter(MetricBypassWrites).Inc()
 				return s.WriteDirect(id, data, off)
 			}
 			return fmt.Errorf("journal: all journals full: %w", util.ErrQuota)
@@ -488,9 +491,7 @@ func (s *Set) flush(j *Journal) {
 					j.dead = true
 					s.deadJournals++
 					deadCb, deadCause = s.onJournalDead, r.err
-					if m := s.cfg.Metrics; m != nil {
-						m.Counter(MetricJournalDead).Inc()
-					}
+					s.cfg.Metrics.Counter(MetricJournalDead).Inc()
 				}
 				r.err = fmt.Errorf("journal %s: %v: %w", j.name, r.err, errJournalDead)
 			}
@@ -520,12 +521,11 @@ func (s *Set) flush(j *Journal) {
 	j.orderScratch = order
 	j.flushes++
 	j.batchedRecords += int64(len(batch))
-	if m := s.cfg.Metrics; m != nil {
-		m.ObserveValue(MetricBatchRecords, int64(len(batch)))
-		m.ObserveLatency(MetricFlushLatency, flushed.Sub(claimed))
-		for _, r := range batch {
-			m.ObserveLatency(MetricCommitQueue, claimed.Sub(r.enq))
-		}
+	m := s.cfg.Metrics
+	m.ObserveValue(MetricBatchRecords, int64(len(batch)))
+	m.ObserveLatency(MetricFlushLatency, flushed.Sub(claimed))
+	for _, r := range batch {
+		m.ObserveLatency(MetricCommitQueue, claimed.Sub(r.enq))
 	}
 	if len(j.commitq) > 0 {
 		j.commitq[0].lead = true
@@ -1312,12 +1312,10 @@ func (s *Set) reportReplayError(id blockstore.ChunkID, err error) {
 	}
 	cb := s.onReplayError
 	s.mu.Unlock()
-	if m := s.cfg.Metrics; m != nil {
-		if corrupt {
-			m.Counter(MetricReplayCorrupt).Inc()
-		} else {
-			m.Counter(MetricReplayErrors).Inc()
-		}
+	if corrupt {
+		s.cfg.Metrics.Counter(MetricReplayCorrupt).Inc()
+	} else {
+		s.cfg.Metrics.Counter(MetricReplayErrors).Inc()
 	}
 	if cb != nil {
 		cb(id, err)
@@ -1392,7 +1390,7 @@ func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
 	s.mergedSectors += sectors - j.sunkSectors
 	s.fromMemory += s.rp.fromMemory
 	s.fromDevice += s.rp.fromDevice
-	if m := s.cfg.Metrics; m != nil && replayed > 0 {
+	if m := s.cfg.Metrics; replayed > 0 {
 		m.ObserveValue(MetricReplayWindow, int64(replayed))
 		m.ObserveValue(MetricReplayWrites, j.sinkWrites)
 		m.Counter(MetricReplayResidentBytes).Add(s.rp.fromMemory)

@@ -96,7 +96,7 @@ func (m *Master) RunColdGC() (reclaimed int, rewritten int64, err error) {
 			rewritten += n
 		}
 	}
-	if reg := m.cfg.Metrics; reg != nil && reclaimed > 0 {
+	if reg := m.cfg.Metrics; reclaimed > 0 {
 		reg.Counter(MetricGCSegmentsReclaimed).Add(int64(reclaimed))
 		if rewritten > 0 {
 			reg.Counter(MetricGCBytesRewritten).Add(rewritten)

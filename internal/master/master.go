@@ -34,13 +34,13 @@ type Config struct {
 	// the paper's Ursa-SSD configuration) backups are placed on SSD
 	// servers too.
 	HybridMode bool
-	// Metrics, when non-nil, receives recovery observability: the
-	// chunk-recoveries counter and the chunk-recovery-duration histogram.
+	// Metrics receives recovery observability: the chunk-recoveries counter
+	// and the chunk-recovery-duration histogram (nil: a registry of its own).
 	Metrics *metrics.Registry
 	// Peers lists every master endpoint, including this master's own Addr,
 	// in promotion-priority order (index = rank; Peers[0] bootstraps as
-	// primary). One entry or fewer disables replication entirely: the
-	// master is always primary and stamps no epochs.
+	// primary). Empty means [Addr]: a lone master is a set of one, the
+	// primary at epoch 1 that logs every commit and ships to nobody.
 	Peers []string
 	// PrimacyTTL is the master-primacy lease: the primary heartbeats every
 	// PrimacyTTL/4 and a standby promotes after roughly one TTL of
@@ -71,8 +71,11 @@ func (c *Config) fillDefaults() {
 	if c.PrimacyTTL <= 0 {
 		c.PrimacyTTL = 2 * time.Second
 	}
-	if len(c.Peers) == 1 {
-		c.Peers = nil // a single endpoint is the unreplicated configuration
+	if len(c.Peers) == 0 {
+		c.Peers = []string{c.Addr}
+	}
+	if c.Metrics == nil {
+		c.Metrics = metrics.NewRegistry()
 	}
 }
 
@@ -87,12 +90,9 @@ type Master struct {
 
 	// inflightFlushes counts snapshot flushes between their segment-range
 	// allocation and metadata record, during which GC must not judge fresh
-	// segments dead. coldReports is which replicas of a cloned chunk have
-	// reported full materialization. Both are primary-local soft state
-	// (guarded by mu): a failover loses them, which at worst delays a GC pass
-	// or a cold-ref clear until the idempotent reports recur.
+	// segments dead. It is primary-local soft state (guarded by mu): a
+	// failover loses it, which at worst delays a GC pass.
 	inflightFlushes int
-	coldReports     map[uint64]map[string]bool
 
 	peers *transport.Peers
 
@@ -102,9 +102,7 @@ type Master struct {
 	recMu      sync.Mutex
 	recovering map[uint64]chan struct{}
 
-	// Replication role and log (guarded by mu; see replication.go). epoch 0
-	// with primary=true is the unreplicated configuration, which keeps no
-	// log.
+	// Replication role and log (guarded by mu; see replication.go).
 	primary     bool
 	epoch       uint64
 	primaryAddr string    // best-known primary endpoint
@@ -122,17 +120,15 @@ type Master struct {
 	rpc *transport.Server
 }
 
-// New creates a master. With cfg.Peers configured it also starts the
-// replication machinery (log shippers toward every other endpoint and the
-// promotion monitor); Close stops them.
+// New creates a master and starts its replication machinery: a log shipper
+// toward every other endpoint and the promotion monitor. Close stops them.
 func New(cfg Config) *Master {
 	cfg.fillDefaults()
 	m := &Master{
-		cfg:         cfg,
-		st:          newState(),
-		peers:       transport.NewPeers(cfg.Dialer, cfg.Clock),
-		recovering:  make(map[uint64]chan struct{}),
-		coldReports: make(map[uint64]map[string]bool),
+		cfg:        cfg,
+		st:         newState(),
+		peers:      transport.NewPeers(cfg.Dialer, cfg.Clock),
+		recovering: make(map[uint64]chan struct{}),
 	}
 	m.peers.SetRedial(backoff.Policy{Base: cfg.RPCTimeout / 40, Cap: cfg.RPCTimeout / 4}, 2)
 	m.initReplication()
@@ -176,9 +172,8 @@ func (m *Master) register(req RegisterReq) (any, error) {
 // admin sends one command to a chunk server through the shared peer pool,
 // which evicts the cached connection on transport faults so the next use
 // redials. body, when non-nil, is the command's JSON payload. The request is
-// stamped with the current primacy epoch (zero when replication is off) and
-// the answer goes through heed. ok reports a StatusOK answer; resp is nil
-// when the server never answered.
+// stamped with the current primacy epoch and the answer goes through heed.
+// ok reports a StatusOK answer; resp is nil when the server never answered.
 func (m *Master) admin(addr string, op proto.Op, id blockstore.ChunkID, view, version uint64,
 	body any, timeout time.Duration) (resp *proto.Message, ok bool) {
 

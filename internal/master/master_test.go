@@ -275,9 +275,11 @@ func TestGetAndDelete(t *testing.T) {
 	if st := e.call(t, proto.MOpGetVDisk, GetVDiskReq{Name: "d"}, nil); st != proto.StatusNotFound {
 		t.Errorf("get after delete = %s", st)
 	}
-	// A single master commits without a log and stamps no epoch.
-	if seq, epoch := e.m.LogSeq(), e.m.Epoch(); seq != 0 || epoch != 0 {
-		t.Errorf("unreplicated master: log seq %d, epoch %d; want 0 and 0", seq, epoch)
+	// A lone master is the primary of a set of one: epoch 1, and every commit
+	// is logged — one per registered server, the create and the delete.
+	commits := uint64(e.nSSD + e.nHDD + 2)
+	if seq, epoch := e.m.LogSeq(), e.m.Epoch(); seq != commits || epoch != 1 {
+		t.Errorf("lone master: log seq %d, epoch %d; want %d and 1", seq, epoch, commits)
 	}
 }
 

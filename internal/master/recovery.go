@@ -233,10 +233,8 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 	if err != nil {
 		return nil, err
 	}
-	if reg := m.cfg.Metrics; reg != nil {
-		reg.Counter(MetricChunkRecoveries).Inc()
-		reg.ObserveLatency(MetricRecoveryDuration, m.cfg.Clock.Now().Sub(t0))
-	}
+	m.cfg.Metrics.Counter(MetricChunkRecoveries).Inc()
+	m.cfg.Metrics.ObserveLatency(MetricRecoveryDuration, m.cfg.Clock.Now().Sub(t0))
 	return &out, nil
 }
 

@@ -2,11 +2,11 @@ package master
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
 	"ursa/internal/bufpool"
+	"ursa/internal/clock"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -67,29 +67,15 @@ type ReplicateLogResp struct {
 // redirects.
 type MasterInfoResp = transport.MasterInfoResp
 
-// replicationEnabled reports whether this master runs the replication
-// protocol (two or more configured endpoints).
-func (m *Master) replicationEnabled() bool { return len(m.cfg.Peers) > 1 }
-
 // rank returns this master's promotion priority: its index in cfg.Peers.
-func (m *Master) rank() int {
-	for i, p := range m.cfg.Peers {
-		if p == m.cfg.Addr {
-			return i
-		}
-	}
-	return len(m.cfg.Peers)
-}
+func (m *Master) rank() int { return peerRank(m.cfg.Peers, m.cfg.Addr) }
 
 // initReplication sets the initial role and starts the shipper and monitor
 // goroutines. Rank 0 bootstraps as the primary at epoch 1 unless it joins
 // an already-running cluster (JoinStandby: a healed master must discover
-// the current epoch rather than resurrect epoch 1).
+// the current epoch rather than resurrect epoch 1). A lone master is rank 0
+// of a set of one: it ships to nobody, and its monitor finds it primary.
 func (m *Master) initReplication() {
-	if !m.replicationEnabled() {
-		m.primary = true // for good: nothing below runs, so nothing can depose it
-		return
-	}
 	m.closedCh = make(chan struct{})
 	m.shipKick = make(map[string]chan struct{})
 	m.lastHeard = m.cfg.Clock.Now()
@@ -114,15 +100,11 @@ func (m *Master) initReplication() {
 
 // stopReplication terminates the background goroutines (idempotent).
 func (m *Master) stopReplication() {
-	if m.closedCh == nil {
-		return
-	}
 	m.closeOnce.Do(func() { close(m.closedCh) })
 	m.wg.Wait()
 }
 
-// IsPrimary reports whether this master currently holds primacy. A master
-// without replication configured is always primary.
+// IsPrimary reports whether this master currently holds primacy.
 func (m *Master) IsPrimary() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -132,7 +114,7 @@ func (m *Master) IsPrimary() bool {
 // Addr returns the address this master serves at.
 func (m *Master) Addr() string { return m.cfg.Addr }
 
-// Epoch returns the current primacy epoch (0 when replication is off).
+// Epoch returns the current primacy epoch (0 until a standby hears of one).
 func (m *Master) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -159,9 +141,8 @@ func (m *Master) lockPrimary(what string) error {
 }
 
 // commitLocked is the one way the primary changes replicated metadata (m.mu
-// held): refuse unless primary, apply the entry, and — when there are
-// standbys to ship to — append it to the log and wake the shippers. A single
-// master keeps no log. e and everything it points to belong to the log from
+// held): refuse unless primary, apply the entry, append it to the log and
+// wake the shippers. e and everything it points to belong to the log from
 // here on and must not be modified.
 func (m *Master) commitLocked(e entry) error {
 	if !m.primary {
@@ -171,10 +152,8 @@ func (m *Master) commitLocked(e entry) error {
 	if err := m.st.apply(&e); err != nil {
 		return err
 	}
-	if m.replicationEnabled() {
-		m.log = append(m.log, e)
-		m.kickShippersLocked()
-	}
+	m.log = append(m.log, e)
+	m.kickShippersLocked()
 	return nil
 }
 
@@ -199,7 +178,6 @@ func kick(ch chan struct{}) {
 func (m *Master) resetStateLocked() {
 	m.st = newState()
 	m.log = nil
-	m.coldReports = make(map[uint64]map[string]bool)
 }
 
 // adoptEpochLocked accepts a remote primary's newer epoch: step down if
@@ -220,7 +198,7 @@ func (m *Master) adoptEpochLocked(epoch uint64, from string) {
 func (m *Master) fencedByEpoch(epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.replicationEnabled() || epoch < m.epoch {
+	if epoch < m.epoch {
 		return
 	}
 	if m.primary || epoch > m.epoch {
@@ -246,22 +224,20 @@ func (m *Master) masterInfoLocked() MasterInfoResp {
 	} else {
 		info.Primary = m.primaryAddr
 	}
-	if !m.replicationEnabled() {
-		info.IsPrimary = true
-		info.Primary = m.cfg.Addr
-		info.Endpoints = []string{m.cfg.Addr}
-	}
 	return info
 }
 
 // replicateLog applies a shipped batch (or heartbeat) from a claimed
-// primary and acks the last sequence applied. It stops at the first entry it
-// cannot apply — a gap, an entry apply refuses, the end of a batch cut short
-// at an undecodable entry — so Applied never covers such an entry and the
-// shipper keeps resending from it.
+// primary and acks the last sequence applied. Only another configured master
+// may send one: a batch from anywhere else is refused before its epoch is
+// looked at, so it can neither depose this master nor wipe its state. It
+// stops at the first entry it cannot apply — a gap, an entry apply refuses,
+// the end of a batch cut short at an undecodable entry — so Applied never
+// covers such an entry and the shipper keeps resending from it.
 func (m *Master) replicateLog(req ReplicateLogReq) (ReplicateLogResp, error) {
-	if !m.replicationEnabled() {
-		return ReplicateLogResp{}, errors.New("master: log batch sent to an unreplicated master")
+	if req.From == m.cfg.Addr || peerRank(m.cfg.Peers, req.From) == len(m.cfg.Peers) {
+		return ReplicateLogResp{}, fmt.Errorf("master %s: log batch from %q, which is not another configured master",
+			m.cfg.Addr, req.From)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -270,7 +246,7 @@ func (m *Master) replicateLog(req ReplicateLogReq) (ReplicateLogResp, error) {
 	}
 	if req.Epoch > m.epoch {
 		m.adoptEpochLocked(req.Epoch, req.From)
-	} else if m.primary && req.From != m.cfg.Addr {
+	} else if m.primary {
 		// Two primaries raced to the same epoch. Deterministic tie-break:
 		// the lower-ranked endpoint keeps primacy.
 		if peerRank(m.cfg.Peers, req.From) >= m.rank() {
@@ -309,14 +285,17 @@ func peerRank(peers []string, addr string) int {
 // standbys catch up by full replay.
 func (m *Master) shipLoop(peer string, wake chan struct{}) {
 	defer m.wg.Done()
-	hb := m.cfg.PrimacyTTL / 4
+	hb := clock.Wall(m.cfg.Clock, m.cfg.PrimacyTTL/4)
+	tick := time.NewTimer(hb)
+	defer tick.Stop()
 	var cursor uint64
 	for {
+		tick.Reset(hb)
 		select {
 		case <-m.closedCh:
 			return
 		case <-wake:
-		case <-m.cfg.Clock.After(hb):
+		case <-tick.C:
 		}
 		m.mu.Lock()
 		if !m.primary {
@@ -344,8 +323,8 @@ func (m *Master) shipLoop(peer string, wake chan struct{}) {
 		} else if status == proto.StatusOK {
 			if ack.Applied > cursor && ack.Applied < end {
 				kick(wake) // progress, and more to send: go again without waiting
-			} else if reg := m.cfg.Metrics; reg != nil && ack.Applied == cursor && len(batch) > 0 {
-				reg.Counter(MetricMasterReplayRefused).Inc()
+			} else if ack.Applied == cursor && len(batch) > 0 {
+				m.cfg.Metrics.Counter(MetricMasterReplayRefused).Inc()
 			}
 			cursor = ack.Applied
 		}
@@ -371,15 +350,19 @@ func (m *Master) callPeer(peer string, op proto.Op, epoch uint64, body, out any,
 }
 
 // monitorLoop watches for primary silence on standbys and runs the
-// promotion protocol.
+// promotion protocol. Its tick is a timer it owns: on a primary, where
+// maybePromote returns at once, an idle tick allocates nothing.
 func (m *Master) monitorLoop() {
 	defer m.wg.Done()
-	tick := m.cfg.PrimacyTTL / 8
+	every := clock.Wall(m.cfg.Clock, m.cfg.PrimacyTTL/8)
+	tick := time.NewTimer(every)
+	defer tick.Stop()
 	for {
+		tick.Reset(every)
 		select {
 		case <-m.closedCh:
 			return
-		case <-m.cfg.Clock.After(tick):
+		case <-tick.C:
 		}
 		m.maybePromote()
 	}
@@ -456,9 +439,7 @@ func (m *Master) maybePromote() {
 	m.lastHeard = m.cfg.Clock.Now()
 	m.mu.Unlock()
 
-	if reg := m.cfg.Metrics; reg != nil {
-		reg.Counter(MetricMasterPromotions).Inc()
-	}
+	m.cfg.Metrics.Counter(MetricMasterPromotions).Inc()
 	// Fence the deposed master everywhere before acting on the new epoch, in
 	// one window however many servers are silent: an epoch-stamped no-op
 	// makes every reachable chunkserver adopt the new epoch, so stale

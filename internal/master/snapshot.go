@@ -3,6 +3,7 @@ package master
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/chunkserver"
@@ -183,38 +184,23 @@ func (m *Master) GetSnapshot(name string) (*SnapshotMeta, error) {
 	return &out, nil
 }
 
-// chunkMaterialized records one replica's report that a cloned chunk is
-// fully local. Only when every current replica has reported does the master
-// drop the chunk's cold refs (replicated): clearing earlier would strand the
-// laggards — a GC remap refreshes refs from this table, and an emptied table
-// would leave them nothing to fetch from. The report set itself is
-// primary-local soft state, and a replica files its (idempotent) notice only
-// until one master has taken it: a failover between two replicas' notices
-// never breaks a fetch, but it leaves the refs in place with nobody left to
-// report (ROADMAP item 3).
+// chunkMaterialized logs one replica's report that a cloned chunk is fully
+// local. Only when every current replica has reported does apply drop the
+// chunk's cold refs: clearing earlier would strand the laggards — a GC remap
+// refreshes refs from this table, and an emptied table would leave them
+// nothing to fetch from. A replica files its (idempotent) notice only until
+// one master has taken it, so the report is a logged entry: a failover
+// between two replicas' notices keeps the first.
 func (m *Master) chunkMaterialized(req MaterializedReq) (any, error) {
 	if err := m.lockPrimary("chunk materialized"); err != nil {
 		return nil, err
 	}
 	defer m.mu.Unlock()
 	cm, err := m.st.chunk(req.VDisk, req.ChunkIndex)
-	if err != nil || len(cm.Cold) == 0 {
+	if err != nil || len(cm.Cold) == 0 || slices.Contains(cm.Materialized, req.Addr) {
 		return nil, err
 	}
-	key := uint64(blockstore.MakeChunkID(req.VDisk, req.ChunkIndex))
-	set := m.coldReports[key]
-	if set == nil {
-		set = make(map[string]bool)
-		m.coldReports[key] = set
-	}
-	set[req.Addr] = true
-	for _, r := range cm.Replicas {
-		if !set[r.Addr] {
-			return nil, nil
-		}
-	}
-	delete(m.coldReports, key)
-	return nil, m.commitLocked(entry{ClearCold: &entryClearCold{VDisk: req.VDisk, Index: req.ChunkIndex}})
+	return nil, m.commitLocked(entry{Materialized: &entryMaterialized{VDisk: req.VDisk, Index: req.ChunkIndex, Addr: req.Addr}})
 }
 
 // coldRefs serves a chunk's current cold extent table — the refresh path a

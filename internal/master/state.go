@@ -3,6 +3,7 @@ package master
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"ursa/internal/coldtier"
@@ -86,7 +87,7 @@ type entry struct {
 	AllocSegs      *entryAllocSegs      `json:"allocSegs,omitempty"`
 	PutSnapshot    *entryPutSnapshot    `json:"putSnapshot,omitempty"`
 	DeleteSnapshot *entryDeleteSnapshot `json:"deleteSnapshot,omitempty"`
-	ClearCold      *entryClearCold      `json:"clearCold,omitempty"`
+	Materialized   *entryMaterialized   `json:"materialized,omitempty"`
 	SegRemap       *entrySegRemap       `json:"segRemap,omitempty"`
 }
 
@@ -137,11 +138,13 @@ type entryDeleteSnapshot struct {
 	Name string `json:"name"`
 }
 
-// entryClearCold drops one chunk's cold extent table: every replica is fully
-// materialized and the demand-fetch metadata is no longer needed.
-type entryClearCold struct {
+// entryMaterialized records that the server at Addr holds every cold extent
+// of one chunk. The report that completes the chunk's current replica set
+// drops its cold extent table: the demand-fetch metadata is no longer needed.
+type entryMaterialized struct {
 	VDisk uint32 `json:"vdisk"`
 	Index uint32 `json:"index"`
+	Addr  string `json:"addr"`
 }
 
 // segMove records one extent's relocation by the GC rewriter: bytes that
@@ -238,12 +241,17 @@ func (s *state) apply(e *entry) error {
 			return fmt.Errorf("master: snapshot %q: %w", e.DeleteSnapshot.Name, util.ErrNotFound)
 		}
 		delete(s.snapshots, e.DeleteSnapshot.Name)
-	case e.ClearCold != nil:
-		cm, err := s.chunk(e.ClearCold.VDisk, e.ClearCold.Index)
+	case e.Materialized != nil:
+		p := e.Materialized
+		cm, err := s.chunk(p.VDisk, p.Index)
 		if err != nil {
 			return err
 		}
-		cm.Cold = nil
+		cm.Materialized = append(cm.Materialized, p.Addr) // the handler logs an address once
+		pending := func(r ReplicaInfo) bool { return !slices.Contains(cm.Materialized, r.Addr) }
+		if !slices.ContainsFunc(cm.Replicas, pending) {
+			cm.Cold, cm.Materialized = nil, nil // every current replica has reported
+		}
 	case e.SegRemap != nil:
 		s.remapSegs(e.SegRemap.Moves)
 	default:

@@ -329,6 +329,44 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 	}
 }
 
+// TestColdReportSurvivesFailover: a replica files its materialization
+// notice only until one master has taken it, so a report the primary took
+// must outlive the primary. One replica of a clone chunk reports to the
+// primary, the primary dies, the other replicas report to the promoted
+// standby — and that clears the chunk's cold refs.
+func TestColdReportSurvivesFailover(t *testing.T) {
+	e := newReplEnvTTL(t, 3, 3, time.Minute)
+	primary := e.masters[0]
+	o := newMetaOps(t, e, 1)
+	o.run("snapshot-sparse")
+	o.run("clone")
+	clone, ok := o.pickVDisk(isCold)
+	if !ok {
+		t.Fatal("clone has no cold refs")
+	}
+	replicas := clone.Chunks[0].Replicas
+	report := func(m *Master, r ReplicaInfo) {
+		t.Helper()
+		if st := callOn(t, m, proto.MOpChunkMaterialized,
+			MaterializedReq{VDisk: clone.ID, ChunkIndex: 0, Addr: r.Addr}, nil); st != proto.StatusOK {
+			t.Fatalf("%s: notice from %s: %s", m.Addr(), r.Addr, st)
+		}
+	}
+	report(primary, replicas[0])
+	e.quiesce(t, primary, e.masters[1:]...)
+
+	e.net.Crash("master")
+	primary.Close()
+	e.clk.Advance(3 * time.Minute)
+	promoted := waitPromoted(t, e.masters[1], e.masters[2])
+	for _, r := range replicas[1:] {
+		report(promoted, r)
+	}
+	if cold := promoted.Snapshot().VDisks[clone.ID].Chunks[0].Cold; len(cold) != 0 {
+		t.Fatalf("every replica reported, one of them before the failover: cold refs still listed %+v", cold)
+	}
+}
+
 // loneStandby is a standby whose primary never calls: batches reach it only
 // through Handle.
 func loneStandby(t *testing.T) *Master {
@@ -384,6 +422,36 @@ func TestStandbyNeverAcksUnappliedEntry(t *testing.T) {
 				t.Errorf("state after resend: %+v", s)
 			}
 		})
+	}
+}
+
+// TestStandbyRefusesNonMemberBatch: a log batch from an address that is not
+// another configured master is refused, whatever epoch it claims — it neither
+// deposes the receiver nor wipes its state. A lone master, whose set has no
+// other member, refuses every batch.
+func TestStandbyRefusesNonMemberBatch(t *testing.T) {
+	standby := loneStandby(t)
+	shipTo(t, standby, `[{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}]`)
+	lone := New(Config{Addr: "master", Clock: clock.Realtime, PrimacyTTL: time.Hour})
+	t.Cleanup(lone.Close)
+	lone.AddServer("a/ssd", "a", true)
+
+	for _, m := range []*Master{standby, lone} {
+		before, epoch, primary := snapJSON(t, m.Snapshot()), m.Epoch(), m.IsPrimary()
+		for _, from := range []string{"intruder", m.Addr()} {
+			resp := m.Handle(&proto.Message{Op: proto.MOpReplicateLog,
+				Payload: []byte(`{"epoch":5,"from":"` + from + `","entries":[]}`)})
+			if resp.Status == proto.StatusOK {
+				t.Errorf("%s took a batch from %q", m.Addr(), from)
+			}
+		}
+		if m.Epoch() != epoch || m.IsPrimary() != primary {
+			t.Errorf("%s: epoch %d, primary %v after the refused batches; want %d, %v",
+				m.Addr(), m.Epoch(), m.IsPrimary(), epoch, primary)
+		}
+		if after := snapJSON(t, m.Snapshot()); after != before {
+			t.Errorf("%s: state changed by a refused batch:\nbefore:\n%s\nafter:\n%s", m.Addr(), before, after)
+		}
 	}
 }
 
@@ -487,17 +555,27 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 // TestLogReplayReproducesState: the primary's state is the replay of its
 // log. After a seeded random run of every kind of op, a fresh standby fed
 // the primary's log — as one batch, and entry by entry — holds a state
-// byte-identical to the primary's. A write to the state that bypasses
-// commitLocked, or a state that shares memory with the log, breaks this.
+// byte-identical to the primary's; a lone master's log, a set of one, too.
+// A write to the state that bypasses commitLocked, or a state that shares
+// memory with the log, breaks this.
 func TestLogReplayReproducesState(t *testing.T) {
-	e := newReplEnvTTL(t, 2, 4, time.Minute)
-	o := newMetaOps(t, e, 7) // a seed whose 60 ops log every entry kind
-	for i := 0; i < 60; i++ {
-		op := metaOpTable[o.r.Intn(len(metaOpTable))]
-		op.run(o)
+	for _, masters := range []int{2, 1} {
+		t.Run(fmt.Sprintf("masters=%d", masters), func(t *testing.T) {
+			e := newReplEnvTTL(t, masters, 4, time.Minute)
+			o := newMetaOps(t, e, 7) // a seed whose 60 ops log every entry kind
+			for i := 0; i < 60; i++ {
+				op := metaOpTable[o.r.Intn(len(metaOpTable))]
+				op.run(o)
+			}
+			requireReplayReproduces(t, e.requireConverged(t, o.p, e.masters[1:]...), logOf(o.p))
+		})
 	}
-	want := e.requireConverged(t, o.p, e.masters[1])
-	log := logOf(o.p)
+}
+
+// requireReplayReproduces feeds log to two fresh standbys, as one batch and
+// entry by entry, and requires each to end in the state want.
+func requireReplayReproduces(t *testing.T, want string, log entryBatch) {
+	t.Helper()
 	if len(log) < 40 {
 		t.Fatalf("random run logged only %d entries", len(log))
 	}

@@ -29,6 +29,9 @@ type ChunkMeta struct {
 	// access; once a replica holds every extent the master clears the list
 	// (MOpChunkMaterialized). Nil for ordinary (fully local) chunks.
 	Cold []coldtier.ExtentRef `json:"cold,omitempty"`
+	// Materialized lists the servers that reported holding every extent of
+	// Cold; it is cleared with Cold once it covers every current replica.
+	Materialized []string `json:"materialized,omitempty"`
 }
 
 // VDiskMeta is everything a client needs to operate a virtual disk.
@@ -69,6 +72,9 @@ func (c ChunkMeta) clone() ChunkMeta {
 	c.Replicas = append([]ReplicaInfo(nil), c.Replicas...)
 	if c.Cold != nil {
 		c.Cold = append([]coldtier.ExtentRef(nil), c.Cold...)
+	}
+	if c.Materialized != nil {
+		c.Materialized = append([]string(nil), c.Materialized...)
 	}
 	return c
 }

@@ -339,8 +339,8 @@ func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 	for q, n := range m.fanOut(m.cfg.RPCTimeout, queues, nil) {
 		unreached += len(held[q]) - min(n*proto.MaxBatch, len(held[q]))
 	}
-	if reg := m.cfg.Metrics; reg != nil && unreached > 0 {
-		reg.Counter(MetricDeleteUnreached).Add(int64(unreached))
+	if unreached > 0 {
+		m.cfg.Metrics.Counter(MetricDeleteUnreached).Add(int64(unreached))
 	}
 	return nil, nil
 }

@@ -120,7 +120,7 @@ func New(clk clock.Clock, model Model) *Store {
 	if clk == nil {
 		clk = clock.Realtime
 	}
-	s := &Store{clk: clk, model: model, objects: make(map[uint64]*object)}
+	s := &Store{clk: clk, model: model, objects: make(map[uint64]*object), reg: metrics.NewRegistry()}
 	s.cond = sync.NewCond(&s.mu)
 	if model.Parallelism > 0 {
 		s.slots = make(chan struct{}, model.Parallelism)
@@ -128,7 +128,8 @@ func New(clk clock.Clock, model Model) *Store {
 	return s
 }
 
-// SetMetrics routes the store's counters to reg. Call before serving.
+// SetMetrics routes the store's counters to reg instead of the store's own.
+// Call before serving.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
 	s.mu.Lock()
 	s.reg = reg
@@ -139,9 +140,7 @@ func (s *Store) count(name string, n int64) {
 	s.mu.Lock()
 	reg := s.reg
 	s.mu.Unlock()
-	if reg != nil {
-		reg.Counter(name).Add(n)
-	}
+	reg.Counter(name).Add(n)
 }
 
 // acquire takes a service slot (request-parallelism model).
@@ -335,9 +334,7 @@ func (s *Store) UsedBytes() int64 {
 
 // armed bumps the faults-injected counter; caller holds s.mu.
 func (s *Store) armedLocked() {
-	if s.reg != nil {
-		s.reg.Counter(MetricObjFaultsInjected).Inc()
-	}
+	s.reg.Counter(MetricObjFaultsInjected).Inc()
 }
 
 // FailPuts arms failure of every PUT until Heal.

@@ -75,11 +75,12 @@ func NewFaultInjector(d Disk, clk clock.Clock) *FaultInjector {
 	if clk == nil {
 		clk = clock.Realtime
 	}
-	return &FaultInjector{inner: d, clk: clk}
+	return &FaultInjector{inner: d, clk: clk, reg: metrics.NewRegistry()}
 }
 
 // SetMetrics routes the disk-faults-injected counter to reg (typically the
-// cluster-wide registry). Call before arming faults.
+// cluster-wide registry) instead of the injector's own. Call before arming
+// faults.
 func (f *FaultInjector) SetMetrics(reg *metrics.Registry) {
 	f.mu.Lock()
 	f.reg = reg
@@ -91,9 +92,7 @@ func (f *FaultInjector) Inner() Disk { return f.inner }
 
 // armed bumps the injected-faults counter; caller holds f.mu.
 func (f *FaultInjector) armedLocked() {
-	if f.reg != nil {
-		f.reg.Counter(MetricFaultsInjected).Inc()
-	}
+	f.reg.Counter(MetricFaultsInjected).Inc()
 }
 
 // Kill arms full-disk death: every subsequent read and write fails.
@@ -166,9 +165,7 @@ func (f *FaultInjector) SlowBy(mult float64) {
 func (f *FaultInjector) CorruptRange(lo, hi int64, persistent bool) {
 	f.mu.Lock()
 	f.corruptFaults = append(f.corruptFaults, corruptFault{lo, hi, persistent})
-	if f.reg != nil {
-		f.reg.Counter(MetricCorruptionsInjected).Inc()
-	}
+	f.reg.Counter(MetricCorruptionsInjected).Inc()
 	f.mu.Unlock()
 }
 

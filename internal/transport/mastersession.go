@@ -88,12 +88,15 @@ type masterReport struct {
 }
 
 // NewMasterSession returns a session with the masters at addrs (one entry
-// for an unreplicated master; none makes every call fail and every report a
-// no-op). timeout is the caller's call timeout: the back-off between sweeps
-// runs from timeout/50 to timeout/5, jittered by op ID, and a call made
-// without an op of its own gets 20 timeouts. reg, when non-nil, receives the
-// calls' stage measurements and MetricReportsDropped.
+// for a lone master, a set of one; none makes every call fail and every
+// report a no-op). timeout is the caller's call timeout: the back-off between
+// sweeps runs from timeout/50 to timeout/5, jittered by op ID, and a call
+// made without an op of its own gets 20 timeouts. reg receives the calls'
+// stage measurements and MetricReportsDropped (nil: a registry of its own).
 func NewMasterSession(d Dialer, clk clock.Clock, addrs []string, timeout time.Duration, reg *metrics.Registry) *MasterSession {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	s := &MasterSession{
 		addrs:    addrs,
 		clk:      clk,
@@ -251,11 +254,7 @@ func (s *MasterSession) pin(addr string) {
 }
 
 func (s *MasterSession) newOp() *opctx.Op {
-	op := opctx.New(s.clk, s.budget)
-	if s.reg != nil {
-		op = op.WithSink(s.reg)
-	}
-	return op
+	return opctx.New(s.clk, s.budget).WithSink(s.reg)
 }
 
 func release(resp *proto.Message) {
@@ -295,9 +294,7 @@ func (s *MasterSession) Report(chunk blockstore.ChunkID, failedAddr string, file
 		s.inflight[chunk] = true
 		s.last[key] = now
 	default:
-		if s.reg != nil {
-			s.reg.Counter(MetricReportsDropped).Inc()
-		}
+		s.reg.Counter(MetricReportsDropped).Inc()
 	}
 }
 
