@@ -64,9 +64,9 @@ bench-quick:
 # promotion to a higher epoch; GC reclaim, no corrupt payload); the full
 # runs gate them. A committed artifact that is itself a -quick leftover
 # fails the target before anything runs. The run is capped at 20 minutes:
-# a figure that starves or hangs (the hotchunk cell with one in-flight
-# request per connection once held the gate for 11) is sent SIGQUIT, which
-# prints every goroutine's stack, and the target fails saying so.
+# a figure that starves or hangs (a hotchunk cell that admitted one request
+# per connection, since deleted, once held the gate for 11) is sent SIGQUIT,
+# which prints every goroutine's stack, and the target fails saying so.
 bench-smoke: vet
 	@if grep -l '"quick": *true' BENCH_*.json; then \
 		echo "bench-smoke: the artifacts named above are -quick runs; regenerate them full-length (make bench-refresh)"; exit 1; fi
@@ -156,20 +156,23 @@ ec-smoke:
 # state byte-identical on primary, standbys and a promoted standby after
 # traffic of every entry kind; a fresh standby fed the primary's log
 # reproduces its state, a lone master's too; the four closed primary/standby
-# drifts; a log batch from outside the configured masters refused; and the
-# source rule that only state.go writes a field of the replicated state.
+# drifts; a log batch from outside the configured masters refused; the
+# source rules that only state.go writes a field of the replicated state and
+# that the master sends only through fanOut; and a mirror recovery replacing
+# two dead backups on two different machines.
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout' -race -count=1 -v
 	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
 # store stall/rot/partition chaos, and extent GC fully drains the store
 # once the clone materializes and the snapshot is deleted — also when the
 # primary master dies just before the last extents land and the
-# materialization notices have to outlast the blackout; and a notice the
-# primary master took before it died still counts on the promoted standby.
+# materialization notices have to outlast the blackout; a notice the
+# primary master took before it died still counts on the promoted standby;
+# and a snapshot flushes on all of its primaries at once.
 cold-smoke:
 	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization|TestColdNoticeSurvivesMasterFailover' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover|TestSnapshotFlushesPrimariesAtOnce' -race -count=1 -v

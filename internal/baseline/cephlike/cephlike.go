@@ -26,6 +26,7 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
 	"ursa/internal/clock"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -73,6 +74,7 @@ type OSD struct {
 	replSem chan struct{}
 
 	peers *transport.Peers // connections to the backups it relays to
+	clk   clock.Clock
 
 	rpc *transport.Server
 }
@@ -85,6 +87,7 @@ func NewOSD(addr string, store *blockstore.Store, clk clock.Clock, dialer transp
 		workSem: make(chan struct{}, osdWorkers),
 		replSem: make(chan struct{}, osdWorkers),
 		peers:   transport.NewPeers(dialer, clk),
+		clk:     clk,
 	}
 }
 
@@ -169,16 +172,11 @@ func (o *OSD) relay(m *proto.Message, req *wireMsg) error {
 	errs := make(chan error, len(backups))
 	for _, addr := range backups {
 		go func(addr string) {
-			p, err := o.peers.Get(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
 			fwd := &proto.Message{Op: proto.OpReplicate, Payload: encode(&wireMsg{
 				Type: "write", Object: req.Object, Off: req.Off,
 				Len: req.Len, Data: req.Data,
 			})}
-			resp, err := p.Call(fwd, 30*time.Second)
+			resp, err := call(o.peers, o.clk, addr, fwd, 30*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -247,6 +245,7 @@ type Volume struct {
 	size    int64
 	objects []objPlacement // per 64 MB object
 	peers   *transport.Peers
+	clk     clock.Clock
 }
 
 type objPlacement struct {
@@ -269,11 +268,7 @@ func (v *Volume) Close() error {
 // ReadAt reads from each object's primary replica.
 func (v *Volume) ReadAt(p []byte, off int64) error {
 	return v.forEach(p, off, func(obj objPlacement, buf []byte, objOff int64) error {
-		c, err := v.peers.Get(obj.replicas[0])
-		if err != nil {
-			return err
-		}
-		resp, err := c.Call(&proto.Message{Op: proto.OpRead, Payload: encode(&wireMsg{
+		resp, err := call(v.peers, v.clk, obj.replicas[0], &proto.Message{Op: proto.OpRead, Payload: encode(&wireMsg{
 			Type: "read", Object: obj.id, Off: objOff, Len: len(buf),
 		})}, 0)
 		if err != nil {
@@ -295,16 +290,12 @@ func (v *Volume) ReadAt(p []byte, off int64) error {
 // WriteAt sends every write to the object's primary, which relays it.
 func (v *Volume) WriteAt(p []byte, off int64) error {
 	return v.forEach(p, off, func(obj objPlacement, buf []byte, objOff int64) error {
-		c, err := v.peers.Get(obj.replicas[0])
-		if err != nil {
-			return err
-		}
 		m := &proto.Message{Op: proto.OpWrite, Payload: encode(&wireMsg{
 			Type: "replicate", Object: obj.id, Off: objOff, Len: len(buf),
 			Data: base64.StdEncoding.EncodeToString(buf),
 		})}
 		encodeBackups(m, obj.replicas[1:])
-		resp, err := c.Call(m, 0)
+		resp, err := call(v.peers, v.clk, obj.replicas[0], m, 0)
 		if err != nil {
 			return err
 		}
@@ -314,6 +305,14 @@ func (v *Volume) WriteAt(p []byte, off int64) error {
 		}
 		return nil
 	})
+}
+
+// call sends m to addr on an op of its own, bounded by timeout (0: by nothing
+// but the connection).
+func call(p *transport.Peers, clk clock.Clock, addr string, m *proto.Message, timeout time.Duration) (*proto.Message, error) {
+	op := opctx.New(clk, timeout)
+	defer op.Release()
+	return p.Do(op, addr, m, 0)
 }
 
 // forEach fragments a request over 64 MB objects.

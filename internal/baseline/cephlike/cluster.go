@@ -92,6 +92,7 @@ func (c *Cluster) CreateVolume(name string, size int64, clientAddr string) (*Vol
 	v := &Volume{
 		size:  size,
 		peers: transport.NewPeers(c.opts.Net.Dialer(clientAddr, transport.NodeConfig{}), c.opts.Clock),
+		clk:   c.opts.Clock,
 	}
 	hash := util.NewRand(uint64(len(name)) + 7)
 	for i := 0; i < nobjs; i++ {
@@ -116,11 +117,7 @@ func (c *Cluster) CreateVolume(name string, size int64, clientAddr string) (*Vol
 		v.objects = append(v.objects, objPlacement{id: id, replicas: replicas})
 		// Create the object on each replica.
 		for _, addr := range replicas {
-			cli, err := v.peers.Get(addr)
-			if err != nil {
-				return nil, err
-			}
-			resp, err := cli.Call(&proto.Message{Op: proto.OpCreateChunk,
+			resp, err := call(v.peers, v.clk, addr, &proto.Message{Op: proto.OpCreateChunk,
 				Payload: encode(&wireMsg{Type: "create", Object: id})}, 0)
 			if err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/proto"
 	"ursa/internal/transport"
 )
 
@@ -56,24 +57,24 @@ func (c *countedConn) Close() error {
 	return c.MsgConn.Close()
 }
 
-// TestDialRaceLeavesNothingOpen: two requests racing on a cold server
-// address both dial it; the volume keeps one connection and closes the other,
-// so after Close every connection it opened is closed and every goroutine
-// they started has exited.
+// TestDialRaceLeavesNothingOpen: two callers racing on a cold server address
+// of the volume's pool both dial it; the pool keeps one connection and closes
+// the other, so after the volume's Close every connection it opened is closed
+// and every goroutine they started has exited.
 func TestDialRaceLeavesNothingOpen(t *testing.T) {
 	c := testPool(t)
 	d := &raceDialer{Dialer: c.opts.Net.Dialer("client", transport.NodeConfig{}), gate: make(chan struct{})}
-	v := &Volume{clk: c.opts.Clock, dialer: d, conns: map[string]*seqConn{}}
+	v := &Volume{clk: c.opts.Clock, peers: transport.NewPeers(d, c.opts.Clock)}
 	goroutines := runtime.NumGoroutine()
 
 	var wg sync.WaitGroup
-	conns := make([]*seqConn, 2)
+	conns := make([]*transport.Client, 2)
 	for i := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var err error
-			if conns[i], err = v.conn(c.addrs[0]); err != nil {
+			if conns[i], err = v.peers.Get(c.addrs[0]); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -81,6 +82,9 @@ func TestDialRaceLeavesNothingOpen(t *testing.T) {
 	wg.Wait()
 	if conns[0] != conns[1] {
 		t.Error("the racing callers got different connections")
+	}
+	if _, err := v.call(c.addrs[0], &proto.Message{Op: proto.OpNop}); err != nil {
+		t.Fatal(err)
 	}
 	v.Close()
 

@@ -21,6 +21,7 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
 	"ursa/internal/clock"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
 	"ursa/internal/transport"
@@ -152,18 +153,6 @@ func (c *Cluster) Close() {
 	}
 }
 
-// seqConn is a connection restricted to one outstanding request.
-type seqConn struct {
-	mu  sync.Mutex
-	cli *transport.Client
-}
-
-func (sc *seqConn) call(m *proto.Message) (*proto.Message, error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.cli.Call(m, 0)
-}
-
 // Volume is the client-side device of a Sheepdog-like virtual disk.
 // Different chunks may be in flight concurrently (the gateway's event loop
 // overlaps network I/O), but each server connection carries one
@@ -174,9 +163,8 @@ type Volume struct {
 	chunks  [][]string // replica addresses per 64 MB chunk
 	vdiskID uint32
 	clk     clock.Clock
-	dialer  transport.Dialer
-	connsMu sync.Mutex
-	conns   map[string]*seqConn
+	peers   *transport.Peers
+	lanes   sync.Map // server address → *sync.Mutex held across its one outstanding request
 }
 
 // CreateVolume creates and places a virtual disk.
@@ -188,8 +176,7 @@ func (c *Cluster) CreateVolume(name string, size int64, clientAddr string) (*Vol
 		size:    size,
 		vdiskID: uint32(fnv(name)),
 		clk:     c.opts.Clock,
-		dialer:  c.opts.Net.Dialer(clientAddr, transport.NodeConfig{}),
-		conns:   map[string]*seqConn{},
+		peers:   transport.NewPeers(c.opts.Net.Dialer(clientAddr, transport.NodeConfig{}), c.opts.Clock),
 	}
 	nchunks := int(util.CeilDiv(size, util.ChunkSize))
 	perMachine := c.opts.SSDsPerMachine
@@ -211,11 +198,7 @@ func (c *Cluster) CreateVolume(name string, size int64, clientAddr string) (*Vol
 		v.chunks = append(v.chunks, replicas)
 		id := blockstore.MakeChunkID(v.vdiskID, uint32(i))
 		for _, addr := range replicas {
-			conn, err := v.conn(addr)
-			if err != nil {
-				return nil, err
-			}
-			resp, err := conn.call(&proto.Message{Op: proto.OpCreateChunk, Chunk: id})
+			resp, err := v.call(addr, &proto.Message{Op: proto.OpCreateChunk, Chunk: id})
 			if err != nil || resp.Status != proto.StatusOK {
 				return nil, fmt.Errorf("sheepdoglike: create chunk on %s failed", addr)
 			}
@@ -235,31 +218,18 @@ func fnv(s string) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// conn returns the connection to addr, dialing it on first use. Callers
-// racing on a cold address may both dial; the loser's connection is closed.
-func (v *Volume) conn(addr string) (*seqConn, error) {
-	v.connsMu.Lock()
-	if c, okC := v.conns[addr]; okC {
-		v.connsMu.Unlock()
-		return c, nil
+// call sends m to addr and waits for the answer, behind any request already
+// outstanding on that server's connection.
+func (v *Volume) call(addr string, m *proto.Message) (*proto.Message, error) {
+	lane, ok := v.lanes.Load(addr)
+	if !ok {
+		lane, _ = v.lanes.LoadOrStore(addr, new(sync.Mutex))
 	}
-	v.connsMu.Unlock()
-	mc, err := v.dialer.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	sc := &seqConn{cli: transport.NewClient(mc, v.clk)}
-	v.connsMu.Lock()
-	cur, okC := v.conns[addr]
-	if !okC {
-		v.conns[addr] = sc
-	}
-	v.connsMu.Unlock()
-	if okC {
-		sc.cli.Close()
-		return cur, nil
-	}
-	return sc, nil
+	lane.(*sync.Mutex).Lock()
+	defer lane.(*sync.Mutex).Unlock()
+	op := opctx.New(v.clk, 0)
+	defer op.Release()
+	return v.peers.Do(op, addr, m, 0)
 }
 
 // Size implements the block device size.
@@ -270,23 +240,14 @@ func (v *Volume) Flush() error { return nil }
 
 // Close tears down connections.
 func (v *Volume) Close() error {
-	v.connsMu.Lock()
-	defer v.connsMu.Unlock()
-	for _, c := range v.conns {
-		c.cli.Close()
-	}
-	v.conns = map[string]*seqConn{}
+	v.peers.CloseAll()
 	return nil
 }
 
 // ReadAt reads each piece from the first replica.
 func (v *Volume) ReadAt(p []byte, off int64) error {
 	return v.forEach(p, off, func(idx int, buf []byte, chunkOff int64) error {
-		conn, err := v.conn(v.chunks[idx][0])
-		if err != nil {
-			return err
-		}
-		resp, err := conn.call(&proto.Message{
+		resp, err := v.call(v.chunks[idx][0], &proto.Message{
 			Op:     proto.OpRead,
 			Chunk:  blockstore.MakeChunkID(v.vdiskID, uint32(idx)),
 			Off:    chunkOff,
@@ -312,12 +273,7 @@ func (v *Volume) WriteAt(p []byte, off int64) error {
 		errs := make(chan error, len(replicas))
 		for _, addr := range replicas {
 			go func(addr string) {
-				conn, err := v.conn(addr)
-				if err != nil {
-					errs <- err
-					return
-				}
-				resp, err := conn.call(&proto.Message{
+				resp, err := v.call(addr, &proto.Message{
 					Op:      proto.OpWrite,
 					Chunk:   id,
 					Off:     chunkOff,

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ursa/internal/master"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -90,8 +91,9 @@ func footprintScenario(at func(footprintStage)) error {
 
 	// Connections, each having carried one message each way. First the SimNet
 	// connection alone — both ends and both pipes — then one with the RPC
-	// layers on it: a Client and its dispatcher at one end, the server's
-	// connection loop and a parked handler worker at the other.
+	// layers on it: a pool of one connection, its dispatcher and its recycled
+	// flight at one end, the server's connection loop and a parked handler
+	// worker at the other.
 	dial := c.Net.Dialer("footprint-client", transport.NodeConfig{})
 	bare, err := c.Net.Listen("footprint-bare", transport.NodeConfig{})
 	if err != nil {
@@ -125,14 +127,12 @@ func footprintScenario(at func(footprintStage)) error {
 	}
 	srv := transport.Serve(l, func(m *proto.Message) *proto.Message { return m.Reply(proto.StatusOK) })
 	defer srv.Close()
+	op := opctx.New(c.Clock(), 0)
+	defer op.Release()
 	for i := 0; i < footprintConns; i++ {
-		conn, err := dial.Dial("footprint-rpc")
-		if err != nil {
-			return err
-		}
-		rpc := transport.NewClient(conn, c.Clock())
-		defer rpc.Close()
-		if _, err := rpc.Call(&proto.Message{Op: proto.OpNop}, 0); err != nil {
+		rpc := transport.NewPeers(dial, c.Clock())
+		defer rpc.CloseAll()
+		if _, err := rpc.Do(op, "footprint-rpc", &proto.Message{Op: proto.OpNop}, 0); err != nil {
 			return err
 		}
 	}

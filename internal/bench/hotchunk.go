@@ -16,11 +16,10 @@ import (
 	"ursa/internal/util"
 )
 
-// hotchunkCell is one (queue depth, admission bound) measurement of 4 KiB
-// random writes against a single chunk.
+// hotchunkCell is one queue depth's measurement of 4 KiB random writes
+// against a single chunk.
 type hotchunkCell struct {
 	QD           int     `json:"qd"`
-	MaxInflight  int     `json:"max_inflight"` // 0 = transport default
 	WritesPerSec float64 `json:"writes_per_sec"`
 	MeanLatMs    float64 `json:"mean_lat_ms"`
 	P99LatMs     float64 `json:"p99_lat_ms"`
@@ -51,10 +50,9 @@ var hotchunkChunk = blockstore.MakeChunkID(7, 0)
 
 // runHotchunkCell measures 4 KiB random writes to ONE chunk on a 3-replica
 // group (primary SSD, two backups journaling to SSD) at the given client
-// queue depth. maxInflight overrides the per-connection server admission
-// bound (0 = default). The journal sets are not Started: the cell isolates
-// the write pipeline from replay traffic.
-func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
+// queue depth. The journal sets are not Started: the cell isolates the write
+// pipeline from replay traffic.
+func runHotchunkCell(cfg Config, qd int) hotchunkCell {
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, netLatency)
 	reg := metrics.NewRegistry()
@@ -77,7 +75,6 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 			Dialer:      net.Dialer(addr, transport.NodeConfig{}),
 			ReplTimeout: 2 * time.Second,
 			Metrics:     reg,
-			MaxInflight: maxInflight,
 		}, store, jset)
 		l, err := net.Listen(addr, transport.NodeConfig{})
 		if err != nil {
@@ -100,12 +97,8 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 	create(b1, nil)
 	create(b2, nil)
 
-	conn, err := net.Dialer("cli", transport.NodeConfig{}).Dial("p")
-	if err != nil {
-		panic(err)
-	}
-	cli := transport.NewClient(conn, clk)
-	defer cli.Close()
+	cli := transport.NewPeers(net.Dialer("cli", transport.NodeConfig{}), clk)
+	defer cli.CloseAll()
 
 	// One shared version allocator across the workers: the chunk's version
 	// chain is global, exactly as one vdisk client's writeFragment counter
@@ -127,7 +120,7 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 			op := opctx.New(clk, loopWindow(cfg))
 			defer op.Release()
 			for attempt := 0; ; attempt++ {
-				resp, err := cli.Do(op, &proto.Message{
+				resp, err := cli.Do(op, "p", &proto.Message{
 					Op: proto.OpWrite, Chunk: hotchunkChunk, Off: off,
 					View: 1, Version: v, Payload: data,
 				}, 0)
@@ -143,7 +136,6 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 	})
 	cell := hotchunkCell{
 		QD:           qd,
-		MaxInflight:  maxInflight,
 		WritesPerSec: perSec,
 		MeanLatMs:    ms(lat.Mean()),
 		P99LatMs:     ms(lat.Quantile(0.99)),
@@ -168,8 +160,7 @@ func runHotchunkCell(cfg Config, qd, maxInflight int) hotchunkCell {
 // same-chunk concurrency at the primary SSD and the backups' group-commit
 // queues. The acceptance is exactly that: QD 32 sustains at least twice QD
 // 1's writes/s, and the backups' journals batch more than one same-chunk
-// append per flush at QD 32. A second sweep varies the per-connection
-// server admission bound at QD 32. Results are also written to
+// append per flush at QD 32. Results are also written to
 // BENCH_hotchunk.json.
 func FigHotchunk(cfg Config) Table {
 	t := Table{
@@ -179,7 +170,7 @@ func FigHotchunk(cfg Config) Table {
 	}
 	doc := hotchunkBenchDoc{ScalingFloor: 2}
 	for _, qd := range []int{1, 8, 32} {
-		c := runHotchunkCell(cfg, qd, 0)
+		c := runHotchunkCell(cfg, qd)
 		doc.Cells = append(doc.Cells, c)
 		t.Rows = append(t.Rows, []string{
 			f0(float64(qd)),
@@ -195,25 +186,6 @@ func FigHotchunk(cfg Config) Table {
 	if qd1.WritesPerSec > 0 {
 		doc.ScalingQD32 = qd32.WritesPerSec / qd1.WritesPerSec
 	}
-
-	// Server-side admission sweep: the pipeline can only sustain the queue
-	// depth the per-connection bound admits.
-	sweep := Table{
-		ID:     "Fig H.b",
-		Title:  "Admission sweep at QD 32: transport.WithMaxInflight",
-		Header: []string{"max inflight", "writes/s", "mean lat", "p99 lat"},
-	}
-	for _, mi := range []int{1, 8, transport.DefaultMaxInflightPerConn} {
-		c := runHotchunkCell(cfg, 32, mi)
-		doc.Cells = append(doc.Cells, c)
-		sweep.Rows = append(sweep.Rows, []string{
-			f0(float64(mi)),
-			f0(c.WritesPerSec),
-			msUs(c.MeanLatMs),
-			msUs(c.P99LatMs),
-		})
-	}
-	t.Extra = append(t.Extra, sweep)
 
 	t.Notes = append(t.Notes,
 		"writes to disjoint extents of one chunk are admitted concurrently, so the primary SSD",

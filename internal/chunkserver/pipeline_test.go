@@ -316,10 +316,12 @@ func TestDegradedCommitRepliesPastSilentBackup(t *testing.T) {
 	const writes = 4
 	for v := uint64(0); v < writes; v++ {
 		t0 := time.Now()
-		resp, err := client.Call("p", &proto.Message{
+		op := opctx.New(clock.Realtime, window)
+		resp, err := client.Do(op, "p", &proto.Message{
 			Op: proto.OpWrite, Chunk: testChunk, Off: int64(v) * 64 * util.KiB,
 			View: 1, Version: v, Payload: bytes.Repeat([]byte{byte(0x70 + v)}, 4*util.KiB),
-		}, window)
+		}, 0)
+		op.Release()
 		took := time.Since(t0)
 		if err != nil || resp.Status != proto.StatusOK || resp.Version != v+1 {
 			t.Fatalf("write %d: %+v, %v", v, resp, err)

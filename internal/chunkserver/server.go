@@ -38,9 +38,6 @@ type Config struct {
 	// BypassThreshold is Tj: backup writes larger than this skip the
 	// journal (§3.2). 0 means the 64 KB paper default.
 	BypassThreshold int
-	// MaxInflight bounds concurrent handlers per transport connection
-	// (server-side admission queue depth). 0 means the transport default.
-	MaxInflight int
 	// MasterAddrs lists the master endpoints (one entry for a single
 	// master). Device failures are reported there (MOpReportFailure) so the
 	// master runs the §4.2.2 view change that re-replicates the chunk
@@ -165,8 +162,7 @@ func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 
 // Serve starts handling requests on l. It returns immediately.
 func (s *Server) Serve(l transport.Listener) {
-	s.rpc = transport.Serve(l, s.Handle,
-		transport.WithQueueMetrics(s.cfg.Metrics), transport.WithMaxInflight(s.cfg.MaxInflight))
+	s.rpc = transport.Serve(l, s.Handle, transport.WithQueueMetrics(s.cfg.Metrics))
 }
 
 // Close stops the RPC server, the master session and the journal replayer.

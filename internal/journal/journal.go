@@ -140,9 +140,6 @@ func newJournal(name string, disk simdisk.Disk, base, size int64, region int) *J
 	}
 }
 
-// freeBytes returns unreserved space.
-func (j *Journal) freeBytes() int64 { return j.size - (j.head - j.tail) }
-
 // UsedBytes returns space between tail and head (live + pad).
 func (j *Journal) UsedBytes() int64 { return j.head - j.tail }
 

@@ -39,6 +39,8 @@ type slotServers struct {
 	refuse func(addr string, id blockstore.ChunkID) bool
 	// fence, when non-zero, makes every server answer StatusStaleEpoch at it.
 	fence uint64
+	// flushHold is how long a server takes to answer an OpFlushChunks.
+	flushHold time.Duration
 }
 
 // newSlotEnv starts a master over the given number of machines of slot
@@ -84,6 +86,9 @@ func (ss *slotServers) serve(t *testing.T, m *Master, machines int) {
 }
 
 func (ss *slotServers) handle(addr string, msg *proto.Message) *proto.Message {
+	if msg.Op == proto.OpFlushChunks {
+		return ss.flush(addr, msg)
+	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.msgs[addr][msg.Op]++
@@ -125,6 +130,24 @@ func (ss *slotServers) handle(addr string, msg *proto.Message) *proto.Message {
 		return msg.Reply(proto.StatusOK)
 	}
 	return msg.ReplyBatch(results)
+}
+
+// flush answers an OpFlushChunks after flushHold — outside ss.mu, so that
+// servers flush side by side — with an empty extent table per chunk.
+func (ss *slotServers) flush(addr string, msg *proto.Message) *proto.Message {
+	ss.mu.Lock()
+	ss.msgs[addr][msg.Op]++
+	hold := ss.flushHold
+	ss.mu.Unlock()
+	var req chunkserver.FlushChunksReq
+	if err := json.Unmarshal(msg.Payload, &req); err != nil {
+		return msg.Reply(proto.StatusError)
+	}
+	time.Sleep(hold)
+	payload, _ := json.Marshal(chunkserver.FlushChunksResp{Extents: make([][]coldtier.ExtentRef, len(req.Chunks))})
+	r := msg.Reply(proto.StatusOK)
+	r.Payload = payload
+	return r
 }
 
 func (ss *slotServers) total() int {
@@ -250,7 +273,9 @@ func TestCreateLayoutMatchesSerial(t *testing.T) {
 	m2, serial := newSlotEnv(t, 3, 0, 5*time.Second)
 	for i, cm := range meta.Chunks {
 		for pos, r := range cm.Replicas {
-			if !m2.createReplica(r.Addr, blockstore.MakeChunkID(meta.ID, uint32(i)), m2.createReq(cm, pos, req.Redundancy)) {
+			create := chunkserver.CreateChunks(chunkserver.ChunkCreate{
+				Chunk: blockstore.MakeChunkID(meta.ID, uint32(i)), CreateChunkReq: m2.createReq(cm, pos, req.Redundancy)})
+			if st, _ := send(m2, r.Addr, create, 5*time.Second); st != proto.StatusOK {
 				t.Fatalf("serial create of chunk %d on %s failed", i, r.Addr)
 			}
 		}
@@ -448,8 +473,8 @@ func TestPromotionBoundedByOneWindowEach(t *testing.T) {
 	for _, addr := range silent {
 		// Connect first: a partition drops traffic on a live connection,
 		// where a fresh dial would fail at once.
-		if _, err := standby.peers.Call(addr, &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
-			t.Fatal(err)
+		if _, ok := send(standby, addr, &proto.Message{Op: proto.OpNop}, time.Second); !ok {
+			t.Fatalf("%s never answered", addr)
 		}
 		ss.net.Partition("master-1", addr)
 	}

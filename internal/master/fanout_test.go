@@ -1,0 +1,196 @@
+package master
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"ursa/internal/clock"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/transport"
+	"ursa/internal/util"
+)
+
+// peerCallsOutsideFanOut returns, for every method of a peers field called in
+// f outside fanOut, "function: x.peers.Method" — SetRedial in New and
+// CloseAll in Close excepted.
+func peerCallsOutsideFanOut(f *ast.File) []string {
+	allowed := map[[2]string]bool{{"New", "SetRedial"}: true, {"Close", "CloseAll"}: true}
+	var out []string
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil || fn.Name.Name == "fanOut" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			method, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			field, ok := method.X.(*ast.SelectorExpr)
+			if !ok || field.Sel.Name != "peers" {
+				return true
+			}
+			if !allowed[[2]string{fn.Name.Name, method.Sel.Name}] {
+				out = append(out, fmt.Sprintf("%s: %s.peers.%s", fn.Name.Name, types(field.X), method.Sel.Name))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// types names the receiver expression of a peers field for a message.
+func types(x ast.Expr) string {
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "…"
+}
+
+// TestMasterSendsOnlyThroughFanOut: no non-test file of package master calls
+// a method of the master's peer pool outside fanOut, but New setting its
+// redial policy and Close closing it: every message the master sends — a
+// command, a clone, a flush, a log batch — is a queue of a fanOut. The rule is
+// first run on a sample it must catch and one it must let pass.
+func TestMasterSendsOnlyThroughFanOut(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      []string
+	}{
+		{"a sender beside fanOut", `package x
+func (m *Master) admin(addr string, msg *proto.Message) { m.peers.Call(addr, msg, 0) }`,
+			[]string{"admin: m.peers.Call"}},
+		{"fanOut, New and Close", `package x
+func (m *Master) fanOut() { fl := m.peers.Begin(op, 1, 0); defer fl.Finish() }
+func New(cfg Config) *Master { m.peers.SetRedial(policy, 2); return m }
+func (m *Master) Close() { m.peers.CloseAll() }
+func (m *Master) gc() { _ = coldtier.NewClient(m.peers, addr) }`, nil},
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), "sample.go", c.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := peerCallsOutsideFanOut(f); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Fatalf("%s: the rule flags %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned++
+		for _, call := range peerCallsOutsideFanOut(f) {
+			t.Errorf("%s: %s sends outside fanOut; make it a queue of a fanOut", path, call)
+		}
+	}
+	if scanned < 8 {
+		t.Fatalf("scanned %d files: the glob missed the package", scanned)
+	}
+}
+
+// TestSnapshotFlushesPrimariesAtOnce: a snapshot of a vdisk whose chunks have
+// four primaries asks all four to flush at once — with each holding its flush
+// for D, the snapshot returns within 2·D, where one server after another takes
+// 4·D — and each primary is sent one flush.
+func TestSnapshotFlushesPrimariesAtOnce(t *testing.T) {
+	const primaries, hold = 4, 200 * time.Millisecond
+	ss := newSlotServers(transport.NewSimNet(clock.Realtime, 0))
+	m := New(Config{
+		Addr: "master", Clock: clock.Realtime, HybridMode: true, RPCTimeout: time.Second,
+		Dialer: ss.net.Dialer("master", transport.NodeConfig{}), Metrics: ss.reg,
+		ObjstoreAddr: "objstore", // never dialed: the slot servers answer the flushes
+	})
+	t.Cleanup(m.Close)
+	ss.serve(t, m, primaries)
+	meta, err := m.CreateVDisk(CreateVDiskReq{Name: "d", Size: 2 * primaries * util.ChunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int)
+	for _, cm := range meta.Chunks {
+		want[cm.Replicas[0].Addr] = 1
+	}
+	if len(want) != primaries {
+		t.Fatalf("the vdisk's chunks have %d primaries, want %d", len(want), primaries)
+	}
+	ss.mu.Lock()
+	ss.flushHold = hold
+	ss.mu.Unlock()
+
+	t0 := time.Now()
+	snap, err := m.SnapshotVDisk("d", "snap")
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Chunks) != len(meta.Chunks) {
+		t.Fatalf("snapshot of %d chunks, want %d", len(snap.Chunks), len(meta.Chunks))
+	}
+	requireOneEach(t, "flush", ss.sent(proto.OpFlushChunks), want, len(meta.Chunks))
+	if took >= 2*hold {
+		t.Fatalf("snapshot took %v with %d primaries holding each flush %v: they flushed one after another", took, primaries, hold)
+	}
+}
+
+// TestRecoverMirrorPlacesReplacementsApart: both backups of a mirrored chunk
+// die and one of them is reported. Each replacement is picked seeing the one
+// picked before it, so the two are different servers on different machines,
+// and the new view holds three distinct addresses.
+func TestRecoverMirrorPlacesReplacementsApart(t *testing.T) {
+	e := newEnv(t, 5, true)
+	meta := VDiskMeta{
+		ID: 1, Name: "d", Size: util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit, LeaseTTL: 10 * time.Second,
+		Chunks: []ChunkMeta{{View: 1, Replicas: []ReplicaInfo{{Addr: "m1/ssd", SSD: true}, {Addr: "m2/hdd"}, {Addr: "m3/hdd"}}}},
+	}
+	commit(t, e.m, entry{PutVDisk: &entryPutVDisk{Meta: meta, NextID: meta.ID}})
+	if err := e.m.createChunks(meta.ID, meta.Chunks, redundancy.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	e.net.Crash("m2/hdd")
+	e.net.Crash("m3/hdd")
+
+	cm, err := e.m.RecoverChunk(meta.ID, 0, "m2/hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.View != 2 || len(cm.Replicas) != 3 {
+		t.Fatalf("new view %d with replicas %+v, want view 2 with three", cm.View, cm.Replicas)
+	}
+	addrs, machines := make(map[string]bool), make(map[string]bool)
+	for _, r := range cm.Replicas {
+		machine, _, _ := strings.Cut(r.Addr, "/")
+		if addrs[r.Addr] || machines[machine] {
+			t.Fatalf("replicas %+v: two on one server or machine", cm.Replicas)
+		}
+		addrs[r.Addr], machines[machine] = true, true
+		if r.Addr == "m2/hdd" || r.Addr == "m3/hdd" {
+			t.Fatalf("replicas %+v: a dead backup is still in the view", cm.Replicas)
+		}
+	}
+}

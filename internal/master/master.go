@@ -8,7 +8,6 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
-	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/coldtier"
 	"ursa/internal/metrics"
@@ -169,35 +168,14 @@ func (m *Master) register(req RegisterReq) (any, error) {
 	return nil, m.commitLocked(entry{AddServer: &req})
 }
 
-// admin sends one command to a chunk server through the shared peer pool,
-// which evicts the cached connection on transport faults so the next use
-// redials. body, when non-nil, is the command's JSON payload. The request is
-// stamped with the current primacy epoch and the answer goes through heed.
-// ok reports a StatusOK answer; resp is nil when the server never answered.
-func (m *Master) admin(addr string, op proto.Op, id blockstore.ChunkID, view, version uint64,
-	body any, timeout time.Duration) (resp *proto.Message, ok bool) {
-
-	payload, err := jsonBody(body)
-	if err != nil {
-		return nil, false
-	}
-	resp, err = m.peers.Call(addr, &proto.Message{
-		Op: op, Chunk: id, View: view, Version: version, Epoch: m.Epoch(), Payload: payload,
-	}, timeout)
-	if err != nil {
-		return nil, false
-	}
-	return resp, m.heed(resp)
-}
-
-// heed takes in a chunk server's answer to a master command and reports
-// whether it is StatusOK. A StatusStaleEpoch rejection deposes this master on
-// the spot: some chunkserver has witnessed a newer primary.
-func (m *Master) heed(resp *proto.Message) bool {
+// heed takes in an answer to the master — from a chunk server or another
+// master — and deposes this master on the spot when it is a StatusStaleEpoch
+// refusal: the sender has witnessed a newer primary, whose epoch the reply
+// header carries.
+func (m *Master) heed(resp *proto.Message) {
 	if resp.Status == proto.StatusStaleEpoch {
 		m.fencedByEpoch(resp.Epoch)
 	}
-	return resp.Status == proto.StatusOK
 }
 
 // serverQueue is one server's share of a control-plane fan-out: the messages
@@ -207,17 +185,19 @@ type serverQueue struct {
 	msgs []*proto.Message
 }
 
-// fanOut is how the master addresses several servers at once — never a loop
-// over admin. It sends the queues as one flight with one window for
-// everything (RPCTimeout for commands; promotion's probe and fence take
-// PrimacyTTL/4): every queue's first message at the start, a queue's next when
-// its previous has been answered, so the round trips a command costs count the
-// messages of its longest queue, not its servers or its chunks. Messages are
-// stamped with the primacy epoch and every answer goes through heed; answered,
-// when non-nil, then reads the answer (which it must not keep) and says
-// whether that queue's next message may go. acked[q] is how many of queue q's
-// messages were answered: the rest, sent or not, reached nobody as far as the
-// master knows.
+// fanOut is the master's one way to send, to one server or to many. It sends
+// the queues as one flight with one window for everything (RPCTimeout for
+// commands; a clone, a rebuild or a flush takes a multiple of it, a log batch
+// PrimacyTTL/2, promotion's probe and fence PrimacyTTL/4): every queue's first
+// message at the start, a queue's next when its previous has been answered,
+// so the round trips a command costs count the messages of its longest queue,
+// not its servers or its chunks, and what one server must do in order —
+// create a slot, then fill it — is one queue. Messages are stamped with the
+// primacy epoch and every answer goes through heed; answered, when non-nil,
+// then reads the answer (which it must not keep) and says whether that
+// queue's next message may go. acked[q] is how many of queue q's messages
+// were answered: the rest, sent or not, reached nobody as far as the master
+// knows.
 func (m *Master) fanOut(window time.Duration, queues []serverQueue, answered func(q int, resp *proto.Message) bool) (acked []int) {
 	total := 0
 	for _, q := range queues {
@@ -283,19 +263,15 @@ func byServer(chunks []ChunkMeta) (queues []serverQueue, held [][]replicaRef) {
 	return queues, held
 }
 
-// createReplica (re)creates a chunk replica's slot on addr: a create of one
-// entry. A slot that already exists — a restarted server re-attaching, a
-// retried recovery — is as good as a fresh one.
-func (m *Master) createReplica(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq) (ok bool) {
-	msg := chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: id, CreateChunkReq: req})
-	m.fanOut(m.cfg.RPCTimeout, []serverQueue{{addr, []*proto.Message{msg}}}, func(_ int, resp *proto.Message) bool {
-		ok = resp.Status == proto.StatusOK || resp.Status == proto.StatusExists
-		return true
-	})
-	return ok
+// command builds a master command about one chunk; body, when non-nil, is its
+// JSON payload.
+func command(op proto.Op, id blockstore.ChunkID, view, version uint64, body any) *proto.Message {
+	payload, _ := jsonBody(body) // strings and numbers: cannot fail
+	return &proto.Message{Op: op, Chunk: id, View: view, Version: version, Payload: payload}
 }
 
-// Handle serves master RPCs.
+// Handle serves master RPCs. A StatusStaleEpoch refusal carries the epoch
+// that fenced the sender in its header, as a chunk server's does.
 func (m *Master) Handle(msg *proto.Message) *proto.Message {
 	res := m.dispatch(msg)
 	payload, err := jsonBody(res.body)
@@ -303,6 +279,9 @@ func (m *Master) Handle(msg *proto.Message) *proto.Message {
 		return msg.Reply(proto.StatusError)
 	}
 	r := msg.Reply(res.status)
+	if res.status == proto.StatusStaleEpoch {
+		r.Epoch = res.epoch
+	}
 	r.Payload = payload
 	return r
 }
@@ -329,7 +308,7 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 	case proto.MOpMasterInfo:
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return jsonResult{proto.StatusOK, m.masterInfoLocked()}
+		return jsonResult{status: proto.StatusOK, body: m.masterInfoLocked()}
 	}
 	if !m.IsPrimary() {
 		return m.failure(util.ErrNotPrimary)
@@ -354,7 +333,7 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 	case proto.MOpStats:
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return jsonResult{proto.StatusOK, StatsResp{
+		return jsonResult{status: proto.StatusOK, body: StatsResp{
 			Servers: len(m.st.servers), VDisks: len(m.st.vdisks), ViewChanges: m.st.viewChanges,
 		}}
 	case proto.MOpRegister:
@@ -374,10 +353,12 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 	}
 }
 
-// jsonResult pairs a status with a JSON-encodable body (nil: no payload).
+// jsonResult pairs a status with a JSON-encodable body (nil: no payload) and,
+// for a StatusStaleEpoch refusal, the epoch that out-ranks the sender.
 type jsonResult struct {
 	status proto.Status
 	body   any
+	epoch  uint64
 }
 
 // serve decodes msg's payload into fn's request type, runs fn, and turns
@@ -392,22 +373,20 @@ func serve[Req, Resp any](m *Master, msg *proto.Message, fn func(Req) (Resp, err
 	if err != nil {
 		return m.failure(err)
 	}
-	return jsonResult{proto.StatusOK, resp}
+	return jsonResult{status: proto.StatusOK, body: resp}
 }
 
 // failure maps an error to its wire result. The two refusals that tell the
-// caller where to go next carry a body: a standby's redirect hint, and the
-// epoch that out-ranks a stale primary's log batch.
+// caller where to go next carry it: a standby's redirect hint in the body, and
+// the epoch that out-ranks a stale primary's log batch in the header.
 func (m *Master) failure(err error) jsonResult {
 	switch {
 	case errors.Is(err, util.ErrNotPrimary):
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return jsonResult{proto.StatusNotPrimary, m.masterInfoLocked()}
+		return jsonResult{status: proto.StatusNotPrimary, body: m.masterInfoLocked()}
 	case errors.Is(err, util.ErrStaleEpoch):
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return jsonResult{proto.StatusStaleEpoch, ReplicateLogResp{Epoch: m.epoch, Applied: uint64(len(m.log))}}
+		return jsonResult{status: proto.StatusStaleEpoch, epoch: m.Epoch()}
 	case errors.Is(err, util.ErrExists):
 		return jsonResult{status: proto.StatusExists}
 	case errors.Is(err, util.ErrNotFound):

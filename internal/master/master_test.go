@@ -10,6 +10,7 @@ import (
 	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/journal"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
 	"ursa/internal/transport"
@@ -106,6 +107,16 @@ func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 		}
 	})
 	return e
+}
+
+// send hands msg to addr through m's fanOut and returns the status of its
+// answer; ok is false when none came within window.
+func send(m *Master, addr string, msg *proto.Message, window time.Duration) (status proto.Status, ok bool) {
+	m.fanOut(window, []serverQueue{{addr, []*proto.Message{msg}}}, func(_ int, resp *proto.Message) bool {
+		status, ok = resp.Status, true
+		return true
+	})
+	return status, ok
 }
 
 // call drives the master through its RPC handler (as a client would).
@@ -352,15 +363,13 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 
 	// Advance one backup ahead of the other via direct replicate calls.
 	b1 := meta.Chunks[0].Replicas[1].Addr
-	conn, err := e.net.Dialer("driver", transport.NodeConfig{}).Dial(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := transport.NewClient(conn, e.clk)
-	defer cli.Close()
+	driver := transport.NewPeers(e.net.Dialer("driver", transport.NodeConfig{}), e.clk)
+	defer driver.CloseAll()
+	op := opctx.New(e.clk, 0)
+	defer op.Release()
 	id := blockstore.MakeChunkID(meta.ID, 0)
 	for v := uint64(0); v < 3; v++ {
-		resp, err := cli.Call(&proto.Message{
+		resp, err := driver.Do(op, b1, &proto.Message{
 			Op: proto.OpReplicate, Chunk: id, Off: int64(v) * 512,
 			View: 1, Version: v, Payload: make([]byte, 512),
 		}, 0)
@@ -374,13 +383,7 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 	}
 	// All replicas should now report version 3.
 	for _, r := range meta.Chunks[0].Replicas {
-		c2, err := e.net.Dialer("driver", transport.NodeConfig{}).Dial(r.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := transport.NewClient(c2, e.clk)
-		resp, err := cc.Call(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)}, 0)
-		cc.Close()
+		resp, err := driver.Do(op, r.Addr, &proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)}, 0)
 		if err != nil || resp.Version != 3 {
 			t.Errorf("%s version = %d (err %v)", r.Addr, resp.Version, err)
 		}

@@ -2,6 +2,7 @@ package master
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ursa/internal/blockstore"
@@ -120,31 +121,53 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		}
 	}
 
-	// Step 3: incremental repair of live laggards.
+	// Step 3: incremental repair of live laggards, all at once. Repair may
+	// fall back to a full clone on the far side, so it gets a clone's
+	// window. A laggard that cannot repair keeps its version behind; the
+	// client will report again.
+	var repairs []serverQueue
 	for _, st := range states {
-		if !st.alive || st.version == versionH || st.addr == source.addr {
+		if st.alive && st.version != versionH && st.addr != source.addr {
+			repairs = append(repairs, serverQueue{st.addr, []*proto.Message{
+				command(proto.OpRepairFrom, id, cm.View, 0, chunkserver.CloneChunkReq{Source: source.addr}),
+			}})
+		}
+	}
+	m.fanOut(60*m.cfg.RPCTimeout, repairs, nil)
+
+	// Step 4: replace dead replicas. Every replacement is chosen before any
+	// is made, each pick seeing the chunk's replicas and the picks before it,
+	// so no two land on one server or one machine. A dead SSD (primary)
+	// replica is replaced by another SSD server — the paper notes SSD
+	// recovery is the urgent case in hybrid storage (§5.5). Then every
+	// replacement is created and cloned from source at once. One that cannot
+	// be placed or filled is left out: the chunk proceeds degraded, and
+	// durability is restored on the next report.
+	var picks []ReplicaInfo
+	var fills []serverQueue
+	replacedBy := make([]int, len(states)) // the pick replacing each dead replica, or -1
+	for i, st := range states {
+		replacedBy[i] = -1
+		if st.alive {
 			continue
 		}
-		// Repair may fall back to a full clone on the far side. A laggard
-		// that cannot repair keeps its version behind; the client will
-		// report again.
-		m.admin(st.addr, proto.OpRepairFrom, id, cm.View, 0,
-			chunkserver.CloneChunkReq{Source: source.addr}, 60*m.cfg.RPCTimeout)
+		cand, found := m.pickReplacement(append(slices.Clone(cm.Replicas), picks...), st.addr, st.ssd)
+		if !found {
+			continue
+		}
+		replacedBy[i] = len(picks)
+		picks = append(picks, cand)
+		fills = append(fills, fillQueue(cand.Addr, id, chunkserver.CreateChunkReq{View: cm.View},
+			command(proto.OpCloneChunk, id, cm.View, 0, chunkserver.CloneChunkReq{Source: source.addr})))
 	}
-
-	// Step 4: replace dead replicas.
+	filled := m.fill(fills, versionH)
 	newReplicas := make([]ReplicaInfo, 0, len(cm.Replicas))
-	for _, st := range states {
+	for i, st := range states {
 		if st.alive {
 			newReplicas = append(newReplicas, ReplicaInfo{Addr: st.addr, SSD: st.ssd})
-			continue
+		} else if p := replacedBy[i]; p >= 0 && filled[p] {
+			newReplicas = append(newReplicas, picks[p])
 		}
-		repl, err := m.allocateReplacement(id, cm, st, source.addr, versionH)
-		if err != nil {
-			// Proceed degraded: durability is restored on the next report.
-			continue
-		}
-		newReplicas = append(newReplicas, repl)
 	}
 
 	// Keep the preferred primary (an SSD replica) first.
@@ -212,8 +235,7 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 		if i == 0 {
 			req.Backups = backups
 		}
-		payload, _ := jsonBody(req) // strings and numbers: cannot fail
-		queues[i] = serverQueue{r.Addr, []*proto.Message{{Op: proto.OpSetView, Chunk: id, View: newView, Payload: payload}}}
+		queues[i] = serverQueue{r.Addr, []*proto.Message{command(proto.OpSetView, id, newView, 0, req)}}
 	}
 	m.fanOut(m.cfg.RPCTimeout, queues, nil)
 
@@ -371,15 +393,11 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 func (m *Master) rsClonePrimary(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec,
 	addr string, sources []chunkserver.PieceSource, versionH uint64) bool {
 
-	if len(sources) < spec.N ||
-		!m.createReplica(addr, id, chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec}) {
+	if len(sources) < spec.N {
 		return false
 	}
-	// Decoding a full chunk moves 64 MB through the fabric: give it the
-	// same headroom as a whole-chunk clone.
-	resp, ok := m.admin(addr, proto.OpCloneChunk, id, cm.View, versionH,
-		chunkserver.CloneChunkReq{Spec: spec, Sources: sources}, 60*m.cfg.RPCTimeout)
-	return ok && resp.Version >= versionH
+	return m.fill([]serverQueue{fillQueue(addr, id, chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec},
+		command(proto.OpCloneChunk, id, cm.View, versionH, chunkserver.CloneChunkReq{Spec: spec, Sources: sources}))}, versionH)[0]
 }
 
 // rsRebuildSegment (re)creates segment seg on target and rebuilds its
@@ -388,19 +406,38 @@ func (m *Master) rsClonePrimary(id blockstore.ChunkID, cm ChunkMeta, spec redund
 func (m *Master) rsRebuildSegment(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec,
 	seg int, target, primary string, sources []chunkserver.PieceSource, versionH uint64) bool {
 
-	if !m.createReplica(target, id, chunkserver.CreateChunkReq{
-		View: cm.View, Redundancy: spec, Holder: true, Seg: seg,
-	}) {
-		return false
-	}
 	req := chunkserver.RebuildSegmentReq{Spec: spec, Seg: seg}
 	if primary != "" {
 		req.Primary = primary
 	} else {
 		req.Sources = sources
 	}
-	_, ok := m.admin(target, proto.OpRebuildSegment, id, cm.View, versionH, req, 60*m.cfg.RPCTimeout)
-	return ok
+	return m.fill([]serverQueue{fillQueue(target, id, chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec, Holder: true, Seg: seg},
+		command(proto.OpRebuildSegment, id, cm.View, versionH, req))}, versionH)[0]
+}
+
+// fillQueue is one replacement's share of a view change: create the chunk's
+// slot on addr — a slot that already exists, a restarted server re-attaching
+// or a retried recovery, is as good as a fresh one — and then fill it with
+// then, a clone or a rebuild.
+func fillQueue(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq, then *proto.Message) serverQueue {
+	return serverQueue{addr, []*proto.Message{chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: id, CreateChunkReq: req}), then}}
+}
+
+// fill sends fill queues, all at once, and reports which were filled: their
+// fill answered OK at versionH or later. Filling a slot moves up to a whole
+// 64 MB chunk through a bandwidth-shaped fabric, so the window is far wider
+// than a control RPC's.
+func (m *Master) fill(queues []serverQueue, versionH uint64) []bool {
+	filled := make([]bool, len(queues))
+	m.fanOut(60*m.cfg.RPCTimeout, queues, func(q int, resp *proto.Message) bool {
+		if resp.Op == proto.OpCreateChunk {
+			return resp.Status == proto.StatusOK || resp.Status == proto.StatusExists
+		}
+		filled[q] = resp.Status == proto.StatusOK && resp.Version >= versionH
+		return false
+	})
+	return filled
 }
 
 // chunkMetaSpec returns a deep copy of one chunk's current metadata plus its
@@ -417,39 +454,9 @@ func (m *Master) chunkMetaSpec(vdiskID, chunkIndex uint32) (*ChunkMeta, redundan
 	return &cm, m.st.vdisks[vdiskID].meta.Redundancy, nil
 }
 
-// allocateReplacement creates a fresh replica for a dead one and clones
-// versionH state into it from source. A dead SSD (primary) replica is
-// replaced by another SSD server — the paper notes SSD recovery is the
-// urgent case in hybrid storage (§5.5).
-func (m *Master) allocateReplacement(id blockstore.ChunkID, cm ChunkMeta,
-	dead replicaVersion, source string, versionH uint64) (ReplicaInfo, error) {
-
-	cand, found := m.pickReplacement(cm.Replicas, dead.addr, dead.ssd)
-	if !found {
-		return ReplicaInfo{}, fmt.Errorf("master: no replacement server for %v: %w",
-			id, util.ErrQuota)
-	}
-
-	if !m.createReplica(cand.Addr, id, chunkserver.CreateChunkReq{View: cm.View}) {
-		return ReplicaInfo{}, fmt.Errorf("master: create replacement on %s failed", cand.Addr)
-	}
-	// A whole-chunk clone moves 64 MB through a bandwidth-shaped fabric:
-	// give it far more headroom than a control RPC.
-	resp, ok := m.admin(cand.Addr, proto.OpCloneChunk, id, cm.View, 0,
-		chunkserver.CloneChunkReq{Source: source}, 60*m.cfg.RPCTimeout)
-	if !ok {
-		return ReplicaInfo{}, fmt.Errorf("master: clone to %s failed", cand.Addr)
-	}
-	if resp.Version < versionH {
-		return ReplicaInfo{}, fmt.Errorf("master: clone to %s stopped at version %d < %d",
-			cand.Addr, resp.Version, versionH)
-	}
-	return cand, nil
-}
-
 // pickReplacement chooses a fresh server of the requested storage class
-// whose machine hosts none of the chunk's other replicas (deadAddr is the
-// replica being replaced and does not pin its machine).
+// whose machine hosts none of replicas but deadAddr — the replica being
+// replaced, which does not pin its machine.
 func (m *Master) pickReplacement(replicas []ReplicaInfo, deadAddr string, ssd bool) (ReplicaInfo, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ursa/internal/bufpool"
 	"ursa/internal/clock"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
@@ -312,41 +311,30 @@ func (m *Master) shipLoop(peer string, wake chan struct{}) {
 		batch := m.log[cursor:min(end, cursor+shipBatchMax)]
 		m.mu.Unlock()
 
-		var ack ReplicateLogResp
-		status, err := m.callPeer(peer, proto.MOpReplicateLog, epoch,
-			ReplicateLogReq{Epoch: epoch, From: m.cfg.Addr, Entries: batch}, &ack, m.cfg.PrimacyTTL/2)
+		payload, err := jsonBody(ReplicateLogReq{Epoch: epoch, From: m.cfg.Addr, Entries: batch})
 		if err != nil {
-			continue // dead standby: the heartbeat tick paces the retry
+			continue
 		}
-		if status == proto.StatusStaleEpoch || (status == proto.StatusOK && ack.Epoch > epoch) {
-			m.fencedByEpoch(ack.Epoch)
-		} else if status == proto.StatusOK {
-			if ack.Applied > cursor && ack.Applied < end {
-				kick(wake) // progress, and more to send: go again without waiting
-			} else if ack.Applied == cursor && len(batch) > 0 {
-				m.cfg.Metrics.Counter(MetricMasterReplayRefused).Inc()
-			}
-			cursor = ack.Applied
+		// A standby that refuses the batch as stale has deposed this master
+		// by the time fanOut returns (heed); one that is dead or silent is
+		// retried at the heartbeat tick.
+		var ack ReplicateLogResp
+		acked := false
+		m.fanOut(m.cfg.PrimacyTTL/2, []serverQueue{{peer, []*proto.Message{{Op: proto.MOpReplicateLog, Payload: payload}}}},
+			func(_ int, resp *proto.Message) bool {
+				acked = resp.Status == proto.StatusOK && json.Unmarshal(resp.Payload, &ack) == nil
+				return true
+			})
+		if !acked {
+			continue
 		}
+		if ack.Applied > cursor && ack.Applied < end {
+			kick(wake) // progress, and more to send: go again without waiting
+		} else if ack.Applied == cursor && len(batch) > 0 {
+			m.cfg.Metrics.Counter(MetricMasterReplayRefused).Inc()
+		}
+		cursor = ack.Applied
 	}
-}
-
-// callPeer sends one replication-control request to another master and
-// decodes the JSON body of its answer, whatever the status, into out.
-func (m *Master) callPeer(peer string, op proto.Op, epoch uint64, body, out any, timeout time.Duration) (proto.Status, error) {
-	payload, err := jsonBody(body)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := m.peers.Call(peer, &proto.Message{Op: op, Epoch: epoch, Payload: payload}, timeout)
-	if err != nil {
-		return 0, err
-	}
-	status := resp.Status
-	err = json.Unmarshal(resp.Payload, out)
-	bufpool.Put(resp.Payload)
-	proto.Recycle(resp)
-	return status, err
 }
 
 // monitorLoop watches for primary silence on standbys and runs the

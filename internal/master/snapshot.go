@@ -48,40 +48,10 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 	}()
 
 	// Group the chunks by their primary replica so each server flushes its
-	// whole share in one RPC.
-	type flushTarget struct {
-		idx int
-		fc  chunkserver.FlushChunk
-	}
-	groups := make(map[string][]flushTarget)
-	for i, cm := range src.Chunks {
-		base := segLo + uint64(i)*coldtier.SegsPerChunk
-		addr := cm.Replicas[0].Addr
-		groups[addr] = append(groups[addr], flushTarget{i, chunkserver.FlushChunk{
-			Chunk: blockstore.MakeChunkID(src.ID, uint32(i)),
-			SegLo: base,
-			SegHi: base + coldtier.SegsPerChunk,
-		}})
-	}
-	extents := make([][]coldtier.ExtentRef, len(src.Chunks))
-	for addr, targets := range groups {
-		freq := chunkserver.FlushChunksReq{ObjAddr: m.cfg.ObjstoreAddr}
-		for _, t := range targets {
-			freq.Chunks = append(freq.Chunks, t.fc)
-		}
-		// A flush streams whole chunks through the fabric to the object
-		// store: give it clone-class headroom, not a control RPC's.
-		resp, ok := m.admin(addr, proto.OpFlushChunks, 0, 0, 0, freq, 120*m.cfg.RPCTimeout)
-		if !ok {
-			return nil, fmt.Errorf("master: snapshot %q: flush on %s failed", snapName, addr)
-		}
-		var fresp chunkserver.FlushChunksResp
-		if err := json.Unmarshal(resp.Payload, &fresp); err != nil || len(fresp.Extents) != len(targets) {
-			return nil, fmt.Errorf("master: snapshot %q: bad flush reply from %s", snapName, addr)
-		}
-		for k, t := range targets {
-			extents[t.idx] = fresp.Extents[k]
-		}
+	// whole share in one message, and flush on every server at once.
+	extents, err := m.flushPrimaries(src, segLo)
+	if err != nil {
+		return nil, fmt.Errorf("master: snapshot %q: %w", snapName, err)
 	}
 
 	// Re-check primacy under the lock: a master deposed mid-flush must not
@@ -108,6 +78,58 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 	}
 	out := meta.Clone() // meta now belongs to the log
 	return &out, nil
+}
+
+// flushPrimaries asks every primary of src to flush its chunks to the object
+// store, chunk i into the segment range from segLo + i·SegsPerChunk: one
+// OpFlushChunks per server listing its chunks in index order, all servers in
+// one window. It returns each chunk's extent table, or which server failed.
+func (m *Master) flushPrimaries(src VDiskMeta, segLo uint64) ([][]coldtier.ExtentRef, error) {
+	var queues []serverQueue
+	var reqs []chunkserver.FlushChunksReq
+	var held [][]int // per queue: the index of each chunk it flushes
+	at := make(map[string]int)
+	for i, cm := range src.Chunks {
+		addr := cm.Replicas[0].Addr
+		q, seen := at[addr]
+		if !seen {
+			q, at[addr] = len(queues), len(queues)
+			queues = append(queues, serverQueue{addr: addr})
+			reqs = append(reqs, chunkserver.FlushChunksReq{ObjAddr: m.cfg.ObjstoreAddr})
+			held = append(held, nil)
+		}
+		base := segLo + uint64(i)*coldtier.SegsPerChunk
+		reqs[q].Chunks = append(reqs[q].Chunks, chunkserver.FlushChunk{
+			Chunk: blockstore.MakeChunkID(src.ID, uint32(i)),
+			SegLo: base,
+			SegHi: base + coldtier.SegsPerChunk,
+		})
+		held[q] = append(held[q], i)
+	}
+	for q := range queues {
+		queues[q].msgs = []*proto.Message{command(proto.OpFlushChunks, 0, 0, 0, reqs[q])}
+	}
+	extents := make([][]coldtier.ExtentRef, len(src.Chunks))
+	flushed := make([]bool, len(queues))
+	// A flush streams whole chunks through the fabric to the object store:
+	// give it clone-class headroom, not a control RPC's.
+	m.fanOut(120*m.cfg.RPCTimeout, queues, func(q int, resp *proto.Message) bool {
+		var fresp chunkserver.FlushChunksResp
+		if resp.Status != proto.StatusOK || json.Unmarshal(resp.Payload, &fresp) != nil || len(fresp.Extents) != len(held[q]) {
+			return false
+		}
+		for k, i := range held[q] {
+			extents[i] = fresp.Extents[k]
+		}
+		flushed[q] = true
+		return true
+	})
+	for q, ok := range flushed {
+		if !ok {
+			return nil, fmt.Errorf("flush on %s failed", queues[q].addr)
+		}
+	}
+	return extents, nil
 }
 
 // beginSnapshot validates a snapshot request, reserves the flush's whole

@@ -151,7 +151,7 @@ var metaOpTable = []struct {
 		o.e.net.Restart(dead)
 		// The master's pooled connection to the server died with it and is
 		// only noticed, and replaced, on its next use: spend that use here.
-		o.p.admin(dead, proto.OpNop, 0, 0, 0, nil, time.Second)
+		send(o.p, dead, &proto.Message{Op: proto.OpNop}, time.Second)
 		if err != nil {
 			o.t.Fatalf("recover c%d.%d: %v", vd.ID, idx, err)
 		}

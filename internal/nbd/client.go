@@ -47,12 +47,6 @@ func Dial(addr, export string) (*Client, error) {
 	return c, nil
 }
 
-// NewClientConn negotiates over an existing connection (tests use
-// net.Pipe).
-func NewClientConn(conn net.Conn, export string) (*Client, error) {
-	return newClient(conn, export)
-}
-
 func newClient(conn net.Conn, export string) (*Client, error) {
 	var greet [18]byte
 	if _, err := io.ReadFull(conn, greet[:]); err != nil {

@@ -76,13 +76,6 @@ func NewServer(exports ...Export) *Server {
 	return s
 }
 
-// AddExport registers another export.
-func (s *Server) AddExport(e Export) {
-	s.mu.Lock()
-	s.exports[e.Name] = e.Device
-	s.mu.Unlock()
-}
-
 // Serve accepts NBD clients on ln until Close.
 func (s *Server) Serve(ln net.Listener) {
 	s.mu.Lock()

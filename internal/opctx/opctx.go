@@ -252,7 +252,7 @@ func (o *Op) Remaining() (time.Duration, bool) {
 // optional cap (cap<=0 means the deadline alone governs). ok=false means
 // the deadline has already passed and the step must not start. A returned
 // wait of 0 with ok=true means "wait without bound" (deadline-less op, no
-// cap) — the conventions of transport.Client.Call.
+// cap) — the conventions of transport.Peers.Do.
 func (o *Op) Budget(cap time.Duration) (wait time.Duration, ok bool) {
 	rem, has := o.Remaining()
 	if !has {

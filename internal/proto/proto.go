@@ -410,6 +410,3 @@ func (m *Message) Reply(status Status) *Message {
 	r.Epoch = m.Epoch
 	return r
 }
-
-// IsMasterOp reports whether the op belongs to the master service.
-func (o Op) IsMasterOp() bool { return o >= MOpCreateVDisk }

@@ -130,12 +130,6 @@ func TestStatusStrings(t *testing.T) {
 	}
 }
 
-func TestIsMasterOp(t *testing.T) {
-	if OpWrite.IsMasterOp() || !MOpOpenVDisk.IsMasterOp() {
-		t.Error("IsMasterOp wrong")
-	}
-}
-
 func TestBatchCodecs(t *testing.T) {
 	ids := []blockstore.ChunkID{blockstore.MakeChunkID(3, 0), blockstore.MakeChunkID(3, 7), blockstore.MakeChunkID(1<<31, 1<<31)}
 	got, err := DecodeChunkIDs(EncodeChunkIDs(ids...))

@@ -75,7 +75,6 @@ func TestScrubFrequencyLowersLossProbability(t *testing.T) {
 	const groups, years = 2000, 4
 	rows := ScrubSweep(scrubTestParams(), []int{7, 60, 0}, groups, years, 1)
 	weekly, rare, never := rows[0].LossProb, rows[1].LossProb, rows[2].LossProb
-	t.Logf("\n%s", ScrubTable(rows, years))
 	if !(weekly < rare) {
 		t.Errorf("weekly scrub loss %.4f not below 60d scrub loss %.4f", weekly, rare)
 	}

@@ -1,11 +1,6 @@
 package reliability
 
-import (
-	"fmt"
-	"strings"
-
-	"ursa/internal/util"
-)
+import "ursa/internal/util"
 
 // This file extends the fleet Monte-Carlo to the question the scrubber
 // exists to answer: how often does a replication group lose data to LATENT
@@ -136,18 +131,4 @@ func ScrubSweep(p ScrubParams, intervals []int, groups, years int, seed uint64) 
 		})
 	}
 	return rows
-}
-
-// ScrubTable renders a sweep for humans.
-func ScrubTable(rows []ScrubSweepRow, years int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %18s\n", "scrub-interval", fmt.Sprintf("P(loss in %dy)", years))
-	for _, row := range rows {
-		name := "never"
-		if row.IntervalDays > 0 {
-			name = fmt.Sprintf("%dd", row.IntervalDays)
-		}
-		fmt.Fprintf(&b, "%-14s %17.4f%%\n", name, 100*row.LossProb)
-	}
-	return b.String()
 }

@@ -87,9 +87,6 @@ func (f *FaultInjector) SetMetrics(reg *metrics.Registry) {
 	f.mu.Unlock()
 }
 
-// Inner returns the wrapped device.
-func (f *FaultInjector) Inner() Disk { return f.inner }
-
 // armed bumps the injected-faults counter; caller holds f.mu.
 func (f *FaultInjector) armedLocked() {
 	f.reg.Counter(MetricFaultsInjected).Inc()

@@ -53,19 +53,6 @@ func DefaultSSD() SSDModel {
 	}
 }
 
-// DefaultSATASSD models a SATA-class SSD (the paper distinguishes SATA vs
-// PCIe SSDs when choosing processes per device, §5.3).
-func DefaultSATASSD() SSDModel {
-	return SSDModel{
-		Capacity:       480 * util.GiB,
-		Parallelism:    16,
-		ReadLatency:    110 * time.Microsecond,
-		WriteLatency:   180 * time.Microsecond,
-		ReadBandwidth:  520e6,
-		WriteBandwidth: 480e6,
-	}
-}
-
 // DefaultHDD models a 7200 RPM 1 TB SATA drive: ~8 ms average seek,
 // 4.17 ms average rotational delay, ~150 MB/s media rate. Random 4 KB IOPS
 // land near 80–120, sequential streaming near the media rate — the 2–3

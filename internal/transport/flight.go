@@ -27,16 +27,16 @@ type FanResult struct {
 }
 
 // Flight is a set of calls awaited by the goroutine that issued them: the
-// transport's one unit of waiting, whether the set is a replication fan-out
-// or the single call of Do. The issuer — the awaiter — Begins it, sends each
-// branch itself with Go, takes completions with Next or Wait, and Finishes
-// it exactly once; no goroutine runs on a branch's behalf. One completion
-// channel and one timer, for the window min(op budget, cap) from Begin, serve
-// the whole set. Both are the flight's for life: the Peers or Client that
-// begins a flight recycles it (flights), so a flight is made once per call
-// its owner has ever had in the air at once, and never crosses to another
-// owner — a cluster, a test or a synctest bubble of its own. A flight grows
-// to the widest set its owner has sent on it.
+// transport's one way to call, whether the set is a replication fan-out or
+// the single call of Peers.Do. The issuer — the awaiter — Begins it on a
+// Peers, sends each branch itself with Go, takes completions with Next or
+// Wait, and Finishes it exactly once; no goroutine runs on a branch's behalf.
+// One completion channel and one timer, for the window min(op budget, cap)
+// from Begin, serve the whole set. Both are the flight's for life: the Peers
+// that begins a flight recycles it (flights), so a flight is made once per
+// call its Peers has ever had in the air at once, and never crosses to
+// another Peers — a cluster, a test or a synctest bubble of its own. A flight
+// grows to the widest set its Peers has sent on it.
 //
 // A slot belongs to the awaiter, except between its registration in a
 // Client's pending table and its completion: in that interval the dispatcher
@@ -50,9 +50,7 @@ type FanResult struct {
 // returns, no branch outlives it, and nothing but the awaiter ever holds the
 // op.
 type Flight struct {
-	home   *flights // the owner's free list
-	peers  *Peers   // nil for a flight over one bare Client (Client.Do)
-	clk    clock.Clock
+	peers  *Peers // the owner: it dials the branches and recycles the flight
 	op     *opctx.Op
 	timer  *time.Timer      // made at the first windowed Begin, kept for life
 	window <-chan time.Time // timer.C while this flight's wait is bounded, else nil
@@ -87,8 +85,8 @@ type slot struct {
 	posted, taken bool // its index received from done; its result handed out
 }
 
-// flights is the free list of the flights one owner — a Peers, or a Client
-// for its bare Do — has finished, each with its done channel and timer.
+// flights is the free list of the flights a Peers has finished, each with its
+// done channel and timer.
 type flights struct {
 	mu   sync.Mutex
 	free []*Flight
@@ -103,7 +101,7 @@ func (h *flights) get(n int) *Flight {
 	}
 	h.mu.Unlock()
 	if fl == nil {
-		fl = &Flight{home: h}
+		fl = &Flight{}
 	}
 	if cap(fl.slots) < n {
 		fl.done, fl.slots = make(chan int, n), make([]slot, n)
@@ -123,19 +121,15 @@ func (h *flights) put(fl *Flight) {
 // deadline alone governs). The caller issues up to n Go calls, consumes
 // completions with Next or Wait, and must call Finish exactly once.
 func (p *Peers) Begin(op *opctx.Op, n int, cap time.Duration) *Flight {
-	return begin(&p.flights, p, p.clk, op, n, cap)
-}
-
-func begin(home *flights, p *Peers, clk clock.Clock, op *opctx.Op, n int, cap time.Duration) *Flight {
-	fl := home.get(n)
-	fl.peers, fl.clk, fl.op = p, clk, op
+	fl := p.flights.get(n)
+	fl.peers, fl.op = p, op
 	if wait, ok := op.Budget(cap); !ok {
 		fl.stop = op.Err() // spent before it began
 	} else if wait > 0 {
 		if fl.timer == nil {
-			fl.timer = time.NewTimer(clock.Wall(clk, wait))
+			fl.timer = time.NewTimer(clock.Wall(p.clk, wait))
 		} else {
-			fl.timer.Reset(clock.Wall(clk, wait))
+			fl.timer.Reset(clock.Wall(p.clk, wait))
 		}
 		fl.window = fl.timer.C
 	}
@@ -151,11 +145,6 @@ func begin(home *flights, p *Peers, clk clock.Clock, op *opctx.Op, n int, cap ti
 // spent op — is a slot that has already failed.
 func (fl *Flight) Go(target int, addr string, m *proto.Message) int {
 	c, err := fl.peers.client(fl.op, addr)
-	return fl.send(target, c, err, addr, m)
-}
-
-// send is Go once the connection has been looked up: c, or why there is none.
-func (fl *Flight) send(target int, c *Client, err error, addr string, m *proto.Message) int {
 	i := fl.issued
 	fl.issued++
 	s := &fl.slots[i]
@@ -166,7 +155,7 @@ func (fl *Flight) send(target int, c *Client, err error, addr string, m *proto.M
 	if err == nil {
 		s.c = c
 		m.OpID, m.Budget = fl.op.ID(), fl.op.WireBudget()
-		s.sent = fl.clk.Now()
+		s.sent = fl.peers.clk.Now()
 		if !c.register(m, callRef{fl, i}) {
 			err = ErrConnClosed
 		}
@@ -193,7 +182,7 @@ func (fl *Flight) send(target int, c *Client, err error, addr string, m *proto.M
 // (nil: the connection died) and posts the slot.
 func (fl *Flight) complete(i int, resp *proto.Message) {
 	s := &fl.slots[i]
-	s.took = fl.clk.Now().Sub(s.sent)
+	s.took = fl.peers.clk.Now().Sub(s.sent)
 	s.resp = resp
 	if resp == nil {
 		s.err = ErrConnClosed
@@ -235,8 +224,8 @@ func (fl *Flight) take(s *slot) *slot {
 	fl.taken++
 	if s.c != nil {
 		fl.op.ObserveStage(opctx.StageNet, s.took)
-		if s.err != nil && fl.peers != nil {
-			fl.peers.Drop(s.addr, s.c)
+		if s.err != nil {
+			fl.peers.drop(s.addr, s.c)
 		}
 	}
 	return s
@@ -294,7 +283,7 @@ func (fl *Flight) Finish() {
 		s := &fl.slots[i]
 		if !s.posted && s.c != nil && s.c.forget(s.id) {
 			// As far as the op is concerned the round trip ends here.
-			fl.op.ObserveStage(opctx.StageNet, fl.clk.Now().Sub(s.sent))
+			fl.op.ObserveStage(opctx.StageNet, fl.peers.clk.Now().Sub(s.sent))
 		} else if !s.taken {
 			// Completed and not taken — or claimed and not yet posted: the
 			// dispatcher is between its table and our slot; wait for it.
@@ -308,9 +297,9 @@ func (fl *Flight) Finish() {
 	if fl.window != nil {
 		fl.timer.Stop() // nothing is delivered after Stop: the next Begin sees no stale expiry
 	}
-	fl.peers, fl.clk, fl.op, fl.window, fl.stop = nil, nil, nil, nil, nil
+	fl.op, fl.window, fl.stop = nil, nil, nil
 	fl.issued, fl.taken = 0, 0
-	fl.home.put(fl)
+	fl.peers.flights.put(fl)
 }
 
 // discard releases a response nobody will read: the message dies here, so its

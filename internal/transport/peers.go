@@ -10,13 +10,12 @@ import (
 	"ursa/internal/util/backoff"
 )
 
-// Peers is a cached pool of RPC clients keyed by address, extracted from
-// the identical dial/call/evict logic the chunk server's backup fan-out,
-// the master's recovery pushes, and the client library each grew on their
-// own. Connections are dialed on demand and reused across calls; a call
-// that fails with a transport-level fault evicts the cached client so the
-// next call redials, while a timeout keeps it (the connection is healthy —
-// the budget just ran out; see Flight.take).
+// Peers is a cached pool of RPC clients keyed by address, and the only way
+// to call: every call is a branch of a flight it begins (Begin, Do).
+// Connections are dialed on demand and reused across calls; a call that
+// fails with a transport-level fault evicts the cached client so the next
+// call redials, while a timeout keeps it (the connection is healthy — the
+// budget just ran out; see Flight.take).
 type Peers struct {
 	dial Dialer
 	clk  clock.Clock
@@ -50,13 +49,13 @@ func (p *Peers) Get(addr string) (*Client, error) {
 		if !c.dead() {
 			return c, nil
 		}
-		p.Drop(addr, c)
+		p.drop(addr, c)
 	}
 	conn, err := p.dial.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	nc := NewClient(conn, p.clk)
+	nc := newClient(conn)
 	p.mu.Lock()
 	if cur := p.m[addr]; cur != nil {
 		p.mu.Unlock()
@@ -68,8 +67,8 @@ func (p *Peers) Get(addr string) (*Client, error) {
 	return nc, nil
 }
 
-// Drop evicts c from the pool (if still cached under addr) and closes it.
-func (p *Peers) Drop(addr string, c *Client) {
+// drop evicts c from the pool (if still cached under addr) and closes it.
+func (p *Peers) drop(addr string, c *Client) {
 	p.mu.Lock()
 	if p.m[addr] == c {
 		delete(p.m, addr)
@@ -110,13 +109,6 @@ func (p *Peers) Do(op *opctx.Op, addr string, m *proto.Message, cap time.Duratio
 	resp, err := fl.Wait(fl.Go(0, addr, m))
 	fl.Finish()
 	return resp, err
-}
-
-// Call is Do with a single-purpose op of the given timeout.
-func (p *Peers) Call(addr string, m *proto.Message, timeout time.Duration) (*proto.Message, error) {
-	op := opctx.New(p.clk, timeout)
-	defer op.Release()
-	return p.Do(op, addr, m, 0)
 }
 
 // CloseAll closes every cached connection and empties the pool.

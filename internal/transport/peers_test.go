@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ursa/internal/clock"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/util"
 )
@@ -33,6 +34,14 @@ func peersFixture(t *testing.T) (*SimNet, *Peers) {
 	return net, p
 }
 
+// callOnce is a flight of one branch on an op of its own, bounded by timeout (0:
+// by nothing but the connection).
+func callOnce(p *Peers, addr string, m *proto.Message, timeout time.Duration) (*proto.Message, error) {
+	op := opctx.New(p.clk, timeout)
+	defer op.Release()
+	return p.Do(op, addr, m, 0)
+}
+
 func TestPeersReusesConnection(t *testing.T) {
 	_, p := peersFixture(t)
 	c1, err := p.Get("server")
@@ -46,14 +55,14 @@ func TestPeersReusesConnection(t *testing.T) {
 	if c1 != c2 {
 		t.Error("second Get dialed a fresh connection")
 	}
-	if resp, err := p.Call("server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
+	if resp, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
 		t.Fatalf("Call = %+v, %v", resp, err)
 	}
 }
 
 func TestPeersDialFailure(t *testing.T) {
 	_, p := peersFixture(t)
-	if _, err := p.Call("nowhere", &proto.Message{Op: proto.OpNop}, time.Second); err == nil {
+	if _, err := callOnce(p, "nowhere", &proto.Message{Op: proto.OpNop}, time.Second); err == nil {
 		t.Fatal("call to unknown address succeeded")
 	}
 }
@@ -66,7 +75,7 @@ func TestPeersTimeoutKeepsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Call("server", &proto.Message{Op: proto.OpRead}, 10*time.Millisecond)
+	_, err = callOnce(p, "server", &proto.Message{Op: proto.OpRead}, 10*time.Millisecond)
 	if !errors.Is(err, util.ErrTimeout) {
 		t.Fatalf("slow call: %v", err)
 	}
@@ -87,18 +96,18 @@ func TestPeersTimeoutKeepsConnection(t *testing.T) {
 // is back.
 func TestPeersFaultEvictsAndRedials(t *testing.T) {
 	net, p := peersFixture(t)
-	if _, err := p.Call("server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	net.Crash("server")
-	if _, err := p.Call("server", &proto.Message{Op: proto.OpNop}, 50*time.Millisecond); err == nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 50*time.Millisecond); err == nil {
 		t.Fatal("call to crashed peer succeeded")
 	}
 	if p.cached("server") {
 		t.Fatal("transport fault did not evict the connection")
 	}
 	net.Restart("server")
-	if resp, err := p.Call("server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
+	if resp, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
 		t.Fatalf("post-restart call = %+v, %v", resp, err)
 	}
 }
@@ -113,7 +122,7 @@ func TestPeersCloseAll(t *testing.T) {
 		t.Fatal("CloseAll left a cached connection")
 	}
 	// The pool remains usable after CloseAll.
-	if _, err := p.Call("server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
 		t.Fatalf("call after CloseAll: %v", err)
 	}
 }
@@ -130,7 +139,7 @@ func TestPeersReplacesDeadClient(t *testing.T) {
 	net.Crash("server")
 	<-old.done // the dispatcher has seen the connection die
 	net.Restart("server")
-	if resp, err := p.Call("server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
+	if resp, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil || resp.Status != proto.StatusOK {
 		t.Fatalf("first call after the restart = %+v, %v", resp, err)
 	}
 	if now, err := p.Get("server"); err != nil || now == old {

@@ -8,15 +8,17 @@ import (
 
 	"ursa/internal/bufpool"
 	"ursa/internal/clock"
+	"ursa/internal/opctx"
 	"ursa/internal/proto"
 )
 
-// TestPooledDecodeRaceSoak hammers one connection with concurrent pipelines
-// of one-branch flights whose payloads decode into pooled buffers, checking that echoed
-// bytes survive the lease/return churn and that the pool balances to its
-// starting in-use count once the connection drains. Run under -race this is
-// the ownership-contract soak: any buffer recycled while still referenced
-// shows up as either corrupted echo bytes or a data race on the buffer.
+// TestPooledDecodeRaceSoak hammers one pooled connection with concurrent
+// pipelines of one-branch flights whose payloads decode into pooled buffers,
+// checking that echoed bytes survive the lease/return churn and that the pool
+// balances to its starting in-use count once the connection drains. Run under
+// -race this is the ownership-contract soak: any buffer recycled while still
+// referenced shows up as either corrupted echo bytes or a data race on the
+// buffer.
 func TestPooledDecodeRaceSoak(t *testing.T) {
 	start := bufpool.InUse()
 
@@ -25,11 +27,11 @@ func TestPooledDecodeRaceSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := Serve(l, echoHandler)
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
+	addr := srv.Addr()
+	p := NewPeers(TCPDialer{}, clock.Realtime)
+	if _, err := p.Get(addr); err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(conn, clock.Realtime)
 
 	const workers = 8
 	const callsPerWorker = 150
@@ -41,6 +43,8 @@ func TestPooledDecodeRaceSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			op := opctx.New(clock.Realtime, 0)
+			defer op.Release()
 			type flight struct {
 				fl   *Flight
 				n    int
@@ -69,9 +73,9 @@ func TestPooledDecodeRaceSoak(t *testing.T) {
 				mark := byte(w*31 + i)
 				pay := bufpool.Get(n)
 				pay[0], pay[n-1] = mark, mark
-				// send consumes the request payload reference on every path.
-				fl := bareFlight(cli, 1)
-				fl.send(0, cli, nil, "", &proto.Message{Op: proto.OpRead, Payload: pay})
+				// Go consumes the request payload reference on every path.
+				fl := p.Begin(op, 1, 0)
+				fl.Go(0, addr, &proto.Message{Op: proto.OpRead, Payload: pay})
 				inflight = append(inflight, flight{fl: fl, n: n, mark: mark})
 				if len(inflight) >= pipeline {
 					if err := reap(inflight[0]); err != nil {
@@ -95,7 +99,7 @@ func TestPooledDecodeRaceSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli.Close()
+	p.CloseAll()
 	srv.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for bufpool.InUse() != start {

@@ -2,29 +2,24 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"ursa/internal/bufpool"
-	"ursa/internal/clock"
-	"ursa/internal/opctx"
 	"ursa/internal/proto"
 )
 
-// Client is a pipelined RPC endpoint over one MsgConn: many calls may be in
-// flight simultaneously (the paper's in-network pipelining, §3.4), and
-// responses are matched by message ID to the flight slot that awaits them,
-// so servers may complete them out of order.
+// Client is one pooled connection of a Peers: many calls may be in flight on
+// it simultaneously (the paper's in-network pipelining, §3.4), and responses
+// are matched by message ID to the flight slot that awaits them, so servers
+// may complete them out of order. Calls go out only as branches of a flight
+// (Peers.Begin, Peers.Do).
 type Client struct {
 	conn MsgConn
-	clk  clock.Clock
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]callRef
 	closed  bool
 	done    chan struct{}
-
-	flights flights // the flights Do recycles
 }
 
 // callRef is where a response completes: one branch slot of a flight.
@@ -33,11 +28,10 @@ type callRef struct {
 	slot int
 }
 
-// NewClient starts the response dispatcher over conn.
-func NewClient(conn MsgConn, clk clock.Clock) *Client {
+// newClient starts the response dispatcher over conn.
+func newClient(conn MsgConn) *Client {
 	c := &Client{
 		conn:    conn,
-		clk:     clk,
 		pending: make(map[uint64]callRef),
 		done:    make(chan struct{}),
 	}
@@ -123,28 +117,6 @@ func (c *Client) pendingCalls() int {
 	return len(c.pending)
 }
 
-// Do sends m on behalf of op and waits for the response, bounded by the
-// op's remaining deadline budget and the optional per-call cap (cap<=0
-// means the deadline alone governs the wait): a flight of one branch over
-// this connection (see Flight). Do consumes one reference to m.Payload on
-// every path, including the pre-send early returns.
-func (c *Client) Do(op *opctx.Op, m *proto.Message, cap time.Duration) (*proto.Message, error) {
-	fl := begin(&c.flights, nil, c.clk, op, 1, cap)
-	resp, err := fl.Wait(fl.send(0, c, nil, "", m))
-	fl.Finish()
-	return resp, err
-}
-
-// Call sends m and waits up to timeout for the response. A zero timeout
-// waits indefinitely (until connection failure). It is Do with a
-// single-purpose op: callers that hold a real request context should pass
-// it to Do instead so the whole operation shares one deadline.
-func (c *Client) Call(m *proto.Message, timeout time.Duration) (*proto.Message, error) {
-	op := opctx.New(c.clk, timeout)
-	defer op.Release()
-	return c.Do(op, m, 0)
-}
-
 // Close tears down the connection; in-flight calls fail.
 func (c *Client) Close() {
 	c.conn.Close()
@@ -158,11 +130,9 @@ type Handler func(m *proto.Message) *proto.Message
 
 // Server accepts connections on a listener and dispatches requests.
 type Server struct {
-	l Listener
-	h Handler
-
-	maxInflight int
-	qsink       QueueSink
+	l     Listener
+	h     Handler
+	qsink QueueSink
 
 	mu     sync.Mutex
 	conns  map[MsgConn]struct{}
@@ -170,10 +140,10 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// DefaultMaxInflightPerConn bounds concurrent handlers per connection, the
-// moral equivalent of a device queue depth; beyond it requests queue in the
-// read loop. Override per server with WithMaxInflight.
-const DefaultMaxInflightPerConn = 256
+// maxInflightPerConn bounds concurrent handlers per connection, the moral
+// equivalent of a device queue depth; beyond it requests queue in the read
+// loop.
+const maxInflightPerConn = 256
 
 // QueueSink receives the server's admission queue-depth samples.
 // *metrics.Registry implements it; the indirection keeps transport free of
@@ -189,17 +159,6 @@ const MetricConnInflight = "rpc-conn-inflight"
 // ServeOption tunes a Server.
 type ServeOption func(*Server)
 
-// WithMaxInflight overrides the per-connection concurrent-handler bound
-// (n<=0 keeps the default), the server-side admission knob the bench sweeps
-// against the chunk pipeline.
-func WithMaxInflight(n int) ServeOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxInflight = n
-		}
-	}
-}
-
 // WithQueueMetrics publishes the per-connection admission depth to sink as
 // MetricConnInflight value samples.
 func WithQueueMetrics(sink QueueSink) ServeOption {
@@ -208,11 +167,7 @@ func WithQueueMetrics(sink QueueSink) ServeOption {
 
 // Serve starts accepting. It returns immediately; Close stops everything.
 func Serve(l Listener, h Handler, opts ...ServeOption) *Server {
-	s := &Server{
-		l: l, h: h,
-		maxInflight: DefaultMaxInflightPerConn,
-		conns:       make(map[MsgConn]struct{}),
-	}
+	s := &Server{l: l, h: h, conns: make(map[MsgConn]struct{})}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -249,7 +204,7 @@ func (s *Server) connLoop(conn MsgConn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	sem := make(chan struct{}, s.maxInflight)
+	sem := make(chan struct{}, maxInflightPerConn)
 	// Parked handler workers, each identified by its inbox. Handler chains
 	// run deep (rpc -> chunkserver -> blockstore/journal), so a fresh
 	// goroutine per message pays runtime.newstack/copystack to re-grow the
@@ -257,7 +212,7 @@ func (s *Server) connLoop(conn MsgConn) {
 	// ceiling. Reusing workers keeps stacks grown. Invariant: a worker
 	// parks (pushes its inbox) BEFORE inner.Done(), so once inner.Wait()
 	// returns every surviving worker is reachable through idle.
-	idle := make(chan chan *proto.Message, s.maxInflight)
+	idle := make(chan chan *proto.Message, maxInflightPerConn)
 	var inner sync.WaitGroup
 	worker := func(inbox chan *proto.Message, m *proto.Message) {
 		for {

@@ -12,46 +12,30 @@ import (
 	"ursa/internal/util"
 )
 
-// blockingServer serves connections with a handler that parks every
-// request until release is closed.
-func blockingServer(t *testing.T) (*Server, chan struct{}) {
-	t.Helper()
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	srv := Serve(l, func(m *proto.Message) *proto.Message {
-		<-release
-		return m.Reply(proto.StatusOK)
-	})
-	return srv, release
-}
-
-// TestCallUnblocksOnConnDeath pins the shutdown contract: a Call blocked
+// TestCallUnblocksOnConnDeath pins the shutdown contract: a call blocked
 // in flight when the connection dies must return promptly with an error
 // matching util.ErrClosed — not hang until some timeout.
 func TestCallUnblocksOnConnDeath(t *testing.T) {
-	srv, release := blockingServer(t)
-	// LIFO: release the parked handler before srv.Close, which waits for
-	// in-flight handlers to drain.
-	defer srv.Close()
+	release := make(chan struct{})
+	p, addr := tcpPeers(t, func(m *proto.Message) *proto.Message {
+		<-release
+		return m.Reply(proto.StatusOK)
+	})
+	// The parked handler is released before the cleanup closes the server,
+	// which waits for in-flight handlers to drain.
 	defer close(release)
-
-	conn, err := TCPDialer{}.Dial(srv.Addr())
+	c, err := p.Get(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := cli.Call(&proto.Message{Op: proto.OpRead}, 0) // no timeout: only conn death can end it
+		_, err := callOnce(p, addr, &proto.Message{Op: proto.OpRead}, 0) // no timeout: only conn death can end it
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the call get in flight
-	conn.Close()
+	c.conn.Close()
 
 	select {
 	case err := <-errCh:
@@ -61,7 +45,7 @@ func TestCallUnblocksOnConnDeath(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("call hung after connection death")
 	}
-	if n := cli.pendingCalls(); n != 0 {
+	if n := c.pendingCalls(); n != 0 {
 		t.Errorf("pending entries leaked after conn death: %d", n)
 	}
 }
@@ -71,46 +55,41 @@ func TestCallUnblocksOnConnDeath(t *testing.T) {
 // response is dropped by the dispatcher without leaking or corrupting
 // later calls.
 func TestLateResponseDropped(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	delay := 200 * time.Millisecond
-	srv := Serve(l, func(m *proto.Message) *proto.Message {
+	p, addr := tcpPeers(t, func(m *proto.Message) *proto.Message {
 		mu.Lock()
 		d := delay
 		mu.Unlock()
 		time.Sleep(d)
 		return m.Reply(proto.StatusOK)
 	})
-	defer srv.Close()
-
-	conn, err := TCPDialer{}.Dial(srv.Addr())
+	c, err := p.Get(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
 
-	if _, err := cli.Call(&proto.Message{Op: proto.OpRead}, 20*time.Millisecond); !errors.Is(err, util.ErrTimeout) {
+	if _, err := callOnce(p, addr, &proto.Message{Op: proto.OpRead}, 20*time.Millisecond); !errors.Is(err, util.ErrTimeout) {
 		t.Fatalf("short-timeout call: %v (want util.ErrTimeout)", err)
 	}
-	if n := cli.pendingCalls(); n != 0 {
+	if n := c.pendingCalls(); n != 0 {
 		t.Fatalf("pending entries leaked after timeout: %d", n)
 	}
 
-	// Let the late response arrive, then verify the client still works and
-	// nothing leaked.
+	// Let the late response arrive, then verify the connection still works
+	// and nothing leaked.
 	mu.Lock()
 	delay = 0
 	mu.Unlock()
 	time.Sleep(300 * time.Millisecond)
-	resp, err := cli.Call(&proto.Message{Op: proto.OpNop}, time.Second)
+	resp, err := callOnce(p, addr, &proto.Message{Op: proto.OpNop}, time.Second)
 	if err != nil || resp.Status != proto.StatusOK {
 		t.Fatalf("call after late response: %v %+v", err, resp)
 	}
-	if n := cli.pendingCalls(); n != 0 {
+	if now, _ := p.Get(addr); now != c {
+		t.Fatal("the timeout replaced the connection")
+	}
+	if n := c.pendingCalls(); n != 0 {
 		t.Errorf("pending entries leaked after late response: %d", n)
 	}
 }
@@ -118,32 +97,23 @@ func TestLateResponseDropped(t *testing.T) {
 // TestDoStampsDeadline verifies the decrement rule at the wire: Do stamps
 // the op's ID and its *remaining* budget into the outbound message.
 func TestDoStampsDeadline(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	type stamp struct {
 		opID   uint64
 		budget time.Duration
 	}
 	got := make(chan stamp, 1)
-	srv := Serve(l, func(m *proto.Message) *proto.Message {
+	p, addr := tcpPeers(t, func(m *proto.Message) *proto.Message {
 		got <- stamp{m.OpID, m.Budget}
 		return m.Reply(proto.StatusOK)
 	})
-	defer srv.Close()
-
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
+	if _, err := p.Get(addr); err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
 
 	budget := 500 * time.Millisecond
 	op := opctx.New(clock.Realtime, budget)
 	time.Sleep(10 * time.Millisecond) // spend some budget before the call
-	if _, err := cli.Do(op, &proto.Message{Op: proto.OpNop}, 0); err != nil {
+	if _, err := p.Do(op, addr, &proto.Message{Op: proto.OpNop}, 0); err != nil {
 		t.Fatal(err)
 	}
 	s := <-got
@@ -157,7 +127,7 @@ func TestDoStampsDeadline(t *testing.T) {
 	// An expired op must not even hit the wire.
 	spent := opctx.New(clock.Realtime, time.Nanosecond)
 	time.Sleep(time.Millisecond)
-	if _, err := cli.Do(spent, &proto.Message{Op: proto.OpNop}, 0); !errors.Is(err, util.ErrTimeout) {
+	if _, err := p.Do(spent, addr, &proto.Message{Op: proto.OpNop}, 0); !errors.Is(err, util.ErrTimeout) {
 		t.Errorf("expired-op Do: %v (want util.ErrTimeout)", err)
 	}
 }

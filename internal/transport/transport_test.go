@@ -25,22 +25,34 @@ func echoHandler(m *proto.Message) *proto.Message {
 	return r
 }
 
-func TestTCPCallRoundTrip(t *testing.T) {
+// tcpPeers serves h over TCP and returns a pool to call it with and its
+// address; the pool is closed before the server when the test ends.
+func tcpPeers(t *testing.T, h Handler) (*Peers, string) {
+	t.Helper()
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(l, echoHandler)
-	defer srv.Close()
+	srv := Serve(l, h)
+	p := NewPeers(TCPDialer{}, clock.Realtime)
+	t.Cleanup(func() {
+		p.CloseAll()
+		srv.Close()
+	})
+	return p, srv.Addr()
+}
 
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
+// flight begins an n-branch flight on p, unbounded but for the test's own
+// timeout.
+func flight(t *testing.T, p *Peers, n int) *Flight {
+	op := opctx.New(p.clk, 0)
+	t.Cleanup(op.Release)
+	return p.Begin(op, n, 0)
+}
 
-	resp, err := cli.Call(&proto.Message{Op: proto.OpRead, Payload: []byte("ping")}, time.Second)
+func TestTCPCallRoundTrip(t *testing.T) {
+	p, addr := tcpPeers(t, echoHandler)
+	resp, err := callOnce(p, addr, &proto.Message{Op: proto.OpRead, Payload: []byte("ping")}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,30 +62,21 @@ func TestTCPCallRoundTrip(t *testing.T) {
 }
 
 func TestTCPPipelining(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Slow handler: 10ms each. 32 pipelined calls should take ~10ms, not
 	// 320ms, because they execute concurrently.
-	srv := Serve(l, func(m *proto.Message) *proto.Message {
+	p, addr := tcpPeers(t, func(m *proto.Message) *proto.Message {
 		time.Sleep(10 * time.Millisecond)
 		return m.Reply(proto.StatusOK)
 	})
-	defer srv.Close()
-
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
+	if _, err := p.Get(addr); err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
 
 	start := time.Now()
-	fl := bareFlight(cli, 32)
+	fl := flight(t, p, 32)
 	defer fl.Finish()
 	for i := 0; i < 32; i++ {
-		fl.send(i, cli, nil, "", &proto.Message{Op: proto.OpNop})
+		fl.Go(i, addr, &proto.Message{Op: proto.OpNop})
 	}
 	for i := 0; i < 32; i++ {
 		if resp, err := fl.Wait(i); err != nil || resp.Status != proto.StatusOK {
@@ -86,31 +89,19 @@ func TestTCPPipelining(t *testing.T) {
 }
 
 func TestOutOfOrderCompletion(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// First request is slow, second fast: the second must complete first.
-	srv := Serve(l, func(m *proto.Message) *proto.Message {
+	p, addr := tcpPeers(t, func(m *proto.Message) *proto.Message {
 		if m.Op == proto.OpRead {
 			time.Sleep(50 * time.Millisecond)
 		}
 		return m.Reply(proto.StatusOK)
 	})
-	defer srv.Close()
-
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
 
 	const slow, fast = 0, 1
-	fl := bareFlight(cli, 2)
+	fl := flight(t, p, 2)
 	defer fl.Finish()
-	fl.send(slow, cli, nil, "", &proto.Message{Op: proto.OpRead})
-	fl.send(fast, cli, nil, "", &proto.Message{Op: proto.OpNop})
+	fl.Go(slow, addr, &proto.Message{Op: proto.OpRead})
+	fl.Go(fast, addr, &proto.Message{Op: proto.OpNop})
 	if r, ok := fl.Next(); !ok || r.Err || r.Target != fast {
 		t.Fatalf("first completion = %+v, %v; want the fast request", r, ok)
 	}
@@ -119,14 +110,9 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	}
 }
 
-// bareFlight opens an n-branch flight over one bare client, unbounded but
-// for the test's own timeout; the caller sends with fl.send.
-func bareFlight(c *Client, n int) *Flight {
-	op := opctx.New(c.clk, 0)
-	return begin(&c.flights, nil, c.clk, op, n, 0)
-}
-
-func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Client, *Server) {
+// simPair serves echoHandler at "server" on a SimNet and returns a pool
+// dialing from "client" whose connection to it is already up.
+func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Peers, *Server) {
 	t.Helper()
 	clk := clock.Realtime
 	net := NewSimNet(clk, latency)
@@ -135,21 +121,20 @@ func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Cli
 		t.Fatal(err)
 	}
 	srv := Serve(l, echoHandler)
-	conn, err := net.Dialer("client", cfg).Dial("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(conn, clk)
+	p := NewPeers(net.Dialer("client", cfg), clk)
 	t.Cleanup(func() {
-		cli.Close()
+		p.CloseAll()
 		srv.Close()
 	})
-	return net, cli, srv
+	if _, err := p.Get("server"); err != nil {
+		t.Fatal(err)
+	}
+	return net, p, srv
 }
 
 func TestSimNetRoundTrip(t *testing.T) {
-	_, cli, _ := simPair(t, 0, NodeConfig{})
-	resp, err := cli.Call(&proto.Message{Op: proto.OpRead, Payload: []byte("x")}, time.Second)
+	_, p, _ := simPair(t, 0, NodeConfig{})
+	resp, err := callOnce(p, "server", &proto.Message{Op: proto.OpRead, Payload: []byte("x")}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +144,9 @@ func TestSimNetRoundTrip(t *testing.T) {
 }
 
 func TestSimNetLatency(t *testing.T) {
-	_, cli, _ := simPair(t, 5*time.Millisecond, NodeConfig{})
+	_, p, _ := simPair(t, 5*time.Millisecond, NodeConfig{})
 	start := time.Now()
-	if _, err := cli.Call(&proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	rtt := time.Since(start)
@@ -172,10 +157,10 @@ func TestSimNetLatency(t *testing.T) {
 
 func TestSimNetBandwidth(t *testing.T) {
 	// 1 MB payload over a 10 MB/s link must take ≥ ~100ms.
-	_, cli, _ := simPair(t, 0, NodeConfig{InRate: 10e6, OutRate: 10e6})
+	_, p, _ := simPair(t, 0, NodeConfig{InRate: 10e6, OutRate: 10e6})
 	payload := make([]byte, util.MiB)
 	start := time.Now()
-	if _, err := cli.Call(&proto.Message{Op: proto.OpWrite, Payload: payload}, 5*time.Second); err != nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpWrite, Payload: payload}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -187,22 +172,22 @@ func TestSimNetBandwidth(t *testing.T) {
 }
 
 func TestSimNetPartitionDropsAndTimesOut(t *testing.T) {
-	net, cli, _ := simPair(t, 0, NodeConfig{})
+	net, p, _ := simPair(t, 0, NodeConfig{})
 	net.Partition("client", "server")
-	_, err := cli.Call(&proto.Message{Op: proto.OpNop}, 30*time.Millisecond)
+	_, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 30*time.Millisecond)
 	if !errors.Is(err, util.ErrTimeout) {
 		t.Fatalf("partitioned call: %v", err)
 	}
 	net.Heal("client", "server")
-	if _, err := cli.Call(&proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
 		t.Fatalf("healed call: %v", err)
 	}
 }
 
 func TestSimNetCrash(t *testing.T) {
-	net, cli, _ := simPair(t, 0, NodeConfig{})
+	net, p, _ := simPair(t, 0, NodeConfig{})
 	net.Crash("server")
-	if _, err := cli.Call(&proto.Message{Op: proto.OpNop}, 50*time.Millisecond); err == nil {
+	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 50*time.Millisecond); err == nil {
 		t.Fatal("call to crashed node succeeded")
 	}
 	// Dials to a crashed node fail fast.
@@ -233,39 +218,27 @@ func TestSimNetDuplicateListen(t *testing.T) {
 }
 
 func TestClientTimeoutLeavesConnectionUsable(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(l, func(m *proto.Message) *proto.Message {
+	p, addr := tcpPeers(t, func(m *proto.Message) *proto.Message {
 		if m.Op == proto.OpRead {
 			time.Sleep(100 * time.Millisecond)
 		}
 		return m.Reply(proto.StatusOK)
 	})
-	defer srv.Close()
-	conn, err := TCPDialer{}.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(conn, clock.Realtime)
-	defer cli.Close()
 
-	if _, err := cli.Call(&proto.Message{Op: proto.OpRead}, 10*time.Millisecond); !errors.Is(err, util.ErrTimeout) {
+	if _, err := callOnce(p, addr, &proto.Message{Op: proto.OpRead}, 10*time.Millisecond); !errors.Is(err, util.ErrTimeout) {
 		t.Fatalf("want timeout, got %v", err)
 	}
 	// The late response must be discarded and later calls still work.
-	if _, err := cli.Call(&proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+	if _, err := callOnce(p, addr, &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
 		t.Fatalf("post-timeout call: %v", err)
 	}
 }
 
 func TestClientConnFailureFailsPending(t *testing.T) {
-	net, cli, srv := simPair(t, 0, NodeConfig{})
-	_ = net
-	fl := bareFlight(cli, 1)
+	_, p, srv := simPair(t, 0, NodeConfig{})
+	fl := flight(t, p, 1)
 	defer fl.Finish()
-	fl.send(0, cli, nil, "", &proto.Message{Op: proto.OpRead})
+	fl.Go(0, "server", &proto.Message{Op: proto.OpRead})
 	srv.Close()
 	settled := make(chan struct{})
 	go func() {

@@ -12,9 +12,3 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(b []byte) uint32 {
 	return crc32.Checksum(b, castagnoli)
 }
-
-// ChecksumUpdate extends an existing CRC-32C with more data, for streaming
-// over large replication transfers without buffering them whole.
-func ChecksumUpdate(sum uint32, b []byte) uint32 {
-	return crc32.Update(sum, castagnoli, b)
-}

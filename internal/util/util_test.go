@@ -155,12 +155,6 @@ func TestChecksum(t *testing.T) {
 	if a == c {
 		t.Error("checksum collision on 1-byte flip")
 	}
-	// Streaming update must match one-shot.
-	whole := Checksum([]byte("hello world"))
-	part := ChecksumUpdate(Checksum([]byte("hello ")), []byte("world"))
-	if whole != part {
-		t.Errorf("streaming checksum %08x != one-shot %08x", part, whole)
-	}
 }
 
 func TestHistQuantiles(t *testing.T) {
