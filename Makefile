@@ -140,10 +140,10 @@ scrub-smoke:
 # RS(4,2) chunk die mid-workload under the linearizability checker, and the
 # client must finish with zero failed I/Os; the same with one holder's HDD
 # dead under a live server, whose position must be re-homed; plus
-# degraded-read reconstruction and the all-replicas-corrupt clean-error
-# floor.
+# degraded-read reconstruction, a lost primary decoded onto a replacement
+# from exactly N holders, and the all-replicas-corrupt clean-error floor.
 ec-smoke:
-	$(GO) test ./internal/cluster -run 'TestChaosECSegmentDeath|TestChaosECHolderDiskDeath|TestECDegradedReadReconstructs|TestAllReplicasCorruptCleanError' -count=1 -v
+	$(GO) test ./internal/cluster -run 'TestChaosECSegmentDeath|TestChaosECHolderDiskDeath|TestECDegradedReadReconstructs|TestECPrimaryLossDecodesReplacement|TestAllReplicasCorruptCleanError' -count=1 -v
 
 # Deterministic master-failover acceptance run: the primary master of a
 # three-master cluster is killed mid-workload under the linearizability
@@ -158,12 +158,13 @@ ec-smoke:
 # reproduces its state, a lone master's too; the four closed primary/standby
 # drifts; a log batch from outside the configured masters refused; the
 # source rules that only state.go writes a field of the replicated state and
-# that the master sends only through fanOut; and a mirror recovery replacing
-# two dead backups on two different machines.
+# that the master sends only through fanOut; a mirror recovery replacing
+# two dead backups on two different machines; and one filling a lagging
+# and a replacement backup at once.
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout' -race -count=1 -v
 	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart|TestRecoverMirrorFillsLaggardAndReplacementAtOnce' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
@@ -172,7 +173,8 @@ failover-smoke:
 # primary master dies just before the last extents land and the
 # materialization notices have to outlast the blackout; a notice the
 # primary master took before it died still counts on the promoted standby;
-# and a snapshot flushes on all of its primaries at once.
+# a snapshot flushes on all of its primaries at once; and a clone's replica
+# whose extent GC moved refreshes its refs from the master and reads it.
 cold-smoke:
 	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization|TestColdNoticeSurvivesMasterFailover' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover|TestSnapshotFlushesPrimariesAtOnce' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover|TestSnapshotFlushesPrimariesAtOnce|TestStaleColdRefRefreshedFromMaster' -race -count=1 -v

@@ -16,7 +16,7 @@ import (
 )
 
 // The admin interface: the commands only the master originates — chunk
-// membership, views, rebuilds, snapshot flushes. They are fenced by the
+// membership, views, fills, snapshot flushes. They are fenced by the
 // master's primacy epoch, and the fence sits in the dispatch, ahead of the
 // switch: an op is fenced because it is handled here, so a new admin op
 // cannot forget to be.
@@ -43,12 +43,8 @@ func (s *Server) handleAdmin(op *opctx.Op, m *proto.Message) *proto.Message {
 		return s.handleDeleteChunk(m)
 	case proto.OpSetView:
 		return s.handleSetView(m)
-	case proto.OpCloneChunk:
-		return s.handleCloneChunk(op, m)
-	case proto.OpRepairFrom:
-		return s.handleRepairFrom(op, m)
-	case proto.OpRebuildSegment:
-		return s.handleRebuildSegment(op, m)
+	case proto.OpFill:
+		return s.handleFill(op, m)
 	case proto.OpFlushChunks:
 		return s.handleFlushChunks(op, m)
 	}
@@ -161,6 +157,17 @@ func (s *Server) createChunk(id blockstore.ChunkID, req CreateChunkReq) proto.St
 	if err != nil {
 		return proto.StatusError
 	}
+	// Live state from an earlier view — a replica a view change evicted,
+	// now picked as a replacement — or in another role is not this
+	// replica's: the view after its eviction may have reused its versions
+	// for other writes, and its slot holds another piece. It is deleted, so
+	// the slot is made afresh and the fill that follows copies or decodes
+	// for the role asked for.
+	if old := s.chunk(id); old != nil && old.outdatedBy(req) {
+		if st := s.deleteChunk(id); st != proto.StatusOK {
+			return proto.StatusError
+		}
+	}
 	status := proto.StatusOK
 	if err := s.store.CreateSized(id, cs.span()); errors.Is(err, util.ErrExists) {
 		// A restarted server re-attaches to chunks that survived on its
@@ -243,76 +250,32 @@ type PieceSource struct {
 	Piece int    `json:"piece"`
 }
 
-// CloneChunkReq is the JSON payload of OpCloneChunk and OpRepairFrom.
-type CloneChunkReq struct {
-	// Source is the address of the replica to copy from.
-	Source string `json:"source"`
-	// Spec and Sources drive an RS reconstruction clone: when Sources is
-	// non-empty, the chunk is rebuilt stripe by stripe from N surviving
-	// segment holders (the primary is gone) instead of copied from Source.
-	Spec    redundancy.Spec `json:"spec,omitempty"`
-	Sources []PieceSource   `json:"sources,omitempty"`
-}
-
-// handleCloneChunk replaces the whole local replica: copied from a source
-// replica, or — for a replacement RS primary, whose only full copy is gone —
-// decoded from N surviving segment holders at the master's target version
-// (m.Version).
-func (s *Server) handleCloneChunk(op *opctx.Op, m *proto.Message) *proto.Message {
-	var req CloneChunkReq
-	if err := json.Unmarshal(m.Payload, &req); err != nil {
-		return m.Reply(proto.StatusError)
-	}
-	cs := s.chunk(m.Chunk)
-	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
-	}
-	src := s.mirrorCopy(op, m.Chunk, req.Source, cs.span())
-	if len(req.Sources) > 0 {
-		src = s.peerDecode(op, m.Chunk, req.Spec, req.Sources, -1, m.Version)
-	}
-	return s.rebuild(op, m, cs, src, true)
-}
-
-// RebuildSegmentReq is the JSON payload of OpRebuildSegment, sent by the
-// master to a (new or lagging) segment holder.
-type RebuildSegmentReq struct {
-	// Spec is the chunk's RS policy.
-	Spec redundancy.Spec `json:"spec"`
-	// Seg is the segment this holder must end up with.
-	Seg int `json:"seg"`
-	// Primary, when set, serves the segment directly; it is the preferred
-	// source because its replies are version-exact snapshots.
-	Primary string `json:"primary,omitempty"`
-	// Sources are surviving segment holders at the master's target version,
-	// used to decode the segment when the primary is gone.
+// FillReq is the JSON payload of OpFill: where the replica's content can
+// come from. Source is a replica holding the chunk whole at the target
+// version (the header's Version) — a mirror replica or an RS chunk's primary;
+// Sources are the RS segment holders at that version. The master names what
+// it has; handleFill picks the method.
+type FillReq struct {
+	Source  string        `json:"source,omitempty"`
 	Sources []PieceSource `json:"sources,omitempty"`
 }
 
-// handleRebuildSegment reconstructs this holder's segment: a version-exact
-// snapshot from the primary when it is up, otherwise decoded from N
-// surviving peers at the master's target version (m.Version).
-func (s *Server) handleRebuildSegment(op *opctx.Op, m *proto.Message) *proto.Message {
-	var req RebuildSegmentReq
-	if err := json.Unmarshal(m.Payload, &req); err != nil || !req.Spec.IsRS() || req.Seg < 0 {
-		return m.Reply(proto.StatusError)
-	}
-	cs := s.chunk(m.Chunk)
-	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
-	}
-	src := s.peerDecode(op, m.Chunk, req.Spec, req.Sources, req.Seg, m.Version)
-	if req.Primary != "" {
-		src = s.segmentSnapshot(op, m.Chunk, req.Primary, req.Spec, req.Seg)
-	}
-	return s.rebuild(op, m, cs, src, true)
-}
-
-// handleRepairFrom pulls incremental repair from a source replica: ask for
-// the mods since our version (journal lite) and install them; when the
-// source's history is garbage-collected, fall back to a full copy (§4.2.1).
-func (s *Server) handleRepairFrom(op *opctx.Op, m *proto.Message) *proto.Message {
-	var req CloneChunkReq
+// handleFill brings the local replica to the target version m.Version by
+// the method what the slot already is allows:
+//   - no Source: decode from Sources — the whole chunk for an RS primary,
+//     the own segment for a holder — since nothing holds the chunk whole;
+//   - an RS holder: a snapshot of its segment from Source, the primary;
+//   - a mirror replica of the fill's view (or a later one) holding the
+//     chunk at a nonzero version it vouches for — a laggard, whose history
+//     is a prefix of the view's: incremental repair from Source
+//     (repairFrom);
+//   - any other slot — one at version 0, which may be a fresh slot whose
+//     zeros are not the chunk's (a clone's chunk starts as cold refs), a
+//     suspect one, or one from an earlier view, which may hold a write the
+//     survivors never got at a version the next view reused: a whole copy
+//     from Source.
+func (s *Server) handleFill(op *opctx.Op, m *proto.Message) *proto.Message {
+	var req FillReq
 	if err := json.Unmarshal(m.Payload, &req); err != nil {
 		return m.Reply(proto.StatusError)
 	}
@@ -320,7 +283,29 @@ func (s *Server) handleRepairFrom(op *opctx.Op, m *proto.Message) *proto.Message
 	if cs == nil {
 		return m.Reply(proto.StatusNotFound)
 	}
-	resp, err := s.peers.Do(op, req.Source, &proto.Message{
+	cs.mu.Lock()
+	laggard := cs.view >= m.View && cs.version > 0
+	cs.mu.Unlock()
+	switch {
+	case req.Source == "":
+		seg := -1
+		if cs.holder {
+			seg = cs.seg
+		}
+		return s.rebuild(op, m, cs, s.peerDecode(op, m.Chunk, cs.spec, req.Sources, seg, m.Version), true)
+	case cs.holder:
+		return s.rebuild(op, m, cs, s.segmentSnapshot(op, m.Chunk, req.Source, cs.spec, cs.seg), true)
+	case !cs.spec.IsRS() && !cs.suspect.Load() && laggard:
+		return s.repairFrom(op, m, cs, req.Source)
+	}
+	return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, cs.span()), true)
+}
+
+// repairFrom pulls incremental repair from source: ask for the mods since
+// our version (journal lite) and install them; when the source's history is
+// garbage-collected, fall back to a whole copy (§4.2.1).
+func (s *Server) repairFrom(op *opctx.Op, m *proto.Message, cs *chunkState, source string) *proto.Message {
+	resp, err := s.peers.Do(op, source, &proto.Message{
 		Op:      proto.OpRepairSince,
 		Chunk:   m.Chunk,
 		Version: cs.committed(),
@@ -337,7 +322,7 @@ func (s *Server) handleRepairFrom(op *opctx.Op, m *proto.Message) *proto.Message
 		}
 		return s.rebuild(op, m, cs, repairMods(cs, mods, resp.Version), false)
 	case proto.StatusFallback:
-		return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, cs.span()), true)
+		return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, source, cs.span()), true)
 	}
 	return m.Reply(proto.StatusError)
 }

@@ -48,7 +48,7 @@ func TestEpochFenceRejectsStaleMasterCommands(t *testing.T) {
 
 	// Master-driven commands from older epochs are fenced, and the reply
 	// carries the epoch that fenced them so the deposed master learns why.
-	for _, op := range []proto.Op{proto.OpSetView, proto.OpCreateChunk, proto.OpRebuildSegment} {
+	for _, op := range []proto.Op{proto.OpSetView, proto.OpCreateChunk, proto.OpFill} {
 		resp = srv.Handle(&proto.Message{Op: op, Chunk: testChunk, View: 2, Epoch: 3})
 		if resp.Status != proto.StatusStaleEpoch {
 			t.Fatalf("%v@3 = %s, want stale-epoch", op, resp.Status)

@@ -238,10 +238,6 @@ func (s *Server) chunk(id blockstore.ChunkID) *chunkState {
 // clients and peer replicas send, fenced per chunk by view and version) and
 // admin (handleAdmin — what the master sends, fenced by its primacy epoch).
 func (s *Server) Handle(m *proto.Message) *proto.Message {
-	if m.Op == proto.OpUpgrade { // operator-driven: neither interface, unfenced, and not a request Upgrade waits for
-		s.Upgrade()
-		return m.Reply(proto.StatusOK)
-	}
 	// Graceful upgrade: brief pause while the new "process" takes over.
 	s.upMu.Lock()
 	for s.draining {
@@ -293,7 +289,8 @@ func (s *Server) opBudget(op *opctx.Op, fallback time.Duration) time.Duration {
 // requests, wait for in-flight ones, switch to the "new process"
 // (generation bump), and resume. Real URSA forks a new binary; the
 // observable contract — no failed requests, brief pause, state preserved —
-// is identical.
+// is identical. It is called from outside every request (the daemon's
+// SIGHUP): a handler calling it would wait for itself.
 func (s *Server) Upgrade() {
 	s.upMu.Lock()
 	if s.draining {

@@ -2,7 +2,6 @@ package chunkserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -233,36 +232,64 @@ func TestJournalBypassBySize(t *testing.T) {
 	}
 }
 
+// TestIncrementalRepairFlow: a lagging replica of the fill's view told to
+// fill from a source pulls only the writes it missed — when it holds the
+// chunk at a nonzero version. One at version 0 may be a fresh slot whose
+// zeros are not the chunk's, so it copies the whole chunk; the row logs what
+// that costs in bytes moved.
 func TestIncrementalRepairFlow(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	// Apply three writes to backup b1 only (simulate b2 missing them).
-	b1, b2 := e.backups[0], e.backups[1]
-	var last []byte
-	for v := uint64(0); v < 3; v++ {
-		last = bytes.Repeat([]byte{byte(v + 1)}, 512)
-		resp := b1.Handle(&proto.Message{
-			Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 512,
-			View: 1, Version: v, Payload: last,
+	for _, row := range []struct {
+		name            string
+		took            uint64 // writes b2 took before it lagged
+		repairs, clones int64
+		moved           int64 // bytes the fill installed on b2
+	}{
+		{name: "laggard at version 1", took: 1, repairs: 1, moved: 2 * 512},
+		{name: "laggard at version 0", took: 0, clones: 1, moved: util.ChunkSize},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := newEnv(t)
+			e.createChunk(t)
+			b1, b2 := e.backups[0], e.backups[1]
+			var last []byte
+			for v := uint64(0); v < 3; v++ {
+				last = bytes.Repeat([]byte{byte(v + 1)}, 512)
+				targets := []*Server{b1}
+				if v < row.took {
+					targets = append(targets, b2)
+				}
+				for _, b := range targets {
+					resp := b.Handle(&proto.Message{
+						Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 512,
+						View: 1, Version: v, Payload: last,
+					})
+					if resp.Status != proto.StatusOK {
+						t.Fatal(resp.Status)
+					}
+				}
+			}
+			before := b2.Stats().BytesWritten
+			resp := b2.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "b1"}))
+			if resp.Status != proto.StatusOK || resp.Version != 3 {
+				t.Fatalf("repair = %+v", resp)
+			}
+			got := b2.Stats()
+			if got.Repairs != row.repairs || got.Clones != row.clones {
+				t.Errorf("the fill counted %d repairs and %d clones, want %d and %d", got.Repairs, got.Clones, row.repairs, row.clones)
+			}
+			moved := got.BytesWritten - before
+			t.Logf("%s: %d bytes moved", row.name, moved)
+			if moved != row.moved {
+				t.Errorf("the fill moved %d bytes, want %d", moved, row.moved)
+			}
+			// b2 now serves all repaired data.
+			r := b2.Handle(&proto.Message{
+				Op: proto.OpRead, Chunk: testChunk, Off: 1024, Length: 512, View: 1, Version: 3,
+			})
+			if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, last) {
+				t.Error("repaired data mismatch")
+			}
 		})
-		if resp.Status != proto.StatusOK {
-			t.Fatal(resp.Status)
-		}
-	}
-	// b2 pulls incremental repair from b1.
-	payload, _ := json.Marshal(CloneChunkReq{Source: "b1"})
-	resp := b2.Handle(&proto.Message{
-		Op: proto.OpRepairFrom, Chunk: testChunk, View: 1, Payload: payload,
-	})
-	if resp.Status != proto.StatusOK || resp.Version != 3 {
-		t.Fatalf("repair = %+v", resp)
-	}
-	// b2 now serves all repaired data.
-	r := b2.Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: testChunk, Off: 1024, Length: 512, View: 1, Version: 3,
-	})
-	if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, last) {
-		t.Error("repaired data mismatch")
 	}
 }
 
@@ -277,27 +304,34 @@ func TestRepairFallsBackToClone(t *testing.T) {
 	st.lite = journal.NewLite(2)
 	st.mu.Unlock()
 
-	for v := uint64(0); v < 6; v++ { // overflow the 2-entry lite
-		resp := b1.Handle(&proto.Message{
-			Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 4096,
-			View: 1, Version: v, Payload: bytes.Repeat([]byte{byte(v + 1)}, 4096),
-		})
-		if resp.Status != proto.StatusOK {
-			t.Fatal(resp.Status)
+	for v := uint64(0); v < 6; v++ { // overflow the 2-entry lite; b2 takes only the first
+		targets := []*Server{b1}
+		if v == 0 {
+			targets = append(targets, b2)
+		}
+		for _, b := range targets {
+			resp := b.Handle(&proto.Message{
+				Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 4096,
+				View: 1, Version: v, Payload: bytes.Repeat([]byte{byte(v + 1)}, 4096),
+			})
+			if resp.Status != proto.StatusOK {
+				t.Fatal(resp.Status)
+			}
 		}
 	}
-	// RepairSince(0) on b1 must signal fallback.
-	resp := b1.Handle(&proto.Message{Op: proto.OpRepairSince, Chunk: testChunk, Version: 0})
+	// RepairSince(1) on b1 must signal fallback.
+	resp := b1.Handle(&proto.Message{Op: proto.OpRepairSince, Chunk: testChunk, Version: 1})
 	if resp.Status != proto.StatusFallback {
 		t.Fatalf("RepairSince after eviction = %s", resp.Status)
 	}
-	// RepairFrom on b2 transparently falls back to a full clone.
-	cp, _ := json.Marshal(CloneChunkReq{Source: "b1"})
-	resp = b2.Handle(&proto.Message{
-		Op: proto.OpRepairFrom, Chunk: testChunk, View: 1, Payload: cp,
-	})
+	// A fill of b2 tries incremental repair and transparently falls back to
+	// a whole copy.
+	resp = b2.Handle(rebuildMsg(proto.OpFill, 1, 6, FillReq{Source: "b1"}))
 	if resp.Status != proto.StatusOK || resp.Version != 6 {
 		t.Fatalf("fallback clone = %+v", resp)
+	}
+	if got := b2.Stats(); got.Clones != 1 {
+		t.Errorf("the fill counted %d clones, want the fallback's one", got.Clones)
 	}
 	r := b2.Handle(&proto.Message{
 		Op: proto.OpRead, Chunk: testChunk, Off: 5 * 4096, Length: 4096, View: 1, Version: 6,
@@ -319,11 +353,8 @@ func TestCloneTransfersJournalAndDisk(t *testing.T) {
 	b1.Handle(&proto.Message{Op: proto.OpReplicate, Chunk: testChunk, Off: util.MiB,
 		View: 1, Version: 1, Payload: large})
 
-	// Clone to the primary (its replica is empty).
-	cp, _ := json.Marshal(CloneChunkReq{Source: "b1"})
-	resp := e.primary.Handle(&proto.Message{
-		Op: proto.OpCloneChunk, Chunk: testChunk, View: 2, Payload: cp,
-	})
+	// Fill the primary (its replica is empty, so it copies).
+	resp := e.primary.Handle(rebuildMsg(proto.OpFill, 2, 2, FillReq{Source: "b1"}))
 	if resp.Status != proto.StatusOK || resp.Version != 2 {
 		t.Fatalf("clone = %+v", resp)
 	}

@@ -132,6 +132,14 @@ func (cs *chunkState) committed() uint64 {
 	return cs.version
 }
 
+// outdatedBy reports whether a create asking for req finds this live state
+// from an earlier view than req's or in another role.
+func (cs *chunkState) outdatedBy(req CreateChunkReq) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.view < req.View || cs.spec.IsRS() != req.Redundancy.IsRS() || cs.holder != req.Holder || cs.seg != req.Seg
+}
+
 // span returns the replica's local slot size: one segment for RS holders,
 // a full chunk otherwise.
 func (cs *chunkState) span() int64 {

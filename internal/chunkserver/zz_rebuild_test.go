@@ -162,44 +162,61 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the source's newer bytes over the same extent and adopts the source's
 // version. Without the engine's drain the old apply lands afterwards, and
 // the replica serves the older bytes at the newer version under a matching
-// checksum. Both mirror rebuild paths must wait the apply out.
+// checksum. Both mirror fill methods must wait the apply out: the replica
+// holds the chunk at version 1, so a fill repairs it incrementally — or,
+// once it is suspect, copies the whole chunk.
 func TestRebuildRacesStalledApply(t *testing.T) {
+	lead := bytes.Repeat([]byte{0x10}, 4*util.KiB)
 	older := bytes.Repeat([]byte{0x11}, 4*util.KiB)
 	newer := bytes.Repeat([]byte{0x22}, 4*util.KiB)
 	for _, path := range []struct {
-		name string
-		op   proto.Op
-	}{{"clone", proto.OpCloneChunk}, {"incremental repair", proto.OpRepairFrom}} {
-		name, op := path.name, path.op
-		t.Run(name, func(t *testing.T) {
+		name    string
+		suspect bool
+	}{{"clone", true}, {"incremental repair", false}} {
+		t.Run(path.name, func(t *testing.T) {
 			e := newRebuildEnv(t)
 			src := e.start("src", false, nil, 50*time.Millisecond)
 			fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
 			dst := e.start("dst", false, fi, 50*time.Millisecond)
 			mustCreate(t, src, CreateChunkReq{View: 1})
 			mustCreate(t, dst, CreateChunkReq{View: 1})
-			// The source holds both writes of the extent: version 2, newer bytes.
-			for v, data := range [][]byte{older, newer} {
-				if st := apply(src, proto.OpWritePrimary, uint64(v), 0, data); st != proto.StatusOK {
+			// The source holds a lead write elsewhere and both writes of the
+			// extent: version 3, newer bytes.
+			for v, w := range []struct {
+				off  int64
+				data []byte
+			}{{64 * util.KiB, lead}, {0, older}, {0, newer}} {
+				if st := apply(src, proto.OpWritePrimary, uint64(v), w.off, w.data); st != proto.StatusOK {
 					t.Fatalf("source write %d: %s", v, st)
 				}
 			}
-			// The destination admits the first write; its device apply stalls.
+			if st := apply(dst, proto.OpWritePrimary, 0, 64*util.KiB, lead); st != proto.StatusOK {
+				t.Fatalf("destination lead write: %s", st)
+			}
+			// The destination admits the second write; its device apply stalls.
 			fi.Stall(150 * time.Millisecond)
 			stalled := make(chan proto.Status, 1)
-			go func() { stalled <- apply(dst, proto.OpWritePrimary, 0, 0, older) }()
+			go func() { stalled <- apply(dst, proto.OpWritePrimary, 1, 0, older) }()
 			waitFor(t, "the stalled write's admission", func() bool { return pendingLen(dst) == 1 })
 			fi.Heal() // later device ops pass; the stalled one is still asleep
+			dst.chunk(testChunk).suspect.Store(path.suspect)
 
-			resp := dst.Handle(rebuildMsg(op, 1, 0, CloneChunkReq{Source: "src"}))
-			if resp.Status != proto.StatusOK || resp.Version != 2 {
-				t.Fatalf("%s = %s at version %d, want ok at 2", name, resp.Status, resp.Version)
+			resp := dst.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "src"}))
+			if resp.Status != proto.StatusOK || resp.Version != 3 {
+				t.Fatalf("%s = %s at version %d, want ok at 3", path.name, resp.Status, resp.Version)
 			}
 			if st := <-stalled; st != proto.StatusOK {
 				t.Fatalf("stalled write = %s", st)
 			}
+			clones, repairs := int64(0), int64(1)
+			if path.suspect {
+				clones, repairs = 1, 0
+			}
+			if got := dst.Stats(); got.Clones != clones || got.Repairs != repairs {
+				t.Errorf("fill counted %d clones and %d repairs, want %d and %d", got.Clones, got.Repairs, clones, repairs)
+			}
 			r := dst.Handle(&proto.Message{
-				Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: uint32(len(newer)), View: 1, Version: 2,
+				Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: uint32(len(newer)), View: 1, Version: 3,
 			})
 			if r.Status != proto.StatusOK {
 				t.Fatalf("read-back: %s", r.Status)
@@ -253,9 +270,7 @@ func TestRebuildAfterFailedApply(t *testing.T) {
 	}
 
 	start := time.Now()
-	resp := holder.Handle(rebuildMsg(proto.OpRebuildSegment, 1, 0, RebuildSegmentReq{
-		Spec: redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}, Seg: 0, Primary: "p",
-	}))
+	resp := holder.Handle(rebuildMsg(proto.OpFill, 1, 0, FillReq{Source: "p"}))
 	if elapsed := time.Since(start); resp.Status != proto.StatusOK || elapsed >= replTimeout {
 		t.Fatalf("rebuild = %s after %v, want ok well inside ReplTimeout %v", resp.Status, elapsed, replTimeout)
 	}
@@ -299,7 +314,7 @@ func TestRebuildDemotesAppliedSuccessors(t *testing.T) {
 	}
 	fi.Heal()
 
-	resp := dst.Handle(rebuildMsg(proto.OpCloneChunk, 1, 0, CloneChunkReq{Source: "src"}))
+	resp := dst.Handle(rebuildMsg(proto.OpFill, 1, 0, FillReq{Source: "src"}))
 	if resp.Status != proto.StatusOK || resp.Version != 1 {
 		t.Fatalf("clone = %s at version %d, want ok at the source's 1", resp.Status, resp.Version)
 	}
@@ -314,6 +329,144 @@ func TestRebuildDemotesAppliedSuccessors(t *testing.T) {
 		t.Fatalf("read-back of the retried write: %s", r.Status)
 	}
 	bufpool.Put(r.Payload)
+}
+
+// TestFillOverEvictedSlot: a view change's replacement lands on a server
+// that still holds a slot of the chunk from an earlier view, at version 2 of
+// a chunk now at 6. That slot's history need not be a prefix of the
+// source's — an evicted primary can hold a write the survivors never got, at
+// a version the next view gave another write — so the create for the new
+// view makes the slot afresh and the fill copies the whole chunk, however
+// far back the source's journal-lite history reaches and however the old
+// slot stood. The slot ends byte-exact at version 6. A fill that reaches
+// such a slot with no create ahead of it copies too: only a replica of the
+// fill's view repairs incrementally.
+func TestFillOverEvictedSlot(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		liteCap  int  // the source's history; 0 keeps liteCap
+		diverged bool // the old slot's version 1 is a write the source never got
+		suspect  bool
+		noCreate bool // the fill arrives without the create
+	}{
+		{name: "history reaches back"},
+		{name: "history evicted", liteCap: 2},
+		{name: "diverged history", diverged: true},
+		{name: "suspect slot", suspect: true},
+		{name: "diverged history, no create", diverged: true, noCreate: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := newRebuildEnv(t)
+			src := e.start("src", false, nil, time.Second)
+			dst := e.start("dst", false, nil, time.Second)
+			mustCreate(t, src, CreateChunkReq{View: 1})
+			mustCreate(t, dst, CreateChunkReq{View: 1})
+			if row.liteCap > 0 {
+				cs := src.chunk(testChunk)
+				cs.mu.Lock()
+				cs.lite = journal.NewLite(row.liteCap)
+				cs.mu.Unlock()
+			}
+			// Both replicas take two writes; then dst is evicted and the
+			// source's four later writes overwrite part of what it holds.
+			r := util.NewRand(3)
+			for v := uint64(0); v < 6; v++ {
+				data := make([]byte, 8*util.KiB)
+				r.Fill(data)
+				off := int64(v%3) * 4 * util.KiB
+				targets := []*Server{src}
+				if v < 2 {
+					targets = append(targets, dst)
+				}
+				for _, s := range targets {
+					at := off
+					if s == dst && v == 1 && row.diverged {
+						at = 64 * util.KiB // where no later write reaches
+					}
+					if st := apply(s, proto.OpWritePrimary, v, at, data); st != proto.StatusOK {
+						t.Fatalf("write %d on %s: %s", v, s.Addr(), st)
+					}
+				}
+			}
+			dst.chunk(testChunk).suspect.Store(row.suspect)
+
+			if !row.noCreate {
+				create := dst.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 2}}))
+				if create.Status != proto.StatusOK {
+					t.Fatalf("create over the old slot = %s, want a fresh slot", create.Status)
+				}
+			}
+			before := dst.Stats().BytesWritten
+			resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 6, FillReq{Source: "src"}))
+			if resp.Status != proto.StatusOK || resp.Version != 6 {
+				t.Fatalf("fill = %s at version %d, want ok at 6", resp.Status, resp.Version)
+			}
+			if got := dst.Stats(); got.Clones != 1 || got.Repairs != 0 || got.BytesWritten-before != util.ChunkSize {
+				t.Errorf("fill counted %d clones and %d repairs moving %d bytes, want one whole copy",
+					got.Clones, got.Repairs, got.BytesWritten-before)
+			}
+			if ver, view := versionView(t, dst); ver != 6 || view != 2 {
+				t.Errorf("version %d view %d after the fill, want 6 and 2", ver, view)
+			}
+			if !bytes.Equal(slot(t, dst), slot(t, src)) {
+				t.Error("filled slot differs from the source's")
+			}
+		})
+	}
+}
+
+// TestFillAfterRoleChange: an RS replacement lands on a server that still
+// holds a slot of the chunk in another role — holder 2's segment, from view
+// 1. The create for view 2 as holder 0, or as the primary, makes the slot
+// afresh in that role, so the fill snapshots or decodes the piece the
+// position needs, not the one the old slot held.
+func TestFillAfterRoleChange(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		create func(spec redundancy.Spec) CreateChunkReq
+		fill   func(s *rsStripe) FillReq
+		want   func(s *rsStripe) *Server // the replica whose slot the fill must reproduce
+	}{
+		{
+			name: "holder 0 from the primary",
+			create: func(spec redundancy.Spec) CreateChunkReq {
+				return CreateChunkReq{Redundancy: spec, Holder: true, Seg: 0}
+			},
+			fill: func(s *rsStripe) FillReq { return FillReq{Source: "p"} },
+			want: func(s *rsStripe) *Server { return s.holders[0] },
+		},
+		{
+			name: "holder 0 by peer decode",
+			create: func(spec redundancy.Spec) CreateChunkReq {
+				return CreateChunkReq{Redundancy: spec, Holder: true, Seg: 0}
+			},
+			fill: func(s *rsStripe) FillReq { return FillReq{Sources: s.sources(2)[1:]} },
+			want: func(s *rsStripe) *Server { return s.holders[0] },
+		},
+		{
+			name:   "primary by peer decode",
+			create: func(spec redundancy.Spec) CreateChunkReq { return CreateChunkReq{Redundancy: spec} },
+			fill:   func(s *rsStripe) FillReq { return FillReq{Sources: s.sources(2)} },
+			want:   func(s *rsStripe) *Server { return s.primary },
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			stripe := newRSStripe(t)
+			h2 := stripe.holders[2]
+			req := row.create(stripe.spec)
+			req.View = 2
+			if create := h2.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: req})); create.Status != proto.StatusOK {
+				t.Fatalf("create over holder 2's slot = %s, want a fresh slot", create.Status)
+			}
+			resp := h2.Handle(rebuildMsg(proto.OpFill, 2, stripe.version, row.fill(stripe)))
+			if resp.Status != proto.StatusOK || resp.Version != stripe.version {
+				t.Fatalf("fill = %s at version %d, want ok at %d", resp.Status, resp.Version, stripe.version)
+			}
+			if !bytes.Equal(slot(t, h2), slot(t, row.want(stripe))) {
+				t.Error("filled slot differs from the piece its new position holds")
+			}
+		})
+	}
 }
 
 // rsStripe is a full RS(4,2) stripe — primary plus six holders, all wired —
@@ -393,32 +546,29 @@ func TestRebuildSources(t *testing.T) {
 	}{
 		{
 			name: "mirror copy", env: mirror, create: CreateChunkReq{View: 1},
-			msg:     rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "src"}),
+			msg:     rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"}),
 			want:    func() []byte { return slot(t, mirrorSrc) },
 			version: 2,
 		},
 		{
 			// A parity segment, so the primary encodes it on the fly.
 			name: "segment from primary snapshot", env: stripe.rebuildEnv, backup: true,
-			create: CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 4},
-			msg: rebuildMsg(proto.OpRebuildSegment, 2, stripe.version,
-				RebuildSegmentReq{Spec: stripe.spec, Seg: 4, Primary: "p"}),
+			create:  CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 4},
+			msg:     rebuildMsg(proto.OpFill, 2, stripe.version, FillReq{Source: "p", Sources: stripe.sources(4)}),
 			want:    func() []byte { return slot(t, stripe.holders[4]) },
 			version: stripe.version,
 		},
 		{
 			name: "segment by peer decode", env: stripe.rebuildEnv,
-			create: CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 1},
-			msg: rebuildMsg(proto.OpRebuildSegment, 2, stripe.version,
-				RebuildSegmentReq{Spec: stripe.spec, Seg: 1, Sources: stripe.sources(1)}),
+			create:  CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 1},
+			msg:     rebuildMsg(proto.OpFill, 2, stripe.version, FillReq{Sources: stripe.sources(1)}),
 			want:    func() []byte { return slot(t, stripe.holders[1]) },
 			version: stripe.version,
 		},
 		{
 			name: "replacement primary by peer decode", env: stripe.rebuildEnv,
-			create: CreateChunkReq{View: 1, Redundancy: stripe.spec},
-			msg: rebuildMsg(proto.OpCloneChunk, 2, stripe.version,
-				CloneChunkReq{Spec: stripe.spec, Sources: stripe.sources(0)}),
+			create:  CreateChunkReq{View: 1, Redundancy: stripe.spec},
+			msg:     rebuildMsg(proto.OpFill, 2, stripe.version, FillReq{Sources: stripe.sources(0)}),
 			want:    func() []byte { return slot(t, stripe.primary) },
 			version: stripe.version,
 		},
@@ -467,7 +617,7 @@ func TestRebuildSourceDiesMidTransfer(t *testing.T) {
 	}
 	leases := e.leases()
 	disk.countdown.Store(3) // the third piece's read never answers
-	resp := dst.Handle(rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "src"}))
+	resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"}))
 	if resp.Status != proto.StatusError {
 		t.Fatalf("clone from a dying source = %s, want error", resp.Status)
 	}
@@ -505,7 +655,7 @@ func TestRebuildSourcePartitionedMidTransfer(t *testing.T) {
 	}
 	leases := e.leases()
 	disk.countdown.Store(2) // cut while the second piece is read
-	clone := rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "src"})
+	clone := rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"})
 	clone.Budget = 400 * time.Millisecond // a per-piece window of 300 ms
 	t0 := time.Now()
 	resp := dst.Handle(clone)
@@ -520,7 +670,7 @@ func TestRebuildSourcePartitionedMidTransfer(t *testing.T) {
 	}
 	waitFor(t, "buffer leases to return", func() bool { return e.leases() == leases })
 
-	resp = dst.Handle(rebuildMsg(proto.OpCloneChunk, 2, 0, CloneChunkReq{Source: "good"}))
+	resp = dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "good"}))
 	if resp.Status != proto.StatusOK {
 		t.Fatalf("clone from a healthy source after the failed one: %s", resp.Status)
 	}
@@ -562,7 +712,7 @@ func TestRebuildSnapshotTornRetry(t *testing.T) {
 	}
 	fetches := primary.Stats().Reads
 	disk.countdown.Store(1)
-	resp := holder.Handle(rebuildMsg(proto.OpRebuildSegment, 2, 0, RebuildSegmentReq{Spec: spec, Seg: 0, Primary: "p"}))
+	resp := holder.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "p"}))
 	racing.Wait()
 	if resp.Status != proto.StatusOK || resp.Version != 2 {
 		t.Fatalf("rebuild = %s at version %d, want ok at 2", resp.Status, resp.Version)

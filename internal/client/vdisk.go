@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -480,9 +481,16 @@ func (vd *VDisk) readFragment(op *opctx.Op, idx int, buf []byte, off int64) erro
 			if spec.IsRS() {
 				// Segment holders cannot serve the chunk range directly;
 				// reconstruct it from them and keep the primary pinned.
-				if rerr := vd.readDegradedRS(op, idx, cm, spec, buf, off, version); rerr == nil {
+				rerr := vd.readDegradedRS(op, idx, cm, spec, buf, off, version)
+				if rerr == nil {
 					return nil
-				} else if lastErr == nil || err != nil || status != proto.StatusCorrupt {
+				}
+				if errors.Is(rerr, util.ErrStaleView) {
+					// The holders are in a newer view — one that replaced
+					// the primary, perhaps: learn it before the next try.
+					_ = vd.refreshMeta(idx)
+				}
+				if lastErr == nil || err != nil || status != proto.StatusCorrupt {
 					lastErr = rerr
 				}
 			} else {
@@ -586,6 +594,7 @@ func (vd *VDisk) reconstructPiece(op *opctx.Op, idx int, cm master.ChunkMeta,
 	// Group by served version: a decode mixing versions is garbage. With
 	// the primary down nothing commits, so in practice all pieces agree.
 	byVer := map[uint64]map[int][]byte{}
+	stale := false // some holder is in a newer view than cm
 	defer func() {
 		for _, avail := range byVer {
 			for _, b := range avail {
@@ -603,6 +612,7 @@ func (vd *VDisk) reconstructPiece(op *opctx.Op, idx int, cm master.ChunkMeta,
 			}
 			byVer[resp.Version][p] = resp.Payload
 		} else {
+			stale = stale || resp.Status == proto.StatusStaleView
 			bufpool.Put(resp.Payload)
 		}
 		proto.Recycle(resp)
@@ -612,8 +622,12 @@ func (vd *VDisk) reconstructPiece(op *opctx.Op, idx int, cm master.ChunkMeta,
 			return code.Reconstruct(avail, want, dst)
 		}
 	}
+	cause := util.ErrNoQuorum
+	if stale {
+		cause = util.ErrStaleView
+	}
 	return fmt.Errorf("client: reconstruct chunk %d seg %d: not enough consistent pieces: %w",
-		idx, want, util.ErrNoQuorum)
+		idx, want, cause)
 }
 
 // retryBackoff spaces I/O retry rounds: jitter decorrelates the retry

@@ -4,11 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
+
+	"ursa/internal/srctree"
 )
 
 // pooledWaits names, as pkg.var, every package-level sync.Pool literal in f
@@ -96,35 +96,16 @@ func g() { _ = sync.Pool{New: func() any { return make(chan int) }} }`
 	}
 
 	var want []string
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	var got []string
-	scanned := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir():
-			if path != root && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		case !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		scanned++
-		got = append(got, pooledWaits(f)...)
-		return nil
-	})
+	files, err := srctree.Parse(token.NewFileSet(), filepath.Join("..", ".."), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scanned < 50 {
-		t.Fatalf("scanned %d files: the walk missed the tree", scanned)
+	if len(files) < 50 {
+		t.Fatalf("scanned %d files: the walk missed the tree", len(files))
+	}
+	var got []string
+	for _, f := range files {
+		got = append(got, pooledWaits(f)...)
 	}
 	slices.Sort(got)
 	if !slices.Equal(got, want) {

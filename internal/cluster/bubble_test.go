@@ -187,9 +187,9 @@ func segmentRebuildRace(t *testing.T) {
 		}()
 	}
 	<-started
-	payload, _ := json.Marshal(chunkserver.RebuildSegmentReq{Spec: rs42, Seg: 0, Primary: cm.Replicas[0].Addr})
+	payload, _ := json.Marshal(chunkserver.FillReq{Source: cm.Replicas[0].Addr})
 	resp := c.Server(cm.Replicas[1].Addr).Handle(&proto.Message{
-		Op: proto.OpRebuildSegment, Chunk: blockstore.MakeChunkID(meta.ID, 0), View: cm.View, Payload: payload,
+		Op: proto.OpFill, Chunk: blockstore.MakeChunkID(meta.ID, 0), View: cm.View, Payload: payload,
 		Epoch: c.Master.Epoch(), // an admin op, fenced like the master's own
 	})
 	if resp.Status != proto.StatusOK {

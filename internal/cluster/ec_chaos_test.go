@@ -269,6 +269,72 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 	}
 }
 
+// TestECPrimaryLossDecodesReplacement crashes an RS(4,2) chunk's primary —
+// its only full copy — together with the holders of data segment 0 and
+// parity segment 4, and reports the primary. Four holders are left, exactly
+// N: the master places a replacement primary on the spare machine and fills
+// it naming no primary, so the replica decodes the whole chunk from those
+// four, segment 0 from parity. The new primary must serve every written
+// byte itself, and the client must read every byte back.
+func TestECPrimaryLossDecodesReplacement(t *testing.T) {
+	c := ecCluster(t, 8) // 1 primary + 6 holders + 1 spare machine
+	vd := ecVDisk(t, c, 1)
+
+	// One region at the start of each data segment.
+	const region = 64 * util.KiB
+	want := make([][]byte, rs42.N)
+	for seg := range want {
+		want[seg] = make([]byte, region)
+		util.NewRand(uint64(seg + 1)).Fill(want[seg])
+		if err := vd.WriteAt(want[seg], int64(seg)*rs42.SegSize()); err != nil {
+			t.Fatalf("write in segment %d: %v", seg, err)
+		}
+	}
+
+	mon := c.NewClient("monitor")
+	t.Cleanup(func() { mon.Close() })
+	meta, err := mon.OpenMeta("ec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := meta.Chunks[0].Replicas
+	for _, pos := range []int{0, 1, 5} { // the primary, data segment 0, parity segment 4
+		c.CrashServer(old[pos].Addr)
+	}
+	cm, err := c.PrimaryMaster().RecoverChunk(meta.ID, 0, old[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := cm.Replicas[0].Addr
+	if primary == old[0].Addr || !cm.Replicas[0].SSD {
+		t.Fatalf("primary after recovery: %+v, want a replacement SSD replica", cm.Replicas[0])
+	}
+	if got := c.Server(primary).Stats().Clones; got != 1 {
+		t.Fatalf("replacement primary counted %d fills, want 1", got)
+	}
+
+	id := blockstore.MakeChunkID(meta.ID, 0)
+	v := c.Server(primary).Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)})
+	if v.Status != proto.StatusOK || v.View != cm.View {
+		t.Fatalf("replacement primary answers %s at view %d, want ok at %d", v.Status, v.View, cm.View)
+	}
+	got := make([]byte, region)
+	for seg, w := range want {
+		r := c.Server(primary).Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: id, Off: int64(seg) * rs42.SegSize(), Length: region, View: v.View, Version: v.Version,
+		})
+		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, w) {
+			t.Fatalf("replacement primary's segment %d: %s, bytes match %v", seg, r.Status, bytes.Equal(r.Payload, w))
+		}
+		if err := vd.ReadAt(got, int64(seg)*rs42.SegSize()); err != nil {
+			t.Fatalf("client read of segment %d: %v", seg, err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("client read of segment %d returned wrong bytes", seg)
+		}
+	}
+}
+
 // TestAllReplicasCorruptCleanError is the integrity floor: when every
 // replica of a mirrored chunk has rotted on disk, the client must get a
 // clean error that unwraps to util.ErrCorrupt — never garbage bytes — and

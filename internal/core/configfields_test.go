@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
 	"path/filepath"
 	"reflect"
@@ -17,6 +16,7 @@ import (
 	"ursa/internal/client"
 	"ursa/internal/journal"
 	"ursa/internal/master"
+	"ursa/internal/srctree"
 )
 
 // configStructs are the settings of a deployment: the cluster's options and
@@ -227,32 +227,20 @@ func build(cfg *master.Config, n int) {
 		f   *ast.File
 	}
 	root := filepath.Join("..", "..")
-	var files []srcFile
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir():
-			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		case !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		files = append(files, srcFile{"ursa/" + filepath.ToSlash(rel), f})
-		return err
-	})
+	parsed, err := srctree.Parse(fset, root, func(p string, dir bool) bool { return dir && filepath.Base(p) == "testdata" })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 100 {
-		t.Fatalf("parsed %d files: the walk missed the tree", len(files))
+	if len(parsed) < 100 {
+		t.Fatalf("parsed %d files: the walk missed the tree", len(parsed))
+	}
+	var files []srcFile
+	for _, f := range parsed {
+		rel, err := filepath.Rel(root, filepath.Dir(fset.File(f.Pos()).Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, srcFile{"ursa/" + filepath.ToSlash(rel), f})
 	}
 	funcs = make(map[string]string)
 	for _, sf := range files {

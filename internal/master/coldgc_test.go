@@ -6,11 +6,17 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
+	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/coldtier"
+	"ursa/internal/metrics"
 	"ursa/internal/objstore"
 	"ursa/internal/opctx"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/simdisk"
 	"ursa/internal/transport"
 	"ursa/internal/util"
 )
@@ -18,6 +24,7 @@ import (
 // coldGCEnv is an unreplicated master wired to a near-free object store on
 // a simnet — just enough to drive RunColdGC against hand-crafted metadata.
 type coldGCEnv struct {
+	net   *transport.SimNet
 	m     *Master
 	store *objstore.Store
 	op    *opctx.Op
@@ -49,7 +56,7 @@ func newColdGCEnv(t *testing.T) *coldGCEnv {
 	})
 	m.Serve(ml)
 	t.Cleanup(m.Close)
-	return &coldGCEnv{m: m, store: store, op: opctx.New(clk, time.Minute)}
+	return &coldGCEnv{net: net, m: m, store: store, op: opctx.New(clk, time.Minute)}
 }
 
 // flushSegment hand-flushes n random extents into a freshly allocated
@@ -212,5 +219,50 @@ func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
 	}
 	if used := e.store.UsedBytes(); used != 0 {
 		t.Fatalf("store still holds %d bytes", used)
+	}
+}
+
+// TestStaleColdRefRefreshedFromMaster: GC rewrites a mostly-dead segment
+// under a clone's replica that has not fetched its extent yet. The replica's
+// fetch at the old location misses with ErrNotFound; it refreshes its refs
+// from the master (MOpGetColdRefs), fetches the extent from the new segment,
+// and the read returns the original bytes.
+func TestStaleColdRefRefreshedFromMaster(t *testing.T) {
+	e := newColdGCEnv(t)
+	reg := metrics.NewRegistry()
+	srv := chunkserver.New(chunkserver.Config{
+		Addr: "s0/ssd", Clock: clock.Realtime, Dialer: e.net.Dialer("s0/ssd", transport.NodeConfig{}),
+		MasterAddrs: []string{"master"}, ReplTimeout: time.Second, Metrics: reg,
+	}, blockstore.New(simdisk.NewSSD(fastSSD(), clock.Realtime), 0), nil)
+	l, err := e.net.Listen("s0/ssd", transport.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(l)
+	t.Cleanup(srv.Close)
+
+	refs, data := e.flushSegment(t, 3)
+	// The clone's chunk references only the middle extent: 1 of 3 MiB live.
+	meta := VDiskMeta{
+		ID: 1, Name: "clone", Size: util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit, LeaseTTL: 10 * time.Second,
+		Chunks: []ChunkMeta{{View: 1, Replicas: []ReplicaInfo{{Addr: "s0/ssd", SSD: true}}, Cold: []coldtier.ExtentRef{refs[1]}}},
+	}
+	commit(t, e.m, entry{PutVDisk: &entryPutVDisk{Meta: meta, NextID: meta.ID}})
+	if err := e.m.createChunks(meta.ID, meta.Chunks, redundancy.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	if reclaimed, _, err := e.m.RunColdGC(); err != nil || reclaimed != 1 {
+		t.Fatalf("gc: reclaimed %d (%v), want the mostly-dead segment rewritten", reclaimed, err)
+	}
+
+	r := srv.Handle(&proto.Message{
+		Op: proto.OpRead, Chunk: blockstore.MakeChunkID(meta.ID, 0), Off: refs[1].ChunkOff, Length: uint32(refs[1].Len), View: 1,
+	})
+	if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data[1]) {
+		t.Fatalf("read of the rewritten extent: %s, bytes match %v", r.Status, bytes.Equal(r.Payload, data[1]))
+	}
+	bufpool.Put(r.Payload)
+	if n := reg.Counter(chunkserver.MetricColdFetches).Load(); n != 1 {
+		t.Errorf("cold fetches = %d, want 1", n)
 	}
 }

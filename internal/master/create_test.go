@@ -41,6 +41,9 @@ type slotServers struct {
 	fence uint64
 	// flushHold is how long a server takes to answer an OpFlushChunks.
 	flushHold time.Duration
+	// answer, when set, sees every message first, outside mu; a non-nil
+	// reply is the server's answer.
+	answer func(addr string, msg *proto.Message) *proto.Message
 }
 
 // newSlotEnv starts a master over the given number of machines of slot
@@ -86,6 +89,11 @@ func (ss *slotServers) serve(t *testing.T, m *Master, machines int) {
 }
 
 func (ss *slotServers) handle(addr string, msg *proto.Message) *proto.Message {
+	if ss.answer != nil {
+		if r := ss.answer(addr, msg); r != nil {
+			return r
+		}
+	}
 	if msg.Op == proto.OpFlushChunks {
 		return ss.flush(addr, msg)
 	}

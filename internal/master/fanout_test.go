@@ -194,3 +194,65 @@ func TestRecoverMirrorPlacesReplacementsApart(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverMirrorFillsLaggardAndReplacementAtOnce: a mirror view change
+// with one lagging and one dead backup fills both in one fan-out. The
+// laggard's fill is held at its server; the replacement's create must arrive
+// meanwhile — a repair step that ran before the replacements were made would
+// hold it for as long as the laggard's fill takes, up to its whole window.
+func TestRecoverMirrorFillsLaggardAndReplacementAtOnce(t *testing.T) {
+	m, ss := newSlotEnv(t, 4, 0, time.Second)
+	meta := VDiskMeta{
+		ID: 1, Name: "d", Size: util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit, LeaseTTL: 10 * time.Second,
+		Chunks: []ChunkMeta{{View: 1, Replicas: []ReplicaInfo{{Addr: "s0/ssd", SSD: true}, {Addr: "s1/hdd"}, {Addr: "s2/hdd"}}}},
+	}
+	commit(t, m, entry{PutVDisk: &entryPutVDisk{Meta: meta, NextID: meta.ID}})
+	ss.net.Crash("s2/hdd")
+	const versionH = 7
+	versions := map[string]uint64{"s0/ssd": versionH, "s1/hdd": 5}
+	release := make(chan struct{})
+	created := make(chan string, 1)
+	ss.answer = func(addr string, msg *proto.Message) *proto.Message {
+		r := msg.Reply(proto.StatusOK)
+		switch msg.Op {
+		case proto.OpGetVersion:
+			r.Version = versions[addr]
+		case proto.OpFill:
+			if addr == "s1/hdd" {
+				<-release
+			}
+			r.Version = versionH
+		case proto.OpCreateChunk:
+			created <- addr
+			return nil // the slot table answers
+		default:
+			return nil
+		}
+		return r
+	}
+	type result struct {
+		cm  *ChunkMeta
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		cm, err := m.RecoverChunk(meta.ID, 0, "s2/hdd")
+		done <- result{cm, err}
+	}()
+	select {
+	case addr := <-created:
+		if addr != "s3/hdd" {
+			t.Errorf("replacement created on %s, want s3/hdd", addr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("no replacement was created while the laggard's fill was held: the fills ran one after another")
+	}
+	close(release)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if got := fmt.Sprint(res.cm.View, res.cm.Replicas); got != "2 [{s0/ssd true} {s1/hdd false} {s3/hdd false}]" {
+		t.Fatalf("new view %s, want view 2 of s0/ssd, s1/hdd and s3/hdd", got)
+	}
+}

@@ -187,7 +187,7 @@ type serverQueue struct {
 
 // fanOut is the master's one way to send, to one server or to many. It sends
 // the queues as one flight with one window for everything (RPCTimeout for
-// commands; a clone, a rebuild or a flush takes a multiple of it, a log batch
+// commands; a fill or a flush takes a multiple of it, a log batch
 // PrimacyTTL/2, promotion's probe and fence PrimacyTTL/4): every queue's first
 // message at the start, a queue's next when its previous has been answered,
 // so the round trips a command costs count the messages of its longest queue,

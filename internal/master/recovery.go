@@ -36,10 +36,12 @@ const (
 //     (or — the paper's conservative escape hatch — proceed with fewer when
 //     the unreachable replicas are confirmed crashed by the reporter).
 //  2. Pick versionH, the highest collected version, as the most recent state.
-//  3. Incrementally repair lagging live replicas from a versionH holder.
-//  4. Allocate a replacement for the failed replica and clone versionH
-//     into it.
-//  5. Install view i+1 on every replica and update the metadata.
+//  3. Allocate a replacement for each failed replica, and fill the
+//     replacements and the lagging live replicas, all at once, from the
+//     sources that hold versionH. Each replica picks how: incremental repair
+//     for a laggard (§4.2.1), a copy for a fresh slot (chunkserver
+//     handleFill).
+//  4. Install view i+1 on every replica and update the metadata.
 func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr string) (*ChunkMeta, error) {
 	// Only the primary may drive view changes; a deposed master starting a
 	// recovery here would race the real primary's recovery of the same
@@ -121,30 +123,27 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		}
 	}
 
-	// Step 3: incremental repair of live laggards, all at once. Repair may
-	// fall back to a full clone on the far side, so it gets a clone's
-	// window. A laggard that cannot repair keeps its version behind; the
-	// client will report again.
-	var repairs []serverQueue
+	// Step 3: fill the live laggards and a replacement for each dead replica,
+	// all in one fan-out: a laggard is sent the fill, a replacement the
+	// create of its slot and then the fill. Every replacement is chosen
+	// before any is made, each pick seeing the chunk's replicas and the
+	// picks before it, so no two land on one server or one machine. A dead
+	// SSD (primary) replica is replaced by another SSD server — the paper
+	// notes SSD recovery is the urgent case in hybrid storage (§5.5). A
+	// laggard that cannot be filled keeps its version behind, and a
+	// replacement that cannot be placed or filled is left out: the chunk
+	// proceeds degraded, and the client's next report retries.
+	fillCmd := func() *proto.Message {
+		return command(proto.OpFill, id, cm.View, versionH, chunkserver.FillReq{Source: source.addr})
+	}
+	var queues []serverQueue
 	for _, st := range states {
 		if st.alive && st.version != versionH && st.addr != source.addr {
-			repairs = append(repairs, serverQueue{st.addr, []*proto.Message{
-				command(proto.OpRepairFrom, id, cm.View, 0, chunkserver.CloneChunkReq{Source: source.addr}),
-			}})
+			queues = append(queues, serverQueue{st.addr, []*proto.Message{fillCmd()}})
 		}
 	}
-	m.fanOut(60*m.cfg.RPCTimeout, repairs, nil)
-
-	// Step 4: replace dead replicas. Every replacement is chosen before any
-	// is made, each pick seeing the chunk's replicas and the picks before it,
-	// so no two land on one server or one machine. A dead SSD (primary)
-	// replica is replaced by another SSD server — the paper notes SSD
-	// recovery is the urgent case in hybrid storage (§5.5). Then every
-	// replacement is created and cloned from source at once. One that cannot
-	// be placed or filled is left out: the chunk proceeds degraded, and
-	// durability is restored on the next report.
+	laggards := len(queues)
 	var picks []ReplicaInfo
-	var fills []serverQueue
 	replacedBy := make([]int, len(states)) // the pick replacing each dead replica, or -1
 	for i, st := range states {
 		replacedBy[i] = -1
@@ -157,10 +156,9 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		}
 		replacedBy[i] = len(picks)
 		picks = append(picks, cand)
-		fills = append(fills, fillQueue(cand.Addr, id, chunkserver.CreateChunkReq{View: cm.View},
-			command(proto.OpCloneChunk, id, cm.View, 0, chunkserver.CloneChunkReq{Source: source.addr})))
+		queues = append(queues, fillQueue(cand.Addr, id, chunkserver.CreateChunkReq{View: cm.View}, fillCmd()))
 	}
-	filled := m.fill(fills, versionH)
+	filled := m.fill(queues, versionH)[laggards:]
 	newReplicas := make([]ReplicaInfo, 0, len(cm.Replicas))
 	for i, st := range states {
 		if st.alive {
@@ -219,8 +217,8 @@ func consistent(states []replicaVersion) bool {
 	return true
 }
 
-// installView is step 5 of every view change: install view i+1 with the new
-// membership on every replica, then record it.
+// installView is the last step of every view change: install view i+1 with
+// the new membership on every replica, then record it.
 func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunkIndex uint32,
 	cm ChunkMeta, newReplicas []ReplicaInfo) (*ChunkMeta, error) {
 
@@ -266,12 +264,12 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 // substitutes a fresh server at the same position) and never reorders or
 // shrinks the list.
 //
-// Rebuild sources are chosen for snapshot safety (see
-// chunkserver/rebuild.go): while a primary holds versionH, a holder rebuild
-// fetches an encoded segment snapshot from it (OpRebuildSegment with
-// Primary set). Only when the primary itself is down or lagging — so no
-// write can commit and the surviving holders are quiescent — do rebuilds
-// decode from N holders directly.
+// Every fill names the same sources: the primary once one holds versionH,
+// and the holders that hold it. Snapshot safety (see chunkserver/rebuild.go)
+// is the replica's rule: a holder named a primary fetches an encoded segment
+// snapshot from it, and only a fill that names no primary — none holds
+// versionH, so no write can commit and the holders are quiescent — decodes
+// from N holders directly.
 func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	vdiskID, chunkIndex uint32, cm ChunkMeta, spec redundancy.Spec, failedAddr string) (*ChunkMeta, error) {
 
@@ -328,22 +326,30 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 
 	newReplicas := append([]ReplicaInfo(nil), cm.Replicas...)
 	changed := false  // membership changed
-	repaired := false // some replica was rebuilt in place
+	repaired := false // some replica was filled in place
 
-	// restore rebuilds one position: in place when its replica is reachable
-	// but lagging, and — when it is not reachable, or the in-place rebuild
-	// fails, as it does every time on a live server over a dead device — on
-	// a fresh server substituted at the same position. It reports whether a
-	// rebuild landed; when none did, the position keeps its old entry (the
-	// list never shrinks) and stays degraded until the next report retries.
-	restore := func(pos int, rebuildOn func(addr string) bool) bool {
+	// fillAt creates position pos's slot on addr (an existing slot is kept)
+	// and fills it from everything that holds versionH.
+	primaryAddr := ""
+	fillAt := func(pos int, addr string) bool {
+		create := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec, Holder: pos > 0, Seg: max(pos-1, 0)}
+		req := chunkserver.FillReq{Source: primaryAddr, Sources: sources}
+		return m.fill([]serverQueue{fillQueue(addr, id, create, command(proto.OpFill, id, cm.View, versionH, req))}, versionH)[0]
+	}
+	// restore fills one position: in place when its replica is reachable but
+	// lagging, and — when it is not reachable, or the in-place fill fails, as
+	// it does every time on a live server over a dead device — on a fresh
+	// server substituted at the same position. It reports whether a fill
+	// landed; when none did, the position keeps its old entry (the list never
+	// shrinks) and stays degraded until the next report retries.
+	restore := func(pos int) bool {
 		st := states[pos]
-		if st.alive && rebuildOn(st.addr) {
+		if st.alive && fillAt(pos, st.addr) {
 			repaired = true
 			return true
 		}
 		target, found := m.pickReplacement(newReplicas, st.addr, st.ssd || pos == 0)
-		if !found || !rebuildOn(target.Addr) {
+		if !found || !fillAt(pos, target.Addr) {
 			return false
 		}
 		newReplicas[pos] = target
@@ -351,29 +357,17 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 		return true
 	}
 
-	// Step 3: restore the primary first so segment rebuilds can snapshot it.
-	// While it is missing, clients reconstruct reads from the holders.
-	if !primaryOK {
-		primaryOK = restore(0, func(addr string) bool {
-			return m.rsClonePrimary(id, cm, spec, addr, sources, versionH)
-		})
-	}
-	primaryAddr := ""
-	if primaryOK {
+	// Step 3: restore the primary first so the holders' fills can snapshot
+	// it. While it is missing, clients reconstruct reads from the holders.
+	if primaryOK || restore(0) {
 		primaryAddr = newReplicas[0].Addr
 	}
 
-	// Step 4: rebuild dead or lagging segment holders at their positions.
+	// Step 4: fill dead or lagging segment holders at their positions.
 	for i := 1; i < len(states); i++ {
-		if current(states[i]) {
-			continue
+		if !current(states[i]) {
+			restore(i)
 		}
-		if !primaryOK && len(sources) < spec.N {
-			break // nothing left to rebuild from
-		}
-		restore(i, func(addr string) bool {
-			return m.rsRebuildSegment(id, cm, spec, i-1, addr, primaryAddr, sources, versionH)
-		})
 	}
 
 	// Step 5: install the new view everywhere — but only if this recovery
@@ -386,40 +380,10 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	return m.installView(t0, id, vdiskID, chunkIndex, cm, newReplicas)
 }
 
-// rsClonePrimary rebuilds a full-chunk primary by decoding N surviving
-// segments. This runs only while no primary holds versionH, so no write can
-// commit and the sources are quiescent at versionH; the far side rejects
-// piece fetches at any other version rather than decode a torn chunk.
-func (m *Master) rsClonePrimary(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec,
-	addr string, sources []chunkserver.PieceSource, versionH uint64) bool {
-
-	if len(sources) < spec.N {
-		return false
-	}
-	return m.fill([]serverQueue{fillQueue(addr, id, chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec},
-		command(proto.OpCloneChunk, id, cm.View, versionH, chunkserver.CloneChunkReq{Spec: spec, Sources: sources}))}, versionH)[0]
-}
-
-// rsRebuildSegment (re)creates segment seg on target and rebuilds its
-// content — from the primary's snapshot when one holds versionH, otherwise
-// by decoding from N quiescent holders.
-func (m *Master) rsRebuildSegment(id blockstore.ChunkID, cm ChunkMeta, spec redundancy.Spec,
-	seg int, target, primary string, sources []chunkserver.PieceSource, versionH uint64) bool {
-
-	req := chunkserver.RebuildSegmentReq{Spec: spec, Seg: seg}
-	if primary != "" {
-		req.Primary = primary
-	} else {
-		req.Sources = sources
-	}
-	return m.fill([]serverQueue{fillQueue(target, id, chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec, Holder: true, Seg: seg},
-		command(proto.OpRebuildSegment, id, cm.View, versionH, req))}, versionH)[0]
-}
-
 // fillQueue is one replacement's share of a view change: create the chunk's
 // slot on addr — a slot that already exists, a restarted server re-attaching
 // or a retried recovery, is as good as a fresh one — and then fill it with
-// then, a clone or a rebuild.
+// then, an OpFill.
 func fillQueue(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkReq, then *proto.Message) serverQueue {
 	return serverQueue{addr, []*proto.Message{chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: id, CreateChunkReq: req}), then}}
 }

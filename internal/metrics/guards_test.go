@@ -5,11 +5,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
+
+	"ursa/internal/srctree"
 )
 
 // registryNilGuards lists the if statements of f that test a metrics
@@ -170,33 +170,16 @@ func (c *Config) fine(other *Thing, sink *metrics.Registry) {
 	}
 
 	root := ".."
-	scanned := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir():
-			if path == filepath.Join(root, "bench") {
-				return filepath.SkipDir
-			}
-			return nil
-		case !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		scanned++
-		for _, pos := range registryNilGuards(fset, f) {
-			t.Errorf("%s: tests a metrics registry against nil; default it where the piece is built instead", pos)
-		}
-		return nil
-	})
+	files, err := srctree.Parse(fset, root, func(path string, _ bool) bool { return path == filepath.Join(root, "bench") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scanned < 50 {
-		t.Fatalf("scanned %d files: the walk missed the tree", scanned)
+	if len(files) < 50 {
+		t.Fatalf("scanned %d files: the walk missed the tree", len(files))
+	}
+	for _, f := range files {
+		for _, pos := range registryNilGuards(fset, f) {
+			t.Errorf("%s: tests a metrics registry against nil; default it where the piece is built instead", pos)
+		}
 	}
 }

@@ -56,25 +56,14 @@ const (
 	// OpFetchChunk reads raw chunk data for recovery transfer (on backups
 	// it resolves journal extents transparently).
 	OpFetchChunk
-	// OpApplyRepair is reserved: nothing sends it (a replica told to
-	// OpRepairFrom installs the repair data itself). The number stays so the
-	// ops after it do not shift.
-	OpApplyRepair
 	// OpSetView installs a new view number on the replica (view change).
 	OpSetView
-	// OpUpgrade asks the server to perform a graceful hot upgrade (§5.2).
-	OpUpgrade
-	// OpCloneChunk tells a newly allocated replica to pull the whole chunk
-	// from a source replica (failure recovery, §4.2.2).
-	OpCloneChunk
-	// OpRepairFrom tells a lagging replica to pull incremental repair from
-	// a source replica (falling back to a full clone when the source's
-	// journal-lite history is gone, §4.2.1).
-	OpRepairFrom
-	// OpRebuildSegment tells an RS segment holder to rebuild its segment
-	// by decoding same-offset stripes fetched from N surviving holders
-	// (or, failing that, by copying its piece from the primary).
-	OpRebuildSegment
+	// OpFill (master→replica) brings a replica to the version in the header,
+	// from the sources the payload names (chunkserver.FillReq): a replica at
+	// that version, or the RS segment holders at it. The replica picks the
+	// method — whole copy, incremental repair from the source's journal-lite
+	// history (§4.2.1), segment snapshot or decode (§4.2.2).
+	OpFill
 	// OpFetchSegment asks a chunk primary for piece Seg of an RS stripe:
 	// data pieces are read from the local full chunk, parity pieces are
 	// encoded on the fly.

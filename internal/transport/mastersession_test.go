@@ -6,9 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +16,7 @@ import (
 	"ursa/internal/metrics"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
+	"ursa/internal/srctree"
 	"ursa/internal/util"
 )
 
@@ -363,38 +362,16 @@ func f(s proto.Status) bool {
 		filepath.Join(root, "internal", "master"):                        true,
 		filepath.Join(root, "internal", "transport", "mastersession.go"): true,
 	}
-	scanned := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case allowed[path]:
-			if d.IsDir() {
-				return filepath.SkipDir
-			}
-			return nil
-		case d.IsDir():
-			if path != root && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		case !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		scanned++
-		for _, pos := range notPrimaryUses(fset, f) {
-			t.Errorf("%s: handles StatusNotPrimary itself; call the master through MasterSession", pos)
-		}
-		return nil
-	})
+	files, err := srctree.Parse(fset, root, func(path string, _ bool) bool { return allowed[path] })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scanned < 50 {
-		t.Fatalf("scanned %d files: the walk missed the tree", scanned)
+	if len(files) < 50 {
+		t.Fatalf("scanned %d files: the walk missed the tree", len(files))
+	}
+	for _, f := range files {
+		for _, pos := range notPrimaryUses(fset, f) {
+			t.Errorf("%s: handles StatusNotPrimary itself; call the master through MasterSession", pos)
+		}
 	}
 }
