@@ -145,7 +145,7 @@ const (
 	StatusOK Status = iota
 	StatusError
 	StatusNotFound
-	StatusStaleView    // request view older than replica view
+	StatusStaleView    // request view differs from the replica's, older or newer
 	StatusStaleVersion // request version older than replica version
 	StatusBehind       // replica behind the request version: needs repair
 	StatusExists
