@@ -214,7 +214,7 @@ func Fig12(cfg Config) Table {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					_, _ = c.Master.RecoverChunk(vd.ID(), uint32(i), primary)
+					_, _ = c.Master.RecoverChunk(vd.ID(), uint32(i), primary, 0)
 				}(i)
 				break
 			}

@@ -139,7 +139,7 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	// whole-chunk clone for mirroring, a single segment for RS.
 	dead := reps[1].Addr
 	c.CrashServer(dead)
-	rebuild := timed(func() { _, err = c.Master.RecoverChunk(vd.ID(), 0, dead) })
+	rebuild := timed(func() { _, err = c.Master.RecoverChunk(vd.ID(), 0, dead, 0) })
 	if err != nil {
 		notes = append(notes, name+" rebuild: "+err.Error())
 	} else {

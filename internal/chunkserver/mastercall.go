@@ -19,6 +19,8 @@ type ReportFailureReq struct {
 	// FailedAddr is the replica the reporter could not reach ("" when the
 	// report is about version divergence only).
 	FailedAddr string `json:"failedAddr,omitempty"`
+	// View is the chunk's view the reporter acted in; a server names none.
+	View uint64 `json:"view,omitempty"`
 }
 
 // MaterializedReq is the payload of MOpChunkMaterialized: the replica at

@@ -404,7 +404,7 @@ func TestRecoverChunkRacesClientWrite(t *testing.T) {
 	// Repeated pure-repair view changes while the writer runs.
 	views := 0
 	for i := 0; i < 6; i++ {
-		if _, err := c.Master.RecoverChunk(vd.ID(), 0, ""); err != nil {
+		if _, err := c.Master.RecoverChunk(vd.ID(), 0, "", 0); err != nil {
 			t.Errorf("recover %d: %v", i, err)
 		} else {
 			views++

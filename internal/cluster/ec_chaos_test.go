@@ -212,7 +212,7 @@ func TestChaosECHolderDiskDeath(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("replicas never converged: versions %v of %+v", versions, meta.Chunks[0])
 		}
-		_, _ = c.PrimaryMaster().RecoverChunk(meta.ID, 0, "")
+		_, _ = c.PrimaryMaster().RecoverChunk(meta.ID, 0, "", 0)
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -301,7 +301,7 @@ func TestECPrimaryLossDecodesReplacement(t *testing.T) {
 	for _, pos := range []int{0, 1, 5} { // the primary, data segment 0, parity segment 4
 		c.CrashServer(old[pos].Addr)
 	}
-	cm, err := c.PrimaryMaster().RecoverChunk(meta.ID, 0, old[0].Addr)
+	cm, err := c.PrimaryMaster().RecoverChunk(meta.ID, 0, old[0].Addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func TestRecoverMirrorPlacesReplacementsApart(t *testing.T) {
 	e.net.Crash("m2/hdd")
 	e.net.Crash("m3/hdd")
 
-	cm, err := e.m.RecoverChunk(meta.ID, 0, "m2/hdd")
+	cm, err := e.m.RecoverChunk(meta.ID, 0, "m2/hdd", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRecoverMirrorFillsLaggardAndReplacementAtOnce(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		cm, err := m.RecoverChunk(meta.ID, 0, "s2/hdd")
+		cm, err := m.RecoverChunk(meta.ID, 0, "s2/hdd", 0)
 		done <- result{cm, err}
 	}()
 	select {

@@ -328,7 +328,7 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 		return serve(m, msg, m.getVDisk)
 	case proto.MOpReportFailure:
 		return serve(m, msg, func(r ReportFailureReq) (*ChunkMeta, error) {
-			return m.RecoverChunk(r.VDisk, r.ChunkIndex, r.FailedAddr)
+			return m.RecoverChunk(r.VDisk, r.ChunkIndex, r.FailedAddr, r.View)
 		})
 	case proto.MOpStats:
 		m.mu.Lock()

@@ -325,7 +325,7 @@ func TestRecoverChunkReplacesDeadPrimary(t *testing.T) {
 	primary := meta.Chunks[0].Replicas[0].Addr
 	e.net.Crash(primary)
 
-	newMeta, err := e.m.RecoverChunk(meta.ID, 0, primary)
+	newMeta, err := e.m.RecoverChunk(meta.ID, 0, primary, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 		}
 	}
 	// Recover with no dead replica: pure repair to versionH=3.
-	if _, err := e.m.RecoverChunk(meta.ID, 0, ""); err != nil {
+	if _, err := e.m.RecoverChunk(meta.ID, 0, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// All replicas should now report version 3.
@@ -390,9 +390,40 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 	}
 }
 
+// TestReportViewDecidesProbe: the view a report names decides what the
+// master does. At the recorded view, a whole chunk is answered as it
+// stands; above it, the chunk gets a view above the reporter's, counted as
+// a mend; below it, the recorded meta comes back with no probe, so even a
+// chunk whose every replica is down answers at once.
+func TestReportViewDecidesProbe(t *testing.T) {
+	e := newEnv(t, 4, true)
+	var meta VDiskMeta
+	e.call(t, proto.MOpCreateVDisk, CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta)
+	report := func(view uint64) (*ChunkMeta, error) { return e.m.RecoverChunk(meta.ID, 0, "", view) }
+
+	if cm, err := report(1); err != nil || cm.View != 1 {
+		t.Fatalf("report at the recorded view: %+v, %v; want view 1 unchanged", cm, err)
+	}
+	if cm, err := report(5); err != nil || cm.View != 6 {
+		t.Fatalf("report above the recorded view: %+v, %v; want view 6", cm, err)
+	}
+	if got := e.m.cfg.Metrics.Counter(MetricViewMends).Load(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricViewMends, got)
+	}
+	for _, r := range meta.Chunks[0].Replicas {
+		e.net.Crash(r.Addr)
+	}
+	if cm, err := report(2); err != nil || cm.View != 6 {
+		t.Fatalf("report below the recorded view: %+v, %v; want the recorded view 6", cm, err)
+	}
+	if _, err := report(6); !errors.Is(err, util.ErrNoQuorum) {
+		t.Errorf("report at the recorded view with every replica down: %v, want ErrNoQuorum", err)
+	}
+}
+
 func TestRecoverUnknownChunk(t *testing.T) {
 	e := newEnv(t, 4, true)
-	if _, err := e.m.RecoverChunk(99, 0, ""); !errors.Is(err, util.ErrNotFound) {
+	if _, err := e.m.RecoverChunk(99, 0, "", 0); !errors.Is(err, util.ErrNotFound) {
 		t.Errorf("unknown vdisk recover: %v", err)
 	}
 }
