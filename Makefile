@@ -141,9 +141,12 @@ scrub-smoke:
 # client must finish with zero failed I/Os; the same with one holder's HDD
 # dead under a live server, whose position must be re-homed; plus
 # degraded-read reconstruction, a lost primary decoded onto a replacement
-# from exactly N holders, and the all-replicas-corrupt clean-error floor.
+# from exactly N holders, and the all-replicas-corrupt clean-error floor;
+# an RS decode whose source holder changes view, turns suspect or is made
+# afresh mid-fill must fail with nothing adopted.
 ec-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosECSegmentDeath|TestChaosECHolderDiskDeath|TestECDegradedReadReconstructs|TestECPrimaryLossDecodesReplacement|TestAllReplicasCorruptCleanError' -count=1 -v
+	$(GO) test ./internal/chunkserver -run 'TestFillRefusedBySourceThatChanged/RS' -count=1 -v
 
 # Deterministic master-failover acceptance run: the primary master of a
 # three-master cluster is killed mid-workload under the linearizability
@@ -164,12 +167,15 @@ ec-smoke:
 # source rules that only state.go writes a field of the replicated state and
 # that the master sends only through fanOut; a mirror recovery replacing
 # two dead backups on two different machines; and one filling a lagging
-# and a replacement backup at once.
+# and a replacement backup at once. A mirror copy or incremental repair
+# whose source changes view, turns suspect or is made afresh after the
+# master probed it must fail with nothing adopted.
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout|TestViewMendedThroughReport|TestStaleClientReadsFromLonePrimary' -race -count=1 -v
 	GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestViewMendedThroughReport' -count=20
 	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
 	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart|TestRecoverMirrorFillsLaggardAndReplacementAtOnce|TestReportViewDecidesProbe' -race -count=1 -v
+	$(GO) test ./internal/chunkserver -run 'TestFillRefusedBySourceThatChanged/(mirror|incremental)' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-

@@ -23,6 +23,7 @@ import (
 	"ursa/internal/chunkserver"
 	"ursa/internal/clock"
 	"ursa/internal/core"
+	"ursa/internal/journal"
 	"ursa/internal/master"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
@@ -43,16 +44,13 @@ func main() {
 	clk := clock.Realtime
 	dialer := transport.TCPDialer{}
 
-	var srv *chunkserver.Server
+	var store *blockstore.Store
+	var jset *journal.Set
 	switch *role {
 	case "primary":
 		m := simdisk.DefaultSSD()
 		m.Capacity = *capacity
-		ssd := simdisk.NewSSD(m, clk)
-		srv = chunkserver.New(chunkserver.Config{
-			Addr: *listen, Clock: clk, Dialer: dialer,
-			MasterAddrs: []string{*masterAddr},
-		}, blockstore.New(ssd, 0), nil)
+		store = blockstore.New(simdisk.NewSSD(m, clk), 0)
 	case "backup":
 		hm := simdisk.DefaultHDD()
 		hm.Capacity = *capacity
@@ -65,14 +63,14 @@ func main() {
 
 		// The layout is the in-process cluster's (core.NewBackup): slots, then
 		// the HDD overflow journal at the device's tail.
-		store, jset, _ := core.NewBackup(clk, *listen, hdd, jssd, 0, util.AlignDown(sm.Capacity, util.SectorSize), true, nil)
-		srv = chunkserver.New(chunkserver.Config{
-			Addr: *listen, Clock: clk, Dialer: dialer,
-			MasterAddrs: []string{*masterAddr},
-		}, store, jset)
+		store, jset, _ = core.NewBackup(clk, *listen, hdd, jssd, 0, util.AlignDown(sm.Capacity, util.SectorSize), true, nil)
 	default:
 		log.Fatalf("unknown role %q", *role)
 	}
+	srv := chunkserver.New(chunkserver.Config{
+		Addr: *listen, Clock: clk, Dialer: dialer,
+		MasterAddrs: []string{*masterAddr},
+	}, store, jset)
 
 	l, err := transport.ListenTCP(*listen)
 	if err != nil {
@@ -82,7 +80,7 @@ func main() {
 
 	// Register with the master.
 	status, err := srv.Master().Call(nil, proto.MOpRegister, master.RegisterReq{
-		Addr: l.Addr(), Machine: *machine, SSD: *role == "primary",
+		Addr: l.Addr(), Machine: *machine, SSD: *role == "primary", Capacity: store.Capacity(),
 	}, nil)
 	if err != nil || status != proto.StatusOK {
 		log.Fatalf("register with master: %v (%v)", err, status)

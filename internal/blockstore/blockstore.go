@@ -177,6 +177,11 @@ func (s *Store) SlotSize(id ChunkID) int64 {
 	return s.slots[id].size
 }
 
+// Capacity returns the bytes the store may give to slots — its limit. A
+// chunk server registers it with the master, whose placement refuses a
+// vdisk the servers of a class cannot hold.
+func (s *Store) Capacity() int64 { return s.limit }
+
 // UsedBytes returns the bytes held by live slots — the store's physical
 // footprint, which the erasure-coding bench compares against logical bytes.
 func (s *Store) UsedBytes() int64 {

@@ -41,9 +41,10 @@ import (
 // proto.MaxPayload (16 MiB) as the ceiling.
 var classSizes = [...]int{512, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20}
 
-// classCap bounds each free list's retained buffer count so an idle pool
-// does not pin a burst's worth of memory forever. Evicted buffers are
-// deregistered before being handed to the GC.
+// classCap bounds each free list's retained buffer count: a ceiling, not a
+// release — an idle pool keeps what a burst returned, up to about 178 MiB
+// across the classes (2+16+8+32+8+32+16+64 MiB), and gives none of it back.
+// Evicted buffers are deregistered before being handed to the GC.
 func classCap(size int) int {
 	switch {
 	case size <= 4096:

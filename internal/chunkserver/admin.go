@@ -244,19 +244,23 @@ func (s *Server) handleSetView(m *proto.Message) *proto.Message {
 	return r
 }
 
-// PieceSource names one surviving segment holder and the piece it stores.
+// PieceSource names one surviving segment holder, the piece it stores and
+// the view the master's probe saw it at.
 type PieceSource struct {
 	Addr  string `json:"addr"`
 	Piece int    `json:"piece"`
+	View  uint64 `json:"view"`
 }
 
 // FillReq is the JSON payload of OpFill: where the replica's content can
 // come from. Source is a replica holding the chunk whole at the target
-// version (the header's Version) — a mirror replica or an RS chunk's primary;
-// Sources are the RS segment holders at that version. The master names what
-// it has; handleFill picks the method.
+// version (the header's Version) — a mirror replica or an RS chunk's primary
+// — and View the view the master saw it at; Sources are the RS segment
+// holders at that version. The master names what it has; handleFill picks
+// the method.
 type FillReq struct {
 	Source  string        `json:"source,omitempty"`
+	View    uint64        `json:"view,omitempty"`
 	Sources []PieceSource `json:"sources,omitempty"`
 }
 
@@ -292,23 +296,26 @@ func (s *Server) handleFill(op *opctx.Op, m *proto.Message) *proto.Message {
 		if cs.holder {
 			seg = cs.seg
 		}
-		return s.rebuild(op, m, cs, s.peerDecode(op, m.Chunk, cs.spec, req.Sources, seg, m.Version), true)
+		return s.rebuild(op, m, cs, s.peerDecode(op, m.Chunk, cs.strat, req.Sources, seg, m.Version), true)
 	case cs.holder:
-		return s.rebuild(op, m, cs, s.segmentSnapshot(op, m.Chunk, req.Source, cs.spec, cs.seg), true)
+		return s.rebuild(op, m, cs, s.segmentSnapshot(op, m.Chunk, req.Source, req.View, m.Version, cs.spec, cs.seg), true)
 	case !cs.spec.IsRS() && !cs.suspect.Load() && laggard:
-		return s.repairFrom(op, m, cs, req.Source)
+		return s.repairFrom(op, m, cs, req)
 	}
-	return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, cs.span()), true)
+	return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, req.View, m.Version, cs.span()), true)
 }
 
-// repairFrom pulls incremental repair from source: ask for the mods since
-// our version (journal lite) and install them; when the source's history is
-// garbage-collected, fall back to a whole copy (§4.2.1).
-func (s *Server) repairFrom(op *opctx.Op, m *proto.Message, cs *chunkState, source string) *proto.Message {
-	resp, err := s.peers.Do(op, source, &proto.Message{
+// repairFrom pulls incremental repair from req's source: ask, at the view
+// the master saw the source at, for the mods since our version (journal
+// lite) and install them; when the source's history is garbage-collected,
+// fall back to a whole copy (§4.2.1).
+func (s *Server) repairFrom(op *opctx.Op, m *proto.Message, cs *chunkState, req FillReq) *proto.Message {
+	resp, err := s.peers.Do(op, req.Source, &proto.Message{
 		Op:      proto.OpRepairSince,
 		Chunk:   m.Chunk,
+		View:    req.View,
 		Version: cs.committed(),
+		Flags:   proto.FlagFill,
 	}, s.opBudget(op, 10*s.cfg.ReplTimeout))
 	if err != nil {
 		return m.Reply(proto.StatusError)
@@ -316,13 +323,14 @@ func (s *Server) repairFrom(op *opctx.Op, m *proto.Message, cs *chunkState, sour
 	defer bufpool.Put(resp.Payload) // installed synchronously; the lease ends here
 	switch resp.Status {
 	case proto.StatusOK:
+		// A source short of the target was made afresh since the probe.
 		mods, err := decodeRepair(resp.Payload)
-		if err != nil {
+		if err != nil || resp.Version < m.Version {
 			return m.Reply(proto.StatusError)
 		}
 		return s.rebuild(op, m, cs, repairMods(cs, mods, resp.Version), false)
 	case proto.StatusFallback:
-		return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, source, cs.span()), true)
+		return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, req.View, m.Version, cs.span()), true)
 	}
 	return m.Reply(proto.StatusError)
 }

@@ -153,7 +153,7 @@ func TestBubbleWriteQueuesBehindMirrorClone(t *testing.T) {
 			}()
 		}
 		srcDisk.countdown.Store(1)
-		resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"}))
+		resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src", View: 1}))
 		cloned := time.Now()
 		if resp.Status != proto.StatusOK || resp.Version != 1 {
 			t.Errorf("clone = %s at version %d, want ok at 1", resp.Status, resp.Version)
@@ -204,7 +204,7 @@ func TestBubbleWriteQueuesBehindSegmentSnapshot(t *testing.T) {
 			}()
 		}
 		pDisk.countdown.Store(1)
-		resp := h.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "p"}))
+		resp := h.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "p", View: 1}))
 		if resp.Status != proto.StatusOK || resp.Version != 1 {
 			t.Errorf("rebuild = %s at version %d, want ok at the snapshot's 1", resp.Status, resp.Version)
 		}

@@ -28,12 +28,10 @@ func (s *Server) handleData(op *opctx.Op, m *proto.Message) *proto.Message {
 		return s.handleApply(op, m)
 	case proto.OpGetVersion:
 		return s.handleGetVersion(m)
-	case proto.OpFetchChunk:
-		return s.handleFetchChunk(op, m)
 	case proto.OpFetchSegment:
 		return s.handleFetchSegment(op, m)
 	case proto.OpRepairSince:
-		return s.handleRepairSince(m)
+		return s.handleRepairSince(op, m)
 	}
 	return nil
 }
@@ -150,22 +148,22 @@ func (s *Server) readVerifiedOr(op *opctx.Op, m *proto.Message, buf []byte, off 
 	return nil
 }
 
-// handleRead serves a read from the local replica. Any replica with data at
-// least as new as the client's version may serve (§4.1); primaries read
-// the SSD store, backups resolve journal extents first.
-func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
-	// Validate before allocating: a malformed Length would otherwise size
-	// an arbitrary buffer (and only then fail in the store). The bound is
-	// the replica's local slot — one segment on RS holders.
+// admit is the one way bytes leave a replica: OpRead, OpFetchSegment and
+// OpRepairSince pass it before they read (§4.2.1). The chunk exists and, for
+// a fill's read (proto.FlagFill), is not suspect; the view is the request's
+// and the version at least the request's; the range the op reads lies in the
+// slot, and its cold extents are made local. It returns the chunk and the
+// version it was admitted at, or the refusal.
+func (s *Server) admit(op *opctx.Op, m *proto.Message) (*chunkState, uint64, *proto.Message) {
 	cs := s.chunk(m.Chunk)
 	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
+		return nil, 0, m.Reply(proto.StatusNotFound)
 	}
-	if err := validRangeIn(m.Off, int(m.Length), cs.span()); err != nil {
-		return m.Reply(proto.StatusError)
-	}
-	if err := s.ensureCold(op, cs, m.Chunk, m.Off, int(m.Length)); err != nil {
-		return m.Reply(proto.StatusError)
+	// The range is checked before anything is allocated for it: a malformed
+	// Length would otherwise size an arbitrary buffer.
+	off, n, ok := readSpan(cs, m)
+	if !ok || m.Flags&proto.FlagFill != 0 && cs.suspect.Load() {
+		return nil, 0, m.Reply(proto.StatusError)
 	}
 	cs.mu.Lock()
 	view, ver := cs.view, cs.version
@@ -173,15 +171,50 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 	if view != m.View {
 		r := m.Reply(proto.StatusStaleView)
 		r.View = view
-		return r
+		return nil, 0, r
 	}
 	if ver < m.Version {
-		// We lag the client's committed state: refuse rather than serve
-		// stale data; the client will pick another replica or trigger
-		// repair.
-		return replyAt(m, proto.StatusBehind, ver)
+		// Behind the reader: refuse rather than serve stale bytes.
+		return nil, 0, replyAt(m, proto.StatusBehind, ver)
 	}
+	if n > 0 && s.ensureCold(op, cs, m.Chunk, off, n) != nil {
+		return nil, 0, m.Reply(proto.StatusError)
+	}
+	return cs, ver, nil
+}
 
+// readSpan returns the slot range [off, off+n) m reads and whether it lies
+// inside the slot: OpRead's own range; for OpFetchSegment the rows piece Seg
+// is made of — its own segment's for a data piece, every data segment's for
+// parity — on a replica holding the chunk whole; nothing for OpRepairSince,
+// which reads only ranges its history names.
+func readSpan(cs *chunkState, m *proto.Message) (off int64, n int, ok bool) {
+	off, n = m.Off, int(m.Length)
+	switch m.Op {
+	case proto.OpRepairSince:
+		return 0, 0, true
+	case proto.OpFetchSegment:
+		spec, seg := cs.spec, int(m.Seg)
+		if !spec.IsRS() || cs.holder || seg >= spec.N+spec.M || validRangeIn(off, n, spec.SegSize()) != nil {
+			return 0, 0, false
+		}
+		if seg < spec.N {
+			off += int64(seg) * spec.SegSize()
+		} else {
+			n += (spec.N - 1) * int(spec.SegSize())
+		}
+	}
+	return off, n, validRangeIn(off, n, cs.span()) == nil
+}
+
+// handleRead serves a read from the local replica. Any replica with data at
+// least as new as the reader's version may serve (§4.1); primaries read
+// the SSD store, backups resolve journal extents first.
+func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
+	_, ver, r := s.admit(op, m)
+	if r != nil {
+		return r
+	}
 	// Leased, not allocated: the response payload rides to the transport,
 	// whose Send consumes the lease once the bytes are on the wire.
 	buf := bufpool.Get(int(m.Length))
@@ -191,7 +224,7 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 	}
 	s.reads.Add(1)
 	s.bytesRead.Add(int64(len(buf)))
-	r := replyAt(m, proto.StatusOK, ver)
+	r = replyAt(m, proto.StatusOK, ver)
 	r.Payload = buf
 	return r
 }
@@ -226,10 +259,10 @@ func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
 
 // handleRepairSince serves incremental repair: the ranges modified after
 // m.Version plus their current data (§4.2.1).
-func (s *Server) handleRepairSince(m *proto.Message) *proto.Message {
-	cs := s.chunk(m.Chunk)
-	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
+func (s *Server) handleRepairSince(op *opctx.Op, m *proto.Message) *proto.Message {
+	cs, _, r := s.admit(op, m)
+	if r != nil {
+		return r
 	}
 	cs.mu.Lock()
 	mods, ok := cs.lite.Since(m.Version)
@@ -250,37 +283,8 @@ func (s *Server) handleRepairSince(m *proto.Message) *proto.Message {
 		out = append(out, repairMod{Mod: mod, Data: buf})
 	}
 	s.repairCount.Add(1)
-	r := replyAt(m, proto.StatusOK, ver)
+	r = replyAt(m, proto.StatusOK, ver)
 	r.Payload = encodeRepair(out)
-	return r
-}
-
-// handleFetchChunk serves raw chunk data for recovery transfers. Backups
-// resolve journal extents so the fetched data reflects all appended writes
-// (§6.2's recovery "from both backup HDDs and SSD journals").
-func (s *Server) handleFetchChunk(op *opctx.Op, m *proto.Message) *proto.Message {
-	cs := s.chunk(m.Chunk)
-	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
-	}
-	if err := validRangeIn(m.Off, int(m.Length), cs.span()); err != nil {
-		return m.Reply(proto.StatusError)
-	}
-	// Recovery transfers must carry real bytes: a replacement replica is
-	// created without cold refs, so the fetched range is materialized here
-	// first and the clone leaves the source fully backed.
-	if err := s.ensureCold(op, cs, m.Chunk, m.Off, int(m.Length)); err != nil {
-		return m.Reply(proto.StatusError)
-	}
-	buf := bufpool.Get(int(m.Length))
-	// Verified read: a recovery clone that copied rotten bytes would
-	// propagate corruption to the replacement replica.
-	if r := s.readVerifiedOr(nil, m, buf, m.Off); r != nil {
-		bufpool.Put(buf)
-		return r
-	}
-	r := replyAt(m, proto.StatusOK, cs.committed())
-	r.Payload = buf
 	return r
 }
 
@@ -291,25 +295,13 @@ func (s *Server) handleFetchChunk(op *opctx.Op, m *proto.Message) *proto.Message
 // snapshot at exactly the version it carries — the property segment rebuilds depend
 // on. m.Seg selects the segment, m.Off is segment-relative.
 func (s *Server) handleFetchSegment(op *opctx.Op, m *proto.Message) *proto.Message {
-	cs := s.chunk(m.Chunk)
-	if cs == nil {
-		return m.Reply(proto.StatusNotFound)
+	cs, _, r := s.admit(op, m)
+	if r != nil {
+		return r
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	spec := cs.spec
-	if !spec.IsRS() || cs.holder {
-		// Only a full-chunk replica can serve arbitrary segments.
-		return m.Reply(proto.StatusError)
-	}
-	segSize := spec.SegSize()
-	if err := validRangeIn(m.Off, int(m.Length), segSize); err != nil {
-		return m.Reply(proto.StatusError)
-	}
-	seg := int(m.Seg)
-	if seg >= spec.N+spec.M {
-		return m.Reply(proto.StatusError)
-	}
+	spec, segSize, seg := cs.spec, cs.spec.SegSize(), int(m.Seg)
 	// Applied-but-uncommitted writes count as unsettled here: their bytes
 	// are on the device, so a snapshot stamped with the committed version
 	// would contain writes that version does not.
@@ -323,11 +315,6 @@ func (s *Server) handleFetchSegment(op *opctx.Op, m *proto.Message) *proto.Messa
 			return r
 		}
 	} else {
-		code, err := redundancy.NewCode(spec.N, spec.M)
-		if err != nil {
-			bufpool.Put(buf)
-			return m.Reply(proto.StatusError)
-		}
 		data := make([][]byte, spec.N)
 		for i := range data {
 			data[i] = make([]byte, m.Length)
@@ -336,11 +323,11 @@ func (s *Server) handleFetchSegment(op *opctx.Op, m *proto.Message) *proto.Messa
 				return r
 			}
 		}
-		code.EncodeParity(seg-spec.N, data, buf)
+		cs.strat.(*redundancy.RS).Code().EncodeParity(seg-spec.N, data, buf)
 	}
 	s.reads.Add(1)
 	s.bytesRead.Add(int64(len(buf)))
-	r := replyAt(m, proto.StatusOK, cs.version)
+	r = replyAt(m, proto.StatusOK, cs.version)
 	r.Payload = buf
 	return r
 }

@@ -41,17 +41,19 @@ func opRefs(f *ast.File) (cased, sent map[string]bool) {
 	return cased, sent
 }
 
-// protoOp reports whether e is proto.Op<Name>, and returns the name.
+// protoOp reports whether e is proto.Op<Name> or proto.MOp<Name>, and
+// returns the name.
 func protoOp(e ast.Expr) (string, bool) {
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != "proto" || !strings.HasPrefix(sel.Sel.Name, "Op") {
+	name := sel.Sel.Name
+	if !ok || pkg.Name != "proto" || !strings.HasPrefix(name, "Op") && !strings.HasPrefix(name, "MOp") {
 		return "", false
 	}
-	return sel.Sel.Name, true
+	return name, true
 }
 
 // parseGo parses the non-test Go files in dir — and below it when deep,
@@ -67,9 +69,10 @@ func parseGo(t *testing.T, dir string, deep bool) []*ast.File {
 	return files
 }
 
-// chunkServerOps lists, in order, the ops of the proto const block that
-// starts at OpNop: every op below the master range.
-func chunkServerOps(t *testing.T) []string {
+// opBlock lists, in order, the ops of the proto const block that starts at
+// first: OpNop's holds every op below the master range, MOpCreateVDisk's the
+// master's.
+func opBlock(t *testing.T, first string) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "../proto/proto.go", nil, 0)
 	if err != nil {
@@ -80,7 +83,7 @@ func chunkServerOps(t *testing.T) []string {
 		if !ok || gd.Tok != token.CONST || len(gd.Specs) == 0 {
 			continue
 		}
-		if first := gd.Specs[0].(*ast.ValueSpec); first.Names[0].Name != "OpNop" {
+		if spec := gd.Specs[0].(*ast.ValueSpec); spec.Names[0].Name != first {
 			continue
 		}
 		var ops []string
@@ -91,8 +94,38 @@ func chunkServerOps(t *testing.T) []string {
 		}
 		return ops
 	}
-	t.Fatal("proto.go has no const block starting at OpNop")
+	t.Fatalf("proto.go has no const block starting at %s", first)
 	return nil
+}
+
+// served returns the proto ops the non-test files of dir have a switch case
+// for.
+func served(t *testing.T, dir string) map[string]bool {
+	out := make(map[string]bool)
+	for _, f := range parseGo(t, dir, false) {
+		cased, _ := opRefs(f)
+		for op := range cased {
+			out[op] = true
+		}
+	}
+	return out
+}
+
+// sent returns the proto ops some non-test file of the module uses other
+// than as a case or in a comparison: a message built, a MasterSession.Call
+// made.
+func sent(t *testing.T) map[string]bool {
+	senders := make(map[string]bool)
+	for _, f := range parseGo(t, "../..", true) {
+		if f.Name.Name == "proto" {
+			continue
+		}
+		_, ops := opRefs(f)
+		for op := range ops {
+			senders[op] = true
+		}
+	}
+	return senders
 }
 
 // TestChunkOpsServedAndSent: every chunk-server op has a case in the chunk
@@ -103,41 +136,22 @@ func TestChunkOpsServedAndSent(t *testing.T) {
 	sample, err := parser.ParseFile(token.NewFileSet(), "sample.go", `package x
 func f(m *proto.Message) {
 	switch m.Op {
-	case proto.OpA, proto.OpB:
+	case proto.OpA, proto.MOpB:
 	}
 	if m.Op == proto.OpC || proto.OpE != m.Op {
 	}
 	send(&proto.Message{Op: proto.OpD})
+	call(proto.MOpF, req)
 }`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cased, sent := opRefs(sample); fmt.Sprint(cased, sent) != "map[OpA:true OpB:true] map[OpD:true]" {
+	if cased, sent := opRefs(sample); fmt.Sprint(cased, sent) != "map[MOpB:true OpA:true] map[MOpF:true OpD:true]" {
 		t.Fatalf("the rule reads cased and sent ops as %v and %v", cased, sent)
 	}
 
-	served := func(dir string) map[string]bool {
-		out := make(map[string]bool)
-		for _, f := range parseGo(t, dir, false) {
-			cased, _ := opRefs(f)
-			for op := range cased {
-				out[op] = true
-			}
-		}
-		return out
-	}
-	byChunkServer, byObjstore := served("."), served("../objstore")
-	senders := make(map[string]bool)
-	for _, f := range parseGo(t, "../..", true) {
-		if f.Name.Name == "proto" {
-			continue
-		}
-		_, sent := opRefs(f)
-		for op := range sent {
-			senders[op] = true
-		}
-	}
-	ops := chunkServerOps(t)
+	byChunkServer, byObjstore, senders := served(t, "."), served(t, "../objstore"), sent(t)
+	ops := opBlock(t, "OpNop")
 	if !slices.Contains(ops, "OpRead") || !slices.Contains(ops, "OpObjGet") {
 		t.Fatalf("read ops %v: the parse missed the block", ops)
 	}
@@ -148,6 +162,26 @@ func f(m *proto.Message) {
 		}
 		if !serving[op] {
 			t.Errorf("proto.%s has no case in its server's dispatch", op)
+		}
+		if !senders[op] {
+			t.Errorf("proto.%s has no sender outside tests", op)
+		}
+	}
+}
+
+// TestMasterOpsServedAndSent holds the master's ops to the same rule: each
+// has a case in the master's dispatch and a sender outside tests — a
+// MasterSession.Call by a client, chunk server or daemon, or a master's
+// message to another master.
+func TestMasterOpsServedAndSent(t *testing.T) {
+	byMaster, senders := served(t, "../master"), sent(t)
+	ops := opBlock(t, "MOpCreateVDisk")
+	if !slices.Contains(ops, "MOpReportFailure") || !slices.Contains(ops, "MOpReplicateLog") {
+		t.Fatalf("master ops %v: the parse missed the block", ops)
+	}
+	for _, op := range ops {
+		if !byMaster[op] {
+			t.Errorf("proto.%s has no case in the master's dispatch", op)
 		}
 		if !senders[op] {
 			t.Errorf("proto.%s has no sender outside tests", op)

@@ -36,6 +36,11 @@ import (
 // only when the primary is gone — with no write driver the surviving holders
 // are quiescent — and pieces at any version but the master's target are
 // rejected rather than decoded into a torn chunk.
+//
+// Every source is read through its admission (data.go admit), at the view
+// the master's probe saw it at and at the fill's target version: a source
+// that has since changed view, fallen behind or turned suspect refuses, and
+// the fill fails with nothing adopted.
 
 // cloneFetchSize is the transfer granularity of recovery copies.
 const cloneFetchSize = 1 * util.MiB
@@ -74,7 +79,9 @@ func (s *Server) rebuild(op *opctx.Op, m *proto.Message, cs *chunkState, src reb
 	} else {
 		s.repairCount.Add(1)
 	}
-	return replyAt(m, proto.StatusOK, cs.version)
+	r := replyAt(m, proto.StatusOK, cs.version)
+	r.View = cs.view // what a later fill reading from this replica asks for
+	return r
 }
 
 // drainLocked waits until the chunk's admitted writes are settled (see
@@ -104,20 +111,13 @@ func walkSlot(span int64, piece func(off int64, n int) error) error {
 // a full chunk, or one segment when this replica is an RS holder cloning
 // from its predecessor. The master invokes it on newly allocated replicas
 // during failure recovery (§4.2.2); the transfer is what Fig 12 measures.
+// Every piece is an OpRead at view and at the fill's target version want.
 // The copy need not be a snapshot: mirror writes are absolute, so a write
 // the source applied mid-transfer is simply applied again here when it
-// arrives at the adopted version.
-func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string, span int64) rebuildSource {
+// arrives at the adopted version — the lowest any piece was read at, which
+// pipelining does not make the first one sent.
+func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string, view, want uint64, span int64) rebuildSource {
 	return func(install installFn) (uint64, error) {
-		vresp, err := s.peers.Do(op, addr, &proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(chunk)},
-			s.opBudget(op, s.cfg.ReplTimeout))
-		if err != nil {
-			return 0, err
-		}
-		bufpool.Put(vresp.Payload) // the header repeats the one result
-		if vresp.Status != proto.StatusOK {
-			return 0, fmt.Errorf("chunkserver: clone source %s: %s", addr, vresp.Status)
-		}
 		// Pipeline the transfer: several fetches in flight while earlier
 		// pieces write locally, so one chunk's recovery is bounded by the
 		// slower of source disk, network, and local disk — not their sum.
@@ -134,7 +134,8 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 				fl.Finish()
 			}
 		}()
-		return vresp.Version, walkSlot(span, func(off int64, n int) error {
+		adopt := ^uint64(0)
+		err := walkSlot(span, func(off int64, n int) error {
 			for ahead := int64(len(inflight)); ahead < clonePipeline; ahead++ {
 				at := off + ahead*cloneFetchSize
 				if at >= span {
@@ -142,10 +143,13 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 				}
 				fl := s.peers.Begin(op, 1, window)
 				fl.Go(0, addr, &proto.Message{
-					Op:     proto.OpFetchChunk,
-					Chunk:  chunk,
-					Off:    at,
-					Length: uint32(min(cloneFetchSize, span-at)),
+					Op:      proto.OpRead,
+					Chunk:   chunk,
+					Off:     at,
+					Length:  uint32(min(cloneFetchSize, span-at)),
+					View:    view,
+					Version: want,
+					Flags:   proto.FlagFill,
 				})
 				inflight = append(inflight, fl)
 			}
@@ -162,8 +166,10 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 			if resp.Status != proto.StatusOK || len(resp.Payload) != n {
 				return fmt.Errorf("chunkserver: fetch %v@%d from %s: %s", chunk, off, addr, resp.Status)
 			}
+			adopt = min(adopt, resp.Version)
 			return install(off, resp.Payload)
 		})
+		return adopt, err
 	}
 }
 
@@ -173,7 +179,7 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 // segment is fetched in full before any of it is installed, in pieces that
 // must all carry one version; when they do not — a write landed on the
 // primary mid-fetch — the fetch starts over.
-func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary string, spec redundancy.Spec, seg int) rebuildSource {
+func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary string, view, want uint64, spec redundancy.Spec, seg int) rebuildSource {
 	return func(install installFn) (uint64, error) {
 		segSize := spec.SegSize()
 		pieceSize := min(segSize, proto.MaxPayload)
@@ -184,11 +190,14 @@ func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary
 			var ver uint64
 			for off := int64(0); off < segSize; off += pieceSize {
 				resp, err := s.peers.Do(op, primary, &proto.Message{
-					Op:     proto.OpFetchSegment,
-					Chunk:  chunk,
-					Off:    off,
-					Length: uint32(min(pieceSize, segSize-off)),
-					Seg:    uint16(seg),
+					Op:      proto.OpFetchSegment,
+					Chunk:   chunk,
+					Off:     off,
+					Length:  uint32(min(pieceSize, segSize-off)),
+					View:    view,
+					Version: want,
+					Flags:   proto.FlagFill,
+					Seg:     uint16(seg),
 				}, window)
 				if err != nil {
 					return 0, err
@@ -220,15 +229,13 @@ func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary
 // want: segment seg of an RS holder, or — seg < 0 — every data segment at
 // its chunk offset, which is a replacement primary. Each step fetches the
 // same intra-segment range from every source and decodes what is missing.
-func (s *Server) peerDecode(op *opctx.Op, chunk blockstore.ChunkID, spec redundancy.Spec, sources []PieceSource, seg int, want uint64) rebuildSource {
+func (s *Server) peerDecode(op *opctx.Op, chunk blockstore.ChunkID, strat redundancy.Strategy, sources []PieceSource, seg int, want uint64) rebuildSource {
 	return func(install installFn) (uint64, error) {
-		if !spec.IsRS() || len(sources) < spec.N {
-			return 0, fmt.Errorf("chunkserver: decode %v: %d sources for %v", chunk, len(sources), spec)
+		rs, ok := strat.(*redundancy.RS)
+		if !ok || len(sources) < rs.Spec().N {
+			return 0, fmt.Errorf("chunkserver: decode %v: %d sources for %v", chunk, len(sources), strat.Spec())
 		}
-		code, err := redundancy.NewCode(spec.N, spec.M)
-		if err != nil {
-			return 0, err
-		}
+		spec, code := rs.Spec(), rs.Code()
 		segSize := spec.SegSize()
 		lo, hi, stride := seg, seg+1, int64(0)
 		if seg < 0 {
@@ -275,12 +282,15 @@ func repairMods(cs *chunkState, mods []repairMod, version uint64) rebuildSource 
 // fetchPieces pulls the same intra-segment range [off, off+n) from every
 // source, all on one flight, and returns the pieces that arrived intact at
 // exactly version wantVer, keyed by piece index. Sources are segment holders,
-// so OpFetchChunk with a segment-relative offset returns their local slice.
+// so an OpRead with a segment-relative offset, at the view the master saw
+// the source at, returns their local slice.
 func (s *Server) fetchPieces(op *opctx.Op, sources []PieceSource, chunk blockstore.ChunkID, off int64, n int, wantVer uint64) map[int][]byte {
 	fl := s.peers.Begin(op, len(sources), s.opBudget(op, 10*s.cfg.ReplTimeout))
 	defer fl.Finish()
 	for i, src := range sources {
-		fl.Go(i, src.Addr, &proto.Message{Op: proto.OpFetchChunk, Chunk: chunk, Off: off, Length: uint32(n)})
+		fl.Go(i, src.Addr, &proto.Message{
+			Op: proto.OpRead, Chunk: chunk, Off: off, Length: uint32(n), View: src.View, Version: wantVer, Flags: proto.FlagFill,
+		})
 	}
 	avail := make(map[int][]byte, len(sources))
 	for i, resp, ok := fl.NextReply(); ok; i, resp, ok = fl.NextReply() {

@@ -314,11 +314,6 @@ func replyAt(m *proto.Message, status proto.Status, version uint64) *proto.Messa
 	return r
 }
 
-// validRange checks a sector-aligned in-chunk range.
-func validRange(off int64, n int) error {
-	return validRangeIn(off, n, util.ChunkSize)
-}
-
 // validRangeIn checks a sector-aligned range against a replica's local slot
 // span — a full chunk, or one segment on RS holders.
 func validRangeIn(off int64, n int, span int64) error {

@@ -269,7 +269,7 @@ func TestIncrementalRepairFlow(t *testing.T) {
 				}
 			}
 			before := b2.Stats().BytesWritten
-			resp := b2.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "b1"}))
+			resp := b2.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "b1", View: 1}))
 			if resp.Status != proto.StatusOK || resp.Version != 3 {
 				t.Fatalf("repair = %+v", resp)
 			}
@@ -320,13 +320,13 @@ func TestRepairFallsBackToClone(t *testing.T) {
 		}
 	}
 	// RepairSince(1) on b1 must signal fallback.
-	resp := b1.Handle(&proto.Message{Op: proto.OpRepairSince, Chunk: testChunk, Version: 1})
+	resp := b1.Handle(&proto.Message{Op: proto.OpRepairSince, Chunk: testChunk, View: 1, Version: 1})
 	if resp.Status != proto.StatusFallback {
 		t.Fatalf("RepairSince after eviction = %s", resp.Status)
 	}
 	// A fill of b2 tries incremental repair and transparently falls back to
 	// a whole copy.
-	resp = b2.Handle(rebuildMsg(proto.OpFill, 1, 6, FillReq{Source: "b1"}))
+	resp = b2.Handle(rebuildMsg(proto.OpFill, 1, 6, FillReq{Source: "b1", View: 1}))
 	if resp.Status != proto.StatusOK || resp.Version != 6 {
 		t.Fatalf("fallback clone = %+v", resp)
 	}
@@ -354,7 +354,7 @@ func TestCloneTransfersJournalAndDisk(t *testing.T) {
 		View: 1, Version: 1, Payload: large})
 
 	// Fill the primary (its replica is empty, so it copies).
-	resp := e.primary.Handle(rebuildMsg(proto.OpFill, 2, 2, FillReq{Source: "b1"}))
+	resp := e.primary.Handle(rebuildMsg(proto.OpFill, 2, 2, FillReq{Source: "b1", View: 1}))
 	if resp.Status != proto.StatusOK || resp.Version != 2 {
 		t.Fatalf("clone = %+v", resp)
 	}
@@ -546,9 +546,9 @@ func TestValidRange(t *testing.T) {
 		{-512, 512, false},
 	}
 	for _, c := range cases {
-		err := validRange(c.off, c.n)
+		err := validRangeIn(c.off, c.n, util.ChunkSize)
 		if (err == nil) != c.ok {
-			t.Errorf("validRange(%d,%d) err=%v, want ok=%v", c.off, c.n, err, c.ok)
+			t.Errorf("validRangeIn(%d,%d) err=%v, want ok=%v", c.off, c.n, err, c.ok)
 		}
 	}
 }

@@ -26,12 +26,13 @@ import (
 	"ursa/internal/util"
 )
 
-// hookDisk runs a callback before the read that makes its armed countdown
-// hit zero — the tests' way to land an event at an exact point of a
-// transfer.
+// hookDisk runs a callback before the read, or the write, that makes its
+// armed countdown hit zero — the tests' way to land an event at an exact
+// point of a transfer.
 type hookDisk struct {
 	simdisk.Disk
 	countdown atomic.Int64 // reads until the hook fires; <= 0 is disarmed
+	writes    atomic.Int64 // writes until the hook fires; <= 0 is disarmed
 	hook      func()
 }
 
@@ -40,6 +41,13 @@ func (d *hookDisk) ReadAt(p []byte, off int64) error {
 		d.hook()
 	}
 	return d.Disk.ReadAt(p, off)
+}
+
+func (d *hookDisk) WriteAt(p []byte, off int64) error {
+	if d.writes.Add(-1) == 0 {
+		d.hook()
+	}
+	return d.Disk.WriteAt(p, off)
 }
 
 // rebuildEnv is a simnet on which tests start chunk servers one by one.
@@ -114,13 +122,17 @@ func rebuildMsg(op proto.Op, view, version uint64, body any) *proto.Message {
 	return &proto.Message{Op: op, Chunk: testChunk, View: view, Version: version, Payload: payload}
 }
 
-// slot returns the replica's whole local slot through the recovery read.
+// slot returns the replica's whole local slot, read as a fill reads it.
 func slot(t *testing.T, s *Server) []byte {
 	t.Helper()
-	span := s.chunk(testChunk).span()
+	cs := s.chunk(testChunk)
+	span := cs.span()
+	cs.mu.Lock()
+	view := cs.view
+	cs.mu.Unlock()
 	out := make([]byte, 0, span)
 	for off := int64(0); off < span; off += cloneFetchSize {
-		r := s.Handle(&proto.Message{Op: proto.OpFetchChunk, Chunk: testChunk, Off: off, Length: cloneFetchSize})
+		r := s.Handle(&proto.Message{Op: proto.OpRead, Chunk: testChunk, Off: off, Length: cloneFetchSize, View: view})
 		if r.Status != proto.StatusOK {
 			t.Fatalf("fetch %s@%d: %s", s.Addr(), off, r.Status)
 		}
@@ -201,7 +213,7 @@ func TestRebuildRacesStalledApply(t *testing.T) {
 			fi.Heal() // later device ops pass; the stalled one is still asleep
 			dst.chunk(testChunk).suspect.Store(path.suspect)
 
-			resp := dst.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "src"}))
+			resp := dst.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "src", View: 1}))
 			if resp.Status != proto.StatusOK || resp.Version != 3 {
 				t.Fatalf("%s = %s at version %d, want ok at 3", path.name, resp.Status, resp.Version)
 			}
@@ -270,7 +282,7 @@ func TestRebuildAfterFailedApply(t *testing.T) {
 	}
 
 	start := time.Now()
-	resp := holder.Handle(rebuildMsg(proto.OpFill, 1, 0, FillReq{Source: "p"}))
+	resp := holder.Handle(rebuildMsg(proto.OpFill, 1, 0, FillReq{Source: "p", View: 1}))
 	if elapsed := time.Since(start); resp.Status != proto.StatusOK || elapsed >= replTimeout {
 		t.Fatalf("rebuild = %s after %v, want ok well inside ReplTimeout %v", resp.Status, elapsed, replTimeout)
 	}
@@ -314,7 +326,7 @@ func TestRebuildDemotesAppliedSuccessors(t *testing.T) {
 	}
 	fi.Heal()
 
-	resp := dst.Handle(rebuildMsg(proto.OpFill, 1, 0, FillReq{Source: "src"}))
+	resp := dst.Handle(rebuildMsg(proto.OpFill, 1, 0, FillReq{Source: "src", View: 1}))
 	if resp.Status != proto.StatusOK || resp.Version != 1 {
 		t.Fatalf("clone = %s at version %d, want ok at the source's 1", resp.Status, resp.Version)
 	}
@@ -397,7 +409,7 @@ func TestFillOverEvictedSlot(t *testing.T) {
 				}
 			}
 			before := dst.Stats().BytesWritten
-			resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 6, FillReq{Source: "src"}))
+			resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 6, FillReq{Source: "src", View: 1}))
 			if resp.Status != proto.StatusOK || resp.Version != 6 {
 				t.Fatalf("fill = %s at version %d, want ok at 6", resp.Status, resp.Version)
 			}
@@ -432,7 +444,7 @@ func TestFillAfterRoleChange(t *testing.T) {
 			create: func(spec redundancy.Spec) CreateChunkReq {
 				return CreateChunkReq{Redundancy: spec, Holder: true, Seg: 0}
 			},
-			fill: func(s *rsStripe) FillReq { return FillReq{Source: "p"} },
+			fill: func(s *rsStripe) FillReq { return FillReq{Source: "p", View: 1} },
 			want: func(s *rsStripe) *Server { return s.holders[0] },
 		},
 		{
@@ -513,7 +525,7 @@ func (s *rsStripe) sources(except int) []PieceSource {
 	var out []PieceSource
 	for i, h := range s.holders {
 		if i != except {
-			out = append(out, PieceSource{Addr: h.Addr(), Piece: i})
+			out = append(out, PieceSource{Addr: h.Addr(), Piece: i, View: 1})
 		}
 	}
 	return out
@@ -546,7 +558,7 @@ func TestRebuildSources(t *testing.T) {
 	}{
 		{
 			name: "mirror copy", env: mirror, create: CreateChunkReq{View: 1},
-			msg:     rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"}),
+			msg:     rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src", View: 1}),
 			want:    func() []byte { return slot(t, mirrorSrc) },
 			version: 2,
 		},
@@ -554,7 +566,7 @@ func TestRebuildSources(t *testing.T) {
 			// A parity segment, so the primary encodes it on the fly.
 			name: "segment from primary snapshot", env: stripe.rebuildEnv, backup: true,
 			create:  CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 4},
-			msg:     rebuildMsg(proto.OpFill, 2, stripe.version, FillReq{Source: "p", Sources: stripe.sources(4)}),
+			msg:     rebuildMsg(proto.OpFill, 2, stripe.version, FillReq{Source: "p", View: 1, Sources: stripe.sources(4)}),
 			want:    func() []byte { return slot(t, stripe.holders[4]) },
 			version: stripe.version,
 		},
@@ -617,7 +629,7 @@ func TestRebuildSourceDiesMidTransfer(t *testing.T) {
 	}
 	leases := e.leases()
 	disk.countdown.Store(3) // the third piece's read never answers
-	resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"}))
+	resp := dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src", View: 1}))
 	if resp.Status != proto.StatusError {
 		t.Fatalf("clone from a dying source = %s, want error", resp.Status)
 	}
@@ -655,7 +667,7 @@ func TestRebuildSourcePartitionedMidTransfer(t *testing.T) {
 	}
 	leases := e.leases()
 	disk.countdown.Store(2) // cut while the second piece is read
-	clone := rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src"})
+	clone := rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "src", View: 1})
 	clone.Budget = 400 * time.Millisecond // a per-piece window of 300 ms
 	t0 := time.Now()
 	resp := dst.Handle(clone)
@@ -670,7 +682,7 @@ func TestRebuildSourcePartitionedMidTransfer(t *testing.T) {
 	}
 	waitFor(t, "buffer leases to return", func() bool { return e.leases() == leases })
 
-	resp = dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "good"}))
+	resp = dst.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "good", View: 1}))
 	if resp.Status != proto.StatusOK {
 		t.Fatalf("clone from a healthy source after the failed one: %s", resp.Status)
 	}
@@ -712,7 +724,7 @@ func TestRebuildSnapshotTornRetry(t *testing.T) {
 	}
 	fetches := primary.Stats().Reads
 	disk.countdown.Store(1)
-	resp := holder.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "p"}))
+	resp := holder.Handle(rebuildMsg(proto.OpFill, 2, 0, FillReq{Source: "p", View: 1}))
 	racing.Wait()
 	if resp.Status != proto.StatusOK || resp.Version != 2 {
 		t.Fatalf("rebuild = %s at version %d, want ok at 2", resp.Status, resp.Version)
@@ -723,5 +735,118 @@ func TestRebuildSnapshotTornRetry(t *testing.T) {
 	got := slot(t, holder)
 	if !bytes.Equal(got, slot(t, primary)[:len(got)]) {
 		t.Error("rebuilt segment differs from the primary's")
+	}
+}
+
+// TestFillRefusedBySourceThatChanged: a fill reads its source at the view
+// the master saw it at and at the fill's target version, through the
+// source's one read admission. While the fill copies, after its first piece
+// is installed, the source moves to another view, turns suspect, or is made
+// afresh — empty — at the same view. The fill must fail and leave the
+// target's version as it was: a mirror copy, an incremental repair and an RS
+// decode alike. An incremental repair reads its source once, so there the
+// source changes before that read.
+func TestFillRefusedBySourceThatChanged(t *testing.T) {
+	events := []struct {
+		name  string
+		apply func(t *testing.T, src *Server, req CreateChunkReq)
+	}{
+		{"moves to another view", func(t *testing.T, src *Server, _ CreateChunkReq) {
+			if r := src.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 2}); r.Status != proto.StatusOK {
+				t.Errorf("set view on the source: %s", r.Status)
+			}
+		}},
+		{"turns suspect", func(t *testing.T, src *Server, _ CreateChunkReq) {
+			src.chunk(testChunk).suspect.Store(true)
+		}},
+		{"is made afresh", func(t *testing.T, src *Server, req CreateChunkReq) {
+			src.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
+			if r := src.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: req})); r.Status != proto.StatusOK {
+				t.Errorf("re-create on the source: %s", r.Status)
+			}
+		}},
+	}
+	write := func(t *testing.T, s *Server, v uint64) {
+		t.Helper()
+		if st := apply(s, proto.OpWritePrimary, v, int64(v)*util.MiB, bytes.Repeat([]byte{byte(0x81 + v)}, 8*util.KiB)); st != proto.StatusOK {
+			t.Fatalf("write %d on %s: %s", v, s.Addr(), st)
+		}
+	}
+	// Each path returns the target, the fill, and the source with the
+	// create that makes it. inflight is how many of the source's reads the
+	// fill has sent by its first install — 0: the source changes before
+	// the fill.
+	paths := []struct {
+		name     string
+		inflight int64
+		setup    func(t *testing.T, disk *hookDisk) (dst *Server, fill *proto.Message, src *Server, req CreateChunkReq)
+	}{
+		{"mirror copy", 4, func(t *testing.T, disk *hookDisk) (*Server, *proto.Message, *Server, CreateChunkReq) {
+			e := newRebuildEnv(t)
+			req := CreateChunkReq{View: 1}
+			src, dst := e.start("src", false, nil, time.Second), e.start("dst", false, disk, time.Second)
+			mustCreate(t, src, req)
+			mustCreate(t, dst, req)
+			for v := uint64(0); v < 3; v++ {
+				write(t, src, v)
+			}
+			return dst, rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "src", View: 1}), src, req
+		}},
+		{"incremental repair", 0, func(t *testing.T, disk *hookDisk) (*Server, *proto.Message, *Server, CreateChunkReq) {
+			e := newRebuildEnv(t)
+			req := CreateChunkReq{View: 1}
+			src, dst := e.start("src", false, nil, time.Second), e.start("dst", false, disk, time.Second)
+			mustCreate(t, src, req)
+			mustCreate(t, dst, req)
+			for v := uint64(0); v < 4; v++ {
+				write(t, src, v)
+				if v < 2 {
+					write(t, dst, v)
+				}
+			}
+			return dst, rebuildMsg(proto.OpFill, 1, 4, FillReq{Source: "src", View: 1}), src, req
+		}},
+		{"RS decode", 1, func(t *testing.T, disk *hookDisk) (*Server, *proto.Message, *Server, CreateChunkReq) {
+			stripe := newRSStripe(t)
+			dst := stripe.start("dst", false, disk, time.Second)
+			mustCreate(t, dst, CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 1})
+			// Exactly N sources, so no piece can be spared.
+			sources := stripe.sources(1)[:stripe.spec.N]
+			fill := rebuildMsg(proto.OpFill, 1, stripe.version, FillReq{Sources: sources})
+			return dst, fill, stripe.holders[0], CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 0}
+		}},
+	}
+	for _, path := range paths {
+		for _, ev := range events {
+			t.Run(path.name+", source "+ev.name, func(t *testing.T) {
+				disk := &hookDisk{Disk: simdisk.NewSSD(fastSSD(), clock.Realtime)}
+				dst, fill, src, req := path.setup(t, disk)
+				before, view := versionView(t, dst)
+				disk.hook = func() {
+					// The pieces in flight are answered before the source
+					// changes under them (within a bound: a source that
+					// does not count them as reads is changed anyway).
+					for end := time.Now().Add(time.Second); src.Stats().Reads < path.inflight && time.Now().Before(end); {
+						time.Sleep(100 * time.Microsecond)
+					}
+					ev.apply(t, src, req)
+				}
+				if path.inflight == 0 {
+					disk.hook()
+				} else {
+					disk.writes.Store(1)
+				}
+				resp := dst.Handle(fill)
+				if resp.Status == proto.StatusOK {
+					t.Fatalf("fill from a source that %s = ok at version %d, want a failure", ev.name, resp.Version)
+				}
+				if ver, v := versionView(t, dst); ver != before || v != view {
+					t.Errorf("failed fill left version %d view %d, want %d and %d", ver, v, before, view)
+				}
+				if got := dst.Stats(); got.Clones != 0 || got.Repairs != 0 {
+					t.Errorf("failed fill counted %d clones and %d repairs", got.Clones, got.Repairs)
+				}
+			})
+		}
 	}
 }

@@ -101,7 +101,7 @@ func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 			}
 			srv.Serve(l)
 			t.Cleanup(srv.Close)
-			e.m.AddServer(addr, machine, role == chunkserver.RolePrimary)
+			e.m.AddServer(addr, machine, role == chunkserver.RolePrimary, store.Capacity())
 		}
 		mk(machine+"/ssd", chunkserver.RolePrimary)
 		mk(machine+"/hdd", chunkserver.RoleBackup)

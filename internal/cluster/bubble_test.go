@@ -187,7 +187,7 @@ func segmentRebuildRace(t *testing.T) {
 		}()
 	}
 	<-started
-	payload, _ := json.Marshal(chunkserver.FillReq{Source: cm.Replicas[0].Addr})
+	payload, _ := json.Marshal(chunkserver.FillReq{Source: cm.Replicas[0].Addr, View: cm.View})
 	resp := c.Server(cm.Replicas[1].Addr).Handle(&proto.Message{
 		Op: proto.OpFill, Chunk: blockstore.MakeChunkID(meta.ID, 0), View: cm.View, Payload: payload,
 		Epoch: c.Master.Epoch(), // an admin op, fenced like the master's own

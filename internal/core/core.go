@@ -339,7 +339,7 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 			if err := c.startServer(m, srv, nodeCfg); err != nil {
 				return nil, err
 			}
-			c.Master.AddServer(addr, m.Name, true) // primary-capable
+			c.Master.AddServer(addr, m.Name, true, store.Capacity()) // primary-capable
 		}
 	}
 
@@ -382,7 +382,7 @@ func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, regist
 			return err
 		}
 		if register {
-			c.Master.AddServer(addr, m.Name, true)
+			c.Master.AddServer(addr, m.Name, true, store.Capacity())
 		}
 	}
 	return nil
@@ -457,7 +457,7 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 		if err := c.startServer(m, srv, nodeCfg); err != nil {
 			return err
 		}
-		c.Master.AddServer(addr, m.Name, false)
+		c.Master.AddServer(addr, m.Name, false, store.Capacity())
 	}
 	return nil
 }

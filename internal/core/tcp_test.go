@@ -52,7 +52,7 @@ func TestRealTCPDeployment(t *testing.T) {
 		}, pstore, nil)
 		p.Serve(pl)
 		defer p.Close()
-		m.AddServer(pl.Addr(), machine, true)
+		m.AddServer(pl.Addr(), machine, true, pstore.Capacity())
 
 		bl, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
@@ -69,7 +69,7 @@ func TestRealTCPDeployment(t *testing.T) {
 		}, bstore, jset)
 		b.Serve(bl)
 		defer b.Close()
-		m.AddServer(bl.Addr(), machine, false)
+		m.AddServer(bl.Addr(), machine, false, bstore.Capacity())
 	}
 
 	// Client over TCP.

@@ -83,7 +83,7 @@ func (ss *slotServers) serve(t *testing.T, m *Master, machines int) {
 			ss.msgs[addr] = make(map[proto.Op]int)
 			srv := transport.Serve(l, func(msg *proto.Message) *proto.Message { return ss.handle(addr, msg) })
 			t.Cleanup(srv.Close)
-			m.AddServer(addr, fmt.Sprintf("s%d", i), kind == "ssd")
+			m.AddServer(addr, fmt.Sprintf("s%d", i), kind == "ssd", util.TiB)
 		}
 	}
 }
@@ -646,5 +646,33 @@ func TestCreateBatchFencedDeposesMaster(t *testing.T) {
 	}
 	if m.IsPrimary() || m.Epoch() != fence {
 		t.Fatalf("after a fenced create: primary=%v epoch=%d, want deposed at epoch %d", m.IsPrimary(), m.Epoch(), fence)
+	}
+}
+
+// TestCreateRefusesWhatCannotFit: a vdisk whose primaries or backups need
+// more bytes than the servers of their class registered is refused with
+// ErrQuota before placement walks it — a 2^50-byte vdisk (2^24 chunks) and
+// a one-chunk vdisk in a stripe group of 2^30 each in under a millisecond,
+// where the walk held the master's lock for minutes; an RS vdisk whose
+// primaries fit but whose segment holders do not — and leaves no slot
+// behind. A 16 GiB vdisk, the size perf-smoke creates, is still made.
+func TestCreateRefusesWhatCannotFit(t *testing.T) {
+	m, ss := newSlotEnv(t, 3, 0, time.Second) // 3 TiB of each class
+	for _, req := range []CreateVDiskReq{
+		{Name: "huge", Size: 1 << 50},
+		{Name: "wide", Size: util.ChunkSize, StripeGroup: 1 << 30},
+		{Name: "rs", Size: 5 * util.TiB / 2, Redundancy: redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}},
+	} {
+		t0 := time.Now()
+		_, err := m.CreateVDisk(req)
+		if took := time.Since(t0); !errors.Is(err, util.ErrQuota) || took > time.Millisecond {
+			t.Errorf("create %q = %v after %v, want ErrQuota within 1 ms", req.Name, err, took)
+		}
+	}
+	if n := ss.total(); n != 0 {
+		t.Fatalf("refused creates left %d slots", n)
+	}
+	if _, err := m.CreateVDisk(CreateVDiskReq{Name: "perf", Size: 16 * util.GiB}); err != nil {
+		t.Fatalf("16 GiB create: %v", err)
 	}
 }

@@ -149,10 +149,11 @@ func (m *Master) Close() {
 	m.peers.CloseAll()
 }
 
-// AddServer registers a chunk server (Go API; MOpRegister is the RPC form).
-// Registering a known address again changes nothing.
-func (m *Master) AddServer(addr, machine string, ssd bool) {
-	_, _ = m.register(RegisterReq{Addr: addr, Machine: machine, SSD: ssd}) // refused only on a standby
+// AddServer registers a chunk server whose store may give capacity bytes to
+// slots (Go API; MOpRegister is the RPC form). Registering a known address
+// again changes nothing.
+func (m *Master) AddServer(addr, machine string, ssd bool, capacity int64) {
+	_, _ = m.register(RegisterReq{Addr: addr, Machine: machine, SSD: ssd, Capacity: capacity}) // refused only on a standby
 }
 
 func (m *Master) register(req RegisterReq) (any, error) {
@@ -161,7 +162,7 @@ func (m *Master) register(req RegisterReq) (any, error) {
 	}
 	defer m.mu.Unlock()
 	for _, s := range m.st.servers {
-		if s.addr == req.Addr {
+		if s.Addr == req.Addr {
 			return nil, nil
 		}
 	}
@@ -330,12 +331,6 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 		return serve(m, msg, func(r ReportFailureReq) (*ChunkMeta, error) {
 			return m.RecoverChunk(r.VDisk, r.ChunkIndex, r.FailedAddr, r.View)
 		})
-	case proto.MOpStats:
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return jsonResult{status: proto.StatusOK, body: StatsResp{
-			Servers: len(m.st.servers), VDisks: len(m.st.vdisks), ViewChanges: m.st.viewChanges,
-		}}
 	case proto.MOpRegister:
 		return serve(m, msg, m.register)
 	case proto.MOpSnapshot:

@@ -92,7 +92,7 @@ func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 			}
 			srv.Serve(l)
 			e.closer = append(e.closer, srv.Close)
-			e.m.AddServer(addr, machine, role == chunkserver.RolePrimary)
+			e.m.AddServer(addr, machine, role == chunkserver.RolePrimary, store.Capacity())
 		}
 		mkServer(machine+"/ssd", chunkserver.RolePrimary)
 		e.nSSD++
@@ -300,18 +300,13 @@ func TestRegisterRPCAndStats(t *testing.T) {
 		RegisterReq{Addr: "mX/extra", Machine: "mX", SSD: true}, nil); st != proto.StatusOK {
 		t.Fatal(st)
 	}
-	var stats StatsResp
-	if st := e.call(t, proto.MOpStats, nil, &stats); st != proto.StatusOK {
-		t.Fatal(st)
-	}
-	if stats.Servers != e.nSSD+e.nHDD+1 {
-		t.Errorf("servers = %d, want %d", stats.Servers, e.nSSD+e.nHDD+1)
+	if n := len(e.m.Snapshot().Servers); n != e.nSSD+e.nHDD+1 {
+		t.Errorf("servers = %d, want %d", n, e.nSSD+e.nHDD+1)
 	}
 	// Duplicate registration is idempotent.
 	e.call(t, proto.MOpRegister, RegisterReq{Addr: "mX/extra", Machine: "mX", SSD: true}, nil)
-	e.call(t, proto.MOpStats, nil, &stats)
-	if stats.Servers != e.nSSD+e.nHDD+1 {
-		t.Errorf("duplicate register changed count: %d", stats.Servers)
+	if n := len(e.m.Snapshot().Servers); n != e.nSSD+e.nHDD+1 {
+		t.Errorf("duplicate register changed count: %d", n)
 	}
 }
 
@@ -349,10 +344,8 @@ func TestRecoverChunkReplacesDeadPrimary(t *testing.T) {
 	if got.Chunks[0].View != 2 {
 		t.Errorf("stored view = %d", got.Chunks[0].View)
 	}
-	var stats StatsResp
-	e.call(t, proto.MOpStats, nil, &stats)
-	if stats.ViewChanges != 1 {
-		t.Errorf("view changes = %d", stats.ViewChanges)
+	if n := e.m.Snapshot().ViewChanges; n != 1 {
+		t.Errorf("view changes = %d", n)
 	}
 }
 

@@ -136,13 +136,14 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		return &cm, nil
 	}
 
-	// Step 2: versionH.
+	// Step 2: versionH, and a source holding it, read at the view it
+	// answered at.
 	var versionH uint64
-	var source string
+	var source chunkserver.FillReq
 	for i, a := range answers {
 		if a.Status == proto.StatusOK && a.Version >= versionH {
 			versionH = a.Version
-			source = cm.Replicas[i].Addr
+			source = chunkserver.FillReq{Source: cm.Replicas[i].Addr, View: a.View}
 		}
 	}
 
@@ -157,11 +158,11 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 	// replacement that cannot be placed or filled is left out: the chunk
 	// proceeds degraded, and the client's next report retries.
 	fillCmd := func() *proto.Message {
-		return command(proto.OpFill, id, cm.View, versionH, chunkserver.FillReq{Source: source})
+		return command(proto.OpFill, id, cm.View, versionH, source)
 	}
 	var queues []serverQueue
 	for i, a := range answers {
-		if r := cm.Replicas[i]; a.Status == proto.StatusOK && a.Version != versionH && r.Addr != source {
+		if r := cm.Replicas[i]; a.Status == proto.StatusOK && a.Version != versionH && r.Addr != source.Source {
 			queues = append(queues, serverQueue{r.Addr, []*proto.Message{fillCmd()}})
 		}
 	}
@@ -187,7 +188,7 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 	for i, a := range answers {
 		if a.Status == proto.StatusOK {
 			newReplicas = append(newReplicas, cm.Replicas[i])
-		} else if p := replacedBy[i]; p >= 0 && filled[p] {
+		} else if p := replacedBy[i]; p >= 0 && filled[p] > 0 {
 			newReplicas = append(newReplicas, picks[p])
 		}
 	}
@@ -342,9 +343,9 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	}
 	primaryOK := current(0)
 	var sources []chunkserver.PieceSource
-	for i := 1; i < len(answers); i++ {
-		if answers[i].Status == proto.StatusOK && answers[i].Version == versionH {
-			sources = append(sources, chunkserver.PieceSource{Addr: cm.Replicas[i].Addr, Piece: i - 1})
+	for i, a := range answers[1:] {
+		if a.Status == proto.StatusOK && a.Version == versionH {
+			sources = append(sources, chunkserver.PieceSource{Addr: cm.Replicas[1+i].Addr, Piece: i, View: a.View})
 		}
 	}
 	if !primaryOK && len(sources) < spec.N {
@@ -357,12 +358,17 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	repaired := false // some replica was filled in place
 
 	// fillAt creates position pos's slot on addr (an existing slot is kept)
-	// and fills it from everything that holds versionH.
-	primaryAddr := ""
+	// and fills it from everything that holds versionH: the primary, once
+	// one does, and the holders. landed keeps the view the filled replica
+	// answered at.
+	var primary chunkserver.FillReq
+	var landed uint64
 	fillAt := func(pos int, addr string) bool {
 		create := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec, Holder: pos > 0, Seg: max(pos-1, 0)}
-		req := chunkserver.FillReq{Source: primaryAddr, Sources: sources}
-		return m.fill([]serverQueue{fillQueue(addr, id, create, command(proto.OpFill, id, cm.View, versionH, req))}, versionH)[0]
+		req := primary
+		req.Sources = sources
+		landed = m.fill([]serverQueue{fillQueue(addr, id, create, command(proto.OpFill, id, cm.View, versionH, req))}, versionH)[0]
+		return landed > 0
 	}
 	// restore fills one position: in place when its replica is reachable but
 	// lagging, and — when it is not reachable, or the in-place fill fails, as
@@ -386,9 +392,12 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	}
 
 	// Step 3: restore the primary first so the holders' fills can snapshot
-	// it. While it is missing, clients reconstruct reads from the holders.
-	if primaryOK || restore(0) {
-		primaryAddr = newReplicas[0].Addr
+	// it, at the view it answered the probe or its fill at. While it is
+	// missing, clients reconstruct reads from the holders.
+	if primaryOK {
+		primary = chunkserver.FillReq{Source: cm.Replicas[0].Addr, View: answers[0].View}
+	} else if restore(0) {
+		primary = chunkserver.FillReq{Source: newReplicas[0].Addr, View: landed}
 	}
 
 	// Step 4: fill dead or lagging segment holders at their positions.
@@ -419,17 +428,19 @@ func fillQueue(addr string, id blockstore.ChunkID, req chunkserver.CreateChunkRe
 	return serverQueue{addr, []*proto.Message{chunkserver.CreateChunks(chunkserver.ChunkCreate{Chunk: id, CreateChunkReq: req}), then}}
 }
 
-// fill sends fill queues, all at once, and reports which were filled: their
-// fill answered OK at versionH or later. Filling a slot moves up to a whole
-// 64 MB chunk through a bandwidth-shaped fabric, so the window is far wider
-// than a control RPC's.
-func (m *Master) fill(queues []serverQueue, versionH uint64) []bool {
-	filled := make([]bool, len(queues))
+// fill sends fill queues, all at once, and returns the view each filled
+// replica answered at — OK at versionH or later — or 0 (views start at 1).
+// Filling a slot moves up to a whole 64 MB chunk through a bandwidth-shaped
+// fabric, so the window is far wider than a control RPC's.
+func (m *Master) fill(queues []serverQueue, versionH uint64) []uint64 {
+	filled := make([]uint64, len(queues))
 	m.fanOut(60*m.cfg.RPCTimeout, queues, func(q int, resp *proto.Message) bool {
 		if resp.Op == proto.OpCreateChunk {
 			return resp.Status == proto.StatusOK || resp.Status == proto.StatusExists
 		}
-		filled[q] = resp.Status == proto.StatusOK && resp.Version >= versionH
+		if resp.Status == proto.StatusOK && resp.Version >= versionH {
+			filled[q] = resp.View
+		}
 		return false
 	})
 	return filled
@@ -461,16 +472,16 @@ func (m *Master) pickReplacement(replicas []ReplicaInfo, deadAddr string, ssd bo
 			continue
 		}
 		for _, s := range m.st.servers {
-			if s.addr == r.Addr {
-				used[s.machine] = true
+			if s.Addr == r.Addr {
+				used[s.Machine] = true
 			}
 		}
 	}
 	for _, s := range m.st.servers {
-		if s.ssd != ssd || s.addr == deadAddr || used[s.machine] {
+		if s.SSD != ssd || s.Addr == deadAddr || used[s.Machine] {
 			continue
 		}
-		return ReplicaInfo{Addr: s.addr, SSD: s.ssd}, true
+		return ReplicaInfo{Addr: s.Addr, SSD: s.SSD}, true
 	}
 	return ReplicaInfo{}, false
 }

@@ -422,7 +422,7 @@ func (m *Master) maybePromote() {
 	m.primaryAddr = m.cfg.Addr
 	fence := make([]serverQueue, len(m.st.servers))
 	for i, s := range m.st.servers {
-		fence[i] = serverQueue{s.addr, []*proto.Message{{Op: proto.OpNop}}}
+		fence[i] = serverQueue{s.Addr, []*proto.Message{{Op: proto.OpNop}}}
 	}
 	m.lastHeard = m.cfg.Clock.Now()
 	m.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,8 +84,8 @@ func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Durati
 	}
 	for i := 0; i < nMachines; i++ {
 		machine := fmt.Sprintf("rm%d", i)
-		for _, addr := range e.startMachine(t, machine) {
-			e.masters[0].AddServer(addr, machine, strings.HasSuffix(addr, "/ssd"))
+		for _, r := range e.startMachine(t, machine) {
+			e.masters[0].AddServer(r.Addr, r.Machine, r.SSD, r.Capacity)
 		}
 	}
 	return e
@@ -94,9 +93,9 @@ func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Durati
 
 // startMachine starts one machine's SSD (primary) and HDD (backup) chunk
 // servers and returns their addresses; registering them is the caller's job.
-func (e *replEnv) startMachine(t *testing.T, machine string) []string {
+func (e *replEnv) startMachine(t *testing.T, machine string) []RegisterReq {
 	t.Helper()
-	mk := func(addr string, role chunkserver.Role) string {
+	mk := func(addr string, role chunkserver.Role) RegisterReq {
 		var store *blockstore.Store
 		var jset *journal.Set
 		if role == chunkserver.RolePrimary {
@@ -120,9 +119,9 @@ func (e *replEnv) startMachine(t *testing.T, machine string) []string {
 		}
 		srv.Serve(l)
 		e.closer = append(e.closer, srv.Close)
-		return addr
+		return RegisterReq{Addr: addr, Machine: machine, SSD: role == chunkserver.RolePrimary, Capacity: store.Capacity()}
 	}
-	return []string{mk(machine+"/ssd", chunkserver.RolePrimary), mk(machine+"/hdd", chunkserver.RoleBackup)}
+	return []RegisterReq{mk(machine+"/ssd", chunkserver.RolePrimary), mk(machine+"/hdd", chunkserver.RoleBackup)}
 }
 
 // callOn drives one master's RPC handler directly.

@@ -26,13 +26,6 @@ import (
 // the log would silently edit history — and a shipper marshals log entries
 // outside the lock.
 
-// serverInfo is one registered chunk server.
-type serverInfo struct {
-	addr    string
-	machine string
-	ssd     bool
-}
-
 // lease tracks the single client of a vdisk (§4.1).
 type lease struct {
 	holder string
@@ -54,7 +47,7 @@ type placeCursors struct {
 // state is the replicated metadata (guarded by Master.mu). What a master
 // keeps outside it is listed on Master.
 type state struct {
-	servers     []serverInfo
+	servers     []RegisterReq
 	vdisks      map[uint32]*vdisk
 	byName      map[string]uint32
 	nextID      uint32 // last ID issued to a vdisk or snapshot
@@ -217,8 +210,7 @@ func (s *state) apply(e *entry) error {
 		}
 		vd.lease = lease{holder: e.Lease.Holder, expiry: e.Lease.Expiry}
 	case e.AddServer != nil:
-		p := e.AddServer
-		s.servers = append(s.servers, serverInfo{addr: p.Addr, machine: p.Machine, ssd: p.SSD})
+		s.servers = append(s.servers, *e.AddServer)
 	case e.SetView != nil:
 		p := e.SetView
 		cm, err := s.chunk(p.VDisk, p.Index)
@@ -359,9 +351,7 @@ func (s *state) snapshot(logSeq uint64) StateSnapshot {
 	for name, snap := range s.snapshots {
 		out.Snapshots[name] = snap.Clone()
 	}
-	for _, sv := range s.servers {
-		out.Servers = append(out.Servers, RegisterReq{Addr: sv.addr, Machine: sv.machine, SSD: sv.ssd})
-	}
+	out.Servers = slices.Clone(s.servers)
 	for id, vd := range s.vdisks {
 		out.VDisks[id] = vd.meta.Clone()
 		out.Leases[id] = LeaseInfo{Holder: vd.lease.holder, Expiry: vd.lease.expiry}

@@ -212,8 +212,8 @@ var metaOpTable = []struct {
 	}},
 	{"register", func(o *metaOps) {
 		machine := o.name("late")
-		for _, addr := range o.e.startMachine(o.t, machine) {
-			o.call(proto.MOpRegister, RegisterReq{Addr: addr, Machine: machine, SSD: strings.HasSuffix(addr, "/ssd")}, nil)
+		for _, r := range o.e.startMachine(o.t, machine) {
+			o.call(proto.MOpRegister, r, nil)
 		}
 	}},
 }
@@ -434,7 +434,7 @@ func TestStandbyRefusesNonMemberBatch(t *testing.T) {
 	shipTo(t, standby, `[{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}]`)
 	lone := New(Config{Addr: "master", Clock: clock.Realtime, PrimacyTTL: time.Hour})
 	t.Cleanup(lone.Close)
-	lone.AddServer("a/ssd", "a", true)
+	lone.AddServer("a/ssd", "a", true, util.TiB)
 
 	for _, m := range []*Master{standby, lone} {
 		before, epoch, primary := snapJSON(t, m.Snapshot()), m.Epoch(), m.IsPrimary()
@@ -717,7 +717,7 @@ func (m *Master) bad(id uint32, name string) {
 	m.st.nextID++
 	m.st.cursors.NextBackup = 0
 	delete(m.st.byName, name)
-	m.st.servers = append(m.st.servers, serverInfo{})
+	m.st.servers = append(m.st.servers, RegisterReq{})
 	vd, _ := m.st.find(id, name)
 	vd.lease = lease{}
 	cm, err := m.st.chunk(id, 0)

@@ -119,7 +119,7 @@ type (
 )
 
 // RegisterReq is the payload of MOpRegister: a chunk server joins the
-// cluster.
+// cluster. The master's state keeps it as the server's record.
 type RegisterReq struct {
 	Addr string `json:"addr"`
 	// Machine groups servers for placement: replicas of one chunk never
@@ -127,19 +127,15 @@ type RegisterReq struct {
 	Machine string `json:"machine"`
 	// SSD distinguishes primary-capable (flash) servers.
 	SSD bool `json:"ssd"`
+	// Capacity is the bytes the server's store may give to slots
+	// (blockstore.Store.Capacity).
+	Capacity int64 `json:"capacity"`
 }
 
 // GetVDiskReq is the payload of MOpGetVDisk.
 type GetVDiskReq struct {
 	ID   uint32 `json:"id,omitempty"`
 	Name string `json:"name,omitempty"`
-}
-
-// StatsResp is the payload of MOpStats.
-type StatsResp struct {
-	Servers     int `json:"servers"`
-	VDisks      int `json:"vdisks"`
-	ViewChanges int `json:"viewChanges"`
 }
 
 // SnapshotMeta is one vdisk snapshot: an immutable, object-backed image.

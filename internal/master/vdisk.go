@@ -101,12 +101,20 @@ func (m *Master) planVDiskLocked(meta VDiskMeta, nchunks, repl int, fromSnap str
 	if repl <= 0 {
 		repl = m.cfg.Replication
 	}
+	// Placement walks every chunk under the lock, so a vdisk the servers
+	// cannot hold — 2^50 bytes, a stripe group of millions — is refused
+	// before the walk, by the capacity each pool's servers registered.
+	ssds, backups := m.poolsLocked()
+	spec := meta.Redundancy
+	if !fits(ssds, nchunks, util.ChunkSize) || !fits(backups, nchunks, int64(spec.BackupCount(repl))*spec.SegSize()) {
+		return nil, fmt.Errorf("master: vdisk %q: %d chunks exceed the registered capacity: %w", meta.Name, nchunks, util.ErrQuota)
+	}
 	meta.ID = m.st.nextID + 1
 	meta.LeaseTTL = m.cfg.LeaseTTL
 	meta.Chunks = make([]ChunkMeta, nchunks)
 	cur := m.st.cursors
 	for i := range meta.Chunks {
-		cm, err := m.placeChunkLocked(&cur, repl, meta.Redundancy)
+		cm, err := placeChunk(&cur, 1+spec.BackupCount(repl), ssds, backups)
 		if err != nil {
 			return nil, err
 		}
@@ -118,45 +126,53 @@ func (m *Master) planVDiskLocked(meta VDiskMeta, nchunks, repl int, fromSnap str
 	return &entryPutVDisk{Meta: meta, NextID: meta.ID, placeCursors: cur}, nil
 }
 
-// placeChunkLocked picks the chunk's replica set (m.mu held), advancing cur:
-// first an SSD server (the preferred primary), then backups on HDD servers
-// (hybrid mode) or SSD servers (SSD-only mode), all on distinct machines.
-// Mirroring places repl-1 backups; RS(N,M) places N+M segment holders,
-// position-keyed by their list index.
-func (m *Master) placeChunkLocked(cur *placeCursors, repl int, spec redundancy.Spec) (ChunkMeta, error) {
-	repl = 1 + spec.BackupCount(repl)
-	var ssds, backupsPool []serverInfo
+// poolsLocked returns the servers primaries go to — the SSD servers — and
+// those backups go to: the HDD servers in hybrid mode, the SSD servers
+// otherwise (m.mu held).
+func (m *Master) poolsLocked() (ssds, backups []RegisterReq) {
 	for _, s := range m.st.servers {
-		if s.ssd {
+		if s.SSD {
 			ssds = append(ssds, s)
 		}
-		if m.cfg.HybridMode {
-			if !s.ssd {
-				backupsPool = append(backupsPool, s)
-			}
-		} else if s.ssd {
-			backupsPool = append(backupsPool, s)
+		if s.SSD != m.cfg.HybridMode {
+			backups = append(backups, s)
 		}
 	}
-	if len(ssds) == 0 || len(backupsPool) == 0 {
-		return ChunkMeta{}, fmt.Errorf("master: no eligible servers: %w", util.ErrQuota)
+	return ssds, backups
+}
+
+// fits reports whether nchunks slots of size bytes fit in the capacity the
+// pool's servers registered.
+func fits(pool []RegisterReq, nchunks int, size int64) bool {
+	var capacity int64
+	for _, s := range pool {
+		capacity += s.Capacity
 	}
+	return size == 0 || int64(nchunks) <= capacity/size
+}
+
+// placeChunk picks a chunk's repl replicas, advancing cur: first an SSD
+// server (the preferred primary), then backups from the backup pool, all on
+// distinct machines. Mirroring places repl-1 backups; RS(N,M) places N+M
+// segment holders, position-keyed by their list index. fits has vouched
+// for the pools: each is non-empty where a replica is asked of it.
+func placeChunk(cur *placeCursors, repl int, ssds, backups []RegisterReq) (ChunkMeta, error) {
 	cm := ChunkMeta{View: 1}
 	used := map[string]bool{}
 
 	primary := ssds[cur.NextPrimary%len(ssds)]
 	cur.NextPrimary++
-	cm.Replicas = append(cm.Replicas, ReplicaInfo{Addr: primary.addr, SSD: true})
-	used[primary.machine] = true
+	cm.Replicas = append(cm.Replicas, ReplicaInfo{Addr: primary.Addr, SSD: true})
+	used[primary.Machine] = true
 
-	for tries := 0; len(cm.Replicas) < repl && tries < 4*len(backupsPool); tries++ {
-		cand := backupsPool[cur.NextBackup%len(backupsPool)]
+	for tries := 0; len(cm.Replicas) < repl && tries < 4*len(backups); tries++ {
+		cand := backups[cur.NextBackup%len(backups)]
 		cur.NextBackup++
-		if used[cand.machine] || cand.addr == primary.addr {
+		if used[cand.Machine] || cand.Addr == primary.Addr {
 			continue
 		}
-		used[cand.machine] = true
-		cm.Replicas = append(cm.Replicas, ReplicaInfo{Addr: cand.addr, SSD: cand.ssd})
+		used[cand.Machine] = true
+		cm.Replicas = append(cm.Replicas, ReplicaInfo{Addr: cand.Addr, SSD: cand.SSD})
 	}
 	if len(cm.Replicas) < repl {
 		return ChunkMeta{}, fmt.Errorf("master: cannot place %d replicas on distinct machines: %w",

@@ -28,8 +28,10 @@ type Op uint8
 // Chunk-server operations (§4.2.1).
 const (
 	OpNop Op = iota
-	// OpRead reads Length bytes at Off of Chunk; requires matching View
-	// and Version.
+	// OpRead reads Length bytes at Off of Chunk from a replica at View and
+	// at Version or later: a client's read, or a piece of a fill's copy or
+	// decode. It, OpFetchSegment and OpRepairSince pass one admission
+	// (chunkserver admit).
 	OpRead
 	// OpWrite is a client write to the primary: write locally, replicate
 	// to backups, bump the version.
@@ -49,13 +51,10 @@ const (
 	OpCreateChunk
 	// OpDeleteChunk drops the chunk replicas listed in the payload.
 	OpDeleteChunk
-	// OpRepairSince asks for the ranges modified after Version (journal
-	// lite query); the response payload encodes mods+data, or
-	// StatusFallback when history is gone and a full copy is needed.
+	// OpRepairSince asks a replica at View for the ranges modified after
+	// Version (journal lite query); the response payload encodes mods+data,
+	// or StatusFallback when history is gone and a full copy is needed.
 	OpRepairSince
-	// OpFetchChunk reads raw chunk data for recovery transfer (on backups
-	// it resolves journal extents transparently).
-	OpFetchChunk
 	// OpSetView installs a new view number on the replica (view change).
 	OpSetView
 	// OpFill (master→replica) brings a replica to the version in the header,
@@ -64,9 +63,9 @@ const (
 	// method — whole copy, incremental repair from the source's journal-lite
 	// history (§4.2.1), segment snapshot or decode (§4.2.2).
 	OpFill
-	// OpFetchSegment asks a chunk primary for piece Seg of an RS stripe:
-	// data pieces are read from the local full chunk, parity pieces are
-	// encoded on the fly.
+	// OpFetchSegment asks a chunk primary at View and at Version or later
+	// for piece Seg of an RS stripe: data pieces are read from the local
+	// full chunk, parity pieces are encoded on the fly.
 	OpFetchSegment
 	// OpFlushChunks (master→primary) asks a chunkserver to flush a set of
 	// its chunks to the object store as immutable cold-tier segments
@@ -86,7 +85,8 @@ const (
 	OpObjList
 )
 
-// Flag bits qualifying how a replicate payload is applied.
+// Flag bits qualifying a request: how a replicate payload is applied, or
+// on whose behalf a read reads.
 const (
 	// FlagXorApply marks an RS parity delta: the holder XORs the payload
 	// into its current contents instead of overwriting.
@@ -95,6 +95,11 @@ const (
 	// holder's version (its segment is untouched by the write, but all
 	// holders stay in version lockstep).
 	FlagVersionBump
+	// FlagFill marks a fill's read of its source (OpRead, OpFetchSegment,
+	// OpRepairSince): the master named the source because it vouched for
+	// its content, so a source that has since turned suspect refuses — a
+	// client's read it still serves, checksum-verified.
+	FlagFill
 )
 
 // Master operations (JSON payloads; off the hot path).
@@ -106,7 +111,6 @@ const (
 	MOpDeleteVDisk
 	MOpReportFailure
 	MOpGetVDisk
-	MOpStats
 	MOpRegister
 	// MOpReplicateLog ships a batch of metadata log entries from the
 	// primary master to a standby (payload: ReplicateLogReq JSON). The ack
@@ -164,39 +168,20 @@ const (
 	StatusNotPrimary
 )
 
+// statusNames spells each status for logs and errors.
+var statusNames = [...]string{
+	StatusOK: "OK", StatusError: "error", StatusNotFound: "not-found", StatusStaleView: "stale-view",
+	StatusStaleVersion: "stale-version", StatusBehind: "behind", StatusExists: "exists",
+	StatusLeaseHeld: "lease-held", StatusQuota: "quota", StatusFallback: "fallback",
+	StatusRateLimited: "rate-limited", StatusCorrupt: "corrupt", StatusStaleEpoch: "stale-epoch",
+	StatusNotPrimary: "not-primary",
+}
+
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "OK"
-	case StatusError:
-		return "error"
-	case StatusNotFound:
-		return "not-found"
-	case StatusStaleView:
-		return "stale-view"
-	case StatusStaleVersion:
-		return "stale-version"
-	case StatusBehind:
-		return "behind"
-	case StatusExists:
-		return "exists"
-	case StatusLeaseHeld:
-		return "lease-held"
-	case StatusQuota:
-		return "quota"
-	case StatusFallback:
-		return "fallback"
-	case StatusRateLimited:
-		return "rate-limited"
-	case StatusCorrupt:
-		return "corrupt"
-	case StatusStaleEpoch:
-		return "stale-epoch"
-	case StatusNotPrimary:
-		return "not-primary"
-	default:
-		return fmt.Sprintf("status(%d)", uint8(s))
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
+	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
 // Message is one protocol frame. Requests and responses share the layout;
@@ -217,7 +202,7 @@ type Message struct {
 	// deadline). Receivers re-anchor it on their own clock and bound every
 	// wait they perform on the op's behalf by it.
 	Budget time.Duration
-	// Flags qualifies replicate application (Flag* bits).
+	// Flags qualifies the request (Flag* bits).
 	Flags uint8
 	// Seg is the RS piece index this message concerns (segment rebuilds
 	// and fetches); zero elsewhere.
