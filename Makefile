@@ -143,10 +143,13 @@ scrub-smoke:
 # degraded-read reconstruction, a lost primary decoded onto a replacement
 # from exactly N holders, and the all-replicas-corrupt clean-error floor;
 # an RS decode whose source holder changes view, turns suspect or is made
-# afresh mid-fill must fail with nothing adopted.
+# afresh mid-fill must fail with nothing adopted; an RS primary whose old
+# bytes rot once must still ship parity that decodes to the write, and one
+# whose old bytes stay rotten must fail the write and report itself.
 ec-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosECSegmentDeath|TestChaosECHolderDiskDeath|TestECDegradedReadReconstructs|TestECPrimaryLossDecodesReplacement|TestAllReplicasCorruptCleanError' -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestFillRefusedBySourceThatChanged/RS' -count=1 -v
+	$(GO) test ./internal/chunkserver -run 'TestRSPrimaryVerifiesOldBytes' -count=1 -v
 
 # Deterministic master-failover acceptance run: the primary master of a
 # three-master cluster is killed mid-workload under the linearizability
@@ -169,13 +172,16 @@ ec-smoke:
 # two dead backups on two different machines; and one filling a lagging
 # and a replacement backup at once. A mirror copy or incremental repair
 # whose source changes view, turns suspect or is made afresh after the
-# master probed it must fail with nothing adopted.
+# master probed it must fail with nothing adopted; a backup server acting as
+# a chunk's temporary primary journals its write over an older record of
+# the same extent, and reads it back.
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout|TestViewMendedThroughReport|TestStaleClientReadsFromLonePrimary' -race -count=1 -v
 	GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestViewMendedThroughReport' -count=20
 	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
 	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart|TestRecoverMirrorFillsLaggardAndReplacementAtOnce|TestReportViewDecidesProbe' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestFillRefusedBySourceThatChanged/(mirror|incremental)' -race -count=1 -v
+	$(GO) test ./internal/chunkserver -run 'TestPrimaryWriteOnBackupServerSupersedesJournal' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-

@@ -76,9 +76,6 @@ type CreateChunkReq struct {
 	Backups []string `json:"backups,omitempty"`
 	// View is the chunk's initial view number.
 	View uint64 `json:"view"`
-	// Version seeds the replica version (non-zero when re-creating a
-	// replica that will be cloned to a known state).
-	Version uint64 `json:"version,omitempty"`
 	// Redundancy is the chunk's redundancy policy. The zero value is
 	// mirroring, so pre-RS callers need not set it.
 	Redundancy redundancy.Spec `json:"redundancy,omitempty"`
@@ -100,8 +97,7 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 		return nil, err
 	}
 	cs := &chunkState{
-		mu:   clock.NewMutex(),
-		view: req.View, version: req.Version, reserved: req.Version,
+		mu: clock.NewMutex(), view: req.View,
 		backups: req.Backups,
 		lite:    journal.NewLite(liteCap),
 		pending: make(map[uint64]pendingWrite),

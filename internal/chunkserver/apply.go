@@ -167,9 +167,9 @@ func (s *Server) awaitCommit(cs *chunkState, op *opctx.Op, want uint64) (uint64,
 	return cs.version, cs.version >= want
 }
 
-// handleApply is the write path of every replica: OpWrite and OpWritePrimary
-// at a primary, OpReplicate (bytes, an XOR parity delta, or a bare version
-// bump) at a backup. The chunk lock is held only for slot admission: the
+// handleApply is the write path of every replica: OpWrite at a primary,
+// OpReplicate (bytes, an XOR parity delta, or a bare version bump) at any
+// replica. The chunk lock is held only for slot admission: the
 // device apply runs out of lock, concurrently with other same-chunk writes
 // whose extents do not overlap — so a primary SSD sees real queue depth and
 // one journal flush batches a hot chunk's burst — and the ack waits for the
@@ -224,7 +224,6 @@ func (s *Server) handleApply(op *opctx.Op, m *proto.Message) *proto.Message {
 			return s.failDevice(m, err)
 		}
 	}
-	a.count()
 	s.bytesWritten.Add(int64(len(m.Payload)))
 
 	newVer, committed := s.awaitCommit(cs, op, m.Version+1)
@@ -242,13 +241,12 @@ func (s *Server) handleApply(op *opctx.Op, m *proto.Message) *proto.Message {
 // applyStep is the role-specific part of one pass through handleApply: a
 // stack value, not a closure, which the skeleton touches at three fixed
 // points — begin before the dependency wait, apply after it, join before any
-// reply once begin has run — plus the activity counter. The op says the
-// role. OpWrite: the primary writes its device and replicates to the chunk's
-// backup tier, owning the fan-out it starts. OpWritePrimary: the primary
-// writes its device only — the client replicates itself (client-directed
-// tiny writes, §3.2). OpReplicate: a backup journals or bypasses, after
-// folding an XOR delta when the payload is one; a version bump applies
-// nothing. Only OpWrite ever starts a fan-out, so every other join is true.
+// reply once begin has run. The op says only whether to replicate: OpWrite
+// makes the primary replicate to the chunk's backup tier, owning the fan-out
+// it starts; OpReplicate only applies — a backup's shipment, or a
+// client-directed write (§3.2) at any replica. Only OpWrite ever starts a
+// fan-out, so every other join is true. How the bytes land is the server's
+// business (writeVersioned), not the op's.
 type applyStep struct {
 	s  *Server
 	op *opctx.Op
@@ -361,29 +359,22 @@ func (a *applyStep) send(ships []redundancy.Shipment) {
 	}
 }
 
-// apply performs the device write of an admitted write whose overlapping
-// predecessors have landed, and stamps the checksums of what it wrote. RS
-// parity deltas need the pre-write bytes, so an RS primary reads the old
-// range, plans, and dispatches its fan-out here rather than in begin.
+// apply lands an admitted write whose overlapping predecessors have landed.
+// RS parity deltas need the pre-write bytes, so an RS primary first reads the
+// old range — verified: parity planned from rotten bytes would corrupt the
+// stripe under an OK — plans, and dispatches its fan-out here rather than in
+// begin. An XOR parity delta is folded into the current bytes, a version
+// bump applies nothing, and the resolved bytes land through writeVersioned.
 func (a *applyStep) apply() error {
 	s, m := a.s, a.m
-	if m.Op != proto.OpReplicate {
-		if a.fansOut() && a.strat.NeedsOldData() {
-			old := make([]byte, len(m.Payload))
-			if err := s.readLocal(nil, m.Chunk, old, m.Off); err != nil {
-				return err
-			}
-			if err := a.dispatch(old); err != nil {
-				return err
-			}
+	if a.fansOut() && a.strat.NeedsOldData() {
+		old := make([]byte, len(m.Payload))
+		if err := s.readVerified(a.op, m.Chunk, old, m.Off); err != nil {
+			return err
 		}
-		st := a.op.Stage(opctx.StagePrimarySSD)
-		err := s.writeLocal(m.Chunk, m.Payload, m.Off)
-		st.Stop()
-		if err == nil {
-			s.store.Sums().Stamp(m.Chunk, m.Off, m.Payload)
+		if err := a.dispatch(old); err != nil {
+			return err
 		}
-		return err
 	}
 	if a.bump() {
 		return nil
@@ -397,8 +388,8 @@ func (a *applyStep) apply() error {
 		// the pending-write extent machinery, and delta application commutes
 		// across disjoint admission orders.
 		data = bufpool.Get(len(m.Payload))
-		// Append/WriteDirect return only after the device write, so nothing
-		// references the folded bytes once this function returns.
+		// writeVersioned returns only after the device or journal write, so
+		// nothing references the folded bytes once this function returns.
 		defer bufpool.Put(data)
 		if err := s.readVerified(a.op, m.Chunk, data, m.Off); err != nil {
 			return err
@@ -407,39 +398,7 @@ func (a *applyStep) apply() error {
 			data[i] ^= m.Payload[i]
 		}
 	}
-	st := a.op.Stage(opctx.StageBackupJournal)
-	err := s.writeBackup(a.op, m, data)
-	st.Stop()
-	if err == nil {
-		s.store.Sums().Stamp(m.Chunk, m.Off, data)
-	}
-	return err
-}
-
-// writeBackup is the backup write of §3.2: small writes are journaled,
-// writes above the bypass threshold — and every write once the journals
-// overflow entirely, or on a journal-less server holding backup replicas
-// (SSD-only deployments) — go straight to the device. data is the resolved
-// absolute content (an XOR delta already folded in). The op rides into the
-// journal so group-commit queue/flush time lands on the op's
-// backup-jqueue/backup-jflush stages.
-func (s *Server) writeBackup(op *opctx.Op, m *proto.Message, data []byte) error {
-	if s.Role() == RoleBackup && len(data) <= s.cfg.BypassThreshold {
-		err := s.jset.Append(op, m.Chunk, m.Off, data, m.Version+1)
-		if !errors.Is(err, util.ErrQuota) {
-			return err
-		}
-	}
-	return s.writeLocal(m.Chunk, data, m.Off)
-}
-
-// count bumps the activity counter the op feeds.
-func (a *applyStep) count() {
-	if a.m.Op == proto.OpReplicate {
-		a.s.replicates.Add(1)
-	} else {
-		a.s.writes.Add(1)
-	}
+	return s.writeVersioned(a.op, m, data)
 }
 
 // join collects the fan-out's acks and applies the strategy's commit rule:

@@ -75,8 +75,14 @@ func TestProbeAndDeleteBatchesAnswerPerEntry(t *testing.T) {
 	e := newEnv(t)
 	e.createChunk(t) // testChunk, view 1
 	other, missing := blockstore.MakeChunkID(1, 1), blockstore.MakeChunkID(1, 9)
-	if resp := e.primary.Handle(CreateChunks(ChunkCreate{Chunk: other, CreateChunkReq: CreateChunkReq{View: 4, Version: 11}})); resp.Status != proto.StatusOK {
+	if resp := e.primary.Handle(CreateChunks(ChunkCreate{Chunk: other, CreateChunkReq: CreateChunkReq{View: 4}})); resp.Status != proto.StatusOK {
 		t.Fatal(resp.Status)
+	}
+	for v := uint64(0); v < 11; v++ { // a create starts at version 0; writes move it
+		w := &proto.Message{Op: proto.OpReplicate, Chunk: other, View: 4, Version: v, Payload: make([]byte, util.SectorSize)}
+		if resp := e.primary.Handle(w); resp.Status != proto.StatusOK || resp.Version != v+1 {
+			t.Fatalf("write at version %d: %s at %d", v, resp.Status, resp.Version)
+		}
 	}
 	e.primary.chunk(testChunk).suspect.Store(true)
 

@@ -109,10 +109,10 @@ func bubbleServer(net *transport.SimNet, addr string, disk simdisk.Disk, req Cre
 	return srv, nil
 }
 
-// writeAt sends one primary-only 4 KiB write at version and view and reports
+// writeAt sends one apply-only 4 KiB write at version and view and reports
 // whether it committed as version+1.
 func writeAt(s *Server, version, view uint64, off int64) bool {
-	r := s.Handle(&proto.Message{Op: proto.OpWritePrimary, Chunk: testChunk, Off: off, View: view, Version: version, Payload: make([]byte, 4*util.KiB)})
+	r := s.Handle(&proto.Message{Op: proto.OpReplicate, Chunk: testChunk, Off: off, View: view, Version: version, Payload: make([]byte, 4*util.KiB)})
 	return r.Status == proto.StatusOK && r.Version == version+1
 }
 

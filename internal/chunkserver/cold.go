@@ -316,7 +316,6 @@ func (s *Server) handleFlushChunks(op *opctx.Op, m *proto.Message) *proto.Messag
 			return m.Reply(proto.StatusError)
 		}
 		out.Extents[i] = refs
-		s.bytesRead.Add(util.ChunkSize)
 	}
 	payload, err := json.Marshal(out)
 	if err != nil {

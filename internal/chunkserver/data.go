@@ -14,17 +14,18 @@ import (
 
 // The data interface: the ops clients and peer replicas send, fenced per
 // chunk by view number and the §4.2.1 version rules — never by the master
-// epoch. The three versioned writes share one pipeline (apply.go); everything
+// epoch. The two versioned writes share one pipeline (apply.go); everything
 // else here reads. This file also owns the replica's local storage:
-// readLocal, writeLocal (installLocal on top of it) and dropLocal are the
-// only places that choose between the journal set and the bare store.
+// readLocal, writeVersioned, writeLocal (installLocal on top of it) and
+// dropLocal are the only places that choose between the journal set and the
+// bare store.
 
 // handleData dispatches a data op, or returns nil when m is not one.
 func (s *Server) handleData(op *opctx.Op, m *proto.Message) *proto.Message {
 	switch m.Op {
 	case proto.OpRead:
 		return s.handleRead(op, m)
-	case proto.OpWrite, proto.OpWritePrimary, proto.OpReplicate:
+	case proto.OpWrite, proto.OpReplicate:
 		return s.handleApply(op, m)
 	case proto.OpGetVersion:
 		return s.handleGetVersion(m)
@@ -38,18 +39,53 @@ func (s *Server) handleData(op *opctx.Op, m *proto.Message) *proto.Message {
 
 // readLocal reads the replica's logical content: journal-merged on a backup
 // server, the store on a primary. With an op the device time lands on the
-// matching read stage.
+// server's stage (localStage).
 func (s *Server) readLocal(op *opctx.Op, id blockstore.ChunkID, buf []byte, off int64) error {
-	read, stage := s.store.ReadAt, opctx.StagePrimarySSD
+	read := s.store.ReadAt
 	if s.jset != nil {
-		read, stage = s.jset.Read, opctx.StageBackupJournal
+		read = s.jset.Read
 	}
 	if op == nil {
 		return read(id, buf, off)
 	}
-	st := op.Stage(stage)
+	st := op.Stage(s.localStage())
 	defer st.Stop()
 	return read(id, buf, off)
+}
+
+// localStage is the stage an op's local device time lands on. It names the
+// kind of server, not the replica's role: a backup server (journal set in
+// front of an HDD) times backup-journal, a primary server (bare SSD store)
+// primary-ssd — whichever role it plays for the chunk.
+func (s *Server) localStage() opctx.Stage {
+	if s.jset != nil {
+		return opctx.StageBackupJournal
+	}
+	return opctx.StagePrimarySSD
+}
+
+// writeVersioned lands the resolved bytes of an admitted versioned write (an
+// XOR delta already folded in) and stamps their checksums. On a server with a
+// journal set a write of at most BypassThreshold bytes is journaled (§3.2),
+// falling back to the device when the journals are full (util.ErrQuota);
+// anything else goes to the device. The op rides into the journal, so
+// group-commit queue and flush time land on its journal stages.
+func (s *Server) writeVersioned(op *opctx.Op, m *proto.Message, data []byte) error {
+	st := op.Stage(s.localStage())
+	journaled := s.jset != nil && len(data) <= s.cfg.BypassThreshold
+	var err error
+	if journaled {
+		err = s.jset.Append(op, m.Chunk, m.Off, data, m.Version+1)
+	}
+	if !journaled || errors.Is(err, util.ErrQuota) {
+		err = s.writeLocal(m.Chunk, data, m.Off)
+	}
+	st.Stop()
+	if err != nil {
+		return err
+	}
+	s.store.Sums().Stamp(m.Chunk, m.Off, data)
+	return nil
 }
 
 // writeLocal writes data straight to the replica's device. On a backup
@@ -223,7 +259,6 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 		return r
 	}
 	s.reads.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
 	r = replyAt(m, proto.StatusOK, ver)
 	r.Payload = buf
 	return r
@@ -326,7 +361,6 @@ func (s *Server) handleFetchSegment(op *opctx.Op, m *proto.Message) *proto.Messa
 		cs.strat.(*redundancy.RS).Code().EncodeParity(seg-spec.N, data, buf)
 	}
 	s.reads.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
 	r = replyAt(m, proto.StatusOK, cs.version)
 	r.Payload = buf
 	return r

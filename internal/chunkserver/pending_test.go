@@ -102,7 +102,7 @@ func TestOverlappingWritesAcrossStalledAndFailedApplies(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for attempt := 0; attempt < 2000; attempt++ {
-				st := apply(srv, proto.OpWritePrimary, uint64(v), 0, payload(v))
+				st := apply(srv, proto.OpReplicate, uint64(v), 0, payload(v))
 				if st == proto.StatusOK || (attempt > 0 && st == proto.StatusStaleVersion) {
 					return
 				}

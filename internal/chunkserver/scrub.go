@@ -32,7 +32,7 @@ func (s *Server) ScrubBusy() bool {
 	if s.store.Disk().QueueDepth() > 0 {
 		return true
 	}
-	return s.Role() == RoleBackup && s.jset.DevicesBusy()
+	return s.jset != nil && s.jset.DevicesBusy()
 }
 
 // ScrubRange verifies one range of a chunk against its checksums, reading

@@ -86,10 +86,9 @@ const (
 // Stats is a snapshot of server activity for the efficiency benches
 // (Fig 7). It is a read-only view over the server's metrics counters.
 type Stats struct {
-	Reads, Writes, Replicates int64
-	BytesRead, BytesWritten   int64
-	Repairs, Clones           int64
-	UpgradeGen                int64
+	Reads, BytesWritten int64
+	Repairs, Clones     int64
+	UpgradeGen          int64
 }
 
 // Server is one chunk-server process.
@@ -97,8 +96,8 @@ type Server struct {
 	cfg   Config
 	store *blockstore.Store
 	// jset fronts the store with journals on a backup server; nil on a
-	// primary. Only readLocal, writeLocal and dropLocal (data.go) choose
-	// between it and the store.
+	// primary. Only the local-storage methods of data.go choose between it
+	// and the store.
 	jset *journal.Set
 
 	// chunks is the chunk registry, striped by chunk ID hash: every request
@@ -117,8 +116,7 @@ type Server struct {
 	draining bool
 	upGen    atomic.Int64
 
-	reads, writes, replicates  metrics.Counter
-	bytesRead, bytesWritten    metrics.Counter
+	reads, bytesWritten        metrics.Counter
 	repairCount, cloneCount    metrics.Counter
 	degradedCommits, noQuorums metrics.Counter
 
@@ -189,22 +187,10 @@ func (s *Server) Addr() string { return s.cfg.Addr }
 // slots — what the erasure-coding bench sums into storage overhead.
 func (s *Server) StoreUsedBytes() int64 { return s.store.UsedBytes() }
 
-// Role returns the server role: backup when it was built over a journal
-// set, primary otherwise.
-func (s *Server) Role() Role {
-	if s.jset != nil {
-		return RoleBackup
-	}
-	return RolePrimary
-}
-
 // Stats returns an activity snapshot.
 func (s *Server) Stats() Stats {
 	return Stats{
 		Reads:        s.reads.Load(),
-		Writes:       s.writes.Load(),
-		Replicates:   s.replicates.Load(),
-		BytesRead:    s.bytesRead.Load(),
 		BytesWritten: s.bytesWritten.Load(),
 		Repairs:      s.repairCount.Load(),
 		Clones:       s.cloneCount.Load(),

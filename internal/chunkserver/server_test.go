@@ -492,7 +492,7 @@ func TestUpgradeWaitsForWriteInFlight(t *testing.T) {
 	mustCreate(t, p, CreateChunkReq{View: 1})
 	fi.Stall(100 * time.Millisecond)
 	wrote := make(chan proto.Status, 1)
-	go func() { wrote <- apply(p, proto.OpWritePrimary, 0, 0, make([]byte, 4*util.KiB)) }()
+	go func() { wrote <- apply(p, proto.OpReplicate, 0, 0, make([]byte, 4*util.KiB)) }()
 	waitFor(t, "the write's admission", func() bool { return pendingLen(p) == 1 })
 	p.Upgrade()
 	if ver, _ := versionView(t, p); ver != 1 || pendingLen(p) != 0 {

@@ -198,17 +198,17 @@ func TestRebuildRacesStalledApply(t *testing.T) {
 				off  int64
 				data []byte
 			}{{64 * util.KiB, lead}, {0, older}, {0, newer}} {
-				if st := apply(src, proto.OpWritePrimary, uint64(v), w.off, w.data); st != proto.StatusOK {
+				if st := apply(src, proto.OpReplicate, uint64(v), w.off, w.data); st != proto.StatusOK {
 					t.Fatalf("source write %d: %s", v, st)
 				}
 			}
-			if st := apply(dst, proto.OpWritePrimary, 0, 64*util.KiB, lead); st != proto.StatusOK {
+			if st := apply(dst, proto.OpReplicate, 0, 64*util.KiB, lead); st != proto.StatusOK {
 				t.Fatalf("destination lead write: %s", st)
 			}
 			// The destination admits the second write; its device apply stalls.
 			fi.Stall(150 * time.Millisecond)
 			stalled := make(chan proto.Status, 1)
-			go func() { stalled <- apply(dst, proto.OpWritePrimary, 1, 0, older) }()
+			go func() { stalled <- apply(dst, proto.OpReplicate, 1, 0, older) }()
 			waitFor(t, "the stalled write's admission", func() bool { return pendingLen(dst) == 1 })
 			fi.Heal() // later device ops pass; the stalled one is still asleep
 			dst.chunk(testChunk).suspect.Store(path.suspect)
@@ -268,7 +268,7 @@ func TestRebuildAfterFailedApply(t *testing.T) {
 	primary, holder, fi := rsPair(t, redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}, replTimeout)
 	for v := uint64(0); v < 2; v++ {
 		data := bytes.Repeat([]byte{byte(0x31 + v)}, 4*util.KiB)
-		if st := apply(primary, proto.OpWritePrimary, v, int64(v)*8*util.KiB, data); st != proto.StatusOK {
+		if st := apply(primary, proto.OpReplicate, v, int64(v)*8*util.KiB, data); st != proto.StatusOK {
 			t.Fatalf("primary write %d: %s", v, st)
 		}
 	}
@@ -312,16 +312,16 @@ func TestRebuildDemotesAppliedSuccessors(t *testing.T) {
 	first := bytes.Repeat([]byte{0x41}, 4*util.KiB)
 	second := bytes.Repeat([]byte{0x42}, 4*util.KiB)
 	const secondOff = 1 * util.MiB
-	if st := apply(src, proto.OpWritePrimary, 0, 0, first); st != proto.StatusOK {
+	if st := apply(src, proto.OpReplicate, 0, 0, first); st != proto.StatusOK {
 		t.Fatalf("source write: %s", st)
 	}
 	// On the destination the first write fails; the second, disjoint, lands
 	// but cannot commit behind it.
 	fi.FailWriteRange(nil, 0, int64(len(first)))
-	if st := apply(dst, proto.OpWritePrimary, 0, 0, first); st != proto.StatusError {
+	if st := apply(dst, proto.OpReplicate, 0, 0, first); st != proto.StatusError {
 		t.Fatalf("first write = %s, want error", st)
 	}
-	if st := apply(dst, proto.OpWritePrimary, 1, secondOff, second); st != proto.StatusBehind {
+	if st := apply(dst, proto.OpReplicate, 1, secondOff, second); st != proto.StatusBehind {
 		t.Fatalf("second write = %s, want behind (applied, uncommitted)", st)
 	}
 	fi.Heal()
@@ -331,7 +331,7 @@ func TestRebuildDemotesAppliedSuccessors(t *testing.T) {
 		t.Fatalf("clone = %s at version %d, want ok at the source's 1", resp.Status, resp.Version)
 	}
 	// The retry of the second write re-claims its slot and lands for real.
-	if st := apply(dst, proto.OpWritePrimary, 1, secondOff, second); st != proto.StatusOK {
+	if st := apply(dst, proto.OpReplicate, 1, secondOff, second); st != proto.StatusOK {
 		t.Fatalf("retry of the second write = %s", st)
 	}
 	r := dst.Handle(&proto.Message{
@@ -395,7 +395,7 @@ func TestFillOverEvictedSlot(t *testing.T) {
 					if s == dst && v == 1 && row.diverged {
 						at = 64 * util.KiB // where no later write reaches
 					}
-					if st := apply(s, proto.OpWritePrimary, v, at, data); st != proto.StatusOK {
+					if st := apply(s, proto.OpReplicate, v, at, data); st != proto.StatusOK {
 						t.Fatalf("write %d on %s: %s", v, s.Addr(), st)
 					}
 				}
@@ -463,7 +463,7 @@ func TestFillAfterRoleChange(t *testing.T) {
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			stripe := newRSStripe(t)
+			stripe := newRSStripe(t, nil)
 			h2 := stripe.holders[2]
 			req := row.create(stripe.spec)
 			req.View = 2
@@ -483,7 +483,8 @@ func TestFillAfterRoleChange(t *testing.T) {
 
 // rsStripe is a full RS(4,2) stripe — primary plus six holders, all wired —
 // with a few writes fanned out through the primary, so every holder is at
-// one version with consistent data and parity.
+// one version with consistent data and parity. The primary stands on
+// primaryDisk (nil: a fresh fast SSD).
 type rsStripe struct {
 	*rebuildEnv
 	spec    redundancy.Spec
@@ -492,9 +493,9 @@ type rsStripe struct {
 	version uint64
 }
 
-func newRSStripe(t *testing.T) *rsStripe {
+func newRSStripe(t *testing.T, primaryDisk simdisk.Disk) *rsStripe {
 	s := &rsStripe{rebuildEnv: newRebuildEnv(t), spec: redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}}
-	s.primary = s.start("p", false, nil, time.Second)
+	s.primary = s.start("p", false, primaryDisk, time.Second)
 	var addrs []string
 	for i := 0; i < s.spec.N+s.spec.M; i++ {
 		addr := fmt.Sprintf("h%d", i)
@@ -531,11 +532,64 @@ func (s *rsStripe) sources(except int) []PieceSource {
 	return out
 }
 
+// TestRSPrimaryVerifiesOldBytes: an RS primary plans a write's parity deltas
+// from the bytes the write replaces, so it reads them verified. Rot that a
+// re-read settles (one shot) must not reach the parity: the write commits and
+// segment 0, decoded from holders 1–5 with either parity piece, is the bytes
+// written. Rot that persists fails the write and the primary reports itself:
+// parity planned from rotten bytes would decode wrong under an OK.
+func TestRSPrimaryVerifiesOldBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		persistent bool
+	}{{"one-shot rot", false}, {"persistent rot", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+			stripe := newRSStripe(t, fi)
+			const n = 4 * util.KiB
+			at := stripe.primary.store.SlotOffset(testChunk)
+			fi.CorruptRange(at, at+n, tc.persistent) // the old bytes of segment 0's first sectors
+			data := bytes.Repeat([]byte{0x22}, n)
+			st := apply(stripe.primary, proto.OpWrite, stripe.version, 0, data)
+			if tc.persistent {
+				if st != proto.StatusCorrupt || !stripe.primary.chunk(testChunk).suspect.Load() {
+					t.Fatalf("write over persistently rotten old bytes = %s, primary suspect %v; want corrupt and suspect",
+						st, stripe.primary.chunk(testChunk).suspect.Load())
+				}
+				return
+			}
+			if st != proto.StatusOK {
+				t.Fatalf("write over once-rotten old bytes = %s, want ok", st)
+			}
+			pieces := make(map[int][]byte)
+			for i := 1; i < len(stripe.holders); i++ {
+				r := stripe.holders[i].Handle(&proto.Message{Op: proto.OpRead, Chunk: testChunk, Length: n, View: 1, Version: stripe.version + 1})
+				if r.Status != proto.StatusOK {
+					t.Fatalf("read of holder %d: %s", i, r.Status)
+				}
+				pieces[i] = r.Payload
+				defer bufpool.Put(r.Payload)
+			}
+			code := stripe.primary.chunk(testChunk).strat.(*redundancy.RS).Code()
+			for parity := stripe.spec.N; parity < stripe.spec.N+stripe.spec.M; parity++ {
+				avail := map[int][]byte{1: pieces[1], 2: pieces[2], 3: pieces[3], parity: pieces[parity]}
+				got := make([]byte, n)
+				if err := code.Reconstruct(avail, 0, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Errorf("segment 0 decoded with parity piece %d = %#x.., want the written %#x..", parity, got[:1], data[:1])
+				}
+			}
+		})
+	}
+}
+
 // TestRebuildSources drives the rebuild engine once per source kind and
 // checks what every rebuild owes: the source's bytes, its version, the
 // lifted view, one clone counted, and every buffer lease returned.
 func TestRebuildSources(t *testing.T) {
-	stripe := newRSStripe(t)
+	stripe := newRSStripe(t, nil)
 	mirror := newRebuildEnv(t)
 	mirrorSrc := mirror.start("src", true, nil, time.Second)
 	mustCreate(t, mirrorSrc, CreateChunkReq{View: 1})
@@ -624,7 +678,7 @@ func TestRebuildSourceDiesMidTransfer(t *testing.T) {
 	dst := e.start("dst", false, nil, 50*time.Millisecond)
 	mustCreate(t, src, CreateChunkReq{View: 1})
 	mustCreate(t, dst, CreateChunkReq{View: 1})
-	if st := apply(src, proto.OpWritePrimary, 0, 0, bytes.Repeat([]byte{0x61}, 4*util.KiB)); st != proto.StatusOK {
+	if st := apply(src, proto.OpReplicate, 0, 0, bytes.Repeat([]byte{0x61}, 4*util.KiB)); st != proto.StatusOK {
 		t.Fatalf("source write: %s", st)
 	}
 	leases := e.leases()
@@ -661,7 +715,7 @@ func TestRebuildSourcePartitionedMidTransfer(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{0x62}, 4*util.KiB)
 	for _, s := range []*Server{src, good} {
-		if st := apply(s, proto.OpWritePrimary, 0, 0, data); st != proto.StatusOK {
+		if st := apply(s, proto.OpReplicate, 0, 0, data); st != proto.StatusOK {
 			t.Fatalf("write on %s: %s", s.Addr(), st)
 		}
 	}
@@ -706,7 +760,7 @@ func TestRebuildSnapshotTornRetry(t *testing.T) {
 	holder := e.start("h", false, nil, time.Second)
 	mustCreate(t, primary, CreateChunkReq{View: 1, Redundancy: spec})
 	mustCreate(t, holder, CreateChunkReq{View: 1, Redundancy: spec, Holder: true, Seg: 0})
-	if st := apply(primary, proto.OpWritePrimary, 0, 0, bytes.Repeat([]byte{0x71}, 4*util.KiB)); st != proto.StatusOK {
+	if st := apply(primary, proto.OpReplicate, 0, 0, bytes.Repeat([]byte{0x71}, 4*util.KiB)); st != proto.StatusOK {
 		t.Fatalf("primary write: %s", st)
 	}
 	// The first piece's read (under the primary's chunk lock) releases a
@@ -717,7 +771,7 @@ func TestRebuildSnapshotTornRetry(t *testing.T) {
 	disk.hook = func() {
 		go func() {
 			defer racing.Done()
-			if st := apply(primary, proto.OpWritePrimary, 1, 8*util.KiB, bytes.Repeat([]byte{0x72}, 4*util.KiB)); st != proto.StatusOK {
+			if st := apply(primary, proto.OpReplicate, 1, 8*util.KiB, bytes.Repeat([]byte{0x72}, 4*util.KiB)); st != proto.StatusOK {
 				t.Errorf("racing write: %s", st)
 			}
 		}()
@@ -768,7 +822,7 @@ func TestFillRefusedBySourceThatChanged(t *testing.T) {
 	}
 	write := func(t *testing.T, s *Server, v uint64) {
 		t.Helper()
-		if st := apply(s, proto.OpWritePrimary, v, int64(v)*util.MiB, bytes.Repeat([]byte{byte(0x81 + v)}, 8*util.KiB)); st != proto.StatusOK {
+		if st := apply(s, proto.OpReplicate, v, int64(v)*util.MiB, bytes.Repeat([]byte{byte(0x81 + v)}, 8*util.KiB)); st != proto.StatusOK {
 			t.Fatalf("write %d on %s: %s", v, s.Addr(), st)
 		}
 	}
@@ -807,7 +861,7 @@ func TestFillRefusedBySourceThatChanged(t *testing.T) {
 			return dst, rebuildMsg(proto.OpFill, 1, 4, FillReq{Source: "src", View: 1}), src, req
 		}},
 		{"RS decode", 1, func(t *testing.T, disk *hookDisk) (*Server, *proto.Message, *Server, CreateChunkReq) {
-			stripe := newRSStripe(t)
+			stripe := newRSStripe(t, nil)
 			dst := stripe.start("dst", false, disk, time.Second)
 			mustCreate(t, dst, CreateChunkReq{View: 1, Redundancy: stripe.spec, Holder: true, Seg: 1})
 			// Exactly N sources, so no piece can be spared.

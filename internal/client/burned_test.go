@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,17 +75,21 @@ func (d lossyDialer) Dial(addr string) (transport.MsgConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lossyConn{c, d.lose}, nil
+	// A client-directed write sends every replica the same OpReplicate; the
+	// env places every primary on an SSD server and every backup on an HDD
+	// one, so the address tells them apart.
+	return lossyConn{c, d.lose, strings.HasSuffix(addr, "/ssd")}, nil
 }
 
 type lossyConn struct {
 	transport.MsgConn
-	lose *atomic.Int32
+	lose    *atomic.Int32
+	primary bool
 }
 
 func (c lossyConn) Send(m *proto.Message) error {
 	lose := c.lose.Load()
-	if (m.Op == proto.OpReplicate && lose >= loseBackups) || (m.Op == proto.OpWritePrimary && lose == loseAll) {
+	if m.Op == proto.OpReplicate && (lose == loseAll || lose == loseBackups && !c.primary) {
 		bufpool.Put(m.Payload)
 		return nil
 	}

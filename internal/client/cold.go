@@ -119,9 +119,7 @@ func (vd *VDisk) IsCold(off int64) bool {
 }
 
 func (vd *VDisk) noteWarmHit() {
-	if vd.coldWarmHits != nil {
-		vd.coldWarmHits.Inc()
-	}
+	vd.coldWarmHits.Inc()
 }
 
 var _ coldAware = (*VDisk)(nil)

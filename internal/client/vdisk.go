@@ -64,10 +64,10 @@ type VDisk struct {
 	retries, failovers    metrics.Counter
 	tinyWrites            metrics.Counter
 	// tinyWritesC mirrors tinyWrites into the shared metrics registry
-	// ("client-tiny-writes"); nil when the client has no registry.
+	// ("client-tiny-writes").
 	tinyWritesC *metrics.Counter
 	// coldWarmHits counts cache hits over object-backed ranges
-	// ("cold-fetch-hit-warm"); nil when the client has no registry.
+	// ("cold-fetch-hit-warm").
 	coldWarmHits *metrics.Counter
 }
 
@@ -659,9 +659,7 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 		if (len(data) <= vd.c.cfg.TinyThreshold || !healthy) && !vd.meta.Redundancy.IsRS() {
 			committed = vd.writeClientDirected(op, idx, cm, data, off, version)
 			vd.tinyWrites.Add(1)
-			if vd.tinyWritesC != nil {
-				vd.tinyWritesC.Add(1)
-			}
+			vd.tinyWritesC.Add(1)
 		} else {
 			// RS chunks always write through the primary: only it holds the
 			// old data needed to compute parity deltas.
@@ -806,8 +804,9 @@ func (vd *VDisk) writeViaPrimary(op *opctx.Op, idx int, cm master.ChunkMeta, dat
 }
 
 // writeClientDirected replicates directly to every replica (tiny writes,
-// §3.2; and all writes while the chunk is degraded): commit when all ack,
-// or when a majority acks within the timeout (§4.2.1).
+// §3.2; and all writes while the chunk is degraded), sending each the same
+// OpReplicate: commit when all ack, or when a majority acks within the
+// timeout (§4.2.1).
 func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta, data []byte,
 	off int64, version uint64) bool {
 
@@ -815,12 +814,8 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 	cid := vd.chunkID(idx)
 	fl := vd.c.peers.Begin(op, len(cm.Replicas), vd.c.cfg.CallTimeout)
 	for i, r := range cm.Replicas {
-		wireOp := proto.OpReplicate
-		if i == 0 {
-			wireOp = proto.OpWritePrimary
-		}
 		m := proto.GetMessage()
-		m.Op = wireOp
+		m.Op = proto.OpReplicate
 		m.Chunk = cid
 		m.Off = off
 		m.View = cm.View

@@ -63,9 +63,6 @@ func TotalServerStats(c *core.Cluster) chunkserver.Stats {
 		for _, s := range m.Servers {
 			st := s.Stats()
 			total.Reads += st.Reads
-			total.Writes += st.Writes
-			total.Replicates += st.Replicates
-			total.BytesRead += st.BytesRead
 			total.BytesWritten += st.BytesWritten
 			total.Repairs += st.Repairs
 			total.Clones += st.Clones

@@ -314,32 +314,22 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 	// one per HDD in HDD-only mode.
 	switch opts.Mode {
 	case Hybrid:
-		if err := c.addSSDServers(m, nodeCfg, true); err != nil {
+		if err := c.addSSDServers(m, nodeCfg); err != nil {
 			return nil, err
 		}
 		if err := c.addBackupServers(m, nodeCfg); err != nil {
 			return nil, err
 		}
 	case SSDOnly:
-		if err := c.addSSDServers(m, nodeCfg, true); err != nil {
+		if err := c.addSSDServers(m, nodeCfg); err != nil {
 			return nil, err
 		}
 	case HDDOnly:
 		for k, hdd := range m.HDDFaults {
 			addr := fmt.Sprintf("%s/hdd%d", m.Name, k)
-			store := blockstore.New(hdd, 0)
-			srv := chunkserver.New(chunkserver.Config{
-				Addr:        addr,
-				Clock:       c.clk,
-				Dialer:      c.Net.Dialer(addr, nodeCfg),
-				ReplTimeout: opts.ReplTimeout,
-				Metrics:     c.metrics,
-				MasterAddrs: c.masterAddrs,
-			}, store, nil)
-			if err := c.startServer(m, srv, nodeCfg); err != nil {
+			if err := c.addServer(m, nodeCfg, addr, blockstore.New(hdd, 0), nil); err != nil {
 				return nil, err
 			}
-			c.Master.AddServer(addr, m.Name, true, store.Capacity()) // primary-capable
 		}
 	}
 
@@ -361,28 +351,15 @@ func (c *Cluster) buildMachine(i int) (*Machine, error) {
 // addSSDServers starts one primary server per SSD. In hybrid mode the tail
 // JournalFraction of each SSD is reserved for the backup journals of this
 // machine's HDDs.
-func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig, register bool) error {
+func (c *Cluster) addSSDServers(m *Machine, nodeCfg transport.NodeConfig) error {
 	opts := &c.opts
 	for j, ssd := range m.SSDFaults {
 		limit := ssd.Size()
 		if opts.Mode == Hybrid {
 			limit = util.AlignDown(int64(float64(ssd.Size())*(1-opts.JournalFraction)), util.ChunkSize)
 		}
-		addr := fmt.Sprintf("%s/ssd%d", m.Name, j)
-		store := blockstore.New(ssd, limit)
-		srv := chunkserver.New(chunkserver.Config{
-			Addr:        addr,
-			Clock:       c.clk,
-			Dialer:      c.Net.Dialer(addr, nodeCfg),
-			ReplTimeout: opts.ReplTimeout,
-			Metrics:     c.metrics,
-			MasterAddrs: c.masterAddrs,
-		}, store, nil)
-		if err := c.startServer(m, srv, nodeCfg); err != nil {
+		if err := c.addServer(m, nodeCfg, fmt.Sprintf("%s/ssd%d", m.Name, j), blockstore.New(ssd, limit), nil); err != nil {
 			return err
-		}
-		if register {
-			c.Master.AddServer(addr, m.Name, true, store.Capacity())
 		}
 	}
 	return nil
@@ -444,32 +421,34 @@ func (c *Cluster) addBackupServers(m *Machine, nodeCfg transport.NodeConfig) err
 		}
 		m.JournalRegions = append(m.JournalRegions, regions...)
 		m.jsets = append(m.jsets, jset)
-
-		srv := chunkserver.New(chunkserver.Config{
-			Addr:            addr,
-			Clock:           c.clk,
-			Dialer:          c.Net.Dialer(addr, nodeCfg),
-			ReplTimeout:     opts.ReplTimeout,
-			Metrics:         c.metrics,
-			BypassThreshold: opts.BypassThreshold,
-			MasterAddrs:     c.masterAddrs,
-		}, store, jset)
-		if err := c.startServer(m, srv, nodeCfg); err != nil {
+		if err := c.addServer(m, nodeCfg, addr, store, jset); err != nil {
 			return err
 		}
-		c.Master.AddServer(addr, m.Name, false, store.Capacity())
 	}
 	return nil
 }
 
-func (c *Cluster) startServer(m *Machine, srv *chunkserver.Server, nodeCfg transport.NodeConfig) error {
-	l, err := c.Net.Listen(srv.Addr(), nodeCfg)
+// addServer builds the chunk server at addr over store — a backup server
+// when jset is not nil, a primary-capable one otherwise — serves it and
+// registers it with the master.
+func (c *Cluster) addServer(m *Machine, nodeCfg transport.NodeConfig, addr string, store *blockstore.Store, jset *journal.Set) error {
+	srv := chunkserver.New(chunkserver.Config{
+		Addr:            addr,
+		Clock:           c.clk,
+		Dialer:          c.Net.Dialer(addr, nodeCfg),
+		ReplTimeout:     c.opts.ReplTimeout,
+		Metrics:         c.metrics,
+		BypassThreshold: c.opts.BypassThreshold,
+		MasterAddrs:     c.masterAddrs,
+	}, store, jset)
+	l, err := c.Net.Listen(addr, nodeCfg)
 	if err != nil {
 		return err
 	}
 	srv.Serve(l)
 	m.Servers = append(m.Servers, srv)
-	c.servers[srv.Addr()] = srv
+	c.servers[addr] = srv
+	c.Master.AddServer(addr, m.Name, jset == nil, store.Capacity())
 	return nil
 }
 

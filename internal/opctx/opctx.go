@@ -54,10 +54,15 @@ const (
 	// StageNet is one RPC round trip: request sent until the response is
 	// matched (includes the remote handler's service time).
 	StageNet
-	// StagePrimarySSD is the primary replica's local store service.
+	// StagePrimarySSD is a primary server's local device service: a read
+	// or write of its bare SSD store, whatever role its replica plays for
+	// the chunk. It names the kind of server, not the replica's role.
 	StagePrimarySSD
-	// StageBackupJournal is the backup replica's journal append, journal
-	// bypass, or direct store write.
+	// StageBackupJournal is a backup server's local device service: a
+	// journal append, a journal-bypassing store write or a journal-merged
+	// read, whatever role its replica plays for the chunk (a temporary
+	// primary included). It names the kind of server, not the replica's
+	// role.
 	StageBackupJournal
 	// StageJournalQueue is the slice of StageBackupJournal spent waiting in
 	// a journal's group-commit queue for a leader to claim the record.

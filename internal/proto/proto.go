@@ -33,16 +33,14 @@ const (
 	// decode. It, OpFetchSegment and OpRepairSince pass one admission
 	// (chunkserver admit).
 	OpRead
-	// OpWrite is a client write to the primary: write locally, replicate
-	// to backups, bump the version.
+	// OpWrite asks a replica — the chunk's primary — to apply a versioned
+	// write and replicate it to the chunk's backups.
 	OpWrite
-	// OpReplicate is a backup write (from the primary, or from the client
-	// under client-directed replication): journal or bypass, bump version.
+	// OpReplicate asks a replica only to apply a versioned write: the
+	// primary's shipment to a backup, or a client-directed write (§3.2) to
+	// any replica, the primary included. The server, not the op, decides
+	// whether the bytes are journaled or written to the device.
 	OpReplicate
-	// OpWritePrimary is the client-directed tiny-write to the primary:
-	// write locally and bump version, but do NOT forward to backups (the
-	// client replicates itself, §3.2).
-	OpWritePrimary
 	// OpGetVersion returns the replica's version and view for each chunk
 	// listed in the payload (batch.go).
 	OpGetVersion
