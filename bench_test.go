@@ -8,7 +8,10 @@
 //
 // -short runs the figures at reduced op counts. Absolute numbers are at
 // the suite's uniform ×10 slow-motion time scale (see internal/bench);
-// EXPERIMENTS.md records paper-vs-measured per figure.
+// EXPERIMENTS.md records paper-vs-measured per figure. Each figure runs
+// through bench.Entry.Run, so with GOEXPERIMENT=synctest set a model-time
+// figure runs in a synctest bubble: its model sleeps are exact and cost no
+// wall time, and ns/op is the figure's wall time, not its model time.
 package ursa_test
 
 import (

@@ -2,7 +2,6 @@ package cephlike
 
 import (
 	"encoding/base64"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -89,35 +88,32 @@ func TestRelayDialRaceLeavesNothingOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	goroutines := runtime.NumGoroutine()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := &proto.Message{Op: proto.OpWrite, Payload: encode(&wireMsg{
-				Type: "replicate", Object: uint64(obj), Off: int64(i) * 4096, Len: 4096,
-				Data: base64.StdEncoding.EncodeToString(make([]byte, 4096)),
-			})}
-			encodeBackups(m, []string{"backup"})
-			if resp := primary.handle(m); resp.Status != proto.StatusOK {
-				t.Errorf("write %d: %s", i, resp.Status)
-			}
-		}()
-	}
-	wg.Wait()
-	primary.Close()
-
-	d.mu.Lock()
-	opened, closed := d.opened, d.closed
-	d.mu.Unlock()
-	if opened != 2 || closed != opened {
-		t.Errorf("%d connections opened, %d closed after Close; want 2 and 2", opened, closed)
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, %d before the writes", runtime.NumGoroutine(), goroutines)
+	if err := clock.Join(func() {
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := &proto.Message{Op: proto.OpWrite, Payload: encode(&wireMsg{
+					Type: "replicate", Object: uint64(obj), Off: int64(i) * 4096, Len: 4096,
+					Data: base64.StdEncoding.EncodeToString(make([]byte, 4096)),
+				})}
+				encodeBackups(m, []string{"backup"})
+				if resp := primary.handle(m); resp.Status != proto.StatusOK {
+					t.Errorf("write %d: %s", i, resp.Status)
+				}
+			}()
 		}
+		wg.Wait()
+		primary.Close()
+
+		d.mu.Lock()
+		opened, closed := d.opened, d.closed
+		d.mu.Unlock()
+		if opened != 2 || closed != opened {
+			t.Errorf("%d connections opened, %d closed after Close; want 2 and 2", opened, closed)
+		}
+	}); err != nil {
+		t.Fatalf("after Close: %v", err)
 	}
 }

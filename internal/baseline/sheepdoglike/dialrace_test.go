@@ -1,11 +1,11 @@
 package sheepdoglike
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"ursa/internal/clock"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 )
@@ -65,38 +65,35 @@ func TestDialRaceLeavesNothingOpen(t *testing.T) {
 	c := testPool(t)
 	d := &raceDialer{Dialer: c.opts.Net.Dialer("client", transport.NodeConfig{}), gate: make(chan struct{})}
 	v := &Volume{clk: c.opts.Clock, peers: transport.NewPeers(d, c.opts.Clock)}
-	goroutines := runtime.NumGoroutine()
-
-	var wg sync.WaitGroup
-	conns := make([]*transport.Client, 2)
-	for i := range conns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			if conns[i], err = v.peers.Get(c.addrs[0]); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if conns[0] != conns[1] {
-		t.Error("the racing callers got different connections")
-	}
-	if _, err := v.call(c.addrs[0], &proto.Message{Op: proto.OpNop}); err != nil {
-		t.Fatal(err)
-	}
-	v.Close()
-
-	d.mu.Lock()
-	opened, closed := d.opened, d.closed
-	d.mu.Unlock()
-	if opened != 2 || closed != opened {
-		t.Errorf("%d connections opened, %d closed after Close; want 2 and 2", opened, closed)
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, %d before the dials", runtime.NumGoroutine(), goroutines)
+	if err := clock.Join(func() {
+		var wg sync.WaitGroup
+		conns := make([]*transport.Client, 2)
+		for i := range conns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if conns[i], err = v.peers.Get(c.addrs[0]); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
+		wg.Wait()
+		if conns[0] != conns[1] {
+			t.Error("the racing callers got different connections")
+		}
+		if _, err := v.call(c.addrs[0], &proto.Message{Op: proto.OpNop}); err != nil {
+			t.Fatal(err)
+		}
+		v.Close()
+
+		d.mu.Lock()
+		opened, closed := d.opened, d.closed
+		d.mu.Unlock()
+		if opened != 2 || closed != opened {
+			t.Errorf("%d connections opened, %d closed after Close; want 2 and 2", opened, closed)
+		}
+	}); err != nil {
+		t.Fatalf("after Close: %v", err)
 	}
 }

@@ -33,13 +33,13 @@ import (
 type Server struct {
 	addr  string
 	store *blockstore.Store
-	mu    sync.Mutex // strict in-order execution
+	mu    clock.Mutex // strict in-order execution, held across the store's device sleeps
 	rpc   *transport.Server
 }
 
 // NewServer creates a sheep over an SSD store.
 func NewServer(addr string, store *blockstore.Store) *Server {
-	return &Server{addr: addr, store: store}
+	return &Server{addr: addr, store: store, mu: clock.NewMutex()}
 }
 
 // Serve starts the RPC service.
@@ -164,7 +164,7 @@ type Volume struct {
 	vdiskID uint32
 	clk     clock.Clock
 	peers   *transport.Peers
-	lanes   sync.Map // server address → *sync.Mutex held across its one outstanding request
+	lanes   sync.Map // server address → clock.Mutex held across its one outstanding request
 }
 
 // CreateVolume creates and places a virtual disk.
@@ -223,10 +223,10 @@ func fnv(s string) uint64 {
 func (v *Volume) call(addr string, m *proto.Message) (*proto.Message, error) {
 	lane, ok := v.lanes.Load(addr)
 	if !ok {
-		lane, _ = v.lanes.LoadOrStore(addr, new(sync.Mutex))
+		lane, _ = v.lanes.LoadOrStore(addr, clock.NewMutex())
 	}
-	lane.(*sync.Mutex).Lock()
-	defer lane.(*sync.Mutex).Unlock()
+	lane.(clock.Mutex).Lock()
+	defer lane.(clock.Mutex).Unlock()
 	op := opctx.New(v.clk, 0)
 	defer op.Release()
 	return v.peers.Do(op, addr, m, 0)

@@ -18,9 +18,9 @@ import (
 // harness"). A figure says how its cluster differs from the recipe, what it
 // runs in each window and what it prints. How a cluster is built and torn
 // down, a window timed and converted, a queue depth driven below the vdisk
-// layer and a counter waited on is here — and with it every read of the wall
-// clock (measure, closedLoop, waitQuiet, timed; all.go's Entry.Run waits for
-// a figure's goroutines): what moves when the simulator runs on virtual time.
+// layer and a counter waited on is here — and with it every read of the
+// clock (measure, closedLoop, waitQuiet, timed): time.Now, virtual and exact
+// when Entry.Run runs the figure in a synctest bubble, else the wall clock.
 
 // benchOptions is the cluster of the evaluation: three machines of 2 SSDs and
 // 4 HDDs, hybrid, the ×10 slow-motion device and network models, an overflow

@@ -133,7 +133,7 @@ func f(s *Server) {
 	}
 
 	fset := token.NewFileSet()
-	files, err := srctree.Parse(fset, ".", func(_ string, dir bool) bool { return dir })
+	files, err := srctree.Parse(fset, ".", false, func(_ string, dir bool) bool { return dir })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func protoOp(e ast.Expr) (string, bool) {
 // but for the separately built benchmark module.
 func parseGo(t *testing.T, dir string, deep bool) []*ast.File {
 	t.Helper()
-	files, err := srctree.Parse(token.NewFileSet(), dir, func(path string, isDir bool) bool {
+	files, err := srctree.Parse(token.NewFileSet(), dir, false, func(path string, isDir bool) bool {
 		return isDir && (!deep || filepath.Base(path) == "benchmark")
 	})
 	if err != nil {

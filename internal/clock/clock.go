@@ -5,6 +5,8 @@
 package clock
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -50,6 +52,23 @@ func (m Mutex) Unlock() {
 	default:
 		panic("clock: unlock of unlocked Mutex")
 	}
+}
+
+// Join runs f on the calling goroutine, so a test may t.Fatal in it, then
+// waits up to 10 s of real time for every goroutine f started to exit
+// (runtime.NumGoroutine back at its entry value), else returns both counts
+// and every stack. Not for use in a bubble, where its sleeps are virtual.
+func Join(f func()) error {
+	start := runtime.NumGoroutine()
+	f()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > start; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			return fmt.Errorf("%d goroutines 10s after the run returned, started with %d\n%s",
+				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	return nil
 }
 
 // Real is the identity clock: model time is wall time.

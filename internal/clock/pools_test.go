@@ -96,7 +96,7 @@ func g() { _ = sync.Pool{New: func() any { return make(chan int) }} }`
 	}
 
 	var want []string
-	files, err := srctree.Parse(token.NewFileSet(), filepath.Join("..", ".."), nil)
+	files, err := srctree.Parse(token.NewFileSet(), filepath.Join("..", ".."), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

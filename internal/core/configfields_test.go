@@ -227,7 +227,7 @@ func build(cfg *master.Config, n int) {
 		f   *ast.File
 	}
 	root := filepath.Join("..", "..")
-	parsed, err := srctree.Parse(fset, root, func(p string, dir bool) bool { return dir && filepath.Base(p) == "testdata" })
+	parsed, err := srctree.Parse(fset, root, false, func(p string, dir bool) bool { return dir && filepath.Base(p) == "testdata" })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func (c *Config) fine(other *Thing, sink *metrics.Registry) {
 	}
 
 	root := ".."
-	files, err := srctree.Parse(fset, root, func(path string, _ bool) bool { return path == filepath.Join(root, "bench") })
+	files, err := srctree.Parse(fset, root, false, func(path string, _ bool) bool { return path == filepath.Join(root, "bench") })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func f(s proto.Status) bool {
 		filepath.Join(root, "internal", "master"):                        true,
 		filepath.Join(root, "internal", "transport", "mastersession.go"): true,
 	}
-	files, err := srctree.Parse(fset, root, func(path string, _ bool) bool { return allowed[path] })
+	files, err := srctree.Parse(fset, root, false, func(path string, _ bool) bool { return allowed[path] })
 	if err != nil {
 		t.Fatal(err)
 	}
