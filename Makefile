@@ -190,7 +190,12 @@ ec-smoke:
 # whose source changes view, turns suspect or is made afresh after the
 # master probed it must fail with nothing adopted; a backup server acting as
 # a chunk's temporary primary journals its write over an older record of
-# the same extent, and reads it back.
+# the same extent, and reads it back. Last, reconciliation: after the
+# lifecycle chaos run one reconcile pass leaves no slot of a deleted vdisk
+# and no stray below its chunk's view (three runs under -race), and the
+# judge's rules, row by row, on slot servers with a guarded delete and
+# cold refs that clear only when every replica answers drained in one pass,
+# and a pass deposed by its own inventory deleting nothing.
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout|TestViewMendedThroughReport|TestStaleClientReadsFromLonePrimary' -race -count=1 -v
 	GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestViewMendedThroughReport' -count=20
@@ -198,14 +203,18 @@ failover-smoke:
 	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart|TestRecoverMirrorFillsLaggardAndReplacementAtOnce|TestReportViewDecidesProbe' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestFillRefusedBySourceThatChanged/(mirror|incremental)' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestPrimaryWriteOnBackupServerSupersedesJournal' -race -count=1 -v
+	$(GO) test ./internal/cluster -run 'TestChaosVDiskLifecycle' -race -count=3 -v
+	$(GO) test ./internal/master -run 'TestReconcile' -race -count=1 -v
+	$(GO) test ./internal/chunkserver -run 'TestInventoryListsEverySlot|TestGuardedDeleteKeepsSlotMadeAfresh' -race -count=1 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
 # store stall/rot/partition chaos, and extent GC fully drains the store
 # once the clone materializes and the snapshot is deleted — also when the
-# primary master dies just before the last extents land and the
-# materialization notices have to outlast the blackout; a notice the
-# primary master took before it died still counts on the promoted standby;
+# primary master dies just before the last extents land, so only the
+# promoted standby's reconcile pass can find the replicas drained; cold
+# refs a pass cleared before the primary died stay cleared on the promoted
+# standby;
 # a snapshot flushes on all of its primaries at once; and a clone's replica
 # whose extent GC moved refreshes its refs from the master and reads it.
 cold-smoke:

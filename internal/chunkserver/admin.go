@@ -160,7 +160,7 @@ func (s *Server) createChunk(id blockstore.ChunkID, req CreateChunkReq) proto.St
 	// the slot is made afresh and the fill that follows copies or decodes
 	// for the role asked for.
 	if old := s.chunk(id); old != nil && old.outdatedBy(req) {
-		if st := s.deleteChunk(id); st != proto.StatusOK {
+		if st := s.deleteChunk(id, proto.AnyView); st != proto.StatusOK {
 			return proto.StatusError
 		}
 	}
@@ -184,30 +184,40 @@ func (s *Server) createChunk(id blockstore.ChunkID, req CreateChunkReq) proto.St
 }
 
 func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
-	ids, err := proto.DecodeChunkIDs(m.Payload)
+	entries, err := proto.DecodeChunks(m.Payload)
 	if err != nil {
 		return m.Reply(proto.StatusError)
 	}
-	results := make([]proto.ChunkResult, len(ids))
-	for i, id := range ids {
-		results[i].Status = s.deleteChunk(id)
+	results := make([]proto.ChunkResult, len(entries))
+	for i, e := range entries {
+		results[i].Status = s.deleteChunk(e.Chunk, e.UpTo)
 	}
 	return m.ReplyBatch(results)
 }
 
-func (s *Server) deleteChunk(id blockstore.ChunkID) proto.Status {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	cs := sh.m[id]
-	delete(sh.m, id)
-	sh.mu.Unlock()
+// deleteChunk drops the replica unless its view is above upTo, the highest
+// view at which the sender judged the slot garbage, or it was deleted or
+// remade (createChunk remakes an outdated slot) before the chunk lock was
+// taken: those are refused with StatusStaleView.
+func (s *Server) deleteChunk(id blockstore.ChunkID, upTo uint64) proto.Status {
+	cs := s.chunk(id)
 	if cs == nil {
 		return proto.StatusNotFound
 	}
 	cs.mu.Lock()
-	cs.deleted = true
-	cs.bumpLocked() // wake writers queued on the chunk's state
+	sh := s.shard(id)
+	sh.mu.Lock()
+	keep := sh.m[id] != cs || cs.view > upTo
+	if !keep {
+		delete(sh.m, id)
+		cs.deleted = true
+		cs.bumpLocked() // wake writers queued on the chunk's state
+	}
+	sh.mu.Unlock()
 	cs.mu.Unlock()
+	if keep {
+		return proto.StatusStaleView
+	}
 	if err := s.dropLocal(id); err != nil {
 		return proto.StatusError
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ursa/internal/blockstore"
+	"ursa/internal/coldtier"
 	"ursa/internal/proto"
 	"ursa/internal/util"
 )
@@ -88,8 +89,8 @@ func TestProbeAndDeleteBatchesAnswerPerEntry(t *testing.T) {
 
 	resp := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(other, missing, testChunk, other)})
 	want := []proto.ChunkResult{
-		{Status: proto.StatusOK, Version: 11, View: 4}, {Status: proto.StatusNotFound},
-		{Status: proto.StatusError}, {Status: proto.StatusOK, Version: 11, View: 4},
+		{Status: proto.StatusOK, Version: 11, View: 4, Chunk: other}, {Status: proto.StatusNotFound, Chunk: missing},
+		{Status: proto.StatusError, Chunk: testChunk}, {Status: proto.StatusOK, Version: 11, View: 4, Chunk: other},
 	}
 	got := results(t, resp)
 	if len(got) != len(want) {
@@ -113,10 +114,78 @@ func TestProbeAndDeleteBatchesAnswerPerEntry(t *testing.T) {
 		t.Fatalf("%d slots left after the delete", e.primary.store.Len())
 	}
 	for _, op := range []proto.Op{proto.OpGetVersion, proto.OpDeleteChunk} {
-		for _, payload := range [][]byte{nil, make([]byte, 7), make([]byte, 8*(proto.MaxBatch+1))} {
+		for _, payload := range [][]byte{nil, make([]byte, 7), make([]byte, 16*(proto.MaxBatch+1))} {
+			if payload == nil && op == proto.OpGetVersion {
+				continue // the inventory: TestInventoryListsEverySlot
+			}
 			if resp := e.primary.Handle(&proto.Message{Op: op, Payload: payload}); resp.Status != proto.StatusError {
 				t.Fatalf("op %d with a %d-byte list: %s", op, len(payload), resp.Status)
 			}
 		}
+	}
+}
+
+// TestInventoryListsEverySlot: an OpGetVersion that lists no chunk is
+// answered for every slot the store holds, each answer naming its chunk and
+// whether its cold table is still to drain; an empty store answers OK with
+// no results.
+func TestInventoryListsEverySlot(t *testing.T) {
+	e := newEnv(t)
+	inventory := func() map[blockstore.ChunkID]proto.ChunkResult {
+		t.Helper()
+		resp := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion})
+		if resp.Status != proto.StatusOK {
+			t.Fatalf("inventory: %s", resp.Status)
+		}
+		out := map[blockstore.ChunkID]proto.ChunkResult{}
+		for _, r := range results(t, resp) {
+			out[r.Chunk] = r
+		}
+		return out
+	}
+	if got := inventory(); len(got) != 0 {
+		t.Fatalf("an empty store's inventory: %+v", got)
+	}
+	e.createChunk(t) // testChunk, view 1
+	cold := blockstore.MakeChunkID(2, 3)
+	req := CreateChunkReq{View: 5, Cold: []coldtier.ExtentRef{{Seg: 1, Len: util.MiB}}, ObjAddr: "obj"}
+	if resp := e.primary.Handle(CreateChunks(ChunkCreate{Chunk: cold, CreateChunkReq: req})); resp.Status != proto.StatusOK {
+		t.Fatal(resp.Status)
+	}
+	got := inventory()
+	want := map[blockstore.ChunkID]proto.ChunkResult{
+		testChunk: {Status: proto.StatusOK, View: 1, Chunk: testChunk},
+		cold:      {Status: proto.StatusOK, View: 5, Chunk: cold, Cold: true},
+	}
+	if len(got) != len(want) || got[testChunk] != want[testChunk] || got[cold] != want[cold] {
+		t.Fatalf("inventory %+v, want %+v", got, want)
+	}
+}
+
+// TestGuardedDeleteKeepsSlotMadeAfresh: a delete entry guarded by the view
+// an inventory saw refuses the slot once a create has remade it at a later
+// view between the inventory and the delete — the replacement a view change
+// put there — and drops it when it is still at the judged view.
+func TestGuardedDeleteKeepsSlotMadeAfresh(t *testing.T) {
+	e := newEnv(t)
+	e.createChunk(t) // testChunk, view 1: an evicted replica's slot, say
+	seen := results(t, e.primary.Handle(&proto.Message{Op: proto.OpGetVersion}))
+	if len(seen) != 1 || seen[0].View != 1 {
+		t.Fatalf("inventory %+v", seen)
+	}
+	// Picked as a replacement at view 3 before the delete arrives.
+	if resp := e.primary.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 3}})); resp.Status != proto.StatusOK {
+		t.Fatal(resp.Status)
+	}
+	guarded := &proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunks(proto.ChunkEntry{Chunk: testChunk, UpTo: seen[0].View})}
+	if resp := e.primary.Handle(guarded); resp.Status != proto.StatusStaleView {
+		t.Fatalf("guarded delete of a slot remade at view 3: %s", resp.Status)
+	}
+	if cs := e.primary.chunk(testChunk); cs == nil || !e.primary.store.Has(testChunk) {
+		t.Fatal("the remade slot is gone")
+	}
+	// Still at the judged view: it goes.
+	if resp := e.backups[0].Handle(guarded); resp.Status != proto.StatusOK || e.backups[0].store.Has(testChunk) {
+		t.Fatalf("guarded delete at the judged view: %s, slot kept %v", resp.Status, e.backups[0].store.Has(testChunk))
 	}
 }

@@ -26,9 +26,9 @@ import (
 // are local — fetched, CRC-verified, written to the store, and checksummed —
 // then proceeds exactly as on an ordinary chunk. Ranges no ref covers read
 // as zeros through the unstamped-checksum convention, so nothing is fetched
-// for the thin parts of a thin image. When the last ref drains, the replica
-// reports MOpChunkMaterialized so the master can eventually drop the
-// demand-fetch metadata.
+// for the thin parts of a thin image. Whether the last ref has drained is
+// part of the replica's answer to the master's inventory (handleGetVersion),
+// from which the master learns when it may drop the demand-fetch metadata.
 
 // Cold-path observability.
 const (
@@ -56,7 +56,6 @@ type coldState struct {
 	// closes on completion; concurrent overlapping requests wait instead of
 	// double-fetching.
 	inflight map[int64]chan struct{}
-	notified bool
 
 	// done short-circuits the fast path once every extent is local.
 	done atomic.Bool
@@ -74,13 +73,8 @@ func (s *Server) ensureCold(op *opctx.Op, cs *chunkState, id blockstore.ChunkID,
 	for {
 		cold.mu.Lock()
 		if len(cold.refs) == 0 {
-			first := !cold.notified
-			cold.notified = true
 			cold.mu.Unlock()
 			cold.done.Store(true)
-			if first {
-				s.notifyMaterialized(id)
-			}
 			return nil
 		}
 		var toFetch []coldtier.ExtentRef
@@ -222,38 +216,6 @@ func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.Ch
 	out, found := byOff[chunkOff]
 	cold.mu.Unlock()
 	return out, found, nil
-}
-
-// notifyMaterialized tells the master, once per replica, that this replica
-// holds every extent of the chunk locally, and keeps telling it until a
-// master has taken the notice or the server closes. Nothing re-files the
-// notice later — ensureCold never looks at a materialized chunk again — and
-// the master keeps the chunk's cold refs, and GC the segments under them,
-// until every replica has reported: one notice lost to a master blackout
-// would pin them for good. StatusNotFound is an answer too: the vdisk is
-// gone, and its refs with it.
-func (s *Server) notifyMaterialized(id blockstore.ChunkID) {
-	if len(s.cfg.MasterAddrs) == 0 {
-		return
-	}
-	go func() {
-		pol := backoff.Policy{Base: s.cfg.ReplTimeout / 2, Cap: 10 * s.cfg.ReplTimeout}
-		for attempt := 0; ; attempt++ {
-			status, err := s.master.Call(nil, proto.MOpChunkMaterialized, MaterializedReq{
-				VDisk:      id.VDisk(),
-				ChunkIndex: id.Index(),
-				Addr:       s.cfg.Addr,
-			}, nil)
-			if err == nil && (status == proto.StatusOK || status == proto.StatusNotFound) {
-				return
-			}
-			select {
-			case <-s.closed:
-				return
-			case <-s.cfg.Clock.After(pol.Delay(uint64(id), attempt)):
-			}
-		}
-	}()
 }
 
 // FlushChunk names one chunk a flush covers and the contiguous segment-ID

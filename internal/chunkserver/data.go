@@ -265,28 +265,42 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 }
 
 // handleGetVersion answers the probe recovery and clients build their
-// picture of a chunk from, for every chunk the message lists. A replica that
-// has reported its own device for the chunk answers non-OK until a rebuild
-// lands on it: its in-memory version says nothing about bytes it can no
-// longer read or write, and a prober that took it at its word would count a
-// dead position as healthy.
+// picture of a chunk from, for every chunk the message lists or, when it
+// lists none, every slot the store holds (the master's inventory). A replica
+// that has reported its own device for the chunk answers non-OK until a
+// rebuild lands on it: its in-memory version says nothing about bytes it can
+// no longer read or write, and a prober that took it at its word would count
+// a dead position as healthy.
 func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
-	ids, err := proto.DecodeChunkIDs(m.Payload)
-	if err != nil {
-		return m.Reply(proto.StatusError)
+	var ids []blockstore.ChunkID
+	if len(m.Payload) == 0 {
+		ids = s.store.Chunks()
+	} else {
+		entries, err := proto.DecodeChunks(m.Payload)
+		if err != nil {
+			return m.Reply(proto.StatusError)
+		}
+		for _, e := range entries {
+			ids = append(ids, e.Chunk)
+		}
 	}
 	results := make([]proto.ChunkResult, len(ids))
 	for i, id := range ids {
+		results[i] = proto.ChunkResult{Status: proto.StatusNotFound, Chunk: id}
 		cs := s.chunk(id)
 		switch {
 		case cs == nil:
-			results[i].Status = proto.StatusNotFound
 		case cs.suspect.Load():
 			results[i].Status = proto.StatusError
 		default:
 			cs.mu.Lock()
-			results[i] = proto.ChunkResult{Status: proto.StatusOK, Version: cs.version, View: cs.view}
+			results[i].Status, results[i].Version, results[i].View = proto.StatusOK, cs.version, cs.view
 			cs.mu.Unlock()
+			if cold := cs.cold; cold != nil && !cold.done.Load() {
+				cold.mu.Lock()
+				results[i].Cold = len(cold.refs) > 0
+				cold.mu.Unlock()
+			}
 		}
 	}
 	return m.ReplyBatch(results)

@@ -6,7 +6,7 @@ import (
 	"ursa/internal/proto"
 )
 
-// This file holds the wire shapes of the three calls the server makes to the
+// This file holds the wire shapes of the two calls the server makes to the
 // master through its transport.MasterSession, and the failure reports. The
 // shapes are defined here rather than in package master because master
 // imports this package; master aliases them.
@@ -21,16 +21,6 @@ type ReportFailureReq struct {
 	FailedAddr string `json:"failedAddr,omitempty"`
 	// View is the chunk's view the reporter acted in; a server names none.
 	View uint64 `json:"view,omitempty"`
-}
-
-// MaterializedReq is the payload of MOpChunkMaterialized: the replica at
-// Addr reports it holds every cold extent of the chunk locally. Once every
-// replica has reported, the master drops the chunk's demand-fetch metadata
-// (freeing the referenced segments for GC).
-type MaterializedReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-	Addr       string `json:"addr"`
 }
 
 // ColdRefsReq is the payload of MOpGetColdRefs: a replica's cold refs went

@@ -41,8 +41,8 @@ type Config struct {
 	// MasterAddrs lists the master endpoints (one entry for a single
 	// master). Device failures are reported there (MOpReportFailure) so the
 	// master runs the §4.2.2 view change that re-replicates the chunk
-	// elsewhere; cold-ref refreshes and materialization notices go the same
-	// way, all through one transport.MasterSession. Empty disables all three.
+	// elsewhere; cold-ref refreshes go the same way, both through one
+	// transport.MasterSession. Empty disables both.
 	MasterAddrs []string
 }
 
@@ -126,10 +126,6 @@ type Server struct {
 	masterEpoch atomic.Uint64
 
 	rpc *transport.Server
-	// closed ends what the server leaves running in the background between
-	// requests (a materialization notice waiting out a master blackout).
-	closed    chan struct{}
-	closeOnce sync.Once
 }
 
 // New creates a chunk server over store. A non-nil jset makes it a backup
@@ -142,7 +138,6 @@ func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 		jset:   jset,
 		peers:  transport.NewPeers(cfg.Dialer, cfg.Clock),
 		master: transport.NewMasterSession(cfg.Dialer, cfg.Clock, cfg.MasterAddrs, cfg.ReplTimeout, cfg.Metrics),
-		closed: make(chan struct{}),
 	}
 	for i := range s.chunks {
 		s.chunks[i].m = make(map[blockstore.ChunkID]*chunkState)
@@ -165,7 +160,6 @@ func (s *Server) Serve(l transport.Listener) {
 
 // Close stops the RPC server, the master session and the journal replayer.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.closed) })
 	if s.rpc != nil {
 		s.rpc.Close()
 	}

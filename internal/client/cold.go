@@ -94,9 +94,10 @@ type coldAware interface {
 
 // IsCold reports whether the byte at off maps to a chunk range that is
 // still object-backed under the client's view of the metadata. The view
-// lags the servers' (refs clear on view refresh after the replicas report
-// materialization), so a true here is "possibly cold" — exactly what the
-// warm-tier breadcrumb wants.
+// lags the servers' (the master clears the refs only when a reconcile pass
+// finds every replica drained, and the client sees that on its next meta
+// read), so a true here is "possibly cold" — exactly what the warm-tier
+// breadcrumb wants.
 func (vd *VDisk) IsCold(off int64) bool {
 	if off < 0 || off >= vd.meta.Size {
 		return false

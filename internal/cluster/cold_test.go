@@ -361,19 +361,22 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 	}
 
 	// Materialize every replica: cover the whole cold range with writes so
-	// each replica fetches its extents and reports in.
+	// each replica fetches its extents.
 	fillVDisk(t, cvd, golden)
 	if err := cl.DeleteSnapshot("isnap"); err != nil {
 		t.Fatal(err)
 	}
 
-	// Materialized reports are asynchronous; poll GC until the store is
-	// empty.
+	// A reconcile pass finds the replicas drained and clears the cold refs;
+	// poll it and GC until the store is empty.
 	deadline := time.Now().Add(20 * time.Second)
 	for c.Objstore.UsedBytes() > 0 {
 		pm := c.PrimaryMaster()
 		if pm == nil {
 			t.Fatal("no primary master")
+		}
+		if _, err := pm.Reconcile(); err != nil {
+			t.Fatalf("reconcile pass: %v", err)
 		}
 		if _, _, err := pm.RunColdGC(); err != nil {
 			t.Fatalf("gc pass: %v", err)
@@ -396,14 +399,14 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 	}
 }
 
-// TestColdNoticeSurvivesMasterFailover: the notice that a clone's replica is
-// fully local must outlive a metadata blackout. The primary master is killed
-// while every replica still has one extent to fetch; the last extents land —
-// and the three notices are filed — with no primary to take them. Once a
-// standby has promoted, the notices must reach it: the master drops the
-// chunk's cold refs, and with the snapshot deleted GC reclaims every segment.
-// A notice sent once and lost pins the refs, and the segments under them, for
-// good.
+// TestColdNoticeSurvivesMasterFailover: that a clone's replicas are fully
+// local must reach a master even when they drained during a metadata
+// blackout. The primary master is killed while every replica still has one
+// extent to fetch; the last extents land with no primary to hear of it. Once
+// a standby has promoted, its reconcile pass finds every replica drained:
+// the master drops the chunk's cold refs, and with the snapshot deleted GC
+// reclaims every segment. A drain nobody learnt of would pin the refs, and
+// the segments under them, for good.
 func TestColdNoticeSurvivesMasterFailover(t *testing.T) {
 	opts := chaosClusterOptions(false)
 	model := objstore.TestModel()
@@ -471,6 +474,9 @@ func TestColdNoticeSurvivesMasterFailover(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for c.Objstore.UsedBytes() > 0 {
 		if pm := c.PrimaryMaster(); pm != nil {
+			if _, err := pm.Reconcile(); err != nil {
+				t.Fatalf("reconcile pass: %v", err)
+			}
 			if _, _, err := pm.RunColdGC(); err != nil {
 				t.Fatalf("gc pass: %v", err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"ursa/internal/core"
 	"ursa/internal/master"
+	"ursa/internal/proto"
 	"ursa/internal/util"
 )
 
@@ -21,12 +22,11 @@ import (
 //     for, and every replica of every vdisk they hold has its slot;
 //   - no server holds a slot of a vdisk whose create failed: the create
 //     cleaned up after itself;
-//   - the slots left of deleted vdisks are logged beside the replicas the
-//     masters counted as unreachable when they deleted
-//     (master-delete-unreached). They are not asserted on: a replica evicted
-//     by a view change keeps its slot today, and so does the replacement a
-//     recovery made while its vdisk was being deleted (the run's dead HDD
-//     produces several) — recovery's leaks, not the fan-outs'.
+//   - after the faults heal, one reconcile pass leaves no slot of a deleted
+//     vdisk — one a delete could not reach, or a replacement a recovery made
+//     while its vdisk was being deleted — and no slot outside its chunk's
+//     replica list below the chunk's view, such as a replica a view change
+//     evicted. How many the pass reaped is logged (master-slots-reaped).
 //
 // The master is killed at a moment its standbys have caught up: log shipping
 // is asynchronous by design, and an acknowledged delete the standbys never
@@ -134,25 +134,35 @@ func TestChaosVDiskLifecycle(t *testing.T) {
 			}
 		}
 	}
+	if _, err := c.PrimaryMaster().Reconcile(); err != nil {
+		t.Fatal(err)
+	}
 	slots := map[string]map[uint64]bool{} // by server address: the chunk IDs its store holds
 	leftOfDeleted := 0
 	for _, addr := range c.ServerAddrs() {
 		slots[addr] = map[uint64]bool{}
-		for _, id := range c.Server(addr).ScrubChunks() {
+		inventory, err := proto.DecodeResults(c.Server(addr).Handle(&proto.Message{Op: proto.OpGetVersion}).Payload)
+		if err != nil || len(inventory) != len(c.Server(addr).ScrubChunks()) {
+			t.Fatalf("%s: inventory of %d slots (%v), its store holds %d", addr, len(inventory), err, len(c.Server(addr).ScrubChunks()))
+		}
+		for _, r := range inventory {
+			id := r.Chunk
 			slots[addr][uint64(id)] = true
-			if _, ok := known.VDisks[id.VDisk()]; ok {
-				continue
-			}
-			if name, acked := created[id.VDisk()]; !acked {
+			meta, ok := known.VDisks[id.VDisk()]
+			switch {
+			case !ok && created[id.VDisk()] == "":
 				t.Errorf("%s holds a slot of %v: a failed create left it behind", addr, id)
-			} else {
+			case !ok:
 				leftOfDeleted++
-				t.Logf("%s still holds a slot of %v (%q, deleted)", addr, id, name)
+				t.Errorf("%s still holds a slot of %v (%q, deleted) after a reconcile pass", addr, id, created[id.VDisk()])
+			case !listed(meta.Chunks[id.Index()], addr) && r.View < meta.Chunks[id.Index()].View:
+				t.Errorf("%s still holds a slot of %v at view %d outside its replica list, below the chunk's view %d, after a reconcile pass",
+					addr, id, r.View, meta.Chunks[id.Index()].View)
 			}
 		}
 	}
-	t.Logf("%d slots left of deleted vdisks; deletes could not reach %d replicas; %d view changes",
-		leftOfDeleted, c.Metrics().Counter(master.MetricDeleteUnreached).Load(), known.ViewChanges)
+	t.Logf("%d slots left of deleted vdisks; the pass reaped %d; %d view changes",
+		leftOfDeleted, c.Metrics().Counter(master.MetricSlotsReaped).Load(), known.ViewChanges)
 	for id, meta := range known.VDisks {
 		for i, cm := range meta.Chunks {
 			for _, r := range cm.Replicas {
@@ -162,4 +172,14 @@ func TestChaosVDiskLifecycle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// listed reports whether cm names a replica on addr.
+func listed(cm master.ChunkMeta, addr string) bool {
+	for _, r := range cm.Replicas {
+		if r.Addr == addr {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,15 +22,17 @@ import (
 // above all of them, and the client's read and write go through. Each row
 // leaves chunk 0 of a written vdisk in one such state — having mended no
 // view yet — and returns a client vdisk to drive it and the highest view
-// anything held before the mend.
+// anything held before the mend; a row's mended, when set, checks what the
+// mend left.
 func TestViewMendedThroughReport(t *testing.T) {
 	for _, row := range []struct {
-		name  string
-		setup func(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64)
+		name   string
+		setup  func(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64)
+		mended func(t *testing.T, c *core.Cluster, vd *client.VDisk)
 	}{
-		{"master-lost-its-log", replicasAheadOfPromotedMaster},
-		{"replica-missed-install", replicaMissedInstall},
-		{"rs-replicas-at-unlogged-view", rsReplicasAtUnloggedView},
+		{"master-lost-its-log", replicasAheadOfPromotedMaster, unshippedReplacementReaped},
+		{"replica-missed-install", replicaMissedInstall, nil},
+		{"rs-replicas-at-unlogged-view", rsReplicasAtUnloggedView, nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			c, vd, golden, above := row.setup(t)
@@ -56,7 +59,35 @@ func TestViewMendedThroughReport(t *testing.T) {
 			if c.Metrics().Counter(master.MetricViewMends).Load() == 0 {
 				t.Errorf("%s never moved", master.MetricViewMends)
 			}
+			if row.mended != nil {
+				row.mended(t, c, vd)
+			}
 		})
+	}
+}
+
+// unshippedReplacementReaped: the replacement the dead master filled, which
+// the promoted master never heard of, holds a slot of chunk 0 outside the
+// mended view's replica list, below its view; one reconcile pass deletes it.
+func unshippedReplacementReaped(t *testing.T, c *core.Cluster, vd *client.VDisk) {
+	p := c.PrimaryMaster()
+	cm, id := p.Snapshot().VDisks[vd.ID()].Chunks[0], blockstore.MakeChunkID(vd.ID(), 0)
+	strays := func() (out []string) {
+		for _, addr := range c.ServerAddrs() {
+			if !listed(cm, addr) && slices.Contains(c.Server(addr).ScrubChunks(), id) {
+				out = append(out, addr)
+			}
+		}
+		return out
+	}
+	if before := strays(); len(before) != 1 {
+		t.Fatalf("slots of chunk 0 outside the mended view's replica list %v: %v, want the one replacement", cm.Replicas, before)
+	}
+	if _, err := p.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if after := strays(); len(after) != 0 {
+		t.Errorf("after a reconcile pass %v still hold a slot of chunk 0 outside the replica list", after)
 	}
 }
 

@@ -21,20 +21,22 @@ import (
 )
 
 // slotServers stands in for chunk servers that only keep a slot table: they
-// answer OpCreateChunk and OpDeleteChunk the way a chunk server does — entry
-// by entry, in list order, a create stopping at its first failure — and
-// remember which slots exist, in what order each server made them and how
-// many messages of each op each server was sent, so a fan-out can be counted
-// and its clean-up audited without a device model in the way.
+// answer OpCreateChunk, OpDeleteChunk and the inventory (an OpGetVersion
+// listing nothing) the way a chunk server does — entry by entry, in list
+// order, a create stopping at its first failure, a delete refusing a slot
+// above its entry's view — and remember which slots exist, in what order
+// each server made them and how many messages of each op each server was
+// sent, so a fan-out can be counted and its clean-up audited without a
+// device model in the way.
 type slotServers struct {
 	net *transport.SimNet
 	reg *metrics.Registry // the master's
 
 	mu    sync.Mutex
-	slots map[string]map[blockstore.ChunkID]bool           // by server address
-	order map[string][]blockstore.ChunkID                  // creates in the order each server ran them
-	made  map[blockstore.ChunkID][]chunkserver.ChunkCreate // every create entry run, by chunk
-	msgs  map[string]map[proto.Op]int                      // messages received, by server and op
+	slots map[string]map[blockstore.ChunkID]proto.ChunkResult // by server address: what an inventory answers for each
+	order map[string][]blockstore.ChunkID                     // creates in the order each server ran them
+	made  map[blockstore.ChunkID][]chunkserver.ChunkCreate    // every create entry run, by chunk
+	msgs  map[string]map[proto.Op]int                         // messages received, by server and op
 	// refuse, when set, names the creates that are answered StatusError.
 	refuse func(addr string, id blockstore.ChunkID) bool
 	// fence, when non-zero, makes every server answer StatusStaleEpoch at it.
@@ -64,7 +66,7 @@ func newSlotEnv(t *testing.T, machines int, latency, rpcTimeout time.Duration) (
 func newSlotServers(net *transport.SimNet) *slotServers {
 	return &slotServers{
 		net: net, reg: metrics.NewRegistry(),
-		slots: make(map[string]map[blockstore.ChunkID]bool), order: make(map[string][]blockstore.ChunkID),
+		slots: make(map[string]map[blockstore.ChunkID]proto.ChunkResult), order: make(map[string][]blockstore.ChunkID),
 		made: make(map[blockstore.ChunkID][]chunkserver.ChunkCreate), msgs: make(map[string]map[proto.Op]int),
 	}
 }
@@ -79,7 +81,7 @@ func (ss *slotServers) serve(t *testing.T, m *Master, machines int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss.slots[addr] = make(map[blockstore.ChunkID]bool)
+			ss.slots[addr] = make(map[blockstore.ChunkID]proto.ChunkResult)
 			ss.msgs[addr] = make(map[proto.Op]int)
 			srv := transport.Serve(l, func(msg *proto.Message) *proto.Message { return ss.handle(addr, msg) })
 			t.Cleanup(srv.Close)
@@ -116,23 +118,35 @@ func (ss *slotServers) handle(addr string, msg *proto.Message) *proto.Message {
 			switch {
 			case ss.refuse != nil && ss.refuse(addr, e.Chunk):
 				return msg.ReplyBatch(append(results, proto.ChunkResult{Status: proto.StatusError}))
-			case ss.slots[addr][e.Chunk]:
+			case ss.has(addr, e.Chunk):
 				results = append(results, proto.ChunkResult{Status: proto.StatusExists})
 			default:
-				ss.slots[addr][e.Chunk] = true
+				ss.slots[addr][e.Chunk] = proto.ChunkResult{View: e.View, Cold: len(e.Cold) > 0}
 				ss.order[addr] = append(ss.order[addr], e.Chunk)
 				ss.made[e.Chunk] = append(ss.made[e.Chunk], e)
 				results = append(results, proto.ChunkResult{})
 			}
 		}
 	case proto.OpDeleteChunk:
-		ids, err := proto.DecodeChunkIDs(msg.Payload)
+		entries, err := proto.DecodeChunks(msg.Payload)
 		if err != nil {
 			return msg.Reply(proto.StatusError)
 		}
-		for _, id := range ids {
-			delete(ss.slots[addr], id)
+		for _, e := range entries {
+			if ss.slots[addr][e.Chunk].View > e.UpTo {
+				results = append(results, proto.ChunkResult{Status: proto.StatusStaleView})
+				continue
+			}
+			delete(ss.slots[addr], e.Chunk)
 			results = append(results, proto.ChunkResult{})
+		}
+	case proto.OpGetVersion:
+		if len(msg.Payload) != 0 {
+			return msg.Reply(proto.StatusOK)
+		}
+		for id, r := range ss.slots[addr] {
+			r.Chunk = id
+			results = append(results, r)
 		}
 	default:
 		return msg.Reply(proto.StatusOK)
@@ -156,6 +170,12 @@ func (ss *slotServers) flush(addr string, msg *proto.Message) *proto.Message {
 	r := msg.Reply(proto.StatusOK)
 	r.Payload = payload
 	return r
+}
+
+// has reports whether the server at addr holds a slot of id (ss.mu held).
+func (ss *slotServers) has(addr string, id blockstore.ChunkID) bool {
+	_, ok := ss.slots[addr][id]
+	return ok
 }
 
 func (ss *slotServers) total() int {
@@ -260,9 +280,6 @@ func TestCreateFansOutChunks(t *testing.T) {
 	requireOneEach(t, "delete", ss.sent(proto.OpDeleteChunk), holders(meta), proto.MaxBatch)
 	if n := ss.total(); n != 0 {
 		t.Fatalf("delete left %d slots", n)
-	}
-	if n := ss.reg.Counter(MetricDeleteUnreached).Load(); n != 0 {
-		t.Fatalf("%s = %d after a delete that reached everyone", MetricDeleteUnreached, n)
 	}
 }
 
@@ -375,9 +392,10 @@ func TestCreateLastReplicaFails(t *testing.T) {
 
 // TestDeleteBoundedByOneTimeout: with one server partitioned from the master,
 // deleting a 64-chunk vdisk waits for that server once — not once per replica
-// on it — and succeeds: the vdisk is gone, the reachable servers hold no slot
-// and the replicas that could not be reached are counted. A create that one
-// server refuses while another is partitioned cleans up within the same bound.
+// on it — and succeeds: the vdisk is gone and the reachable servers hold no
+// slot. A create that one server refuses while another is partitioned cleans
+// up within the same bound. Once the partition heals, one reconcile pass
+// leaves the partitioned server no slot of either vdisk.
 func TestDeleteBoundedByOneTimeout(t *testing.T) {
 	const chunks, rpcTimeout = 64, 400 * time.Millisecond
 	m, ss := newSlotEnv(t, 3, 100*time.Microsecond, rpcTimeout)
@@ -413,10 +431,6 @@ func TestDeleteBoundedByOneTimeout(t *testing.T) {
 	if n := reachable(); n != 0 {
 		t.Fatalf("delete left %d slots on reachable servers", n)
 	}
-	unreached := ss.reg.Counter(MetricDeleteUnreached)
-	if n := unreached.Load(); n != int64(stranded) {
-		t.Fatalf("%s = %d, want the %d replicas on %s", MetricDeleteUnreached, n, stranded, cut)
-	}
 
 	// A create: s2/hdd refuses the last entry of its message, s1/hdd hears
 	// nothing. One timeout for the create, one for its clean-up.
@@ -438,8 +452,15 @@ func TestDeleteBoundedByOneTimeout(t *testing.T) {
 	if n := reachable(); n != 0 {
 		t.Fatalf("failed create left %d slots on reachable servers", n)
 	}
-	if n := unreached.Load() - int64(stranded); n < chunks/3 || n > chunks {
-		t.Fatalf("%s rose by %d for the clean-up, want the new vdisk's replicas on %s", MetricDeleteUnreached, n, cut)
+
+	ss.net.Heal("master", cut)
+	if n, err := m.Reconcile(); err != nil || n != stranded {
+		t.Fatalf("the pass reaped %d slots (%v), want the %d on %s", n, err, stranded, cut)
+	}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for id := range ss.slots[cut] {
+		t.Errorf("%s still holds a slot of %v after a pass", cut, id)
 	}
 }
 
@@ -515,7 +536,7 @@ func TestCreateOverExistingSlots(t *testing.T) {
 	const chunks = 12
 	m, ss := newSlotEnv(t, 3, 0, 5*time.Second)
 	for i := uint32(0); i < chunks; i++ {
-		ss.slots["s1/hdd"][blockstore.MakeChunkID(1, i)] = true // the first vdisk's ID is 1
+		ss.slots["s1/hdd"][blockstore.MakeChunkID(1, i)] = proto.ChunkResult{View: 1} // the first vdisk's ID is 1
 	}
 	meta, err := m.CreateVDisk(CreateVDiskReq{Name: "again", Size: chunks * util.ChunkSize})
 	if err != nil {

@@ -111,6 +111,8 @@ type Master struct {
 	closedCh    chan struct{}
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
+	// reconcileAt is when the primary's next reconcile pass is due.
+	reconcileAt time.Time
 
 	// Cold-tier GC (see coldgc.go): gcMu serializes passes.
 	coldCl *coldtier.Client
@@ -339,8 +341,6 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 		return serve(m, msg, m.CloneFromSnapshot)
 	case proto.MOpDeleteSnapshot:
 		return serve(m, msg, func(r SnapshotReq) (any, error) { return nil, m.DeleteSnapshot(r.Name) })
-	case proto.MOpChunkMaterialized:
-		return serve(m, msg, m.chunkMaterialized)
 	case proto.MOpGetColdRefs:
 		return serve(m, msg, m.coldRefs)
 	default:

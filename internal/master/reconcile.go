@@ -1,0 +1,116 @@
+package master
+
+import (
+	"slices"
+	"time"
+
+	"ursa/internal/blockstore"
+	"ursa/internal/proto"
+)
+
+// reconcileEvery is how often the primary runs a pass of its own.
+const reconcileEvery = time.Minute
+
+// MetricSlotsReaped counts the slots reconcile passes deleted.
+const MetricSlotsReaped = "master-slots-reaped"
+
+// Reconcile runs one pass of the one judge of what exists (DESIGN.md
+// "Reconciliation"): it asks every registered server for its inventory, all
+// at once, and judges the answers against the state and wm, the vdisk-ID
+// watermark read before the inventory goes out. Garbage is a slot of a vdisk
+// at or below wm that the state does not hold (IDs are never reused), or a
+// slot of a live chunk outside its replica list at a view below the recorded
+// one — a replacement being filled sits at it, a dead master's unshipped
+// install above it. Everything else waits for the next pass. Each delete is
+// guarded by the view its slot was judged at. A cold chunk all of whose
+// current replicas answered drained has its cold refs cleared. Each phase
+// takes one window of PrimacyTTL/4, as promotion's do, so Close waits for a
+// pass no longer than for a promotion. It returns how many slots went.
+func (m *Master) Reconcile() (reaped int, err error) {
+	if err := m.lockPrimary("reconcile"); err != nil {
+		return 0, err
+	}
+	wm, epoch := m.st.nextID, m.epoch
+	m.reconcileAt = m.cfg.Clock.Now().Add(reconcileEvery)
+	queues := make([]serverQueue, len(m.st.servers))
+	for i, s := range m.st.servers {
+		queues[i] = serverQueue{s.Addr, []*proto.Message{{Op: proto.OpGetVersion}}}
+	}
+	m.mu.Unlock()
+
+	held := make([][]proto.ChunkResult, len(queues))
+	m.fanOut(m.cfg.PrimacyTTL/4, queues, func(q int, resp *proto.Message) bool {
+		held[q], _ = proto.DecodeResults(resp.Payload)
+		return true
+	})
+
+	garbage := make([][]proto.ChunkEntry, len(queues))
+	drained := make(map[blockstore.ChunkID]int)
+	m.mu.Lock()
+	if !m.primary || m.epoch != epoch {
+		m.mu.Unlock() // deposed meanwhile: the state may be a wiped one
+		return 0, m.errNotPrimary("reconcile")
+	}
+	for q, results := range held {
+		for _, r := range results {
+			cm, err := m.st.chunk(r.Chunk.VDisk(), r.Chunk.Index())
+			switch {
+			case err != nil:
+				if r.Chunk.VDisk() <= wm {
+					garbage[q] = append(garbage[q], proto.ChunkEntry{Chunk: r.Chunk, UpTo: proto.AnyView})
+				}
+			case r.Status != proto.StatusOK:
+			case !slices.ContainsFunc(cm.Replicas, func(ri ReplicaInfo) bool { return ri.Addr == queues[q].addr }):
+				if r.View < cm.View {
+					garbage[q] = append(garbage[q], proto.ChunkEntry{Chunk: r.Chunk, UpTo: r.View})
+				}
+			case len(cm.Cold) > 0 && !r.Cold:
+				// Each replica counts once (a server holds one slot of a chunk). All
+				// must have drained: after a GC remap a laggard re-reads this table.
+				if drained[r.Chunk]++; drained[r.Chunk] == len(cm.Replicas) {
+					_ = m.commitLocked(entry{Materialized: &entryMaterialized{VDisk: r.Chunk.VDisk(), Index: r.Chunk.Index()}})
+				}
+			}
+		}
+	}
+	m.mu.Unlock()
+
+	reaped = m.reap(m.cfg.PrimacyTTL/4, queues, garbage)
+	m.cfg.Metrics.Counter(MetricSlotsReaped).Add(int64(reaped))
+	return reaped, nil
+}
+
+// reap deletes slots with one OpDeleteChunk queue per server (queues name
+// the servers, slots[q] their entries), all at once in one window, and
+// returns how many went; what it did not reach, the next pass finds again.
+func (m *Master) reap(window time.Duration, queues []serverQueue, slots [][]proto.ChunkEntry) (reaped int) {
+	for q, entries := range slots {
+		queues[q].msgs = nil
+		for at := 0; at < len(entries); at += proto.MaxBatch {
+			queues[q].msgs = append(queues[q].msgs, &proto.Message{
+				Op: proto.OpDeleteChunk, Payload: proto.EncodeChunks(entries[at:min(at+proto.MaxBatch, len(entries))]...),
+			})
+		}
+	}
+	m.fanOut(window, queues, func(_ int, resp *proto.Message) bool {
+		results, _ := proto.DecodeResults(resp.Payload)
+		for _, r := range results {
+			if r.Status == proto.StatusOK {
+				reaped++
+			}
+		}
+		return true
+	})
+	return reaped
+}
+
+// maybeReconcile runs the primary's own pass when one is due: reconcileEvery
+// after the last pass, or after it became primary.
+func (m *Master) maybeReconcile() {
+	m.mu.Lock()
+	due := m.primary && !m.cfg.Clock.Now().Before(m.reconcileAt)
+	m.mu.Unlock()
+	if due {
+		_, _ = m.Reconcile() // refused only when deposed meanwhile
+	}
+}

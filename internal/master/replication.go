@@ -83,6 +83,7 @@ func (m *Master) initReplication() {
 		m.primary = true
 		m.primaryAddr = m.cfg.Addr
 		m.epoch = 1
+		m.reconcileAt = m.lastHeard.Add(reconcileEvery)
 	}
 	for _, p := range m.cfg.Peers {
 		if p == m.cfg.Addr {
@@ -338,8 +339,8 @@ func (m *Master) shipLoop(peer string, wake chan struct{}) {
 }
 
 // monitorLoop watches for primary silence on standbys and runs the
-// promotion protocol. Its tick is a timer it owns: on a primary, where
-// maybePromote returns at once, an idle tick allocates nothing.
+// promotion protocol, and the primary's reconcile pass. Its tick is a timer
+// it owns: on a primary an idle tick allocates nothing.
 func (m *Master) monitorLoop() {
 	defer m.wg.Done()
 	every := clock.Wall(m.cfg.Clock, m.cfg.PrimacyTTL/8)
@@ -353,6 +354,7 @@ func (m *Master) monitorLoop() {
 		case <-tick.C:
 		}
 		m.maybePromote()
+		m.maybeReconcile()
 	}
 }
 
@@ -420,6 +422,7 @@ func (m *Master) maybePromote() {
 	m.epoch = maxEpoch + 1
 	m.primary = true
 	m.primaryAddr = m.cfg.Addr
+	m.reconcileAt = m.cfg.Clock.Now().Add(reconcileEvery)
 	fence := make([]serverQueue, len(m.st.servers))
 	for i, s := range m.st.servers {
 		fence[i] = serverQueue{s.Addr, []*proto.Message{{Op: proto.OpNop}}}

@@ -3,7 +3,6 @@ package master
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/chunkserver"
@@ -22,8 +21,9 @@ import (
 // through the op log. A clone is then provisioned in O(metadata): fresh
 // chunks are placed as usual but start life with the snapshot's extent refs
 // in ChunkMeta.Cold — no data is copied. Replicas demand-fetch extents on
-// first access and report back (MOpChunkMaterialized) when fully local,
-// which is copy-on-write materialization at extent granularity.
+// first access, which is copy-on-write materialization at extent
+// granularity; a reconcile pass that finds every replica drained drops the
+// refs.
 
 // coldEnabled reports whether the cluster has a cold tier configured.
 func (m *Master) coldEnabled() bool { return m.cfg.ObjstoreAddr != "" }
@@ -204,25 +204,6 @@ func (m *Master) GetSnapshot(name string) (*SnapshotMeta, error) {
 	}
 	out := snap.Clone()
 	return &out, nil
-}
-
-// chunkMaterialized logs one replica's report that a cloned chunk is fully
-// local. Only when every current replica has reported does apply drop the
-// chunk's cold refs: clearing earlier would strand the laggards — a GC remap
-// refreshes refs from this table, and an emptied table would leave them
-// nothing to fetch from. A replica files its (idempotent) notice only until
-// one master has taken it, so the report is a logged entry: a failover
-// between two replicas' notices keeps the first.
-func (m *Master) chunkMaterialized(req MaterializedReq) (any, error) {
-	if err := m.lockPrimary("chunk materialized"); err != nil {
-		return nil, err
-	}
-	defer m.mu.Unlock()
-	cm, err := m.st.chunk(req.VDisk, req.ChunkIndex)
-	if err != nil || len(cm.Cold) == 0 || slices.Contains(cm.Materialized, req.Addr) {
-		return nil, err
-	}
-	return nil, m.commitLocked(entry{Materialized: &entryMaterialized{VDisk: req.VDisk, Index: req.ChunkIndex, Addr: req.Addr}})
 }
 
 // coldRefs serves a chunk's current cold extent table — the refresh path a

@@ -106,8 +106,8 @@ type entryLease struct {
 
 // entrySetView installs a view change. It carries what a view change
 // changes — the view number and the membership — and nothing else: the
-// chunk's cold refs belong to the materialization protocol and may have
-// been cleared while the recovery ran.
+// chunk's cold refs are the reconcile pass's to clear and may have been
+// cleared while the recovery ran.
 type entrySetView struct {
 	VDisk    uint32        `json:"vdisk"`
 	Index    uint32        `json:"index"`
@@ -131,13 +131,12 @@ type entryDeleteSnapshot struct {
 	Name string `json:"name"`
 }
 
-// entryMaterialized records that the server at Addr holds every cold extent
-// of one chunk. The report that completes the chunk's current replica set
-// drops its cold extent table: the demand-fetch metadata is no longer needed.
+// entryMaterialized records that every current replica of one chunk holds
+// all of its cold extents, as one reconcile pass found: the chunk's cold
+// extent table, the demand-fetch metadata, is dropped.
 type entryMaterialized struct {
 	VDisk uint32 `json:"vdisk"`
 	Index uint32 `json:"index"`
-	Addr  string `json:"addr"`
 }
 
 // segMove records one extent's relocation by the GC rewriter: bytes that
@@ -234,16 +233,11 @@ func (s *state) apply(e *entry) error {
 		}
 		delete(s.snapshots, e.DeleteSnapshot.Name)
 	case e.Materialized != nil:
-		p := e.Materialized
-		cm, err := s.chunk(p.VDisk, p.Index)
+		cm, err := s.chunk(e.Materialized.VDisk, e.Materialized.Index)
 		if err != nil {
 			return err
 		}
-		cm.Materialized = append(cm.Materialized, p.Addr) // the handler logs an address once
-		pending := func(r ReplicaInfo) bool { return !slices.Contains(cm.Materialized, r.Addr) }
-		if !slices.ContainsFunc(cm.Replicas, pending) {
-			cm.Cold, cm.Materialized = nil, nil // every current replica has reported
-		}
+		cm.Cold = nil
 	case e.SegRemap != nil:
 		s.remapSegs(e.SegRemap.Moves)
 	default:

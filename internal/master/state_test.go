@@ -183,13 +183,11 @@ var metaOpTable = []struct {
 			o.t.Fatalf("gc: %v", err)
 		}
 	}},
-	// Every replica of a cold chunk reports in; the last report clears the
-	// chunk's cold refs.
+	// A reconcile pass found every replica of a cold chunk drained: the
+	// entry it commits clears the chunk's cold refs.
 	{"materialize", func(o *metaOps) {
 		if vd, ok := o.pickVDisk(isCold); ok {
-			for _, r := range vd.Chunks[0].Replicas {
-				o.call(proto.MOpChunkMaterialized, MaterializedReq{VDisk: vd.ID, ChunkIndex: 0, Addr: r.Addr}, nil)
-			}
+			commit(o.t, o.p, entry{Materialized: &entryMaterialized{VDisk: vd.ID, Index: 0}})
 		}
 	}},
 	// A real snapshot: segment IDs allocated, every primary flushed. Not of a
@@ -329,11 +327,11 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 	}
 }
 
-// TestColdReportSurvivesFailover: a replica files its materialization
-// notice only until one master has taken it, so a report the primary took
-// must outlive the primary. One replica of a clone chunk reports to the
-// primary, the primary dies, the other replicas report to the promoted
-// standby — and that clears the chunk's cold refs.
+// TestColdReportSurvivesFailover: the entry a reconcile pass commits when
+// every replica of a clone chunk has drained is replicated like any other,
+// so the cleared cold refs outlive the primary that cleared them: the
+// promoted standby serves the chunk without them, and its own pass, which
+// finds the replicas still cold, does not bring them back.
 func TestColdReportSurvivesFailover(t *testing.T) {
 	e := newReplEnvTTL(t, 3, 3, time.Minute)
 	primary := e.masters[0]
@@ -344,26 +342,18 @@ func TestColdReportSurvivesFailover(t *testing.T) {
 	if !ok {
 		t.Fatal("clone has no cold refs")
 	}
-	replicas := clone.Chunks[0].Replicas
-	report := func(m *Master, r ReplicaInfo) {
-		t.Helper()
-		if st := callOn(t, m, proto.MOpChunkMaterialized,
-			MaterializedReq{VDisk: clone.ID, ChunkIndex: 0, Addr: r.Addr}, nil); st != proto.StatusOK {
-			t.Fatalf("%s: notice from %s: %s", m.Addr(), r.Addr, st)
-		}
-	}
-	report(primary, replicas[0])
+	o.run("materialize")
 	e.quiesce(t, primary, e.masters[1:]...)
 
 	e.net.Crash("master")
 	primary.Close()
 	e.clk.Advance(3 * time.Minute)
 	promoted := waitPromoted(t, e.masters[1], e.masters[2])
-	for _, r := range replicas[1:] {
-		report(promoted, r)
+	if _, err := promoted.Reconcile(); err != nil {
+		t.Fatal(err)
 	}
 	if cold := promoted.Snapshot().VDisks[clone.ID].Chunks[0].Cold; len(cold) != 0 {
-		t.Fatalf("every replica reported, one of them before the failover: cold refs still listed %+v", cold)
+		t.Fatalf("the primary cleared the cold refs before the failover: still listed %+v", cold)
 	}
 }
 

@@ -26,12 +26,9 @@ type ChunkMeta struct {
 	Replicas []ReplicaInfo `json:"replicas"`
 	// Cold lists the object-backed extents of a cloned chunk that have not
 	// been materialized locally yet. Replicas demand-fetch these on first
-	// access; once a replica holds every extent the master clears the list
-	// (MOpChunkMaterialized). Nil for ordinary (fully local) chunks.
+	// access; a reconcile pass that finds every current replica drained
+	// clears the list. Nil for ordinary (fully local) chunks.
 	Cold []coldtier.ExtentRef `json:"cold,omitempty"`
-	// Materialized lists the servers that reported holding every extent of
-	// Cold; it is cleared with Cold once it covers every current replica.
-	Materialized []string `json:"materialized,omitempty"`
 }
 
 // VDiskMeta is everything a client needs to operate a virtual disk.
@@ -73,9 +70,6 @@ func (c ChunkMeta) clone() ChunkMeta {
 	if c.Cold != nil {
 		c.Cold = append([]coldtier.ExtentRef(nil), c.Cold...)
 	}
-	if c.Materialized != nil {
-		c.Materialized = append([]string(nil), c.Materialized...)
-	}
 	return c
 }
 
@@ -110,8 +104,6 @@ type LeaseReq struct {
 type (
 	// ReportFailureReq is the payload of MOpReportFailure.
 	ReportFailureReq = chunkserver.ReportFailureReq
-	// MaterializedReq is the payload of MOpChunkMaterialized.
-	MaterializedReq = chunkserver.MaterializedReq
 	// ColdRefsReq is the payload of MOpGetColdRefs.
 	ColdRefsReq = chunkserver.ColdRefsReq
 	// ColdRefsResp answers MOpGetColdRefs.

@@ -317,14 +317,10 @@ func (m *Master) getVDisk(req GetVDiskReq) (*VDiskMeta, error) {
 	return &out, nil
 }
 
-// MetricDeleteUnreached counts the chunk replicas a vdisk delete (or a failed
-// create's clean-up) could not reach: slots leaked on servers that did not
-// answer.
-const MetricDeleteUnreached = "master-delete-unreached"
-
 // deleteVDisk removes the vdisk's metadata and then deletes its chunk replicas
-// best-effort: one OpDeleteChunk message per server, all at once, so it takes
-// one RPCTimeout at most however many chunks sit on unreachable servers.
+// best-effort through reap: one OpDeleteChunk message per server, all at
+// once, so it takes one RPCTimeout at most however many chunks sit on
+// unreachable servers. What it leaves, the next reconcile pass reaps.
 func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 	if err := m.lockPrimary("delete"); err != nil {
 		return nil, err
@@ -340,23 +336,12 @@ func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 		return nil, err
 	}
 	queues, held := byServer(meta.Chunks)
+	slots := make([][]proto.ChunkEntry, len(held))
 	for q, refs := range held {
-		ids := make([]blockstore.ChunkID, len(refs))
-		for i, ref := range refs {
-			ids[i] = blockstore.MakeChunkID(meta.ID, uint32(ref.chunk))
-		}
-		for at := 0; at < len(ids); at += proto.MaxBatch {
-			queues[q].msgs = append(queues[q].msgs, &proto.Message{
-				Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(ids[at:min(at+proto.MaxBatch, len(ids))]...),
-			})
+		for _, ref := range refs {
+			slots[q] = append(slots[q], proto.ChunkEntry{Chunk: blockstore.MakeChunkID(meta.ID, uint32(ref.chunk)), UpTo: proto.AnyView})
 		}
 	}
-	unreached := 0
-	for q, n := range m.fanOut(m.cfg.RPCTimeout, queues, nil) {
-		unreached += len(held[q]) - min(n*proto.MaxBatch, len(held[q]))
-	}
-	if unreached > 0 {
-		m.cfg.Metrics.Counter(MetricDeleteUnreached).Add(int64(unreached))
-	}
+	m.reap(m.cfg.RPCTimeout, queues, slots)
 	return nil, nil
 }

@@ -3,6 +3,7 @@ package proto
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ursa/internal/blockstore"
 )
@@ -13,9 +14,10 @@ import (
 // version probe cost each server one message whatever the number of its
 // chunks. The header's Chunk field is not used; a command for a single chunk
 // is a list of one. The server runs the entries in list order on the one
-// goroutine that handles the message.
+// goroutine that handles the message. An OpGetVersion with no list at all is
+// an inventory: it is answered for every slot the server's store holds.
 //
-// OpDeleteChunk and OpGetVersion list bare chunk IDs (EncodeChunkIDs);
+// OpDeleteChunk and OpGetVersion list ChunkEntry pairs (EncodeChunks);
 // OpCreateChunk lists chunkserver.ChunkCreate entries as a JSON array.
 
 const (
@@ -32,45 +34,74 @@ const (
 )
 
 // ChunkResult is a chunk server's answer for one entry of a batched command.
-// Version and View are the replica's, filled in for a probe.
+// Version and View are the replica's, filled in for a probe, which also
+// names the chunk and says whether its cold extent table is still to drain.
 type ChunkResult struct {
 	Status  Status
 	Version uint64
 	View    uint64
+	Chunk   blockstore.ChunkID
+	Cold    bool
 }
 
-const chunkResultSize = 1 + 8 + 8
+const chunkResultSize = 1 + 8 + 8 + 8 + 1
 
-// EncodeChunkIDs is the payload of an OpDeleteChunk or OpGetVersion for ids.
-func EncodeChunkIDs(ids ...blockstore.ChunkID) []byte {
-	buf := make([]byte, 8*len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(id))
+// ChunkEntry is one entry of an OpDeleteChunk or OpGetVersion list: a chunk
+// and the highest view at which a delete may drop its slot (a probe ignores
+// it).
+type ChunkEntry struct {
+	Chunk blockstore.ChunkID
+	UpTo  uint64
+}
+
+// AnyView guards a delete that drops a slot at whatever view it holds.
+const AnyView = math.MaxUint64
+
+const chunkEntrySize = 8 + 8
+
+// EncodeChunks is the payload of an OpDeleteChunk or OpGetVersion.
+func EncodeChunks(entries ...ChunkEntry) []byte {
+	buf := make([]byte, 0, chunkEntrySize*len(entries))
+	for _, e := range entries {
+		buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, uint64(e.Chunk)), e.UpTo)
 	}
 	return buf
 }
 
-// DecodeChunkIDs parses an EncodeChunkIDs payload; an empty or oversized
-// list is malformed.
-func DecodeChunkIDs(payload []byte) ([]blockstore.ChunkID, error) {
-	n := len(payload) / 8
-	if n == 0 || len(payload)%8 != 0 || n > MaxBatch {
+// EncodeChunkIDs is EncodeChunks for ids, each at AnyView.
+func EncodeChunkIDs(ids ...blockstore.ChunkID) []byte {
+	entries := make([]ChunkEntry, len(ids))
+	for i, id := range ids {
+		entries[i] = ChunkEntry{Chunk: id, UpTo: AnyView}
+	}
+	return EncodeChunks(entries...)
+}
+
+// DecodeChunks parses an EncodeChunks payload; an empty or oversized list is
+// malformed.
+func DecodeChunks(payload []byte) ([]ChunkEntry, error) {
+	n := len(payload) / chunkEntrySize
+	if n == 0 || len(payload)%chunkEntrySize != 0 || n > MaxBatch {
 		return nil, fmt.Errorf("proto: chunk list of %d bytes", len(payload))
 	}
-	ids := make([]blockstore.ChunkID, n)
-	for i := range ids {
-		ids[i] = blockstore.ChunkID(binary.LittleEndian.Uint64(payload[8*i:]))
+	entries := make([]ChunkEntry, n)
+	for i := range entries {
+		b := payload[chunkEntrySize*i:]
+		entries[i] = ChunkEntry{blockstore.ChunkID(binary.LittleEndian.Uint64(b)), binary.LittleEndian.Uint64(b[8:])}
 	}
-	return ids, nil
+	return entries, nil
 }
 
 // ReplyBatch answers the batched command m with the results of the entries
-// that were run, in order (at least one). The header repeats the last result,
-// so the sender of a single entry reads the header alone, and the sender of a
-// create — which stops at its first failure — sees there whether it ran to
-// the end.
+// that were run, in order. The header repeats the last result, so the sender
+// of a single entry reads the header alone, and the sender of a create —
+// which stops at its first failure — sees there whether it ran to the end;
+// an inventory of an empty store is an OK with no results.
 func (m *Message) ReplyBatch(results []ChunkResult) *Message {
-	last := results[len(results)-1]
+	last := ChunkResult{Status: StatusOK}
+	if len(results) > 0 {
+		last = results[len(results)-1]
+	}
 	r := m.Reply(last.Status)
 	r.Version, r.View = last.Version, last.View
 	r.Payload = make([]byte, chunkResultSize*len(results))
@@ -79,6 +110,10 @@ func (m *Message) ReplyBatch(results []ChunkResult) *Message {
 		b[0] = byte(res.Status)
 		binary.LittleEndian.PutUint64(b[1:], res.Version)
 		binary.LittleEndian.PutUint64(b[9:], res.View)
+		binary.LittleEndian.PutUint64(b[17:], uint64(res.Chunk))
+		if res.Cold {
+			b[25] = 1
+		}
 	}
 	return r
 }
@@ -96,6 +131,8 @@ func DecodeResults(payload []byte) ([]ChunkResult, error) {
 			Status:  Status(b[0]),
 			Version: binary.LittleEndian.Uint64(b[1:]),
 			View:    binary.LittleEndian.Uint64(b[9:]),
+			Chunk:   blockstore.ChunkID(binary.LittleEndian.Uint64(b[17:])),
+			Cold:    b[25] != 0,
 		}
 	}
 	return results, nil

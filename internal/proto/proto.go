@@ -42,12 +42,14 @@ const (
 	// whether the bytes are journaled or written to the device.
 	OpReplicate
 	// OpGetVersion returns the replica's version and view for each chunk
-	// listed in the payload (batch.go).
+	// listed in the payload, or for every slot the store holds when the
+	// payload lists none (batch.go).
 	OpGetVersion
 	// OpCreateChunk allocates the chunk replicas listed in the payload on
 	// this server, in list order, stopping at the first that fails.
 	OpCreateChunk
-	// OpDeleteChunk drops the chunk replicas listed in the payload.
+	// OpDeleteChunk drops the chunk replicas listed in the payload, each
+	// unless its view is above the entry's guard (batch.go).
 	OpDeleteChunk
 	// OpRepairSince asks a replica at View for the ranges modified after
 	// Version (journal lite query); the response payload encodes mods+data,
@@ -129,10 +131,6 @@ const (
 	// become garbage for the cold-tier GC unless clones still reference
 	// them (payload: SnapshotReq JSON).
 	MOpDeleteSnapshot
-	// MOpChunkMaterialized reports that a cloned chunk's replicas hold all
-	// of its extents locally, releasing its cold references (payload:
-	// MaterializedReq JSON).
-	MOpChunkMaterialized
 	// MOpGetColdRefs re-reads a chunk's current cold extent references —
 	// the chunkserver's recovery path after GC moved an extent out from
 	// under a stale ref (payload: ColdRefsReq JSON).

@@ -131,24 +131,27 @@ func TestStatusStrings(t *testing.T) {
 }
 
 func TestBatchCodecs(t *testing.T) {
-	ids := []blockstore.ChunkID{blockstore.MakeChunkID(3, 0), blockstore.MakeChunkID(3, 7), blockstore.MakeChunkID(1<<31, 1<<31)}
-	got, err := DecodeChunkIDs(EncodeChunkIDs(ids...))
-	if err != nil || len(got) != len(ids) {
+	entries := []ChunkEntry{{blockstore.MakeChunkID(3, 0), 4}, {blockstore.MakeChunkID(3, 7), AnyView}, {blockstore.MakeChunkID(1<<31, 1<<31), 0}}
+	got, err := DecodeChunks(EncodeChunks(entries...))
+	if err != nil || len(got) != len(entries) {
 		t.Fatalf("chunk list round trip: %v, %v", got, err)
 	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Errorf("id %d = %v, want %v", i, got[i], ids[i])
+	for i := range entries {
+		if got[i] != entries[i] {
+			t.Errorf("entry %d = %v, want %v", i, got[i], entries[i])
 		}
 	}
-	for _, bad := range [][]byte{nil, make([]byte, 12), make([]byte, 8*(MaxBatch+1))} {
-		if _, err := DecodeChunkIDs(bad); err == nil {
+	if got, err := DecodeChunks(EncodeChunkIDs(entries[0].Chunk)); err != nil || got[0] != (ChunkEntry{entries[0].Chunk, AnyView}) {
+		t.Errorf("a bare chunk ID decoded as %v, %v; want it at any view", got, err)
+	}
+	for _, bad := range [][]byte{nil, make([]byte, 12), make([]byte, 16*(MaxBatch+1))} {
+		if _, err := DecodeChunks(bad); err == nil {
 			t.Errorf("a %d-byte chunk list decoded", len(bad))
 		}
 	}
 
 	req := &Message{ID: 9, Op: OpGetVersion, OpID: 4}
-	want := []ChunkResult{{StatusOK, 12, 3}, {StatusNotFound, 0, 0}, {StatusOK, 1 << 40, 1 << 33}}
+	want := []ChunkResult{{StatusOK, 12, 3, entries[0].Chunk, true}, {StatusNotFound, 0, 0, 0, false}, {StatusOK, 1 << 40, 1 << 33, entries[2].Chunk, false}}
 	resp := req.ReplyBatch(want)
 	if resp.ID != 9 || resp.OpID != 4 || resp.Status != StatusOK || resp.Version != 1<<40 || resp.View != 1<<33 {
 		t.Errorf("reply header %+v does not repeat the last result", resp)
@@ -164,6 +167,9 @@ func TestBatchCodecs(t *testing.T) {
 	}
 	if res, err := DecodeResults(nil); err != nil || len(res) != 0 {
 		t.Errorf("a refused message's empty payload: %v, %v", res, err)
+	}
+	if resp := req.ReplyBatch(nil); resp.Status != StatusOK || len(resp.Payload) != 0 {
+		t.Errorf("an empty inventory answered %s with %d payload bytes", resp.Status, len(resp.Payload))
 	}
 	if _, err := DecodeResults(make([]byte, 18)); err == nil {
 		t.Error("an 18-byte result list decoded")
