@@ -2,15 +2,24 @@
 # the race detector (the RPC/replication paths are goroutine-heavy).
 GO ?= go
 
-.PHONY: build test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke
+.PHONY: build tier1 test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke
 
 build:
 	$(GO) build ./...
 
+# Tier-1 verbatim: the build and the tests with GOEXPERIMENT unset, as a bare
+# `go build ./... && go test ./...` runs them — every model-time figure and
+# every unit suite on the real clock, the configuration test and race below
+# never run.
+tier1:
+	env -u GOEXPERIMENT $(GO) build ./...
+	env -u GOEXPERIMENT $(GO) test ./...
+
 # Both run with the synctest experiment: every model-time figure of the bench
 # smoke tests runs in a bubble (clock.Run), where a model sleep costs no wall
 # time, and the tagged bubble_test.go files build too. Tier-1 (a bare `go
-# test ./...`) sets no experiment and runs the same figures on the real clock.
+# test ./...`, make tier1) sets no experiment and runs the same figures on
+# the real clock.
 test: export GOEXPERIMENT = synctest
 test:
 	$(GO) test ./...
@@ -36,7 +45,7 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-check: fmt vet lint build test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
+check: fmt vet lint build tier1 test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
 
 # The tests tagged goexperiment.synctest (the bubble_test.go files; tier-1
 # sets no experiment and never builds them), under the race detector. Each

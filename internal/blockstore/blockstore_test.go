@@ -12,11 +12,21 @@ import (
 
 func newStore(t *testing.T, capacity int64) *Store {
 	t.Helper()
-	m := simdisk.DefaultSSD()
-	m.Capacity = capacity
-	d := simdisk.NewSSD(m, clock.TestClock())
+	d := testSSD(capacity)
 	t.Cleanup(func() { d.Close() })
 	return New(d, 0)
+}
+
+// testSSD returns an SSD of capacity bytes on the real clock, its model
+// DefaultSSD's a thousand times faster: an op costs the host's sleep floor.
+func testSSD(capacity int64) *simdisk.SSD {
+	m := simdisk.DefaultSSD()
+	m.Capacity = capacity
+	m.ReadLatency /= 1000
+	m.WriteLatency /= 1000
+	m.ReadBandwidth *= 1000
+	m.WriteBandwidth *= 1000
+	return simdisk.NewSSD(m, clock.Realtime)
 }
 
 func TestChunkIDPacking(t *testing.T) {
@@ -102,9 +112,7 @@ func TestChunkIsolation(t *testing.T) {
 
 func TestDeleteRecyclesSlot(t *testing.T) {
 	// A store sized for exactly one chunk must allow create-delete-create.
-	m := simdisk.DefaultSSD()
-	m.Capacity = util.ChunkSize
-	d := simdisk.NewSSD(m, clock.TestClock())
+	d := testSSD(util.ChunkSize)
 	defer d.Close()
 	s := New(d, 0)
 

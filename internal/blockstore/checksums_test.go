@@ -7,16 +7,12 @@ import (
 	"sync"
 	"testing"
 
-	"ursa/internal/clock"
-	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
 
 func sumsStore(t *testing.T) *Store {
 	t.Helper()
-	m := simdisk.DefaultSSD()
-	m.Capacity = 256 * util.MiB
-	d := simdisk.NewSSD(m, clock.TestClock())
+	d := testSSD(256 * util.MiB)
 	t.Cleanup(func() { d.Close() })
 	return New(d, 0)
 }

@@ -164,6 +164,12 @@ func (s *Server) createChunk(id blockstore.ChunkID, req CreateChunkReq) proto.St
 			return proto.StatusError
 		}
 	}
+	// The slot is made and the state published under the shard lock, which
+	// deleteChunk holds across dropping both: a delete of the same chunk
+	// cannot drop the slot found here before the state is published.
+	sh := s.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	status := proto.StatusOK
 	if err := s.store.CreateSized(id, cs.span()); errors.Is(err, util.ErrExists) {
 		// A restarted server re-attaches to chunks that survived on its
@@ -174,12 +180,9 @@ func (s *Server) createChunk(id blockstore.ChunkID, req CreateChunkReq) proto.St
 	} else if err != nil {
 		return proto.StatusQuota
 	}
-	sh := s.shard(id)
-	sh.mu.Lock()
 	if status == proto.StatusOK || sh.m[id] == nil {
 		sh.m[id] = cs
 	}
-	sh.mu.Unlock()
 	return status
 }
 
@@ -198,27 +201,27 @@ func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
 // deleteChunk drops the replica unless its view is above upTo, the highest
 // view at which the sender judged the slot garbage, or it was deleted or
 // remade (createChunk remakes an outdated slot) before the chunk lock was
-// taken: those are refused with StatusStaleView.
+// taken: those are refused with StatusStaleView. The slot goes first, under
+// the chunk lock and the shard lock, and the state leaves the table after
+// it: a server publishes a chunk's state only while its slot exists.
 func (s *Server) deleteChunk(id blockstore.ChunkID, upTo uint64) proto.Status {
 	cs := s.chunk(id)
 	if cs == nil {
 		return proto.StatusNotFound
 	}
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	sh := s.shard(id)
 	sh.mu.Lock()
-	keep := sh.m[id] != cs || cs.view > upTo
-	if !keep {
-		delete(sh.m, id)
-		cs.deleted = true
-		cs.bumpLocked() // wake writers queued on the chunk's state
-	}
-	sh.mu.Unlock()
-	cs.mu.Unlock()
-	if keep {
+	defer sh.mu.Unlock()
+	if sh.m[id] != cs || cs.view > upTo {
 		return proto.StatusStaleView
 	}
-	if err := s.dropLocal(id); err != nil {
+	err := s.dropLocal(id)
+	delete(sh.m, id)
+	cs.deleted = true
+	cs.bumpLocked() // wake writers queued on the chunk's state
+	if err != nil {
 		return proto.StatusError
 	}
 	return proto.StatusOK

@@ -1,6 +1,7 @@
 package chunkserver
 
 import (
+	"sync"
 	"testing"
 
 	"ursa/internal/blockstore"
@@ -187,5 +188,33 @@ func TestGuardedDeleteKeepsSlotMadeAfresh(t *testing.T) {
 	// Still at the judged view: it goes.
 	if resp := e.backups[0].Handle(guarded); resp.Status != proto.StatusOK || e.backups[0].store.Has(testChunk) {
 		t.Fatalf("guarded delete at the judged view: %s, slot kept %v", resp.Status, e.backups[0].store.Has(testChunk))
+	}
+}
+
+// TestCreateDeleteRaceKeepsStateWithSlot: a delete of a chunk and a create of
+// the same chunk meet on one server — a reconcile pass reaping a stray while
+// a recovery places a replacement there. Whichever wins, the server
+// publishes the chunk's state exactly when its store holds the chunk's slot.
+func TestCreateDeleteRaceKeepsStateWithSlot(t *testing.T) {
+	e := newEnv(t)
+	s := e.backups[0]
+	create := func() *proto.Message {
+		return s.Handle(CreateChunks(ChunkCreate{Chunk: testChunk, CreateChunkReq: CreateChunkReq{View: 1}}))
+	}
+	del := func() *proto.Message {
+		return s.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunks(proto.ChunkEntry{Chunk: testChunk, UpTo: proto.AnyView})})
+	}
+	for i := 0; i < 500; i++ {
+		if resp := create(); resp.Status != proto.StatusOK && resp.Status != proto.StatusExists {
+			t.Fatalf("round %d: create: %s", i, resp.Status)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); del() }()
+		go func() { defer wg.Done(); create() }()
+		wg.Wait()
+		if state, slot := s.chunk(testChunk) != nil, s.store.Has(testChunk); state != slot {
+			t.Fatalf("round %d: state published %v, slot held %v", i, state, slot)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
+	"ursa/internal/journal"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/redundancy"
@@ -67,15 +68,19 @@ func (s *Server) localStage() opctx.Stage {
 // writeVersioned lands the resolved bytes of an admitted versioned write (an
 // XOR delta already folded in) and stamps their checksums. On a server with a
 // journal set a write of at most BypassThreshold bytes is journaled (§3.2),
-// falling back to the device when the journals are full (util.ErrQuota);
-// anything else goes to the device. The op rides into the journal, so
-// group-commit queue and flush time land on its journal stages.
+// falling back to the device, counted as journal-bypass-writes, when no live
+// journal can take it (util.ErrQuota: every one full or dead); anything else
+// goes to the device. The op rides into the journal, so group-commit queue
+// and flush time land on its journal stages.
 func (s *Server) writeVersioned(op *opctx.Op, m *proto.Message, data []byte) error {
 	st := op.Stage(s.localStage())
 	journaled := s.jset != nil && len(data) <= s.cfg.BypassThreshold
 	var err error
 	if journaled {
 		err = s.jset.Append(op, m.Chunk, m.Off, data, m.Version+1)
+		if errors.Is(err, util.ErrQuota) {
+			s.cfg.Metrics.Counter(journal.MetricBypassWrites).Inc()
+		}
 	}
 	if !journaled || errors.Is(err, util.ErrQuota) {
 		err = s.writeLocal(m.Chunk, data, m.Off)

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
 	"ursa/internal/clock"
+	"ursa/internal/journal"
+	"ursa/internal/metrics"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
 	"ursa/internal/srctree"
@@ -53,6 +56,48 @@ func TestPrimaryWriteOnBackupServerSupersedesJournal(t *testing.T) {
 		t.Fatalf("read after the primary-path write = %s %#x.., want the written %#x..", r.Status, r.Payload[:min(1, len(r.Payload))], newer[:1])
 	}
 	bufpool.Put(r.Payload)
+}
+
+// TestBypassWriteLandsOnDevice: a backup server whose one journal has died
+// takes a journal-sized write on its device — the journal set refuses it
+// with ErrQuota, and the server's fallback is the only bypass — and counts
+// it as journal-bypass-writes. A write the live journal took counts nothing.
+func TestBypassWriteLandsOnDevice(t *testing.T) {
+	clk := clock.Realtime
+	reg := metrics.NewRegistry()
+	store := blockstore.New(simdisk.NewSSD(fastSSD(), clk), 0)
+	jdisk := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clk), clk)
+	jset := journal.NewSet(clk, store, journal.DefaultConfig())
+	jset.AddSSDJournal("b-j", jdisk, 0, 64*util.MiB)
+	jset.Start()
+	b := New(Config{Addr: "b", Clock: clk, Metrics: reg}, store, jset)
+	t.Cleanup(b.Close)
+	mustCreate(t, b, CreateChunkReq{View: 1})
+	bypassed := reg.Counter(journal.MetricBypassWrites)
+
+	journaled := bytes.Repeat([]byte{0xaa}, 4*util.KiB)
+	if st := apply(b, proto.OpReplicate, 0, 0, journaled); st != proto.StatusOK {
+		t.Fatalf("journaled write: %s", st)
+	}
+	if n := bypassed.Load(); n != 0 {
+		t.Fatalf("a write the journal took counted %d bypass writes", n)
+	}
+
+	jdisk.FailWrites(nil)
+	direct := bytes.Repeat([]byte{0xbb}, 4*util.KiB)
+	if st := apply(b, proto.OpReplicate, 1, 4*util.KiB, direct); st != proto.StatusOK {
+		t.Fatalf("write with the journal dead: %s", st)
+	}
+	if n := bypassed.Load(); n != 1 {
+		t.Fatalf("%d bypass writes counted, want 1", n)
+	}
+	if st := jset.Stats(); st.DeadJournals != 1 {
+		t.Fatalf("%d dead journals, want 1", st.DeadJournals)
+	}
+	got := make([]byte, len(direct))
+	if err := store.ReadAt(testChunk, got, 4*util.KiB); err != nil || !bytes.Equal(got, direct) {
+		t.Fatalf("the device holds %#x.. (%v), want the bypassed write's %#x..", got[:1], err, direct[:1])
+	}
 }
 
 // localStorage names data.go's local-storage methods: the only code that

@@ -289,9 +289,9 @@ func (cs *chunkState) waitChangeLocked(op *opctx.Op, deadline time.Time) bool {
 		if cs.due.IsZero() || deadline.Before(cs.due) {
 			cs.due = deadline
 			if cs.timer == nil {
-				cs.timer = time.AfterFunc(clock.Wall(clk, rem), cs.expire)
+				cs.timer = time.AfterFunc(rem, cs.expire)
 			} else {
-				cs.timer.Reset(clock.Wall(clk, rem))
+				cs.timer.Reset(rem)
 			}
 		}
 		cs.change.Wait()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ursa/internal/bufpool"
+	"ursa/internal/clock"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
@@ -114,7 +115,7 @@ func TestAbandonedWriteResyncsVersions(t *testing.T) {
 			e := newEnv(t)
 			var lose atomic.Int32
 			cl := New(Config{
-				Name: "a", MasterAddrs: []string{"master"}, Clock: e.clk,
+				Name: "a", MasterAddrs: []string{"master"}, Clock: clock.Realtime,
 				Dialer:      lossyDialer{e.net.Dialer("client-a", transport.NodeConfig{}), &lose},
 				CallTimeout: testCallTimeout,
 			})
@@ -123,7 +124,7 @@ func TestAbandonedWriteResyncsVersions(t *testing.T) {
 			mustRoundTrip(t, vd, 1, 0)
 
 			budget := cl.cfg.IOTimeout
-			cl.cfg.IOTimeout = time.Second // 50 ms on the wall: time to reach a replica, not to commit
+			cl.cfg.IOTimeout = 50 * time.Millisecond // time to reach a replica, not to commit
 			lose.Store(tc.lose)
 			abandoned := make([]byte, 4*util.KiB)
 			util.NewRand(2).Fill(abandoned)
@@ -157,7 +158,7 @@ func TestBurnedChunkWaiterKeepsItsOwnDeadline(t *testing.T) {
 	mustRoundTrip(t, vd, 1, 0)
 
 	// Two writes take versions; one gives up, the other stalls.
-	holder := opctx.New(e.clk, time.Hour)
+	holder := opctx.New(clock.Realtime, time.Hour)
 	defer holder.Release()
 	gaveUp, err := vd.takeVersion(holder, 0)
 	if err != nil {
@@ -171,7 +172,7 @@ func TestBurnedChunkWaiterKeepsItsOwnDeadline(t *testing.T) {
 	ch.settleVersion(gaveUp, false)
 
 	budget := cl.cfg.IOTimeout
-	cl.cfg.IOTimeout = time.Second // 50 ms on the wall
+	cl.cfg.IOTimeout = 50 * time.Millisecond
 	done := make(chan error, 1)
 	go func() { done <- vd.WriteAt(make([]byte, 4*util.KiB), 4*util.KiB) }()
 	select {

@@ -24,32 +24,33 @@ import (
 type env struct {
 	net *transport.SimNet
 	m   *master.Master
-	clk *clock.Scaled
 }
 
+// fastSSD and fastHDD are device models fast enough that most of their
+// sleeps end below the runtime's timer floor: on the real clock a device op
+// costs next to nothing, and the SSD/HDD gap holds.
 func fastSSD() simdisk.SSDModel {
 	return simdisk.SSDModel{
 		Capacity: 2 * util.GiB, Parallelism: 32,
-		ReadLatency: 2 * time.Microsecond, WriteLatency: 4 * time.Microsecond,
-		ReadBandwidth: 20e9, WriteBandwidth: 12e9,
+		ReadLatency: 100 * time.Nanosecond, WriteLatency: 200 * time.Nanosecond,
+		ReadBandwidth: 400e9, WriteBandwidth: 240e9,
 	}
 }
 
 func fastHDD() simdisk.HDDModel {
 	return simdisk.HDDModel{
-		Capacity: 4 * util.GiB, SeekMax: 400 * time.Microsecond,
-		SeekSettle: 25 * time.Microsecond, RPM: 288000,
-		Bandwidth: 6e9, TrackSkip: 512 * util.KiB,
+		Capacity: 4 * util.GiB, SeekMax: 20 * time.Microsecond,
+		SeekSettle: 1250 * time.Nanosecond, RPM: 5760000,
+		Bandwidth: 120e9, TrackSkip: 512 * util.KiB,
 	}
 }
 
-// testCallTimeout is the clients' per-RPC timeout in model time. The env's
-// clock runs at 1/20 of real time, so this is 150 ms on the wall: no test
-// here waits for it to expire, and under the race detector on a small host a
-// 256 KiB write through three checksumming replicas takes tens of real
-// milliseconds — a timeout inside that range turns into a retry, a master
-// report and a spent I/O budget.
-const testCallTimeout = 3 * time.Second
+// testCallTimeout is the clients' per-RPC timeout: no test here waits for it
+// to expire, and under the race detector on a small host a 256 KiB write
+// through three checksumming replicas takes tens of milliseconds — a timeout
+// inside that range turns into a retry, a master report and a spent I/O
+// budget.
+const testCallTimeout = 150 * time.Millisecond
 
 func newEnv(t *testing.T) *env { return newEnvSized(t, fastSSD().Capacity, fastHDD().Capacity) }
 
@@ -59,9 +60,9 @@ func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 	t.Helper()
 	ssdModel, hddModel := fastSSD(), fastHDD()
 	ssdModel.Capacity, hddModel.Capacity = ssdCap, hddCap
-	clk := clock.NewScaled(0.05)
-	net := transport.NewSimNet(clk, time.Microsecond)
-	e := &env{net: net, clk: clk}
+	clk := clock.Realtime
+	net := transport.NewSimNet(clk, 50*time.Nanosecond) // below the timer floor, like the device models
+	e := &env{net: net}
 
 	ml, err := net.Listen("master", transport.NodeConfig{})
 	if err != nil {
@@ -112,7 +113,7 @@ func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 func (e *env) client(t *testing.T, name string) *Client {
 	t.Helper()
 	cl := New(Config{
-		Name: name, MasterAddrs: []string{"master"}, Clock: e.clk,
+		Name: name, MasterAddrs: []string{"master"}, Clock: clock.Realtime,
 		Dialer:      e.net.Dialer("client-"+name, transport.NodeConfig{}),
 		CallTimeout: testCallTimeout,
 	})
@@ -163,7 +164,7 @@ func TestClientRegistryMetrics(t *testing.T) {
 	e := newEnv(t)
 	reg := metrics.NewRegistry()
 	cl := New(Config{
-		Name: "m", MasterAddrs: []string{"master"}, Clock: e.clk,
+		Name: "m", MasterAddrs: []string{"master"}, Clock: clock.Realtime,
 		Dialer:      e.net.Dialer("client-m", transport.NodeConfig{}),
 		CallTimeout: testCallTimeout,
 		Metrics:     reg,

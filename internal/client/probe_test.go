@@ -71,7 +71,7 @@ func TestOpenProbesOncePerAddress(t *testing.T) {
 	const chunks = 256
 	e := newEnvSized(t, 16*util.GiB, 64*util.GiB) // 4 × 256 primary slots, 4 × 512 backup slots
 	dialer := newCountingDialer(e.net.Dialer("client-a", transport.NodeConfig{}))
-	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
+	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: clock.Realtime, Dialer: dialer, CallTimeout: testCallTimeout})
 	t.Cleanup(cl.Close)
 	meta, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "wide", Size: chunks * util.ChunkSize})
 	if err != nil {
@@ -120,14 +120,14 @@ func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
 	e := newEnv(t)
 	var lose atomic.Int32
 	dialer := newCountingDialer(lossyDialer{e.net.Dialer("client-a", transport.NodeConfig{}), &lose})
-	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: e.clk, Dialer: dialer, CallTimeout: testCallTimeout})
+	cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: clock.Realtime, Dialer: dialer, CallTimeout: testCallTimeout})
 	t.Cleanup(cl.Close)
 	vd := e.vdisk(t, cl, "d", chunks*util.ChunkSize)
 	for i := int64(0); i < chunks; i++ {
 		mustRoundTrip(t, vd, uint64(i+1), i*util.ChunkSize)
 	}
 	budget := cl.cfg.IOTimeout
-	cl.cfg.IOTimeout = time.Second // 50 ms on the wall: time to reach the primary, not to commit
+	cl.cfg.IOTimeout = 50 * time.Millisecond // time to reach the primary, not to commit
 	lose.Store(loseBackups)
 	if err := vd.WriteAt(make([]byte, 4*util.KiB), torn*util.ChunkSize+4*util.KiB); err == nil {
 		t.Fatal("a write that reached one replica of three committed")

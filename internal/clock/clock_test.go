@@ -6,9 +6,6 @@ import (
 )
 
 func TestRealtimeBasics(t *testing.T) {
-	if Realtime.Scale() != 1.0 {
-		t.Errorf("Realtime.Scale() = %v", Realtime.Scale())
-	}
 	before := Realtime.Now()
 	Realtime.Sleep(time.Millisecond)
 	if elapsed := Realtime.Now().Sub(before); elapsed < time.Millisecond {
@@ -16,63 +13,10 @@ func TestRealtimeBasics(t *testing.T) {
 	}
 }
 
-func TestScaledSleepCompresses(t *testing.T) {
-	c := NewScaled(0.01)
-	start := time.Now()
-	c.Sleep(100 * time.Millisecond) // should cost ~1ms wall
-	wall := time.Since(start)
-	if wall > 50*time.Millisecond {
-		t.Errorf("scaled sleep of 100ms model took %v wall", wall)
-	}
-}
-
-func TestScaledNowRunsFast(t *testing.T) {
-	c := NewScaled(0.01)
-	t0 := c.Now()
-	time.Sleep(5 * time.Millisecond)
-	model := c.Now().Sub(t0)
-	// 5ms wall at 0.01 scale is 500ms model; allow generous slack.
-	if model < 200*time.Millisecond {
-		t.Errorf("model time advanced only %v for 5ms wall", model)
-	}
-}
-
-func TestScaledAdvance(t *testing.T) {
-	c := NewScaled(0.5)
-	t0 := c.Now()
-	c.Advance(time.Hour)
-	if d := c.Now().Sub(t0); d < time.Hour {
-		t.Errorf("Advance(1h) moved clock only %v", d)
-	}
-}
-
-func TestScaledAfter(t *testing.T) {
-	c := NewScaled(0.001)
-	select {
-	case <-c.After(time.Second): // 1ms wall
-	case <-time.After(2 * time.Second):
-		t.Fatal("scaled After(1s) did not fire within 2s wall")
-	}
-}
-
-func TestScaledPanicsOnBadFactor(t *testing.T) {
-	for _, f := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewScaled(%v) did not panic", f)
-				}
-			}()
-			NewScaled(f)
-		}()
-	}
-}
-
 func TestSleepNonPositive(t *testing.T) {
-	c := NewScaled(0.5)
 	start := time.Now()
-	c.Sleep(0)
-	c.Sleep(-time.Second)
+	Realtime.Sleep(0)
+	Realtime.Sleep(-time.Second)
 	if time.Since(start) > 10*time.Millisecond {
 		t.Error("non-positive sleeps blocked")
 	}

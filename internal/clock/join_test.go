@@ -84,9 +84,20 @@ func b() { synctest.Run(func() {}); _ = runtime.NumCPU() }`
 		}
 	}
 
+	eachFile(t, true, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, at := range joinRuleBreaks(fset, path, f) {
+			t.Errorf("%s: counts goroutines or opens a bubble outside internal/clock: join through clock.Join or clock.Run", at)
+		}
+	})
+}
+
+// eachFile parses the module's Go files, its tests too when tests is set,
+// and calls visit with each one and its path, relative to the module root.
+func eachFile(t *testing.T, tests bool, visit func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	fset = token.NewFileSet()
-	files, err := srctree.Parse(fset, root, true, nil)
+	fset := token.NewFileSet()
+	files, err := srctree.Parse(fset, root, tests, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +109,67 @@ func b() { synctest.Run(func() {}); _ = runtime.NumCPU() }`
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, at := range joinRuleBreaks(fset, filepath.ToSlash(path), f) {
-			t.Errorf("%s: counts goroutines or opens a bubble outside internal/clock: join through clock.Join or clock.Run", at)
+		visit(fset, filepath.ToSlash(path), f)
+	}
+}
+
+// wallWaits names, as file:line, every call of time.Sleep, time.After,
+// time.Tick or time.NewTicker in f when f is a non-test file under internal/
+// outside internal/clock and internal/bench. path is f's file, relative to
+// the module root.
+func wallWaits(fset *token.FileSet, path string, f *ast.File) []string {
+	if !strings.HasPrefix(path, "internal/") || strings.HasSuffix(path, "_test.go") ||
+		strings.HasPrefix(path, "internal/clock/") || strings.HasPrefix(path, "internal/bench/") {
+		return nil
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		for _, name := range []string{"Sleep", "After", "Tick", "NewTicker"} {
+			if isSel(call.Fun, "time", name) {
+				out = append(out, path+":"+strconv.Itoa(fset.Position(call.Pos()).Line))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestOneClockRule keeps every model wait on clock.Clock: outside
+// internal/clock and the bench harness, no non-test file under internal/
+// sleeps or waits on the time package's own clock — where a fake clock such
+// as the client tests' sleepLog would not see it. A timer an owner keeps
+// (time.NewTimer, time.AfterFunc) is not a wait of its own: it is Reset for
+// a wait the owner computed on its clock. The rule is first run on a sample
+// of what it must and must not catch.
+func TestOneClockRule(t *testing.T) {
+	const sample = `package x
+func a() { time.Sleep(1); <-time.After(1) }
+func b() { _, _ = time.Tick(1), time.NewTicker(1) }
+func c() { _ = time.NewTimer(1); clk.Sleep(1); <-clk.After(1) }`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]string{
+		"internal/x/x.go":      {"internal/x/x.go:2", "internal/x/x.go:2", "internal/x/x.go:3", "internal/x/x.go:3"},
+		"internal/x/x_test.go": nil,
+		"internal/clock/x.go":  nil,
+		"internal/bench/x.go":  nil,
+		"cmd/x/x.go":           nil,
+	} {
+		if got := wallWaits(fset, path, f); !slices.Equal(got, want) {
+			t.Fatalf("the rule finds %v in the sample as %s, want %v", got, path, want)
 		}
 	}
+
+	eachFile(t, false, func(fset *token.FileSet, path string, f *ast.File) {
+		for _, at := range wallWaits(fset, path, f) {
+			t.Errorf("%s: waits on the time package: wait on the component's clock.Clock", at)
+		}
+	})
 }

@@ -60,7 +60,8 @@ type Options struct {
 	HDDsPerMachine int
 	// Mode selects the replication mode.
 	Mode Mode
-	// Clock drives all simulated time; tests pass a scaled clock.
+	// Clock drives all simulated time: clock.Realtime, which a run inside
+	// clock.Run makes virtual.
 	Clock clock.Clock
 	// NetLatency is the one-way propagation delay.
 	NetLatency time.Duration

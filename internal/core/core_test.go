@@ -16,9 +16,7 @@ import (
 // testCluster builds a small cluster on the real clock with
 // proportionally-fast device models: the SSD/HDD gap and all protocol
 // behavior are preserved while every operation costs microseconds, so
-// protocol timeouts keep their intended margins (a scaled clock would
-// inflate goroutine-scheduling overhead into model time and fire them
-// spuriously).
+// protocol timeouts keep their intended margins.
 func testCluster(t *testing.T, mode Mode) *Cluster {
 	t.Helper()
 	c, err := New(Options{

@@ -26,11 +26,10 @@ type faultEnv struct {
 
 func newFaultEnv(t *testing.T, nJournals int, start bool) *faultEnv {
 	t.Helper()
-	clk := clock.TestClock()
+	clk := clock.Realtime
 	reg := metrics.NewRegistry()
 
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 512 * util.MiB
+	hm := fastHDD(512 * util.MiB)
 	sinkDisk := simdisk.NewFaultInjector(simdisk.NewHDD(hm, clk), clk)
 	sink := blockstore.New(sinkDisk, 0)
 
@@ -38,8 +37,7 @@ func newFaultEnv(t *testing.T, nJournals int, start bool) *faultEnv {
 	set := NewSet(clk, sink, cfg)
 	var jdisks []*simdisk.FaultInjector
 	for i := 0; i < nJournals; i++ {
-		sm := simdisk.DefaultSSD()
-		sm.Capacity = 64 * util.MiB
+		sm := fastSSD(64 * util.MiB)
 		jd := simdisk.NewFaultInjector(simdisk.NewSSD(sm, clk), clk)
 		jdisks = append(jdisks, jd)
 		set.AddSSDJournal("jssd"+string(rune('0'+i)), jd, 0, 16*util.MiB)
@@ -123,8 +121,9 @@ func TestJournalDeathReroutes(t *testing.T) {
 }
 
 // TestAllJournalsDeadBypasses drives the degradation ladder to the bottom:
-// with every journal dead, Append must degrade to a WriteDirect against
-// the sink and still succeed.
+// with every journal dead, Append refuses with ErrQuota — the bypass to the
+// device is the caller's, the chunk server's one fallback — and writes
+// nothing to the sink itself.
 func TestAllJournalsDeadBypasses(t *testing.T) {
 	e := newFaultEnv(t, 2, true)
 	id := blockstore.MakeChunkID(1, 0)
@@ -136,27 +135,22 @@ func TestAllJournalsDeadBypasses(t *testing.T) {
 	}
 	data := make([]byte, 4*util.KiB)
 	util.NewRand(23).Fill(data)
-	if err := e.set.Append(nil, id, 0, data, 1); err != nil {
-		t.Fatalf("append with all journals dead: %v", err)
+	if err := e.set.Append(nil, id, 0, data, 1); !errors.Is(err, util.ErrQuota) {
+		t.Fatalf("append with all journals dead: %v, want ErrQuota", err)
 	}
-	if got := e.reg.Counter(MetricBypassWrites).Load(); got == 0 {
-		t.Error("bypass write not counted")
-	}
-	st := e.set.Stats()
-	if st.DeadJournals != 2 {
+	if st := e.set.Stats(); st.DeadJournals != 2 {
 		t.Errorf("dead journals = %d", st.DeadJournals)
 	}
-	// The data went straight to the sink — no journal holds it.
 	got := make([]byte, len(data))
 	if err := e.sink.ReadAt(id, got, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Error("bypass write missing from sink")
+	if !bytes.Equal(got, make([]byte, len(data))) {
+		t.Error("the set wrote a refused append to the sink")
 	}
-	// Subsequent appends keep bypassing without error.
-	if err := e.set.Append(nil, id, 4096, data, 2); err != nil {
-		t.Fatalf("second bypass append: %v", err)
+	// Later appends keep refusing.
+	if err := e.set.Append(nil, id, 4096, data, 2); !errors.Is(err, util.ErrQuota) {
+		t.Fatalf("second append with all journals dead: %v, want ErrQuota", err)
 	}
 	e.set.Drain() // the failed records trim away; must not hang
 	if p := e.set.Pending(); p != 0 {

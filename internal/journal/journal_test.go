@@ -20,6 +20,29 @@ type testEnv struct {
 	hdd  simdisk.Disk
 }
 
+// fastSSD and fastHDD are the default device models at capacity bytes with
+// every latency a thousandth and every rate a thousand times: on the real
+// clock an op costs the host's sleep floor, and the models' proportions hold.
+func fastSSD(capacity int64) simdisk.SSDModel {
+	m := simdisk.DefaultSSD()
+	m.Capacity = capacity
+	m.ReadLatency /= 1000
+	m.WriteLatency /= 1000
+	m.ReadBandwidth *= 1000
+	m.WriteBandwidth *= 1000
+	return m
+}
+
+func fastHDD(capacity int64) simdisk.HDDModel {
+	m := simdisk.DefaultHDD()
+	m.Capacity = capacity
+	m.SeekMax /= 1000
+	m.SeekSettle /= 1000
+	m.RPM *= 1000
+	m.Bandwidth *= 1000
+	return m
+}
+
 func newEnv(t *testing.T, ssdJournalSize int64, withHDDJournal bool) *testEnv {
 	return newEnvStart(t, ssdJournalSize, withHDDJournal, true)
 }
@@ -28,14 +51,12 @@ func newEnv(t *testing.T, ssdJournalSize int64, withHDDJournal bool) *testEnv {
 // replayer runs.
 func newEnvStart(t *testing.T, ssdJournalSize int64, withHDDJournal, start bool) *testEnv {
 	t.Helper()
-	clk := clock.TestClock()
+	clk := clock.Realtime
 
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 512 * util.MiB
+	hm := fastHDD(512 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
 
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 256 * util.MiB
+	sm := fastSSD(256 * util.MiB)
 	ssd := simdisk.NewSSD(sm, clk)
 
 	// Backup chunks live on the front of the HDD; the HDD journal (when

@@ -48,13 +48,11 @@ func TestHeaderCodecProperty(t *testing.T) {
 // a random interleaving of appends, bypass writes, drains and reads must
 // always agree byte-for-byte with a flat shadow buffer.
 func TestJournalModelEquivalence(t *testing.T) {
-	clk := clock.TestClock()
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 256 * util.MiB
+	clk := clock.Realtime
+	hm := fastHDD(256 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
 	defer hdd.Close()
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 64 * util.MiB
+	sm := fastSSD(64 * util.MiB)
 	ssd := simdisk.NewSSD(sm, clk)
 	defer ssd.Close()
 
@@ -123,13 +121,11 @@ func TestJournalModelEquivalence(t *testing.T) {
 // TestJournalSpaceAccounting checks the circular buffer invariant: used
 // space never exceeds the region and frees fully after a drain.
 func TestJournalSpaceAccounting(t *testing.T) {
-	clk := clock.TestClock()
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 64 * util.MiB
+	clk := clock.Realtime
+	sm := fastSSD(64 * util.MiB)
 	ssd := simdisk.NewSSD(sm, clk)
 	defer ssd.Close()
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 256 * util.MiB
+	hm := fastHDD(256 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
 	defer hdd.Close()
 

@@ -21,12 +21,10 @@ import (
 // be off the list, or an append would overwrite a record yet to be replayed.
 func TestRecycledRecordsAreUnreachable(t *testing.T) {
 	leased := bufpool.InUse()
-	clk := clock.TestClock()
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 512 * util.MiB
+	clk := clock.Realtime
+	hm := fastHDD(512 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 64 * util.MiB
+	sm := fastSSD(64 * util.MiB)
 	ssd := simdisk.NewSSD(sm, clk)
 	sink := blockstore.New(hdd, 0)
 	// Not started until the end: this test is the replayer.

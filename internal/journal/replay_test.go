@@ -46,12 +46,10 @@ func (g *gatedReads) ReadAt(p []byte, off int64) error {
 // gatedEnv is a journal set over one gated SSD journal and an HDD sink.
 func gatedEnv(t *testing.T) (*Set, *blockstore.Store, *gatedReads) {
 	t.Helper()
-	clk := clock.TestClock()
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 512 * util.MiB
+	clk := clock.Realtime
+	hm := fastHDD(512 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 64 * util.MiB
+	sm := fastSSD(64 * util.MiB)
 	ssd := simdisk.NewSSD(sm, clk)
 	jd := newGatedReads(ssd)
 	sink := blockstore.New(hdd, 0)
@@ -379,12 +377,10 @@ func (h *hookSink) writes() []sinkWrite {
 // foreground write is outstanding — and the abandoned window later replays
 // each remaining extent exactly once, to byte-identical content.
 func TestForegroundWritePreemptsWindow(t *testing.T) {
-	clk := clock.TestClock()
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 512 * util.MiB
+	clk := clock.Realtime
+	hm := fastHDD(512 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 64 * util.MiB
+	sm := fastSSD(64 * util.MiB)
 	ssd := simdisk.NewSSD(sm, clk)
 	store := blockstore.New(hdd, 0)
 	sink := &hookSink{Store: store, disk: &depthDisk{Disk: hdd}}
@@ -506,12 +502,10 @@ func TestDiscardUnderWrap(t *testing.T) {
 		{"misaligned", 9 * util.SectorSize, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := clock.TestClock()
-			hm := simdisk.DefaultHDD()
-			hm.Capacity = 512 * util.MiB
+			clk := clock.Realtime
+			hm := fastHDD(512 * util.MiB)
 			hdd := simdisk.NewHDD(hm, clk)
-			sm := simdisk.DefaultSSD()
-			sm.Capacity = 64 * util.MiB
+			sm := fastSSD(64 * util.MiB)
 			ssd := simdisk.NewSSD(sm, clk)
 			sink := blockstore.New(hdd, 0)
 			set := NewSet(clk, sink, Config{})

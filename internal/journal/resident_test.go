@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ursa/internal/blockstore"
@@ -138,7 +139,11 @@ func TestResidencyEndsOnEveryExit(t *testing.T) {
 			for _, d := range e.jdisks {
 				d.FailWrites(nil)
 			}
-			appendN(t, e.set, 3) // each degrades to WriteDirect
+			for i := 0; i < 3; i++ { // each is refused: the bypass is the caller's
+				if err := e.set.Append(nil, id, int64(i)*4096, data, uint64(i+1)); !errors.Is(err, util.ErrQuota) {
+					t.Fatalf("append %d with every journal dead: %v, want ErrQuota", i, err)
+				}
+			}
 			resident(t, e.set, 0)
 		}},
 	} {

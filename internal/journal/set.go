@@ -64,8 +64,10 @@ const (
 const (
 	// MetricJournalDead counts journals declared dead after a failed flush.
 	MetricJournalDead = "journal-dead"
-	// MetricBypassWrites counts Appends degraded to WriteDirect because
-	// every journal was dead — the bottom rung of the §3.2 expansion ladder.
+	// MetricBypassWrites counts journal-sized writes that went to the device
+	// because no live journal could take them (Append's ErrQuota) — the
+	// bottom rung of the §3.2 expansion ladder. The chunk server counts it
+	// at its fallback.
 	MetricBypassWrites = "journal-bypass-writes"
 	// MetricReplayErrors counts replay windows parked because a chunk's
 	// records could not reach the sink (sink I/O error or unreadable
@@ -304,13 +306,12 @@ func (s *Set) Close() {
 // containing it has completed. A non-nil op gets the commit-queue wait and
 // flush time recorded as the backup-jqueue/backup-jflush stages.
 //
-// It returns ErrQuota when every live journal is full — callers fall back
-// to a direct backup write (and the master should already have rate-limited
-// the client before this point, §3.2). When every journal is DEAD the set
-// degrades itself: the append becomes a WriteDirect against the sink (ack
-// latency degrades, durability semantics don't), counted by
-// journal-bypass-writes. An append routed to a journal that dies mid-flush
-// is re-routed to a surviving journal transparently.
+// It returns ErrQuota when no live journal can take the record — every one
+// full or dead. The caller falls back to a direct backup write, the bottom
+// rung of the §3.2 expansion ladder (the master should already have
+// rate-limited the client before a full set, §3.2). An append routed to a
+// journal that dies mid-flush is re-routed to a surviving journal
+// transparently.
 func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte, version uint64) error {
 	if err := checkAligned(off, len(data)); err != nil {
 		return err
@@ -326,21 +327,8 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 		}
 		j := s.pickJournalLocked(len(data))
 		if j == nil {
-			allDead := len(s.journals) > 0
-			for _, jj := range s.journals {
-				if !jj.dead {
-					allDead = false
-					break
-				}
-			}
 			s.mu.Unlock()
-			if allDead {
-				// Bottom of the expansion ladder: no journal left to absorb
-				// the write, so it goes straight to the backup disk.
-				s.cfg.Metrics.Counter(MetricBypassWrites).Inc()
-				return s.WriteDirect(id, data, off)
-			}
-			return fmt.Errorf("journal: all journals full: %w", util.ErrQuota)
+			return fmt.Errorf("journal: no live journal has room: %w", util.ErrQuota)
 		}
 		pos, _ := j.reserve(len(data)) // pickJournalLocked checked fits
 		rec := s.newRecordLocked()
@@ -385,7 +373,7 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 		}
 		if errors.Is(err, errJournalDead) {
 			// The journal died under us; its picker slot is gone, so the
-			// retry lands on a survivor (or degrades to bypass).
+			// retry lands on a survivor (or finds none: ErrQuota).
 			continue
 		}
 		return err

@@ -22,13 +22,11 @@ import (
 // -race, this also exercises the leader/follower handoff and the windowed
 // replay locking.
 func TestConcurrentAppendDrainDrop(t *testing.T) {
-	clk := clock.TestClock()
+	clk := clock.Realtime
 
-	hm := simdisk.DefaultHDD()
-	hm.Capacity = 512 * util.MiB
+	hm := fastHDD(512 * util.MiB)
 	hdd := simdisk.NewHDD(hm, clk)
-	sm := simdisk.DefaultSSD()
-	sm.Capacity = 256 * util.MiB
+	sm := fastSSD(256 * util.MiB)
 	ssdA := simdisk.NewSSD(sm, clk)
 	ssdB := simdisk.NewSSD(sm, clk)
 	sink := blockstore.New(hdd, 0)

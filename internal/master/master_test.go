@@ -21,25 +21,31 @@ import (
 type env struct {
 	net    *transport.SimNet
 	m      *Master
-	clk    *clock.Scaled
 	nSSD   int
 	nHDD   int
 	closer []func()
 }
 
+// envLeaseTTL is newEnv's client lease: long enough to hold across a test's
+// back-to-back calls, short enough that a test waits it out.
+const envLeaseTTL = 100 * time.Millisecond
+
+// fastSSD and fastHDD are device models fast enough that most of their
+// sleeps end below the runtime's timer floor: on the real clock a device op
+// costs next to nothing, and the SSD/HDD gap holds.
 func fastSSD() simdisk.SSDModel {
 	return simdisk.SSDModel{
 		Capacity: 2 * util.GiB, Parallelism: 32,
-		ReadLatency: 2 * time.Microsecond, WriteLatency: 4 * time.Microsecond,
-		ReadBandwidth: 20e9, WriteBandwidth: 12e9,
+		ReadLatency: 100 * time.Nanosecond, WriteLatency: 200 * time.Nanosecond,
+		ReadBandwidth: 400e9, WriteBandwidth: 240e9,
 	}
 }
 
 func fastHDD() simdisk.HDDModel {
 	return simdisk.HDDModel{
-		Capacity: 4 * util.GiB, SeekMax: 400 * time.Microsecond,
-		SeekSettle: 25 * time.Microsecond, RPM: 288000,
-		Bandwidth: 6e9, TrackSkip: 512 * util.KiB,
+		Capacity: 4 * util.GiB, SeekMax: 20 * time.Microsecond,
+		SeekSettle: 1250 * time.Nanosecond, RPM: 5760000,
+		Bandwidth: 120e9, TrackSkip: 512 * util.KiB,
 	}
 }
 
@@ -47,10 +53,9 @@ func fastHDD() simdisk.HDDModel {
 // (primary) and one HDD (backup) server.
 func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 	t.Helper()
-	// Scaled clock so lease expiry can be fast-forwarded with Advance.
-	clk := clock.NewScaled(0.05)
-	net := transport.NewSimNet(clk, time.Microsecond)
-	e := &env{net: net, clk: clk}
+	clk := clock.Realtime
+	net := transport.NewSimNet(clk, 50*time.Nanosecond) // below the timer floor, like the device models
+	e := &env{net: net}
 
 	ml, err := net.Listen("master", transport.NodeConfig{})
 	if err != nil {
@@ -60,7 +65,7 @@ func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 		Addr:       "master",
 		Clock:      clk,
 		Dialer:     net.Dialer("master", transport.NodeConfig{}),
-		LeaseTTL:   10 * time.Second,
+		LeaseTTL:   envLeaseTTL,
 		RPCTimeout: 5 * time.Second,
 		HybridMode: hybrid,
 	})
@@ -254,8 +259,8 @@ func TestLeaseExpiry(t *testing.T) {
 	var meta VDiskMeta
 	e.call(t, proto.MOpOpenVDisk, OpenVDiskReq{Name: "d", Client: "alice"}, &meta)
 
-	// Fast-forward past the TTL without renewal: bob may take over.
-	e.clk.Advance(time.Minute)
+	// Wait out the TTL without renewal: bob may take over.
+	clock.Realtime.Sleep(envLeaseTTL)
 	if st := e.call(t, proto.MOpOpenVDisk,
 		OpenVDiskReq{Name: "d", Client: "bob"}, nil); st != proto.StatusOK {
 		t.Errorf("open after expiry = %s", st)
@@ -356,9 +361,9 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 
 	// Advance one backup ahead of the other via direct replicate calls.
 	b1 := meta.Chunks[0].Replicas[1].Addr
-	driver := transport.NewPeers(e.net.Dialer("driver", transport.NodeConfig{}), e.clk)
+	driver := transport.NewPeers(e.net.Dialer("driver", transport.NodeConfig{}), clock.Realtime)
 	defer driver.CloseAll()
-	op := opctx.New(e.clk, 0)
+	op := opctx.New(clock.Realtime, 0)
 	defer op.Release()
 	id := blockstore.MakeChunkID(meta.ID, 0)
 	for v := uint64(0); v < 3; v++ {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ursa/internal/clock"
 	"ursa/internal/proto"
 	"ursa/internal/transport"
 	"ursa/internal/util"
@@ -285,7 +284,7 @@ func peerRank(peers []string, addr string) int {
 // standbys catch up by full replay.
 func (m *Master) shipLoop(peer string, wake chan struct{}) {
 	defer m.wg.Done()
-	hb := clock.Wall(m.cfg.Clock, m.cfg.PrimacyTTL/4)
+	hb := m.cfg.PrimacyTTL / 4
 	tick := time.NewTimer(hb)
 	defer tick.Stop()
 	var cursor uint64
@@ -343,7 +342,7 @@ func (m *Master) shipLoop(peer string, wake chan struct{}) {
 // it owns: on a primary an idle tick allocates nothing.
 func (m *Master) monitorLoop() {
 	defer m.wg.Done()
-	every := clock.Wall(m.cfg.Clock, m.cfg.PrimacyTTL/8)
+	every := m.cfg.PrimacyTTL / 8
 	tick := time.NewTimer(every)
 	defer tick.Stop()
 	for {

@@ -20,30 +20,33 @@ import (
 )
 
 // replEnv is a replicated metadata service on a simnet: nMasters masters,
-// hybrid chunkserver machines and a near-free object store, on a scaled
-// clock so lease expiry and promotion timeouts can be fast-forwarded with
-// Advance.
+// hybrid chunkserver machines and a near-free object store, on the real
+// clock.
 type replEnv struct {
 	net     *transport.SimNet
-	clk     *clock.Scaled
 	reg     *metrics.Registry // shared by every master
 	masters []*Master
 	addrs   []string
 	closer  []func()
 }
 
+// replLeaseTTL is a replEnv's client lease: it outlives a failover on the
+// default PrimacyTTL.
+const replLeaseTTL = 500 * time.Millisecond
+
 func newReplEnv(t *testing.T, nMasters, nMachines int) *replEnv {
-	return newReplEnvTTL(t, nMasters, nMachines, 2*time.Second)
+	return newReplEnvTTL(t, nMasters, nMachines, 100*time.Millisecond)
 }
 
 // newReplEnvTTL is newReplEnv with a chosen primacy lease. Long scripted
-// tests take a generous one: on a loaded host the default's 100 ms of real
-// time is short enough for a starved primary to be deposed mid-script.
-func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Duration) *replEnv {
+// tests take a generous one: on a loaded host the default's 100 ms is short
+// enough for a starved primary to be deposed mid-script. Each tweak edits
+// every master's Config before it starts.
+func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Duration, tweaks ...func(*Config)) *replEnv {
 	t.Helper()
-	clk := clock.NewScaled(0.05)
-	net := transport.NewSimNet(clk, time.Microsecond)
-	e := &replEnv{net: net, clk: clk, reg: metrics.NewRegistry()}
+	clk := clock.Realtime
+	net := transport.NewSimNet(clk, 50*time.Nanosecond) // below the timer floor, like the device models
+	e := &replEnv{net: net, reg: metrics.NewRegistry()}
 	t.Cleanup(func() {
 		for i := len(e.closer) - 1; i >= 0; i-- {
 			e.closer[i]()
@@ -66,18 +69,22 @@ func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Durati
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{
+		cfg := Config{
 			Addr:         addr,
 			Clock:        clk,
 			Dialer:       net.Dialer(addr, transport.NodeConfig{}),
-			LeaseTTL:     10 * time.Second,
+			LeaseTTL:     replLeaseTTL,
 			RPCTimeout:   2 * time.Second,
 			PrimacyTTL:   primacyTTL,
 			Peers:        append([]string(nil), e.addrs...),
 			HybridMode:   true,
 			ObjstoreAddr: "objstore",
 			Metrics:      e.reg,
-		})
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		m := New(cfg)
 		m.Serve(l)
 		e.masters = append(e.masters, m)
 		e.closer = append(e.closer, m.Close)
@@ -99,16 +106,16 @@ func (e *replEnv) startMachine(t *testing.T, machine string) []RegisterReq {
 		var store *blockstore.Store
 		var jset *journal.Set
 		if role == chunkserver.RolePrimary {
-			store = blockstore.New(simdisk.NewSSD(fastSSD(), e.clk), 0)
+			store = blockstore.New(simdisk.NewSSD(fastSSD(), clock.Realtime), 0)
 		} else {
-			hdd := simdisk.NewHDD(fastHDD(), e.clk)
+			hdd := simdisk.NewHDD(fastHDD(), clock.Realtime)
 			store = blockstore.New(hdd, util.AlignDown(hdd.Size()/2, util.ChunkSize))
-			jset = journal.NewSet(e.clk, store, journal.DefaultConfig())
-			jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(fastSSD(), e.clk), 0, 64*util.MiB)
+			jset = journal.NewSet(clock.Realtime, store, journal.DefaultConfig())
+			jset.AddSSDJournal(addr+"-j", simdisk.NewSSD(fastSSD(), clock.Realtime), 0, 64*util.MiB)
 			jset.Start()
 		}
 		srv := chunkserver.New(chunkserver.Config{
-			Addr: addr, Clock: e.clk,
+			Addr: addr, Clock: clock.Realtime,
 			Dialer:      e.net.Dialer(addr, transport.NodeConfig{}),
 			ReplTimeout: time.Second,
 			MasterAddrs: append([]string(nil), e.addrs...),
@@ -164,24 +171,30 @@ func (e *replEnv) quiesce(t *testing.T, primary *Master, standbys ...*Master) {
 	}
 }
 
-// waitPromoted polls until one of the candidate standbys claims primacy
-// and returns it. Rank staggering makes the lowest rank the likely winner,
-// but it is a tiebreaker, not a guarantee — under scheduler load a higher
-// rank can win and the lower ranks adopt its claim.
-func waitPromoted(t *testing.T, candidates ...*Master) *Master {
+// waitPromoted polls until standby claims primacy, which its monitor does a
+// PrimacyTTL after it last heard from the primary.
+func waitPromoted(t *testing.T, standby *Master) *Master {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for _, m := range candidates {
-			if m.IsPrimary() {
-				return m
-			}
-		}
+	for deadline := time.Now().Add(10 * time.Second); !standby.IsPrimary(); time.Sleep(2 * time.Millisecond) {
 		if !time.Now().Before(deadline) {
-			t.Fatal("no standby promoted")
+			t.Fatal("the standby never promoted")
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	return standby
+}
+
+// promote has standby take over at once, as its monitor would once the
+// primary had been silent for a PrimacyTTL, and returns it.
+func promote(t *testing.T, standby *Master) *Master {
+	t.Helper()
+	standby.mu.Lock()
+	standby.lastHeard = time.Time{}
+	standby.mu.Unlock()
+	standby.maybePromote()
+	if !standby.IsPrimary() {
+		t.Fatalf("%s did not promote", standby.Addr())
+	}
+	return standby
 }
 
 // snapJSON renders a snapshot for comparison: JSON strips time.Time
@@ -202,7 +215,7 @@ func snapJSON(t *testing.T, s StateSnapshot) string {
 // standby promoted after the primary's death serves exactly the pre-crash
 // metadata at a higher epoch.
 func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 4, time.Minute)
+	e := newReplEnvTTL(t, 3, 4, 3*time.Second)
 	primary := e.masters[0]
 	o := newMetaOps(t, e, 1)
 	for _, op := range metaOpTable {
@@ -224,8 +237,7 @@ func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
 	// state at a higher epoch.
 	e.net.Crash("master")
 	primary.Close()
-	e.clk.Advance(3 * time.Minute)
-	promoted := waitPromoted(t, e.masters[1], e.masters[2])
+	promoted := promote(t, e.masters[1])
 	if got := promoted.Epoch(); got < 2 {
 		t.Fatalf("promoted epoch = %d, want >= 2", got)
 	}
@@ -235,11 +247,12 @@ func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
 }
 
 // TestLeaseExpiryRacesRenewReplicated drives the lease lifecycle on a
-// replicated primary under a scaled clock: an expired lease can be
-// reclaimed by its holder's renew, a rival's open after expiry wins the
-// lease, and the old holder's late renew is then refused.
+// replicated primary: an expired lease can be reclaimed by its holder's
+// renew, a rival's open after expiry wins the lease, and the old holder's
+// late renew is then refused.
 func TestLeaseExpiryRacesRenewReplicated(t *testing.T) {
-	e := newReplEnv(t, 2, 3)
+	const lease = 100 * time.Millisecond
+	e := newReplEnvTTL(t, 2, 3, 100*time.Millisecond, func(c *Config) { c.LeaseTTL = lease })
 	primary := e.masters[0]
 
 	var meta VDiskMeta
@@ -253,7 +266,7 @@ func TestLeaseExpiryRacesRenewReplicated(t *testing.T) {
 	}
 
 	// Expired-but-unclaimed: the holder's own renew reclaims the lease.
-	e.clk.Advance(11 * time.Second)
+	clock.Realtime.Sleep(lease)
 	if st := callOn(t, primary, proto.MOpRenewLease,
 		LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
 		t.Fatalf("holder reclaim-renew after expiry: %s", st)
@@ -265,7 +278,7 @@ func TestLeaseExpiryRacesRenewReplicated(t *testing.T) {
 	}
 
 	// Expiry again; a rival's open now wins the lease...
-	e.clk.Advance(11 * time.Second)
+	clock.Realtime.Sleep(lease)
 	if st := callOn(t, primary, proto.MOpOpenVDisk,
 		OpenVDiskReq{Name: "lease-race", Client: "b"}, nil); st != proto.StatusOK {
 		t.Fatalf("rival open after expiry: %s", st)
@@ -298,7 +311,6 @@ func TestOpenRacesFailover(t *testing.T) {
 
 	e.net.Crash("master")
 	primary.Close()
-	e.clk.Advance(5 * time.Second)
 	promoted := waitPromoted(t, e.masters[1])
 
 	// The lease shipped before the crash: a rival cannot steal it on the

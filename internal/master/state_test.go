@@ -35,7 +35,7 @@ type metaOps struct {
 }
 
 func newMetaOps(t *testing.T, e *replEnv, seed uint64) *metaOps {
-	o := &metaOps{t: t, e: e, p: e.masters[0], r: util.NewRand(seed), op: opctx.New(e.clk, time.Hour)}
+	o := &metaOps{t: t, e: e, p: e.masters[0], r: util.NewRand(seed), op: opctx.New(clock.Realtime, time.Hour)}
 	t.Cleanup(o.op.Release)
 	return o
 }
@@ -268,7 +268,7 @@ func (e *replEnv) requireConverged(t *testing.T, primary *Master, standbys ...*M
 // vdisk ID and moves no placement cursor — on the primary, where the request
 // ran, or on the standbys, which never hear of it.
 func TestFailedCreateLeavesNoTrace(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 3, time.Minute)
+	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
 	primary := e.masters[0]
 	if st := callOn(t, primary, proto.MOpCreateVDisk,
 		CreateVDiskReq{Name: "fits", Size: 2 * util.ChunkSize}, nil); st != proto.StatusOK {
@@ -290,7 +290,7 @@ func TestFailedCreateLeavesNoTrace(t *testing.T) {
 // protocol cleared in between must stay cleared — GC is by then free to
 // delete the segments they named.
 func TestViewInstallLeavesColdAlone(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 3, time.Minute)
+	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
 	primary := e.masters[0]
 	o := newMetaOps(t, e, 1)
 	o.run("snapshot-sparse")
@@ -307,7 +307,7 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 		t.Fatalf("chunkMetaSpec: %+v, %v", stale, err)
 	}
 	o.run("materialize") // the last replica's report clears the refs
-	if _, err := primary.installView(e.clk.Now(), blockstore.MakeChunkID(clone.ID, 0),
+	if _, err := primary.installView(clock.Realtime.Now(), blockstore.MakeChunkID(clone.ID, 0),
 		clone.ID, 0, *stale, 0, nil, stale.Replicas); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 // promoted standby serves the chunk without them, and its own pass, which
 // finds the replicas still cold, does not bring them back.
 func TestColdReportSurvivesFailover(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 3, time.Minute)
+	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
 	primary := e.masters[0]
 	o := newMetaOps(t, e, 1)
 	o.run("snapshot-sparse")
@@ -347,8 +347,7 @@ func TestColdReportSurvivesFailover(t *testing.T) {
 
 	e.net.Crash("master")
 	primary.Close()
-	e.clk.Advance(3 * time.Minute)
-	promoted := waitPromoted(t, e.masters[1], e.masters[2])
+	promoted := promote(t, e.masters[1])
 	if _, err := promoted.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +448,7 @@ func TestStandbyRefusesNonMemberBatch(t *testing.T) {
 // the entry it cannot apply and stays at the entry before it, and the
 // primary's shipper counts the batches it refuses.
 func TestShipperCountsRefusedReplay(t *testing.T) {
-	e := newReplEnvTTL(t, 2, 3, time.Minute)
+	e := newReplEnvTTL(t, 2, 3, 3*time.Second)
 	primary, standby := e.masters[0], e.masters[1]
 	var meta VDiskMeta
 	if st := callOn(t, primary, proto.MOpCreateVDisk,
@@ -489,7 +488,7 @@ func TestShipperCountsRefusedReplay(t *testing.T) {
 // holding a long log converges on the primary's state without any one
 // MOpReplicateLog carrying more than shipBatchMax entries.
 func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
-	e := newReplEnvTTL(t, 2, 3, time.Minute)
+	e := newReplEnvTTL(t, 2, 3, 3*time.Second)
 	primary := e.masters[0]
 	e.net.Crash("master-1")
 	e.masters[1].Close()
@@ -515,8 +514,8 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	late := New(Config{
-		Addr: "master-1", Peers: e.addrs, JoinStandby: true, Clock: e.clk,
-		Dialer: e.net.Dialer("master-1", transport.NodeConfig{}), PrimacyTTL: time.Minute,
+		Addr: "master-1", Peers: e.addrs, JoinStandby: true, Clock: clock.Realtime,
+		Dialer: e.net.Dialer("master-1", transport.NodeConfig{}), PrimacyTTL: 3 * time.Second,
 	})
 	t.Cleanup(late.Close)
 	largest := 0 // entries in the largest batch received (guarded by late.mu)
@@ -551,7 +550,7 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 func TestLogReplayReproducesState(t *testing.T) {
 	for _, masters := range []int{2, 1} {
 		t.Run(fmt.Sprintf("masters=%d", masters), func(t *testing.T) {
-			e := newReplEnvTTL(t, masters, 4, time.Minute)
+			e := newReplEnvTTL(t, masters, 4, 3*time.Second)
 			o := newMetaOps(t, e, 7) // a seed whose 60 ops log every entry kind
 			for i := 0; i < 60; i++ {
 				op := metaOpTable[o.r.Intn(len(metaOpTable))]

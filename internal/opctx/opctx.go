@@ -16,7 +16,7 @@
 // per-stage latency decomposition the figure benches report.
 //
 // Deadlines are model time (the clock.Clock the op was built with), which is
-// wall time under the real clock and compressed time under scaled test clocks.
+// wall time on the real clock and virtual time inside a clock.Run bubble.
 //
 // Ops are pooled leases: New (and Background, FromWire) lease an op to its
 // creator, which Releases it once, when the operation has returned. Nothing

@@ -18,8 +18,7 @@ func TestIDsMonotonic(t *testing.T) {
 }
 
 func TestDeadlineBudget(t *testing.T) {
-	clk := clock.NewScaled(0.001)
-	op := New(clk, 100*time.Millisecond)
+	op := New(clock.Realtime, 10*time.Millisecond)
 	if err := op.Err(); err != nil {
 		t.Fatalf("fresh op: %v", err)
 	}
@@ -31,10 +30,10 @@ func TestDeadlineBudget(t *testing.T) {
 		t.Fatalf("Budget(1ms) = %v, %v", w, ok)
 	}
 	// A cap above it is bounded by the remainder.
-	if w, ok := op.Budget(time.Hour); !ok || w > 100*time.Millisecond {
+	if w, ok := op.Budget(time.Hour); !ok || w > 10*time.Millisecond {
 		t.Fatalf("Budget(1h) = %v, %v", w, ok)
 	}
-	clk.Advance(time.Second)
+	clock.Realtime.Sleep(10 * time.Millisecond)
 	if _, ok := op.Budget(time.Hour); ok {
 		t.Fatal("Budget on an expired op must refuse")
 	}
@@ -64,7 +63,7 @@ func TestNoDeadline(t *testing.T) {
 }
 
 func TestFromWire(t *testing.T) {
-	clk := clock.NewScaled(0.001)
+	clk := clock.Realtime
 	parent := New(clk, 50*time.Millisecond)
 	child := FromWire(clk, parent.ID(), parent.WireBudget())
 	if child.ID() != parent.ID() {
@@ -88,7 +87,7 @@ func TestFromWire(t *testing.T) {
 // foreign peer, and it means the sender's deadline has passed — not that the
 // op has none.
 func TestFromWireNegativeBudgetIsSpent(t *testing.T) {
-	op := FromWire(clock.NewScaled(0.001), 7, -time.Second)
+	op := FromWire(clock.Realtime, 7, -time.Second)
 	defer op.Release()
 	if op.ID() != 7 {
 		t.Errorf("id %d, want 7", op.ID())

@@ -70,7 +70,7 @@ func waitCounter(t *testing.T, c *metrics.Counter, want int64) {
 func TestScrubPassVerifiesAllChunks(t *testing.T) {
 	tgt := newFakeTarget(blockstore.MakeChunkID(1, 0), blockstore.MakeChunkID(1, 1))
 	reg := metrics.NewRegistry()
-	s := New(clock.TestClock(), Config{
+	s := New(clock.Realtime, Config{
 		Interval:  time.Millisecond,
 		ReadSize:  util.ChunkSize, // one probe per chunk
 		IdleGrace: 0,
@@ -96,7 +96,7 @@ func TestScrubCountsCorruptionAndMovesOn(t *testing.T) {
 	tgt := newFakeTarget(bad, good)
 	tgt.corrupt[bad] = true
 	reg := metrics.NewRegistry()
-	s := New(clock.TestClock(), Config{
+	s := New(clock.Realtime, Config{
 		Interval:  time.Millisecond,
 		ReadSize:  util.ChunkSize,
 		IdleGrace: 0,
@@ -115,7 +115,7 @@ func TestScrubSkipsDeletedChunk(t *testing.T) {
 	tgt := newFakeTarget(gone)
 	tgt.missing[gone] = true
 	reg := metrics.NewRegistry()
-	s := New(clock.TestClock(), Config{
+	s := New(clock.Realtime, Config{
 		Interval:  time.Millisecond,
 		ReadSize:  util.ChunkSize,
 		IdleGrace: 0,

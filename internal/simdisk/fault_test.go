@@ -12,7 +12,7 @@ import (
 )
 
 func TestFaultInjectorPassthrough(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	data := make([]byte, 4*util.KiB)
 	util.NewRand(11).Fill(data)
@@ -35,7 +35,7 @@ func TestFaultInjectorPassthrough(t *testing.T) {
 }
 
 func TestFaultInjectorWriteFaultsScopedToWrites(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	buf := make([]byte, 512)
 	if err := d.WriteAt(buf, 0); err != nil {
@@ -55,7 +55,7 @@ func TestFaultInjectorWriteFaultsScopedToWrites(t *testing.T) {
 }
 
 func TestFaultInjectorRangeScoped(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	buf := make([]byte, 4096)
 	d.FailReadRange(nil, util.MiB, 2*util.MiB)
@@ -83,7 +83,7 @@ func TestFaultInjectorRangeScoped(t *testing.T) {
 }
 
 func TestFaultInjectorCustomError(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	boom := errors.New("boom")
 	d.FailWriteRange(boom, 0, 1<<62)
@@ -94,7 +94,7 @@ func TestFaultInjectorCustomError(t *testing.T) {
 }
 
 func TestFaultInjectorKillAndHeal(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	buf := make([]byte, 512)
 	d.Kill()
@@ -118,7 +118,7 @@ func TestFaultInjectorKillAndHeal(t *testing.T) {
 }
 
 func TestFaultInjectorHealClearsAllFaults(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	d.FailReads(nil)
 	d.FailWrites(nil)
@@ -182,7 +182,7 @@ func TestFaultInjectorSlowBy(t *testing.T) {
 
 func TestFaultInjectorMetricsCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	d.SetMetrics(reg)
 	d.Kill()
@@ -196,7 +196,7 @@ func TestFaultInjectorMetricsCounter(t *testing.T) {
 
 func TestCorruptRangeOneShot(t *testing.T) {
 	reg := metrics.NewRegistry()
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	d.SetMetrics(reg)
 	data := make([]byte, 4*util.KiB)
@@ -237,7 +237,7 @@ func TestCorruptRangeOneShot(t *testing.T) {
 }
 
 func TestCorruptRangePersistentUntilHeal(t *testing.T) {
-	d := NewFaultInjector(fastSSD(), clock.TestClock())
+	d := NewFaultInjector(fastSSD(), clock.Realtime)
 	defer d.Close()
 	data := make([]byte, 2*util.KiB)
 	util.NewRand(22).Fill(data)
@@ -274,7 +274,7 @@ func TestCorruptRangePersistentUntilHeal(t *testing.T) {
 // range keep firing — they are keyed by range, not by what is stored.
 func TestFaultInjectorDiscardPassthrough(t *testing.T) {
 	inner := fastSSD()
-	d := NewFaultInjector(inner, clock.TestClock())
+	d := NewFaultInjector(inner, clock.Realtime)
 	defer d.Close()
 	data := make([]byte, 3*pageSize)
 	util.NewRand(33).Fill(data)

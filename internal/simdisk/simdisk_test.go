@@ -12,17 +12,36 @@ import (
 	"ursa/internal/util"
 )
 
-// fastSSD returns a small SSD on a test clock.
-func fastSSD() *SSD {
+// fastSSD returns a small SSD on the real clock, its model a thousand times
+// faster than the default (testSSD).
+func fastSSD() *SSD { return NewSSD(testSSD(), clock.Realtime) }
+
+func fastHDD() *HDD { return NewHDD(testHDD(), clock.Realtime) }
+
+// testSSD is DefaultSSD at 64 MiB with every latency a thousandth and every
+// rate a thousand times: an op costs the host's sleep floor, and the model's
+// proportions hold.
+func testSSD() SSDModel {
 	m := DefaultSSD()
 	m.Capacity = 64 * util.MiB
-	return NewSSD(m, clock.TestClock())
+	m.ReadLatency /= 1000
+	m.WriteLatency /= 1000
+	m.ReadBandwidth *= 1000
+	m.WriteBandwidth *= 1000
+	return m
 }
 
-func fastHDD() *HDD {
+// testHDD is DefaultHDD at 256 MiB, a thousand times faster as testSSD is:
+// busy-time ratios (random against sequential, bytes per busy second) are the
+// model's.
+func testHDD() HDDModel {
 	m := DefaultHDD()
 	m.Capacity = 256 * util.MiB
-	return NewHDD(m, clock.TestClock())
+	m.SeekMax /= 1000
+	m.SeekSettle /= 1000
+	m.RPM *= 1000
+	m.Bandwidth *= 1000
+	return m
 }
 
 func TestMemStoreReadWrite(t *testing.T) {
@@ -263,9 +282,8 @@ func TestHDDRandomVsSequentialGap(t *testing.T) {
 func TestHDDElevatorOrdersServicing(t *testing.T) {
 	// Load many random requests concurrently; the elevator should service
 	// them with far fewer long seeks than arrival order would.
-	m := DefaultHDD()
-	m.Capacity = 256 * util.MiB
-	d := NewHDD(m, clock.TestClock())
+	m := testHDD()
+	d := NewHDD(m, clock.Realtime)
 	defer d.Close()
 
 	// Saturate the queue.
@@ -353,9 +371,8 @@ func TestSSDPropertyRoundTrip(t *testing.T) {
 func TestHDDThroughputNearMediaRate(t *testing.T) {
 	// Sequential streaming should achieve near the configured bandwidth in
 	// model time (BusyTime ≈ bytes/bandwidth).
-	m := DefaultHDD()
-	m.Capacity = 256 * util.MiB
-	d := NewHDD(m, clock.TestClock())
+	m := testHDD()
+	d := NewHDD(m, clock.Realtime)
 	defer d.Close()
 	buf := make([]byte, util.MiB)
 	total := 32 * util.MiB

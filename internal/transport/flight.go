@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ursa/internal/bufpool"
-	"ursa/internal/clock"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
 	"ursa/internal/util"
@@ -127,9 +126,9 @@ func (p *Peers) Begin(op *opctx.Op, n int, cap time.Duration) *Flight {
 		fl.stop = op.Err() // spent before it began
 	} else if wait > 0 {
 		if fl.timer == nil {
-			fl.timer = time.NewTimer(clock.Wall(p.clk, wait))
+			fl.timer = time.NewTimer(wait)
 		} else {
-			fl.timer.Reset(clock.Wall(p.clk, wait))
+			fl.timer.Reset(wait)
 		}
 		fl.window = fl.timer.C
 	}

@@ -191,15 +191,13 @@ func TestMasterSessionCloseCancelsHunt(t *testing.T) {
 }
 
 // reporterFixture is a session whose reports are the test's own functions:
-// no master is ever called. The clock is real time that the test can also
-// advance.
-func reporterFixture(t *testing.T) (*MasterSession, *clock.Scaled, *metrics.Registry) {
+// no master is ever called.
+func reporterFixture(t *testing.T) (*MasterSession, *metrics.Registry) {
 	t.Helper()
-	clk := clock.NewScaled(1)
 	reg := metrics.NewRegistry()
-	s := NewMasterSession(NewSimNet(clk, 0).Dialer("caller", NodeConfig{}), clk, []string{"m0"}, time.Second, reg)
+	s := NewMasterSession(NewSimNet(clock.Realtime, 0).Dialer("caller", NodeConfig{}), clock.Realtime, []string{"m0"}, time.Second, reg)
 	t.Cleanup(s.Close)
-	return s, clk, reg
+	return s, reg
 }
 
 // filed records which reports ran.
@@ -238,7 +236,7 @@ func fence(s *MasterSession, f *filed, id uint32) {
 }
 
 func TestReporterDropsSecondReportInFlight(t *testing.T) {
-	s, _, _ := reporterFixture(t)
+	s, _ := reporterFixture(t)
 	var f filed
 	var wg sync.WaitGroup
 	a := blockstore.MakeChunkID(1, 0)
@@ -254,7 +252,7 @@ func TestReporterDropsSecondReportInFlight(t *testing.T) {
 }
 
 func TestReporterDropsRepeatWithinCooldown(t *testing.T) {
-	s, _, _ := reporterFixture(t)
+	s, _ := reporterFixture(t)
 	var f filed
 	var wg sync.WaitGroup
 	a := blockstore.MakeChunkID(1, 0)
@@ -270,7 +268,7 @@ func TestReporterDropsRepeatWithinCooldown(t *testing.T) {
 }
 
 func TestReporterDropsAndCountsWhenQueueFull(t *testing.T) {
-	s, _, reg := reporterFixture(t)
+	s, reg := reporterFixture(t)
 	var f filed
 	var wg sync.WaitGroup
 	hold := make(chan struct{})
@@ -298,7 +296,7 @@ func TestReporterDropsAndCountsWhenQueueFull(t *testing.T) {
 // The cooldown table forgets what has expired: it does not keep one entry
 // per (chunk, address) ever reported.
 func TestReporterCooldownTableShrinks(t *testing.T) {
-	s, clk, _ := reporterFixture(t)
+	s, _ := reporterFixture(t)
 	var f filed
 	var wg sync.WaitGroup
 	const keys = 20
@@ -314,7 +312,13 @@ func TestReporterCooldownTableShrinks(t *testing.T) {
 	if got := size(); got != keys {
 		t.Fatalf("cooldown table holds %d entries after %d reports", got, keys)
 	}
-	clk.Advance(ReportCooldown)
+	// A cooldown passes: every entry, and the last sweep, ages by one.
+	s.mu.Lock()
+	for k, at := range s.last {
+		s.last[k] = at.Add(-ReportCooldown)
+	}
+	s.swept = s.swept.Add(-ReportCooldown)
+	s.mu.Unlock()
 	fence(s, &f, 1000)
 	if got := size(); got != 1 {
 		t.Fatalf("cooldown table holds %d entries a cooldown later, want 1", got)

@@ -16,8 +16,6 @@ var (
 	ErrExists = errors.New("ursa: already exists")
 	// ErrStaleView reports a request carrying an outdated view number.
 	ErrStaleView = errors.New("ursa: stale view number")
-	// ErrStaleVersion reports a request carrying an outdated version number.
-	ErrStaleVersion = errors.New("ursa: stale version number")
 	// ErrFutureVersion reports a replica that lags the client's version and
 	// needs incremental repair before serving.
 	ErrFutureVersion = errors.New("ursa: replica behind client version")
@@ -27,16 +25,12 @@ var (
 	ErrLeaseExpired = errors.New("ursa: lease expired")
 	// ErrQuota reports journal quota exhaustion.
 	ErrQuota = errors.New("ursa: journal quota exhausted")
-	// ErrCrashed reports an injected or detected component crash.
-	ErrCrashed = errors.New("ursa: component crashed")
 	// ErrPartitioned reports an injected network partition.
 	ErrPartitioned = errors.New("ursa: network partitioned")
 	// ErrTimeout reports a replication or RPC timeout.
 	ErrTimeout = errors.New("ursa: timed out")
 	// ErrNoQuorum reports a write that failed to reach a majority.
 	ErrNoQuorum = errors.New("ursa: no quorum")
-	// ErrRateLimited reports master-imposed client throttling.
-	ErrRateLimited = errors.New("ursa: rate limited")
 	// ErrCorrupt reports data that failed integrity verification: a read
 	// succeeded but the payload does not match its recorded checksum.
 	ErrCorrupt = errors.New("ursa: data corruption detected")
