@@ -204,7 +204,9 @@ ec-smoke:
 # and no stray below its chunk's view (three runs under -race), and the
 # judge's rules, row by row, on slot servers with a guarded delete and
 # cold refs that clear only when every replica answers drained in one pass,
-# and a pass deposed by its own inventory deleting nothing.
+# and a pass deposed by its own inventory deleting nothing; and a server's
+# inventory answers at once while a fill holds one chunk's lock across its
+# source's device time (three runs under -race).
 failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout|TestViewMendedThroughReport|TestStaleClientReadsFromLonePrimary' -race -count=1 -v
 	GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestViewMendedThroughReport' -count=20
@@ -215,6 +217,7 @@ failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosVDiskLifecycle' -race -count=3 -v
 	$(GO) test ./internal/master -run 'TestReconcile' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestInventoryListsEverySlot|TestGuardedDeleteKeepsSlotMadeAfresh' -race -count=1 -v
+	$(GO) test ./internal/chunkserver -run 'TestInventoryAnswersPastAFill' -race -count=3 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
@@ -223,9 +226,11 @@ failover-smoke:
 # primary master dies just before the last extents land, so only the
 # promoted standby's reconcile pass can find the replicas drained; cold
 # refs a pass cleared before the primary died stay cleared on the promoted
-# standby;
-# a snapshot flushes on all of its primaries at once; and a clone's replica
-# whose extent GC moved refreshes its refs from the master and reads it.
+# standby; a snapshot flushes on all of its primaries at once; after every op
+# of a seeded run of every metadata op, every segment is named whole or not
+# at all — what lets GC only delete — and a GC pass commits no log entry;
+# and a GC pass skips everything while a flush is in flight and every
+# segment at or above the watermark.
 cold-smoke:
 	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization|TestColdNoticeSurvivesMasterFailover' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover|TestSnapshotFlushesPrimariesAtOnce|TestStaleColdRefRefreshedFromMaster' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover|TestSnapshotFlushesPrimariesAtOnce|TestLogReplayReproducesState|TestColdGCWatermarkSkipsInflightFlush' -race -count=1 -v

@@ -225,7 +225,7 @@ func FigColdtier(cfg Config) Table {
 		t.Notes = append(t.Notes, "no primary master for gc")
 		return t
 	}
-	if _, _, err := pm.RunColdGC(); err != nil {
+	if _, err := pm.RunColdGC(); err != nil {
 		return t.failed("gc pass", err)
 	}
 	used1 := c.Objstore.UsedBytes()
@@ -295,9 +295,9 @@ func FigColdtier(cfg Config) Table {
 	}
 	t.Notes = append(t.Notes,
 		"clone = O(metadata) extent-table copy; bytes materialize on demand, CoW on first write;",
-		"churn dead bytes = the deleted snapshots' overwritten flushes; GC deletes dead segments",
-		"and compacts mostly-dead ones; chaos leg arms a stall plus 32 rotted GETs — the",
-		"per-extent CRCs force refetches, so corrupt payloads must be zero.")
+		"churn dead bytes = the deleted snapshots' overwritten flushes; GC deletes every segment",
+		"no table names (a segment is named whole or not at all); chaos leg arms a stall plus",
+		"32 rotted GETs — the per-extent CRCs force refetches, so corrupt payloads must be zero.")
 
 	t.writeArtifact(cfg, "coldtier", &doc)
 	return t

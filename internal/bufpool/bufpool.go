@@ -22,11 +22,12 @@
 // pool owns but which is not currently leased panics: that is a real
 // double-put, the memory-unsafety bug the ledger exists to catch.
 //
-// Buffers on a free list are never released to the GC while registered, so
-// a buffer's base address uniquely identifies it for the ledger's whole
-// lifetime — a foreign allocation can never alias a pooled address and be
-// misjudged. Ledger shards and per-class free lists keep Get/Put
-// uncontended at QD32.
+// The ledger is keyed by each buffer's base pointer, so it keeps every
+// buffer it has lent alive until the buffer is evicted from its free list
+// and deregistered. A lease its holders drop without Put is therefore never
+// collected: it shows as InUse() > 0, and no foreign allocation can reuse
+// its address and be misjudged a pool buffer. Ledger shards and per-class
+// free lists keep Get/Put uncontended at QD32.
 package bufpool
 
 import (
@@ -74,10 +75,11 @@ type entry struct {
 	refs  int32 // 0 while on the free list
 }
 
-// shard is one ledger shard: buffer base address → ownership entry.
+// shard is one ledger shard: buffer base pointer → ownership entry. The key
+// is a pointer, not an address, so the ledger keeps the buffer alive.
 type shard struct {
 	mu sync.Mutex
-	m  map[uintptr]*entry
+	m  map[*byte]*entry
 }
 
 type pool struct {
@@ -96,14 +98,15 @@ var p = func() *pool {
 		pl.classes[i].size = sz
 	}
 	for i := range pl.shards {
-		pl.shards[i].m = make(map[uintptr]*entry)
+		pl.shards[i].m = make(map[*byte]*entry)
 	}
 	return pl
 }()
 
-func (pl *pool) shardFor(ptr uintptr) *shard {
+func (pl *pool) shardFor(ptr *byte) *shard {
 	// Buffer bases are at least 512 B apart; mix the middle bits.
-	return &pl.shards[(ptr>>6^ptr>>14)&(ledgerShards-1)]
+	a := uintptr(unsafe.Pointer(ptr))
+	return &pl.shards[(a>>6^a>>14)&(ledgerShards-1)]
 }
 
 // classFor returns the smallest class index fitting n, or -1 when n is
@@ -120,13 +123,13 @@ func classFor(n int) int {
 	return -1
 }
 
-// base returns the ledger key of b: the address of its first backing byte.
+// base returns the ledger key of b: a pointer to its first backing byte.
 // Slices with zero capacity have no backing array and no key.
-func base(b []byte) (uintptr, bool) {
+func base(b []byte) (*byte, bool) {
 	if cap(b) == 0 {
-		return 0, false
+		return nil, false
 	}
-	return uintptr(unsafe.Pointer(unsafe.SliceData(b[:1]))), true
+	return unsafe.SliceData(b[:1]), true
 }
 
 // Get leases a buffer of length n with one reference. Requests outside
@@ -228,9 +231,8 @@ func Put(b []byte) {
 		return
 	}
 	c.mu.Unlock()
-	// Free list full: deregister and let the GC have it. The ledger entry
-	// must go first so a future foreign allocation reusing this address is
-	// not mistaken for a pool buffer.
+	// Free list full: deregister and let the GC have it, which it can only
+	// once the ledger drops its key.
 	sh.mu.Lock()
 	delete(sh.m, ptr)
 	sh.mu.Unlock()

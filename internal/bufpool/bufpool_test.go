@@ -1,8 +1,11 @@
 package bufpool
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
+	"weak"
 )
 
 func TestLeaseReturnRecycles(t *testing.T) {
@@ -29,6 +32,36 @@ func TestLeaseReturnRecycles(t *testing.T) {
 		t.Fatalf("recycled lease len=%d cap=%d, want 2048/4096", len(b2), cap(b2))
 	}
 	Put(b2)
+}
+
+// dropLease leases an n-byte buffer and drops it without Put, keeping only a
+// weak pointer to it.
+//
+//go:noinline
+func dropLease(n int) weak.Pointer[byte] {
+	return weak.Make(unsafe.SliceData(Get(n)))
+}
+
+// TestDroppedLeaseStaysLeased: a lease its holders drop without Put is kept
+// alive by the ledger and shows in InUse. Were it collected, its ledger
+// entry would outlive it, and a plain allocation that reused its address
+// would be taken for a pool buffer by a later Put.
+func TestDroppedLeaseStaysLeased(t *testing.T) {
+	start := InUse()
+	wp := dropLease(4096)
+	runtime.GC()
+	runtime.GC()
+	ptr := wp.Value()
+	if ptr == nil {
+		t.Fatal("a lease dropped without Put was collected while the ledger lists it")
+	}
+	if got := InUse() - start; got != 1 {
+		t.Errorf("InUse delta with a dropped lease = %d, want 1", got)
+	}
+	Put(unsafe.Slice(ptr, 4096))
+	if got := InUse() - start; got != 0 {
+		t.Errorf("InUse delta after the dropped lease's Put = %d, want 0", got)
+	}
 }
 
 func TestDoublePutPanics(t *testing.T) {

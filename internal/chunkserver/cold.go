@@ -39,8 +39,8 @@ const (
 	MetricColdScrubSkips = "scrub-cold-skips"
 )
 
-// coldFetchRetries bounds per-extent fetch attempts (transient corruption,
-// stalls, and one stale-refs refresh round each count as attempts).
+// coldFetchRetries bounds per-extent fetch attempts (transient corruption
+// and stalls each count as attempts).
 const coldFetchRetries = 6
 
 // coldState tracks a cloned chunk's not-yet-local extents. It lives beside
@@ -113,7 +113,7 @@ func (s *Server) ensureCold(op *opctx.Op, cs *chunkState, id blockstore.ChunkID,
 		}
 		cold.mu.Unlock()
 
-		fetchErr := s.fetchExtents(op, cold, id, toFetch)
+		fetchErr := s.fetchExtents(op, id, cold.objAddr, toFetch)
 
 		cold.mu.Lock()
 		for _, r := range toFetch {
@@ -144,17 +144,15 @@ func (s *Server) ensureCold(op *opctx.Op, cs *chunkState, id blockstore.ChunkID,
 
 // fetchExtents pulls the given extents from the object store into the local
 // replica. Transient failures (CRC-flipped transfers, stalls) retry with
-// jittered backoff seeded from the op ID; a segment deleted under us by GC
-// (ErrNotFound) refreshes the chunk's ref table from the master — the remap
-// is recorded there before any segment dies — and retries at the extent's
-// new location.
-func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.ChunkID, refs []coldtier.ExtentRef) error {
+// jittered backoff seeded from the op ID. A segment that is gone
+// (ErrNotFound) fails the fetch at once: GC deletes only segments no table
+// names, and a retry cannot bring one back, so a miss is data loss.
+func (s *Server) fetchExtents(op *opctx.Op, id blockstore.ChunkID, objAddr string, refs []coldtier.ExtentRef) error {
 	st := op.Stage(opctx.StageColdFetch)
 	defer st.Stop()
-	cl := coldtier.NewClient(s.peers, cold.objAddr)
+	cl := coldtier.NewClient(s.peers, objAddr)
 	pol := backoff.Policy{Base: s.cfg.ReplTimeout / 50, Cap: s.cfg.ReplTimeout / 2}
-	for i := range refs {
-		r := refs[i]
+	for _, r := range refs {
 		var data []byte
 		var err error
 		for attempt := 0; ; attempt++ {
@@ -162,19 +160,8 @@ func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.Chunk
 			if err == nil {
 				break
 			}
-			if attempt+1 >= coldFetchRetries {
+			if attempt+1 >= coldFetchRetries || errors.Is(err, util.ErrNotFound) {
 				return fmt.Errorf("chunkserver %s: cold fetch %v at %d: %w", s.cfg.Addr, id, r.ChunkOff, err)
-			}
-			if errors.Is(err, util.ErrNotFound) {
-				nr, found, rerr := s.refreshColdRefs(op, cold, id, r.ChunkOff)
-				if rerr != nil {
-					return rerr
-				}
-				if !found {
-					return fmt.Errorf("chunkserver %s: cold ref %v at %d vanished: %w",
-						s.cfg.Addr, id, r.ChunkOff, util.ErrNotFound)
-				}
-				r = nr
 			}
 			s.cfg.Clock.Sleep(pol.Delay(op.ID(), attempt))
 		}
@@ -186,36 +173,6 @@ func (s *Server) fetchExtents(op *opctx.Op, cold *coldState, id blockstore.Chunk
 		s.cfg.Metrics.Counter(MetricColdFetches).Inc()
 	}
 	return nil
-}
-
-// refreshColdRefs reloads the chunk's cold extent table from the master
-// after a GC segment rewrite invalidated local refs. The still-unfetched
-// local set is intersected with the master's current table — extents
-// fetched locally in the meantime stay gone — and the refreshed ref
-// covering chunkOff is returned.
-func (s *Server) refreshColdRefs(op *opctx.Op, cold *coldState, id blockstore.ChunkID, chunkOff int64) (coldtier.ExtentRef, bool, error) {
-	var fresh ColdRefsResp
-	status, err := s.master.Call(op, proto.MOpGetColdRefs,
-		ColdRefsReq{VDisk: id.VDisk(), ChunkIndex: id.Index()}, &fresh)
-	if err == nil && status != proto.StatusOK {
-		err = fmt.Errorf("master answered %s: %w", status, util.ErrTimeout)
-	}
-	if err != nil {
-		return coldtier.ExtentRef{}, false, fmt.Errorf("chunkserver %s: refresh cold refs %v: %w", s.cfg.Addr, id, err)
-	}
-	byOff := make(map[int64]coldtier.ExtentRef, len(fresh.Refs))
-	for _, r := range fresh.Refs {
-		byOff[r.ChunkOff] = r
-	}
-	cold.mu.Lock()
-	for i := range cold.refs {
-		if nr, hit := byOff[cold.refs[i].ChunkOff]; hit {
-			cold.refs[i] = nr
-		}
-	}
-	out, found := byOff[chunkOff]
-	cold.mu.Unlock()
-	return out, found, nil
 }
 
 // FlushChunk names one chunk a flush covers and the contiguous segment-ID

@@ -275,10 +275,14 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 // that has reported its own device for the chunk answers non-OK until a
 // rebuild lands on it: its in-memory version says nothing about bytes it can
 // no longer read or write, and a prober that took it at its word would count
-// a dead position as healthy.
+// a dead position as healthy. The inventory waits on no chunk lock: a fill
+// or a segment snapshot holds one across device time, seconds on an HDD,
+// and would hold back the answer for every other chunk. A chunk whose lock
+// is held answers non-OK, which a reconcile pass leaves for its next.
 func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
 	var ids []blockstore.ChunkID
-	if len(m.Payload) == 0 {
+	inventory := len(m.Payload) == 0
+	if inventory {
 		ids = s.store.Chunks()
 	} else {
 		entries, err := proto.DecodeChunks(m.Payload)
@@ -297,8 +301,12 @@ func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
 		case cs == nil:
 		case cs.suspect.Load():
 			results[i].Status = proto.StatusError
+		case inventory && !cs.mu.TryLock():
+			results[i].Status = proto.StatusError
 		default:
-			cs.mu.Lock()
+			if !inventory {
+				cs.mu.Lock()
+			}
 			results[i].Status, results[i].Version, results[i].View = proto.StatusOK, cs.version, cs.view
 			cs.mu.Unlock()
 			if cold := cs.cold; cold != nil && !cold.done.Load() {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
 	"ursa/internal/clock"
 	"ursa/internal/metrics"
 	"ursa/internal/proto"
@@ -67,10 +68,16 @@ func (e *integrityEnv) create(t *testing.T, srv *Server, want proto.Status) {
 	}
 }
 
+// read returns srv's reply to a read with the payload copied out of the
+// reply's lease, which it returns to the pool.
 func (e *integrityEnv) read(srv *Server, off int64, n int) *proto.Message {
-	return srv.Handle(&proto.Message{
+	r := srv.Handle(&proto.Message{
 		Op: proto.OpRead, Chunk: testChunk, Off: off, Length: uint32(n), View: 1,
 	})
+	leased := r.Payload
+	r.Payload = bytes.Clone(leased)
+	bufpool.Put(leased)
+	return r
 }
 
 // TestChecksumsDetectCorruptionAfterRestart models the nastiest latent

@@ -2,14 +2,13 @@ package chunkserver
 
 import (
 	"ursa/internal/blockstore"
-	"ursa/internal/coldtier"
 	"ursa/internal/proto"
 )
 
-// This file holds the wire shapes of the two calls the server makes to the
-// master through its transport.MasterSession, and the failure reports. The
-// shapes are defined here rather than in package master because master
-// imports this package; master aliases them.
+// This file holds the one call the server makes to the master through its
+// transport.MasterSession, the failure report, and its wire shape. The shape
+// is defined here rather than in package master because master imports this
+// package; master aliases it.
 
 // ReportFailureReq is the payload of MOpReportFailure: the client (or a
 // server) noticed a dead or lagging replica of a chunk.
@@ -21,18 +20,6 @@ type ReportFailureReq struct {
 	FailedAddr string `json:"failedAddr,omitempty"`
 	// View is the chunk's view the reporter acted in; a server names none.
 	View uint64 `json:"view,omitempty"`
-}
-
-// ColdRefsReq is the payload of MOpGetColdRefs: a replica's cold refs went
-// stale (GC rewrote a segment under it) and it needs the current table.
-type ColdRefsReq struct {
-	VDisk      uint32 `json:"vdisk"`
-	ChunkIndex uint32 `json:"chunkIndex"`
-}
-
-// ColdRefsResp answers MOpGetColdRefs.
-type ColdRefsResp struct {
-	Refs []coldtier.ExtentRef `json:"refs,omitempty"`
 }
 
 // reportDeviceFailure handles a local device I/O failure on a chunk: the

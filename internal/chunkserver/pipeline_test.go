@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
 	"ursa/internal/clock"
 	"ursa/internal/linearize"
 	"ursa/internal/opctx"
@@ -49,6 +50,7 @@ func TestReadRejectsBadRange(t *testing.T) {
 	if resp.Status != proto.StatusOK {
 		t.Fatalf("valid read: %s", resp.Status)
 	}
+	bufpool.Put(resp.Payload)
 }
 
 // retryWrite issues a write with a fixed version until the server commits
@@ -113,6 +115,7 @@ func TestOverlappingConcurrentWritesApplyInVersionOrder(t *testing.T) {
 			t.Errorf("%s data = %#x..., want version %d's payload",
 				s.Addr(), r.Payload[0], K-1)
 		}
+		bufpool.Put(r.Payload)
 	}
 }
 
@@ -193,6 +196,7 @@ func TestConcurrentSameChunkLinearizable(t *testing.T) {
 							t.Errorf("worker %d op %d (%s): %v", w, i, srv.Addr(), err)
 						}
 					}
+					bufpool.Put(resp.Payload)
 					slotMu[slot].Unlock()
 				}
 			}
@@ -216,6 +220,7 @@ func TestConcurrentSameChunkLinearizable(t *testing.T) {
 			if err := checker.CheckRead(offOf(slot), resp.Payload); err != nil {
 				t.Errorf("final sweep slot %d (%s): %v", slot, srv.Addr(), err)
 			}
+			bufpool.Put(resp.Payload)
 		}
 	}
 }

@@ -41,8 +41,8 @@ type Config struct {
 	// MasterAddrs lists the master endpoints (one entry for a single
 	// master). Device failures are reported there (MOpReportFailure) so the
 	// master runs the §4.2.2 view change that re-replicates the chunk
-	// elsewhere; cold-ref refreshes go the same way, both through one
-	// transport.MasterSession. Empty disables both.
+	// elsewhere, through one transport.MasterSession. Empty disables the
+	// reports.
 	MasterAddrs []string
 }
 
@@ -148,7 +148,7 @@ func New(cfg Config, store *blockstore.Store, jset *journal.Set) *Server {
 		// and needs no view change; a PARKED replay means this chunk's data
 		// cannot reach the backup disk at all — ask the master to
 		// re-replicate it elsewhere.
-		jset.OnFault(nil, func(id blockstore.ChunkID, _ error) { s.reportDeviceFailure(id) })
+		jset.OnFault(func(id blockstore.ChunkID, _ error) { s.reportDeviceFailure(id) })
 	}
 	return s
 }

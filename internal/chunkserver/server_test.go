@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ursa/internal/blockstore"
+	"ursa/internal/bufpool"
 	"ursa/internal/clock"
 	"ursa/internal/journal"
 	"ursa/internal/proto"
@@ -119,6 +120,7 @@ func TestWriteReplicatesAndBumpsVersions(t *testing.T) {
 	if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
 		t.Errorf("backup read = %s", r.Status)
 	}
+	bufpool.Put(r.Payload)
 }
 
 func TestStaleViewRejected(t *testing.T) {
@@ -158,6 +160,7 @@ func TestVersionOneShortSkipsLocalWrite(t *testing.T) {
 	if !bytes.Equal(r.Payload, d1) {
 		t.Error("one-short retry overwrote committed data")
 	}
+	bufpool.Put(r.Payload)
 }
 
 func TestAncientVersionRejected(t *testing.T) {
@@ -289,6 +292,7 @@ func TestIncrementalRepairFlow(t *testing.T) {
 			if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, last) {
 				t.Error("repaired data mismatch")
 			}
+			bufpool.Put(r.Payload)
 		})
 	}
 }
@@ -339,6 +343,7 @@ func TestRepairFallsBackToClone(t *testing.T) {
 	if r.Status != proto.StatusOK || r.Payload[0] != 6 {
 		t.Error("cloned data mismatch")
 	}
+	bufpool.Put(r.Payload)
 }
 
 func TestCloneTransfersJournalAndDisk(t *testing.T) {
@@ -369,6 +374,7 @@ func TestCloneTransfersJournalAndDisk(t *testing.T) {
 		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, chk.want) {
 			t.Errorf("clone missed data at %d", chk.off)
 		}
+		bufpool.Put(r.Payload)
 	}
 }
 

@@ -176,7 +176,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the replica serves the older bytes at the newer version under a matching
 // checksum. Both mirror fill methods must wait the apply out: the replica
 // holds the chunk at version 1, so a fill repairs it incrementally — or,
-// once it is suspect, copies the whole chunk.
+// once it is suspect, copies the whole chunk. Every buffer either path
+// leases goes back to the pool.
 func TestRebuildRacesStalledApply(t *testing.T) {
 	lead := bytes.Repeat([]byte{0x10}, 4*util.KiB)
 	older := bytes.Repeat([]byte{0x11}, 4*util.KiB)
@@ -187,6 +188,7 @@ func TestRebuildRacesStalledApply(t *testing.T) {
 	}{{"clone", true}, {"incremental repair", false}} {
 		t.Run(path.name, func(t *testing.T) {
 			e := newRebuildEnv(t)
+			leased := bufpool.InUse()
 			src := e.start("src", false, nil, 50*time.Millisecond)
 			fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
 			dst := e.start("dst", false, fi, 50*time.Millisecond)
@@ -238,6 +240,7 @@ func TestRebuildRacesStalledApply(t *testing.T) {
 					r.Version, r.Payload[0], newer[0])
 			}
 			bufpool.Put(r.Payload)
+			waitFor(t, "every lease back in the pool", func() bool { return e.leases() == leased })
 		})
 	}
 }
@@ -902,5 +905,57 @@ func TestFillRefusedBySourceThatChanged(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestInventoryAnswersPastAFill: a whole-chunk fill holds its chunk's lock
+// while it waits on its source's device, which on an HDD takes seconds. The
+// master's inventory of the filling server must not wait it out: it answers
+// at once, the filling chunk non-OK and every other chunk OK.
+func TestInventoryAnswersPastAFill(t *testing.T) {
+	e := newRebuildEnv(t)
+	disk := &hookDisk{Disk: simdisk.NewSSD(fastSSD(), clock.Realtime)}
+	src := e.start("src", false, disk, time.Second)
+	dst := e.start("dst", false, nil, time.Second)
+	other := blockstore.MakeChunkID(2, 0)
+	mustCreate(t, src, CreateChunkReq{View: 1})
+	mustCreate(t, dst, CreateChunkReq{View: 1})
+	if r := dst.Handle(CreateChunks(ChunkCreate{Chunk: other, CreateChunkReq: CreateChunkReq{View: 1}})); r.Status != proto.StatusOK {
+		t.Fatalf("create %v: %s", other, r.Status)
+	}
+	if st := apply(src, proto.OpReplicate, 0, 0, bytes.Repeat([]byte{0x5a}, 4*util.KiB)); st != proto.StatusOK {
+		t.Fatalf("source write: %s", st)
+	}
+
+	// The fill's first read of the source stalls until released.
+	reading, release := make(chan struct{}), make(chan struct{})
+	disk.hook = func() { close(reading); <-release }
+	disk.countdown.Store(1)
+	// The destination holds version 0, so the fill copies the whole chunk,
+	// under its lock.
+	filled := make(chan proto.Status, 1)
+	go func() { filled <- dst.Handle(rebuildMsg(proto.OpFill, 1, 1, FillReq{Source: "src", View: 1})).Status }()
+	defer func() {
+		close(release)
+		if st := <-filled; st != proto.StatusOK {
+			t.Errorf("fill = %s", st)
+		}
+	}()
+	<-reading
+
+	answered := make(chan *proto.Message, 1)
+	go func() { answered <- dst.Handle(&proto.Message{Op: proto.OpGetVersion}) }()
+	var resp *proto.Message
+	select {
+	case resp = <-answered:
+	case <-time.After(time.Second):
+		t.Fatal("the inventory waited on the filling chunk's lock")
+	}
+	got := map[blockstore.ChunkID]proto.Status{}
+	for _, r := range results(t, resp) {
+		got[r.Chunk] = r.Status
+	}
+	if len(got) != 2 || got[testChunk] == proto.StatusOK || got[other] != proto.StatusOK {
+		t.Fatalf("inventory during the fill: %v, want %v non-OK and %v OK", got, testChunk, other)
 	}
 }

@@ -6,6 +6,7 @@
 package clock
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -34,6 +35,17 @@ func NewMutex() Mutex { return make(Mutex, 1) }
 // Lock takes m, waiting for its holder to Unlock it.
 func (m Mutex) Lock() { m <- struct{}{} }
 
+// TryLock takes m if no one holds it and reports whether it did; it never
+// waits.
+func (m Mutex) TryLock() bool {
+	select {
+	case m <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
 // Unlock releases m; like sync.Mutex's, it panics when m is not held.
 func (m Mutex) Unlock() {
 	select {
@@ -44,20 +56,52 @@ func (m Mutex) Unlock() {
 }
 
 // Join runs f on the calling goroutine, so a test may t.Fatal in it, then
-// waits up to 10 s of real time for every goroutine f started to exit
-// (runtime.NumGoroutine back at its entry value), else returns both counts
-// and every stack. Not for use in a bubble, where its sleeps are virtual.
+// waits up to 10 s of real time for every goroutine f started to exit, else
+// returns how many are left and every stack. What f started is every
+// goroutine not alive when Join began, known by ID: a count would let an
+// older goroutine's exit stand in for one of f's still running. Not for use
+// in a bubble, where its sleeps are virtual.
 func Join(f func()) error {
-	start := runtime.NumGoroutine()
+	before := goroutineIDs(allStacks())
 	f()
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > start; time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		stacks := allStacks()
+		left := 0
+		for id := range goroutineIDs(stacks) {
+			if !before[id] {
+				left++
+			}
+		}
+		if left == 0 {
+			return nil
+		}
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			return fmt.Errorf("%d goroutines 10s after the run returned, started with %d\n%s",
-				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+			return fmt.Errorf("%d goroutines the run started are left 10s after it returned\n%s", left, stacks)
 		}
 	}
-	return nil
+}
+
+// allStacks returns the stacks of every goroutine (runtime.Stack's format).
+func allStacks() []byte {
+	for buf := make([]byte, 64<<10); ; buf = make([]byte, 2*len(buf)) {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return buf[:n]
+		}
+	}
+}
+
+// goroutineIDs returns the IDs of the goroutines in stacks, whose records
+// each begin "goroutine <id> [".
+func goroutineIDs(stacks []byte) map[string]bool {
+	ids := make(map[string]bool)
+	for _, rec := range bytes.Split(stacks, []byte("\n\n")) {
+		if rest, ok := bytes.CutPrefix(rec, []byte("goroutine ")); ok {
+			if id, _, ok := bytes.Cut(rest, []byte(" ")); ok {
+				ids[string(id)] = true
+			}
+		}
+	}
+	return ids
 }
 
 // realClock is the identity clock: model time is wall time.

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,6 +31,32 @@ func TestJoinWaitsForWhatFStarted(t *testing.T) {
 	}
 	if took := time.Since(start); !exited.Load() || took < 20*time.Millisecond {
 		t.Fatalf("Join returned after %v, goroutine exited: %v", took, exited.Load())
+	}
+}
+
+// TestJoinOutwaitsAnOlderGoroutinesExit: a goroutine alive when Join began
+// exits while the one f started still sleeps, so the goroutine count is back
+// at its entry value early. Join must still wait for f's goroutine.
+func TestJoinOutwaitsAnOlderGoroutinesExit(t *testing.T) {
+	release, older := make(chan struct{}), make(chan struct{})
+	go func() { <-release; close(older) }()
+	var exited atomic.Bool
+	if err := Join(func() {
+		n := runtime.NumGoroutine()
+		go func() {
+			time.Sleep(100 * time.Millisecond)
+			exited.Store(true)
+		}()
+		close(release)
+		<-older
+		for runtime.NumGoroutine() > n { // the older goroutine has exited
+			time.Sleep(time.Millisecond)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !exited.Load() {
+		t.Fatal("Join returned while the goroutine f started still ran")
 	}
 }
 

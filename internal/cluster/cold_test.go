@@ -347,7 +347,7 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 		if pm == nil {
 			t.Fatal("no primary master")
 		}
-		if n, _, err := pm.RunColdGC(); err != nil {
+		if n, err := pm.RunColdGC(); err != nil {
 			t.Fatalf("gc pass: %v", err)
 		} else if n != 0 {
 			t.Fatalf("gc reclaimed %d segments while the snapshot is live", n)
@@ -378,7 +378,7 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 		if _, err := pm.Reconcile(); err != nil {
 			t.Fatalf("reconcile pass: %v", err)
 		}
-		if _, _, err := pm.RunColdGC(); err != nil {
+		if _, err := pm.RunColdGC(); err != nil {
 			t.Fatalf("gc pass: %v", err)
 		}
 		if time.Now().After(deadline) {
@@ -477,7 +477,7 @@ func TestColdNoticeSurvivesMasterFailover(t *testing.T) {
 			if _, err := pm.Reconcile(); err != nil {
 				t.Fatalf("reconcile pass: %v", err)
 			}
-			if _, _, err := pm.RunColdGC(); err != nil {
+			if _, err := pm.RunColdGC(); err != nil {
 				t.Fatalf("gc pass: %v", err)
 			}
 		}

@@ -10,9 +10,9 @@
 // written; a chunk range no ref covers reads as zeros, which is what makes
 // flushing and cloning thin-provisioned images cheap.
 //
-// The package provides the segment writer used by chunkserver flushes and
-// the master's GC rewriter, and the transport client used by everyone who
-// talks to the object store (chunkserver demand fetch, master GC, tests).
+// The package provides the segment writer used by chunkserver flushes, and
+// the transport client used by everyone who talks to the object store
+// (chunkserver demand fetch, master GC, tests).
 package coldtier
 
 import (
@@ -54,15 +54,6 @@ type ExtentRef struct {
 // Overlaps reports whether the extent intersects chunk range [off, off+n).
 func (r ExtentRef) Overlaps(off, n int64) bool {
 	return r.ChunkOff < off+n && off < r.ChunkOff+r.Len
-}
-
-// LiveBytes sums the extent lengths of refs.
-func LiveBytes(refs []ExtentRef) int64 {
-	var n int64
-	for _, r := range refs {
-		n += r.Len
-	}
-	return n
 }
 
 // Client talks to one object store over the shared peer pool. Safe for

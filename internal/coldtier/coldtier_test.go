@@ -66,9 +66,6 @@ func TestSegWriterRoundTrip(t *testing.T) {
 	if refs[0].ChunkOff != 0 || refs[1].ChunkOff != 8192 {
 		t.Fatalf("refs cover offsets %d,%d; want 0,8192", refs[0].ChunkOff, refs[1].ChunkOff)
 	}
-	if LiveBytes(refs) != 8192 {
-		t.Fatalf("LiveBytes = %d, want 8192", LiveBytes(refs))
-	}
 
 	for i, want := range [][]byte{a, b} {
 		got, err := cl.GetExtent(op(), refs[i])

@@ -9,9 +9,8 @@ import (
 
 // SegWriter packs extents into write-once segments and uploads each
 // segment as it fills. Segment IDs are drawn in order from a contiguous
-// range the master allocated to the caller (a chunk flush, a GC rewrite);
-// the writer never reuses an ID, preserving the store's write-once
-// discipline.
+// range the master allocated to the caller's chunk flush; the writer never
+// reuses an ID, preserving the store's write-once discipline.
 type SegWriter struct {
 	cl        *Client
 	op        *opctx.Op

@@ -65,9 +65,6 @@ func TestJournalDeathReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var deadName atomic.Value
-	e.set.OnFault(func(name string, err error) { deadName.Store(name) }, nil)
-
 	data := make([]byte, 4*util.KiB)
 	util.NewRand(21).Fill(data)
 	if err := e.set.Append(nil, id, 0, data, 1); err != nil {
@@ -84,14 +81,11 @@ func TestJournalDeathReroutes(t *testing.T) {
 	}
 
 	st := e.set.Stats()
-	if st.DeadJournals != 1 || !st.Journals[0].Dead || st.Journals[1].Dead {
+	if st.DeadJournals != 1 || !st.Journals[0].Dead || st.Journals[0].Name != "jssd0" || st.Journals[1].Dead {
 		t.Fatalf("stats after death: %+v", st)
 	}
 	if got := e.reg.Counter(MetricJournalDead).Load(); got != 1 {
 		t.Errorf("%s = %d", MetricJournalDead, got)
-	}
-	if v := deadName.Load(); v != "jssd0" {
-		t.Errorf("dead callback got %v", v)
 	}
 	if st.Journals[1].Appends == 0 {
 		t.Errorf("re-routed record did not land on survivor: %+v", st.Journals)
@@ -168,7 +162,7 @@ func TestReplayParksOnSinkError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reported atomic.Int64
-	e.set.OnFault(nil, func(got blockstore.ChunkID, err error) {
+	e.set.OnFault(func(got blockstore.ChunkID, err error) {
 		if got == id && err != nil {
 			reported.Add(1)
 		}
@@ -226,7 +220,7 @@ func TestReplayParksOnCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reported atomic.Int64
-	e.set.OnFault(nil, func(got blockstore.ChunkID, err error) {
+	e.set.OnFault(func(got blockstore.ChunkID, err error) {
 		if got == id && errors.Is(err, util.ErrCorrupt) {
 			reported.Add(1)
 		}

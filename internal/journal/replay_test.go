@@ -274,7 +274,7 @@ func TestCorruptRecordParksWholeWindow(t *testing.T) {
 		}
 	}
 	var badReports atomic.Int64
-	e.set.OnFault(nil, func(id blockstore.ChunkID, err error) {
+	e.set.OnFault(func(id blockstore.ChunkID, err error) {
 		if id != b || !errors.Is(err, util.ErrCorrupt) {
 			badReports.Add(1)
 		}

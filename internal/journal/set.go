@@ -167,9 +167,8 @@ type Set struct {
 	// that QD32 bypass writes used to contend on.
 	chunkLocks [chunkLockStripes]clock.Mutex
 
-	// Fault callbacks, registered via OnFault (the owning chunk server
-	// installs them after Start — hence guarded by mu, read at fire time).
-	onJournalDead func(name string, err error)
+	// The fault callback, registered via OnFault (the owning chunk server
+	// installs it after Start — hence guarded by mu, read at fire time).
 	onReplayError func(id blockstore.ChunkID, err error)
 
 	replayedRecords int64
@@ -251,15 +250,14 @@ func (s *Set) add(name string, disk simdisk.Disk, base, size int64, idleOnly boo
 	return j
 }
 
-// OnFault registers the set's fault callbacks: journalDead fires once per
-// journal when a flush failure kills it; replayError fires when a chunk's
-// replay cannot reach the sink and its records are parked. Either may be
-// nil. Callbacks run outside the set lock but on set goroutines — they
-// must not block (the chunk server's failure report is fire-and-forget).
-// Safe to call after Start: core builds journal sets before chunk servers.
-func (s *Set) OnFault(journalDead func(name string, err error), replayError func(id blockstore.ChunkID, err error)) {
+// OnFault registers the set's fault callback: replayError fires when a
+// chunk's replay cannot reach the sink and its records are parked. It runs
+// outside the set lock but on a set goroutine — it must not block (the
+// chunk server's failure report is fire-and-forget). A dead journal is
+// counted (Stats, MetricJournalDead), not reported. Safe to call after
+// Start: core builds journal sets before chunk servers.
+func (s *Set) OnFault(replayError func(id blockstore.ChunkID, err error)) {
 	s.mu.Lock()
-	s.onJournalDead = journalDead
 	s.onReplayError = replayError
 	s.mu.Unlock()
 }
@@ -458,8 +456,6 @@ func (s *Set) flush(j *Journal) {
 	flushed := s.clk.Now()
 
 	s.mu.Lock()
-	var deadCb func(name string, err error)
-	var deadCause error
 	// Index-insert accumulation uses the journal's leader-owned scratch; the
 	// map keeps its keys across flushes (cleared to empty slices), so
 	// presence in `order` is tracked by emptiness, not by key.
@@ -478,7 +474,6 @@ func (s *Set) flush(j *Journal) {
 				if !j.dead {
 					j.dead = true
 					s.deadJournals++
-					deadCb, deadCause = s.onJournalDead, r.err
 					s.cfg.Metrics.Counter(MetricJournalDead).Inc()
 				}
 				r.err = fmt.Errorf("journal %s: %v: %w", j.name, r.err, errJournalDead)
@@ -527,10 +522,6 @@ func (s *Set) flush(j *Journal) {
 	clear(batch)
 	j.batch = batch[:0]
 	s.mu.Unlock()
-
-	if deadCb != nil {
-		deadCb(j.name, deadCause)
-	}
 }
 
 // writeRun writes one contiguous run of records as a single sequential

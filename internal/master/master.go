@@ -341,8 +341,6 @@ func (m *Master) dispatch(msg *proto.Message) jsonResult {
 		return serve(m, msg, m.CloneFromSnapshot)
 	case proto.MOpDeleteSnapshot:
 		return serve(m, msg, func(r SnapshotReq) (any, error) { return nil, m.DeleteSnapshot(r.Name) })
-	case proto.MOpGetColdRefs:
-		return serve(m, msg, m.coldRefs)
 	default:
 		return jsonResult{status: proto.StatusError}
 	}

@@ -66,7 +66,8 @@ func (m *Master) Reconcile() (reaped int, err error) {
 				}
 			case len(cm.Cold) > 0 && !r.Cold:
 				// Each replica counts once (a server holds one slot of a chunk). All
-				// must have drained: after a GC remap a laggard re-reads this table.
+				// must have drained: an undrained replica still fetches from the
+				// segments this table names, so GC must keep them.
 				if drained[r.Chunk]++; drained[r.Chunk] == len(cm.Replicas) {
 					_ = m.commitLocked(entry{Materialized: &entryMaterialized{VDisk: r.Chunk.VDisk(), Index: r.Chunk.Index()}})
 				}

@@ -448,7 +448,7 @@ func (m *Master) fill(queues []serverQueue, versionH uint64) []uint64 {
 
 // chunkMetaSpec returns a deep copy of one chunk's current metadata plus its
 // vdisk's redundancy policy. Recovery reads the copy outside m.mu, while
-// apply's seg-remap arm rewrites the state's cold refs under it.
+// apply's arms change the state's chunk under it.
 func (m *Master) chunkMetaSpec(vdiskID, chunkIndex uint32) (*ChunkMeta, redundancy.Spec, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -205,16 +205,3 @@ func (m *Master) GetSnapshot(name string) (*SnapshotMeta, error) {
 	out := snap.Clone()
 	return &out, nil
 }
-
-// coldRefs serves a chunk's current cold extent table — the refresh path a
-// replica takes when a GC segment rewrite invalidated the refs it was
-// created with.
-func (m *Master) coldRefs(req ColdRefsReq) (ColdRefsResp, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cm, err := m.st.chunk(req.VDisk, req.ChunkIndex)
-	if err != nil {
-		return ColdRefsResp{}, err
-	}
-	return ColdRefsResp{Refs: append([]coldtier.ExtentRef(nil), cm.Cold...)}, nil
-}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"ursa/internal/coldtier"
 	"ursa/internal/util"
 )
 
@@ -21,10 +20,10 @@ import (
 //
 // Invariant: an appended entry is immutable, and state and log share no
 // memory. apply copies everything it stores, and a handler that builds an
-// entry from state copies what it takes. apply's seg-remap arm rewrites
-// extent refs in place and the other arms assign slices, so a state aliasing
-// the log would silently edit history — and a shipper marshals log entries
-// outside the lock.
+// entry from state copies what it takes. apply's set-view and materialized
+// arms write a stored chunk's fields in place and the other arms assign
+// slices, so a state aliasing the log would silently edit history — and a
+// shipper marshals log entries outside the lock.
 
 // lease tracks the single client of a vdisk (§4.1).
 type lease struct {
@@ -81,7 +80,6 @@ type entry struct {
 	PutSnapshot    *entryPutSnapshot    `json:"putSnapshot,omitempty"`
 	DeleteSnapshot *entryDeleteSnapshot `json:"deleteSnapshot,omitempty"`
 	Materialized   *entryMaterialized   `json:"materialized,omitempty"`
-	SegRemap       *entrySegRemap       `json:"segRemap,omitempty"`
 }
 
 // entryPutVDisk records a provisioned vdisk together with the ID and
@@ -116,7 +114,7 @@ type entrySetView struct {
 }
 
 // entryAllocSegs advances the segment-ID watermark. Committed before any
-// flush or GC rewrite touches the object store, so a promoted standby never
+// flush touches the object store, so a promoted standby never
 // re-issues an ID that may already hold data (segments are write-once).
 type entryAllocSegs struct {
 	NextSeg uint64 `json:"nextSeg"`
@@ -137,24 +135,6 @@ type entryDeleteSnapshot struct {
 type entryMaterialized struct {
 	VDisk uint32 `json:"vdisk"`
 	Index uint32 `json:"index"`
-}
-
-// segMove records one extent's relocation by the GC rewriter: bytes that
-// lived at (Seg, SegOff) now live at (NewSeg, NewSegOff). Length and CRC are
-// unchanged — GC moves extents verbatim.
-type segMove struct {
-	Seg       uint64 `json:"seg"`
-	SegOff    int64  `json:"segOff"`
-	NewSeg    uint64 `json:"newSeg"`
-	NewSegOff int64  `json:"newSegOff"`
-}
-
-// entrySegRemap rewrites every snapshot extent and chunk cold ref matching a
-// move's old location. One entry, applied under the lock before the old
-// segment is deleted, so no replicated metadata ever points at a gone
-// segment.
-type entrySegRemap struct {
-	Moves []segMove `json:"moves"`
 }
 
 // entryBatch is the entries of one MOpReplicateLog in wire form.
@@ -238,43 +218,10 @@ func (s *state) apply(e *entry) error {
 			return err
 		}
 		cm.Cold = nil
-	case e.SegRemap != nil:
-		s.remapSegs(e.SegRemap.Moves)
 	default:
 		return fmt.Errorf("master: log entry %d is of no known kind", e.Seq)
 	}
 	return nil
-}
-
-// remapSegs rewrites, in place, every cold reference — snapshot extent
-// tables and live chunks' demand-fetch refs — matching a GC move.
-func (s *state) remapSegs(moves []segMove) {
-	type loc struct {
-		seg uint64
-		off int64
-	}
-	remap := make(map[loc]segMove, len(moves))
-	for _, mv := range moves {
-		remap[loc{mv.Seg, mv.SegOff}] = mv
-	}
-	fix := func(refs []coldtier.ExtentRef) {
-		for i := range refs {
-			if mv, hit := remap[loc{refs[i].Seg, refs[i].SegOff}]; hit {
-				refs[i].Seg = mv.NewSeg
-				refs[i].SegOff = mv.NewSegOff
-			}
-		}
-	}
-	for _, snap := range s.snapshots {
-		for _, refs := range snap.Chunks {
-			fix(refs)
-		}
-	}
-	for _, vd := range s.vdisks {
-		for i := range vd.meta.Chunks {
-			fix(vd.meta.Chunks[i].Cold)
-		}
-	}
 }
 
 // byID returns the vdisk with the given ID.

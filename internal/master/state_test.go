@@ -159,16 +159,16 @@ var metaOpTable = []struct {
 			o.t.Fatalf("recover c%d.%d: view %d, want %d", vd.ID, idx, cm.View, vd.Chunks[idx].View+1)
 		}
 	}},
-	// A snapshot whose segment holds three extents of which it references
-	// one — what a GC pass compacts. No flush produces that shape (a segment
-	// holds one chunk of one snapshot), so the extents are written by hand
-	// and the snapshot goes straight through the commit path.
-	{"snapshot-sparse", func(o *metaOps) {
-		refs, _ := flushSegmentAt(o.t, o.p, o.op, allocSegs(o.t, o.p), 3)
+	// A snapshot with extents to clone: a flush's shape, one chunk whose
+	// three extents fill a fresh segment range, written by hand (the vdisks
+	// here hold no data to flush) and committed straight through the commit
+	// path.
+	{"snapshot-by-hand", func(o *metaOps) {
+		refs := flushSegmentAt(o.t, o.p, o.op, allocSegs(o.t, o.p), 3)
 		id := o.p.Snapshot().NextID + 1
 		commit(o.t, o.p, entry{PutSnapshot: &entryPutSnapshot{NextID: id, Meta: SnapshotMeta{
-			ID: id, Name: o.name("sparse"), Size: util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit,
-			Chunks: [][]coldtier.ExtentRef{{refs[1]}},
+			ID: id, Name: o.name("hand"), Size: util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit,
+			Chunks: [][]coldtier.ExtentRef{refs},
 		}}})
 	}},
 	{"clone", func(o *metaOps) {
@@ -176,11 +176,14 @@ var metaOpTable = []struct {
 			o.call(proto.MOpCloneFromSnapshot, CloneReq{Snapshot: snap, Name: o.name("clone")}, nil)
 		}
 	}},
-	// With the sparse snapshot and its clone in place this pass rewrites the
-	// segment and remaps both the snapshot's ref and the clone's cold ref.
+	// A pass deletes the segments no table names and commits nothing.
 	{"gc", func(o *metaOps) {
-		if _, _, err := o.p.RunColdGC(); err != nil {
+		seq := o.p.LogSeq()
+		if _, err := o.p.RunColdGC(); err != nil {
 			o.t.Fatalf("gc: %v", err)
+		}
+		if got := o.p.LogSeq(); got != seq {
+			o.t.Fatalf("gc pass moved the log from seq %d to %d", seq, got)
 		}
 	}},
 	// A reconcile pass found every replica of a cold chunk drained: the
@@ -293,14 +296,14 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
 	primary := e.masters[0]
 	o := newMetaOps(t, e, 1)
-	o.run("snapshot-sparse")
-	o.run("clone") // chunk 0 starts with the snapshot's one ref as its cold table
+	o.run("snapshot-by-hand")
+	o.run("clone") // chunk 0 starts with the snapshot's refs as its cold table
 	clone, ok := o.pickVDisk(isCold)
 	if !ok {
 		t.Fatal("clone has no cold refs")
 	}
 	seg := clone.Chunks[0].Cold[0].Seg
-	o.run("delete-snapshot") // the clone's ref is the segment's last
+	o.run("delete-snapshot") // the clone's table is the last to name the segment
 
 	stale, _, err := primary.chunkMetaSpec(clone.ID, 0) // what recovery holds
 	if err != nil || len(stale.Cold) == 0 {
@@ -319,10 +322,10 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 			t.Errorf("%s: chunk after view install: view %d, cold %+v; want view 2 and no cold refs", m.Addr(), cm.View, cm.Cold)
 		}
 		m.mu.Lock()
-		live := m.liveRefsBySegLocked()[seg]
+		named := m.namedSegsLocked()[seg]
 		m.mu.Unlock()
-		if len(live) != 0 {
-			t.Errorf("%s: segment %#x still has live refs %+v", m.Addr(), seg, live)
+		if named {
+			t.Errorf("%s: segment %#x is still named", m.Addr(), seg)
 		}
 	}
 }
@@ -336,7 +339,7 @@ func TestColdReportSurvivesFailover(t *testing.T) {
 	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
 	primary := e.masters[0]
 	o := newMetaOps(t, e, 1)
-	o.run("snapshot-sparse")
+	o.run("snapshot-by-hand")
 	o.run("clone")
 	clone, ok := o.pickVDisk(isCold)
 	if !ok {
@@ -555,9 +558,50 @@ func TestLogReplayReproducesState(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				op := metaOpTable[o.r.Intn(len(metaOpTable))]
 				op.run(o)
+				o.requireWholeSegments(op.name)
 			}
 			requireReplayReproduces(t, e.requireConverged(t, o.p, e.masters[1:]...), logOf(o.p))
 		})
+	}
+}
+
+// requireWholeSegments requires every segment to be named whole or not at
+// all: each snapshot table and chunk cold table that names a segment names
+// every extent the segment stores, so together they tile it. Cold GC rests
+// on this — it deletes only the segments no table names and never moves a
+// live extent.
+func (o *metaOps) requireWholeSegments(after string) {
+	o.t.Helper()
+	segs, err := o.p.coldCl.ListSegments(o.op)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	size := make(map[uint64]int64, len(segs))
+	for _, sg := range segs {
+		size[sg.Seg] = sg.Size
+	}
+	check := func(table string, refs []coldtier.ExtentRef) {
+		named := make(map[uint64]int64)
+		for _, r := range refs {
+			named[r.Seg] += r.Len
+		}
+		for seg, n := range named {
+			if stored, ok := size[seg]; !ok || n != stored {
+				o.t.Fatalf("after %s: %s names %d bytes of segment %#x, which stores %d (present %v)",
+					after, table, n, seg, stored, ok)
+			}
+		}
+	}
+	s := o.p.Snapshot()
+	for name, snap := range s.Snapshots {
+		for i, refs := range snap.Chunks {
+			check(fmt.Sprintf("snapshot %s chunk %d", name, i), refs)
+		}
+	}
+	for id, vd := range s.VDisks {
+		for i, cm := range vd.Chunks {
+			check(fmt.Sprintf("chunk c%d.%d", id, i), cm.Cold)
+		}
 	}
 }
 

@@ -54,7 +54,8 @@ type VDiskMeta struct {
 
 // Clone deep-copies the metadata. Handlers must hand clones to anything
 // that runs outside the master lock (Handle marshals the reply after the
-// handler returned) because view changes and GC remaps edit Chunks in place.
+// handler returned) because view changes and materializations edit Chunks in
+// place.
 func (v VDiskMeta) Clone() VDiskMeta {
 	out := v
 	out.Chunks = make([]ChunkMeta, len(v.Chunks))
@@ -98,17 +99,11 @@ type LeaseReq struct {
 	Client string `json:"client"`
 }
 
-// The payloads of the calls chunkservers make to the master are defined in
-// package chunkserver (which this package imports) and aliased here, so
-// each wire shape has one definition.
-type (
-	// ReportFailureReq is the payload of MOpReportFailure.
-	ReportFailureReq = chunkserver.ReportFailureReq
-	// ColdRefsReq is the payload of MOpGetColdRefs.
-	ColdRefsReq = chunkserver.ColdRefsReq
-	// ColdRefsResp answers MOpGetColdRefs.
-	ColdRefsResp = chunkserver.ColdRefsResp
-)
+// ReportFailureReq is the payload of MOpReportFailure, the one call
+// chunkservers make to the master. It is defined in package chunkserver
+// (which this package imports) and aliased here, so the wire shape has one
+// definition.
+type ReportFailureReq = chunkserver.ReportFailureReq
 
 // RegisterReq is the payload of MOpRegister: a chunk server joins the
 // cluster. The master's state keeps it as the server's record.

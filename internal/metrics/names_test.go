@@ -42,7 +42,6 @@ var allMetricNames = map[string]string{
 	"master.MetricMasterPromotions":          master.MetricMasterPromotions,
 	"master.MetricMasterReplayRefused":       master.MetricMasterReplayRefused,
 	"master.MetricGCSegmentsReclaimed":       master.MetricGCSegmentsReclaimed,
-	"master.MetricGCBytesRewritten":          master.MetricGCBytesRewritten,
 	"transport.MetricReportsDropped":         transport.MetricReportsDropped,
 	"client.MetricColdWarmHits":              client.MetricColdWarmHits,
 	"objstore.MetricObjPuts":                 objstore.MetricObjPuts,

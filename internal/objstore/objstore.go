@@ -302,9 +302,8 @@ type ObjInfo struct {
 	Size int64  `json:"size"`
 }
 
-// List returns every stored object's ID and size, ascending by ID. Garbage
-// collectors pair the sizes with metadata-derived live byte counts to pick
-// rewrite victims without fetching anything.
+// List returns every stored object's ID and size, ascending by ID: a garbage
+// collector judges objects against its metadata without fetching anything.
 func (s *Store) List() []ObjInfo {
 	s.mu.Lock()
 	out := make([]ObjInfo, 0, len(s.objects))

@@ -131,10 +131,6 @@ const (
 	// become garbage for the cold-tier GC unless clones still reference
 	// them (payload: SnapshotReq JSON).
 	MOpDeleteSnapshot
-	// MOpGetColdRefs re-reads a chunk's current cold extent references —
-	// the chunkserver's recovery path after GC moved an extent out from
-	// under a stale ref (payload: ColdRefsReq JSON).
-	MOpGetColdRefs
 )
 
 // Status codes carried in responses.
