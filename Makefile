@@ -218,19 +218,21 @@ failover-smoke:
 	$(GO) test ./internal/master -run 'TestReconcile' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestInventoryListsEverySlot|TestGuardedDeleteKeepsSlotMadeAfresh' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestInventoryAnswersPastAFill' -race -count=3 -v
+	$(GO) test ./internal/chunkserver -run 'TestDeleteYieldsDuringAFill' -race -count=3 -v
 
 # Deterministic cold-tier acceptance run: thin clones from a golden-image
 # snapshot read back byte-identical under racing source writes and object-
-# store stall/rot/partition chaos, and extent GC fully drains the store
-# once the clone materializes and the snapshot is deleted — also when the
+# store stall/rot/partition chaos, and extent GC — the last phase of the
+# master's reconcile pass, its one scheduler — fully drains the store once
+# the clone materializes and the snapshot is deleted — also when the
 # primary master dies just before the last extents land, so only the
 # promoted standby's reconcile pass can find the replicas drained; cold
 # refs a pass cleared before the primary died stay cleared on the promoted
 # standby; a snapshot flushes on all of its primaries at once; after every op
 # of a seeded run of every metadata op, every segment is named whole or not
-# at all — what lets GC only delete — and a GC pass commits no log entry;
-# and a GC pass skips everything while a flush is in flight and every
-# segment at or above the watermark.
+# at all — what lets GC only delete — and a pass that clears no cold refs
+# commits no log entry; and a pass's GC phase skips everything while a flush
+# is in flight and every segment at or above the watermark.
 cold-smoke:
 	$(GO) test ./internal/cluster -run 'TestSnapshotCloneColdReads|TestSnapshotImmutableUnderRacingWrites|TestChaosColdReadsSurviveObjstoreStall|TestColdGCReclaimsAfterMaterialization|TestColdNoticeSurvivesMasterFailover' -race -count=1 -v
 	$(GO) test ./internal/master -run 'TestColdReportSurvivesFailover|TestSnapshotFlushesPrimariesAtOnce|TestLogReplayReproducesState|TestColdGCWatermarkSkipsInflightFlush' -race -count=1 -v

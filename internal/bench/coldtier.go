@@ -32,8 +32,8 @@ type coldtierBenchDoc struct {
 	ColdFetches int64   `json:"cold_fetches"`
 	WarmHits    int64   `json:"cold_fetch_hit_warm"`
 
-	// Snapshot churn: overwrite + snapshot + delete-previous rounds, then
-	// one GC pass over the store.
+	// Snapshot churn: overwrite + snapshot rounds, every snapshot but the
+	// last deleted, then one reconcile pass, whose GC phase reclaims.
 	ChurnRounds     int     `json:"churn_rounds"`
 	ChurnUsedBytes  int64   `json:"churn_used_bytes"`
 	ChurnDeadBytes  int64   `json:"churn_dead_bytes"`
@@ -208,25 +208,25 @@ func FigColdtier(cfg Config) Table {
 				return t.failed("churn write", err)
 			}
 		}
-		name := fmt.Sprintf("churn-%d", i)
-		if err := cl.SnapshotVDisk("churn", name); err != nil {
+		if err := cl.SnapshotVDisk("churn", fmt.Sprintf("churn-%d", i)); err != nil {
 			return t.failed("churn snapshot", err)
-		}
-		if i > 0 {
-			if err := cl.DeleteSnapshot(fmt.Sprintf("churn-%d", i-1)); err != nil {
-				return t.failed("churn delete", err)
-			}
 		}
 	}
 	doc.ChurnRounds = rounds
+	// Named until the deletes below, so no pass can reclaim before this.
 	used0 := c.Objstore.UsedBytes()
+	for i := 0; i < rounds-1; i++ {
+		if err := cl.DeleteSnapshot(fmt.Sprintf("churn-%d", i)); err != nil {
+			return t.failed("churn delete", err)
+		}
+	}
 	pm := c.PrimaryMaster()
 	if pm == nil {
 		t.Notes = append(t.Notes, "no primary master for gc")
 		return t
 	}
-	if _, err := pm.RunColdGC(); err != nil {
-		return t.failed("gc pass", err)
+	if _, err := pm.Reconcile(); err != nil {
+		return t.failed("reconcile pass", err)
 	}
 	used1 := c.Objstore.UsedBytes()
 	doc.ChurnUsedBytes = used0

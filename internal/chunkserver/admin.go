@@ -201,17 +201,27 @@ func (s *Server) handleDeleteChunk(m *proto.Message) *proto.Message {
 // deleteChunk drops the replica unless its view is above upTo, the highest
 // view at which the sender judged the slot garbage, or it was deleted or
 // remade (createChunk remakes an outdated slot) before the chunk lock was
-// taken: those are refused with StatusStaleView. The slot goes first, under
-// the chunk lock and the shard lock, and the state leaves the table after
-// it: a server publishes a chunk's state only while its slot exists.
+// taken: those are refused with StatusStaleView. It raises the doom mark
+// before it waits for the lock, so a fill holding the lock yields. The slot
+// goes first, under the chunk lock and the shard lock, and the state leaves
+// the table after it: a server publishes a chunk's state only while its slot
+// exists. An unguarded delete (AnyView) drops a slot with no state under the
+// shard lock alone, which a create holds while it makes a slot and publishes
+// its state; a guarded one leaves it, since no view of it can be judged.
 func (s *Server) deleteChunk(id blockstore.ChunkID, upTo uint64) proto.Status {
+	sh := s.shard(id)
 	cs := s.chunk(id)
 	if cs == nil {
-		return proto.StatusNotFound
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if upTo != proto.AnyView || sh.m[id] != nil || s.dropLocal(id) != nil {
+			return proto.StatusNotFound
+		}
+		return proto.StatusOK
 	}
+	cs.doomTo(upTo)
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	sh := s.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.m[id] != cs || cs.view > upTo {
@@ -219,7 +229,7 @@ func (s *Server) deleteChunk(id blockstore.ChunkID, upTo uint64) proto.Status {
 	}
 	err := s.dropLocal(id)
 	delete(sh.m, id)
-	cs.deleted = true
+	cs.doom.Store(proto.AnyView)
 	cs.bumpLocked() // wake writers queued on the chunk's state
 	if err != nil {
 		return proto.StatusError
@@ -307,11 +317,11 @@ func (s *Server) handleFill(op *opctx.Op, m *proto.Message) *proto.Message {
 		}
 		return s.rebuild(op, m, cs, s.peerDecode(op, m.Chunk, cs.strat, req.Sources, seg, m.Version), true)
 	case cs.holder:
-		return s.rebuild(op, m, cs, s.segmentSnapshot(op, m.Chunk, req.Source, req.View, m.Version, cs.spec, cs.seg), true)
+		return s.rebuild(op, m, cs, s.segmentSnapshot(op, cs, m.Chunk, req.Source, req.View, m.Version), true)
 	case !cs.spec.IsRS() && !cs.suspect.Load() && laggard:
 		return s.repairFrom(op, m, cs, req)
 	}
-	return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, req.View, m.Version, cs.span()), true)
+	return s.rebuild(op, m, cs, s.mirrorCopy(op, cs, m.Chunk, req.Source, req.View, m.Version), true)
 }
 
 // repairFrom pulls incremental repair from req's source: ask, at the view
@@ -339,7 +349,7 @@ func (s *Server) repairFrom(op *opctx.Op, m *proto.Message, cs *chunkState, req 
 		}
 		return s.rebuild(op, m, cs, repairMods(cs, mods, resp.Version), false)
 	case proto.StatusFallback:
-		return s.rebuild(op, m, cs, s.mirrorCopy(op, m.Chunk, req.Source, req.View, m.Version, cs.span()), true)
+		return s.rebuild(op, m, cs, s.mirrorCopy(op, cs, m.Chunk, req.Source, req.View, m.Version), true)
 	}
 	return m.Reply(proto.StatusError)
 }

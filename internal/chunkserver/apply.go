@@ -52,7 +52,7 @@ func (s *Server) admitWriteLocked(cs *chunkState, op *opctx.Op, m *proto.Message
 		}
 	}()
 	for {
-		if cs.deleted {
+		if cs.deleted() {
 			return 0, false, false, m.Reply(proto.StatusNotFound)
 		}
 		if cs.view != m.View {
@@ -159,7 +159,7 @@ func (s *Server) awaitCommit(cs *chunkState, op *opctx.Op, want uint64) (uint64,
 	deadline := s.cfg.Clock.Now().Add(s.opBudget(op, s.cfg.ReplTimeout))
 	st := op.Stage(opctx.StageCommitWait)
 	defer st.Stop()
-	for cs.version < want && !cs.deleted {
+	for cs.version < want && !cs.deleted() {
 		if !cs.waitChangeLocked(op, deadline) {
 			break
 		}

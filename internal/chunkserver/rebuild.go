@@ -40,7 +40,10 @@ import (
 // Every source is read through its admission (data.go admit), at the view
 // the master's probe saw it at and at the fill's target version: a source
 // that has since changed view, fallen behind or turned suspect refuses, and
-// the fill fails with nothing adopted.
+// the fill fails with nothing adopted. So does a fill that a waiting delete
+// may drop (the doom mark), before its next install or segment-snapshot
+// fetch, and a mirror copy's wait for a piece is cut short (awaitPiece): the
+// delete waits for an install at most, not for the chunk.
 
 // cloneFetchSize is the transfer granularity of recovery copies.
 const cloneFetchSize = 1 * util.MiB
@@ -64,6 +67,9 @@ func (s *Server) rebuild(op *opctx.Op, m *proto.Message, cs *chunkState, src reb
 		return m.Reply(proto.StatusError)
 	}
 	ver, err := src(func(off int64, data []byte) error {
+		if cs.doom.Load() > cs.view {
+			return util.ErrNotFound // a delete may drop the replica: yield
+		}
 		return s.installLocal(m.Chunk, data, off)
 	})
 	if err != nil {
@@ -116,8 +122,9 @@ func walkSlot(span int64, piece func(off int64, n int) error) error {
 // the source applied mid-transfer is simply applied again here when it
 // arrives at the adopted version — the lowest any piece was read at, which
 // pipelining does not make the first one sent.
-func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string, view, want uint64, span int64) rebuildSource {
+func (s *Server) mirrorCopy(op *opctx.Op, cs *chunkState, chunk blockstore.ChunkID, addr string, view, want uint64) rebuildSource {
 	return func(install installFn) (uint64, error) {
+		span := cs.span()
 		// Pipeline the transfer: several fetches in flight while earlier
 		// pieces write locally, so one chunk's recovery is bounded by the
 		// slower of source disk, network, and local disk — not their sum.
@@ -156,8 +163,9 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 			fl := inflight[0]
 			inflight = inflight[1:]
 			// A source gone silent mid-transfer costs one window, not the
-			// chunk lock for good; a closed connection is evicted.
-			resp, err := fl.Wait(0)
+			// chunk lock for good, and a delete cuts it short; a closed
+			// connection is evicted.
+			resp, err := cs.awaitPiece(fl)
 			fl.Finish()
 			if err != nil {
 				return fmt.Errorf("chunkserver: clone source %s: %w", addr, err)
@@ -173,22 +181,23 @@ func (s *Server) mirrorCopy(op *opctx.Op, chunk blockstore.ChunkID, addr string,
 	}
 }
 
-// segmentSnapshot rebuilds an RS holder's segment from the primary's full
-// chunk (data sliced, parity encoded on the fly): the preferred source,
-// because every reply is a snapshot at exactly the version it carries. The
-// segment is fetched in full before any of it is installed, in pieces that
-// must all carry one version; when they do not — a write landed on the
-// primary mid-fetch — the fetch starts over.
-func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary string, view, want uint64, spec redundancy.Spec, seg int) rebuildSource {
+// segmentSnapshot rebuilds cs, an RS holder, from the primary's full chunk
+// (data sliced, parity encoded on the fly): the preferred source, because
+// every reply is a snapshot at exactly the version it carries. The segment
+// is fetched in full before any of it is installed, in pieces that must all
+// carry one version; when they do not — a write landed on the primary
+// mid-fetch — the fetch starts over.
+func (s *Server) segmentSnapshot(op *opctx.Op, cs *chunkState, chunk blockstore.ChunkID, primary string, view, want uint64) rebuildSource {
 	return func(install installFn) (uint64, error) {
-		segSize := spec.SegSize()
+		segSize := cs.spec.SegSize()
 		pieceSize := min(segSize, proto.MaxPayload)
 		window := s.opBudget(op, 10*s.cfg.ReplTimeout)
 		buf := make([]byte, segSize)
 	fetch:
 		for attempt := 0; attempt < 4; attempt++ {
 			var ver uint64
-			for off := int64(0); off < segSize; off += pieceSize {
+			// Doomed (see doom), it stops fetching, and its first install yields.
+			for off := int64(0); off < segSize && cs.doom.Load() <= cs.view; off += pieceSize {
 				resp, err := s.peers.Do(op, primary, &proto.Message{
 					Op:      proto.OpFetchSegment,
 					Chunk:   chunk,
@@ -197,7 +206,7 @@ func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary
 					View:    view,
 					Version: want,
 					Flags:   proto.FlagFill,
-					Seg:     uint16(seg),
+					Seg:     uint16(cs.seg),
 				}, window)
 				if err != nil {
 					return 0, err
@@ -210,7 +219,7 @@ func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary
 				bufpool.Put(resp.Payload)
 				switch {
 				case !intact:
-					return 0, fmt.Errorf("chunkserver: fetch segment %d of %v from %s: %s", seg, chunk, primary, resp.Status)
+					return 0, fmt.Errorf("chunkserver: fetch segment %d of %v from %s: %s", cs.seg, chunk, primary, resp.Status)
 				case off == 0:
 					ver = pieceVer
 				case pieceVer != ver:
@@ -221,7 +230,7 @@ func (s *Server) segmentSnapshot(op *opctx.Op, chunk blockstore.ChunkID, primary
 				return install(off, buf[off:off+int64(n)])
 			})
 		}
-		return 0, fmt.Errorf("chunkserver: segment %d of %v from %s: every snapshot torn", seg, chunk, primary)
+		return 0, fmt.Errorf("chunkserver: segment %d of %v from %s: every snapshot torn", cs.seg, chunk, primary)
 	}
 }
 

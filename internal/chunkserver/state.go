@@ -19,7 +19,9 @@ import (
 	"ursa/internal/clock"
 	"ursa/internal/journal"
 	"ursa/internal/opctx"
+	"ursa/internal/proto"
 	"ursa/internal/redundancy"
+	"ursa/internal/transport"
 	"ursa/internal/util"
 )
 
@@ -121,9 +123,51 @@ type chunkState struct {
 	// a version number kept in memory. Atomic: reporters may hold cs.mu.
 	suspect atomic.Bool
 
-	holder  bool
-	deleted bool
+	holder bool
+	// doom is the doom mark: one above the highest view at which a delete
+	// waiting for the lock may drop the replica (0: none), proto.AnyView once
+	// it is dropped or one may drop it at any view. A fill yields while it
+	// is above the view (rebuild.go).
+	doom atomic.Uint64
+	// waiting is the flight a fill holding the lock waits on for a piece,
+	// and waitView the view it holds, published under waitMu for doomTo.
+	waitMu   sync.Mutex
+	waiting  *transport.Flight
+	waitView uint64
 }
+
+// doomTo raises the doom mark for a delete guarded by upTo (see doom), and
+// cuts short the piece wait of a fill the delete may pre-empt.
+func (cs *chunkState) doomTo(upTo uint64) {
+	mark := min(upTo, proto.AnyView-1) + 1
+	for cur := cs.doom.Load(); cur < mark && !cs.doom.CompareAndSwap(cur, mark); cur = cs.doom.Load() {
+	}
+	cs.waitMu.Lock()
+	if cs.waiting != nil && mark > cs.waitView {
+		cs.waiting.Expire()
+	}
+	cs.waitMu.Unlock()
+}
+
+// awaitPiece is a fill's wait, with cs.mu held, for the piece fl fetches. It
+// is published for doomTo, and a fill already doomed does not wait.
+func (cs *chunkState) awaitPiece(fl *transport.Flight) (*proto.Message, error) {
+	cs.waitMu.Lock()
+	cs.waiting, cs.waitView = fl, cs.view
+	cs.waitMu.Unlock()
+	defer func() {
+		cs.waitMu.Lock()
+		cs.waiting = nil
+		cs.waitMu.Unlock()
+	}()
+	if cs.doom.Load() > cs.view {
+		return nil, util.ErrNotFound // a delete may drop the replica: yield
+	}
+	return fl.Wait(0)
+}
+
+// deleted reports whether the replica is dropped, or about to be.
+func (cs *chunkState) deleted() bool { return cs.doom.Load() == proto.AnyView }
 
 // committed returns the replica's committed version.
 func (cs *chunkState) committed() uint64 {

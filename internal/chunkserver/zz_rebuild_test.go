@@ -959,3 +959,112 @@ func TestInventoryAnswersPastAFill(t *testing.T) {
 		t.Fatalf("inventory during the fill: %v, want %v non-OK and %v OK", got, testChunk, other)
 	}
 }
+
+// TestDeleteYieldsDuringAFill: a delete that arrives while a whole-chunk
+// fill holds the chunk lock raises the chunk's doom mark, and the fill
+// yields with nothing adopted, so the delete does not wait out the 64 pieces
+// of the chunk and the slot goes: with the source streaming, the fill yields
+// within a few pieces; with the source silent, the delete cuts the fill's
+// wait for its piece short instead of waiting out the piece's 10 s window. A
+// delete guarded below the slot's view cannot drop the slot, so the fill is
+// not pre-empted: it completes, and the delete is refused.
+func TestDeleteYieldsDuringAFill(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		upTo   uint64
+		stream bool // the source serves a read every 2 ms; else none until the delete answers
+	}{
+		{"any-view-source-streaming", proto.AnyView, true},
+		{"any-view-source-silent", proto.AnyView, false},
+		{"below-the-view", 0, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := newRebuildEnv(t)
+			disk := &hookDisk{Disk: simdisk.NewSSD(fastSSD(), clock.Realtime)}
+			src := e.start("src", false, disk, time.Second)
+			dst := e.start("dst", false, nil, time.Second)
+			mustCreate(t, src, CreateChunkReq{View: 1})
+			mustCreate(t, dst, CreateChunkReq{View: 1})
+			if st := apply(src, proto.OpReplicate, 0, 0, bytes.Repeat([]byte{0x5a}, 4*util.KiB)); st != proto.StatusOK {
+				t.Fatalf("source write: %s", st)
+			}
+
+			// The destination holds version 0, so the fill copies the whole
+			// chunk under its lock. Each source read is held until the test
+			// hands it a token or opens the gate for good: the hook re-arms
+			// before it waits, so the fill's pipelined reads are held too.
+			waiting, tokens, open := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+			disk.hook = func() {
+				disk.countdown.Store(1)
+				select {
+				case waiting <- struct{}{}:
+				default:
+				}
+				select {
+				case <-tokens:
+				case <-open:
+				}
+			}
+			disk.countdown.Store(1)
+			filled := make(chan proto.Status, 1)
+			go func() { filled <- dst.Handle(rebuildMsg(proto.OpFill, 1, 1, FillReq{Source: "src", View: 1})).Status }()
+			<-waiting
+			deleted := make(chan proto.Status, 1)
+			go func() {
+				deleted <- dst.Handle(&proto.Message{
+					Op: proto.OpDeleteChunk, Payload: proto.EncodeChunks(proto.ChunkEntry{Chunk: testChunk, UpTo: row.upTo}),
+				}).Status
+			}()
+			var fed atomic.Int64
+			stop, feeder := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(feeder)
+				for row.stream {
+					select {
+					case tokens <- struct{}{}:
+						fed.Add(1)
+						time.Sleep(2 * time.Millisecond)
+					case <-stop:
+						return
+					}
+				}
+			}()
+			defer func() {
+				close(stop)
+				<-feeder
+				close(open)
+			}()
+
+			// A delete that pre-empts answers within a tenth of one piece's
+			// window; one that cannot waits out the whole fill.
+			limit := time.Second
+			if row.upTo != proto.AnyView {
+				limit = time.Minute
+			}
+			var del proto.Status
+			select {
+			case del = <-deleted:
+			case <-time.After(limit):
+				t.Fatalf("the delete did not answer within %v", limit)
+			}
+			pieces := fed.Load()
+			fill := <-filled
+			if row.upTo != proto.AnyView {
+				if fill != proto.StatusOK || del != proto.StatusStaleView || !dst.store.Has(testChunk) {
+					t.Fatalf("fill = %s, delete = %s, slot kept %v; want the fill to complete and the delete refused",
+						fill, del, dst.store.Has(testChunk))
+				}
+				return
+			}
+			if del != proto.StatusOK || fill == proto.StatusOK {
+				t.Fatalf("delete = %s, fill = %s; want the delete OK and the fill yielding", del, fill)
+			}
+			if pieces >= 16 {
+				t.Errorf("the delete answered after %d source reads of the chunk's 64: it waited out the fill", pieces)
+			}
+			if dst.store.Has(testChunk) || dst.chunk(testChunk) != nil {
+				t.Error("the deleted replica's slot or state is still held")
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"ursa/internal/core"
 	"ursa/internal/journal"
 	"ursa/internal/master"
+	"ursa/internal/objstore"
 	"ursa/internal/proto"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
@@ -42,6 +43,7 @@ func TestBubbleCluster(t *testing.T) {
 	})
 	t.Run("segment-rebuild-race", func(t *testing.T) { synctest.Run(func() { segmentRebuildRace(t) }) })
 	t.Run("random-chaos", func(t *testing.T) { synctest.Run(func() { randomChaos(t) }) })
+	t.Run("gc-without-owner", func(t *testing.T) { synctest.Run(func() { gcWithoutOwner(t) }) })
 }
 
 // benchmarkShape is the benchmark's set-up — its cluster (3 machines of 2
@@ -232,4 +234,58 @@ func randomChaos(t *testing.T) {
 	if rep.EventsFired == 0 {
 		t.Error("random schedule injected nothing")
 	}
+}
+
+// gcWithoutOwner snapshots a written vdisk, deletes the snapshot and calls
+// nothing more: the primary's own reconcile passes, one a minute, must empty
+// the object store within two of them.
+func gcWithoutOwner(t *testing.T) {
+	opts := chaosClusterOptions(false)
+	model := objstore.TestModel()
+	opts.ObjstoreModel = &model
+	c, err := core.New(opts)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer c.Close()
+	cl := c.NewClient("gc-client")
+	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "img", Size: util.ChunkSize}); err != nil {
+		t.Error(err)
+		return
+	}
+	vd, err := cl.Open("img")
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer vd.Close()
+	buf := make([]byte, util.MiB)
+	util.NewRand(5).Fill(buf)
+	if err := vd.WriteAt(buf, 0); err != nil {
+		t.Error(err)
+		return
+	}
+	if err := cl.SnapshotVDisk("img", "snap"); err != nil {
+		t.Error(err)
+		return
+	}
+	if c.Objstore.UsedBytes() == 0 {
+		t.Error("the snapshot flushed nothing")
+		return
+	}
+	if err := cl.DeleteSnapshot("snap"); err != nil {
+		t.Error(err)
+		return
+	}
+	deleted := time.Now()
+	for c.Objstore.UsedBytes() > 0 {
+		if time.Since(deleted) > 2*time.Minute { // two reconcileEvery
+			t.Errorf("%d bytes still in the object store 2m after the snapshot's delete", c.Objstore.UsedBytes())
+			return
+		}
+		time.Sleep(time.Second)
+	}
+	t.Logf("the store emptied %v after the delete; %d segments reclaimed",
+		time.Since(deleted), c.Metrics().Counter(master.MetricGCSegmentsReclaimed).Load())
 }

@@ -342,14 +342,17 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 			}
 		}(w)
 	}
+	reclaimed := c.Metrics().Counter(master.MetricGCSegmentsReclaimed)
 	for i := 0; i < 20; i++ {
 		pm := c.PrimaryMaster()
 		if pm == nil {
 			t.Fatal("no primary master")
 		}
-		if n, err := pm.RunColdGC(); err != nil {
-			t.Fatalf("gc pass: %v", err)
-		} else if n != 0 {
+		before := reclaimed.Load()
+		if _, err := pm.Reconcile(); err != nil {
+			t.Fatalf("reconcile pass: %v", err)
+		}
+		if n := reclaimed.Load() - before; n != 0 {
 			t.Fatalf("gc reclaimed %d segments while the snapshot is live", n)
 		}
 	}
@@ -367,8 +370,9 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A reconcile pass finds the replicas drained and clears the cold refs;
-	// poll it and GC until the store is empty.
+	// A reconcile pass finds the replicas drained, clears the cold refs and
+	// deletes the segments no table names any more; poll it until the store
+	// is empty.
 	deadline := time.Now().Add(20 * time.Second)
 	for c.Objstore.UsedBytes() > 0 {
 		pm := c.PrimaryMaster()
@@ -377,9 +381,6 @@ func TestColdGCReclaimsAfterMaterialization(t *testing.T) {
 		}
 		if _, err := pm.Reconcile(); err != nil {
 			t.Fatalf("reconcile pass: %v", err)
-		}
-		if _, err := pm.RunColdGC(); err != nil {
-			t.Fatalf("gc pass: %v", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("gc never drained the store: %d bytes still used", c.Objstore.UsedBytes())
@@ -476,9 +477,6 @@ func TestColdNoticeSurvivesMasterFailover(t *testing.T) {
 		if pm := c.PrimaryMaster(); pm != nil {
 			if _, err := pm.Reconcile(); err != nil {
 				t.Fatalf("reconcile pass: %v", err)
-			}
-			if _, err := pm.RunColdGC(); err != nil {
-				t.Fatalf("gc pass: %v", err)
 			}
 		}
 		if time.Now().After(deadline) {

@@ -71,20 +71,32 @@ func NewClient(peers *transport.Peers, addr string) *Client {
 // Addr returns the object store's address.
 func (c *Client) Addr() string { return c.addr }
 
+// call sends the object-store request op for segment seg and returns the
+// answer's status and payload lease, which the caller settles.
+func (c *Client) call(o *opctx.Op, op proto.Op, seg uint64, fill func(*proto.Message)) (proto.Status, []byte, error) {
+	m := proto.GetMessage()
+	m.Op, m.Chunk = op, chunkID(seg)
+	if fill != nil {
+		fill(m)
+	}
+	resp, err := c.peers.Do(o, c.addr, m, 0)
+	if err != nil {
+		return 0, nil, err
+	}
+	status, payload := resp.Status, resp.Payload
+	resp.Payload = nil
+	proto.Recycle(resp)
+	return status, payload, nil
+}
+
 // PutSegment stores data as immutable segment seg. One reference of data
 // is consumed (foreign buffers unaffected, per the bufpool contract).
 func (c *Client) PutSegment(op *opctx.Op, seg uint64, data []byte) error {
-	m := proto.GetMessage()
-	m.Op = proto.OpObjPut
-	m.Chunk = chunkID(seg)
-	m.Payload = data
-	resp, err := c.peers.Do(op, c.addr, m, 0)
+	status, payload, err := c.call(op, proto.OpObjPut, seg, func(m *proto.Message) { m.Payload = data })
 	if err != nil {
 		return err
 	}
-	status := resp.Status
-	bufpool.Put(resp.Payload)
-	proto.Recycle(resp)
+	bufpool.Put(payload)
 	switch status {
 	case proto.StatusOK:
 		return nil
@@ -98,25 +110,14 @@ func (c *Client) PutSegment(op *opctx.Op, seg uint64, data []byte) error {
 // GetRange reads n bytes at off of segment seg. The returned buffer is
 // leased from bufpool; the caller releases it with bufpool.Put.
 func (c *Client) GetRange(op *opctx.Op, seg uint64, off int64, n int) ([]byte, error) {
-	m := proto.GetMessage()
-	m.Op = proto.OpObjGet
-	m.Chunk = chunkID(seg)
-	m.Off = off
-	m.Length = uint32(n)
-	resp, err := c.peers.Do(op, c.addr, m, 0)
+	status, data, err := c.call(op, proto.OpObjGet, seg, func(m *proto.Message) { m.Off, m.Length = off, uint32(n) })
 	if err != nil {
 		return nil, err
 	}
-	status := resp.Status
-	if status == proto.StatusOK && len(resp.Payload) == n {
-		// Keep the response's payload lease: it becomes the caller's.
-		data := resp.Payload
-		resp.Payload = nil
-		proto.Recycle(resp)
-		return data, nil
+	if status == proto.StatusOK && len(data) == n {
+		return data, nil // the answer's lease becomes the caller's
 	}
-	bufpool.Put(resp.Payload)
-	proto.Recycle(resp)
+	bufpool.Put(data)
 	if status == proto.StatusNotFound {
 		return nil, fmt.Errorf("coldtier: segment %#x: %w", seg, util.ErrNotFound)
 	}
@@ -142,16 +143,11 @@ func (c *Client) GetExtent(op *opctx.Op, ref ExtentRef) ([]byte, error) {
 // DeleteSegment removes segment seg. The object store drains in-flight
 // GETs on the segment before it disappears.
 func (c *Client) DeleteSegment(op *opctx.Op, seg uint64) error {
-	m := proto.GetMessage()
-	m.Op = proto.OpObjDelete
-	m.Chunk = chunkID(seg)
-	resp, err := c.peers.Do(op, c.addr, m, 0)
+	status, payload, err := c.call(op, proto.OpObjDelete, seg, nil)
 	if err != nil {
 		return err
 	}
-	status := resp.Status
-	bufpool.Put(resp.Payload)
-	proto.Recycle(resp)
+	bufpool.Put(payload)
 	switch status {
 	case proto.StatusOK:
 		return nil
@@ -171,24 +167,16 @@ type SegStat struct {
 
 // ListSegments returns every stored segment's ID and size, ascending by ID.
 func (c *Client) ListSegments(op *opctx.Op) ([]SegStat, error) {
-	m := proto.GetMessage()
-	m.Op = proto.OpObjList
-	resp, err := c.peers.Do(op, c.addr, m, 0)
+	status, payload, err := c.call(op, proto.OpObjList, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	status := resp.Status
-	var segs []SegStat
-	var jerr error
-	if status == proto.StatusOK {
-		jerr = json.Unmarshal(resp.Payload, &segs)
-	}
-	bufpool.Put(resp.Payload)
-	proto.Recycle(resp)
+	defer bufpool.Put(payload)
 	if status != proto.StatusOK {
 		return nil, fmt.Errorf("coldtier: list segments: %s", status)
 	}
-	return segs, jerr
+	var segs []SegStat
+	return segs, json.Unmarshal(payload, &segs)
 }
 
 // chunkID adapts a segment ID to the wire's Chunk field.

@@ -13,7 +13,8 @@ import (
 )
 
 // coldGCEnv is an unreplicated master wired to a near-free object store on
-// a simnet — just enough to drive RunColdGC against hand-crafted metadata.
+// a simnet, with no chunk server — just enough to drive a reconcile pass's
+// GC phase against hand-crafted metadata.
 type coldGCEnv struct {
 	net   *transport.SimNet
 	m     *Master
@@ -104,22 +105,22 @@ func commit(t *testing.T, m *Master, e entry) {
 	}
 }
 
-// TestColdGCWatermarkSkipsInflightFlush pins the GC safety rules: a pass
-// is skipped entirely while a flush is in flight, and segments at or above
-// the watermark are never judged. No pass commits a log entry.
+// TestColdGCWatermarkSkipsInflightFlush pins the GC safety rules: a pass's
+// GC phase is skipped entirely while a flush is in flight, and segments at or
+// above the watermark are never judged. No pass commits a log entry.
 func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
 	e := newColdGCEnv(t)
-	gc := func() int {
+	reclaimed := e.m.cfg.Metrics.Counter(MetricGCSegmentsReclaimed)
+	gc := func() int64 {
 		t.Helper()
-		seq := e.m.LogSeq()
-		n, err := e.m.RunColdGC()
-		if err != nil {
+		seq, before := e.m.LogSeq(), reclaimed.Load()
+		if _, err := e.m.Reconcile(); err != nil {
 			t.Fatal(err)
 		}
 		if got := e.m.LogSeq(); got != seq {
 			t.Fatalf("gc pass moved the log from seq %d to %d", seq, got)
 		}
-		return n
+		return reclaimed.Load() - before
 	}
 	// Segment A: allocated, so it sits below the watermark, and no metadata
 	// references it — only the in-flight veto keeps a pass off it.

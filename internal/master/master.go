@@ -114,9 +114,7 @@ type Master struct {
 	// reconcileAt is when the primary's next reconcile pass is due.
 	reconcileAt time.Time
 
-	// Cold-tier GC (see coldgc.go): gcMu serializes passes.
-	coldCl *coldtier.Client
-	gcMu   sync.Mutex
+	coldCl *coldtier.Client // the object store, for the pass's GC (coldgc.go)
 
 	rpc *transport.Server
 }

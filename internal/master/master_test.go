@@ -23,6 +23,7 @@ type env struct {
 	m      *Master
 	nSSD   int
 	nHDD   int
+	stores map[string]*blockstore.Store // by server address
 	closer []func()
 }
 
@@ -55,7 +56,7 @@ func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 	t.Helper()
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, 50*time.Nanosecond) // below the timer floor, like the device models
-	e := &env{net: net}
+	e := &env{net: net, stores: map[string]*blockstore.Store{}}
 
 	ml, err := net.Listen("master", transport.NodeConfig{})
 	if err != nil {
@@ -97,6 +98,7 @@ func newEnv(t *testing.T, nMachines int, hybrid bool) *env {
 			}
 			srv.Serve(l)
 			e.closer = append(e.closer, srv.Close)
+			e.stores[addr] = store
 			e.m.AddServer(addr, machine, role == chunkserver.RolePrimary, store.Capacity())
 		}
 		mkServer(machine+"/ssd", chunkserver.RolePrimary)

@@ -23,9 +23,11 @@ const MetricSlotsReaped = "master-slots-reaped"
 // one — a replacement being filled sits at it, a dead master's unshipped
 // install above it. Everything else waits for the next pass. Each delete is
 // guarded by the view its slot was judged at. A cold chunk all of whose
-// current replicas answered drained has its cold refs cleared. Each phase
-// takes one window of PrimacyTTL/4, as promotion's do, so Close waits for a
-// pass no longer than for a promotion. It returns how many slots went.
+// current replicas answered drained has its cold refs cleared, and then GC
+// (collect) deletes the segments no table names. The inventory takes one
+// window of PrimacyTTL/4 and the reap and GC share a second, as promotion's
+// two do, so Close waits for a pass no longer than for a promotion. It
+// returns how many slots went.
 func (m *Master) Reconcile() (reaped int, err error) {
 	if err := m.lockPrimary("reconcile"); err != nil {
 		return 0, err
@@ -74,10 +76,18 @@ func (m *Master) Reconcile() (reaped int, err error) {
 			}
 		}
 	}
+	// GC judges the state the commits above left, while no flush is in flight
+	// (its segments no table names yet; a later one allocates from segWM up).
+	segWM, named := m.st.nextSeg, m.namedSegsLocked()
+	gc := m.coldCl != nil && m.inflightFlushes == 0
 	m.mu.Unlock()
 
+	end := m.cfg.Clock.Now().Add(m.cfg.PrimacyTTL / 4)
 	reaped = m.reap(m.cfg.PrimacyTTL/4, queues, garbage)
 	m.cfg.Metrics.Counter(MetricSlotsReaped).Add(int64(reaped))
+	if left := end.Sub(m.cfg.Clock.Now()); gc && left > 0 {
+		m.collect(left, segWM, named)
+	}
 	return reaped, nil
 }
 

@@ -171,3 +171,38 @@ func TestReconcileDeposedMidPassReapsNothing(t *testing.T) {
 		t.Fatalf("a deposed pass deleted %d of %d slots", before-n, before)
 	}
 }
+
+// TestReconcileReapsOrphanSlot: a store slot of a deleted vdisk with no
+// chunk state on its server — the state gone, the slot not — is answered
+// by the inventory and judged garbage by rule 1, and its server drops it on
+// the pass's delete instead of answering NotFound, so one pass reaps it. A
+// delete guarded by a view (rule 2's) leaves such a slot: after a restart it
+// may be a live replica the master has not re-attached yet.
+func TestReconcileReapsOrphanSlot(t *testing.T) {
+	e := newEnv(t, 3, true)
+	vd, err := e.m.CreateVDisk(CreateVDiskReq{Name: "gone", Size: util.ChunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.m.deleteVDisk(GetVDiskReq{ID: vd.ID}); err != nil {
+		t.Fatal(err)
+	}
+	id, store := blockstore.MakeChunkID(vd.ID, 0), e.stores["m0/ssd"]
+	if store.Has(id) {
+		t.Fatal("the vdisk's delete left its slot")
+	}
+	if err := store.CreateSized(id, util.ChunkSize); err != nil {
+		t.Fatal(err)
+	}
+	// A delete guarded by a view cannot judge a slot with no state: refused.
+	guarded := [][]proto.ChunkEntry{{{Chunk: id, UpTo: 1}}}
+	if n := e.m.reap(time.Second, []serverQueue{{addr: "m0/ssd"}}, guarded); n != 0 || !store.Has(id) {
+		t.Fatalf("a guarded delete reaped %d slots, slot kept %v; want 0, true", n, store.Has(id))
+	}
+	if reaped, err := e.m.Reconcile(); err != nil || reaped != 1 {
+		t.Errorf("the pass reaped %d slots (%v), want 1", reaped, err)
+	}
+	if store.Has(id) {
+		t.Fatal("the orphan slot outlived a reconcile pass")
+	}
+}

@@ -56,7 +56,7 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 
 	// Re-check primacy under the lock: a master deposed mid-flush must not
 	// record a snapshot the new primary knows nothing about. The flushed
-	// segments become garbage the new primary's GC collects.
+	// segments become garbage the new primary's reconcile pass collects.
 	if err := m.lockPrimary("snapshot " + snapName); err != nil {
 		return nil, err
 	}
@@ -133,10 +133,10 @@ func (m *Master) flushPrimaries(src VDiskMeta, segLo uint64) ([][]coldtier.Exten
 }
 
 // beginSnapshot validates a snapshot request, reserves the flush's whole
-// segment-ID space up front, and marks a flush in flight — which blocks GC:
-// the fresh segments have no metadata referencing them yet and must not be
-// judged dead. (The GC treats allocated-but-unrecorded segments of a failed
-// flush as garbage and deletes them later.)
+// segment-ID space up front, and marks a flush in flight — which vetoes the
+// reconcile pass's GC: the fresh segments have no metadata referencing them
+// yet and must not be judged dead. (A later pass deletes the allocated but
+// unrecorded segments of a failed flush as garbage.)
 func (m *Master) beginSnapshot(vdiskName, snapName string) (src VDiskMeta, segLo uint64, err error) {
 	if err := m.lockPrimary("snapshot " + snapName); err != nil {
 		return VDiskMeta{}, 0, err
@@ -181,8 +181,8 @@ func (m *Master) CloneFromSnapshot(req CloneReq) (*VDiskMeta, error) {
 }
 
 // DeleteSnapshot removes a snapshot's metadata. Its segments become garbage
-// (up to extents still referenced by not-yet-materialized clones) and are
-// reclaimed by the next GC pass.
+// (but for those not-yet-materialized clones still name), which the
+// primary's next reconcile pass deletes in its GC phase.
 func (m *Master) DeleteSnapshot(name string) error {
 	if err := m.lockPrimary("delete snapshot " + name); err != nil {
 		return err
@@ -192,16 +192,4 @@ func (m *Master) DeleteSnapshot(name string) error {
 		return fmt.Errorf("master: snapshot %q: %w", name, util.ErrNotFound)
 	}
 	return m.commitLocked(entry{DeleteSnapshot: &entryDeleteSnapshot{Name: name}})
-}
-
-// GetSnapshot returns a snapshot's metadata (Go API for tests and benches).
-func (m *Master) GetSnapshot(name string) (*SnapshotMeta, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap, okName := m.st.snapshots[name]
-	if !okName {
-		return nil, fmt.Errorf("master: snapshot %q: %w", name, util.ErrNotFound)
-	}
-	out := snap.Clone()
-	return &out, nil
 }

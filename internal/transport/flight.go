@@ -274,6 +274,15 @@ func (fl *Flight) Wait(i int) (*proto.Message, error) {
 	return nil, fmt.Errorf("rpc call op=%d: %w", fl.slots[i].opc, err)
 }
 
+// Expire ends the flight's window now: its awaiter's wait fails as if the
+// window had passed. Any goroutine may call it while it knows the flight is
+// not finished.
+func (fl *Flight) Expire() {
+	if fl.window != nil {
+		fl.timer.Reset(0)
+	}
+}
+
 // Finish ends the flight; the caller must not touch it again. Calls still
 // registered are forgotten, completions nobody took are released, and the
 // flight is recycled once no dispatcher can reach it any more.
