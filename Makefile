@@ -2,7 +2,7 @@
 # the race detector (the RPC/replication paths are goroutine-heavy).
 GO ?= go
 
-.PHONY: build tier1 test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke
+.PHONY: build tier1 test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke replay-smoke
 
 build:
 	$(GO) build ./...
@@ -17,9 +17,14 @@ tier1:
 
 # Both run with the synctest experiment: every model-time figure of the bench
 # smoke tests runs in a bubble (clock.Run), where a model sleep costs no wall
-# time, and the tagged bubble_test.go files build too. Tier-1 (a bare `go
-# test ./...`, make tier1) sets no experiment and runs the same figures on
-# the real clock.
+# time, and the tagged bubble_test.go files build too. So does every test body
+# of internal/cluster, master, client, transport, chunkserver, journal, core
+# and blockstore (clock.Test), but the few that open a real socket (core's
+# tcp_test.go, transport's TCP tests, pooled_soak_test.go and bench_test.go)
+# and TestSpentBudgetWriteTakesNoVersion, which stay on the real clock.
+# Tier-1 (a bare `go test ./...`, make tier1) sets no experiment and runs the
+# same figures and bodies on the real clock, each body joined (clock.Join):
+# one that leaves a goroutine running fails.
 test: export GOEXPERIMENT = synctest
 test:
 	$(GO) test ./...
@@ -148,6 +153,19 @@ perf-smoke:
 # (DESIGN.md "Allocation ledger", "Memory follows use").
 alloc-ledger:
 	$(GO) run ./cmd/ursa-bench -fig ledger
+
+# How often one seeded chaos run replays exactly: TestChaosRandomLinearizable
+# (RandomSchedule at seed 7) ten times in bubbles on one CPU, each logging the
+# hash of its history — every client op's kind, offset, outcome and virtual
+# completion time in completion order, then the primary master's log
+# sequence and state (internal/cluster history_test.go). Prints each hash with
+# its count and how many runs share the most common one. A report, not a
+# gate: make check does not run it.
+replay-smoke: export GOEXPERIMENT = synctest
+replay-smoke:
+	@GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosRandomLinearizable$$' -count=10 -v | \
+	grep -o 'history hash [0-9a-f]*' | sort | uniq -c | sort -rn | \
+	awk '{ print; n += $$1 } NR == 1 { top = $$1 } END { printf "replay-smoke: %d of %d runs share the most common hash\n", top, n }'
 
 # Deterministic chaos acceptance run (fixed seed, scripted schedule, ~2s):
 # every SSD journal in the cluster dies mid-workload and the client must

@@ -19,6 +19,10 @@ import (
 	"ursa/internal/util"
 )
 
+// exactClock reports whether clock.Test runs a test body in a bubble, where
+// model time is exact: in a build with the synctest experiment.
+const exactClock = true
+
 // inAndOutOfBubble runs f on the real clock, then again inside a synctest
 // bubble, where time is virtual and exact. Whatever the first run leaves in
 // package-level state must not stall the second: a channel or timer made

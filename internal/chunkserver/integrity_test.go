@@ -24,9 +24,12 @@ type integrityEnv struct {
 	disk  *simdisk.FaultInjector
 	store *blockstore.Store
 	srv   *Server
+	srvs  []*Server // every server startServer started
 }
 
-func newIntegrityEnv(t *testing.T) *integrityEnv {
+// newIntegrityEnv returns the env and its close, which also closes every
+// server startServer starts later.
+func newIntegrityEnv(t *testing.T) (*integrityEnv, func()) {
 	t.Helper()
 	clk := clock.Realtime
 	e := &integrityEnv{
@@ -35,10 +38,14 @@ func newIntegrityEnv(t *testing.T) *integrityEnv {
 		reg: metrics.NewRegistry(),
 	}
 	e.disk = simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clk), clk)
-	t.Cleanup(func() { e.disk.Close() })
 	e.store = blockstore.New(e.disk, 0)
 	e.srv = e.startServer(t, "p")
-	return e
+	return e, func() {
+		for _, s := range e.srvs {
+			s.Close()
+		}
+		e.disk.Close()
+	}
 }
 
 // startServer starts a primary over the env's existing store — the same
@@ -56,7 +63,7 @@ func (e *integrityEnv) startServer(t *testing.T, addr string) *Server {
 		t.Fatal(err)
 	}
 	srv.Serve(l)
-	t.Cleanup(srv.Close)
+	e.srvs = append(e.srvs, srv)
 	return srv
 }
 
@@ -86,118 +93,130 @@ func (e *integrityEnv) read(srv *Server, off int64, n int) *proto.Message {
 // first read of the rotted block must come back StatusCorrupt — never the
 // garbage payload.
 func TestChecksumsDetectCorruptionAfterRestart(t *testing.T) {
-	e := newIntegrityEnv(t)
-	e.create(t, e.srv, proto.StatusOK)
-	data := make([]byte, 4*util.KiB)
-	util.NewRand(51).Fill(data)
-	if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newIntegrityEnv(t)
+		defer cleanup()
+		e.create(t, e.srv, proto.StatusOK)
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(51).Fill(data)
+		if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
 
-	// "Crash" the server process; the store and device survive.
-	e.srv.Close()
+		// "Crash" the server process; the store and device survive.
+		e.srv.Close()
 
-	// Rot one committed sector directly on the device while the server is
-	// down. The first created chunk occupies the slot at device offset 0.
-	rot := make([]byte, util.SectorSize)
-	util.NewRand(52).Fill(rot)
-	if err := e.disk.WriteAt(rot, 512); err != nil {
-		t.Fatal(err)
-	}
+		// Rot one committed sector directly on the device while the server is
+		// down. The first created chunk occupies the slot at device offset 0.
+		rot := make([]byte, util.SectorSize)
+		util.NewRand(52).Fill(rot)
+		if err := e.disk.WriteAt(rot, 512); err != nil {
+			t.Fatal(err)
+		}
 
-	// Restart: re-attach to the surviving chunk.
-	srv2 := e.startServer(t, "p2")
-	e.create(t, srv2, proto.StatusExists)
+		// Restart: re-attach to the surviving chunk.
+		srv2 := e.startServer(t, "p2")
+		e.create(t, srv2, proto.StatusExists)
 
-	// The clean sector still reads; the rotted one is detected.
-	if r := e.read(srv2, 0, util.SectorSize); r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data[:util.SectorSize]) {
-		t.Fatalf("clean sector after restart = %s", r.Status)
-	}
-	if r := e.read(srv2, 512, util.SectorSize); r.Status != proto.StatusCorrupt {
-		t.Fatalf("rotted sector after restart = %s, want %s", r.Status, proto.StatusCorrupt)
-	}
-	if got := e.reg.Counter(MetricChecksumMismatches).Load(); got == 0 {
-		t.Error("mismatch not counted")
-	}
+		// The clean sector still reads; the rotted one is detected.
+		if r := e.read(srv2, 0, util.SectorSize); r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data[:util.SectorSize]) {
+			t.Fatalf("clean sector after restart = %s", r.Status)
+		}
+		if r := e.read(srv2, 512, util.SectorSize); r.Status != proto.StatusCorrupt {
+			t.Fatalf("rotted sector after restart = %s, want %s", r.Status, proto.StatusCorrupt)
+		}
+		if got := e.reg.Counter(MetricChecksumMismatches).Load(); got == 0 {
+			t.Error("mismatch not counted")
+		}
+	})
 }
 
 // TestChecksumsSurviveUpgrade drains a graceful hot upgrade (§5.2) and
 // checks the verification state is fully intact on the other side: clean
 // data still verifies, and rot armed after the upgrade is still caught.
 func TestChecksumsSurviveUpgrade(t *testing.T) {
-	e := newIntegrityEnv(t)
-	e.create(t, e.srv, proto.StatusOK)
-	data := make([]byte, 4*util.KiB)
-	util.NewRand(53).Fill(data)
-	if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newIntegrityEnv(t)
+		defer cleanup()
+		e.create(t, e.srv, proto.StatusOK)
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(53).Fill(data)
+		if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
 
-	e.srv.Upgrade()
-	if got := e.srv.Stats().UpgradeGen; got != 1 {
-		t.Fatalf("upgrade gen = %d", got)
-	}
+		e.srv.Upgrade()
+		if got := e.srv.Stats().UpgradeGen; got != 1 {
+			t.Fatalf("upgrade gen = %d", got)
+		}
 
-	if r := e.read(e.srv, 0, len(data)); r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
-		t.Fatalf("clean read after upgrade = %s", r.Status)
-	}
-	e.disk.CorruptRange(0, 4*util.KiB, true)
-	if r := e.read(e.srv, 0, len(data)); r.Status != proto.StatusCorrupt {
-		t.Fatalf("rotted read after upgrade = %s, want %s", r.Status, proto.StatusCorrupt)
-	}
+		if r := e.read(e.srv, 0, len(data)); r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
+			t.Fatalf("clean read after upgrade = %s", r.Status)
+		}
+		e.disk.CorruptRange(0, 4*util.KiB, true)
+		if r := e.read(e.srv, 0, len(data)); r.Status != proto.StatusCorrupt {
+			t.Fatalf("rotted read after upgrade = %s, want %s", r.Status, proto.StatusCorrupt)
+		}
+	})
 }
 
 // TestOneShotCorruptionAbsorbedByReread arms a one-shot flip: the read
 // path's per-sector re-read must absorb it and return the true payload with
 // no mismatch counted — transient device hiccups are not integrity events.
 func TestOneShotCorruptionAbsorbedByReread(t *testing.T) {
-	e := newIntegrityEnv(t)
-	e.create(t, e.srv, proto.StatusOK)
-	data := make([]byte, 4*util.KiB)
-	util.NewRand(54).Fill(data)
-	if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newIntegrityEnv(t)
+		defer cleanup()
+		e.create(t, e.srv, proto.StatusOK)
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(54).Fill(data)
+		if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
 
-	e.disk.CorruptRange(0, 4*util.KiB, false) // one shot
-	r := e.read(e.srv, 0, len(data))
-	if r.Status != proto.StatusOK {
-		t.Fatalf("read with one-shot rot = %s", r.Status)
-	}
-	if !bytes.Equal(r.Payload, data) {
-		t.Fatal("one-shot rot leaked into the returned payload")
-	}
-	if got := e.reg.Counter(MetricChecksumMismatches).Load(); got != 0 {
-		t.Errorf("transient flip counted as mismatch: %d", got)
-	}
-	if got := e.disk.FaultStats().ReadsCorrupted; got == 0 {
-		t.Fatal("fault never fired: test proved nothing")
-	}
+		e.disk.CorruptRange(0, 4*util.KiB, false) // one shot
+		r := e.read(e.srv, 0, len(data))
+		if r.Status != proto.StatusOK {
+			t.Fatalf("read with one-shot rot = %s", r.Status)
+		}
+		if !bytes.Equal(r.Payload, data) {
+			t.Fatal("one-shot rot leaked into the returned payload")
+		}
+		if got := e.reg.Counter(MetricChecksumMismatches).Load(); got != 0 {
+			t.Errorf("transient flip counted as mismatch: %d", got)
+		}
+		if got := e.disk.FaultStats().ReadsCorrupted; got == 0 {
+			t.Fatal("fault never fired: test proved nothing")
+		}
+	})
 }
 
 // TestPersistentCorruptionReportedOnce checks the read path keeps failing
 // (and never fabricates data) while rot persists, then recovers after the
 // device is healed and the data rewritten.
 func TestPersistentCorruptionHealsAfterRewrite(t *testing.T) {
-	e := newIntegrityEnv(t)
-	e.create(t, e.srv, proto.StatusOK)
-	data := make([]byte, util.SectorSize)
-	util.NewRand(55).Fill(data)
-	if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	e.disk.CorruptRange(0, util.SectorSize, true)
-	for i := 0; i < 2; i++ {
-		if r := e.read(e.srv, 0, util.SectorSize); r.Status != proto.StatusCorrupt {
-			t.Fatalf("read %d under persistent rot = %s", i, r.Status)
+	clock.Test(t, func() {
+		e, cleanup := newIntegrityEnv(t)
+		defer cleanup()
+		e.create(t, e.srv, proto.StatusOK)
+		data := make([]byte, util.SectorSize)
+		util.NewRand(55).Fill(data)
+		if resp := write(e.srv, 0, 0, data); resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
 		}
-	}
-	e.disk.Heal()
-	// A fresh write restamps the sector; reads verify again.
-	if resp := write(e.srv, 1, 0, data); resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	if r := e.read(e.srv, 0, util.SectorSize); r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
-		t.Fatalf("read after heal+rewrite = %s", r.Status)
-	}
+		e.disk.CorruptRange(0, util.SectorSize, true)
+		for i := 0; i < 2; i++ {
+			if r := e.read(e.srv, 0, util.SectorSize); r.Status != proto.StatusCorrupt {
+				t.Fatalf("read %d under persistent rot = %s", i, r.Status)
+			}
+		}
+		e.disk.Heal()
+		// A fresh write restamps the sector; reads verify again.
+		if resp := write(e.srv, 1, 0, data); resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
+		if r := e.read(e.srv, 0, util.SectorSize); r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
+			t.Fatalf("read after heal+rewrite = %s", r.Status)
+		}
+	})
 }

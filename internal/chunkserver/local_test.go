@@ -35,27 +35,30 @@ func (d busyDisk) QueueDepth() int { return d.Disk.QueueDepth() + 1 }
 // would keep returning the journal's bytes, failing the checksum stamped for
 // the new ones, and replay would later put the old bytes back on disk.
 func TestPrimaryWriteOnBackupServerSupersedesJournal(t *testing.T) {
-	e := newRebuildEnv(t)
-	b := e.start("b", true, busyDisk{simdisk.NewSSD(fastSSD(), clock.Realtime)}, 50*time.Millisecond)
-	mustCreate(t, b, CreateChunkReq{View: 1})
-	older := bytes.Repeat([]byte{0xaa}, 4*util.KiB)
-	newer := bytes.Repeat([]byte{0xbb}, 4*util.KiB)
-	if st := apply(b, proto.OpReplicate, 0, 0, older); st != proto.StatusOK {
-		t.Fatalf("journaled backup write: %s", st)
-	}
-	if n := b.jset.Pending(); n != 1 {
-		t.Fatalf("journal holds %d records, want the one just appended", n)
-	}
-	if st := apply(b, proto.OpWrite, 1, 0, newer); st != proto.StatusOK {
-		t.Fatalf("primary-path write: %s", st)
-	}
-	r := b.Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: uint32(len(newer)), View: 1, Version: 2,
+	clock.Test(t, func() {
+		e, cleanup := newRebuildEnv(t)
+		defer cleanup()
+		b := e.start("b", true, busyDisk{simdisk.NewSSD(fastSSD(), clock.Realtime)}, 50*time.Millisecond)
+		mustCreate(t, b, CreateChunkReq{View: 1})
+		older := bytes.Repeat([]byte{0xaa}, 4*util.KiB)
+		newer := bytes.Repeat([]byte{0xbb}, 4*util.KiB)
+		if st := apply(b, proto.OpReplicate, 0, 0, older); st != proto.StatusOK {
+			t.Fatalf("journaled backup write: %s", st)
+		}
+		if n := b.jset.Pending(); n != 1 {
+			t.Fatalf("journal holds %d records, want the one just appended", n)
+		}
+		if st := apply(b, proto.OpWrite, 1, 0, newer); st != proto.StatusOK {
+			t.Fatalf("primary-path write: %s", st)
+		}
+		r := b.Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: uint32(len(newer)), View: 1, Version: 2,
+		})
+		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, newer) {
+			t.Fatalf("read after the primary-path write = %s %#x.., want the written %#x..", r.Status, r.Payload[:min(1, len(r.Payload))], newer[:1])
+		}
+		bufpool.Put(r.Payload)
 	})
-	if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, newer) {
-		t.Fatalf("read after the primary-path write = %s %#x.., want the written %#x..", r.Status, r.Payload[:min(1, len(r.Payload))], newer[:1])
-	}
-	bufpool.Put(r.Payload)
 }
 
 // TestBypassWriteLandsOnDevice: a backup server whose one journal has died
@@ -63,41 +66,43 @@ func TestPrimaryWriteOnBackupServerSupersedesJournal(t *testing.T) {
 // with ErrQuota, and the server's fallback is the only bypass — and counts
 // it as journal-bypass-writes. A write the live journal took counts nothing.
 func TestBypassWriteLandsOnDevice(t *testing.T) {
-	clk := clock.Realtime
-	reg := metrics.NewRegistry()
-	store := blockstore.New(simdisk.NewSSD(fastSSD(), clk), 0)
-	jdisk := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clk), clk)
-	jset := journal.NewSet(clk, store, journal.DefaultConfig())
-	jset.AddSSDJournal("b-j", jdisk, 0, 64*util.MiB)
-	jset.Start()
-	b := New(Config{Addr: "b", Clock: clk, Metrics: reg}, store, jset)
-	t.Cleanup(b.Close)
-	mustCreate(t, b, CreateChunkReq{View: 1})
-	bypassed := reg.Counter(journal.MetricBypassWrites)
+	clock.Test(t, func() {
+		clk := clock.Realtime
+		reg := metrics.NewRegistry()
+		store := blockstore.New(simdisk.NewSSD(fastSSD(), clk), 0)
+		jdisk := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clk), clk)
+		jset := journal.NewSet(clk, store, journal.DefaultConfig())
+		jset.AddSSDJournal("b-j", jdisk, 0, 64*util.MiB)
+		jset.Start()
+		b := New(Config{Addr: "b", Clock: clk, Metrics: reg}, store, jset)
+		defer b.Close()
+		mustCreate(t, b, CreateChunkReq{View: 1})
+		bypassed := reg.Counter(journal.MetricBypassWrites)
 
-	journaled := bytes.Repeat([]byte{0xaa}, 4*util.KiB)
-	if st := apply(b, proto.OpReplicate, 0, 0, journaled); st != proto.StatusOK {
-		t.Fatalf("journaled write: %s", st)
-	}
-	if n := bypassed.Load(); n != 0 {
-		t.Fatalf("a write the journal took counted %d bypass writes", n)
-	}
+		journaled := bytes.Repeat([]byte{0xaa}, 4*util.KiB)
+		if st := apply(b, proto.OpReplicate, 0, 0, journaled); st != proto.StatusOK {
+			t.Fatalf("journaled write: %s", st)
+		}
+		if n := bypassed.Load(); n != 0 {
+			t.Fatalf("a write the journal took counted %d bypass writes", n)
+		}
 
-	jdisk.FailWrites(nil)
-	direct := bytes.Repeat([]byte{0xbb}, 4*util.KiB)
-	if st := apply(b, proto.OpReplicate, 1, 4*util.KiB, direct); st != proto.StatusOK {
-		t.Fatalf("write with the journal dead: %s", st)
-	}
-	if n := bypassed.Load(); n != 1 {
-		t.Fatalf("%d bypass writes counted, want 1", n)
-	}
-	if st := jset.Stats(); st.DeadJournals != 1 {
-		t.Fatalf("%d dead journals, want 1", st.DeadJournals)
-	}
-	got := make([]byte, len(direct))
-	if err := store.ReadAt(testChunk, got, 4*util.KiB); err != nil || !bytes.Equal(got, direct) {
-		t.Fatalf("the device holds %#x.. (%v), want the bypassed write's %#x..", got[:1], err, direct[:1])
-	}
+		jdisk.FailWrites(nil)
+		direct := bytes.Repeat([]byte{0xbb}, 4*util.KiB)
+		if st := apply(b, proto.OpReplicate, 1, 4*util.KiB, direct); st != proto.StatusOK {
+			t.Fatalf("write with the journal dead: %s", st)
+		}
+		if n := bypassed.Load(); n != 1 {
+			t.Fatalf("%d bypass writes counted, want 1", n)
+		}
+		if st := jset.Stats(); st.DeadJournals != 1 {
+			t.Fatalf("%d dead journals, want 1", st.DeadJournals)
+		}
+		got := make([]byte, len(direct))
+		if err := store.ReadAt(testChunk, got, 4*util.KiB); err != nil || !bytes.Equal(got, direct) {
+			t.Fatalf("the device holds %#x.. (%v), want the bypassed write's %#x..", got[:1], err, direct[:1])
+		}
+	})
 }
 
 // localStorage names data.go's local-storage methods: the only code that
@@ -153,7 +158,8 @@ func deviceUses(fset *token.FileSet, f *ast.File) []string {
 // TestPrimaryWriteOnBackupServerSupersedesJournal), and a second stamp is
 // one more place a write can land unstamped.
 func TestOnlyLocalStorageTouchesDevices(t *testing.T) {
-	const sample = `package chunkserver
+	clock.Test(t, func() {
+		const sample = `package chunkserver
 func (s *Server) writeLocal() { s.store.WriteAt(nil, 0) }
 func f(s *Server) {
 	s.jset.Append(nil, 1, 0, nil, 1)
@@ -163,31 +169,32 @@ func f(s *Server) {
 	s.store.CreateSized(1, 2)
 	s.jset.DevicesBusy()
 }`
-	for file, want := range map[string]string{
-		"data.go":  "[data.go:4 Append data.go:5 ReadAt data.go:6 Stamp]",
-		"apply.go": "[apply.go:2 WriteAt apply.go:4 Append apply.go:5 ReadAt apply.go:6 Stamp]",
-	} {
+		for file, want := range map[string]string{
+			"data.go":  "[data.go:4 Append data.go:5 ReadAt data.go:6 Stamp]",
+			"apply.go": "[apply.go:2 WriteAt apply.go:4 Append apply.go:5 ReadAt apply.go:6 Stamp]",
+		} {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, file, sample, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(deviceUses(fset, f)); got != want {
+				t.Fatalf("the rule reads the sample as %s as %s, want %s", file, got, want)
+			}
+		}
+
 		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, file, sample, 0)
+		files, err := srctree.Parse(fset, ".", false, func(_ string, dir bool) bool { return dir })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprint(deviceUses(fset, f)); got != want {
-			t.Fatalf("the rule reads the sample as %s as %s, want %s", file, got, want)
+		if len(files) < 10 {
+			t.Fatalf("%d files parsed: the walk missed the package", len(files))
 		}
-	}
-
-	fset := token.NewFileSet()
-	files, err := srctree.Parse(fset, ".", false, func(_ string, dir bool) bool { return dir })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 10 {
-		t.Fatalf("%d files parsed: the walk missed the package", len(files))
-	}
-	for _, f := range files {
-		for _, u := range deviceUses(fset, f) {
-			t.Errorf("%s: outside data.go's local-storage methods", u)
+		for _, f := range files {
+			for _, u := range deviceUses(fset, f) {
+				t.Errorf("%s: outside data.go's local-storage methods", u)
+			}
 		}
-	}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ursa/internal/clock"
 	"ursa/internal/srctree"
 )
 
@@ -133,7 +134,8 @@ func sent(t *testing.T) map[string]bool {
 // non-test file of the module. An op nothing sends, or nothing serves, is a
 // wire command that does nothing.
 func TestChunkOpsServedAndSent(t *testing.T) {
-	sample, err := parser.ParseFile(token.NewFileSet(), "sample.go", `package x
+	clock.Test(t, func() {
+		sample, err := parser.ParseFile(token.NewFileSet(), "sample.go", `package x
 func f(m *proto.Message) {
 	switch m.Op {
 	case proto.OpA, proto.MOpB:
@@ -143,30 +145,31 @@ func f(m *proto.Message) {
 	send(&proto.Message{Op: proto.OpD})
 	call(proto.MOpF, req)
 }`, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cased, sent := opRefs(sample); fmt.Sprint(cased, sent) != "map[MOpB:true OpA:true] map[MOpF:true OpD:true]" {
-		t.Fatalf("the rule reads cased and sent ops as %v and %v", cased, sent)
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cased, sent := opRefs(sample); fmt.Sprint(cased, sent) != "map[MOpB:true OpA:true] map[MOpF:true OpD:true]" {
+			t.Fatalf("the rule reads cased and sent ops as %v and %v", cased, sent)
+		}
 
-	byChunkServer, byObjstore, senders := served(t, "."), served(t, "../objstore"), sent(t)
-	ops := opBlock(t, "OpNop")
-	if !slices.Contains(ops, "OpRead") || !slices.Contains(ops, "OpObjGet") {
-		t.Fatalf("read ops %v: the parse missed the block", ops)
-	}
-	for _, op := range ops {
-		serving := byChunkServer
-		if strings.HasPrefix(op, "OpObj") {
-			serving = byObjstore
+		byChunkServer, byObjstore, senders := served(t, "."), served(t, "../objstore"), sent(t)
+		ops := opBlock(t, "OpNop")
+		if !slices.Contains(ops, "OpRead") || !slices.Contains(ops, "OpObjGet") {
+			t.Fatalf("read ops %v: the parse missed the block", ops)
 		}
-		if !serving[op] {
-			t.Errorf("proto.%s has no case in its server's dispatch", op)
+		for _, op := range ops {
+			serving := byChunkServer
+			if strings.HasPrefix(op, "OpObj") {
+				serving = byObjstore
+			}
+			if !serving[op] {
+				t.Errorf("proto.%s has no case in its server's dispatch", op)
+			}
+			if !senders[op] {
+				t.Errorf("proto.%s has no sender outside tests", op)
+			}
 		}
-		if !senders[op] {
-			t.Errorf("proto.%s has no sender outside tests", op)
-		}
-	}
+	})
 }
 
 // TestMasterOpsServedAndSent holds the master's ops to the same rule: each
@@ -174,17 +177,19 @@ func f(m *proto.Message) {
 // MasterSession.Call by a client, chunk server or daemon, or a master's
 // message to another master.
 func TestMasterOpsServedAndSent(t *testing.T) {
-	byMaster, senders := served(t, "../master"), sent(t)
-	ops := opBlock(t, "MOpCreateVDisk")
-	if !slices.Contains(ops, "MOpReportFailure") || !slices.Contains(ops, "MOpReplicateLog") {
-		t.Fatalf("master ops %v: the parse missed the block", ops)
-	}
-	for _, op := range ops {
-		if !byMaster[op] {
-			t.Errorf("proto.%s has no case in the master's dispatch", op)
+	clock.Test(t, func() {
+		byMaster, senders := served(t, "../master"), sent(t)
+		ops := opBlock(t, "MOpCreateVDisk")
+		if !slices.Contains(ops, "MOpReportFailure") || !slices.Contains(ops, "MOpReplicateLog") {
+			t.Fatalf("master ops %v: the parse missed the block", ops)
 		}
-		if !senders[op] {
-			t.Errorf("proto.%s has no sender outside tests", op)
+		for _, op := range ops {
+			if !byMaster[op] {
+				t.Errorf("proto.%s has no case in the master's dispatch", op)
+			}
+			if !senders[op] {
+				t.Errorf("proto.%s has no sender outside tests", op)
+			}
 		}
-	}
+	})
 }

@@ -22,6 +22,13 @@ type env struct {
 	backups []*Server
 }
 
+// close closes the env's servers.
+func (e *env) close() {
+	for _, s := range append([]*Server{e.primary}, e.backups...) {
+		s.Close()
+	}
+}
+
 func fastSSD() simdisk.SSDModel {
 	return simdisk.SSDModel{
 		Capacity: 2 * util.GiB, Parallelism: 32,
@@ -38,7 +45,8 @@ func fastHDD() simdisk.HDDModel {
 	}
 }
 
-func newEnv(t *testing.T) *env {
+// newEnv starts a primary and two backups, and returns them with their close.
+func newEnv(t *testing.T) (*env, func()) {
 	t.Helper()
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, time.Microsecond)
@@ -67,12 +75,11 @@ func newEnv(t *testing.T) *env {
 			t.Fatal(err)
 		}
 		srv.Serve(l)
-		t.Cleanup(srv.Close)
 		return srv
 	}
 	e.primary = mk("p", RolePrimary)
 	e.backups = []*Server{mk("b1", RoleBackup), mk("b2", RoleBackup)}
-	return e
+	return e, e.close
 }
 
 var testChunk = blockstore.MakeChunkID(1, 0)
@@ -99,140 +106,161 @@ func write(s *Server, version uint64, off int64, data []byte) *proto.Message {
 }
 
 func TestWriteReplicatesAndBumpsVersions(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	data := bytes.Repeat([]byte{0x42}, 4096)
-	resp := write(e.primary, 0, 0, data)
-	if resp.Status != proto.StatusOK || resp.Version != 1 {
-		t.Fatalf("write resp = %+v", resp)
-	}
-	// All replicas at version 1.
-	for _, s := range []*Server{e.primary, e.backups[0], e.backups[1]} {
-		v := s.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
-		if v.Version != 1 {
-			t.Errorf("%s version = %d", s.Addr(), v.Version)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		data := bytes.Repeat([]byte{0x42}, 4096)
+		resp := write(e.primary, 0, 0, data)
+		if resp.Status != proto.StatusOK || resp.Version != 1 {
+			t.Fatalf("write resp = %+v", resp)
 		}
-	}
-	// Backup data readable through the journal path.
-	r := e.backups[0].Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: 4096, View: 1, Version: 1,
+		// All replicas at version 1.
+		for _, s := range []*Server{e.primary, e.backups[0], e.backups[1]} {
+			v := s.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
+			if v.Version != 1 {
+				t.Errorf("%s version = %d", s.Addr(), v.Version)
+			}
+		}
+		// Backup data readable through the journal path.
+		r := e.backups[0].Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: 4096, View: 1, Version: 1,
+		})
+		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
+			t.Errorf("backup read = %s", r.Status)
+		}
+		bufpool.Put(r.Payload)
 	})
-	if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, data) {
-		t.Errorf("backup read = %s", r.Status)
-	}
-	bufpool.Put(r.Payload)
 }
 
 func TestStaleViewRejected(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	resp := e.primary.Handle(&proto.Message{
-		Op: proto.OpWrite, Chunk: testChunk, View: 0, Version: 0,
-		Payload: make([]byte, 512),
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		resp := e.primary.Handle(&proto.Message{
+			Op: proto.OpWrite, Chunk: testChunk, View: 0, Version: 0,
+			Payload: make([]byte, 512),
+		})
+		if resp.Status != proto.StatusStaleView {
+			t.Fatalf("stale view write = %s", resp.Status)
+		}
+		if resp.View != 1 {
+			t.Errorf("reply view = %d", resp.View)
+		}
 	})
-	if resp.Status != proto.StatusStaleView {
-		t.Fatalf("stale view write = %s", resp.Status)
-	}
-	if resp.View != 1 {
-		t.Errorf("reply view = %d", resp.View)
-	}
 }
 
 func TestVersionOneShortSkipsLocalWrite(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	d1 := bytes.Repeat([]byte{0x01}, 512)
-	if resp := write(e.primary, 0, 0, d1); resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	// Retry with version 0 (one short of 1): primary must skip the local
-	// write but still ack (§4.2.1); data stays at d1's value because the
-	// duplicate carries the same payload in a real retry. To make the skip
-	// observable, send different bytes: they must NOT be applied.
-	d2 := bytes.Repeat([]byte{0x02}, 512)
-	resp := write(e.primary, 0, 0, d2)
-	if resp.Status != proto.StatusOK || resp.Version != 1 {
-		t.Fatalf("retry resp = %+v", resp)
-	}
-	r := e.primary.Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: 512, View: 1, Version: 1,
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		d1 := bytes.Repeat([]byte{0x01}, 512)
+		if resp := write(e.primary, 0, 0, d1); resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
+		// Retry with version 0 (one short of 1): primary must skip the local
+		// write but still ack (§4.2.1); data stays at d1's value because the
+		// duplicate carries the same payload in a real retry. To make the skip
+		// observable, send different bytes: they must NOT be applied.
+		d2 := bytes.Repeat([]byte{0x02}, 512)
+		resp := write(e.primary, 0, 0, d2)
+		if resp.Status != proto.StatusOK || resp.Version != 1 {
+			t.Fatalf("retry resp = %+v", resp)
+		}
+		r := e.primary.Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: 512, View: 1, Version: 1,
+		})
+		if !bytes.Equal(r.Payload, d1) {
+			t.Error("one-short retry overwrote committed data")
+		}
+		bufpool.Put(r.Payload)
 	})
-	if !bytes.Equal(r.Payload, d1) {
-		t.Error("one-short retry overwrote committed data")
-	}
-	bufpool.Put(r.Payload)
 }
 
 func TestAncientVersionRejected(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	for v := uint64(0); v < 3; v++ {
-		if resp := write(e.primary, v, 0, make([]byte, 512)); resp.Status != proto.StatusOK {
-			t.Fatal(resp.Status)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		for v := uint64(0); v < 3; v++ {
+			if resp := write(e.primary, v, 0, make([]byte, 512)); resp.Status != proto.StatusOK {
+				t.Fatal(resp.Status)
+			}
 		}
-	}
-	resp := write(e.primary, 0, 0, make([]byte, 512)) // 3 behind
-	if resp.Status != proto.StatusStaleVersion {
-		t.Fatalf("ancient version = %s", resp.Status)
-	}
+		resp := write(e.primary, 0, 0, make([]byte, 512)) // 3 behind
+		if resp.Status != proto.StatusStaleVersion {
+			t.Fatalf("ancient version = %s", resp.Status)
+		}
+	})
 }
 
 func TestFutureVersionTimesOutAsBehind(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	resp := write(e.primary, 5, 0, make([]byte, 512))
-	if resp.Status != proto.StatusBehind {
-		t.Fatalf("future version = %s", resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		resp := write(e.primary, 5, 0, make([]byte, 512))
+		if resp.Status != proto.StatusBehind {
+			t.Fatalf("future version = %s", resp.Status)
+		}
+	})
 }
 
 func TestPipelinedVersionsApplyInOrder(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	// Issue versions 1 and 0 concurrently (1 first): the server must hold
-	// version 1 until version 0 applies.
-	done := make(chan *proto.Message, 2)
-	go func() { done <- write(e.primary, 1, 512, bytes.Repeat([]byte{0xb}, 512)) }()
-	time.Sleep(2 * time.Millisecond)
-	go func() { done <- write(e.primary, 0, 0, bytes.Repeat([]byte{0xa}, 512)) }()
-	for i := 0; i < 2; i++ {
-		if resp := <-done; resp.Status != proto.StatusOK {
-			t.Fatalf("pipelined write = %s", resp.Status)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		// Issue versions 1 and 0 concurrently (1 first): the server must hold
+		// version 1 until version 0 applies.
+		done := make(chan *proto.Message, 2)
+		go func() { done <- write(e.primary, 1, 512, bytes.Repeat([]byte{0xb}, 512)) }()
+		time.Sleep(2 * time.Millisecond)
+		go func() { done <- write(e.primary, 0, 0, bytes.Repeat([]byte{0xa}, 512)) }()
+		for i := 0; i < 2; i++ {
+			if resp := <-done; resp.Status != proto.StatusOK {
+				t.Fatalf("pipelined write = %s", resp.Status)
+			}
 		}
-	}
-	v := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
-	if v.Version != 2 {
-		t.Errorf("final version = %d", v.Version)
-	}
+		v := e.primary.Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(testChunk)})
+		if v.Version != 2 {
+			t.Errorf("final version = %d", v.Version)
+		}
+	})
 }
 
 func TestJournalBypassBySize(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	b := e.backups[0]
-	// Small write → journal append.
-	resp := b.Handle(&proto.Message{
-		Op: proto.OpReplicate, Chunk: testChunk, Off: 0,
-		View: 1, Version: 0, Payload: make([]byte, 4*util.KiB),
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		b := e.backups[0]
+		// Small write → journal append.
+		resp := b.Handle(&proto.Message{
+			Op: proto.OpReplicate, Chunk: testChunk, Off: 0,
+			View: 1, Version: 0, Payload: make([]byte, 4*util.KiB),
+		})
+		if resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
+		st := b.jset.Stats()
+		if st.Journals[0].Appends != 1 {
+			t.Errorf("small write did not journal: %+v", st.Journals)
+		}
+		// Large write (>64KB) → bypass.
+		resp = b.Handle(&proto.Message{
+			Op: proto.OpReplicate, Chunk: testChunk, Off: util.MiB,
+			View: 1, Version: 1, Payload: make([]byte, 128*util.KiB),
+		})
+		if resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
+		if got := b.jset.Stats().Journals[0].Appends; got != 1 {
+			t.Errorf("large write journaled: appends = %d", got)
+		}
 	})
-	if resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	st := b.jset.Stats()
-	if st.Journals[0].Appends != 1 {
-		t.Errorf("small write did not journal: %+v", st.Journals)
-	}
-	// Large write (>64KB) → bypass.
-	resp = b.Handle(&proto.Message{
-		Op: proto.OpReplicate, Chunk: testChunk, Off: util.MiB,
-		View: 1, Version: 1, Payload: make([]byte, 128*util.KiB),
-	})
-	if resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	if got := b.jset.Stats().Journals[0].Appends; got != 1 {
-		t.Errorf("large write journaled: appends = %d", got)
-	}
 }
 
 // TestIncrementalRepairFlow: a lagging replica of the fill's view told to
@@ -251,310 +279,347 @@ func TestIncrementalRepairFlow(t *testing.T) {
 		{name: "laggard at version 0", took: 0, clones: 1, moved: util.ChunkSize},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.createChunk(t)
-			b1, b2 := e.backups[0], e.backups[1]
-			var last []byte
-			for v := uint64(0); v < 3; v++ {
-				last = bytes.Repeat([]byte{byte(v + 1)}, 512)
-				targets := []*Server{b1}
-				if v < row.took {
-					targets = append(targets, b2)
-				}
-				for _, b := range targets {
-					resp := b.Handle(&proto.Message{
-						Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 512,
-						View: 1, Version: v, Payload: last,
-					})
-					if resp.Status != proto.StatusOK {
-						t.Fatal(resp.Status)
+			clock.Test(t, func() {
+				e, cleanup := newEnv(t)
+				defer cleanup()
+				e.createChunk(t)
+				b1, b2 := e.backups[0], e.backups[1]
+				var last []byte
+				for v := uint64(0); v < 3; v++ {
+					last = bytes.Repeat([]byte{byte(v + 1)}, 512)
+					targets := []*Server{b1}
+					if v < row.took {
+						targets = append(targets, b2)
+					}
+					for _, b := range targets {
+						resp := b.Handle(&proto.Message{
+							Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 512,
+							View: 1, Version: v, Payload: last,
+						})
+						if resp.Status != proto.StatusOK {
+							t.Fatal(resp.Status)
+						}
 					}
 				}
-			}
-			before := b2.Stats().BytesWritten
-			resp := b2.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "b1", View: 1}))
-			if resp.Status != proto.StatusOK || resp.Version != 3 {
-				t.Fatalf("repair = %+v", resp)
-			}
-			got := b2.Stats()
-			if got.Repairs != row.repairs || got.Clones != row.clones {
-				t.Errorf("the fill counted %d repairs and %d clones, want %d and %d", got.Repairs, got.Clones, row.repairs, row.clones)
-			}
-			moved := got.BytesWritten - before
-			t.Logf("%s: %d bytes moved", row.name, moved)
-			if moved != row.moved {
-				t.Errorf("the fill moved %d bytes, want %d", moved, row.moved)
-			}
-			// b2 now serves all repaired data.
-			r := b2.Handle(&proto.Message{
-				Op: proto.OpRead, Chunk: testChunk, Off: 1024, Length: 512, View: 1, Version: 3,
+				before := b2.Stats().BytesWritten
+				resp := b2.Handle(rebuildMsg(proto.OpFill, 1, 3, FillReq{Source: "b1", View: 1}))
+				if resp.Status != proto.StatusOK || resp.Version != 3 {
+					t.Fatalf("repair = %+v", resp)
+				}
+				got := b2.Stats()
+				if got.Repairs != row.repairs || got.Clones != row.clones {
+					t.Errorf("the fill counted %d repairs and %d clones, want %d and %d", got.Repairs, got.Clones, row.repairs, row.clones)
+				}
+				moved := got.BytesWritten - before
+				t.Logf("%s: %d bytes moved", row.name, moved)
+				if moved != row.moved {
+					t.Errorf("the fill moved %d bytes, want %d", moved, row.moved)
+				}
+				// b2 now serves all repaired data.
+				r := b2.Handle(&proto.Message{
+					Op: proto.OpRead, Chunk: testChunk, Off: 1024, Length: 512, View: 1, Version: 3,
+				})
+				if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, last) {
+					t.Error("repaired data mismatch")
+				}
+				bufpool.Put(r.Payload)
 			})
-			if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, last) {
-				t.Error("repaired data mismatch")
-			}
-			bufpool.Put(r.Payload)
 		})
 	}
 }
 
 func TestRepairFallsBackToClone(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	b1, b2 := e.backups[0], e.backups[1]
-	// A tiny journal-lite on b1: its history evicts after two writes, not
-	// after liteCap of them.
-	st := b1.chunk(testChunk)
-	st.mu.Lock()
-	st.lite = journal.NewLite(2)
-	st.mu.Unlock()
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		b1, b2 := e.backups[0], e.backups[1]
+		// A tiny journal-lite on b1: its history evicts after two writes, not
+		// after liteCap of them.
+		st := b1.chunk(testChunk)
+		st.mu.Lock()
+		st.lite = journal.NewLite(2)
+		st.mu.Unlock()
 
-	for v := uint64(0); v < 6; v++ { // overflow the 2-entry lite; b2 takes only the first
-		targets := []*Server{b1}
-		if v == 0 {
-			targets = append(targets, b2)
-		}
-		for _, b := range targets {
-			resp := b.Handle(&proto.Message{
-				Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 4096,
-				View: 1, Version: v, Payload: bytes.Repeat([]byte{byte(v + 1)}, 4096),
-			})
-			if resp.Status != proto.StatusOK {
-				t.Fatal(resp.Status)
+		for v := uint64(0); v < 6; v++ { // overflow the 2-entry lite; b2 takes only the first
+			targets := []*Server{b1}
+			if v == 0 {
+				targets = append(targets, b2)
+			}
+			for _, b := range targets {
+				resp := b.Handle(&proto.Message{
+					Op: proto.OpReplicate, Chunk: testChunk, Off: int64(v) * 4096,
+					View: 1, Version: v, Payload: bytes.Repeat([]byte{byte(v + 1)}, 4096),
+				})
+				if resp.Status != proto.StatusOK {
+					t.Fatal(resp.Status)
+				}
 			}
 		}
-	}
-	// RepairSince(1) on b1 must signal fallback.
-	resp := b1.Handle(&proto.Message{Op: proto.OpRepairSince, Chunk: testChunk, View: 1, Version: 1})
-	if resp.Status != proto.StatusFallback {
-		t.Fatalf("RepairSince after eviction = %s", resp.Status)
-	}
-	// A fill of b2 tries incremental repair and transparently falls back to
-	// a whole copy.
-	resp = b2.Handle(rebuildMsg(proto.OpFill, 1, 6, FillReq{Source: "b1", View: 1}))
-	if resp.Status != proto.StatusOK || resp.Version != 6 {
-		t.Fatalf("fallback clone = %+v", resp)
-	}
-	if got := b2.Stats(); got.Clones != 1 {
-		t.Errorf("the fill counted %d clones, want the fallback's one", got.Clones)
-	}
-	r := b2.Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: testChunk, Off: 5 * 4096, Length: 4096, View: 1, Version: 6,
+		// RepairSince(1) on b1 must signal fallback.
+		resp := b1.Handle(&proto.Message{Op: proto.OpRepairSince, Chunk: testChunk, View: 1, Version: 1})
+		if resp.Status != proto.StatusFallback {
+			t.Fatalf("RepairSince after eviction = %s", resp.Status)
+		}
+		// A fill of b2 tries incremental repair and transparently falls back to
+		// a whole copy.
+		resp = b2.Handle(rebuildMsg(proto.OpFill, 1, 6, FillReq{Source: "b1", View: 1}))
+		if resp.Status != proto.StatusOK || resp.Version != 6 {
+			t.Fatalf("fallback clone = %+v", resp)
+		}
+		if got := b2.Stats(); got.Clones != 1 {
+			t.Errorf("the fill counted %d clones, want the fallback's one", got.Clones)
+		}
+		r := b2.Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: testChunk, Off: 5 * 4096, Length: 4096, View: 1, Version: 6,
+		})
+		if r.Status != proto.StatusOK || r.Payload[0] != 6 {
+			t.Error("cloned data mismatch")
+		}
+		bufpool.Put(r.Payload)
 	})
-	if r.Status != proto.StatusOK || r.Payload[0] != 6 {
-		t.Error("cloned data mismatch")
-	}
-	bufpool.Put(r.Payload)
 }
 
 func TestCloneTransfersJournalAndDisk(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	b1 := e.backups[0]
-	// One journaled small write and one bypassed large write on b1.
-	small := bytes.Repeat([]byte{0xaa}, 4096)
-	large := bytes.Repeat([]byte{0xbb}, 128*util.KiB)
-	b1.Handle(&proto.Message{Op: proto.OpReplicate, Chunk: testChunk, Off: 0,
-		View: 1, Version: 0, Payload: small})
-	b1.Handle(&proto.Message{Op: proto.OpReplicate, Chunk: testChunk, Off: util.MiB,
-		View: 1, Version: 1, Payload: large})
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		b1 := e.backups[0]
+		// One journaled small write and one bypassed large write on b1.
+		small := bytes.Repeat([]byte{0xaa}, 4096)
+		large := bytes.Repeat([]byte{0xbb}, 128*util.KiB)
+		b1.Handle(&proto.Message{Op: proto.OpReplicate, Chunk: testChunk, Off: 0,
+			View: 1, Version: 0, Payload: small})
+		b1.Handle(&proto.Message{Op: proto.OpReplicate, Chunk: testChunk, Off: util.MiB,
+			View: 1, Version: 1, Payload: large})
 
-	// Fill the primary (its replica is empty, so it copies).
-	resp := e.primary.Handle(rebuildMsg(proto.OpFill, 2, 2, FillReq{Source: "b1", View: 1}))
-	if resp.Status != proto.StatusOK || resp.Version != 2 {
-		t.Fatalf("clone = %+v", resp)
-	}
-	for _, chk := range []struct {
-		off  int64
-		want []byte
-	}{{0, small}, {util.MiB, large}} {
-		r := e.primary.Handle(&proto.Message{
-			Op: proto.OpRead, Chunk: testChunk, Off: chk.off,
-			Length: uint32(len(chk.want)), View: 2, Version: 2,
-		})
-		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, chk.want) {
-			t.Errorf("clone missed data at %d", chk.off)
+		// Fill the primary (its replica is empty, so it copies).
+		resp := e.primary.Handle(rebuildMsg(proto.OpFill, 2, 2, FillReq{Source: "b1", View: 1}))
+		if resp.Status != proto.StatusOK || resp.Version != 2 {
+			t.Fatalf("clone = %+v", resp)
 		}
-		bufpool.Put(r.Payload)
-	}
+		for _, chk := range []struct {
+			off  int64
+			want []byte
+		}{{0, small}, {util.MiB, large}} {
+			r := e.primary.Handle(&proto.Message{
+				Op: proto.OpRead, Chunk: testChunk, Off: chk.off,
+				Length: uint32(len(chk.want)), View: 2, Version: 2,
+			})
+			if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, chk.want) {
+				t.Errorf("clone missed data at %d", chk.off)
+			}
+			bufpool.Put(r.Payload)
+		}
+	})
 }
 
 func TestSetViewRules(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	resp := e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 2})
-	if resp.Status != proto.StatusOK || resp.View != 2 {
-		t.Fatalf("set view = %+v", resp)
-	}
-	// Regressing the view is rejected.
-	resp = e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 1})
-	if resp.Status != proto.StatusStaleView {
-		t.Fatalf("view regression = %s", resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		resp := e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 2})
+		if resp.Status != proto.StatusOK || resp.View != 2 {
+			t.Fatalf("set view = %+v", resp)
+		}
+		// Regressing the view is rejected.
+		resp = e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 1})
+		if resp.Status != proto.StatusStaleView {
+			t.Fatalf("view regression = %s", resp.Status)
+		}
+	})
 }
 
 // TestSetViewRefusesUndecodablePayload: a view change whose backup list
 // cannot be decoded is refused, and the chunk keeps both its view and the
 // backups it ships to — the master must not count the view as installed.
 func TestSetViewRefusesUndecodablePayload(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	resp := e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 2, Payload: []byte(`{"backups":`)})
-	if resp.Status != proto.StatusError {
-		t.Fatalf("set view with a truncated payload = %s, want error", resp.Status)
-	}
-	if _, view := versionView(t, e.primary); view != 1 {
-		t.Errorf("refused set view left view %d, want 1", view)
-	}
-	cs := e.primary.chunk(testChunk)
-	cs.mu.Lock()
-	backups := cs.backups
-	cs.mu.Unlock()
-	if len(backups) != 2 || backups[0] != "b1" || backups[1] != "b2" {
-		t.Errorf("refused set view left backups %q, want [b1 b2]", backups)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		resp := e.primary.Handle(&proto.Message{Op: proto.OpSetView, Chunk: testChunk, View: 2, Payload: []byte(`{"backups":`)})
+		if resp.Status != proto.StatusError {
+			t.Fatalf("set view with a truncated payload = %s, want error", resp.Status)
+		}
+		if _, view := versionView(t, e.primary); view != 1 {
+			t.Errorf("refused set view left view %d, want 1", view)
+		}
+		cs := e.primary.chunk(testChunk)
+		cs.mu.Lock()
+		backups := cs.backups
+		cs.mu.Unlock()
+		if len(backups) != 2 || backups[0] != "b1" || backups[1] != "b2" {
+			t.Errorf("refused set view left backups %q, want [b1 b2]", backups)
+		}
+	})
 }
 
 func TestReadStatusRules(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	// Reading ahead of the replica's state: StatusBehind.
-	resp := e.primary.Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: 512, View: 1, Version: 7,
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		// Reading ahead of the replica's state: StatusBehind.
+		resp := e.primary.Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: testChunk, Off: 0, Length: 512, View: 1, Version: 7,
+		})
+		if resp.Status != proto.StatusBehind {
+			t.Fatalf("read-ahead = %s", resp.Status)
+		}
+		// Unknown chunk.
+		resp = e.primary.Handle(&proto.Message{
+			Op: proto.OpRead, Chunk: blockstore.MakeChunkID(9, 9), Length: 512, View: 1,
+		})
+		if resp.Status != proto.StatusNotFound {
+			t.Fatalf("unknown chunk = %s", resp.Status)
+		}
 	})
-	if resp.Status != proto.StatusBehind {
-		t.Fatalf("read-ahead = %s", resp.Status)
-	}
-	// Unknown chunk.
-	resp = e.primary.Handle(&proto.Message{
-		Op: proto.OpRead, Chunk: blockstore.MakeChunkID(9, 9), Length: 512, View: 1,
-	})
-	if resp.Status != proto.StatusNotFound {
-		t.Fatalf("unknown chunk = %s", resp.Status)
-	}
 }
 
 func TestDeleteChunk(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	resp := e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
-	if resp.Status != proto.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	resp = e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
-	if resp.Status != proto.StatusNotFound {
-		t.Fatalf("double delete = %s", resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		resp := e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
+		if resp.Status != proto.StatusOK {
+			t.Fatal(resp.Status)
+		}
+		resp = e.primary.Handle(&proto.Message{Op: proto.OpDeleteChunk, Payload: proto.EncodeChunkIDs(testChunk)})
+		if resp.Status != proto.StatusNotFound {
+			t.Fatalf("double delete = %s", resp.Status)
+		}
+	})
 }
 
 func TestMajorityCommitWithDeadBackup(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	e.net.Crash("b2")
-	// Write must still commit: primary + b1 form a majority (§4.2.1).
-	resp := write(e.primary, 0, 0, make([]byte, 4096))
-	if resp.Status != proto.StatusOK {
-		t.Fatalf("majority commit failed: %s", resp.Status)
-	}
-	if e.primary.degradedCommits.Load() == 0 {
-		t.Error("degraded commit not recorded")
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		e.net.Crash("b2")
+		// Write must still commit: primary + b1 form a majority (§4.2.1).
+		resp := write(e.primary, 0, 0, make([]byte, 4096))
+		if resp.Status != proto.StatusOK {
+			t.Fatalf("majority commit failed: %s", resp.Status)
+		}
+		if e.primary.degradedCommits.Load() == 0 {
+			t.Error("degraded commit not recorded")
+		}
+	})
 }
 
 func TestNoQuorumFails(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	e.net.Crash("b1")
-	e.net.Crash("b2")
-	resp := write(e.primary, 0, 0, make([]byte, 4096))
-	if resp.Status == proto.StatusOK {
-		t.Fatal("write committed without a quorum")
-	}
-	if e.primary.noQuorums.Load() == 0 {
-		t.Error("no-quorum not recorded")
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		e.net.Crash("b1")
+		e.net.Crash("b2")
+		resp := write(e.primary, 0, 0, make([]byte, 4096))
+		if resp.Status == proto.StatusOK {
+			t.Fatal("write committed without a quorum")
+		}
+		if e.primary.noQuorums.Load() == 0 {
+			t.Error("no-quorum not recorded")
+		}
+	})
 }
 
 func TestUpgradeIdempotent(t *testing.T) {
-	e := newEnv(t)
-	e.createChunk(t)
-	e.primary.Upgrade()
-	e.primary.Upgrade()
-	if got := e.primary.Stats().UpgradeGen; got != 2 {
-		t.Errorf("upgrade gen = %d", got)
-	}
-	// Server still serves after upgrades.
-	if resp := write(e.primary, 0, 0, make([]byte, 512)); resp.Status != proto.StatusOK {
-		t.Fatalf("write after upgrade = %s", resp.Status)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		e.createChunk(t)
+		e.primary.Upgrade()
+		e.primary.Upgrade()
+		if got := e.primary.Stats().UpgradeGen; got != 2 {
+			t.Errorf("upgrade gen = %d", got)
+		}
+		// Server still serves after upgrades.
+		if resp := write(e.primary, 0, 0, make([]byte, 512)); resp.Status != proto.StatusOK {
+			t.Fatalf("write after upgrade = %s", resp.Status)
+		}
+	})
 }
 
 // TestUpgradeWaitsForWriteInFlight: an upgrade called while a write is
 // parked on a stalled device returns only once that write's handler has —
 // the write committed — and not under it.
 func TestUpgradeWaitsForWriteInFlight(t *testing.T) {
-	e := newRebuildEnv(t)
-	fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
-	p := e.start("p", false, fi, time.Second)
-	mustCreate(t, p, CreateChunkReq{View: 1})
-	fi.Stall(100 * time.Millisecond)
-	wrote := make(chan proto.Status, 1)
-	go func() { wrote <- apply(p, proto.OpReplicate, 0, 0, make([]byte, 4*util.KiB)) }()
-	waitFor(t, "the write's admission", func() bool { return pendingLen(p) == 1 })
-	p.Upgrade()
-	if ver, _ := versionView(t, p); ver != 1 || pendingLen(p) != 0 {
-		t.Errorf("Upgrade returned at version %d with %d writes pending, want after the write committed", ver, pendingLen(p))
-	}
-	if st := <-wrote; st != proto.StatusOK {
-		t.Errorf("write across the upgrade = %s", st)
-	}
-	if got := p.Stats().UpgradeGen; got != 1 {
-		t.Errorf("upgrade gen = %d, want 1", got)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newRebuildEnv(t)
+		defer cleanup()
+		fi := simdisk.NewFaultInjector(simdisk.NewSSD(fastSSD(), clock.Realtime), clock.Realtime)
+		p := e.start("p", false, fi, time.Second)
+		mustCreate(t, p, CreateChunkReq{View: 1})
+		fi.Stall(100 * time.Millisecond)
+		wrote := make(chan proto.Status, 1)
+		go func() { wrote <- apply(p, proto.OpReplicate, 0, 0, make([]byte, 4*util.KiB)) }()
+		waitFor(t, "the write's admission", func() bool { return pendingLen(p) == 1 })
+		p.Upgrade()
+		if ver, _ := versionView(t, p); ver != 1 || pendingLen(p) != 0 {
+			t.Errorf("Upgrade returned at version %d with %d writes pending, want after the write committed", ver, pendingLen(p))
+		}
+		if st := <-wrote; st != proto.StatusOK {
+			t.Errorf("write across the upgrade = %s", st)
+		}
+		if got := p.Stats().UpgradeGen; got != 1 {
+			t.Errorf("upgrade gen = %d, want 1", got)
+		}
+	})
 }
 
 func TestRepairCodecRoundTrip(t *testing.T) {
-	mods := []repairMod{
-		{Mod: journal.Mod{Version: 1, Off: 0, Len: 4}, Data: []byte{1, 2, 3, 4}},
-		{Mod: journal.Mod{Version: 2, Off: 512, Len: 2}, Data: []byte{9, 8}},
-	}
-	got, err := decodeRepair(encodeRepair(mods))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Version != 1 || got[1].Off != 512 ||
-		!bytes.Equal(got[0].Data, mods[0].Data) {
-		t.Errorf("round trip = %+v", got)
-	}
-	// Truncated payloads fail cleanly.
-	for cut := 1; cut < 10; cut++ {
-		b := encodeRepair(mods)
-		if _, err := decodeRepair(b[:len(b)-cut]); err == nil {
-			t.Errorf("truncation by %d accepted", cut)
+	clock.Test(t, func() {
+		mods := []repairMod{
+			{Mod: journal.Mod{Version: 1, Off: 0, Len: 4}, Data: []byte{1, 2, 3, 4}},
+			{Mod: journal.Mod{Version: 2, Off: 512, Len: 2}, Data: []byte{9, 8}},
 		}
-	}
-	if _, err := decodeRepair(nil); err == nil {
-		t.Error("nil payload accepted")
-	}
+		got, err := decodeRepair(encodeRepair(mods))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0].Version != 1 || got[1].Off != 512 ||
+			!bytes.Equal(got[0].Data, mods[0].Data) {
+			t.Errorf("round trip = %+v", got)
+		}
+		// Truncated payloads fail cleanly.
+		for cut := 1; cut < 10; cut++ {
+			b := encodeRepair(mods)
+			if _, err := decodeRepair(b[:len(b)-cut]); err == nil {
+				t.Errorf("truncation by %d accepted", cut)
+			}
+		}
+		if _, err := decodeRepair(nil); err == nil {
+			t.Error("nil payload accepted")
+		}
+	})
 }
 
 func TestValidRange(t *testing.T) {
-	cases := []struct {
-		off int64
-		n   int
-		ok  bool
-	}{
-		{0, 512, true},
-		{512, util.ChunkSize - 512, true},
-		{0, 0, false},
-		{100, 512, false},
-		{0, 100, false},
-		{util.ChunkSize, 512, false},
-		{-512, 512, false},
-	}
-	for _, c := range cases {
-		err := validRangeIn(c.off, c.n, util.ChunkSize)
-		if (err == nil) != c.ok {
-			t.Errorf("validRangeIn(%d,%d) err=%v, want ok=%v", c.off, c.n, err, c.ok)
+	clock.Test(t, func() {
+		cases := []struct {
+			off int64
+			n   int
+			ok  bool
+		}{
+			{0, 512, true},
+			{512, util.ChunkSize - 512, true},
+			{0, 0, false},
+			{100, 512, false},
+			{0, 100, false},
+			{util.ChunkSize, 512, false},
+			{-512, 512, false},
 		}
-	}
+		for _, c := range cases {
+			err := validRangeIn(c.off, c.n, util.ChunkSize)
+			if (err == nil) != c.ok {
+				t.Errorf("validRangeIn(%d,%d) err=%v, want ok=%v", c.off, c.n, err, c.ok)
+			}
+		}
+	})
 }

@@ -20,10 +20,19 @@ import (
 	"ursa/internal/util"
 )
 
-// env is a master + chunk servers cluster for client-level tests.
+// env is a master + chunk servers cluster for client-level tests. closers
+// are what it and its client and vdisk methods opened, in order.
 type env struct {
-	net *transport.SimNet
-	m   *master.Master
+	net     *transport.SimNet
+	m       *master.Master
+	closers []func()
+}
+
+// close closes what the env opened, last first.
+func (e *env) close() {
+	for i := len(e.closers) - 1; i >= 0; i-- {
+		e.closers[i]()
+	}
 }
 
 // fastSSD and fastHDD are device models fast enough that most of their
@@ -52,11 +61,15 @@ func fastHDD() simdisk.HDDModel {
 // budget.
 const testCallTimeout = 150 * time.Millisecond
 
-func newEnv(t *testing.T) *env { return newEnvSized(t, fastSSD().Capacity, fastHDD().Capacity) }
+// newEnv returns the env and its close, which also closes every client and
+// vdisk its methods opened.
+func newEnv(t *testing.T) (*env, func()) {
+	return newEnvSized(t, fastSSD().Capacity, fastHDD().Capacity)
+}
 
 // newEnvSized is newEnv with the given SSD and HDD capacities: simulated
 // disks are sparse, so room for hundreds of chunk slots costs nothing.
-func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
+func newEnvSized(t *testing.T, ssdCap, hddCap int64) (*env, func()) {
 	t.Helper()
 	ssdModel, hddModel := fastSSD(), fastHDD()
 	ssdModel.Capacity, hddModel.Capacity = ssdCap, hddCap
@@ -75,7 +88,7 @@ func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 		RPCTimeout: 2 * time.Second,
 	})
 	e.m.Serve(ml)
-	t.Cleanup(e.m.Close)
+	e.closers = append(e.closers, e.m.Close)
 
 	for i := 0; i < 4; i++ {
 		machine := "m" + string(rune('0'+i))
@@ -98,16 +111,17 @@ func newEnvSized(t *testing.T, ssdCap, hddCap int64) *env {
 			}, store, jset)
 			l, err := net.Listen(addr, transport.NodeConfig{})
 			if err != nil {
+				e.close()
 				t.Fatal(err)
 			}
 			srv.Serve(l)
-			t.Cleanup(srv.Close)
+			e.closers = append(e.closers, srv.Close)
 			e.m.AddServer(addr, machine, role == chunkserver.RolePrimary, store.Capacity())
 		}
 		mk(machine+"/ssd", chunkserver.RolePrimary)
 		mk(machine+"/hdd", chunkserver.RoleBackup)
 	}
-	return e
+	return e, e.close
 }
 
 func (e *env) client(t *testing.T, name string) *Client {
@@ -117,7 +131,7 @@ func (e *env) client(t *testing.T, name string) *Client {
 		Dialer:      e.net.Dialer("client-"+name, transport.NodeConfig{}),
 		CallTimeout: testCallTimeout,
 	})
-	t.Cleanup(cl.Close)
+	e.closers = append(e.closers, cl.Close)
 	return cl
 }
 
@@ -130,83 +144,92 @@ func (e *env) vdisk(t *testing.T, cl *Client, name string, size int64) *VDisk {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { vd.Close() })
+	e.closers = append(e.closers, func() { vd.Close() })
 	return vd
 }
 
 func TestClientRoundTripAndStats(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", 128*util.MiB)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", 128*util.MiB)
 
-	data := make([]byte, 4*util.KiB)
-	util.NewRand(1).Fill(data)
-	if err := vd.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if err := vd.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("round trip mismatch")
-	}
-	st := vd.Stats()
-	if st.Writes != 1 || st.Reads != 1 || st.TinyWrites != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if vd.ID() == 0 || vd.Meta().Name != "d" {
-		t.Error("metadata accessors wrong")
-	}
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(1).Fill(data)
+		if err := vd.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if err := vd.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("round trip mismatch")
+		}
+		st := vd.Stats()
+		if st.Writes != 1 || st.Reads != 1 || st.TinyWrites != 1 {
+			t.Errorf("stats = %+v", st)
+		}
+		if vd.ID() == 0 || vd.Meta().Name != "d" {
+			t.Error("metadata accessors wrong")
+		}
+	})
 }
 
 func TestClientRegistryMetrics(t *testing.T) {
-	e := newEnv(t)
-	reg := metrics.NewRegistry()
-	cl := New(Config{
-		Name: "m", MasterAddrs: []string{"master"}, Clock: clock.Realtime,
-		Dialer:      e.net.Dialer("client-m", transport.NodeConfig{}),
-		CallTimeout: testCallTimeout,
-		Metrics:     reg,
-	})
-	t.Cleanup(cl.Close)
-	vd := e.vdisk(t, cl, "d", 128*util.MiB)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		reg := metrics.NewRegistry()
+		cl := New(Config{
+			Name: "m", MasterAddrs: []string{"master"}, Clock: clock.Realtime,
+			Dialer:      e.net.Dialer("client-m", transport.NodeConfig{}),
+			CallTimeout: testCallTimeout,
+			Metrics:     reg,
+		})
+		defer cl.Close()
+		vd := e.vdisk(t, cl, "d", 128*util.MiB)
 
-	data := make([]byte, 4*util.KiB)
-	util.NewRand(3).Fill(data)
-	for i := 0; i < 3; i++ {
-		if err := vd.WriteAt(data, int64(i)*int64(len(data))); err != nil {
-			t.Fatal(err)
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(3).Fill(data)
+		for i := 0; i < 3; i++ {
+			if err := vd.WriteAt(data, int64(i)*int64(len(data))); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := reg.Counter("client-tiny-writes").Load(); got != 3 {
-		t.Errorf("client-tiny-writes = %d, want 3", got)
-	}
-	h := reg.LatencyHist("client-directed-fanout")
-	if h == nil || h.Count() != 3 {
-		t.Errorf("client-directed-fanout hist = %v", h)
-	}
+		if got := reg.Counter("client-tiny-writes").Load(); got != 3 {
+			t.Errorf("client-tiny-writes = %d, want 3", got)
+		}
+		h := reg.LatencyHist("client-directed-fanout")
+		if h == nil || h.Count() != 3 {
+			t.Errorf("client-directed-fanout hist = %v", h)
+		}
+	})
 }
 
 func TestClientLargeWriteViaPrimary(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", 128*util.MiB)
-	data := make([]byte, 256*util.KiB)
-	util.NewRand(2).Fill(data)
-	if err := vd.WriteAt(data, util.MiB); err != nil {
-		t.Fatal(err)
-	}
-	if vd.Stats().TinyWrites != 0 {
-		t.Error("large write took the tiny path")
-	}
-	got := make([]byte, len(data))
-	if err := vd.ReadAt(got, util.MiB); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("large round trip mismatch")
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", 128*util.MiB)
+		data := make([]byte, 256*util.KiB)
+		util.NewRand(2).Fill(data)
+		if err := vd.WriteAt(data, util.MiB); err != nil {
+			t.Fatal(err)
+		}
+		if vd.Stats().TinyWrites != 0 {
+			t.Error("large write took the tiny path")
+		}
+		got := make([]byte, len(data))
+		if err := vd.ReadAt(got, util.MiB); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("large round trip mismatch")
+		}
+	})
 }
 
 // TestStripedWriteJoinsEveryFragment: a 256 KiB write over two 128 KiB stripe
@@ -219,251 +242,281 @@ func TestClientLargeWriteViaPrimary(t *testing.T) {
 func TestStripedWriteJoinsEveryFragment(t *testing.T) {
 	for failing := 0; failing < 2; failing++ {
 		t.Run(fmt.Sprintf("fragment %d fails", failing), func(t *testing.T) {
-			e := newEnv(t)
-			cl := e.client(t, "s")
-			const unit = 128 * util.KiB
-			if _, err := cl.CreateVDisk(master.CreateVDiskReq{
-				Name: "d", Size: 2 * util.ChunkSize, StripeGroup: 2, StripeUnit: unit,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			vd, err := cl.Open("d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { vd.Close() })
-			data := make([]byte, 2*unit)
-			util.NewRand(7).Fill(data)
-			if err := vd.WriteAt(data, 0); err != nil {
-				t.Fatalf("striped write on a healthy cluster: %v", err)
-			}
-			other := 1 - failing
-			if p0, p1 := vd.meta.Chunks[0].Replicas[0].Addr, vd.meta.Chunks[1].Replicas[0].Addr; p0 == p1 {
-				t.Fatalf("both chunks' primaries on %s", p0)
-			}
-			ops := opctx.InUse()
-			e.net.Crash("master")
-			e.net.Crash(vd.meta.Chunks[failing].Replicas[0].Addr)
-			util.NewRand(8).Fill(data)
-			err = vd.WriteAt(data, 0)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("write chunk %d ", failing)) {
-				t.Fatalf("write with chunk %d's primary down: %v", failing, err)
-			}
-			ch := vd.chunks[other]
-			ch.mu.Lock()
-			writers, committed, burned := ch.writers, ch.committed, ch.burned
-			ch.mu.Unlock()
-			if writers != 0 || committed != 2 || burned {
-				t.Errorf("fragment %d at return: %d writers, committed %d, burned %v; want it settled at 2",
-					other, writers, committed, burned)
-			}
-			// The write's own op is released at return; the asynchronous
-			// failure report it started has one of its own for a moment.
-			for deadline := time.Now().Add(5 * time.Second); opctx.InUse() > ops; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("ops in use %d after the write returned, %d before it", opctx.InUse(), ops)
+			clock.Test(t, func() {
+				e, cleanup := newEnv(t)
+				defer cleanup()
+				cl := e.client(t, "s")
+				const unit = 128 * util.KiB
+				if _, err := cl.CreateVDisk(master.CreateVDiskReq{
+					Name: "d", Size: 2 * util.ChunkSize, StripeGroup: 2, StripeUnit: unit,
+				}); err != nil {
+					t.Fatal(err)
 				}
-			}
-			got := make([]byte, unit)
-			if err := vd.ReadAt(got, int64(other)*unit); err != nil || !bytes.Equal(got, data[other*unit:][:unit]) {
-				t.Errorf("fragment %d's bytes after the failed write: err %v", other, err)
-			}
+				vd, err := cl.Open("d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer vd.Close()
+				data := make([]byte, 2*unit)
+				util.NewRand(7).Fill(data)
+				if err := vd.WriteAt(data, 0); err != nil {
+					t.Fatalf("striped write on a healthy cluster: %v", err)
+				}
+				other := 1 - failing
+				if p0, p1 := vd.meta.Chunks[0].Replicas[0].Addr, vd.meta.Chunks[1].Replicas[0].Addr; p0 == p1 {
+					t.Fatalf("both chunks' primaries on %s", p0)
+				}
+				ops := opctx.InUse()
+				e.net.Crash("master")
+				e.net.Crash(vd.meta.Chunks[failing].Replicas[0].Addr)
+				util.NewRand(8).Fill(data)
+				err = vd.WriteAt(data, 0)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("write chunk %d ", failing)) {
+					t.Fatalf("write with chunk %d's primary down: %v", failing, err)
+				}
+				ch := vd.chunks[other]
+				ch.mu.Lock()
+				writers, committed, burned := ch.writers, ch.committed, ch.burned
+				ch.mu.Unlock()
+				if writers != 0 || committed != 2 || burned {
+					t.Errorf("fragment %d at return: %d writers, committed %d, burned %v; want it settled at 2",
+						other, writers, committed, burned)
+				}
+				// The write's own op is released at return; the asynchronous
+				// failure report it started has one of its own for a moment.
+				for deadline := time.Now().Add(5 * time.Second); opctx.InUse() > ops; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("ops in use %d after the write returned, %d before it", opctx.InUse(), ops)
+					}
+				}
+				got := make([]byte, unit)
+				if err := vd.ReadAt(got, int64(other)*unit); err != nil || !bytes.Equal(got, data[other*unit:][:unit]) {
+					t.Errorf("fragment %d's bytes after the failed write: err %v", other, err)
+				}
+			})
 		})
 	}
 }
 
 func TestClientFailoverToBackup(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", util.ChunkSize)
-	data := make([]byte, 8*util.KiB)
-	util.NewRand(3).Fill(data)
-	if err := vd.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := cl.OpenMeta("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.net.Crash(meta.Chunks[0].Replicas[0].Addr)
-	got := make([]byte, len(data))
-	if err := vd.ReadAt(got, 0); err != nil {
-		t.Fatalf("read after crash: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("backup data mismatch")
-	}
-	if vd.Stats().Failovers == 0 {
-		t.Error("no failover recorded")
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", util.ChunkSize)
+		data := make([]byte, 8*util.KiB)
+		util.NewRand(3).Fill(data)
+		if err := vd.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := cl.OpenMeta("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.net.Crash(meta.Chunks[0].Replicas[0].Addr)
+		got := make([]byte, len(data))
+		if err := vd.ReadAt(got, 0); err != nil {
+			t.Fatalf("read after crash: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("backup data mismatch")
+		}
+		if vd.Stats().Failovers == 0 {
+			t.Error("no failover recorded")
+		}
+	})
 }
 
 func TestClientErrors(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	if _, err := cl.Open("missing"); !errors.Is(err, util.ErrNotFound) {
-		t.Errorf("open missing: %v", err)
-	}
-	if _, err := cl.OpenMeta("missing"); !errors.Is(err, util.ErrNotFound) {
-		t.Errorf("openmeta missing: %v", err)
-	}
-	if err := cl.DeleteVDisk("missing"); !errors.Is(err, util.ErrNotFound) {
-		t.Errorf("delete missing: %v", err)
-	}
-	e.vdisk(t, cl, "d", util.ChunkSize)
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "d", Size: util.ChunkSize}); !errors.Is(err, util.ErrExists) {
-		t.Errorf("duplicate: %v", err)
-	}
-	cl2 := e.client(t, "b")
-	if _, err := cl2.Open("d"); !errors.Is(err, util.ErrLeaseHeld) {
-		t.Errorf("lease: %v", err)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		if _, err := cl.Open("missing"); !errors.Is(err, util.ErrNotFound) {
+			t.Errorf("open missing: %v", err)
+		}
+		if _, err := cl.OpenMeta("missing"); !errors.Is(err, util.ErrNotFound) {
+			t.Errorf("openmeta missing: %v", err)
+		}
+		if err := cl.DeleteVDisk("missing"); !errors.Is(err, util.ErrNotFound) {
+			t.Errorf("delete missing: %v", err)
+		}
+		e.vdisk(t, cl, "d", util.ChunkSize)
+		if _, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "d", Size: util.ChunkSize}); !errors.Is(err, util.ErrExists) {
+			t.Errorf("duplicate: %v", err)
+		}
+		cl2 := e.client(t, "b")
+		if _, err := cl2.Open("d"); !errors.Is(err, util.ErrLeaseHeld) {
+			t.Errorf("lease: %v", err)
+		}
+	})
 }
 
 func TestClientClosedVDisk(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", util.ChunkSize)
-	vd.Close()
-	if err := vd.WriteAt(make([]byte, 512), 0); !errors.Is(err, util.ErrClosed) {
-		t.Errorf("write after close: %v", err)
-	}
-	// Close is idempotent.
-	if err := vd.Close(); err != nil {
-		t.Error(err)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", util.ChunkSize)
+		vd.Close()
+		if err := vd.WriteAt(make([]byte, 512), 0); !errors.Is(err, util.ErrClosed) {
+			t.Errorf("write after close: %v", err)
+		}
+		// Close is idempotent.
+		if err := vd.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestClientUpgradePreservesState(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", util.ChunkSize)
-	data := make([]byte, 4*util.KiB)
-	util.NewRand(4).Fill(data)
-	if err := vd.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	vd2, err := cl.UpgradeVDisk(vd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vd2.Close()
-	got := make([]byte, len(data))
-	if err := vd2.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("upgrade lost state")
-	}
-	// Writes continue with preserved version counters.
-	if err := vd2.WriteAt(data, 8192); err != nil {
-		t.Fatal(err)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", util.ChunkSize)
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(4).Fill(data)
+		if err := vd.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		vd2, err := cl.UpgradeVDisk(vd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer vd2.Close()
+		got := make([]byte, len(data))
+		if err := vd2.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("upgrade lost state")
+		}
+		// Writes continue with preserved version counters.
+		if err := vd2.WriteAt(data, 8192); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestCacheModule(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", 64*util.MiB)
-	dev := WithCache(vd, 2*util.MiB)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", 64*util.MiB)
+		dev := WithCache(vd, 2*util.MiB)
 
-	data := make([]byte, 8*util.KiB)
-	util.NewRand(5).Fill(data)
-	if err := dev.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if err := dev.ReadAt(got, 0); err != nil { // miss, fills cache
-		t.Fatal(err)
-	}
-	if err := dev.ReadAt(got, 0); err != nil { // hit
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("cached read mismatch")
-	}
-	hits, misses, ok := CacheStats(dev)
-	if !ok || hits == 0 || misses == 0 {
-		t.Errorf("cache stats = %d/%d/%v", hits, misses, ok)
-	}
-	// Write-through keeps cache coherent.
-	data2 := make([]byte, 8*util.KiB)
-	util.NewRand(6).Fill(data2)
-	if err := dev.WriteAt(data2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data2) {
-		t.Error("cache served stale data after write")
-	}
-	if _, _, ok := CacheStats(vd); ok {
-		t.Error("CacheStats on non-cache device")
-	}
+		data := make([]byte, 8*util.KiB)
+		util.NewRand(5).Fill(data)
+		if err := dev.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if err := dev.ReadAt(got, 0); err != nil { // miss, fills cache
+			t.Fatal(err)
+		}
+		if err := dev.ReadAt(got, 0); err != nil { // hit
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Error("cached read mismatch")
+		}
+		hits, misses, ok := CacheStats(dev)
+		if !ok || hits == 0 || misses == 0 {
+			t.Errorf("cache stats = %d/%d/%v", hits, misses, ok)
+		}
+		// Write-through keeps cache coherent.
+		data2 := make([]byte, 8*util.KiB)
+		util.NewRand(6).Fill(data2)
+		if err := dev.WriteAt(data2, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data2) {
+			t.Error("cache served stale data after write")
+		}
+		if _, _, ok := CacheStats(vd); ok {
+			t.Error("CacheStats on non-cache device")
+		}
+	})
 }
 
 func TestCacheEviction(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", 64*util.MiB)
-	// Capacity of exactly 2 blocks.
-	dev := WithCache(vd, 2*cacheBlock)
-	buf := make([]byte, cacheBlock)
-	for i := int64(0); i < 4; i++ {
-		if err := dev.ReadAt(buf, i*cacheBlock); err != nil {
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", 64*util.MiB)
+		// Capacity of exactly 2 blocks.
+		dev := WithCache(vd, 2*cacheBlock)
+		buf := make([]byte, cacheBlock)
+		for i := int64(0); i < 4; i++ {
+			if err := dev.ReadAt(buf, i*cacheBlock); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, misses, _ := CacheStats(dev)
+		if misses != 4 {
+			t.Errorf("misses = %d, want 4 (cold)", misses)
+		}
+		// Oldest blocks evicted: re-reading block 0 must miss again.
+		if err := dev.ReadAt(buf, 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-	_, misses, _ := CacheStats(dev)
-	if misses != 4 {
-		t.Errorf("misses = %d, want 4 (cold)", misses)
-	}
-	// Oldest blocks evicted: re-reading block 0 must miss again.
-	if err := dev.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, misses2, _ := CacheStats(dev)
-	if misses2 != 5 {
-		t.Errorf("misses after eviction = %d, want 5", misses2)
-	}
+		_, misses2, _ := CacheStats(dev)
+		if misses2 != 5 {
+			t.Errorf("misses after eviction = %d, want 5", misses2)
+		}
+	})
 }
 
 func TestRateLimitModule(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", 64*util.MiB)
-	// 1 MB/s budget: 256 KB of writes should take ≥ ~200ms wall.
-	dev := WithRateLimit(vd, 1e6, clock.Realtime)
-	start := time.Now()
-	buf := make([]byte, 64*util.KiB)
-	for i := int64(0); i < 4; i++ {
-		if err := dev.WriteAt(buf, i*int64(len(buf))); err != nil {
-			t.Fatal(err)
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", 64*util.MiB)
+		// 1 MB/s budget: 256 KB of writes should take ≥ ~200ms wall.
+		dev := WithRateLimit(vd, 1e6, clock.Realtime)
+		start := time.Now()
+		buf := make([]byte, 64*util.KiB)
+		for i := int64(0); i < 4; i++ {
+			if err := dev.WriteAt(buf, i*int64(len(buf))); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
-		t.Errorf("rate limit not applied: %v", elapsed)
-	}
+		if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
+			t.Errorf("rate limit not applied: %v", elapsed)
+		}
+	})
 }
 
 func TestSnapshotSizeMismatch(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	src := e.vdisk(t, cl, "src", 128*util.MiB)
-	dst := e.vdisk(t, cl, "dst", 64*util.MiB)
-	if err := Snapshot(src, dst); !errors.Is(err, util.ErrOutOfRange) {
-		t.Errorf("snapshot into smaller device: %v", err)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		src := e.vdisk(t, cl, "src", 128*util.MiB)
+		dst := e.vdisk(t, cl, "dst", 64*util.MiB)
+		if err := Snapshot(src, dst); !errors.Is(err, util.ErrOutOfRange) {
+			t.Errorf("snapshot into smaller device: %v", err)
+		}
+	})
 }
 
 func TestLeaseLostStopsIO(t *testing.T) {
-	e := newEnv(t)
-	cl := e.client(t, "a")
-	vd := e.vdisk(t, cl, "d", util.ChunkSize)
-	// Simulate a lost lease (the renewer would set this on StatusLeaseHeld).
-	vd.leaseOK.Store(false)
-	if err := vd.WriteAt(make([]byte, 512), 0); !errors.Is(err, util.ErrLeaseExpired) {
-		t.Errorf("write with lost lease: %v", err)
-	}
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		cl := e.client(t, "a")
+		vd := e.vdisk(t, cl, "d", util.ChunkSize)
+		// Simulate a lost lease (the renewer would set this on StatusLeaseHeld).
+		vd.leaseOK.Store(false)
+		if err := vd.WriteAt(make([]byte, 512), 0); !errors.Is(err, util.ErrLeaseExpired) {
+			t.Errorf("write with lost lease: %v", err)
+		}
+	})
 }

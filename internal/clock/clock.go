@@ -81,6 +81,29 @@ func Join(f func()) error {
 	}
 }
 
+// TB is what Test needs of a *testing.T; taking it instead keeps package
+// testing out of the daemons' builds.
+type TB interface {
+	Helper()
+	Failed() bool
+	FailNow()
+	Fatalf(format string, args ...any)
+}
+
+// Test runs a test body through Run — in a synctest bubble when the build
+// sets GOEXPERIMENT=synctest, else on the real clock through Join — and stops
+// t when f failed or left a goroutine running. f closes what it opened with
+// a defer, never t.Cleanup: a cleanup runs after the bubble has gone.
+func Test(t TB, f func()) {
+	t.Helper()
+	if err := Run(f); err != nil {
+		t.Fatalf("%v", err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
 // allStacks returns the stacks of every goroutine (runtime.Stack's format).
 func allStacks() []byte {
 	for buf := make([]byte, 64<<10); ; buf = make([]byte, 2*len(buf)) {

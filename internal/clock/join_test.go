@@ -61,9 +61,10 @@ func TestJoinOutwaitsAnOlderGoroutinesExit(t *testing.T) {
 }
 
 // joinRuleBreaks names, as file:line, every call of runtime.NumGoroutine
-// outside internal/clock and every import of testing/synctest by a non-test
-// file other than clock's tagged Run. path is f's file, relative to the
-// module root.
+// outside internal/clock, every import of testing/synctest by a non-test
+// file other than clock's tagged Run, and every Cleanup call inside a
+// function passed to clock.Test. path is f's file, relative to the module
+// root.
 func joinRuleBreaks(fset *token.FileSet, path string, f *ast.File) []string {
 	var out []string
 	at := func(n ast.Node) string { return path + ":" + strconv.Itoa(fset.Position(n.Pos()).Line) }
@@ -76,8 +77,22 @@ func joinRuleBreaks(fset *token.FileSet, path string, f *ast.File) []string {
 		return out
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isSel(call.Fun, "runtime", "NumGoroutine") {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if isSel(call.Fun, "runtime", "NumGoroutine") {
 			out = append(out, at(call))
+		}
+		if isSel(call.Fun, "clock", "Test") && len(call.Args) == 2 {
+			ast.Inspect(call.Args[1], func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Cleanup" {
+						out = append(out, at(c))
+					}
+				}
+				return true
+			})
 		}
 		return true
 	})
@@ -88,21 +103,25 @@ func joinRuleBreaks(fset *token.FileSet, path string, f *ast.File) []string {
 // exited" in one place: only internal/clock counts goroutines (Join), and
 // only its tagged Run opens a synctest bubble outside a test. A hand-rolled
 // poll of the process's goroutine count beside a bubble spends its deadline
-// in virtual time while a goroutine outside the bubble is still exiting. The
-// rule is first run on a sample of what it must and must not catch.
+// in virtual time while a goroutine outside the bubble is still exiting. A
+// test body run by clock.Test closes what it opened with a defer: a
+// t.Cleanup would run after the bubble has gone, so clock.Test's join finds
+// what it was to close still running. The rule is first run on a sample of
+// what it must and must not catch.
 func TestOneJoinRule(t *testing.T) {
 	const sample = `package x
 import "testing/synctest"
 func a() int { return runtime.NumGoroutine() }
-func b() { synctest.Run(func() {}); _ = runtime.NumCPU() }`
+func b() { synctest.Run(func() {}); _ = runtime.NumCPU() }
+func c(t *testing.T) { clock.Test(t, func() { defer t.Cleanup(nil) }); t.Cleanup(nil) }`
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for path, want := range map[string][]string{
-		"internal/x/x.go":                {"internal/x/x.go:2", "internal/x/x.go:3"},
-		"internal/x/x_test.go":           {"internal/x/x_test.go:3"},
+		"internal/x/x.go":                {"internal/x/x.go:2", "internal/x/x.go:3", "internal/x/x.go:5"},
+		"internal/x/x_test.go":           {"internal/x/x_test.go:3", "internal/x/x_test.go:5"},
 		"internal/clock/x.go":            {"internal/clock/x.go:2"},
 		"internal/clock/run_synctest.go": nil,
 	} {
@@ -113,7 +132,7 @@ func b() { synctest.Run(func() {}); _ = runtime.NumCPU() }`
 
 	eachFile(t, true, func(fset *token.FileSet, path string, f *ast.File) {
 		for _, at := range joinRuleBreaks(fset, path, f) {
-			t.Errorf("%s: counts goroutines or opens a bubble outside internal/clock: join through clock.Join or clock.Run", at)
+			t.Errorf("%s: counts goroutines or opens a bubble outside internal/clock, or registers a cleanup in a clock.Test body: join through clock.Join or clock.Run, and defer the close", at)
 		}
 	})
 }

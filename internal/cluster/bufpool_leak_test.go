@@ -21,12 +21,12 @@ import (
 // timeout-and-retry, dead-journal re-route, crash-severed connections,
 // stragglers of a degraded commit, repair reads. The same goes for
 // goroutines: Close joins what the cluster started — serve loops, replayers,
-// dispatchers, the client's reporter — on the fault paths too (clock.Join).
+// dispatchers, the client's reporter — on the fault paths too (clock.Test).
 func TestChaosPoolLeakFree(t *testing.T) {
 	start, startOps := bufpool.InUse(), opctx.InUse()
-	if err := clock.Join(func() {
-		// Built without t.Cleanup: the leak check needs the cluster fully
-		// closed (all in-flight buffers drained) while the test still runs.
+	clock.Test(t, func() {
+		// Closed by hand, not by the deferred close alone: the checks below
+		// need the cluster fully closed (all in-flight buffers drained).
 		c, err := core.New(chaosClusterOptions(true))
 		if err != nil {
 			t.Fatal(err)
@@ -83,9 +83,7 @@ func TestChaosPoolLeakFree(t *testing.T) {
 		if fromMemory == 0 {
 			t.Error("no replay drained the resident image: the run did not exercise it")
 		}
-	}); err != nil {
-		t.Fatalf("after chaos run: %v", err)
-	}
+	})
 
 	deadline := time.Now().Add(15 * time.Second)
 	for bufpool.InUse() != start || opctx.InUse() > startOps {

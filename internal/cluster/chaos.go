@@ -170,7 +170,7 @@ type ChaosReport struct {
 // while injecting the scheduled faults into c, and checks every read the
 // client acks against a per-sector linearizability model. I/O errors are
 // availability loss and only counted; stale or lost data fails the run.
-func RunChaos(c *core.Cluster, vd *client.VDisk, opts ChaosOptions) (*ChaosReport, error) {
+func RunChaos(c *core.Cluster, vd client.Device, opts ChaosOptions) (*ChaosReport, error) {
 	if opts.Ops <= 0 {
 		opts.Ops = 400
 	}

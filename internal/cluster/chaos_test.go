@@ -45,31 +45,40 @@ func chaosClusterOptions(hddJournal bool) core.Options {
 	}
 }
 
-func chaosCluster(t *testing.T, hddJournal bool) *core.Cluster {
+func chaosCluster(t *testing.T, hddJournal bool) (*core.Cluster, func()) {
 	t.Helper()
 	c, err := core.New(chaosClusterOptions(hddJournal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
+	return c, c.Close
 }
 
-func chaosVDisk(t *testing.T, c *core.Cluster, chunks int64) *client.VDisk {
+// chaosVDisk creates and opens a vdisk of the given chunks on a client of
+// its own, and returns it with its close.
+func chaosVDisk(t *testing.T, c *core.Cluster, chunks int64) (*client.VDisk, func()) {
 	t.Helper()
-	cl := c.NewClient("chaos-client")
-	t.Cleanup(func() { cl.Close() })
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{
-		Name: "chaos", Size: chunks * util.ChunkSize,
-	}); err != nil {
-		t.Fatal(err)
+	return openVDisk(t, c, "chaos-client", master.CreateVDiskReq{Name: "chaos", Size: chunks * util.ChunkSize})
+}
+
+// openVDisk creates req's vdisk and opens it on a new client of the given
+// name, and returns it with the close of both.
+func openVDisk(t *testing.T, c *core.Cluster, name string, req master.CreateVDiskReq) (*client.VDisk, func()) {
+	t.Helper()
+	cl := c.NewClient(name)
+	_, err := cl.CreateVDisk(req)
+	var vd *client.VDisk
+	if err == nil {
+		vd, err = cl.Open(req.Name)
 	}
-	vd, err := cl.Open("chaos")
 	if err != nil {
+		cl.Close()
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { vd.Close() })
-	return vd
+	return vd, func() {
+		vd.Close()
+		cl.Close()
+	}
 }
 
 // TestChaosJournalDeathNoClientErrors is the acceptance scenario: every SSD
@@ -78,41 +87,45 @@ func chaosVDisk(t *testing.T, c *core.Cluster, chunks int64) *client.VDisk {
 // stores. Deterministic (fixed seed, scripted schedule) and fast; this is
 // the chaos smoke run wired into make check.
 func TestChaosJournalDeathNoClientErrors(t *testing.T) {
-	c := chaosCluster(t, false) // one SSD journal per backup: death = set dead
-	vd := chaosVDisk(t, c, 2)
+	clock.Test(t, func() {
+		c, cleanup := chaosCluster(t, false) // one SSD journal per backup: death = set dead
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 2)
+		defer cleanup()
 
-	schedule := make([]ChaosEvent, 0, len(c.Machines))
-	for m := range c.Machines {
-		schedule = append(schedule, ChaosEvent{
-			AtOp: 60, Kind: ChaosKillJournals, Machine: m,
+		schedule := make([]ChaosEvent, 0, len(c.Machines))
+		for m := range c.Machines {
+			schedule = append(schedule, ChaosEvent{
+				AtOp: 60, Kind: ChaosKillJournals, Machine: m,
+			})
+		}
+		rep, err := RunChaos(c, vd, ChaosOptions{
+			Ops:        300,
+			Seed:       42,
+			WriteFrac:  0.7,
+			Schedule:   schedule,
+			FinalSweep: true,
 		})
-	}
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:        300,
-		Seed:       42,
-		WriteFrac:  0.7,
-		Schedule:   schedule,
-		FinalSweep: true,
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WriteErrors != 0 || rep.ReadErrors != 0 {
+			t.Fatalf("client saw failed I/O: %+v", rep)
+		}
+		if rep.EventsFired != len(schedule) {
+			t.Errorf("fired %d/%d events", rep.EventsFired, len(schedule))
+		}
+		reg := c.Metrics()
+		if got := reg.Counter(journal.MetricJournalDead).Load(); got == 0 {
+			t.Error("no journal death recorded")
+		}
+		if got := reg.Counter(journal.MetricBypassWrites).Load(); got == 0 {
+			t.Error("no bypass write recorded: ladder never reached WriteDirect")
+		}
+		if got := reg.Counter(simdisk.MetricFaultsInjected).Load(); got == 0 {
+			t.Error("fault-injection counter never moved")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WriteErrors != 0 || rep.ReadErrors != 0 {
-		t.Fatalf("client saw failed I/O: %+v", rep)
-	}
-	if rep.EventsFired != len(schedule) {
-		t.Errorf("fired %d/%d events", rep.EventsFired, len(schedule))
-	}
-	reg := c.Metrics()
-	if got := reg.Counter(journal.MetricJournalDead).Load(); got == 0 {
-		t.Error("no journal death recorded")
-	}
-	if got := reg.Counter(journal.MetricBypassWrites).Load(); got == 0 {
-		t.Error("no bypass write recorded: ladder never reached WriteDirect")
-	}
-	if got := reg.Counter(simdisk.MetricFaultsInjected).Load(); got == 0 {
-		t.Error("fault-injection counter never moved")
-	}
 }
 
 // TestChaosRandomLinearizable runs a seeded random fault schedule — journal
@@ -120,31 +133,37 @@ func TestChaosJournalDeathNoClientErrors(t *testing.T) {
 // a mixed workload and requires the whole history to stay linearizable.
 // Availability may dip (counted, not fatal); stale data fails the run.
 func TestChaosRandomLinearizable(t *testing.T) {
-	c := chaosCluster(t, true)
-	vd := chaosVDisk(t, c, 2)
+	clock.Test(t, func() {
+		c, cleanup := chaosCluster(t, true)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 2)
+		defer cleanup()
 
-	ops := 400
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:        ops,
-		Seed:       7,
-		Schedule:   RandomSchedule(c, 7, ops),
-		FinalSweep: true,
+		ops := 400
+		hist := newHistory(c, vd)
+		rep, err := RunChaos(c, hist, ChaosOptions{
+			Ops:        ops,
+			Seed:       7,
+			Schedule:   RandomSchedule(c, 7, ops),
+			FinalSweep: true,
+		})
+		t.Logf("history hash %x", hist.sum())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.EventsFired == 0 {
+			t.Fatal("random schedule injected nothing")
+		}
+		if rep.Sectors == 0 {
+			t.Fatal("checker tracked no sectors")
+		}
+		t.Logf("chaos report: %+v", rep)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EventsFired == 0 {
-		t.Fatal("random schedule injected nothing")
-	}
-	if rep.Sectors == 0 {
-		t.Fatal("checker tracked no sectors")
-	}
-	t.Logf("chaos report: %+v", rep)
 }
 
 // scrubCluster is chaosCluster with an aggressive background scrubber, so
 // bit-rot detection happens in test time rather than production time.
-func scrubCluster(t *testing.T) *core.Cluster {
+func scrubCluster(t *testing.T) (*core.Cluster, func()) {
 	t.Helper()
 	c, err := core.New(core.Options{
 		Machines:       4,
@@ -176,8 +195,7 @@ func scrubCluster(t *testing.T) *core.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
+	return c, c.Close
 }
 
 // replicaDevice maps a replica address like "m2/hdd1" back to its machine
@@ -213,92 +231,96 @@ func waitClusterCounter(t *testing.T, c *core.Cluster, name string, want int64) 
 // by the scrubber, the replica evicted by a master view change, and every
 // byte the client ever read linearizable.
 func TestChaosBitRotScrubRepairs(t *testing.T) {
-	c := scrubCluster(t)
-	vd := chaosVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := scrubCluster(t)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 1)
+		defer cleanup()
 
-	// Locate a backup replica of the (single) chunk and its backing device.
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rotAddr string
-	for _, r := range meta.Chunks[0].Replicas {
-		if !r.SSD {
-			rotAddr = r.Addr
-			break
-		}
-	}
-	if rotAddr == "" {
-		t.Fatal("chunk has no backup replica")
-	}
-	mi, di, isHDD := replicaDevice(t, c, rotAddr)
-	if !isHDD {
-		t.Fatalf("backup replica %s not on an HDD", rotAddr)
-	}
-
-	// Persistent whole-device rot on the backup's HDD, mid-workload. The
-	// backup's journal lives on the machine's SSD and stays clean, so
-	// writes keep committing; only the rotted store can betray the reader.
-	checker := linearize.New()
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:       300,
-		Seed:      11,
-		WriteFrac: 0.6,
-		Schedule: []ChaosEvent{
-			{AtOp: 50, Kind: ChaosCorruptDisk, Machine: mi, HDD: true, Disk: di, Persistent: true},
-		},
-		Checker: checker,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EventsFired != 1 {
-		t.Fatalf("rot never armed: %+v", rep)
-	}
-
-	// The scrubber must find the rot, count it, and trigger a view change.
-	waitClusterCounter(t, c, scrub.MetricCorruptionsFound, 1)
-	waitClusterCounter(t, c, chunkserver.MetricChecksumMismatches, 1)
-	waitClusterCounter(t, c, master.MetricChunkRecoveries, 1)
-
-	// The view change must evict the rotted replica from the placement.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		meta, err = mon.OpenMeta("chaos")
+		// Locate a backup replica of the (single) chunk and its backing device.
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("chaos")
 		if err != nil {
 			t.Fatal(err)
 		}
-		evicted := true
+		var rotAddr string
 		for _, r := range meta.Chunks[0].Replicas {
-			if r.Addr == rotAddr {
-				evicted = false
+			if !r.SSD {
+				rotAddr = r.Addr
+				break
 			}
 		}
-		if len(meta.Chunks[0].Replicas) == 3 && evicted {
-			break
+		if rotAddr == "" {
+			t.Fatal("chunk has no backup replica")
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rotted replica %s still placed: %+v", rotAddr, meta.Chunks[0].Replicas)
+		mi, di, isHDD := replicaDevice(t, c, rotAddr)
+		if !isHDD {
+			t.Fatalf("backup replica %s not on an HDD", rotAddr)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
-	// With the rot STILL armed, sweep the whole workload region through the
-	// client: every byte must match the shared linearizability history.
-	buf := make([]byte, util.SectorSize)
-	for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
-		if err := vd.ReadAt(buf, off); err != nil {
-			t.Fatalf("sweep read at %d: %v", off, err)
+		// Persistent whole-device rot on the backup's HDD, mid-workload. The
+		// backup's journal lives on the machine's SSD and stays clean, so
+		// writes keep committing; only the rotted store can betray the reader.
+		checker := linearize.New()
+		rep, err := RunChaos(c, vd, ChaosOptions{
+			Ops:       300,
+			Seed:      11,
+			WriteFrac: 0.6,
+			Schedule: []ChaosEvent{
+				{AtOp: 50, Kind: ChaosCorruptDisk, Machine: mi, HDD: true, Disk: di, Persistent: true},
+			},
+			Checker: checker,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := checker.CheckRead(off, buf); err != nil {
-			t.Fatalf("corrupt payload reached the client at %d: %v", off, err)
+		if rep.EventsFired != 1 {
+			t.Fatalf("rot never armed: %+v", rep)
 		}
-	}
-	if got := c.Metrics().Counter(simdisk.MetricCorruptionsInjected).Load(); got != 1 {
-		t.Errorf("%s = %d, want 1", simdisk.MetricCorruptionsInjected, got)
-	}
+
+		// The scrubber must find the rot, count it, and trigger a view change.
+		waitClusterCounter(t, c, scrub.MetricCorruptionsFound, 1)
+		waitClusterCounter(t, c, chunkserver.MetricChecksumMismatches, 1)
+		waitClusterCounter(t, c, master.MetricChunkRecoveries, 1)
+
+		// The view change must evict the rotted replica from the placement.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			meta, err = mon.OpenMeta("chaos")
+			if err != nil {
+				t.Fatal(err)
+			}
+			evicted := true
+			for _, r := range meta.Chunks[0].Replicas {
+				if r.Addr == rotAddr {
+					evicted = false
+				}
+			}
+			if len(meta.Chunks[0].Replicas) == 3 && evicted {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("rotted replica %s still placed: %+v", rotAddr, meta.Chunks[0].Replicas)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		// With the rot STILL armed, sweep the whole workload region through the
+		// client: every byte must match the shared linearizability history.
+		buf := make([]byte, util.SectorSize)
+		for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
+			if err := vd.ReadAt(buf, off); err != nil {
+				t.Fatalf("sweep read at %d: %v", off, err)
+			}
+			if err := checker.CheckRead(off, buf); err != nil {
+				t.Fatalf("corrupt payload reached the client at %d: %v", off, err)
+			}
+		}
+		if got := c.Metrics().Counter(simdisk.MetricCorruptionsInjected).Load(); got != 1 {
+			t.Errorf("%s = %d, want 1", simdisk.MetricCorruptionsInjected, got)
+		}
+	})
 }
 
 // TestChaosBitRotPrimaryReadPath rots the primary SSD's store region under
@@ -306,61 +328,65 @@ func TestChaosBitRotScrubRepairs(t *testing.T) {
 // must catch every mismatch, never hand rotted bytes to the client, and
 // report the replica so the master moves the primary elsewhere.
 func TestChaosBitRotPrimaryReadPath(t *testing.T) {
-	c := chaosCluster(t, false)
-	vd := chaosVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := chaosCluster(t, false)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 1)
+		defer cleanup()
 
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := meta.Chunks[0].Replicas[0]
-	if !primary.SSD {
-		t.Fatalf("first replica %+v is not the SSD primary", primary)
-	}
-	mi, di, isHDD := replicaDevice(t, c, primary.Addr)
-	if isHDD {
-		t.Fatalf("primary %s on an HDD", primary.Addr)
-	}
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("chaos")
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := meta.Chunks[0].Replicas[0]
+		if !primary.SSD {
+			t.Fatalf("first replica %+v is not the SSD primary", primary)
+		}
+		mi, di, isHDD := replicaDevice(t, c, primary.Addr)
+		if isHDD {
+			t.Fatalf("primary %s on an HDD", primary.Addr)
+		}
 
-	// Rot only the SSD's store region: its tail tenth holds backup
-	// journals whose rot is a different test (journal-replay-corrupt).
-	ssdSize := c.Machines[mi].SSDFaults[di].Size()
-	storeLimit := util.AlignDown(int64(float64(ssdSize)*0.9), util.ChunkSize)
+		// Rot only the SSD's store region: its tail tenth holds backup
+		// journals whose rot is a different test (journal-replay-corrupt).
+		ssdSize := c.Machines[mi].SSDFaults[di].Size()
+		storeLimit := util.AlignDown(int64(float64(ssdSize)*0.9), util.ChunkSize)
 
-	checker := linearize.New()
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:       300,
-		Seed:      13,
-		WriteFrac: 0.4, // read-heavy: the read path is the detector here
-		Schedule: []ChaosEvent{
-			{AtOp: 50, Kind: ChaosCorruptDisk, Machine: mi, Disk: di,
-				Lo: 0, Hi: storeLimit, Persistent: true},
-		},
-		Checker: checker,
+		checker := linearize.New()
+		rep, err := RunChaos(c, vd, ChaosOptions{
+			Ops:       300,
+			Seed:      13,
+			WriteFrac: 0.4, // read-heavy: the read path is the detector here
+			Schedule: []ChaosEvent{
+				{AtOp: 50, Kind: ChaosCorruptDisk, Machine: mi, Disk: di,
+					Lo: 0, Hi: storeLimit, Persistent: true},
+			},
+			Checker: checker,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.EventsFired != 1 {
+			t.Fatalf("rot never armed: %+v", rep)
+		}
+
+		waitClusterCounter(t, c, chunkserver.MetricChecksumMismatches, 1)
+		waitClusterCounter(t, c, master.MetricChunkRecoveries, 1)
+
+		// Sweep with the rot still armed; reads must come back clean from the
+		// repaired placement.
+		buf := make([]byte, util.SectorSize)
+		for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
+			if err := vd.ReadAt(buf, off); err != nil {
+				t.Fatalf("sweep read at %d: %v", off, err)
+			}
+			if err := checker.CheckRead(off, buf); err != nil {
+				t.Fatalf("corrupt payload reached the client at %d: %v", off, err)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EventsFired != 1 {
-		t.Fatalf("rot never armed: %+v", rep)
-	}
-
-	waitClusterCounter(t, c, chunkserver.MetricChecksumMismatches, 1)
-	waitClusterCounter(t, c, master.MetricChunkRecoveries, 1)
-
-	// Sweep with the rot still armed; reads must come back clean from the
-	// repaired placement.
-	buf := make([]byte, util.SectorSize)
-	for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
-		if err := vd.ReadAt(buf, off); err != nil {
-			t.Fatalf("sweep read at %d: %v", off, err)
-		}
-		if err := checker.CheckRead(off, buf); err != nil {
-			t.Fatalf("corrupt payload reached the client at %d: %v", off, err)
-		}
-	}
 }
 
 // TestRecoverChunkRacesClientWrite drives master view changes concurrently
@@ -368,66 +394,70 @@ func TestChaosBitRotPrimaryReadPath(t *testing.T) {
 // repair/clone/SetView steps and in-flight writes must neither trip the
 // race detector nor corrupt committed data.
 func TestRecoverChunkRacesClientWrite(t *testing.T) {
-	c := chaosCluster(t, true)
-	vd := chaosVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := chaosCluster(t, true)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 1)
+		defer cleanup()
 
-	checker := linearize.New()
-	var checkMu sync.Mutex
-	const region = 64 * util.KiB
+		checker := linearize.New()
+		var checkMu sync.Mutex
+		const region = 64 * util.KiB
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := util.NewRand(99)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := util.NewRand(99)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				off := util.AlignDown(r.Int63n(region), util.SectorSize)
+				data := make([]byte, util.SectorSize)
+				r.Fill(data)
+				err := vd.WriteAt(data, off)
+				checkMu.Lock()
+				if err != nil {
+					checker.WriteUnresolved(off, data)
+				} else {
+					checker.WriteCommitted(off, data)
+				}
+				checkMu.Unlock()
 			}
-			off := util.AlignDown(r.Int63n(region), util.SectorSize)
-			data := make([]byte, util.SectorSize)
-			r.Fill(data)
-			err := vd.WriteAt(data, off)
-			checkMu.Lock()
-			if err != nil {
-				checker.WriteUnresolved(off, data)
+		}()
+
+		// Repeated pure-repair view changes while the writer runs.
+		views := 0
+		for i := 0; i < 6; i++ {
+			if _, err := c.Master.RecoverChunk(vd.ID(), 0, "", 0); err != nil {
+				t.Errorf("recover %d: %v", i, err)
 			} else {
-				checker.WriteCommitted(off, data)
+				views++
 			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		close(stop)
+		wg.Wait()
+		if views == 0 {
+			t.Fatal("no view change completed")
+		}
+
+		// Everything the client committed must read back.
+		buf := make([]byte, util.SectorSize)
+		for off := int64(0); off < region; off += util.SectorSize {
+			if err := vd.ReadAt(buf, off); err != nil {
+				t.Fatalf("read at %d: %v", off, err)
+			}
+			checkMu.Lock()
+			err := checker.CheckRead(off, buf)
 			checkMu.Unlock()
+			if err != nil {
+				t.Fatalf("sweep at %d: %v", off, err)
+			}
 		}
-	}()
-
-	// Repeated pure-repair view changes while the writer runs.
-	views := 0
-	for i := 0; i < 6; i++ {
-		if _, err := c.Master.RecoverChunk(vd.ID(), 0, "", 0); err != nil {
-			t.Errorf("recover %d: %v", i, err)
-		} else {
-			views++
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if views == 0 {
-		t.Fatal("no view change completed")
-	}
-
-	// Everything the client committed must read back.
-	buf := make([]byte, util.SectorSize)
-	for off := int64(0); off < region; off += util.SectorSize {
-		if err := vd.ReadAt(buf, off); err != nil {
-			t.Fatalf("read at %d: %v", off, err)
-		}
-		checkMu.Lock()
-		err := checker.CheckRead(off, buf)
-		checkMu.Unlock()
-		if err != nil {
-			t.Fatalf("sweep at %d: %v", off, err)
-		}
-	}
+	})
 }

@@ -25,19 +25,18 @@ var rs42 = redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}
 // ecCluster builds a hybrid cluster wide enough for RS(4,2) placement: the
 // primary's machine plus six distinct holder machines, plus optional spares
 // for rebuild targets.
-func ecCluster(t *testing.T, machines int) *core.Cluster {
+func ecCluster(t *testing.T, machines int) (*core.Cluster, func()) {
 	t.Helper()
 	return ecClusterWith(t, ecOptions(machines))
 }
 
-func ecClusterWith(t *testing.T, opts core.Options) *core.Cluster {
+func ecClusterWith(t *testing.T, opts core.Options) (*core.Cluster, func()) {
 	t.Helper()
 	c, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
+	return c, c.Close
 }
 
 func ecOptions(machines int) core.Options {
@@ -63,21 +62,9 @@ func ecOptions(machines int) core.Options {
 	}
 }
 
-func ecVDisk(t *testing.T, c *core.Cluster, chunks int64) *client.VDisk {
+func ecVDisk(t *testing.T, c *core.Cluster, chunks int64) (*client.VDisk, func()) {
 	t.Helper()
-	cl := c.NewClient("ec-client")
-	t.Cleanup(func() { cl.Close() })
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{
-		Name: "ec", Size: chunks * util.ChunkSize, Redundancy: rs42,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	vd, err := cl.Open("ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { vd.Close() })
-	return vd
+	return openVDisk(t, c, "ec-client", master.CreateVDiskReq{Name: "ec", Size: chunks * util.ChunkSize, Redundancy: rs42})
 }
 
 // TestChaosECSegmentDeath is the erasure-coding acceptance scenario (the
@@ -87,39 +74,43 @@ func ecVDisk(t *testing.T, c *core.Cluster, chunks int64) *client.VDisk {
 // segments onto fresh servers. Deterministic: fixed seed, scripted
 // schedule, linearizability-checked throughout plus a final sweep.
 func TestChaosECSegmentDeath(t *testing.T) {
-	c := ecCluster(t, 8) // 1 primary + 6 holders + 1 spare machine
-	vd := ecVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := ecCluster(t, 8) // 1 primary + 6 holders + 1 spare machine
+		defer cleanup()
+		vd, cleanup := ecVDisk(t, c, 1)
+		defer cleanup()
 
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := meta.Chunks[0].Replicas
-	if len(reps) != 1+rs42.N+rs42.M {
-		t.Fatalf("placement has %d replicas, want %d", len(reps), 1+rs42.N+rs42.M)
-	}
-	schedule := []ChaosEvent{
-		{AtOp: 60, Kind: ChaosCrashServer, Server: reps[1].Addr},
-		{AtOp: 60, Kind: ChaosCrashServer, Server: reps[2].Addr},
-	}
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:        300,
-		Seed:       42,
-		WriteFrac:  0.7,
-		Schedule:   schedule,
-		FinalSweep: true,
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("ec")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := meta.Chunks[0].Replicas
+		if len(reps) != 1+rs42.N+rs42.M {
+			t.Fatalf("placement has %d replicas, want %d", len(reps), 1+rs42.N+rs42.M)
+		}
+		schedule := []ChaosEvent{
+			{AtOp: 60, Kind: ChaosCrashServer, Server: reps[1].Addr},
+			{AtOp: 60, Kind: ChaosCrashServer, Server: reps[2].Addr},
+		}
+		rep, err := RunChaos(c, vd, ChaosOptions{
+			Ops:        300,
+			Seed:       42,
+			WriteFrac:  0.7,
+			Schedule:   schedule,
+			FinalSweep: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WriteErrors != 0 || rep.ReadErrors != 0 {
+			t.Fatalf("client saw failed I/O with %d segment holders dead: %+v", len(schedule), rep)
+		}
+		if rep.EventsFired != len(schedule) {
+			t.Errorf("fired %d/%d events", rep.EventsFired, len(schedule))
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WriteErrors != 0 || rep.ReadErrors != 0 {
-		t.Fatalf("client saw failed I/O with %d segment holders dead: %+v", len(schedule), rep)
-	}
-	if rep.EventsFired != len(schedule) {
-		t.Errorf("fired %d/%d events", rep.EventsFired, len(schedule))
-	}
 }
 
 // TestChaosECHolderDiskDeath kills the HDD under one RS(4,2) segment holder
@@ -131,101 +122,105 @@ func TestChaosECSegmentDeath(t *testing.T) {
 // Zero failed or corrupt client I/Os throughout; afterwards the segment
 // lives on a different server and all 1+N+M replicas agree on one version.
 func TestChaosECHolderDiskDeath(t *testing.T) {
-	// A write caught mid-flight by the view change can leave the primary one
-	// version ahead of every holder; the client reports it and waits while
-	// the master rebuilds the whole stripe from the primary's snapshot —
-	// 6 × 16 MiB, several seconds under the race detector. Its I/O budget
-	// must cover that, or the report times out and the write fails.
-	opts := ecOptions(8) // 1 primary + 6 holders + 1 spare machine
-	opts.IOTimeout = 30 * time.Second
-	c := ecClusterWith(t, opts)
-	vd := ecVDisk(t, c, 1)
+	clock.Test(t, func() {
+		// A write caught mid-flight by the view change can leave the primary one
+		// version ahead of every holder; the client reports it and waits while
+		// the master rebuilds the whole stripe from the primary's snapshot —
+		// 6 × 16 MiB, several seconds under the race detector. Its I/O budget
+		// must cover that, or the report times out and the write fails.
+		opts := ecOptions(8) // 1 primary + 6 holders + 1 spare machine
+		opts.IOTimeout = 30 * time.Second
+		c, cleanup := ecClusterWith(t, opts)
+		defer cleanup()
+		vd, cleanup := ecVDisk(t, c, 1)
+		defer cleanup()
 
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Segment 0's holder: the workload region lives in segment 0, so every
-	// write lands bytes in this holder's journal that replay cannot put on
-	// the dead disk.
-	victim := meta.Chunks[0].Replicas[1].Addr
-	mi, di, isHDD := replicaDevice(t, c, victim)
-	if !isHDD {
-		t.Fatalf("segment holder %s not on an HDD", victim)
-	}
-	checker := linearize.New()
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:       400,
-		Seed:      42,
-		WriteFrac: 0.7,
-		Schedule:  []ChaosEvent{{AtOp: 60, Kind: ChaosKillDisk, Machine: mi, HDD: true, Disk: di}},
-		Checker:   checker,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WriteErrors != 0 || rep.ReadErrors != 0 || rep.EventsFired != 1 {
-		t.Fatalf("client saw failed I/O with one holder's disk dead: %+v", rep)
-	}
-
-	// The holder's own report must get the position re-homed; nothing here
-	// nudges the master.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if meta, err = mon.OpenMeta("ec"); err != nil {
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("ec")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Chunks[0].Replicas[1].Addr != victim {
-			break
+		// Segment 0's holder: the workload region lives in segment 0, so every
+		// write lands bytes in this holder's journal that replay cannot put on
+		// the dead disk.
+		victim := meta.Chunks[0].Replicas[1].Addr
+		mi, di, isHDD := replicaDevice(t, c, victim)
+		if !isHDD {
+			t.Fatalf("segment holder %s not on an HDD", victim)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("segment 0 still on %s, whose disk is dead: view %d", victim, meta.Chunks[0].View)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Every replica of the final placement answers at one version. A holder
-	// rebuilt while the last writes were in flight may trail them; the next
-	// write or open would report that, which the loop stands in for.
-	for {
-		if meta, err = mon.OpenMeta("ec"); err != nil {
+		checker := linearize.New()
+		rep, err := RunChaos(c, vd, ChaosOptions{
+			Ops:       400,
+			Seed:      42,
+			WriteFrac: 0.7,
+			Schedule:  []ChaosEvent{{AtOp: 60, Kind: ChaosKillDisk, Machine: mi, HDD: true, Disk: di}},
+			Checker:   checker,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		versions := make([]uint64, 0, len(meta.Chunks[0].Replicas))
-		for _, r := range meta.Chunks[0].Replicas {
-			resp := c.Server(r.Addr).Handle(&proto.Message{
-				Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(blockstore.MakeChunkID(meta.ID, 0)),
-			})
-			if resp.Status == proto.StatusOK && resp.View == meta.Chunks[0].View {
-				versions = append(versions, resp.Version)
+		if rep.WriteErrors != 0 || rep.ReadErrors != 0 || rep.EventsFired != 1 {
+			t.Fatalf("client saw failed I/O with one holder's disk dead: %+v", rep)
+		}
+
+		// The holder's own report must get the position re-homed; nothing here
+		// nudges the master.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if meta, err = mon.OpenMeta("ec"); err != nil {
+				t.Fatal(err)
+			}
+			if meta.Chunks[0].Replicas[1].Addr != victim {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("segment 0 still on %s, whose disk is dead: view %d", victim, meta.Chunks[0].View)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		// Every replica of the final placement answers at one version. A holder
+		// rebuilt while the last writes were in flight may trail them; the next
+		// write or open would report that, which the loop stands in for.
+		for {
+			if meta, err = mon.OpenMeta("ec"); err != nil {
+				t.Fatal(err)
+			}
+			versions := make([]uint64, 0, len(meta.Chunks[0].Replicas))
+			for _, r := range meta.Chunks[0].Replicas {
+				resp := c.Server(r.Addr).Handle(&proto.Message{
+					Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(blockstore.MakeChunkID(meta.ID, 0)),
+				})
+				if resp.Status == proto.StatusOK && resp.View == meta.Chunks[0].View {
+					versions = append(versions, resp.Version)
+				}
+			}
+			agree := len(versions) == 1+rs42.N+rs42.M
+			for _, v := range versions {
+				agree = agree && v == versions[0]
+			}
+			if agree {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replicas never converged: versions %v of %+v", versions, meta.Chunks[0])
+			}
+			_, _ = c.PrimaryMaster().RecoverChunk(meta.ID, 0, "", 0)
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		// With the disk still dead, every byte must match the history.
+		buf := make([]byte, util.SectorSize)
+		for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
+			if err := vd.ReadAt(buf, off); err != nil {
+				t.Fatalf("sweep read at %d: %v", off, err)
+			}
+			if err := checker.CheckRead(off, buf); err != nil {
+				t.Fatalf("sweep at %d: %v", off, err)
 			}
 		}
-		agree := len(versions) == 1+rs42.N+rs42.M
-		for _, v := range versions {
-			agree = agree && v == versions[0]
-		}
-		if agree {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replicas never converged: versions %v of %+v", versions, meta.Chunks[0])
-		}
-		_, _ = c.PrimaryMaster().RecoverChunk(meta.ID, 0, "", 0)
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// With the disk still dead, every byte must match the history.
-	buf := make([]byte, util.SectorSize)
-	for off := int64(0); off < 128*util.KiB; off += util.SectorSize {
-		if err := vd.ReadAt(buf, off); err != nil {
-			t.Fatalf("sweep read at %d: %v", off, err)
-		}
-		if err := checker.CheckRead(off, buf); err != nil {
-			t.Fatalf("sweep at %d: %v", off, err)
-		}
-	}
+	})
 }
 
 // TestECDegradedReadReconstructs crashes an RS chunk's primary — the only
@@ -234,39 +229,43 @@ func TestChaosECHolderDiskDeath(t *testing.T) {
 // With one SSD machine and the rest hosting holders there is no replacement
 // primary, so the chunk stays pinned degraded for the whole test.
 func TestECDegradedReadReconstructs(t *testing.T) {
-	c := ecCluster(t, 7) // no spare machine: a dead primary stays dead
-	vd := ecVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := ecCluster(t, 7) // no spare machine: a dead primary stays dead
+		defer cleanup()
+		vd, cleanup := ecVDisk(t, c, 1)
+		defer cleanup()
 
-	const region = 256 * util.KiB
-	want := make([]byte, region)
-	util.NewRand(1234).Fill(want)
-	for off := int64(0); off < region; off += 64 * util.KiB {
-		if err := vd.WriteAt(want[off:off+64*util.KiB], off); err != nil {
-			t.Fatalf("write at %d: %v", off, err)
+		const region = 256 * util.KiB
+		want := make([]byte, region)
+		util.NewRand(1234).Fill(want)
+		for off := int64(0); off < region; off += 64 * util.KiB {
+			if err := vd.WriteAt(want[off:off+64*util.KiB], off); err != nil {
+				t.Fatalf("write at %d: %v", off, err)
+			}
 		}
-	}
 
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := meta.Chunks[0].Replicas
-	// Kill the primary and segment 0's holder: the region lives entirely in
-	// segment 0, so every read must reconstruct from the other segments.
-	c.CrashServer(reps[0].Addr)
-	c.CrashServer(reps[1].Addr)
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("ec")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := meta.Chunks[0].Replicas
+		// Kill the primary and segment 0's holder: the region lives entirely in
+		// segment 0, so every read must reconstruct from the other segments.
+		c.CrashServer(reps[0].Addr)
+		c.CrashServer(reps[1].Addr)
 
-	got := make([]byte, 32*util.KiB)
-	for off := int64(0); off < region; off += int64(len(got)) {
-		if err := vd.ReadAt(got, off); err != nil {
-			t.Fatalf("degraded read at %d: %v", off, err)
+		got := make([]byte, 32*util.KiB)
+		for off := int64(0); off < region; off += int64(len(got)) {
+			if err := vd.ReadAt(got, off); err != nil {
+				t.Fatalf("degraded read at %d: %v", off, err)
+			}
+			if !bytes.Equal(got, want[off:off+int64(len(got))]) {
+				t.Fatalf("degraded read at %d returned wrong bytes", off)
+			}
 		}
-		if !bytes.Equal(got, want[off:off+int64(len(got))]) {
-			t.Fatalf("degraded read at %d returned wrong bytes", off)
-		}
-	}
+	})
 }
 
 // TestECPrimaryLossDecodesReplacement crashes an RS(4,2) chunk's primary —
@@ -277,62 +276,66 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 // four, segment 0 from parity. The new primary must serve every written
 // byte itself, and the client must read every byte back.
 func TestECPrimaryLossDecodesReplacement(t *testing.T) {
-	c := ecCluster(t, 8) // 1 primary + 6 holders + 1 spare machine
-	vd := ecVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := ecCluster(t, 8) // 1 primary + 6 holders + 1 spare machine
+		defer cleanup()
+		vd, cleanup := ecVDisk(t, c, 1)
+		defer cleanup()
 
-	// One region at the start of each data segment.
-	const region = 64 * util.KiB
-	want := make([][]byte, rs42.N)
-	for seg := range want {
-		want[seg] = make([]byte, region)
-		util.NewRand(uint64(seg + 1)).Fill(want[seg])
-		if err := vd.WriteAt(want[seg], int64(seg)*rs42.SegSize()); err != nil {
-			t.Fatalf("write in segment %d: %v", seg, err)
+		// One region at the start of each data segment.
+		const region = 64 * util.KiB
+		want := make([][]byte, rs42.N)
+		for seg := range want {
+			want[seg] = make([]byte, region)
+			util.NewRand(uint64(seg + 1)).Fill(want[seg])
+			if err := vd.WriteAt(want[seg], int64(seg)*rs42.SegSize()); err != nil {
+				t.Fatalf("write in segment %d: %v", seg, err)
+			}
 		}
-	}
 
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := meta.Chunks[0].Replicas
-	for _, pos := range []int{0, 1, 5} { // the primary, data segment 0, parity segment 4
-		c.CrashServer(old[pos].Addr)
-	}
-	cm, err := c.PrimaryMaster().RecoverChunk(meta.ID, 0, old[0].Addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := cm.Replicas[0].Addr
-	if primary == old[0].Addr || !cm.Replicas[0].SSD {
-		t.Fatalf("primary after recovery: %+v, want a replacement SSD replica", cm.Replicas[0])
-	}
-	if got := c.Server(primary).Stats().Clones; got != 1 {
-		t.Fatalf("replacement primary counted %d fills, want 1", got)
-	}
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("ec")
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := meta.Chunks[0].Replicas
+		for _, pos := range []int{0, 1, 5} { // the primary, data segment 0, parity segment 4
+			c.CrashServer(old[pos].Addr)
+		}
+		cm, err := c.PrimaryMaster().RecoverChunk(meta.ID, 0, old[0].Addr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := cm.Replicas[0].Addr
+		if primary == old[0].Addr || !cm.Replicas[0].SSD {
+			t.Fatalf("primary after recovery: %+v, want a replacement SSD replica", cm.Replicas[0])
+		}
+		if got := c.Server(primary).Stats().Clones; got != 1 {
+			t.Fatalf("replacement primary counted %d fills, want 1", got)
+		}
 
-	id := blockstore.MakeChunkID(meta.ID, 0)
-	v := c.Server(primary).Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)})
-	if v.Status != proto.StatusOK || v.View != cm.View {
-		t.Fatalf("replacement primary answers %s at view %d, want ok at %d", v.Status, v.View, cm.View)
-	}
-	got := make([]byte, region)
-	for seg, w := range want {
-		r := c.Server(primary).Handle(&proto.Message{
-			Op: proto.OpRead, Chunk: id, Off: int64(seg) * rs42.SegSize(), Length: region, View: v.View, Version: v.Version,
-		})
-		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, w) {
-			t.Fatalf("replacement primary's segment %d: %s, bytes match %v", seg, r.Status, bytes.Equal(r.Payload, w))
+		id := blockstore.MakeChunkID(meta.ID, 0)
+		v := c.Server(primary).Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)})
+		if v.Status != proto.StatusOK || v.View != cm.View {
+			t.Fatalf("replacement primary answers %s at view %d, want ok at %d", v.Status, v.View, cm.View)
 		}
-		if err := vd.ReadAt(got, int64(seg)*rs42.SegSize()); err != nil {
-			t.Fatalf("client read of segment %d: %v", seg, err)
+		got := make([]byte, region)
+		for seg, w := range want {
+			r := c.Server(primary).Handle(&proto.Message{
+				Op: proto.OpRead, Chunk: id, Off: int64(seg) * rs42.SegSize(), Length: region, View: v.View, Version: v.Version,
+			})
+			if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, w) {
+				t.Fatalf("replacement primary's segment %d: %s, bytes match %v", seg, r.Status, bytes.Equal(r.Payload, w))
+			}
+			if err := vd.ReadAt(got, int64(seg)*rs42.SegSize()); err != nil {
+				t.Fatalf("client read of segment %d: %v", seg, err)
+			}
+			if !bytes.Equal(got, w) {
+				t.Fatalf("client read of segment %d returned wrong bytes", seg)
+			}
 		}
-		if !bytes.Equal(got, w) {
-			t.Fatalf("client read of segment %d returned wrong bytes", seg)
-		}
-	}
+	})
 }
 
 // TestAllReplicasCorruptCleanError is the integrity floor: when every
@@ -341,44 +344,48 @@ func TestECPrimaryLossDecodesReplacement(t *testing.T) {
 // must get it in bounded time (the far side's settling re-reads and the
 // client's failover rotation must not loop forever).
 func TestAllReplicasCorruptCleanError(t *testing.T) {
-	c := chaosCluster(t, false)
-	vd := chaosVDisk(t, c, 1)
+	clock.Test(t, func() {
+		c, cleanup := chaosCluster(t, false)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 1)
+		defer cleanup()
 
-	// A write above the journal-bypass threshold lands in every replica's
-	// store — the regions about to rot.
-	data := make([]byte, 128*util.KiB)
-	util.NewRand(77).Fill(data)
-	if err := vd.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	mon := c.NewClient("monitor")
-	t.Cleanup(func() { mon.Close() })
-	meta, err := mon.OpenMeta("chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range meta.Chunks[0].Replicas {
-		mi, di, isHDD := replicaDevice(t, c, r.Addr)
-		faults := c.Machines[mi].SSDFaults
-		if isHDD {
-			faults = c.Machines[mi].HDDFaults
+		// A write above the journal-bypass threshold lands in every replica's
+		// store — the regions about to rot.
+		data := make([]byte, 128*util.KiB)
+		util.NewRand(77).Fill(data)
+		if err := vd.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
 		}
-		fi := faults[di]
-		fi.CorruptRange(0, fi.Size(), true)
-	}
 
-	start := time.Now()
-	buf := make([]byte, util.SectorSize)
-	rerr := vd.ReadAt(buf, 0)
-	elapsed := time.Since(start)
-	if rerr == nil {
-		t.Fatal("read of universally rotted data succeeded")
-	}
-	if !errors.Is(rerr, util.ErrCorrupt) {
-		t.Fatalf("read error %v does not unwrap to ErrCorrupt", rerr)
-	}
-	if elapsed > 30*time.Second {
-		t.Fatalf("corrupt read took %v: settling re-reads looped", elapsed)
-	}
+		mon := c.NewClient("monitor")
+		defer mon.Close()
+		meta, err := mon.OpenMeta("chaos")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range meta.Chunks[0].Replicas {
+			mi, di, isHDD := replicaDevice(t, c, r.Addr)
+			faults := c.Machines[mi].SSDFaults
+			if isHDD {
+				faults = c.Machines[mi].HDDFaults
+			}
+			fi := faults[di]
+			fi.CorruptRange(0, fi.Size(), true)
+		}
+
+		start := time.Now()
+		buf := make([]byte, util.SectorSize)
+		rerr := vd.ReadAt(buf, 0)
+		elapsed := time.Since(start)
+		if rerr == nil {
+			t.Fatal("read of universally rotted data succeeded")
+		}
+		if !errors.Is(rerr, util.ErrCorrupt) {
+			t.Fatalf("read error %v does not unwrap to ErrCorrupt", rerr)
+		}
+		if elapsed > 30*time.Second {
+			t.Fatalf("corrupt read took %v: settling re-reads looped", elapsed)
+		}
+	})
 }

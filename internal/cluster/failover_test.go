@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ursa/internal/chunkserver"
+	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/util"
@@ -15,7 +16,7 @@ import (
 // failoverCluster is the chaos cluster with a replicated metadata service:
 // three masters on a short primacy lease, so a standby promotes within test
 // time when the primary dies.
-func failoverCluster(t *testing.T) *core.Cluster {
+func failoverCluster(t *testing.T) (*core.Cluster, func()) {
 	t.Helper()
 	opts := chaosClusterOptions(true)
 	opts.Masters = 3
@@ -24,8 +25,7 @@ func failoverCluster(t *testing.T) *core.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
+	return c, c.Close
 }
 
 // waitForPrimary polls until some live master claims primacy at an epoch
@@ -64,56 +64,60 @@ func waitLogsConverged(t *testing.T, c *core.Cluster) {
 // take over at a higher epoch. This is the failover smoke run wired into
 // make check.
 func TestChaosKillMasterFailover(t *testing.T) {
-	c := failoverCluster(t)
-	vd := chaosVDisk(t, c, 2)
+	clock.Test(t, func() {
+		c, cleanup := failoverCluster(t)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 2)
+		defer cleanup()
 
-	ops := 400
-	rep, err := RunChaos(c, vd, ChaosOptions{
-		Ops:       ops,
-		Seed:      21,
-		WriteFrac: 0.6,
-		Schedule: []ChaosEvent{
-			{AtOp: 50, Kind: ChaosKillDisk, Machine: 1, HDD: true, Disk: 0},
-			{AtOp: 200, Kind: ChaosKillMaster, Master: 0},
-		},
-		FinalSweep: true,
+		ops := 400
+		rep, err := RunChaos(c, vd, ChaosOptions{
+			Ops:       ops,
+			Seed:      21,
+			WriteFrac: 0.6,
+			Schedule: []ChaosEvent{
+				{AtOp: 50, Kind: ChaosKillDisk, Machine: 1, HDD: true, Disk: 0},
+				{AtOp: 200, Kind: ChaosKillMaster, Master: 0},
+			},
+			FinalSweep: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WriteErrors != 0 || rep.ReadErrors != 0 {
+			t.Fatalf("client saw failed I/O through the master blackout: %+v", rep)
+		}
+		if rep.EventsFired != 2 {
+			t.Fatalf("fired %d/2 events", rep.EventsFired)
+		}
+
+		p := waitForPrimary(t, c, 1, 5*time.Second)
+		if p == c.Masters[0] {
+			t.Fatal("dead bootstrap master still listed as primary")
+		}
+		if got := c.Metrics().Counter(master.MetricMasterPromotions).Load(); got == 0 {
+			t.Error("promotion counter never moved")
+		}
+
+		// The promoted master must serve metadata: a fresh client (configured
+		// with every endpoint) opens a new vdisk through it.
+		cl := c.NewClient("post-failover-client")
+		defer cl.Close()
+		if _, err := cl.CreateVDisk(master.CreateVDiskReq{
+			Name: "post-failover", Size: util.ChunkSize,
+		}); err != nil {
+			t.Fatalf("create through promoted master: %v", err)
+		}
+		vd2, err := cl.Open("post-failover")
+		if err != nil {
+			t.Fatalf("open through promoted master: %v", err)
+		}
+		defer vd2.Close()
+		buf := make([]byte, util.SectorSize)
+		if err := vd2.WriteAt(buf, 0); err != nil {
+			t.Fatalf("write on post-failover vdisk: %v", err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WriteErrors != 0 || rep.ReadErrors != 0 {
-		t.Fatalf("client saw failed I/O through the master blackout: %+v", rep)
-	}
-	if rep.EventsFired != 2 {
-		t.Fatalf("fired %d/2 events", rep.EventsFired)
-	}
-
-	p := waitForPrimary(t, c, 1, 5*time.Second)
-	if p == c.Masters[0] {
-		t.Fatal("dead bootstrap master still listed as primary")
-	}
-	if got := c.Metrics().Counter(master.MetricMasterPromotions).Load(); got == 0 {
-		t.Error("promotion counter never moved")
-	}
-
-	// The promoted master must serve metadata: a fresh client (configured
-	// with every endpoint) opens a new vdisk through it.
-	cl := c.NewClient("post-failover-client")
-	defer cl.Close()
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{
-		Name: "post-failover", Size: util.ChunkSize,
-	}); err != nil {
-		t.Fatalf("create through promoted master: %v", err)
-	}
-	vd2, err := cl.Open("post-failover")
-	if err != nil {
-		t.Fatalf("open through promoted master: %v", err)
-	}
-	defer vd2.Close()
-	buf := make([]byte, util.SectorSize)
-	if err := vd2.WriteAt(buf, 0); err != nil {
-		t.Fatalf("write on post-failover vdisk: %v", err)
-	}
 }
 
 // TestDeposedMasterFencedByChunkservers proves the epoch fence: a primary
@@ -122,85 +126,88 @@ func TestChaosKillMasterFailover(t *testing.T) {
 // broadcasts it, every view change the deposed master attempts bounces off
 // StatusStaleEpoch — and the rejection deposes it on the spot.
 func TestDeposedMasterFencedByChunkservers(t *testing.T) {
-	c := failoverCluster(t)
-	cl := c.NewClient("fence-client")
-	t.Cleanup(func() { cl.Close() })
-	meta, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "fence", Size: 2 * util.ChunkSize})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clock.Test(t, func() {
+		c, cleanup := failoverCluster(t)
+		defer cleanup()
+		cl := c.NewClient("fence-client")
+		defer cl.Close()
+		meta, err := cl.CreateVDisk(master.CreateVDiskReq{Name: "fence", Size: 2 * util.ChunkSize})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// The log ships asynchronously: cut the standbys off before they hold the
-	// create and the one that promotes serves a state without the vdisk.
-	waitLogsConverged(t, c)
+		// The log ships asynchronously: cut the standbys off before they hold the
+		// create and the one that promotes serves a state without the vdisk.
+		waitLogsConverged(t, c)
 
-	// Isolate the bootstrap primary from the other masters only.
-	addrs := c.MasterAddrs()
-	c.Net.Partition(addrs[0], addrs[1])
-	c.Net.Partition(addrs[0], addrs[2])
+		// Isolate the bootstrap primary from the other masters only.
+		addrs := c.MasterAddrs()
+		c.Net.Partition(addrs[0], addrs[1])
+		c.Net.Partition(addrs[0], addrs[2])
 
-	p := waitForPrimary(t, c, 1, 5*time.Second)
-	if p == c.Masters[0] {
-		t.Fatal("partitioned master should not have bumped its own epoch")
-	}
-	if !c.Masters[0].IsPrimary() {
-		t.Fatal("old primary stepped down without ever being fenced")
-	}
+		p := waitForPrimary(t, c, 1, 5*time.Second)
+		if p == c.Masters[0] {
+			t.Fatal("partitioned master should not have bumped its own epoch")
+		}
+		if !c.Masters[0].IsPrimary() {
+			t.Fatal("old primary stepped down without ever being fenced")
+		}
 
-	// Wait for the promotion broadcast to land on the chunkservers holding
-	// the target chunk, so the fence is armed before the deposed master acts.
-	deadline := time.Now().Add(5 * time.Second)
-	armed := func() bool {
-		for _, r := range meta.Chunks[0].Replicas {
-			if c.Server(r.Addr).MasterEpoch() < p.Epoch() {
-				return false
+		// Wait for the promotion broadcast to land on the chunkservers holding
+		// the target chunk, so the fence is armed before the deposed master acts.
+		deadline := time.Now().Add(5 * time.Second)
+		armed := func() bool {
+			for _, r := range meta.Chunks[0].Replicas {
+				if c.Server(r.Addr).MasterEpoch() < p.Epoch() {
+					return false
+				}
 			}
+			return true
 		}
-		return true
-	}
-	for !armed() {
-		if !time.Now().Before(deadline) {
-			t.Fatal("promotion epoch never reached the chunkservers")
+		for !armed() {
+			if !time.Now().Before(deadline) {
+				t.Fatal("promotion epoch never reached the chunkservers")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
-	viewBefore := meta.Chunks[0].View
-	reg := c.Metrics()
-	rejBefore := reg.Counter(chunkserver.MetricStaleEpochRejections).Load()
+		viewBefore := meta.Chunks[0].View
+		reg := c.Metrics()
+		rejBefore := reg.Counter(chunkserver.MetricStaleEpochRejections).Load()
 
-	// The deposed master tries to run a view change, naming a live backup
-	// as failed so the recovery must push clones and new views.
-	_, recErr := c.Masters[0].RecoverChunk(meta.ID, 0, meta.Chunks[0].Replicas[1].Addr, 0)
-	if recErr == nil {
-		t.Fatal("deposed master's view change succeeded")
-	}
-	if !errors.Is(recErr, util.ErrNotPrimary) {
-		t.Fatalf("recover error = %v, want ErrNotPrimary", recErr)
-	}
-	if got := reg.Counter(chunkserver.MetricStaleEpochRejections).Load(); got == rejBefore {
-		t.Fatal("no chunkserver rejected the deposed master's commands")
-	}
-	if c.Masters[0].IsPrimary() {
-		t.Fatal("deposed master still claims primacy after StatusStaleEpoch")
-	}
+		// The deposed master tries to run a view change, naming a live backup
+		// as failed so the recovery must push clones and new views.
+		_, recErr := c.Masters[0].RecoverChunk(meta.ID, 0, meta.Chunks[0].Replicas[1].Addr, 0)
+		if recErr == nil {
+			t.Fatal("deposed master's view change succeeded")
+		}
+		if !errors.Is(recErr, util.ErrNotPrimary) {
+			t.Fatalf("recover error = %v, want ErrNotPrimary", recErr)
+		}
+		if got := reg.Counter(chunkserver.MetricStaleEpochRejections).Load(); got == rejBefore {
+			t.Fatal("no chunkserver rejected the deposed master's commands")
+		}
+		if c.Masters[0].IsPrimary() {
+			t.Fatal("deposed master still claims primacy after StatusStaleEpoch")
+		}
 
-	// The real primary's view of the chunk is untouched.
-	snap := p.Snapshot()
-	if got := snap.VDisks[meta.ID].Chunks[0].View; got != viewBefore {
-		t.Fatalf("chunk view changed under the deposed master: %d -> %d", viewBefore, got)
-	}
+		// The real primary's view of the chunk is untouched.
+		snap := p.Snapshot()
+		if got := snap.VDisks[meta.ID].Chunks[0].View; got != viewBefore {
+			t.Fatalf("chunk view changed under the deposed master: %d -> %d", viewBefore, got)
+		}
 
-	// The client, told every endpoint, follows the redirect to the new
-	// primary for metadata even though its first choice is the deposed one.
-	var fetched master.VDiskMeta
-	fetched, err = cl.OpenMeta("fence")
-	if err != nil {
-		t.Fatalf("metadata through replicated masters: %v", err)
-	}
-	if fetched.ID != meta.ID {
-		t.Fatalf("fetched vdisk %d, want %d", fetched.ID, meta.ID)
-	}
+		// The client, told every endpoint, follows the redirect to the new
+		// primary for metadata even though its first choice is the deposed one.
+		var fetched master.VDiskMeta
+		fetched, err = cl.OpenMeta("fence")
+		if err != nil {
+			t.Fatalf("metadata through replicated masters: %v", err)
+		}
+		if fetched.ID != meta.ID {
+			t.Fatalf("fetched vdisk %d, want %d", fetched.ID, meta.ID)
+		}
+	})
 }
 
 // TestServerReportSurvivesMasterBlackout: a failure report a chunk server
@@ -211,41 +218,45 @@ func TestDeposedMasterFencedByChunkservers(t *testing.T) {
 // makes one sweep of the endpoints and gives up is lost for good, and the
 // chunk keeps its rotten primary.
 func TestServerReportSurvivesMasterBlackout(t *testing.T) {
-	c := failoverCluster(t)
-	vd := chaosVDisk(t, c, 1)
-	golden := make([]byte, 64*util.KiB)
-	util.NewRand(31).Fill(golden)
-	if err := vd.WriteAt(golden, 0); err != nil {
-		t.Fatal(err)
-	}
-	waitLogsConverged(t, c)
-	meta := vd.Meta()
-	mi, di, isHDD := replicaDevice(t, c, meta.Chunks[0].Replicas[0].Addr)
-	if isHDD {
-		t.Fatalf("primary %s on an HDD", meta.Chunks[0].Replicas[0].Addr)
-	}
-	// Rot only the SSD's store region, not the backup journals in its tail.
-	ssd := c.Machines[mi].SSDFaults[di]
-	storeLimit := util.AlignDown(int64(float64(ssd.Size())*0.9), util.ChunkSize)
-
-	epoch := c.Masters[0].Epoch()
-	c.KillMaster(0)
-	ssd.CorruptRange(0, storeLimit, true)
-	got := make([]byte, 4*util.KiB)
-	if err := vd.ReadAt(got, 0); err != nil {
-		t.Fatalf("read through the blackout: %v", err)
-	}
-	if !bytes.Equal(got, golden[:len(got)]) {
-		t.Fatal("read returned bytes that were never written")
-	}
-
-	p := waitForPrimary(t, c, epoch, 5*time.Second)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if view := p.Snapshot().VDisks[meta.ID].Chunks[0].View; view > meta.Chunks[0].View {
-			break
+	clock.Test(t, func() {
+		c, cleanup := failoverCluster(t)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 1)
+		defer cleanup()
+		golden := make([]byte, 64*util.KiB)
+		util.NewRand(31).Fill(golden)
+		if err := vd.WriteAt(golden, 0); err != nil {
+			t.Fatal(err)
 		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("chunk view still %d 5s after the promotion: the server's report was lost", meta.Chunks[0].View)
+		waitLogsConverged(t, c)
+		meta := vd.Meta()
+		mi, di, isHDD := replicaDevice(t, c, meta.Chunks[0].Replicas[0].Addr)
+		if isHDD {
+			t.Fatalf("primary %s on an HDD", meta.Chunks[0].Replicas[0].Addr)
 		}
-	}
+		// Rot only the SSD's store region, not the backup journals in its tail.
+		ssd := c.Machines[mi].SSDFaults[di]
+		storeLimit := util.AlignDown(int64(float64(ssd.Size())*0.9), util.ChunkSize)
+
+		epoch := c.Masters[0].Epoch()
+		c.KillMaster(0)
+		ssd.CorruptRange(0, storeLimit, true)
+		got := make([]byte, 4*util.KiB)
+		if err := vd.ReadAt(got, 0); err != nil {
+			t.Fatalf("read through the blackout: %v", err)
+		}
+		if !bytes.Equal(got, golden[:len(got)]) {
+			t.Fatal("read returned bytes that were never written")
+		}
+
+		p := waitForPrimary(t, c, epoch, 5*time.Second)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if view := p.Snapshot().VDisks[meta.ID].Chunks[0].View; view > meta.Chunks[0].View {
+				break
+			}
+			if !time.Now().Before(deadline) {
+				t.Fatalf("chunk view still %d 5s after the promotion: the server's report was lost", meta.Chunks[0].View)
+			}
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/client"
+	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/proto"
@@ -27,7 +28,7 @@ import (
 func TestViewMendedThroughReport(t *testing.T) {
 	for _, row := range []struct {
 		name   string
-		setup  func(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64)
+		setup  func(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64, func()) // ... and the close of it all
 		mended func(t *testing.T, c *core.Cluster, vd *client.VDisk)
 	}{
 		{"master-lost-its-log", replicasAheadOfPromotedMaster, unshippedReplacementReaped},
@@ -35,33 +36,36 @@ func TestViewMendedThroughReport(t *testing.T) {
 		{"rs-replicas-at-unlogged-view", rsReplicasAtUnloggedView, nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			c, vd, golden, above := row.setup(t)
+			clock.Test(t, func() {
+				c, vd, golden, above, cleanup := row.setup(t)
+				defer cleanup()
 
-			got := make([]byte, len(golden))
-			if err := vd.ReadAt(got, 0); err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if !bytes.Equal(got, golden) {
-				t.Fatal("read returned bytes that were never written")
-			}
-			fresh := make([]byte, 4*util.KiB)
-			util.NewRand(7).Fill(fresh)
-			if err := vd.WriteAt(fresh, 0); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if err := vd.ReadAt(got[:len(fresh)], 0); err != nil || !bytes.Equal(got[:len(fresh)], fresh) {
-				t.Fatalf("read after write: %v, bytes match %v", err, bytes.Equal(got[:len(fresh)], fresh))
-			}
+				got := make([]byte, len(golden))
+				if err := vd.ReadAt(got, 0); err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				if !bytes.Equal(got, golden) {
+					t.Fatal("read returned bytes that were never written")
+				}
+				fresh := make([]byte, 4*util.KiB)
+				util.NewRand(7).Fill(fresh)
+				if err := vd.WriteAt(fresh, 0); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				if err := vd.ReadAt(got[:len(fresh)], 0); err != nil || !bytes.Equal(got[:len(fresh)], fresh) {
+					t.Fatalf("read after write: %v, bytes match %v", err, bytes.Equal(got[:len(fresh)], fresh))
+				}
 
-			if view := c.PrimaryMaster().Snapshot().VDisks[vd.ID()].Chunks[0].View; view <= above {
-				t.Errorf("chunk ends at view %d, want above %d", view, above)
-			}
-			if c.Metrics().Counter(master.MetricViewMends).Load() == 0 {
-				t.Errorf("%s never moved", master.MetricViewMends)
-			}
-			if row.mended != nil {
-				row.mended(t, c, vd)
-			}
+				if view := c.PrimaryMaster().Snapshot().VDisks[vd.ID()].Chunks[0].View; view <= above {
+					t.Errorf("chunk ends at view %d, want above %d", view, above)
+				}
+				if c.Metrics().Counter(master.MetricViewMends).Load() == 0 {
+					t.Errorf("%s never moved", master.MetricViewMends)
+				}
+				if row.mended != nil {
+					row.mended(t, c, vd)
+				}
+			})
 		})
 	}
 }
@@ -108,7 +112,7 @@ func writeGolden(t *testing.T, vd *client.VDisk) []byte {
 // promotes records view i, with the old members, while the replicas it
 // kept answer at i+1. The primacy lease is long enough that no standby
 // promotes (and fences the servers) before the view change is done.
-func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64) {
+func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64, func()) {
 	opts := chaosClusterOptions(true)
 	opts.Masters = 3
 	opts.MasterPrimacyTTL = 2 * time.Second
@@ -116,8 +120,13 @@ func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	vd := chaosVDisk(t, c, 1)
+	vd, closeVD := chaosVDisk(t, c, 1)
+	closeAll, handed := func() { closeVD(); c.Close() }, false
+	defer func() {
+		if !handed {
+			closeAll()
+		}
+	}()
 	golden := writeGolden(t, vd)
 	waitLogsConverged(t, c)
 
@@ -139,7 +148,8 @@ func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, 
 	if view := p.Snapshot().VDisks[vd.ID()].Chunks[0].View; view != old.View {
 		t.Fatalf("promoted master records view %d, want the unshipped change's predecessor %d", view, old.View)
 	}
-	return c, vd, golden, cm.View
+	handed = true
+	return c, vd, golden, cm.View, closeAll
 }
 
 // replicaMissedInstall: a view change replaces a crashed backup of chunk 0
@@ -148,9 +158,15 @@ func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, 
 // and the primary stays at i. The disks a replacement can land on are
 // slowed so its fill outlasts the cut's setting-up. A client that opens
 // afterwards sees the primary answer at the old view.
-func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64) {
-	c := chaosCluster(t, false)
-	vd := chaosVDisk(t, c, 1)
+func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64, func()) {
+	c, closeCluster := chaosCluster(t, false)
+	vd, closeVD := chaosVDisk(t, c, 1)
+	closeAll, handed := func() { closeVD(); closeCluster() }, false
+	defer func() {
+		if !handed {
+			closeAll()
+		}
+	}()
 	golden := writeGolden(t, vd)
 	old := vd.Meta().Chunks[0]
 
@@ -213,33 +229,32 @@ func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, u
 
 	vd.Close() // hand the lease on
 	cl := c.NewClient("late-client")
-	t.Cleanup(func() { cl.Close() })
 	late, err := cl.Open("chaos")
 	if err != nil {
 		t.Fatalf("open after the missed install: %v", err)
 	}
-	t.Cleanup(func() { late.Close() })
-	return c, late, golden, cm.View
+	handed = true
+	return c, late, golden, cm.View, func() {
+		late.Close()
+		closeAll()
+	}
 }
 
 // rsReplicasAtUnloggedView: every replica of an RS(2,1) chunk is moved to
 // a view the master never logged — the state a master that installed a
 // view and died before shipping it leaves — with no version between them.
 // Nothing needs a fill, so only the views tell the chunk needs a new one.
-func rsReplicasAtUnloggedView(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64) {
-	c := ecCluster(t, 4)
-	cl := c.NewClient("rs-client")
-	t.Cleanup(func() { cl.Close() })
-	if _, err := cl.CreateVDisk(master.CreateVDiskReq{
+func rsReplicasAtUnloggedView(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64, func()) {
+	c, closeCluster := ecCluster(t, 4)
+	vd, closeVD := openVDisk(t, c, "rs-client", master.CreateVDiskReq{
 		Name: "rs21", Size: util.ChunkSize, Redundancy: redundancy.Spec{Kind: redundancy.KindRS, N: 2, M: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	vd, err := cl.Open("rs21")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { vd.Close() })
+	})
+	closeAll, handed := func() { closeVD(); closeCluster() }, false
+	defer func() {
+		if !handed {
+			closeAll()
+		}
+	}()
 	golden := writeGolden(t, vd)
 
 	old := vd.Meta().Chunks[0]
@@ -253,7 +268,8 @@ func rsReplicasAtUnloggedView(t *testing.T) (*core.Cluster, *client.VDisk, []byt
 			t.Fatalf("set view on %s: %s", r.Addr, resp.Status)
 		}
 	}
-	return c, vd, golden, unlogged
+	handed = true
+	return c, vd, golden, unlogged, closeAll
 }
 
 // TestStaleClientReadsFromLonePrimary: a view change the client did not
@@ -264,25 +280,29 @@ func rsReplicasAtUnloggedView(t *testing.T) (*core.Cluster, *client.VDisk, []byt
 // replicas would find no majority — and the read goes to the primary that
 // alone survives, within the read's own budget.
 func TestStaleClientReadsFromLonePrimary(t *testing.T) {
-	c := chaosCluster(t, false)
-	vd := chaosVDisk(t, c, 1)
-	golden := writeGolden(t, vd)
-	old := vd.Meta().Chunks[0]
+	clock.Test(t, func() {
+		c, cleanup := chaosCluster(t, false)
+		defer cleanup()
+		vd, cleanup := chaosVDisk(t, c, 1)
+		defer cleanup()
+		golden := writeGolden(t, vd)
+		old := vd.Meta().Chunks[0]
 
-	c.CrashServer(old.Replicas[2].Addr)
-	cm, err := c.Master.RecoverChunk(vd.ID(), 0, old.Replicas[2].Addr, 0)
-	if err != nil || cm.View != old.View+1 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
-		t.Fatalf("view change recorded %+v, %v; want view %d led by %s", cm, err, old.View+1, old.Replicas[0].Addr)
-	}
-	for _, r := range cm.Replicas[1:] {
-		c.CrashServer(r.Addr)
-	}
+		c.CrashServer(old.Replicas[2].Addr)
+		cm, err := c.Master.RecoverChunk(vd.ID(), 0, old.Replicas[2].Addr, 0)
+		if err != nil || cm.View != old.View+1 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
+			t.Fatalf("view change recorded %+v, %v; want view %d led by %s", cm, err, old.View+1, old.Replicas[0].Addr)
+		}
+		for _, r := range cm.Replicas[1:] {
+			c.CrashServer(r.Addr)
+		}
 
-	got := make([]byte, len(golden))
-	if err := vd.ReadAt(got, 0); err != nil {
-		t.Fatalf("read from the lone primary: %v", err)
-	}
-	if !bytes.Equal(got, golden) {
-		t.Fatal("read returned bytes that were never written")
-	}
+		got := make([]byte, len(golden))
+		if err := vd.ReadAt(got, 0); err != nil {
+			t.Fatalf("read from the lone primary: %v", err)
+		}
+		if !bytes.Equal(got, golden) {
+			t.Fatal("read returned bytes that were never written")
+		}
+	})
 }

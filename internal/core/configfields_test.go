@@ -14,6 +14,7 @@ import (
 
 	"ursa/internal/chunkserver"
 	"ursa/internal/client"
+	"ursa/internal/clock"
 	"ursa/internal/journal"
 	"ursa/internal/master"
 	"ursa/internal/srctree"
@@ -32,8 +33,9 @@ var configStructs = []reflect.Type{
 // callerless lists the config fields no program sets, each with the reason it
 // stays a field.
 var callerless = map[string]string{
-	"ursa/internal/core.Options.IOTimeout": "the chaos and bubble suites need budgets longer than " +
-		"(maxRetries+1) × CallTimeout; revisit once the suites run on virtual time (ROADMAP item 1b)",
+	"ursa/internal/core.Options.IOTimeout": "no other setting sets a client's budget apart from its " +
+		"per-call timeout: TestWriteDeadlinePropagation needs a 300 ms budget under a 10 s CallTimeout, " +
+		"TestChaosECHolderDiskDeath a 30 s one so that a whole-stripe rebuild fits",
 }
 
 // resolver names the types of a file's expressions as "importpath.Type",
@@ -175,7 +177,8 @@ func fieldWrites(pkg string, f *ast.File, targets map[string]bool, funcs map[str
 // reason. The rule is first run on a sample of what it must and must not
 // catch.
 func TestConfigFieldsHaveACaller(t *testing.T) {
-	const sample = `package x
+	clock.Test(t, func() {
+		const sample = `package x
 import (
 	"ursa/internal/client"
 	"ursa/internal/journal"
@@ -200,81 +203,82 @@ func build(cfg *master.Config, n int) {
 	g := h()
 	g.MaxRetries = 6
 }`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := make(map[string]bool)
-	for _, typ := range configStructs {
-		targets[typ.PkgPath()+"."+typ.Name()] = true
-	}
-	funcs := map[string]string{"ursa/internal/journal.DefaultConfig": "ursa/internal/journal.Config"}
-	returnsTarget("ursa/x", f, targets, funcs)
-	got := fieldWrites("ursa/x", f, targets, funcs)
-	for i := range got {
-		got[i] = strings.TrimPrefix(got[i], "ursa/internal/")
-	}
-	want := []string{"journal.Config.Metrics", "journal.Config.PollInterval", "journal.Config.IdleGrace",
-		"master.Config.Peers", "master.Config.Addr", "master.Config.Replication", "client.Config.Name",
-		"client.Config.CallTimeout"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("the rule finds %v in the sample, want %v", got, want)
-	}
-
-	type srcFile struct {
-		pkg string
-		f   *ast.File
-	}
-	root := filepath.Join("..", "..")
-	parsed, err := srctree.Parse(fset, root, false, func(p string, dir bool) bool { return dir && filepath.Base(p) == "testdata" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) < 100 {
-		t.Fatalf("parsed %d files: the walk missed the tree", len(parsed))
-	}
-	var files []srcFile
-	for _, f := range parsed {
-		rel, err := filepath.Rel(root, filepath.Dir(fset.File(f.Pos()).Name()))
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "sample.go", sample, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, srcFile{"ursa/" + filepath.ToSlash(rel), f})
-	}
-	funcs = make(map[string]string)
-	for _, sf := range files {
-		returnsTarget(sf.pkg, sf.f, targets, funcs)
-	}
-	set := make(map[string]bool)
-	for _, sf := range files {
-		for _, w := range fieldWrites(sf.pkg, sf.f, targets, funcs) {
-			if !strings.HasPrefix(w, sf.pkg+".") { // a package filling its own defaults is no caller
-				set[w] = true
+		targets := make(map[string]bool)
+		for _, typ := range configStructs {
+			targets[typ.PkgPath()+"."+typ.Name()] = true
+		}
+		funcs := map[string]string{"ursa/internal/journal.DefaultConfig": "ursa/internal/journal.Config"}
+		returnsTarget("ursa/x", f, targets, funcs)
+		got := fieldWrites("ursa/x", f, targets, funcs)
+		for i := range got {
+			got[i] = strings.TrimPrefix(got[i], "ursa/internal/")
+		}
+		want := []string{"journal.Config.Metrics", "journal.Config.PollInterval", "journal.Config.IdleGrace",
+			"master.Config.Peers", "master.Config.Addr", "master.Config.Replication", "client.Config.Name",
+			"client.Config.CallTimeout"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("the rule finds %v in the sample, want %v", got, want)
+		}
+
+		type srcFile struct {
+			pkg string
+			f   *ast.File
+		}
+		root := filepath.Join("..", "..")
+		parsed, err := srctree.Parse(fset, root, false, func(p string, dir bool) bool { return dir && filepath.Base(p) == "testdata" })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parsed) < 100 {
+			t.Fatalf("parsed %d files: the walk missed the tree", len(parsed))
+		}
+		var files []srcFile
+		for _, f := range parsed {
+			rel, err := filepath.Rel(root, filepath.Dir(fset.File(f.Pos()).Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, srcFile{"ursa/" + filepath.ToSlash(rel), f})
+		}
+		funcs = make(map[string]string)
+		for _, sf := range files {
+			returnsTarget(sf.pkg, sf.f, targets, funcs)
+		}
+		set := make(map[string]bool)
+		for _, sf := range files {
+			for _, w := range fieldWrites(sf.pkg, sf.f, targets, funcs) {
+				if !strings.HasPrefix(w, sf.pkg+".") { // a package filling its own defaults is no caller
+					set[w] = true
+				}
 			}
 		}
-	}
-	var missing []string
-	fields := make(map[string]bool)
-	for _, typ := range configStructs {
-		for i := 0; i < typ.NumField(); i++ {
-			name := typ.PkgPath() + "." + typ.Name() + "." + typ.Field(i).Name
-			fields[name] = true
-			_, allowed := callerless[name]
-			switch {
-			case set[name] && allowed:
-				t.Errorf("%s is on the callerless list, but a program sets it: take it off", name)
-			case !set[name] && !allowed:
-				missing = append(missing, strings.TrimPrefix(name, "ursa/internal/"))
+		var missing []string
+		fields := make(map[string]bool)
+		for _, typ := range configStructs {
+			for i := 0; i < typ.NumField(); i++ {
+				name := typ.PkgPath() + "." + typ.Name() + "." + typ.Field(i).Name
+				fields[name] = true
+				_, allowed := callerless[name]
+				switch {
+				case set[name] && allowed:
+					t.Errorf("%s is on the callerless list, but a program sets it: take it off", name)
+				case !set[name] && !allowed:
+					missing = append(missing, strings.TrimPrefix(name, "ursa/internal/"))
+				}
 			}
 		}
-	}
-	for name := range callerless {
-		if !fields[name] {
-			t.Errorf("the callerless list names %s, which is no config field", name)
+		for name := range callerless {
+			if !fields[name] {
+				t.Errorf("the callerless list names %s, which is no config field", name)
+			}
 		}
-	}
-	if len(missing) > 0 {
-		t.Errorf("config fields only tests set: %v\nmake each a constant, or give it a caller", missing)
-	}
+		if len(missing) > 0 {
+			t.Errorf("config fields only tests set: %v\nmake each a constant, or give it a caller", missing)
+		}
+	})
 }

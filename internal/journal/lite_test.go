@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ursa/internal/clock"
 	"ursa/internal/util"
 )
 
@@ -51,38 +52,40 @@ func (l *fixedLite) since(from uint64) (mods []Mod, ok bool) {
 // and requires identical answers throughout — while the lazy ring never holds
 // more slots than twice what was recorded, nor more than the bound.
 func TestLiteMatchesFixedRing(t *testing.T) {
-	for _, capacity := range []int{2, 16, 4096} {
-		rng := util.NewRand(uint64(capacity))
-		lazy, fixed := NewLite(capacity), &fixedLite{ring: make([]Mod, capacity)}
-		if len(lazy.ring) != 0 {
-			t.Fatalf("cap %d: a fresh Lite holds a %d-slot ring", capacity, len(lazy.ring))
+	clock.Test(t, func() {
+		for _, capacity := range []int{2, 16, 4096} {
+			rng := util.NewRand(uint64(capacity))
+			lazy, fixed := NewLite(capacity), &fixedLite{ring: make([]Mod, capacity)}
+			if len(lazy.ring) != 0 {
+				t.Fatalf("cap %d: a fresh Lite holds a %d-slot ring", capacity, len(lazy.ring))
+			}
+			version := uint64(rng.Intn(100))
+			for step := 0; step < 3*capacity+200; step++ {
+				version += 1 + uint64(rng.Intn(3)) // versions rise, with gaps
+				off, n := int64(rng.Intn(1<<17))*util.SectorSize, (1+rng.Intn(64))*util.SectorSize
+				lazy.Record(version, off, n)
+				fixed.record(version, off, n)
+				if lazy.Len() != fixed.count {
+					t.Fatalf("cap %d step %d: Len %d, fixed ring %d", capacity, step, lazy.Len(), fixed.count)
+				}
+				if held := len(lazy.ring); held > capacity || held > max(2*(step+1), liteMinRing) {
+					t.Fatalf("cap %d: %d slots held after %d records", capacity, held, step+1)
+				}
+				if capacity > 64 && step%13 != 0 {
+					continue // a query scans the ring: sample them at the large bound
+				}
+				// Query from before the oldest, inside the history, and past it.
+				var from uint64
+				if back := uint64(rng.Intn(2*capacity + 4)); back < version {
+					from = version - back
+				}
+				got, gotOK := lazy.Since(from)
+				want, wantOK := fixed.since(from)
+				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d step %d: Since(%d) = %d mods, %v; fixed ring %d mods, %v",
+						capacity, step, from, len(got), gotOK, len(want), wantOK)
+				}
+			}
 		}
-		version := uint64(rng.Intn(100))
-		for step := 0; step < 3*capacity+200; step++ {
-			version += 1 + uint64(rng.Intn(3)) // versions rise, with gaps
-			off, n := int64(rng.Intn(1<<17))*util.SectorSize, (1+rng.Intn(64))*util.SectorSize
-			lazy.Record(version, off, n)
-			fixed.record(version, off, n)
-			if lazy.Len() != fixed.count {
-				t.Fatalf("cap %d step %d: Len %d, fixed ring %d", capacity, step, lazy.Len(), fixed.count)
-			}
-			if held := len(lazy.ring); held > capacity || held > max(2*(step+1), liteMinRing) {
-				t.Fatalf("cap %d: %d slots held after %d records", capacity, held, step+1)
-			}
-			if capacity > 64 && step%13 != 0 {
-				continue // a query scans the ring: sample them at the large bound
-			}
-			// Query from before the oldest, inside the history, and past it.
-			var from uint64
-			if back := uint64(rng.Intn(2*capacity + 4)); back < version {
-				from = version - back
-			}
-			got, gotOK := lazy.Since(from)
-			want, wantOK := fixed.since(from)
-			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-				t.Fatalf("cap %d step %d: Since(%d) = %d mods, %v; fixed ring %d mods, %v",
-					capacity, step, from, len(got), gotOK, len(want), wantOK)
-			}
-		}
-	}
+	})
 }

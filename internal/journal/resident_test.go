@@ -7,6 +7,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
+	"ursa/internal/clock"
 	"ursa/internal/util"
 )
 
@@ -23,36 +24,39 @@ func dropResidency(s *Set) {
 // reaches Append by pointer and is the caller's again the moment Append
 // returns, so the resident image must be a copy of it, never an alias.
 func TestResidentImageSurvivesCallerReuse(t *testing.T) {
-	e := newEnvStart(t, 16*util.MiB, false, false)
-	id := blockstore.MakeChunkID(1, 0)
-	e.mustChunk(t, id)
-	const n = 64
-	want := make([]byte, n*4096)
-	util.NewRand(61).Fill(want)
-	data := make([]byte, 4096) // one caller buffer, reused for every append
-	for i := 0; i < n; i++ {
-		copy(data, want[i*4096:])
-		if err := e.set.Append(nil, id, int64(i)*4096, data, uint64(i+1)); err != nil {
+	clock.Test(t, func() {
+		e, cleanup := newEnvStart(t, 16*util.MiB, false, false)
+		defer cleanup()
+		id := blockstore.MakeChunkID(1, 0)
+		e.mustChunk(t, id)
+		const n = 64
+		want := make([]byte, n*4096)
+		util.NewRand(61).Fill(want)
+		data := make([]byte, 4096) // one caller buffer, reused for every append
+		for i := 0; i < n; i++ {
+			copy(data, want[i*4096:])
+			if err := e.set.Append(nil, id, int64(i)*4096, data, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+			for k := range data {
+				data[k] = 0xEE
+			}
+		}
+		e.set.Start()
+		e.set.Drain()
+		st := e.set.Stats()
+		if st.ReplayedFromMemory != n*4096 || st.ReplayedFromDevice != 0 {
+			t.Fatalf("replayed %d bytes from memory and %d from the device, want all %d from memory",
+				st.ReplayedFromMemory, st.ReplayedFromDevice, n*4096)
+		}
+		got := make([]byte, len(want))
+		if err := e.sink.ReadAt(id, got, 0); err != nil {
 			t.Fatal(err)
 		}
-		for k := range data {
-			data[k] = 0xEE
+		if !bytes.Equal(got, want) {
+			t.Fatal("sink holds the caller's scribbles, not the appended bytes")
 		}
-	}
-	e.set.Start()
-	e.set.Drain()
-	st := e.set.Stats()
-	if st.ReplayedFromMemory != n*4096 || st.ReplayedFromDevice != 0 {
-		t.Fatalf("replayed %d bytes from memory and %d from the device, want all %d from memory",
-			st.ReplayedFromMemory, st.ReplayedFromDevice, n*4096)
-	}
-	got := make([]byte, len(want))
-	if err := e.sink.ReadAt(id, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("sink holds the caller's scribbles, not the appended bytes")
-	}
+	})
 }
 
 // TestResidencyEndsOnEveryExit: whichever way a record's life ends, its
@@ -148,19 +152,22 @@ func TestResidencyEndsOnEveryExit(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			leased := bufpool.InUse()
-			e := newFaultEnv(t, tc.journals, false)
-			if err := e.sink.Create(id); err != nil {
-				t.Fatal(err)
-			}
-			tc.run(t, e)
-			e.set.Close()
-			if st := e.set.Stats(); st.ResidentBytes != 0 {
-				t.Fatalf("closed set still holds %d resident bytes", st.ResidentBytes)
-			}
-			if n := bufpool.InUse(); n != leased {
-				t.Fatalf("%d buffers leased after Close, %d before the test", n, leased)
-			}
+			clock.Test(t, func() {
+				leased := bufpool.InUse()
+				e, cleanup := newFaultEnv(t, tc.journals, false)
+				defer cleanup()
+				if err := e.sink.Create(id); err != nil {
+					t.Fatal(err)
+				}
+				tc.run(t, e)
+				e.set.Close()
+				if st := e.set.Stats(); st.ResidentBytes != 0 {
+					t.Fatalf("closed set still holds %d resident bytes", st.ResidentBytes)
+				}
+				if n := bufpool.InUse(); n != leased {
+					t.Fatalf("%d buffers leased after Close, %d before the test", n, leased)
+				}
+			})
 		})
 	}
 }
@@ -170,46 +177,49 @@ func TestResidencyEndsOnEveryExit(t *testing.T) {
 // are journaled all the same, and the drain delivers every byte — the head
 // of the backlog from memory, the rest through the device path.
 func TestResidentBudgetBoundsBacklog(t *testing.T) {
-	leased := bufpool.InUse()
-	e := newEnvStart(t, 64*util.MiB, false, false)
-	id := blockstore.MakeChunkID(1, 0)
-	e.mustChunk(t, id)
-	const recLen = 32 * util.KiB
-	const n = 3 * residentBudgetBytes / recLen
-	want := make([]byte, n*recLen)
-	util.NewRand(63).Fill(want)
-	for i := 0; i < n; i++ {
-		if err := e.set.Append(nil, id, int64(i)*recLen, want[i*recLen:][:recLen], uint64(i+1)); err != nil {
+	clock.Test(t, func() {
+		leased := bufpool.InUse()
+		e, cleanup := newEnvStart(t, 64*util.MiB, false, false)
+		defer cleanup()
+		id := blockstore.MakeChunkID(1, 0)
+		e.mustChunk(t, id)
+		const recLen = 32 * util.KiB
+		const n = 3 * residentBudgetBytes / recLen
+		want := make([]byte, n*recLen)
+		util.NewRand(63).Fill(want)
+		for i := 0; i < n; i++ {
+			if err := e.set.Append(nil, id, int64(i)*recLen, want[i*recLen:][:recLen], uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.set.Stats().ResidentBytes; got > residentBudgetBytes {
+				t.Fatalf("after %d appends: %d resident bytes exceed the budget %d", i+1, got, residentBudgetBytes)
+			}
+		}
+		if st := e.set.Stats(); st.ResidentBytes != residentBudgetBytes || st.Pending != n {
+			t.Fatalf("backlog of %d records: %d pending, %d resident bytes, want the whole budget %d in use",
+				n, st.Pending, st.ResidentBytes, residentBudgetBytes)
+		}
+		e.set.Start()
+		e.set.Drain()
+		st := e.set.Stats()
+		if st.ReplayedFromMemory == 0 || st.ReplayedFromDevice == 0 ||
+			st.ReplayedFromMemory+st.ReplayedFromDevice != int64(len(want)) {
+			t.Fatalf("replayed %d bytes from memory + %d from the device, want both > 0 and %d together",
+				st.ReplayedFromMemory, st.ReplayedFromDevice, len(want))
+		}
+		if st.ResidentPeakBytes > residentBudgetBytes || st.ResidentBytes != 0 {
+			t.Fatalf("resident bytes peaked at %d (budget %d), %d left after the drain",
+				st.ResidentPeakBytes, residentBudgetBytes, st.ResidentBytes)
+		}
+		got := make([]byte, len(want))
+		if err := e.sink.ReadAt(id, got, 0); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.set.Stats().ResidentBytes; got > residentBudgetBytes {
-			t.Fatalf("after %d appends: %d resident bytes exceed the budget %d", i+1, got, residentBudgetBytes)
+		if !bytes.Equal(got, want) {
+			t.Fatal("sink differs from what was appended")
 		}
-	}
-	if st := e.set.Stats(); st.ResidentBytes != residentBudgetBytes || st.Pending != n {
-		t.Fatalf("backlog of %d records: %d pending, %d resident bytes, want the whole budget %d in use",
-			n, st.Pending, st.ResidentBytes, residentBudgetBytes)
-	}
-	e.set.Start()
-	e.set.Drain()
-	st := e.set.Stats()
-	if st.ReplayedFromMemory == 0 || st.ReplayedFromDevice == 0 ||
-		st.ReplayedFromMemory+st.ReplayedFromDevice != int64(len(want)) {
-		t.Fatalf("replayed %d bytes from memory + %d from the device, want both > 0 and %d together",
-			st.ReplayedFromMemory, st.ReplayedFromDevice, len(want))
-	}
-	if st.ResidentPeakBytes > residentBudgetBytes || st.ResidentBytes != 0 {
-		t.Fatalf("resident bytes peaked at %d (budget %d), %d left after the drain",
-			st.ResidentPeakBytes, residentBudgetBytes, st.ResidentBytes)
-	}
-	got := make([]byte, len(want))
-	if err := e.sink.ReadAt(id, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("sink differs from what was appended")
-	}
-	if n := bufpool.InUse(); n != leased {
-		t.Fatalf("%d buffers leased after the drain, %d before the test", n, leased)
-	}
+		if n := bufpool.InUse(); n != leased {
+			t.Fatalf("%d buffers leased after the drain, %d before the test", n, leased)
+		}
+	})
 }

@@ -22,7 +22,7 @@ type coldGCEnv struct {
 	op    *opctx.Op
 }
 
-func newColdGCEnv(t *testing.T) *coldGCEnv {
+func newColdGCEnv(t *testing.T) (*coldGCEnv, func()) {
 	t.Helper()
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, 0)
@@ -33,10 +33,10 @@ func newColdGCEnv(t *testing.T) *coldGCEnv {
 		t.Fatal(err)
 	}
 	rpc := transport.Serve(ol, store.Handler)
-	t.Cleanup(rpc.Close)
 
 	ml, err := net.Listen("master", transport.NodeConfig{})
 	if err != nil {
+		rpc.Close()
 		t.Fatal(err)
 	}
 	m := New(Config{
@@ -47,8 +47,12 @@ func newColdGCEnv(t *testing.T) *coldGCEnv {
 		ObjstoreAddr: "objstore",
 	})
 	m.Serve(ml)
-	t.Cleanup(m.Close)
-	return &coldGCEnv{net: net, m: m, store: store, op: opctx.New(clk, time.Minute)}
+	e := &coldGCEnv{net: net, m: m, store: store, op: opctx.New(clk, time.Minute)}
+	return e, func() {
+		e.op.Release()
+		m.Close()
+		rpc.Close()
+	}
 }
 
 // flushSegment hand-flushes n random extents into a freshly allocated
@@ -109,54 +113,57 @@ func commit(t *testing.T, m *Master, e entry) {
 // GC phase is skipped entirely while a flush is in flight, and segments at or
 // above the watermark are never judged. No pass commits a log entry.
 func TestColdGCWatermarkSkipsInflightFlush(t *testing.T) {
-	e := newColdGCEnv(t)
-	reclaimed := e.m.cfg.Metrics.Counter(MetricGCSegmentsReclaimed)
-	gc := func() int64 {
-		t.Helper()
-		seq, before := e.m.LogSeq(), reclaimed.Load()
-		if _, err := e.m.Reconcile(); err != nil {
-			t.Fatal(err)
+	clock.Test(t, func() {
+		e, cleanup := newColdGCEnv(t)
+		defer cleanup()
+		reclaimed := e.m.cfg.Metrics.Counter(MetricGCSegmentsReclaimed)
+		gc := func() int64 {
+			t.Helper()
+			seq, before := e.m.LogSeq(), reclaimed.Load()
+			if _, err := e.m.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.m.LogSeq(); got != seq {
+				t.Fatalf("gc pass moved the log from seq %d to %d", seq, got)
+			}
+			return reclaimed.Load() - before
 		}
-		if got := e.m.LogSeq(); got != seq {
-			t.Fatalf("gc pass moved the log from seq %d to %d", seq, got)
+		// Segment A: allocated, so it sits below the watermark, and no metadata
+		// references it — only the in-flight veto keeps a pass off it.
+		e.flushSegment(t, 1)
+		// Segment B: a flush caught mid-way, written at the watermark — above
+		// everything allocated — and unreferenced too.
+		e.m.mu.Lock()
+		wm := e.m.st.nextSeg
+		e.m.mu.Unlock()
+		flushSegmentAt(t, e.m, e.op, wm, 1)
+
+		// A pass while a flush is in flight is vetoed whole: A survives.
+		e.m.mu.Lock()
+		e.m.inflightFlushes++
+		e.m.mu.Unlock()
+		if n := gc(); n != 0 {
+			t.Fatalf("gc under in-flight flush: reclaimed %d, want 0", n)
 		}
-		return reclaimed.Load() - before
-	}
-	// Segment A: allocated, so it sits below the watermark, and no metadata
-	// references it — only the in-flight veto keeps a pass off it.
-	e.flushSegment(t, 1)
-	// Segment B: a flush caught mid-way, written at the watermark — above
-	// everything allocated — and unreferenced too.
-	e.m.mu.Lock()
-	wm := e.m.st.nextSeg
-	e.m.mu.Unlock()
-	flushSegmentAt(t, e.m, e.op, wm, 1)
+		e.m.mu.Lock()
+		e.m.inflightFlushes--
+		e.m.mu.Unlock()
 
-	// A pass while a flush is in flight is vetoed whole: A survives.
-	e.m.mu.Lock()
-	e.m.inflightFlushes++
-	e.m.mu.Unlock()
-	if n := gc(); n != 0 {
-		t.Fatalf("gc under in-flight flush: reclaimed %d, want 0", n)
-	}
-	e.m.mu.Lock()
-	e.m.inflightFlushes--
-	e.m.mu.Unlock()
+		// Without the veto A goes; B sits at the watermark and is not judged.
+		if n := gc(); n != 1 {
+			t.Fatalf("gc above watermark: reclaimed %d, want 1", n)
+		}
+		if e.store.UsedBytes() == 0 {
+			t.Fatal("gc judged a segment at the watermark")
+		}
 
-	// Without the veto A goes; B sits at the watermark and is not judged.
-	if n := gc(); n != 1 {
-		t.Fatalf("gc above watermark: reclaimed %d, want 1", n)
-	}
-	if e.store.UsedBytes() == 0 {
-		t.Fatal("gc judged a segment at the watermark")
-	}
-
-	// Move the watermark past B: now it is garbage and goes.
-	commit(t, e.m, entry{AllocSegs: &entryAllocSegs{NextSeg: wm + coldtier.SegsPerChunk}})
-	if n := gc(); n != 1 {
-		t.Fatalf("gc after flush settled: reclaimed %d, want 1", n)
-	}
-	if used := e.store.UsedBytes(); used != 0 {
-		t.Fatalf("store still holds %d bytes", used)
-	}
+		// Move the watermark past B: now it is garbage and goes.
+		commit(t, e.m, entry{AllocSegs: &entryAllocSegs{NextSeg: wm + coldtier.SegsPerChunk}})
+		if n := gc(); n != 1 {
+			t.Fatalf("gc after flush settled: reclaimed %d, want 1", n)
+		}
+		if used := e.store.UsedBytes(); used != 0 {
+			t.Fatalf("store still holds %d bytes", used)
+		}
+	})
 }

@@ -136,6 +136,12 @@ func (m *Master) recoverMirror(t0 time.Time, id blockstore.ChunkID,
 		return &cm, nil
 	}
 
+	// The vdisk may have gone while the probe ran: its slots are the
+	// reconcile pass's to reap, and a fill would only hold a lock.
+	if _, _, err := m.chunkMetaSpec(vdiskID, chunkIndex); err != nil {
+		return nil, err
+	}
+
 	// Step 2: versionH, and a source holding it, read at the view it
 	// answered at.
 	var versionH uint64
@@ -351,6 +357,11 @@ func (m *Master) recoverRS(t0 time.Time, id blockstore.ChunkID,
 	if !primaryOK && len(sources) < spec.N {
 		return nil, fmt.Errorf("master: recover %v: version %d held by %d/%d segments and no primary: %w",
 			id, versionH, len(sources), spec.N, util.ErrNoQuorum)
+	}
+
+	// As on the mirror path: a vdisk deleted during the probes gets no fill.
+	if _, _, err := m.chunkMetaSpec(vdiskID, chunkIndex); err != nil {
+		return nil, err
 	}
 
 	newReplicas := append([]ReplicaInfo(nil), cm.Replicas...)

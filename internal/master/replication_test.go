@@ -34,24 +34,19 @@ type replEnv struct {
 // default PrimacyTTL.
 const replLeaseTTL = 500 * time.Millisecond
 
-func newReplEnv(t *testing.T, nMasters, nMachines int) *replEnv {
+func newReplEnv(t *testing.T, nMasters, nMachines int) (*replEnv, func()) {
 	return newReplEnvTTL(t, nMasters, nMachines, 100*time.Millisecond)
 }
 
 // newReplEnvTTL is newReplEnv with a chosen primacy lease. Long scripted
 // tests take a generous one: on a loaded host the default's 100 ms is short
 // enough for a starved primary to be deposed mid-script. Each tweak edits
-// every master's Config before it starts.
-func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Duration, tweaks ...func(*Config)) *replEnv {
+// every master's Config before it starts. It returns the env with its close.
+func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Duration, tweaks ...func(*Config)) (*replEnv, func()) {
 	t.Helper()
 	clk := clock.Realtime
 	net := transport.NewSimNet(clk, 50*time.Nanosecond) // below the timer floor, like the device models
 	e := &replEnv{net: net, reg: metrics.NewRegistry()}
-	t.Cleanup(func() {
-		for i := len(e.closer) - 1; i >= 0; i-- {
-			e.closer[i]()
-		}
-	})
 	ol, err := net.Listen("objstore", transport.NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +90,14 @@ func newReplEnvTTL(t *testing.T, nMasters, nMachines int, primacyTTL time.Durati
 			e.masters[0].AddServer(r.Addr, r.Machine, r.SSD, r.Capacity)
 		}
 	}
-	return e
+	return e, e.close
+}
+
+// close closes what the env started, last first.
+func (e *replEnv) close() {
+	for i := len(e.closer) - 1; i >= 0; i-- {
+		e.closer[i]()
+	}
 }
 
 // startMachine starts one machine's SSD (primary) and HDD (backup) chunk
@@ -215,35 +217,38 @@ func snapJSON(t *testing.T, s StateSnapshot) string {
 // standby promoted after the primary's death serves exactly the pre-crash
 // metadata at a higher epoch.
 func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 4, 3*time.Second)
-	primary := e.masters[0]
-	o := newMetaOps(t, e, 1)
-	for _, op := range metaOpTable {
-		op.run(o)
-	}
-	seen := kindsIn(logOf(primary))
-	kinds := reflect.TypeOf(entry{})
-	for i := 1; i < kinds.NumField(); i++ { // field 0 is Seq
-		if kind := kinds.Field(i).Name; !seen[kind] {
-			t.Errorf("the op table produced no %s entry", kind)
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 4, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		o := newMetaOps(t, e, 1)
+		for _, op := range metaOpTable {
+			op.run(o)
 		}
-	}
-	before := e.requireConverged(t, primary, e.masters[1], e.masters[2])
-	if n := e.reg.Counter(MetricMasterReplayRefused).Load(); n != 0 {
-		t.Errorf("standbys in step refused %d batches", n)
-	}
+		seen := kindsIn(logOf(primary))
+		kinds := reflect.TypeOf(entry{})
+		for i := 1; i < kinds.NumField(); i++ { // field 0 is Seq
+			if kind := kinds.Field(i).Name; !seen[kind] {
+				t.Errorf("the op table produced no %s entry", kind)
+			}
+		}
+		before := e.requireConverged(t, primary, e.masters[1], e.masters[2])
+		if n := e.reg.Counter(MetricMasterReplayRefused).Load(); n != 0 {
+			t.Errorf("standbys in step refused %d batches", n)
+		}
 
-	// Kill the primary; a standby must promote with the exact pre-crash
-	// state at a higher epoch.
-	e.net.Crash("master")
-	primary.Close()
-	promoted := promote(t, e.masters[1])
-	if got := promoted.Epoch(); got < 2 {
-		t.Fatalf("promoted epoch = %d, want >= 2", got)
-	}
-	if got := snapJSON(t, promoted.Snapshot()); got != before {
-		t.Fatalf("promoted state diverged:\npre-crash:\n%s\npromoted:\n%s", before, got)
-	}
+		// Kill the primary; a standby must promote with the exact pre-crash
+		// state at a higher epoch.
+		e.net.Crash("master")
+		primary.Close()
+		promoted := promote(t, e.masters[1])
+		if got := promoted.Epoch(); got < 2 {
+			t.Fatalf("promoted epoch = %d, want >= 2", got)
+		}
+		if got := snapJSON(t, promoted.Snapshot()); got != before {
+			t.Fatalf("promoted state diverged:\npre-crash:\n%s\npromoted:\n%s", before, got)
+		}
+	})
 }
 
 // TestLeaseExpiryRacesRenewReplicated drives the lease lifecycle on a
@@ -251,43 +256,46 @@ func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
 // renew, a rival's open after expiry wins the lease, and the old holder's
 // late renew is then refused.
 func TestLeaseExpiryRacesRenewReplicated(t *testing.T) {
-	const lease = 100 * time.Millisecond
-	e := newReplEnvTTL(t, 2, 3, 100*time.Millisecond, func(c *Config) { c.LeaseTTL = lease })
-	primary := e.masters[0]
+	clock.Test(t, func() {
+		const lease = 100 * time.Millisecond
+		e, cleanup := newReplEnvTTL(t, 2, 3, 100*time.Millisecond, func(c *Config) { c.LeaseTTL = lease })
+		defer cleanup()
+		primary := e.masters[0]
 
-	var meta VDiskMeta
-	if st := callOn(t, primary, proto.MOpCreateVDisk,
-		CreateVDiskReq{Name: "lease-race", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
-		t.Fatalf("create: %s", st)
-	}
-	if st := callOn(t, primary, proto.MOpOpenVDisk,
-		OpenVDiskReq{Name: "lease-race", Client: "a"}, nil); st != proto.StatusOK {
-		t.Fatalf("open: %s", st)
-	}
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "lease-race", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
+		}
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "lease-race", Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("open: %s", st)
+		}
 
-	// Expired-but-unclaimed: the holder's own renew reclaims the lease.
-	clock.Realtime.Sleep(lease)
-	if st := callOn(t, primary, proto.MOpRenewLease,
-		LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
-		t.Fatalf("holder reclaim-renew after expiry: %s", st)
-	}
-	// Rival renew while the reclaimed lease is live: refused.
-	if st := callOn(t, primary, proto.MOpRenewLease,
-		LeaseReq{ID: meta.ID, Client: "b"}, nil); st != proto.StatusLeaseHeld {
-		t.Fatalf("rival renew on live lease: %s, want lease-held", st)
-	}
+		// Expired-but-unclaimed: the holder's own renew reclaims the lease.
+		clock.Realtime.Sleep(lease)
+		if st := callOn(t, primary, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("holder reclaim-renew after expiry: %s", st)
+		}
+		// Rival renew while the reclaimed lease is live: refused.
+		if st := callOn(t, primary, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "b"}, nil); st != proto.StatusLeaseHeld {
+			t.Fatalf("rival renew on live lease: %s, want lease-held", st)
+		}
 
-	// Expiry again; a rival's open now wins the lease...
-	clock.Realtime.Sleep(lease)
-	if st := callOn(t, primary, proto.MOpOpenVDisk,
-		OpenVDiskReq{Name: "lease-race", Client: "b"}, nil); st != proto.StatusOK {
-		t.Fatalf("rival open after expiry: %s", st)
-	}
-	// ...and the old holder's late renew must lose.
-	if st := callOn(t, primary, proto.MOpRenewLease,
-		LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusLeaseHeld {
-		t.Fatalf("stale holder renew: %s, want lease-held", st)
-	}
+		// Expiry again; a rival's open now wins the lease...
+		clock.Realtime.Sleep(lease)
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "lease-race", Client: "b"}, nil); st != proto.StatusOK {
+			t.Fatalf("rival open after expiry: %s", st)
+		}
+		// ...and the old holder's late renew must lose.
+		if st := callOn(t, primary, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusLeaseHeld {
+			t.Fatalf("stale holder renew: %s, want lease-held", st)
+		}
+	})
 }
 
 // TestOpenRacesFailover checks the lease survives a primary crash: the
@@ -295,38 +303,41 @@ func TestLeaseExpiryRacesRenewReplicated(t *testing.T) {
 // (a rival open is refused), while the legitimate holder's renew loop
 // carries on against the new primary.
 func TestOpenRacesFailover(t *testing.T) {
-	e := newReplEnv(t, 2, 3)
-	primary := e.masters[0]
+	clock.Test(t, func() {
+		e, cleanup := newReplEnv(t, 2, 3)
+		defer cleanup()
+		primary := e.masters[0]
 
-	var meta VDiskMeta
-	if st := callOn(t, primary, proto.MOpCreateVDisk,
-		CreateVDiskReq{Name: "failover-lease", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
-		t.Fatalf("create: %s", st)
-	}
-	if st := callOn(t, primary, proto.MOpOpenVDisk,
-		OpenVDiskReq{Name: "failover-lease", Client: "a"}, nil); st != proto.StatusOK {
-		t.Fatalf("open: %s", st)
-	}
-	e.quiesce(t, primary, e.masters[1])
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "failover-lease", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
+		}
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "failover-lease", Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("open: %s", st)
+		}
+		e.quiesce(t, primary, e.masters[1])
 
-	e.net.Crash("master")
-	primary.Close()
-	promoted := waitPromoted(t, e.masters[1])
+		e.net.Crash("master")
+		primary.Close()
+		promoted := waitPromoted(t, e.masters[1])
 
-	// The lease shipped before the crash: a rival cannot steal it on the
-	// new primary.
-	if st := callOn(t, promoted, proto.MOpOpenVDisk,
-		OpenVDiskReq{Name: "failover-lease", Client: "b"}, nil); st != proto.StatusLeaseHeld {
-		t.Fatalf("rival open on promoted master: %s, want lease-held", st)
-	}
-	// The holder's renew keeps working across the failover.
-	if st := callOn(t, promoted, proto.MOpRenewLease,
-		LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
-		t.Fatalf("holder renew on promoted master: %s", st)
-	}
-	// Standby-side sanity: the deposed address answers nothing; the
-	// promoted master is the only primary left.
-	if promoted.Epoch() < 2 {
-		t.Fatalf("promoted epoch = %d, want >= 2", promoted.Epoch())
-	}
+		// The lease shipped before the crash: a rival cannot steal it on the
+		// new primary.
+		if st := callOn(t, promoted, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "failover-lease", Client: "b"}, nil); st != proto.StatusLeaseHeld {
+			t.Fatalf("rival open on promoted master: %s, want lease-held", st)
+		}
+		// The holder's renew keeps working across the failover.
+		if st := callOn(t, promoted, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("holder renew on promoted master: %s", st)
+		}
+		// Standby-side sanity: the deposed address answers nothing; the
+		// promoted master is the only primary left.
+		if promoted.Epoch() < 2 {
+			t.Fatalf("promoted epoch = %d, want >= 2", promoted.Epoch())
+		}
+	})
 }

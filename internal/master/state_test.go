@@ -36,7 +36,7 @@ type metaOps struct {
 
 func newMetaOps(t *testing.T, e *replEnv, seed uint64) *metaOps {
 	o := &metaOps{t: t, e: e, p: e.masters[0], r: util.NewRand(seed), op: opctx.New(clock.Realtime, time.Hour)}
-	t.Cleanup(o.op.Release)
+	e.closer = append(e.closer, o.op.Release)
 	return o
 }
 
@@ -282,21 +282,24 @@ func (e *replEnv) requireConverged(t *testing.T, primary *Master, standbys ...*M
 // vdisk ID and moves no placement cursor — on the primary, where the request
 // ran, or on the standbys, which never hear of it.
 func TestFailedCreateLeavesNoTrace(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
-	primary := e.masters[0]
-	if st := callOn(t, primary, proto.MOpCreateVDisk,
-		CreateVDiskReq{Name: "fits", Size: 2 * util.ChunkSize}, nil); st != proto.StatusOK {
-		t.Fatalf("create: %s", st)
-	}
-	before := e.requireConverged(t, primary, e.masters[1:]...)
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "fits", Size: 2 * util.ChunkSize}, nil); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
+		}
+		before := e.requireConverged(t, primary, e.masters[1:]...)
 
-	if st := callOn(t, primary, proto.MOpCreateVDisk,
-		CreateVDiskReq{Name: "too-wide", Size: 2 * util.ChunkSize, Replication: 4}, nil); st != proto.StatusQuota {
-		t.Fatalf("create with 4 replicas on 3 machines: %s, want quota", st)
-	}
-	if after := e.requireConverged(t, primary, e.masters[1:]...); after != before {
-		t.Fatalf("failed create changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
-	}
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "too-wide", Size: 2 * util.ChunkSize, Replication: 4}, nil); st != proto.StatusQuota {
+			t.Fatalf("create with 4 replicas on 3 machines: %s, want quota", st)
+		}
+		if after := e.requireConverged(t, primary, e.masters[1:]...); after != before {
+			t.Fatalf("failed create changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
+		}
+	})
 }
 
 // TestViewInstallLeavesColdAlone: a recovery copies the chunk's metadata when
@@ -304,41 +307,44 @@ func TestFailedCreateLeavesNoTrace(t *testing.T) {
 // protocol cleared in between must stay cleared — GC is by then free to
 // delete the segments they named.
 func TestViewInstallLeavesColdAlone(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
-	primary := e.masters[0]
-	o := newMetaOps(t, e, 1)
-	o.run("snapshot-by-hand")
-	o.run("clone") // chunk 0 starts with the snapshot's refs as its cold table
-	clone, ok := o.pickVDisk(isCold)
-	if !ok {
-		t.Fatal("clone has no cold refs")
-	}
-	seg := clone.Chunks[0].Cold[0].Seg
-	o.run("delete-snapshot") // the clone's table is the last to name the segment
-
-	stale, _, err := primary.chunkMetaSpec(clone.ID, 0) // what recovery holds
-	if err != nil || len(stale.Cold) == 0 {
-		t.Fatalf("chunkMetaSpec: %+v, %v", stale, err)
-	}
-	o.run("materialize") // the last replica's report clears the refs
-	if _, err := primary.installView(clock.Realtime.Now(), blockstore.MakeChunkID(clone.ID, 0),
-		clone.ID, 0, *stale, 0, nil, stale.Replicas); err != nil {
-		t.Fatal(err)
-	}
-
-	e.requireConverged(t, primary, e.masters[1:]...)
-	for _, m := range e.masters {
-		cm := m.Snapshot().VDisks[clone.ID].Chunks[0]
-		if cm.View != 2 || len(cm.Cold) != 0 {
-			t.Errorf("%s: chunk after view install: view %d, cold %+v; want view 2 and no cold refs", m.Addr(), cm.View, cm.Cold)
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		o := newMetaOps(t, e, 1)
+		o.run("snapshot-by-hand")
+		o.run("clone") // chunk 0 starts with the snapshot's refs as its cold table
+		clone, ok := o.pickVDisk(isCold)
+		if !ok {
+			t.Fatal("clone has no cold refs")
 		}
-		m.mu.Lock()
-		named := m.namedSegsLocked()[seg]
-		m.mu.Unlock()
-		if named {
-			t.Errorf("%s: segment %#x is still named", m.Addr(), seg)
+		seg := clone.Chunks[0].Cold[0].Seg
+		o.run("delete-snapshot") // the clone's table is the last to name the segment
+
+		stale, _, err := primary.chunkMetaSpec(clone.ID, 0) // what recovery holds
+		if err != nil || len(stale.Cold) == 0 {
+			t.Fatalf("chunkMetaSpec: %+v, %v", stale, err)
 		}
-	}
+		o.run("materialize") // the last replica's report clears the refs
+		if _, err := primary.installView(clock.Realtime.Now(), blockstore.MakeChunkID(clone.ID, 0),
+			clone.ID, 0, *stale, 0, nil, stale.Replicas); err != nil {
+			t.Fatal(err)
+		}
+
+		e.requireConverged(t, primary, e.masters[1:]...)
+		for _, m := range e.masters {
+			cm := m.Snapshot().VDisks[clone.ID].Chunks[0]
+			if cm.View != 2 || len(cm.Cold) != 0 {
+				t.Errorf("%s: chunk after view install: view %d, cold %+v; want view 2 and no cold refs", m.Addr(), cm.View, cm.Cold)
+			}
+			m.mu.Lock()
+			named := m.namedSegsLocked()[seg]
+			m.mu.Unlock()
+			if named {
+				t.Errorf("%s: segment %#x is still named", m.Addr(), seg)
+			}
+		}
+	})
 }
 
 // TestColdReportSurvivesFailover: the entry a reconcile pass commits when
@@ -347,41 +353,41 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 // promoted standby serves the chunk without them, and its own pass, which
 // finds the replicas still cold, does not bring them back.
 func TestColdReportSurvivesFailover(t *testing.T) {
-	e := newReplEnvTTL(t, 3, 3, 3*time.Second)
-	primary := e.masters[0]
-	o := newMetaOps(t, e, 1)
-	o.run("snapshot-by-hand")
-	o.run("clone")
-	clone, ok := o.pickVDisk(isCold)
-	if !ok {
-		t.Fatal("clone has no cold refs")
-	}
-	o.run("materialize")
-	e.quiesce(t, primary, e.masters[1:]...)
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		o := newMetaOps(t, e, 1)
+		o.run("snapshot-by-hand")
+		o.run("clone")
+		clone, ok := o.pickVDisk(isCold)
+		if !ok {
+			t.Fatal("clone has no cold refs")
+		}
+		o.run("materialize")
+		e.quiesce(t, primary, e.masters[1:]...)
 
-	e.net.Crash("master")
-	primary.Close()
-	promoted := promote(t, e.masters[1])
-	if _, err := promoted.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	if cold := promoted.Snapshot().VDisks[clone.ID].Chunks[0].Cold; len(cold) != 0 {
-		t.Fatalf("the primary cleared the cold refs before the failover: still listed %+v", cold)
-	}
+		e.net.Crash("master")
+		primary.Close()
+		promoted := promote(t, e.masters[1])
+		if _, err := promoted.Reconcile(); err != nil {
+			t.Fatal(err)
+		}
+		if cold := promoted.Snapshot().VDisks[clone.ID].Chunks[0].Cold; len(cold) != 0 {
+			t.Fatalf("the primary cleared the cold refs before the failover: still listed %+v", cold)
+		}
+	})
 }
 
 // loneStandby is a standby whose primary never calls: batches reach it only
-// through Handle.
-func loneStandby(t *testing.T) *Master {
-	t.Helper()
+// through Handle. The test defers its Close.
+func loneStandby() *Master {
 	net := transport.NewSimNet(clock.Realtime, 0)
-	m := New(Config{
+	return New(Config{
 		Addr: "replay", Peers: []string{"master", "replay"}, JoinStandby: true,
 		Clock: clock.Realtime, Dialer: net.Dialer("replay", transport.NodeConfig{}),
 		PrimacyTTL: time.Hour, // never promotes within a test
 	})
-	t.Cleanup(m.Close)
-	return m
 }
 
 // shipTo hands a standby one MOpReplicateLog with the given JSON-encoded
@@ -411,19 +417,22 @@ func TestStandbyNeverAcksUnappliedEntry(t *testing.T) {
 		"unknown kind":     `{"seq":2,"kindFromTheFuture":{"id":1}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			m := loneStandby(t)
-			if ack := shipTo(t, m, "["+server+","+bad+","+lease+"]"); ack.Applied != 1 {
-				t.Errorf("acked %d entries of a batch whose second is bad, want 1", ack.Applied)
-			}
-			if got := m.LogSeq(); got != 1 {
-				t.Errorf("log holds %d entries, want 1", got)
-			}
-			if ack := shipTo(t, m, "["+vdisk+","+lease+"]"); ack.Applied != 3 {
-				t.Errorf("well-formed resend from seq 2: applied %d, want 3", ack.Applied)
-			}
-			if s := m.Snapshot(); len(s.Servers) != 1 || s.Leases[1].Holder != "c" {
-				t.Errorf("state after resend: %+v", s)
-			}
+			clock.Test(t, func() {
+				m := loneStandby()
+				defer m.Close()
+				if ack := shipTo(t, m, "["+server+","+bad+","+lease+"]"); ack.Applied != 1 {
+					t.Errorf("acked %d entries of a batch whose second is bad, want 1", ack.Applied)
+				}
+				if got := m.LogSeq(); got != 1 {
+					t.Errorf("log holds %d entries, want 1", got)
+				}
+				if ack := shipTo(t, m, "["+vdisk+","+lease+"]"); ack.Applied != 3 {
+					t.Errorf("well-formed resend from seq 2: applied %d, want 3", ack.Applied)
+				}
+				if s := m.Snapshot(); len(s.Servers) != 1 || s.Leases[1].Holder != "c" {
+					t.Errorf("state after resend: %+v", s)
+				}
+			})
 		})
 	}
 }
@@ -433,126 +442,135 @@ func TestStandbyNeverAcksUnappliedEntry(t *testing.T) {
 // deposes the receiver nor wipes its state. A lone master, whose set has no
 // other member, refuses every batch.
 func TestStandbyRefusesNonMemberBatch(t *testing.T) {
-	standby := loneStandby(t)
-	shipTo(t, standby, `[{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}]`)
-	lone := New(Config{Addr: "master", Clock: clock.Realtime, PrimacyTTL: time.Hour})
-	t.Cleanup(lone.Close)
-	lone.AddServer("a/ssd", "a", true, util.TiB)
+	clock.Test(t, func() {
+		standby := loneStandby()
+		defer standby.Close()
+		shipTo(t, standby, `[{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}]`)
+		lone := New(Config{Addr: "master", Clock: clock.Realtime, PrimacyTTL: time.Hour})
+		defer lone.Close()
+		lone.AddServer("a/ssd", "a", true, util.TiB)
 
-	for _, m := range []*Master{standby, lone} {
-		before, epoch, primary := snapJSON(t, m.Snapshot()), m.Epoch(), m.IsPrimary()
-		for _, from := range []string{"intruder", m.Addr()} {
-			resp := m.Handle(&proto.Message{Op: proto.MOpReplicateLog,
-				Payload: []byte(`{"epoch":5,"from":"` + from + `","entries":[]}`)})
-			if resp.Status == proto.StatusOK {
-				t.Errorf("%s took a batch from %q", m.Addr(), from)
+		for _, m := range []*Master{standby, lone} {
+			before, epoch, primary := snapJSON(t, m.Snapshot()), m.Epoch(), m.IsPrimary()
+			for _, from := range []string{"intruder", m.Addr()} {
+				resp := m.Handle(&proto.Message{Op: proto.MOpReplicateLog,
+					Payload: []byte(`{"epoch":5,"from":"` + from + `","entries":[]}`)})
+				if resp.Status == proto.StatusOK {
+					t.Errorf("%s took a batch from %q", m.Addr(), from)
+				}
+			}
+			if m.Epoch() != epoch || m.IsPrimary() != primary {
+				t.Errorf("%s: epoch %d, primary %v after the refused batches; want %d, %v",
+					m.Addr(), m.Epoch(), m.IsPrimary(), epoch, primary)
+			}
+			if after := snapJSON(t, m.Snapshot()); after != before {
+				t.Errorf("%s: state changed by a refused batch:\nbefore:\n%s\nafter:\n%s", m.Addr(), before, after)
 			}
 		}
-		if m.Epoch() != epoch || m.IsPrimary() != primary {
-			t.Errorf("%s: epoch %d, primary %v after the refused batches; want %d, %v",
-				m.Addr(), m.Epoch(), m.IsPrimary(), epoch, primary)
-		}
-		if after := snapJSON(t, m.Snapshot()); after != before {
-			t.Errorf("%s: state changed by a refused batch:\nbefore:\n%s\nafter:\n%s", m.Addr(), before, after)
-		}
-	}
+	})
 }
 
 // TestShipperCountsRefusedReplay: a standby whose state has diverged refuses
 // the entry it cannot apply and stays at the entry before it, and the
 // primary's shipper counts the batches it refuses.
 func TestShipperCountsRefusedReplay(t *testing.T) {
-	e := newReplEnvTTL(t, 2, 3, 3*time.Second)
-	primary, standby := e.masters[0], e.masters[1]
-	var meta VDiskMeta
-	if st := callOn(t, primary, proto.MOpCreateVDisk,
-		CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
-		t.Fatalf("create: %s", st)
-	}
-	e.quiesce(t, primary, standby)
-	refused := e.reg.Counter(MetricMasterReplayRefused)
-	if n := refused.Load(); n != 0 {
-		t.Fatalf("%d batches refused by a standby in step", n)
-	}
-
-	// Diverge the standby: it alone loses the vdisk, so the lease entry the
-	// primary ships next names a vdisk it does not hold.
-	standby.mu.Lock()
-	err := standby.st.apply(&entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
-	standby.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := standby.LogSeq()
-	if st := callOn(t, primary, proto.MOpRenewLease,
-		LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
-		t.Fatalf("renew: %s", st)
-	}
-	for deadline := time.Now().Add(10 * time.Second); refused.Load() == 0; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the shipper never counted the refused batch")
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+		defer cleanup()
+		primary, standby := e.masters[0], e.masters[1]
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
 		}
-	}
-	if got := standby.LogSeq(); got != held || primary.LogSeq() != held+1 {
-		t.Errorf("standby at seq %d, primary at %d; want the standby held at %d, one behind", got, primary.LogSeq(), held)
-	}
+		e.quiesce(t, primary, standby)
+		refused := e.reg.Counter(MetricMasterReplayRefused)
+		if n := refused.Load(); n != 0 {
+			t.Fatalf("%d batches refused by a standby in step", n)
+		}
+
+		// Diverge the standby: it alone loses the vdisk, so the lease entry the
+		// primary ships next names a vdisk it does not hold.
+		standby.mu.Lock()
+		err := standby.st.apply(&entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
+		standby.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := standby.LogSeq()
+		if st := callOn(t, primary, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
+			t.Fatalf("renew: %s", st)
+		}
+		for deadline := time.Now().Add(10 * time.Second); refused.Load() == 0; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the shipper never counted the refused batch")
+			}
+		}
+		if got := standby.LogSeq(); got != held || primary.LogSeq() != held+1 {
+			t.Errorf("standby at seq %d, primary at %d; want the standby held at %d, one behind", got, primary.LogSeq(), held)
+		}
+	})
 }
 
 // TestLateStandbyCatchesUpInBoundedBatches: a standby that joins a primary
 // holding a long log converges on the primary's state without any one
 // MOpReplicateLog carrying more than shipBatchMax entries.
 func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
-	e := newReplEnvTTL(t, 2, 3, 3*time.Second)
-	primary := e.masters[0]
-	e.net.Crash("master-1")
-	e.masters[1].Close()
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		e.net.Crash("master-1")
+		e.masters[1].Close()
 
-	var meta VDiskMeta
-	if st := callOn(t, primary, proto.MOpCreateVDisk,
-		CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
-		t.Fatalf("create: %s", st)
-	}
-	renew := func() {
-		if st := callOn(t, primary, proto.MOpRenewLease,
-			LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
-			t.Fatalf("renew: %s", st)
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
 		}
-	}
-	for primary.LogSeq() < 3*shipBatchMax+10 {
-		renew()
-	}
-
-	e.net.Restart("master-1")
-	l, err := e.net.Listen("master-1", transport.NodeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	late := New(Config{
-		Addr: "master-1", Peers: e.addrs, JoinStandby: true, Clock: clock.Realtime,
-		Dialer: e.net.Dialer("master-1", transport.NodeConfig{}), PrimacyTTL: 3 * time.Second,
-	})
-	t.Cleanup(late.Close)
-	largest := 0 // entries in the largest batch received (guarded by late.mu)
-	rpc := transport.Serve(l, func(msg *proto.Message) *proto.Message {
-		if msg.Op == proto.MOpReplicateLog {
-			var req struct{ Entries []json.RawMessage }
-			if json.Unmarshal(msg.Payload, &req) == nil {
-				late.mu.Lock()
-				largest = max(largest, len(req.Entries))
-				late.mu.Unlock()
+		renew := func() {
+			if st := callOn(t, primary, proto.MOpRenewLease,
+				LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
+				t.Fatalf("renew: %s", st)
 			}
 		}
-		return late.Handle(msg)
-	})
-	t.Cleanup(rpc.Close)
-	renew() // kicks the shipper, which otherwise retries a dead standby only on its heartbeat tick
+		for primary.LogSeq() < 3*shipBatchMax+10 {
+			renew()
+		}
 
-	e.requireConverged(t, primary, late)
-	late.mu.Lock()
-	defer late.mu.Unlock()
-	if largest == 0 || largest > shipBatchMax {
-		t.Fatalf("largest batch carried %d entries, want 1..%d", largest, shipBatchMax)
-	}
+		e.net.Restart("master-1")
+		l, err := e.net.Listen("master-1", transport.NodeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := New(Config{
+			Addr: "master-1", Peers: e.addrs, JoinStandby: true, Clock: clock.Realtime,
+			Dialer: e.net.Dialer("master-1", transport.NodeConfig{}), PrimacyTTL: 3 * time.Second,
+		})
+		defer late.Close()
+		largest := 0 // entries in the largest batch received (guarded by late.mu)
+		rpc := transport.Serve(l, func(msg *proto.Message) *proto.Message {
+			if msg.Op == proto.MOpReplicateLog {
+				var req struct{ Entries []json.RawMessage }
+				if json.Unmarshal(msg.Payload, &req) == nil {
+					late.mu.Lock()
+					largest = max(largest, len(req.Entries))
+					late.mu.Unlock()
+				}
+			}
+			return late.Handle(msg)
+		})
+		defer rpc.Close()
+		renew() // kicks the shipper, which otherwise retries a dead standby only on its heartbeat tick
+
+		e.requireConverged(t, primary, late)
+		late.mu.Lock()
+		defer late.mu.Unlock()
+		if largest == 0 || largest > shipBatchMax {
+			t.Fatalf("largest batch carried %d entries, want 1..%d", largest, shipBatchMax)
+		}
+	})
 }
 
 // TestLogReplayReproducesState: the primary's state is the replay of its
@@ -564,14 +582,17 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 func TestLogReplayReproducesState(t *testing.T) {
 	for _, masters := range []int{2, 1} {
 		t.Run(fmt.Sprintf("masters=%d", masters), func(t *testing.T) {
-			e := newReplEnvTTL(t, masters, 4, 3*time.Second)
-			o := newMetaOps(t, e, 7) // a seed whose 60 ops log every entry kind
-			for i := 0; i < 60; i++ {
-				op := metaOpTable[o.r.Intn(len(metaOpTable))]
-				op.run(o)
-				o.requireWholeSegments(op.name)
-			}
-			requireReplayReproduces(t, e.requireConverged(t, o.p, e.masters[1:]...), logOf(o.p))
+			clock.Test(t, func() {
+				e, cleanup := newReplEnvTTL(t, masters, 4, 3*time.Second)
+				defer cleanup()
+				o := newMetaOps(t, e, 7) // a seed whose 60 ops log every entry kind
+				for i := 0; i < 60; i++ {
+					op := metaOpTable[o.r.Intn(len(metaOpTable))]
+					op.run(o)
+					o.requireWholeSegments(op.name)
+				}
+				requireReplayReproduces(t, e.requireConverged(t, o.p, e.masters[1:]...), logOf(o.p))
+			})
 		})
 	}
 }
@@ -634,7 +655,9 @@ func requireReplayReproduces(t *testing.T, want string, log entryBatch) {
 			t.Fatalf("replay stopped at seq %d of a batch ending at %d", ack.Applied, batch[len(batch)-1].Seq)
 		}
 	}
-	whole, single := loneStandby(t), loneStandby(t)
+	whole, single := loneStandby(), loneStandby()
+	defer whole.Close()
+	defer single.Close()
 	ship(whole, log)
 	for i := range log {
 		ship(single, log[i:i+1])
@@ -756,7 +779,8 @@ func stateWrites(fset *token.FileSet, f *ast.File) []token.Position {
 // replicated state (see stateWrites for what counts). The rule is first run
 // on a sample of the writes it must catch.
 func TestStateWrittenOnlyInStateGo(t *testing.T) {
-	const sample = `package master
+	clock.Test(t, func() {
+		const sample = `package master
 func (m *Master) bad(id uint32, name string) {
 	m.st.nextID++
 	m.st.cursors.NextBackup = 0
@@ -786,30 +810,31 @@ func (m *Master) fine(id uint32, name string) {
 	var cm ChunkMeta
 	cm.Cold = nil
 }`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []int
-	for _, pos := range stateWrites(fset, f) {
-		lines = append(lines, pos.Line)
-	}
-	if want := []int{3, 4, 5, 6, 8, 10, 13, 15, 18}; !reflect.DeepEqual(lines, want) {
-		t.Fatalf("the rule flags sample lines %v, want %v", lines, want)
-	}
-
-	files, _ := os.ReadDir(".")
-	for _, fi := range files {
-		if name := fi.Name(); !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == "state.go" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, fi.Name(), nil, 0)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "sample.go", sample, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var lines []int
 		for _, pos := range stateWrites(fset, f) {
-			t.Errorf("%s: writes a state field outside state.go", pos)
+			lines = append(lines, pos.Line)
 		}
-	}
+		if want := []int{3, 4, 5, 6, 8, 10, 13, 15, 18}; !reflect.DeepEqual(lines, want) {
+			t.Fatalf("the rule flags sample lines %v, want %v", lines, want)
+		}
+
+		files, _ := os.ReadDir(".")
+		for _, fi := range files {
+			if name := fi.Name(); !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == "state.go" {
+				continue
+			}
+			f, err := parser.ParseFile(fset, fi.Name(), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pos := range stateWrites(fset, f) {
+				t.Errorf("%s: writes a state field outside state.go", pos)
+			}
+		}
+	})
 }

@@ -45,12 +45,13 @@ func withBody(r *proto.Message, body any) *proto.Message {
 
 // masterFixture serves each scripted endpoint on a SimNet (an address with
 // no script is dead: nothing listens there) and returns a session over
-// addrs, plus how many calls each endpoint has served.
-func masterFixture(t *testing.T, addrs []string, scripts map[string]masterScript, timeout time.Duration) (*MasterSession, func(addr string) int) {
+// addrs, how many calls each endpoint has served, and its close.
+func masterFixture(t *testing.T, addrs []string, scripts map[string]masterScript, timeout time.Duration) (*MasterSession, func(addr string) int, func()) {
 	t.Helper()
 	net := NewSimNet(clock.Realtime, 0)
 	var mu sync.Mutex
 	hits := make(map[string]int)
+	var srvs []*Server
 	for addr, script := range scripts {
 		l, err := net.Listen(addr, NodeConfig{})
 		if err != nil {
@@ -62,15 +63,19 @@ func masterFixture(t *testing.T, addrs []string, scripts map[string]masterScript
 			mu.Unlock()
 			return script(m)
 		})
-		t.Cleanup(srv.Close)
+		srvs = append(srvs, srv)
 	}
 	s := NewMasterSession(net.Dialer("caller", NodeConfig{}), clock.Realtime, addrs, timeout, nil)
-	t.Cleanup(s.Close)
 	return s, func(addr string) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return hits[addr]
-	}
+			mu.Lock()
+			defer mu.Unlock()
+			return hits[addr]
+		}, func() {
+			s.Close()
+			for _, srv := range srvs {
+				srv.Close()
+			}
+		}
 }
 
 // call makes one session call and returns who answered it.
@@ -87,117 +92,129 @@ func call(t *testing.T, s *MasterSession) string {
 // A redirect is followed — the hinted endpoint, not the next in the list —
 // and the cursor stays on the endpoint that answered.
 func TestMasterSessionFollowsHintAndPinsCursor(t *testing.T) {
-	addrs := []string{"m0", "m1", "m2"}
-	s, hits := masterFixture(t, addrs, map[string]masterScript{
-		"m0": redirects("m2"), "m1": answers("m1"), "m2": answers("m2"),
-	}, 50*time.Millisecond)
-	if got := call(t, s); got != "m2" {
-		t.Fatalf("answered by %s, want the hinted m2", got)
-	}
-	if hits("m1") != 0 {
-		t.Fatal("the hunt rotated to m1 instead of following the hint")
-	}
-	for i := 0; i < 3; i++ {
+	clock.Test(t, func() {
+		addrs := []string{"m0", "m1", "m2"}
+		s, hits, cleanup := masterFixture(t, addrs, map[string]masterScript{
+			"m0": redirects("m2"), "m1": answers("m1"), "m2": answers("m2"),
+		}, 50*time.Millisecond)
+		defer cleanup()
 		if got := call(t, s); got != "m2" {
-			t.Fatalf("call %d answered by %s, want m2", i, got)
+			t.Fatalf("answered by %s, want the hinted m2", got)
 		}
-	}
-	if hits("m0") != 1 {
-		t.Fatalf("m0 served %d calls: the cursor left the endpoint that answered", hits("m0"))
-	}
+		if hits("m1") != 0 {
+			t.Fatal("the hunt rotated to m1 instead of following the hint")
+		}
+		for i := 0; i < 3; i++ {
+			if got := call(t, s); got != "m2" {
+				t.Fatalf("call %d answered by %s, want m2", i, got)
+			}
+		}
+		if hits("m0") != 1 {
+			t.Fatalf("m0 served %d calls: the cursor left the endpoint that answered", hits("m0"))
+		}
+	})
 }
 
 // A standby that has not noticed the failover still names the dead primary:
 // that hint is ignored and the hunt rotates on, finishing in one sweep.
 func TestMasterSessionIgnoresHintAtFailedEndpoint(t *testing.T) {
-	addrs := []string{"m0", "m1", "m2"}
-	s, hits := masterFixture(t, addrs, map[string]masterScript{
-		"m1": redirects("m0"), "m2": answers("m2"),
-	}, 50*time.Millisecond)
-	if got := call(t, s); got != "m2" {
-		t.Fatalf("answered by %s, want m2", got)
-	}
-	if hits("m1") != 1 {
-		t.Fatalf("m1 served %d calls: the stale hint sent the hunt back to the dead m0", hits("m1"))
-	}
+	clock.Test(t, func() {
+		addrs := []string{"m0", "m1", "m2"}
+		s, hits, cleanup := masterFixture(t, addrs, map[string]masterScript{
+			"m1": redirects("m0"), "m2": answers("m2"),
+		}, 50*time.Millisecond)
+		defer cleanup()
+		if got := call(t, s); got != "m2" {
+			t.Fatalf("answered by %s, want m2", got)
+		}
+		if hits("m1") != 1 {
+			t.Fatalf("m1 served %d calls: the stale hint sent the hunt back to the dead m0", hits("m1"))
+		}
+	})
 }
 
 // A dead endpoint is rotated past, and only the first call pays for it.
 func TestMasterSessionRotatesPastDeadEndpoint(t *testing.T) {
-	s, hits := masterFixture(t, []string{"m0", "m1"}, map[string]masterScript{"m1": answers("m1")}, 50*time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if got := call(t, s); got != "m1" {
-			t.Fatalf("call %d answered by %s, want m1", i, got)
+	clock.Test(t, func() {
+		s, hits, cleanup := masterFixture(t, []string{"m0", "m1"}, map[string]masterScript{"m1": answers("m1")}, 50*time.Millisecond)
+		defer cleanup()
+		for i := 0; i < 3; i++ {
+			if got := call(t, s); got != "m1" {
+				t.Fatalf("call %d answered by %s, want m1", i, got)
+			}
 		}
-	}
-	if hits("m1") != 3 {
-		t.Fatalf("m1 served %d of 3 calls", hits("m1"))
-	}
+		if hits("m1") != 3 {
+			t.Fatalf("m1 served %d of 3 calls", hits("m1"))
+		}
+	})
 }
 
 // With no primary anywhere the hunt keeps sweeping, backing off between
 // sweeps, and returns within the op's budget with the last error: a
 // redirect, or the timeout of an attempt the budget ran out under.
 func TestMasterSessionReturnsWithinBudget(t *testing.T) {
-	addrs := []string{"m0", "m1", "m2"}
-	s, hits := masterFixture(t, addrs, map[string]masterScript{
-		"m0": redirects(""), "m1": redirects(""), "m2": redirects(""),
-	}, 20*time.Millisecond)
-	const budget = 200 * time.Millisecond
-	op := opctx.New(clock.Realtime, budget)
-	defer op.Release()
-	start := time.Now()
-	_, err := s.Call(op, proto.MOpMasterInfo, nil, nil)
-	took := time.Since(start)
-	if !errors.Is(err, util.ErrNotPrimary) && !errors.Is(err, util.ErrTimeout) {
-		t.Fatalf("err = %v, want the last attempt's ErrNotPrimary or ErrTimeout", err)
-	}
-	if took > budget+100*time.Millisecond {
-		t.Fatalf("the call took %v on a %v budget", took, budget)
-	}
-	if n := hits("m0") + hits("m1") + hits("m2"); n <= len(addrs) {
-		t.Fatalf("%d attempts: the hunt gave up after one sweep", n)
-	}
+	clock.Test(t, func() {
+		addrs := []string{"m0", "m1", "m2"}
+		s, hits, cleanup := masterFixture(t, addrs, map[string]masterScript{
+			"m0": redirects(""), "m1": redirects(""), "m2": redirects(""),
+		}, 20*time.Millisecond)
+		defer cleanup()
+		const budget = 200 * time.Millisecond
+		op := opctx.New(clock.Realtime, budget)
+		defer op.Release()
+		start := time.Now()
+		_, err := s.Call(op, proto.MOpMasterInfo, nil, nil)
+		took := time.Since(start)
+		if !errors.Is(err, util.ErrNotPrimary) && !errors.Is(err, util.ErrTimeout) {
+			t.Fatalf("err = %v, want the last attempt's ErrNotPrimary or ErrTimeout", err)
+		}
+		if took > budget+100*time.Millisecond {
+			t.Fatalf("the call took %v on a %v budget", took, budget)
+		}
+		if n := hits("m0") + hits("m1") + hits("m2"); n <= len(addrs) {
+			t.Fatalf("%d attempts: the hunt gave up after one sweep", n)
+		}
+	})
 }
 
 // Close cancels a hunt in flight: here one waiting on an RPC to an endpoint
 // that never answers, within a budget far longer than the test.
 func TestMasterSessionCloseCancelsHunt(t *testing.T) {
-	hung := make(chan struct{})
-	s, hits := masterFixture(t, []string{"m0", "m1"}, map[string]masterScript{
-		"m0": func(m *proto.Message) *proto.Message { <-hung; return m.Reply(proto.StatusOK) },
-		"m1": redirects(""),
-	}, time.Second)
-	t.Cleanup(func() { close(hung) }) // runs before the fixture's servers close
-	done := make(chan error, 1)
-	go func() {
-		op := opctx.New(clock.Realtime, time.Minute)
-		defer op.Release()
-		_, err := s.Call(op, proto.MOpMasterInfo, nil, nil)
-		done <- err
-	}()
-	for hits("m0") == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	go s.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, util.ErrClosed) {
-			t.Fatalf("err = %v, want ErrClosed", err)
+	clock.Test(t, func() {
+		hung := make(chan struct{})
+		s, hits, cleanup := masterFixture(t, []string{"m0", "m1"}, map[string]masterScript{
+			"m0": func(m *proto.Message) *proto.Message { <-hung; return m.Reply(proto.StatusOK) },
+			"m1": redirects(""),
+		}, time.Second)
+		defer cleanup()
+		defer close(hung) // runs before the fixture's servers close
+		done := make(chan error, 1)
+		go func() {
+			op := opctx.New(clock.Realtime, time.Minute)
+			defer op.Release()
+			_, err := s.Call(op, proto.MOpMasterInfo, nil, nil)
+			done <- err
+		}()
+		for hits("m0") == 0 {
+			time.Sleep(time.Millisecond)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close left the hunt running")
-	}
+		go s.Close()
+		select {
+		case err := <-done:
+			if !errors.Is(err, util.ErrClosed) {
+				t.Fatalf("err = %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close left the hunt running")
+		}
+	})
 }
 
 // reporterFixture is a session whose reports are the test's own functions:
-// no master is ever called.
-func reporterFixture(t *testing.T) (*MasterSession, *metrics.Registry) {
-	t.Helper()
+// no master is ever called. The test defers the session's Close.
+func reporterFixture() (*MasterSession, *metrics.Registry) {
 	reg := metrics.NewRegistry()
-	s := NewMasterSession(NewSimNet(clock.Realtime, 0).Dialer("caller", NodeConfig{}), clock.Realtime, []string{"m0"}, time.Second, reg)
-	t.Cleanup(s.Close)
-	return s, reg
+	return NewMasterSession(NewSimNet(clock.Realtime, 0).Dialer("caller", NodeConfig{}), clock.Realtime, []string{"m0"}, time.Second, reg), reg
 }
 
 // filed records which reports ran.
@@ -236,93 +253,105 @@ func fence(s *MasterSession, f *filed, id uint32) {
 }
 
 func TestReporterDropsSecondReportInFlight(t *testing.T) {
-	s, _ := reporterFixture(t)
-	var f filed
-	var wg sync.WaitGroup
-	a := blockstore.MakeChunkID(1, 0)
-	hold := make(chan struct{})
-	s.Report(a, "x", f.report("first", hold, &wg))
-	s.Report(a, "y", func() { t.Error("a second report about a chunk with one in flight ran") })
-	close(hold)
-	wg.Wait()
-	fence(s, &f, 2)
-	if got := f.names(); len(got) != 2 || got[0] != "first" {
-		t.Fatalf("ran %v, want [first fence]", got)
-	}
+	clock.Test(t, func() {
+		s, _ := reporterFixture()
+		defer s.Close()
+		var f filed
+		var wg sync.WaitGroup
+		a := blockstore.MakeChunkID(1, 0)
+		hold := make(chan struct{})
+		s.Report(a, "x", f.report("first", hold, &wg))
+		s.Report(a, "y", func() { t.Error("a second report about a chunk with one in flight ran") })
+		close(hold)
+		wg.Wait()
+		fence(s, &f, 2)
+		if got := f.names(); len(got) != 2 || got[0] != "first" {
+			t.Fatalf("ran %v, want [first fence]", got)
+		}
+	})
 }
 
 func TestReporterDropsRepeatWithinCooldown(t *testing.T) {
-	s, _ := reporterFixture(t)
-	var f filed
-	var wg sync.WaitGroup
-	a := blockstore.MakeChunkID(1, 0)
-	s.Report(a, "x", f.report("first", nil, &wg))
-	fence(s, &f, 2)
-	s.Report(a, "x", func() { t.Error("a repeat within the cooldown ran") })
-	s.Report(a, "y", f.report("other address", nil, &wg))
-	wg.Wait()
-	fence(s, &f, 3)
-	if got := f.names(); len(got) != 4 || got[2] != "other address" {
-		t.Fatalf("ran %v, want [first fence (other address) fence]", got)
-	}
+	clock.Test(t, func() {
+		s, _ := reporterFixture()
+		defer s.Close()
+		var f filed
+		var wg sync.WaitGroup
+		a := blockstore.MakeChunkID(1, 0)
+		s.Report(a, "x", f.report("first", nil, &wg))
+		fence(s, &f, 2)
+		s.Report(a, "x", func() { t.Error("a repeat within the cooldown ran") })
+		s.Report(a, "y", f.report("other address", nil, &wg))
+		wg.Wait()
+		fence(s, &f, 3)
+		if got := f.names(); len(got) != 4 || got[2] != "other address" {
+			t.Fatalf("ran %v, want [first fence (other address) fence]", got)
+		}
+	})
 }
 
 func TestReporterDropsAndCountsWhenQueueFull(t *testing.T) {
-	s, reg := reporterFixture(t)
-	var f filed
-	var wg sync.WaitGroup
-	hold := make(chan struct{})
-	s.Report(blockstore.MakeChunkID(1, 0), "", f.report("running", hold, &wg))
-	for deadline := time.Now().Add(5 * time.Second); len(s.reports) > 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the reporter never took the first report")
+	clock.Test(t, func() {
+		s, reg := reporterFixture()
+		defer s.Close()
+		var f filed
+		var wg sync.WaitGroup
+		hold := make(chan struct{})
+		s.Report(blockstore.MakeChunkID(1, 0), "", f.report("running", hold, &wg))
+		for deadline := time.Now().Add(5 * time.Second); len(s.reports) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the reporter never took the first report")
+			}
 		}
-	}
-	for i := 0; i < reportQueueDepth; i++ {
-		s.Report(blockstore.MakeChunkID(100+uint32(i), 0), "", f.report("queued", nil, &wg))
-	}
-	s.Report(blockstore.MakeChunkID(99, 0), "", func() { t.Error("a report past a full queue ran") })
-	if got := reg.Counter(MetricReportsDropped).Load(); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricReportsDropped, got)
-	}
-	close(hold)
-	wg.Wait()
-	fence(s, &f, 2)
-	if got := len(f.names()); got != reportQueueDepth+2 {
-		t.Fatalf("ran %d reports, want %d", got, reportQueueDepth+2)
-	}
+		for i := 0; i < reportQueueDepth; i++ {
+			s.Report(blockstore.MakeChunkID(100+uint32(i), 0), "", f.report("queued", nil, &wg))
+		}
+		s.Report(blockstore.MakeChunkID(99, 0), "", func() { t.Error("a report past a full queue ran") })
+		if got := reg.Counter(MetricReportsDropped).Load(); got != 1 {
+			t.Fatalf("%s = %d, want 1", MetricReportsDropped, got)
+		}
+		close(hold)
+		wg.Wait()
+		fence(s, &f, 2)
+		if got := len(f.names()); got != reportQueueDepth+2 {
+			t.Fatalf("ran %d reports, want %d", got, reportQueueDepth+2)
+		}
+	})
 }
 
 // The cooldown table forgets what has expired: it does not keep one entry
 // per (chunk, address) ever reported.
 func TestReporterCooldownTableShrinks(t *testing.T) {
-	s, _ := reporterFixture(t)
-	var f filed
-	var wg sync.WaitGroup
-	const keys = 20
-	for i := 0; i < keys; i++ {
-		s.Report(blockstore.MakeChunkID(uint32(i), 0), "x", f.report("r", nil, &wg))
-	}
-	wg.Wait()
-	size := func() int {
+	clock.Test(t, func() {
+		s, _ := reporterFixture()
+		defer s.Close()
+		var f filed
+		var wg sync.WaitGroup
+		const keys = 20
+		for i := 0; i < keys; i++ {
+			s.Report(blockstore.MakeChunkID(uint32(i), 0), "x", f.report("r", nil, &wg))
+		}
+		wg.Wait()
+		size := func() int {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return len(s.last)
+		}
+		if got := size(); got != keys {
+			t.Fatalf("cooldown table holds %d entries after %d reports", got, keys)
+		}
+		// A cooldown passes: every entry, and the last sweep, ages by one.
 		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.last)
-	}
-	if got := size(); got != keys {
-		t.Fatalf("cooldown table holds %d entries after %d reports", got, keys)
-	}
-	// A cooldown passes: every entry, and the last sweep, ages by one.
-	s.mu.Lock()
-	for k, at := range s.last {
-		s.last[k] = at.Add(-ReportCooldown)
-	}
-	s.swept = s.swept.Add(-ReportCooldown)
-	s.mu.Unlock()
-	fence(s, &f, 1000)
-	if got := size(); got != 1 {
-		t.Fatalf("cooldown table holds %d entries a cooldown later, want 1", got)
-	}
+		for k, at := range s.last {
+			s.last[k] = at.Add(-ReportCooldown)
+		}
+		s.swept = s.swept.Add(-ReportCooldown)
+		s.mu.Unlock()
+		fence(s, &f, 1000)
+		if got := size(); got != 1 {
+			t.Fatalf("cooldown table holds %d entries a cooldown later, want 1", got)
+		}
+	})
 }
 
 // notPrimaryUses returns where f names proto.StatusNotPrimary (in code, not
@@ -345,37 +374,39 @@ func notPrimaryUses(fset *token.FileSet, f *ast.File) []token.Position {
 // next master caller reuses MasterSession instead of hunting on its own. The
 // rule is first run on a sample of what it must and must not catch.
 func TestOnlySessionHuntsForPrimary(t *testing.T) {
-	const sample = `package x
+	clock.Test(t, func() {
+		const sample = `package x
 // proto.StatusNotPrimary in a comment is fine
 func f(s proto.Status) bool {
 	_ = "proto.StatusNotPrimary"
 	return s == proto.StatusNotPrimary
 }`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := notPrimaryUses(fset, f); len(got) != 1 || got[0].Line != 5 {
-		t.Fatalf("the rule flags %v in the sample, want line 5 alone", got)
-	}
-
-	root := filepath.Join("..", "..")
-	allowed := map[string]bool{
-		filepath.Join(root, "internal", "proto"):                         true,
-		filepath.Join(root, "internal", "master"):                        true,
-		filepath.Join(root, "internal", "transport", "mastersession.go"): true,
-	}
-	files, err := srctree.Parse(fset, root, false, func(path string, _ bool) bool { return allowed[path] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 50 {
-		t.Fatalf("scanned %d files: the walk missed the tree", len(files))
-	}
-	for _, f := range files {
-		for _, pos := range notPrimaryUses(fset, f) {
-			t.Errorf("%s: handles StatusNotPrimary itself; call the master through MasterSession", pos)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "sample.go", sample, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if got := notPrimaryUses(fset, f); len(got) != 1 || got[0].Line != 5 {
+			t.Fatalf("the rule flags %v in the sample, want line 5 alone", got)
+		}
+
+		root := filepath.Join("..", "..")
+		allowed := map[string]bool{
+			filepath.Join(root, "internal", "proto"):                         true,
+			filepath.Join(root, "internal", "master"):                        true,
+			filepath.Join(root, "internal", "transport", "mastersession.go"): true,
+		}
+		files, err := srctree.Parse(fset, root, false, func(path string, _ bool) bool { return allowed[path] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) < 50 {
+			t.Fatalf("scanned %d files: the walk missed the tree", len(files))
+		}
+		for _, f := range files {
+			for _, pos := range notPrimaryUses(fset, f) {
+				t.Errorf("%s: handles StatusNotPrimary itself; call the master through MasterSession", pos)
+			}
+		}
+	})
 }

@@ -111,8 +111,8 @@ func TestOutOfOrderCompletion(t *testing.T) {
 }
 
 // simPair serves echoHandler at "server" on a SimNet and returns a pool
-// dialing from "client" whose connection to it is already up.
-func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Peers, *Server) {
+// dialing from "client" whose connection to it is already up, and its close.
+func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Peers, *Server, func()) {
 	t.Helper()
 	clk := clock.Realtime
 	net := NewSimNet(clk, latency)
@@ -122,99 +122,119 @@ func simPair(t *testing.T, latency time.Duration, cfg NodeConfig) (*SimNet, *Pee
 	}
 	srv := Serve(l, echoHandler)
 	p := NewPeers(net.Dialer("client", cfg), clk)
-	t.Cleanup(func() {
+	closeAll := func() {
 		p.CloseAll()
 		srv.Close()
-	})
+	}
 	if _, err := p.Get("server"); err != nil {
+		closeAll()
 		t.Fatal(err)
 	}
-	return net, p, srv
+	return net, p, srv, closeAll
 }
 
 func TestSimNetRoundTrip(t *testing.T) {
-	_, p, _ := simPair(t, 0, NodeConfig{})
-	resp, err := callOnce(p, "server", &proto.Message{Op: proto.OpRead, Payload: []byte("x")}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != proto.StatusOK {
-		t.Errorf("resp = %+v", resp)
-	}
+	clock.Test(t, func() {
+		_, p, _, cleanup := simPair(t, 0, NodeConfig{})
+		defer cleanup()
+		resp, err := callOnce(p, "server", &proto.Message{Op: proto.OpRead, Payload: []byte("x")}, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != proto.StatusOK {
+			t.Errorf("resp = %+v", resp)
+		}
+	})
 }
 
 func TestSimNetLatency(t *testing.T) {
-	_, p, _ := simPair(t, 5*time.Millisecond, NodeConfig{})
-	start := time.Now()
-	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	rtt := time.Since(start)
-	if rtt < 10*time.Millisecond {
-		t.Errorf("RTT %v < 2×5ms propagation", rtt)
-	}
+	clock.Test(t, func() {
+		_, p, _, cleanup := simPair(t, 5*time.Millisecond, NodeConfig{})
+		defer cleanup()
+		start := time.Now()
+		if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		rtt := time.Since(start)
+		if rtt < 10*time.Millisecond {
+			t.Errorf("RTT %v < 2×5ms propagation", rtt)
+		}
+	})
 }
 
 func TestSimNetBandwidth(t *testing.T) {
-	// 1 MB payload over a 10 MB/s link must take ≥ ~100ms.
-	_, p, _ := simPair(t, 0, NodeConfig{InRate: 10e6, OutRate: 10e6})
-	payload := make([]byte, util.MiB)
-	start := time.Now()
-	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpWrite, Payload: payload}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	// Request 1MB out + response 1MB back, each shaped twice (out+in)
-	// but pipelined; lower bound is ~100ms for one direction.
-	if elapsed < 90*time.Millisecond {
-		t.Errorf("1MB over 10MB/s took only %v", elapsed)
-	}
+	clock.Test(t, func() {
+		// 1 MB payload over a 10 MB/s link must take ≥ ~100ms.
+		_, p, _, cleanup := simPair(t, 0, NodeConfig{InRate: 10e6, OutRate: 10e6})
+		defer cleanup()
+		payload := make([]byte, util.MiB)
+		start := time.Now()
+		if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpWrite, Payload: payload}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		// Request 1MB out + response 1MB back, each shaped twice (out+in)
+		// but pipelined; lower bound is ~100ms for one direction.
+		if elapsed < 90*time.Millisecond {
+			t.Errorf("1MB over 10MB/s took only %v", elapsed)
+		}
+	})
 }
 
 func TestSimNetPartitionDropsAndTimesOut(t *testing.T) {
-	net, p, _ := simPair(t, 0, NodeConfig{})
-	net.Partition("client", "server")
-	_, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 30*time.Millisecond)
-	if !errors.Is(err, util.ErrTimeout) {
-		t.Fatalf("partitioned call: %v", err)
-	}
-	net.Heal("client", "server")
-	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
-		t.Fatalf("healed call: %v", err)
-	}
+	clock.Test(t, func() {
+		net, p, _, cleanup := simPair(t, 0, NodeConfig{})
+		defer cleanup()
+		net.Partition("client", "server")
+		_, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 30*time.Millisecond)
+		if !errors.Is(err, util.ErrTimeout) {
+			t.Fatalf("partitioned call: %v", err)
+		}
+		net.Heal("client", "server")
+		if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, time.Second); err != nil {
+			t.Fatalf("healed call: %v", err)
+		}
+	})
 }
 
 func TestSimNetCrash(t *testing.T) {
-	net, p, _ := simPair(t, 0, NodeConfig{})
-	net.Crash("server")
-	if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 50*time.Millisecond); err == nil {
-		t.Fatal("call to crashed node succeeded")
-	}
-	// Dials to a crashed node fail fast.
-	if _, err := net.Dialer("client2", NodeConfig{}).Dial("server"); err == nil {
-		t.Fatal("dial to crashed node succeeded")
-	}
-	net.Restart("server")
-	if net.Down("server") {
-		t.Error("server still down after restart")
-	}
+	clock.Test(t, func() {
+		net, p, _, cleanup := simPair(t, 0, NodeConfig{})
+		defer cleanup()
+		net.Crash("server")
+		if _, err := callOnce(p, "server", &proto.Message{Op: proto.OpNop}, 50*time.Millisecond); err == nil {
+			t.Fatal("call to crashed node succeeded")
+		}
+		// Dials to a crashed node fail fast.
+		if _, err := net.Dialer("client2", NodeConfig{}).Dial("server"); err == nil {
+			t.Fatal("dial to crashed node succeeded")
+		}
+		net.Restart("server")
+		if net.Down("server") {
+			t.Error("server still down after restart")
+		}
+	})
 }
 
 func TestSimNetDialUnknown(t *testing.T) {
-	net := NewSimNet(clock.Realtime, 0)
-	if _, err := net.Dialer("a", NodeConfig{}).Dial("nowhere"); err == nil {
-		t.Fatal("dial to unknown address succeeded")
-	}
+	clock.Test(t, func() {
+		net := NewSimNet(clock.Realtime, 0)
+		if _, err := net.Dialer("a", NodeConfig{}).Dial("nowhere"); err == nil {
+			t.Fatal("dial to unknown address succeeded")
+		}
+	})
 }
 
 func TestSimNetDuplicateListen(t *testing.T) {
-	net := NewSimNet(clock.Realtime, 0)
-	if _, err := net.Listen("a", NodeConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Listen("a", NodeConfig{}); !errors.Is(err, util.ErrExists) {
-		t.Fatalf("duplicate listen: %v", err)
-	}
+	clock.Test(t, func() {
+		net := NewSimNet(clock.Realtime, 0)
+		if _, err := net.Listen("a", NodeConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Listen("a", NodeConfig{}); !errors.Is(err, util.ErrExists) {
+			t.Fatalf("duplicate listen: %v", err)
+		}
+	})
 }
 
 func TestClientTimeoutLeavesConnectionUsable(t *testing.T) {
@@ -235,73 +255,84 @@ func TestClientTimeoutLeavesConnectionUsable(t *testing.T) {
 }
 
 func TestClientConnFailureFailsPending(t *testing.T) {
-	_, p, srv := simPair(t, 0, NodeConfig{})
-	fl := flight(t, p, 1)
-	defer fl.Finish()
-	fl.Go(0, "server", &proto.Message{Op: proto.OpRead})
-	srv.Close()
-	settled := make(chan struct{})
-	go func() {
-		// A response may have raced the close; either outcome settles it.
-		fl.Wait(0)
-		close(settled)
-	}()
-	select {
-	case <-settled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("pending call not failed after server close")
-	}
+	clock.Test(t, func() {
+		_, p, srv, cleanup := simPair(t, 0, NodeConfig{})
+		defer cleanup()
+		op := opctx.New(p.clk, 0)
+		defer op.Release()
+		fl := p.Begin(op, 1, 0)
+		defer fl.Finish()
+		fl.Go(0, "server", &proto.Message{Op: proto.OpRead})
+		srv.Close()
+		settled := make(chan struct{})
+		go func() {
+			// A response may have raced the close; either outcome settles it.
+			fl.Wait(0)
+			close(settled)
+		}()
+		select {
+		case <-settled:
+		case <-time.After(2 * time.Second):
+			t.Fatal("pending call not failed after server close")
+		}
+	})
 }
 
 func TestTokenBucketRate(t *testing.T) {
-	clk := clock.Realtime
-	b := NewTokenBucket(clk, 1e6) // 1 MB/s
-	start := time.Now()
-	for i := 0; i < 10; i++ {
-		b.Take(10_000) // 100 KB total => 100ms
-	}
-	elapsed := time.Since(start)
-	if elapsed < 80*time.Millisecond {
-		t.Errorf("100KB at 1MB/s took only %v", elapsed)
-	}
-	if elapsed > 400*time.Millisecond {
-		t.Errorf("100KB at 1MB/s took %v", elapsed)
-	}
+	clock.Test(t, func() {
+		clk := clock.Realtime
+		b := NewTokenBucket(clk, 1e6) // 1 MB/s
+		start := time.Now()
+		for i := 0; i < 10; i++ {
+			b.Take(10_000) // 100 KB total => 100ms
+		}
+		elapsed := time.Since(start)
+		if elapsed < 80*time.Millisecond {
+			t.Errorf("100KB at 1MB/s took only %v", elapsed)
+		}
+		if elapsed > 400*time.Millisecond {
+			t.Errorf("100KB at 1MB/s took %v", elapsed)
+		}
+	})
 }
 
 func TestTokenBucketUnlimited(t *testing.T) {
-	b := NewTokenBucket(clock.Realtime, 0)
-	start := time.Now()
-	b.Take(1 << 30)
-	if time.Since(start) > 10*time.Millisecond {
-		t.Error("unlimited bucket blocked")
-	}
-	var nilBucket *TokenBucket
-	nilBucket.Take(100) // must not panic
-	if nilBucket.Rate() != 0 {
-		t.Error("nil bucket rate")
-	}
+	clock.Test(t, func() {
+		b := NewTokenBucket(clock.Realtime, 0)
+		start := time.Now()
+		b.Take(1 << 30)
+		if time.Since(start) > 10*time.Millisecond {
+			t.Error("unlimited bucket blocked")
+		}
+		var nilBucket *TokenBucket
+		nilBucket.Take(100) // must not panic
+		if nilBucket.Rate() != 0 {
+			t.Error("nil bucket rate")
+		}
+	})
 }
 
 func TestTokenBucketConcurrentSharing(t *testing.T) {
-	// Two goroutines sharing one bucket halve each other's rate.
-	b := NewTokenBucket(clock.Realtime, 2e6)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				b.Take(10_000)
-			}
-		}()
-	}
-	wg.Wait()
-	// 200KB total at 2MB/s = 100ms.
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Errorf("shared bucket too fast: %v", elapsed)
-	}
+	clock.Test(t, func() {
+		// Two goroutines sharing one bucket halve each other's rate.
+		b := NewTokenBucket(clock.Realtime, 2e6)
+		var wg sync.WaitGroup
+		start := time.Now()
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					b.Take(10_000)
+				}
+			}()
+		}
+		wg.Wait()
+		// 200KB total at 2MB/s = 100ms.
+		if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
+			t.Errorf("shared bucket too fast: %v", elapsed)
+		}
+	})
 }
 
 // pipeDialer hands out the client end of a net.Pipe whose far end nobody
