@@ -50,7 +50,7 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-check: fmt vet lint build tier1 test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke perf-smoke bench-smoke bench-module
+check: fmt vet lint build tier1 test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke replay-smoke perf-smoke bench-smoke bench-module
 
 # The tests tagged goexperiment.synctest (the bubble_test.go files; tier-1
 # sets no experiment and never builds them), under the race detector. Each
@@ -159,13 +159,13 @@ alloc-ledger:
 # hash of its history — every client op's kind, offset, outcome and virtual
 # completion time in completion order, then the primary master's log
 # sequence and state (internal/cluster history_test.go). Prints each hash with
-# its count and how many runs share the most common one. A report, not a
-# gate: make check does not run it.
+# its count and how many runs share the most common one, and fails when fewer
+# than 9 of the 10 do.
 replay-smoke: export GOEXPERIMENT = synctest
 replay-smoke:
 	@GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosRandomLinearizable$$' -count=10 -v | \
 	grep -o 'history hash [0-9a-f]*' | sort | uniq -c | sort -rn | \
-	awk '{ print; n += $$1 } NR == 1 { top = $$1 } END { printf "replay-smoke: %d of %d runs share the most common hash\n", top, n }'
+	awk '{ print; n += $$1 } NR == 1 { top = $$1 } END { printf "replay-smoke: %d of %d runs share the most common hash\n", top, n; exit (top < 9) }'
 
 # Deterministic chaos acceptance run (fixed seed, scripted schedule, ~2s):
 # every SSD journal in the cluster dies mid-workload and the client must

@@ -181,7 +181,7 @@ func (c *Client) Open(name string) (*VDisk, error) {
 	// (initialization, §4.2.1). It is maintenance, not a client I/O: no
 	// deadline; each probe flight is still bounded by CallTimeout.
 	op := c.newOp(0)
-	err = vd.confirmChunks(op, nil)
+	err = vd.confirmChunks(op)
 	op.Release()
 	if err != nil {
 		vd.Close()

@@ -131,14 +131,7 @@ func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
 		for i := int64(0); i < chunks; i++ {
 			mustRoundTrip(t, vd, uint64(i+1), i*util.ChunkSize)
 		}
-		budget := cl.cfg.IOTimeout
-		cl.cfg.IOTimeout = 50 * time.Millisecond // time to reach the primary, not to commit
-		lose.Store(loseBackups)
-		if err := vd.WriteAt(make([]byte, 4*util.KiB), torn*util.ChunkSize+4*util.KiB); err == nil {
-			t.Fatal("a write that reached one replica of three committed")
-		}
-		lose.Store(loseNothing)
-		cl.cfg.IOTimeout = budget
+		abandon(t, vd, &lose, loseBackups, 5, torn*util.ChunkSize+4*util.KiB)
 		vd.Close()
 		dialer.take()
 
@@ -155,9 +148,9 @@ func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
 			if i == torn {
 				wantView = 2
 			}
-			if ch.meta.View != wantView || ch.next != ch.committed || ch.burned {
-				t.Errorf("chunk %d after open: view %d (want %d), next %d, committed %d, burned %v",
-					i, ch.meta.View, wantView, ch.next, ch.committed, ch.burned)
+			if ch.meta.View != wantView || ch.next != ch.committed || len(ch.orphans) != 0 {
+				t.Errorf("chunk %d after open: view %d (want %d), next %d, committed %d, %d orphans",
+					i, ch.meta.View, wantView, ch.next, ch.committed, len(ch.orphans))
 			}
 		}
 		for i := int64(0); i < chunks; i++ {
@@ -227,7 +220,7 @@ func TestProbeBacksOffWithinItsBudget(t *testing.T) {
 		op := opctx.New(clk, budget)
 		defer op.Release()
 		deadline := clk.Now().Add(budget)
-		if err := vd.confirmChunks(op, []int{0}); !errors.Is(err, util.ErrTimeout) {
+		if err := vd.confirmChunks(op); !errors.Is(err, util.ErrTimeout) {
 			t.Fatalf("probe of replicas that never agree: %v, want a timeout", err)
 		}
 		var queued opctx.StageSample

@@ -18,6 +18,10 @@ type coreState struct {
 	Committed []uint64           `json:"committed"`
 	Primary   []int              `json:"primary"`
 	ChunkMeta []master.ChunkMeta `json:"chunkMeta"`
+	// Orphans are every chunk's orphans, which the new core's next writer of
+	// the chunk drives (takeVersion): dropped, one would leave a version no
+	// later write fills.
+	Orphans [][]orphan `json:"orphans"`
 }
 
 // UpgradeVDisk performs the client online upgrade of §5.2: the core (i)
@@ -53,6 +57,7 @@ func saveCore(vd *VDisk) ([]byte, error) {
 		Committed: make([]uint64, len(vd.chunks)),
 		Primary:   make([]int, len(vd.chunks)),
 		ChunkMeta: make([]master.ChunkMeta, len(vd.chunks)),
+		Orphans:   make([][]orphan, len(vd.chunks)),
 	}
 	for i, ch := range vd.chunks {
 		ch.mu.Lock()
@@ -60,6 +65,7 @@ func saveCore(vd *VDisk) ([]byte, error) {
 		st.Committed[i] = ch.committed
 		st.Primary[i] = ch.primary
 		st.ChunkMeta[i] = ch.meta
+		st.Orphans[i] = ch.orphans
 		ch.mu.Unlock()
 	}
 	return json.Marshal(st)
@@ -77,6 +83,7 @@ func restoreCore(c *Client, data []byte) (*VDisk, error) {
 		ch.committed = st.Committed[i]
 		ch.primary = st.Primary[i]
 		ch.meta = st.ChunkMeta[i]
+		ch.orphans = st.Orphans[i]
 	}
 	vd.startRenewer()
 	return vd, nil

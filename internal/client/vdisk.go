@@ -1,7 +1,10 @@
 package client
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,22 +24,25 @@ import (
 type chunkHandle struct {
 	mu        sync.Mutex
 	meta      master.ChunkMeta
-	next      uint64 // next version to assign to a write
+	next      uint64 // next version to assign to a write; only grows once open
 	committed uint64 // highest acked version (reads use this)
 	primary   int    // replica index currently serving reads/writes
 
-	// writers counts the writes holding an assigned version. burned is set
-	// when one of them gives up: the replicas may or may not have applied
-	// its version, so next no longer says what they will accept, and no
-	// further version is handed out until the holders have settled and a
-	// version probe has resynchronised next and committed (takeVersion).
-	// settled, made by the first writer to wait for that and closed to wake
-	// them all, is how they wait (waitSettledLocked); probing marks the one
-	// running the probe.
-	writers int
-	burned  bool
-	probing bool
-	settled chan struct{}
+	// orphans are the writes that gave up before a verdict, lowest version
+	// first: the replicas may or may not have applied them, so the chunk's
+	// next taker drives them to one before it hands out a version
+	// (takeVersion). driving is non-nil while a taker does, and closed when
+	// it stops (waitSettledLocked).
+	orphans []orphan
+	driving chan struct{}
+}
+
+// orphan is a write that gave up before a verdict: its version, its offset
+// in the chunk and a copy of its bytes, which every retry carries.
+type orphan struct {
+	Version uint64
+	Off     int64
+	Data    []byte
 }
 
 // VDiskStats counts client-side activity.
@@ -111,18 +117,16 @@ func (vd *VDisk) Stats() VDiskStats {
 	}
 }
 
-// confirmChunks is the version probe (§4.2.1): it asks every replica of the
-// chunks idxs — nil: of every chunk, which is client initialization — for its
-// version and view and, where a chunk's replicas agree (master.Agree), sets
-// that chunk's next and committed versions from the answer; a chunk whose
-// replicas disagree goes to the master for repair and is probed again, with
-// the others that did. It runs on op's budget. No write of these chunks may
-// hold a version meanwhile.
-func (vd *VDisk) confirmChunks(op *opctx.Op, idxs []int) error {
-	if idxs == nil {
-		for i := range vd.chunks {
-			idxs = append(idxs, i)
-		}
+// confirmChunks is the version probe of client initialization (§4.2.1),
+// Open's: it asks every replica of every chunk for its version and view and,
+// where a chunk's replicas agree (master.Agree), sets that chunk's next and
+// committed versions from the answer; a chunk whose replicas disagree goes to
+// the master for repair and is probed again, with the others that did. It
+// runs on op's budget.
+func (vd *VDisk) confirmChunks(op *opctx.Op) error {
+	idxs := make([]int, len(vd.chunks))
+	for i := range idxs {
+		idxs[i] = i
 	}
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
@@ -632,16 +636,32 @@ func (vd *VDisk) backoff(op *opctx.Op, attempt int) {
 }
 
 // writeFragment writes one chunk-local range. The version is assigned
-// optimistically under the chunk lock so same-chunk writes pipeline; the
-// write then commits by the all-or-majority rule and retries with its
-// assigned version until it lands (§4.2.1).
+// optimistically under the chunk lock so same-chunk writes pipeline; a write
+// that gives up before a verdict leaves its version to the chunk's next
+// writer as an orphan (takeVersion).
 func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) error {
-	ch := vd.chunks[idx]
 	version, err := vd.takeVersion(op, idx)
 	if err != nil {
 		return fmt.Errorf("client: write chunk %d failed: %w", idx, err)
 	}
+	if err := vd.land(op, idx, orphan{version, off, data}, false); err != nil {
+		ch := vd.chunks[idx]
+		ch.mu.Lock()
+		i, _ := slices.BinarySearchFunc(ch.orphans, version, func(o orphan, v uint64) int { return cmp.Compare(o.Version, v) })
+		ch.orphans = slices.Insert(ch.orphans, i, orphan{version, off, bytes.Clone(data)})
+		ch.mu.Unlock()
+		return fmt.Errorf("client: write chunk %d v%d failed: %w", idx, version, err)
+	}
+	return nil
+}
 
+// land retries write w of chunk idx with its version until it lands
+// (§4.2.1), on op's budget, and returns nil at a verdict: the write
+// committed, or — for an orphan, which may have landed and been overtaken by
+// its successors — a probe found every replica in one view at a version above
+// its own (versions are never reused, so each applied it).
+func (vd *VDisk) land(op *opctx.Op, idx int, w orphan, orphaned bool) error {
+	ch := vd.chunks[idx]
 	var lastErr error
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		if err := op.Err(); err != nil {
@@ -656,17 +676,19 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 		ch.mu.Unlock()
 
 		var committed bool
-		if (len(data) <= vd.c.cfg.TinyThreshold || !healthy) && !vd.meta.Redundancy.IsRS() {
-			committed = vd.writeClientDirected(op, idx, cm, data, off, version)
+		if (len(w.Data) <= vd.c.cfg.TinyThreshold || !healthy) && !vd.meta.Redundancy.IsRS() {
+			committed = vd.writeClientDirected(op, idx, cm, w.Data, w.Off, w.Version)
 			vd.tinyWrites.Add(1)
 			vd.tinyWritesC.Add(1)
 		} else {
 			// RS chunks always write through the primary: only it holds the
 			// old data needed to compute parity deltas.
-			committed = vd.writeViaPrimary(op, idx, cm, data, off, version)
+			committed = vd.writeViaPrimary(op, idx, cm, w.Data, w.Off, w.Version)
 		}
-		if committed {
-			ch.settleVersion(version, true)
+		if committed || orphaned && vd.overtaken(op, idx, w.Version) {
+			ch.mu.Lock()
+			ch.committed = max(ch.committed, w.Version+1)
+			ch.mu.Unlock()
 			return nil
 		}
 		// Not committed — replicas down, behind, or at another view than
@@ -679,26 +701,37 @@ func (vd *VDisk) writeFragment(op *opctx.Op, idx int, data []byte, off int64) er
 		vd.retries.Add(1)
 		vd.backoff(op, attempt)
 	}
-	ch.settleVersion(version, false)
-	return fmt.Errorf("client: write chunk %d v%d failed: %w", idx, version, lastErr)
+	return lastErr
+}
+
+// overtaken probes chunk idx and reports whether every replica answers in
+// the client's view at a version above v.
+func (vd *VDisk) overtaken(op *opctx.Op, idx int, v uint64) bool {
+	metas, answers := vd.probe(op, []int{idx})
+	for _, a := range answers[0] {
+		if a.Status != proto.StatusOK || a.View != metas[0].View || a.Version <= v {
+			return false
+		}
+	}
+	return true
 }
 
 // takeVersion assigns the next version of chunk idx to a write on op's
 // behalf. An op whose budget is already spent (a throttled write, typically)
-// gets an error instead of a version it could only waste. After a write has
-// given up holding a version, the next taker waits for the other holders to
-// settle and runs the version probe — on its own budget — before any
-// version is handed out again: without it every later write would carry a
-// version ahead of the replicas' and fail until the vdisk is reopened.
-// Rolling next back instead would be wrong whenever a replica did apply the
-// abandoned write: it would take the next write for that one's retry, ack it
-// and drop its bytes.
+// gets an error instead of a version it could only waste. A version is
+// handed out once: before next goes out, the taker drives the chunk's
+// orphans to a verdict, lowest first, on its own budget (land). Skipping an
+// orphan would leave a replica that never applied it holding back every
+// later write until the vdisk is reopened; handing its version out again
+// would let a replica that did apply it take the next write for the orphan's
+// retry, ack it and drop its bytes. A taker that finds another driving waits
+// for it, no longer than its own budget lasts.
 func (vd *VDisk) takeVersion(op *opctx.Op, idx int) (uint64, error) {
 	ch := vd.chunks[idx]
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	for ch.burned {
-		if ch.writers > 0 || ch.probing {
+	for len(ch.orphans) > 0 {
+		if ch.driving != nil {
 			if err := ch.waitSettledLocked(op); err != nil {
 				return 0, err
 			}
@@ -707,75 +740,49 @@ func (vd *VDisk) takeVersion(op *opctx.Op, idx int) (uint64, error) {
 		if err := op.Err(); err != nil {
 			return 0, err
 		}
-		ch.probing = true
+		o := ch.orphans[0]
+		ch.driving = make(chan struct{})
 		ch.mu.Unlock()
-		err := vd.confirmChunks(op, []int{idx})
+		err := vd.land(op, idx, o, true)
 		ch.mu.Lock()
-		ch.probing = false
-		ch.burned = err != nil
-		ch.wakeSettledLocked()
+		close(ch.driving)
+		ch.driving = nil
 		if err != nil {
 			return 0, err
 		}
+		// A write that gave up meanwhile may have filed a lower version.
+		ch.orphans = slices.DeleteFunc(ch.orphans, func(x orphan) bool { return x.Version == o.Version })
 	}
 	if err := op.Err(); err != nil {
 		return 0, err
 	}
 	version := ch.next
 	ch.next++
-	ch.writers++
 	return version, nil
 }
 
-// settleVersion ends a write's hold on version: committed advances the
-// chunk's committed version, a write that gave up burns it (see takeVersion).
-func (ch *chunkHandle) settleVersion(version uint64, committed bool) {
-	ch.mu.Lock()
-	ch.writers--
-	if !committed {
-		ch.burned = true
-	} else if version+1 > ch.committed {
-		ch.committed = version + 1
-	}
-	if ch.burned && ch.writers == 0 {
-		ch.wakeSettledLocked()
-	}
-	ch.mu.Unlock()
-}
-
-// waitSettledLocked waits for the holders of a burned chunk's versions to
-// settle, or for the probe to end — but no longer than op itself lasts: the
-// holders run on their own ops' budgets, and a waiter with a shorter one must
-// fail by its own deadline, not by theirs. Called and returns with ch.mu
-// held; the mutex is released for the wait's duration.
+// waitSettledLocked waits for the taker driving the chunk's orphans to stop,
+// but no longer than op itself lasts: the driver runs on its own op's budget,
+// and a waiter with a shorter one must fail by its own deadline, not by the
+// driver's. Called and returns with ch.mu held; the mutex is released for the
+// wait's duration.
 func (ch *chunkHandle) waitSettledLocked(op *opctx.Op) error {
 	rem, ok := op.Budget(0)
 	if !ok {
 		return op.Err()
 	}
-	if ch.settled == nil {
-		ch.settled = make(chan struct{})
-	}
-	settled := ch.settled
+	driving := ch.driving
 	ch.mu.Unlock()
 	var expired <-chan time.Time
 	if rem > 0 { // 0: the op has no deadline
 		expired = op.Clock().After(rem)
 	}
 	select {
-	case <-settled:
+	case <-driving:
 	case <-expired:
 	}
 	ch.mu.Lock()
 	return op.Err()
-}
-
-// wakeSettledLocked wakes every writer in waitSettledLocked.
-func (ch *chunkHandle) wakeSettledLocked() {
-	if ch.settled != nil {
-		close(ch.settled)
-		ch.settled = nil
-	}
 }
 
 // writeViaPrimary sends the write to the primary, which replicates it
@@ -810,7 +817,6 @@ func (vd *VDisk) writeViaPrimary(op *opctx.Op, idx int, cm master.ChunkMeta, dat
 func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta, data []byte,
 	off int64, version uint64) bool {
 
-	t0 := vd.c.cfg.Clock.Now()
 	cid := vd.chunkID(idx)
 	fl := vd.c.peers.Begin(op, len(cm.Replicas), vd.c.cfg.CallTimeout)
 	for i, r := range cm.Replicas {
@@ -841,7 +847,6 @@ func (vd *VDisk) writeClientDirected(op *opctx.Op, idx int, cm master.ChunkMeta,
 		}
 	}
 	fl.Finish()
-	vd.c.cfg.Metrics.ObserveLatency("client-directed-fanout", vd.c.cfg.Clock.Now().Sub(t0))
 	if acks*2 > len(cm.Replicas) && acks < len(cm.Replicas) {
 		// Majority: committed, but tell the master to fix the stragglers
 		// (deduplicated: one in-flight report per chunk, cooldown per key).

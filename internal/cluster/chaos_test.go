@@ -158,6 +158,7 @@ func TestChaosRandomLinearizable(t *testing.T) {
 			t.Fatal("checker tracked no sectors")
 		}
 		t.Logf("chaos report: %+v", rep)
+		auditReplicas(t, c, vd.ID(), 128*util.KiB)
 	})
 }
 

@@ -174,6 +174,9 @@ func TestChaosVDiskLifecycle(t *testing.T) {
 				}
 			}
 		}
+		for id := range known.VDisks {
+			auditReplicas(t, c, id, 12*util.KiB) // both writes: chunk 0 at 0, chunk 1 at 8 KiB
+		}
 	})
 }
 

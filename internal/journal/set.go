@@ -30,9 +30,9 @@ type Config struct {
 	// Metrics receives the group-commit distributions (nil: a registry of
 	// the set's own):
 	// batch sizes ("journal-batch-records"), flush latency
-	// ("journal-flush"), commit-queue wait ("journal-commit-queue"), and
-	// replay window sizes ("journal-replay-window") / coalesced sink
-	// writes per window ("journal-replay-writes").
+	// ("journal-flush"), and replay window sizes ("journal-replay-window") /
+	// coalesced sink writes per window ("journal-replay-writes"). An
+	// append's commit-queue wait is its op's backup-jqueue stage.
 	Metrics *metrics.Registry
 }
 
@@ -86,8 +86,6 @@ const (
 	MetricBatchRecords = "journal-batch-records"
 	// MetricFlushLatency is the claim-to-durable latency of each flush.
 	MetricFlushLatency = "journal-flush"
-	// MetricCommitQueue is the time an append waits in the commit queue.
-	MetricCommitQueue = "journal-commit-queue"
 	// MetricReplayWindow samples records replayed per window.
 	MetricReplayWindow = "journal-replay-window"
 	// MetricReplayWrites samples coalesced sink writes per window.
@@ -507,9 +505,6 @@ func (s *Set) flush(j *Journal) {
 	m := s.cfg.Metrics
 	m.ObserveValue(MetricBatchRecords, int64(len(batch)))
 	m.ObserveLatency(MetricFlushLatency, flushed.Sub(claimed))
-	for _, r := range batch {
-		m.ObserveLatency(MetricCommitQueue, claimed.Sub(r.enq))
-	}
 	if len(j.commitq) > 0 {
 		j.commitq[0].lead = true
 	} else {

@@ -26,7 +26,6 @@ var allMetricNames = map[string]string{
 	"journal.MetricReplayCorrupt":            journal.MetricReplayCorrupt,
 	"journal.MetricBatchRecords":             journal.MetricBatchRecords,
 	"journal.MetricFlushLatency":             journal.MetricFlushLatency,
-	"journal.MetricCommitQueue":              journal.MetricCommitQueue,
 	"journal.MetricReplayWindow":             journal.MetricReplayWindow,
 	"journal.MetricReplayWrites":             journal.MetricReplayWrites,
 	"journal.MetricReplayResidentBytes":      journal.MetricReplayResidentBytes,

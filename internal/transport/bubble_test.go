@@ -25,11 +25,13 @@ func inAndOutOfBubble(t *testing.T, f func(t *testing.T, bubble bool)) {
 }
 
 // TestBubbleFlightWindowExpires: a flight answered in one round trip, then
-// the same owner's next flight — the first one recycled, timer and all —
-// whose only branch is never answered: Wait fails at exactly the window.
+// the same owner's next flight — the first one recycled, timer and all, and
+// its long window reset to a short one — whose only branch is never
+// answered: Wait fails at exactly the short window. The answered flight's
+// window is one no loaded host misses; the round trip is exact in a bubble.
 func TestBubbleFlightWindowExpires(t *testing.T) {
 	inAndOutOfBubble(t, func(t *testing.T, bubble bool) {
-		const latency, window = time.Millisecond, 5 * time.Millisecond
+		const latency, answered, window = time.Millisecond, time.Minute, 5 * time.Millisecond
 		net := NewSimNet(clock.Realtime, latency)
 		l, err := net.Listen("server", NodeConfig{})
 		if err != nil {
@@ -53,7 +55,7 @@ func TestBubbleFlightWindowExpires(t *testing.T) {
 		defer op.Release()
 
 		t0 := time.Now()
-		fl := peers.Begin(op, 1, window)
+		fl := peers.Begin(op, 1, answered)
 		resp, err := fl.Wait(fl.Go(0, "server", &proto.Message{Op: proto.OpNop}))
 		fl.Finish()
 		if err != nil || resp.Status != proto.StatusOK {
