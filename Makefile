@@ -18,20 +18,21 @@ tier1:
 # Both run with the synctest experiment: every model-time figure of the bench
 # smoke tests runs in a bubble (clock.Run), where a model sleep costs no wall
 # time, and the tagged bubble_test.go files build too. So does every test body
-# of internal/cluster, master, client, transport, chunkserver, journal, core
-# and blockstore (clock.Test), but the few that open a real socket (core's
-# tcp_test.go, transport's TCP tests, pooled_soak_test.go and bench_test.go)
-# and TestSpentBudgetWriteTakesNoVersion, which stay on the real clock.
-# Tier-1 (a bare `go test ./...`, make tier1) sets no experiment and runs the
-# same figures and bodies on the real clock, each body joined (clock.Join):
-# one that leaves a goroutine running fails.
+# of internal/cluster, master, client, transport, chunkserver, journal,
+# reclog, core and blockstore (clock.Test), but the few that open a real socket (core's
+# tcp_test.go, transport's TCP tests, pooled_soak_test.go and bench_test.go),
+# which stay on the real clock. Tier-1 (a bare `go test ./...`, make tier1)
+# sets no experiment and runs the same figures and bodies on the real clock,
+# each body joined (clock.Join): one that leaves a goroutine running fails.
+# Both pass -count=1: a cached result would make a repeated run measure
+# nothing.
 test: export GOEXPERIMENT = synctest
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 race: export GOEXPERIMENT = synctest
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 vet:
 	$(GO) vet ./...

@@ -1,3 +1,13 @@
+// Package journal implements URSA's backup journals (§3.2): append-only
+// logs that transform random small backup writes into sequential appends,
+// replayed asynchronously into the backup HDD's chunk store. A Set manages
+// the journals of one backup server — SSD journals first, expanding
+// on demand to co-located SSDs and finally to an HDD journal — sharing
+// per-chunk composite-key indexes (jindex) that map chunk offsets to
+// journal offsets. Each journal is a reclog.Log, which frames its records.
+//
+// All offsets and lengths are sector-aligned (512 B): URSA is a block
+// store, and the virtual-disk interface guarantees sector granularity.
 package journal
 
 import (
@@ -6,6 +16,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/jindex"
+	"ursa/internal/reclog"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
@@ -16,19 +27,13 @@ import (
 const joffRegionBits = 30
 
 // Journal is one circular append-only log occupying a byte region of a
-// disk. It is managed by a Set, which owns locking and the per-chunk
-// indexes; Journal itself only tracks space and performs device I/O.
+// disk: a reclog.Log, whose framing, wrap and trim it uses. It is managed by
+// a Set, which owns locking and the per-chunk indexes.
 type Journal struct {
-	disk simdisk.Disk
+	log  *reclog.Log // its head and tail are guarded by the Set's mutex
 	name string
-	base int64 // byte offset of the region on the disk
-	size int64 // region size in bytes
 
 	joffBase uint64 // first sector of this journal's joff region
-
-	// head/tail are monotonically increasing byte counters; position on
-	// disk is counter % size. Guarded by the Set's mutex.
-	head, tail int64
 
 	// fifo holds unreplayed records in reservation (position) order.
 	fifo []*pendingRecord
@@ -78,15 +83,14 @@ type Journal struct {
 	sinkWrites  int64
 }
 
-// pendingRecord is the in-memory replay queue entry for one record (or a
-// wrap pad, which has chunk == padChunk and only consumes space).
+// pendingRecord is the in-memory replay queue entry for one record.
 type pendingRecord struct {
 	chunk    blockstore.ChunkID
 	off      int64  // chunk-relative byte offset
 	dataLen  int    // payload bytes
 	version  uint64 // chunk version of the write
 	dataJOff uint64 // first journal sector of the payload
-	footer   int64  // total bytes consumed (header+data+pad)
+	footer   int64  // bytes on the device: header and sector-aligned payload
 	ready    bool   // payload durable in the journal; index updated
 	failed   bool   // device write failed; skip at replay
 
@@ -97,17 +101,24 @@ type pendingRecord struct {
 	slab  *slab
 
 	// The commit its appender waits for in the record (Set.Append), all
-	// guarded by the Set's mutex: the header's position and the payload's
-	// CRC, the payload itself until the flush has written it, the
-	// commit-queue timings, and the flush's verdict. lead hands the record's
-	// appender the next flush. The appender clears data when it takes the
-	// verdict; until then the record is the appender's, not the free list's.
-	pos                   int64
+	// guarded by the Set's mutex: the header's position, the wrap pad before
+	// it and the payload's CRC, the payload itself until the flush has
+	// written it, the commit-queue timings, and the flush's verdict. lead
+	// hands the record's appender the next flush. The appender clears data
+	// when it takes the verdict; until then the record is the appender's, not
+	// the free list's.
+	pos, pad              int64
 	sum                   uint32
 	data                  []byte
 	enq, claimed, flushed time.Time
 	err                   error
 	lead                  bool
+}
+
+// header is rec's record header, as its flush writes it.
+func (rec *pendingRecord) header() reclog.Header {
+	return reclog.Header{Pos: rec.pos, Pad: rec.pad, Len: rec.dataLen,
+		Chunk: uint64(rec.chunk), Off: rec.off, Version: rec.version, Sum: rec.sum}
 }
 
 // slab is one pooled lease holding the device images of consecutive records
@@ -120,31 +131,27 @@ type slab struct {
 	recs int // resident records whose image lives in buf
 }
 
-const padChunk = blockstore.ChunkID(^uint64(0))
+// noChunk is the chunk ID no record carries.
+const noChunk = blockstore.ChunkID(^uint64(0))
 
 // newJournal creates a journal over disk[base, base+size) with journal
 // region index region (assigning its joff space).
 func newJournal(name string, disk simdisk.Disk, base, size int64, region int) *Journal {
-	if size%util.SectorSize != 0 || base%util.SectorSize != 0 {
-		panic("journal: unaligned region")
-	}
 	if size > int64(1)<<(joffRegionBits+9) {
 		panic("journal: region exceeds joff space")
 	}
 	return &Journal{
-		disk:     disk,
+		log:      reclog.New(disk, base, size),
 		name:     name,
-		base:     base,
-		size:     size,
 		joffBase: uint64(region) << joffRegionBits,
 	}
 }
 
 // UsedBytes returns space between tail and head (live + pad).
-func (j *Journal) UsedBytes() int64 { return j.head - j.tail }
+func (j *Journal) UsedBytes() int64 { return j.log.Used() }
 
 // Size returns the journal region capacity in bytes.
-func (j *Journal) Size() int64 { return j.size }
+func (j *Journal) Size() int64 { return j.log.Size() }
 
 // Appends returns the number of records appended so far.
 func (j *Journal) Appends() int64 { return j.appends }
@@ -152,89 +159,29 @@ func (j *Journal) Appends() int64 { return j.appends }
 // Name returns the journal's human-readable name ("ssd0", "hdd").
 func (j *Journal) Name() string { return j.name }
 
-// fits reports whether a record of dataLen payload bytes could be reserved
-// right now, counting any wrap pad the reservation would insert. Caller
-// holds the Set lock.
-func (j *Journal) fits(dataLen int) bool {
-	need := recordBytes(dataLen)
-	if need > j.size {
-		return false
-	}
-	pad := int64(0)
-	if diskPos := j.head % j.size; diskPos+need > j.size {
-		pad = j.size - diskPos
-	}
-	return j.head+pad+need-j.tail <= j.size
-}
-
-// reserve claims space for a record of dataLen payload bytes, handling
-// wrap-around, and returns the byte position (monotonic counter) for the
-// header. Returns false if the record does not fit. Caller holds the Set
-// lock.
-func (j *Journal) reserve(dataLen int) (pos int64, ok bool) {
-	need := recordBytes(dataLen)
-	if need > j.size {
-		return 0, false
-	}
-	diskPos := j.head % j.size
-	pad := int64(0)
-	if diskPos+need > j.size {
-		// Record would straddle the region end: pad to the wrap point so
-		// the payload stays contiguous for reads.
-		pad = j.size - diskPos
-	}
-	if j.head+pad+need-j.tail > j.size {
-		return 0, false
-	}
-	if pad > 0 {
-		j.fifo = append(j.fifo, &pendingRecord{chunk: padChunk, footer: pad, ready: true})
-		j.head += pad
-	}
-	pos = j.head
-	j.head += need
-	return pos, true
-}
-
 // dataJOff computes the global journal sector of the payload of a record
 // whose header sits at byte position pos.
 func (j *Journal) dataJOff(pos int64) uint64 {
-	return j.joffBase + uint64((pos%j.size+headerSize)/util.SectorSize)
+	return j.joffBase + uint64((pos%j.log.Size()+reclog.HeaderSize)/util.SectorSize)
 }
 
-// readAtJOff reads n bytes of payload starting at global journal sector
-// joff (which must belong to this journal).
+// readAtJOff reads len(p) bytes starting at global journal sector joff
+// (which must belong to this journal).
 func (j *Journal) readAtJOff(p []byte, joff uint64) error {
-	local := int64(joff-j.joffBase) * util.SectorSize
-	if local < 0 || local+int64(len(p)) > j.size {
-		return fmt.Errorf("journal %s: joff %d out of region: %w",
-			j.name, joff, util.ErrOutOfRange)
-	}
-	return j.disk.ReadAt(p, j.base+local)
-}
-
-// pageFloor returns the position of the start of the device trim page
-// holding position pos, clamped to the start of pos's lap: j.base is only
-// sector-aligned, so trim pages are aligned in device space, not in
-// journal space, and a page never spans the wrap.
-func (j *Journal) pageFloor(pos int64) int64 {
-	dev := j.base + pos%j.size
-	return pos - min(dev%simdisk.DiscardGranule, pos%j.size)
-}
-
-// discard trims the reclaimed positions [from, to) — monotonic byte
-// counters — on the device, split at the wrap. The device releases only
-// the pages wholly inside each piece. The caller guarantees that no
-// appender can reserve the range meanwhile. Replayer only, outside the Set
-// lock.
-func (j *Journal) discard(from, to int64) {
-	for from < to {
-		n := min(to-from, j.size-from%j.size)
-		simdisk.Discard(j.disk, j.base+from%j.size, n)
-		from += n
-	}
+	return j.log.ReadAt(p, int64(joff-j.joffBase)*util.SectorSize)
 }
 
 // owns reports whether a global joff falls in this journal's region.
 func (j *Journal) owns(joff uint64) bool {
 	return joff>>joffRegionBits == j.joffBase>>joffRegionBits
+}
+
+// checkAligned validates sector alignment of a chunk-relative range.
+func checkAligned(off int64, n int) error {
+	if off%util.SectorSize != 0 || n%util.SectorSize != 0 || n == 0 ||
+		off < 0 || off+int64(n) > util.ChunkSize {
+		return fmt.Errorf("journal: unaligned or out-of-range [%d,%d): %w",
+			off, off+int64(n), util.ErrOutOfRange)
+	}
+	return nil
 }

@@ -89,39 +89,6 @@ func (e *testEnv) mustChunk(t *testing.T, id blockstore.ChunkID) {
 	}
 }
 
-func TestHeaderRoundTrip(t *testing.T) {
-	clock.Test(t, func() {
-		h := header{
-			chunk:    blockstore.MakeChunkID(3, 9),
-			off:      123 * 512,
-			dataLen:  4096,
-			version:  77,
-			checksum: 0xdeadbeef,
-		}
-		buf := make([]byte, headerSize)
-		h.encode(buf)
-		got, err := decodeHeader(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != h {
-			t.Errorf("round trip: %+v != %+v", got, h)
-		}
-	})
-}
-
-func TestHeaderBadMagic(t *testing.T) {
-	clock.Test(t, func() {
-		buf := make([]byte, headerSize)
-		if _, err := decodeHeader(buf); err == nil {
-			t.Error("zero buffer decoded without error")
-		}
-		if _, err := decodeHeader(buf[:10]); err == nil {
-			t.Error("short buffer decoded without error")
-		}
-	})
-}
-
 func TestAppendReadThroughJournal(t *testing.T) {
 	clock.Test(t, func() {
 		e, cleanup := newEnv(t, 16*util.MiB, false)
@@ -493,17 +460,6 @@ func TestLiteEviction(t *testing.T) {
 		}
 		if l.Len() != 2 {
 			t.Errorf("Len = %d", l.Len())
-		}
-	})
-}
-
-func TestRecordBytes(t *testing.T) {
-	clock.Test(t, func() {
-		if recordBytes(512) != 1024 {
-			t.Errorf("recordBytes(512) = %d", recordBytes(512))
-		}
-		if recordBytes(4096) != 4608 {
-			t.Errorf("recordBytes(4096) = %d", recordBytes(4096))
 		}
 	})
 }

@@ -3,50 +3,12 @@ package journal
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"ursa/internal/blockstore"
 	"ursa/internal/clock"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
-
-func TestRecordBytesProperty(t *testing.T) {
-	clock.Test(t, func() {
-		f := func(raw uint16) bool {
-			n := int(raw)%(256*util.KiB) + 1
-			rb := recordBytes(n)
-			// Header sector + sector-aligned data, minimal and aligned.
-			return rb >= headerSize+int64(n) &&
-				rb < headerSize+int64(n)+util.SectorSize &&
-				rb%util.SectorSize == 0
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
-func TestHeaderCodecProperty(t *testing.T) {
-	clock.Test(t, func() {
-		f := func(chunk uint64, offSec uint32, lenSec uint16, version uint64, sum uint32) bool {
-			h := header{
-				chunk:    blockstore.ChunkID(chunk),
-				off:      int64(offSec%util.SectorsPerChunk) * util.SectorSize,
-				dataLen:  (int(lenSec)%128 + 1) * util.SectorSize,
-				version:  version,
-				checksum: sum,
-			}
-			buf := make([]byte, headerSize)
-			h.encode(buf)
-			got, err := decodeHeader(buf)
-			return err == nil && got == h
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Error(err)
-		}
-	})
-}
 
 // TestJournalModelEquivalence is the journal's model-based property test:
 // a random interleaving of appends, bypass writes, drains and reads must

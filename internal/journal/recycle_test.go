@@ -8,6 +8,7 @@ import (
 	"ursa/internal/blockstore"
 	"ursa/internal/bufpool"
 	"ursa/internal/clock"
+	"ursa/internal/reclog"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
@@ -30,7 +31,7 @@ func TestRecycledRecordsAreUnreachable(t *testing.T) {
 		sink := blockstore.New(hdd, 0)
 		// Not started until the end: this test is the replayer.
 		set := NewSet(clk, sink, Config{})
-		j := set.AddSSDJournal("ssd0", ssd, 0, 40*recordBytes(4096)) // wraps every 40 records
+		j := set.AddSSDJournal("ssd0", ssd, 0, 40*reclog.RecordBytes(4096)) // wraps every 40 records
 		defer func() {
 			set.Close()
 			ssd.Close()
@@ -99,9 +100,6 @@ func TestRecycledRecordsAreUnreachable(t *testing.T) {
 			held := make(map[*slab]int)
 			for _, jj := range set.journals {
 				for _, rec := range jj.fifo {
-					if rec.chunk == padChunk {
-						continue
-					}
 					if rec.image == nil || rec.slab == nil || rec.slab.buf == nil {
 						t.Fatalf("pending record %v@%d lost its image", rec.chunk, rec.off)
 					}
@@ -155,8 +153,8 @@ func TestRecycledRecordsAreUnreachable(t *testing.T) {
 		if recycled == 0 {
 			t.Fatal("no record was ever recycled")
 		}
-		if j.head < 3*j.size {
-			t.Fatalf("journal wrapped %d times, want at least 3", j.head/j.size)
+		if j.log.Head() < 3*j.log.Size() {
+			t.Fatalf("journal wrapped %d times, want at least 3", j.log.Head()/j.log.Size())
 		}
 
 		set.Start()

@@ -10,6 +10,7 @@ import (
 
 	"ursa/internal/blockstore"
 	"ursa/internal/clock"
+	"ursa/internal/reclog"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
@@ -201,7 +202,7 @@ func TestReplayReadsEachRecordOnce(t *testing.T) {
 
 		// The records sit back to back in the journal: they coalesce into
 		// ceil(total/replayIOBytes) reads (+1 for the run a budget cut splits).
-		total := int64(n) * recordBytes(4096)
+		total := int64(n) * reclog.RecordBytes(4096)
 		maxReads := (total+replayIOBytes-1)/replayIOBytes + 1
 		if reads := j1.Reads - j0.Reads; reads > maxReads {
 			t.Errorf("journal reads = %d for %d records, want <= %d coalesced runs", reads, n, maxReads)
@@ -260,7 +261,7 @@ func TestReplaySkipsDeadRecord(t *testing.T) {
 		if fs := e.jdisks[0].FaultStats(); fs.ReadsFailed != 0 || fs.ReadsCorrupted != 0 {
 			t.Errorf("journal reads touched the dead record: %+v", fs)
 		}
-		if got := e.jdisks[0].Stats().BytesRead; got != recordBytes(4096) {
+		if got := e.jdisks[0].Stats().BytesRead; got != reclog.RecordBytes(4096) {
 			t.Errorf("journal bytes read = %d, want one record", got)
 		}
 		got := make([]byte, 4096)
@@ -568,7 +569,7 @@ func TestDiscardUnderWrap(t *testing.T) {
 					err := set.Append(nil, id, off, data[:n], version)
 					if err == nil {
 						copy(model[off:], data[:n])
-						appended += recordBytes(n)
+						appended += reclog.RecordBytes(n)
 					}
 					return err
 				}
@@ -612,4 +613,76 @@ func TestDiscardUnderWrap(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestReplayRefusesRecordOfPreviousLap: where a pending record's image
+// belongs, the journal device holds instead the image of the record that
+// sat there one lap earlier — same chunk, offset, length and version, a
+// payload its CRC matches. Replay must refuse it as corrupt, park the
+// window and leave the sink as it was, because the header was written for
+// a position one lap before.
+func TestReplayRefusesRecordOfPreviousLap(t *testing.T) {
+	clock.Test(t, func() {
+		const recBytes = util.SectorSize + 4096 // header sector and payload
+		const lap = 8 * recBytes
+		clk := clock.Realtime
+		hdd := simdisk.NewHDD(fastHDD(512*util.MiB), clk)
+		ssd := simdisk.NewSSD(fastSSD(64*util.MiB), clk)
+		sink := blockstore.New(hdd, 0)
+		set := NewSet(clk, sink, Config{})
+		set.AddSSDJournal("ssd0", ssd, 0, lap)
+		defer func() {
+			set.Close()
+			ssd.Close()
+			hdd.Close()
+		}()
+		id := blockstore.MakeChunkID(1, 0)
+		if err := sink.Create(id); err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Repeat([]byte{0xa1}, 4096)
+		cur := bytes.Repeat([]byte{0xb2}, 4096)
+		mid := bytes.Repeat([]byte{0xc3}, 4096)
+
+		// Lap 0: the record at device offset 0, then seven more to fill it.
+		if err := set.Append(nil, id, 0, old, 7); err != nil {
+			t.Fatal(err)
+		}
+		stale := make([]byte, recBytes)
+		if err := ssd.ReadAt(stale, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 8; i++ {
+			if err := set.Append(nil, id, int64(i)*8192, mid, uint64(7+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drainByHand(t, set)
+		if err := set.WriteDirect(id, mid, 0); err != nil {
+			t.Fatal(err)
+		}
+
+		// Lap 1: the same chunk, offset, length and version at device offset
+		// 0, its image then replaced by the one lap 0 left there.
+		if err := set.Append(nil, id, 0, cur, 7); err != nil {
+			t.Fatal(err)
+		}
+		dropResidency(set)
+		if err := ssd.WriteAt(stale, 0); err != nil {
+			t.Fatal(err)
+		}
+		if replayWindowByHand(t, set) {
+			t.Fatal("replay accepted the previous lap's record")
+		}
+		if st := set.Stats(); st.ReplayCorrupt != 1 || st.Pending != 1 {
+			t.Fatalf("replay corrupt %d, pending %d; want the window parked as corrupt", st.ReplayCorrupt, st.Pending)
+		}
+		got := make([]byte, 4096)
+		if err := sink.ReadAt(id, got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, mid) {
+			t.Fatal("the previous lap's payload reached the sink")
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"ursa/internal/jindex"
 	"ursa/internal/metrics"
 	"ursa/internal/opctx"
+	"ursa/internal/reclog"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
@@ -326,7 +327,7 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 			s.mu.Unlock()
 			return fmt.Errorf("journal: no live journal has room: %w", util.ErrQuota)
 		}
-		pos, _ := j.reserve(len(data)) // pickJournalLocked checked fits
+		pos, pad, _ := j.log.Reserve(len(data)) // pickJournalLocked checked it fits
 		rec := s.newRecordLocked()
 		*rec = pendingRecord{
 			chunk:    id,
@@ -334,8 +335,9 @@ func (s *Set) Append(op *opctx.Op, id blockstore.ChunkID, off int64, data []byte
 			dataLen:  len(data),
 			version:  version,
 			dataJOff: j.dataJOff(pos),
-			footer:   recordBytes(len(data)),
+			footer:   reclog.RecordBytes(len(data)),
 			pos:      pos,
+			pad:      pad,
 			sum:      sum,
 			data:     data,
 			enq:      s.clk.Now(),
@@ -396,7 +398,7 @@ func (s *Set) pickJournalLocked(dataLen int) *Journal {
 	pick := func(idleOnly bool) *Journal {
 		var best *Journal
 		for i, j := range s.journals {
-			if j.dead || s.idleOnly[i] != idleOnly || !j.fits(dataLen) {
+			if j.dead || s.idleOnly[i] != idleOnly || !j.log.Fits(dataLen) {
 				continue
 			}
 			if best == nil || j.queued < best.queued {
@@ -536,11 +538,11 @@ func (s *Set) writeRun(j *Journal, run []*pendingRecord, size int) {
 	}
 	at := img
 	for _, r := range run {
-		header{chunk: r.chunk, off: r.off, dataLen: r.dataLen, version: r.version, checksum: r.sum}.encode(at)
-		copy(at[headerSize:], r.data)
+		r.header().Encode(at)
+		copy(at[reclog.HeaderSize:], r.data)
 		at = at[r.footer:]
 	}
-	err := j.disk.WriteAt(img, j.base+run[0].pos%j.size)
+	err := j.log.WriteAt(img, run[0].pos)
 	if !resident {
 		bufpool.Put(img)
 	}
@@ -765,7 +767,7 @@ func (s *Set) DevicesBusy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range s.journals {
-		if j.disk.QueueDepth() > 0 {
+		if j.log.Disk().QueueDepth() > 0 {
 			return true
 		}
 	}
@@ -800,13 +802,13 @@ func (s *Set) journalOf(joff uint64) *Journal {
 
 // Replay lock discipline. s.mu guards the index map, the fifos, tail/head
 // and the counters, and is held only for index queries, fifo/tail
-// bookkeeping and invalidation — never across a journal-device read, a
-// sink write or a discard, so a foreground Append never waits for replay
-// I/O. That is safe because the replayer is the only goroutine that pops a
-// fifo, advances a tail or discards journal space: the window it is working
-// on cannot be reclaimed under its own reads. Other readers of journal
-// space (Set.Read) snapshot extents under the lock, read outside it, and
-// re-check s.reclaims afterwards — see reclaimWindow for the other half.
+// bookkeeping, trims and invalidation — never across a journal-device read
+// or a sink write, so a foreground Append never waits for replay I/O. That
+// is safe because the replayer is the only goroutine that pops a fifo or
+// trims a log: the window it is working on cannot be reclaimed under its
+// own reads. Other readers of journal space (Set.Read) snapshot extents
+// under the lock, read outside it, and re-check s.reclaims afterwards — see
+// reclaimWindow for the other half.
 
 const (
 	// replayWindowBytes is the payload budget of one replay window. A window
@@ -915,10 +917,10 @@ func (s *Set) replayLoop() {
 }
 
 // nextJournalLocked picks the highest-priority journal whose head record is
-// replayable (pads and failed records count: their window only reclaims
-// space). Replay always yields to foreground work on the backup disk: its
-// random writes would otherwise starve journal appends and bypass writes,
-// inverting the journals' whole purpose (§3.2, §5.3).
+// replayable (a failed record counts: its window only reclaims space).
+// Replay always yields to foreground work on the backup disk: its random
+// writes would otherwise starve journal appends and bypass writes, inverting
+// the journals' whole purpose (§3.2, §5.3).
 func (s *Set) nextJournalLocked() *Journal {
 	if s.force == 0 {
 		now := s.clk.Now()
@@ -934,7 +936,7 @@ func (s *Set) nextJournalLocked() *Journal {
 		if len(j.fifo) == 0 || !(j.fifo[0].ready || j.fifo[0].failed) {
 			continue
 		}
-		if s.idleOnly[i] && s.force == 0 && j.disk.QueueDepth() > 0 {
+		if s.idleOnly[i] && s.force == 0 && j.log.Disk().QueueDepth() > 0 {
 			continue
 		}
 		return j
@@ -944,14 +946,14 @@ func (s *Set) nextJournalLocked() *Journal {
 
 // windowLocked collects the replayable prefix of j's fifo: ready records up
 // to the replayWindowRecords cap or the replayWindowBytes payload budget,
-// plus any pads or failed records between them, stopping at the first
-// record still awaiting its commit flush. The entries stay on the fifo —
-// this loop is the only consumer — and are popped together after replay.
+// plus any failed records between them, stopping at the first record still
+// awaiting its commit flush. The entries stay on the fifo — this loop is the
+// only consumer — and are popped together after replay.
 func (s *Set) windowLocked(j *Journal) []*pendingRecord {
 	n, records, payload := 0, 0, 0
 	for n < len(j.fifo) && records < replayWindowRecords && payload < replayWindowBytes {
 		r := j.fifo[n]
-		if r.chunk == padChunk || r.failed {
+		if r.failed {
 			n++
 			continue
 		}
@@ -974,9 +976,9 @@ func (s *Set) planLocked(window []*pendingRecord) {
 	rp := &s.rp
 	rp.live, rp.exts = rp.live[:0], rp.exts[:0]
 	var ix *jindex.Index
-	ixChunk := padChunk
+	ixChunk := noChunk
 	for _, rec := range window {
-		if rec.chunk == padChunk || rec.failed {
+		if rec.failed {
 			continue
 		}
 		if rec.chunk != ixChunk {
@@ -1020,7 +1022,7 @@ func (s *Set) orderSweep() {
 	rp := &s.rp
 	if loc, ok := s.sink.(slotLocator); ok {
 		var slot int64
-		of := padChunk
+		of := noChunk
 		for i := range rp.exts {
 			if e := &rp.exts[i]; e.chunk != of {
 				slot, of = loc.SlotOffset(e.chunk), e.chunk
@@ -1211,7 +1213,7 @@ func (s *Set) payload(j *Journal, p replayExt) ([]byte, error) {
 	if lr.data == nil && lr.err == nil {
 		if img := lr.rec.image; img != nil {
 			if lr.err = verifyRecord(j, lr.rec, img); lr.err == nil {
-				lr.data = img[headerSize:]
+				lr.data = img[reclog.HeaderSize:]
 				s.rp.fromMemory += int64(lr.rec.dataLen)
 			}
 		} else if err := s.readRecords(j, &s.rp.reads[lr.read]); err != nil {
@@ -1235,8 +1237,7 @@ func (s *Set) payload(j *Journal, p replayExt) ([]byte, error) {
 func (s *Set) readRecords(j *Journal, r *journalRead) error {
 	live := s.rp.live[r.first : r.first+r.n]
 	buf := bufpool.Get(int(r.bytes))
-	// The header sector sits immediately before the payload sectors.
-	if err := j.readAtJOff(buf, live[0].rec.dataJOff-1); err != nil {
+	if err := j.log.ReadAt(buf, live[0].rec.pos); err != nil {
 		bufpool.Put(buf)
 		return err
 	}
@@ -1246,7 +1247,7 @@ func (s *Set) readRecords(j *Journal, r *journalRead) error {
 		if err := verifyRecord(j, rec, buf[:rec.footer]); err != nil {
 			live[i].err = err
 		} else {
-			live[i].data = buf[headerSize : headerSize+rec.dataLen]
+			live[i].data = buf[reclog.HeaderSize : reclog.HeaderSize+rec.dataLen]
 			s.rp.fromDevice += int64(rec.dataLen)
 		}
 		buf = buf[rec.footer:]
@@ -1254,23 +1255,17 @@ func (s *Set) readRecords(j *Journal, r *journalRead) error {
 	return nil
 }
 
-// verifyRecord checks a record's on-device image — header sector, then
-// payload — against what was appended: header/record agreement and payload
-// CRC. A mismatch wraps util.ErrCorrupt.
+// verifyRecord checks a record's image — header sector, then payload, from
+// the device or resident — with reclog.Verify (header CRC, position,
+// payload CRC), and that its header is the one rec's flush wrote. A
+// mismatch wraps util.ErrCorrupt.
 func verifyRecord(j *Journal, rec *pendingRecord, image []byte) error {
-	hdr, err := decodeHeader(image)
+	h, err := reclog.Verify(image, rec.pos)
+	if err == nil && h != rec.header() {
+		err = fmt.Errorf("header does not match the appended record: %w", util.ErrCorrupt)
+	}
 	if err != nil {
-		return fmt.Errorf("journal %s: record %v@%d: %v: %w",
-			j.name, rec.chunk, rec.off, err, util.ErrCorrupt)
-	}
-	if hdr.chunk != rec.chunk || hdr.off != rec.off ||
-		hdr.dataLen != rec.dataLen || hdr.version != rec.version {
-		return fmt.Errorf("journal %s: record %v@%d: header does not match appended record: %w",
-			j.name, rec.chunk, rec.off, util.ErrCorrupt)
-	}
-	if sum := util.Checksum(image[headerSize : headerSize+rec.dataLen]); sum != hdr.checksum {
-		return fmt.Errorf("journal %s: record %v@%d: payload checksum %08x, want %08x: %w",
-			j.name, rec.chunk, rec.off, sum, hdr.checksum, util.ErrCorrupt)
+		return fmt.Errorf("journal %s: record %v@%d: %w", j.name, rec.chunk, rec.off, err)
 	}
 	return nil
 }
@@ -1297,48 +1292,29 @@ func (s *Set) reportReplayError(id blockstore.ChunkID, err error) {
 }
 
 // reclaimWindow retires a fully replayed window: none of its records backs
-// an index extent any more, so its journal space is trimmed and handed back
-// to appenders. The order matters. s.reclaims moves first, so a Read that
-// snapshotted extents of this window before they were invalidated re-runs
-// its query instead of trusting bytes read from trimmed space; the discard
-// runs next, outside the lock, while the space is still reserved (tail not
-// yet advanced), so it can never hit bytes a new append has written; only
-// then does tail advance and the fifo pop.
-//
-// The device trims whole pages, and the page holding the old tail was
-// reclaimed only partly by the windows before this one. Unless appenders
-// have already lapped into that page (then it is live again and stays),
-// its dead prefix is taken back — tail retreats to the page start — for
-// the duration of the trim, so this call releases the whole page and a
-// drained journal pins at most the one page holding its tail.
+// an index extent any more, so the log is trimmed to the window's end — its
+// records and the wrap pads between them — and the space handed back to
+// appenders. s.reclaims moves in the same hold, so a Read that snapshotted
+// extents of this window before they were invalidated re-runs its query
+// instead of trusting bytes read from trimmed space. The trim's discard
+// releases simulated pages and costs no device time, so it runs under s.mu
+// with the tail advance: no append can reserve the space it releases.
 func (s *Set) reclaimWindow(j *Journal, window []*pendingRecord) {
-	var span, sectors int64
+	var sectors int64
 	replayed, failed := 0, 0
 	for _, rec := range window {
-		span += rec.footer
-		switch {
-		case rec.chunk == padChunk:
-		case rec.failed:
+		if rec.failed {
 			failed++
-		default:
+		} else {
 			replayed++
 			sectors += int64(rec.dataLen) / util.SectorSize
 		}
 	}
+	last := window[len(window)-1]
 
 	s.mu.Lock()
 	s.reclaims++
-	newTail := j.tail + span
-	if start := j.pageFloor(j.tail); j.head <= start+j.size {
-		j.tail = start
-	}
-	trimFrom := j.tail
-	s.mu.Unlock()
-
-	j.discard(trimFrom, newTail)
-
-	s.mu.Lock()
-	j.tail = newTail
+	j.log.Trim(last.pos + last.footer)
 	for _, rec := range window {
 		s.dropImageLocked(j, rec)
 		// A record whose appender has yet to take its verdict (data still
@@ -1443,7 +1419,7 @@ func (s *Set) Stats() SetStats {
 		st.Journals = append(st.Journals, JournalStats{
 			Name:    j.name,
 			Used:    j.UsedBytes(),
-			Size:    j.size,
+			Size:    j.log.Size(),
 			Appends: j.appends,
 			Bytes:   j.bytesAppended,
 			Flushes: j.flushes,
