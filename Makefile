@@ -2,7 +2,7 @@
 # the race detector (the RPC/replication paths are goroutine-heavy).
 GO ?= go
 
-.PHONY: build tier1 test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke replay-smoke
+.PHONY: build tier1 test race vet fmt lint bubble-smoke check bench-quick bench-smoke bench-refresh bench-module chaos-smoke scrub-smoke ec-smoke perf-smoke alloc-ledger failover-smoke cold-smoke replay-smoke viewcheck
 
 build:
 	$(GO) build ./...
@@ -51,7 +51,7 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
 
-check: fmt vet lint build tier1 test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke replay-smoke perf-smoke bench-smoke bench-module
+check: fmt vet lint build tier1 test race bubble-smoke chaos-smoke scrub-smoke ec-smoke failover-smoke cold-smoke replay-smoke viewcheck perf-smoke bench-smoke bench-module
 
 # The tests tagged goexperiment.synctest (the bubble_test.go files; tier-1
 # sets no experiment and never builds them), under the race detector. Each
@@ -167,6 +167,15 @@ replay-smoke:
 	@GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosRandomLinearizable$$' -count=10 -v | \
 	grep -o 'history hash [0-9a-f]*' | sort | uniq -c | sort -rn | \
 	awk '{ print; n += $$1 } NR == 1 { top = $$1 } END { printf "replay-smoke: %d of %d runs share the most common hash\n", top, n; exit (top < 9) }'
+
+# The view change checked exhaustively (internal/viewcheck, DESIGN.md "Fault
+# model & recovery"): the explorer at its larger scope — each strategy, 3
+# client writes, 2 faults and a reconcile pass, over the real planner and
+# replica rules — logs the states explored and the wall time per strategy,
+# and fails on a violated invariant with the shortest trace that reaches it
+# (≈ 5 s). Tier-1 runs the small scope, 2 writes, in TestExplore.
+viewcheck:
+	$(GO) test ./internal/viewcheck -run '^$$' -bench ViewCheck -benchtime 1x -count=1 -v
 
 # Deterministic chaos acceptance run (fixed seed, scripted schedule, ~2s):
 # every SSD journal in the cluster dies mid-workload and the client must

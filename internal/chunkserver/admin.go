@@ -250,8 +250,8 @@ func (s *Server) handleSetView(m *proto.Message) *proto.Message {
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if m.View < cs.view {
-		return m.Reply(proto.StatusStaleView)
+	if st := SetViewRule(cs.view, m.View); st != proto.StatusOK {
+		return m.Reply(st)
 	}
 	cs.view = m.View
 	if req.Backups != nil {
@@ -284,19 +284,12 @@ type FillReq struct {
 }
 
 // handleFill brings the local replica to the target version m.Version by
-// the method what the slot already is allows:
-//   - no Source: decode from Sources — the whole chunk for an RS primary,
-//     the own segment for a holder — since nothing holds the chunk whole;
-//   - an RS holder: a snapshot of its segment from Source, the primary;
-//   - a mirror replica of the fill's view (or a later one) holding the
-//     chunk at a nonzero version it vouches for — a laggard, whose history
-//     is a prefix of the view's: incremental repair from Source
-//     (repairFrom);
-//   - any other slot — one at version 0, which may be a fresh slot whose
-//     zeros are not the chunk's (a clone's chunk starts as cold refs), a
-//     suspect one, or one from an earlier view, which may hold a write the
-//     survivors never got at a version the next view reused: a whole copy
-//     from Source.
+// the method FillRule picks from what the slot already is: a decode from
+// Sources — the whole chunk for an RS primary, the own segment for a holder —
+// when the fill names no Source, since nothing holds the chunk whole; an RS
+// holder's snapshot of its segment from Source, the primary; a laggard's
+// incremental repair from Source (repairFrom); any other slot's whole copy
+// from Source.
 func (s *Server) handleFill(op *opctx.Op, m *proto.Message) *proto.Message {
 	var req FillReq
 	if err := json.Unmarshal(m.Payload, &req); err != nil {
@@ -307,18 +300,18 @@ func (s *Server) handleFill(op *opctx.Op, m *proto.Message) *proto.Message {
 		return m.Reply(proto.StatusNotFound)
 	}
 	cs.mu.Lock()
-	laggard := cs.view >= m.View && cs.version > 0
+	method := FillRule(req, cs.spec, cs.holder, cs.suspect.Load(), cs.view, cs.version, m.View)
 	cs.mu.Unlock()
-	switch {
-	case req.Source == "":
+	switch method {
+	case FillDecode:
 		seg := -1
 		if cs.holder {
 			seg = cs.seg
 		}
 		return s.rebuild(op, m, cs, s.peerDecode(op, m.Chunk, cs.strat, req.Sources, seg, m.Version), true)
-	case cs.holder:
+	case FillSnapshot:
 		return s.rebuild(op, m, cs, s.segmentSnapshot(op, cs, m.Chunk, req.Source, req.View, m.Version), true)
-	case !cs.spec.IsRS() && !cs.suspect.Load() && laggard:
+	case FillRepair:
 		return s.repairFrom(op, m, cs, req)
 	}
 	return s.rebuild(op, m, cs, s.mirrorCopy(op, cs, m.Chunk, req.Source, req.View, m.Version), true)

@@ -55,35 +55,21 @@ func (s *Server) admitWriteLocked(cs *chunkState, op *opctx.Op, m *proto.Message
 		if cs.deleted() {
 			return 0, false, false, m.Reply(proto.StatusNotFound)
 		}
-		if cs.view != m.View {
-			r := m.Reply(proto.StatusStaleView)
+		p, claimed := cs.pending[m.Version]
+		switch step, st := WriteRule(cs.view, cs.version, cs.reserved, m.View, m.Version, !claimed || p.failed); step {
+		case WriteRefused:
+			r := replyAt(m, st, cs.version)
 			r.View = cs.view
 			return 0, false, false, r
-		}
-		switch {
-		case m.Version+1 == cs.version:
+		case WriteDuplicate:
 			// Already applied here (retry after a partial failure): skip the
 			// local write but still forward/ack (§4.2.1).
 			return 0, false, true, nil
-		case m.Version < cs.version:
-			return 0, false, false, replyAt(m, proto.StatusStaleVersion, cs.version)
-		case m.Version == cs.reserved:
-			// Our slot is next: claim it.
+		case WriteApply:
+			// A failed claim's overlapping successors aborted, so nothing
+			// newer can be on disk under our extent.
 			claim, deps = s.claimSlotLocked(cs, m)
 			return claim, deps, false, nil
-		case m.Version < cs.reserved:
-			// The slot was already handed out. A failed entry is a retry's
-			// to re-claim (its overlapping successors aborted, so nothing
-			// newer can be on disk under our extent); a live entry means a
-			// duplicate delivery — wait for the original's fate and
-			// re-evaluate.
-			if p, ok := cs.pending[m.Version]; !ok || p.failed {
-				claim, deps = s.claimSlotLocked(cs, m)
-				return claim, deps, false, nil
-			}
-		default:
-			// m.Version > cs.reserved: a predecessor has not arrived yet;
-			// wait for reservations to catch up.
 		}
 		if !waited {
 			wait, waited = op.Stage(opctx.StageReplay), true

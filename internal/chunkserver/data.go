@@ -209,14 +209,10 @@ func (s *Server) admit(op *opctx.Op, m *proto.Message) (*chunkState, uint64, *pr
 	cs.mu.Lock()
 	view, ver := cs.view, cs.version
 	cs.mu.Unlock()
-	if view != m.View {
-		r := m.Reply(proto.StatusStaleView)
+	if st := ReadRule(view, ver, m.View, m.Version); st != proto.StatusOK {
+		r := replyAt(m, st, ver)
 		r.View = view
 		return nil, 0, r
-	}
-	if ver < m.Version {
-		// Behind the reader: refuse rather than serve stale bytes.
-		return nil, 0, replyAt(m, proto.StatusBehind, ver)
 	}
 	if n > 0 && s.ensureCold(op, cs, m.Chunk, off, n) != nil {
 		return nil, 0, m.Reply(proto.StatusError)

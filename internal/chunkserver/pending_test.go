@@ -66,7 +66,7 @@ func TestSupersededClaimSettlesNothing(t *testing.T) {
 		dropped := claim(1)
 		cs.applyDone(1, dropped, errors.New("device"))
 		cs.mu.Lock()
-		cs.adoptVersionLocked(2)
+		cs.adoptVersionLocked(2, true)
 		cs.mu.Unlock()
 		if _, ok := entry(1); ok {
 			t.Fatal("adoption past slot 1 kept its entry")

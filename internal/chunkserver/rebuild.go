@@ -59,7 +59,9 @@ type rebuildSource func(install installFn) (version uint64, err error)
 // rebuild replaces the local replica's content from src. whole says the
 // source covers the entire local slot (a clone: the replica vouches for its
 // content again afterwards) rather than the ranges an incremental repair
-// found modified.
+// found modified. A whole rebuild answers at the version it installed, even
+// below the one the replica held (Adopted): its bytes are the source's, and
+// so is its version. An incremental repair answers at the higher of the two.
 func (s *Server) rebuild(op *opctx.Op, m *proto.Message, cs *chunkState, src rebuildSource, whole bool) *proto.Message {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -75,7 +77,7 @@ func (s *Server) rebuild(op *opctx.Op, m *proto.Message, cs *chunkState, src reb
 	if err != nil {
 		return m.Reply(proto.StatusError)
 	}
-	cs.adoptVersionLocked(ver)
+	cs.adoptVersionLocked(ver, whole)
 	if m.View > cs.view {
 		cs.view = m.View
 	}

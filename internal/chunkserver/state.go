@@ -12,6 +12,7 @@
 package chunkserver
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +182,7 @@ func (cs *chunkState) committed() uint64 {
 func (cs *chunkState) outdatedBy(req CreateChunkReq) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return cs.view < req.View || cs.spec.IsRS() != req.Redundancy.IsRS() || cs.holder != req.Holder || cs.seg != req.Seg
+	return Outdated(cs.view, cs.spec, cs.holder, cs.seg, req)
 }
 
 // span returns the replica's local slot size: one segment for RS holders,
@@ -292,21 +293,25 @@ func (cs *chunkState) unsettledLocked(applied bool) bool {
 	return false
 }
 
-// adoptVersionLocked jumps the replica to version v: a rebuild installed the
-// source's state wholesale, with no local apply in flight (the rebuild
-// engine drains them first). Every pending entry is superseded by the
-// installed image. Slots below v are dropped — their handlers have settled
-// them, and commits no longer consider them. An
-// entry at or above v that had applied is demoted to failed: the install may
-// have overwritten its bytes, so it must not commit on their strength; like
-// any failed slot it blocks the chain until the sender's retry re-claims it.
-func (cs *chunkState) adoptVersionLocked(v uint64) {
-	if v > cs.version {
-		cs.version = v
+// adoptVersionLocked moves the replica to the version a rebuild that
+// installed version v leaves it at (Adopted), with no local apply in flight
+// (the rebuild engine drains them first). Every pending entry is superseded
+// by the installed image. Slots below the version are dropped — their
+// handlers have settled them, and commits no longer consider them. An entry
+// at or above it that had applied is demoted to failed: the install may have
+// overwritten its bytes, so it must not commit on their strength; like any
+// failed slot it blocks the chain until the sender's retry re-claims it. A
+// whole rebuild also hands slots out again from v, and drops the history and
+// the cached RS plans that named versions it no longer holds: the history
+// restarts at v, so a repair from below v falls back to a whole copy.
+func (cs *chunkState) adoptVersionLocked(v uint64, whole bool) {
+	cs.version = Adopted(cs.version, v, whole)
+	if whole {
+		cs.reserved = v
+		cs.lite.Restart(v)
+		maps.DeleteFunc(cs.shipments, func(ver uint64, _ []redundancy.Shipment) bool { return ver >= v })
 	}
-	if cs.reserved < cs.version {
-		cs.reserved = cs.version
-	}
+	cs.reserved = max(cs.reserved, cs.version)
 	for slot, p := range cs.pending {
 		if slot < cs.version {
 			delete(cs.pending, slot)

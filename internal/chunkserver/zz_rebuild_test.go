@@ -1105,3 +1105,55 @@ func TestDeleteYieldsDuringAFill(t *testing.T) {
 		})
 	}
 }
+
+// TestWholeFillSetsTheVersionItInstalled: an RS holder at version 3 — it
+// applied a write the primary, at 2, never committed — is sent a whole fill
+// at target 2. The segment snapshot replaces every byte with the primary's
+// version-2 segment, so the holder answers at 2 and says 2 when probed: a
+// replica that kept claiming 3 would ack the primary's next write, at version
+// 2, as a §4.2.1 duplicate without applying it.
+func TestWholeFillSetsTheVersionItInstalled(t *testing.T) {
+	clock.Test(t, func() {
+		e, cleanup := newRebuildEnv(t)
+		defer cleanup()
+		primary, holder, _ := rsPair(t, e, redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}, time.Second)
+		for v := uint64(0); v < 3; v++ {
+			data := bytes.Repeat([]byte{byte(0x51 + v)}, 4*util.KiB)
+			targets := []*Server{holder}
+			if v < 2 {
+				targets = append(targets, primary)
+			}
+			for _, s := range targets {
+				if st := apply(s, proto.OpReplicate, v, int64(v)*8*util.KiB, data); st != proto.StatusOK {
+					t.Fatalf("write %d on %s: %s", v, s.Addr(), st)
+				}
+			}
+		}
+		if ver, _ := versionView(t, holder); ver != 3 {
+			t.Fatalf("holder at version %d before the fill, want 3", ver)
+		}
+
+		resp := holder.Handle(rebuildMsg(proto.OpFill, 1, 2, FillReq{Source: "p", View: 1}))
+		if resp.Status != proto.StatusOK || resp.Version != 2 {
+			t.Fatalf("fill = %s at version %d, want ok at the installed 2", resp.Status, resp.Version)
+		}
+		if ver, _ := versionView(t, holder); ver != 2 {
+			t.Fatalf("holder says version %d after the fill, want 2", ver)
+		}
+		seg := slot(t, holder)
+		if !bytes.Equal(seg, slot(t, primary)[:len(seg)]) {
+			t.Fatal("filled segment differs from the primary's")
+		}
+
+		next := bytes.Repeat([]byte{0x5f}, 4*util.KiB)
+		const off = 16 * util.KiB
+		if st := apply(holder, proto.OpReplicate, 2, off, next); st != proto.StatusOK {
+			t.Fatalf("the primary's next write on the holder: %s", st)
+		}
+		r := holder.Handle(&proto.Message{Op: proto.OpRead, Chunk: testChunk, Off: off, Length: uint32(len(next)), View: 1, Version: 3})
+		if r.Status != proto.StatusOK || !bytes.Equal(r.Payload, next) {
+			t.Fatalf("read-back of the write after the fill = %s, want it applied at version 3", r.Status)
+		}
+		bufpool.Put(r.Payload)
+	})
+}

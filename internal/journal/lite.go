@@ -68,6 +68,15 @@ func (l *Lite) Record(version uint64, off int64, n int) {
 	l.count++
 }
 
+// Restart forgets every entry: the history begins again at version v, as
+// after a whole rebuild, so Since from below v reports it garbage-collected.
+func (l *Lite) Restart(v uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.start, l.count = 0, 0
+	l.minVer, l.haveMin = v+1, true
+}
+
 // Since returns the ranges modified by versions > fromVersion, oldest
 // first. ok is false when the history has been garbage-collected past
 // fromVersion, in which case the whole chunk must be transferred instead

@@ -1,0 +1,311 @@
+package master
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"ursa/internal/chunkserver"
+	"ursa/internal/proto"
+	"ursa/internal/redundancy"
+	"ursa/internal/util"
+)
+
+// The view change's planners: pure functions from what a view change knows
+// to its next action. RecoverChunk (recovery.go) executes the actions; the
+// view-change explorer (internal/viewcheck) runs them against a model.
+
+// Recovery is what a view change knows: the chunk's record and redundancy,
+// the report (Failed and View, as RecoverChunk's), the registered servers and
+// one round of answers per action taken: a probe's one per address, a fill's
+// one per replica (OK, at the view it answered at, when it filled).
+type Recovery struct {
+	Meta    ChunkMeta
+	Spec    redundancy.Spec
+	Failed  string
+	View    uint64
+	Servers []RegisterReq
+	Rounds  [][]proto.ChunkResult
+}
+
+// Action is a view change's next step, one of: Probe the addresses ("" for
+// one not asked); fill all of Fills to Version at once; Install view View with
+// those replicas and record it (Mend: views were its only cause); or answer,
+// Err or the record as it stands.
+type Action struct {
+	Probe   []string
+	Fills   []Fill
+	Version uint64
+	Install []ReplicaInfo
+	View    uint64
+	Mend    bool
+	Err     error
+}
+
+// Fill is one replica's share of a fill: its address, a replacement's create
+// (nil for a laggard; an existing slot is as good as a fresh one), and what
+// the bytes come from. The replica picks how (chunkserver.FillRule).
+type Fill struct {
+	Addr   string
+	Create *chunkserver.CreateChunkReq
+	Req    chunkserver.FillReq
+}
+
+// Plan is the view change of §4.2.2 as a pure function of what r knows: the
+// next action. A reporter below the recorded view is itself behind and gets
+// the record, with no probe. Otherwise: (1) collect versions and views; a
+// chunk whose replicas Agree, the reporter not above the record, needs no new
+// view (dead devices keep re-reporting while records stay parked on them);
+// (2) pick versionH, the highest version collected; (3) fill the laggards and
+// a replacement for each failed replica from what holds versionH; (4) install
+// a new view. The strategies plan steps 2–4 apart (planMirror, planRS): one
+// merged planner would branch on strategy at five points.
+func Plan(r *Recovery) Action {
+	if r.View != 0 && r.View < r.Meta.View {
+		return Action{}
+	}
+	p := &replay{rounds: r.Rounds}
+	skip := r.Failed // the mirror path trusts the reporter, RS probes it too
+	if r.Spec.IsRS() {
+		skip = ""
+	}
+	var a Action
+	switch answers, alive := p.probe(r.Meta.Replicas, skip); {
+	case alive == 0:
+		a.Err = fmt.Errorf("no replica reachable: %w", util.ErrNoQuorum)
+	case Agree(r.Meta.View, answers) && r.View <= r.Meta.View:
+	case r.Spec.IsRS():
+		a = planRS(r, p, answers)
+	default:
+		a = planMirror(r, p, answers, alive)
+	}
+	if p.need != nil {
+		return *p.need
+	}
+	return a
+}
+
+// replay hands a planner the recorded answer to each action it takes, in
+// order. The first with none is the next to take (need); it and every later
+// one answer as if nobody did, and the verdict past it is discarded.
+type replay struct {
+	rounds [][]proto.ChunkResult
+	need   *Action
+}
+
+func (p *replay) ask(a Action, n int) []proto.ChunkResult {
+	if p.need != nil || len(p.rounds) == 0 {
+		p.need = cmp.Or(p.need, &a)
+		out := make([]proto.ChunkResult, n)
+		for i := range out {
+			out[i].Status = proto.StatusError
+		}
+		return out
+	}
+	out := p.rounds[0]
+	p.rounds = p.rounds[1:]
+	return out
+}
+
+// probe asks every replica but skip for its version and view; only an OK
+// answer makes a replica alive.
+func (p *replay) probe(replicas []ReplicaInfo, skip string) (answers []proto.ChunkResult, alive int) {
+	addrs := make([]string, len(replicas))
+	for i, r := range replicas {
+		if r.Addr != skip {
+			addrs[i] = r.Addr
+		}
+	}
+	answers = p.ask(Action{Probe: addrs}, len(addrs))
+	for _, a := range answers {
+		if a.Status == proto.StatusOK {
+			alive++
+		}
+	}
+	return answers, alive
+}
+
+// planMirror plans steps 2–4 for a mirrored chunk: a majority, or fewer when
+// the reporter named the missing replica crashed (§4.2.2's write-to-all
+// property). Every laggard and replacement is filled in one action, each pick
+// seeing the replicas and the picks before it, so no two share a machine; an
+// SSD (primary) replica is replaced by an SSD server (§5.5). A replacement not
+// placed or filled is left out: the chunk proceeds degraded, and the next
+// report retries.
+func planMirror(r *Recovery, p *replay, answers []proto.ChunkResult, alive int) Action {
+	cm := r.Meta
+	if alive*2 <= len(cm.Replicas) && r.Failed == "" {
+		return Action{Err: fmt.Errorf("only %d/%d replicas reachable: %w", alive, len(cm.Replicas), util.ErrNoQuorum)}
+	}
+	var versionH uint64
+	var source chunkserver.FillReq // read at the view it answered at
+	for i, a := range answers {
+		if a.Status == proto.StatusOK && a.Version >= versionH {
+			versionH = a.Version
+			source = chunkserver.FillReq{Source: cm.Replicas[i].Addr, View: a.View}
+		}
+	}
+	var fills []Fill
+	for i, a := range answers {
+		if rep := cm.Replicas[i]; a.Status == proto.StatusOK && a.Version != versionH && rep.Addr != source.Source {
+			fills = append(fills, Fill{Addr: rep.Addr, Req: source})
+		}
+	}
+	laggards := len(fills)
+	var picks []ReplicaInfo
+	replacedBy := make([]int, len(answers)) // the pick replacing each dead replica, or -1
+	for i, a := range answers {
+		replacedBy[i] = -1
+		rep := cm.Replicas[i]
+		if a.Status == proto.StatusOK {
+			continue
+		}
+		if cand, found := pick(r.Servers, append(slices.Clone(cm.Replicas), picks...), rep.Addr, rep.SSD); found {
+			replacedBy[i] = len(picks)
+			picks = append(picks, cand)
+			fills = append(fills, Fill{Addr: cand.Addr, Create: &chunkserver.CreateChunkReq{View: cm.View}, Req: source})
+		}
+	}
+	var filled []proto.ChunkResult
+	if len(fills) > 0 {
+		filled = p.ask(Action{Fills: fills, Version: versionH}, len(fills))[laggards:]
+	}
+	var replicas []ReplicaInfo
+	for i, a := range answers {
+		if a.Status == proto.StatusOK {
+			replicas = append(replicas, cm.Replicas[i])
+		} else if k := replacedBy[i]; k >= 0 && filled[k].Status == proto.StatusOK {
+			replicas = append(replicas, picks[k])
+		}
+	}
+	for i, rep := range replicas { // keep the preferred primary (an SSD replica) first
+		if rep.SSD {
+			replicas[0], replicas[i] = replicas[i], replicas[0]
+			break
+		}
+	}
+	return install(r, answers, replicas)
+}
+
+// planRS plans steps 2–4 for an RS(N,M) chunk, whose replica list is
+// position-keyed (Replicas[0] the primary, Replicas[1+i] segment i's holder):
+// each position is filled in place or on a fresh server at that position, one
+// at a time, primary first, since a holder's fill names the primary restored
+// before it. Every fill names the primary once one holds versionH, and the
+// holders that do; a fill that names no primary decodes (chunkserver
+// rebuild.go). The reported replica is probed like any other: clients report
+// on mere RPC timeouts, and evicting a live RS replica is expensive.
+func planRS(r *Recovery, p *replay, answers []proto.ChunkResult) Action {
+	cm, spec := r.Meta, r.Spec
+	var versionH uint64
+	drift := r.View > cm.View // the reporter or some replica is at a view other than the recorded one
+	for _, a := range answers {
+		if a.Status == proto.StatusOK {
+			versionH = max(versionH, a.Version)
+			drift = drift || a.View != cm.View
+		}
+	}
+	// current reports whether a replica holds versionH. One below it is asked
+	// again: a healthy replica caught mid-apply has caught up by now.
+	current := func(pos int) bool {
+		if a := answers[pos]; a.Status != proto.StatusOK || a.Version == versionH {
+			return a.Status == proto.StatusOK
+		}
+		again, alive := p.probe(cm.Replicas[pos:pos+1], "")
+		return alive == 1 && again[0].Version >= versionH
+	}
+	primaryOK := current(0)
+	var sources []chunkserver.PieceSource
+	for i, a := range answers[1:] {
+		if a.Status == proto.StatusOK && a.Version == versionH {
+			sources = append(sources, chunkserver.PieceSource{Addr: cm.Replicas[1+i].Addr, Piece: i, View: a.View})
+		}
+	}
+	if !primaryOK && len(sources) < spec.N {
+		return Action{Err: fmt.Errorf("version %d held by %d/%d segments and no primary: %w",
+			versionH, len(sources), spec.N, util.ErrNoQuorum)}
+	}
+	replicas := slices.Clone(cm.Replicas)
+	changed, repaired := false, false // membership changed; a replica was filled in place
+	var primary chunkserver.FillReq
+	var landed uint64 // the view the last filled replica answered at
+	fillAt := func(pos int, addr string) bool {
+		create := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec, Holder: pos > 0, Seg: max(pos-1, 0)}
+		req := primary
+		req.Sources = sources
+		res := p.ask(Action{Fills: []Fill{{Addr: addr, Create: &create, Req: req}}, Version: versionH}, 1)[0]
+		landed = res.View
+		return res.Status == proto.StatusOK
+	}
+	// restore fills a position in place when its replica answered, else (or
+	// when that fails: a live server over a dead device) on a fresh server —
+	// never one the recorded view still names, whose slot a create for
+	// another position would remake under that view. When none lands the
+	// position keeps its entry and stays degraded.
+	restore := func(pos int) bool {
+		rep := replicas[pos]
+		if answers[pos].Status == proto.StatusOK && fillAt(pos, rep.Addr) {
+			repaired = true
+			return true
+		}
+		target, found := pick(r.Servers, append(slices.Clone(cm.Replicas), replicas...), rep.Addr, rep.SSD || pos == 0)
+		if !found || !fillAt(pos, target.Addr) {
+			return false
+		}
+		replicas[pos], changed = target, true
+		return true
+	}
+	if primaryOK {
+		primary = chunkserver.FillReq{Source: cm.Replicas[0].Addr, View: answers[0].View}
+	} else if restore(0) {
+		primary = chunkserver.FillReq{Source: replicas[0].Addr, View: landed}
+	}
+	for i := 1; i < len(answers); i++ {
+		if !current(i) {
+			restore(i)
+		}
+	}
+	// Repairing nothing bumps no view, or dead devices would churn views; a
+	// view a replica holds and the log does not is mended all the same.
+	if !changed && !repaired && !drift {
+		return Action{}
+	}
+	return install(r, answers, replicas)
+}
+
+// install is the last action of every view change that changes anything: a
+// view with replicas, numbered above the recorded one, the reporter's and
+// every view a replica answered the probe with, so it supersedes a view a
+// dead master installed or handed out but never logged, and no reporter is
+// answered below its view.
+func install(r *Recovery, answers []proto.ChunkResult, replicas []ReplicaInfo) Action {
+	a := Action{Install: replicas, View: max(r.Meta.View, r.View), Mend: len(answers) > 0}
+	for _, ans := range answers {
+		if ans.Status == proto.StatusOK {
+			a.View = max(a.View, ans.View)
+		}
+		a.Mend = a.Mend && ans.Status == proto.StatusOK && ans.Version == answers[0].Version
+	}
+	a.View++
+	return a
+}
+
+// pick chooses a registered server of the requested storage class whose
+// machine hosts none of replicas but deadAddr — the replica being replaced,
+// which does not pin its machine.
+func pick(servers []RegisterReq, replicas []ReplicaInfo, deadAddr string, ssd bool) (ReplicaInfo, bool) {
+	used := map[string]bool{}
+	for _, r := range replicas {
+		for _, s := range servers {
+			if s.Addr == r.Addr && r.Addr != deadAddr {
+				used[s.Machine] = true
+			}
+		}
+	}
+	for _, s := range servers {
+		if s.SSD == ssd && s.Addr != deadAddr && !used[s.Machine] {
+			return ReplicaInfo{Addr: s.Addr, SSD: s.SSD}, true
+		}
+	}
+	return ReplicaInfo{}, false
+}

@@ -24,10 +24,13 @@ const MetricSlotsReaped = "master-slots-reaped"
 // install above it. Everything else waits for the next pass. Each delete is
 // guarded by the view its slot was judged at. A cold chunk all of whose
 // current replicas answered drained has its cold refs cleared, and then GC
-// (collect) deletes the segments no table names. The inventory takes one
-// window of PrimacyTTL/4 and the reap and GC share a second, as promotion's
-// two do, so Close waits for a pass no longer than for a promotion. It
-// returns how many slots went.
+// (collect) deletes the segments no table names. A replica of the view whose
+// server answered without its slot is filed for repair, once per chunk, as a
+// failure report is: an MOpReportFailure to this master, whose view change
+// the pass does not wait out. The inventory takes one window of PrimacyTTL/4
+// and the reap, GC and filing share a second, as promotion's two do, so Close
+// waits for a pass no longer than for a promotion. It returns how many slots
+// went.
 func (m *Master) Reconcile() (reaped int, err error) {
 	if err := m.lockPrimary("reconcile"); err != nil {
 		return 0, err
@@ -41,8 +44,12 @@ func (m *Master) Reconcile() (reaped int, err error) {
 	m.mu.Unlock()
 
 	held := make([][]proto.ChunkResult, len(queues))
+	listed := make(map[string]map[blockstore.ChunkID]bool) // by each server whose inventory came
 	m.fanOut(m.cfg.PrimacyTTL/4, queues, func(q int, resp *proto.Message) bool {
-		held[q], _ = proto.DecodeResults(resp.Payload)
+		var err error
+		if held[q], err = proto.DecodeResults(resp.Payload); err == nil && resp.Status == proto.StatusOK {
+			listed[queues[q].addr] = make(map[blockstore.ChunkID]bool)
+		}
 		return true
 	})
 
@@ -55,6 +62,9 @@ func (m *Master) Reconcile() (reaped int, err error) {
 	}
 	for q, results := range held {
 		for _, r := range results {
+			if l := listed[queues[q].addr]; l != nil {
+				l[r.Chunk] = true
+			}
 			cm, err := m.st.chunk(r.Chunk.VDisk(), r.Chunk.Index())
 			switch {
 			case err != nil:
@@ -76,6 +86,16 @@ func (m *Master) Reconcile() (reaped int, err error) {
 			}
 		}
 	}
+	var repairs []serverQueue
+	for _, vd := range m.st.vdisks {
+		for i, cm := range vd.meta.Chunks {
+			id := blockstore.MakeChunkID(vd.meta.ID, uint32(i))
+			if k := slices.IndexFunc(cm.Replicas, func(r ReplicaInfo) bool { l, ok := listed[r.Addr]; return ok && !l[id] }); k >= 0 {
+				report, _ := jsonBody(ReportFailureReq{VDisk: vd.meta.ID, ChunkIndex: uint32(i), FailedAddr: cm.Replicas[k].Addr})
+				repairs = append(repairs, serverQueue{m.cfg.Addr, []*proto.Message{{Op: proto.MOpReportFailure, Payload: report}}})
+			}
+		}
+	}
 	// GC judges the state the commits above left, while no flush is in flight
 	// (its segments no table names yet; a later one allocates from segWM up).
 	segWM, named := m.st.nextSeg, m.namedSegsLocked()
@@ -87,6 +107,9 @@ func (m *Master) Reconcile() (reaped int, err error) {
 	m.cfg.Metrics.Counter(MetricSlotsReaped).Add(int64(reaped))
 	if left := end.Sub(m.cfg.Clock.Now()); gc && left > 0 {
 		m.collect(left, segWM, named)
+	}
+	if left := end.Sub(m.cfg.Clock.Now()); len(repairs) > 0 && left > 0 {
+		m.fanOut(left, repairs, nil)
 	}
 	return reaped, nil
 }

@@ -321,13 +321,13 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 		seg := clone.Chunks[0].Cold[0].Seg
 		o.run("delete-snapshot") // the clone's table is the last to name the segment
 
-		stale, _, err := primary.chunkMetaSpec(clone.ID, 0) // what recovery holds
-		if err != nil || len(stale.Cold) == 0 {
-			t.Fatalf("chunkMetaSpec: %+v, %v", stale, err)
+		stale := &Recovery{} // what recovery holds
+		if err := primary.record(stale, clone.ID, 0); err != nil || len(stale.Meta.Cold) == 0 {
+			t.Fatalf("record: %+v, %v", stale.Meta, err)
 		}
 		o.run("materialize") // the last replica's report clears the refs
 		if _, err := primary.installView(clock.Realtime.Now(), blockstore.MakeChunkID(clone.ID, 0),
-			clone.ID, 0, *stale, 0, nil, stale.Replicas); err != nil {
+			clone.ID, 0, Action{Install: stale.Meta.Replicas, View: stale.Meta.View + 1}); err != nil {
 			t.Fatal(err)
 		}
 
