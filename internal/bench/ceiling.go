@@ -338,8 +338,9 @@ func ceilingMicros() []ceilingMicro {
 	peers.CloseAll()
 
 	// Journal-index insert: cycling writes over a small working set, with a
-	// periodic merge so the freeze/merge scratch and the node freelist are
-	// exercised (their cost amortizes to zero per op, which is the claim).
+	// periodic merge so the merge's retired-array scratch and the node
+	// freelist are exercised (their cost amortizes to zero per op, which is
+	// the claim).
 	ins := jindex.New(0)
 	insJOff := uint64(0)
 	out = append(out, run("jindex-insert", func(i int) {

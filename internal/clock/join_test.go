@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -135,6 +136,120 @@ func c(t *testing.T) { clock.Test(t, func() { defer t.Cleanup(nil) }); t.Cleanup
 			t.Errorf("%s: counts goroutines or opens a bubble outside internal/clock, or registers a cleanup in a clock.Test body: join through clock.Join or clock.Run, and defer the close", at)
 		}
 	})
+}
+
+// goStarters are the packages whose non-test files start goroutines only in
+// the functions named, each with one go statement. The storage core runs on
+// its callers' goroutines: the journal set's replayer, which Close joins, is
+// its one goroutine of its own.
+var goStarters = map[string][]string{
+	"internal/jindex":      nil,
+	"internal/reclog":      nil,
+	"internal/blockstore":  nil,
+	"internal/chunkserver": nil,
+	"internal/journal":     {"Set.Start"},
+}
+
+// goStatements names every go statement in f as its file:line and the
+// function it is in (Type.Method for a method). path is f's file, relative
+// to the module root.
+func goStatements(fset *token.FileSet, path string, f *ast.File) (at, in []string) {
+	for _, d := range f.Decls {
+		fn := "package scope"
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			fn = fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					fn = id.Name + "." + fn
+				}
+			}
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				at = append(at, path+":"+strconv.Itoa(fset.Position(g.Pos()).Line))
+				in = append(in, fn)
+			}
+			return true
+		})
+	}
+	return at, in
+}
+
+// goRuleBreaks names, as file:line, every go statement of the non-test
+// files given (path to syntax) that goStarters does not allow, and every
+// allowed starter that does not start exactly one goroutine.
+func goRuleBreaks(fset *token.FileSet, files map[string]*ast.File) []string {
+	var out []string
+	starts := map[string]int{}
+	for _, path := range slices.Sorted(maps.Keys(files)) {
+		allowed, ok := goStarters[filepath.Dir(path)]
+		if !ok || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		at, in := goStatements(fset, path, files[path])
+		for i := range at {
+			if fn := filepath.Dir(path) + " " + in[i]; slices.Contains(allowed, in[i]) && starts[fn] == 0 {
+				starts[fn]++
+			} else {
+				out = append(out, at[i]+" in "+in[i])
+			}
+		}
+	}
+	for _, dir := range slices.Sorted(maps.Keys(goStarters)) {
+		for _, fn := range goStarters[dir] {
+			if starts[dir+" "+fn] != 1 {
+				out = append(out, dir+": "+fn+" starts no goroutine")
+			}
+		}
+	}
+	return out
+}
+
+// TestGoStatementRule keeps the storage core free of goroutines nobody
+// joins: jindex, reclog, blockstore and the chunk server start none, and
+// the journal set starts one, its replayer, in Set.Start. A goroutine a
+// package starts on its own is one a Close must join and a bubble must see
+// exit (DESIGN.md "The wait rule"). The rule is first run on a sample of
+// what it must and must not catch.
+func TestGoStatementRule(t *testing.T) {
+	const sample = `package x
+func (s *Set) Start() { go s.loop() }
+func (s Set) Close() { go func() { go s.loop() }() }
+var _ = func() { go f() }`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "sample.go", sample, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		paths []string
+		want  []string
+	}{
+		{[]string{"internal/journal/x.go"}, []string{"internal/journal/x.go:3 in Set.Close", "internal/journal/x.go:3 in Set.Close", "internal/journal/x.go:4 in package scope"}},
+		{[]string{"internal/journal/x.go", "internal/journal/y.go"}, []string{"internal/journal/x.go:3 in Set.Close", "internal/journal/x.go:3 in Set.Close", "internal/journal/x.go:4 in package scope",
+			"internal/journal/y.go:2 in Set.Start", "internal/journal/y.go:3 in Set.Close", "internal/journal/y.go:3 in Set.Close", "internal/journal/y.go:4 in package scope"}},
+		{[]string{"internal/jindex/x.go"}, []string{"internal/jindex/x.go:2 in Set.Start", "internal/jindex/x.go:3 in Set.Close", "internal/jindex/x.go:3 in Set.Close", "internal/jindex/x.go:4 in package scope", "internal/journal: Set.Start starts no goroutine"}},
+		{[]string{"internal/jindex/x_test.go", "internal/master/x.go"}, []string{"internal/journal: Set.Start starts no goroutine"}},
+	} {
+		files := map[string]*ast.File{}
+		for _, p := range c.paths {
+			files[p] = f
+		}
+		if got := goRuleBreaks(fset, files); !slices.Equal(got, c.want) {
+			t.Fatalf("the rule finds %q in the sample as %v, want %q", got, c.paths, c.want)
+		}
+	}
+
+	files := map[string]*ast.File{}
+	var tree *token.FileSet
+	eachFile(t, false, func(fset *token.FileSet, path string, f *ast.File) { tree, files[path] = fset, f })
+	for _, at := range goRuleBreaks(tree, files) {
+		t.Errorf("%s: the storage core starts goroutines only in journal.Set.Start, which Close joins", at)
+	}
 }
 
 // eachFile parses the module's Go files, its tests too when tests is set,

@@ -1,14 +1,9 @@
 package jindex
 
-import (
-	"sync"
-	"testing"
-
-	"ursa/internal/util"
-)
+import "testing"
 
 // FuzzIndexQuery drives an arbitrary interleaving of Insert, Invalidate,
-// MergeNow, and Clear against the naive per-sector oracle, checking
+// MergeNow, and a fresh index against the naive per-sector oracle, checking
 // QueryInto and HolesInto after every step: appended extents must be
 // sorted, non-overlapping, sector-exact against the model, and together
 // with the holes must tile the queried range with no gap and no overlap.
@@ -46,7 +41,7 @@ func FuzzIndexQuery(f *testing.F) {
 			case 2:
 				ix.MergeNow()
 			case 3:
-				ix.Clear()
+				ix = New(0)
 				model = modelIndex{}
 			}
 
@@ -100,65 +95,4 @@ func lookupExtent(extents []Extent, sec uint32) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// TestIndexQueryDuringMergeSoak hammers QueryInto from several readers
-// while a writer churns inserts and forces merges — the path where freed
-// tree nodes return to the pool and retired level slices become the next
-// merge's scratch. Run under -race this proves readers can never observe a
-// recycled node or a scratch slice being rewritten.
-func TestIndexQueryDuringMergeSoak(t *testing.T) {
-	ix := New(256) // small threshold: background merges fire constantly
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			r := util.NewRand(seed)
-			var buf []Extent
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				off := uint32(r.Intn(100000))
-				buf = ix.QueryInto(buf[:0], off, 128)
-				for i := 1; i < len(buf); i++ {
-					if buf[i].Off < buf[i-1].End() {
-						t.Errorf("overlapping extents: %v %v", buf[i-1], buf[i])
-						return
-					}
-				}
-			}
-		}(uint64(g + 1))
-	}
-
-	r := util.NewRand(7)
-	iters := 30000
-	if testing.Short() {
-		iters = 5000
-	}
-	for i := 0; i < iters; i++ {
-		off := uint32(r.Intn(100000))
-		switch r.Intn(8) {
-		case 0:
-			ix.Invalidate(off, uint32(r.Intn(64)+1))
-		case 1:
-			ix.MergeNow()
-		default:
-			ix.Insert(off, uint32(r.Intn(64)+1), uint64(off)+1)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	ix.MergeNow()
-
-	got := ix.Query(0, MaxOff)
-	for i := 1; i < len(got); i++ {
-		if got[i].Off < got[i-1].End() {
-			t.Fatalf("overlapping extents after soak: %v %v", got[i-1], got[i])
-		}
-	}
 }

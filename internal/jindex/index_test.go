@@ -55,7 +55,7 @@ func TestIndexInvalidate(t *testing.T) {
 	if got[0] != (Extent{0, 25, 0}) || got[1] != (Extent{75, 25, 75}) {
 		t.Fatalf("extents = %v", got)
 	}
-	holes := Holes(0, 100, got)
+	holes := HolesInto(nil, 0, 100, got)
 	if len(holes) != 1 || holes[0].Off != 25 || holes[0].Len != 50 {
 		t.Fatalf("holes = %v", holes)
 	}
@@ -122,19 +122,8 @@ func TestIndexZeroLength(t *testing.T) {
 	if got := ix.Query(0, 0); got != nil {
 		t.Errorf("Query(len=0) = %v", got)
 	}
-	if ix.Len() != 0 {
-		t.Errorf("Len = %d", ix.Len())
-	}
-}
-
-func TestIndexClear(t *testing.T) {
-	ix := New(0)
-	ix.Insert(0, 10, 0)
-	ix.MergeNow()
-	ix.Insert(20, 10, 20)
-	ix.Clear()
-	if ix.Len() != 0 || len(ix.Query(0, 100)) != 0 {
-		t.Error("Clear left data behind")
+	if s := ix.Stats(); s.TreeLen+s.ArrLen != 0 {
+		t.Errorf("stats = %+v", s)
 	}
 }
 
@@ -186,10 +175,16 @@ func extentsEqual(a, b []Extent) bool {
 
 // TestIndexAgainstModel is the core correctness property: after an
 // arbitrary interleaving of inserts, invalidations, merges, and queries,
-// the index must agree sector-for-sector with a naive oracle.
+// the index must agree sector-for-sector with a naive oracle — merged by
+// hand only, and also on every insert that fills a 16-entry tree.
 func TestIndexAgainstModel(t *testing.T) {
+	for _, autoMergeAt := range []int{0, 16} {
+		checkAgainstModel(t, New(autoMergeAt))
+	}
+}
+
+func checkAgainstModel(t *testing.T, ix *Index) {
 	const space = 4096 // small key space to force heavy overlap
-	ix := New(0)
 	model := modelIndex{}
 	r := util.NewRand(99)
 	var joff uint64 = 1 // avoid 0 to catch zero-default bugs
@@ -211,8 +206,8 @@ func TestIndexAgainstModel(t *testing.T) {
 			got := ix.Query(off, length)
 			want := model.query(off, length)
 			if !extentsEqual(got, want) {
-				t.Fatalf("op %d: Query(%d,%d)\n got %v\nwant %v",
-					op, off, length, got, want)
+				t.Fatalf("merge at %d, op %d: Query(%d,%d)\n got %v\nwant %v",
+					ix.autoMergeAt, op, off, length, got, want)
 			}
 		}
 	}
@@ -221,33 +216,35 @@ func TestIndexAgainstModel(t *testing.T) {
 		got := ix.Query(0, space)
 		want := model.query(0, space)
 		if !extentsEqual(got, want) {
-			t.Fatalf("%s full sweep mismatch:\n got %d extents\nwant %d extents",
-				phase, len(got), len(want))
+			t.Fatalf("merge at %d, %s full sweep mismatch:\n got %d extents\nwant %d extents",
+				ix.autoMergeAt, phase, len(got), len(want))
 		}
 		ix.MergeNow()
 	}
 }
 
+// TestIndexAutoMerge checks that the insert taking the tree to the
+// threshold merges it into the array before it returns, and that one
+// below the threshold does not.
 func TestIndexAutoMerge(t *testing.T) {
 	ix := New(8)
 	for i := uint32(0); i < 64; i++ {
 		ix.Insert(i*10, 5, uint64(i*10))
-	}
-	// Wait for background merges to drain.
-	for i := 0; i < 1000; i++ {
 		s := ix.Stats()
-		if s.TreeLen < 8 && s.FrozenLen == 0 {
-			break
+		if want := int(i+1) % 8; s.TreeLen != want || s.ArrLen != int(i+1)-want {
+			t.Fatalf("after insert %d: %+v, want %d in the tree", i, s, want)
 		}
-		ix.MergeNow()
 	}
-	s := ix.Stats()
-	if s.ArrLen == 0 {
-		t.Fatalf("auto-merge never populated the array: %+v", s)
+	// A tombstone over mapped sectors counts too.
+	for i := uint32(0); i < 8; i++ {
+		ix.Invalidate(i*10, 1)
+	}
+	if s := ix.Stats(); s.TreeLen != 0 || s.ArrLen != 64 {
+		t.Fatalf("after 8 invalidations: %+v", s)
 	}
 	got := ix.Query(0, 640)
-	if len(got) != 64 {
-		t.Fatalf("after auto-merge: %d extents, want 64", len(got))
+	if len(got) != 64 || got[0] != (Extent{1, 4, 1}) {
+		t.Fatalf("after auto-merge: %d extents, first %v", len(got), got[0])
 	}
 }
 
@@ -273,45 +270,11 @@ func TestIndexMemoryAccounting(t *testing.T) {
 }
 
 func TestHolesEdgeCases(t *testing.T) {
-	if h := Holes(10, 20, nil); len(h) != 1 || h[0].Off != 10 || h[0].Len != 20 {
+	if h := HolesInto(nil, 10, 20, nil); len(h) != 1 || h[0].Off != 10 || h[0].Len != 20 {
 		t.Errorf("Holes with no extents = %v", h)
 	}
 	full := []Extent{{10, 20, 0}}
-	if h := Holes(10, 20, full); len(h) != 0 {
+	if h := HolesInto(nil, 10, 20, full); len(h) != 0 {
 		t.Errorf("Holes with full coverage = %v", h)
-	}
-}
-
-func TestIndexConcurrentReadersWriters(t *testing.T) {
-	ix := New(64)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(seed uint64) {
-			r := util.NewRand(seed)
-			for i := 0; i < 2000; i++ {
-				off := uint32(r.Intn(100000))
-				switch r.Intn(3) {
-				case 0:
-					ix.Insert(off, uint32(r.Intn(32)+1), uint64(off))
-				case 1:
-					ix.Invalidate(off, uint32(r.Intn(32)+1))
-				default:
-					ix.Query(off, 64)
-				}
-			}
-			done <- struct{}{}
-		}(uint64(g + 1))
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	ix.MergeNow()
-	// Sanity: queries still well-formed (sorted, non-overlapping).
-	got := ix.Query(0, 100064)
-	for i := 1; i < len(got); i++ {
-		if got[i].Off < got[i-1].End() {
-			t.Fatalf("overlapping extents after concurrency: %v %v",
-				got[i-1], got[i])
-		}
 	}
 }

@@ -11,9 +11,9 @@
 // Storage is two-level, exactly as in the paper: a red-black tree absorbs
 // insertions (fast insert, three pointers + color of overhead per entry),
 // and a sorted array holds the bulk (8 bytes per entry, binary-searchable).
-// A background worker merges the tree into the array; queries consult the
-// tree first and fall back to the array only for uncovered gaps, so stale
-// array entries are masked rather than eagerly erased.
+// The insert that fills the tree merges it into the array; queries consult
+// the tree first and fall back to the array only for uncovered gaps, so
+// stale array entries are masked rather than eagerly erased.
 package jindex
 
 import "fmt"

@@ -13,13 +13,13 @@ type llrb struct {
 
 	// free is the tree's own stock of recycled nodes, linked through left,
 	// at most maxFreeNodes of them: every journaled write inserts (and erased
-	// intersections delete) nodes, and each freeze discards a whole tree —
+	// intersections delete) nodes, and each merge discards a whole tree —
 	// the dominant steady-state allocation of the index before recycling.
 	// The tree keeps them itself rather than in a sync.Pool because its size
 	// breathes with the replayer — a drain hands every node back — and a
 	// collection between two bursts would empty a shared pool each time.
-	// Recycling is safe because all structural mutation runs under the index
-	// write lock, so no reader can hold a node once it is freed.
+	// Recycling is safe because the index's owner serializes every call, so
+	// no query holds a node once it is freed.
 	free  *llrbNode
 	nfree int
 }
@@ -55,8 +55,8 @@ func (t *llrb) freeNode(n *llrbNode) {
 	t.free, t.nfree = n, t.nfree+1
 }
 
-// releaseNodes empties the tree, recycling its nodes (freeze and Clear,
-// after the keys have been copied out). Caller holds the index write lock.
+// releaseNodes empties the tree, recycling its nodes (a merge, after the
+// keys have been folded into the array).
 func (t *llrb) releaseNodes() {
 	t.releaseSubtree(t.root)
 	t.root, t.n = nil, 0
@@ -73,9 +73,11 @@ func (t *llrb) releaseSubtree(h *llrbNode) {
 }
 
 // llrbIter walks a tree in offset order starting from the first key whose
-// End() > off, without allocating: the explicit stack replaces scanFrom's
-// escaping closures on the query hot path. The stack bound follows from
-// the red-black height bound 2·log2(n+1) with n ≤ MaxOff (2^17) entries.
+// End() > off, without allocating: the explicit stack keeps recursion and
+// closures off the query hot path. Because keys never intersect, End order
+// equals Off order and the qualifying keys form a suffix of the in-order
+// sequence. The stack bound follows from the red-black height bound
+// 2·log2(n+1) with n ≤ MaxOff (2^17) entries.
 type llrbIter struct {
 	off   uint32
 	top   int
@@ -88,9 +90,9 @@ func (it *llrbIter) init(root *llrbNode, off uint32) {
 	it.descend(root)
 }
 
-// descend pushes h's leftmost qualifying path, applying scanNode's prune
-// rule: a node (and its whole left subtree) ending at or before off cannot
-// qualify, so descent continues right.
+// descend pushes h's leftmost qualifying path: a node (and its whole left
+// subtree) ending at or before off cannot qualify, so descent continues
+// right.
 func (it *llrbIter) descend(h *llrbNode) {
 	for h != nil {
 		if h.kv.End() <= it.off {
@@ -272,45 +274,6 @@ func (t *llrb) deleteNode(h *llrbNode, off uint32) *llrbNode {
 		}
 	}
 	return fixUp(h)
-}
-
-// scanFrom visits, in offset order, every key whose End() > off, until fn
-// returns false. Because keys never intersect, End order equals Off order
-// and the qualifying keys form a suffix of the in-order sequence.
-func (t *llrb) scanFrom(off uint32, fn func(KV) bool) {
-	scanNode(t.root, off, fn)
-}
-
-func scanNode(h *llrbNode, off uint32, fn func(KV) bool) bool {
-	if h == nil {
-		return true
-	}
-	if h.kv.End() <= off {
-		// This key and its whole left subtree end too early.
-		return scanNode(h.right, off, fn)
-	}
-	if !scanNode(h.left, off, fn) {
-		return false
-	}
-	if !fn(h.kv) {
-		return false
-	}
-	return scanNode(h.right, off, fn)
-}
-
-// toSliceInto appends all keys in offset order to dst (freeze path: dst is
-// the index's recycled snapshot scratch).
-func (t *llrb) toSliceInto(dst []KV) []KV {
-	t.scanFrom(0, func(kv KV) bool {
-		dst = append(dst, kv)
-		return true
-	})
-	return dst
-}
-
-// toSlice returns all keys in offset order.
-func (t *llrb) toSlice() []KV {
-	return t.toSliceInto(make([]KV, 0, t.n))
 }
 
 // len returns the number of keys.

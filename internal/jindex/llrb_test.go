@@ -92,29 +92,37 @@ func TestLLRBScanFrom(t *testing.T) {
 		tr.insert(MakeKV(o, 10, uint64(o)))
 	}
 	var got []uint32
-	tr.scanFrom(25, func(kv KV) bool {
+	var it llrbIter
+	it.init(tr.root, 25)
+	for kv, ok := it.next(); ok; kv, ok = it.next() {
 		got = append(got, kv.Off())
-		return true
-	})
+	}
 	// Key [20,30) ends after 25, so it qualifies.
 	want := []uint32{20, 30, 40}
 	if len(got) != len(want) {
-		t.Fatalf("scanFrom(25) = %v, want %v", got, want)
+		t.Fatalf("walk from 25 = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("scanFrom(25) = %v, want %v", got, want)
+			t.Fatalf("walk from 25 = %v, want %v", got, want)
 		}
 	}
-	// Early stop.
-	count := 0
-	tr.scanFrom(0, func(KV) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("early stop visited %d", count)
+	// Past the last key the walk is empty.
+	it.init(tr.root, 50)
+	if kv, ok := it.next(); ok {
+		t.Errorf("walk from 50 visited %v", kv)
 	}
+}
+
+// toSlice returns all keys in offset order.
+func (t *llrb) toSlice() []KV {
+	var out []KV
+	var it llrbIter
+	it.init(t.root, 0)
+	for kv, ok := it.next(); ok; kv, ok = it.next() {
+		out = append(out, kv)
+	}
+	return out
 }
 
 func TestLLRBInvariantsUnderChurn(t *testing.T) {

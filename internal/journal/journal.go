@@ -2,9 +2,10 @@
 // logs that transform random small backup writes into sequential appends,
 // replayed asynchronously into the backup HDD's chunk store. A Set manages
 // the journals of one backup server — SSD journals first, expanding
-// on demand to co-located SSDs and finally to an HDD journal — sharing
-// per-chunk composite-key indexes (jindex) that map chunk offsets to
-// journal offsets. Each journal is a reclog.Log, which frames its records.
+// on demand to co-located SSDs and finally to an HDD journal — and owns the
+// per-chunk composite-key indexes (jindex) that map chunk offsets to journal
+// offsets: its lock serializes every call on them. Each journal is a
+// reclog.Log, which frames its records.
 //
 // All offsets and lengths are sector-aligned (512 B): URSA is a block
 // store, and the virtual-disk interface guarantees sector granularity.
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"ursa/internal/blockstore"
-	"ursa/internal/jindex"
 	"ursa/internal/reclog"
 	"ursa/internal/simdisk"
 	"ursa/internal/util"
@@ -63,13 +63,6 @@ type Journal struct {
 	bytesAppended  int64
 	flushes        int64 // group-commit device write batches
 	batchedRecords int64 // records committed across those batches
-
-	// Flush scratch, reused across batches. Only the journal's current
-	// batch leader touches these (leadership is exclusive), so no lock
-	// guards them: insertScratch/orderScratch accumulate one flush's index
-	// inserts.
-	insertScratch map[blockstore.ChunkID][]jindex.Extent
-	orderScratch  []blockstore.ChunkID
 
 	// slab is the lease the next resident run is carved from; nil when the
 	// journal holds no resident record. Guarded by the Set's mutex.

@@ -1,7 +1,5 @@
 package journal
 
-import "sync"
-
 // Mod describes one modified range of a chunk, tagged with the version of
 // the write that produced it.
 type Mod struct {
@@ -19,8 +17,10 @@ type Mod struct {
 // The ring costs what has been recorded: it starts empty and doubles as
 // writes arrive, up to the capacity bound, and only then evicts. A replica
 // of a chunk nobody has written holds no ring at all.
+//
+// It is not safe for concurrent use: the chunk server calls it only under
+// the chunk's lock.
 type Lite struct {
-	mu      sync.Mutex
 	bound   int   // most entries ever retained
 	ring    []Mod // len(ring) <= bound
 	start   int   // index of the oldest entry
@@ -42,8 +42,6 @@ const liteMinRing = 8
 
 // Record notes that version wrote [off, off+n).
 func (l *Lite) Record(version uint64, off int64, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	switch {
 	case l.count < len(l.ring):
 	case len(l.ring) < l.bound:
@@ -71,8 +69,6 @@ func (l *Lite) Record(version uint64, off int64, n int) {
 // Restart forgets every entry: the history begins again at version v, as
 // after a whole rebuild, so Since from below v reports it garbage-collected.
 func (l *Lite) Restart(v uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.start, l.count = 0, 0
 	l.minVer, l.haveMin = v+1, true
 }
@@ -82,8 +78,6 @@ func (l *Lite) Restart(v uint64) {
 // fromVersion, in which case the whole chunk must be transferred instead
 // (§4.2.1).
 func (l *Lite) Since(fromVersion uint64) (mods []Mod, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.haveMin && fromVersion+1 < l.minVer {
 		return nil, false
 	}
@@ -98,7 +92,5 @@ func (l *Lite) Since(fromVersion uint64) (mods []Mod, ok bool) {
 
 // Len returns the number of retained entries.
 func (l *Lite) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.count
 }

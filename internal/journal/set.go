@@ -48,8 +48,8 @@ const (
 	// replayWindowBytes payload budget): as many 4 KiB records as the budget
 	// holds, so small-write windows fill it.
 	replayWindowRecords = replayWindowBytes / (4 * util.KiB)
-	// autoMergeAt is the per-chunk index tree size that triggers a
-	// background merge into the sorted array.
+	// autoMergeAt is the per-chunk index tree size whose insert merges the
+	// tree into the sorted array, on the inserting goroutine under s.mu.
 	autoMergeAt = 4096
 	// pollInterval is how often the replayer rechecks gated journals (HDD
 	// journals waiting for an idle disk, records mid-write, a parked window).
@@ -456,14 +456,6 @@ func (s *Set) flush(j *Journal) {
 	flushed := s.clk.Now()
 
 	s.mu.Lock()
-	// Index-insert accumulation uses the journal's leader-owned scratch; the
-	// map keeps its keys across flushes (cleared to empty slices), so
-	// presence in `order` is tracked by emptiness, not by key.
-	if j.insertScratch == nil {
-		j.insertScratch = make(map[blockstore.ChunkID][]jindex.Extent)
-	}
-	inserts := j.insertScratch
-	order := j.orderScratch[:0]
 	for _, r := range batch {
 		r.flushed = flushed
 		j.queued--
@@ -488,20 +480,9 @@ func (s *Set) flush(j *Journal) {
 		}
 		j.appends++
 		j.bytesAppended += int64(r.dataLen)
-		if len(inserts[r.chunk]) == 0 {
-			order = append(order, r.chunk)
-		}
-		inserts[r.chunk] = append(inserts[r.chunk], jindex.Extent{
-			Off:  uint32(r.off / util.SectorSize),
-			Len:  uint32(int64(r.dataLen) / util.SectorSize),
-			JOff: r.dataJOff,
-		})
+		ix := s.indexLocked(r.chunk)
+		ix.Insert(uint32(r.off/util.SectorSize), uint32(int64(r.dataLen)/util.SectorSize), r.dataJOff)
 	}
-	for _, id := range order {
-		s.indexLocked(id).InsertBatch(inserts[id])
-		inserts[id] = inserts[id][:0]
-	}
-	j.orderScratch = order
 	j.flushes++
 	j.batchedRecords += int64(len(batch))
 	m := s.cfg.Metrics
@@ -800,15 +781,15 @@ func (s *Set) journalOf(joff uint64) *Journal {
 	return nil
 }
 
-// Replay lock discipline. s.mu guards the index map, the fifos, tail/head
-// and the counters, and is held only for index queries, fifo/tail
-// bookkeeping, trims and invalidation — never across a journal-device read
-// or a sink write, so a foreground Append never waits for replay I/O. That
-// is safe because the replayer is the only goroutine that pops a fifo or
-// trims a log: the window it is working on cannot be reclaimed under its
-// own reads. Other readers of journal space (Set.Read) snapshot extents
-// under the lock, read outside it, and re-check s.reclaims afterwards — see
-// reclaimWindow for the other half.
+// Replay lock discipline. s.mu guards the index map and the indexes (an
+// index has no lock of its own), the fifos, tail/head and the counters, and
+// is held only for index updates and queries, fifo/tail bookkeeping and
+// trims — never across a journal-device read or a sink write, so a
+// foreground Append never waits for replay I/O. That is safe because the
+// replayer is the only goroutine that pops a fifo or trims a log: the window
+// it is working on cannot be reclaimed under its own reads. Other readers of
+// journal space (Set.Read) snapshot extents under the lock, read outside it,
+// and re-check s.reclaims afterwards — see reclaimWindow for the other half.
 
 const (
 	// replayWindowBytes is the payload budget of one replay window. A window

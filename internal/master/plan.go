@@ -131,7 +131,10 @@ func (p *replay) probe(replicas []ReplicaInfo, skip string) (answers []proto.Chu
 // seeing the replicas and the picks before it, so no two share a machine; an
 // SSD (primary) replica is replaced by an SSD server (§5.5). A replacement not
 // placed or filled is left out: the chunk proceeds degraded, and the next
-// report retries.
+// report retries. The replica it was to replace is left out with it only when
+// more than half of the recorded replicas are proven at versionH (answered at
+// it or filled to it); otherwise it stays, as it may hold the one live copy of
+// an acked write whose other holders crashed.
 func planMirror(r *Recovery, p *replay, answers []proto.ChunkResult, alive int) Action {
 	cm := r.Meta
 	if alive*2 <= len(cm.Replicas) && r.Failed == "" {
@@ -168,14 +171,31 @@ func planMirror(r *Recovery, p *replay, answers []proto.ChunkResult, alive int) 
 	}
 	var filled []proto.ChunkResult
 	if len(fills) > 0 {
-		filled = p.ask(Action{Fills: fills, Version: versionH}, len(fills))[laggards:]
+		filled = p.ask(Action{Fills: fills, Version: versionH}, len(fills))
 	}
+	proven := 0 // replicas at versionH: answered at it, or filled to it
+	for _, a := range answers {
+		if a.Status == proto.StatusOK && a.Version == versionH {
+			proven++
+		}
+	}
+	for _, f := range filled {
+		if f.Status == proto.StatusOK {
+			proven++
+		}
+	}
+	filled = filled[laggards:]
 	var replicas []ReplicaInfo
 	for i, a := range answers {
-		if a.Status == proto.StatusOK {
+		switch k := replacedBy[i]; {
+		case a.Status == proto.StatusOK:
 			replicas = append(replicas, cm.Replicas[i])
-		} else if k := replacedBy[i]; k >= 0 && filled[k].Status == proto.StatusOK {
+		case k >= 0 && filled[k].Status == proto.StatusOK:
 			replicas = append(replicas, picks[k])
+		case proven*2 <= len(cm.Replicas):
+			// A lost answer is no proof of a crash: with versionH on no
+			// majority, the silent replica may hold the only live copy.
+			replicas = append(replicas, cm.Replicas[i])
 		}
 	}
 	for i, rep := range replicas { // keep the preferred primary (an SSD replica) first

@@ -102,11 +102,14 @@ func run(tb testing.TB, sc scope) int {
 }
 
 // TestExplore checks the small scope: each strategy, 2 writes, 2 faults and
-// a reconcile pass (tens of thousands of states, under a second).
+// a reconcile pass (tens of thousands of states, under a second), and one
+// mirrored write past three faults, more than three replicas tolerate: a
+// view change must not evict the one live replica holding an acked write.
 func TestExplore(t *testing.T) {
 	for _, rs := range []bool{false, true} {
 		run(t, scope{rs: rs, writes: 2, faults: 2, passes: 1})
 	}
+	run(t, scope{rs: false, writes: 1, faults: 3, passes: 1})
 }
 
 // BenchmarkViewCheck is the larger scope `make viewcheck` runs: each
