@@ -219,9 +219,12 @@ ec-smoke:
 # state byte-identical on primary, standbys and a promoted standby after
 # traffic of every entry kind; a fresh standby fed the primary's log
 # reproduces its state, a lone master's too; the four closed primary/standby
-# drifts; a log batch from outside the configured masters refused; the
-# source rules that only state.go writes a field of the replicated state and
-# that the master sends only through fanOut; a mirror recovery replacing
+# drifts; a log batch from outside the configured masters refused; a create
+# over a held vdisk ID or name, or snapshot name, refused by replay; the
+# source rules that only state.go writes a field of the replicated state, that
+# no clock instant is reachable from it or from a log entry, and that the
+# master sends only through fanOut; a lease renewal logging nothing, and a
+# promoted standby giving every held lease one TTL; a mirror recovery replacing
 # two dead backups on two different machines; and one filling a lagging
 # and a replacement backup at once. A mirror copy or incremental repair
 # whose source changes view, turns suspect or is made afresh after the
@@ -239,7 +242,7 @@ failover-smoke:
 	$(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestDeposedMasterFencedByChunkservers|TestServerReportSurvivesMasterBlackout|TestViewMendedThroughReport|TestStaleClientReadsFromLonePrimary' -race -count=1 -v
 	GOMAXPROCS=1 $(GO) test ./internal/cluster -run 'TestChaosKillMasterFailover|TestViewMendedThroughReport' -count=20
 	$(GO) test ./internal/transport -run 'TestMasterSession|TestReporter|TestOnlySessionHuntsForPrimary' -race -count=1 -v
-	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestStateWrittenOnlyInStateGo|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart|TestRecoverMirrorFillsLaggardAndReplacementAtOnce|TestReportViewDecidesProbe' -race -count=1 -v
+	$(GO) test ./internal/master -run 'TestPromotedStandbyStateMatchesPrimary|TestLogReplayReproducesState|TestFailedCreateLeavesNoTrace|TestViewInstallLeavesColdAlone|TestStandbyNeverAcksUnappliedEntry|TestShipperCountsRefusedReplay|TestLateStandbyCatchesUpInBoundedBatches|TestStandbyRefusesNonMemberBatch|TestReplayRefusesCreateOverHeldState|TestStateWrittenOnlyInStateGo|TestNoClockInstantInReplicatedState|TestRenewalLogsNothing|TestPromotionGivesHeldLeasesOneTTL|TestMasterSendsOnlyThroughFanOut|TestRecoverMirrorPlacesReplacementsApart|TestRecoverMirrorFillsLaggardAndReplacementAtOnce|TestReportViewDecidesProbe' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestFillRefusedBySourceThatChanged/(mirror|incremental)' -race -count=1 -v
 	$(GO) test ./internal/chunkserver -run 'TestPrimaryWriteOnBackupServerSupersedesJournal' -race -count=1 -v
 	$(GO) test ./internal/cluster -run 'TestChaosVDiskLifecycle' -race -count=3 -v

@@ -162,6 +162,7 @@ func (c *Client) OpenMeta(name string) (master.VDiskMeta, error) {
 // auto-renewed until Close (§4.1).
 func (c *Client) Open(name string) (*VDisk, error) {
 	var meta master.VDiskMeta
+	sent := c.cfg.Clock.Now()
 	status, err := c.master.Call(nil, proto.MOpOpenVDisk,
 		master.OpenVDiskReq{Name: name, Client: c.cfg.Name}, &meta)
 	if err != nil {
@@ -176,7 +177,7 @@ func (c *Client) Open(name string) (*VDisk, error) {
 	default:
 		return nil, fmt.Errorf("client: open %q: %s", name, status)
 	}
-	vd := newVDisk(c, meta)
+	vd := newVDisk(c, meta, sent.Add(meta.LeaseTTL))
 	// Confirm version numbers with the replicas before first use
 	// (initialization, §4.2.1). It is maintenance, not a client I/O: no
 	// deadline; each probe flight is still bounded by CallTimeout.

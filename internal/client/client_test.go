@@ -510,10 +510,54 @@ func TestLeaseLostStopsIO(t *testing.T) {
 		defer cleanup()
 		cl := e.client(t, "a")
 		vd := e.vdisk(t, cl, "d", util.ChunkSize)
-		// Simulate a lost lease (the renewer would set this on StatusLeaseHeld).
-		vd.leaseOK.Store(false)
+		// Simulate a lost lease (the renewer sets this on StatusLeaseHeld).
+		vd.leaseEnd.Store(&time.Time{})
 		if err := vd.WriteAt(make([]byte, 512), 0); !errors.Is(err, util.ErrLeaseExpired) {
 			t.Errorf("write with lost lease: %v", err)
+		}
+	})
+}
+
+// TestWritesStopAtTheLeaseEnd: a client cut off from the master stops writing
+// once its lease runs out, before the master can give the vdisk to another
+// client. Its write past the end is refused: acknowledged, it would be
+// dropped, its version colliding with the new holder's.
+func TestWritesStopAtTheLeaseEnd(t *testing.T) {
+	clock.Test(t, func() {
+		e, cleanup := newEnv(t)
+		defer cleanup()
+		c1, c2 := e.client(t, "a"), e.client(t, "b")
+		vd1 := e.vdisk(t, c1, "d", util.ChunkSize)
+		data := make([]byte, 4*util.KiB)
+		util.NewRand(5).Fill(data)
+		if err := vd1.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+
+		e.net.Partition("client-a", "master")
+		defer e.net.Heal("client-a", "master")
+		clock.Realtime.Sleep(vd1.Meta().LeaseTTL + 500*time.Millisecond)
+		vd2, err := c2.Open("d")
+		if err != nil {
+			t.Fatalf("open by a second client once the first's lease ran out: %v", err)
+		}
+		defer vd2.Close()
+		if err := vd2.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+
+		err = vd1.WriteAt(data, 8*util.MiB)
+		if !errors.Is(err, util.ErrLeaseExpired) {
+			t.Errorf("write past the lease's end: %v, want %v", err, util.ErrLeaseExpired)
+		}
+		if err == nil {
+			got := make([]byte, len(data))
+			if err := vd2.ReadAt(got, 8*util.MiB); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Error("the write past the lease's end was acknowledged and dropped")
+			}
 		}
 	})
 }

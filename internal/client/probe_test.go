@@ -214,7 +214,7 @@ func TestProbeBacksOffWithinItsBudget(t *testing.T) {
 		cl := New(Config{Name: "a", MasterAddrs: []string{"master"}, Clock: clk,
 			Dialer: net.Dialer("client-a", transport.NodeConfig{}), CallTimeout: time.Second})
 		defer cl.Close()
-		vd := newVDisk(cl, master.VDiskMeta{ID: 1, Size: util.ChunkSize, Chunks: []master.ChunkMeta{cm}})
+		vd := newVDisk(cl, master.VDiskMeta{ID: 1, Size: util.ChunkSize, Chunks: []master.ChunkMeta{cm}}, time.Time{})
 
 		const budget = 5 * time.Millisecond
 		op := opctx.New(clk, budget)

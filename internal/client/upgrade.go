@@ -3,6 +3,7 @@ package client
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"ursa/internal/master"
 )
@@ -18,6 +19,7 @@ type coreState struct {
 	Committed []uint64           `json:"committed"`
 	Primary   []int              `json:"primary"`
 	ChunkMeta []master.ChunkMeta `json:"chunkMeta"`
+	LeaseEnd  time.Time          `json:"leaseEnd"`
 	// Orphans are every chunk's orphans, which the new core's next writer of
 	// the chunk drives (takeVersion): dropped, one would leave a version no
 	// later write fills.
@@ -58,6 +60,7 @@ func saveCore(vd *VDisk) ([]byte, error) {
 		Primary:   make([]int, len(vd.chunks)),
 		ChunkMeta: make([]master.ChunkMeta, len(vd.chunks)),
 		Orphans:   make([][]orphan, len(vd.chunks)),
+		LeaseEnd:  *vd.leaseEnd.Load(),
 	}
 	for i, ch := range vd.chunks {
 		ch.mu.Lock()
@@ -77,7 +80,7 @@ func restoreCore(c *Client, data []byte) (*VDisk, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("client: corrupt core state: %w", err)
 	}
-	vd := newVDisk(c, st.Meta)
+	vd := newVDisk(c, st.Meta, st.LeaseEnd)
 	for i, ch := range vd.chunks {
 		ch.next = st.Next[i]
 		ch.committed = st.Committed[i]

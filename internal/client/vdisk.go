@@ -63,7 +63,9 @@ type VDisk struct {
 	renewStop chan struct{}
 	renewDone chan struct{}
 	closed    atomic.Bool
-	leaseOK   atomic.Bool
+	// leaseEnd is the send time of the last open or renewal answered OK plus
+	// the lease's TTL, never past the master's end for it: I/O stops there.
+	leaseEnd atomic.Pointer[time.Time]
 
 	reads, writes         metrics.Counter
 	bytesRead, bytesWrite metrics.Counter
@@ -77,7 +79,7 @@ type VDisk struct {
 	coldWarmHits *metrics.Counter
 }
 
-func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
+func newVDisk(c *Client, meta master.VDiskMeta, leaseEnd time.Time) *VDisk {
 	vd := &VDisk{
 		c:      c,
 		meta:   meta,
@@ -88,7 +90,7 @@ func newVDisk(c *Client, meta master.VDiskMeta) *VDisk {
 	}
 	vd.tinyWritesC = c.cfg.Metrics.Counter("client-tiny-writes")
 	vd.coldWarmHits = c.cfg.Metrics.Counter(MetricColdWarmHits)
-	vd.leaseOK.Store(true)
+	vd.leaseEnd.Store(&leaseEnd)
 	return vd
 }
 
@@ -386,7 +388,7 @@ func (vd *VDisk) usable() error {
 	if vd.closed.Load() {
 		return util.ErrClosed
 	}
-	if !vd.leaseOK.Load() {
+	if !vd.c.cfg.Clock.Now().Before(*vd.leaseEnd.Load()) {
 		return util.ErrLeaseExpired
 	}
 	return nil
@@ -670,6 +672,9 @@ func (vd *VDisk) land(op *opctx.Op, idx int, w orphan, orphaned bool) error {
 			}
 			break
 		}
+		if err := vd.usable(); err != nil {
+			return err // the master may have given the vdisk to another client
+		}
 		ch.mu.Lock()
 		cm := ch.meta
 		healthy := ch.primary == 0
@@ -871,10 +876,14 @@ func (vd *VDisk) startRenewer() {
 				return
 			case <-vd.c.cfg.Clock.After(ttl / 3):
 			}
+			end := vd.c.cfg.Clock.Now().Add(ttl)
 			status, err := vd.c.master.Call(nil, proto.MOpRenewLease,
 				master.LeaseReq{ID: vd.meta.ID, Client: vd.c.cfg.Name}, nil)
+			if err == nil && status == proto.StatusOK {
+				vd.leaseEnd.Store(&end)
+			}
 			if err == nil && status == proto.StatusLeaseHeld {
-				vd.leaseOK.Store(false)
+				vd.leaseEnd.Store(&time.Time{})
 				return
 			}
 		}

@@ -87,6 +87,10 @@ type Master struct {
 	// (see state.go); everything below is deliberately not replicated.
 	st *state
 
+	// leaseEnds is when each held lease ends: the primary's soft state
+	// (guarded by mu), set by every grant and renewal and on promotion.
+	leaseEnds map[uint32]time.Time
+
 	// inflightFlushes counts snapshot flushes between their segment-range
 	// allocation and metadata record, during which GC must not judge fresh
 	// segments dead. It is primary-local soft state (guarded by mu): a
@@ -126,6 +130,7 @@ func New(cfg Config) *Master {
 	m := &Master{
 		cfg:        cfg,
 		st:         newState(),
+		leaseEnds:  make(map[uint32]time.Time),
 		peers:      transport.NewPeers(cfg.Dialer, cfg.Clock),
 		recovering: make(map[uint64]chan struct{}),
 	}

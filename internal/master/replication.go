@@ -11,8 +11,9 @@ import (
 )
 
 // Master replication: the primary ships an ordered metadata op log (vdisk
-// create/delete, lease grant/renew/close, server registration, RecoverChunk
-// view installs) to every hot standby over the ordinary transport. Primacy
+// create/delete, lease grant/release/takeover, server registration,
+// RecoverChunk view installs) to every hot standby over the ordinary
+// transport; a lease renewal ships nothing (grantLocked). Primacy
 // is a clock lease: the primary heartbeats (an empty log batch) every
 // PrimacyTTL/4, and a standby that hears nothing for its rank-staggered
 // timeout probes the other masters and, if none claims primacy at a
@@ -177,6 +178,7 @@ func kick(ch chan struct{}) {
 func (m *Master) resetStateLocked() {
 	m.st = newState()
 	m.log = nil
+	clear(m.leaseEnds)
 }
 
 // adoptEpochLocked accepts a remote primary's newer epoch: step down if
@@ -422,6 +424,11 @@ func (m *Master) maybePromote() {
 	m.primary = true
 	m.primaryAddr = m.cfg.Addr
 	m.reconcileAt = m.cfg.Clock.Now().Add(reconcileEvery)
+	for id, vd := range m.st.vdisks { // the lease ends died with the old primary: one LeaseTTL each
+		if vd.holder != "" {
+			m.leaseEnds[id] = m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
+		}
+	}
 	fence := make([]serverQueue, len(m.st.servers))
 	for i, s := range m.st.servers {
 		fence[i] = serverQueue{s.Addr, []*proto.Message{{Op: proto.OpNop}}}

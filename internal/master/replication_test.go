@@ -199,9 +199,7 @@ func promote(t *testing.T, standby *Master) *Master {
 	return standby
 }
 
-// snapJSON renders a snapshot for comparison: JSON strips time.Time
-// monotonic readings (the primary's in-memory lease expiries carry them,
-// the standby's round-tripped copies do not) and orders map keys.
+// snapJSON renders a snapshot for comparison, map keys in order.
 func snapJSON(t *testing.T, s StateSnapshot) string {
 	t.Helper()
 	b, err := json.MarshalIndent(s, "", " ")
@@ -294,6 +292,89 @@ func TestLeaseExpiryRacesRenewReplicated(t *testing.T) {
 		if st := callOn(t, primary, proto.MOpRenewLease,
 			LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusLeaseHeld {
 			t.Fatalf("stale holder renew: %s, want lease-held", st)
+		}
+	})
+}
+
+// TestRenewalLogsNothing: a renewal by the lease's holder moves the
+// primary's soft end and commits nothing, so N renewals leave every master's
+// log where the grant left it — and the lease they renewed still holds.
+func TestRenewalLogsNothing(t *testing.T) {
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
+		}
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "d", Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("open: %s", st)
+		}
+		e.quiesce(t, primary, e.masters[1:]...)
+		seq := primary.LogSeq()
+		for i := 0; i < 10; i++ {
+			if st := callOn(t, primary, proto.MOpRenewLease,
+				LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
+				t.Fatalf("renew %d: %s", i, st)
+			}
+		}
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "d", Client: "b"}, nil); st != proto.StatusLeaseHeld {
+			t.Errorf("rival open of a renewed lease: %s, want lease-held", st)
+		}
+		clock.Realtime.Sleep(time.Second) // a shipper heartbeat carries whatever was appended
+		for _, m := range e.masters {
+			if got := m.LogSeq(); got != seq {
+				t.Errorf("%s: log at seq %d after 10 renewals, want %d", m.Addr(), got, seq)
+			}
+		}
+	})
+}
+
+// TestPromotionGivesHeldLeasesOneTTL: a promoted standby never saw the
+// holder's renewals — they are not logged — so it gives every held lease one
+// LeaseTTL from the promotion: a rival's open is refused until that TTL has
+// passed with no renewal, and granted after.
+func TestPromotionGivesHeldLeasesOneTTL(t *testing.T) {
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
+		}
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "d", Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("open: %s", st)
+		}
+		e.quiesce(t, primary, e.masters[1])
+		// Past the grant's TTL, held up by a renewal the standby never hears of.
+		clock.Realtime.Sleep(replLeaseTTL / 2)
+		if st := callOn(t, primary, proto.MOpRenewLease,
+			LeaseReq{ID: meta.ID, Client: "a"}, nil); st != proto.StatusOK {
+			t.Fatalf("renew: %s", st)
+		}
+		clock.Realtime.Sleep(replLeaseTTL / 2)
+
+		e.net.Crash("master")
+		primary.Close()
+		promoted := promote(t, e.masters[1])
+		if st := callOn(t, promoted, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "d", Client: "b"}, nil); st != proto.StatusLeaseHeld {
+			t.Fatalf("rival open right after the promotion: %s, want lease-held", st)
+		}
+		clock.Realtime.Sleep(replLeaseTTL)
+		if st := callOn(t, promoted, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "d", Client: "b"}, nil); st != proto.StatusOK {
+			t.Fatalf("rival open a TTL after the promotion with no renewal: %s, want granted", st)
+		}
+		if got := promoted.Snapshot().Leases[meta.ID]; got != "b" {
+			t.Errorf("lease held by %q, want b", got)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"time"
 
 	"ursa/internal/util"
 )
@@ -25,16 +24,11 @@ import (
 // slices, so a state aliasing the log would silently edit history — and a
 // shipper marshals log entries outside the lock.
 
-// lease tracks the single client of a vdisk (§4.1).
-type lease struct {
-	holder string
-	expiry time.Time
-}
-
-// vdisk is the master-side state of one virtual disk.
+// vdisk is the master-side state of one virtual disk: its metadata and the
+// client holding its lease (§4.1), if any; when that ends is not replicated.
 type vdisk struct {
-	meta  VDiskMeta
-	lease lease
+	meta   VDiskMeta
+	holder string
 }
 
 // placeCursors are the round-robin positions of chunk placement.
@@ -95,11 +89,10 @@ type entryDeleteVDisk struct {
 	ID uint32 `json:"id"`
 }
 
-// entryLease sets one vdisk's lease; an empty Holder releases it.
+// entryLease hands one vdisk's lease to Holder; an empty Holder releases it.
 type entryLease struct {
-	ID     uint32    `json:"id"`
-	Holder string    `json:"holder"`
-	Expiry time.Time `json:"expiry"`
+	ID     uint32 `json:"id"`
+	Holder string `json:"holder"`
 }
 
 // entrySetView installs a view change. It carries what a view change
@@ -161,8 +154,9 @@ func (b *entryBatch) UnmarshalJSON(data []byte) error {
 }
 
 // apply executes one entry. It either applies the entry whole or returns an
-// error and changes nothing: an entry of no kind this build knows, or one
-// naming a vdisk, chunk or snapshot the state does not hold. The primary
+// error and changes nothing: an entry of no kind this build knows, one
+// naming a vdisk, chunk or snapshot the state does not hold, or one creating
+// a vdisk or snapshot over an ID or name the state already holds. The primary
 // validated the entry against the same state under the same lock, and a
 // standby's state is the replay of the same log prefix, so an error here
 // means the log and the state have diverged; the caller must not record or
@@ -171,6 +165,9 @@ func (s *state) apply(e *entry) error {
 	switch {
 	case e.PutVDisk != nil:
 		p := e.PutVDisk
+		if _, held := s.byName[p.Meta.Name]; held || s.vdisks[p.Meta.ID] != nil {
+			return fmt.Errorf("master: vdisk %d %q: %w", p.Meta.ID, p.Meta.Name, util.ErrExists)
+		}
 		s.vdisks[p.Meta.ID] = &vdisk{meta: p.Meta.Clone()}
 		s.byName[p.Meta.Name] = p.Meta.ID
 		s.nextID = p.NextID
@@ -187,7 +184,7 @@ func (s *state) apply(e *entry) error {
 		if err != nil {
 			return err
 		}
-		vd.lease = lease{holder: e.Lease.Holder, expiry: e.Lease.Expiry}
+		vd.holder = e.Lease.Holder
 	case e.AddServer != nil:
 		s.servers = append(s.servers, *e.AddServer)
 	case e.SetView != nil:
@@ -204,6 +201,9 @@ func (s *state) apply(e *entry) error {
 			s.nextSeg = e.AllocSegs.NextSeg
 		}
 	case e.PutSnapshot != nil:
+		if _, ok := s.snapshots[e.PutSnapshot.Meta.Name]; ok {
+			return fmt.Errorf("master: snapshot %q: %w", e.PutSnapshot.Meta.Name, util.ErrExists)
+		}
 		meta := e.PutSnapshot.Meta.Clone()
 		s.snapshots[meta.Name] = &meta
 		s.nextID = e.PutSnapshot.NextID
@@ -255,18 +255,12 @@ func (s *state) chunk(vdiskID, index uint32) (*ChunkMeta, error) {
 	return &vd.meta.Chunks[index], nil
 }
 
-// LeaseInfo is one vdisk's lease in a state snapshot.
-type LeaseInfo struct {
-	Holder string
-	Expiry time.Time
-}
-
 // StateSnapshot is a deep copy of the master's replicated metadata, used
 // by tests to prove a standby's state equals the primary's.
 type StateSnapshot struct {
 	Servers     []RegisterReq
 	VDisks      map[uint32]VDiskMeta
-	Leases      map[uint32]LeaseInfo
+	Leases      map[uint32]string // vdisk ID → lease holder
 	Snapshots   map[string]SnapshotMeta
 	NextID      uint32
 	NextPrimary int
@@ -281,7 +275,7 @@ func (s *state) snapshot(logSeq uint64) StateSnapshot {
 	out := StateSnapshot{
 		LogSeq:      logSeq,
 		VDisks:      make(map[uint32]VDiskMeta, len(s.vdisks)),
-		Leases:      make(map[uint32]LeaseInfo, len(s.vdisks)),
+		Leases:      make(map[uint32]string, len(s.vdisks)),
 		Snapshots:   make(map[string]SnapshotMeta, len(s.snapshots)),
 		NextID:      s.nextID,
 		NextPrimary: s.cursors.NextPrimary,
@@ -295,7 +289,7 @@ func (s *state) snapshot(logSeq uint64) StateSnapshot {
 	out.Servers = slices.Clone(s.servers)
 	for id, vd := range s.vdisks {
 		out.VDisks[id] = vd.meta.Clone()
-		out.Leases[id] = LeaseInfo{Holder: vd.lease.holder, Expiry: vd.lease.expiry}
+		out.Leases[id] = vd.holder
 	}
 	return out
 }

@@ -140,8 +140,8 @@ var metaOpTable = []struct {
 	}},
 	{"close", func(o *metaOps) {
 		held := o.p.Snapshot().Leases
-		if vd, ok := o.pickVDisk(func(vd VDiskMeta) bool { return held[vd.ID].Holder != "" }); ok {
-			o.call(proto.MOpCloseVDisk, LeaseReq{ID: vd.ID, Client: held[vd.ID].Holder}, nil)
+		if vd, ok := o.pickVDisk(func(vd VDiskMeta) bool { return held[vd.ID] != "" }); ok {
+			o.call(proto.MOpCloseVDisk, LeaseReq{ID: vd.ID, Client: held[vd.ID]}, nil)
 		}
 	}},
 	// A real view change: a backup of a mirrored chunk dies, the master
@@ -410,7 +410,7 @@ func TestStandbyNeverAcksUnappliedEntry(t *testing.T) {
 	const (
 		server = `{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}`
 		vdisk  = `{"seq":2,"putVDisk":{"meta":{"id":1,"name":"d","size":512,"chunks":[]},"nextID":1}}`
-		lease  = `{"seq":3,"lease":{"id":1,"holder":"c","expiry":"2030-01-01T00:00:00Z"}}`
+		lease  = `{"seq":3,"lease":{"id":1,"holder":"c"}}`
 	)
 	for name, bad := range map[string]string{
 		"undecodable body": `{"seq":2,"putVDisk":"not an object"}`,
@@ -429,12 +429,82 @@ func TestStandbyNeverAcksUnappliedEntry(t *testing.T) {
 				if ack := shipTo(t, m, "["+vdisk+","+lease+"]"); ack.Applied != 3 {
 					t.Errorf("well-formed resend from seq 2: applied %d, want 3", ack.Applied)
 				}
-				if s := m.Snapshot(); len(s.Servers) != 1 || s.Leases[1].Holder != "c" {
+				if s := m.Snapshot(); len(s.Servers) != 1 || s.Leases[1] != "c" {
 					t.Errorf("state after resend: %+v", s)
 				}
 			})
 		})
 	}
+}
+
+// TestReplayRefusesCreateOverHeldState: apply refuses an entry that creates
+// a vdisk over an ID or a name the state holds, or a snapshot over a held
+// name; an overwrite would leave the old name on the new vdisk, or orphan the
+// old vdisk under an ID no name reaches. A standby handed such an entry stops
+// short of it with its state unchanged, and the primary's shipper counts the
+// refusal in master-replay-refused.
+func TestReplayRefusesCreateOverHeldState(t *testing.T) {
+	const (
+		server = `{"seq":1,"addServer":{"addr":"a/ssd","machine":"a","ssd":true}}`
+		vdisk  = `{"seq":2,"putVDisk":{"meta":{"id":1,"name":"d","size":512,"chunks":[]},"nextID":1}}`
+		snap   = `{"seq":3,"putSnapshot":{"meta":{"id":2,"name":"s","size":512},"nextID":2}}`
+	)
+	for name, bad := range map[string]string{
+		"vdisk over a held ID":      `{"seq":4,"putVDisk":{"meta":{"id":1,"name":"e","size":512,"chunks":[]},"nextID":3}}`,
+		"vdisk over a held name":    `{"seq":4,"putVDisk":{"meta":{"id":3,"name":"d","size":512,"chunks":[]},"nextID":3}}`,
+		"snapshot over a held name": `{"seq":4,"putSnapshot":{"meta":{"id":3,"name":"s","size":512},"nextID":3}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			clock.Test(t, func() {
+				m := loneStandby()
+				defer m.Close()
+				if ack := shipTo(t, m, "["+server+","+vdisk+","+snap+"]"); ack.Applied != 3 {
+					t.Fatalf("setup applied %d entries, want 3", ack.Applied)
+				}
+				before := snapJSON(t, m.Snapshot())
+				if ack := shipTo(t, m, "["+bad+"]"); ack.Applied != 3 {
+					t.Errorf("applied up to seq %d, want the standby held at 3", ack.Applied)
+				}
+				if after := snapJSON(t, m.Snapshot()); after != before {
+					t.Errorf("refused entry changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
+				}
+			})
+		})
+	}
+	t.Run("counted by the shipper", func(t *testing.T) {
+		clock.Test(t, func() {
+			e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+			defer cleanup()
+			primary, standby := e.masters[0], e.masters[1]
+			e.quiesce(t, primary, standby)
+			// Diverge the standby: it alone holds a vdisk under the ID the
+			// primary's next create hands out.
+			standby.mu.Lock()
+			id := standby.st.nextID + 1
+			err := standby.st.apply(&entry{PutVDisk: &entryPutVDisk{Meta: VDiskMeta{ID: id, Name: "diverged"}, NextID: id}})
+			standby.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := standby.LogSeq()
+			refused := e.reg.Counter(MetricMasterReplayRefused)
+			if st := callOn(t, primary, proto.MOpCreateVDisk,
+				CreateVDiskReq{Name: "d", Size: util.ChunkSize}, nil); st != proto.StatusOK {
+				t.Fatalf("create: %s", st)
+			}
+			for deadline := time.Now().Add(10 * time.Second); refused.Load() == 0; time.Sleep(2 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the shipper never counted the refused create")
+				}
+			}
+			if got := standby.LogSeq(); got != held {
+				t.Errorf("standby at seq %d, want it held at %d", got, held)
+			}
+			if vd := standby.Snapshot().VDisks[id]; vd.Name != "diverged" {
+				t.Errorf("standby's vdisk %d is %q, want the one it held", id, vd.Name)
+			}
+		})
+	})
 }
 
 // TestStandbyRefusesNonMemberBatch: a log batch from an address that is not
@@ -529,14 +599,20 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
 			t.Fatalf("create: %s", st)
 		}
-		renew := func() {
+		// A renewal by the holder logs nothing: grow the log by grant and
+		// release pairs, a renewal of the unheld lease and a close.
+		cycle := func() {
 			if st := callOn(t, primary, proto.MOpRenewLease,
 				LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
 				t.Fatalf("renew: %s", st)
 			}
+			if st := callOn(t, primary, proto.MOpCloseVDisk,
+				LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
+				t.Fatalf("close: %s", st)
+			}
 		}
 		for primary.LogSeq() < 3*shipBatchMax+10 {
-			renew()
+			cycle()
 		}
 
 		e.net.Restart("master-1")
@@ -562,7 +638,7 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 			return late.Handle(msg)
 		})
 		defer rpc.Close()
-		renew() // kicks the shipper, which otherwise retries a dead standby only on its heartbeat tick
+		cycle() // kicks the shipper, which otherwise retries a dead standby only on its heartbeat tick
 
 		e.requireConverged(t, primary, late)
 		late.mu.Lock()
@@ -675,7 +751,7 @@ func requireReplayReproduces(t *testing.T, want string, log entryBatch) {
 //   - a variable that aliases state: one bound, in the same function, from an
 //     expression read off st — a state accessor's result (m.st.find, byID,
 //     chunk: they return pointers into the state), an element or field of st,
-//     a range over one — or from another such variable (vd.lease = …,
+//     a range over one — or from another such variable (vd.holder = …,
 //     cm.Cold = nil, chunks := snap.Chunks; chunks[0] = nil).
 //
 // The rule is syntactic — names, not types, one function at a time — so it
@@ -775,6 +851,64 @@ func stateWrites(fset *token.FileSet, f *ast.File) []token.Position {
 	return out
 }
 
+// clockInstants lists the paths from t to every time.Time reachable through
+// its fields, elements, map keys and pointees.
+func clockInstants(t reflect.Type) []string {
+	var out []string
+	seen := make(map[reflect.Type]bool)
+	var walk func(t reflect.Type, path string)
+	walk = func(t reflect.Type, path string) {
+		if t == reflect.TypeOf(time.Time{}) {
+			out = append(out, path)
+			return
+		}
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t.Kind() {
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				walk(t.Field(i).Type, path+"."+t.Field(i).Name)
+			}
+		case reflect.Pointer:
+			walk(t.Elem(), path)
+		case reflect.Slice, reflect.Array:
+			walk(t.Elem(), path+"[]")
+		case reflect.Map:
+			walk(t.Key(), path+"{key}")
+			walk(t.Elem(), path+"{}")
+		}
+	}
+	walk(t, t.Name())
+	return out
+}
+
+// TestNoClockInstantInReplicatedState: no time.Time is reachable from a log
+// entry or from the replicated state, so a replay depends on no clock and no
+// master compares an instant read on another machine's clock with its own. A
+// time.Duration (VDiskMeta.LeaseTTL) is a length, not an instant. The rule is
+// first run on a sample.
+func TestNoClockInstantInReplicatedState(t *testing.T) {
+	clock.Test(t, func() {
+		type sample struct {
+			When time.Time
+			TTL  time.Duration
+			ByID map[time.Time][]*struct{ At [2]time.Time }
+			Next *sample
+		}
+		want := []string{"sample.When", "sample.ByID{key}", "sample.ByID{}[].At[]"}
+		if got := clockInstants(reflect.TypeOf(sample{})); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the rule finds %v in the sample, want %v", got, want)
+		}
+		for _, root := range []reflect.Type{reflect.TypeOf(entry{}), reflect.TypeOf(state{})} {
+			for _, path := range clockInstants(root) {
+				t.Errorf("%s is a clock instant in replicated state", path)
+			}
+		}
+	})
+}
+
 // TestStateWrittenOnlyInStateGo: outside state.go no non-test file writes
 // replicated state (see stateWrites for what counts). The rule is first run
 // on a sample of the writes it must catch.
@@ -787,7 +921,7 @@ func (m *Master) bad(id uint32, name string) {
 	delete(m.st.byName, name)
 	m.st.servers = append(m.st.servers, RegisterReq{})
 	vd, _ := m.st.find(id, name)
-	vd.lease = lease{}
+	vd.holder = ""
 	cm, err := m.st.chunk(id, 0)
 	cm.Cold, err = nil, nil
 	snap := m.st.snapshots[name]

@@ -256,24 +256,22 @@ func (m *Master) openVDisk(req OpenVDiskReq) (*VDiskMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := m.cfg.Clock.Now()
-	if vd.lease.holder != "" && vd.lease.holder != req.Client && now.Before(vd.lease.expiry) {
+	if vd.holder != "" && vd.holder != req.Client && m.cfg.Clock.Now().Before(m.leaseEnds[vd.meta.ID]) {
 		return nil, fmt.Errorf("master: open %q: %w", req.Name, util.ErrLeaseHeld)
 	}
-	err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: req.Client, Expiry: now.Add(m.cfg.LeaseTTL)}})
-	if err != nil {
+	if err := m.grantLocked(vd, req.Client); err != nil {
 		return nil, err
 	}
 	out := vd.meta.Clone()
 	return &out, nil
 }
 
-// renewLease extends req.Client's lease. Reclaim-on-renew: lease shipping is
-// asynchronous, so a promoted standby may have missed the newest grant. An
-// unheld lease goes to the first renewer — the legitimate holder's renew loop
-// reclaims it within one renewal period — and a holder may renew its own
-// lease even after expiry, as long as no other client's open took it first. A
-// second client racing either loses by the ordinary holder check.
+// renewLease extends req.Client's lease. Reclaim-on-renew: a promoted standby
+// may have missed the newest grant, so an unheld lease goes to the first
+// renewer — the legitimate holder's renew loop reclaims it within one renewal
+// period — and a holder may renew its own lease even after its end, as long
+// as no other client's open took it first. A second client racing either
+// loses by the ordinary holder check.
 func (m *Master) renewLease(req LeaseReq) (any, error) {
 	if err := m.lockPrimary("renew lease"); err != nil {
 		return nil, err
@@ -283,11 +281,20 @@ func (m *Master) renewLease(req LeaseReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if vd.lease.holder != "" && vd.lease.holder != req.Client {
+	if vd.holder != "" && vd.holder != req.Client {
 		return nil, fmt.Errorf("master: renew vdisk %d: %w", req.ID, util.ErrLeaseHeld)
 	}
-	expiry := m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
-	return nil, m.commitLocked(entry{Lease: &entryLease{ID: req.ID, Holder: req.Client, Expiry: expiry}})
+	return nil, m.grantLocked(vd, req.Client)
+}
+
+// grantLocked gives vd's lease to client for one LeaseTTL from now (m.mu
+// held), committing only a change of holder: a renewal logs nothing.
+func (m *Master) grantLocked(vd *vdisk, client string) (err error) {
+	if vd.holder != client {
+		err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: client}})
+	}
+	m.leaseEnds[vd.meta.ID] = m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
+	return err
 }
 
 // closeVDisk releases the lease if req.Client holds it.
@@ -300,9 +307,10 @@ func (m *Master) closeVDisk(req LeaseReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if vd.lease.holder != req.Client {
+	if vd.holder != req.Client {
 		return nil, nil
 	}
+	delete(m.leaseEnds, req.ID)
 	return nil, m.commitLocked(entry{Lease: &entryLease{ID: req.ID}})
 }
 
@@ -330,6 +338,7 @@ func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 	if err == nil {
 		meta = vd.meta.Clone() // RPC fan-out below runs unlocked
 		err = m.commitLocked(entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
+		delete(m.leaseEnds, meta.ID)
 	}
 	m.mu.Unlock()
 	if err != nil {
