@@ -78,7 +78,9 @@ bench-quick:
 	$(GO) run ./cmd/ursa-bench -all -quick
 
 # Every figure of the registry (internal/bench.All) at -quick length, in one
-# process: ursa-bench exits non-zero when a figure prints ACCEPTANCE FAIL
+# process: ursa-bench exits non-zero when a figure fails a check — a missed
+# acceptance, or a cluster build, step, artifact write or goroutine join that
+# failed (bench.Table.Failed; DESIGN.md "Bench harness", "The verdict")
 # (~6 min; the list used to be retyped here, and covered 8 of the 31). It
 # stays on the real clock, as does bench-refresh: at exact model time Fig J's
 # group-commit acceptance (QD 32 >= 2x QD 1 appends/s) misses, because the
@@ -87,12 +89,11 @@ bench-quick:
 # move into bubbles). Quick runs write their
 # (shrunk, noisy) artifacts to a temp dir; only explicit full `-fig X` runs
 # refresh the canonical repo-root BENCH_*.json files
-# (internal/bench/artifactPath). Two acceptances compare wall time with
-# model time and flake on a shared host: -fig failover's blackout <= 2.0x
-# the primacy TTL and -fig coldtier's 100x clone speed-up. A -quick run
-# reports those two as notes and gates the rest (zero data errors, one
-# promotion to a higher epoch; GC reclaim, no corrupt payload); the full
-# runs gate them. A committed artifact that is itself a -quick leftover
+# (internal/bench/artifactPath). Three checks are full-only (Check.FullOnly):
+# -fig failover's blackout <= 2.0x the primacy TTL and -fig coldtier's 100x
+# clone speed-up compare wall time with model time, and -fig scrub's p99
+# ratio reads a tail of 400 ops. A -quick run prints their misses and gates
+# every other check; the full runs gate them. A committed artifact that is itself a -quick leftover
 # fails the target before anything runs. The run is capped at 20 minutes:
 # a figure that starves or hangs (a hotchunk cell that admitted one request
 # per connection, since deleted, once held the gate for 11) is sent SIGQUIT,
@@ -110,8 +111,11 @@ bench-smoke: vet
 ARTIFACT_FIGS := journal ceiling hotchunk recovery scrub ec failover coldtier
 
 # Full-length run of every artifact-writing figure: rewrites all the
-# repo-root BENCH_*.json files (several minutes; keep the host quiet). On the
-# real clock, like bench-smoke and for the same reason.
+# repo-root BENCH_*.json files, each with the checks its run stated (several
+# minutes; keep the host quiet). The first figure that fails a check stops
+# the loop, its artifact written with the failed check in it (unless the
+# write itself failed) and the ones after it left as they were. On the real
+# clock, like bench-smoke and for the same reason.
 bench-refresh:
 	for f in $(ARTIFACT_FIGS); do \
 		$(GO) run ./cmd/ursa-bench -fig $$f || exit 1; \

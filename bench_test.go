@@ -29,7 +29,8 @@ import (
 	"ursa/internal/util"
 )
 
-// BenchmarkFigures regenerates every table and figure of the registry.
+// BenchmarkFigures regenerates every table and figure of the registry; a
+// figure that fails a check (bench.Table.Failed) fails its sub-benchmark.
 func BenchmarkFigures(b *testing.B) {
 	cfg := bench.Config{Quick: testing.Short(), Seed: 42}
 	for _, e := range bench.All() {
@@ -40,6 +41,9 @@ func BenchmarkFigures(b *testing.B) {
 				if !printed {
 					printed = true
 					fmt.Print("\n" + tab.String())
+				}
+				if tab.Failed() {
+					b.Errorf("%s failed a check", tab.ID)
 				}
 			}
 			// Figures allocate multi-GB simulated device stores; hand the

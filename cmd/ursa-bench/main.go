@@ -28,7 +28,8 @@ import (
 func main() { os.Exit(run()) }
 
 // run is main's body, returning the exit status so the profile defers run
-// before the process exits: 1 when a figure missed its acceptance bar.
+// before the process exits: 1 when a figure failed a check (Table.Failed) — a
+// missed acceptance, or a cluster build, step or artifact write that failed.
 func run() int {
 	var (
 		fig        = flag.String("fig", "", "figure/table id to run (1, 2, t1, 6a..16)")

@@ -180,7 +180,7 @@ func AblBypassThreshold(cfg Config) Table {
 			})
 			var jBytes, total int64
 			for _, js := range s.journals() {
-				for _, j := range js.Stats().Journals {
+				for _, j := range js.JournalStats() {
 					jBytes += j.Bytes
 				}
 			}

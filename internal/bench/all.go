@@ -34,8 +34,8 @@ func (e Entry) Artifact() string {
 
 // Run regenerates the figure, a model-time one in a bubble when the build has
 // one (clock.Run), a CPU-timed one on the real clock (clock.Join). On the real
-// clock a figure whose goroutines have not all exited misses its acceptance,
-// the note carrying their stacks. In a bubble there is no note: a leaked
+// clock a figure whose goroutines have not all exited has a failed check,
+// which carries their stacks. In a bubble there is no check: a leaked
 // goroutine that blocks durably makes synctest.Run panic, one that keeps
 // sleeping or blocks otherwise hangs the run until the test's timeout dumps
 // every stack.
@@ -46,9 +46,9 @@ func (e Entry) Run(cfg Config) Table {
 	}
 	var t Table
 	if err := run(func() { t = e.gen(cfg) }); err != nil {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: "+err.Error())
+		t.failed("join", err)
 	}
-	t.ID = e.Table
+	t.ID, t.Quick = e.Table, cfg.Quick
 	return t
 }
 

@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -56,10 +57,69 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	Notes  []string
+	// Notes are prose for the reader; no verdict is read from them.
+	Notes []string
+	// Checks are the figure's verdict: every acceptance it states and every
+	// step it could not take, in order. A companion table states none.
+	Checks []Check
+	// Quick is the run length the table was made at (Entry.Run sets it): a
+	// -quick run only reports a FullOnly check that misses.
+	Quick bool
 	// Extra holds companion tables rendered after the main one (e.g. the
 	// per-stage latency decomposition under Fig 6b).
 	Extra []Table
+}
+
+// Check is one acceptance of a figure: Value, measured, held to Bound by Op
+// (">=", ">", "<=" or "=="). A step the figure could not take — a cluster
+// build, a workload step, the artifact write — is a check that failed, Err
+// saying why. A figure's BENCH_*.json stores its checks.
+type Check struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Op    string  `json:"op,omitempty"`
+	Bound float64 `json:"bound"`
+	Pass  bool    `json:"pass"`
+	// FullOnly: only a full-length run gates the check; a -quick run, which
+	// shares the host with other work, reports it. It compares wall time with
+	// model time, or reads a tail at a sample count where host noise decides.
+	FullOnly bool   `json:"full_only,omitempty"`
+	Err      string `json:"err,omitempty"`
+}
+
+// check states an acceptance: value op bound.
+func (t *Table) check(name string, value float64, op string, bound float64) {
+	pass, ok := map[string]bool{">=": value >= bound, ">": value > bound, "<=": value <= bound, "==": value == bound}[op]
+	if !ok {
+		panic("bench: check " + name + ": unknown op " + op)
+	}
+	t.Checks = append(t.Checks, Check{Name: name, Value: value, Op: op, Bound: bound, Pass: pass})
+}
+
+// checkFull states an acceptance that only a full-length run gates.
+func (t *Table) checkFull(name string, value float64, op string, bound float64) {
+	t.check(name, value, op, bound)
+	t.Checks[len(t.Checks)-1].FullOnly = true
+}
+
+// failed records that a figure, or one row of it, could not be produced.
+func (t *Table) failed(what string, err error) Table {
+	t.Checks = append(t.Checks, Check{Name: what, Err: err.Error()})
+	return *t
+}
+
+// gates reports whether c fails a run of the given length.
+func (c Check) gates(quick bool) bool { return !c.Pass && !(quick && c.FullOnly) }
+
+// Failed reports whether a check of t fails its run: the one verdict
+// ursa-bench's exit status, the smoke tests and BenchmarkFigures read.
+func (t Table) Failed() bool {
+	for _, c := range t.Checks {
+		if c.gates(t.Quick) {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the table as aligned text.
@@ -93,39 +153,24 @@ func (t Table) String() string {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
+	for _, c := range t.Checks {
+		verdict := "FAIL"
+		if c.Pass {
+			verdict = "pass"
+		} else if !c.gates(t.Quick) {
+			verdict = "miss (only a full-length run gates it)"
+		}
+		if c.Err != "" {
+			fmt.Fprintf(&b, "check: %s failed: %s: %s\n", c.Name, c.Err, verdict)
+		} else {
+			fmt.Fprintf(&b, "check: %s = %.4g, want %s %.4g: %s\n", c.Name, c.Value, c.Op, c.Bound, verdict)
+		}
+	}
 	for _, ex := range t.Extra {
 		b.WriteByte('\n')
 		b.WriteString(ex.String())
 	}
 	return b.String()
-}
-
-// Failed reports whether t or one of its companion tables carries an
-// "ACCEPTANCE FAIL" note: the marker a figure appends when it misses its
-// own bar, which fails the smoke tests and makes ursa-bench exit non-zero.
-func (t Table) Failed() bool {
-	for _, n := range t.Notes {
-		if strings.Contains(n, "ACCEPTANCE FAIL") {
-			return true
-		}
-	}
-	for _, ex := range t.Extra {
-		if ex.Failed() {
-			return true
-		}
-	}
-	return false
-}
-
-// missWallClock records a missed acceptance that compares wall time with
-// model time, so that host load can trip it: the full run gates it, a -quick
-// run — which shares the host with other packages' tests — only reports it.
-func (t *Table) missWallClock(cfg Config, miss string) {
-	if cfg.Quick {
-		t.Notes = append(t.Notes, miss+" (wall-clock gate: reported by a -quick run, enforced by the full run)")
-	} else {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: "+miss)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -258,11 +303,13 @@ func buildComparison(volumeSize int64) ([]system, error) {
 }
 
 // artifact opens every BENCH_<id>.json: the figure that wrote it, by its
-// ursa-bench id, and whether at the -quick run length (such a file must not be
-// committed). A figure's artifact type embeds it.
+// ursa-bench id, whether at the -quick run length (such a file must not be
+// committed) and the checks the run had stated when it wrote the file. A
+// figure's artifact type embeds it.
 type artifact struct {
-	Bench string `json:"bench"`
-	Quick bool   `json:"quick"`
+	Bench  string  `json:"bench"`
+	Quick  bool    `json:"quick"`
+	Checks []Check `json:"checks"`
 }
 
 func (a *artifact) header() *artifact { return a }
@@ -270,13 +317,17 @@ func (a *artifact) header() *artifact { return a }
 // artifactName is the file the figure with this id writes.
 func artifactName(id string) string { return "BENCH_" + id + ".json" }
 
-// writeArtifact emits doc as figure id's machine-readable artifact at
-// artifactPath; a failure to write becomes a table note.
+// writeArtifact emits doc, with t's checks, as figure id's machine-readable
+// artifact at artifactPath; a failure to write is a failed check.
 func (t *Table) writeArtifact(cfg Config, id string, doc interface{ header() *artifact }) {
-	*doc.header() = artifact{Bench: id, Quick: cfg.Quick}
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	*doc.header() = artifact{Bench: id, Quick: cfg.Quick, Checks: t.Checks}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false) // a check's op reads ">=", not "\u003e="
+	enc.SetIndent("", "  ")
+	err := enc.Encode(doc)
 	if err == nil {
-		err = os.WriteFile(artifactPath(cfg, artifactName(id)), append(buf, '\n'), 0o644)
+		err = os.WriteFile(artifactPath(cfg, artifactName(id)), buf.Bytes(), 0o644)
 	}
 	if err != nil {
 		t.failed("write "+artifactName(id), err)
@@ -293,10 +344,8 @@ func (t *Table) writeArtifact(cfg Config, id string, doc interface{ header() *ar
 func artifactPath(cfg Config, name string) string {
 	if cfg.Quick {
 		dir := filepath.Join(os.TempDir(), "ursa-bench")
-		if err := os.MkdirAll(dir, 0o755); err == nil {
-			return filepath.Join(dir, name)
-		}
-		return filepath.Join(os.TempDir(), name)
+		_ = os.MkdirAll(dir, 0o755) // if it fails, so does the write: a failed check
+		return filepath.Join(dir, name)
 	}
 	dir, err := os.Getwd()
 	if err != nil {
@@ -312,6 +361,14 @@ func artifactPath(cfg Config, name string) string {
 		}
 		d = parent
 	}
+}
+
+// ratio is a over b, 0 when b is.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }
 
 func f2(v float64) string       { return fmt.Sprintf("%.2f", v) }

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,8 +19,9 @@ import (
 var quickCfg = Config{Quick: true, Seed: 1}
 
 // checkTable runs the registry's figure id at CI speed and holds its table
-// to the smoke bar: enough rows, no step that failed, no missed acceptance —
-// among them Entry.Run's, that every goroutine the figure started is joined.
+// to the smoke bar: enough rows and no check that fails the run — among them
+// a step that failed and Entry.Run's, that every goroutine the figure started
+// is joined.
 func checkTable(t *testing.T, id string, minRows int) {
 	t.Helper()
 	e, ok := Lookup(id)
@@ -29,30 +32,61 @@ func checkTable(t *testing.T, id string, minRows int) {
 	if len(tab.Rows) < minRows {
 		t.Fatalf("%s: %d rows (< %d)\n%s", tab.ID, len(tab.Rows), minRows, tab)
 	}
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "failed") {
-			t.Fatalf("%s: %s", tab.ID, n)
-		}
-	}
 	if tab.Failed() {
-		t.Fatalf("%s missed its acceptance:\n%s", tab.ID, tab)
-	}
-	if tab.String() == "" {
-		t.Fatalf("%s: empty render", tab.ID)
+		t.Fatalf("%s failed a check:\n%s", tab.ID, tab)
 	}
 }
 
-// TestTableFailed: the acceptance marker counts wherever it sits, including
-// a companion table's notes — ursa-bench's exit status hangs on it.
+// TestTableFailed: the verdict is the checks and only they — ursa-bench's
+// exit status, the smoke tests and BenchmarkFigures hang on it. Each rule is
+// held first to a table it must fail, then to one it must pass.
 func TestTableFailed(t *testing.T) {
-	ok := Table{Notes: []string{"all good"}, Extra: []Table{{Notes: []string{"fine"}}}}
-	if ok.Failed() {
-		t.Fatal("clean table reported failed")
+	stated := func(quick bool, fn func(*Table)) Table {
+		tab := Table{Quick: quick}
+		fn(&tab)
+		return tab
 	}
-	top := Table{Notes: []string{"ACCEPTANCE FAIL: x"}}
-	nested := Table{Extra: []Table{{Extra: []Table{{Notes: []string{"n", "ACCEPTANCE FAIL: y"}}}}}}
-	if !top.Failed() || !nested.Failed() {
-		t.Fatalf("marker missed: top=%v nested=%v", top.Failed(), nested.Failed())
+	for _, c := range []struct {
+		rule       string
+		fail, pass Table
+	}{
+		{">= holds at its bound",
+			stated(false, func(t *Table) { t.check("x", 1.99, ">=", 2) }),
+			stated(false, func(t *Table) { t.check("x", 2, ">=", 2) })},
+		{"> does not hold at its bound",
+			stated(false, func(t *Table) { t.check("x", 1, ">", 1) }),
+			stated(false, func(t *Table) { t.check("x", 1.01, ">", 1) })},
+		{"<= holds at its bound",
+			stated(false, func(t *Table) { t.check("x", 1.11, "<=", 1.1) }),
+			stated(false, func(t *Table) { t.check("x", 1.1, "<=", 1.1) })},
+		{"== holds only at its bound",
+			stated(false, func(t *Table) { t.check("x", 1, "==", 0) }),
+			stated(false, func(t *Table) { t.check("x", 0, "==", 0) })},
+		{"one miss among passes fails the table",
+			stated(false, func(t *Table) { t.check("a", 1, "==", 1); t.check("b", 0, ">", 0); t.check("c", 1, "==", 1) }),
+			stated(false, func(t *Table) { t.check("a", 1, "==", 1); t.check("c", 1, "==", 1) })},
+		{"a step that failed fails the table",
+			stated(false, func(t *Table) { t.failed("build", errors.New("no space")) }),
+			stated(false, func(t *Table) { t.check("built", 1, "==", 1) })},
+		{"a full-only miss fails a full run",
+			stated(false, func(t *Table) { t.checkFull("x", 3, "<=", 2) }),
+			stated(true, func(t *Table) { t.checkFull("x", 3, "<=", 2) })},
+		{"a quick run gates every other miss",
+			stated(true, func(t *Table) { t.checkFull("x", 1, "<=", 2); t.check("y", 3, "<=", 2) }),
+			stated(true, func(t *Table) { t.checkFull("x", 1, "<=", 2); t.check("y", 1, "<=", 2) })},
+		{"notes are prose, no verdict",
+			stated(false, func(t *Table) { t.Notes = []string{"fine"}; t.check("x", 0, ">", 0) }),
+			stated(false, func(t *Table) { t.Notes = []string{"ACCEPTANCE FAIL: x", "build failed: y"} })},
+	} {
+		if !c.fail.Failed() {
+			t.Errorf("%s: a table it must fail passed:\n%s", c.rule, c.fail)
+		}
+		if c.pass.Failed() {
+			t.Errorf("%s: a table it must pass failed:\n%s", c.rule, c.pass)
+		}
+	}
+	if got := stated(true, func(t *Table) { t.checkFull("x", 3, "<=", 2) }).String(); !strings.Contains(got, "miss") || strings.Contains(got, "FAIL") {
+		t.Errorf("a quick run's full-only miss renders as %q", got)
 	}
 }
 
@@ -104,19 +138,35 @@ func TestFigFailoverSmoke(t *testing.T) {
 }
 
 // TestOpenFailureIsReported: a figure whose vdisk could not be made gets an
-// error from open with the cluster already torn down, and the note
-// Table.failed makes of it is one checkTable refuses — the ablations used to
-// append the bare error, and a figure that never ran passed its smoke test.
+// error from open with the cluster already torn down, and the check
+// Table.failed makes of it fails the table, so ursa-bench exits 1 on it.
 func TestOpenFailureIsReported(t *testing.T) {
 	sut, err := open(ceilingOptions(), master.CreateVDiskReq{Size: 200 * util.GiB})
 	if err == nil {
 		sut.Close()
 		t.Fatal("a 200 GiB vdisk fit six 16 GiB SSDs")
 	}
-	var tab Table
+	tab := Table{Quick: true}
 	tab.failed("build", err)
-	if len(tab.Notes) != 1 || !strings.Contains(tab.Notes[0], "failed") {
-		t.Fatalf("notes %q do not carry the marker checkTable looks for", tab.Notes)
+	if !tab.Failed() {
+		t.Fatalf("a table whose build failed passes:\n%s", tab)
+	}
+}
+
+// TestArtifactWriteFailureIsReported: an artifact that could not be written
+// fails the table, as a build does: the old BENCH_*.json stays in place, and
+// make bench-refresh must not go on as if it had been rewritten.
+func TestArtifactWriteFailureIsReported(t *testing.T) {
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", notADir) // a quick run's artifact directory
+	tab := Table{Quick: true}
+	tab.check("x", 1, "==", 1)
+	tab.writeArtifact(quickCfg, "journal", new(journalBenchDoc))
+	if !tab.Failed() {
+		t.Fatalf("a table whose artifact write failed passes:\n%s", tab)
 	}
 }
 
@@ -170,11 +220,45 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// artifactFault is what keeps a committed artifact out of the tree: a -quick
+// run, another figure's file, no checks, or a check its run failed.
+func artifactFault(id string, h artifact) string {
+	if h.Bench != id || h.Quick {
+		return fmt.Sprintf("header {bench %q quick %v}, want a full run of %q", h.Bench, h.Quick, id)
+	}
+	if len(h.Checks) == 0 {
+		return "no checks: the run stated no verdict"
+	}
+	for _, c := range h.Checks {
+		if !c.Pass {
+			return fmt.Sprintf("check %q failed: %+v", c.Name, c)
+		}
+	}
+	return ""
+}
+
 // TestArtifactsMatchDocs pins the BENCH_*.json schemas: every committed
 // artifact decodes, with no field unknown to it, into the type its figure
 // writes — so a renamed or dropped JSON tag fails here in milliseconds and
-// not at the next full refresh — and is a full-length run of that figure.
+// not at the next full refresh — and is a full-length run of that figure
+// that stated its checks and passed them all.
 func TestArtifactsMatchDocs(t *testing.T) {
+	pass := []Check{{Name: "x", Value: 1, Op: "==", Bound: 1, Pass: true}}
+	for _, bad := range []artifact{
+		{Bench: "journal", Quick: true, Checks: pass},
+		{Bench: "ec", Checks: pass},
+		{Bench: "journal"},
+		{Bench: "journal", Checks: append(pass, Check{Name: "build", Err: "no space"})},
+		{Bench: "journal", Checks: []Check{{Name: "ratio", Value: 3, Op: "<=", Bound: 2, FullOnly: true}}},
+	} {
+		if artifactFault("journal", bad) == "" {
+			t.Errorf("artifact %+v passes", bad)
+		}
+	}
+	if f := artifactFault("journal", artifact{Bench: "journal", Checks: pass}); f != "" {
+		t.Errorf("a passing artifact is refused: %s", f)
+	}
+
 	for _, e := range All() {
 		if e.Doc == nil {
 			continue
@@ -190,8 +274,8 @@ func TestArtifactsMatchDocs(t *testing.T) {
 			t.Errorf("%s does not decode into %T: %v", e.Artifact(), e.Doc, err)
 			continue
 		}
-		if h := e.Doc.(interface{ header() *artifact }).header(); h.Bench != e.ID || h.Quick {
-			t.Errorf("%s: header %+v, want a full run of %q", e.Artifact(), *h, e.ID)
+		if f := artifactFault(e.ID, *e.Doc.(interface{ header() *artifact }).header()); f != "" {
+			t.Errorf("%s: %s", e.Artifact(), f)
 		}
 	}
 }

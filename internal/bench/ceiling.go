@@ -463,9 +463,7 @@ func FigCeiling(cfg Config) Table {
 		"pure software, so CPU-normalized IOPS is the ceiling and is immune to host noise;",
 		"allocs/op is process-wide heap mallocs per completed I/O (client+servers+journals).",
 		fmt.Sprintf("pool leases=%d, in-use after drain=%d", doc.PoolLeases, doc.PoolInUseAfter))
-	if doc.PoolInUseAfter != 0 {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: buffer pool did not drain to zero leases")
-	}
+	t.check("buffer pool leases in use after drain", float64(doc.PoolInUseAfter), "==", 0)
 	t.writeArtifact(cfg, "ceiling", &doc)
 	return t
 }

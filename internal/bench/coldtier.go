@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,12 +18,11 @@ type coldtierBenchDoc struct {
 	artifact
 
 	// Thin clone vs full data copy of the golden image.
-	ImageBytes   int64   `json:"image_bytes"`
-	DataBytes    int64   `json:"data_bytes"`
-	FullCopyMs   float64 `json:"full_copy_ms"`
-	ThinCloneMs  float64 `json:"thin_clone_ms"`
-	Speedup      float64 `json:"clone_speedup"`
-	SpeedupFloor float64 `json:"clone_speedup_floor"`
+	ImageBytes  int64   `json:"image_bytes"`
+	DataBytes   int64   `json:"data_bytes"`
+	FullCopyMs  float64 `json:"full_copy_ms"`
+	ThinCloneMs float64 `json:"thin_clone_ms"`
+	Speedup     float64 `json:"clone_speedup"`
 
 	// Demand-fetch read latency, cold (first touch) vs warm (materialized).
 	ColdP50Ms   float64 `json:"cold_read_p50_ms"`
@@ -39,7 +39,6 @@ type coldtierBenchDoc struct {
 	ChurnDeadBytes  int64   `json:"churn_dead_bytes"`
 	ReclaimedBytes  int64   `json:"gc_reclaimed_bytes"`
 	ReclaimFraction float64 `json:"gc_reclaim_fraction"`
-	ReclaimFloor    float64 `json:"gc_reclaim_floor"`
 	GCSegments      int64   `json:"gc_segments_reclaimed"`
 
 	// Cold reads under object-store stall + transient GET rot.
@@ -94,10 +93,7 @@ func FigColdtier(cfg Config) Table {
 
 	imageBytes := int64(cfg.pick(16, 4)) * util.ChunkSize // 1 GiB golden image
 	dataBytes := imageBytes / 4                           // written region; the rest is thin zeros
-	doc := coldtierBenchDoc{
-		ImageBytes: imageBytes, DataBytes: dataBytes,
-		SpeedupFloor: 100, ReclaimFloor: 0.8,
-	}
+	doc := coldtierBenchDoc{ImageBytes: imageBytes, DataBytes: dataBytes}
 
 	// --- Golden image -----------------------------------------------------
 	sut, err := open(opts, master.CreateVDiskReq{Name: "golden", Size: imageBytes})
@@ -134,9 +130,7 @@ func FigColdtier(cfg Config) Table {
 	if err != nil {
 		return t.failed("thin clone", err)
 	}
-	if doc.ThinCloneMs > 0 {
-		doc.Speedup = doc.FullCopyMs / doc.ThinCloneMs
-	}
+	doc.Speedup = ratio(doc.FullCopyMs, doc.ThinCloneMs)
 
 	// --- Leg 2: cold vs warm reads on the clone ---------------------------
 	thin, err := sut.attach(cl, "thin")
@@ -222,8 +216,7 @@ func FigColdtier(cfg Config) Table {
 	}
 	pm := c.PrimaryMaster()
 	if pm == nil {
-		t.Notes = append(t.Notes, "no primary master for gc")
-		return t
+		return t.failed("gc", errors.New("no primary master"))
 	}
 	if _, err := pm.Reconcile(); err != nil {
 		return t.failed("reconcile pass", err)
@@ -234,9 +227,7 @@ func FigColdtier(cfg Config) Table {
 	// Dead bytes = everything the deleted churn snapshots flushed: rounds-1
 	// full overwrites of the same 8 MiB region.
 	doc.ChurnDeadBytes = int64(rounds-1) * int64(len(churnData))
-	if doc.ChurnDeadBytes > 0 {
-		doc.ReclaimFraction = float64(doc.ReclaimedBytes) / float64(doc.ChurnDeadBytes)
-	}
+	doc.ReclaimFraction = ratio(float64(doc.ReclaimedBytes), float64(doc.ChurnDeadBytes))
 	doc.GCSegments = reg.Counter(master.MetricGCSegmentsReclaimed).Load()
 
 	// --- Leg 4: cold reads under objstore stall + GET rot -----------------
@@ -267,32 +258,24 @@ func FigColdtier(cfg Config) Table {
 		[]string{"golden image", util.FormatBytes(doc.ImageBytes) + " (" + util.FormatBytes(doc.DataBytes) + " data)"},
 		[]string{"full data copy", f0(doc.FullCopyMs) + " ms"},
 		[]string{"thin clone", f2(doc.ThinCloneMs) + " ms"},
-		[]string{"clone speedup", f0(doc.Speedup) + "x (floor " + f0(doc.SpeedupFloor) + "x)"},
+		[]string{"clone speedup", f0(doc.Speedup) + "x"},
 		[]string{"cold read p50/p99", f2(doc.ColdP50Ms) + " / " + f2(doc.ColdP99Ms) + " ms"},
 		[]string{"warm read p50/p99", f2(doc.WarmP50Ms) + " / " + f2(doc.WarmP99Ms) + " ms"},
 		[]string{"demand fetches", f0(float64(doc.ColdFetches))},
 		[]string{"warm-tier hits on cold ranges", f0(float64(doc.WarmHits))},
 		[]string{"churn rounds", f0(float64(doc.ChurnRounds))},
 		[]string{"gc reclaimed", util.FormatBytes(doc.ReclaimedBytes) + " of " + util.FormatBytes(doc.ChurnDeadBytes) + " dead"},
-		[]string{"gc reclaim fraction", f2(doc.ReclaimFraction) + " (floor " + f2(doc.ReclaimFloor) + ")"},
+		[]string{"gc reclaim fraction", f2(doc.ReclaimFraction)},
 		[]string{"chaos reads", f0(float64(doc.ChaosReads))},
 		[]string{"chaos corrupt payloads", f0(float64(doc.ChaosCorrupt))},
 		[]string{"chaos read errors", f0(float64(doc.ChaosReadErrors))},
 	)
-	if doc.Speedup < doc.SpeedupFloor {
-		// The quick image is small enough (92-129x measured) that host noise
-		// straddles the floor.
-		t.missWallClock(cfg, "thin clone under "+f0(doc.SpeedupFloor)+"x faster than full copy")
-	}
-	if doc.ReclaimFraction < doc.ReclaimFloor {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: gc reclaimed under "+f2(doc.ReclaimFloor)+" of dead extent bytes")
-	}
-	if doc.ChaosCorrupt > 0 {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: corrupt payloads served under objstore chaos")
-	}
-	if doc.ColdFetches == 0 {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: clone reads never demand-fetched")
-	}
+	// Wall time against model time; the quick image is small enough (92-129x
+	// measured) that host noise straddles the floor.
+	t.checkFull("thin clone speedup over full copy", doc.Speedup, ">=", 100)
+	t.check("gc reclaim fraction of dead extent bytes", doc.ReclaimFraction, ">=", 0.8)
+	t.check("corrupt payloads served under objstore chaos", float64(doc.ChaosCorrupt), "==", 0)
+	t.check("clone reads demand-fetched", float64(doc.ColdFetches), ">", 0)
 	t.Notes = append(t.Notes,
 		"clone = O(metadata) extent-table copy; bytes materialize on demand, CoW on first write;",
 		"churn dead bytes = the deleted snapshots' overwritten flushes; GC deletes every segment",

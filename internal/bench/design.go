@@ -124,7 +124,7 @@ func Fig11(cfg Config) Table {
 	opsPerWindow := 100000 // bounded by window time
 	journalAppends := func() (ssdA, hddA int64) {
 		for _, js := range sut.journals() {
-			for _, j := range js.Stats().Journals {
+			for _, j := range js.JournalStats() {
 				if strings.HasSuffix(j.Name, "jhdd") {
 					hddA += j.Appends
 				} else {

@@ -56,9 +56,8 @@ func FigEC(cfg Config) Table {
 		{"rs(4,2)", redundancy.Spec{Kind: redundancy.KindRS, N: 4, M: 2}},
 	}
 	for _, pol := range policies {
-		pd, notes := runECPolicy(cfg, pol.name, pol.spec)
+		pd := runECPolicy(cfg, &t, pol.name, pol.spec)
 		doc.Policies = append(doc.Policies, pd)
-		t.Notes = append(t.Notes, notes...)
 		t.Rows = append(t.Rows, []string{
 			pol.name,
 			f2(pd.Overhead) + "x",
@@ -70,18 +69,9 @@ func FigEC(cfg Config) Table {
 			f0(float64(pd.DegradedErrors)),
 		})
 	}
-	if len(doc.Policies) == 2 {
-		mirror, rs := doc.Policies[0], doc.Policies[1]
-		t.Notes = append(t.Notes,
-			"backup-tier overhead: mirror "+f2(mirror.Overhead)+"x vs rs "+f2(rs.Overhead)+
-				"x of logical bytes (acceptance: rs <= 1.6x)")
-		if rs.Overhead > 1.6 {
-			t.Notes = append(t.Notes, "ACCEPTANCE FAIL: rs overhead above 1.6x")
-		}
-		if rs.DegradedErrors > 0 || mirror.DegradedErrors > 0 {
-			t.Notes = append(t.Notes, "ACCEPTANCE FAIL: degraded reads failed")
-		}
-	}
+	mirror, rs := doc.Policies[0], doc.Policies[1]
+	t.check("rs backup-tier bytes per logical byte", rs.Overhead, "<=", 1.6)
+	t.check("degraded read errors", float64(mirror.DegradedErrors+rs.DegradedErrors), "==", 0)
 	t.writeArtifact(cfg, "ec", &doc)
 	return t
 }
@@ -89,20 +79,18 @@ func FigEC(cfg Config) Table {
 // runECPolicy builds the fault figures' cluster at 7 machines — just wide
 // enough for RS(4,2)'s six distinct holder machines plus the primary's, so an
 // RS chunk's crashed primary has no replacement machine and stays degraded —
-// and runs the measurement sequence for one policy.
-func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []string) {
+// and runs the measurement sequence for one policy. A step that fails is a
+// failed check of t.
+func runECPolicy(cfg Config, t *Table, name string, spec redundancy.Spec) ecPolicyDoc {
 	pd := ecPolicyDoc{Policy: name}
-	var notes []string
-	failed := func(what string, err error) (ecPolicyDoc, []string) {
-		return pd, append(notes, name+" "+what+" failed: "+err.Error())
-	}
 	opts := faultOptions()
 	opts.Machines = 7
 	size := int64(cfg.pick(2, 1)) * util.ChunkSize
 	pd.LogicalBytes = size
 	sut, err := open(opts, master.CreateVDiskReq{Name: "bench-ec", Size: size, Redundancy: spec})
 	if err != nil {
-		return failed("build", err)
+		t.failed(name+" build", err)
+		return pd
 	}
 	defer sut.Close()
 	c, cl, vd := sut.c, sut.cl, sut.vd
@@ -131,7 +119,8 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 
 	meta, err := cl.OpenMeta("bench-ec")
 	if err != nil {
-		return failed("meta", err)
+		t.failed(name+" meta", err)
+		return pd
 	}
 	reps := meta.Chunks[0].Replicas
 
@@ -141,7 +130,7 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	c.CrashServer(dead)
 	rebuild := timed(func() { _, err = c.Master.RecoverChunk(vd.ID(), 0, dead, 0) })
 	if err != nil {
-		notes = append(notes, name+" rebuild: "+err.Error())
+		t.failed(name+" rebuild", err)
 	} else {
 		pd.RebuildS = rebuild.Seconds()
 	}
@@ -154,5 +143,5 @@ func runECPolicy(cfg Config, name string, spec redundancy.Spec) (ecPolicyDoc, []
 	c.CrashServer(reps[0].Addr)
 	deg := window(workload.RandRead, 200, 23, cfg.cellTime())
 	pd.DegradedMeanMs, pd.DegradedP99Ms, pd.DegradedErrors = deg.MeanLatMs, deg.P99LatMs, deg.Errors
-	return pd, notes
+	return pd
 }

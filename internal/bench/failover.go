@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -17,11 +18,9 @@ type failoverBenchDoc struct {
 	// directly — the promotion itself.
 	BlackoutMs   float64 `json:"blackout_ms"`
 	PrimacyTTLMs float64 `json:"primacy_ttl_ms"`
-	// Ratio = blackout / primacy TTL; the acceptance bar is <= 2.0 (the
-	// blackout is bounded by the lease the standby must wait out plus its
-	// probe round, not by anything workload-sized).
-	Ratio        float64 `json:"ratio"`
-	RatioCeiling float64 `json:"ratio_ceiling"`
+	// Ratio = blackout / primacy TTL, checked against 2.0: the blackout is
+	// the lease the standby waits out plus its probe round.
+	Ratio float64 `json:"ratio"`
 	// The blackout as a client sees it: from the kill to its first
 	// successful OpenMeta, which hunts across the endpoints and backs off
 	// between sweeps, so it ends with the first sweep after the promotion.
@@ -62,10 +61,7 @@ func FigFailover(cfg Config) Table {
 	}
 	defer sut.Close()
 	c, cl, reg := sut.c, sut.cl, sut.c.Metrics()
-	doc := failoverBenchDoc{
-		PrimacyTTLMs: ms(primacyTTL),
-		RatioCeiling: 2.0,
-	}
+	doc := failoverBenchDoc{PrimacyTTLMs: ms(primacyTTL)}
 
 	// Healthy metadata baseline.
 	doc.HealthyMetaMs = ms(timed(func() { _, err = cl.OpenMeta("bench") }))
@@ -125,8 +121,7 @@ func FigFailover(cfg Config) Table {
 	blackout, ok := waitQuiet(promoted, 0, 0, 30*time.Second)
 	wg.Wait()
 	if !ok || !clientOK {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: no metadata service within 30s of the kill")
-		return t
+		return t.failed("failover", errors.New("no metadata service within 30s of the kill"))
 	}
 	doc.BlackoutMs = ms(blackout)
 	doc.Ratio = doc.BlackoutMs / doc.PrimacyTTLMs
@@ -145,7 +140,7 @@ func FigFailover(cfg Config) Table {
 		[]string{"healthy metadata op", f1(doc.HealthyMetaMs) + " ms"},
 		[]string{"primacy TTL", f0(doc.PrimacyTTLMs) + " ms"},
 		[]string{"metadata blackout (promotion)", f1(doc.BlackoutMs) + " ms"},
-		[]string{"blackout / TTL", f2(doc.Ratio) + " (ceiling " + f1(doc.RatioCeiling) + ")"},
+		[]string{"blackout / TTL", f2(doc.Ratio)},
 		[]string{"client's first metadata op", f1(doc.ClientBlackoutMs) + " ms"},
 		[]string{"data ops through blackout", f0(float64(doc.DataOps))},
 		[]string{"data errors", f0(float64(doc.DataErrors))},
@@ -153,16 +148,11 @@ func FigFailover(cfg Config) Table {
 		[]string{"promotions", f0(float64(doc.Promotions))},
 		[]string{"promoted master", doc.PromotedAddr},
 	)
-	if doc.DataErrors > 0 {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: data path saw errors during the master blackout")
-	}
-	if doc.Promotions != 1 || doc.Epoch <= epochBefore {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: want one promotion to a higher epoch, got "+
-			f0(float64(doc.Promotions))+" promotion(s), epoch "+f0(float64(epochBefore))+" -> "+f0(float64(doc.Epoch)))
-	}
-	if doc.Ratio > doc.RatioCeiling {
-		t.missWallClock(cfg, "blackout exceeded "+f1(doc.RatioCeiling)+"x the primacy TTL")
-	}
+	t.check("data errors during the master blackout", float64(doc.DataErrors), "==", 0)
+	t.check("master promotions", float64(doc.Promotions), "==", 1)
+	t.check("epochs the promotion advanced", float64(doc.Epoch)-float64(epochBefore), ">", 0)
+	// Wall time against model time: host load can trip it.
+	t.checkFull("metadata blackout / primacy TTL", doc.Ratio, "<=", 2.0)
 	t.Notes = append(t.Notes,
 		"blackout = primary-kill to the first metadata op a surviving master serves, asked",
 		"directly every 20 ms: the rank-1 standby waits out one primacy TTL of silence, probes",

@@ -118,7 +118,7 @@ func (s *sut) drain() {
 
 // row opens the cluster and vdisk of one row of a figure that builds a
 // cluster per row, appends what fn makes of it and closes it; one that cannot
-// be opened leaves a "<label> failed" note in the row's place.
+// be opened leaves a failed check in the row's place.
 func (t *Table) row(label string, opts core.Options, req master.CreateVDiskReq, fn func(*sut) []string) {
 	s, err := open(opts, req)
 	if err != nil {
@@ -127,13 +127,6 @@ func (t *Table) row(label string, opts core.Options, req master.CreateVDiskReq, 
 	}
 	defer s.Close()
 	t.Rows = append(t.Rows, fn(s))
-}
-
-// failed notes that a figure, or one row of it, could not be produced.
-// "failed:" is the one spelling: the smoke tests fail a table on it.
-func (t *Table) failed(what string, err error) Table {
-	t.Notes = append(t.Notes, what+" failed: "+err.Error())
-	return *t
 }
 
 // phase is one measured window of a workload against a device: the unit the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -92,7 +93,7 @@ func FigAllocLedger(cfg Config) Table {
 		after := allocProfile()
 		s.Close()
 		if res.Ops == 0 {
-			t.Notes = append(t.Notes, op+": no ops completed")
+			t.failed(op, errors.New("no ops completed"))
 			continue
 		}
 

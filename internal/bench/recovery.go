@@ -82,9 +82,7 @@ func FigRecovery(cfg Config) Table {
 		jr.Disk.FailWriteRange(nil, jr.Base, jr.Base+jr.Size)
 	}
 	jd := window("journals-dead", 12)
-	if jd.Errors > 0 {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: client saw errors during journal death")
-	}
+	t.check("client errors during journal death", float64(jd.Errors), "==", 0)
 
 	// A whole backup HDD on machine 1 dies: its chunk server's store and
 	// replay sink both fail, it reports, the master re-replicates.

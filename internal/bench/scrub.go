@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -16,8 +17,7 @@ import (
 type scrubBenchDoc struct {
 	artifact
 	Windows []phase `json:"windows"`
-	// P99Ratio is scrub-on p99 / scrub-off p99 for the same workload; the
-	// acceptance bar is ≤ 1.10.
+	// P99Ratio is scrub-on p99 / scrub-off p99 for the same workload.
 	P99Ratio float64 `json:"p99_ratio"`
 	// DetectMs and RepairMs measure the bit-rot incident on the scrub-on
 	// cluster: arming persistent corruption → first scrub detection, and
@@ -102,20 +102,10 @@ func FigScrub(cfg Config) Table {
 	defer sut.Close()
 	cOn := sut.c
 	on := window(sut.vd, "scrub-on", 21)
-	if off.P99LatMs > 0 {
-		doc.P99Ratio = on.P99LatMs / off.P99LatMs
-	}
-	t.Notes = append(t.Notes,
-		"scrub-on p99 / scrub-off p99 = "+f2(doc.P99Ratio)+" (acceptance: ≤ 1.10)")
-	if doc.P99Ratio > 1.10 {
-		if cfg.Quick {
-			// At quick-mode sample counts p99 is the ~4th-worst op; the
-			// ratio is informational, the full run is the gate.
-			t.Notes = append(t.Notes, "quick mode: ratio above bar is jitter at this sample count; run full mode to gate")
-		} else {
-			t.Notes = append(t.Notes, "ACCEPTANCE FAIL: scrubber costs more than 10% of foreground p99")
-		}
-	}
+	doc.P99Ratio = ratio(on.P99LatMs, off.P99LatMs)
+	// At quick-mode sample counts p99 is the ~4th-worst op: only the full
+	// run gates the ratio.
+	t.checkFull("scrub-on p99 / scrub-off p99", doc.P99Ratio, "<=", 1.10)
 
 	// Bit-rot incident. Drain the journals first so the backups' stores
 	// hold the real data the rot will hit, then give one chunk-hosting
@@ -134,8 +124,7 @@ func FigScrub(cfg Config) Table {
 		}
 	}
 	if rot == nil {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: no backup HDD hosts a chunk")
-		return t
+		return t.failed("rot target", errors.New("no backup HDD hosts a chunk"))
 	}
 
 	found, recovered := reg.Counter(scrub.MetricCorruptionsFound), reg.Counter(master.MetricChunkRecoveries)
@@ -148,22 +137,18 @@ func FigScrub(cfg Config) Table {
 	detect, ok := waitQuiet(found.Load, baseFound, 0, budget)
 	if ok {
 		doc.DetectMs = ms(detect)
-	} else {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: scrubber never detected the rot on "+rotAddr)
 	}
+	t.check("scrub detections of the rot", float64(found.Load()-baseFound), ">", 0)
 	repair, ok := waitQuiet(recovered.Load, baseRec, 0, budget-detect)
 	if ok {
 		doc.RepairMs = ms(detect + repair)
-	} else {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: no view change repaired the rotted replica")
 	}
+	t.check("view changes that repaired the rotted replica", float64(recovered.Load()-baseRec), ">", 0)
 	// Let re-replication of every affected chunk settle before measuring.
 	waitQuiet(recovered.Load, baseRec, 3*time.Second, budget-detect-repair)
 
 	post := window(sut.vd, "post-repair", 22)
-	if post.Errors > 0 {
-		t.Notes = append(t.Notes, "ACCEPTANCE FAIL: client saw errors after repair with rot still armed")
-	}
+	t.check("client errors after repair, rot still armed", float64(post.Errors), "==", 0)
 
 	doc.CorruptionsInjected = reg.Counter(simdisk.MetricCorruptionsInjected).Load()
 	doc.CorruptionsFound = reg.Counter(scrub.MetricCorruptionsFound).Load()

@@ -245,9 +245,9 @@ func TestJournalBypassBySize(t *testing.T) {
 		if resp.Status != proto.StatusOK {
 			t.Fatal(resp.Status)
 		}
-		st := b.jset.Stats()
-		if st.Journals[0].Appends != 1 {
-			t.Errorf("small write did not journal: %+v", st.Journals)
+		js := b.jset.JournalStats()
+		if js[0].Appends != 1 {
+			t.Errorf("small write did not journal: %+v", js)
 		}
 		// Large write (>64KB) → bypass.
 		resp = b.Handle(&proto.Message{
@@ -257,7 +257,7 @@ func TestJournalBypassBySize(t *testing.T) {
 		if resp.Status != proto.StatusOK {
 			t.Fatal(resp.Status)
 		}
-		if got := b.jset.Stats().Journals[0].Appends; got != 1 {
+		if got := b.jset.JournalStats()[0].Appends; got != 1 {
 			t.Errorf("large write journaled: appends = %d", got)
 		}
 	})

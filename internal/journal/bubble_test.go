@@ -84,7 +84,7 @@ func TestBubbleGroupCommitAtQD8(t *testing.T) {
 			}()
 		}
 		queued := func(n int) {
-			for set.Stats().Journals[0].Queued < n {
+			for set.JournalStats()[0].Queued < n {
 				time.Sleep(time.Microsecond)
 			}
 		}

@@ -81,15 +81,15 @@ func TestJournalDeathReroutes(t *testing.T) {
 			t.Fatalf("append during journal death: %v", err)
 		}
 
-		st := e.set.Stats()
-		if st.DeadJournals != 1 || !st.Journals[0].Dead || st.Journals[0].Name != "jssd0" || st.Journals[1].Dead {
-			t.Fatalf("stats after death: %+v", st)
+		st, js := e.set.Stats(), e.set.JournalStats()
+		if st.DeadJournals != 1 || !js[0].Dead || js[0].Name != "jssd0" || js[1].Dead {
+			t.Fatalf("stats after death: %+v %+v", st, js)
 		}
 		if got := e.reg.Counter(MetricJournalDead).Load(); got != 1 {
 			t.Errorf("%s = %d", MetricJournalDead, got)
 		}
-		if st.Journals[1].Appends == 0 {
-			t.Errorf("re-routed record did not land on survivor: %+v", st.Journals)
+		if js[1].Appends == 0 {
+			t.Errorf("re-routed record did not land on survivor: %+v", js)
 		}
 
 		// Every ack'd write must read back, through journals and after replay.

@@ -271,12 +271,12 @@ func TestQuotaExhaustionAndExpansion(t *testing.T) {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
-		st := e.set.Stats()
-		if len(st.Journals) != 2 {
-			t.Fatalf("journals = %+v", st.Journals)
+		js := e.set.JournalStats()
+		if len(js) != 2 {
+			t.Fatalf("journals = %+v", js)
 		}
-		if st.Journals[1].Appends == 0 {
-			t.Errorf("HDD journal never used: %+v", st.Journals)
+		if js[1].Appends == 0 {
+			t.Errorf("HDD journal never used: %+v", js)
 		}
 		e.set.Start()
 		e.set.Drain()
@@ -460,6 +460,31 @@ func TestLiteEviction(t *testing.T) {
 		}
 		if l.Len() != 2 {
 			t.Errorf("Len = %d", l.Len())
+		}
+	})
+}
+
+// TestStatsAllocatesNothing: a counter snapshot reads Set.Stats from every
+// journal set of a cluster at every window, so the totals must not cost an
+// allocation; the per-journal detail is JournalStats'.
+func TestStatsAllocatesNothing(t *testing.T) {
+	clock.Test(t, func() {
+		e, done := newEnv(t, 16*util.MiB, true)
+		defer done()
+		id := blockstore.MakeChunkID(1, 0)
+		e.mustChunk(t, id)
+		if err := e.set.Append(nil, id, 0, make([]byte, 4*util.KiB), 1); err != nil {
+			t.Fatal(err)
+		}
+		var st SetStats
+		if n := testing.AllocsPerRun(100, func() { st = e.set.Stats() }); n != 0 {
+			t.Errorf("Stats allocates %.1f times per call", n)
+		}
+		if st.Flushes == 0 {
+			t.Errorf("stats after an append: %+v", st)
+		}
+		if js := e.set.JournalStats(); len(js) != 2 || js[0].Appends+js[1].Appends != 1 {
+			t.Errorf("journal stats after one append: %+v", js)
 		}
 	})
 }

@@ -119,12 +119,12 @@ func TestJournalSpaceAccounting(t *testing.T) {
 				}
 			}
 			// Stats reads under the set lock: the replayer moves the tail.
-			if used := set.Stats().Journals[0].Used; used < 0 || used > j.Size() {
+			if used := set.JournalStats()[0].Used; used < 0 || used > j.Size() {
 				t.Fatalf("used bytes out of range: %d of %d", used, j.Size())
 			}
 		}
 		set.Drain()
-		if used := set.Stats().Journals[0].Used; used != 0 {
+		if used := set.JournalStats()[0].Used; used != 0 {
 			t.Errorf("used bytes after full drain = %d", used)
 		}
 	})

@@ -1353,7 +1353,6 @@ type SetStats struct {
 	ReplayedFromDevice int64
 	ResidentBytes      int64
 	ResidentPeakBytes  int64
-	Journals           []JournalStats
 }
 
 // MeanBatch returns the average records per group-commit flush.
@@ -1364,7 +1363,7 @@ func (st SetStats) MeanBatch() float64 {
 	return float64(st.BatchedRecords) / float64(st.Flushes)
 }
 
-// JournalStats describes one journal's occupancy.
+// JournalStats describes one journal's occupancy (Set.JournalStats).
 type JournalStats struct {
 	Name    string
 	Used    int64
@@ -1376,7 +1375,8 @@ type JournalStats struct {
 	Dead    bool // failed and removed from striping
 }
 
-// Stats returns a consistent snapshot.
+// Stats returns a consistent snapshot of the set's totals. It allocates
+// nothing: the benchmark's counters read it from every set at every window.
 func (s *Set) Stats() SetStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1397,7 +1397,18 @@ func (s *Set) Stats() SetStats {
 	for _, j := range s.journals {
 		st.Flushes += j.flushes
 		st.BatchedRecords += j.batchedRecords
-		st.Journals = append(st.Journals, JournalStats{
+	}
+	return st
+}
+
+// JournalStats returns each journal's occupancy and traffic, in the order
+// the journals were added.
+func (s *Set) JournalStats() []JournalStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]JournalStats, 0, len(s.journals))
+	for _, j := range s.journals {
+		out = append(out, JournalStats{
 			Name:    j.name,
 			Used:    j.UsedBytes(),
 			Size:    j.log.Size(),
@@ -1408,5 +1419,5 @@ func (s *Set) Stats() SetStats {
 			Dead:    j.dead,
 		})
 	}
-	return st
+	return out
 }
