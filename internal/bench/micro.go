@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"syscall"
-
 	"ursa/internal/metrics"
 	"ursa/internal/opctx"
 	"ursa/internal/util"
@@ -128,18 +126,6 @@ func stageTable(name string, read, write []metrics.StageStat) Table {
 		t.Rows = append(t.Rows, []string{stage.String(), rn, rmean, wn, wmean})
 	}
 	return t
-}
-
-// cpuSeconds reads process CPU time (user+system) via getrusage.
-func cpuSeconds() float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	sec := func(tv syscall.Timeval) float64 {
-		return float64(tv.Sec) + float64(tv.Usec)/1e6
-	}
-	return sec(ru.Utime) + sec(ru.Stime)
 }
 
 // Fig07 regenerates IOPS efficiency (IOPS per CPU core, §6.1): a 4 MB hot

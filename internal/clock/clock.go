@@ -134,5 +134,5 @@ type realClock struct{}
 var Realtime Clock = realClock{}
 
 func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
+func (realClock) Sleep(d time.Duration)                  { sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

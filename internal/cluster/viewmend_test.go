@@ -185,9 +185,15 @@ func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, u
 	for _, f := range disks {
 		f.Stall(20 * time.Millisecond)
 	}
+	// The replacement's slot exists once the probe has been answered and
+	// its fill begun, and every write of the fill then stalls 20 ms. A
+	// delayed op alone is no such event: the crashed backup's machine may
+	// still be replaying its journal when the view change starts.
+	id := blockstore.MakeChunkID(vd.ID(), 0)
 	filling := func() bool {
-		for _, f := range disks {
-			if f.FaultStats().DelayedOps > 0 {
+		for _, addr := range c.ServerAddrs() {
+			held := slices.ContainsFunc(old.Replicas, func(r master.ReplicaInfo) bool { return r.Addr == addr })
+			if !held && slices.Contains(c.Server(addr).ScrubChunks(), id) {
 				return true
 			}
 		}
@@ -222,7 +228,7 @@ func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, u
 	if res.err != nil || cm.View != old.View+1 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
 		t.Fatalf("view change recorded %+v, %v; want view %d led by %s", cm, res.err, old.View+1, old.Replicas[0].Addr)
 	}
-	v := c.Server(old.Replicas[0].Addr).Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(blockstore.MakeChunkID(vd.ID(), 0))})
+	v := c.Server(old.Replicas[0].Addr).Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)})
 	if v.View != old.View {
 		t.Fatalf("primary replica at view %d, want the missed install's predecessor %d", v.View, old.View)
 	}
