@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 
+	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/opctx"
 	"ursa/internal/proto"
@@ -27,10 +28,16 @@ const (
 // cluster (the master's and the client's connections to every server) is
 // behind the caller and not charged to what it measures.
 func openWide() (*sut, error) {
+	return open(wideOptions(), master.CreateVDiskReq{Name: "warm", Size: 12 * util.ChunkSize})
+}
+
+// wideOptions is the ceiling figure's cluster with disks that hold a 16 GiB
+// vdisk.
+func wideOptions() core.Options {
 	opts := ceilingOptions()
 	opts.SSDModel.Capacity = 64 * util.GiB
 	opts.HDDModel.Capacity = 128 * util.GiB
-	return open(opts, master.CreateVDiskReq{Name: "warm", Size: 12 * util.ChunkSize})
+	return opts
 }
 
 // footprintStage is one settled point of the footprint scenario.

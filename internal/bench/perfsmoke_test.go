@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -86,10 +87,11 @@ func TestPerfSmoke(t *testing.T) {
 	if got["footprint"], err = footprintCounts(); err != nil {
 		t.Fatal(err)
 	}
-	var note string
-	if got["control-plane"], note, err = controlPlaneCounts(); err != nil {
+	planes, note, err := controlPlaneCounts()
+	if err != nil {
 		t.Fatal(err)
 	}
+	maps.Copy(got, planes)
 	t.Logf("control-plane: %s", note)
 	for name, want := range base.Counts {
 		for metric, ceiling := range want {

@@ -69,6 +69,15 @@ func (s *Server) witnessEpoch(e uint64) (cur uint64, adopted bool) {
 // MasterEpoch returns the newest master epoch this server has witnessed.
 func (s *Server) MasterEpoch() uint64 { return s.masterEpoch.Load() }
 
+// Pos is a position in the master's metadata log: the epoch of the primary
+// that appended an entry, and the entry's sequence number. Package master
+// aliases it. Two entries at one Pos are one entry: an epoch has at most one
+// primary, which appends each sequence number once.
+type Pos struct {
+	Epoch uint64 `json:"epoch,omitempty"`
+	Seq   uint64 `json:"seq"`
+}
+
 // CreateChunkReq describes the replica an OpCreateChunk entry creates
 // (ChunkCreate); OpSetView reuses it for the new view's backup list.
 type CreateChunkReq struct {
@@ -88,6 +97,10 @@ type CreateChunkReq struct {
 	// demand-fetches them from the object store at ObjAddr on first access.
 	Cold    []coldtier.ExtentRef `json:"cold,omitempty"`
 	ObjAddr string               `json:"objAddr,omitempty"`
+	// Put is the log position of the entry that created the chunk's vdisk
+	// (zero for a view change's replacement): a slot another create left is
+	// not this create's (Outdated).
+	Put Pos `json:"put,omitempty"`
 }
 
 // newChunkState builds the per-chunk state a CreateChunkReq describes.
@@ -102,6 +115,7 @@ func (s *Server) newChunkState(req CreateChunkReq) (*chunkState, error) {
 		lite:    journal.NewLite(liteCap),
 		pending: make(map[uint64]pendingWrite),
 		spec:    req.Redundancy, strat: strat, holder: req.Holder, seg: req.Seg,
+		put: req.Put,
 	}
 	cs.change.L = cs.mu
 	if len(req.Cold) > 0 {

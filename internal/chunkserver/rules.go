@@ -63,10 +63,16 @@ func Adopted(at, v uint64, whole bool) uint64 {
 	return max(at, v)
 }
 
-// Outdated reports whether a create asking for req finds a replica from an
-// earlier view (at) or in another role, to be made afresh (createChunk).
-func Outdated(at uint64, spec redundancy.Spec, holder bool, seg int, req CreateChunkReq) bool {
-	return at < req.View || spec.IsRS() != req.Redundancy.IsRS() || holder != req.Holder || seg != req.Seg
+// Outdated reports whether a create asking for req finds a replica to be
+// made afresh (createChunk): one from an earlier view (at), in another role,
+// or made by another vdisk create than req's (put, the position of the log
+// entry that created the replica's vdisk). The last is defence in depth: a
+// vdisk ID is handed out again only by a master that lost the log entry of
+// its first create, and the slot that create left must not pass for the
+// second's.
+func Outdated(at uint64, put Pos, spec redundancy.Spec, holder bool, seg int, req CreateChunkReq) bool {
+	return at < req.View || req.Put != (Pos{}) && put != req.Put ||
+		spec.IsRS() != req.Redundancy.IsRS() || holder != req.Holder || seg != req.Seg
 }
 
 // SetViewRule is OpSetView's rule at a replica in view at: no view below it.

@@ -106,6 +106,9 @@ type chunkState struct {
 	spec  redundancy.Spec
 	strat redundancy.Strategy
 	seg   int
+	// put is the log position of the master entry whose create made the
+	// replica (CreateChunkReq.Put; set at create, immutable after).
+	put Pos
 
 	// shipments caches a primary's RS fan-out plan per pending version: a
 	// retry of an already-applied write can no longer recompute its parity
@@ -178,11 +181,11 @@ func (cs *chunkState) committed() uint64 {
 }
 
 // outdatedBy reports whether a create asking for req finds this live state
-// from an earlier view than req's or in another role.
+// from an earlier view than req's, in another role or from another create.
 func (cs *chunkState) outdatedBy(req CreateChunkReq) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return Outdated(cs.view, cs.spec, cs.holder, cs.seg, req)
+	return Outdated(cs.view, cs.put, cs.spec, cs.holder, cs.seg, req)
 }
 
 // span returns the replica's local slot size: one segment for RS holders,

@@ -10,6 +10,7 @@ import (
 	"ursa/internal/clock"
 	"ursa/internal/core"
 	"ursa/internal/master"
+	"ursa/internal/simdisk"
 	"ursa/internal/util"
 )
 
@@ -120,11 +121,12 @@ func TestChaosKillMasterFailover(t *testing.T) {
 	})
 }
 
-// TestDeposedMasterFencedByChunkservers proves the epoch fence: a primary
-// partitioned away from its standbys (but not from the chunkservers) keeps
-// believing it is primary; once a standby promotes at a higher epoch and
-// broadcasts it, every view change the deposed master attempts bounces off
-// StatusStaleEpoch — and the rejection deposes it on the spot.
+// TestDeposedMasterFencedByChunkservers proves the epoch fence: a view
+// change the primary starts just before it is cut off from its standbys (but
+// not from the chunkservers) outlasts its primacy. A standby promotes at a
+// higher epoch and broadcasts it, so the install the deposed master sends
+// once its slowed fill lands bounces off StatusStaleEpoch — the rejection
+// deposes it on the spot, and it records nothing.
 func TestDeposedMasterFencedByChunkservers(t *testing.T) {
 	clock.Test(t, func() {
 		c, cleanup := failoverCluster(t)
@@ -135,60 +137,55 @@ func TestDeposedMasterFencedByChunkservers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// The log ships asynchronously: cut the standbys off before they hold the
-		// create and the one that promotes serves a state without the vdisk.
+		vd, err := cl.Open("fence")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer vd.Close()
+		golden := make([]byte, 64*util.KiB)
+		util.NewRand(5).Fill(golden)
+		if err := vd.WriteAt(golden, 0); err != nil {
+			t.Fatal(err)
+		}
 		waitLogsConverged(t, c)
 
-		// Isolate the bootstrap primary from the other masters only.
+		// Every device write now takes 20 ms: the fill of a replacement
+		// outlasts the promotion below many times over.
+		for _, m := range c.Machines {
+			for _, f := range append(append([]*simdisk.FaultInjector(nil), m.SSDFaults...), m.HDDFaults...) {
+				f.Stall(20 * time.Millisecond)
+			}
+		}
+		viewBefore := meta.Chunks[0].View
+		reg := c.Metrics()
+		rejBefore := reg.Counter(chunkserver.MetricStaleEpochRejections).Load()
+
+		// Isolate the bootstrap primary from the other masters only, and have it
+		// replace a live backup of chunk 0 while its primacy still holds.
 		addrs := c.MasterAddrs()
 		c.Net.Partition(addrs[0], addrs[1])
 		c.Net.Partition(addrs[0], addrs[2])
+		recErr := make(chan error, 1)
+		go func() {
+			_, err := c.Masters[0].RecoverChunk(meta.ID, 0, meta.Chunks[0].Replicas[1].Addr, 0)
+			recErr <- err
+		}()
 
 		p := waitForPrimary(t, c, 1, 5*time.Second)
 		if p == c.Masters[0] {
 			t.Fatal("partitioned master should not have bumped its own epoch")
 		}
-		if !c.Masters[0].IsPrimary() {
-			t.Fatal("old primary stepped down without ever being fenced")
-		}
-
-		// Wait for the promotion broadcast to land on the chunkservers holding
-		// the target chunk, so the fence is armed before the deposed master acts.
-		deadline := time.Now().Add(5 * time.Second)
-		armed := func() bool {
-			for _, r := range meta.Chunks[0].Replicas {
-				if c.Server(r.Addr).MasterEpoch() < p.Epoch() {
-					return false
-				}
-			}
-			return true
-		}
-		for !armed() {
-			if !time.Now().Before(deadline) {
-				t.Fatal("promotion epoch never reached the chunkservers")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-
-		viewBefore := meta.Chunks[0].View
-		reg := c.Metrics()
-		rejBefore := reg.Counter(chunkserver.MetricStaleEpochRejections).Load()
-
-		// The deposed master tries to run a view change, naming a live backup
-		// as failed so the recovery must push clones and new views.
-		_, recErr := c.Masters[0].RecoverChunk(meta.ID, 0, meta.Chunks[0].Replicas[1].Addr, 0)
-		if recErr == nil {
-			t.Fatal("deposed master's view change succeeded")
-		}
-		if !errors.Is(recErr, util.ErrNotPrimary) {
-			t.Fatalf("recover error = %v, want ErrNotPrimary", recErr)
+		if err := <-recErr; !errors.Is(err, util.ErrNotPrimary) {
+			t.Fatalf("deposed master's view change: %v, want ErrNotPrimary", err)
 		}
 		if got := reg.Counter(chunkserver.MetricStaleEpochRejections).Load(); got == rejBefore {
 			t.Fatal("no chunkserver rejected the deposed master's commands")
 		}
 		if c.Masters[0].IsPrimary() {
 			t.Fatal("deposed master still claims primacy after StatusStaleEpoch")
+		}
+		if got := c.Masters[0].Epoch(); got < p.Epoch() {
+			t.Fatalf("deposed master at epoch %d, want the fence's %d", got, p.Epoch())
 		}
 
 		// The real primary's view of the chunk is untouched.

@@ -29,9 +29,9 @@ import (
 //     replica list below the chunk's view, such as a replica a view change
 //     evicted. How many the pass reaped is logged (master-slots-reaped).
 //
-// The master is killed at a moment its standbys have caught up: log shipping
-// is asynchronous by design, and an acknowledged delete the standbys never
-// heard of is that, not a half-done fan-out.
+// The master is killed at a moment its standbys have caught up: an entry a
+// majority holds survives the kill whatever the standbys lag, but one still
+// awaiting its majority fails its op, and this test's ops expect success.
 func TestChaosVDiskLifecycle(t *testing.T) {
 	clock.Test(t, func() {
 		opts := chaosClusterOptions(true)

@@ -67,11 +67,9 @@ func (e *coldGCEnv) flushSegment(t *testing.T, n int) []coldtier.ExtentRef {
 func allocSegs(t *testing.T, m *Master) uint64 {
 	t.Helper()
 	m.mu.Lock()
-	lo, err := m.allocSegsLocked(coldtier.SegsPerChunk)
+	lo := m.st.nextSeg
 	m.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	commit(t, m, entry{AllocSegs: &entryAllocSegs{NextSeg: lo + coldtier.SegsPerChunk}})
 	return lo
 }
 
@@ -102,9 +100,7 @@ func flushSegmentAt(t *testing.T, m *Master, op *opctx.Op, lo uint64, n int) []c
 func commit(t *testing.T, m *Master, e entry) {
 	t.Helper()
 	m.mu.Lock()
-	err := m.commitLocked(e)
-	m.mu.Unlock()
-	if err != nil {
+	if err := m.commitUnlock(e); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -315,7 +315,7 @@ func TestCreateLayoutMatchesSerial(t *testing.T) {
 		for i, cm := range meta.Chunks {
 			for pos, r := range cm.Replicas {
 				create := chunkserver.CreateChunks(chunkserver.ChunkCreate{
-					Chunk: blockstore.MakeChunkID(meta.ID, uint32(i)), CreateChunkReq: m2.createReq(cm, pos, req.Redundancy)})
+					Chunk: blockstore.MakeChunkID(meta.ID, uint32(i)), CreateChunkReq: m2.createReq(cm, pos, req.Redundancy, Pos{})})
 				if st, _ := send(m2, r.Addr, create, 5*time.Second); st != proto.StatusOK {
 					t.Fatalf("serial create of chunk %d on %s failed", i, r.Addr)
 				}
@@ -494,12 +494,13 @@ func TestDeleteBoundedByOneTimeout(t *testing.T) {
 // primary and two chunk servers are silent behind a partition spends one
 // PrimacyTTL/4 window probing the masters and one fencing the servers — not a
 // window per silent peer — and every reachable server hears the new epoch.
+// The third master, cut off from the old primary too, makes the majority.
 func TestPromotionBoundedByOneWindowEach(t *testing.T) {
 	clock.Test(t, func() {
 		const ttl = 800 * time.Millisecond
 		const window = ttl / 4
 		ss := newSlotServers(transport.NewSimNet(clock.Realtime, 100*time.Microsecond))
-		peers := []string{"master", "master-1"}
+		peers := []string{"master", "master-1", "master-2"}
 		var masters []*Master
 		for _, addr := range peers {
 			l, err := ss.net.Listen(addr, transport.NodeConfig{})
@@ -515,17 +516,22 @@ func TestPromotionBoundedByOneWindowEach(t *testing.T) {
 			defer m.Close()
 			masters = append(masters, m)
 		}
-		primary, standby := masters[0], masters[1]
+		primary, standby, third := masters[0], masters[1], masters[2]
 		stop := ss.serve(t, primary, 3)
 		defer stop()
-		for deadline := time.Now().Add(10 * time.Second); standby.LogSeq() != primary.LogSeq(); {
+		for deadline := time.Now().Add(10 * time.Second); standby.LogSeq() != primary.LogSeq() || third.LogSeq() != primary.LogSeq(); {
 			if time.Now().After(deadline) {
-				t.Fatal("the standby never learned the servers")
+				t.Fatal("the standbys never learned the servers")
 			}
 			time.Sleep(time.Millisecond)
 		}
-		// The test promotes the standby itself: its monitor must not race it.
+		// The test promotes the standby itself: no monitor must race it.
 		standby.stopReplication()
+		third.stopReplication()
+		ss.net.Partition("master-2", "master")
+		third.mu.Lock()
+		third.lastHeard = time.Time{} // it has not heard the primary for ever either
+		third.mu.Unlock()
 		silent := []string{"master", "s0/ssd", "s0/hdd"}
 		for _, addr := range silent {
 			// Connect first: a partition drops traffic on a live connection,
@@ -618,11 +624,10 @@ func TestCreateCarriesHoldersAndColdRefs(t *testing.T) {
 		// A clone: the snapshot's refs are planted by hand, the way apply does.
 		refs := []coldtier.ExtentRef{{Seg: 7, ChunkOff: 0, Len: util.MiB}, {Seg: 7, SegOff: util.MiB, ChunkOff: util.MiB, Len: util.MiB}}
 		m.mu.Lock()
-		err = m.commitLocked(entry{PutSnapshot: &entryPutSnapshot{NextID: meta.ID + 1, Meta: SnapshotMeta{
+		err = m.commitUnlock(entry{PutSnapshot: &entryPutSnapshot{NextID: meta.ID + 1, Meta: SnapshotMeta{
 			ID: meta.ID + 1, Name: "gold", Size: 2 * util.ChunkSize, StripeGroup: 1, StripeUnit: defaultStripeUnit,
 			Chunks: [][]coldtier.ExtentRef{refs, nil},
 		}}})
-		m.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -689,8 +694,7 @@ func TestCreateBatchFencedDeposesMaster(t *testing.T) {
 		ss := newSlotServers(transport.NewSimNet(clock.Realtime, 0))
 		m := New(Config{
 			Addr: "master", Clock: clock.Realtime, HybridMode: true, RPCTimeout: time.Second,
-			Dialer: ss.net.Dialer("master", transport.NodeConfig{}),
-			Peers:  []string{"master", "master-1"}, PrimacyTTL: time.Minute,
+			Dialer: ss.net.Dialer("master", transport.NodeConfig{}), PrimacyTTL: time.Minute,
 		})
 		defer m.Close()
 		stop := ss.serve(t, m, 3)

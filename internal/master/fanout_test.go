@@ -177,7 +177,7 @@ func TestRecoverMirrorPlacesReplacementsApart(t *testing.T) {
 			Chunks: []ChunkMeta{{View: 1, Replicas: []ReplicaInfo{{Addr: "m1/ssd", SSD: true}, {Addr: "m2/hdd"}, {Addr: "m3/hdd"}}}},
 		}
 		commit(t, e.m, entry{PutVDisk: &entryPutVDisk{Meta: meta, NextID: meta.ID}})
-		if err := e.m.createChunks(meta.ID, meta.Chunks, redundancy.Spec{}); err != nil {
+		if err := e.m.createChunks(meta.ID, Pos{}, meta.Chunks, redundancy.Spec{}); err != nil {
 			t.Fatal(err)
 		}
 		e.net.Crash("m2/hdd")

@@ -106,15 +106,21 @@ type Master struct {
 	recovering map[uint64]chan struct{}
 
 	// Replication role and log (guarded by mu; see replication.go).
-	primary     bool
-	epoch       uint64
-	primaryAddr string    // best-known primary endpoint
-	lastHeard   time.Time // last heartbeat/batch from the primary
-	log         []entry
-	shipKick    map[string]chan struct{}
-	closedCh    chan struct{}
-	closeOnce   sync.Once
-	wg          sync.WaitGroup
+	role      Role
+	lastHeard time.Time // last batch from the primary, or promise to a candidate
+	log       []entry
+	// ships is the primary's record of each standby, shipTo its address and
+	// shipKick the wake-up of its shipper, all in Peers order.
+	ships    []Ship
+	shipTo   []string
+	shipKick []chan struct{}
+	// progress is closed, and replaced, when a standby acknowledges or the
+	// role changes while a handler awaits a majority (awaited).
+	progress  chan struct{}
+	awaited   bool
+	closedCh  chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 	// reconcileAt is when the primary's next reconcile pass is due.
 	reconcileAt time.Time
 
@@ -165,13 +171,24 @@ func (m *Master) register(req RegisterReq) (any, error) {
 	if err := m.lockPrimary("register " + req.Addr); err != nil {
 		return nil, err
 	}
-	defer m.mu.Unlock()
 	for _, s := range m.st.servers {
 		if s.Addr == req.Addr {
+			m.mu.Unlock()
 			return nil, nil
 		}
 	}
-	return nil, m.commitLocked(entry{AddServer: &req})
+	return nil, m.commitUnlock(entry{AddServer: &req})
+}
+
+// commitUnlock commits e (m.mu held), lets go of m.mu and awaits a majority:
+// the commit of a handler with nothing left to do under the lock.
+func (m *Master) commitUnlock(e entry) error {
+	at, err := m.commitLocked(e)
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return m.await(at)
 }
 
 // heed takes in an answer to the master — from a chunk server or another
@@ -180,7 +197,9 @@ func (m *Master) register(req RegisterReq) (any, error) {
 // header carries.
 func (m *Master) heed(resp *proto.Message) {
 	if resp.Status == proto.StatusStaleEpoch {
-		m.fencedByEpoch(resp.Epoch)
+		m.mu.Lock()
+		m.stepDownLocked(resp.Epoch, "")
+		m.mu.Unlock()
 	}
 }
 
@@ -303,18 +322,17 @@ func jsonBody(body any) ([]byte, error) {
 // dispatch routes one RPC to the function that serves it. Replication
 // control traffic (MOpReplicateLog, MOpMasterInfo) is served in any role;
 // every other op is a client/chunkserver metadata op that only the primary
-// may serve — standbys answer StatusNotPrimary with a redirect hint. The
-// check here is what keeps the read-only ops off a standby; every mutating
-// op re-checks primacy under m.mu (lockPrimary, commitLocked), so a
-// deposition racing an in-flight request cannot change a standby's state.
+// may serve — standbys, and a primary whose primacy lapsed, answer
+// StatusNotPrimary with a redirect hint. The check here is what keeps the
+// read-only ops off a standby; every mutating op re-checks primacy under m.mu
+// (lockPrimary, commitLocked), so a deposition racing an in-flight request
+// cannot change a standby's state.
 func (m *Master) dispatch(msg *proto.Message) jsonResult {
 	switch msg.Op {
 	case proto.MOpReplicateLog:
 		return serve(m, msg, m.replicateLog)
 	case proto.MOpMasterInfo:
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return jsonResult{status: proto.StatusOK, body: m.masterInfoLocked()}
+		return m.masterInfo(msg)
 	}
 	if !m.IsPrimary() {
 		return m.failure(util.ErrNotPrimary)

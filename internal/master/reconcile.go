@@ -35,7 +35,7 @@ func (m *Master) Reconcile() (reaped int, err error) {
 	if err := m.lockPrimary("reconcile"); err != nil {
 		return 0, err
 	}
-	wm, epoch := m.st.nextID, m.epoch
+	wm, epoch := m.st.nextID, m.role.Epoch
 	m.reconcileAt = m.cfg.Clock.Now().Add(reconcileEvery)
 	queues := make([]serverQueue, len(m.st.servers))
 	for i, s := range m.st.servers {
@@ -56,8 +56,8 @@ func (m *Master) Reconcile() (reaped int, err error) {
 	garbage := make([][]proto.ChunkEntry, len(queues))
 	drained := make(map[blockstore.ChunkID]int)
 	m.mu.Lock()
-	if !m.primary || m.epoch != epoch {
-		m.mu.Unlock() // deposed meanwhile: the state may be a wiped one
+	if !m.primaryLocked() || m.role.Epoch != epoch {
+		m.mu.Unlock() // deposed meanwhile: a new primary's batch may have cut the state
 		return 0, m.errNotPrimary("reconcile")
 	}
 	for q, results := range held {
@@ -81,7 +81,7 @@ func (m *Master) Reconcile() (reaped int, err error) {
 				// must have drained: an undrained replica still fetches from the
 				// segments this table names, so GC must keep them.
 				if drained[r.Chunk]++; drained[r.Chunk] == len(cm.Replicas) {
-					_ = m.commitLocked(entry{Materialized: &entryMaterialized{VDisk: r.Chunk.VDisk(), Index: r.Chunk.Index()}})
+					_, _ = m.commitLocked(entry{Materialized: &entryMaterialized{VDisk: r.Chunk.VDisk(), Index: r.Chunk.Index()}})
 				}
 			}
 		}
@@ -100,7 +100,15 @@ func (m *Master) Reconcile() (reaped int, err error) {
 	// (its segments no table names yet; a later one allocates from segWM up).
 	segWM, named := m.st.nextSeg, m.namedSegsLocked()
 	gc := m.coldCl != nil && m.inflightFlushes == 0
+	at := End(m.log)
 	m.mu.Unlock()
+
+	// The pass judged the state the log ends at, which may show entries a
+	// majority does not hold yet — a delete among them. It acts only once a
+	// majority holds them all.
+	if err := m.await(at); err != nil {
+		return 0, err
+	}
 
 	end := m.cfg.Clock.Now().Add(m.cfg.PrimacyTTL / 4)
 	reaped = m.reap(m.cfg.PrimacyTTL/4, queues, garbage)
@@ -142,7 +150,7 @@ func (m *Master) reap(window time.Duration, queues []serverQueue, slots [][]prot
 // after the last pass, or after it became primary.
 func (m *Master) maybeReconcile() {
 	m.mu.Lock()
-	due := m.primary && !m.cfg.Clock.Now().Before(m.reconcileAt)
+	due := m.primaryLocked() && !m.cfg.Clock.Now().Before(m.reconcileAt)
 	m.mu.Unlock()
 	if due {
 		_, _ = m.Reconcile() // refused only when deposed meanwhile

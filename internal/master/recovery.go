@@ -18,9 +18,10 @@ const (
 	MetricRecoveryDuration = "chunk-recovery-duration"
 	// MetricViewMends counts view changes whose only cause was a replica
 	// at a view other than the recorded one: every replica answered at one
-	// version. A master that installed a view and died before its log entry
-	// shipped leaves replicas ahead of the promoted standby; a replica that
-	// missed an install is left behind.
+	// version. A master installs a view before it records it, so one whose
+	// record no majority came to hold — it was cut off from the other masters,
+	// or died — leaves replicas ahead of the master that promotes next; a
+	// replica that missed an install is left behind.
 	MetricViewMends = "master-view-mends"
 )
 
@@ -141,11 +142,13 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 	m.fanOut(m.cfg.RPCTimeout, queues, nil)
 
 	// Record the view. commitLocked refuses a master deposed mid-recovery (its
-	// fan-out already bounced off StatusStaleEpoch fences), which therefore
-	// never installs — or replicates — a view the new primary knows nothing
-	// about; apply refuses a chunk whose vdisk was deleted meanwhile.
+	// fan-out already bounced off StatusStaleEpoch fences), and await one
+	// whose record no majority holds: the view the replicas hold is then
+	// ahead of the record of the master that promotes next, and the next view
+	// change mends it. apply refuses a chunk whose vdisk was deleted
+	// meanwhile.
 	m.mu.Lock()
-	err := m.commitLocked(entry{SetView: &entrySetView{
+	at, err := m.commitLocked(entry{SetView: &entrySetView{
 		VDisk: vdiskID, Index: chunkIndex, View: a.View, Replicas: a.Install,
 	}})
 	var out ChunkMeta
@@ -153,6 +156,9 @@ func (m *Master) installView(t0 time.Time, id blockstore.ChunkID, vdiskID, chunk
 		out = m.st.vdisks[vdiskID].meta.Chunks[chunkIndex].clone()
 	}
 	m.mu.Unlock()
+	if err == nil {
+		err = m.await(at)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,22 +174,34 @@ func (e *replEnv) quiesce(t *testing.T, primary *Master, standbys ...*Master) {
 	}
 }
 
-// waitPromoted polls until standby claims primacy, which its monitor does a
-// PrimacyTTL after it last heard from the primary.
-func waitPromoted(t *testing.T, standby *Master) *Master {
+// waitPromoted polls until one of standbys claims primacy, which a monitor
+// does a PrimacyTTL or so after it last heard from the primary, and returns
+// it.
+func waitPromoted(t *testing.T, standbys ...*Master) *Master {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !standby.IsPrimary(); time.Sleep(2 * time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		for _, s := range standbys {
+			if s.IsPrimary() {
+				return s
+			}
+		}
 		if !time.Now().Before(deadline) {
-			t.Fatal("the standby never promoted")
+			t.Fatal("no standby promoted")
 		}
 	}
-	return standby
 }
 
 // promote has standby take over at once, as its monitor would once the
-// primary had been silent for a PrimacyTTL, and returns it.
-func promote(t *testing.T, standby *Master) *Master {
+// primary had been silent for a PrimacyTTL, and returns it. The other live
+// standbys have been silent as long, so they promise it the new epoch, but
+// not long enough to probe themselves.
+func promote(t *testing.T, standby *Master, others ...*Master) *Master {
 	t.Helper()
+	for _, o := range others {
+		o.mu.Lock()
+		o.lastHeard = o.cfg.Clock.Now().Add(-o.cfg.PrimacyTTL)
+		o.mu.Unlock()
+	}
 	standby.mu.Lock()
 	standby.lastHeard = time.Time{}
 	standby.mu.Unlock()
@@ -225,7 +238,7 @@ func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
 		}
 		seen := kindsIn(logOf(primary))
 		kinds := reflect.TypeOf(entry{})
-		for i := 1; i < kinds.NumField(); i++ { // field 0 is Seq
+		for i := 1; i < kinds.NumField(); i++ { // field 0 is the entry's Pos
 			if kind := kinds.Field(i).Name; !seen[kind] {
 				t.Errorf("the op table produced no %s entry", kind)
 			}
@@ -239,11 +252,13 @@ func TestPromotedStandbyStateMatchesPrimary(t *testing.T) {
 		// state at a higher epoch.
 		e.net.Crash("master")
 		primary.Close()
-		promoted := promote(t, e.masters[1])
+		promoted := promote(t, e.masters[1], e.masters[2])
 		if got := promoted.Epoch(); got < 2 {
 			t.Fatalf("promoted epoch = %d, want >= 2", got)
 		}
-		if got := snapJSON(t, promoted.Snapshot()); got != before {
+		snap := promoted.Snapshot()
+		snap.LogSeq-- // the promotion's own entry, which changes nothing else
+		if got := snapJSON(t, snap); got != before {
 			t.Fatalf("promoted state diverged:\npre-crash:\n%s\npromoted:\n%s", before, got)
 		}
 	})
@@ -340,7 +355,7 @@ func TestRenewalLogsNothing(t *testing.T) {
 // passed with no renewal, and granted after.
 func TestPromotionGivesHeldLeasesOneTTL(t *testing.T) {
 	clock.Test(t, func() {
-		e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
 		defer cleanup()
 		primary := e.masters[0]
 		var meta VDiskMeta
@@ -352,7 +367,7 @@ func TestPromotionGivesHeldLeasesOneTTL(t *testing.T) {
 			OpenVDiskReq{Name: "d", Client: "a"}, nil); st != proto.StatusOK {
 			t.Fatalf("open: %s", st)
 		}
-		e.quiesce(t, primary, e.masters[1])
+		e.quiesce(t, primary, e.masters[1:]...)
 		// Past the grant's TTL, held up by a renewal the standby never hears of.
 		clock.Realtime.Sleep(replLeaseTTL / 2)
 		if st := callOn(t, primary, proto.MOpRenewLease,
@@ -363,7 +378,7 @@ func TestPromotionGivesHeldLeasesOneTTL(t *testing.T) {
 
 		e.net.Crash("master")
 		primary.Close()
-		promoted := promote(t, e.masters[1])
+		promoted := promote(t, e.masters[1], e.masters[2])
 		if st := callOn(t, promoted, proto.MOpOpenVDisk,
 			OpenVDiskReq{Name: "d", Client: "b"}, nil); st != proto.StatusLeaseHeld {
 			t.Fatalf("rival open right after the promotion: %s, want lease-held", st)
@@ -385,7 +400,7 @@ func TestPromotionGivesHeldLeasesOneTTL(t *testing.T) {
 // carries on against the new primary.
 func TestOpenRacesFailover(t *testing.T) {
 	clock.Test(t, func() {
-		e, cleanup := newReplEnv(t, 2, 3)
+		e, cleanup := newReplEnv(t, 3, 3)
 		defer cleanup()
 		primary := e.masters[0]
 
@@ -398,11 +413,11 @@ func TestOpenRacesFailover(t *testing.T) {
 			OpenVDiskReq{Name: "failover-lease", Client: "a"}, nil); st != proto.StatusOK {
 			t.Fatalf("open: %s", st)
 		}
-		e.quiesce(t, primary, e.masters[1])
+		e.quiesce(t, primary, e.masters[1:]...)
 
 		e.net.Crash("master")
 		primary.Close()
-		promoted := waitPromoted(t, e.masters[1])
+		promoted := waitPromoted(t, e.masters[1:]...)
 
 		// The lease shipped before the crash: a rival cannot steal it on the
 		// new primary.
@@ -420,5 +435,54 @@ func TestOpenRacesFailover(t *testing.T) {
 		if promoted.Epoch() < 2 {
 			t.Fatalf("promoted epoch = %d, want >= 2", promoted.Epoch())
 		}
+	})
+}
+
+// TestConcurrentCommitsAwaitTheirMajority: handlers on many goroutines
+// commit at once, each awaiting its own entry outside the lock while the
+// shippers' acks wake them; every commit is answered OK, and the standbys
+// end holding the primary's state. Run it with -race.
+func TestConcurrentCommitsAwaitTheirMajority(t *testing.T) {
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		const workers, rounds = 8, 5
+		for w := range workers {
+			if st := callOn(t, primary, proto.MOpCreateVDisk,
+				CreateVDiskReq{Name: fmt.Sprintf("d%d", w), Size: util.ChunkSize}, nil); st != proto.StatusOK {
+				t.Fatalf("create: %s", st)
+			}
+		}
+		errs := make(chan string, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				name, client := fmt.Sprintf("d%d", w), fmt.Sprintf("c%d", w)
+				for range rounds {
+					var meta VDiskMeta
+					open, _ := jsonBody(OpenVDiskReq{Name: name, Client: client})
+					resp := primary.Handle(&proto.Message{Op: proto.MOpOpenVDisk, Payload: open})
+					if resp.Status != proto.StatusOK || json.Unmarshal(resp.Payload, &meta) != nil {
+						errs <- fmt.Sprintf("open %s: %s", name, resp.Status)
+						return
+					}
+					closing, _ := jsonBody(LeaseReq{ID: meta.ID, Client: client})
+					resp = primary.Handle(&proto.Message{Op: proto.MOpCloseVDisk, Payload: closing})
+					if resp.Status != proto.StatusOK {
+						errs <- fmt.Sprintf("close %s: %s", name, resp.Status)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		e.requireConverged(t, primary, e.masters[1:]...)
 	})
 }

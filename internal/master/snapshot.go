@@ -15,9 +15,9 @@ import (
 //
 // A snapshot freezes a vdisk's content into immutable, checksummed segments
 // in the object store: the master allocates each chunk a contiguous
-// segment-ID sub-range (replicated before any byte moves, so a failover
-// never re-issues an ID), asks each chunk's primary to flush
-// (OpFlushChunks), and records the returned extent tables as a SnapshotMeta
+// segment-ID sub-range (held by a majority of the masters before any byte
+// moves, so a failover never re-issues an ID), asks each chunk's primary to
+// flush (OpFlushChunks), and records the returned extent tables as a SnapshotMeta
 // through the op log. A clone is then provisioned in O(metadata): fresh
 // chunks are placed as usual but start life with the snapshot's extent refs
 // in ChunkMeta.Cold — no data is copied. Replicas demand-fetch extents on
@@ -60,8 +60,8 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 	if err := m.lockPrimary("snapshot " + snapName); err != nil {
 		return nil, err
 	}
-	defer m.mu.Unlock()
 	if m.st.snapshots[snapName] != nil {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("master: snapshot %q: %w", snapName, util.ErrExists)
 	}
 	id := m.st.nextID + 1
@@ -73,7 +73,7 @@ func (m *Master) SnapshotVDisk(vdiskName, snapName string) (*SnapshotMeta, error
 		StripeUnit:  src.StripeUnit,
 		Chunks:      extents,
 	}
-	if err := m.commitLocked(entry{PutSnapshot: &entryPutSnapshot{Meta: meta, NextID: id}}); err != nil {
+	if err := m.commitUnlock(entry{PutSnapshot: &entryPutSnapshot{Meta: meta, NextID: id}}); err != nil {
 		return nil, err
 	}
 	out := meta.Clone() // meta now belongs to the log
@@ -141,30 +141,32 @@ func (m *Master) beginSnapshot(vdiskName, snapName string) (src VDiskMeta, segLo
 	if err := m.lockPrimary("snapshot " + snapName); err != nil {
 		return VDiskMeta{}, 0, err
 	}
-	defer m.mu.Unlock()
 	vd, err := m.st.find(0, vdiskName)
+	if err == nil && m.st.snapshots[snapName] != nil {
+		err = fmt.Errorf("master: snapshot %q: %w", snapName, util.ErrExists)
+	}
+	var at Pos
+	if err == nil {
+		src, segLo = vd.meta.Clone(), m.st.nextSeg
+		at, err = m.commitLocked(entry{AllocSegs: &entryAllocSegs{NextSeg: segLo + uint64(len(src.Chunks))*coldtier.SegsPerChunk}})
+	}
+	if err == nil {
+		m.inflightFlushes++
+	}
+	m.mu.Unlock()
 	if err != nil {
 		return VDiskMeta{}, 0, err
 	}
-	if m.st.snapshots[snapName] != nil {
-		return VDiskMeta{}, 0, fmt.Errorf("master: snapshot %q: %w", snapName, util.ErrExists)
-	}
-	segLo, err = m.allocSegsLocked(uint64(len(vd.meta.Chunks)) * coldtier.SegsPerChunk)
-	if err != nil {
+	// The new watermark is held by a majority before a byte moves: whichever
+	// master promotes next continues from it, and never re-issues an ID
+	// already written to the store (write-once discipline).
+	if err := m.await(at); err != nil {
+		m.mu.Lock()
+		m.inflightFlushes--
+		m.mu.Unlock()
 		return VDiskMeta{}, 0, err
 	}
-	m.inflightFlushes++
-	return vd.meta.Clone(), segLo, nil
-}
-
-// allocSegsLocked reserves n segment IDs starting at the returned one (m.mu
-// held). The new watermark is committed — and so on its way to the standbys
-// — before the caller moves a byte: a promoted standby continues from the
-// watermark and can never re-issue an ID already written to the store
-// (write-once discipline).
-func (m *Master) allocSegsLocked(n uint64) (lo uint64, err error) {
-	lo = m.st.nextSeg
-	return lo, m.commitLocked(entry{AllocSegs: &entryAllocSegs{NextSeg: lo + n}})
+	return src, segLo, nil
 }
 
 // CloneFromSnapshot provisions a new vdisk from a snapshot in O(metadata):
@@ -187,9 +189,9 @@ func (m *Master) DeleteSnapshot(name string) error {
 	if err := m.lockPrimary("delete snapshot " + name); err != nil {
 		return err
 	}
-	defer m.mu.Unlock()
 	if m.st.snapshots[name] == nil {
+		m.mu.Unlock()
 		return fmt.Errorf("master: snapshot %q: %w", name, util.ErrNotFound)
 	}
-	return m.commitLocked(entry{DeleteSnapshot: &entryDeleteSnapshot{Name: name}})
+	return m.commitUnlock(entry{DeleteSnapshot: &entryDeleteSnapshot{Name: name}})
 }

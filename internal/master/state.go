@@ -11,11 +11,14 @@ import (
 // The master is one state machine: its replicated metadata is a state, and
 // a state changes only by applying a logged entry. (*state).apply is the one
 // function that writes a state field. It has two callers — commitLocked on
-// the primary, replicateLog on a standby — so the primary's state is produced
-// by exactly the code a standby, or a future boot-from-log, runs. Handlers
-// validate a request against the state read-only, build the entry that says
-// what changes, and commit it; a request that fails validation or placement
-// changes nothing anywhere.
+// the primary, replicateLog on a standby, which replays its whole log when a
+// new primary's batch cuts it — so the primary's state is produced by exactly
+// the code a standby, or a future boot-from-log, runs. Handlers validate a
+// request against the state read-only, build the entry that says what
+// changes, and commit it; a request that fails validation or placement
+// changes nothing anywhere. The primary applies an entry when it appends it,
+// before a majority holds it: a handler answers only once one does, but a
+// reader of the state may see an entry that a failover then drops.
 //
 // Invariant: an appended entry is immutable, and state and log share no
 // memory. apply copies everything it stores, and a handler that builds an
@@ -62,9 +65,10 @@ func newState() *state {
 }
 
 // entry is one replicated metadata mutation; exactly one kind field is set.
-// Seq is dense from 1 within an epoch's log.
+// Its Pos is where the primary appended it: Seq is dense from 1, and Epoch
+// is the primary's.
 type entry struct {
-	Seq            uint64               `json:"seq"`
+	Pos
 	PutVDisk       *entryPutVDisk       `json:"putVDisk,omitempty"`
 	DeleteVDisk    *entryDeleteVDisk    `json:"deleteVDisk,omitempty"`
 	Lease          *entryLease          `json:"lease,omitempty"`
@@ -106,9 +110,12 @@ type entrySetView struct {
 	Replicas []ReplicaInfo `json:"replicas"`
 }
 
-// entryAllocSegs advances the segment-ID watermark. Committed before any
-// flush touches the object store, so a promoted standby never
-// re-issues an ID that may already hold data (segments are write-once).
+// entryAllocSegs advances the segment-ID watermark. A majority of the
+// masters holds it before any flush touches the object store (beginSnapshot
+// awaits it), so whichever master promotes next never re-issues an ID that
+// may already hold data (segments are write-once). A promotion's first entry
+// is one too, at the watermark it inherits: it changes nothing, and once a
+// majority holds it, it holds every entry before it.
 type entryAllocSegs struct {
 	NextSeg uint64 `json:"nextSeg"`
 }

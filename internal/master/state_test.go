@@ -369,7 +369,7 @@ func TestColdReportSurvivesFailover(t *testing.T) {
 
 		e.net.Crash("master")
 		primary.Close()
-		promoted := promote(t, e.masters[1])
+		promoted := promote(t, e.masters[1], e.masters[2])
 		if _, err := promoted.Reconcile(); err != nil {
 			t.Fatal(err)
 		}
@@ -473,10 +473,10 @@ func TestReplayRefusesCreateOverHeldState(t *testing.T) {
 	}
 	t.Run("counted by the shipper", func(t *testing.T) {
 		clock.Test(t, func() {
-			e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+			e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
 			defer cleanup()
 			primary, standby := e.masters[0], e.masters[1]
-			e.quiesce(t, primary, standby)
+			e.quiesce(t, primary, e.masters[1:]...)
 			// Diverge the standby: it alone holds a vdisk under the ID the
 			// primary's next create hands out.
 			standby.mu.Lock()
@@ -542,10 +542,11 @@ func TestStandbyRefusesNonMemberBatch(t *testing.T) {
 
 // TestShipperCountsRefusedReplay: a standby whose state has diverged refuses
 // the entry it cannot apply and stays at the entry before it, and the
-// primary's shipper counts the batches it refuses.
+// primary's shipper counts the batches it refuses. The third master makes
+// the majority that lets the primary commit.
 func TestShipperCountsRefusedReplay(t *testing.T) {
 	clock.Test(t, func() {
-		e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
 		defer cleanup()
 		primary, standby := e.masters[0], e.masters[1]
 		var meta VDiskMeta
@@ -553,7 +554,7 @@ func TestShipperCountsRefusedReplay(t *testing.T) {
 			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
 			t.Fatalf("create: %s", st)
 		}
-		e.quiesce(t, primary, standby)
+		e.quiesce(t, primary, e.masters[1:]...)
 		refused := e.reg.Counter(MetricMasterReplayRefused)
 		if n := refused.Load(); n != 0 {
 			t.Fatalf("%d batches refused by a standby in step", n)
@@ -568,9 +569,9 @@ func TestShipperCountsRefusedReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := standby.LogSeq()
-		if st := callOn(t, primary, proto.MOpRenewLease,
-			LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
-			t.Fatalf("renew: %s", st)
+		if st := callOn(t, primary, proto.MOpOpenVDisk,
+			OpenVDiskReq{Name: "d", Client: "c"}, nil); st != proto.StatusOK {
+			t.Fatalf("open: %s", st)
 		}
 		for deadline := time.Now().Add(10 * time.Second); refused.Load() == 0; time.Sleep(2 * time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -585,10 +586,11 @@ func TestShipperCountsRefusedReplay(t *testing.T) {
 
 // TestLateStandbyCatchesUpInBoundedBatches: a standby that joins a primary
 // holding a long log converges on the primary's state without any one
-// MOpReplicateLog carrying more than shipBatchMax entries.
+// MOpReplicateLog carrying more than shipBatchMax entries. The third master
+// makes the majority while the late one is away.
 func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 	clock.Test(t, func() {
-		e, cleanup := newReplEnvTTL(t, 2, 3, 3*time.Second)
+		e, cleanup := newReplEnvTTL(t, 3, 3, 3*time.Second)
 		defer cleanup()
 		primary := e.masters[0]
 		e.net.Crash("master-1")
@@ -600,11 +602,11 @@ func TestLateStandbyCatchesUpInBoundedBatches(t *testing.T) {
 			t.Fatalf("create: %s", st)
 		}
 		// A renewal by the holder logs nothing: grow the log by grant and
-		// release pairs, a renewal of the unheld lease and a close.
+		// release pairs, an open and a close.
 		cycle := func() {
-			if st := callOn(t, primary, proto.MOpRenewLease,
-				LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {
-				t.Fatalf("renew: %s", st)
+			if st := callOn(t, primary, proto.MOpOpenVDisk,
+				OpenVDiskReq{Name: "d", Client: "c"}, nil); st != proto.StatusOK {
+				t.Fatalf("open: %s", st)
 			}
 			if st := callOn(t, primary, proto.MOpCloseVDisk,
 				LeaseReq{ID: meta.ID, Client: "c"}, nil); st != proto.StatusOK {

@@ -54,24 +54,30 @@ func (m *Master) CreateVDisk(req CreateVDiskReq) (*VDiskMeta, error) {
 }
 
 // provision brings a vdisk into being — the one path behind CreateVDisk and
-// CloneFromSnapshot: plan and commit the metadata under the lock, create the
-// replicas on the chunk servers, and delete the vdisk again if a server
-// refuses. meta carries the name, geometry and redundancy; repl overrides the
-// cluster's replica count when positive.
+// CloneFromSnapshot: plan and commit the metadata under the lock, await a
+// majority, create the replicas on the chunk servers, and delete the vdisk
+// again if a server refuses. A slot exists only for a vdisk a majority of the
+// masters holds, so no later primary hands its ID out again. meta carries the
+// name, geometry and redundancy; repl overrides the cluster's replica count
+// when positive.
 func (m *Master) provision(meta VDiskMeta, nchunks, repl int, fromSnap string) (*VDiskMeta, error) {
 	if err := m.lockPrimary("create " + meta.Name); err != nil {
 		return nil, err
 	}
 	put, err := m.planVDiskLocked(meta, nchunks, repl, fromSnap)
+	var at Pos
 	if err == nil {
-		err = m.commitLocked(entry{PutVDisk: put})
+		at, err = m.commitLocked(entry{PutVDisk: put})
 	}
 	m.mu.Unlock()
+	if err == nil {
+		err = m.await(at)
+	}
 	if err != nil {
 		return nil, err
 	}
 	// put now belongs to the log: read it, hand out a copy.
-	if err := m.createChunks(put.Meta.ID, put.Meta.Chunks, meta.Redundancy); err != nil {
+	if err := m.createChunks(put.Meta.ID, at, put.Meta.Chunks, meta.Redundancy); err != nil {
 		_, _ = m.deleteVDisk(GetVDiskReq{ID: put.Meta.ID}) // best-effort cleanup
 		return nil, err
 	}
@@ -181,15 +187,16 @@ func placeChunk(cur *placeCursors, repl int, ssds, backups []RegisterReq) (Chunk
 	return cm, nil
 }
 
-// createChunks creates every replica of a new vdisk with one OpCreateChunk
-// message per server, all servers at once (fanOut). A message lists that
-// server's replicas in chunk-index order, the server runs it on one goroutine
-// and a store hands out slots in arrival order: a disk's layout is a function
-// of placement alone, the one a create of one replica at a time produces
-// (DESIGN.md "Control-plane round trips"). The first refusal stops the issuing
-// on every server; what is already out is still awaited, so the caller's
-// clean-up cannot be overtaken by a create that lands after it.
-func (m *Master) createChunks(vdisk uint32, chunks []ChunkMeta, spec redundancy.Spec) error {
+// createChunks creates every replica of a new vdisk, whose put entry is at
+// put, with one OpCreateChunk message per server, all servers at once
+// (fanOut). A message lists that server's replicas in chunk-index order, the
+// server runs it on one goroutine and a store hands out slots in arrival
+// order: a disk's layout is a function of placement alone, the one a create
+// of one replica at a time produces (DESIGN.md "Control-plane round trips").
+// The first refusal stops the issuing on every server; what is already out is
+// still awaited, so the caller's clean-up cannot be overtaken by a create
+// that lands after it.
+func (m *Master) createChunks(vdisk uint32, put Pos, chunks []ChunkMeta, spec redundancy.Spec) error {
 	queues, held := byServer(chunks)
 	for q, refs := range held {
 		var batch []chunkserver.ChunkCreate
@@ -198,7 +205,7 @@ func (m *Master) createChunks(vdisk uint32, chunks []ChunkMeta, spec redundancy.
 			cm := chunks[ref.chunk]
 			batch = append(batch, chunkserver.ChunkCreate{
 				Chunk:          blockstore.MakeChunkID(vdisk, uint32(ref.chunk)),
-				CreateChunkReq: m.createReq(cm, ref.pos, spec),
+				CreateChunkReq: m.createReq(cm, ref.pos, spec, put),
 			})
 			// An entry's weight on the wire is its cold table's, near enough.
 			weight += 256 + 128*len(cm.Cold)
@@ -223,11 +230,12 @@ func (m *Master) createChunks(vdisk uint32, chunks []ChunkMeta, spec redundancy.
 	return first
 }
 
-// createReq is what the replica at position pos of a new chunk is created
-// with: the primary learns its backup list, and RS segment holders learn
-// which segment of the chunk their (smaller) slot stores.
-func (m *Master) createReq(cm ChunkMeta, pos int, spec redundancy.Spec) chunkserver.CreateChunkReq {
-	req := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec}
+// createReq is what the replica at position pos of a new chunk, of the vdisk
+// whose put entry is at put, is created with: the primary learns its backup
+// list, and RS segment holders learn which segment of the chunk their
+// (smaller) slot stores.
+func (m *Master) createReq(cm ChunkMeta, pos int, spec redundancy.Spec, put Pos) chunkserver.CreateChunkReq {
+	req := chunkserver.CreateChunkReq{View: cm.View, Redundancy: spec, Put: put}
 	if pos == 0 {
 		for _, b := range cm.Replicas[1:] {
 			req.Backups = append(req.Backups, b.Addr)
@@ -251,27 +259,36 @@ func (m *Master) openVDisk(req OpenVDiskReq) (*VDiskMeta, error) {
 	if err := m.lockPrimary("open " + req.Name); err != nil {
 		return nil, err
 	}
-	defer m.mu.Unlock()
 	vd, err := m.st.find(0, req.Name)
+	if err == nil && vd.holder != "" && vd.holder != req.Client && m.cfg.Clock.Now().Before(m.leaseEnds[vd.meta.ID]) {
+		err = fmt.Errorf("master: open %q: %w", req.Name, util.ErrLeaseHeld)
+	}
+	var at Pos
+	var out VDiskMeta
+	if err == nil {
+		// A change of holder is committed; the holder's own open, like a
+		// renewal, logs nothing.
+		if vd.holder != req.Client {
+			at, err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: req.Client}})
+		}
+		m.leaseEnds[vd.meta.ID] = m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
+		out = vd.meta.Clone()
+	}
+	m.mu.Unlock()
+	if err == nil {
+		err = m.await(at)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if vd.holder != "" && vd.holder != req.Client && m.cfg.Clock.Now().Before(m.leaseEnds[vd.meta.ID]) {
-		return nil, fmt.Errorf("master: open %q: %w", req.Name, util.ErrLeaseHeld)
-	}
-	if err := m.grantLocked(vd, req.Client); err != nil {
-		return nil, err
-	}
-	out := vd.meta.Clone()
 	return &out, nil
 }
 
-// renewLease extends req.Client's lease. Reclaim-on-renew: a promoted standby
-// may have missed the newest grant, so an unheld lease goes to the first
-// renewer — the legitimate holder's renew loop reclaims it within one renewal
-// period — and a holder may renew its own lease even after its end, as long
-// as no other client's open took it first. A second client racing either
-// loses by the ordinary holder check.
+// renewLease extends req.Client's lease by one LeaseTTL from now, committing
+// nothing. Only the holder renews, and it may renew its own lease even after
+// its end, as long as no other client's open took it first. A lease no
+// client holds is renewed by nobody: every grant a client was answered is on
+// a majority of the masters, so a promoted master knows it.
 func (m *Master) renewLease(req LeaseReq) (any, error) {
 	if err := m.lockPrimary("renew lease"); err != nil {
 		return nil, err
@@ -281,20 +298,11 @@ func (m *Master) renewLease(req LeaseReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if vd.holder != "" && vd.holder != req.Client {
+	if vd.holder != req.Client {
 		return nil, fmt.Errorf("master: renew vdisk %d: %w", req.ID, util.ErrLeaseHeld)
 	}
-	return nil, m.grantLocked(vd, req.Client)
-}
-
-// grantLocked gives vd's lease to client for one LeaseTTL from now (m.mu
-// held), committing only a change of holder: a renewal logs nothing.
-func (m *Master) grantLocked(vd *vdisk, client string) (err error) {
-	if vd.holder != client {
-		err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: client}})
-	}
 	m.leaseEnds[vd.meta.ID] = m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
-	return err
+	return nil, nil
 }
 
 // closeVDisk releases the lease if req.Client holds it.
@@ -302,16 +310,13 @@ func (m *Master) closeVDisk(req LeaseReq) (any, error) {
 	if err := m.lockPrimary("close"); err != nil {
 		return nil, err
 	}
-	defer m.mu.Unlock()
 	vd, err := m.st.byID(req.ID)
-	if err != nil {
+	if err != nil || vd.holder != req.Client {
+		m.mu.Unlock()
 		return nil, err
 	}
-	if vd.holder != req.Client {
-		return nil, nil
-	}
 	delete(m.leaseEnds, req.ID)
-	return nil, m.commitLocked(entry{Lease: &entryLease{ID: req.ID}})
+	return nil, m.commitUnlock(entry{Lease: &entryLease{ID: req.ID}})
 }
 
 func (m *Master) getVDisk(req GetVDiskReq) (*VDiskMeta, error) {
@@ -335,12 +340,16 @@ func (m *Master) deleteVDisk(req GetVDiskReq) (any, error) {
 	}
 	vd, err := m.st.find(req.ID, req.Name)
 	var meta VDiskMeta
+	var at Pos
 	if err == nil {
 		meta = vd.meta.Clone() // RPC fan-out below runs unlocked
-		err = m.commitLocked(entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
+		at, err = m.commitLocked(entry{DeleteVDisk: &entryDeleteVDisk{ID: meta.ID}})
 		delete(m.leaseEnds, meta.ID)
 	}
 	m.mu.Unlock()
+	if err == nil {
+		err = m.await(at) // a delete no majority holds may yet be undone: keep the slots
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -116,9 +116,11 @@ const (
 	// primary master to a standby (payload: ReplicateLogReq JSON). The ack
 	// returns the standby's applied sequence so the shipper can rewind.
 	MOpReplicateLog
-	// MOpMasterInfo asks a master who it thinks the primary is (payload:
+	// MOpMasterInfo asks a master who it thinks the primary is (reply:
 	// MasterInfoResp JSON). Served by primaries and standbys alike; clients
-	// use it to discover the cluster after StatusNotPrimary.
+	// use it to discover the cluster after StatusNotPrimary. A standby's
+	// promotion probe carries a request (master.ProbeReq): the epoch it would
+	// take, which the answerer may promise it.
 	MOpMasterInfo
 	// MOpSnapshot flushes a vdisk's current contents to the cold tier as an
 	// immutable, named snapshot (payload: SnapshotReq JSON).

@@ -20,13 +20,15 @@ import (
 // StatusNotPrimary redirect: who this master is, who it believes the
 // primary is, and the full endpoint list for client discovery. It is
 // defined beside the session, which reads redirects; package master aliases
-// it.
+// it. LogEpoch and LogSeq are where its metadata log ends: the epoch of the
+// last entry's primary, and its sequence number.
 type MasterInfoResp struct {
 	Self      string   `json:"self"`
 	Primary   string   `json:"primary,omitempty"`
 	Epoch     uint64   `json:"epoch"`
 	IsPrimary bool     `json:"isPrimary"`
 	Endpoints []string `json:"endpoints,omitempty"`
+	LogEpoch  uint64   `json:"logEpoch,omitempty"`
 	LogSeq    uint64   `json:"logSeq"`
 }
 

@@ -339,7 +339,7 @@ func (w *world) fill(c *cluster, f master.Fill, version, view uint64) proto.Chun
 		return failed
 	}
 	if cr := f.Create; cr != nil {
-		if s := w.slots[i]; s != nil && chunkserver.Outdated(s.view, c.spec, s.holder, int(s.seg), *cr) {
+		if s := w.slots[i]; s != nil && chunkserver.Outdated(s.view, chunkserver.Pos{}, c.spec, s.holder, int(s.seg), *cr) {
 			w.slots[i] = nil
 		}
 		if w.slots[i] == nil {
