@@ -178,10 +178,11 @@ replay-smoke:
 
 # The view change checked exhaustively (internal/viewcheck, DESIGN.md "Fault
 # model & recovery"): the explorer at its larger scope — each strategy, 3
-# client writes, 2 faults and a reconcile pass, over the real planner and
+# client writes, 3 faults and a reconcile pass, over the real planner and
 # replica rules — logs the states explored and the wall time per strategy,
 # and fails on a violated invariant with the shortest trace that reaches it
-# (≈ 5 s). Tier-1 runs the small scope, 2 writes, in TestExplore.
+# (≈ 2 min, ≈ 6 M states). Tier-1 runs the smaller scopes, up to 2 writes
+# and 3 faults, in TestExplore.
 viewcheck:
 	$(GO) test ./internal/viewcheck -run '^$$' -bench ViewCheck -benchtime 1x -count=1 -v
 

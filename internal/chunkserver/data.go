@@ -29,7 +29,7 @@ func (s *Server) handleData(op *opctx.Op, m *proto.Message) *proto.Message {
 	case proto.OpWrite, proto.OpReplicate:
 		return s.handleApply(op, m)
 	case proto.OpGetVersion:
-		return s.handleGetVersion(m)
+		return s.handleGetVersion(op, m)
 	case proto.OpFetchSegment:
 		return s.handleFetchSegment(op, m)
 	case proto.OpRepairSince:
@@ -267,15 +267,17 @@ func (s *Server) handleRead(op *opctx.Op, m *proto.Message) *proto.Message {
 
 // handleGetVersion answers the probe recovery and clients build their
 // picture of a chunk from, for every chunk the message lists or, when it
-// lists none, every slot the store holds (the master's inventory). A replica
-// that has reported its own device for the chunk answers non-OK until a
-// rebuild lands on it: its in-memory version says nothing about bytes it can
-// no longer read or write, and a prober that took it at its word would count
-// a dead position as healthy. The inventory waits on no chunk lock: a fill
-// or a segment snapshot holds one across device time, seconds on an HDD,
-// and would hold back the answer for every other chunk. A chunk whose lock
-// is held answers non-OK, which a reconcile pass leaves for its next.
-func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
+// lists none, every slot the store holds (the master's inventory). A view in
+// the header is a view change's seal, which every listed replica takes
+// before it answers (sealLocked). A replica that has reported its own device
+// for the chunk answers non-OK until a rebuild lands on it: its in-memory
+// version says nothing about bytes it can no longer read or write, and a
+// prober that took it at its word would count a dead position as healthy.
+// The inventory waits on no chunk lock: a fill or a segment snapshot holds
+// one across device time, seconds on an HDD, and would hold back the answer
+// for every other chunk. A chunk whose lock is held answers non-OK, which a
+// reconcile pass leaves for its next.
+func (s *Server) handleGetVersion(op *opctx.Op, m *proto.Message) *proto.Message {
 	var ids []blockstore.ChunkID
 	inventory := len(m.Payload) == 0
 	if inventory {
@@ -295,15 +297,17 @@ func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
 		cs := s.chunk(id)
 		switch {
 		case cs == nil:
-		case cs.suspect.Load():
-			results[i].Status = proto.StatusError
 		case inventory && !cs.mu.TryLock():
 			results[i].Status = proto.StatusError
 		default:
 			if !inventory {
 				cs.mu.Lock()
 			}
-			results[i].Status, results[i].Version, results[i].View = proto.StatusOK, cs.version, cs.view
+			if !inventory && m.View != 0 && !s.sealLocked(op, cs, m.View) || cs.suspect.Load() {
+				results[i].Status = proto.StatusError
+			} else {
+				results[i].Status, results[i].Version, results[i].View = proto.StatusOK, cs.version, cs.view
+			}
 			cs.mu.Unlock()
 			if cold := cs.cold; cold != nil && !cold.done.Load() {
 				cold.mu.Lock()
@@ -313,6 +317,20 @@ func (s *Server) handleGetVersion(m *proto.Message) *proto.Message {
 		}
 	}
 	return m.ReplyBatch(results)
+}
+
+// sealLocked stops the replica's view at a view change's seal: it adopts
+// view (SetViewRule), so WriteRule refuses every write sent in an earlier
+// one, wakes the writers parked on the chunk to be refused, and waits out the
+// applies it admitted before (drainLocked), so the version it answers is the
+// last the old view reaches here. Called and returns with cs.mu held; false
+// when an apply outlasted the wait.
+func (s *Server) sealLocked(op *opctx.Op, cs *chunkState, view uint64) bool {
+	if SetViewRule(cs.view, view) == proto.StatusOK {
+		cs.view = view
+		cs.bumpLocked()
+	}
+	return s.drainLocked(cs, op, false)
 }
 
 // handleRepairSince serves incremental repair: the ranges modified after

@@ -76,6 +76,9 @@ func Outdated(at uint64, put Pos, spec redundancy.Spec, holder bool, seg int, re
 }
 
 // SetViewRule is OpSetView's rule at a replica in view at: no view below it.
+// It is also the seal's (handleGetVersion): a replica that adopts a view
+// change's seal refuses, by WriteRule, every write sent in the old view, so
+// the version it answers the seal with is final for that view.
 func SetViewRule(at, view uint64) proto.Status {
 	if view < at {
 		return proto.StatusStaleView

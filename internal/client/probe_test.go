@@ -146,7 +146,7 @@ func TestOpenRepairsOnlyTheChunkThatDisagrees(t *testing.T) {
 		for i, ch := range vd.chunks {
 			wantView := uint64(1)
 			if i == torn {
-				wantView = 2
+				wantView = 3 // sealed at 2
 			}
 			if ch.meta.View != wantView || ch.next != ch.committed || len(ch.orphans) != 0 {
 				t.Errorf("chunk %d after open: view %d (want %d), next %d, committed %d, %d orphans",

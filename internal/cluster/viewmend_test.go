@@ -108,11 +108,11 @@ func writeGolden(t *testing.T, vd *client.VDisk) []byte {
 }
 
 // replicasAheadOfPromotedMaster: the primary master, cut off from both
-// standbys, replaces a backup of chunk 0 — installing view i+1 on the
-// chunk servers — and cannot record it: no majority holds the entry, so the
-// view change answers ErrNoQuorum, and the master dies. The standby that
-// promotes records view i, with the old members, while the replicas it
-// kept answer at i+1. The primacy lease is long enough that no standby
+// standbys, replaces a backup of chunk 0 — sealing it at view i+1 and
+// installing view i+2 on the chunk servers — and cannot record it: no
+// majority holds the entry, so the view change answers ErrNoQuorum, and the
+// master dies. The standby that promotes records view i, with the old
+// members, while the replicas it kept answer at i+2. The primacy lease is long enough that no standby
 // promotes (and fences the servers) before the install is done.
 func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64, func()) {
 	opts := chaosClusterOptions(true)
@@ -139,7 +139,7 @@ func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, 
 	if _, err := c.Masters[0].RecoverChunk(vd.ID(), 0, old.Replicas[1].Addr, 0); !errors.Is(err, util.ErrNoQuorum) {
 		t.Fatalf("view change on the cut-off master: %v, want %v", err, util.ErrNoQuorum)
 	}
-	installed := old.View + 1
+	installed := old.View + 2 // above its seal
 	epoch := c.Masters[0].Epoch()
 	c.KillMaster(0)
 	c.Net.HealAllPartitions()
@@ -153,8 +153,8 @@ func replicasAheadOfPromotedMaster(t *testing.T) (*core.Cluster, *client.VDisk, 
 
 // replicaMissedInstall: a view change replaces a crashed backup of chunk 0
 // while the master is cut off from the primary replica, so the primary
-// answered the probe but never gets the new view: the master records i+1
-// and the primary stays at i. The disks a replacement can land on are
+// answered the probe and took its seal, i+1, but never gets the new view:
+// the master records i+2 and the primary stays at i+1. The disks a replacement can land on are
 // slowed so its fill outlasts the cut's setting-up. A client that opens
 // afterwards sees the primary answer at the old view.
 func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, uint64, func()) {
@@ -224,12 +224,12 @@ func replicaMissedInstall(t *testing.T) (*core.Cluster, *client.VDisk, []byte, u
 		f.Heal()
 	}
 	cm := res.cm
-	if res.err != nil || cm.View != old.View+1 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
-		t.Fatalf("view change recorded %+v, %v; want view %d led by %s", cm, res.err, old.View+1, old.Replicas[0].Addr)
+	if res.err != nil || cm.View != old.View+2 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
+		t.Fatalf("view change recorded %+v, %v; want view %d led by %s", cm, res.err, old.View+2, old.Replicas[0].Addr)
 	}
 	v := c.Server(old.Replicas[0].Addr).Handle(&proto.Message{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)})
-	if v.View != old.View {
-		t.Fatalf("primary replica at view %d, want the missed install's predecessor %d", v.View, old.View)
+	if v.View != old.View+1 {
+		t.Fatalf("primary replica at view %d, want the seal before the missed install, %d", v.View, old.View+1)
 	}
 
 	vd.Close() // hand the lease on
@@ -295,8 +295,8 @@ func TestStaleClientReadsFromLonePrimary(t *testing.T) {
 
 		c.CrashServer(old.Replicas[2].Addr)
 		cm, err := c.Master.RecoverChunk(vd.ID(), 0, old.Replicas[2].Addr, 0)
-		if err != nil || cm.View != old.View+1 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
-			t.Fatalf("view change recorded %+v, %v; want view %d led by %s", cm, err, old.View+1, old.Replicas[0].Addr)
+		if err != nil || cm.View != old.View+2 || cm.Replicas[0].Addr != old.Replicas[0].Addr {
+			t.Fatalf("view change recorded %+v, %v; want view %d (sealed at %d) led by %s", cm, err, old.View+2, old.View+1, old.Replicas[0].Addr)
 		}
 		for _, r := range cm.Replicas[1:] {
 			c.CrashServer(r.Addr)

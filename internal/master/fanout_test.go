@@ -187,8 +187,8 @@ func TestRecoverMirrorPlacesReplacementsApart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cm.View != 2 || len(cm.Replicas) != 3 {
-			t.Fatalf("new view %d with replicas %+v, want view 2 with three", cm.View, cm.Replicas)
+		if cm.View != 3 || len(cm.Replicas) != 3 { // sealed at 2, installed at 3
+			t.Fatalf("new view %d with replicas %+v, want view 3 with three", cm.View, cm.Replicas)
 		}
 		addrs, machines := make(map[string]bool), make(map[string]bool)
 		for _, r := range cm.Replicas {
@@ -263,8 +263,8 @@ func TestRecoverMirrorFillsLaggardAndReplacementAtOnce(t *testing.T) {
 		if res.err != nil {
 			t.Fatal(res.err)
 		}
-		if got := fmt.Sprint(res.cm.View, res.cm.Replicas); got != "2 [{s0/ssd true} {s1/hdd false} {s3/hdd false}]" {
-			t.Fatalf("new view %s, want view 2 of s0/ssd, s1/hdd and s3/hdd", got)
+		if got := fmt.Sprint(res.cm.View, res.cm.Replicas); got != "3 [{s0/ssd true} {s1/hdd false} {s3/hdd false}]" {
+			t.Fatalf("new view %s, want view 3 (sealed at 2) of s0/ssd, s1/hdd and s3/hdd", got)
 		}
 	})
 }

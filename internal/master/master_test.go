@@ -360,7 +360,7 @@ func TestRecoverChunkReplacesDeadPrimary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if newMeta.View != 2 {
+		if newMeta.View != 3 { // sealed at 2
 			t.Errorf("view = %d", newMeta.View)
 		}
 		if len(newMeta.Replicas) != 3 {
@@ -377,7 +377,7 @@ func TestRecoverChunkReplacesDeadPrimary(t *testing.T) {
 		// Metadata reflects the new view.
 		var got VDiskMeta
 		e.call(t, proto.MOpGetVDisk, GetVDiskReq{ID: meta.ID}, &got)
-		if got.Chunks[0].View != 2 {
+		if got.Chunks[0].View != 3 {
 			t.Errorf("stored view = %d", got.Chunks[0].View)
 		}
 		if n := e.m.Snapshot().ViewChanges; n != 1 {
@@ -425,8 +425,8 @@ func TestRecoverChunkRepairsLaggard(t *testing.T) {
 
 // TestReportViewDecidesProbe: the view a report names decides what the
 // master does. At the recorded view, a whole chunk is answered as it
-// stands; above it, the chunk gets a view above the reporter's, counted as
-// a mend; below it, the recorded meta comes back with no probe, so even a
+// stands; above it, the chunk is sealed at a view above the reporter's and
+// gets the next, counted as a mend; below it, the recorded meta comes back with no probe, so even a
 // chunk whose every replica is down answers at once.
 func TestReportViewDecidesProbe(t *testing.T) {
 	clock.Test(t, func() {
@@ -439,8 +439,8 @@ func TestReportViewDecidesProbe(t *testing.T) {
 		if cm, err := report(1); err != nil || cm.View != 1 {
 			t.Fatalf("report at the recorded view: %+v, %v; want view 1 unchanged", cm, err)
 		}
-		if cm, err := report(5); err != nil || cm.View != 6 {
-			t.Fatalf("report above the recorded view: %+v, %v; want view 6", cm, err)
+		if cm, err := report(5); err != nil || cm.View != 7 {
+			t.Fatalf("report above the recorded view: %+v, %v; want view 7", cm, err)
 		}
 		if got := e.m.cfg.Metrics.Counter(MetricViewMends).Load(); got != 1 {
 			t.Errorf("%s = %d, want 1", MetricViewMends, got)
@@ -448,10 +448,10 @@ func TestReportViewDecidesProbe(t *testing.T) {
 		for _, r := range meta.Chunks[0].Replicas {
 			e.net.Crash(r.Addr)
 		}
-		if cm, err := report(2); err != nil || cm.View != 6 {
-			t.Fatalf("report below the recorded view: %+v, %v; want the recorded view 6", cm, err)
+		if cm, err := report(2); err != nil || cm.View != 7 {
+			t.Fatalf("report below the recorded view: %+v, %v; want the recorded view 7", cm, err)
 		}
-		if _, err := report(6); !errors.Is(err, util.ErrNoQuorum) {
+		if _, err := report(7); !errors.Is(err, util.ErrNoQuorum) {
 			t.Errorf("report at the recorded view with every replica down: %v, want ErrNoQuorum", err)
 		}
 	})

@@ -29,9 +29,10 @@ type Recovery struct {
 }
 
 // Action is a view change's next step, one of: Probe the addresses ("" for
-// one not asked); fill all of Fills to Version at once; Install view View with
-// those replicas and record it (Mend: views were its only cause); or answer,
-// Err or the record as it stands.
+// one not asked), sealing them at view View when it is not 0; fill all of
+// Fills to Version at once; Install view View with those replicas and record
+// it (Mend: every replica answered the seal at one version, so views were its
+// only cause); or answer, Err or the record as it stands.
 type Action struct {
 	Probe   []string
 	Fills   []Fill
@@ -56,29 +57,37 @@ type Fill struct {
 // the record, with no probe. Otherwise: (1) collect versions and views; a
 // chunk whose replicas Agree, the reporter not above the record, needs no new
 // view (dead devices keep re-reporting while records stay parked on them);
-// (2) pick versionH, the highest version collected; (3) fill the laggards and
-// a replacement for each failed replica from what holds versionH; (4) install
-// a new view. The strategies plan steps 2–4 apart (planMirror, planRS): one
-// merged planner would branch on strategy at five points.
+// (2) seal: a view change that will act probes again at a view above every
+// one seen (above), which stops the old view before its versions are read,
+// so a versionH read from the sealed answers is final; (3) pick versionH, the
+// highest version sealed; (4) fill the laggards and a replacement for each
+// failed replica from what holds versionH; (5) install a new view above the
+// seal. The strategies plan steps 3–5 apart (planMirror, planRS): one merged
+// planner would branch on strategy at five points. Whether a view change
+// will act is its plan from the first probe, with no round to replay: one
+// that fills nothing and installs nothing — no quorum, or nothing a fill
+// could restore — seals nothing.
 func Plan(r *Recovery) Action {
 	if r.View != 0 && r.View < r.Meta.View {
 		return Action{}
 	}
 	p := &replay{rounds: r.Rounds}
-	skip := r.Failed // the mirror path trusts the reporter, RS probes it too
+	skip, plan := r.Failed, planMirror // the mirror path trusts the reporter, RS probes it too
 	if r.Spec.IsRS() {
-		skip = ""
+		skip, plan = "", planRS
 	}
-	var a Action
-	switch answers, alive := p.probe(r.Meta.Replicas, skip); {
-	case alive == 0:
-		a.Err = fmt.Errorf("no replica reachable: %w", util.ErrNoQuorum)
-	case Agree(r.Meta.View, answers) && r.View <= r.Meta.View:
-	case r.Spec.IsRS():
-		a = planRS(r, p, answers)
-	default:
-		a = planMirror(r, p, answers, alive)
+	answers := p.probe(r.Meta.Replicas, skip, 0)
+	if p.need != nil {
+		return *p.need
 	}
+	if Agree(r.Meta.View, answers) && r.View <= r.Meta.View {
+		return Action{}
+	}
+	dry := &replay{}
+	if a := plan(r, dry, answers); dry.need == nil && a.Install == nil {
+		return a
+	}
+	a := plan(r, p, p.probe(r.Meta.Replicas, skip, above(r, answers)))
 	if p.need != nil {
 		return *p.need
 	}
@@ -107,25 +116,19 @@ func (p *replay) ask(a Action, n int) []proto.ChunkResult {
 	return out
 }
 
-// probe asks every replica but skip for its version and view; only an OK
-// answer makes a replica alive.
-func (p *replay) probe(replicas []ReplicaInfo, skip string) (answers []proto.ChunkResult, alive int) {
+// probe asks every replica but skip for its version and view, sealing it at
+// seal when that is not 0.
+func (p *replay) probe(replicas []ReplicaInfo, skip string, seal uint64) []proto.ChunkResult {
 	addrs := make([]string, len(replicas))
 	for i, r := range replicas {
 		if r.Addr != skip {
 			addrs[i] = r.Addr
 		}
 	}
-	answers = p.ask(Action{Probe: addrs}, len(addrs))
-	for _, a := range answers {
-		if a.Status == proto.StatusOK {
-			alive++
-		}
-	}
-	return answers, alive
+	return p.ask(Action{Probe: addrs, View: seal}, len(addrs))
 }
 
-// planMirror plans steps 2–4 for a mirrored chunk: a majority, or fewer when
+// planMirror plans steps 3–5 for a mirrored chunk: a majority, or fewer when
 // the reporter named the missing replica crashed (§4.2.2's write-to-all
 // property). Every laggard and replacement is filled in one action, each pick
 // seeing the replicas and the picks before it, so no two share a machine; an
@@ -135,18 +138,22 @@ func (p *replay) probe(replicas []ReplicaInfo, skip string) (answers []proto.Chu
 // more than half of the recorded replicas are proven at versionH (answered at
 // it or filled to it); otherwise it stays, as it may hold the one live copy of
 // an acked write whose other holders crashed.
-func planMirror(r *Recovery, p *replay, answers []proto.ChunkResult, alive int) Action {
+func planMirror(r *Recovery, p *replay, answers []proto.ChunkResult) Action {
 	cm := r.Meta
-	if alive*2 <= len(cm.Replicas) && r.Failed == "" {
-		return Action{Err: fmt.Errorf("only %d/%d replicas reachable: %w", alive, len(cm.Replicas), util.ErrNoQuorum)}
-	}
 	var versionH uint64
-	var source chunkserver.FillReq // read at the view it answered at
+	var source chunkserver.FillReq // read at the view it answered at: the seal
+	alive := 0
 	for i, a := range answers {
-		if a.Status == proto.StatusOK && a.Version >= versionH {
+		if a.Status != proto.StatusOK {
+			continue
+		}
+		if alive++; a.Version >= versionH {
 			versionH = a.Version
 			source = chunkserver.FillReq{Source: cm.Replicas[i].Addr, View: a.View}
 		}
+	}
+	if alive == 0 || alive*2 <= len(cm.Replicas) && r.Failed == "" {
+		return Action{Err: fmt.Errorf("only %d/%d replicas reachable: %w", alive, len(cm.Replicas), util.ErrNoQuorum)}
 	}
 	var fills []Fill
 	for i, a := range answers {
@@ -207,7 +214,7 @@ func planMirror(r *Recovery, p *replay, answers []proto.ChunkResult, alive int) 
 	return install(r, answers, replicas)
 }
 
-// planRS plans steps 2–4 for an RS(N,M) chunk, whose replica list is
+// planRS plans steps 3–5 for an RS(N,M) chunk, whose replica list is
 // position-keyed (Replicas[0] the primary, Replicas[1+i] segment i's holder):
 // each position is filled in place or on a fresh server at that position, one
 // at a time, primary first, since a holder's fill names the primary restored
@@ -225,14 +232,11 @@ func planRS(r *Recovery, p *replay, answers []proto.ChunkResult) Action {
 			drift = drift || a.View != cm.View
 		}
 	}
-	// current reports whether a replica holds versionH. One below it is asked
-	// again: a healthy replica caught mid-apply has caught up by now.
+	// current reports whether a replica holds versionH. A sealed replica
+	// drained its applies before it answered, so one below it is behind.
 	current := func(pos int) bool {
-		if a := answers[pos]; a.Status != proto.StatusOK || a.Version == versionH {
-			return a.Status == proto.StatusOK
-		}
-		again, alive := p.probe(cm.Replicas[pos:pos+1], "")
-		return alive == 1 && again[0].Version >= versionH
+		a := answers[pos]
+		return a.Status == proto.StatusOK && a.Version == versionH
 	}
 	primaryOK := current(0)
 	var sources []chunkserver.PieceSource
@@ -286,7 +290,9 @@ func planRS(r *Recovery, p *replay, answers []proto.ChunkResult) Action {
 		}
 	}
 	// Repairing nothing bumps no view, or dead devices would churn views; a
-	// view a replica holds and the log does not is mended all the same.
+	// view a replica holds and the log does not is mended all the same, and
+	// so is a seal, which left every replica that answered it above the
+	// record.
 	if !changed && !repaired && !drift {
 		return Action{}
 	}
@@ -294,20 +300,28 @@ func planRS(r *Recovery, p *replay, answers []proto.ChunkResult) Action {
 }
 
 // install is the last action of every view change that changes anything: a
-// view with replicas, numbered above the recorded one, the reporter's and
-// every view a replica answered the probe with, so it supersedes a view a
-// dead master installed or handed out but never logged, and no reporter is
-// answered below its view.
+// view with replicas, numbered above the recorded view, the reporter's and
+// every view a replica answered the seal with.
 func install(r *Recovery, answers []proto.ChunkResult, replicas []ReplicaInfo) Action {
-	a := Action{Install: replicas, View: max(r.Meta.View, r.View), Mend: len(answers) > 0}
+	a := Action{Install: replicas, View: above(r, answers), Mend: len(answers) > 0}
 	for _, ans := range answers {
-		if ans.Status == proto.StatusOK {
-			a.View = max(a.View, ans.View)
-		}
 		a.Mend = a.Mend && ans.Status == proto.StatusOK && ans.Version == answers[0].Version
 	}
-	a.View++
 	return a
+}
+
+// above numbers a seal or an install: one above the recorded view, the
+// reporter's and every view a replica answered with, so it supersedes a view
+// a dead master sealed, installed or handed out but never logged, and no
+// reporter is answered below its view.
+func above(r *Recovery, answers []proto.ChunkResult) uint64 {
+	view := max(r.Meta.View, r.View)
+	for _, a := range answers {
+		if a.Status == proto.StatusOK {
+			view = max(view, a.View)
+		}
+	}
+	return view + 1
 }
 
 // pick chooses a registered server of the requested storage class whose

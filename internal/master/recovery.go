@@ -17,11 +17,11 @@ const (
 	// MetricRecoveryDuration is the report-to-new-view latency per recovery.
 	MetricRecoveryDuration = "chunk-recovery-duration"
 	// MetricViewMends counts view changes whose only cause was a replica
-	// at a view other than the recorded one: every replica answered at one
-	// version. A master installs a view before it records it, so one whose
-	// record no majority came to hold — it was cut off from the other masters,
-	// or died — leaves replicas ahead of the master that promotes next; a
-	// replica that missed an install is left behind.
+	// at a view other than the recorded one: every replica answered the
+	// seal at one version. A master installs a view before it records it,
+	// so one whose record no majority came to hold — it was cut off from the
+	// other masters, or died — leaves replicas ahead of the master that
+	// promotes next; a replica that missed an install is left behind.
 	MetricViewMends = "master-view-mends"
 )
 
@@ -46,7 +46,11 @@ func Agree(view uint64, answers []proto.ChunkResult) bool {
 // installView's. An answer that needs no probe — a reporter behind the record
 // — comes before any wait. Otherwise one recovery per chunk runs at a time:
 // reporters re-fire on a cooldown much shorter than a 64 MB clone, so
-// latecomers wait for the one in flight and share its outcome.
+// latecomers wait for the one in flight and share its outcome. Every answer
+// that hands out the record waits until a majority of the masters holds the
+// log it was read at (settled): a reporter is never told a view that the
+// master promoted next does not know, and whose new replicas a seal of its
+// own record would miss.
 func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr string, view uint64) (*ChunkMeta, error) {
 	// Only the primary may drive view changes (its commands are also fenced
 	// per-RPC; this just fails fast).
@@ -54,18 +58,20 @@ func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr stri
 		return nil, m.errNotPrimary(fmt.Sprintf("recover c%d.%d", vdiskID, chunkIndex))
 	}
 	r := &Recovery{Failed: failedAddr, View: view}
-	if err := m.record(r, vdiskID, chunkIndex); err != nil {
+	at, err := m.record(r, vdiskID, chunkIndex)
+	if err != nil {
 		return nil, err
 	}
 	if a := Plan(r); a.Probe == nil {
-		return &r.Meta, a.Err
+		return m.settled(&r.Meta, at, a.Err)
 	}
 	key := uint64(vdiskID)<<32 | uint64(chunkIndex)
 	m.recMu.Lock()
 	if ch, busy := m.recovering[key]; busy {
 		m.recMu.Unlock()
 		<-ch
-		return &r.Meta, m.record(r, vdiskID, chunkIndex)
+		at, err := m.record(r, vdiskID, chunkIndex)
+		return m.settled(&r.Meta, at, err)
 	}
 	ch := make(chan struct{})
 	m.recovering[key] = ch
@@ -78,7 +84,7 @@ func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr stri
 	}()
 
 	t0 := m.cfg.Clock.Now()
-	if err := m.record(r, vdiskID, chunkIndex); err != nil {
+	if at, err = m.record(r, vdiskID, chunkIndex); err != nil {
 		return nil, err
 	}
 	id := blockstore.MakeChunkID(vdiskID, chunkIndex)
@@ -87,33 +93,36 @@ func (m *Master) RecoverChunk(vdiskID uint32, chunkIndex uint32, failedAddr stri
 		case a.Err != nil:
 			return nil, fmt.Errorf("master: recover %v: %w", id, a.Err)
 		case a.Probe != nil:
-			r.Rounds = append(r.Rounds, m.probeVersions(id, a.Probe))
+			r.Rounds = append(r.Rounds, m.probeVersions(id, a.Probe, a.View))
 		case a.Fills != nil:
 			// The vdisk may have gone while the probe ran: its slots are the
 			// reconcile pass's to reap, and a fill would only hold a lock.
-			if err := m.record(&Recovery{}, vdiskID, chunkIndex); err != nil {
+			if _, err := m.record(&Recovery{}, vdiskID, chunkIndex); err != nil {
 				return nil, err
 			}
 			r.Rounds = append(r.Rounds, m.fill(id, r.Meta.View, a))
 		case a.Install != nil:
 			return m.installView(t0, id, vdiskID, chunkIndex, a)
 		default:
-			return &r.Meta, nil
+			return m.settled(&r.Meta, at, nil)
 		}
 	}
 }
 
 // probeVersions asks every address named for the chunk's version and view,
-// all at once. "" or silence answers StatusError, and so does a replica that
-// reported its own device (chunkserver handleGetVersion).
-func (m *Master) probeVersions(id blockstore.ChunkID, addrs []string) []proto.ChunkResult {
+// all at once, sealing each replica at seal when that is not 0: the replica
+// adopts the view, so it takes no more writes of the old one, and answers
+// once the applies it admitted have landed (chunkserver handleGetVersion). ""
+// or silence answers StatusError, and so does a replica that reported its own
+// device.
+func (m *Master) probeVersions(id blockstore.ChunkID, addrs []string, seal uint64) []proto.ChunkResult {
 	answers := make([]proto.ChunkResult, len(addrs))
 	queues := make([]serverQueue, len(addrs)) // an address not named gets none
 	for i, addr := range addrs {
 		answers[i].Status = proto.StatusError
 		queues[i].addr = addr
 		if addr != "" {
-			queues[i].msgs = []*proto.Message{{Op: proto.OpGetVersion, Payload: proto.EncodeChunkIDs(id)}}
+			queues[i].msgs = []*proto.Message{{Op: proto.OpGetVersion, View: seal, Payload: proto.EncodeChunkIDs(id)}}
 		}
 	}
 	m.fanOut(m.cfg.RPCTimeout, queues, func(q int, resp *proto.Message) bool {
@@ -200,14 +209,29 @@ func (m *Master) fill(id blockstore.ChunkID, view uint64, a Action) []proto.Chun
 
 // record loads what a view change starts from into r: the chunk's record, a
 // deep copy read outside m.mu while apply's arms change the state's chunk, its
-// vdisk's redundancy and the registered servers.
-func (m *Master) record(r *Recovery, vdiskID, chunkIndex uint32) error {
+// vdisk's redundancy and the registered servers. It returns the end of the
+// log it read them at.
+func (m *Master) record(r *Recovery, vdiskID, chunkIndex uint32) (Pos, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur, err := m.st.chunk(vdiskID, chunkIndex)
 	if err != nil {
-		return err
+		return Pos{}, err
 	}
 	r.Meta, r.Spec, r.Servers = cur.clone(), m.st.vdisks[vdiskID].meta.Redundancy, slices.Clone(m.st.servers)
-	return nil
+	return End(m.log), nil
+}
+
+// settled answers a reporter with meta, read at log end at, once a majority
+// of the masters holds the log to there: the state shows an entry before a
+// majority holds it (commitLocked), and a view change in flight or one that
+// failed may have applied its view here alone.
+func (m *Master) settled(meta *ChunkMeta, at Pos, err error) (*ChunkMeta, error) {
+	if err == nil {
+		err = m.await(at)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return meta, nil
 }

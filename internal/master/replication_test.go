@@ -2,6 +2,7 @@ package master
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -484,5 +485,50 @@ func TestConcurrentCommitsAwaitTheirMajority(t *testing.T) {
 			t.Error(err)
 		}
 		e.requireConverged(t, primary, e.masters[1:]...)
+	})
+}
+
+// TestReporterNeverToldAnUnheldView: a primary master cut off from both
+// standbys runs a view change for a chunk whose backup died (three machines:
+// the chunk goes on degraded, with no fill to wait for). It seals and
+// installs the new view on the chunk servers and applies it to its own
+// state, and no majority comes to hold the record. A report that joins the view change in flight is refused,
+// not answered with that view: the master that promotes next records the
+// old one, and a client writing in the unheld view would reach a replica
+// that a seal of the old view's members misses.
+func TestReporterNeverToldAnUnheldView(t *testing.T) {
+	clock.Test(t, func() {
+		e, cleanup := newReplEnvTTL(t, 3, 3, time.Second)
+		defer cleanup()
+		primary := e.masters[0]
+		var meta VDiskMeta
+		if st := callOn(t, primary, proto.MOpCreateVDisk,
+			CreateVDiskReq{Name: "d", Size: util.ChunkSize}, &meta); st != proto.StatusOK {
+			t.Fatalf("create: %s", st)
+		}
+		e.quiesce(t, primary, e.masters[1:]...)
+		e.net.Partition("master", "master-1")
+		e.net.Partition("master", "master-2")
+		dead := meta.Chunks[0].Replicas[2].Addr
+		e.net.Crash(dead)
+		first := make(chan error, 1)
+		go func() {
+			_, err := primary.RecoverChunk(meta.ID, 0, dead, 0)
+			first <- err
+		}()
+		for primary.Snapshot().VDisks[meta.ID].Chunks[0].View == meta.Chunks[0].View {
+			select {
+			case err := <-first:
+				t.Fatalf("view change ended before its record was applied: %v", err)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		cm, err := primary.RecoverChunk(meta.ID, 0, dead, 0)
+		if err == nil {
+			t.Errorf("a report during the view change was answered with view %d, which no majority holds", cm.View)
+		}
+		if err := <-first; !errors.Is(err, util.ErrNoQuorum) {
+			t.Errorf("view change of a master cut off from its standbys: %v, want %v", err, util.ErrNoQuorum)
+		}
 	})
 }

@@ -165,8 +165,8 @@ var metaOpTable = []struct {
 		if err != nil {
 			o.t.Fatalf("recover c%d.%d: %v", vd.ID, idx, err)
 		}
-		if cm.View != vd.Chunks[idx].View+1 {
-			o.t.Fatalf("recover c%d.%d: view %d, want %d", vd.ID, idx, cm.View, vd.Chunks[idx].View+1)
+		if cm.View != vd.Chunks[idx].View+2 { // the seal, then the install
+			o.t.Fatalf("recover c%d.%d: view %d, want %d", vd.ID, idx, cm.View, vd.Chunks[idx].View+2)
 		}
 	}},
 	// A snapshot with extents to clone: a flush's shape, one chunk whose
@@ -322,7 +322,7 @@ func TestViewInstallLeavesColdAlone(t *testing.T) {
 		o.run("delete-snapshot") // the clone's table is the last to name the segment
 
 		stale := &Recovery{} // what recovery holds
-		if err := primary.record(stale, clone.ID, 0); err != nil || len(stale.Meta.Cold) == 0 {
+		if _, err := primary.record(stale, clone.ID, 0); err != nil || len(stale.Meta.Cold) == 0 {
 			t.Fatalf("record: %+v, %v", stale.Meta, err)
 		}
 		o.run("materialize") // the last replica's report clears the refs

@@ -254,7 +254,8 @@ func (m *Master) createReq(cm ChunkMeta, pos int, spec redundancy.Spec, put Pos)
 }
 
 // openVDisk grants the vdisk's lease to req.Client unless another client
-// holds it unexpired, and returns the metadata.
+// holds it unexpired, and returns the metadata once a majority of the masters
+// holds the log it was read at.
 func (m *Master) openVDisk(req OpenVDiskReq) (*VDiskMeta, error) {
 	if err := m.lockPrimary("open " + req.Name); err != nil {
 		return nil, err
@@ -269,10 +270,11 @@ func (m *Master) openVDisk(req OpenVDiskReq) (*VDiskMeta, error) {
 		// A change of holder is committed; the holder's own open, like a
 		// renewal, logs nothing.
 		if vd.holder != req.Client {
-			at, err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: req.Client}})
+			_, err = m.commitLocked(entry{Lease: &entryLease{ID: vd.meta.ID, Holder: req.Client}})
 		}
 		m.leaseEnds[vd.meta.ID] = m.cfg.Clock.Now().Add(m.cfg.LeaseTTL)
 		out = vd.meta.Clone()
+		at = End(m.log)
 	}
 	m.mu.Unlock()
 	if err == nil {

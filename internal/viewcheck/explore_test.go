@@ -2,6 +2,7 @@ package viewcheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,18 +23,15 @@ type outcome struct {
 }
 
 // explore visits every state the scope reaches, breadth first, so the first
-// violation found is one of the fewest events.
+// violation found is one of the fewest events. The trace is replayed from the
+// start, each step the one that reaches the next state on the path: the
+// explorer's labels name canonical views (encode), the trace the real ones.
 func explore(sc scope) outcome {
 	x := &explorer{sc: sc, c: newCluster(sc)}
 	start := initial(x.c)
-	type node struct {
-		parent uint64
-		label  int32 // into labels
-	}
-	var labels []string
-	ids := map[string]int32{}
-	seen := map[uint64]node{hash(start.encode(x.c)): {label: -1}}
-	var violation, badLabel string
+	const root = 0
+	seen := map[uint64]uint64{hash(start.encode(x.c)): root} // a state's parent
+	var violation string
 	var badParent uint64
 	// The queue holds encoded states, a tenth of a world's size.
 	for queue := [][]byte{start.encode(x.c)}; len(queue) > 0 && violation == ""; {
@@ -41,14 +39,14 @@ func explore(sc scope) outcome {
 		queue[0] = nil
 		queue = queue[1:]
 		h := hash(enc)
-		x.step(decode(x.c, enc), func(label string, n *world) {
+		x.step(decode(x.c, enc), func(_ string, n *world) {
 			if violation != "" {
 				return
 			}
 			// A transition's own violation (bad) is not part of the state: a
 			// state seen before may have been reached without it.
 			if v := n.check(x.c); v != "" {
-				violation, badLabel, badParent = v, label, h
+				violation, badParent = v, h
 				return
 			}
 			nenc := n.encode(x.c)
@@ -56,12 +54,7 @@ func explore(sc scope) outcome {
 			if _, ok := seen[nh]; ok {
 				return
 			}
-			id, ok := ids[label]
-			if !ok {
-				id = int32(len(labels))
-				ids[label], labels = id, append(labels, label)
-			}
-			seen[nh] = node{parent: h, label: id}
+			seen[nh] = h
 			queue = append(queue, nenc)
 		})
 	}
@@ -69,22 +62,26 @@ func explore(sc scope) outcome {
 	if violation == "" {
 		return out
 	}
-	path := []string{badLabel}
-	for h := badParent; seen[h].label >= 0; h = seen[h].parent {
-		path = append(path, labels[seen[h].label])
+	var path []uint64 // the states from the start's successor to the bad one's parent
+	for h := badParent; seen[h] != root; h = seen[h] {
+		path = append(path, h)
 	}
-	// Replay the labels from the start to describe each state on the way.
+	slices.Reverse(path)
 	w := start
 	out.trace = append(out.trace, "start: "+w.describe())
-	for i := len(path) - 1; i >= 0; i-- {
+	for i := 0; i <= len(path); i++ {
 		var next *world
-		x.step(w, func(label string, n *world) {
-			if next == nil && label == path[i] {
-				next = n
+		var label string
+		x.step(w, func(l string, n *world) {
+			if next == nil && (i < len(path) && hash(n.encode(x.c)) == path[i] || i == len(path) && n.check(x.c) != "") {
+				next, label = n, l
 			}
 		})
 		w = next
-		out.trace = append(out.trace, fmt.Sprintf("%d. %s\n     %s", len(path)-i, path[i], w.describe()))
+		if i == len(path) {
+			out.violation = w.check(x.c)
+		}
+		out.trace = append(out.trace, fmt.Sprintf("%d. %s\n     %s", i+1, label, w.describe()))
 	}
 	return out
 }
@@ -102,23 +99,26 @@ func run(tb testing.TB, sc scope) int {
 }
 
 // TestExplore checks the small scope: each strategy, 2 writes, 2 faults and
-// a reconcile pass (tens of thousands of states, under a second), and one
-// mirrored write past three faults, more than three replicas tolerate: a
-// view change must not evict the one live replica holding an acked write.
+// a reconcile pass (tens of thousands of states, under a second), and each
+// strategy past three faults, more than the chunk tolerates, with one write
+// and with two: a view change must not evict the one live replica holding an
+// acked write, nor install a view that misses a write the old view took
+// while it was being read (the seal).
 func TestExplore(t *testing.T) {
 	for _, rs := range []bool{false, true} {
 		run(t, scope{rs: rs, writes: 2, faults: 2, passes: 1})
+		run(t, scope{rs: rs, writes: 1, faults: 3, passes: 1})
+		run(t, scope{rs: rs, writes: 2, faults: 3, passes: 1})
 	}
-	run(t, scope{rs: false, writes: 1, faults: 3, passes: 1})
 }
 
 // BenchmarkViewCheck is the larger scope `make viewcheck` runs: each
-// strategy, 3 writes, 2 faults and a reconcile pass. It is a benchmark so that
+// strategy, 3 writes, 3 faults and a reconcile pass. It is a benchmark so that
 // a bare `go test ./...` never runs it; run it once (-benchtime 1x).
 func BenchmarkViewCheck(b *testing.B) {
 	for range b.N {
 		for _, rs := range []bool{false, true} {
-			run(b, scope{rs: rs, writes: 3, faults: 2, passes: 1})
+			run(b, scope{rs: rs, writes: 3, faults: 3, passes: 1})
 		}
 	}
 }

@@ -134,6 +134,7 @@ type client struct {
 	phase   int8
 	write   int8   // the write in flight (its ID)
 	version uint64 // its version
+	sent    uint64 // the view it was sent in, which its messages carry
 	next    uint64 // the version of the next write
 	msgs    []msg
 	acks    int8 // acks of the write so far (RS: the holders' acks to the primary)
@@ -199,10 +200,14 @@ func initial(c *cluster) *world {
 }
 
 // encode is the state's compact form: what the explorer's queue holds, and
-// what its identity hashes.
+// what its identity hashes. Its views are canonical (canon), so two states
+// that differ only in how far their views have counted are one: a chunk whose
+// writes keep failing over a dead replica takes a seal and an install per
+// report, and its states would never repeat.
 func (w *world) encode(c *cluster) []byte {
 	var b []byte
 	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
+	view := w.canon()
 	bs := func(s []int8) {
 		u(uint64(len(s)))
 		for _, x := range s {
@@ -212,7 +217,7 @@ func (w *world) encode(c *cluster) []byte {
 	for i, s := range w.slots {
 		b = append(b, boolByte(w.dead[i]), boolByte(s != nil))
 		if s != nil {
-			u(s.view)
+			u(view(s.view))
 			u(s.version)
 			bs(s.writes)
 			bs(s.backups)
@@ -220,15 +225,15 @@ func (w *world) encode(c *cluster) []byte {
 			b = append(b, byte(s.seg), boolByte(s.holder))
 		}
 	}
-	u(w.view)
+	u(view(w.view))
 	bs(w.reps)
 	b = append(b, boolByte(w.rec != nil))
 	if r := w.rec; r != nil {
 		b = append(b, byte(w.recBy), boolByte(w.joined))
 		u(uint64(len(r.Failed)))
 		b = append(b, r.Failed...)
-		u(r.View)
-		u(r.Meta.View)
+		u(view(r.View))
+		u(view(r.Meta.View))
 		bs(c.reps(r.Meta))
 		u(uint64(len(r.Rounds)))
 		for _, round := range r.Rounds {
@@ -236,19 +241,20 @@ func (w *world) encode(c *cluster) []byte {
 			for _, a := range round {
 				b = append(b, byte(a.Status))
 				u(a.Version)
-				u(a.View)
+				u(view(a.View))
 			}
 		}
 	}
 	u(uint64(len(w.reports)))
 	for _, rp := range w.reports {
-		u(rp.view)
+		u(view(rp.view))
 		b = append(b, byte(rp.by))
 		u(uint64(len(rp.failed)))
 		b = append(b, rp.failed...)
 	}
 	cl := w.cl
-	u(cl.view)
+	u(view(cl.view))
+	u(view(cl.sent))
 	bs(cl.reps)
 	b = append(b, byte(cl.phase), byte(cl.write), byte(cl.acks), byte(cl.primary))
 	u(cl.version)
@@ -266,6 +272,41 @@ func (w *world) encode(c *cluster) []byte {
 	u(uint64(w.faults))
 	u(uint64(w.passes))
 	return b
+}
+
+// canon maps every view the state holds to a canonical number: 0 (none) and
+// 1 (the first) stay, and each next one in order goes one above the previous
+// when the two were adjacent, two above when not. The model and the rules
+// only compare views, take one above a maximum and one below the record, and
+// all three come out the same on the canonical numbers.
+func (w *world) canon() func(uint64) uint64 {
+	views := []uint64{0, 1, w.view, w.cl.view, w.cl.sent}
+	for _, s := range w.slots {
+		if s != nil {
+			views = append(views, s.view)
+		}
+	}
+	if r := w.rec; r != nil {
+		views = append(views, r.View, r.Meta.View)
+		for _, round := range r.Rounds {
+			for _, a := range round {
+				views = append(views, a.View)
+			}
+		}
+	}
+	for _, rp := range w.reports {
+		views = append(views, rp.view)
+	}
+	slices.Sort(views)
+	views = slices.Compact(views)
+	to := slices.Clone(views)
+	for k := 2; k < len(to); k++ {
+		to[k] = to[k-1] + min(views[k]-views[k-1], 2)
+	}
+	return func(v uint64) uint64 {
+		k, _ := slices.BinarySearch(views, v)
+		return to[k]
+	}
 }
 
 // decode is encode's inverse.
@@ -322,7 +363,7 @@ func decode(c *cluster, b []byte) *world {
 		w.reports[k] = report{view: u(), by: int8(by()), failed: str()}
 	}
 	cl := &w.cl
-	cl.view, cl.reps = u(), bs()
+	cl.view, cl.sent, cl.reps = u(), u(), bs()
 	cl.phase, cl.write, cl.acks, cl.primary = int8(by()), int8(by()), int8(by()), int8(by())
 	cl.version, cl.next = u(), u()
 	cl.msgs = make([]msg, u())

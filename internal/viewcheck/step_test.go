@@ -8,6 +8,7 @@ import (
 	"ursa/internal/chunkserver"
 	"ursa/internal/master"
 	"ursa/internal/proto"
+	"ursa/internal/util"
 )
 
 // Reporters: whose report a view change answers.
@@ -52,7 +53,7 @@ func (x *explorer) step(w *world, emit func(label string, n *world)) {
 	case reporting:
 		n := w.clone()
 		n.clientReport(c)
-		emit(fmt.Sprintf("client reports from view %d", cl.view), n)
+		emit(fmt.Sprintf("client reports from view %d", cl.sent), n)
 	}
 
 	if w.rec != nil {
@@ -101,7 +102,7 @@ func (x *explorer) step(w *world, emit func(label string, n *world)) {
 // (RS).
 func (w *world) send(c *cluster) {
 	cl := &w.cl
-	cl.acks, cl.primary, cl.msgs = 0, 0, nil
+	cl.acks, cl.primary, cl.msgs, cl.sent = 0, 0, nil, cl.view
 	for pos, i := range cl.reps {
 		if pos == 0 || !c.spec.IsRS() {
 			cl.msgs = append(cl.msgs, msg{to: i, write: cl.write})
@@ -133,7 +134,7 @@ func (w *world) deliver(c *cluster, k int, lost bool, drop int) (shipped int) {
 	case c.spec.IsRS():
 		cl.primary = -1
 		if lost || w.dead[m.to] {
-			w.file(report{view: cl.view, failed: c.servers[m.to].Addr, by: byLater})
+			w.file(report{view: cl.sent, failed: c.servers[m.to].Addr, by: byLater})
 		}
 	case ok:
 		cl.acks++
@@ -145,7 +146,7 @@ func (w *world) deliver(c *cluster, k int, lost bool, drop int) (shipped int) {
 	if c.spec.IsRS() {
 		committed = cl.primary == 1 && c.strat.CommitOK(int(cl.acks), shipped)
 	} else if committed && int(cl.acks) < len(cl.reps) {
-		w.file(report{view: cl.view, by: byLater})
+		w.file(report{view: cl.sent, by: byLater})
 	}
 	cl.acks, cl.primary = 0, 0 // decided: forget the tally, so equal states hash equal
 	if !committed {
@@ -153,7 +154,7 @@ func (w *world) deliver(c *cluster, k int, lost bool, drop int) (shipped int) {
 		return shipped
 	}
 	w.acked = append(w.acked, acked{write: cl.write, version: cl.version})
-	cl.next, cl.phase, cl.write, cl.version = cl.version+1, idle, 0, 0
+	cl.next, cl.phase, cl.write, cl.version, cl.sent = cl.version+1, idle, 0, 0, 0
 	return shipped
 }
 
@@ -164,7 +165,7 @@ func (w *world) apply(i int8, lost bool) bool {
 	if lost || w.dead[i] || s == nil {
 		return false
 	}
-	switch step, _ := chunkserver.WriteRule(s.view, s.version, s.version, w.cl.view, w.cl.version, true); step {
+	switch step, _ := chunkserver.WriteRule(s.view, s.version, s.version, w.cl.sent, w.cl.version, true); step {
 	case chunkserver.WriteApply:
 		s.writes = append(s.writes, w.cl.write)
 		s.version++
@@ -192,7 +193,7 @@ func (w *world) load(c *cluster, r *master.Recovery) {
 // RecoverChunk takes it: answered at once when the plan needs no probe, else
 // joined to the view change in flight, else the one that starts.
 func (w *world) clientReport(c *cluster) {
-	r := &master.Recovery{View: w.cl.view}
+	r := &master.Recovery{View: w.cl.sent}
 	w.load(c, r)
 	w.cl.phase = waiting
 	switch {
@@ -226,25 +227,7 @@ func (x *explorer) recStep(w *world, emit func(string, *world)) {
 		n.end(c, master.ChunkMeta{}, a.Err, false)
 		emit(fmt.Sprintf("master answers %v", a.Err), n)
 	case a.Probe != nil:
-		round := make([]proto.ChunkResult, len(a.Probe))
-		for k, addr := range a.Probe {
-			round[k] = w.probe(c.index(addr))
-		}
-		for lose := -1; lose < len(round); lose++ {
-			if lose >= 0 && (!fault || round[lose].Status != proto.StatusOK) {
-				continue
-			}
-			n := w.clone()
-			got := slices.Clone(round)
-			label := fmt.Sprintf("master probes %v: %v", a.Probe, results(got))
-			if lose >= 0 {
-				n.faults++
-				got[lose] = proto.ChunkResult{Status: proto.StatusError}
-				label = fmt.Sprintf("FAULT master probes %v: %v, the answer of %s lost", a.Probe, results(got), a.Probe[lose])
-			}
-			n.rec.Rounds = append(n.rec.Rounds, got)
-			emit(label, n)
-		}
+		x.probe(w, a, emit)
 	case a.Fills != nil:
 		for lose := -1; lose < len(a.Fills); lose++ {
 			for _, effect := range []bool{false, true} {
@@ -279,11 +262,68 @@ func (x *explorer) recStep(w *world, emit func(string, *world)) {
 	}
 }
 
+// probe executes a probe: every replica asked answers its version and view,
+// once it has taken the seal when the probe carries one. A fault loses one
+// OK answer — its replica took the seal all the same — or, for a seal, the
+// message on its way. (The replicas answer together: a write landing between
+// two answers is out of scope.)
+func (x *explorer) probe(w *world, a master.Action, emit func(string, *world)) {
+	c, fault := x.c, w.faults < x.sc.faults
+	type loss struct {
+		k      int  // the answer lost, -1 for none
+		sealed bool // its replica took the seal
+	}
+	losses := []loss{{k: -1}}
+	for k, addr := range a.Probe {
+		if fault && w.probe(c.index(addr)).Status == proto.StatusOK {
+			losses = append(losses, loss{k, true})
+			if a.View != 0 {
+				losses = append(losses, loss{k, false})
+			}
+		}
+	}
+	verb := "probes"
+	if a.View != 0 {
+		verb = fmt.Sprintf("seals at view %d", a.View)
+	}
+	for _, l := range losses {
+		n := w.clone()
+		round := make([]proto.ChunkResult, len(a.Probe))
+		for k, addr := range a.Probe {
+			if a.View != 0 && (k != l.k || l.sealed) {
+				n.seal(c.index(addr), a.View)
+			}
+			round[k] = n.probe(c.index(addr))
+		}
+		label := fmt.Sprintf("master %s %v: %v", verb, a.Probe, results(round))
+		if l.k >= 0 {
+			n.faults++
+			round[l.k] = proto.ChunkResult{Status: proto.StatusError}
+			what := "answer"
+			if !l.sealed {
+				what = "seal"
+			}
+			label = fmt.Sprintf("FAULT master %s %v: %v, the %s of %s lost", verb, a.Probe, results(round), what, a.Probe[l.k])
+		}
+		n.rec.Rounds = append(n.rec.Rounds, round)
+		emit(label, n)
+	}
+}
+
+// seal has server i's replica, when it is up, take a view change's seal as
+// handleGetVersion does.
+func (w *world) seal(i int8, view uint64) {
+	if i >= 0 && !w.dead[i] && w.slots[i] != nil && chunkserver.SetViewRule(w.slots[i].view, view) == proto.StatusOK {
+		w.slots[i].view = view
+	}
+}
+
 // install executes an install: normally every replica takes the view and the
 // master records it; a lost message misses one replica; a failed install
-// (the master deposed) reaches none and records nothing; a failover between
-// install and log answers the reporter with the view while the promoted
-// standby keeps the old record.
+// (the master deposed) reaches none and records nothing; an install whose
+// record no majority of masters came to hold reaches every replica, and the
+// reporter is refused — a master answers only once a majority holds the
+// entry — while the master that promotes next keeps the old record.
 func (x *explorer) install(w *world, a master.Action, emit func(string, *world)) {
 	c, fault := x.c, w.faults < x.sc.faults
 	reps := c.reps(master.ChunkMeta{Replicas: a.Install})
@@ -319,15 +359,11 @@ func (x *explorer) install(w *world, a master.Action, emit func(string, *world))
 	n.faults++
 	n.end(c, master.ChunkMeta{}, errors.New("deposed"), false)
 	emit(fmt.Sprintf("FAULT %s fails: nothing installed or recorded", label), n)
-	for _, reached := range []bool{true, false} {
-		n := w.clone()
-		n.faults++
-		if reached {
-			setView(n, -1)
-		}
-		n.end(c, meta, nil, true)
-		emit(fmt.Sprintf("FAULT %s, answered, and the master fails over before its log ships (installed: %v)", label, reached), n)
-	}
+	n = w.clone()
+	n.faults++
+	setView(n, -1)
+	n.end(c, master.ChunkMeta{}, util.ErrNoQuorum, false)
+	emit(fmt.Sprintf("FAULT %s, and no majority holds its record: the reporter is refused", label), n)
 }
 
 // fill executes one replica's fill, as handleFill and the rebuild engine do,
@@ -422,7 +458,7 @@ func (w *world) end(c *cluster, meta master.ChunkMeta, err error, installed bool
 		if err != nil || !installed {
 			meta = c.meta(w.view, w.reps)
 		}
-		w.answer(c, &master.Recovery{View: w.cl.view}, byClient, meta, nil, false)
+		w.answer(c, &master.Recovery{View: w.cl.sent}, byClient, meta, nil, false)
 	}
 }
 
