@@ -176,15 +176,17 @@ func (t Table) String() string {
 // ---------------------------------------------------------------------------
 // System-under-test builders.
 //
-// TIME SCALE: the host kernel's timer granularity is ≈1 ms, so real
-// device-scale sleeps (an 80 µs SSD read) are physically impossible to
-// simulate in real time here. Every bench device model therefore runs in
-// uniform ×10 "slow motion" relative to the paper's hardware, with all
-// fixed latencies at ≥1 ms so sleeps land on timer ticks: SSD 4 KB read
-// 1 ms (real ≈0.1 ms), HDD random ≈100 ms (real ≈10 ms), network one-way
-// 1 ms (real ≈0.1 ms). Every system gets the same models, so all ratios,
-// crossovers and scaling shapes are preserved; absolute IOPS and MB/s are
-// ≈1/10 of the paper's and EXPERIMENTS.md compares them at that scale.
+// TIME SCALE: on the real clock a sleep wakes ≈15–30 µs after its
+// deadline (clock.Realtime parks on a timerfd), which is a large share of
+// the paper's device-scale waits (an 80 µs SSD read). Every bench device
+// model therefore runs in uniform ×10 "slow motion" relative to the
+// paper's hardware, with all fixed latencies at ≥1 ms so that lateness is
+// a few percent of each wait: SSD 4 KB read 1 ms (real ≈0.1 ms), HDD
+// random ≈100 ms (real ≈10 ms), network one-way 1 ms (real ≈0.1 ms).
+// ROADMAP item 1c runs them at 1× in bubbles instead. Every system gets
+// the same models, so all ratios, crossovers and scaling shapes are
+// preserved; absolute IOPS and MB/s are ≈1/10 of the paper's and
+// EXPERIMENTS.md compares them at that scale.
 
 // benchSSD is the Intel-750-class model in ×10 slow motion.
 func benchSSD() simdisk.SSDModel {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 
+	"ursa/internal/bufpool"
 	"ursa/internal/core"
 	"ursa/internal/master"
 	"ursa/internal/opctx"
@@ -162,7 +163,8 @@ func settledHeap() int64 {
 // holds, net of simulated-disk pages: the `footprint` gate of make
 // perf-smoke. Bytes per created-but-unwritten chunk replica, per chunk
 // replica written once, per idle SimNet connection and per idle RPC
-// connection over one.
+// connection over one, and the heap an idle buffer pool keeps
+// (poolIdleBytes).
 func footprintCounts() (map[string]float64, error) {
 	out := make(map[string]float64)
 	var heap, pages int64
@@ -173,7 +175,29 @@ func footprintCounts() (map[string]float64, error) {
 		}
 		heap, pages = now, st.pages
 	})
+	out["pool_idle_bytes"] = poolIdleBytes()
 	return out, err
+}
+
+// poolIdleBurst is two leases of each of the buffer pool's eight size
+// classes, 512 B to 16 MiB (bufpool.classSizes): 43 MiB in all.
+var poolIdleBurst = []int{512, 512, 4 << 10, 4 << 10, 16 << 10, 16 << 10, 64 << 10, 64 << 10,
+	256 << 10, 256 << 10, 1 << 20, 1 << 20, 4 << 20, 4 << 20, 16 << 20, 16 << 20}
+
+// poolIdleBytes is the heap the buffer pool holds once a burst through
+// every size class has been returned and no lease has touched it across the
+// collections settledHeap forces: what an idle pool keeps of what it lent.
+func poolIdleBytes() float64 {
+	before := settledHeap()
+	burst := make([][]byte, len(poolIdleBurst))
+	for i, n := range poolIdleBurst {
+		burst[i] = bufpool.Get(n)
+	}
+	for _, b := range burst {
+		bufpool.Put(b)
+	}
+	clear(burst)
+	return float64(settledHeap() - before)
 }
 
 // footprintLedger is the in-use companion of the allocation ledger: the

@@ -22,18 +22,30 @@
 // pool owns but which is not currently leased panics: that is a real
 // double-put, the memory-unsafety bug the ledger exists to catch.
 //
-// The ledger is keyed by each buffer's base pointer, so it keeps every
-// buffer it has lent alive until the buffer is evicted from its free list
-// and deregistered. A lease its holders drop without Put is therefore never
-// collected: it shows as InUse() > 0, and no foreign allocation can reuse
-// its address and be misjudged a pool buffer. Ledger shards and per-class
-// free lists keep Get/Put uncontended at QD32.
+// The ledger lists leased buffers only, keyed by each buffer's base pointer,
+// so it keeps every lease alive. A lease its holders drop without Put is
+// therefore never collected: it shows as InUse() > 0, and no foreign
+// allocation can reuse its address and be misjudged a pool buffer.
+//
+// Memory follows use: a size class's free list is one object that only a
+// sync.Pool holds strongly, found through a weak pointer and re-put into
+// the sync.Pool by every Get and final Put. A list that no lease touched
+// across two collections is collected with every buffer on it, and the
+// class's next Get starts a fresh one; a list in use survives the one
+// collection between two touches, so the hot path does not re-make it.
+// Each list indexes its free buffers under the ledger's shard locks, so a
+// buffer moves between ledger and free list in one step and a Put or
+// Retain of a returned buffer panics. A buffer on a collected list is
+// unreachable to the pool, so a stale Put of it is a foreign no-op. Ledger
+// shards and per-class free lists keep Get/Put uncontended at QD32, and a
+// Put or Retain of a foreign buffer takes no class-wide lock.
 package bufpool
 
 import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+	"weak"
 )
 
 // classSizes are the lease capacities, chosen for the path's actual
@@ -42,54 +54,78 @@ import (
 // proto.MaxPayload (16 MiB) as the ceiling.
 var classSizes = [...]int{512, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20}
 
-// classCap bounds each free list's retained buffer count: a ceiling, not a
-// release — an idle pool keeps what a burst returned, up to about 178 MiB
-// across the classes (2+16+8+32+8+32+16+64 MiB), and gives none of it back.
-// Evicted buffers are deregistered before being handed to the GC.
-func classCap(size int) int {
-	switch {
-	case size <= 4096:
-		return 4096
-	case size <= 65536:
-		return 512
-	case size <= 1<<20:
-		return 32
-	default:
-		return 4
-	}
-}
-
-// class is one size class: a LIFO free list of full-capacity slices.
-type class struct {
-	size int
-	mu   sync.Mutex
-	free [][]byte
-}
-
 // ledgerShards must be a power of two.
 const ledgerShards = 64
 
-// entry is the ledger record of one buffer the pool owns.
-type entry struct {
-	class int8  // index into classes
-	refs  int32 // 0 while on the free list
+// freeList is one class's returned buffers: a LIFO stack under mu, and an
+// index of the same buffers by base pointer, whose shard s is guarded by
+// the ledger's shard s lock.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+	idx  [ledgerShards]map[*byte]struct{}
 }
 
-// shard is one ledger shard: buffer base pointer → ownership entry. The key
-// is a pointer, not an address, so the ledger keeps the buffer alive.
+// class is one size class. Its current free list is held strongly by keep
+// alone; ref finds it while it lives.
+type class struct {
+	size int
+	ref  atomic.Pointer[weak.Pointer[freeList]]
+	keep sync.Pool
+}
+
+// list returns the class's free list, or nil once it has been collected.
+func (c *class) list() *freeList {
+	if w := c.ref.Load(); w != nil {
+		return w.Value()
+	}
+	return nil
+}
+
+// touch returns the class's free list, starting a fresh one if the last was
+// collected, and puts it back in keep so that it survives the next
+// collection. Whatever keep hands back is this list: an older one is
+// collected, so keep no longer holds it.
+func (c *class) touch() *freeList {
+	for {
+		w := c.ref.Load()
+		var l *freeList
+		if w != nil {
+			l = w.Value()
+		}
+		if l == nil {
+			l = new(freeList)
+			nw := weak.Make(l)
+			if !c.ref.CompareAndSwap(w, &nw) {
+				continue // another lease started one first
+			}
+		}
+		c.keep.Get()
+		c.keep.Put(l)
+		return l
+	}
+}
+
+// entry is the ledger record of one leased buffer.
+type entry struct {
+	class int8  // index into classes
+	refs  int32 // > 0
+}
+
+// shard is one ledger shard: leased buffer base pointer → entry. The key is
+// a pointer, not an address, so the ledger keeps the buffer alive.
 type shard struct {
 	mu sync.Mutex
-	m  map[*byte]*entry
+	m  map[*byte]entry
 }
 
 type pool struct {
 	classes [len(classSizes)]class
 	shards  [ledgerShards]shard
 
-	inUse    atomic.Int64 // buffers currently leased (refs > 0)
-	leases   atomic.Int64 // total Get calls served from the pool
-	returns  atomic.Int64 // total final Puts (buffer back on a free list)
-	discards atomic.Int64 // free-list evictions (ledger entries released)
+	inUse   atomic.Int64 // buffers currently leased (refs > 0)
+	leases  atomic.Int64 // total Get calls served from the pool
+	returns atomic.Int64 // total final Puts (buffer back on a free list)
 }
 
 var p = func() *pool {
@@ -98,15 +134,35 @@ var p = func() *pool {
 		pl.classes[i].size = sz
 	}
 	for i := range pl.shards {
-		pl.shards[i].m = make(map[*byte]*entry)
+		pl.shards[i].m = make(map[*byte]entry)
 	}
 	return pl
 }()
 
-func (pl *pool) shardFor(ptr *byte) *shard {
+// shardFor returns the ledger shard of ptr and its index.
+func (pl *pool) shardFor(ptr *byte) (*shard, int) {
 	// Buffer bases are at least 512 B apart; mix the middle bits.
 	a := uintptr(unsafe.Pointer(ptr))
-	return &pl.shards[(a>>6^a>>14)&(ledgerShards-1)]
+	s := int((a>>6 ^ a>>14) & (ledgerShards - 1))
+	return &pl.shards[s], s
+}
+
+// onFreeList reports whether ptr, the base of a slice of capacity n, is a
+// buffer on a live free list. Shard s must be locked. Only a class at least
+// n large can hold it.
+func (pl *pool) onFreeList(s int, ptr *byte, n int) bool {
+	ci := classFor(n)
+	if ci < 0 {
+		return false
+	}
+	for ; ci < len(pl.classes); ci++ {
+		if l := pl.classes[ci].list(); l != nil {
+			if _, ok := l.idx[s][ptr]; ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // classFor returns the smallest class index fitting n, or -1 when n is
@@ -141,28 +197,29 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	c := &p.classes[ci]
-	c.mu.Lock()
+	l := c.touch()
+	l.mu.Lock()
 	var b []byte
-	if fl := len(c.free); fl > 0 {
-		b = c.free[fl-1]
-		c.free[fl-1] = nil
-		c.free = c.free[:fl-1]
+	if k := len(l.bufs); k > 0 {
+		b = l.bufs[k-1]
+		l.bufs[k-1] = nil
+		l.bufs = l.bufs[:k-1]
 	}
-	c.mu.Unlock()
-	if b == nil {
+	l.mu.Unlock()
+	reused := b != nil
+	if !reused {
 		b = make([]byte, c.size)
-		ptr, _ := base(b)
-		sh := p.shardFor(ptr)
-		sh.mu.Lock()
-		sh.m[ptr] = &entry{class: int8(ci), refs: 1}
-		sh.mu.Unlock()
-	} else {
-		ptr, _ := base(b)
-		sh := p.shardFor(ptr)
-		sh.mu.Lock()
-		sh.m[ptr].refs = 1
-		sh.mu.Unlock()
 	}
+	ptr, _ := base(b)
+	sh, s := p.shardFor(ptr)
+	sh.mu.Lock()
+	if reused {
+		// Still indexed as free until here, so a stale Put between the
+		// pop and this line panics.
+		delete(l.idx[s], ptr)
+	}
+	sh.m[ptr] = entry{class: int8(ci), refs: 1}
+	sh.mu.Unlock()
 	p.inUse.Add(1)
 	p.leases.Add(1)
 	return b[:n]
@@ -177,18 +234,19 @@ func Retain(b []byte) {
 	if !ok {
 		return
 	}
-	sh := p.shardFor(ptr)
+	sh, s := p.shardFor(ptr)
 	sh.mu.Lock()
-	e := sh.m[ptr]
-	if e == nil {
+	e, ok := sh.m[ptr]
+	if !ok {
+		free := p.onFreeList(s, ptr, cap(b))
 		sh.mu.Unlock()
+		if free {
+			panic("bufpool: Retain of a buffer that is not leased")
+		}
 		return
 	}
-	if e.refs <= 0 {
-		sh.mu.Unlock()
-		panic("bufpool: Retain of a buffer that is not leased")
-	}
 	e.refs++
+	sh.m[ptr] = e
 	sh.mu.Unlock()
 	p.inUse.Add(1)
 }
@@ -202,41 +260,37 @@ func Put(b []byte) {
 	if !ok {
 		return
 	}
-	sh := p.shardFor(ptr)
+	sh, s := p.shardFor(ptr)
 	sh.mu.Lock()
-	e := sh.m[ptr]
-	if e == nil {
+	e, ok := sh.m[ptr]
+	if !ok {
+		free := p.onFreeList(s, ptr, cap(b))
 		sh.mu.Unlock()
+		if free {
+			panic("bufpool: double Put")
+		}
 		return
 	}
-	if e.refs <= 0 {
+	if e.refs--; e.refs > 0 {
+		sh.m[ptr] = e
 		sh.mu.Unlock()
-		panic("bufpool: double Put")
+		p.inUse.Add(-1)
+		return
 	}
-	e.refs--
-	last := e.refs == 0
-	ci := int(e.class)
+	// The last reference: from the ledger to the free index in one step.
+	delete(sh.m, ptr)
+	c := &p.classes[e.class]
+	l := c.touch()
+	if l.idx[s] == nil {
+		l.idx[s] = make(map[*byte]struct{})
+	}
+	l.idx[s][ptr] = struct{}{}
 	sh.mu.Unlock()
 	p.inUse.Add(-1)
-	if !last {
-		return
-	}
 	p.returns.Add(1)
-	c := &p.classes[ci]
-	full := b[:c.size:c.size] // restore the class-size view for reuse
-	c.mu.Lock()
-	if len(c.free) < classCap(c.size) {
-		c.free = append(c.free, full)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	// Free list full: deregister and let the GC have it, which it can only
-	// once the ledger drops its key.
-	sh.mu.Lock()
-	delete(sh.m, ptr)
-	sh.mu.Unlock()
-	p.discards.Add(1)
+	l.mu.Lock()
+	l.bufs = append(l.bufs, unsafe.Slice(ptr, c.size)) // the class-size view for reuse
+	l.mu.Unlock()
 }
 
 // InUse reports the number of currently leased references. A quiesced
