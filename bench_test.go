@@ -7,7 +7,9 @@
 //	go test -bench=Figures/6a -short
 //
 // -short runs the figures at reduced op counts. Absolute numbers are at
-// the suite's uniform ×10 slow-motion time scale (see internal/bench);
+// the suite's uniform ×10 slow-motion time scale (see internal/bench): on
+// the real clock a sleep wakes ≈15–30 µs late, which is large against an
+// 80 µs device wait, so every fixed latency is ≥1 ms (ROADMAP item 1c);
 // EXPERIMENTS.md records paper-vs-measured per figure. Each figure runs
 // through bench.Entry.Run, so with GOEXPERIMENT=synctest set a model-time
 // figure runs in a synctest bubble: its model sleeps are exact and cost no

@@ -198,8 +198,9 @@ func (o *OSD) relay(m *proto.Message, req *wireMsg) error {
 	return nil
 }
 
-// Backup addresses ride in the proto header fields to keep the wire format
-// JSON-only for the measured payload path.
+// encodeBackups appends the backup addresses to the payload as JSON and
+// puts their length in the header's Version field, so the primary relays
+// them without a wire format of their own; decodeBackups reads them back.
 func encodeBackups(m *proto.Message, backups []string) {
 	b, _ := json.Marshal(backups)
 	m.Version = uint64(len(b))

@@ -7,8 +7,8 @@ import (
 	"ursa/internal/workload"
 )
 
-// volumeSize for the micro-benchmarks: a few GB so random 4 KB I/O spreads
-// over many chunks.
+// microVolume is the vdisk size for the micro-benchmarks: a few GB so random
+// 4 KB I/O spreads over many chunks.
 const microVolume = 4 * util.GiB
 
 // Fig06a regenerates random IOPS (BS=4KB, QD=16) for the four systems and

@@ -16,7 +16,7 @@ import (
 // sectorState is what a sector may legally contain.
 type sectorState struct {
 	committed byte // fingerprint of the last committed write
-	pending   byte // fingerprint of an unresolved write, valid when hasPending
+	pending   byte // fingerprint of an unresolved write, valid when hasPend
 	hasPend   bool
 }
 

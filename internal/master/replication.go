@@ -15,9 +15,9 @@ import (
 // RecoverChunk view installs) to every hot standby over the ordinary
 // transport, and a handler answers only once a majority of the masters holds
 // its entry (step.go states the rule and its three parts). A lease renewal
-// ships nothing (grantLocked). The primary heartbeats (an empty batch) every
-// PrimacyTTL/4, and holds primacy while a majority acknowledges its batches
-// within a PrimacyTTL. A standby that hears nothing for its rank-staggered
+// by the holder commits nothing, so it ships nothing (renewLease). The
+// primary heartbeats (an empty batch) every PrimacyTTL/4, and holds primacy
+// while a majority acknowledges its batches within a PrimacyTTL. A standby that hears nothing for its rank-staggered
 // timeout probes the other masters for a new epoch and takes over once a
 // majority has promised it and none holds a later log. Every
 // chunkserver-bound command carries the epoch too, and chunkservers reject

@@ -331,7 +331,7 @@ func (s *Store) UsedBytes() int64 {
 // ---------------------------------------------------------------------------
 // Fault injection (chaos interface, mirroring simdisk.FaultInjector).
 
-// armed bumps the faults-injected counter; caller holds s.mu.
+// armedLocked bumps the faults-injected counter; caller holds s.mu.
 func (s *Store) armedLocked() {
 	s.reg.Counter(MetricObjFaultsInjected).Inc()
 }

@@ -210,7 +210,7 @@ type Message struct {
 	Payload []byte
 }
 
-// Header layout (little endian):
+// HeaderSize is the length of the fixed header. Its layout (little endian):
 //
 //	0  ID       uint64
 //	8  Op       uint8

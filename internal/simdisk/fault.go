@@ -87,7 +87,7 @@ func (f *FaultInjector) SetMetrics(reg *metrics.Registry) {
 	f.mu.Unlock()
 }
 
-// armed bumps the injected-faults counter; caller holds f.mu.
+// armedLocked bumps the injected-faults counter; caller holds f.mu.
 func (f *FaultInjector) armedLocked() {
 	f.reg.Counter(MetricFaultsInjected).Inc()
 }

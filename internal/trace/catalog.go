@@ -29,7 +29,8 @@ var lowHitNames = map[string]bool{
 	"web_1": true,
 }
 
-// volumeSeeds gives every volume distinct deterministic behavior.
+// volumeNames lists the catalog's 36 MSR volumes in order; Catalog derives
+// each one's distinct deterministic behaviour from its position.
 var volumeNames = []string{
 	"hm_0", "hm_1", "mds_0", "mds_1", "prn_0", "prn_1",
 	"proj_0", "proj_1", "proj_2", "proj_3", "proj_4",
